@@ -10,11 +10,14 @@
 //! expectation is ~0% overhead. The guard compares min-of-N wall times
 //! with the variants interleaved (so clock drift and frequency
 //! scaling hit both equally) and fails loudly if the contract is broken.
+//!
+//! The enabled paths — what looking costs once it is switched on — are
+//! guarded the same way against ceilings (see [`enabled_guard`]).
 
 use criterion::{black_box, criterion_group, Criterion};
 use scd_apps::{lu, AppRun, LuParams};
 use scd_machine::{Machine, MachineConfig};
-use scd_trace::TraceConfig;
+use scd_trace::{TraceConfig, TraceSink};
 use std::time::Instant;
 
 fn test_app() -> AppRun {
@@ -60,33 +63,42 @@ fn bench_disabled_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The < 2% contract, asserted. Min-of-N is robust to one-sided noise
-/// (interrupts and scheduling only ever make a run slower), which is what
-/// makes a tight ratio assertion viable on shared CI machines.
+/// Min-of-`rounds` wall nanoseconds of each variant, the variants
+/// interleaved round by round so clock drift and frequency scaling hit
+/// all of them equally. Min-of-N is robust to one-sided noise (interrupts
+/// and scheduling only ever make a run slower), which is what makes a
+/// tight ratio assertion viable on shared CI machines.
+fn min_interleaved(rounds: usize, variants: &mut [&mut dyn FnMut() -> u64]) -> Vec<u128> {
+    // Warm every path (page faults, lazy allocations) before timing.
+    for v in variants.iter_mut() {
+        black_box(v());
+    }
+    let mut mins = vec![u128::MAX; variants.len()];
+    for _ in 0..rounds {
+        for (v, min) in variants.iter_mut().zip(&mut mins) {
+            let t = Instant::now();
+            black_box(v());
+            *min = (*min).min(t.elapsed().as_nanos());
+        }
+    }
+    mins
+}
+
+/// The < 2% contract, asserted.
 fn overhead_guard() {
     // Each round is ~5 ms per variant; 31 interleaved rounds spread the
     // samples over enough wall time that every variant's min gets a shot
     // at a quiet slice of a loaded machine.
-    const ROUNDS: usize = 31;
     let app = test_app();
-    // Warm both paths (page faults, lazy allocations) before timing.
-    run_once(&app, None);
-    run_once(&app, Some(TraceConfig::none()));
-    run_once_unstreamed(&app);
-    let mut baseline = u128::MAX;
-    let mut disabled = u128::MAX;
-    let mut unstreamed = u128::MAX;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        black_box(run_once(&app, None));
-        baseline = baseline.min(t.elapsed().as_nanos());
-        let t = Instant::now();
-        black_box(run_once(&app, Some(TraceConfig::none())));
-        disabled = disabled.min(t.elapsed().as_nanos());
-        let t = Instant::now();
-        black_box(run_once_unstreamed(&app));
-        unstreamed = unstreamed.min(t.elapsed().as_nanos());
-    }
+    let mins = min_interleaved(
+        31,
+        &mut [
+            &mut || run_once(&app, None),
+            &mut || run_once(&app, Some(TraceConfig::none())),
+            &mut || run_once_unstreamed(&app),
+        ],
+    );
+    let (baseline, disabled, unstreamed) = (mins[0], mins[1], mins[2]);
     let ratio = disabled as f64 / baseline as f64;
     let stream_ratio = unstreamed as f64 / baseline as f64;
     println!(
@@ -106,11 +118,92 @@ fn overhead_guard() {
     );
 }
 
+/// A sink that counts what it is given and keeps nothing, so the guard
+/// times the machine's side of streaming (hooks, ring, pump, line
+/// rendering, the `dyn` call) and not a disk.
+struct CountingSink(u64);
+
+impl TraceSink for CountingSink {
+    fn emit(&mut self, line: &str) {
+        self.0 += line.len() as u64 + 1;
+    }
+    fn flush(&mut self) {}
+}
+
+/// The full ring of `scdsim --trace-out`, with a counting sink attached
+/// as `--stream-out` would attach a file.
+fn run_once_streamed(app: &AppRun) -> u64 {
+    let cfg = MachineConfig::paper_32().with_trace(TraceConfig::full(4096));
+    let mut machine = Machine::new(cfg, app.boxed_programs());
+    machine.attach_stream(Box::new(CountingSink(0)), None);
+    machine.try_run().expect("run must quiesce").cycles
+}
+
+/// Ceilings on what *looking* costs, as multiples of the plain run. These
+/// are regression guards, not the budget: ROADMAP item 4 asks for
+/// metrics+attribution <= 1.2x, full trace <= 1.5x and live stream <= 2x,
+/// and that budget is still open — the ring and the pump (per-event
+/// copies, the watermark heap, one `dyn` emit per line) are the layers
+/// left to shave.
+///
+/// Measured on this app when the guard was added (min of 15 interleaved
+/// rounds, eight runs): 1.09-1.47x / 1.34-1.50x / 2.64-3.27x — on a
+/// shared host the plain run's own minimum moves by several percent
+/// between processes, and every ratio moves with it. The stream ceiling
+/// sits where rendering each event through a `Json` tree fails it (6.6x
+/// at the parent of that change) and the typed line writer passes with
+/// margin;
+/// the other two paths did not change then (1.20x / 1.38x before) and
+/// their ceilings only leave room for that noise.
+const METRICS_ATTRIB_CEILING: f64 = 1.75;
+const FULL_RING_CEILING: f64 = 2.25;
+const STREAM_CEILING: f64 = 4.5;
+
+/// The enabled-path guard: same min-of-interleaved-rounds method as the
+/// disabled-path one, over the three costs a user can switch on.
+fn enabled_guard() {
+    let app = test_app();
+    let counters = TraceConfig {
+        metrics: true,
+        attribution: true,
+        ..TraceConfig::none()
+    };
+    let mins = min_interleaved(
+        15,
+        &mut [
+            &mut || run_once(&app, None),
+            &mut || run_once(&app, Some(counters)),
+            &mut || run_once(&app, Some(TraceConfig::full(4096))),
+            &mut || run_once_streamed(&app),
+        ],
+    );
+    let plain = mins[0] as f64;
+    let ratios: Vec<f64> = mins.iter().map(|&m| m as f64 / plain).collect();
+    println!(
+        "trace_overhead enabled guard: plain {} ns; metrics+attribution {:.2}x \
+         (ceiling {METRICS_ATTRIB_CEILING}), full ring {:.2}x (ceiling \
+         {FULL_RING_CEILING}), full ring + counting sink {:.2}x (ceiling \
+         {STREAM_CEILING}); ROADMAP item 4's 1.2x / 1.5x / 2x budget is still open",
+        mins[0], ratios[1], ratios[2], ratios[3]
+    );
+    for (what, ratio, ceiling) in [
+        ("metrics+attribution", ratios[1], METRICS_ATTRIB_CEILING),
+        ("full ring", ratios[2], FULL_RING_CEILING),
+        ("full ring + attached sink", ratios[3], STREAM_CEILING),
+    ] {
+        assert!(
+            ratio <= ceiling,
+            "{what} costs {ratio:.2}x the plain run, over its {ceiling}x ceiling"
+        );
+    }
+}
+
 criterion_group!(benches, bench_disabled_path);
 
-// A custom `main` instead of `criterion_main!`: the guard's assertion must
+// A custom `main` instead of `criterion_main!`: the guards' assertions must
 // run after the reported benchmarks.
 fn main() {
     benches();
     overhead_guard();
+    enabled_guard();
 }

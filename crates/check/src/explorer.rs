@@ -366,7 +366,7 @@ pub fn replay_trace(
     }
     let mut jsonl = String::new();
     for ev in m.trace_events() {
-        jsonl.push_str(&ev.to_json().to_string());
+        ev.write_jsonl(&mut jsonl);
         jsonl.push('\n');
     }
     (jsonl, steps)

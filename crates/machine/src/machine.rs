@@ -43,8 +43,8 @@ use scd_sim::{Cycle, EventQueue, RingLog, SimRng, Stamp};
 use scd_stats::{Histogram, MessageClass, Traffic};
 use scd_tango::{Op, ThreadProgram};
 use scd_trace::{
-    AttribClass, AttribParams, Attribution, EventKind, IntervalSnapshot, Json, MetricsRegistry,
-    Phase, TraceConfig, TraceEvent, Tracer, TxnTimeline,
+    AttribClass, AttribParams, Attribution, ClassCounters, EventKind, IntervalSnapshot, Json,
+    MetricsRegistry, MsgCost, Phase, StreamPump, TraceConfig, TraceEvent, Tracer, TxnTimeline,
 };
 
 use crate::config::{MachineConfig, ProtocolKind};
@@ -274,6 +274,11 @@ pub(crate) struct Outbound {
     pub(crate) msg: Msg,
 }
 
+/// Per-class attribution counters, in [`AttribClass::ALL`] order.
+pub(crate) type ClassTable = [ClassCounters; AttribClass::ALL.len()];
+/// Flits per directed link `(from, to)`.
+pub(crate) type LinkFlits = Vec<((usize, usize), u64)>;
+
 /// One shard's contribution to one interval boundary `end`: the per-window
 /// counter deltas its clusters produced plus its share of the occupancy
 /// sample. The coordinator sums pieces across shards into the exact
@@ -284,10 +289,10 @@ pub(crate) struct IntervalPiece {
     pub(crate) snap: IntervalSnapshot,
     /// Per-class attribution counter deltas over the window (all zero when
     /// attribution is off).
-    pub(crate) attrib_delta: [scd_trace::ClassCounters; AttribClass::ALL.len()],
+    pub(crate) attrib_delta: ClassTable,
     /// Per-link flit deltas over the window (empty when attribution is
     /// off).
-    pub(crate) link_delta: Vec<((usize, usize), u64)>,
+    pub(crate) link_delta: LinkFlits,
 }
 
 /// Counter baselines at the last interval boundary, so each
@@ -300,69 +305,26 @@ struct IntervalBase {
     ops: u64,
 }
 
-/// A recorded event waiting for the stream watermark to pass it.
-/// Ordered by the canonical `(cycle, cluster, per-cluster seq)` trace
-/// order — *reversed*, so [`std::collections::BinaryHeap`] (a max-heap)
-/// pops the earliest event first.
-struct PendingEvent(TraceEvent);
-
-impl PendingEvent {
-    fn key(&self) -> (u64, u32, u64) {
-        (self.0.cycle, self.0.cluster, self.0.seq)
-    }
-}
-
-impl PartialEq for PendingEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for PendingEvent {}
-impl PartialOrd for PendingEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
-/// Live-streaming state: the attached sink plus the watermark reorder
-/// buffer that reproduces the post-hoc `(cycle, seq)` merge order online.
-///
-/// Events may be recorded with *future* cycle stamps (never past ones),
-/// so an event is only safe to emit once the simulation clock has moved
-/// strictly past its cycle — everything still unrecorded will sort after
-/// it. The pending heap holds recorded-but-not-yet-safe events.
+/// Live-streaming state: the pump in front of the attached sink. The
+/// watermark rule that reproduces the post-hoc `(cycle, seq)` merge order
+/// online lives in [`StreamPump`]; the machine only feeds it the tracer's
+/// mirror and tells it how far the clock has moved.
 struct StreamState {
-    /// The attached sink (`None` = streaming off; the inert default).
-    sink: Option<Box<dyn scd_trace::TraceSink>>,
-    /// Pre-computed `sink.is_some()`, checked once per event like
+    /// The pump (`None` = streaming off; the inert default).
+    pump: Option<StreamPump>,
+    /// Pre-computed `pump.is_some()`, checked once per event like
     /// `trace_active`/`fault_active`.
     on: bool,
-    /// Recorded events the watermark has not passed yet.
-    pending: std::collections::BinaryHeap<PendingEvent>,
-    /// Events emitted so far: each emitted line's `seq` is renumbered to
-    /// its 1-based position in the canonical emission order, matching what
-    /// `Tracer::merged` assigns post-hoc.
-    emitted: u64,
-    /// Per-class attribution counters at the last emitted delta.
-    attrib_base: [scd_trace::ClassCounters; scd_trace::AttribClass::ALL.len()],
-    /// Per-link flit counters at the last emitted delta.
-    link_base: HashMap<(usize, usize), u64>,
+    /// Lines the sink reported shedding, read when the stream closed.
+    shed: u64,
 }
 
 impl StreamState {
     fn inert() -> Self {
         StreamState {
-            sink: None,
+            pump: None,
             on: false,
-            pending: std::collections::BinaryHeap::new(),
-            emitted: 0,
-            attrib_base: Default::default(),
-            link_base: HashMap::new(),
+            shed: 0,
         }
     }
 }
@@ -375,6 +337,46 @@ impl Clone for StreamState {
     fn clone(&self) -> Self {
         StreamState::inert()
     }
+}
+
+/// Streams one closed interval window: every event belonging to the
+/// window first, then the `interval` record, then (with attribution on)
+/// the window's per-class and per-link traffic — `traffic` carries the
+/// deltas against the previous boundary. Shared by the solo engine and
+/// the shard coordinator, so both emit the same bytes by construction.
+pub(crate) fn stream_window(
+    pump: &mut StreamPump,
+    snap: &IntervalSnapshot,
+    traffic: Option<(&ClassTable, LinkFlits)>,
+) {
+    pump.flush_below(snap.end);
+    pump.emit_record(&scd_trace::interval_record(snap));
+    if let Some((class_delta, link_delta)) = traffic {
+        let classes: Vec<(&'static str, Json)> = AttribClass::ALL
+            .iter()
+            .zip(class_delta)
+            // Protocol-specific classes are omitted when idle this
+            // window, keeping DASH streams byte-identical to v1.
+            .filter(|(c, d)| !(c.optional() && d.messages == 0))
+            .map(|(c, d)| (c.label(), d.to_json()))
+            .collect();
+        // Per-link flit deltas: the window's busiest movers, capped and
+        // endpoint-sorted so the record is deterministic.
+        const TOP_LINKS: usize = 32;
+        let mut links: Vec<(usize, usize, u64)> = link_delta
+            .into_iter()
+            .map(|((src, dst), d)| (src, dst, d))
+            .collect();
+        links.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
+        links.truncate(TOP_LINKS);
+        links.sort_by_key(|&(src, dst, _)| (src, dst));
+        pump.emit_record(&scd_trace::attrib_delta_record(
+            snap.start, snap.end, &classes, &links,
+        ));
+    }
+    // Boundary flush so a live consumer tailing a file sink sees whole
+    // windows, not BufWriter-sized chunks.
+    pump.flush_sink();
 }
 
 /// Directory-observatory occupancy telemetry, only fed when
@@ -487,6 +489,11 @@ pub struct Machine {
     attrib_active: bool,
     /// Per-class traffic attribution (only fed when `attrib_active`).
     attrib: Attribution,
+    /// What one message of each kind costs under the wire model, indexed
+    /// by [`MsgKind::ordinal`] and resolved through the same label
+    /// functions `Attribution::from_events` uses, so online == replay
+    /// holds by construction. Empty (unallocated) when attribution is off.
+    msg_cost: Vec<MsgCost>,
     /// Pre-computed `trace_cfg.patterns`: gates `inval` event recording
     /// and the directory-occupancy sampling (inert and free when off).
     patterns_active: bool,
@@ -540,9 +547,10 @@ pub struct Machine {
     window_end: Cycle,
     /// Interval-boundary pieces for the coordinator (non-solo runs only).
     interval_pieces: Vec<IntervalPiece>,
-    /// Attribution baselines for piece deltas (non-solo runs only).
-    piece_attrib_base: [scd_trace::ClassCounters; AttribClass::ALL.len()],
-    piece_link_base: HashMap<(usize, usize), u64>,
+    /// Attribution counters at the last closed interval window, which
+    /// window traffic is diffed against (streamed or sharded runs only).
+    window_attrib_base: ClassTable,
+    window_link_base: HashMap<(usize, usize), u64>,
 }
 
 impl Machine {
@@ -642,8 +650,14 @@ impl Machine {
         } else {
             Tracer::inert()
         };
+        let attrib_params = AttribParams::with_block_bytes(cfg.block_bytes);
+        let mut msg_cost = Vec::new();
         if trace_cfg.attribution {
             network.enable_link_counters();
+            msg_cost = MsgKind::LABELS
+                .iter()
+                .map(|l| attrib_params.cost(l))
+                .collect();
         }
         let mut clusters = clusters;
         if trace_cfg.patterns {
@@ -685,7 +699,8 @@ impl Machine {
             interval_start: 0,
             interval_base: IntervalBase::default(),
             attrib_active: trace_cfg.attribution,
-            attrib: Attribution::new(AttribParams::with_block_bytes(cfg.block_bytes)),
+            attrib: Attribution::new(attrib_params),
+            msg_cost,
             patterns_active: trace_cfg.patterns,
             obs: Observatory {
                 sharers: vec![0; cfg.clusters + 1],
@@ -708,8 +723,8 @@ impl Machine {
             note_outbox: Vec::new(),
             window_end: Cycle::MAX,
             interval_pieces: Vec::new(),
-            piece_attrib_base: Default::default(),
-            piece_link_base: HashMap::new(),
+            window_attrib_base: Default::default(),
+            window_link_base: HashMap::new(),
             cfg,
         }
     }
@@ -854,33 +869,41 @@ impl Machine {
         let lat = self.network.send(ready_at, msg.src, msg.dst);
         if msg.src != msg.dst {
             self.traffic.record(msg.kind.class());
-            if self.attrib_active {
-                // Read-only accounting: classifies the label under the
-                // byte/flit wire model and charges the flits to every
-                // link of the route. Never touches latency or ordering.
-                let hops = self.network.hops(msg.src, msg.dst);
-                let flits = self.attrib.record(msg.kind.label(), hops as u32);
-                self.network.note_link_traffic(msg.src, msg.dst, flits);
-            }
-            if self.trace_active && self.tracer.messages_enabled() {
-                self.tracer.record(
-                    msg.src,
-                    ready_at,
-                    EventKind::MsgSend {
-                        src: msg.src as u32,
-                        dst: msg.dst as u32,
-                        msg: msg.kind.label(),
-                        class: msg.kind.class().label(),
-                        block: msg.kind.block(),
-                        hops: self.network.hops(msg.src, msg.dst) as u32,
-                    },
-                );
+            if self.trace_active {
+                self.trace_send(ready_at, &msg);
             }
             if self.fault_active {
                 return self.faulty_schedule(ready_at + lat, msg);
             }
         }
         self.deliver_or_export(ready_at + lat, msg);
+    }
+
+    /// Telemetry of one inter-cluster send. Read-only accounting: charges
+    /// the message's pre-resolved byte/flit cost to its class and to every
+    /// link of its route, and records the `msg_send` event. Never touches
+    /// latency or ordering.
+    fn trace_send(&mut self, ready_at: Cycle, msg: &Msg) {
+        let hops = self.network.hops(msg.src, msg.dst) as u32;
+        if self.attrib_active {
+            let cost = self.msg_cost[msg.kind.ordinal()];
+            let flits = self.attrib.record_class(cost, hops);
+            self.network.note_link_traffic(msg.src, msg.dst, flits);
+        }
+        if self.tracer.messages_enabled() {
+            self.tracer.record(
+                msg.src,
+                ready_at,
+                EventKind::MsgSend {
+                    src: msg.src as u32,
+                    dst: msg.dst as u32,
+                    msg: msg.kind.label(),
+                    class: msg.kind.class().label(),
+                    block: msg.kind.block(),
+                    hops,
+                },
+            );
+        }
     }
 
     /// The per-channel fault stream for `(src, dst)`: a pure function of
@@ -1286,7 +1309,13 @@ impl Machine {
             if self.solo {
                 self.metrics.push_interval(snap);
                 if self.stream.on {
-                    self.stream_interval(&snap);
+                    let piece = self.close_window(snap);
+                    if let Some(pump) = self.stream.pump.as_mut() {
+                        let traffic = self
+                            .attrib_active
+                            .then_some((&piece.attrib_delta, piece.link_delta));
+                        stream_window(pump, &snap, traffic);
+                    }
                 }
                 if self.patterns_active {
                     self.sample_patterns(snap.start, snap.end);
@@ -1295,7 +1324,8 @@ impl Machine {
                 // A shard only sees its own slice of the machine: park the
                 // window's deltas as a piece and let the coordinator sum
                 // pieces across shards into the exact serial record.
-                self.push_interval_piece(snap);
+                let piece = self.close_window(snap);
+                self.interval_pieces.push(piece);
             }
             self.interval_base = IntervalBase {
                 messages: net,
@@ -1308,40 +1338,41 @@ impl Machine {
         }
     }
 
-    /// Captures this shard's contribution to one closed interval window.
-    /// Occupancy and message/op deltas come out exact because each
-    /// cluster (and each message's source accounting) belongs to exactly
-    /// one shard; the coordinator sums pieces per boundary.
-    fn push_interval_piece(&mut self, snap: IntervalSnapshot) {
-        let mut attrib_delta =
-            [scd_trace::ClassCounters::default(); AttribClass::ALL.len()];
+    /// Closes one interval window's traffic accounting: the per-class and
+    /// per-link attribution deltas since the previous boundary (empty
+    /// with attribution off). For a shard this is its contribution to the
+    /// window — deltas come out exact because each cluster (and each
+    /// message's source accounting) belongs to exactly one shard, and the
+    /// coordinator sums pieces per boundary.
+    fn close_window(&mut self, snap: IntervalSnapshot) -> IntervalPiece {
+        let mut attrib_delta = ClassTable::default();
         let mut link_delta = Vec::new();
         if self.attrib_active {
             let cur = self.attrib.counters();
             for (d, (c, b)) in attrib_delta
                 .iter_mut()
-                .zip(cur.iter().zip(self.piece_attrib_base.iter()))
+                .zip(cur.iter().zip(self.window_attrib_base.iter()))
             {
                 *d = c.minus(*b);
             }
-            self.piece_attrib_base = cur;
-            let base = &mut self.piece_link_base;
+            self.window_attrib_base = cur;
+            let base = &mut self.window_link_base;
             link_delta = self
                 .network
                 .link_traffic()
                 .into_iter()
-                .filter_map(|((src, dst), c)| {
-                    let prev = base.insert((src, dst), c.flits).unwrap_or(0);
+                .filter_map(|(link, c)| {
+                    let prev = base.insert(link, c.flits).unwrap_or(0);
                     let d = c.flits.saturating_sub(prev);
-                    (d > 0).then_some(((src, dst), d))
+                    (d > 0).then_some((link, d))
                 })
                 .collect();
         }
-        self.interval_pieces.push(IntervalPiece {
+        IntervalPiece {
             snap,
             attrib_delta,
             link_delta,
-        });
+        }
     }
 
     /// Forces every interval boundary at or below `h` to close even when
@@ -1374,9 +1405,9 @@ impl Machine {
         for (a, b) in self.obs.sharers.iter_mut().zip(&win) {
             *a += b;
         }
-        if let Some(sink) = self.stream.sink.as_mut() {
-            sink.emit(&scd_trace::patterns_record(start, end, live, &win).to_string());
-            sink.flush();
+        if let Some(pump) = self.stream.pump.as_mut() {
+            pump.emit_record(&scd_trace::patterns_record(start, end, live, &win));
+            pump.flush_sink();
         }
     }
 
@@ -1390,8 +1421,9 @@ impl Machine {
     // emitted in the exact post-hoc `(cycle, seq)` merge order. An event
     // may be recorded with a *future* cycle stamp but never a past one,
     // so once the simulation clock strictly passes a pending event's
-    // cycle, nothing that sorts before it can still arrive — the pending
-    // heap holds events until that watermark clears them.
+    // cycle, nothing that sorts before it can still arrive — the pump
+    // (`scd_trace::StreamPump`) holds events until that watermark clears
+    // them, and is the only place a line is rendered.
     // ------------------------------------------------------------------
 
     /// Attaches `sink` and starts streaming: an optional `run_meta`
@@ -1404,22 +1436,26 @@ impl Machine {
     /// `TraceConfig::ring_capacity > 0`; interval and attribution
     /// records follow their own `TraceConfig` switches. Cloning the
     /// machine detaches the stream on the clone (see [`StreamState`]).
-    pub fn attach_stream(&mut self, mut sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
+    pub fn attach_stream(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
+        let mut pump = StreamPump::new(sink);
         if let Some(run) = run {
-            sink.emit(&scd_trace::run_meta_record(&run).to_string());
-            sink.flush();
+            pump.emit_record(&scd_trace::run_meta_record(&run));
+            pump.flush_sink();
         }
         self.tracer.set_mirror(true);
-        self.stream.attrib_base = self.attrib.counters();
-        self.stream.link_base = self
+        // Window traffic is diffed against the counters as of now.
+        self.window_attrib_base = self.attrib.counters();
+        self.window_link_base = self
             .network
             .link_traffic()
             .into_iter()
-            .map(|((src, dst), c)| ((src, dst), c.flits))
+            .map(|(link, c)| (link, c.flits))
             .collect();
-        self.stream.pending.clear();
-        self.stream.sink = Some(sink);
-        self.stream.on = true;
+        self.stream = StreamState {
+            pump: Some(pump),
+            on: true,
+            shed: 0,
+        };
     }
 
     /// Whether a sink is currently attached.
@@ -1427,87 +1463,20 @@ impl Machine {
         self.stream.on
     }
 
+    /// Lines the attached sink discarded (write errors, backpressure), as
+    /// it reported when the stream closed. Nonzero means the stream on the
+    /// other side of the sink is truncated; 0 while the stream is open.
+    pub fn stream_shed_lines(&self) -> u64 {
+        self.stream.shed
+    }
+
     /// Moves freshly recorded events from the tracer's mirror into the
-    /// pending heap.
+    /// pump.
     fn stream_drain(&mut self) {
-        for ev in self.tracer.take_mirror() {
-            self.stream.pending.push(PendingEvent(ev));
-        }
-    }
-
-    /// Emits every pending event with `cycle < watermark`, in
-    /// `(cycle, seq)` order.
-    fn stream_flush_below(&mut self, watermark: Cycle) {
-        let stream = &mut self.stream;
-        let Some(sink) = stream.sink.as_mut() else {
-            return;
-        };
-        while let Some(top) = stream.pending.peek() {
-            if top.0.cycle >= watermark {
-                break;
+        if let Some(pump) = self.stream.pump.as_mut() {
+            for ev in self.tracer.drain_mirror() {
+                pump.push(ev);
             }
-            let mut ev = stream.pending.pop().expect("peeked above").0;
-            // Recorded seqs are per-cluster lane counters; the emitted
-            // stream renumbers them into the global `(cycle, cluster,
-            // lane-seq)` merge rank, the same numbering the post-hoc
-            // `Tracer::merged` view assigns.
-            stream.emitted += 1;
-            ev.seq = stream.emitted;
-            sink.emit(&ev.to_json().to_string());
-        }
-    }
-
-    /// Emits one closed interval window: every event belonging to the
-    /// window first, then the `interval` record, then (when attribution
-    /// is on) the window's per-class and per-link traffic delta.
-    fn stream_interval(&mut self, snap: &IntervalSnapshot) {
-        self.stream_flush_below(snap.end);
-        let mut records = vec![scd_trace::interval_record(snap).to_string()];
-        if self.attrib_active {
-            let cur = self.attrib.counters();
-            let classes: Vec<(&'static str, Json)> = AttribClass::ALL
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    let d = cur[i].minus(self.stream.attrib_base[i]);
-                    // Protocol-specific classes are omitted when idle this
-                    // window, keeping DASH streams byte-identical to v1.
-                    if c.optional() && d.messages == 0 {
-                        return None;
-                    }
-                    Some((c.label(), d.to_json()))
-                })
-                .collect();
-            self.stream.attrib_base = cur;
-            // Per-link flit deltas: the window's busiest movers, capped
-            // and endpoint-sorted so the record is deterministic.
-            const TOP_LINKS: usize = 32;
-            let link_base = &mut self.stream.link_base;
-            let mut deltas: Vec<(usize, usize, u64)> = self
-                .network
-                .link_traffic()
-                .into_iter()
-                .filter_map(|((src, dst), c)| {
-                    let base = link_base.insert((src, dst), c.flits).unwrap_or(0);
-                    let d = c.flits.saturating_sub(base);
-                    (d > 0).then_some((src, dst, d))
-                })
-                .collect();
-            deltas.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
-            deltas.truncate(TOP_LINKS);
-            deltas.sort_by_key(|&(src, dst, _)| (src, dst));
-            records.push(
-                scd_trace::attrib_delta_record(snap.start, snap.end, &classes, &deltas)
-                    .to_string(),
-            );
-        }
-        if let Some(sink) = self.stream.sink.as_mut() {
-            for r in &records {
-                sink.emit(r);
-            }
-            // Boundary flush so a live consumer tailing a file sink sees
-            // whole windows, not BufWriter-sized chunks.
-            sink.flush();
         }
     }
 
@@ -1517,21 +1486,17 @@ impl Machine {
     /// call it directly only to stop streaming early or after an
     /// aborted run.
     pub fn stream_close(&mut self) {
-        if !self.stream.on {
-            return;
-        }
         self.stream_drain();
-        self.stream_flush_below(Cycle::MAX);
+        let Some(pump) = self.stream.pump.take() else {
+            return;
+        };
         let (recorded, dropped) = self.trace_counts();
         let cycles = if self.finish_time > 0 {
             self.finish_time
         } else {
             self.queue.now()
         };
-        if let Some(mut sink) = self.stream.sink.take() {
-            sink.emit(&scd_trace::run_end_record(cycles, recorded, dropped).to_string());
-            sink.flush();
-        }
+        self.stream.shed = pump.close(cycles, recorded, dropped);
         self.stream.on = false;
         self.tracer.set_mirror(false);
     }
@@ -1821,16 +1786,18 @@ impl Machine {
                 return Err(SimError::LivelockWatchdog(self.post_mortem(t, detail)));
             }
             if self.stream.on {
-                // Pull freshly recorded events into the pending heap
-                // *before* interval processing, so a closing window can
-                // flush its own events ahead of its record.
+                // Pull freshly recorded events into the pump *before*
+                // interval processing, so a closing window can flush its
+                // own events ahead of its record.
                 self.stream_drain();
             }
             if self.trace_active && self.trace_cfg.interval > 0 {
                 self.trace_intervals(t);
             }
-            if self.stream.on {
-                self.stream_flush_below(t);
+            if let Some(pump) = self.stream.pump.as_mut() {
+                // The clock is at `t`: everything stamped before it is
+                // final.
+                pump.flush_below(t);
             }
             // Resolve the hot handle into its payload *before* logging, so
             // the post-mortem ring holds the message itself, not a handle

@@ -89,7 +89,7 @@ fn drive_worker(m: &mut Machine, rx: &Receiver<WindowPlan>, tx: &Sender<WindowRe
             outbounds: std::mem::take(&mut m.outbox),
             notes: std::mem::take(&mut m.note_outbox),
             pieces: std::mem::take(&mut m.interval_pieces),
-            mirror: m.tracer.take_mirror(),
+            mirror: m.tracer.drain_mirror().collect(),
             running: m.running,
             last_progress: m.last_progress,
             error: error.take(),
@@ -128,32 +128,9 @@ fn drive_worker(m: &mut Machine, rx: &Receiver<WindowPlan>, tx: &Sender<WindowRe
 /// One interval boundary being summed across shards.
 struct BoundaryAcc {
     snap: IntervalSnapshot,
-    attrib: [scd_trace::ClassCounters; AttribClass::ALL.len()],
+    attrib: ClassTable,
     links: HashMap<(usize, usize), u64>,
     contribs: usize,
-}
-
-/// The coordinator's streaming state: the single sink every shard's
-/// mirror events funnel into, reproducing the solo machine's emission
-/// byte-for-byte (same watermark rule, same renumbering).
-struct StreamMerge {
-    sink: Box<dyn scd_trace::TraceSink>,
-    pending: std::collections::BinaryHeap<PendingEvent>,
-    emitted: u64,
-}
-
-impl StreamMerge {
-    fn flush_below(&mut self, watermark: Cycle) {
-        while let Some(top) = self.pending.peek() {
-            if top.0.cycle >= watermark {
-                break;
-            }
-            let mut ev = self.pending.pop().expect("peeked above").0;
-            self.emitted += 1;
-            ev.seq = self.emitted;
-            self.sink.emit(&ev.to_json().to_string());
-        }
-    }
 }
 
 /// How the coordinator loop ended.
@@ -199,8 +176,12 @@ pub struct ShardedMachine {
     /// boundary's record: boundaries are deterministic multiples of the
     /// period, so the cap is known before any shard ships a piece.
     next_due: Cycle,
-    /// Pending stream attachment (coordinator-owned for `shards > 1`).
-    stream: Option<StreamMerge>,
+    /// The attached stream (coordinator-owned for `shards > 1`): the one
+    /// pump every shard's mirror events funnel into, so the sharded run
+    /// applies the solo machine's watermark rule and renumbering.
+    stream: Option<StreamPump>,
+    /// Lines the sink reported shedding when the stream closed.
+    shed: u64,
     /// Merged metrics registry, built when the run completes.
     metrics: MetricsRegistry,
     /// Merged finish time (max over shards).
@@ -299,6 +280,7 @@ impl ShardedMachine {
             interval,
             next_due: interval,
             stream: None,
+            shed: 0,
             metrics: MetricsRegistry::new(),
             finish_time: 0,
             boundaries: BTreeMap::new(),
@@ -328,24 +310,31 @@ impl ShardedMachine {
     /// Attaches `sink`, emitting the optional `run_meta` record
     /// immediately — the same contract as [`Machine::attach_stream`]. For
     /// a sharded run the coordinator owns the sink and merges every
-    /// worker's mirror events through one watermark heap.
-    pub fn attach_stream(&mut self, mut sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
+    /// worker's mirror events through one [`StreamPump`].
+    pub fn attach_stream(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
         if self.machines.len() == 1 {
             self.machines[0].attach_stream(sink, run);
             return;
         }
+        let mut pump = StreamPump::new(sink);
         if let Some(run) = run {
-            sink.emit(&scd_trace::run_meta_record(&run).to_string());
-            sink.flush();
+            pump.emit_record(&scd_trace::run_meta_record(&run));
+            pump.flush_sink();
         }
         for m in &mut self.machines {
             m.tracer.set_mirror(true);
         }
-        self.stream = Some(StreamMerge {
-            sink,
-            pending: std::collections::BinaryHeap::new(),
-            emitted: 0,
-        });
+        self.stream = Some(pump);
+    }
+
+    /// Lines the attached sink discarded — see
+    /// [`Machine::stream_shed_lines`].
+    pub fn stream_shed_lines(&self) -> u64 {
+        if self.machines.len() == 1 {
+            self.machines[0].stream_shed_lines()
+        } else {
+            self.shed
+        }
     }
 
     /// Runs the partitioned machine to completion. Semantics mirror
@@ -441,9 +430,9 @@ impl ShardedMachine {
                 for p in r.pieces {
                     self.ingest_piece(p, n);
                 }
-                if let Some(stream) = self.stream.as_mut() {
+                if let Some(pump) = self.stream.as_mut() {
                     for ev in r.mirror {
-                        stream.pending.push(PendingEvent(ev));
+                        pump.push(ev);
                     }
                 }
                 if let Some(e) = r.error {
@@ -589,46 +578,11 @@ impl ShardedMachine {
             debug_assert_eq!(acc.contribs, shards, "boundary missing a shard's piece");
             self.next_due = acc.snap.end + self.interval;
             self.merged_intervals.push(acc.snap);
-            if let Some(stream) = self.stream.as_mut() {
-                stream.flush_below(acc.snap.end);
-                let mut records = vec![scd_trace::interval_record(&acc.snap).to_string()];
-                if self.attrib_on {
-                    let classes: Vec<(&'static str, Json)> = AttribClass::ALL
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, c)| {
-                            // Mirror the solo emitter: protocol-specific
-                            // classes are omitted when idle this window.
-                            if c.optional() && acc.attrib[i].messages == 0 {
-                                return None;
-                            }
-                            Some((c.label(), acc.attrib[i].to_json()))
-                        })
-                        .collect();
-                    const TOP_LINKS: usize = 32;
-                    let mut deltas: Vec<(usize, usize, u64)> = acc
-                        .links
-                        .into_iter()
-                        .filter(|&(_, d)| d > 0)
-                        .map(|((src, dst), d)| (src, dst, d))
-                        .collect();
-                    deltas.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
-                    deltas.truncate(TOP_LINKS);
-                    deltas.sort_by_key(|&(src, dst, _)| (src, dst));
-                    records.push(
-                        scd_trace::attrib_delta_record(
-                            acc.snap.start,
-                            acc.snap.end,
-                            &classes,
-                            &deltas,
-                        )
-                        .to_string(),
-                    );
-                }
-                for r in &records {
-                    stream.sink.emit(r);
-                }
-                stream.sink.flush();
+            if let Some(pump) = self.stream.as_mut() {
+                let traffic = self
+                    .attrib_on
+                    .then(|| (&acc.attrib, acc.links.into_iter().collect()));
+                stream_window(pump, &acc.snap, traffic);
             }
         }
         if let Some(stream) = self.stream.as_mut() {
@@ -709,12 +663,8 @@ impl ShardedMachine {
         // Close the stream whether the run succeeded or not — a live
         // consumer gets the history up to the death plus an honest
         // run_end, exactly like the solo engine.
-        if let Some(mut stream) = self.stream.take() {
-            stream.flush_below(Cycle::MAX);
-            stream
-                .sink
-                .emit(&scd_trace::run_end_record(close_cycles, recorded, dropped).to_string());
-            stream.sink.flush();
+        if let Some(pump) = self.stream.take() {
+            self.shed = pump.close(close_cycles, recorded, dropped);
             for m in &mut self.machines {
                 m.tracer.set_mirror(false);
             }

@@ -71,11 +71,7 @@ fn run_sharded(cfg: &MachineConfig, scripts: &[Vec<Op>], shards: usize) -> (Stri
         m.trace_json(),
         m.occupancy_json(),
     );
-    let trace: Vec<String> = m
-        .trace_events()
-        .iter()
-        .map(|e| e.to_json().to_string())
-        .collect();
+    let trace: Vec<String> = m.trace_events().iter().map(scd_trace::event_line).collect();
     (doc.to_string(), trace.join("\n"))
 }
 
@@ -154,6 +150,27 @@ fn streamed_jsonl_is_byte_identical_across_shard_counts() {
     for shards in [2, 3, 6] {
         assert_eq!(serial, stream_of(shards), "stream diverged at {shards} shards");
     }
+}
+
+/// A sink that sheds lines is reported by the coordinator exactly as by
+/// the solo engine: same stream, same one-slot channel nobody reads, same
+/// count.
+#[test]
+fn shed_lines_surface_identically_across_shard_counts() {
+    let mut cfg = MachineConfig::tiny(6);
+    cfg.trace = Some(full_trace());
+    let scripts = mixed_scripts(6, 24, 0x57A3);
+    let shed = |shards: usize| {
+        let mut m = ShardedMachine::new(cfg.clone(), programs(&scripts), shards).unwrap();
+        let (sink, _rx) = scd_trace::ChannelSink::bounded(1);
+        m.attach_stream(Box::new(sink), None);
+        assert_eq!(m.stream_shed_lines(), 0, "nothing is shed before the run");
+        m.run();
+        m.stream_shed_lines()
+    };
+    let solo = shed(1);
+    assert!(solo > 0, "run too small to overflow a one-slot channel");
+    assert_eq!(shed(2), solo);
 }
 
 #[test]

@@ -82,6 +82,41 @@ impl Mesh {
         }
     }
 
+    /// Slots in a table indexed by [`Mesh::link_index`]: four outgoing
+    /// directions per node (edge nodes leave theirs unused).
+    pub fn link_slots(&self) -> usize {
+        self.nodes() * 4
+    }
+
+    /// Dense index of the directed link from `from` to its mesh neighbour
+    /// `to`: `from * 4 + direction` (east, west, south, north).
+    pub fn link_index(&self, from: usize, to: usize) -> usize {
+        let dir = if to == from + 1 {
+            0
+        } else if to + 1 == from {
+            1
+        } else if to == from + self.width {
+            2
+        } else {
+            assert_eq!(to + self.width, from, "{from} -> {to} is not a mesh link");
+            3
+        };
+        from * 4 + dir
+    }
+
+    /// The `(from, to)` endpoints of link `index` — the inverse of
+    /// [`Mesh::link_index`].
+    pub fn link_ends(&self, index: usize) -> (usize, usize) {
+        let from = index / 4;
+        let to = match index % 4 {
+            0 => from + 1,
+            1 => from - 1,
+            2 => from + self.width,
+            _ => from - self.width,
+        };
+        (from, to)
+    }
+
     /// Network diameter (longest shortest path).
     pub fn diameter(&self) -> usize {
         self.width - 1 + self.height - 1
@@ -161,6 +196,28 @@ mod tests {
         for n in 0..m.nodes() {
             let (x, y) = m.coords(n);
             assert_eq!(m.node_at(x, y), n);
+        }
+    }
+
+    #[test]
+    fn link_indices_are_dense_distinct_and_invertible() {
+        for m in [Mesh::new(8, 4), Mesh::new(1, 5), Mesh::new(5, 1)] {
+            let mut seen = std::collections::HashSet::new();
+            for a in 0..m.nodes() {
+                for b in 0..m.nodes() {
+                    let mut prev = a;
+                    for next in m.route(a, b) {
+                        let i = m.link_index(prev, next);
+                        assert!(i < m.link_slots());
+                        assert_eq!(m.link_ends(i), (prev, next));
+                        seen.insert(i);
+                        prev = next;
+                    }
+                }
+            }
+            // Every directed link of the mesh is on some route.
+            let links = 2 * ((m.width() - 1) * m.height() + m.width() * (m.height() - 1));
+            assert_eq!(seen.len(), links);
         }
     }
 

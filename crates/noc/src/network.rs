@@ -120,9 +120,10 @@ pub struct Network {
     link_occupancy: Option<u64>,
     /// Next-free time per directed link `(from, to)`.
     link_free: HashMap<(usize, usize), u64>,
-    /// Per-link traffic counters; `None` (the default) records nothing —
-    /// the inert-by-default contract of every profiling hook.
-    link_traffic: Option<HashMap<(usize, usize), LinkCounters>>,
+    /// Per-link traffic counters, one slot per directed mesh link (see
+    /// [`Mesh::link_index`]); `None` (the default) records nothing — the
+    /// inert-by-default contract of every profiling hook.
+    link_traffic: Option<Vec<LinkCounters>>,
 }
 
 impl Network {
@@ -232,7 +233,7 @@ impl Network {
     /// Turns on per-link traffic counters. Off (and free) by default;
     /// the attribution profiler enables them at machine construction.
     pub fn enable_link_counters(&mut self) {
-        self.link_traffic = Some(HashMap::new());
+        self.link_traffic = Some(vec![LinkCounters::default(); self.mesh.link_slots()]);
     }
 
     /// Whether per-link counters are being collected.
@@ -245,28 +246,31 @@ impl Network {
     /// for local deliveries — and purely observational either way (never
     /// affects latency or ordering).
     pub fn note_link_traffic(&mut self, src: usize, dst: usize, flits: u64) {
-        let Some(map) = self.link_traffic.as_mut() else {
+        let Some(table) = self.link_traffic.as_mut() else {
             return;
         };
-        if src == dst {
-            return;
-        }
         let mut prev = src;
         for next in self.mesh.route(src, dst) {
-            let c = map.entry((prev, next)).or_default();
+            let c = &mut table[self.mesh.link_index(prev, next)];
             c.messages += 1;
             c.flits += flits;
             prev = next;
         }
     }
 
-    /// Snapshot of the per-link counters, busiest (most flits) first,
-    /// ties broken by link id for determinism. Empty when disabled.
+    /// Snapshot of the counters of every link that carried a message,
+    /// busiest (most flits) first, ties broken by link id for
+    /// determinism. Empty when disabled.
     pub fn link_traffic(&self) -> Vec<((usize, usize), LinkCounters)> {
-        let Some(map) = &self.link_traffic else {
+        let Some(table) = &self.link_traffic else {
             return Vec::new();
         };
-        let mut v: Vec<_> = map.iter().map(|(&k, &c)| (k, c)).collect();
+        let mut v: Vec<_> = table
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.messages > 0)
+            .map(|(i, &c)| (self.mesh.link_ends(i), c))
+            .collect();
         v.sort_by(|a, b| b.1.flits.cmp(&a.1.flits).then(a.0.cmp(&b.0)));
         v
     }

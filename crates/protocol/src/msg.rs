@@ -333,42 +333,85 @@ impl MsgKind {
         }
     }
 
-    /// Stable snake_case name of this message kind, for trace schemas.
-    /// Names are part of the JSONL trace format — never reuse or rename.
-    pub fn label(&self) -> &'static str {
+    /// Every kind's stable snake_case name, indexed by
+    /// [`MsgKind::ordinal`]. Names are part of the JSONL trace format —
+    /// never reuse or rename.
+    pub const LABELS: [&'static str; 31] = [
+        "read_req",
+        "write_req",
+        "writeback",
+        "replacement_hint",
+        "fwd_read",
+        "fwd_write",
+        "sharing_writeback",
+        "ownership_transfer",
+        "writeback_race",
+        "read_reply",
+        "write_reply",
+        "transfer_reply",
+        "nack",
+        "inval",
+        "inval_ack",
+        "dir_flush",
+        "dir_flush_ack",
+        "lock_req",
+        "lock_grant",
+        "lock_retry",
+        "unlock_req",
+        "barrier_arrive",
+        "barrier_release",
+        "tardis_read_req",
+        "tardis_write_req",
+        "tardis_read_reply",
+        "tardis_write_reply",
+        "renew_req",
+        "renew_reply",
+        "llc_fill",
+        "llc_write_ack",
+    ];
+
+    /// Dense index of this kind (declaration order), for per-kind lookup
+    /// tables: anything that is a function of the kind alone can be
+    /// resolved once per entry of [`MsgKind::LABELS`] and indexed here.
+    pub fn ordinal(&self) -> usize {
         match self {
-            MsgKind::ReadReq { .. } => "read_req",
-            MsgKind::WriteReq { .. } => "write_req",
-            MsgKind::Writeback { .. } => "writeback",
-            MsgKind::ReplacementHint { .. } => "replacement_hint",
-            MsgKind::FwdRead { .. } => "fwd_read",
-            MsgKind::FwdWrite { .. } => "fwd_write",
-            MsgKind::SharingWriteback { .. } => "sharing_writeback",
-            MsgKind::OwnershipTransfer { .. } => "ownership_transfer",
-            MsgKind::WritebackRace { .. } => "writeback_race",
-            MsgKind::ReadReply { .. } => "read_reply",
-            MsgKind::WriteReply { .. } => "write_reply",
-            MsgKind::TransferReply { .. } => "transfer_reply",
-            MsgKind::Nack { .. } => "nack",
-            MsgKind::Inval { .. } => "inval",
-            MsgKind::InvalAck { .. } => "inval_ack",
-            MsgKind::DirFlush { .. } => "dir_flush",
-            MsgKind::DirFlushAck { .. } => "dir_flush_ack",
-            MsgKind::LockReq { .. } => "lock_req",
-            MsgKind::LockGrant { .. } => "lock_grant",
-            MsgKind::LockRetry { .. } => "lock_retry",
-            MsgKind::UnlockReq { .. } => "unlock_req",
-            MsgKind::BarrierArrive { .. } => "barrier_arrive",
-            MsgKind::BarrierRelease { .. } => "barrier_release",
-            MsgKind::TardisReadReq { .. } => "tardis_read_req",
-            MsgKind::TardisWriteReq { .. } => "tardis_write_req",
-            MsgKind::TardisReadReply { .. } => "tardis_read_reply",
-            MsgKind::TardisWriteReply { .. } => "tardis_write_reply",
-            MsgKind::RenewReq { .. } => "renew_req",
-            MsgKind::RenewReply { .. } => "renew_reply",
-            MsgKind::LlcFill { .. } => "llc_fill",
-            MsgKind::LlcWriteAck { .. } => "llc_write_ack",
+            MsgKind::ReadReq { .. } => 0,
+            MsgKind::WriteReq { .. } => 1,
+            MsgKind::Writeback { .. } => 2,
+            MsgKind::ReplacementHint { .. } => 3,
+            MsgKind::FwdRead { .. } => 4,
+            MsgKind::FwdWrite { .. } => 5,
+            MsgKind::SharingWriteback { .. } => 6,
+            MsgKind::OwnershipTransfer { .. } => 7,
+            MsgKind::WritebackRace { .. } => 8,
+            MsgKind::ReadReply { .. } => 9,
+            MsgKind::WriteReply { .. } => 10,
+            MsgKind::TransferReply { .. } => 11,
+            MsgKind::Nack { .. } => 12,
+            MsgKind::Inval { .. } => 13,
+            MsgKind::InvalAck { .. } => 14,
+            MsgKind::DirFlush { .. } => 15,
+            MsgKind::DirFlushAck { .. } => 16,
+            MsgKind::LockReq { .. } => 17,
+            MsgKind::LockGrant { .. } => 18,
+            MsgKind::LockRetry { .. } => 19,
+            MsgKind::UnlockReq { .. } => 20,
+            MsgKind::BarrierArrive { .. } => 21,
+            MsgKind::BarrierRelease { .. } => 22,
+            MsgKind::TardisReadReq { .. } => 23,
+            MsgKind::TardisWriteReq { .. } => 24,
+            MsgKind::TardisReadReply { .. } => 25,
+            MsgKind::TardisWriteReply { .. } => 26,
+            MsgKind::RenewReq { .. } => 27,
+            MsgKind::RenewReply { .. } => 28,
+            MsgKind::LlcFill { .. } => 29,
+            MsgKind::LlcWriteAck { .. } => 30,
         }
+    }
+
+    /// Stable snake_case name of this message kind, for trace schemas.
+    pub fn label(&self) -> &'static str {
+        Self::LABELS[self.ordinal()]
     }
 
     /// The block this message concerns, if any.
@@ -528,6 +571,10 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len(), "labels must be distinct");
+        assert_eq!(kinds.len(), MsgKind::LABELS.len());
+        for (i, k) in kinds.iter().enumerate() {
+            assert_eq!(k.ordinal(), i, "{k:?} is listed out of declaration order");
+        }
         assert_eq!(MsgKind::ReadReq { block: 1 }.label(), "read_req");
         assert_eq!(MsgKind::DirFlushAck { block: 1 }.label(), "dir_flush_ack");
         for k in &kinds {

@@ -114,9 +114,26 @@ impl AttribClass {
         }
     }
 
+    /// Position in [`AttribClass::ALL`] (the variants are declared in
+    /// schema order).
     fn index(self) -> usize {
-        AttribClass::ALL.iter().position(|c| *c == self).unwrap()
+        self as usize
     }
+}
+
+/// What one message of a given label costs under a wire model: the
+/// class it is charged to and its size. A pure function of
+/// `(AttribParams, label)`, so a sender can resolve it once per label
+/// ([`AttribParams::cost`]) and then record by value
+/// ([`Attribution::record_class`]) with no string matching per message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MsgCost {
+    /// The class the message is charged to.
+    pub class: AttribClass,
+    /// Bytes on the wire.
+    pub bytes: u64,
+    /// Flits on the wire.
+    pub flits: u64,
 }
 
 /// The wire model: a fixed header per message, a data payload on the
@@ -175,6 +192,16 @@ impl AttribParams {
     pub fn flits(&self, label: &str) -> u64 {
         let bytes = self.bytes(label);
         bytes.div_ceil(self.flit_bytes.max(1)).max(1)
+    }
+
+    /// Everything [`Attribution::record`] derives from `label`, resolved
+    /// once.
+    pub fn cost(&self, label: &str) -> MsgCost {
+        MsgCost {
+            class: AttribClass::classify(label),
+            bytes: self.bytes(label),
+            flits: self.flits(label),
+        }
     }
 }
 
@@ -258,10 +285,15 @@ impl Attribution {
     /// returns the flits it put on the wire (so callers can feed per-link
     /// accounting without re-deriving the model).
     pub fn record(&mut self, label: &str, hops: u32) -> u64 {
-        let bytes = self.params.bytes(label);
-        let flits = self.params.flits(label);
-        self.classes[AttribClass::classify(label).index()].add(bytes, flits, hops as u64);
-        flits
+        self.record_class(self.params.cost(label), hops)
+    }
+
+    /// [`Attribution::record`] for a sender that resolved the label's
+    /// [`MsgCost`] ahead of time (it must come from this attribution's
+    /// own [`Attribution::params`]). Same accounting, no label matching.
+    pub fn record_class(&mut self, cost: MsgCost, hops: u32) -> u64 {
+        self.classes[cost.class.index()].add(cost.bytes, cost.flits, hops as u64);
+        cost.flits
     }
 
     /// Counters of one class.
@@ -411,6 +443,9 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             AttribClass::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), AttribClass::ALL.len());
+        for (i, c) in AttribClass::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?} is declared out of schema order");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and the simulated cycle, so per-cluster ring buffers can be merged back
 //! into one causal history.
 
-use crate::json::Json;
+use crate::json::{write_escaped, Json};
 
 /// A coherence-transaction lifecycle phase (the latency breakdown the
 /// metrics registry histograms: issue → home lookup → invalidation
@@ -172,24 +172,65 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
+/// One field of an event's JSONL envelope, as [`TraceEvent::walk`] hands
+/// it to a consumer.
+#[derive(Clone, Copy)]
+enum FieldValue {
+    /// A counter, identifier or cycle.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// A stable schema label.
+    Str(&'static str),
+}
+
+impl From<FieldValue> for Json {
+    fn from(v: FieldValue) -> Json {
+        match v {
+            FieldValue::U64(n) => Json::U64(n),
+            FieldValue::Bool(b) => Json::Bool(b),
+            FieldValue::Str(s) => Json::Str(s.into()),
+        }
+    }
+}
+
+/// Appends `n` in decimal from a stack buffer (no `fmt` machinery, no
+/// heap).
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+}
+
 impl TraceEvent {
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> Json {
-        let mut j = Json::obj()
-            .with("seq", Json::U64(self.seq))
-            .with("cycle", Json::U64(self.cycle))
-            .with("cluster", Json::U64(self.cluster as u64))
-            .with("type", Json::Str(self.kind.label().into()));
-        match &self.kind {
+    /// The event's schema: every key of its JSONL envelope with its
+    /// value, in output order. This is the only place that says which
+    /// fields an event kind has; [`TraceEvent::write_jsonl`] and
+    /// [`TraceEvent::to_json`] are its two consumers.
+    fn walk(&self, mut f: impl FnMut(&'static str, FieldValue)) {
+        use FieldValue::{Bool, Str, U64};
+        f("seq", U64(self.seq));
+        f("cycle", U64(self.cycle));
+        f("cluster", U64(self.cluster as u64));
+        f("type", Str(self.kind.label()));
+        match self.kind {
             EventKind::TxnBegin { txn, block, write } => {
-                j.set("txn", Json::U64(*txn));
-                j.set("block", Json::U64(*block));
-                j.set("write", Json::Bool(*write));
+                f("txn", U64(txn));
+                f("block", U64(block));
+                f("write", Bool(write));
             }
             EventKind::TxnPhase { txn, block, phase } => {
-                j.set("txn", Json::U64(*txn));
-                j.set("block", Json::U64(*block));
-                j.set("phase", Json::Str(phase.label().into()));
+                f("txn", U64(txn));
+                f("block", U64(block));
+                f("phase", Str(phase.label()));
             }
             EventKind::TxnEnd {
                 txn,
@@ -197,14 +238,14 @@ impl TraceEvent {
                 latency,
                 retries,
             } => {
-                j.set("txn", Json::U64(*txn));
-                j.set("block", Json::U64(*block));
-                j.set("latency", Json::U64(*latency));
-                j.set("retries", Json::U64(*retries as u64));
+                f("txn", U64(txn));
+                f("block", U64(block));
+                f("latency", U64(latency));
+                f("retries", U64(retries as u64));
             }
             EventKind::Nack { txn, block } => {
-                j.set("txn", Json::U64(*txn));
-                j.set("block", Json::U64(*block));
+                f("txn", U64(txn));
+                f("block", U64(block));
             }
             EventKind::Retry {
                 txn,
@@ -212,28 +253,28 @@ impl TraceEvent {
                 attempt,
                 backoff,
             } => {
-                j.set("txn", Json::U64(*txn));
-                j.set("block", Json::U64(*block));
-                j.set("attempt", Json::U64(*attempt as u64));
-                j.set("backoff", Json::U64(*backoff));
+                f("txn", U64(txn));
+                f("block", U64(block));
+                f("attempt", U64(attempt as u64));
+                f("backoff", U64(backoff));
             }
             EventKind::Inval {
                 block,
                 targets,
                 cause,
             } => {
-                j.set("block", Json::U64(*block));
-                j.set("targets", Json::U64(*targets as u64));
-                j.set("cause", Json::Str((*cause).into()));
+                f("block", U64(block));
+                f("targets", U64(targets as u64));
+                f("cause", Str(cause));
             }
             EventKind::Replacement {
                 victim,
                 targets,
                 dirty,
             } => {
-                j.set("victim", Json::U64(*victim));
-                j.set("targets", Json::U64(*targets as u64));
-                j.set("dirty", Json::Bool(*dirty));
+                f("victim", U64(victim));
+                f("targets", U64(targets as u64));
+                f("dirty", Bool(dirty));
             }
             EventKind::MsgSend {
                 src,
@@ -243,14 +284,14 @@ impl TraceEvent {
                 block,
                 hops,
             } => {
-                j.set("src", Json::U64(*src as u64));
-                j.set("dst", Json::U64(*dst as u64));
-                j.set("msg", Json::Str((*msg).into()));
-                j.set("class", Json::Str((*class).into()));
+                f("src", U64(src as u64));
+                f("dst", U64(dst as u64));
+                f("msg", Str(msg));
+                f("class", Str(class));
                 if let Some(b) = block {
-                    j.set("block", Json::U64(*b));
+                    f("block", U64(b));
                 }
-                j.set("hops", Json::U64(*hops as u64));
+                f("hops", U64(hops as u64));
             }
             EventKind::MsgDeliver {
                 src,
@@ -258,15 +299,51 @@ impl TraceEvent {
                 msg,
                 block,
             } => {
-                j.set("src", Json::U64(*src as u64));
-                j.set("dst", Json::U64(*dst as u64));
-                j.set("msg", Json::Str((*msg).into()));
+                f("src", U64(src as u64));
+                f("dst", U64(dst as u64));
+                f("msg", Str(msg));
                 if let Some(b) = block {
-                    j.set("block", Json::U64(*b));
+                    f("block", U64(b));
                 }
             }
         }
-        j
+    }
+
+    /// Appends the event's JSONL line (no trailing newline) to `out`.
+    /// This is the byte contract of every streamed, exported and replayed
+    /// trace line. It allocates nothing beyond growing `out`, so a caller
+    /// that reuses one buffer renders events without touching the heap.
+    pub fn write_jsonl(&self, out: &mut String) {
+        out.push('{');
+        let mut first = true;
+        self.walk(|key, value| {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            // Keys are `walk`'s own literals, plain ASCII; only values can
+            // carry a caller's label and need the escaper.
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+            match value {
+                FieldValue::U64(n) => push_u64(out, n),
+                FieldValue::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                FieldValue::Str(s) => {
+                    write_escaped(out, s).expect("writing to a String cannot fail")
+                }
+            }
+        });
+        out.push('}');
+    }
+
+    /// The event as a [`Json`] object, for replay-side consumers and
+    /// tests. `to_json().to_string()` equals [`TraceEvent::write_jsonl`]
+    /// byte for byte (held by the property test in `tests/prop.rs`).
+    pub fn to_json(&self) -> Json {
+        let mut fields = Vec::with_capacity(10);
+        self.walk(|key, value| fields.push((key.to_string(), value.into())));
+        Json::Obj(fields)
     }
 
     /// One-line human rendering for post-mortem tails.

@@ -144,22 +144,34 @@ impl Json {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Writes `s` as a quoted JSON string straight into `out`: unescaped
+/// runs go through in one `write_str`, so a plain schema label costs a
+/// byte scan and a copy — no temporary `String`. Every escaped character
+/// is ASCII, so scanning bytes is exact for multi-byte text too.
+pub(crate) fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => {
+                out.write_str(&s[plain..i])?;
+                write!(out, "\\u{b:04x}")?;
+                plain = i + 1;
+                continue;
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        out.write_str(&s[plain..i])?;
+        out.write_str(esc)?;
+        plain = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -182,11 +194,7 @@ impl fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                escape_into(&mut buf, s);
-                f.write_str(&buf)
-            }
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -203,9 +211,8 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    escape_into(&mut key, k);
-                    write!(f, "{key}:{v}")?;
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -460,7 +467,10 @@ mod tests {
     #[test]
     fn roundtrip() {
         let j = Json::obj()
-            .with("s", Json::Str("a \"quoted\"\nline\\".into()))
+            .with(
+                "s",
+                Json::Str("a \"quoted\"\nline\\ \u{1}bell\u{1f} é".into()),
+            )
             .with("neg", Json::F64(-3.25))
             .with(
                 "nested",
@@ -468,6 +478,10 @@ mod tests {
             );
         let text = j.to_string();
         assert_eq!(Json::parse(&text).unwrap(), j);
+        assert_eq!(
+            Json::Str("\u{1}\"\té".into()).to_string(),
+            r#""\u0001\"\té""#
+        );
     }
 
     #[test]

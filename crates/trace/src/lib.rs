@@ -39,6 +39,7 @@ pub mod json;
 pub mod metrics;
 pub mod patterns;
 pub mod perfetto;
+pub mod pump;
 pub mod replay;
 pub mod report;
 pub mod schema;
@@ -47,7 +48,7 @@ pub mod span;
 pub mod tracer;
 
 pub use attrib::{
-    validate_attrib_json, AttribClass, AttribParams, Attribution, ClassCounters,
+    validate_attrib_json, AttribClass, AttribParams, Attribution, ClassCounters, MsgCost,
     ATTRIB_SCHEMA,
 };
 pub use critical::{analyze, BlockingEdge, CriticalReport, PhaseCost, TxnCost};
@@ -59,6 +60,7 @@ pub use patterns::{
     PATTERN_CLASSES,
 };
 pub use perfetto::{to_perfetto, validate_perfetto, PerfettoSummary};
+pub use pump::StreamPump;
 pub use replay::{validate_stats_json, validate_trace, TraceSummary};
 pub use schema::{
     CRITICAL_SCHEMA, METRICS_SCHEMA, PATTERNS_SCHEMA, RUN_STATS_SCHEMA, SWEEP_SCHEMA,

@@ -21,6 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::event::{EventKind, TraceEvent};
 use crate::json::Json;
 use crate::schema::PATTERNS_SCHEMA;
 
@@ -227,61 +228,84 @@ impl PatternTable {
         Some(self.blocks.entry(block).or_default())
     }
 
-    /// Observes one trace event in stream order (the JSONL envelope of
-    /// `TraceEvent::to_json`). Unknown or irrelevant types pass through;
-    /// malformed payloads are counted as untracked rather than erroring,
-    /// so a truncated ring never poisons the table.
+    fn note_begin(&mut self, block: u64, cluster: u32, write: bool) {
+        let Some(track) = self.track(block) else {
+            self.untracked_events += 1;
+            return;
+        };
+        if write {
+            track.writes += 1;
+            track.writers.insert(cluster);
+        } else {
+            track.reads += 1;
+            track.readers.insert(cluster);
+        }
+    }
+
+    fn note_inval(&mut self, block: u64, targets: u64, cause: &str) {
+        self.inval_events += 1;
+        self.inval_total += targets;
+        self.inval_max = self.inval_max.max(targets);
+        let idx = targets as usize;
+        if self.inval_dist.len() <= idx {
+            self.inval_dist.resize(idx + 1, 0);
+        }
+        self.inval_dist[idx] += 1;
+        match self.inval_by_cause.get_mut(cause) {
+            Some(n) => *n += 1,
+            None => {
+                self.inval_by_cause.insert(cause.to_string(), 1);
+            }
+        }
+        match self.track(block) {
+            Some(track) => {
+                track.inval_events += 1;
+                track.inval_total += targets;
+                track.inval_max = track.inval_max.max(targets);
+            }
+            None => self.untracked_events += 1,
+        }
+    }
+
+    /// Observes one typed trace event in stream order — the entry point
+    /// for a live machine's events. Only `txn_begin` and `inval` feed the
+    /// table; every other kind passes through counted.
+    pub fn observe(&mut self, ev: &TraceEvent) {
+        self.events += 1;
+        match ev.kind {
+            EventKind::TxnBegin { block, write, .. } => self.note_begin(block, ev.cluster, write),
+            EventKind::Inval {
+                block,
+                targets,
+                cause,
+            } => self.note_inval(block, targets as u64, cause),
+            _ => {}
+        }
+    }
+
+    /// Observes one parsed trace line in stream order — the replay-side
+    /// adapter over the same counting code as [`PatternTable::observe`].
+    /// Unknown or irrelevant types pass through; malformed payloads are
+    /// counted as untracked rather than erroring, so a truncated ring
+    /// never poisons the table.
     pub fn observe_event(&mut self, ev: &Json) {
         self.events += 1;
+        let u64_of = |key: &str| ev.get(key).and_then(Json::as_u64);
         match ev.get("type").and_then(Json::as_str) {
-            Some("txn_begin") => {
-                let (Some(block), Some(cluster)) = (
-                    ev.get("block").and_then(Json::as_u64),
-                    ev.get("cluster").and_then(Json::as_u64),
-                ) else {
-                    self.untracked_events += 1;
-                    return;
-                };
-                let write = ev.get("write").and_then(Json::as_bool).unwrap_or(false);
-                let Some(track) = self.track(block) else {
-                    self.untracked_events += 1;
-                    return;
-                };
-                if write {
-                    track.writes += 1;
-                    track.writers.insert(cluster as u32);
-                } else {
-                    track.reads += 1;
-                    track.readers.insert(cluster as u32);
+            Some("txn_begin") => match (u64_of("block"), u64_of("cluster")) {
+                (Some(block), Some(cluster)) => {
+                    let write = ev.get("write").and_then(Json::as_bool).unwrap_or(false);
+                    self.note_begin(block, cluster as u32, write);
                 }
-            }
-            Some("inval") => {
-                let (Some(block), Some(targets)) = (
-                    ev.get("block").and_then(Json::as_u64),
-                    ev.get("targets").and_then(Json::as_u64),
-                ) else {
-                    self.untracked_events += 1;
-                    return;
-                };
-                let cause = ev.get("cause").and_then(Json::as_str).unwrap_or("unknown");
-                self.inval_events += 1;
-                self.inval_total += targets;
-                self.inval_max = self.inval_max.max(targets);
-                let idx = targets as usize;
-                if self.inval_dist.len() <= idx {
-                    self.inval_dist.resize(idx + 1, 0);
+                _ => self.untracked_events += 1,
+            },
+            Some("inval") => match (u64_of("block"), u64_of("targets")) {
+                (Some(block), Some(targets)) => {
+                    let cause = ev.get("cause").and_then(Json::as_str).unwrap_or("unknown");
+                    self.note_inval(block, targets, cause);
                 }
-                self.inval_dist[idx] += 1;
-                *self.inval_by_cause.entry(cause.to_string()).or_insert(0) += 1;
-                match self.track(block) {
-                    Some(track) => {
-                        track.inval_events += 1;
-                        track.inval_total += targets;
-                        track.inval_max = track.inval_max.max(targets);
-                    }
-                    None => self.untracked_events += 1,
-                }
-            }
+                _ => self.untracked_events += 1,
+            },
             _ => {}
         }
     }
@@ -573,9 +597,16 @@ pub fn validate_patterns_json(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, TraceEvent};
 
     fn begin(seq: u64, cluster: u32, block: u64, write: bool) -> Json {
+        begin_ev(seq, cluster, block, write).to_json()
+    }
+
+    fn inval(seq: u64, block: u64, targets: u32) -> Json {
+        inval_ev(seq, block, targets).to_json()
+    }
+
+    fn begin_ev(seq: u64, cluster: u32, block: u64, write: bool) -> TraceEvent {
         TraceEvent {
             seq,
             cycle: seq * 10,
@@ -586,10 +617,9 @@ mod tests {
                 write,
             },
         }
-        .to_json()
     }
 
-    fn inval(seq: u64, block: u64, targets: u32) -> Json {
+    fn inval_ev(seq: u64, block: u64, targets: u32) -> TraceEvent {
         TraceEvent {
             seq,
             cycle: seq * 10,
@@ -600,7 +630,6 @@ mod tests {
                 cause: "write",
             },
         }
-        .to_json()
     }
 
     fn classify_stream(events: &[Json]) -> PatternClass {
@@ -725,16 +754,16 @@ mod tests {
     #[test]
     fn online_equals_replay_byte_for_byte() {
         let events = [
-            begin(1, 0, 8, true),
-            inval(2, 8, 1),
-            begin(3, 1, 8, false),
-            begin(4, 2, 16, false),
+            begin_ev(1, 0, 8, true),
+            inval_ev(2, 8, 1),
+            begin_ev(3, 1, 8, false),
+            begin_ev(4, 2, 16, false),
         ];
         let mut online = PatternTable::new();
         let mut text = String::new();
         for ev in &events {
-            online.observe_event(ev);
-            text.push_str(&ev.to_string());
+            online.observe(ev);
+            ev.write_jsonl(&mut text);
             text.push('\n');
         }
         let replay = PatternTable::from_trace(&text).expect("replay parses");

@@ -1,0 +1,198 @@
+//! The stream pump: typed events in, ordered JSONL lines out.
+//!
+//! A machine records events per cluster, possibly stamped with a *future*
+//! cycle (never a past one). The post-hoc export sorts the whole history
+//! by `(cycle, cluster, per-cluster seq)` and numbers it; a live stream
+//! has to produce the same lines in the same order without seeing the
+//! future. The pump does that with a watermark: an event is held in a
+//! min-heap until the caller says the simulation clock has moved strictly
+//! past its cycle, at which point nothing still unrecorded can sort
+//! before it. Solo machines and the shard coordinator both feed one of
+//! these; it is the only place events meet a [`TraceSink`], and the only
+//! place a trace line is rendered during a run.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::fmt::Write as _;
+
+use crate::event::TraceEvent;
+use crate::json::Json;
+use crate::sink::{run_end_record, TraceSink};
+
+/// A recorded event waiting for the watermark to pass it. Ordered by the
+/// canonical `(cycle, cluster, per-cluster seq)` trace order, *reversed*,
+/// so [`BinaryHeap`] (a max-heap) pops the earliest event first.
+struct Pending(TraceEvent);
+
+impl Pending {
+    fn key(&self) -> (u64, u32, u64) {
+        (self.0.cycle, self.0.cluster, self.0.seq)
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl Eq for Pending {}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+/// The watermark reorder pump in front of one attached [`TraceSink`].
+pub struct StreamPump {
+    sink: Box<dyn TraceSink>,
+    /// Recorded events the watermark has not passed yet.
+    pending: BinaryHeap<Pending>,
+    /// Events emitted so far: each emitted line's `seq` is renumbered to
+    /// its 1-based position in the canonical emission order, matching
+    /// what `Tracer::merged` assigns post-hoc.
+    emitted: u64,
+    /// The one line buffer every record is rendered into.
+    line: String,
+}
+
+impl StreamPump {
+    /// A pump with nothing pending, emitting into `sink`.
+    pub fn new(sink: Box<dyn TraceSink>) -> Self {
+        StreamPump {
+            sink,
+            pending: BinaryHeap::new(),
+            emitted: 0,
+            line: String::with_capacity(256),
+        }
+    }
+
+    /// Takes one recorded event (its `seq` still the per-cluster
+    /// recording counter).
+    pub fn push(&mut self, ev: TraceEvent) {
+        self.pending.push(Pending(ev));
+    }
+
+    /// Emits every pending event with `cycle < watermark`, in canonical
+    /// order, renumbered.
+    pub fn flush_below(&mut self, watermark: u64) {
+        while let Some(top) = self.pending.peek() {
+            if top.0.cycle >= watermark {
+                break;
+            }
+            let mut ev = self.pending.pop().expect("peeked above").0;
+            self.emitted += 1;
+            ev.seq = self.emitted;
+            self.line.clear();
+            ev.write_jsonl(&mut self.line);
+            self.sink.emit(&self.line);
+        }
+    }
+
+    /// Emits one stream-only record (`run_meta`, `interval`,
+    /// `attrib_delta`, `patterns`) at the current position of the stream.
+    pub fn emit_record(&mut self, record: &Json) {
+        self.line.clear();
+        write!(self.line, "{record}").expect("writing to a String cannot fail");
+        self.sink.emit(&self.line);
+    }
+
+    /// Pushes buffered lines to the sink's transport — called at interval
+    /// boundaries so a consumer tailing a file sees whole windows.
+    pub fn flush_sink(&mut self) {
+        self.sink.flush();
+    }
+
+    /// Ends the stream: emits everything still pending, then the closing
+    /// `run_end` record, and flushes. Returns the lines the sink shed
+    /// ([`TraceSink::dropped`]) — read here, after the last write, so a
+    /// truncated stream never goes unreported.
+    pub fn close(mut self, cycles: u64, recorded: u64, dropped_events: u64) -> u64 {
+        self.flush_below(u64::MAX);
+        self.emit_record(&run_end_record(cycles, recorded, dropped_events));
+        self.sink.flush();
+        self.sink.dropped()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::{EventKind, Phase};
+    use crate::sink::{event_line, BufferSink};
+    use crate::tracer::{TraceConfig, Tracer};
+
+    fn phase(txn: u64) -> EventKind {
+        EventKind::TxnPhase {
+            txn,
+            block: 0,
+            phase: Phase::HomeLookup,
+        }
+    }
+
+    /// The watermark rule: an event stamped at cycle `c` stays pending
+    /// while the clock is at or before `c` (an earlier-sorting event of
+    /// the same cycle can still be recorded) and leaves once the clock is
+    /// strictly past it. The emitted numbering is `Tracer::merged`'s.
+    #[test]
+    fn holds_future_events_until_the_clock_passes_them() {
+        let mut tracer = Tracer::new(2, &TraceConfig::full(16));
+        tracer.set_mirror(true);
+        let sink = BufferSink::new();
+        let lines = sink.handle();
+        let mut pump = StreamPump::new(Box::new(sink));
+        let emitted = || lines.lock().unwrap().len();
+
+        // Clock at 10: cluster 1 records a reply that lands at 50.
+        tracer.record(1, 50, phase(1));
+        tracer.record(1, 10, phase(2));
+        for ev in tracer.drain_mirror() {
+            pump.push(ev);
+        }
+        pump.flush_below(10);
+        assert_eq!(emitted(), 0, "cycle 10 is not yet strictly passed");
+        pump.flush_below(11);
+        assert_eq!(emitted(), 1, "only the cycle-10 event is safe");
+
+        // Clock reaches 50: cluster 0 records at 50, which sorts *before*
+        // the held cluster-1 event of the same cycle.
+        pump.flush_below(50);
+        assert_eq!(emitted(), 1, "a watermark equal to the stamp holds it");
+        tracer.record(0, 50, phase(3));
+        for ev in tracer.drain_mirror() {
+            pump.push(ev);
+        }
+        assert_eq!(pump.close(60, 3, 0), 0);
+
+        let want: Vec<String> = tracer
+            .merged()
+            .iter()
+            .map(event_line)
+            .chain([run_end_record(60, 3, 0).to_string()])
+            .collect();
+        assert_eq!(*lines.lock().unwrap(), want);
+    }
+
+    /// A sink that sheds load is reported by `close`, after the last
+    /// line.
+    #[test]
+    fn close_reports_what_the_sink_shed() {
+        let (sink, rx) = crate::sink::ChannelSink::bounded(1);
+        let mut pump = StreamPump::new(Box::new(sink));
+        for i in 0..3 {
+            pump.push(TraceEvent {
+                seq: i + 1,
+                cycle: i,
+                cluster: 0,
+                kind: phase(i),
+            });
+        }
+        // Three events and run_end into a one-slot channel nobody reads.
+        assert_eq!(pump.close(3, 3, 0), 3);
+        assert_eq!(rx.try_iter().count(), 1);
+    }
+}

@@ -38,7 +38,7 @@ use crate::metrics::IntervalSnapshot;
 use crate::replay::{validate_trace, TraceSummary};
 
 /// The nine trace-event `type`s (the JSONL envelope of
-/// [`TraceEvent::to_json`]). Stream-only record types must stay disjoint
+/// [`TraceEvent::write_jsonl`]). Stream-only record types must stay disjoint
 /// from this set so a stream can be split back into events and records.
 pub const EVENT_TYPES: [&str; 9] = [
     "txn_begin",
@@ -74,7 +74,9 @@ pub trait TraceSink: Send {
 /// Lossless file sink: one JSONL line per [`TraceSink::emit`], buffered
 /// through a [`std::io::BufWriter`]. Write errors are counted as dropped
 /// lines rather than surfaced mid-run (the simulation must not fail
-/// because a disk filled).
+/// because a disk filled). A failed flush counts too: the lines it lost
+/// were accepted into the buffer earlier, so it is the only place a
+/// stream shorter than the buffer can report that it never reached disk.
 pub struct JsonlFileSink {
     out: std::io::BufWriter<std::fs::File>,
     dropped: u64,
@@ -98,7 +100,9 @@ impl TraceSink for JsonlFileSink {
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        if self.out.flush().is_err() {
+            self.dropped += 1;
+        }
     }
 
     fn dropped(&self) -> u64 {
@@ -493,10 +497,13 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
 }
 
 /// Renders one [`TraceEvent`] exactly as the streamed and post-hoc JSONL
-/// surfaces do (a convenience wrapper so callers don't have to remember
-/// that the byte contract is `to_json().to_string()`).
+/// surfaces do. The byte contract is [`TraceEvent::write_jsonl`] (which
+/// `to_json().to_string()` is held equal to by test); this wrapper is for
+/// callers that want an owned line and do not have a buffer to reuse.
 pub fn event_line(ev: &TraceEvent) -> String {
-    ev.to_json().to_string()
+    let mut line = String::with_capacity(160);
+    ev.write_jsonl(&mut line);
+    line
 }
 
 #[cfg(test)]
@@ -551,6 +558,21 @@ mod tests {
         drop(rx);
         sink.emit("orphan");
         assert_eq!(sink.dropped(), 1);
+    }
+
+    /// A stream smaller than the `BufWriter` only meets the full disk at
+    /// flush time; that must still count as shed output.
+    #[test]
+    fn file_sink_counts_a_failed_flush() {
+        let full = std::path::Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let mut sink = JsonlFileSink::create(full).expect("/dev/full opens for writing");
+        sink.emit("a short line");
+        assert_eq!(sink.dropped(), 0, "still buffered");
+        sink.flush();
+        assert!(sink.dropped() > 0, "ENOSPC at flush went uncounted");
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl Tracer {
     }
 
     /// Arms (or disarms) the streaming mirror. While armed, every
-    /// recorded event is also buffered for [`Tracer::take_mirror`] —
+    /// recorded event is also buffered for [`Tracer::drain_mirror`] —
     /// including events a full ring will evict, so a stream never loses
     /// what the rings lost.
     pub fn set_mirror(&mut self, on: bool) {
@@ -177,12 +177,10 @@ impl Tracer {
     }
 
     /// Drains the mirrored events recorded since the last call (empty
-    /// when the mirror is disarmed).
-    pub fn take_mirror(&mut self) -> Vec<TraceEvent> {
-        match &mut self.mirror {
-            Some(m) => std::mem::take(m),
-            None => Vec::new(),
-        }
+    /// when the mirror is disarmed). The buffer keeps its capacity, so a
+    /// pump that drains every event-loop iteration never re-allocates it.
+    pub fn drain_mirror(&mut self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.mirror.iter_mut().flat_map(|m| m.drain(..))
     }
 
     /// Whether per-message events should be recorded.
@@ -230,9 +228,10 @@ impl Tracer {
         let Some(ring) = self.rings.get(cluster) else {
             return Vec::new();
         };
-        let events: Vec<_> = ring.iter().cloned().collect();
-        let skip = events.len().saturating_sub(k);
-        events.into_iter().skip(skip).collect()
+        ring.iter()
+            .skip(ring.len().saturating_sub(k))
+            .cloned()
+            .collect()
     }
 
     /// All retained events merged into one global, canonically ordered
@@ -360,14 +359,14 @@ mod tests {
         for i in 0..5 {
             t.record(0, i, phase(i));
         }
-        assert_eq!(t.take_mirror().len(), 5, "mirror keeps what the ring evicts");
-        assert!(t.take_mirror().is_empty(), "take drains");
+        assert_eq!(t.drain_mirror().count(), 5, "mirror outlives the ring");
+        assert_eq!(t.drain_mirror().count(), 0, "draining empties it");
         t.record(0, 9, phase(9));
         let mut clone = t.clone();
         assert_eq!(clone.recorded(), t.recorded());
-        assert_eq!(t.take_mirror().len(), 1, "original keeps streaming");
+        assert_eq!(t.drain_mirror().count(), 1, "original keeps streaming");
         clone.record(0, 10, phase(10));
-        assert!(clone.take_mirror().is_empty(), "clone's mirror is disarmed");
+        assert_eq!(clone.drain_mirror().count(), 0, "a clone does not stream");
     }
 
     #[test]

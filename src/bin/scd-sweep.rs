@@ -250,6 +250,10 @@ fn main() {
     }
     if let Some(path) = &stream_out {
         eprintln!("[scd-sweep] progress stream written to {path}");
+        let shed = sink.as_ref().map_or(0, |s| s.dropped());
+        if shed > 0 {
+            eprintln!("[scd-sweep] warning: {path} is truncated: the sink dropped {shed} write(s)");
+        }
     }
 
     for run in &outcome.runs {

@@ -123,8 +123,12 @@ fn write_trace(machine: &ShardedMachine, path: &str) {
             std::process::exit(1)
         }
     });
+    let mut line = String::new();
     for ev in &events {
-        writeln!(out, "{}", ev.to_json()).expect("trace write failed");
+        line.clear();
+        ev.write_jsonl(&mut line);
+        line.push('\n');
+        out.write_all(line.as_bytes()).expect("trace write failed");
     }
     out.flush().expect("trace flush failed");
     eprintln!(
@@ -367,8 +371,13 @@ fn main() {
     let result = machine.try_run();
     if let Some(path) = &stream_out {
         // try_run closed the stream on both exits (run_end is written even
-        // when the run failed), so the file is complete here.
+        // when the run failed), so the file is complete here — unless the
+        // sink had to shed lines, which must not pass silently.
         eprintln!("telemetry stream written to {path}");
+        let shed = machine.stream_shed_lines();
+        if shed > 0 {
+            eprintln!("warning: {path} is truncated: the sink dropped {shed} write(s)");
+        }
     }
     // The transaction trace (and the span profile derived from it) is
     // most valuable exactly when the run failed: write both before
@@ -377,12 +386,12 @@ fn main() {
         write_trace(&machine, path);
     }
     if let Some(path) = &patterns_out {
-        // Online classification: feed the retained events through the
-        // same single code path the replay tool uses, so the two outputs
-        // are byte-identical for the same event history.
+        // Online classification: the typed entry point runs the same
+        // counting code the replay tool reaches through parsed lines, so
+        // the two outputs are byte-identical for the same event history.
         let mut table = PatternTable::new();
-        for ev in machine.trace_events() {
-            table.observe_event(&ev.to_json());
+        for ev in &machine.trace_events() {
+            table.observe(ev);
         }
         let doc = table.document(Some(run_meta.clone()), machine.occupancy_json());
         if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
@@ -442,8 +451,8 @@ fn main() {
             machine.trace_json(),
             patterns_out.is_some().then(|| {
                 let mut table = PatternTable::new();
-                for ev in machine.trace_events() {
-                    table.observe_event(&ev.to_json());
+                for ev in &machine.trace_events() {
+                    table.observe(ev);
                 }
                 table.section_json()
             }),

@@ -430,7 +430,8 @@ fn attached_stream_does_not_perturb_the_run() {
 /// The bounded-channel sink never blocks the simulation and never lies
 /// about loss: lines delivered plus lines dropped equals the lines an
 /// unbounded sink captured for the identical run, and the drop counter is
-/// visible while the machine still owns the sink.
+/// visible while the machine still owns the sink and, through
+/// `stream_shed_lines`, after it closed the stream.
 #[test]
 fn channel_sink_accounts_for_every_dropped_line() {
     let (_, _, full) = run_streamed(TraceConfig::full(1 << 16), None, 0x7E1E);
@@ -454,6 +455,9 @@ fn channel_sink_accounts_for_every_dropped_line() {
     // The unstreamed twin had a run_meta line this run did not (attach_stream
     // got `None`), hence the -1.
     assert_eq!(delivered + dropped, total - 1);
+    // ... and still visible after the machine closed the stream and let the
+    // sink go: this is what `scdsim --stream-out` warns from.
+    assert_eq!(machine.stream_shed_lines(), dropped);
 }
 
 /// Critical-path decomposition is exact, not approximate: for every
@@ -579,8 +583,8 @@ fn patterns_telemetry_does_not_perturb_and_validates() {
 
     let occupancy = machine.occupancy_json().expect("patterns were on");
     let mut table = PatternTable::new();
-    for ev in machine.trace_events() {
-        table.observe_event(&ev.to_json());
+    for ev in &machine.trace_events() {
+        table.observe(ev);
     }
     assert!(table.tracked_blocks() > 0, "run touched shared blocks");
     let doc = table.document(None, Some(occupancy)).to_string();
@@ -600,10 +604,11 @@ fn online_patterns_match_trace_replay_byte_for_byte() {
     let (machine, _) = run_with_trace(Some(tc), 0xBEEF);
     let mut online = PatternTable::new();
     let mut text = String::new();
-    for ev in machine.trace_events() {
-        let j = ev.to_json();
-        online.observe_event(&j);
-        text.push_str(&j.to_string());
+    for ev in &machine.trace_events() {
+        // The typed entry point, as `scdsim --patterns-out` feeds it; the
+        // replay below goes through parsed lines and `observe_event`.
+        online.observe(ev);
+        ev.write_jsonl(&mut text);
         text.push('\n');
     }
     let replay = PatternTable::from_trace(&text).expect("trace replays");
