@@ -2,8 +2,8 @@
 //! a full machine run must cost within 2% of a configuration that never
 //! mentions tracing at all (`cfg.trace = None`). The streaming pipeline
 //! rides on the same contract: a machine with no sink attached (the
-//! default — `StreamState::inert`) adds one boolean test per hook site
-//! and must stay under the same guard.
+//! default — the telemetry hub holds no pump) adds one boolean test per
+//! hook site and must stay under the same guard.
 //!
 //! All configurations take the inert path — an `Option` unwrap at
 //! construction and one boolean test per hook site — so the honest

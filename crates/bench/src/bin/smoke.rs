@@ -69,7 +69,8 @@ fn main() {
         for (name, scheme) in scheme_suite() {
             let cfg = scd_machine::MachineConfig::paper_32().with_scheme(scheme);
             let t0 = std::time::Instant::now();
-            let (stats, attrib) = run_app_attributed(app, cfg);
+            let (stats, attrib, _) =
+                run_app_attributed(app, cfg, 1).expect("one shard accepts any configuration");
             println!(
                 "  {name:<14} cycles={:>9} wall={:>6.2}s  {}  inval_events={} avg_inv={:.2}",
                 stats.cycles,

@@ -23,10 +23,9 @@ pub mod runner;
 pub mod sweep;
 
 pub use runner::{
-    bench_json_name, bench_point_document, run_app, run_app_attributed, run_app_attributed_traced,
-    run_app_with,
-    scheme_suite, slug, sparse_config, sparse_config_with, write_bench_json,
-    write_bench_json_in, write_results, SPARSE_CACHE_RATIO,
+    bench_json_name, bench_point_document, run_app, run_app_attributed, run_app_with,
+    scheme_suite, slug, sparse_config, sparse_config_with, write_bench_json, write_bench_json_in,
+    write_results, SPARSE_CACHE_RATIO,
 };
 pub use sweep::{
     build_config, generate_app, run_sweep, run_sweep_with, sweep_begin_record, sweep_document,

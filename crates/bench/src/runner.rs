@@ -36,36 +36,22 @@ pub fn run_app_with(app: &AppRun, cfg: MachineConfig) -> RunStats {
 }
 
 /// Runs `app` with traffic-attribution counters enabled (no event ring,
-/// no metrics — just the byte/flit/link accounting), returning the stats
-/// together with the `scd-attrib/v1` section for the bench document.
+/// no metrics — just the byte/flit/link accounting) on a machine
+/// partitioned across `shards` worker threads (1 = the serial engine),
+/// returning the stats together with the `scd-attrib/v1` section for the
+/// bench document and the machine's `trace` bookkeeping section
+/// (`recorded` / `dropped_events`), which the sweep engine surfaces in
+/// each per-run `scd-sweep/v1` document so truncated telemetry is never
+/// silent.
 ///
 /// Attribution counters live outside [`RunStats`], so the stats returned
 /// here are identical to what [`run_app_with`] produces for the same
 /// configuration — bench points gain an attribution section without
-/// perturbing any tracked metric.
-pub fn run_app_attributed(app: &AppRun, cfg: MachineConfig) -> (RunStats, Option<Json>) {
-    let (stats, attrib, _) = run_app_attributed_traced(app, cfg);
-    (stats, attrib)
-}
-
-/// [`run_app_attributed`] plus the machine's `trace` bookkeeping section
-/// (`recorded` / `dropped_events`), which the sweep engine surfaces in
-/// each per-run `scd-sweep/v1` document so truncated telemetry is never
-/// silent.
-pub fn run_app_attributed_traced(
-    app: &AppRun,
-    cfg: MachineConfig,
-) -> (RunStats, Option<Json>, Option<Json>) {
-    run_app_attributed_traced_sharded(app, cfg, 1)
-        .expect("a 1-shard run accepts any configuration")
-}
-
-/// [`run_app_attributed_traced`] on a machine partitioned across `shards`
-/// worker threads. Statistics, attribution, and trace bookkeeping are
-/// byte-identical to the serial run for any shard count; `Err` reports a
-/// configuration the conservative-window engine cannot shard (zero
-/// lookahead, link contention, the patterns observatory).
-pub fn run_app_attributed_traced_sharded(
+/// perturbing any tracked metric — and all three values are
+/// byte-identical for any shard count. `Err` reports a configuration the
+/// conservative-window engine cannot shard (zero lookahead, link
+/// contention, the patterns observatory); one shard accepts anything.
+pub fn run_app_attributed(
     app: &AppRun,
     cfg: MachineConfig,
     shards: usize,

@@ -30,7 +30,7 @@ use scd_core::{Replacement, Scheme};
 use scd_machine::{MachineConfig, ProtocolKind, RunStats};
 use scd_trace::Json;
 
-use crate::runner::{run_app_attributed_traced_sharded, slug, sparse_config_with};
+use crate::runner::{run_app_attributed, slug, sparse_config_with};
 
 // The whole point of the engine is moving configs and reference programs
 // across worker threads; keep that property machine-checked.
@@ -344,9 +344,8 @@ fn execute(desc: RunDescriptor, apps: &[AppRun], spec: &SweepSpec) -> SweepRun {
     let app = &apps[desc.app_idx];
     let cfg = build_config(&desc, app, spec);
     let t0 = Instant::now();
-    let (stats, attribution, trace) =
-        run_app_attributed_traced_sharded(app, cfg, spec.shards.max(1))
-            .unwrap_or_else(|e| panic!("cannot shard sweep point {}: {e}", desc.id));
+    let (stats, attribution, trace) = run_app_attributed(app, cfg, spec.shards.max(1))
+        .unwrap_or_else(|e| panic!("cannot shard sweep point {}: {e}", desc.id));
     SweepRun {
         desc,
         stats,

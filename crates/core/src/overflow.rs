@@ -58,6 +58,16 @@ pub struct OverflowStats {
     pub fallback_evictions: u64,
 }
 
+impl std::ops::AddAssign for OverflowStats {
+    /// Field-wise sum across homes.
+    fn add_assign(&mut self, o: Self) {
+        self.promotions += o.promotions;
+        self.demotions += o.demotions;
+        self.displacements += o.displacements;
+        self.fallback_evictions += o.fallback_evictions;
+    }
+}
+
 /// One home node's overflow directory: per-block small entries plus a wide
 /// overflow cache.
 #[derive(Clone)]

@@ -58,6 +58,17 @@ pub struct SparseStats {
     pub replacements: u64,
 }
 
+impl std::ops::AddAssign for SparseStats {
+    /// Field-wise sum: how per-home statistics fold into machine-wide
+    /// ones (the one place the fields are enumerated).
+    fn add_assign(&mut self, o: Self) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.fills += o.fills;
+        self.replacements += o.replacements;
+    }
+}
+
 /// Log₂ distance buckets in [`ChurnStats::reref_distance`]; bucket `b`
 /// counts re-references at `2^b ..= 2^(b+1)-1` allocations after the
 /// eviction (the last bucket saturates).

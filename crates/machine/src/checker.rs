@@ -129,13 +129,14 @@ fn sorted_blocks(
 
 /// Verifies the quiescent invariants; returns the first violation found.
 pub fn verify_quiescent(machine: &Machine) -> Result<(), Violation> {
-    let (cfg, views) = machine.checker_view();
+    let (cfg, views) = Machine::checker_view(std::slice::from_ref(machine));
     verify_views(cfg, &views)
 }
 
-/// The quiescent check over an explicit set of cluster views — the shard
-/// coordinator composes one view per cluster from that cluster's owning
-/// worker, so the machine-wide invariants are checked across shards.
+/// The quiescent check over an explicit set of cluster views — one per
+/// cluster, each from the machine part that owns it
+/// (`Machine::checker_view`), so the machine-wide invariants are checked
+/// across shards.
 pub(crate) fn verify_views(
     cfg: &MachineConfig,
     views: &[ClusterView<'_>],
@@ -168,7 +169,7 @@ pub(crate) fn verify_views(
 /// contract that holds at *every* reachable state, transients included.
 /// Safe to call at any point during a run or exploration.
 pub fn verify_step(machine: &Machine) -> Result<(), Violation> {
-    let (cfg, views) = machine.checker_view();
+    let (cfg, views) = Machine::checker_view(std::slice::from_ref(machine));
     match cfg.protocol {
         ProtocolKind::Dash => verify_dash_step(&views),
         ProtocolKind::Tardis => verify_tardis_views(cfg, &views),

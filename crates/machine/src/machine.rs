@@ -28,6 +28,19 @@
 //!   same `bus_memory` offset from its transaction's processing time.
 //! * Conflicting home transactions queue per block instead of NAK/retry
 //!   (see `scd-protocol::serializer`).
+//!
+//! ## Engine, backends, telemetry
+//!
+//! This file is the protocol-agnostic engine: the event wheel, message
+//! transport and fault injection, processor scheduling, synchronization
+//! and the sharding substrate. What happens when a processor touches
+//! shared memory, and when a protocol-specific message arrives, is one of
+//! three backends selected by a `match` on [`ProtocolKind`]: `dash` (the
+//! paper's directory-based invalidation protocol, the default), `tardis`
+//! (timestamp coherence: lease-based reads, no invalidation fan-out) and
+//! `dls` (directoryless shared LLC: every remote miss resolves at the
+//! home slice). Everything that only *watches* lives in `telemetry`, which
+//! the engine reaches through hooks that cannot mutate it back.
 
 use std::collections::HashMap;
 
@@ -42,10 +55,7 @@ use scd_protocol::rac::{MshrKind, StartOutcome};
 use scd_sim::{Cycle, EventQueue, RingLog, SimRng, Stamp};
 use scd_stats::{Histogram, MessageClass, Traffic};
 use scd_tango::{Op, ThreadProgram};
-use scd_trace::{
-    AttribClass, AttribParams, Attribution, ClassCounters, EventKind, IntervalSnapshot, Json,
-    MetricsRegistry, MsgCost, Phase, StreamPump, TraceConfig, TraceEvent, Tracer, TxnTimeline,
-};
+use scd_trace::{Json, MetricsRegistry, Phase, TraceEvent};
 
 use crate::config::{MachineConfig, ProtocolKind};
 use crate::error::{BlockedProc, ClusterDiag, PostMortem, SimError};
@@ -57,11 +67,12 @@ mod dash;
 mod dls;
 pub mod explore;
 mod oracle;
-pub(crate) mod protocol;
 pub mod shard;
 mod tardis;
+mod telemetry;
 
 pub use oracle::ValueOracleReport;
+use telemetry::{Hub, Recorder};
 
 /// Simulator events. The hot variant, `Deliver`, carries an 8-byte
 /// [`MsgRef`] into the message arena rather than the ~40-byte [`Msg`]
@@ -204,66 +215,6 @@ struct ReplacementWork {
     dirty_owner: Option<usize>,
 }
 
-/// One in-flight traced coherence transaction. Keyed by (requester
-/// cluster, block), which is unique because the RAC holds one MSHR per
-/// cluster/block pair; merged waiters join the existing transaction.
-#[derive(Clone)]
-struct TxnLive {
-    id: u64,
-    issue: Cycle,
-    write: bool,
-    home_lookup: Option<Cycle>,
-    fanout: Option<Cycle>,
-    retries: u32,
-}
-
-/// Home-side view of a live traced transaction, keyed like [`TxnLive`]
-/// by (requester cluster, block). The home consults this — never the
-/// requester's `txn_live` map, which may live on another shard — when it
-/// records `HomeLookup`/`Fanout` phases; the flags make each phase
-/// set-once per transaction id.
-#[derive(Clone, Copy)]
-struct PhaseSlot {
-    id: u64,
-    issue: Cycle,
-    hl_done: bool,
-    fo_done: bool,
-}
-
-/// Cross-shard telemetry notes exchanged at window barriers. Notes ride
-/// the barrier, not the simulated network: they carry trace metadata whose
-/// happens-before edges (a home services a request at least one network
-/// leg after it was issued; a requester completes at least one leg after
-/// the home's phase) guarantee the note is applied before any event that
-/// reads it. Within one shard, notes are applied immediately.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum TxnNote {
-    /// Requester → home: a traced transaction began.
-    Begin {
-        /// Requester cluster (keys the home's phase slot).
-        requester: usize,
-        /// The block.
-        block: u64,
-        /// The transaction id (cluster-encoded, see `trace_txn_begin`).
-        id: u64,
-        /// The issue cycle.
-        issue: Cycle,
-    },
-    /// Home → requester: a lifecycle phase was recorded at the home.
-    Phase {
-        /// Requester cluster.
-        requester: usize,
-        /// The block.
-        block: u64,
-        /// The transaction id the home recorded the phase under.
-        id: u64,
-        /// Which phase.
-        phase: Phase,
-        /// When the home recorded it.
-        at: Cycle,
-    },
-}
-
 /// A delivery bound for a cluster another shard owns: exported at the end
 /// of the window and merged into the destination shard's wheel at the
 /// barrier, carrying the canonical stamp drawn at the (source-side) send.
@@ -272,143 +223,6 @@ pub(crate) struct Outbound {
     pub(crate) deliver_at: Cycle,
     pub(crate) stamp: Stamp,
     pub(crate) msg: Msg,
-}
-
-/// Per-class attribution counters, in [`AttribClass::ALL`] order.
-pub(crate) type ClassTable = [ClassCounters; AttribClass::ALL.len()];
-/// Flits per directed link `(from, to)`.
-pub(crate) type LinkFlits = Vec<((usize, usize), u64)>;
-
-/// One shard's contribution to one interval boundary `end`: the per-window
-/// counter deltas its clusters produced plus its share of the occupancy
-/// sample. The coordinator sums pieces across shards into the exact
-/// [`IntervalSnapshot`] a solo run would have produced, and the
-/// attribution deltas into the streamed `attrib_delta` record.
-#[derive(Clone, Debug)]
-pub(crate) struct IntervalPiece {
-    pub(crate) snap: IntervalSnapshot,
-    /// Per-class attribution counter deltas over the window (all zero when
-    /// attribution is off).
-    pub(crate) attrib_delta: ClassTable,
-    /// Per-link flit deltas over the window (empty when attribution is
-    /// off).
-    pub(crate) link_delta: LinkFlits,
-}
-
-/// Counter baselines at the last interval boundary, so each
-/// [`IntervalSnapshot`] reports per-window deltas.
-#[derive(Clone, Default)]
-struct IntervalBase {
-    messages: u64,
-    retries: u64,
-    nacks: u64,
-    ops: u64,
-}
-
-/// Live-streaming state: the pump in front of the attached sink. The
-/// watermark rule that reproduces the post-hoc `(cycle, seq)` merge order
-/// online lives in [`StreamPump`]; the machine only feeds it the tracer's
-/// mirror and tells it how far the clock has moved.
-struct StreamState {
-    /// The pump (`None` = streaming off; the inert default).
-    pump: Option<StreamPump>,
-    /// Pre-computed `pump.is_some()`, checked once per event like
-    /// `trace_active`/`fault_active`.
-    on: bool,
-    /// Lines the sink reported shedding, read when the stream closed.
-    shed: u64,
-}
-
-impl StreamState {
-    fn inert() -> Self {
-        StreamState {
-            pump: None,
-            on: false,
-            shed: 0,
-        }
-    }
-}
-
-/// Cloning a machine detaches the stream: exploration branches share one
-/// history up to the fork, and two writers interleaving into one sink
-/// would corrupt both orderings. The clone is inert (like a machine that
-/// never attached a sink); re-attach explicitly to stream from it.
-impl Clone for StreamState {
-    fn clone(&self) -> Self {
-        StreamState::inert()
-    }
-}
-
-/// Streams one closed interval window: every event belonging to the
-/// window first, then the `interval` record, then (with attribution on)
-/// the window's per-class and per-link traffic — `traffic` carries the
-/// deltas against the previous boundary. Shared by the solo engine and
-/// the shard coordinator, so both emit the same bytes by construction.
-pub(crate) fn stream_window(
-    pump: &mut StreamPump,
-    snap: &IntervalSnapshot,
-    traffic: Option<(&ClassTable, LinkFlits)>,
-) {
-    pump.flush_below(snap.end);
-    pump.emit_record(&scd_trace::interval_record(snap));
-    if let Some((class_delta, link_delta)) = traffic {
-        let classes: Vec<(&'static str, Json)> = AttribClass::ALL
-            .iter()
-            .zip(class_delta)
-            // Protocol-specific classes are omitted when idle this
-            // window, keeping DASH streams byte-identical to v1.
-            .filter(|(c, d)| !(c.optional() && d.messages == 0))
-            .map(|(c, d)| (c.label(), d.to_json()))
-            .collect();
-        // Per-link flit deltas: the window's busiest movers, capped and
-        // endpoint-sorted so the record is deterministic.
-        const TOP_LINKS: usize = 32;
-        let mut links: Vec<(usize, usize, u64)> = link_delta
-            .into_iter()
-            .map(|((src, dst), d)| (src, dst, d))
-            .collect();
-        links.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
-        links.truncate(TOP_LINKS);
-        links.sort_by_key(|&(src, dst, _)| (src, dst));
-        pump.emit_record(&scd_trace::attrib_delta_record(
-            snap.start, snap.end, &classes, &links,
-        ));
-    }
-    // Boundary flush so a live consumer tailing a file sink sees whole
-    // windows, not BufWriter-sized chunks.
-    pump.flush_sink();
-}
-
-/// Directory-observatory occupancy telemetry, only fed when
-/// `TraceConfig::patterns` is on (`patterns_active`). Everything here is
-/// read-only against the protocol: counters and sampled histograms.
-#[derive(Clone, Debug, Default)]
-struct Observatory {
-    /// Interval boundaries at which the live-entry scan ran.
-    samples: u64,
-    /// Aggregated sharer-count histogram over live entries at sample
-    /// points: `sharers[k]` = entry observations with a k-cluster
-    /// superset (index capped at the machine size).
-    sharers: Vec<u64>,
-    /// Write fan-outs observed (Grant-path invalidation decisions).
-    fanout_events: u64,
-    /// Fan-outs whose entry representation was still precise.
-    fanout_precise: u64,
-    /// Fan-outs sent from a broadcast-mode entry.
-    fanout_broadcast: u64,
-    /// Invalidation targets across all fan-outs.
-    fanout_targets: u64,
-    /// Targets that actually held the block (superset overshoot is
-    /// `targets - present`).
-    fanout_present: u64,
-    /// Fan-outs from a coarse-vector entry.
-    coarse_events: u64,
-    /// Region bits set across coarse fan-outs.
-    coarse_regions: u64,
-    /// Clusters covered by those region bits (targets).
-    coarse_covered: u64,
-    /// Covered clusters that actually held the block.
-    coarse_present: u64,
 }
 
 /// Per-cluster snapshot handed to the invariant checker: resident blocks
@@ -474,61 +288,23 @@ pub struct Machine {
     last_progress: Cycle,
     /// Recently processed events, kept for failure post-mortems.
     event_log: RingLog<(Cycle, EvLog)>,
-    /// Resolved trace configuration (inert when `cfg.trace` is `None`).
-    trace_cfg: TraceConfig,
-    /// Pre-computed `trace_cfg.is_active()`: like `fault_active`, an inert
-    /// trace must cost nothing, so every hook gates on this bool.
-    trace_active: bool,
-    /// Per-cluster bounded event rings (inert when tracing is off).
-    tracer: Tracer,
-    /// Phase-latency histograms and interval snapshots (only fed when
-    /// `trace_cfg.metrics`).
-    metrics: MetricsRegistry,
-    /// Pre-computed `trace_cfg.attribution`: gates the byte/flit and
-    /// per-link accounting in `send` (inert and free when off).
-    attrib_active: bool,
-    /// Per-class traffic attribution (only fed when `attrib_active`).
-    attrib: Attribution,
-    /// What one message of each kind costs under the wire model, indexed
-    /// by [`MsgKind::ordinal`] and resolved through the same label
-    /// functions `Attribution::from_events` uses, so online == replay
-    /// holds by construction. Empty (unallocated) when attribution is off.
-    msg_cost: Vec<MsgCost>,
-    /// Pre-computed `trace_cfg.patterns`: gates `inval` event recording
-    /// and the directory-occupancy sampling (inert and free when off).
-    patterns_active: bool,
-    /// Directory-occupancy telemetry (only fed when `patterns_active`).
-    obs: Observatory,
-    /// Live traced transactions, keyed by (requester cluster, block).
-    /// Requester-side state, touched only while processing events of the
-    /// requester's own cluster.
-    txn_live: HashMap<(usize, u64), TxnLive>,
-    /// Home-side phase slots, keyed by (requester cluster, block) and fed
-    /// by `TxnNote::Begin`. Touched only while processing home events.
-    txn_phase: HashMap<(usize, u64), PhaseSlot>,
-    /// Per-requester-cluster transaction id counters. Ids encode the
-    /// cluster in the high bits so each cluster hands them out locally —
-    /// no global counter to race on across shards.
-    txn_seq: Vec<u64>,
-    /// Next interval-snapshot boundary (0 when sampling is off).
-    interval_next: Cycle,
-    /// Start cycle of the current interval window.
-    interval_start: Cycle,
-    /// Counter baselines at the last interval boundary.
-    interval_base: IntervalBase,
+    /// This part's telemetry (inert unless `cfg.trace` is active); the
+    /// engine only ever calls its hooks.
+    telemetry: Recorder,
+    /// The run's telemetry hub, used when this machine is the whole
+    /// machine (a shard's stays idle: its coordinator owns the run's).
+    /// `Clone` detaches the stream.
+    hub: Hub,
     /// Armed test-only protocol mutation (see [`explore::Mutation`]); used
     /// to validate that the model checker actually catches protocol bugs.
     mutation: Option<explore::Mutation>,
-    /// Live telemetry stream (inert until [`Machine::attach_stream`];
-    /// detached again by `Clone`).
-    stream: StreamState,
     /// First cluster this machine owns. A solo machine owns `[0, clusters)`;
     /// a shard owns a contiguous sub-range and exports everything else.
     shard_base: usize,
     /// Number of clusters this machine owns.
     shard_count: usize,
     /// Pre-computed `shard_count == cfg.clusters`: gates the per-event
-    /// watchdog/limit checks and stream pumping that the shard coordinator
+    /// watchdog check and telemetry-hub step that the shard coordinator
     /// takes over in a sharded run.
     solo: bool,
     /// Per-cluster canonical-stamp counters: every scheduled event is
@@ -539,18 +315,10 @@ pub struct Machine {
     /// Deliveries bound for clusters other shards own, drained at window
     /// barriers.
     outbox: Vec<Outbound>,
-    /// Cross-shard telemetry notes, drained at window barriers.
-    note_outbox: Vec<TxnNote>,
     /// End of the current conservative window (exclusive); used to check
     /// the lookahead invariant on exported deliveries. `u64::MAX` in solo
     /// mode.
     window_end: Cycle,
-    /// Interval-boundary pieces for the coordinator (non-solo runs only).
-    interval_pieces: Vec<IntervalPiece>,
-    /// Attribution counters at the last closed interval window, which
-    /// window traffic is diffed against (streamed or sharded runs only).
-    window_attrib_base: ClassTable,
-    window_link_base: HashMap<(usize, usize), u64>,
 }
 
 impl Machine {
@@ -643,24 +411,12 @@ impl Machine {
         let running = shard_count * cfg.procs_per_cluster;
         let fault_plan = cfg.fault_plan.unwrap_or_default();
         let event_log = RingLog::new(cfg.event_log);
-        let trace_cfg = cfg.trace.unwrap_or_else(TraceConfig::none);
-        let trace_active = trace_cfg.is_active();
-        let tracer = if trace_active {
-            Tracer::new(cfg.clusters, &trace_cfg)
-        } else {
-            Tracer::inert()
-        };
-        let attrib_params = AttribParams::with_block_bytes(cfg.block_bytes);
-        let mut msg_cost = Vec::new();
-        if trace_cfg.attribution {
+        let recorder = Recorder::new(&cfg, shard_base, shard_count);
+        if recorder.config().attribution {
             network.enable_link_counters();
-            msg_cost = MsgKind::LABELS
-                .iter()
-                .map(|l| attrib_params.cost(l))
-                .collect();
         }
         let mut clusters = clusters;
-        if trace_cfg.patterns {
+        if recorder.config().patterns {
             // Churn tracking rides the patterns flag: the sparse
             // organizations start counting victim re-references from
             // cycle 0 (no-op for complete/overflow backings).
@@ -695,36 +451,15 @@ impl Machine {
             chan_clamp: HashMap::new(),
             last_progress: 0,
             event_log,
-            interval_next: trace_cfg.interval,
-            interval_start: 0,
-            interval_base: IntervalBase::default(),
-            attrib_active: trace_cfg.attribution,
-            attrib: Attribution::new(attrib_params),
-            msg_cost,
-            patterns_active: trace_cfg.patterns,
-            obs: Observatory {
-                sharers: vec![0; cfg.clusters + 1],
-                ..Observatory::default()
-            },
-            trace_cfg,
-            trace_active,
-            tracer,
-            metrics: MetricsRegistry::new(),
-            txn_live: HashMap::new(),
-            txn_phase: HashMap::new(),
-            txn_seq: vec![0; cfg.clusters],
+            hub: Hub::new(&recorder, 1),
+            telemetry: recorder,
             mutation: None,
-            stream: StreamState::inert(),
             shard_base,
             shard_count,
             solo: shard_count == cfg.clusters,
             emit_seq: vec![0; cfg.clusters],
             outbox: Vec::new(),
-            note_outbox: Vec::new(),
             window_end: Cycle::MAX,
-            interval_pieces: Vec::new(),
-            window_attrib_base: Default::default(),
-            window_link_base: HashMap::new(),
             cfg,
         }
     }
@@ -734,6 +469,12 @@ impl Machine {
     #[inline]
     fn owns(&self, cluster: usize) -> bool {
         cluster.wrapping_sub(self.shard_base) < self.shard_count
+    }
+
+    /// The cluster nodes this machine owns (all of them for a solo
+    /// machine).
+    fn owned_clusters(&self) -> &[ClusterNode] {
+        &self.clusters[self.shard_base..self.shard_base + self.shard_count]
     }
 
     /// Draws the next canonical stamp from `cluster`'s emission counter.
@@ -869,41 +610,18 @@ impl Machine {
         let lat = self.network.send(ready_at, msg.src, msg.dst);
         if msg.src != msg.dst {
             self.traffic.record(msg.kind.class());
-            if self.trace_active {
-                self.trace_send(ready_at, &msg);
+            if self.telemetry.on {
+                // The recorder accounts the message; the link table is
+                // the network's, so the engine applies the flits.
+                if let Some(flits) = self.telemetry.msg_send(&self.network, ready_at, &msg) {
+                    self.network.note_link_traffic(msg.src, msg.dst, flits);
+                }
             }
             if self.fault_active {
                 return self.faulty_schedule(ready_at + lat, msg);
             }
         }
         self.deliver_or_export(ready_at + lat, msg);
-    }
-
-    /// Telemetry of one inter-cluster send. Read-only accounting: charges
-    /// the message's pre-resolved byte/flit cost to its class and to every
-    /// link of its route, and records the `msg_send` event. Never touches
-    /// latency or ordering.
-    fn trace_send(&mut self, ready_at: Cycle, msg: &Msg) {
-        let hops = self.network.hops(msg.src, msg.dst) as u32;
-        if self.attrib_active {
-            let cost = self.msg_cost[msg.kind.ordinal()];
-            let flits = self.attrib.record_class(cost, hops);
-            self.network.note_link_traffic(msg.src, msg.dst, flits);
-        }
-        if self.tracer.messages_enabled() {
-            self.tracer.record(
-                msg.src,
-                ready_at,
-                EventKind::MsgSend {
-                    src: msg.src as u32,
-                    dst: msg.dst as u32,
-                    msg: msg.kind.label(),
-                    class: msg.kind.class().label(),
-                    block: msg.kind.block(),
-                    hops,
-                },
-            );
-        }
     }
 
     /// The per-channel fault stream for `(src, dst)`: a pure function of
@@ -1040,648 +758,6 @@ impl Machine {
         st.blocked_on_sync = on_sync;
     }
 
-    // ------------------------------------------------------------------
-    // Telemetry (scd-trace)
-    //
-    // Every hook gates on `trace_active` and only *reads* machine state:
-    // tracing must never touch the event queue, any RNG stream, or any
-    // timing decision, so a traced run retires the identical schedule (the
-    // bit-identity contract, tested in tests/telemetry.rs).
-    // ------------------------------------------------------------------
-
-    /// A new coherence transaction issued its first request.
-    fn trace_txn_begin(&mut self, t: Cycle, cl: usize, block: u64, write: bool) {
-        if !self.trace_active || self.txn_live.contains_key(&(cl, block)) {
-            return;
-        }
-        // Transaction ids are minted per requester cluster (cluster in the
-        // high bits, a cluster-local sequence below) so a sharded run and
-        // the serial engine assign the same id to the same transaction — a
-        // single global counter would encode the interleaving of unrelated
-        // clusters into every exported trace.
-        self.txn_seq[cl] += 1;
-        let id = ((cl as u64) << 40) | self.txn_seq[cl];
-        self.txn_live.insert(
-            (cl, block),
-            TxnLive {
-                id,
-                issue: t,
-                write,
-                home_lookup: None,
-                fanout: None,
-                retries: 0,
-            },
-        );
-        self.tracer
-            .record(cl, t, EventKind::TxnBegin { txn: id, block, write });
-        self.route_note(TxnNote::Begin {
-            requester: cl,
-            block,
-            id,
-            issue: t,
-        });
-    }
-
-    /// The home directory first serviced the transaction (set-once:
-    /// queued replays and re-entrant processing don't re-record).
-    ///
-    /// Phase attribution is *home-side* state ([`PhaseSlot`], fed by
-    /// [`TxnNote::Begin`]): the home must decide whether a delivery belongs
-    /// to the live transaction without reading the requester's `txn_live`
-    /// table, which under sharding may live on another worker. The
-    /// recorded timestamp travels back to the requester as a
-    /// [`TxnNote::Phase`] for the end-of-transaction timeline.
-    fn trace_txn_phase(
-        &mut self,
-        t: Cycle,
-        home: usize,
-        requester: usize,
-        block: u64,
-        phase: Phase,
-    ) {
-        if !self.trace_active {
-            return;
-        }
-        let Some(slot) = self.txn_phase.get_mut(&(requester, block)) else {
-            return;
-        };
-        // A delivery timestamped before the live transaction began is
-        // predecessor traffic (a fault-duplicated or delayed request from
-        // an earlier, completed transaction on the same (requester, block)
-        // — observable because begins are stamped a cache-lookup ahead of
-        // the pop that created them). It must not be attributed here, or
-        // the exported lifecycle runs backwards.
-        if t < slot.issue {
-            return;
-        }
-        let done = match phase {
-            Phase::HomeLookup => &mut slot.hl_done,
-            Phase::Fanout => &mut slot.fo_done,
-            _ => return,
-        };
-        if *done {
-            return;
-        }
-        *done = true;
-        let id = slot.id;
-        self.tracer
-            .record(home, t, EventKind::TxnPhase { txn: id, block, phase });
-        self.route_note(TxnNote::Phase {
-            requester,
-            block,
-            id,
-            phase,
-            at: t,
-        });
-    }
-
-    /// Applies a telemetry note locally when its target cluster lives on
-    /// this shard, otherwise queues it for the coordinator to ferry across
-    /// the next window barrier. In a solo machine every note applies
-    /// immediately, reproducing the old direct-update behavior exactly.
-    fn route_note(&mut self, note: TxnNote) {
-        let target = match &note {
-            TxnNote::Begin { block, .. } => (*block as usize) % self.cfg.clusters,
-            TxnNote::Phase { requester, .. } => *requester,
-        };
-        if self.owns(target) {
-            self.apply_note(note);
-        } else {
-            self.note_outbox.push(note);
-        }
-    }
-
-    /// Applies one telemetry note to this machine's tables. Called
-    /// directly by [`Machine::route_note`] for local targets and by the
-    /// shard coordinator when ferrying notes across a window barrier.
-    pub(crate) fn apply_note(&mut self, note: TxnNote) {
-        match note {
-            TxnNote::Begin {
-                requester,
-                block,
-                id,
-                issue,
-            } => {
-                self.txn_phase.insert(
-                    (requester, block),
-                    PhaseSlot {
-                        id,
-                        issue,
-                        hl_done: false,
-                        fo_done: false,
-                    },
-                );
-            }
-            TxnNote::Phase {
-                requester,
-                block,
-                id,
-                phase,
-                at,
-            } => {
-                let Some(live) = self.txn_live.get_mut(&(requester, block)) else {
-                    return;
-                };
-                if live.id != id {
-                    return; // note for an already-completed predecessor
-                }
-                let slot = match phase {
-                    Phase::HomeLookup => &mut live.home_lookup,
-                    Phase::Fanout => &mut live.fanout,
-                    _ => return,
-                };
-                if slot.is_none() {
-                    *slot = Some(at);
-                }
-            }
-        }
-    }
-
-    /// The requester received a NACK for its outstanding transaction.
-    fn trace_nack(&mut self, t: Cycle, cl: usize, block: u64) {
-        if !self.trace_active {
-            return;
-        }
-        let Some(live) = self.txn_live.get(&(cl, block)) else {
-            return;
-        };
-        if t < live.issue {
-            return; // stale NACK for a predecessor transaction
-        }
-        let txn = live.id;
-        self.tracer.record(cl, t, EventKind::Nack { txn, block });
-    }
-
-    /// The requester reissued a NACKed request after backing off.
-    fn trace_retry(&mut self, t: Cycle, cl: usize, block: u64, attempt: u32, backoff: u64) {
-        if !self.trace_active {
-            return;
-        }
-        let Some(live) = self.txn_live.get_mut(&(cl, block)) else {
-            return;
-        };
-        if t < live.issue {
-            return; // stale retry echo for a predecessor transaction
-        }
-        live.retries = attempt;
-        let txn = live.id;
-        self.tracer.record(
-            cl,
-            t,
-            EventKind::Retry {
-                txn,
-                block,
-                attempt,
-                backoff,
-            },
-        );
-    }
-
-    /// Directory-side invalidation event. Gated on the `patterns` flag —
-    /// not `trace_active` — so traces recorded without patterns stay
-    /// byte-identical to pre-observatory runs.
-    fn trace_inval(&mut self, t: Cycle, home: usize, block: u64, targets: u32, cause: &'static str) {
-        if !self.patterns_active {
-            return;
-        }
-        self.tracer.record(
-            home,
-            t,
-            EventKind::Inval {
-                block,
-                targets,
-                cause,
-            },
-        );
-    }
-
-    /// The transaction completed at its requester: close it out and feed
-    /// the phase-latency histograms.
-    fn trace_txn_end(&mut self, t: Cycle, cl: usize, block: u64) {
-        if !self.trace_active {
-            return;
-        }
-        let Some(live) = self.txn_live.remove(&(cl, block)) else {
-            return;
-        };
-        let latency = t.saturating_sub(live.issue);
-        self.tracer.record(
-            cl,
-            t,
-            EventKind::TxnEnd {
-                txn: live.id,
-                block,
-                latency,
-                retries: live.retries,
-            },
-        );
-        if self.trace_cfg.metrics {
-            self.metrics.record_txn(&TxnTimeline {
-                issue: live.issue,
-                home_lookup: live.home_lookup,
-                fanout: live.fanout,
-                end: t,
-                write: live.write,
-                retries: live.retries,
-            });
-        }
-    }
-
-    /// Advances interval sampling across every boundary up to `t`.
-    fn trace_intervals(&mut self, t: Cycle) {
-        while t >= self.interval_next {
-            let net = self.network.stats().messages;
-            let ops = self.shared_reads + self.shared_writes + self.sync_ops;
-            let occupancy: u64 = self
-                .clusters
-                .iter()
-                .map(|c| c.rac.outstanding() as u64)
-                .sum();
-            let snap = IntervalSnapshot {
-                start: self.interval_start,
-                end: self.interval_next,
-                messages: net - self.interval_base.messages,
-                retries: self.faults.retries - self.interval_base.retries,
-                nacks: self.faults.nacks - self.interval_base.nacks,
-                occupancy,
-                ops_retired: ops - self.interval_base.ops,
-            };
-            if self.solo {
-                self.metrics.push_interval(snap);
-                if self.stream.on {
-                    let piece = self.close_window(snap);
-                    if let Some(pump) = self.stream.pump.as_mut() {
-                        let traffic = self
-                            .attrib_active
-                            .then_some((&piece.attrib_delta, piece.link_delta));
-                        stream_window(pump, &snap, traffic);
-                    }
-                }
-                if self.patterns_active {
-                    self.sample_patterns(snap.start, snap.end);
-                }
-            } else {
-                // A shard only sees its own slice of the machine: park the
-                // window's deltas as a piece and let the coordinator sum
-                // pieces across shards into the exact serial record.
-                let piece = self.close_window(snap);
-                self.interval_pieces.push(piece);
-            }
-            self.interval_base = IntervalBase {
-                messages: net,
-                retries: self.faults.retries,
-                nacks: self.faults.nacks,
-                ops,
-            };
-            self.interval_start = self.interval_next;
-            self.interval_next += self.trace_cfg.interval;
-        }
-    }
-
-    /// Closes one interval window's traffic accounting: the per-class and
-    /// per-link attribution deltas since the previous boundary (empty
-    /// with attribution off). For a shard this is its contribution to the
-    /// window — deltas come out exact because each cluster (and each
-    /// message's source accounting) belongs to exactly one shard, and the
-    /// coordinator sums pieces per boundary.
-    fn close_window(&mut self, snap: IntervalSnapshot) -> IntervalPiece {
-        let mut attrib_delta = ClassTable::default();
-        let mut link_delta = Vec::new();
-        if self.attrib_active {
-            let cur = self.attrib.counters();
-            for (d, (c, b)) in attrib_delta
-                .iter_mut()
-                .zip(cur.iter().zip(self.window_attrib_base.iter()))
-            {
-                *d = c.minus(*b);
-            }
-            self.window_attrib_base = cur;
-            let base = &mut self.window_link_base;
-            link_delta = self
-                .network
-                .link_traffic()
-                .into_iter()
-                .filter_map(|(link, c)| {
-                    let prev = base.insert(link, c.flits).unwrap_or(0);
-                    let d = c.flits.saturating_sub(prev);
-                    (d > 0).then_some((link, d))
-                })
-                .collect();
-        }
-        IntervalPiece {
-            snap,
-            attrib_delta,
-            link_delta,
-        }
-    }
-
-    /// Forces every interval boundary at or below `h` to close even when
-    /// no local event lands past it: an idle shard still owes the
-    /// coordinator a (zero-delta) piece for each window the fleet
-    /// finished. Safe because any boundary `b <= h` with no local events
-    /// in `[b, h)` closes with exactly the deltas it would have closed
-    /// with lazily.
-    pub(crate) fn force_intervals_to(&mut self, h: Cycle) {
-        if self.trace_active && self.trace_cfg.interval > 0 {
-            self.trace_intervals(h);
-        }
-    }
-
-    /// Scans every home's live directory entries at an interval boundary
-    /// and folds the sharer-count distribution into the observatory;
-    /// when a stream is attached, also emits the window's `patterns`
-    /// record. O(live entries) per boundary, gated on `patterns_active`.
-    fn sample_patterns(&mut self, start: Cycle, end: Cycle) {
-        let cap = self.cfg.clusters;
-        let mut win = vec![0u64; cap + 1];
-        let mut live = 0u64;
-        for c in &self.clusters {
-            c.dir.for_each_live(|_, e| {
-                win[e.sharer_superset().len().min(cap)] += 1;
-                live += 1;
-            });
-        }
-        self.obs.samples += 1;
-        for (a, b) in self.obs.sharers.iter_mut().zip(&win) {
-            *a += b;
-        }
-        if let Some(pump) = self.stream.pump.as_mut() {
-            pump.emit_record(&scd_trace::patterns_record(start, end, live, &win));
-            pump.flush_sink();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Live streaming (scd-trace sinks)
-    //
-    // Same contract as the other telemetry hooks — read-only against the
-    // simulation: the stream pump never touches the event queue, any RNG
-    // stream, or any timing decision, and a machine with no sink attached
-    // costs one pre-computed branch per event. Ordering: events are
-    // emitted in the exact post-hoc `(cycle, seq)` merge order. An event
-    // may be recorded with a *future* cycle stamp but never a past one,
-    // so once the simulation clock strictly passes a pending event's
-    // cycle, nothing that sorts before it can still arrive — the pump
-    // (`scd_trace::StreamPump`) holds events until that watermark clears
-    // them, and is the only place a line is rendered.
-    // ------------------------------------------------------------------
-
-    /// Attaches `sink` and starts streaming: an optional `run_meta`
-    /// record first, then trace events, interval windows, and
-    /// attribution deltas as the run produces them, closed by a
-    /// `run_end` record when the run finalizes (success or failure) or
-    /// [`Machine::stream_close`] is called.
-    ///
-    /// Trace events only flow when the machine was built with
-    /// `TraceConfig::ring_capacity > 0`; interval and attribution
-    /// records follow their own `TraceConfig` switches. Cloning the
-    /// machine detaches the stream on the clone (see [`StreamState`]).
-    pub fn attach_stream(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
-        let mut pump = StreamPump::new(sink);
-        if let Some(run) = run {
-            pump.emit_record(&scd_trace::run_meta_record(&run));
-            pump.flush_sink();
-        }
-        self.tracer.set_mirror(true);
-        // Window traffic is diffed against the counters as of now.
-        self.window_attrib_base = self.attrib.counters();
-        self.window_link_base = self
-            .network
-            .link_traffic()
-            .into_iter()
-            .map(|(link, c)| (link, c.flits))
-            .collect();
-        self.stream = StreamState {
-            pump: Some(pump),
-            on: true,
-            shed: 0,
-        };
-    }
-
-    /// Whether a sink is currently attached.
-    pub fn stream_active(&self) -> bool {
-        self.stream.on
-    }
-
-    /// Lines the attached sink discarded (write errors, backpressure), as
-    /// it reported when the stream closed. Nonzero means the stream on the
-    /// other side of the sink is truncated; 0 while the stream is open.
-    pub fn stream_shed_lines(&self) -> u64 {
-        self.stream.shed
-    }
-
-    /// Moves freshly recorded events from the tracer's mirror into the
-    /// pump.
-    fn stream_drain(&mut self) {
-        if let Some(pump) = self.stream.pump.as_mut() {
-            for ev in self.tracer.drain_mirror() {
-                pump.push(ev);
-            }
-        }
-    }
-
-    /// Flushes everything still pending, emits the closing `run_end`
-    /// record (final cycle, recorded/evicted counters), and detaches the
-    /// sink. Idempotent; runs automatically when the run finalizes —
-    /// call it directly only to stop streaming early or after an
-    /// aborted run.
-    pub fn stream_close(&mut self) {
-        self.stream_drain();
-        let Some(pump) = self.stream.pump.take() else {
-            return;
-        };
-        let (recorded, dropped) = self.trace_counts();
-        let cycles = if self.finish_time > 0 {
-            self.finish_time
-        } else {
-            self.queue.now()
-        };
-        self.stream.shed = pump.close(cycles, recorded, dropped);
-        self.stream.on = false;
-        self.tracer.set_mirror(false);
-    }
-
-    /// All retained trace events, merged into one cycle-ordered history.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.tracer.merged()
-    }
-
-    /// The last `k` retained trace events of one cluster, oldest first.
-    pub fn trace_tail(&self, cluster: usize, k: usize) -> Vec<TraceEvent> {
-        self.tracer.tail(cluster, k)
-    }
-
-    /// Events recorded / evicted-from-ring counts for the run so far.
-    pub fn trace_counts(&self) -> (u64, u64) {
-        (self.tracer.recorded(), self.tracer.dropped())
-    }
-
-    /// The `trace` section of the `scd-run-stats/v1` document: events
-    /// recorded vs evicted from the rings, so truncated history is never
-    /// silent. None when tracing is off. Lives outside [`RunStats`] so
-    /// the `stats` section stays bit-identical across trace
-    /// configurations.
-    pub fn trace_json(&self) -> Option<Json> {
-        self.trace_active.then(|| {
-            let (recorded, dropped) = self.trace_counts();
-            Json::obj()
-                .with("recorded", Json::U64(recorded))
-                .with("dropped_events", Json::U64(dropped))
-        })
-    }
-
-    /// The `occupancy` section of the `scd-patterns/v1` document:
-    /// sampled sharer-count distribution over live directory entries,
-    /// write fan-out precision/waste (plus coarse-vector region-bit
-    /// utilization when the scheme is `Dir_i CV_r`), and sparse
-    /// replacement churn. None unless `TraceConfig::patterns` was on.
-    pub fn occupancy_json(&self) -> Option<Json> {
-        if !self.patterns_active {
-            return None;
-        }
-        let o = &self.obs;
-        let mut churn_total = scd_core::ChurnStats::default();
-        let mut churn_on = false;
-        for c in &self.clusters {
-            if let Some(s) = c.dir.churn_stats() {
-                churn_total.merge(&s);
-                churn_on = true;
-            }
-        }
-        let mut j = Json::obj()
-            .with("samples", Json::U64(o.samples))
-            .with(
-                "sharers",
-                Json::Arr(o.sharers.iter().map(|&c| Json::U64(c)).collect()),
-            )
-            .with(
-                "fanout",
-                Json::obj()
-                    .with("events", Json::U64(o.fanout_events))
-                    .with("precise", Json::U64(o.fanout_precise))
-                    .with("broadcast", Json::U64(o.fanout_broadcast))
-                    .with("targets", Json::U64(o.fanout_targets))
-                    .with("present", Json::U64(o.fanout_present)),
-            );
-        j.set(
-            "coarse",
-            if o.coarse_events > 0 {
-                Json::obj()
-                    .with("events", Json::U64(o.coarse_events))
-                    .with("regions_set", Json::U64(o.coarse_regions))
-                    .with("covered", Json::U64(o.coarse_covered))
-                    .with("present", Json::U64(o.coarse_present))
-            } else {
-                Json::Null
-            },
-        );
-        j.set(
-            "churn",
-            if churn_on {
-                Json::obj()
-                    .with("replacements", Json::U64(churn_total.replacements))
-                    .with("rerefs", Json::U64(churn_total.rerefs))
-                    .with(
-                        "reref_distance",
-                        Json::Arr(
-                            churn_total
-                                .reref_distance
-                                .iter()
-                                .map(|&c| Json::U64(c))
-                                .collect(),
-                        ),
-                    )
-            } else {
-                Json::Null
-            },
-        );
-        Some(j)
-    }
-
-    /// The metrics registry (empty unless `TraceConfig::metrics` was on).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The traffic attribution (None unless `TraceConfig::attribution`
-    /// was on).
-    pub fn attribution(&self) -> Option<&Attribution> {
-        self.attrib_active.then_some(&self.attrib)
-    }
-
-    /// The full `scd-attrib/v1` document section: per-class byte/flit
-    /// counters plus the machine-side gauges only this side can see —
-    /// the busiest links with their channel occupancy, and (for sparse
-    /// organizations) directory set pressure. None when attribution is
-    /// off. `elapsed` is the cycle horizon occupancies are normalized
-    /// over (pass the run's final cycle).
-    pub fn attribution_json(&self, elapsed: Cycle) -> Option<Json> {
-        if !self.attrib_active {
-            return None;
-        }
-        let mut j = self.attrib.to_json();
-        let horizon = elapsed.max(1) as f64;
-        const TOP_LINKS: usize = 16;
-        let all = self.network.link_traffic();
-        let links: Vec<Json> = all
-            .iter()
-            .take(TOP_LINKS)
-            .map(|((from, to), c)| {
-                Json::obj()
-                    .with("from", Json::U64(*from as u64))
-                    .with("to", Json::U64(*to as u64))
-                    .with("messages", Json::U64(c.messages))
-                    .with("flits", Json::U64(c.flits))
-                    // Fraction of the horizon the channel was moving
-                    // flits (one flit-time per flit).
-                    .with("occupancy", Json::F64(c.flits as f64 / horizon))
-            })
-            .collect();
-        j.set(
-            "links",
-            Json::obj()
-                .with("tracked", Json::U64(all.len() as u64))
-                .with("busiest", Json::Arr(links)),
-        );
-        // Sparse-directory set pressure: occupancy + replacement rate.
-        let mut live = 0usize;
-        let mut sparse_sum: Option<scd_core::SparseStats> = None;
-        for c in &self.clusters {
-            live += c.dir.live_entries();
-            if let Some(s) = c.dir.sparse_stats() {
-                let sum = sparse_sum.get_or_insert_with(Default::default);
-                sum.hits += s.hits;
-                sum.misses += s.misses;
-                sum.fills += s.fills;
-                sum.replacements += s.replacements;
-            }
-        }
-        if let Some(s) = sparse_sum {
-            let capacity = match &self.cfg.organization {
-                scd_core::Organization::Sparse { entries, .. } => {
-                    *entries * self.cfg.clusters
-                }
-                _ => 0,
-            };
-            let mut sp = Json::obj()
-                .with("capacity", Json::U64(capacity as u64))
-                .with("live", Json::U64(live as u64));
-            if capacity > 0 {
-                sp.set(
-                    "occupancy",
-                    Json::F64(live as f64 / capacity as f64),
-                );
-            }
-            sp.set("replacements", Json::U64(s.replacements));
-            sp.set(
-                "replacements_per_kcycle",
-                Json::F64(s.replacements as f64 * 1000.0 / horizon),
-            );
-            j.set("sparse", sp);
-        }
-        Some(j)
-    }
-
     /// Runs the workload to completion and returns the collected metrics.
     ///
     /// # Panics
@@ -1739,8 +815,24 @@ impl Machine {
             self.process_event(t, ev)?;
             last = Some(t);
         }
-        self.force_intervals_to(horizon);
+        if self.telemetry.on {
+            self.observe_clock(horizon);
+        }
         Ok(last)
+    }
+
+    /// Tells telemetry the clock reached `t` (an event pop, or the end of
+    /// a shard's window): interval boundaries at or below `t` close — for
+    /// an idle shard too, which owes the hub a zero-delta piece for every
+    /// window the fleet finished — and, when this is the whole machine,
+    /// the hub merges and streams what that made final.
+    fn observe_clock(&mut self, t: Cycle) {
+        let ops = self.shared_reads + self.shared_writes + self.sync_ops;
+        self.telemetry
+            .close_intervals(t, &self.network, &self.clusters, &self.faults, ops);
+        if self.solo {
+            self.hub.step(&mut self.telemetry, t);
+        }
     }
 
     /// Seeds the event queue with every processor's first fetch. Separated
@@ -1785,19 +877,8 @@ impl Machine {
                 );
                 return Err(SimError::LivelockWatchdog(self.post_mortem(t, detail)));
             }
-            if self.stream.on {
-                // Pull freshly recorded events into the pump *before*
-                // interval processing, so a closing window can flush its
-                // own events ahead of its record.
-                self.stream_drain();
-            }
-            if self.trace_active && self.trace_cfg.interval > 0 {
-                self.trace_intervals(t);
-            }
-            if let Some(pump) = self.stream.pump.as_mut() {
-                // The clock is at `t`: everything stamped before it is
-                // final.
-                pump.flush_below(t);
+            if self.telemetry.on {
+                self.observe_clock(t);
             }
             // Resolve the hot handle into its payload *before* logging, so
             // the post-mortem ring holds the message itself, not a handle
@@ -1861,7 +942,21 @@ impl Machine {
                 }
                 EvLog::Replay { home, block } => {
                     if let Some(req) = self.clusters[home].ser.pop_ready(block) {
-                        protocol::backend(self.cfg.protocol).replay(self, t, home, req);
+                        // Only protocols that queue at the home ever see a
+                        // replay: DASH always, DLS behind a home-local write.
+                        match self.cfg.protocol {
+                            ProtocolKind::Dash => self.home_request(
+                                t,
+                                home,
+                                req.requester,
+                                req.block,
+                                req.is_write,
+                            ),
+                            ProtocolKind::Dls => self.dls_replay(t, home, req),
+                            ProtocolKind::Tardis => {
+                                unreachable!("tardis never queues home requests")
+                            }
+                        }
                     }
                     self.drain(t, home, block);
                 }
@@ -1875,43 +970,55 @@ impl Machine {
         Ok(())
     }
 
-    /// Post-drain validation: every processor retired, no leaked arena
-    /// payloads, and (when configured) the quiescent coherence invariants.
-    /// Shared by [`Machine::try_run`] and the exploration API's leaf check.
+    /// Post-drain validation, shared by [`Machine::try_run`] and the
+    /// exploration API's leaf check.
     fn finalize(&mut self) -> Result<RunStats, SimError> {
         // Close the stream first (no-op when off): the queue is drained,
         // so every recorded event can flush, and run_end belongs in the
         // stream whether the checks below pass or not.
         self.stream_close();
-        if self.running != 0 {
-            let detail = format!(
-                "{} processors blocked with an empty event queue",
-                self.running
-            );
-            return Err(SimError::Deadlock(
-                self.post_mortem(self.queue.now(), detail),
-            ));
-        }
-        if !self.arena.is_empty() {
-            // Every scheduled delivery takes its payload out of the arena;
-            // a drained queue with parked messages means a Deliver event
-            // was lost (or a payload leaked).
-            let detail = format!(
-                "{} message(s) still parked in the arena after the event queue drained",
-                self.arena.live()
-            );
-            return Err(SimError::InvariantViolation(
-                self.post_mortem(self.queue.now(), detail),
-            ));
-        }
-        if self.cfg.check_invariants {
-            if let Err(e) = crate::checker::verify_quiescent(self) {
-                return Err(SimError::InvariantViolation(
-                    self.post_mortem(self.queue.now(), e.to_string()),
-                ));
+        Self::check_drained(std::slice::from_ref(self)).map_err(|(_, e)| e)?;
+        Ok(self.collect())
+    }
+
+    /// What a drained machine made of `parts` (a solo machine is its own
+    /// only part) must satisfy: every processor retired, no leaked arena
+    /// payloads, and (when configured) the quiescent coherence invariants
+    /// — checked across part boundaries, each cluster's view coming from
+    /// the part that owns it. A failure names the offending part.
+    pub(crate) fn check_drained(parts: &[Machine]) -> Result<(), (usize, SimError)> {
+        for (s, m) in parts.iter().enumerate() {
+            let fail = |kind: fn(Box<PostMortem>) -> SimError, detail: String| {
+                Err((s, kind(m.post_mortem(m.queue.now(), detail))))
+            };
+            if m.running != 0 {
+                let detail = format!(
+                    "{} processors blocked with an empty event queue",
+                    m.running
+                );
+                return fail(SimError::Deadlock, detail);
+            }
+            if !m.arena.is_empty() {
+                // Every scheduled delivery takes its payload out of the
+                // arena; a drained queue with parked messages means a
+                // Deliver event was lost (or a payload leaked).
+                let detail = format!(
+                    "{} message(s) still parked in the arena after the event queue drained",
+                    m.arena.live()
+                );
+                return fail(SimError::InvariantViolation, detail);
             }
         }
-        Ok(self.collect())
+        if parts[0].cfg.check_invariants {
+            let (cfg, views) = Self::checker_view(parts);
+            if let Err(e) = crate::checker::verify_views(cfg, &views) {
+                let owner = |c| parts.iter().position(|m| m.owns(c));
+                let s = e.cluster.and_then(owner).unwrap_or(0);
+                let pm = parts[s].post_mortem(parts[s].queue.now(), e.to_string());
+                return Err((s, SimError::InvariantViolation(pm)));
+            }
+        }
+        Ok(())
     }
 
     /// Snapshot of the machine for a [`SimError`]. Boxed because the
@@ -1949,19 +1056,14 @@ impl Machine {
         // tracing is off): the transaction-level view of what the cluster
         // was doing when the run died.
         const TAIL_EVENTS: usize = 16;
-        let trace_tails = if self.trace_active {
-            clusters
-                .iter()
-                .map(|d: &ClusterDiag| d.cluster)
-                .filter_map(|c| {
-                    let tail = self.tracer.tail(c, TAIL_EVENTS);
-                    (!tail.is_empty())
-                        .then(|| (c, tail.iter().map(TraceEvent::render).collect()))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let trace_tails = clusters
+            .iter()
+            .map(|d: &ClusterDiag| d.cluster)
+            .filter_map(|c| {
+                let tail = self.trace_tail(c, TAIL_EVENTS);
+                (!tail.is_empty()).then(|| (c, tail.iter().map(TraceEvent::render).collect()))
+            })
+            .collect();
         Box::new(PostMortem {
             cycle,
             running: self.running,
@@ -1973,7 +1075,7 @@ impl Machine {
                 .map(|(at, ev)| format!("[{at:>8}] {ev:?}"))
                 .collect(),
             trace_tails,
-            dropped_events: self.tracer.dropped(),
+            dropped_events: self.trace_counts().1,
             counters: self.counters,
             faults: self.faults,
             detail,
@@ -1986,23 +1088,17 @@ impl Machine {
         let mut live = 0;
         let mut lock_metrics = (0u64, 0u64);
         let mut queue_metrics = (0usize, 0u64);
-        let backend = protocol::backend(self.cfg.protocol);
         for c in &self.clusters {
-            live += backend.live_entries(c);
-            if let Some(s) = c.dir.sparse_stats() {
-                let agg = sparse.get_or_insert_with(Default::default);
-                agg.hits += s.hits;
-                agg.misses += s.misses;
-                agg.fills += s.fills;
-                agg.replacements += s.replacements;
-            }
-            if let Some(o) = c.dir.overflow_stats() {
-                let agg = overflow.get_or_insert_with(Default::default);
-                agg.promotions += o.promotions;
-                agg.demotions += o.demotions;
-                agg.displacements += o.displacements;
-                agg.fallback_evictions += o.fallback_evictions;
-            }
+            // Live directory-equivalent entries (the paper's memory-overhead
+            // metric): timestamp lines for Tardis, none for the
+            // directoryless LLC.
+            live += match self.cfg.protocol {
+                ProtocolKind::Dash => c.dir.live_entries(),
+                ProtocolKind::Tardis => c.tardis.lines.len(),
+                ProtocolKind::Dls => 0,
+            };
+            crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
+            crate::stats::add_opt(&mut overflow, c.dir.overflow_stats());
             let (g, r) = c.locks.metrics();
             lock_metrics.0 += g;
             lock_metrics.1 += r;
@@ -2063,7 +1159,11 @@ impl Machine {
 
     fn mem_access(&mut self, t: Cycle, p: usize, addr: u64, kind: MshrKind) {
         let block = self.cfg.block_of(addr);
-        protocol::backend(self.cfg.protocol).mem_access(self, t, p, block, kind);
+        match self.cfg.protocol {
+            ProtocolKind::Dash => self.dash_mem_access(t, p, block, kind),
+            ProtocolKind::Tardis => self.tardis_mem_access(t, p, block, kind),
+            ProtocolKind::Dls => self.dls_mem_access(t, p, block, kind),
+        }
     }
 
     fn fill(&mut self, t: Cycle, cl: usize, lp: usize, block: u64, state: LineState) {
@@ -2185,17 +1285,8 @@ impl Machine {
 
     fn deliver(&mut self, t: Cycle, msg: Msg) {
         let Msg { src, dst, kind } = msg;
-        if self.trace_active && src != dst && self.tracer.messages_enabled() {
-            self.tracer.record(
-                dst,
-                t,
-                EventKind::MsgDeliver {
-                    src: src as u32,
-                    dst: dst as u32,
-                    msg: kind.label(),
-                    block: kind.block(),
-                },
-            );
+        if self.telemetry.on && src != dst {
+            self.telemetry.msg_deliver(t, &msg);
         }
         if self.fault_active && src != dst && self.fault_plan.nack_prob > 0.0 {
             if let MsgKind::ReadReq { block }
@@ -2229,7 +1320,7 @@ impl Machine {
         }
         match kind {
             MsgKind::Nack { block, was_write } => {
-                self.trace_nack(t, dst, block);
+                self.telemetry.nack(t, dst, block);
                 match self.clusters[dst].rac.on_nack(block, was_write) {
                     Some(attempt) => {
                         // Reissue with exponential backoff so a refusing
@@ -2237,12 +1328,19 @@ impl Machine {
                         self.faults.retries += 1;
                         let base = self.cfg.timing.bus_memory.max(1);
                         let backoff = base << (attempt - 1).min(10);
-                        self.trace_retry(t, dst, block, attempt, backoff);
+                        self.telemetry.retry(t, dst, block, attempt, backoff);
                         let home = self.cfg.home_of(block);
                         // Reissue whatever the active protocol's miss
                         // path originally sent.
-                        let kind = protocol::backend(self.cfg.protocol)
-                            .request_msg(self, dst, block, was_write);
+                        let kind = match (self.cfg.protocol, was_write) {
+                            (ProtocolKind::Tardis, true) => MsgKind::TardisWriteReq { block },
+                            (ProtocolKind::Tardis, false) => MsgKind::TardisReadReq {
+                                block,
+                                pts: self.clusters[dst].tardis.pts,
+                            },
+                            (_, true) => MsgKind::WriteReq { block },
+                            (_, false) => MsgKind::ReadReq { block },
+                        };
                         self.send(t + backoff, Msg { src: dst, dst: home, kind });
                     }
                     // Stale: the transaction was already serviced (a
@@ -2395,9 +1493,13 @@ impl Machine {
             }
             kind => {
                 // Everything else is protocol-specific: hand it to the
-                // active backend.
-                let backend = protocol::backend(self.cfg.protocol);
-                let handled = backend.deliver(self, t, Msg { src, dst, kind });
+                // active backend, which returns `false` for a kind that
+                // belongs to another one (a routing bug).
+                let handled = match self.cfg.protocol {
+                    ProtocolKind::Dash => self.dash_deliver(t, msg),
+                    ProtocolKind::Tardis => self.tardis_deliver(t, msg),
+                    ProtocolKind::Dls => self.dls_deliver(t, msg),
+                };
                 assert!(
                     handled,
                     "message {:?} not handled by {} backend",
@@ -2413,16 +1515,18 @@ impl Machine {
     // Introspection for the invariant checker
     // ------------------------------------------------------------------
 
-    pub(crate) fn checker_view(&self) -> (&MachineConfig, Vec<ClusterView<'_>>) {
-        let views = self
-            .clusters
+    /// One view per cluster of the machine made of `parts`, each from the
+    /// part that owns the cluster (parts own ascending contiguous ranges).
+    pub(crate) fn checker_view(parts: &[Machine]) -> (&MachineConfig, Vec<ClusterView<'_>>) {
+        let views = parts
             .iter()
+            .flat_map(Machine::owned_clusters)
             .map(|c| ClusterView {
                 resident: c.caches.cluster_resident(),
                 node: c,
             })
             .collect();
-        (&self.cfg, views)
+        (&parts[0].cfg, views)
     }
 }
 

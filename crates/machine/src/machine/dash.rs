@@ -12,40 +12,6 @@
 
 use super::*;
 
-/// Unit backend handle for the DASH protocol (see
-/// [`protocol::CoherenceProtocol`]).
-pub(crate) struct DashProtocol;
-
-impl protocol::CoherenceProtocol for DashProtocol {
-    fn kind(&self) -> crate::config::ProtocolKind {
-        crate::config::ProtocolKind::Dash
-    }
-
-    fn mem_access(&self, m: &mut Machine, t: Cycle, p: usize, block: u64, kind: MshrKind) {
-        m.dash_mem_access(t, p, block, kind);
-    }
-
-    fn deliver(&self, m: &mut Machine, t: Cycle, msg: Msg) -> bool {
-        m.dash_deliver(t, msg)
-    }
-
-    fn request_msg(&self, _m: &Machine, _cl: usize, block: u64, was_write: bool) -> MsgKind {
-        if was_write {
-            MsgKind::WriteReq { block }
-        } else {
-            MsgKind::ReadReq { block }
-        }
-    }
-
-    fn replay(&self, m: &mut Machine, t: Cycle, home: usize, req: scd_protocol::QueuedReq) {
-        m.home_request(t, home, req.requester, req.block, req.is_write);
-    }
-
-    fn live_entries(&self, node: &ClusterNode) -> usize {
-        node.dir.live_entries()
-    }
-}
-
 impl Machine {
     /// DASH processor-side access: cache lookup, then the miss path.
     pub(crate) fn dash_mem_access(&mut self, t: Cycle, p: usize, block: u64, kind: MshrKind) {
@@ -159,7 +125,7 @@ impl Machine {
         // Remote (or local-home) transaction through the RAC.
         match self.clusters[cl].rac.start(block, kind, lp) {
             StartOutcome::IssueRequest => {
-                self.trace_txn_begin(t, cl, block, kind == MshrKind::Write);
+                self.telemetry.txn_begin(t, cl, home, block, kind == MshrKind::Write);
                 let mk = if kind == MshrKind::Write {
                     MsgKind::WriteReq { block }
                 } else {
@@ -470,7 +436,7 @@ impl Machine {
             return;
         }
 
-        self.trace_txn_phase(t, home, requester, block, Phase::HomeLookup);
+        self.telemetry.txn_phase(t, home, requester, block, Phase::HomeLookup);
 
         // Home bus snoop: keep/make the home cluster's own copies coherent.
         if is_write {
@@ -574,7 +540,7 @@ impl Machine {
                 if is_write {
                     // Ownership transfer: zero invalidations.
                     self.inval_hist.record(0);
-                    self.trace_inval(t, home, block, 0, "write");
+                    self.telemetry.inval(t, home, block, 0, "write");
                 }
                 self.clusters[home]
                     .ser
@@ -613,7 +579,7 @@ impl Machine {
                     // the new reader can be recorded (an invalidation event
                     // of size 1, §6.1 Figure 4).
                     self.inval_hist.record(1);
-                    self.trace_inval(t, home, block, 1, "nb_evict");
+                    self.telemetry.inval(t, home, block, 1, "nb_evict");
                     let epoch = self.memory_version(home, block);
                     self.send(
                         t + tm.bus_memory,
@@ -636,9 +602,9 @@ impl Machine {
             }
             DirAction::Grant { inval_targets } => {
                 self.inval_hist.record(inval_targets.len());
-                self.trace_inval(t, home, block, inval_targets.len() as u32, "write");
+                self.telemetry.inval(t, home, block, inval_targets.len() as u32, "write");
                 if !inval_targets.is_empty() {
-                    self.trace_txn_phase(t, home, requester, block, Phase::Fanout);
+                    self.telemetry.txn_phase(t, home, requester, block, Phase::Fanout);
                 }
                 let version = self.bump_version(home, block);
                 if self.cfg.serial_invalidations && !inval_targets.is_empty() {
@@ -721,17 +687,13 @@ impl Machine {
         }
         let tm = self.cfg.timing;
         self.counters.replacement_flushes += 1;
-        if self.trace_active {
-            self.tracer.record(
-                home,
-                t,
-                EventKind::Replacement {
-                    victim: rep.victim_key,
-                    targets: rep.targets.len() as u32,
-                    dirty: rep.dirty_owner.is_some(),
-                },
-            );
-        }
+        self.telemetry.replacement(
+            t,
+            home,
+            rep.victim_key,
+            rep.targets.len() as u32,
+            rep.dirty_owner.is_some(),
+        );
         let epoch = self.memory_version(home, rep.victim_key);
         let n = rep.targets.len() as u32;
         rep.targets.for_each_member(|c| {
@@ -811,14 +773,14 @@ impl Machine {
     ) -> (DirAction, Option<ReplacementWork>) {
         let key = self.dir_key(block);
         let clusters = self.cfg.clusters as u64;
-        let patterns_active = self.patterns_active;
+        let patterns_on = self.telemetry.config().patterns;
         let node = &mut self.clusters[home];
         let ser = &node.ser;
         let mut replacement = None;
         // Fan-out precision sample, captured as plain data while the entry
         // borrow is live and applied after it ends (the "present" check
         // needs read access to every cluster's caches).
-        let mut fanout_sample: Option<(bool, scd_core::ReprKind, Option<usize>, NodeSet)> = None;
+        let mut fanout_sample: Option<telemetry::FanoutSample> = None;
         // The pin check and the victim/blocker results translate between
         // home-local directory keys and global block numbers.
         let access = node
@@ -867,13 +829,13 @@ impl Machine {
                 if is_write {
                     let mut targets = entry.invalidation_targets(requester as NodeId);
                     targets.remove(home as NodeId);
-                    if patterns_active {
-                        fanout_sample = Some((
-                            entry.is_precise(),
-                            entry.repr_kind(),
-                            entry.coarse_regions_set(),
-                            targets.clone(),
-                        ));
+                    if patterns_on {
+                        fanout_sample = Some(telemetry::FanoutSample {
+                            precise: entry.is_precise(),
+                            kind: entry.repr_kind(),
+                            regions: entry.coarse_regions_set(),
+                            targets: targets.clone(),
+                        });
                     }
                     if requester == home {
                         // The home cluster's ownership is tracked by its bus
@@ -905,46 +867,10 @@ impl Machine {
         // Release only after any sharer registration (the entry may have
         // been empty until the new sharer was recorded).
         self.clusters[home].dir.release_if_empty(key);
-        if let Some((precise, kind, regions, targets)) = fanout_sample {
-            self.observe_fanout(block, precise, kind, regions, &targets);
+        if let Some(sample) = fanout_sample {
+            self.telemetry.fanout(&self.clusters, block, &sample);
         }
         (action, replacement)
-    }
-
-    /// Folds one write fan-out into the occupancy telemetry: how precise
-    /// the entry's representation was, and how much of the invalidation
-    /// superset actually held the block ("present" — the rest is
-    /// imprecision waste). Only called when `patterns_active`.
-    fn observe_fanout(
-        &mut self,
-        block: u64,
-        precise: bool,
-        kind: scd_core::ReprKind,
-        regions: Option<usize>,
-        targets: &NodeSet,
-    ) {
-        let mut present = 0u64;
-        targets.for_each_member(|c| {
-            if self.clusters[c as usize].caches.holds(block) {
-                present += 1;
-            }
-        });
-        let o = &mut self.obs;
-        o.fanout_events += 1;
-        if precise {
-            o.fanout_precise += 1;
-        }
-        if kind == scd_core::ReprKind::Broadcast {
-            o.fanout_broadcast += 1;
-        }
-        o.fanout_targets += targets.len() as u64;
-        o.fanout_present += present;
-        if let Some(r) = regions {
-            o.coarse_events += 1;
-            o.coarse_regions += r as u64;
-            o.coarse_covered += targets.len() as u64;
-            o.coarse_present += present;
-        }
     }
 
     /// Schedules the next replay of a parked request, if any. Replays run
@@ -1171,7 +1097,7 @@ impl Machine {
             for v in evicted {
                 self.counters.nb_evictions += 1;
                 self.inval_hist.record(1);
-                self.trace_inval(t, home, block, 1, "swb_evict");
+                self.telemetry.inval(t, home, block, 1, "swb_evict");
                 self.send(
                     t + self.cfg.timing.bus_memory,
                     Msg {
@@ -1268,7 +1194,7 @@ impl Machine {
     // ------------------------------------------------------------------
 
     pub(crate) fn complete_read(&mut self, t: Cycle, cl: usize, block: u64, mshr: scd_protocol::Mshr) {
-        self.trace_txn_end(t, cl, block);
+        self.telemetry.txn_end(t, cl, block);
         let tm = self.cfg.timing;
         for &(lp, kind) in &mshr.waiters {
             if kind == MshrKind::Read {
@@ -1289,7 +1215,7 @@ impl Machine {
     }
 
     pub(crate) fn complete_write(&mut self, t: Cycle, cl: usize, block: u64, mshr: scd_protocol::Mshr) {
-        self.trace_txn_end(t, cl, block);
+        self.telemetry.txn_end(t, cl, block);
         let tm = self.cfg.timing;
         let (writer, _) = *mshr
             .waiters

@@ -27,56 +27,31 @@
 //! the window.
 
 use super::*;
-use crate::config::ProtocolKind;
 
-/// Unit backend handle for the directoryless-shared-LLC protocol (see
-/// [`protocol::CoherenceProtocol`]).
-pub(crate) struct DlsProtocol;
-
-impl protocol::CoherenceProtocol for DlsProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Dls
-    }
-
-    fn mem_access(&self, m: &mut Machine, t: Cycle, p: usize, block: u64, kind: MshrKind) {
-        let cl = m.cluster_of(p);
-        if m.cfg.home_of(block) == cl {
+impl Machine {
+    /// DLS processor-side access.
+    pub(crate) fn dls_mem_access(&mut self, t: Cycle, p: usize, block: u64, kind: MshrKind) {
+        if self.cfg.home_of(block) == self.cluster_of(p) {
             // Home-local: the DASH path, which degenerates to plain
             // hierarchy-plus-memory when the directory never holds an
             // entry (no remote sharer is ever registered under DLS).
-            m.dash_mem_access(t, p, block, kind);
+            self.dash_mem_access(t, p, block, kind);
         } else {
-            m.dls_remote_miss(t, p, block, kind);
+            self.dls_remote_miss(t, p, block, kind);
         }
     }
 
-    fn deliver(&self, m: &mut Machine, t: Cycle, msg: Msg) -> bool {
-        m.dls_deliver(t, msg)
-    }
-
-    fn request_msg(&self, _m: &Machine, _cl: usize, block: u64, was_write: bool) -> MsgKind {
-        if was_write {
-            MsgKind::WriteReq { block }
-        } else {
-            MsgKind::ReadReq { block }
-        }
-    }
-
-    fn replay(&self, m: &mut Machine, t: Cycle, home: usize, req: scd_protocol::QueuedReq) {
+    /// A queued home-side request came off the serializer (DLS queues
+    /// only behind a home-local write).
+    pub(crate) fn dls_replay(&mut self, t: Cycle, home: usize, req: scd_protocol::QueuedReq) {
         if req.requester == home {
             // A queued home-local request re-enters the DASH machinery.
-            m.home_request(t, home, req.requester, req.block, req.is_write);
+            self.home_request(t, home, req.requester, req.block, req.is_write);
         } else {
-            m.dls_home_service(t, home, req.requester, req.block, req.is_write);
+            self.dls_home_service(t, home, req.requester, req.block, req.is_write);
         }
     }
 
-    fn live_entries(&self, _node: &ClusterNode) -> usize {
-        0
-    }
-}
-
-impl Machine {
     /// A remote access under DLS: always a miss (remote clusters never
     /// hold a copy), resolved with a round-trip to the home slice.
     fn dls_remote_miss(&mut self, t: Cycle, p: usize, block: u64, kind: MshrKind) {
@@ -90,7 +65,7 @@ impl Machine {
         let home = self.cfg.home_of(block);
         match self.clusters[cl].rac.start(block, kind, lp) {
             StartOutcome::IssueRequest => {
-                self.trace_txn_begin(t, cl, block, kind == MshrKind::Write);
+                self.telemetry.txn_begin(t, cl, home, block, kind == MshrKind::Write);
                 let mk = if kind == MshrKind::Write {
                     MsgKind::WriteReq { block }
                 } else {
@@ -128,7 +103,7 @@ impl Machine {
             );
             return;
         }
-        self.trace_txn_phase(t, home, requester, block, Phase::HomeLookup);
+        self.telemetry.txn_phase(t, home, requester, block, Phase::HomeLookup);
         if is_write {
             self.dls_counters.llc_writes += 1;
             if self.mutation == Some(explore::Mutation::DlsSkipWriteback) {
@@ -148,7 +123,7 @@ impl Machine {
             // Zero invalidation *messages* by construction; record the
             // empty fan-out so the histogram stays comparable.
             self.inval_hist.record(0);
-            self.trace_inval(t, home, block, 0, "write");
+            self.telemetry.inval(t, home, block, 0, "write");
             let version = self.bump_version(home, block);
             self.send(
                 t + tm.bus_memory,
@@ -201,7 +176,7 @@ impl Machine {
             }
             MsgKind::LlcWriteAck { block, version } => {
                 if let Some(mshr) = self.clusters[dst].rac.write_reply(block, 0, version) {
-                    self.trace_txn_end(t, dst, block);
+                    self.telemetry.txn_end(t, dst, block);
                     self.set_line_version(dst, block, version);
                     self.observe(dst, block);
                     let (writer, _) = *mshr
@@ -234,7 +209,7 @@ impl Machine {
         version: u64,
         mshr: scd_protocol::Mshr,
     ) {
-        self.trace_txn_end(t, cl, block);
+        self.telemetry.txn_end(t, cl, block);
         let tm = self.cfg.timing;
         self.set_line_version(cl, block, version);
         for &(lp, kind) in &mshr.waiters {

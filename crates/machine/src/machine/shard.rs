@@ -26,11 +26,9 @@
 //! phase notes, interval pieces, mirror events for streaming) rides the
 //! same barrier.
 
-use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
-use scd_noc::merge_link_traffic;
-
+use super::telemetry::{self, Shipment, TxnNote};
 use super::*;
 
 /// The coordinator → worker message opening one window (or ending the
@@ -43,9 +41,10 @@ enum WindowPlan {
         inbounds: Vec<Outbound>,
         notes: Vec<TxnNote>,
     },
-    /// The run is over (drained, errored, or watchdogged): apply any final
-    /// notes and hand the machine back.
-    Finish { notes: Vec<TxnNote> },
+    /// The run is over (drained, errored, or watchdogged): hand the
+    /// machine back. Notes still in flight are dropped: they only steer
+    /// the recording of later events, and there are none.
+    Finish,
 }
 
 /// The worker → coordinator message closing one window.
@@ -57,12 +56,9 @@ struct WindowReport {
     last_pop: Option<Cycle>,
     /// Deliveries bound for clusters other shards own.
     outbounds: Vec<Outbound>,
-    /// Telemetry notes bound for clusters other shards own.
-    notes: Vec<TxnNote>,
-    /// Closed interval windows (per-shard deltas; see [`IntervalPiece`]).
-    pieces: Vec<IntervalPiece>,
-    /// Freshly recorded trace events (only when a stream is attached).
-    mirror: Vec<TraceEvent>,
+    /// What the shard's recorder owes its peers and the hub: transaction
+    /// notes, closed interval windows, freshly recorded trace events.
+    telemetry: Shipment,
     /// Local processors not yet Done.
     running: usize,
     /// Last local cycle at which an operation retired.
@@ -87,9 +83,7 @@ fn drive_worker(m: &mut Machine, rx: &Receiver<WindowPlan>, tx: &Sender<WindowRe
             },
             last_pop: last_pop.take(),
             outbounds: std::mem::take(&mut m.outbox),
-            notes: std::mem::take(&mut m.note_outbox),
-            pieces: std::mem::take(&mut m.interval_pieces),
-            mirror: m.tracer.drain_mirror().collect(),
+            telemetry: m.telemetry.ship(),
             running: m.running,
             last_progress: m.last_progress,
             error: error.take(),
@@ -107,30 +101,16 @@ fn drive_worker(m: &mut Machine, rx: &Receiver<WindowPlan>, tx: &Sender<WindowRe
                     m.import_delivery(ob);
                 }
                 for n in notes {
-                    m.apply_note(n);
+                    m.telemetry.apply_note(n);
                 }
                 match m.run_window(horizon) {
                     Ok(l) => last_pop = l,
                     Err(e) => error = Some(e),
                 }
             }
-            Ok(WindowPlan::Finish { notes }) => {
-                for n in notes {
-                    m.apply_note(n);
-                }
-                return;
-            }
-            Err(_) => return,
+            Ok(WindowPlan::Finish) | Err(_) => return,
         }
     }
-}
-
-/// One interval boundary being summed across shards.
-struct BoundaryAcc {
-    snap: IntervalSnapshot,
-    attrib: ClassTable,
-    links: HashMap<(usize, usize), u64>,
-    contribs: usize,
 }
 
 /// How the coordinator loop ended.
@@ -151,10 +131,11 @@ enum RunEnd {
 /// time-window synchronization.
 ///
 /// Construct with [`ShardedMachine::new`], optionally attach a stream,
-/// then [`try_run`](ShardedMachine::try_run). With `shards == 1` every
-/// call delegates to the solo engine, so the sharded front-end is a strict
-/// superset of the serial one. For `shards > 1` the run's outputs — stats,
-/// metrics, traces, streams — are byte-identical to `shards == 1`.
+/// then [`try_run`](ShardedMachine::try_run). With `shards == 1` the run
+/// *is* the solo engine's, so the sharded front-end is a strict superset
+/// of the serial one; everything read back afterwards folds over the
+/// parts, of which there may be one. For `shards > 1` the run's outputs —
+/// stats, metrics, traces, streams — are byte-identical to `shards == 1`.
 pub struct ShardedMachine {
     /// Per-shard machines (workers borrow them during a run).
     machines: Vec<Machine>,
@@ -164,32 +145,16 @@ pub struct ShardedMachine {
     lookahead: Cycle,
     /// Copied config the coordinator needs while workers hold the
     /// machines.
-    clusters: usize,
     watchdog_cycles: Cycle,
-    /// Whether traffic attribution is live (drives `attrib_delta`
-    /// streaming).
-    attrib_on: bool,
-    /// The interval period (0 = no interval records).
-    interval: Cycle,
-    /// The next interval boundary the stream owes a record for. The
-    /// stream must never emit an event at or past this cycle before the
-    /// boundary's record: boundaries are deterministic multiples of the
-    /// period, so the cap is known before any shard ships a piece.
-    next_due: Cycle,
-    /// The attached stream (coordinator-owned for `shards > 1`): the one
-    /// pump every shard's mirror events funnel into, so the sharded run
-    /// applies the solo machine's watermark rule and renumbering.
-    stream: Option<StreamPump>,
-    /// Lines the sink reported shedding when the stream closed.
-    shed: u64,
-    /// Merged metrics registry, built when the run completes.
+    /// The run's telemetry hub when there are N > 1 parts (a single part
+    /// keeps its own): every shard's mirror events and interval pieces
+    /// funnel into it, so the sharded run applies the solo machine's
+    /// watermark rule and renumbering.
+    hub: telemetry::Hub,
+    /// Merged metrics registry for N > 1: the hub appends the interval
+    /// series as boundaries close; histograms are summed when the run
+    /// completes.
     metrics: MetricsRegistry,
-    /// Merged finish time (max over shards).
-    finish_time: Cycle,
-    /// Interval boundaries still being accumulated.
-    boundaries: BTreeMap<Cycle, BoundaryAcc>,
-    /// Summed interval snapshots, in boundary order.
-    merged_intervals: Vec<IntervalSnapshot>,
     /// Highest event time processed anywhere (the serial run's clock
     /// high-water mark).
     t_so_far: Cycle,
@@ -264,27 +229,13 @@ impl ShardedMachine {
                 Machine::new_shard(cfg.clone(), progs, base, count)
             })
             .collect();
-        let attrib_on = machines[0].attrib_active;
-        let interval = if machines[0].trace_active {
-            machines[0].trace_cfg.interval
-        } else {
-            0
-        };
         Ok(ShardedMachine {
+            hub: telemetry::Hub::new(&machines[0].telemetry, shards),
             machines,
             parts,
             lookahead,
-            clusters: cfg.clusters,
             watchdog_cycles: cfg.watchdog_cycles,
-            attrib_on,
-            interval,
-            next_due: interval,
-            stream: None,
-            shed: 0,
             metrics: MetricsRegistry::new(),
-            finish_time: 0,
-            boundaries: BTreeMap::new(),
-            merged_intervals: Vec::new(),
             t_so_far: 0,
         })
     }
@@ -307,43 +258,44 @@ impl ShardedMachine {
             .expect("every cluster has an owner")
     }
 
-    /// Attaches `sink`, emitting the optional `run_meta` record
-    /// immediately — the same contract as [`Machine::attach_stream`]. For
-    /// a sharded run the coordinator owns the sink and merges every
-    /// worker's mirror events through one [`StreamPump`].
-    pub fn attach_stream(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
+    /// Where the run's hub and merged registry live: with the machine
+    /// when it is the whole machine, with the coordinator otherwise.
+    fn run_state(&self) -> (&telemetry::Hub, &MetricsRegistry) {
         if self.machines.len() == 1 {
-            self.machines[0].attach_stream(sink, run);
-            return;
+            (&self.machines[0].hub, self.machines[0].metrics())
+        } else {
+            (&self.hub, &self.metrics)
         }
-        let mut pump = StreamPump::new(sink);
-        if let Some(run) = run {
-            pump.emit_record(&scd_trace::run_meta_record(&run));
-            pump.flush_sink();
+    }
+
+    fn hub_mut(&mut self) -> &mut telemetry::Hub {
+        if self.machines.len() == 1 {
+            &mut self.machines[0].hub
+        } else {
+            &mut self.hub
         }
+    }
+
+    /// Attaches `sink`, emitting the optional `run_meta` record
+    /// immediately — the same contract as [`Machine::attach_stream`].
+    pub fn attach_stream(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
+        self.hub_mut().attach(sink, run);
         for m in &mut self.machines {
-            m.tracer.set_mirror(true);
+            m.telemetry.start_streaming(&m.network);
         }
-        self.stream = Some(pump);
     }
 
     /// Lines the attached sink discarded — see
     /// [`Machine::stream_shed_lines`].
     pub fn stream_shed_lines(&self) -> u64 {
-        if self.machines.len() == 1 {
-            self.machines[0].stream_shed_lines()
-        } else {
-            self.shed
-        }
+        self.run_state().0.shed()
     }
 
     /// Runs the partitioned machine to completion. Semantics mirror
     /// [`Machine::try_run`]; failure post-mortems name the stalled shard.
     pub fn try_run(&mut self) -> Result<RunStats, SimError> {
         if self.machines.len() == 1 {
-            let stats = self.machines[0].try_run()?;
-            self.finish_time = stats.cycles;
-            return Ok(stats);
+            return self.machines[0].try_run();
         }
         let n = self.machines.len();
         let machines = std::mem::take(&mut self.machines);
@@ -413,7 +365,7 @@ impl ShardedMachine {
             let mut runnings: Vec<usize> = Vec::with_capacity(n);
             let mut error: Option<(usize, SimError)> = None;
             for (s, rx) in reports.iter().enumerate() {
-                let Ok(r) = rx.recv() else {
+                let Ok(mut r) = rx.recv() else {
                     // A worker can only hang up after a panic in scope;
                     // propagate as a join panic.
                     panic!("shard {s} worker hung up mid-run");
@@ -423,18 +375,11 @@ impl ShardedMachine {
                 }
                 peeks.push(r.peek);
                 outbounds.extend(r.outbounds);
-                notes.extend(r.notes);
+                notes.append(&mut r.telemetry.notes);
+                self.hub.absorb_shipment(r.telemetry);
                 running_total += r.running;
                 runnings.push(r.running);
                 progress.push(r.last_progress);
-                for p in r.pieces {
-                    self.ingest_piece(p, n);
-                }
-                if let Some(pump) = self.stream.as_mut() {
-                    for ev in r.mirror {
-                        pump.push(ev);
-                    }
-                }
                 if let Some(e) = r.error {
                     error.get_or_insert((s, e));
                 }
@@ -453,17 +398,13 @@ impl ShardedMachine {
                 .chain(outbounds.iter().map(|ob| ob.deliver_at))
                 .min();
 
-            self.emit_ready_boundaries(m_next, n);
+            // Exactly the windows the solo engine would have closed by
+            // now, then the stream's watermark up to the next window.
+            self.hub
+                .advance(self.t_so_far, m_next, &mut self.metrics.intervals);
 
             let Some(m_next) = m_next else {
-                // Fully drained: ship any leftover telemetry notes with the
-                // shutdown so requester-side timelines stay complete.
-                let mut note_bins = self.route_notes(notes);
-                for (s, tx) in plans.iter().enumerate() {
-                    let _ = tx.send(WindowPlan::Finish {
-                        notes: std::mem::take(&mut note_bins[s]),
-                    });
-                }
+                finish_all(plans);
                 return RunEnd::Drained;
             };
 
@@ -509,7 +450,10 @@ impl ShardedMachine {
             for ob in outbounds {
                 delivery_bins[self.owner_of(ob.msg.dst)].push(ob);
             }
-            let mut note_bins = self.route_notes(notes);
+            let mut note_bins: Vec<Vec<TxnNote>> = vec![Vec::new(); n];
+            for note in notes {
+                note_bins[self.owner_of(note.target())].push(note);
+            }
             for (s, tx) in plans.iter().enumerate() {
                 let plan = WindowPlan::Window {
                     horizon,
@@ -523,165 +467,41 @@ impl ShardedMachine {
         }
     }
 
-    /// Routes telemetry notes to their target shards.
-    fn route_notes(&self, notes: Vec<TxnNote>) -> Vec<Vec<TxnNote>> {
-        let mut bins: Vec<Vec<TxnNote>> = vec![Vec::new(); self.parts.len()];
-        for note in notes {
-            let target = match &note {
-                TxnNote::Begin { block, .. } => (*block as usize) % self.clusters,
-                TxnNote::Phase { requester, .. } => *requester,
-            };
-            bins[self.owner_of(target)].push(note);
-        }
-        bins
-    }
-
-    /// Folds one shard's interval piece into its boundary accumulator.
-    fn ingest_piece(&mut self, piece: IntervalPiece, shards: usize) {
-        let acc = self
-            .boundaries
-            .entry(piece.snap.end)
-            .or_insert_with(|| BoundaryAcc {
-                snap: IntervalSnapshot {
-                    start: piece.snap.start,
-                    end: piece.snap.end,
-                    ..Default::default()
-                },
-                attrib: Default::default(),
-                links: HashMap::new(),
-                contribs: 0,
-            });
-        acc.snap.messages += piece.snap.messages;
-        acc.snap.retries += piece.snap.retries;
-        acc.snap.nacks += piece.snap.nacks;
-        acc.snap.occupancy += piece.snap.occupancy;
-        acc.snap.ops_retired += piece.snap.ops_retired;
-        for (a, b) in acc.attrib.iter_mut().zip(piece.attrib_delta.iter()) {
-            *a = a.plus(*b);
-        }
-        for (link, d) in piece.link_delta {
-            *acc.links.entry(link).or_insert(0) += d;
-        }
-        acc.contribs += 1;
-        debug_assert!(acc.contribs <= shards, "a shard closed a boundary twice");
-    }
-
-    /// Emits every fully-summed boundary the run has reached — exactly the
-    /// windows the solo engine would have closed by now (a boundary only
-    /// becomes a record once some event at or past it was processed).
-    fn emit_ready_boundaries(&mut self, m_next: Option<Cycle>, shards: usize) {
-        while let Some(entry) = self.boundaries.first_entry() {
-            if *entry.key() > self.t_so_far {
-                break;
-            }
-            let acc = entry.remove();
-            debug_assert_eq!(acc.contribs, shards, "boundary missing a shard's piece");
-            self.next_due = acc.snap.end + self.interval;
-            self.merged_intervals.push(acc.snap);
-            if let Some(pump) = self.stream.as_mut() {
-                let traffic = self
-                    .attrib_on
-                    .then(|| (&acc.attrib, acc.links.into_iter().collect()));
-                stream_window(pump, &acc.snap, traffic);
-            }
-        }
-        if let Some(stream) = self.stream.as_mut() {
-            // Safe watermark: nothing recorded from here on sorts below the
-            // next pending event time, and no event at or past the next
-            // *due* interval boundary may flush before that boundary's
-            // record. `next_due` — not the accumulator map — is the cap:
-            // boundaries are deterministic multiples of the period, so the
-            // record for `next_due` is owed even before any shard has
-            // shipped a piece for it (trace events can carry cycles past
-            // the window that recorded them).
-            let next_due = if self.interval > 0 {
-                self.next_due
-            } else {
-                Cycle::MAX
-            };
-            let cap = m_next.unwrap_or(Cycle::MAX).min(next_due);
-            stream.flush_below(cap);
-        }
-    }
-
     /// Post-run: surface errors (naming the shard), replicate the solo
     /// engine's finalize checks across the fleet, close the merged stream,
     /// and merge the statistics.
     fn finish(&mut self, end: RunEnd) -> Result<RunStats, SimError> {
-        // Note trailing telemetry: mirrors shipped with final reports were
-        // ingested; tracers keep recorded/dropped totals.
-        let recorded: u64 = self.machines.iter().map(|m| m.tracer.recorded()).sum();
-        let dropped: u64 = self.machines.iter().map(|m| m.tracer.dropped()).sum();
-        self.finish_time = self.machines.iter().map(|m| m.finish_time).max().unwrap_or(0);
-        let close_cycles = if self.finish_time > 0 {
-            self.finish_time
-        } else {
-            self.machines.iter().map(|m| m.queue.now()).max().unwrap_or(0)
-        };
-
-        let result: Result<(), SimError> = (|| {
-            match end {
-                RunEnd::WorkerError { shard, error } => {
-                    return Err(self.name_shard(shard, error));
-                }
-                RunEnd::Watchdog { shard, at, detail } => {
-                    let pm = self.machines[shard].post_mortem(at, detail);
-                    return Err(SimError::LivelockWatchdog(pm));
-                }
-                RunEnd::Drained => {}
-            }
-            for (s, m) in self.machines.iter().enumerate() {
-                if m.running != 0 {
-                    let detail = format!(
-                        "{} processors blocked with an empty event queue",
-                        m.running
-                    );
-                    let pm = m.post_mortem(m.queue.now(), detail);
-                    return Err(self.name_shard(s, SimError::Deadlock(pm)));
-                }
-                if !m.arena.is_empty() {
-                    let detail = format!(
-                        "{} message(s) still parked in the arena after the event \
-                         queue drained",
-                        m.arena.live()
-                    );
-                    let pm = m.post_mortem(m.queue.now(), detail);
-                    return Err(self.name_shard(s, SimError::InvariantViolation(pm)));
-                }
-            }
-            if self.machines[0].cfg.check_invariants {
-                if let Err(e) = self.verify_quiescent_merged() {
-                    let shard = e.cluster.map(|c| self.owner_of(c)).unwrap_or(0);
-                    let pm = self.machines[shard]
-                        .post_mortem(self.machines[shard].queue.now(), e.to_string());
-                    return Err(self.name_shard(shard, SimError::InvariantViolation(pm)));
-                }
-            }
-            Ok(())
-        })();
-
         // Close the stream whether the run succeeded or not — a live
         // consumer gets the history up to the death plus an honest
-        // run_end, exactly like the solo engine.
-        if let Some(pump) = self.stream.take() {
-            self.shed = pump.close(close_cycles, recorded, dropped);
+        // run_end, exactly like the solo engine. Mirrors shipped with the
+        // final reports are already in the hub.
+        if self.hub.streaming() {
+            let (cycles, recorded, dropped) = telemetry::run_end(&self.machines);
+            self.hub.close(cycles, recorded, dropped);
             for m in &mut self.machines {
-                m.tracer.set_mirror(false);
+                m.telemetry.stop_streaming();
             }
         }
-        result?;
-
-        // Merge metrics: order-independent histogram sums plus the
-        // boundary-ordered interval series the coordinator accumulated.
-        let mut metrics = MetricsRegistry::new();
+        // Histogram sums are order-independent; the interval series is
+        // already in boundary order.
         for m in &self.machines {
-            metrics.merge(&m.metrics);
+            self.metrics.merge(m.metrics());
         }
-        metrics.intervals = std::mem::take(&mut self.merged_intervals);
-        self.boundaries.clear();
-        self.metrics = metrics;
-
-        Ok(self.merge_stats())
+        match end {
+            RunEnd::WorkerError { shard, error } => return Err(self.name_shard(shard, error)),
+            RunEnd::Watchdog { shard, at, detail } => {
+                let pm = self.machines[shard].post_mortem(at, detail);
+                return Err(SimError::LivelockWatchdog(pm));
+            }
+            RunEnd::Drained => {}
+        }
+        Machine::check_drained(&self.machines).map_err(|(s, e)| self.name_shard(s, e))?;
+        let mut parts = self.machines.iter().map(Machine::collect);
+        let mut total = parts.next().expect("at least one shard");
+        for p in parts {
+            total.merge(p);
+        }
+        Ok(total)
     }
 
     /// Prefixes a shard identity into an error's post-mortem detail.
@@ -700,249 +520,61 @@ impl ShardedMachine {
         }
     }
 
-    /// The quiescent coherence check over the whole fleet: each cluster's
-    /// view comes from its owning shard, so the machine-wide invariants
-    /// (single writer, owner tracking, superset coverage) are verified
-    /// across shard boundaries.
-    fn verify_quiescent_merged(&self) -> Result<(), crate::checker::Violation> {
-        let cfg = &self.machines[0].cfg;
-        let views: Vec<ClusterView<'_>> = (0..cfg.clusters)
-            .map(|c| {
-                let owner = &self.machines[self.owner_of(c)];
-                let node = &owner.clusters[c];
-                ClusterView {
-                    resident: node.caches.cluster_resident(),
-                    node,
-                }
-            })
-            .collect();
-        crate::checker::verify_views(cfg, &views)
-    }
-
-    /// Sums per-shard [`RunStats`] into the machine-wide figures. Every
-    /// counter is owned by exactly one shard (procs, clusters, and message
-    /// sources partition), so plain sums — plus max for the clock-like
-    /// fields — reproduce the serial run exactly.
-    fn merge_stats(&self) -> RunStats {
-        let mut parts = self.machines.iter().map(|m| m.collect());
-        let mut total = parts.next().expect("at least one shard");
-        for p in parts {
-            total.cycles = total.cycles.max(p.cycles);
-            total.traffic.merge(&p.traffic);
-            total.invalidations.merge(&p.invalidations);
-            total.shared_reads += p.shared_reads;
-            total.shared_writes += p.shared_writes;
-            total.sync_ops += p.sync_ops;
-            total.network.merge(&p.network);
-            total.sparse = merge_opt(total.sparse, p.sparse, |a, b| scd_core::SparseStats {
-                hits: a.hits + b.hits,
-                misses: a.misses + b.misses,
-                fills: a.fills + b.fills,
-                replacements: a.replacements + b.replacements,
-            });
-            total.overflow = merge_opt(total.overflow, p.overflow, |a, b| {
-                scd_core::OverflowStats {
-                    promotions: a.promotions + b.promotions,
-                    demotions: a.demotions + b.demotions,
-                    displacements: a.displacements + b.displacements,
-                    fallback_evictions: a.fallback_evictions + b.fallback_evictions,
-                }
-            });
-            total.l2_misses += p.l2_misses;
-            total.lock_metrics.0 += p.lock_metrics.0;
-            total.lock_metrics.1 += p.lock_metrics.1;
-            total.queue_metrics.0 = total.queue_metrics.0.max(p.queue_metrics.0);
-            total.queue_metrics.1 += p.queue_metrics.1;
-            total.live_dir_entries += p.live_dir_entries;
-            total.protocol.forwards += p.protocol.forwards;
-            total.protocol.races += p.protocol.races;
-            total.protocol.self_owned_parks += p.protocol.self_owned_parks;
-            total.protocol.nb_evictions += p.protocol.nb_evictions;
-            total.protocol.replacement_flushes += p.protocol.replacement_flushes;
-            total.protocol.sparse_stalls += p.protocol.sparse_stalls;
-            total.faults.nacks += p.faults.nacks;
-            total.faults.retries += p.faults.retries;
-            total.faults.duplicates += p.faults.duplicates;
-            total.faults.strays_dropped += p.faults.strays_dropped;
-            total.faults.delay_spikes += p.faults.delay_spikes;
-            total.faults.reorders += p.faults.reorders;
-            total.tardis = merge_opt(total.tardis, p.tardis, |a, b| {
-                crate::stats::TardisCounters {
-                    lease_fills: a.lease_fills + b.lease_fills,
-                    renewals: a.renewals + b.renewals,
-                    renew_refetches: a.renew_refetches + b.renew_refetches,
-                    write_throughs: a.write_throughs + b.write_throughs,
-                }
-            });
-            total.dls = merge_opt(total.dls, p.dls, |a, b| crate::stats::DlsCounters {
-                llc_fills: a.llc_fills + b.llc_fills,
-                llc_writes: a.llc_writes + b.llc_writes,
-            });
-            total.versions_assigned += p.versions_assigned;
-            total.events_delivered += p.events_delivered;
-            for (a, b) in total.stalls.mem_stall.iter_mut().zip(&p.stalls.mem_stall) {
-                *a += b;
-            }
-            for (a, b) in total.stalls.sync_stall.iter_mut().zip(&p.stalls.sync_stall) {
-                *a += b;
-            }
-            for (a, b) in total.stalls.finish.iter_mut().zip(&p.stalls.finish) {
-                *a += b;
-            }
-        }
-        total
-    }
-
-    /// The merged metrics registry (delegates to the solo machine for one
-    /// shard).
+    /// The run's metrics registry — see [`Machine::metrics`].
     pub fn metrics(&self) -> &MetricsRegistry {
-        if self.machines.len() == 1 {
-            self.machines[0].metrics()
-        } else {
-            &self.metrics
-        }
+        self.run_state().1
     }
 
-    /// The merged `scd-attrib/v1` document — see
-    /// [`Machine::attribution_json`]. Byte-identical to the solo run: each
-    /// message is attributed by exactly one shard and link counters sum.
+    /// The `scd-attrib/v1` document — see [`Machine::attribution_json`].
     pub fn attribution_json(&self, elapsed: Cycle) -> Option<Json> {
-        if self.machines.len() == 1 {
-            return self.machines[0].attribution_json(elapsed);
-        }
-        let first = &self.machines[0];
-        if !first.attrib_active {
-            return None;
-        }
-        let mut attrib = first.attrib.clone();
-        for m in &self.machines[1..] {
-            attrib.merge(&m.attrib);
-        }
-        let mut j = attrib.to_json();
-        let horizon = elapsed.max(1) as f64;
-        const TOP_LINKS: usize = 16;
-        let all = merge_link_traffic(self.machines.iter().map(|m| m.network.link_traffic()));
-        let links: Vec<Json> = all
-            .iter()
-            .take(TOP_LINKS)
-            .map(|((from, to), c)| {
-                Json::obj()
-                    .with("from", Json::U64(*from as u64))
-                    .with("to", Json::U64(*to as u64))
-                    .with("messages", Json::U64(c.messages))
-                    .with("flits", Json::U64(c.flits))
-                    .with("occupancy", Json::F64(c.flits as f64 / horizon))
-            })
-            .collect();
-        j.set(
-            "links",
-            Json::obj()
-                .with("tracked", Json::U64(all.len() as u64))
-                .with("busiest", Json::Arr(links)),
-        );
-        let mut live = 0usize;
-        let mut sparse_sum: Option<scd_core::SparseStats> = None;
-        for (s, m) in self.machines.iter().enumerate() {
-            let (base, count) = self.parts[s];
-            for c in &m.clusters[base..base + count] {
-                live += c.dir.live_entries();
-                if let Some(st) = c.dir.sparse_stats() {
-                    let sum = sparse_sum.get_or_insert_with(Default::default);
-                    sum.hits += st.hits;
-                    sum.misses += st.misses;
-                    sum.fills += st.fills;
-                    sum.replacements += st.replacements;
-                }
-            }
-        }
-        if let Some(st) = sparse_sum {
-            let cfg = &first.cfg;
-            let capacity = match &cfg.organization {
-                scd_core::Organization::Sparse { entries, .. } => *entries * cfg.clusters,
-                _ => 0,
-            };
-            let mut sp = Json::obj()
-                .with("capacity", Json::U64(capacity as u64))
-                .with("live", Json::U64(live as u64));
-            if capacity > 0 {
-                sp.set("occupancy", Json::F64(live as f64 / capacity as f64));
-            }
-            sp.set("replacements", Json::U64(st.replacements));
-            sp.set(
-                "replacements_per_kcycle",
-                Json::F64(st.replacements as f64 * 1000.0 / horizon),
-            );
-            j.set("sparse", sp);
-        }
-        Some(j)
+        telemetry::attribution_json(&self.machines, elapsed)
     }
 
     /// The fleet-wide value-oracle report — see
     /// [`Machine::value_oracle_report`]. Deferred loads resolve against
     /// the union of every shard's write log.
     pub fn value_oracle_report(&self) -> Option<super::oracle::ValueOracleReport> {
-        if self.machines.len() == 1 {
-            return self.machines[0].value_oracle_report();
-        }
-        if !self.machines[0].oracle.on {
+        let (first, rest) = self.machines.split_first()?;
+        if !first.oracle.on {
             return None;
         }
-        let mut merged = self.machines[0].oracle.clone();
-        for m in &self.machines[1..] {
+        let mut merged = first.oracle.clone();
+        for m in rest {
             merged.absorb(&m.oracle);
         }
         Some(merged.report())
     }
 
     /// All retained trace events across shards, merged into the canonical
-    /// `(cycle, cluster, seq)` order and renumbered — identical to the
-    /// solo machine's [`Machine::trace_events`].
+    /// `(cycle, cluster, seq)` order and renumbered — see
+    /// [`Machine::trace_events`].
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        Tracer::merged_from(self.machines.iter().map(|m| &m.tracer))
+        telemetry::trace_events(&self.machines)
     }
 
     /// Events recorded / evicted across all shards.
     pub fn trace_counts(&self) -> (u64, u64) {
-        let recorded = self.machines.iter().map(|m| m.tracer.recorded()).sum();
-        let dropped = self.machines.iter().map(|m| m.tracer.dropped()).sum();
-        (recorded, dropped)
+        telemetry::trace_counts(&self.machines)
     }
 
     /// The `trace` section of the stats document — see
     /// [`Machine::trace_json`].
     pub fn trace_json(&self) -> Option<Json> {
-        self.machines[0].trace_active.then(|| {
-            let (recorded, dropped) = self.trace_counts();
-            Json::obj()
-                .with("recorded", Json::U64(recorded))
-                .with("dropped_events", Json::U64(dropped))
-        })
+        telemetry::trace_json(&self.machines)
     }
 
-    /// The `patterns` section — always `None` for `shards > 1` (the
-    /// observatory is rejected at construction); delegates for one shard.
+    /// The `occupancy` section of the patterns document — see
+    /// [`Machine::occupancy_json`]. The observatory is refused at
+    /// construction for more than one shard, so only a whole machine ever
+    /// has one to report.
     pub fn occupancy_json(&self) -> Option<Json> {
-        if self.machines.len() == 1 {
-            self.machines[0].occupancy_json()
-        } else {
-            None
-        }
+        self.machines[0].occupancy_json()
     }
 }
 
-/// Sends `Finish` (with no notes) to every worker.
+/// Sends `Finish` to every worker.
 fn finish_all(plans: &[Sender<WindowPlan>]) {
     for tx in plans {
-        let _ = tx.send(WindowPlan::Finish { notes: Vec::new() });
-    }
-}
-
-/// Merges two optional stat blocks with `f`, keeping either side alone.
-fn merge_opt<T>(a: Option<T>, b: Option<T>, f: impl FnOnce(&T, &T) -> T) -> Option<T> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(f(&a, &b)),
-        (Some(a), None) => Some(a),
-        (None, Some(b)) => Some(b),
-        (None, None) => None,
+        let _ = tx.send(WindowPlan::Finish);
     }
 }

@@ -78,44 +78,6 @@ pub(crate) struct TardisNode {
     pub(crate) barrier_pts: HashMap<u32, u64>,
 }
 
-/// Unit backend handle for the Tardis protocol (see
-/// [`protocol::CoherenceProtocol`]).
-pub(crate) struct TardisProtocol;
-
-impl protocol::CoherenceProtocol for TardisProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Tardis
-    }
-
-    fn mem_access(&self, m: &mut Machine, t: Cycle, p: usize, block: u64, kind: MshrKind) {
-        m.tardis_mem_access(t, p, block, kind);
-    }
-
-    fn deliver(&self, m: &mut Machine, t: Cycle, msg: Msg) -> bool {
-        m.tardis_deliver(t, msg)
-    }
-
-    fn request_msg(&self, m: &Machine, cl: usize, block: u64, was_write: bool) -> MsgKind {
-        if was_write {
-            MsgKind::TardisWriteReq { block }
-        } else {
-            MsgKind::TardisReadReq {
-                block,
-                pts: m.clusters[cl].tardis.pts,
-            }
-        }
-    }
-
-    fn replay(&self, _m: &mut Machine, _t: Cycle, _home: usize, _req: scd_protocol::QueuedReq) {
-        // The Tardis home is never busy: no request ever queues.
-        unreachable!("tardis never queues home requests");
-    }
-
-    fn live_entries(&self, node: &ClusterNode) -> usize {
-        node.tardis.lines.len()
-    }
-}
-
 impl Machine {
     /// Tardis processor-side access: a read hits while the lease covers
     /// the cluster's `pts`, renews when only the lease expired, and
@@ -160,7 +122,7 @@ impl Machine {
         let home = self.cfg.home_of(block);
         match self.clusters[cl].rac.start(block, kind, lp) {
             StartOutcome::IssueRequest => {
-                self.trace_txn_begin(t, cl, block, kind == MshrKind::Write);
+                self.telemetry.txn_begin(t, cl, home, block, kind == MshrKind::Write);
                 let mk = if kind == MshrKind::Write {
                     MsgKind::TardisWriteReq { block }
                 } else {
@@ -205,7 +167,7 @@ impl Machine {
         let tm = self.cfg.timing;
         match kind {
             MsgKind::TardisReadReq { block, pts } => {
-                self.trace_txn_phase(t, dst, src, block, Phase::HomeLookup);
+                self.telemetry.txn_phase(t, dst, src, block, Phase::HomeLookup);
                 let line = self.clusters[dst].tardis.lines.entry(block).or_default();
                 // Extend the lease past the requester's logical time so
                 // the copy is immediately useful to it.
@@ -223,7 +185,7 @@ impl Machine {
                 );
             }
             MsgKind::TardisWriteReq { block } => {
-                self.trace_txn_phase(t, dst, src, block, Phase::HomeLookup);
+                self.telemetry.txn_phase(t, dst, src, block, Phase::HomeLookup);
                 let line = self.clusters[dst].tardis.lines.entry(block).or_default();
                 // Jump past every lease ever granted over the old
                 // version: any reader holding one orders logically
@@ -243,7 +205,7 @@ impl Machine {
                 // No invalidations, ever: record the zero fan-out so the
                 // paper's invalidation histogram stays comparable.
                 self.inval_hist.record(0);
-                self.trace_inval(t, dst, block, 0, "write");
+                self.telemetry.inval(t, dst, block, 0, "write");
                 let version = self.bump_version(dst, block);
                 self.send(
                     t + tm.bus_memory,
@@ -360,7 +322,7 @@ impl Machine {
         version: u64,
         mshr: scd_protocol::Mshr,
     ) {
-        self.trace_txn_end(t, cl, block);
+        self.telemetry.txn_end(t, cl, block);
         let tm = self.cfg.timing;
         let (writer, _) = *mshr
             .waiters

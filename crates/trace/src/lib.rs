@@ -4,9 +4,11 @@
 //! The observability layer for the simulator, built on two contracts:
 //!
 //! * **Zero-cost when off.** A [`TraceConfig`] is inert by default (the
-//!   `FaultPlan` pattern): the machine pre-computes `is_active()` into a
-//!   bool and gates every hook on it, so a run with tracing disabled is
-//!   bit-identical to one without trace hooks at all.
+//!   `FaultPlan` pattern). Whoever embeds the recording side resolves
+//!   `is_active()` once and gates every hook on that one flag (in
+//!   `scd-machine` it is the per-part telemetry recorder, not the engine),
+//!   so a run with tracing disabled is bit-identical to one without trace
+//!   hooks at all.
 //! * **Stable schemas.** Trace events serialize to JSONL with a fixed
 //!   envelope (`seq`, `cycle`, `cluster`, `type`, payload); run stats and
 //!   metrics serialize to versioned JSON objects (`scd-run-stats/v1`,

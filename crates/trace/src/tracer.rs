@@ -3,8 +3,9 @@
 //! Follows the `FaultPlan` pattern from `scd-noc`: a [`TraceConfig`] is
 //! pure configuration, inert by default, and a machine built without one
 //! (or with an inactive one) must behave bit-identically to a build
-//! without trace hooks. The machine pre-computes [`TraceConfig::is_active`]
-//! into a bool and gates every hook on it.
+//! without trace hooks. The embedder resolves [`TraceConfig::is_active`]
+//! once into the flag its hook sites test — `scd-machine`'s telemetry
+//! recorder does, and builds a [`Tracer::inert`] when it is false.
 
 use scd_sim::RingLog;
 

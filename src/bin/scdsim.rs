@@ -463,11 +463,13 @@ fn main() {
         }
         eprintln!("stats written to {path}");
     }
+    let secs = wall.elapsed().as_secs_f64();
     println!(
-        "simulated {} cycles in {:.2}s wall ({:.0} events-ish/s)",
+        "simulated {} cycles in {:.2}s wall (refs_per_sec {:.0}, events_per_sec {:.0})",
         stats.cycles,
-        wall.elapsed().as_secs_f64(),
-        stats.shared_refs() as f64 / wall.elapsed().as_secs_f64(),
+        secs,
+        stats.shared_refs() as f64 / secs,
+        stats.events_delivered as f64 / secs,
     );
     println!("traffic: {}", stats.traffic);
     println!(

@@ -6,7 +6,7 @@
 //! off), interval snapshots that tile the run, latency metrics with a
 //! stable JSON schema, and post-mortems that carry per-cluster trace tails.
 
-use scd::machine::{Machine, MachineConfig, RunStats, SimError};
+use scd::machine::{Machine, MachineConfig, ProtocolKind, RunStats, SimError};
 use scd::noc::FaultPlan;
 use scd::sim::SimRng;
 use scd::tango::{Op, ScriptProgram, ThreadProgram};
@@ -68,17 +68,124 @@ fn disabled_tracing_is_bit_identical() {
     assert_eq!(base.traffic, inert.traffic);
 }
 
-/// Stronger than the contract requires: the hooks only *read* machine
-/// state, so even full tracing with metrics and intervals must not move a
-/// single cycle or message.
+/// Stronger than the contract requires: the recorder's hooks only borrow
+/// machine state, so no observer combination may move a single cycle,
+/// message or load value. Every subset of {ring, messages, metrics,
+/// interval, attribution, patterns}, with and without an attached sink,
+/// under every protocol backend, against the run that never heard of
+/// tracing: identical `RunStats` JSON and identical value-oracle report.
 #[test]
 fn active_tracing_does_not_perturb_the_run() {
-    let (_, base) = run_with_trace(None, 0x7E1E);
-    let full = TraceConfig::full(4096).with_interval(500);
-    let (machine, traced) = run_with_trace(Some(full), 0x7E1E);
-    assert_eq!(base.to_json().to_string(), traced.to_json().to_string());
-    let (recorded, _) = machine.trace_counts();
-    assert!(recorded > 0, "tracing was supposed to be on");
+    for protocol in ProtocolKind::ALL {
+        let run = |trace: Option<TraceConfig>, sink: bool| {
+            let mut cfg = MachineConfig::tiny(6)
+                .with_protocol(protocol)
+                .with_value_oracle();
+            cfg.trace = trace;
+            let programs = random_programs(cfg.processors(), 120, 24, 0.4, 0x7E1E);
+            let mut machine = Machine::new(cfg, programs);
+            if sink {
+                machine.attach_stream(Box::new(BufferSink::new()), None);
+            }
+            let stats = machine.try_run().expect("run must quiesce");
+            let oracle = machine.value_oracle_report().expect("oracle was on");
+            (stats.to_json().to_string(), oracle, machine.trace_counts().0)
+        };
+        let (base_stats, base_oracle, _) = run(None, false);
+        for bits in 0..64u32 {
+            let on = |bit: u32| bits & (1 << bit) != 0;
+            let tc = TraceConfig {
+                ring_capacity: if on(0) { 4096 } else { 0 },
+                messages: on(1),
+                metrics: on(2),
+                interval: if on(3) { 500 } else { 0 },
+                attribution: on(4),
+                patterns: on(5),
+            };
+            for sink in [false, true] {
+                let what = format!("{} {tc:?} sink={sink}", protocol.name());
+                let (stats, oracle, recorded) = run(Some(tc), sink);
+                assert_eq!(stats, base_stats, "stats moved: {what}");
+                assert_eq!(oracle, base_oracle, "load values moved: {what}");
+                assert_eq!(recorded > 0, tc.is_active(), "recording gate: {what}");
+            }
+        }
+    }
+}
+
+/// Stream-order pin for boundaries that close together. With a 50-cycle
+/// period and every processor inside a 400-cycle compute gap, the event
+/// that ends the gap closes eight boundaries at once; each window's
+/// records must still arrive whole — `interval`, `attrib_delta`,
+/// `patterns` — before the next window's, with the stream valid overall.
+#[test]
+fn windows_closing_on_one_event_stream_whole_and_in_order() {
+    let mut cfg = MachineConfig::tiny(4);
+    cfg.trace = Some(
+        TraceConfig::full(1 << 12)
+            .with_interval(50)
+            .with_patterns(true),
+    );
+    let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.processors() as u64)
+        .map(|p| {
+            let ops = vec![
+                Op::Write(p * 16),
+                Op::Read(((p + 1) % 4) * 16),
+                Op::Compute(400),
+                Op::Write(((p + 2) % 4) * 16),
+                Op::Compute(400),
+                Op::Read(p * 16),
+            ];
+            Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+        })
+        .collect();
+    let mut machine = Machine::new(cfg, programs);
+    let sink = BufferSink::new();
+    let lines = sink.handle();
+    machine.attach_stream(Box::new(sink), None);
+    machine.try_run().expect("run must quiesce");
+    let lines = lines.lock().unwrap();
+    let stream = lines.join("\n") + "\n";
+    let summary = validate_stream(&stream).unwrap_or_else(|e| panic!("stream invalid: {e}"));
+    assert!(summary.run_ended);
+
+    let kinds: Vec<String> = lines
+        .iter()
+        .map(|l| {
+            let obj = Json::parse(l).expect("stream line parses");
+            obj.get("type").and_then(Json::as_str).expect("typed line").to_owned()
+        })
+        .collect();
+    const WINDOW: [&str; 3] = ["interval", "attrib_delta", "patterns"];
+    let mut windows = 0;
+    let mut back_to_back = 0;
+    let mut i = 0;
+    while i < kinds.len() {
+        if kinds[i] == WINDOW[0] {
+            let got: Vec<&str> = kinds[i..].iter().take(3).map(String::as_str).collect();
+            assert_eq!(got, WINDOW, "window {windows} is not whole (line {i})");
+            windows += 1;
+            if kinds.get(i + 3).is_some_and(|k| k == WINDOW[0]) {
+                back_to_back += 1;
+            }
+            i += 3;
+        } else {
+            // A trace event (or the closing run_end): never a window
+            // record that lost its window.
+            assert!(
+                !WINDOW.contains(&kinds[i].as_str()),
+                "stray {} record outside a window (line {i})",
+                kinds[i]
+            );
+            i += 1;
+        }
+    }
+    assert_eq!(windows, summary.intervals);
+    assert_eq!(windows, machine.metrics().intervals.len());
+    assert!(
+        back_to_back >= 7,
+        "no event closed several boundaries at once ({back_to_back} adjacent windows)"
+    );
 }
 
 /// The acceptance-criteria replay test: record a run (with injected NACKs
