@@ -17,7 +17,9 @@
 //!
 //! The crate is deliberately free of any simulator machinery: entries report
 //! *what must be invalidated*; sending messages and collecting
-//! acknowledgements belongs to `scd-protocol`.
+//! acknowledgements belongs to `scd-protocol`. What it does share with the
+//! layers above is [`flat`]: the dense table and the one fixed-hasher map
+//! alias that directory storage, protocol and machine state are kept in.
 //!
 //! ## Quick example
 //!
@@ -38,6 +40,7 @@
 
 pub mod analysis;
 pub mod entry;
+pub mod flat;
 pub mod node_set;
 pub mod overflow;
 pub mod overhead;
@@ -46,6 +49,7 @@ pub mod sparse;
 pub mod store;
 
 pub use entry::{AddSharer, DirEntry, DirState, ReprKind, MAX_POINTERS};
+pub use flat::{DenseTable, FastMap, FastSet, FixedHasher};
 pub use node_set::{NodeId, NodeSet};
 pub use overhead::{overhead, DirectoryChoice, MachineSpec, OverheadReport};
 pub use scheme::{ptr_bits, NbVictim, Scheme};

@@ -20,9 +20,8 @@
 //!   promotion falls back to `Dir_i NB` semantics for that one recording
 //!   (evict a pointer), which is always safe.
 
-use std::collections::HashMap;
-
 use crate::entry::{AddSharer, DirEntry};
+use crate::flat::FastMap;
 use crate::node_set::NodeId;
 use crate::scheme::{ptr_bits, Scheme};
 use crate::sparse::{Allocation, Replacement, SparseDirectory};
@@ -75,7 +74,7 @@ pub struct OverflowDirectory {
     small_scheme: Scheme,
     clusters: usize,
     /// Lazily materialized small entries (absent = uncached).
-    small: HashMap<u64, DirEntry>,
+    small: FastMap<u64, DirEntry>,
     /// Wide (full-vector) overflow cache.
     wide: SparseDirectory,
     stats: OverflowStats,
@@ -95,7 +94,7 @@ impl OverflowDirectory {
         OverflowDirectory {
             small_scheme: Scheme::dir_nb(i),
             clusters,
-            small: HashMap::new(),
+            small: FastMap::default(),
             wide: SparseDirectory::new(
                 Scheme::FullVector,
                 clusters,

@@ -125,7 +125,7 @@ struct ChurnTracker {
     stats: ChurnStats,
     /// Allocation counter (the distance unit).
     clock: u64,
-    evicted_at: std::collections::HashMap<u64, u64>,
+    evicted_at: crate::flat::FastMap<u64, u64>,
     fifo: std::collections::VecDeque<u64>,
 }
 

@@ -6,9 +6,8 @@
 //! interface, so the same protocol code runs the paper's non-sparse baseline
 //! and every sparse configuration.
 
-use std::collections::HashMap;
-
 use crate::entry::{AddSharer, DirEntry};
+use crate::flat::DenseTable;
 use crate::node_set::NodeId;
 use crate::overflow::{OverflowAdd, OverflowDirectory, OverflowStats};
 use crate::scheme::Scheme;
@@ -18,7 +17,9 @@ use crate::sparse::{Allocation, ChurnStats, Replacement, SparseDirectory, Sparse
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Organization {
     /// One entry per memory block (the classic organization). Entries are
-    /// materialized lazily — an absent entry is semantically "uncached".
+    /// materialized lazily — an absent entry is semantically "uncached" —
+    /// in a table indexed by the key, so keys must be compact indices (the
+    /// machine passes home-local block numbers).
     Complete,
     /// Sparse directory: a directory cache with `entries` slots of
     /// associativity `ways` and the given replacement policy (§4.2).
@@ -101,7 +102,9 @@ pub struct DirectoryStore {
 
 #[derive(Clone)]
 enum Backing {
-    Complete(HashMap<u64, DirEntry>),
+    /// Indexed by key; `None` is an entry nobody materialized (or one
+    /// released since).
+    Complete(DenseTable<Option<DirEntry>>),
     Sparse(SparseDirectory),
     Overflow(OverflowDirectory),
 }
@@ -110,7 +113,7 @@ impl DirectoryStore {
     /// Creates a store for a home node of a `clusters`-cluster machine.
     pub fn new(scheme: Scheme, clusters: usize, org: Organization, seed: u64) -> Self {
         let backing = match org {
-            Organization::Complete => Backing::Complete(HashMap::new()),
+            Organization::Complete => Backing::Complete(DenseTable::new()),
             Organization::Sparse {
                 entries,
                 ways,
@@ -155,9 +158,10 @@ impl DirectoryStore {
         pinned: impl Fn(u64) -> bool,
     ) -> EntryAccess<'_> {
         match &mut self.backing {
-            Backing::Complete(map) => EntryAccess::Ready(
-                map.entry(key)
-                    .or_insert_with(|| DirEntry::new(self.scheme, self.clusters)),
+            Backing::Complete(table) => EntryAccess::Ready(
+                table
+                    .slot(key)
+                    .get_or_insert_with(|| DirEntry::new(self.scheme, self.clusters)),
             ),
             Backing::Overflow(od) => EntryAccess::Ready(od.entry_mut(key, now)),
             Backing::Sparse(sd) => {
@@ -193,7 +197,7 @@ impl DirectoryStore {
     /// (used by transaction-closing messages, whose entries are pinned).
     pub fn lookup_mut(&mut self, key: u64, now: u64) -> Option<&mut DirEntry> {
         match &mut self.backing {
-            Backing::Complete(map) => map.get_mut(&key),
+            Backing::Complete(table) => table.get_mut(key).and_then(Option::as_mut),
             Backing::Sparse(sd) => sd.lookup(key, now),
             Backing::Overflow(od) => Some(od.entry_mut(key, now)),
         }
@@ -202,7 +206,7 @@ impl DirectoryStore {
     /// Read-only view of the entry for `key`, if materialized.
     pub fn probe(&self, key: u64) -> Option<&DirEntry> {
         match &self.backing {
-            Backing::Complete(map) => map.get(&key),
+            Backing::Complete(table) => table.get(key).and_then(Option::as_ref),
             Backing::Sparse(sd) => sd.probe(key),
             Backing::Overflow(od) => od.probe(key),
         }
@@ -220,9 +224,10 @@ impl DirectoryStore {
         pinned: impl Fn(u64) -> bool,
     ) -> RecordSharer {
         match &mut self.backing {
-            Backing::Complete(map) => {
-                match map
-                    .get_mut(&key)
+            Backing::Complete(table) => {
+                match table
+                    .get_mut(key)
+                    .and_then(Option::as_mut)
                     .expect("record_sharer before entry_mut")
                     .add_sharer(node)
                 {
@@ -250,13 +255,15 @@ impl DirectoryStore {
         }
     }
 
-    /// Releases the entry for `key` once it is empty, so complete maps do not
-    /// grow without bound and sparse slots free up early.
+    /// Releases the entry for `key` once it is empty, so a complete
+    /// directory holds only live entries and sparse slots free up early.
     pub fn release_if_empty(&mut self, key: u64) {
         match &mut self.backing {
-            Backing::Complete(map) => {
-                if map.get(&key).is_some_and(|e| e.is_empty()) {
-                    map.remove(&key);
+            Backing::Complete(table) => {
+                if let Some(slot) = table.get_mut(key) {
+                    if slot.as_ref().is_some_and(DirEntry::is_empty) {
+                        *slot = None;
+                    }
                 }
             }
             Backing::Sparse(sd) => {
@@ -305,16 +312,15 @@ impl DirectoryStore {
         }
     }
 
-    /// Visits every live entry with its key. Visit order is unspecified for
-    /// map-backed organizations, so callers must aggregate
-    /// order-independently (e.g. into a sharer-count histogram).
+    /// Visits every live entry with its key. Visit order is unspecified
+    /// (key order, slot order or hash order by organization), so callers
+    /// must aggregate order-independently (e.g. into a sharer-count
+    /// histogram).
     pub fn for_each_live(&self, mut f: impl FnMut(u64, &DirEntry)) {
         match &self.backing {
-            Backing::Complete(map) => {
-                for (&k, e) in map {
-                    if !e.is_empty() {
-                        f(k, e);
-                    }
+            Backing::Complete(table) => {
+                for (k, e) in live(table) {
+                    f(k, e);
                 }
             }
             Backing::Sparse(sd) => sd.for_each_live(f),
@@ -325,7 +331,7 @@ impl DirectoryStore {
     /// Number of live entries currently materialized.
     pub fn live_entries(&self) -> usize {
         match &self.backing {
-            Backing::Complete(map) => map.values().filter(|e| !e.is_empty()).count(),
+            Backing::Complete(table) => live(table).count(),
             Backing::Sparse(sd) => sd.live_entries(),
             Backing::Overflow(od) => od.live_entries(),
         }
@@ -340,17 +346,11 @@ impl DirectoryStore {
     pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
         match &self.backing {
-            Backing::Complete(map) => {
+            Backing::Complete(table) => {
                 0u8.hash(h);
-                let mut keys: Vec<u64> = map
-                    .iter()
-                    .filter(|(_, e)| !e.is_empty())
-                    .map(|(&k, _)| k)
-                    .collect();
-                keys.sort_unstable();
-                for k in keys {
+                for (k, e) in live(table) {
                     k.hash(h);
-                    map[&k].hash(h);
+                    e.hash(h);
                 }
             }
             Backing::Sparse(sd) => {
@@ -363,6 +363,15 @@ impl DirectoryStore {
             }
         }
     }
+}
+
+/// The live (materialized, non-empty) entries of a complete directory, in
+/// key order.
+fn live(table: &DenseTable<Option<DirEntry>>) -> impl Iterator<Item = (u64, &DirEntry)> {
+    table
+        .iter()
+        .filter_map(|(k, slot)| slot.as_ref().map(|e| (k, e)))
+        .filter(|(_, e)| !e.is_empty())
 }
 
 #[cfg(test)]

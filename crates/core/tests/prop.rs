@@ -9,10 +9,17 @@
 //! 3. With at most `i` sharers, the limited schemes are exact.
 //! 4. Sparse directories never exceed capacity and never displace without
 //!    reporting the victim.
+//! 5. The complete directory's key-indexed table behaves like the ordered
+//!    map of its live entries, however far apart the keys lie.
 
 use proptest::prelude::*;
-use scd_core::{AddSharer, DirEntry, NodeSet, Replacement, Scheme, SparseDirectory};
-use std::collections::HashSet;
+use scd_core::{
+    AddSharer, DirEntry, DirectoryStore, EntryAccess, NodeSet, Organization, RecordSharer,
+    Replacement, Scheme, SparseDirectory,
+};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 const P: usize = 32;
 
@@ -47,6 +54,119 @@ fn replay(scheme: Scheme, seq: &[u16]) -> (DirEntry, HashSet<u16>) {
         }
     }
     (e, truth)
+}
+
+/// Keys for the complete-store model test: a dense run from zero plus a
+/// few far-apart ones, so the table both fills and grows in jumps.
+fn store_key(idx: u64) -> u64 {
+    const FAR: [u64; 6] = [97, 300, 1_000, 2_000, 3_000, 4_099];
+    if idx < 12 {
+        idx
+    } else {
+        FAR[(idx - 12) as usize]
+    }
+}
+
+/// What `DirectoryStore::fingerprint` is documented to hash for a complete
+/// directory: a tag, then every live entry in key order.
+fn model_fingerprint(model: &BTreeMap<u64, DirEntry>) -> u64 {
+    let mut h = DefaultHasher::new();
+    0u8.hash(&mut h);
+    for (k, e) in model.iter().filter(|(_, e)| !e.is_empty()) {
+        k.hash(&mut h);
+        e.hash(&mut h);
+    }
+    h.finish()
+}
+
+proptest! {
+    // Every step compares whole tables, so fewer (long) cases than default.
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn complete_store_behaves_like_an_ordered_map(
+        scheme in scheme_strategy(),
+        ops in prop::collection::vec((0u8..6, 0u64..18, 0u16..P as u16), 0..200),
+    ) {
+        let mut store = DirectoryStore::new(scheme, P, Organization::Complete, 1);
+        let mut model: BTreeMap<u64, DirEntry> = BTreeMap::new();
+        let materialize = |store: &mut DirectoryStore, key| match store.entry_mut(key, 0, |_| false) {
+            EntryAccess::Ready(_) => {}
+            _ => panic!("a complete store never displaces or stalls"),
+        };
+        for (op, idx, node) in ops {
+            let key = store_key(idx);
+            match op {
+                // Materialize only (leaves an empty entry behind, as a
+                // request that ends up recording nobody does).
+                0 => {
+                    materialize(&mut store, key);
+                    model.entry(key).or_insert_with(|| DirEntry::new(scheme, P));
+                }
+                // A reader joins (through the store's overflow policy).
+                1 => {
+                    materialize(&mut store, key);
+                    let e = model.entry(key).or_insert_with(|| DirEntry::new(scheme, P));
+                    if e.is_dirty() {
+                        e.make_shared(&[node]);
+                        store.lookup_mut(key, 0).expect("materialized").make_shared(&[node]);
+                    } else {
+                        let got = store.record_sharer(key, node, 0, |_| false);
+                        match (e.add_sharer(node), got) {
+                            (AddSharer::Recorded, RecordSharer::Recorded) => {}
+                            (AddSharer::Evict(a), RecordSharer::Evict(b)) => prop_assert_eq!(a, b),
+                            (want, got) => prop_assert!(false, "model {want:?}, store {got:?}"),
+                        }
+                    }
+                }
+                // A writer takes ownership.
+                2 => {
+                    materialize(&mut store, key);
+                    store.lookup_mut(key, 0).expect("materialized").make_dirty(node);
+                    model
+                        .entry(key)
+                        .or_insert_with(|| DirEntry::new(scheme, P))
+                        .make_dirty(node);
+                }
+                // A sharer leaves / the entry empties, without allocating.
+                3 | 4 => {
+                    let (got, want) = (store.lookup_mut(key, 0), model.get_mut(&key));
+                    prop_assert_eq!(got.is_some(), want.is_some());
+                    if let (Some(got), Some(want)) = (got, want) {
+                        if op == 3 {
+                            prop_assert_eq!(got.remove_sharer(node), want.remove_sharer(node));
+                        } else {
+                            got.clear();
+                            want.clear();
+                        }
+                    }
+                }
+                // The protocol's housekeeping after every mutation.
+                _ => {
+                    store.release_if_empty(key);
+                    if model.get(&key).is_some_and(DirEntry::is_empty) {
+                        model.remove(&key);
+                    }
+                }
+            }
+            for k in [key, store_key(17), 5_000] {
+                prop_assert_eq!(store.probe(k), model.get(&k), "probe({})", k);
+            }
+            let live: Vec<(u64, DirEntry)> = model
+                .iter()
+                .filter(|(_, e)| !e.is_empty())
+                .map(|(&k, e)| (k, e.clone()))
+                .collect();
+            prop_assert_eq!(store.live_entries(), live.len());
+            let mut visited = Vec::new();
+            store.for_each_live(|k, e| visited.push((k, e.clone())));
+            visited.sort_by_key(|&(k, _)| k);
+            prop_assert_eq!(visited, live);
+            let mut h = DefaultHasher::new();
+            store.fingerprint(&mut h);
+            prop_assert_eq!(h.finish(), model_fingerprint(&model));
+        }
+    }
 }
 
 proptest! {

@@ -44,6 +44,8 @@
 //! offending cluster and block so tooling — `scd-check` counterexamples,
 //! post-mortems — can locate the fault without parsing prose.
 
+use std::collections::BTreeMap;
+
 use scd_mem::LineState;
 
 use crate::config::{MachineConfig, ProtocolKind};
@@ -99,14 +101,12 @@ impl std::fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
-/// Machine-wide residency: block -> (dirty holders, all holders).
-fn residency(
-    views: &[ClusterView<'_>],
-) -> std::collections::HashMap<u64, (Vec<usize>, Vec<usize>)> {
-    let mut map: std::collections::HashMap<u64, (Vec<usize>, Vec<usize>)> =
-        std::collections::HashMap::new();
+/// Machine-wide residency: block -> (dirty holders, all holders), in block
+/// order so the first violation reported is always the same one.
+fn residency(views: &[ClusterView<'_>]) -> BTreeMap<u64, (Vec<usize>, Vec<usize>)> {
+    let mut map: BTreeMap<u64, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
     for (cl, view) in views.iter().enumerate() {
-        for (&block, &state) in &view.resident {
+        for &(block, state) in &view.resident {
             let e = map.entry(block).or_default();
             if state == LineState::Dirty {
                 e.0.push(cl);
@@ -115,16 +115,6 @@ fn residency(
         }
     }
     map
-}
-
-/// Blocks in deterministic reporting order, independent of hash-map
-/// iteration.
-fn sorted_blocks(
-    residency: &std::collections::HashMap<u64, (Vec<usize>, Vec<usize>)>,
-) -> Vec<u64> {
-    let mut blocks: Vec<u64> = residency.keys().copied().collect();
-    blocks.sort_unstable();
-    blocks
 }
 
 /// Verifies the quiescent invariants; returns the first violation found.
@@ -197,9 +187,7 @@ fn verify_dash_views(
     cfg: &MachineConfig,
     views: &[ClusterView<'_>],
 ) -> Result<(), Violation> {
-    let residency = residency(views);
-    for block in sorted_blocks(&residency) {
-        let (dirty, holders) = &residency[&block];
+    for (block, (dirty, holders)) in residency(views) {
         if dirty.len() > 1 {
             return Err(Violation::for_block(
                 block,
@@ -208,7 +196,7 @@ fn verify_dash_views(
         }
         let home = cfg.home_of(block);
         // The directory is keyed by the home-local block index.
-        let entry = views[home].node.dir.probe(block / cfg.clusters as u64);
+        let entry = views[home].node.dir.probe(cfg.dir_key(block));
 
         if let Some(e) = entry {
             // Precise representations never record the home cluster; a
@@ -285,9 +273,7 @@ fn verify_dash_views(
 /// DASH every-state invariants: at most one dirty holder per block, and
 /// a dirty copy is exclusive (no other cluster caches the block at all).
 fn verify_dash_step(views: &[ClusterView<'_>]) -> Result<(), Violation> {
-    let residency = residency(views);
-    for block in sorted_blocks(&residency) {
-        let (dirty, holders) = &residency[&block];
+    for (block, (dirty, holders)) in residency(views) {
         if dirty.len() > 1 {
             return Err(Violation::for_block(
                 block,
@@ -330,10 +316,8 @@ fn verify_tardis_views(
     views: &[ClusterView<'_>],
 ) -> Result<(), Violation> {
     for (cl, view) in views.iter().enumerate() {
-        let mut blocks: Vec<u64> = view.resident.keys().copied().collect();
-        blocks.sort_unstable();
-        for block in blocks {
-            if view.resident[&block] == LineState::Dirty {
+        for &(block, state) in &view.resident {
+            if state == LineState::Dirty {
                 return Err(Violation::locate(
                     cl,
                     block,
@@ -348,13 +332,14 @@ fn verify_tardis_views(
                 ));
             };
             let home = cfg.home_of(block);
-            let Some(line) = views[home].node.tardis.lines.get(&block) else {
+            let line = views[home].node.tardis.lines.value(cfg.dir_key(block));
+            if line == Default::default() {
                 return Err(Violation::locate(
                     cl,
                     block,
                     format!("lease ({lwts},{lrts}) but home {home} has no timestamp line"),
                 ));
-            };
+            }
             if line.rts < line.wts {
                 return Err(Violation::locate(
                     home,
@@ -394,9 +379,7 @@ fn verify_dls_views(
     quiescent: bool,
 ) -> Result<(), Violation> {
     for (cl, view) in views.iter().enumerate() {
-        let mut blocks: Vec<u64> = view.resident.keys().copied().collect();
-        blocks.sort_unstable();
-        for block in blocks {
+        for &(block, _) in &view.resident {
             let home = cfg.home_of(block);
             if home != cl {
                 return Err(Violation::locate(
@@ -406,7 +389,7 @@ fn verify_dls_views(
                 ));
             }
             if quiescent {
-                let cur = view.node.cur_version.get(&block).copied().unwrap_or(0);
+                let cur = view.node.cur_version.value(cfg.dir_key(block));
                 let line = view.node.line_version.get(&block).copied().unwrap_or(0);
                 if line != cur {
                     return Err(Violation::locate(

@@ -348,6 +348,18 @@ impl MachineConfig {
         (block % self.clusters as u64) as usize
     }
 
+    /// Directory-store key for `block`: the *home-local* block index.
+    ///
+    /// Memory is block-interleaved round-robin across clusters, so a home's
+    /// blocks are all congruent mod `clusters`; indexing the (sparse)
+    /// directory with raw block numbers would alias a home's entire memory
+    /// into a single set. The quotient is also dense — a home's `k`-th
+    /// block has key `k` — which is what lets home-side tables be indexed
+    /// by it directly.
+    pub fn dir_key(&self, block: u64) -> u64 {
+        block / self.clusters as u64
+    }
+
     /// Home cluster of lock `l`.
     pub fn lock_home(&self, l: u32) -> usize {
         l as usize % self.clusters

@@ -42,9 +42,7 @@
 //! home slice). Everything that only *watches* lives in `telemetry`, which
 //! the engine reaches through hooks that cannot mutate it back.
 
-use std::collections::HashMap;
-
-use scd_core::{DirState, EntryAccess, NodeId, NodeSet};
+use scd_core::{DenseTable, DirState, EntryAccess, FastMap, NodeId, NodeSet};
 use scd_mem::{CacheHierarchy, ClusterCaches, HitLevel, LineState};
 use scd_noc::{FaultPlan, Network};
 use scd_protocol::{
@@ -138,25 +136,28 @@ pub(crate) struct ClusterNode {
     pub(crate) ser: HomeSerializer,
     pub(crate) locks: LockManager,
     pub(crate) barriers: BarrierManager,
-    pub(crate) lock_state: HashMap<u32, ClusterLock>,
-    pub(crate) barrier_local: HashMap<u32, Vec<usize>>,
+    pub(crate) lock_state: FastMap<u32, ClusterLock>,
+    pub(crate) barrier_local: FastMap<u32, Vec<usize>>,
     /// In-progress serial invalidation chains (SCI-style mode): remaining
     /// targets, the write requester awaiting the final reply, and the
     /// version the write creates.
-    pub(crate) serial_chains: HashMap<u64, (std::collections::VecDeque<usize>, usize, u64)>,
-    /// Version oracle: latest version the home has assigned per block.
-    pub(crate) cur_version: HashMap<u64, u64>,
+    pub(crate) serial_chains: FastMap<u64, (std::collections::VecDeque<usize>, usize, u64)>,
+    /// Version oracle: latest version the home has assigned per block,
+    /// indexed like the directory by [`MachineConfig::dir_key`] (0 = never
+    /// written).
+    pub(crate) cur_version: DenseTable<u64>,
     /// Version oracle: version of this cluster's resident copy per block
     /// (meaningful only while a copy is held; refreshed on every fill).
-    pub(crate) line_version: HashMap<u64, u64>,
+    pub(crate) line_version: FastMap<u64, u64>,
     /// The last ownership-epoch version this cluster *completed* (filled
     /// dirty) per block. A forward stamped with this epoch refers to data
     /// we have (possibly downgraded since); a forward stamped newer refers
     /// to our still-pending grant and must wait for it.
-    pub(crate) last_owner_epoch: HashMap<u64, u64>,
+    pub(crate) last_owner_epoch: FastMap<u64, u64>,
     /// Home-side: blocks with an in-flight `FwdWrite`, whose version bump
     /// makes `cur_version` one ahead of the *recorded* owner's epoch.
-    pub(crate) pending_write_bump: std::collections::HashSet<u64>,
+    /// Indexed by [`MachineConfig::dir_key`].
+    pub(crate) pending_write_bump: DenseTable<bool>,
     /// Tardis timestamp state (default-empty under the other protocols).
     pub(crate) tardis: tardis::TardisNode,
 }
@@ -226,12 +227,12 @@ pub(crate) struct Outbound {
 }
 
 /// Per-cluster snapshot handed to the invariant checker: resident blocks
-/// with their highest state, plus the full cluster node so each
-/// protocol's checker can read its own state (directory and serializer
-/// for DASH, timestamp lines and leases for Tardis, version counters
-/// for the directoryless LLC).
+/// in block order with their highest state, plus the full cluster node so
+/// each protocol's checker can read its own state (directory and
+/// serializer for DASH, timestamp lines and leases for Tardis, version
+/// counters for the directoryless LLC).
 pub(crate) struct ClusterView<'a> {
-    pub(crate) resident: std::collections::HashMap<u64, LineState>,
+    pub(crate) resident: Vec<(u64, LineState)>,
     pub(crate) node: &'a ClusterNode,
 }
 
@@ -265,25 +266,25 @@ pub struct Machine {
     /// unless `cfg.value_oracle`).
     oracle: oracle::ValueOracle,
     /// Version oracle: highest version each cluster has observed per block.
-    observed: HashMap<(usize, u64), u64>,
+    observed: FastMap<(usize, u64), u64>,
     versions_assigned: u64,
     /// Resolved fault plan (inert when `cfg.fault_plan` is `None`).
     fault_plan: FaultPlan,
     /// Pre-computed `fault_plan.is_active()`: an inert plan must cost
     /// nothing and never consume randomness, so every hook gates on this.
     fault_active: bool,
-    /// Per-directed-channel fault streams, keyed `(src, dst)` and derived
-    /// lazily as a pure function of the master seed. Send-side draws
-    /// (reorder/delay/dup) and deliver-side draws (nack injection) use
-    /// separate streams so each is consumed in its own channel-local order
-    /// — which makes fault placement a function of per-channel traffic
-    /// history alone, identical for any shard count.
-    fault_send_rng: HashMap<(usize, usize), SimRng>,
-    fault_nack_rng: HashMap<(usize, usize), SimRng>,
+    /// Per-directed-channel fault streams, one slot per `(src, dst)` (see
+    /// [`chan_slot`]), derived lazily as a pure function of the master
+    /// seed. Send-side draws (reorder/delay/dup) and deliver-side draws
+    /// (nack injection) use separate streams so each is consumed in its
+    /// own channel-local order — which makes fault placement a function of
+    /// per-channel traffic history alone, identical for any shard count.
+    fault_send_rng: Vec<Option<SimRng>>,
+    fault_nack_rng: Vec<Option<SimRng>>,
     faults: FaultCounters,
-    /// Latest scheduled request-class delivery per (src, dst), so injected
-    /// latency spikes keep each channel FIFO.
-    chan_clamp: HashMap<(usize, usize), Cycle>,
+    /// Latest scheduled request-class delivery per `(src, dst)` slot, so
+    /// injected latency spikes keep each channel FIFO.
+    chan_clamp: Vec<Cycle>,
     /// Cycle of the last retired operation (forward-progress watchdog).
     last_progress: Cycle,
     /// Recently processed events, kept for failure post-mortems.
@@ -369,13 +370,13 @@ impl Machine {
                 ser: HomeSerializer::new(),
                 locks: LockManager::new(cfg.scheme, cfg.clusters),
                 barriers: BarrierManager::new(),
-                lock_state: HashMap::new(),
-                barrier_local: HashMap::new(),
-                serial_chains: HashMap::new(),
-                cur_version: HashMap::new(),
-                line_version: HashMap::new(),
-                last_owner_epoch: HashMap::new(),
-                pending_write_bump: std::collections::HashSet::new(),
+                lock_state: FastMap::default(),
+                barrier_local: FastMap::default(),
+                serial_chains: FastMap::default(),
+                cur_version: DenseTable::new(),
+                line_version: FastMap::default(),
+                last_owner_epoch: FastMap::default(),
+                pending_write_bump: DenseTable::new(),
                 tardis: tardis::TardisNode::default(),
             })
             .collect();
@@ -441,14 +442,14 @@ impl Machine {
             tardis_counters: TardisCounters::default(),
             dls_counters: DlsCounters::default(),
             oracle: oracle::ValueOracle::new(cfg.value_oracle, cfg.processors()),
-            observed: HashMap::new(),
+            observed: FastMap::default(),
             versions_assigned: 0,
             fault_active: fault_plan.is_active(),
             fault_plan,
-            fault_send_rng: HashMap::new(),
-            fault_nack_rng: HashMap::new(),
+            fault_send_rng: Vec::new(),
+            fault_nack_rng: Vec::new(),
             faults: FaultCounters::default(),
-            chan_clamp: HashMap::new(),
+            chan_clamp: Vec::new(),
             last_progress: 0,
             event_log,
             hub: Hub::new(&recorder, 1),
@@ -549,32 +550,25 @@ impl Machine {
         cluster * self.cfg.procs_per_cluster + local
     }
 
-    /// Directory-store key for `block`: the *home-local* block index.
-    ///
-    /// Memory is block-interleaved round-robin across clusters, so a home's
-    /// blocks are all congruent mod `clusters`; indexing the (sparse)
-    /// directory with raw block numbers would alias a home's entire memory
-    /// into a single set.
+    /// Home-local index of `block` (see [`MachineConfig::dir_key`]): the
+    /// key of the directory store and of every home-side dense table.
     fn dir_key(&self, block: u64) -> u64 {
-        block / self.cfg.clusters as u64
+        self.cfg.dir_key(block)
     }
 
     /// Version oracle: the home hands out a fresh version for a new
     /// ownership epoch of `block`.
     fn bump_version(&mut self, home: usize, block: u64) -> u64 {
         self.versions_assigned += 1;
-        let v = self.clusters[home].cur_version.entry(block).or_insert(0);
+        let key = self.dir_key(block);
+        let v = self.clusters[home].cur_version.slot(key);
         *v += 1;
         *v
     }
 
     /// Version oracle: the version memory would supply for `block`.
     fn memory_version(&self, home: usize, block: u64) -> u64 {
-        self.clusters[home]
-            .cur_version
-            .get(&block)
-            .copied()
-            .unwrap_or(0)
+        self.clusters[home].cur_version.value(self.dir_key(block))
     }
 
     /// Version oracle: cluster `cl` installed a copy of `block` at `version`.
@@ -639,16 +633,14 @@ impl Machine {
 
     fn send_rng(&mut self, src: usize, dst: usize) -> &mut SimRng {
         let seed = self.cfg.seed;
-        self.fault_send_rng
-            .entry((src, dst))
-            .or_insert_with(|| Self::channel_rng(seed, src, dst, 1))
+        chan_slot(&mut self.fault_send_rng, self.cfg.clusters, src, dst)
+            .get_or_insert_with(|| Self::channel_rng(seed, src, dst, 1))
     }
 
     fn nack_rng(&mut self, src: usize, dst: usize) -> &mut SimRng {
         let seed = self.cfg.seed;
-        self.fault_nack_rng
-            .entry((src, dst))
-            .or_insert_with(|| Self::channel_rng(seed, src, dst, 2))
+        chan_slot(&mut self.fault_nack_rng, self.cfg.clusters, src, dst)
+            .get_or_insert_with(|| Self::channel_rng(seed, src, dst, 2))
     }
 
     /// Applies the fault plan to one inter-cluster delivery: latency spikes
@@ -698,7 +690,7 @@ impl Machine {
         if request_class && !clamp_exempt {
             // A spiked request must not be overtaken by later traffic on
             // its own (FIFO) channel.
-            let clamp = self.chan_clamp.entry((msg.src, msg.dst)).or_insert(0);
+            let clamp = chan_slot(&mut self.chan_clamp, self.cfg.clusters, msg.src, msg.dst);
             deliver_at = deliver_at.max(*clamp);
             *clamp = deliver_at;
         }
@@ -1094,7 +1086,7 @@ impl Machine {
             // directoryless LLC.
             live += match self.cfg.protocol {
                 ProtocolKind::Dash => c.dir.live_entries(),
-                ProtocolKind::Tardis => c.tardis.lines.len(),
+                ProtocolKind::Tardis => c.tardis.lines.iter().count(),
                 ProtocolKind::Dls => 0,
             };
             crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
@@ -1528,6 +1520,21 @@ impl Machine {
             .collect();
         (&parts[0].cfg, views)
     }
+}
+
+/// The slot of directed channel `(src, dst)` in a `clusters²` table. The
+/// per-channel fault tables are only ever touched with a fault plan active
+/// (or an explorer's fault edges), so they stay unallocated until then.
+fn chan_slot<T: Clone + Default>(
+    table: &mut Vec<T>,
+    clusters: usize,
+    src: usize,
+    dst: usize,
+) -> &mut T {
+    if table.is_empty() {
+        table.resize(clusters * clusters, T::default());
+    }
+    &mut table[src * clusters + dst]
 }
 
 /// Test-only hooks for hand-corrupting machine state, so the invariant

@@ -194,8 +194,9 @@ impl Machine {
                 was_write,
             } => {
                 self.counters.races += 1;
+                let key = self.dir_key(block);
                 if was_write {
-                    self.clusters[dst].pending_write_bump.remove(&block);
+                    self.clusters[dst].pending_write_bump.reset(key);
                 }
                 let epoch = self.memory_version(dst, block);
                 self.clusters[dst].ser.on_race(
@@ -208,7 +209,6 @@ impl Machine {
                         is_write: was_write,
                     },
                 );
-                let key = self.dir_key(block);
                 if matches!(
                     self.clusters[dst].ser.reason(block),
                     Some(BusyReason::AwaitWriteback(_))
@@ -550,7 +550,8 @@ impl Machine {
                     // forward time; the owner echoes it in its reply. The
                     // epoch being *taken over* is version - 1.
                     let version = self.bump_version(home, block);
-                    self.clusters[home].pending_write_bump.insert(block);
+                    let key = self.dir_key(block);
+                    *self.clusters[home].pending_write_bump.slot(key) = true;
                     MsgKind::FwdWrite {
                         block,
                         requester,
@@ -1061,7 +1062,7 @@ impl Machine {
         let key = self.dir_key(block);
         let node = &mut self.clusters[home];
         if closing {
-            node.pending_write_bump.remove(&block);
+            node.pending_write_bump.reset(key);
             let mut sharers: Vec<NodeId> = Vec::with_capacity(2);
             if owner != home {
                 sharers.push(owner as NodeId);
@@ -1116,9 +1117,8 @@ impl Machine {
             // flight, in which case it is stale. The recorded owner's
             // epoch is `cur_version`, minus one while a FwdWrite's bump is
             // pending.
-            let cur = node.cur_version.get(&block).copied().unwrap_or(0);
-            let recorded_epoch =
-                cur - u64::from(node.pending_write_bump.contains(&block));
+            let cur = node.cur_version.value(key);
+            let recorded_epoch = cur - u64::from(node.pending_write_bump.value(key));
             let mut applied = false;
             if epoch == recorded_epoch {
                 if let Some(entry) = node.dir.lookup_mut(key, t) {
@@ -1153,10 +1153,10 @@ impl Machine {
         );
         let key = self.dir_key(block);
         let node = &mut self.clusters[home];
-        node.pending_write_bump.remove(&block);
+        node.pending_write_bump.reset(key);
         // If the new owner's eviction writeback (or downgrade notification)
         // outran this transfer, its dirty epoch is already over.
-        let epoch = node.cur_version.get(&block).copied().unwrap_or(0);
+        let epoch = node.cur_version.value(key);
         let early = node.ser.take_early(block, new_owner, epoch);
         let entry = node
             .dir
@@ -1182,7 +1182,7 @@ impl Machine {
                 entry.clear();
             }
         }
-        let epoch = node.cur_version.get(&block).copied().unwrap_or(0);
+        let epoch = node.cur_version.value(key);
         node.dir.release_if_empty(key);
         if node.ser.on_writeback(block, owner, epoch) {
             self.drain(t, home, block);

@@ -28,9 +28,9 @@
 //! current cycle — merging is suppressed rather than made unsound.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
+use scd_core::FastSet;
 use scd_protocol::{Msg, MsgKind};
 use scd_sim::Cycle;
 
@@ -152,6 +152,31 @@ fn is_coherence_request(kind: MsgKind) -> bool {
     )
 }
 
+/// Hashes a hash map's entries in key order: its iteration order is an
+/// accident of the table, not state.
+fn hash_sorted<K: Ord + Copy + Hash, V: Hash>(
+    h: &mut impl Hasher,
+    entries: impl Iterator<Item = (K, V)>,
+) {
+    let mut entries: Vec<(K, V)> = entries.collect();
+    entries.sort_unstable_by_key(|e| e.0);
+    entries.hash(h);
+}
+
+/// Hashes the set slots of a dense table by walking it — it is in key order
+/// already, and [`scd_core::DenseTable::iter`] skips default slots, so a
+/// table that grew and was reset digests like one that never grew. The
+/// trailing count closes the section (a bare run of entries has no length
+/// prefix to keep it apart from what follows).
+fn hash_walk<T: Hash>(h: &mut impl Hasher, entries: impl Iterator<Item = (u64, T)>) {
+    let mut count = 0u64;
+    for entry in entries {
+        entry.hash(h);
+        count += 1;
+    }
+    count.hash(h);
+}
+
 impl Machine {
     /// Arms a deliberate protocol bug (see [`Mutation`]). Survives
     /// cloning, so every explored branch carries the mutation.
@@ -203,7 +228,7 @@ impl Machine {
             Some((_, evs)) => evs.into_iter().copied().collect(),
             None => return Vec::new(),
         };
-        let mut seen_channels: HashSet<(usize, usize)> = HashSet::new();
+        let mut seen_channels: FastSet<(usize, usize)> = FastSet::default();
         let mut out = Vec::new();
         for (idx, ev) in ready.iter().enumerate() {
             let Ev::Deliver(r) = ev else {
@@ -393,85 +418,47 @@ impl Machine {
             c.ser.fingerprint(&mut h);
             c.locks.fingerprint(&mut h);
             c.barriers.fingerprint(&mut h);
-            let mut locks: Vec<u32> = c.lock_state.keys().copied().collect();
-            locks.sort_unstable();
-            for l in locks {
-                let ls = &c.lock_state[&l];
-                (l, ls.holder, &ls.waiters, ls.requested).hash(&mut h);
-            }
-            let mut barriers: Vec<u32> = c.barrier_local.keys().copied().collect();
-            barriers.sort_unstable();
-            for b in barriers {
-                (b, &c.barrier_local[&b]).hash(&mut h);
-            }
-            let mut chains: Vec<u64> = c.serial_chains.keys().copied().collect();
-            chains.sort_unstable();
-            for b in chains {
-                let (targets, requester, version) = &c.serial_chains[&b];
-                (b, targets, requester, version).hash(&mut h);
-            }
-            let mut versions: Vec<(u64, u64)> =
-                c.cur_version.iter().map(|(&b, &v)| (b, v)).collect();
-            versions.sort_unstable();
-            versions.hash(&mut h);
+            hash_sorted(
+                &mut h,
+                c.lock_state
+                    .iter()
+                    .map(|(&l, ls)| (l, (ls.holder, &ls.waiters, ls.requested))),
+            );
+            hash_sorted(&mut h, c.barrier_local.iter().map(|(&b, v)| (b, v)));
+            hash_sorted(&mut h, c.serial_chains.iter().map(|(&b, v)| (b, v)));
+            hash_walk(&mut h, c.cur_version.iter());
             // Line versions only matter for blocks actually resident.
-            let resident = c.caches.cluster_resident();
-            let mut lines: Vec<(u64, u64)> = c
-                .line_version
+            let lines: Vec<(u64, u64)> = c
+                .caches
+                .cluster_resident()
                 .iter()
-                .filter(|(b, _)| resident.contains_key(b))
-                .map(|(&b, &v)| (b, v))
+                .filter_map(|&(b, _)| c.line_version.get(&b).map(|&v| (b, v)))
                 .collect();
-            lines.sort_unstable();
             lines.hash(&mut h);
-            let mut epochs: Vec<(u64, u64)> =
-                c.last_owner_epoch.iter().map(|(&b, &v)| (b, v)).collect();
-            epochs.sort_unstable();
-            epochs.hash(&mut h);
-            let mut bumps: Vec<u64> = c.pending_write_bump.iter().copied().collect();
-            bumps.sort_unstable();
-            bumps.hash(&mut h);
+            hash_sorted(&mut h, c.last_owner_epoch.iter().map(|(&b, &v)| (b, v)));
+            hash_walk(&mut h, c.pending_write_bump.iter());
             // Tardis timestamp state (default-empty under other protocols).
-            c.tardis.pts.hash(&mut h);
-            let mut leases: Vec<(u64, (u64, u64))> =
-                c.tardis.lease.iter().map(|(&b, &v)| (b, v)).collect();
-            leases.sort_unstable();
-            leases.hash(&mut h);
-            let mut renews: Vec<(u64, &Vec<usize>)> =
-                c.tardis.renew_pending.iter().map(|(&b, v)| (b, v)).collect();
-            renews.sort_unstable_by_key(|&(b, _)| b);
-            renews.hash(&mut h);
-            let mut tlines: Vec<(u64, (u64, u64))> = c
-                .tardis
-                .lines
-                .iter()
-                .map(|(&b, l)| (b, (l.wts, l.rts)))
-                .collect();
-            tlines.sort_unstable();
-            tlines.hash(&mut h);
-            let mut lpts: Vec<(u32, u64)> =
-                c.tardis.lock_pts.iter().map(|(&k, &v)| (k, v)).collect();
-            lpts.sort_unstable();
-            lpts.hash(&mut h);
-            let mut bpts: Vec<(u32, u64)> =
-                c.tardis.barrier_pts.iter().map(|(&k, &v)| (k, v)).collect();
-            bpts.sort_unstable();
-            bpts.hash(&mut h);
+            let t = &c.tardis;
+            t.pts.hash(&mut h);
+            hash_sorted(&mut h, t.lease.iter().map(|(&b, &v)| (b, v)));
+            hash_sorted(&mut h, t.renew_pending.iter().map(|(&b, v)| (b, v)));
+            hash_walk(&mut h, t.lines.iter().map(|(k, l)| (k, (l.wts, l.rts))));
+            hash_sorted(&mut h, t.lock_pts.iter().map(|(&k, &v)| (k, v)));
+            hash_sorted(&mut h, t.barrier_pts.iter().map(|(&k, &v)| (k, v)));
         }
         0xE2u8.hash(&mut h);
         // Version-oracle observations steer future assertions.
-        let mut observed: Vec<((usize, u64), u64)> =
-            self.observed.iter().map(|(&k, &v)| (k, v)).collect();
-        observed.sort_unstable();
-        observed.hash(&mut h);
-        // Channel clamps still in the future constrain deliveries.
-        let mut clamps: Vec<(usize, usize, u64)> = self
+        hash_sorted(&mut h, self.observed.iter().map(|(&k, &v)| (k, v)));
+        // Channel clamps still in the future constrain deliveries (slot
+        // order is `(src, dst)` order).
+        let n = self.cfg.clusters;
+        let clamps: Vec<(usize, usize, u64)> = self
             .chan_clamp
             .iter()
+            .enumerate()
             .filter(|(_, &c)| c > now)
-            .map(|(&(s, d), &c)| (s, d, c - now))
+            .map(|(i, &c)| (i / n, i % n, c - now))
             .collect();
-        clamps.sort_unstable();
         clamps.hash(&mut h);
         self.mutation.hash(&mut h);
         // Contention carries absolute link-busy times in the network;

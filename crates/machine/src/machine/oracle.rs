@@ -47,7 +47,7 @@ pub(crate) struct ValueOracle {
     /// Pre-computed `cfg.value_oracle`, checked once per hook.
     pub(crate) on: bool,
     /// `(block, epoch)` -> tag of the latest write in that epoch.
-    pub(crate) mem: HashMap<(u64, u64), (usize, u64)>,
+    pub(crate) mem: FastMap<(u64, u64), (usize, u64)>,
     /// Per global processor: its loads, in program order.
     pub(crate) reads: Vec<Vec<ReadRec>>,
     /// Per global processor: how many writes it has performed.
@@ -58,7 +58,7 @@ impl ValueOracle {
     pub(crate) fn new(on: bool, procs: usize) -> Self {
         ValueOracle {
             on,
-            mem: HashMap::new(),
+            mem: FastMap::default(),
             reads: vec![Vec::new(); procs],
             wseq: vec![0; procs],
         }
@@ -87,7 +87,7 @@ impl ValueOracle {
     /// Resolves the log into a comparable report. Call only after the
     /// run (and any cross-shard merge) is complete.
     pub(crate) fn report(&self) -> ValueOracleReport {
-        let mut best: HashMap<u64, u64> = HashMap::new();
+        let mut best: FastMap<u64, u64> = FastMap::default();
         let mut image: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
         for (&(b, e), &tag) in &self.mem {
             let cur = best.entry(b).or_insert(0);

@@ -65,17 +65,21 @@ pub(crate) struct TardisNode {
     /// write it performed or synchronized with.
     pub(crate) pts: u64,
     /// Leases over resident copies: block -> (wts, rts).
-    pub(crate) lease: HashMap<u64, (u64, u64)>,
+    pub(crate) lease: FastMap<u64, (u64, u64)>,
     /// Local processors parked on an in-flight lease renewal.
-    pub(crate) renew_pending: HashMap<u64, Vec<usize>>,
-    /// Home-side timestamp lines (this cluster acting as home).
-    pub(crate) lines: HashMap<u64, TardisLine>,
+    pub(crate) renew_pending: FastMap<u64, Vec<usize>>,
+    /// Home-side timestamp lines (this cluster acting as home), indexed
+    /// like the directory by [`MachineConfig::dir_key`]. A line no request has
+    /// reached is `(0, 0)`; the first to reach one is a read or a write,
+    /// which raises its `rts` or `wts`, so "all zero" and "never touched"
+    /// coincide.
+    pub(crate) lines: DenseTable<TardisLine>,
     /// Home-side: max `pts` released through each lock, handed to the
     /// next holder with the grant.
-    pub(crate) lock_pts: HashMap<u32, u64>,
+    pub(crate) lock_pts: FastMap<u32, u64>,
     /// Home-side: max `pts` carried by barrier arrivals, broadcast with
     /// the release.
-    pub(crate) barrier_pts: HashMap<u32, u64>,
+    pub(crate) barrier_pts: FastMap<u32, u64>,
 }
 
 impl Machine {
@@ -168,7 +172,8 @@ impl Machine {
         match kind {
             MsgKind::TardisReadReq { block, pts } => {
                 self.telemetry.txn_phase(t, dst, src, block, Phase::HomeLookup);
-                let line = self.clusters[dst].tardis.lines.entry(block).or_default();
+                let key = self.dir_key(block);
+                let line = self.clusters[dst].tardis.lines.slot(key);
                 // Extend the lease past the requester's logical time so
                 // the copy is immediately useful to it.
                 line.rts = line.rts.max(line.wts.max(pts) + LEASE);
@@ -186,7 +191,8 @@ impl Machine {
             }
             MsgKind::TardisWriteReq { block } => {
                 self.telemetry.txn_phase(t, dst, src, block, Phase::HomeLookup);
-                let line = self.clusters[dst].tardis.lines.entry(block).or_default();
+                let key = self.dir_key(block);
+                let line = self.clusters[dst].tardis.lines.slot(key);
                 // Jump past every lease ever granted over the old
                 // version: any reader holding one orders logically
                 // before this write, and no new lease can cover it.
@@ -217,7 +223,8 @@ impl Machine {
                 );
             }
             MsgKind::RenewReq { block, wts, pts } => {
-                let line = self.clusters[dst].tardis.lines.entry(block).or_default();
+                let key = self.dir_key(block);
+                let line = self.clusters[dst].tardis.lines.slot(key);
                 if line.wts == wts {
                     // Same version: extend the lease. Timestamp-only —
                     // `dir_lookup` at the home, no memory fetch.

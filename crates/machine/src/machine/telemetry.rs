@@ -37,6 +37,7 @@ use super::*;
 /// cluster/block pair; merged waiters join the existing transaction.
 #[derive(Clone)]
 struct TxnLive {
+    block: u64,
     id: u64,
     issue: Cycle,
     write: bool,
@@ -200,13 +201,14 @@ pub(crate) struct Recorder {
     msg_cost: Vec<MsgCost>,
     /// Directory-occupancy telemetry (only fed when `cfg.patterns`).
     obs: Observatory,
-    /// Live traced transactions, keyed by (requester cluster, block).
+    /// Live traced transactions per requester cluster, searched by block:
+    /// a cluster has one per MSHR, so at most one per local processor.
     /// Requester-side state, touched only while processing events of the
     /// requester's own cluster.
-    txn_live: HashMap<(usize, u64), TxnLive>,
+    txn_live: Vec<Vec<TxnLive>>,
     /// Home-side phase slots, keyed by (requester cluster, block) and fed
     /// by `TxnNote::Begin`. Touched only while processing home events.
-    txn_phase: HashMap<(usize, u64), PhaseSlot>,
+    txn_phase: FastMap<(usize, u64), PhaseSlot>,
     /// Per-requester-cluster transaction id counters. Ids encode the
     /// cluster in the high bits so each cluster hands them out locally —
     /// no global counter to race on across shards.
@@ -222,7 +224,7 @@ pub(crate) struct Recorder {
     /// Attribution counters at the last closed interval window, which
     /// window traffic is diffed against (streamed runs only).
     window_attrib_base: ClassTable,
-    window_link_base: HashMap<(usize, usize), u64>,
+    window_link_base: FastMap<(usize, usize), u64>,
     /// Notes for clusters other parts own, drained at window barriers.
     notes: Vec<TxnNote>,
     /// Closed interval windows waiting for the hub.
@@ -257,8 +259,8 @@ impl Recorder {
                 sharers: vec![0; if trace.patterns { cfg.clusters + 1 } else { 0 }],
                 ..Observatory::default()
             },
-            txn_live: HashMap::new(),
-            txn_phase: HashMap::new(),
+            txn_live: vec![Vec::new(); per_cluster],
+            txn_phase: FastMap::default(),
             txn_seq: vec![0; per_cluster],
             interval_next: if trace.interval > 0 {
                 trace.interval
@@ -268,7 +270,7 @@ impl Recorder {
             interval_base: IntervalSnapshot::default(),
             streaming: false,
             window_attrib_base: Default::default(),
-            window_link_base: HashMap::new(),
+            window_link_base: FastMap::default(),
             notes: Vec::new(),
             pieces: Vec::new(),
         }
@@ -284,6 +286,11 @@ impl Recorder {
 
     fn owns(&self, cluster: usize) -> bool {
         cluster.wrapping_sub(self.part.0) < self.part.1
+    }
+
+    /// Cluster `cl`'s live transaction for `block`, if it has one.
+    fn live(&mut self, cl: usize, block: u64) -> Option<&mut TxnLive> {
+        self.txn_live[cl].iter_mut().find(|l| l.block == block)
     }
 
     /// One inter-cluster send: charges the message's pre-resolved
@@ -331,7 +338,7 @@ impl Recorder {
 
     /// A new coherence transaction issued its first request (to `home`).
     pub(crate) fn txn_begin(&mut self, t: Cycle, cl: usize, home: usize, block: u64, write: bool) {
-        if !self.on || self.txn_live.contains_key(&(cl, block)) {
+        if !self.on || self.live(cl, block).is_some() {
             return;
         }
         // Transaction ids are minted per requester cluster (cluster in the
@@ -341,17 +348,15 @@ impl Recorder {
         // clusters into every exported trace.
         self.txn_seq[cl] += 1;
         let id = ((cl as u64) << 40) | self.txn_seq[cl];
-        self.txn_live.insert(
-            (cl, block),
-            TxnLive {
-                id,
-                issue: t,
-                write,
-                home_lookup: None,
-                fanout: None,
-                retries: 0,
-            },
-        );
+        self.txn_live[cl].push(TxnLive {
+            block,
+            id,
+            issue: t,
+            write,
+            home_lookup: None,
+            fanout: None,
+            retries: 0,
+        });
         self.tracer
             .record(cl, t, EventKind::TxnBegin { txn: id, block, write });
         self.route_note(TxnNote::Begin {
@@ -457,7 +462,7 @@ impl Recorder {
                 phase,
                 at,
             } => {
-                let Some(live) = self.txn_live.get_mut(&(requester, block)) else {
+                let Some(live) = self.live(requester, block) else {
                     return;
                 };
                 if live.id != id {
@@ -480,7 +485,7 @@ impl Recorder {
         if !self.on {
             return;
         }
-        let Some(live) = self.txn_live.get(&(cl, block)) else {
+        let Some(live) = self.live(cl, block) else {
             return;
         };
         if t < live.issue {
@@ -495,7 +500,7 @@ impl Recorder {
         if !self.on {
             return;
         }
-        let Some(live) = self.txn_live.get_mut(&(cl, block)) else {
+        let Some(live) = self.live(cl, block) else {
             return;
         };
         if t < live.issue {
@@ -562,9 +567,11 @@ impl Recorder {
         if !self.on {
             return;
         }
-        let Some(live) = self.txn_live.remove(&(cl, block)) else {
+        let table = &mut self.txn_live[cl];
+        let Some(at) = table.iter().position(|l| l.block == block) else {
             return;
         };
+        let live = table.swap_remove(at);
         let latency = t.saturating_sub(live.issue);
         self.tracer.record(
             cl,
@@ -754,7 +761,7 @@ impl Recorder {
 struct BoundaryAcc {
     snap: IntervalSnapshot,
     attrib: ClassTable,
-    links: HashMap<(usize, usize), u64>,
+    links: FastMap<(usize, usize), u64>,
     patterns: Option<(u64, Vec<u64>)>,
     contribs: usize,
 }
@@ -873,7 +880,7 @@ impl Hub {
                         ..Default::default()
                     },
                     attrib: Default::default(),
-                    links: HashMap::new(),
+                    links: FastMap::default(),
                     patterns: None,
                     contribs: 0,
                 });

@@ -41,20 +41,45 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    block: Block,
-    state: LineState,
-    valid: bool,
-    last_use: u64,
+/// A slot of [`Cache::lines`]: the block number above two state bits.
+/// Zero is "no line here", so a cache built from zeroed vectors is empty.
+const STATE_BITS: u32 = 2;
+const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+const INVALID: u64 = 0;
+
+fn encode(block: Block, state: LineState) -> u64 {
+    let code = match state {
+        LineState::Shared => 1,
+        LineState::Dirty => 2,
+    };
+    block << STATE_BITS | code
+}
+
+fn decode(line: u64) -> Option<(Block, LineState)> {
+    let state = match line & STATE_MASK {
+        INVALID => return None,
+        1 => LineState::Shared,
+        _ => LineState::Dirty,
+    };
+    Some((line >> STATE_BITS, state))
 }
 
 /// A set-associative, LRU-replaced cache keyed by block number.
+///
+/// Way `w` of set `s` lives at index `s * ways + w` of two parallel
+/// vectors: the line (block and state in one word, so a lookup reads one
+/// array) and its last use. Both start zeroed, which the allocator hands
+/// out as untouched zero pages: building a cache writes nothing, and a
+/// set's memory is first touched when the set is first used.
 #[derive(Clone, Debug)]
 pub struct Cache {
     sets: usize,
     ways: usize,
-    lines: Vec<Line>,
+    /// `sets - 1` when `sets` is a power of two: the set index is then
+    /// `block & mask`, sparing every probe a 64-bit division.
+    set_mask: Option<u64>,
+    lines: Vec<u64>,
+    last_use: Vec<u64>,
     stats: CacheStats,
 }
 
@@ -69,18 +94,13 @@ impl Cache {
             blocks >= ways && blocks.is_multiple_of(ways),
             "capacity {blocks} must be a positive multiple of associativity {ways}"
         );
+        let sets = blocks / ways;
         Cache {
-            sets: blocks / ways,
+            sets,
             ways,
-            lines: vec![
-                Line {
-                    block: 0,
-                    state: LineState::Shared,
-                    valid: false,
-                    last_use: 0,
-                };
-                blocks
-            ],
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
+            lines: vec![INVALID; blocks],
+            last_use: vec![0; blocks],
             stats: CacheStats::default(),
         }
     }
@@ -101,112 +121,107 @@ impl Cache {
     }
 
     fn set_range(&self, block: Block) -> std::ops::Range<usize> {
-        let set = (block % self.sets as u64) as usize;
+        let set = match self.set_mask {
+            Some(mask) => block & mask,
+            None => block % self.sets as u64,
+        } as usize;
         set * self.ways..(set + 1) * self.ways
+    }
+
+    /// The slot holding `block` and the state it is held in, if resident.
+    fn find(&self, block: Block) -> Option<(usize, LineState)> {
+        let range = self.set_range(block);
+        let start = range.start;
+        self.lines[range]
+            .iter()
+            .enumerate()
+            .find_map(|(way, &line)| {
+                decode(line)
+                    .filter(|&(tag, _)| tag == block)
+                    .map(|(_, state)| (start + way, state))
+            })
     }
 
     /// Looks `block` up, updating LRU and hit/miss counters.
     pub fn access(&mut self, block: Block, now: u64) -> Option<LineState> {
-        for idx in self.set_range(block) {
-            let line = &mut self.lines[idx];
-            if line.valid && line.block == block {
-                line.last_use = now;
+        match self.find(block) {
+            Some((idx, state)) => {
+                self.last_use[idx] = now;
                 self.stats.hits += 1;
-                return Some(line.state);
+                Some(state)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
             }
         }
-        self.stats.misses += 1;
-        None
     }
 
     /// State of `block` without touching LRU or statistics.
     pub fn probe(&self, block: Block) -> Option<LineState> {
-        self.set_range(block)
-            .map(|i| &self.lines[i])
-            .find(|l| l.valid && l.block == block)
-            .map(|l| l.state)
+        self.find(block).map(|(_, state)| state)
     }
 
     /// Inserts (or updates) `block` with `state`; returns the displaced line
     /// if an eviction was needed.
+    ///
+    /// # Panics
+    /// If `block` does not fit beside the state bits of a line (block
+    /// numbers of 2^62 and up).
     pub fn insert(&mut self, block: Block, state: LineState, now: u64) -> Option<Evicted> {
+        assert!(
+            block >> (u64::BITS - STATE_BITS) == 0,
+            "block {block} too large for a cache line tag"
+        );
         let range = self.set_range(block);
-        // Update in place if present.
-        if let Some(idx) = range
-            .clone()
-            .find(|&i| self.lines[i].valid && self.lines[i].block == block)
-        {
-            self.lines[idx].state = state;
-            self.lines[idx].last_use = now;
-            return None;
-        }
-        // Empty way?
-        if let Some(idx) = range.clone().find(|&i| !self.lines[i].valid) {
-            self.lines[idx] = Line {
-                block,
-                state,
-                valid: true,
-                last_use: now,
-            };
-            return None;
-        }
-        // Evict LRU.
-        let victim = range
-            .min_by_key(|&i| self.lines[i].last_use)
-            .expect("non-zero associativity");
-        let evicted = Evicted {
-            block: self.lines[victim].block,
-            state: self.lines[victim].state,
+        // Update in place if present; else an empty way; else evict LRU.
+        let (idx, evicted) = if let Some((idx, _)) = self.find(block) {
+            (idx, None)
+        } else if let Some(idx) = range.clone().find(|&i| self.lines[i] == INVALID) {
+            (idx, None)
+        } else {
+            let victim = range
+                .min_by_key(|&i| self.last_use[i])
+                .expect("non-zero associativity");
+            let (block, state) = decode(self.lines[victim]).expect("a full set holds lines");
+            self.stats.evictions += 1;
+            if state == LineState::Dirty {
+                self.stats.dirty_evictions += 1;
+            }
+            (victim, Some(Evicted { block, state }))
         };
-        self.stats.evictions += 1;
-        if evicted.state == LineState::Dirty {
-            self.stats.dirty_evictions += 1;
-        }
-        self.lines[victim] = Line {
-            block,
-            state,
-            valid: true,
-            last_use: now,
-        };
-        Some(evicted)
+        self.lines[idx] = encode(block, state);
+        self.last_use[idx] = now;
+        evicted
     }
 
     /// Changes the state of a resident block; returns `false` if absent.
     pub fn set_state(&mut self, block: Block, state: LineState) -> bool {
-        for idx in self.set_range(block) {
-            let line = &mut self.lines[idx];
-            if line.valid && line.block == block {
-                line.state = state;
-                return true;
+        match self.find(block) {
+            Some((idx, _)) => {
+                self.lines[idx] = encode(block, state);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Removes `block`; returns its state if it was present.
     pub fn invalidate(&mut self, block: Block) -> Option<LineState> {
-        for idx in self.set_range(block) {
-            let line = &mut self.lines[idx];
-            if line.valid && line.block == block {
-                line.valid = false;
-                self.stats.invalidations += 1;
-                return Some(line.state);
-            }
-        }
-        None
+        let (idx, state) = self.find(block)?;
+        self.lines[idx] = INVALID;
+        self.stats.invalidations += 1;
+        Some(state)
     }
 
     /// Number of valid lines (for occupancy assertions in tests).
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.resident().count()
     }
 
     /// Iterates over all resident blocks and their states.
     pub fn resident(&self) -> impl Iterator<Item = (Block, LineState)> + '_ {
-        self.lines
-            .iter()
-            .filter(|l| l.valid)
-            .map(|l| (l.block, l.state))
+        self.lines.iter().filter_map(|&line| decode(line))
     }
 
     /// Hashes the cache's protocol-visible state into `h` for
@@ -219,18 +234,17 @@ impl Cache {
         use std::hash::Hash;
         for set in 0..self.sets {
             let range = set * self.ways..(set + 1) * self.ways;
-            let uses: Vec<u64> = self.lines[range.clone()]
-                .iter()
-                .filter(|l| l.valid)
-                .map(|l| l.last_use)
-                .collect();
-            for (way, line) in self.lines[range].iter().enumerate() {
-                if !line.valid {
+            for (way, i) in range.clone().enumerate() {
+                let Some((block, state)) = decode(self.lines[i]) else {
                     (way, false).hash(h);
                     continue;
-                }
-                (way, true, line.block, line.state).hash(h);
-                uses.iter().filter(|&&x| x < line.last_use).count().hash(h);
+                };
+                (way, true, block, state).hash(h);
+                range
+                    .clone()
+                    .filter(|&j| self.lines[j] != INVALID && self.last_use[j] < self.last_use[i])
+                    .count()
+                    .hash(h);
             }
         }
     }
@@ -309,6 +323,32 @@ mod tests {
         let ev = c.insert(4, LineState::Shared, 2).unwrap();
         assert_eq!(ev.block, 0);
         assert_eq!(c.probe(1), Some(LineState::Shared), "other set untouched");
+        // 3 sets (not a power of two: indexed by remainder, not by mask).
+        let mut c = Cache::new(3, 1);
+        c.insert(0, LineState::Shared, 0);
+        c.insert(4, LineState::Shared, 1);
+        assert_eq!(c.insert(3, LineState::Shared, 2).unwrap().block, 0);
+        assert_eq!(c.probe(4), Some(LineState::Shared), "other set untouched");
+    }
+
+    #[test]
+    fn a_new_cache_is_empty_even_for_block_zero() {
+        let mut c = Cache::new(4, 2);
+        assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.probe(0), None, "a zeroed slot is not block 0");
+        assert_eq!(c.invalidate(0), None);
+        c.insert(0, LineState::Dirty, 0);
+        assert_eq!(c.probe(0), Some(LineState::Dirty));
+        assert_eq!(
+            c.resident().collect::<Vec<_>>(),
+            vec![(0, LineState::Dirty)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for a cache line tag")]
+    fn blocks_that_would_spill_into_the_state_bits_are_refused() {
+        Cache::new(4, 2).insert(1 << 62, LineState::Shared, 0);
     }
 
     #[test]
@@ -318,10 +358,7 @@ mod tests {
         c.insert(2, LineState::Dirty, 1);
         let mut got: Vec<_> = c.resident().collect();
         got.sort();
-        assert_eq!(
-            got,
-            vec![(1, LineState::Shared), (2, LineState::Dirty)]
-        );
+        assert_eq!(got, vec![(1, LineState::Shared), (2, LineState::Dirty)]);
     }
 
     #[test]

@@ -128,18 +128,21 @@ impl ClusterCaches {
         self.procs.iter().map(|h| h.l2_stats().misses).sum()
     }
 
-    /// All blocks resident anywhere in the cluster, with the *highest* state
-    /// (dirty beats shared) — the cluster-level view the directory tracks.
-    pub fn cluster_resident(&self) -> std::collections::HashMap<Block, LineState> {
-        let mut out = std::collections::HashMap::new();
-        for h in &self.procs {
-            for (b, s) in h.resident() {
-                let e = out.entry(b).or_insert(s);
-                if s == LineState::Dirty {
-                    *e = LineState::Dirty;
-                }
+    /// All blocks resident anywhere in the cluster, in block order, each
+    /// with the *highest* state any processor holds it in (dirty beats
+    /// shared) — the cluster-level view the directory tracks.
+    pub fn cluster_resident(&self) -> Vec<(Block, LineState)> {
+        let mut out: Vec<(Block, LineState)> =
+            self.procs.iter().flat_map(|h| h.resident()).collect();
+        // `Dirty` sorts after `Shared`, so the last of a block's run wins.
+        out.sort_unstable();
+        out.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
             }
-        }
+            same
+        });
         out
     }
 
@@ -212,8 +215,11 @@ mod tests {
         let mut c = cluster(2);
         c.fill(0, 11, LineState::Shared, 0);
         c.fill(1, 12, LineState::Dirty, 0);
-        let r = c.cluster_resident();
-        assert_eq!(r.get(&11), Some(&LineState::Shared));
-        assert_eq!(r.get(&12), Some(&LineState::Dirty));
+        c.fill(1, 11, LineState::Shared, 0);
+        c.fill(0, 12, LineState::Shared, 0);
+        assert_eq!(
+            c.cluster_resident(),
+            vec![(11, LineState::Shared), (12, LineState::Dirty)]
+        );
     }
 }

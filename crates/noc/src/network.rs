@@ -1,6 +1,6 @@
 //! Latency model and per-network accounting.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::mesh::Mesh;
 
@@ -26,21 +26,18 @@ pub enum LatencyModel {
 impl LatencyModel {
     /// Latency of one message from `src` to `dst` on `mesh`.
     pub fn latency(&self, mesh: &Mesh, src: usize, dst: usize) -> u64 {
+        if src == dst {
+            0
+        } else {
+            self.remote_latency(mesh.distance(src, dst))
+        }
+    }
+
+    /// Latency of a message between two different nodes `hops` links apart.
+    fn remote_latency(&self, hops: usize) -> u64 {
         match *self {
-            LatencyModel::Uniform { latency } => {
-                if src == dst {
-                    0
-                } else {
-                    latency
-                }
-            }
-            LatencyModel::Mesh { fixed, per_hop } => {
-                if src == dst {
-                    0
-                } else {
-                    fixed + per_hop * mesh.distance(src, dst) as u64
-                }
-            }
+            LatencyModel::Uniform { latency } => latency,
+            LatencyModel::Mesh { fixed, per_hop } => fixed + per_hop * hops as u64,
         }
     }
 
@@ -118,12 +115,15 @@ pub struct Network {
     stats: NetworkStats,
     /// Cycles each message holds a link, when contention is modeled.
     link_occupancy: Option<u64>,
-    /// Next-free time per directed link `(from, to)`.
-    link_free: HashMap<(usize, usize), u64>,
-    /// Per-link traffic counters, one slot per directed mesh link (see
-    /// [`Mesh::link_index`]); `None` (the default) records nothing — the
-    /// inert-by-default contract of every profiling hook.
-    link_traffic: Option<Vec<LinkCounters>>,
+    /// Next-free time per directed link, one slot per [`Mesh::link_index`]
+    /// (empty unless contention is modeled).
+    link_free: Vec<u64>,
+    /// Traffic counters per `(src, dst)` pair, at `src * nodes + dst`: a
+    /// send charges its pair once, and [`Network::link_traffic`] spreads
+    /// each pair's total over the links of its (fixed) route. `None` (the
+    /// default) records nothing — the inert-by-default contract of every
+    /// profiling hook.
+    pair_traffic: Option<Vec<LinkCounters>>,
 }
 
 impl Network {
@@ -135,8 +135,8 @@ impl Network {
             model,
             stats: NetworkStats::default(),
             link_occupancy: None,
-            link_free: HashMap::new(),
-            link_traffic: None,
+            link_free: Vec::new(),
+            pair_traffic: None,
         }
     }
 
@@ -147,8 +147,8 @@ impl Network {
             model,
             stats: NetworkStats::default(),
             link_occupancy: None,
-            link_free: HashMap::new(),
-            link_traffic: None,
+            link_free: Vec::new(),
+            pair_traffic: None,
         }
     }
 
@@ -158,6 +158,7 @@ impl Network {
     /// with the [`LatencyModel::Mesh`] model).
     pub fn with_contention(mut self, occupancy: u64) -> Self {
         self.link_occupancy = Some(occupancy);
+        self.link_free = vec![0; self.mesh.link_slots()];
         self
     }
 
@@ -184,7 +185,7 @@ impl Network {
             self.stats.hop_histogram.resize(hops + 1, 0);
         }
         self.stats.hop_histogram[hops] += 1;
-        let base = self.model.latency(&self.mesh, src, dst);
+        let base = self.model.remote_latency(hops);
         let Some(occ) = self.link_occupancy else {
             return base;
         };
@@ -197,7 +198,7 @@ impl Network {
         let mut prev = src;
         let mut waited = 0;
         for next in self.mesh.route(src, dst) {
-            let free = self.link_free.entry((prev, next)).or_insert(0);
+            let free = &mut self.link_free[self.mesh.link_index(prev, next)];
             if *free > t {
                 waited += *free - t;
                 t = *free;
@@ -233,39 +234,48 @@ impl Network {
     /// Turns on per-link traffic counters. Off (and free) by default;
     /// the attribution profiler enables them at machine construction.
     pub fn enable_link_counters(&mut self) {
-        self.link_traffic = Some(vec![LinkCounters::default(); self.mesh.link_slots()]);
+        let nodes = self.mesh.nodes();
+        self.pair_traffic = Some(vec![LinkCounters::default(); nodes * nodes]);
     }
 
     /// Whether per-link counters are being collected.
     pub fn link_counters_enabled(&self) -> bool {
-        self.link_traffic.is_some()
+        self.pair_traffic.is_some()
     }
 
-    /// Charges `flits` to every directed link on the dimension-ordered
-    /// route from `src` to `dst`. No-op unless counters are enabled or
-    /// for local deliveries — and purely observational either way (never
-    /// affects latency or ordering).
+    /// Charges one message of `flits` flits to every directed link on the
+    /// dimension-ordered route from `src` to `dst`. No-op unless counters
+    /// are enabled or for local deliveries — and purely observational
+    /// either way (never affects latency or ordering).
     pub fn note_link_traffic(&mut self, src: usize, dst: usize, flits: u64) {
-        let Some(table) = self.link_traffic.as_mut() else {
+        let Some(pairs) = self.pair_traffic.as_mut() else {
             return;
         };
-        let mut prev = src;
-        for next in self.mesh.route(src, dst) {
-            let c = &mut table[self.mesh.link_index(prev, next)];
-            c.messages += 1;
-            c.flits += flits;
-            prev = next;
-        }
+        let c = &mut pairs[src * self.mesh.nodes() + dst];
+        c.messages += 1;
+        c.flits += flits;
     }
 
     /// Snapshot of the counters of every link that carried a message,
     /// busiest (most flits) first, ties broken by link id for
     /// determinism. Empty when disabled.
     pub fn link_traffic(&self) -> Vec<((usize, usize), LinkCounters)> {
-        let Some(table) = &self.link_traffic else {
+        let Some(pairs) = &self.pair_traffic else {
             return Vec::new();
         };
-        let mut v: Vec<_> = table
+        let nodes = self.mesh.nodes();
+        let mut links = vec![LinkCounters::default(); self.mesh.link_slots()];
+        for (pair, c) in pairs.iter().enumerate().filter(|(_, c)| c.messages > 0) {
+            let (src, dst) = (pair / nodes, pair % nodes);
+            let mut prev = src;
+            for next in self.mesh.route(src, dst) {
+                let l = &mut links[self.mesh.link_index(prev, next)];
+                l.messages += c.messages;
+                l.flits += c.flits;
+                prev = next;
+            }
+        }
+        let mut v: Vec<_> = links
             .iter()
             .enumerate()
             .filter(|(_, c)| c.messages > 0)
@@ -284,7 +294,7 @@ impl Network {
 pub fn merge_link_traffic(
     parts: impl IntoIterator<Item = Vec<((usize, usize), LinkCounters)>>,
 ) -> Vec<((usize, usize), LinkCounters)> {
-    let mut map: HashMap<(usize, usize), LinkCounters> = HashMap::new();
+    let mut map: BTreeMap<(usize, usize), LinkCounters> = BTreeMap::new();
     for part in parts {
         for (link, c) in part {
             let e = map.entry(link).or_default();

@@ -7,7 +7,7 @@
 //! owed (§7: "Such an entity must already exist in systems that implement
 //! weak consistency ... In DASH, we have the Remote Access Cache").
 
-use std::collections::HashMap;
+use scd_core::FastSet;
 
 use crate::msg::Block;
 
@@ -83,18 +83,35 @@ pub enum StartOutcome {
 }
 
 /// Per-cluster transaction bookkeeping.
+///
+/// The MSHR file and the replacement table are small vectors kept in block
+/// order and searched linearly, as the hardware's would be: a cluster has
+/// at most one outstanding transaction per local processor, and a home
+/// only as many replacements in flight as requests it is servicing.
 #[derive(Clone, Debug, Default)]
 pub struct Rac {
-    outstanding: HashMap<Block, Mshr>,
+    outstanding: Vec<(Block, Mshr)>,
     /// Home-side: flush acks still owed per replaced block.
-    replacements: HashMap<Block, u32>,
+    replacements: Vec<(Block, u32)>,
     /// Blocks whose dirty eviction writeback has been sent but whose home
     /// has not yet (observably) processed it. Used to disambiguate a
     /// forward that bounces: flag set => the directory's dirty record is
     /// our *previous* ownership epoch (answer `WritebackRace`); flag clear
     /// but write MSHR present => the record is our in-flight grant (defer
-    /// the forward until the write completes).
-    writeback_in_flight: std::collections::HashSet<Block>,
+    /// the forward until the write completes). A flag is only cleared by
+    /// the cluster's next reply for the block, so this set is as large as
+    /// the blocks evicted dirty and not yet touched again — a map of
+    /// blocks, not a table bounded by the machine.
+    writeback_in_flight: FastSet<Block>,
+}
+
+/// Position of `block` in a block-ordered table, or where to insert it.
+fn slot_of<T>(table: &[(Block, T)], block: Block) -> Result<usize, usize> {
+    match table.iter().position(|&(b, _)| b >= block) {
+        Some(i) if table[i].0 == block => Ok(i),
+        Some(i) => Err(i),
+        None => Err(table.len()),
+    }
 }
 
 impl Rac {
@@ -110,31 +127,42 @@ impl Rac {
 
     /// Whether `block` has a transaction in flight.
     pub fn has_mshr(&self, block: Block) -> bool {
-        self.outstanding.contains_key(&block)
+        self.mshr(block).is_some()
+    }
+
+    fn mshr(&self, block: Block) -> Option<&Mshr> {
+        slot_of(&self.outstanding, block)
+            .ok()
+            .map(|i| &self.outstanding[i].1)
+    }
+
+    fn mshr_mut(&mut self, block: Block) -> Option<&mut Mshr> {
+        slot_of(&self.outstanding, block)
+            .ok()
+            .map(|i| &mut self.outstanding[i].1)
     }
 
     /// Registers processor `proc`'s `kind` access to `block`.
     pub fn start(&mut self, block: Block, kind: MshrKind, proc: usize) -> StartOutcome {
-        match self.outstanding.get_mut(&block) {
-            None => {
-                self.outstanding.insert(
-                    block,
-                    Mshr {
-                        kind,
-                        waiters: vec![(proc, kind)],
-                        acks_expected: None,
-                        acks_received: 0,
-                        reply_received: false,
-                        flush_pending: false,
-                        version: 0,
-                        poisoned: false,
-                        deferred_forward: None,
-                        retries: 0,
-                    },
-                );
+        match slot_of(&self.outstanding, block) {
+            Err(at) => {
+                let mshr = Mshr {
+                    kind,
+                    waiters: vec![(proc, kind)],
+                    acks_expected: None,
+                    acks_received: 0,
+                    reply_received: false,
+                    flush_pending: false,
+                    version: 0,
+                    poisoned: false,
+                    deferred_forward: None,
+                    retries: 0,
+                };
+                self.outstanding.insert(at, (block, mshr));
                 StartOutcome::IssueRequest
             }
-            Some(m) => {
+            Ok(i) => {
+                let m = &mut self.outstanding[i].1;
                 if kind == MshrKind::Write && m.kind == MshrKind::Read {
                     // A shared copy will not satisfy a write; reissue later.
                     m.waiters.push((proc, kind));
@@ -164,13 +192,14 @@ impl Rac {
     /// reply finds its MSHR gone (or superseded by a write) and must simply
     /// be discarded.
     pub fn try_read_reply(&mut self, block: Block) -> Option<Mshr> {
-        if self.outstanding.get(&block).map(|m| m.kind) != Some(MshrKind::Read) {
+        let i = slot_of(&self.outstanding, block).ok()?;
+        if self.outstanding[i].1.kind != MshrKind::Read {
             return None;
         }
         // Any reply implies the home processed our request, which followed
         // our writeback on the same channel: the writeback has landed.
         self.writeback_in_flight.remove(&block);
-        self.outstanding.remove(&block)
+        Some(self.outstanding.remove(i).1)
     }
 
     /// Records a NACK for `block`'s outstanding request. Returns
@@ -182,7 +211,7 @@ impl Rac {
     /// must be dropped (`None`), because reissuing a request that was
     /// *also* serviced would corrupt the directory.
     pub fn on_nack(&mut self, block: Block, was_write: bool) -> Option<u32> {
-        let m = self.outstanding.get_mut(&block)?;
+        let m = self.mshr_mut(block)?;
         let kind = if was_write {
             MshrKind::Write
         } else {
@@ -199,10 +228,7 @@ impl Rac {
     /// Returns the MSHR if the transaction is now complete.
     pub fn write_reply(&mut self, block: Block, acks: u32, version: u64) -> Option<Mshr> {
         self.writeback_in_flight.remove(&block);
-        let m = self
-            .outstanding
-            .get_mut(&block)
-            .expect("write reply without MSHR");
+        let m = self.mshr_mut(block).expect("write reply without MSHR");
         assert_eq!(m.kind, MshrKind::Write, "write reply for a read MSHR");
         assert!(m.acks_expected.is_none(), "duplicate write reply");
         m.acks_expected = Some(acks);
@@ -213,20 +239,17 @@ impl Rac {
 
     /// Records one invalidation ack. Returns the MSHR if now complete.
     pub fn inval_ack(&mut self, block: Block) -> Option<Mshr> {
-        let m = self
-            .outstanding
-            .get_mut(&block)
-            .expect("inval ack without MSHR");
+        let m = self.mshr_mut(block).expect("inval ack without MSHR");
         m.acks_received += 1;
         self.take_if_complete(block)
     }
 
     fn take_if_complete(&mut self, block: Block) -> Option<Mshr> {
-        if self.outstanding.get(&block).is_some_and(Mshr::complete) {
-            self.outstanding.remove(&block)
-        } else {
-            None
-        }
+        let i = slot_of(&self.outstanding, block).ok()?;
+        self.outstanding[i]
+            .1
+            .complete()
+            .then(|| self.outstanding.remove(i).1)
     }
 
     // ----- home-side sparse replacement tracking -----
@@ -239,28 +262,27 @@ impl Rac {
     /// (an empty victim needs no flushes).
     pub fn start_replacement(&mut self, block: Block, acks: u32) {
         assert!(acks > 0, "replacement with no sharers needs no tracking");
-        let prev = self.replacements.insert(block, acks);
-        assert!(prev.is_none(), "duplicate replacement for block {block}");
+        match slot_of(&self.replacements, block) {
+            Err(at) => self.replacements.insert(at, (block, acks)),
+            Ok(_) => panic!("duplicate replacement for block {block}"),
+        }
     }
 
     /// Records one flush ack; returns `true` when the replacement completed.
     pub fn flush_ack(&mut self, block: Block) -> bool {
-        let remaining = self
-            .replacements
-            .get_mut(&block)
-            .expect("flush ack without replacement");
+        let i = slot_of(&self.replacements, block).expect("flush ack without replacement");
+        let remaining = &mut self.replacements[i].1;
         *remaining -= 1;
-        if *remaining == 0 {
-            self.replacements.remove(&block);
-            true
-        } else {
-            false
+        let done = *remaining == 0;
+        if done {
+            self.replacements.remove(i);
         }
+        done
     }
 
     /// Whether a replacement is in flight for `block`.
     pub fn replacement_pending(&self, block: Block) -> bool {
-        self.replacements.contains_key(&block)
+        slot_of(&self.replacements, block).is_ok()
     }
 
     /// Notes that this cluster sent a dirty-eviction writeback for `block`.
@@ -276,15 +298,13 @@ impl Rac {
 
     /// The kind of the outstanding transaction for `block`, if any.
     pub fn mshr_kind(&self, block: Block) -> Option<MshrKind> {
-        self.outstanding.get(&block).map(|m| m.kind)
+        self.mshr(block).map(|m| m.kind)
     }
 
     /// Whether `block`'s outstanding transaction has already received its
     /// data/ownership reply (a write still collecting acknowledgements).
     pub fn mshr_reply_received(&self, block: Block) -> bool {
-        self.outstanding
-            .get(&block)
-            .is_some_and(|m| m.reply_received)
+        self.mshr(block).is_some_and(|m| m.reply_received)
     }
 
     /// Records a forward that must wait for this cluster's own write to
@@ -296,8 +316,7 @@ impl Rac {
     /// can be in flight.
     pub fn defer_forward(&mut self, block: Block, requester: usize, is_write: bool, version: u64) {
         let m = self
-            .outstanding
-            .get_mut(&block)
+            .mshr_mut(block)
             .unwrap_or_else(|| panic!("defer_forward without MSHR (block {block})"));
         assert_eq!(m.kind, MshrKind::Write, "forwards defer only behind writes");
         assert!(
@@ -310,7 +329,7 @@ impl Rac {
     /// Poisons an outstanding *read* for `block` (an invalidation crossed
     /// it): returns true if a read MSHR was present and marked.
     pub fn poison_read(&mut self, block: Block) -> bool {
-        match self.outstanding.get_mut(&block) {
+        match self.mshr_mut(block) {
             Some(m) if m.kind == MshrKind::Read => {
                 m.poisoned = true;
                 true
@@ -325,28 +344,22 @@ impl Rac {
     /// # Panics
     /// If no transaction is outstanding for `block`.
     pub fn defer_flush(&mut self, block: Block) {
-        self.outstanding
-            .get_mut(&block)
+        self.mshr_mut(block)
             .expect("defer_flush without MSHR")
             .flush_pending = true;
     }
 
-    /// Hashes the RAC's observable state into `h` in a canonical (sorted)
+    /// Hashes the RAC's observable state into `h` in a canonical (block)
     /// order, for model-checking state digests. Covers every field — all
     /// of them steer protocol behavior.
     pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
-        let mut blocks: Vec<Block> = self.outstanding.keys().copied().collect();
-        blocks.sort_unstable();
-        for b in blocks {
+        for (b, mshr) in &self.outstanding {
             b.hash(h);
-            self.outstanding[&b].hash(h);
+            mshr.hash(h);
         }
         0xa1u8.hash(h); // section separator
-        let mut repl: Vec<(Block, u32)> =
-            self.replacements.iter().map(|(&b, &n)| (b, n)).collect();
-        repl.sort_unstable();
-        repl.hash(h);
+        self.replacements.hash(h);
         let mut wb: Vec<Block> = self.writeback_in_flight.iter().copied().collect();
         wb.sort_unstable();
         wb.hash(h);
@@ -477,6 +490,95 @@ mod tests {
         // processed, so the NACK is stale.
         assert!(rac.inval_ack(3).is_none());
         assert_eq!(rac.on_nack(3, true), None);
+    }
+
+    /// The tables at their bound: one MSHR per local processor, started
+    /// out of block order, beside a replacement and a writeback in flight.
+    fn full_rac(start_order: [usize; 4]) -> Rac {
+        const BLOCKS: [(Block, MshrKind); 4] = [
+            (40, MshrKind::Read),
+            (8, MshrKind::Write),
+            (24, MshrKind::Read),
+            (16, MshrKind::Write),
+        ];
+        let mut rac = Rac::new();
+        for p in start_order {
+            let (block, kind) = BLOCKS[p];
+            assert_eq!(rac.start(block, kind, p), StartOutcome::IssueRequest);
+        }
+        rac.start_replacement(32, 2);
+        rac.note_writeback(48);
+        rac
+    }
+
+    #[test]
+    fn full_mshr_file_keeps_every_transaction_apart() {
+        let mut rac = full_rac([0, 1, 2, 3]);
+        assert_eq!(rac.outstanding(), 4);
+        // Merging takes no MSHR, whatever sits around the block's slot.
+        assert_eq!(rac.start(40, MshrKind::Read, 1), StartOutcome::Merged);
+        assert_eq!(
+            rac.start(40, MshrKind::Write, 3),
+            StartOutcome::WaitAndReissue
+        );
+        assert_eq!(rac.start(8, MshrKind::Read, 0), StartOutcome::Merged);
+        assert_eq!(rac.outstanding(), 4);
+        for (block, kind) in [
+            (8, MshrKind::Write),
+            (16, MshrKind::Write),
+            (24, MshrKind::Read),
+        ] {
+            assert_eq!(rac.mshr_kind(block), Some(kind));
+        }
+        assert!(!rac.has_mshr(32), "a replacement is not an MSHR");
+        assert!(rac.replacement_pending(32) && !rac.replacement_pending(40));
+        assert!(rac.writeback_in_flight(48) && !rac.writeback_in_flight(8));
+
+        // Completion order is reply/ack order, not table order, and each
+        // completion hands back its own waiters in arrival order.
+        assert!(rac.write_reply(16, 1, 7).is_none());
+        let read = rac.read_reply(40);
+        assert_eq!(
+            read.waiters,
+            vec![
+                (0, MshrKind::Read),
+                (1, MshrKind::Read),
+                (3, MshrKind::Write)
+            ]
+        );
+        let write = rac.write_reply(8, 0, 3).expect("no acks owed");
+        assert_eq!(
+            write.waiters,
+            vec![(1, MshrKind::Write), (0, MshrKind::Read)]
+        );
+        assert_eq!(write.version, 3);
+        assert!(
+            rac.inval_ack(16).is_some(),
+            "the last ack completes block 16"
+        );
+        assert_eq!(rac.outstanding(), 1);
+        assert_eq!(rac.mshr_kind(24), Some(MshrKind::Read));
+        assert!(!rac.flush_ack(32));
+        assert!(rac.flush_ack(32));
+        assert!(
+            rac.writeback_in_flight(48),
+            "only block 48's own reply clears it"
+        );
+    }
+
+    #[test]
+    fn fingerprint_ignores_the_order_transactions_started_in() {
+        use std::hash::Hasher;
+        let digest = |rac: &Rac| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            rac.fingerprint(&mut h);
+            h.finish()
+        };
+        let a = full_rac([0, 1, 2, 3]);
+        let mut b = full_rac([3, 2, 1, 0]);
+        assert_eq!(digest(&a), digest(&b));
+        b.read_reply(24);
+        assert_ne!(digest(&a), digest(&b));
     }
 
     #[test]

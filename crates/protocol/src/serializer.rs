@@ -22,7 +22,9 @@
 //! [`HomeSerializer::on_writeback`] may need to remember an "early"
 //! writeback.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use scd_core::FastMap;
 
 use crate::msg::{Block, Cluster};
 
@@ -71,14 +73,14 @@ pub struct QueuedReq {
 /// The home-side serialization state.
 #[derive(Clone, Debug, Default)]
 pub struct HomeSerializer {
-    busy: HashMap<Block, BusyReason>,
-    pending: HashMap<Block, VecDeque<QueuedReq>>,
+    busy: FastMap<Block, BusyReason>,
+    pending: FastMap<Block, VecDeque<QueuedReq>>,
     /// Epoch-ending events (writebacks / unsolicited downgrades) that
     /// arrived while their block was in flight — the matching race /
     /// transfer / request is still on the wire. Keyed by the ownership
     /// epoch they end, so a record can never be consumed by a later
     /// transaction of the same cluster.
-    early: HashMap<Block, Vec<(Cluster, u64, EarlyKind)>>,
+    early: FastMap<Block, Vec<(Cluster, u64, EarlyKind)>>,
     /// High-water mark of queued requests (ablation metric).
     max_queue_depth: usize,
     /// Total requests ever queued (ablation metric).
@@ -259,12 +261,16 @@ impl HomeSerializer {
         self.pending.get(&block).map_or(0, |q| q.len())
     }
 
-    /// Snapshot of busy blocks and queue depths (deadlock diagnostics).
+    /// Snapshot of busy blocks and queue depths, in block order (deadlock
+    /// diagnostics: the same stuck machine must render the same text).
     pub fn debug_state(&self) -> Vec<(Block, BusyReason, usize)> {
-        self.busy
+        let mut state: Vec<(Block, BusyReason, usize)> = self
+            .busy
             .iter()
-            .map(|(&b, &r)| (b, r, self.pending.get(&b).map_or(0, |q| q.len())))
-            .collect()
+            .map(|(&b, &r)| (b, r, self.pending_len(b)))
+            .collect();
+        state.sort_unstable_by_key(|&(b, _, _)| b);
+        state
     }
 
     /// Hashes the serializer's protocol-visible state into `h` in a
@@ -391,6 +397,25 @@ mod tests {
         let (depth, total) = s.queue_metrics();
         assert_eq!(depth, 3);
         assert_eq!(total, 3);
+    }
+
+    #[test]
+    fn debug_state_is_in_block_order_however_blocks_became_busy() {
+        let blocks = [97u64, 1, 33, 65, 2];
+        let mut forward = HomeSerializer::new();
+        let mut backward = HomeSerializer::new();
+        for &b in &blocks {
+            forward.mark_busy(b, BusyReason::AwaitClose);
+        }
+        for &b in blocks.iter().rev() {
+            backward.mark_busy(b, BusyReason::AwaitClose);
+        }
+        forward.queue(33, R);
+        backward.queue(33, R);
+        assert_eq!(forward.debug_state(), backward.debug_state());
+        let order: Vec<Block> = forward.debug_state().iter().map(|s| s.0).collect();
+        assert_eq!(order, vec![1, 2, 33, 65, 97]);
+        assert_eq!(forward.debug_state()[2].2, 1, "queue depth rides along");
     }
 
     #[test]

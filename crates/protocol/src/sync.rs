@@ -11,9 +11,7 @@
 //! grant imprecision falls out of the directory representation for free.
 //! Barriers are modeled as a centralized arrival counter at a home cluster.
 
-use std::collections::HashMap;
-
-use scd_core::{DirEntry, Scheme};
+use scd_core::{DirEntry, FastMap, Scheme};
 
 use crate::msg::Cluster;
 
@@ -53,7 +51,7 @@ struct LockState {
 pub struct LockManager {
     scheme: Scheme,
     clusters: usize,
-    locks: HashMap<u32, LockState>,
+    locks: FastMap<u32, LockState>,
     /// Grants issued (precise or via retry-win).
     grants: u64,
     /// Retry messages a coarse waiter vector caused.
@@ -74,7 +72,7 @@ impl LockManager {
         LockManager {
             scheme,
             clusters,
-            locks: HashMap::new(),
+            locks: FastMap::default(),
             grants: 0,
             retries: 0,
         }
@@ -172,7 +170,7 @@ impl LockManager {
 /// A centralized barrier counter at the barrier's home cluster.
 #[derive(Clone, Debug, Default)]
 pub struct BarrierManager {
-    arrivals: HashMap<u32, Vec<Cluster>>,
+    arrivals: FastMap<u32, Vec<Cluster>>,
 }
 
 impl BarrierManager {

@@ -50,7 +50,10 @@ impl<T> RingLog<T> {
         } else {
             self.buf[self.head] = item;
         }
-        self.head = (self.head + 1) % self.capacity;
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
     }
 
     /// Iterates the retained items oldest-first.
