@@ -195,8 +195,11 @@ impl From<FieldValue> for Json {
 }
 
 /// Appends `n` in decimal from a stack buffer (no `fmt` machinery, no
-/// heap).
-fn push_u64(out: &mut String, mut n: u64) {
+/// heap). Inlined into each writer's field loop: the event writer ran
+/// 10 % slower per line when sharing it with the Perfetto export made it
+/// an out-of-line call.
+#[inline]
+pub(crate) fn push_u64(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {

@@ -1,13 +1,25 @@
-//! A minimal JSON value: writer and parser.
+//! A minimal JSON value: writer, and one lexer under two readers.
 //!
 //! The workspace builds offline (no serde), so the telemetry exporters
 //! hand-roll their JSON through this module. The writer emits compact,
 //! field-order-preserving output — a *stable* schema: two runs producing
 //! the same values produce byte-identical text, which is what the
 //! regression tests and the benchmark trajectory (`BENCH_*.json`) compare.
-//! The parser accepts the subset of JSON the writer emits (plus standard
-//! escapes), enough to validate and replay our own artifacts.
+//!
+//! Reading is one borrowed pull [`Lexer`] — the single definition of the
+//! grammar this repository accepts (standard JSON: all escapes including
+//! surrogate pairs, signed/exponent numbers, nesting capped at
+//! [`MAX_DEPTH`]) and of its error texts — with two folds on top:
+//!
+//! * [`Json::parse`] builds the tree, for *documents* a reader walks more
+//!   than once (`scd-run-stats/v1`, `scd-patterns/v1`, `BENCH_*.json`);
+//! * [`Fields`] is the flat view of one object, for *records* read once
+//!   and dropped (a JSONL line, a Perfetto `traceEvents` item): keys and
+//!   scalars are slices of the input, nested values stay text that either
+//!   fold can read again, and nothing is allocated unless a string holds
+//!   an escape.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -65,20 +77,12 @@ impl Json {
         }
     }
 
-    /// The value as u64, accepting integral floats (the parser reads all
-    /// numbers as one lexical class).
-    ///
-    /// The bound is strict: `u64::MAX as f64` rounds *up* to 2^64 (the
-    /// nearest representable double), so `v <= u64::MAX as f64` would let
-    /// a JSON number equal to 2^64 through and `as u64` would silently
-    /// saturate it to `u64::MAX`. `v < 2^64` rejects it exactly — every
-    /// double strictly below that bound is a representable u64.
+    /// The value as u64, accepting integral floats below 2^64 (the
+    /// lexer reads all numbers as one lexical class).
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Json::U64(v) => Some(v),
-            Json::F64(v) if v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64 => {
-                Some(v as u64)
-            }
+            Json::F64(v) => integral(v),
             _ => None,
         }
     }
@@ -127,27 +131,58 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (the subset this module writes, plus
-    /// standard string escapes and signed/exponent numbers).
+    /// Parses a JSON document into a tree: the tree-building fold over
+    /// [`Lexer`], which defines the grammar (standard JSON with the
+    /// numbers read as one lexical class, nesting capped at
+    /// [`MAX_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
+        let mut lexer = Lexer::new(text);
+        let v = Json::read(&mut lexer)?;
+        lexer.end()?;
         Ok(v)
     }
+
+    fn read(lexer: &mut Lexer<'_>) -> Result<Json, String> {
+        Ok(match lexer.value()? {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::U64(v) => Json::U64(v),
+            Token::F64(v) => Json::F64(v),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::Arr => {
+                let mut items = Vec::new();
+                while lexer.element()? {
+                    items.push(Json::read(lexer)?);
+                }
+                Json::Arr(items)
+            }
+            Token::Obj => {
+                let mut fields = Vec::new();
+                while let Some(key) = lexer.key()? {
+                    fields.push((key.into_owned(), Json::read(lexer)?));
+                }
+                Json::Obj(fields)
+            }
+        })
+    }
+}
+
+/// `v` as a u64 when it is a non-negative integer below 2^64.
+///
+/// The bound is strict: `u64::MAX as f64` rounds *up* to 2^64 (the
+/// nearest representable double), so `v <= u64::MAX as f64` would let a
+/// JSON number equal to 2^64 through and `as u64` would silently saturate
+/// it to `u64::MAX`. `v < 2^64` rejects it exactly — every double strictly
+/// below that bound is a representable u64.
+fn integral(v: f64) -> Option<u64> {
+    (v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64).then_some(v as u64)
 }
 
 /// Writes `s` as a quoted JSON string straight into `out`: unescaped
 /// runs go through in one `write_str`, so a plain schema label costs a
 /// byte scan and a copy — no temporary `String`. Every escaped character
 /// is ASCII, so scanning bytes is exact for multi-byte text too.
+#[inline]
 pub(crate) fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
     let mut plain = 0;
@@ -220,202 +255,513 @@ impl fmt::Display for Json {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Deepest container nesting the lexer follows. Our own artifacts nest
+/// five or six levels; the cap turns a hostile `[[[[…` into a positioned
+/// error instead of a stack overflow in whichever fold is recursing.
+pub const MAX_DEPTH: usize = 128;
+
+/// One value as [`Lexer::value`] reads it: scalars whole, containers as
+/// their opening bracket (the caller walks or skips what follows).
+#[derive(Clone, Debug, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Unsigned integer.
+    U64(u64),
+    /// Any other number.
+    F64(f64),
+    /// String: a slice of the input unless it held an escape.
+    Str(Cow<'a, str>),
+    /// `[` was consumed; [`Lexer::element`] steps through the items.
+    Arr,
+    /// `{` was consumed; [`Lexer::key`] steps through the fields.
+    Obj,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+/// The pull lexer under every JSON reader in the workspace: it borrows
+/// the input, allocates only for a string that holds an escape, and is
+/// the one definition of the accepted grammar and its error texts. The
+/// caller drives structure — [`Lexer::value`] at a value, then
+/// [`Lexer::element`] / [`Lexer::key`] inside the container it opened (or
+/// [`Lexer::skip`] to pass over it) — and [`Json::parse`] and [`Fields`]
+/// are the two folds built on that.
+pub struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers open at the cursor.
+    depth: usize,
+    /// The last token opened a container, so its first child takes no
+    /// comma.
+    fresh: bool,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Lexer {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at byte {} (found `{}`)",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char).unwrap_or('∅')
-            ))
+            Err(self.expected(b))
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    #[cold]
+    fn expected(&self, b: u8) -> String {
+        format!(
+            "expected `{}` at byte {} (found `{}`)",
+            b as char,
+            self.pos,
+            self.peek().map(|c| c as char).unwrap_or('∅')
+        )
+    }
+
+    #[cold]
+    fn unexpected(&self) -> String {
+        format!(
+            "unexpected `{}` at byte {}",
+            self.peek().map(|c| c as char).unwrap_or('∅'),
+            self.pos
+        )
+    }
+
+    #[inline]
+    fn literal(&mut self, word: &str, tok: Token<'a>) -> Result<Token<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(tok)
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected `{}` at byte {}",
-                other.map(|c| c as char).unwrap_or('∅'),
+    fn open(&mut self, tok: Token<'a>) -> Result<Token<'a>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
                 self.pos
-            )),
+            ));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(tok)
+    }
+
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
+    /// Reads the value at the cursor (leading whitespace skipped).
+    #[inline]
+    pub fn value(&mut self) -> Result<Token<'a>, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => self.open(Token::Obj),
+            Some(b'[') => self.open(Token::Arr),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            _ => Err(self.unexpected()),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Inside an array: moves to the next item, or past the closing `]`
+    /// and returns `false`.
+    #[inline]
+    pub fn element(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ if first => Ok(true),
+            _ => Err(format!("expected `,` or `]` at byte {}", self.pos)),
+        }
+    }
+
+    /// Inside an object: reads the next key and its colon, or moves past
+    /// the closing `}` and returns `None`.
+    #[inline]
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ if first => {}
+            _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Passes over the rest of the container `open` opened, checking its
+    /// grammar; a scalar token has nothing left to pass over.
+    #[inline]
+    pub fn skip(&mut self, open: &Token<'a>) -> Result<(), String> {
+        match open {
+            Token::Arr | Token::Obj => self.skip_container(open == &Token::Obj),
+            _ => Ok(()),
+        }
+    }
+
+    fn skip_container(&mut self, object: bool) -> Result<(), String> {
+        while if object { self.key()?.is_some() } else { self.element()? } {
+            let item = self.value()?;
+            self.skip(&item)?;
+        }
+        Ok(())
+    }
+
+    /// Reads the value at the cursor whole: a container is skipped, and
+    /// its text comes back as a slice any reader can lex again.
+    #[inline]
+    pub fn whole(&mut self) -> Result<Value<'a>, String> {
+        self.skip_ws();
+        let start = self.pos;
+        let token = self.value()?;
+        self.skip(&token)?;
+        Ok(Value {
+            token,
+            raw: &self.text[start..self.pos],
+        })
+    }
+
+    /// Requires that only whitespace is left.
+    pub fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing garbage at byte {}", self.pos))
+        }
+    }
+
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let bytes = self.text.as_bytes();
+        let mut i = start;
+        // Delimiters are ASCII, so every cut is a char boundary.
         loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(
-                                char::from_u32(code).ok_or("bad \\u code point")?,
-                            );
-                        }
-                        _ => return Err(format!("bad escape `\\{}`", esc as char)),
-                    }
+            match bytes.get(i) {
+                Some(b'"') => {
+                    self.pos = i + 1;
+                    return Ok(Cow::Borrowed(&self.text[start..i]));
                 }
-                _ if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8: back up and decode just this
-                    // character (at most 4 bytes). Validating the whole
-                    // remaining input here instead makes parsing quadratic
-                    // in document size.
-                    self.pos -= 1;
-                    let end = (self.pos + 4).min(self.bytes.len());
-                    let chunk = &self.bytes[self.pos..end];
-                    let valid = match std::str::from_utf8(chunk) {
-                        Ok(s) => s,
-                        // The window may clip a *following* character;
-                        // everything up to the error is still decodable.
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&chunk[..e.valid_up_to()]).unwrap()
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                    let c = valid.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(b'\\') => return self.escaped_string(start, i).map(Cow::Owned),
+                Some(_) => i += 1,
+                None => return Err("unterminated string".into()),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// The rest of a string whose first escape is at `i`: unescaped runs
+    /// are copied whole.
+    #[cold]
+    fn escaped_string(&mut self, mut run: usize, mut i: usize) -> Result<String, String> {
+        let bytes = self.text.as_bytes();
+        let mut out = String::new();
+        loop {
+            match bytes.get(i) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    out.push_str(&self.text[run..i]);
+                    self.pos = i + 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(&self.text[run..i]);
+                    let Some(&esc) = bytes.get(i + 1) else {
+                        return Err("unterminated escape".into());
+                    };
+                    i += 2;
+                    out.push(match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b't' => '\t',
+                        b'r' => '\r',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'u' => self.code_point(&mut i)?,
+                        _ => return Err(format!("bad escape `\\{}`", esc as char)),
+                    });
+                    run = i;
+                }
+                Some(_) => i += 1,
+            }
+        }
+    }
+
+    /// The four hex digits at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self
+            .text
+            .as_bytes()
+            .get(at..at + 4)
+            .ok_or("truncated \\u escape")?;
+        hex.iter()
+            .try_fold(0, |acc, &b| Some(acc * 16 + (b as char).to_digit(16)?))
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))
+    }
+
+    /// Decodes the `\u` escape whose digits start at `*i`, taking the
+    /// second half of a surrogate pair with it.
+    fn code_point(&self, i: &mut usize) -> Result<char, String> {
+        let at = *i;
+        let mut code = self.hex4(at)?;
+        *i += 4;
+        if (0xD800..0xDC00).contains(&code) {
+            let low = match self.text.as_bytes().get(*i..*i + 2) {
+                Some(b"\\u") => self.hex4(*i + 2)?,
+                _ => 0,
+            };
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(format!("lone surrogate in \\u escape at byte {at}"));
+            }
+            *i += 6;
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate in \\u escape at byte {at}"))
+    }
+
+    #[inline]
+    fn number(&mut self) -> Result<Token<'a>, String> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        // A counter: up to 19 digits fit a u64 with room to spare.
+        let mut i = start;
+        let mut v = 0u64;
+        while let Some(d) = bytes.get(i).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+            v = v.wrapping_mul(10).wrapping_add(d as u64);
+            i += 1;
+        }
+        let more = matches!(bytes.get(i), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if !more && (1..=19).contains(&(i - start)) {
+            self.pos = i;
+            return Ok(Token::U64(v));
+        }
+        self.long_number()
+    }
+
+    /// Every number that is not a short run of digits: the whole lexical
+    /// class is cut out and handed to `std`.
+    #[cold]
+    fn long_number(&mut self) -> Result<Token<'a>, String> {
+        let start = self.pos;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.pos];
         if !text.contains(['.', 'e', 'E', '-']) {
             if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::U64(v));
+                return Ok(Token::U64(v));
             }
         }
         text.parse::<f64>()
-            .map(Json::F64)
+            .map(Token::F64)
             .map_err(|e| format!("bad number `{text}`: {e}"))
     }
+}
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
+/// A value read whole: its token, plus its text for the containers a
+/// token cannot hold. Only the lexer makes one, so the text is known to
+/// be the value it was cut from.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Value<'a> {
+    token: Token<'a>,
+    raw: &'a str,
+}
+
+impl<'a> Value<'a> {
+    /// The scalar, or which bracket opened the container.
+    pub fn token(&self) -> &Token<'a> {
+        &self.token
+    }
+
+    /// The value's text, brackets or quotes included; either fold can
+    /// read it again.
+    pub fn raw(&self) -> &'a str {
+        self.raw
+    }
+
+    /// As [`Json::as_u64`].
+    pub fn as_u64(&self) -> Option<u64> {
+        match self.token {
+            Token::U64(v) => Some(v),
+            Token::F64(v) => integral(v),
+            _ => None,
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
+    /// As [`Json::as_f64`].
+    pub fn as_f64(&self) -> Option<f64> {
+        match self.token {
+            Token::U64(v) => Some(v as f64),
+            Token::F64(v) => Some(v),
+            _ => None,
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+    }
+
+    /// As [`Json::as_str`].
+    pub fn as_str(&self) -> Option<&str> {
+        match &self.token {
+            Token::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// As [`Json::as_bool`].
+    pub fn as_bool(&self) -> Option<bool> {
+        match self.token {
+            Token::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The fields of an object value (none for anything else), as
+    /// `Json::get` on the subtree would find them.
+    pub fn fields(&self) -> Fields<'a> {
+        Fields::parse(self.raw).expect("the text was checked when it was skipped")
+    }
+
+    /// The items of an array value; `None` for anything else.
+    pub fn elements(&self) -> Option<Elements<'a>> {
+        let mut lexer = Lexer::new(self.raw);
+        (lexer.value() == Ok(Token::Arr)).then_some(Elements { lexer })
+    }
+}
+
+/// The items of an array [`Value`], each read whole.
+pub struct Elements<'a> {
+    lexer: Lexer<'a>,
+}
+
+impl<'a> Iterator for Elements<'a> {
+    type Item = Value<'a>;
+
+    fn next(&mut self) -> Option<Value<'a>> {
+        // The text was checked when it was skipped, so an error here can
+        // only mean the array is over.
+        match self.lexer.element() {
+            Ok(true) => self.lexer.whole().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// The records of a JSONL text: its non-blank lines, numbered from 1 as
+/// an editor shows them.
+pub fn records(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line))
+        // A record starts at its `{`; only a line that does not is worth
+        // a Unicode trim to find out that it is blank.
+        .filter(|(_, line)| line.starts_with('{') || !line.trim().is_empty())
+}
+
+/// Fields a [`Fields`] view holds without touching the heap: a trace
+/// event has at most ten, a Perfetto record eight.
+const INLINE_FIELDS: usize = 12;
+
+/// The flat fold: the top-level fields of one object, read in one pass
+/// with every key and scalar borrowed from the text and nested values
+/// kept as text. Look-up is [`Json::get`]'s (first match wins); a value
+/// that is not an object has no fields, exactly as `Json::get` finds none.
+pub struct Fields<'a> {
+    inline: [Option<(Cow<'a, str>, Value<'a>)>; INLINE_FIELDS],
+    spill: Vec<(Cow<'a, str>, Value<'a>)>,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `text` as one JSON document, under [`Json::parse`]'s grammar
+    /// and with its errors.
+    #[inline]
+    pub fn parse(text: &'a str) -> Result<Self, String> {
+        let mut lexer = Lexer::new(text);
+        let fields = Fields::read(&mut lexer)?;
+        lexer.end()?;
+        Ok(fields)
+    }
+
+    /// Reads the value at the lexer's cursor.
+    #[inline]
+    pub fn read(lexer: &mut Lexer<'a>) -> Result<Self, String> {
+        let mut fields = Fields {
+            inline: [const { None }; INLINE_FIELDS],
+            spill: Vec::new(),
+        };
+        let open = lexer.value()?;
+        if open != Token::Obj {
+            lexer.skip(&open)?;
+            return Ok(fields);
+        }
+        let mut n = 0;
+        while let Some(key) = lexer.key()? {
+            let field = (key, lexer.whole()?);
+            match fields.inline.get_mut(n) {
+                Some(slot) => *slot = Some(field),
+                None => fields.spill.push(field),
             }
+            n += 1;
         }
+        Ok(fields)
+    }
+
+    /// Field lookup, as [`Json::get`].
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
+        self.inline
+            .iter()
+            .map_while(Option::as_ref)
+            .chain(&self.spill)
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 }
 
@@ -508,6 +854,89 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"open"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn decodes_every_standard_escape_including_surrogate_pairs() {
+        assert_eq!(
+            Json::parse(r#""\"\\\/\b\f\n\r\t\u00e9\ud83e\udd80""#).unwrap(),
+            Json::Str("\"\\/\u{8}\u{c}\n\r\t\u{e9}\u{1f980}".into())
+        );
+        for (bad, want) in [
+            (r#""\ud83e""#, "lone surrogate in \\u escape at byte 3"),
+            (r#""\ud83e\u0041""#, "lone surrogate in \\u escape at byte 3"),
+            (r#""a\udd80""#, "lone surrogate in \\u escape at byte 4"),
+            (r#""\u12""#, "truncated \\u escape"),
+            (r#""\u12g4""#, "bad \\u escape at byte 3"),
+            (r#""\x""#, "bad escape `\\x`"),
+            (r#""\"#, "unterminated escape"),
+        ] {
+            assert_eq!(Json::parse(bad).unwrap_err(), want, "{bad}");
+        }
+    }
+
+    /// A hostile document is an error with a position, never a stack
+    /// overflow, in either fold.
+    #[test]
+    fn nesting_is_capped() {
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let want = format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}");
+        assert_eq!(Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err(), want);
+        assert_eq!(Json::parse(&"[".repeat(100_000)).unwrap_err(), want);
+        assert_eq!(Json::parse(&"{\"a\":".repeat(100_000)).unwrap_err(), {
+            let at = "{\"a\":".len() * MAX_DEPTH;
+            format!("nesting deeper than {MAX_DEPTH} at byte {at}")
+        });
+        assert_eq!(Fields::parse(&"[".repeat(100_000)).err(), Some(want));
+    }
+
+    #[test]
+    fn flat_view_borrows_scalars_and_keeps_nested_values_as_text() {
+        let text = r#" { "n" : 7, "s":"plain", "e":"a\nb", "k\u0065y":true, "n":8,
+            "arr":[1, [2], {"x":null}], "obj":{"in":{"deep":1.5}}, "f":2.0 } "#;
+        let f = Fields::parse(text).unwrap();
+        assert_eq!(f.get("n").and_then(Value::as_u64), Some(7), "first match wins");
+        assert!(matches!(f.get("s").unwrap().token(), Token::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(f.get("e").unwrap().token(), Token::Str(Cow::Owned(s)) if s == "a\nb"));
+        assert_eq!(f.get("key").and_then(Value::as_bool), Some(true));
+        assert_eq!(f.get("f").and_then(Value::as_u64), Some(2));
+        assert_eq!(f.get("f").and_then(Value::as_f64), Some(2.0));
+        assert!(f.get("missing").is_none());
+        let arr = f.get("arr").unwrap();
+        assert_eq!(arr.raw(), r#"[1, [2], {"x":null}]"#);
+        let items: Vec<&str> = arr.elements().unwrap().map(|v| v.raw()).collect();
+        assert_eq!(items, ["1", "[2]", r#"{"x":null}"#]);
+        assert!(f.get("obj").unwrap().elements().is_none());
+        let inner = f.get("obj").unwrap().fields();
+        assert_eq!(inner.get("in").unwrap().raw(), r#"{"deep":1.5}"#);
+        assert_eq!(
+            Json::parse(f.get("obj").unwrap().raw()).unwrap(),
+            Json::parse(text).unwrap().get("obj").unwrap().clone()
+        );
+        // Not an object: valid JSON with no fields, as `Json::get` sees it.
+        assert!(Fields::parse("[1,2]").unwrap().get("n").is_none());
+        assert!(Fields::parse("7").unwrap().get("n").is_none());
+    }
+
+    #[test]
+    fn flat_view_holds_more_fields_than_fit_inline() {
+        let n = INLINE_FIELDS + 5;
+        let text = format!(
+            "{{{}}}",
+            (0..n).map(|i| format!("\"k{i}\":{i}")).collect::<Vec<_>>().join(",")
+        );
+        let f = Fields::parse(&text).unwrap();
+        for i in 0..n {
+            assert_eq!(f.get(&format!("k{i}")).and_then(Value::as_u64), Some(i as u64));
+        }
+    }
+
+    #[test]
+    fn records_skips_blank_lines_and_numbers_from_one() {
+        let text = "{\"a\":1}\n\n  \t\n\u{a0}\n x\r\n{}";
+        let got: Vec<(usize, &str)> = records(text).collect();
+        assert_eq!(got, [(1, "{\"a\":1}"), (5, " x"), (6, "{}")]);
     }
 
     #[test]

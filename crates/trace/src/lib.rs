@@ -31,6 +31,14 @@
 //! bytes the post-hoc exporters would produce — and [`critical`] walks a
 //! [`SpanTree`] to split every transaction's latency into queueing vs
 //! service time per phase with its blocking edges.
+//!
+//! Reading a recorded run back goes through one borrowed lexer in
+//! [`json`]: documents ([`validate_stats_json`], [`compare_docs`]) keep a
+//! [`Json`] tree, while every per-record reader — [`validate_trace`],
+//! [`validate_stream`], [`extract_trace_lines`],
+//! [`PatternTable::from_trace`], [`validate_perfetto`] — is a single pass
+//! over the flat [`Fields`] view with no allocation per record, and
+//! [`to_perfetto`] renders its document straight into text.
 
 #![warn(missing_docs)]
 
@@ -55,7 +63,7 @@ pub use attrib::{
 };
 pub use critical::{analyze, BlockingEdge, CriticalReport, PhaseCost, TxnCost};
 pub use event::{EventKind, Phase, TraceEvent};
-pub use json::Json;
+pub use json::{Fields, Json};
 pub use metrics::{IntervalSnapshot, MetricsRegistry, TxnTimeline, LATENCY_BUCKET_CAP};
 pub use patterns::{
     validate_patterns_json, validate_patterns_section, PatternClass, PatternTable,

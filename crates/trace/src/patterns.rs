@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::event::{EventKind, TraceEvent};
-use crate::json::Json;
+use crate::json::{records, Fields, Json};
 use crate::schema::PATTERNS_SCHEMA;
 
 /// Blocks the table tracks individually before new blocks fall into the
@@ -283,25 +283,24 @@ impl PatternTable {
         }
     }
 
-    /// Observes one parsed trace line in stream order — the replay-side
-    /// adapter over the same counting code as [`PatternTable::observe`].
-    /// Unknown or irrelevant types pass through; malformed payloads are
-    /// counted as untracked rather than erroring, so a truncated ring
-    /// never poisons the table.
-    pub fn observe_event(&mut self, ev: &Json) {
+    /// The replay-side counting, over either fold of a trace line — the
+    /// same `note_*` calls as [`PatternTable::observe`]. Unknown or
+    /// irrelevant types pass through; malformed payloads are counted as
+    /// untracked rather than erroring, so a truncated ring never poisons
+    /// the table.
+    fn observe_record(&mut self, ev: &impl Record) {
         self.events += 1;
-        let u64_of = |key: &str| ev.get(key).and_then(Json::as_u64);
-        match ev.get("type").and_then(Json::as_str) {
-            Some("txn_begin") => match (u64_of("block"), u64_of("cluster")) {
+        match ev.str_of("type") {
+            Some("txn_begin") => match (ev.u64_of("block"), ev.u64_of("cluster")) {
                 (Some(block), Some(cluster)) => {
-                    let write = ev.get("write").and_then(Json::as_bool).unwrap_or(false);
+                    let write = ev.bool_of("write").unwrap_or(false);
                     self.note_begin(block, cluster as u32, write);
                 }
                 _ => self.untracked_events += 1,
             },
-            Some("inval") => match (u64_of("block"), u64_of("targets")) {
+            Some("inval") => match (ev.u64_of("block"), ev.u64_of("targets")) {
                 (Some(block), Some(targets)) => {
-                    let cause = ev.get("cause").and_then(Json::as_str).unwrap_or("unknown");
+                    let cause = ev.str_of("cause").unwrap_or("unknown");
                     self.note_inval(block, targets, cause);
                 }
                 _ => self.untracked_events += 1,
@@ -310,25 +309,27 @@ impl PatternTable {
         }
     }
 
-    /// Observes one rendered JSONL line (replay path). Blank lines are
-    /// skipped; a parse failure is an error (a trace file is all-JSONL
-    /// or corrupt).
+    /// Observes one trace line already parsed into a tree, in stream
+    /// order (for callers that hold `Json` events; a file goes through
+    /// [`PatternTable::observe_line`]).
+    pub fn observe_event(&mut self, ev: &Json) {
+        self.observe_record(ev);
+    }
+
+    /// Observes one rendered JSONL line (replay path). A parse failure is
+    /// an error (a trace file is all-JSONL or corrupt).
     pub fn observe_line(&mut self, line: &str) -> Result<(), String> {
-        if line.trim().is_empty() {
-            return Ok(());
-        }
-        let ev = Json::parse(line)?;
-        self.observe_event(&ev);
+        self.observe_record(&Fields::parse(line)?);
         Ok(())
     }
 
     /// Builds a table from a recorded `--trace-out` JSONL file.
     pub fn from_trace(text: &str) -> Result<Self, String> {
         let mut table = PatternTable::new();
-        for (i, line) in text.lines().enumerate() {
+        for (line_no, line) in records(text) {
             table
                 .observe_line(line)
-                .map_err(|e| format!("line {}: {e}", i + 1))?;
+                .map_err(|e| format!("line {line_no}: {e}"))?;
         }
         Ok(table)
     }
@@ -433,6 +434,38 @@ impl PatternTable {
         j.set("invalidations", self.invalidations_json());
         j.set("occupancy", occupancy.unwrap_or(Json::Null));
         j
+    }
+}
+
+/// The three look-ups replay needs from a trace line, whichever fold read
+/// it.
+trait Record {
+    fn u64_of(&self, key: &str) -> Option<u64>;
+    fn str_of(&self, key: &str) -> Option<&str>;
+    fn bool_of(&self, key: &str) -> Option<bool>;
+}
+
+impl Record for Json {
+    fn u64_of(&self, key: &str) -> Option<u64> {
+        self.get(key).and_then(Json::as_u64)
+    }
+    fn str_of(&self, key: &str) -> Option<&str> {
+        self.get(key).and_then(Json::as_str)
+    }
+    fn bool_of(&self, key: &str) -> Option<bool> {
+        self.get(key).and_then(Json::as_bool)
+    }
+}
+
+impl Record for Fields<'_> {
+    fn u64_of(&self, key: &str) -> Option<u64> {
+        self.get(key).and_then(|v| v.as_u64())
+    }
+    fn str_of(&self, key: &str) -> Option<&str> {
+        self.get(key).and_then(|v| v.as_str())
+    }
+    fn bool_of(&self, key: &str) -> Option<bool> {
+        self.get(key).and_then(|v| v.as_bool())
     }
 }
 

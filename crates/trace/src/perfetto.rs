@@ -10,60 +10,99 @@
 //! process rows. Timestamps are simulated cycles rendered in the format's
 //! microsecond field — the viewer's "us" unit reads as cycles.
 //!
-//! Hand-rolled over [`crate::json::Json`] like every other exporter (the
-//! build is offline; no serde), and paired with [`validate_perfetto`] so
+//! Rendered straight into a `String` with the trace writer's idiom (no
+//! tree per record; the build is offline, no serde), and paired with
+//! [`validate_perfetto`], which walks the document record by record, so
 //! CI can gate on schema well-formedness without a browser.
 
-use crate::json::Json;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use crate::event::push_u64;
+use crate::json::{write_escaped, Fields, Lexer, Token};
 use crate::metrics::IntervalSnapshot;
-use crate::span::SpanTree;
+use crate::span::{MsgSpan, SpanTree};
 
 /// Thread id used for spans not owned by any transaction (orphan
 /// messages). Transaction ids start at 1, so 0 never collides.
 const BACKGROUND_TID: u64 = 0;
 
-fn complete_event(
-    name: &str,
-    cat: &str,
-    pid: u64,
-    tid: u64,
-    ts: u64,
-    dur: u64,
-    args: Json,
-) -> Json {
-    Json::obj()
-        .with("name", Json::Str(name.into()))
-        .with("cat", Json::Str(cat.into()))
-        .with("ph", Json::Str("X".into()))
-        .with("pid", Json::U64(pid))
-        .with("tid", Json::U64(tid))
-        .with("ts", Json::U64(ts))
-        .with("dur", Json::U64(dur))
-        .with("args", args)
+/// Starts a field: a comma unless it is its object's first, then the
+/// key. Keys are this module's own literals, plain ASCII.
+fn key(out: &mut String, key: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
 }
 
-fn async_msg_pair(m: &crate::span::MsgSpan, pid: u64, tid: u64, id: u64) -> [Json; 2] {
-    let head = |ph: &str, ts: u64| {
-        Json::obj()
-            .with("name", Json::Str(m.msg.into()))
-            .with("cat", Json::Str("msg".into()))
-            .with("ph", Json::Str(ph.into()))
-            .with("id", Json::Str(format!("0x{id:x}")))
-            .with("pid", Json::U64(pid))
-            .with("tid", Json::U64(tid))
-            .with("ts", Json::U64(ts))
-    };
-    [
-        head("b", m.send).with(
-            "args",
-            Json::obj()
-                .with("src", Json::U64(m.src as u64))
-                .with("dst", Json::U64(m.dst as u64))
-                .with("class", Json::Str(m.class.into()))
-                .with("hops", Json::U64(m.hops as u64)),
-        ),
-        head("e", m.deliver.unwrap_or(m.send)),
-    ]
+fn str_field(out: &mut String, k: &str, v: &str) {
+    key(out, k);
+    write_escaped(out, v).expect("writing to a String cannot fail");
+}
+
+fn u64_field(out: &mut String, k: &str, n: u64) {
+    key(out, k);
+    push_u64(out, n);
+}
+
+/// Opens the next record of `traceEvents` with the fields every kind
+/// shares, in the schema's order: `name`, `cat`, `ph`, `id`, `pid`,
+/// `tid`, `ts` (those it has). The caller adds the rest and the `}`.
+#[allow(clippy::too_many_arguments)]
+fn open_record(
+    out: &mut String,
+    name: &str,
+    cat: Option<&str>,
+    ph: &str,
+    id: Option<u64>,
+    pid: u64,
+    tid: u64,
+    ts: Option<u64>,
+) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+    out.push('{');
+    str_field(out, "name", name);
+    if let Some(cat) = cat {
+        str_field(out, "cat", cat);
+    }
+    str_field(out, "ph", ph);
+    if let Some(id) = id {
+        key(out, "id");
+        write!(out, "\"0x{id:x}\"").expect("writing to a String cannot fail");
+    }
+    u64_field(out, "pid", pid);
+    u64_field(out, "tid", tid);
+    if let Some(ts) = ts {
+        u64_field(out, "ts", ts);
+    }
+}
+
+fn async_msg_pair(out: &mut String, m: &MsgSpan, pid: u64, tid: u64, id: u64) {
+    open_record(out, m.msg, Some("msg"), "b", Some(id), pid, tid, Some(m.send));
+    key(out, "args");
+    out.push('{');
+    u64_field(out, "src", m.src as u64);
+    u64_field(out, "dst", m.dst as u64);
+    str_field(out, "class", m.class);
+    u64_field(out, "hops", m.hops as u64);
+    out.push_str("}}");
+    let end = m.deliver.unwrap_or(m.send);
+    open_record(out, m.msg, Some("msg"), "e", Some(id), pid, tid, Some(end));
+    out.push('}');
+}
+
+fn process_name(out: &mut String, pid: u64, name: &str) {
+    open_record(out, "process_name", None, "M", None, pid, 0, None);
+    key(out, "args");
+    out.push('{');
+    str_field(out, "name", name);
+    out.push_str("}}");
 }
 
 /// Renders a span tree (plus optional interval counters) as a chrome
@@ -77,8 +116,9 @@ fn async_msg_pair(m: &crate::span::MsgSpan, pid: u64, tid: u64, id: u64) -> [Jso
 /// `background` lane (tid 0) of their source cluster. Counter tracks
 /// (`messages`, `retries`, `nacks`, `occupancy`) attach to a synthetic
 /// pid one past the largest cluster.
-pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> Json {
-    let mut events: Vec<Json> = Vec::new();
+pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> String {
+    let mut out = String::from("{\"traceEvents\":[");
+    let mut name = String::new();
     let mut max_pid = 0u64;
     let mut msg_id = 0u64;
     for t in &tree.txns {
@@ -87,38 +127,26 @@ pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> Json {
         let end = t.end.unwrap_or_else(|| {
             t.phases.last().map(|p| p.end).unwrap_or(t.begin)
         });
-        let root = format!(
-            "{} blk#{}",
-            if t.write { "write" } else { "read" },
-            t.block
-        );
-        events.push(complete_event(
-            &root,
-            "txn",
-            pid,
-            t.txn,
-            t.begin,
-            end.saturating_sub(t.begin),
-            Json::obj()
-                .with("txn", Json::U64(t.txn))
-                .with("block", Json::U64(t.block))
-                .with("retries", Json::U64(t.retries as u64))
-                .with("nacks", Json::U64(t.nacks as u64))
-                .with("complete", Json::Bool(t.end.is_some())),
-        ));
+        name.clear();
+        name.push_str(if t.write { "write blk#" } else { "read blk#" });
+        push_u64(&mut name, t.block);
+        open_record(&mut out, &name, Some("txn"), "X", None, pid, t.txn, Some(t.begin));
+        u64_field(&mut out, "dur", end.saturating_sub(t.begin));
+        key(&mut out, "args");
+        out.push('{');
+        u64_field(&mut out, "txn", t.txn);
+        u64_field(&mut out, "block", t.block);
+        u64_field(&mut out, "retries", t.retries as u64);
+        u64_field(&mut out, "nacks", t.nacks as u64);
+        key(&mut out, "complete");
+        out.push_str(if t.end.is_some() { "true}}" } else { "false}}" });
         for p in &t.phases {
-            events.push(complete_event(
-                p.phase,
-                "phase",
-                pid,
-                t.txn,
-                p.start,
-                p.duration(),
-                Json::obj(),
-            ));
+            open_record(&mut out, p.phase, Some("phase"), "X", None, pid, t.txn, Some(p.start));
+            u64_field(&mut out, "dur", p.duration());
+            out.push_str(",\"args\":{}}");
             for m in &p.msgs {
                 msg_id += 1;
-                events.extend(async_msg_pair(m, pid, t.txn, msg_id));
+                async_msg_pair(&mut out, m, pid, t.txn, msg_id);
             }
         }
     }
@@ -126,40 +154,20 @@ pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> Json {
         let pid = m.src as u64;
         max_pid = max_pid.max(pid);
         msg_id += 1;
-        events.extend(async_msg_pair(m, pid, BACKGROUND_TID, msg_id));
+        async_msg_pair(&mut out, m, pid, BACKGROUND_TID, msg_id);
     }
     // Metadata rows: name each cluster's process lane.
     let mut pids: Vec<u64> = tree.txns.iter().map(|t| t.cluster as u64).collect();
     pids.extend(tree.orphan_msgs.iter().map(|m| m.src as u64));
     pids.sort_unstable();
     pids.dedup();
-    for pid in &pids {
-        events.push(
-            Json::obj()
-                .with("name", Json::Str("process_name".into()))
-                .with("ph", Json::Str("M".into()))
-                .with("pid", Json::U64(*pid))
-                .with("tid", Json::U64(0))
-                .with(
-                    "args",
-                    Json::obj().with("name", Json::Str(format!("cluster {pid}"))),
-                ),
-        );
+    for pid in pids {
+        process_name(&mut out, pid, &format!("cluster {pid}"));
     }
     // Counter tracks from the interval time series, on their own pid.
     if !intervals.is_empty() {
         let counter_pid = max_pid + 1;
-        events.push(
-            Json::obj()
-                .with("name", Json::Str("process_name".into()))
-                .with("ph", Json::Str("M".into()))
-                .with("pid", Json::U64(counter_pid))
-                .with("tid", Json::U64(0))
-                .with(
-                    "args",
-                    Json::obj().with("name", Json::Str("machine counters".into())),
-                ),
-        );
+        process_name(&mut out, counter_pid, "machine counters");
         for s in intervals {
             for (name, value) in [
                 ("messages", s.messages),
@@ -167,25 +175,16 @@ pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> Json {
                 ("nacks", s.nacks),
                 ("occupancy", s.occupancy),
             ] {
-                events.push(
-                    Json::obj()
-                        .with("name", Json::Str(name.into()))
-                        .with("ph", Json::Str("C".into()))
-                        .with("pid", Json::U64(counter_pid))
-                        .with("tid", Json::U64(0))
-                        .with("ts", Json::U64(s.start))
-                        .with("args", Json::obj().with("value", Json::U64(value))),
-                );
+                open_record(&mut out, name, None, "C", None, counter_pid, 0, Some(s.start));
+                key(&mut out, "args");
+                out.push('{');
+                u64_field(&mut out, "value", value);
+                out.push_str("}}");
             }
         }
     }
-    Json::obj()
-        .with("traceEvents", Json::Arr(events))
-        .with("displayTimeUnit", Json::Str("ns".into()))
-        .with(
-            "otherData",
-            Json::obj().with("clock", Json::Str("simulated cycles".into())),
-        )
+    out.push_str("],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles\"}}");
+    out
 }
 
 /// Aggregate of one validated Perfetto document.
@@ -212,85 +211,135 @@ pub struct PerfettoSummary {
 /// lane the `X` slices obey stack discipline (properly nested, never
 /// partially overlapping).
 pub fn validate_perfetto(text: &str) -> Result<PerfettoSummary, String> {
-    let doc = Json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("missing `traceEvents` array")?;
-    let mut summary = PerfettoSummary::default();
-    // (pid, tid) -> X slices as (ts, dur).
-    let mut lanes: std::collections::BTreeMap<(u64, u64), Vec<(u64, u64)>> =
-        std::collections::BTreeMap::new();
-    // (pid, id) -> begin ts of an open async op.
-    let mut open_async: std::collections::BTreeMap<(u64, String), u64> =
-        std::collections::BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
+    let mut check = PerfettoCheck::default();
+    // A document that is not JSON is reported as that, wherever the
+    // damage is, so a record's error waits until the text has been read.
+    let mut record_err = None;
+    // The first `traceEvents` field is the one `Json::get` would find.
+    let mut events_found = None;
+    let mut lexer = Lexer::new(text);
+    let open = lexer.value()?;
+    if open == Token::Obj {
+        while let Some(key) = lexer.key()? {
+            let value = lexer.value()?;
+            if key == "traceEvents" && events_found.is_none() {
+                let is_array = value == Token::Arr;
+                events_found = Some(is_array);
+                if is_array {
+                    while lexer.element()? {
+                        let record = Fields::read(&mut lexer)?;
+                        if record_err.is_none() {
+                            record_err = check.record(&record).err();
+                        }
+                    }
+                    continue;
+                }
+            }
+            lexer.skip(&value)?;
+        }
+    } else {
+        lexer.skip(&open)?;
+    }
+    lexer.end()?;
+    if events_found != Some(true) {
+        return Err("missing `traceEvents` array".into());
+    }
+    match record_err {
+        Some(e) => Err(e),
+        None => check.finish(),
+    }
+}
+
+/// What [`validate_perfetto`] keeps while the records go by: the open
+/// async operations and the `X` slices, nothing per record otherwise.
+#[derive(Default)]
+struct PerfettoCheck<'a> {
+    summary: PerfettoSummary,
+    /// `X` slices as `(pid, tid, ts, dur)`.
+    slices: Vec<(u64, u64, u64, u64)>,
+    /// `(pid, id)` -> begin ts of an open async op.
+    open_async: BTreeMap<(u64, Cow<'a, str>), u64>,
+}
+
+impl<'a> PerfettoCheck<'a> {
+    fn record(&mut self, ev: &Fields<'a>) -> Result<(), String> {
+        let i = self.summary.events;
         let at = |key: &str| format!("traceEvents[{i}]: missing or invalid `{key}`");
-        let ph = ev.get("ph").and_then(Json::as_str).ok_or_else(|| at("ph"))?;
-        ev.get("name").and_then(Json::as_str).ok_or_else(|| at("name"))?;
-        let pid = ev.get("pid").and_then(Json::as_u64).ok_or_else(|| at("pid"))?;
-        let tid = ev.get("tid").and_then(Json::as_u64).ok_or_else(|| at("tid"))?;
-        summary.events += 1;
-        match ph {
+        let u64_of = |key: &str| ev.get(key).and_then(|v| v.as_u64()).ok_or_else(|| at(key));
+        let str_of = |key: &str| match ev.get(key).map(|v| v.token()) {
+            Some(Token::Str(s)) => Ok(s),
+            _ => Err(at(key)),
+        };
+        let ph = str_of("ph")?;
+        str_of("name")?;
+        let pid = u64_of("pid")?;
+        let tid = u64_of("tid")?;
+        self.summary.events += 1;
+        match ph.as_ref() {
             "X" => {
-                let ts = ev.get("ts").and_then(Json::as_u64).ok_or_else(|| at("ts"))?;
-                let dur = ev.get("dur").and_then(Json::as_u64).ok_or_else(|| at("dur"))?;
-                lanes.entry((pid, tid)).or_default().push((ts, dur));
-                summary.slices += 1;
+                self.slices.push((pid, tid, u64_of("ts")?, u64_of("dur")?));
+                self.summary.slices += 1;
             }
             "b" | "e" => {
-                let ts = ev.get("ts").and_then(Json::as_u64).ok_or_else(|| at("ts"))?;
-                let id = ev.get("id").and_then(Json::as_str).ok_or_else(|| at("id"))?;
-                let key = (pid, id.to_string());
+                let ts = u64_of("ts")?;
+                let id = str_of("id")?;
                 if ph == "b" {
-                    if open_async.insert(key, ts).is_some() {
+                    if self.open_async.insert((pid, id.clone()), ts).is_some() {
                         return Err(format!(
                             "traceEvents[{i}]: async id `{id}` reopened on pid {pid}"
                         ));
                     }
                 } else {
-                    let begin = open_async.remove(&key).ok_or(format!(
-                        "traceEvents[{i}]: async end `{id}` on pid {pid} without a begin"
-                    ))?;
+                    let begin = self.open_async.remove(&(pid, id.clone())).ok_or_else(|| {
+                        format!("traceEvents[{i}]: async end `{id}` on pid {pid} without a begin")
+                    })?;
                     if ts < begin {
                         return Err(format!(
                             "traceEvents[{i}]: async `{id}` ends at {ts} before its begin {begin}"
                         ));
                     }
-                    summary.async_ops += 1;
+                    self.summary.async_ops += 1;
                 }
             }
             "C" => {
-                ev.get("ts").and_then(Json::as_u64).ok_or_else(|| at("ts"))?;
-                let value = ev.get("args").and_then(|a| a.get("value"));
-                if value.and_then(Json::as_u64).is_none()
-                    && value.and_then(Json::as_f64).is_none()
-                {
+                u64_of("ts")?;
+                let args = ev.get("args").map(|a| a.fields());
+                let value = args.as_ref().and_then(|a| a.get("value"));
+                if value.and_then(|v| v.as_f64()).is_none() {
                     return Err(at("args.value"));
                 }
-                summary.counters += 1;
+                self.summary.counters += 1;
             }
-            "M" => summary.meta += 1,
+            "M" => self.summary.meta += 1,
             other => {
                 return Err(format!("traceEvents[{i}]: unknown ph `{other}`"));
             }
         }
+        Ok(())
     }
-    if let Some(((pid, id), ts)) = open_async.into_iter().next() {
-        return Err(format!(
-            "async op `{id}` on pid {pid} (begun at {ts}) never ended"
-        ));
-    }
-    // Stack discipline per lane: sort by (ts, widest first) and require
-    // each slice to fit entirely inside whatever encloses it.
-    for ((pid, tid), mut slices) in lanes {
-        slices.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+
+    fn finish(mut self) -> Result<PerfettoSummary, String> {
+        if let Some(((pid, id), ts)) = self.open_async.into_iter().next() {
+            return Err(format!(
+                "async op `{id}` on pid {pid} (begun at {ts}) never ended"
+            ));
+        }
+        // Stack discipline per lane: sort by lane, then (ts, widest
+        // first), and require each slice to fit entirely inside whatever
+        // encloses it.
+        self.slices
+            .sort_unstable_by_key(|&(pid, tid, ts, dur)| (pid, tid, ts, std::cmp::Reverse(dur)));
+        let mut lane = None;
         let mut stack: Vec<u64> = Vec::new(); // enclosing end times
-        for (ts, dur) in slices {
+        for (pid, tid, ts, dur) in self.slices {
+            if lane != Some((pid, tid)) {
+                lane = Some((pid, tid));
+                stack.clear();
+            }
             while matches!(stack.last(), Some(&end) if end <= ts) {
                 stack.pop();
             }
-            let end = ts + dur;
+            let end = ts.saturating_add(dur);
             if let Some(&open) = stack.last() {
                 if end > open {
                     return Err(format!(
@@ -301,14 +350,15 @@ pub fn validate_perfetto(text: &str) -> Result<PerfettoSummary, String> {
             }
             stack.push(end);
         }
+        Ok(self.summary)
     }
-    Ok(summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{EventKind, Phase, TraceEvent};
+    use crate::json::Json;
 
     fn ev(seq: u64, cycle: u64, cluster: u32, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -341,9 +391,8 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn export_validates_and_counts() {
-        let intervals = [IntervalSnapshot {
+    fn sample_intervals() -> [IntervalSnapshot; 1] {
+        [IntervalSnapshot {
             start: 0,
             end: 1000,
             messages: 5,
@@ -351,9 +400,12 @@ mod tests {
             nacks: 1,
             occupancy: 2,
             ops_retired: 3,
-        }];
-        let doc = to_perfetto(&sample_tree(), &intervals);
-        let text = doc.to_string();
+        }]
+    }
+
+    #[test]
+    fn export_validates_and_counts() {
+        let text = to_perfetto(&sample_tree(), &sample_intervals());
         let s = validate_perfetto(&text).unwrap();
         // 1 txn + 2 phases = 3 slices; 1 msg = 1 async pair; 4 counters;
         // 2 meta (cluster 0 + counter process).
@@ -362,13 +414,37 @@ mod tests {
         assert_eq!(s.counters, 4);
         assert_eq!(s.meta, 2);
         assert_eq!(s.events, 11);
-        // Round-trips through the parser.
-        assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    /// The document's bytes, as the `Json` tree this module used to build
+    /// rendered them: `--perfetto-out` files are compared across commits.
+    #[test]
+    fn export_bytes_are_pinned() {
+        let golden = concat!(
+            "{\"traceEvents\":[",
+            r#"{"name":"write blk#4","cat":"txn","ph":"X","pid":0,"tid":1,"ts":10,"dur":50,"args":{"txn":1,"block":4,"retries":0,"nacks":0,"complete":true}},"#,
+            r#"{"name":"issue","cat":"phase","ph":"X","pid":0,"tid":1,"ts":10,"dur":15,"args":{}},"#,
+            r#"{"name":"write_req","cat":"msg","ph":"b","id":"0x1","pid":0,"tid":1,"ts":10,"args":{"src":0,"dst":2,"class":"request","hops":2}},"#,
+            r#"{"name":"write_req","cat":"msg","ph":"e","id":"0x1","pid":0,"tid":1,"ts":24},"#,
+            r#"{"name":"home_lookup","cat":"phase","ph":"X","pid":0,"tid":1,"ts":25,"dur":35,"args":{}},"#,
+            r#"{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"cluster 0"}},"#,
+            r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"machine counters"}},"#,
+            r#"{"name":"messages","ph":"C","pid":1,"tid":0,"ts":0,"args":{"value":5}},"#,
+            r#"{"name":"retries","ph":"C","pid":1,"tid":0,"ts":0,"args":{"value":1}},"#,
+            r#"{"name":"nacks","ph":"C","pid":1,"tid":0,"ts":0,"args":{"value":1}},"#,
+            r#"{"name":"occupancy","ph":"C","pid":1,"tid":0,"ts":0,"args":{"value":2}}"#,
+            "],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles\"}}",
+        );
+        assert_eq!(to_perfetto(&sample_tree(), &sample_intervals()), golden);
+        assert_eq!(
+            to_perfetto(&SpanTree::default(), &[]),
+            "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles\"}}"
+        );
     }
 
     #[test]
     fn slices_nest_inside_the_txn_root() {
-        let doc = to_perfetto(&sample_tree(), &[]);
+        let doc = Json::parse(&to_perfetto(&sample_tree(), &[])).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let root = events
             .iter()
@@ -424,8 +500,7 @@ mod tests {
 
     #[test]
     fn empty_tree_is_a_valid_document() {
-        let doc = to_perfetto(&SpanTree::default(), &[]);
-        let s = validate_perfetto(&doc.to_string()).unwrap();
+        let s = validate_perfetto(&to_perfetto(&SpanTree::default(), &[])).unwrap();
         assert_eq!(s.events, 0);
     }
 }

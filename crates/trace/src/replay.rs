@@ -8,9 +8,10 @@
 //! been evicted; validation therefore checks ordering over the events that
 //! are present rather than demanding a complete lifecycle.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::json::{records, Fields, Json};
+use crate::sink::EVENT_TYPES;
 
 /// Aggregate of one validated trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -25,112 +26,142 @@ pub struct TraceSummary {
     pub by_type: BTreeMap<String, u64>,
 }
 
+/// What the lifecycle rules need to remember of one transaction. Lines
+/// arrive in cycle order, so once a begin has been seen no later phase or
+/// end can precede it; only the order of *kinds* is left to check.
 #[derive(Default)]
 struct TxnCheck {
     begin: Option<u64>,
-    end: Option<u64>,
-    phases: Vec<(String, u64)>,
-    last_attempt: u32,
+    ended: bool,
+    any_phase: bool,
+    fanout_seen: bool,
+    last_attempt: u64,
     last_backoff: u64,
     end_retries: Option<u64>,
     retry_events: u64,
 }
 
-fn req_u64(obj: &Json, key: &str, line: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {line}: missing or non-integer `{key}`"))
+/// The seqs seen so far, held as the highest one plus the unseen gaps
+/// below it. A recorder's seqs are dense and reach the file nearly
+/// sorted (a future-stamped begin is a few lines late), so the gaps stay
+/// few and short-lived where a set of every seq would grow with the trace.
+#[derive(Default)]
+struct SeqSet {
+    max: Option<u64>,
+    /// Unseen ranges below `max`: start -> end (exclusive).
+    gaps: BTreeMap<u64, u64>,
 }
 
-/// Parses and validates a JSONL trace, returning its summary.
-///
-/// Checks, in order:
-/// 1. every non-empty line is a JSON object carrying `seq`, `cycle`,
-///    `cluster`, and a known `type`;
-/// 2. lines arrive in `(cycle, seq)` lexicographic order — `cycle`
-///    non-decreasing, `seq` strictly increasing within a cycle — and no
-///    `seq` repeats anywhere (the global cycle-ordered merge; global seq
-///    order alone is not monotone, because an event can be recorded early
-///    carrying a future cycle stamp);
-/// 3. per transaction: at most one `txn_begin`/`txn_end`; no lifecycle
-///    event at a cycle earlier than the begin; `txn_end` at or after every
-///    phase; phases in `home_lookup` → `fanout` order;
-/// 4. per transaction: retry `attempt`s strictly increasing with
-///    non-decreasing `backoff` (exponential backoff never shrinks), and a
-///    `txn_end.retries` no smaller than the retry events observed.
-pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
-    const KNOWN: [&str; 9] = crate::sink::EVENT_TYPES;
-    let mut summary = TraceSummary::default();
-    let mut last_seq: Option<u64> = None;
-    let mut last_cycle: Option<u64> = None;
-    let mut seen_seqs: BTreeSet<u64> = BTreeSet::new();
-    let mut txns: BTreeMap<u64, TxnCheck> = BTreeMap::new();
-
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        if line.trim().is_empty() {
-            continue;
+impl SeqSet {
+    /// Adds `seq`; `false` when it was already there.
+    fn insert(&mut self, seq: u64) -> bool {
+        match self.max {
+            Some(max) if seq <= max => {
+                let Some((&start, &end)) = self.gaps.range(..=seq).next_back() else {
+                    return false;
+                };
+                if seq >= end {
+                    return false;
+                }
+                if start < seq {
+                    self.gaps.insert(start, seq);
+                } else {
+                    self.gaps.remove(&start);
+                }
+                if seq + 1 < end {
+                    self.gaps.insert(seq + 1, end);
+                }
+            }
+            _ => {
+                let unseen_from = self.max.map_or(0, |max| max + 1);
+                if unseen_from < seq {
+                    self.gaps.insert(unseen_from, seq);
+                }
+                self.max = Some(seq);
+            }
         }
-        let obj = Json::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        let seq = req_u64(&obj, "seq", line_no)?;
-        let cycle = req_u64(&obj, "cycle", line_no)?;
-        req_u64(&obj, "cluster", line_no)?;
+        true
+    }
+}
+
+/// The trace rules as a state machine over event lines: [`validate_trace`]
+/// feeds it a file, `validate_stream` feeds it the event lines of a stream
+/// as it meets them. It keeps one [`TxnCheck`] per transaction and a
+/// [`SeqSet`], nothing per line.
+#[derive(Default)]
+pub(crate) struct TraceCheck {
+    events: u64,
+    /// Counts in [`EVENT_TYPES`] order.
+    by_type: [u64; EVENT_TYPES.len()],
+    /// `(cycle, seq)` of the previous line.
+    last: Option<(u64, u64)>,
+    seen_seqs: SeqSet,
+    txns: BTreeMap<u64, TxnCheck>,
+}
+
+impl TraceCheck {
+    /// Checks one event line; `line_no` is the line its errors cite.
+    pub(crate) fn line(&mut self, obj: &Fields<'_>, line_no: usize) -> Result<(), String> {
+        let req_u64 = |key: &str| {
+            obj.get(key)
+                .and_then(|v| v.as_u64())
+                .ok_or_else(|| format!("line {line_no}: missing or non-integer `{key}`"))
+        };
+        let seq = req_u64("seq")?;
+        let cycle = req_u64("cycle")?;
+        req_u64("cluster")?;
         let ty = obj
             .get("type")
-            .and_then(Json::as_str)
+            .and_then(|v| v.as_str())
             .ok_or_else(|| format!("line {line_no}: missing `type`"))?;
-        if !KNOWN.contains(&ty) {
+        let Some(ty_index) = EVENT_TYPES.iter().position(|known| *known == ty) else {
             return Err(format!("line {line_no}: unknown event type `{ty}`"));
-        }
+        };
         // The merge orders lines by (cycle, seq). Global seq order alone is
         // NOT monotone: an event can be recorded early with a future cycle
         // stamp (e.g. a txn_begin stamped with its post-lookup issue cycle),
         // so it sorts after events recorded later at earlier cycles. Seqs
         // are still globally unique.
-        if !seen_seqs.insert(seq) {
+        if !self.seen_seqs.insert(seq) {
             return Err(format!("line {line_no}: seq {seq} repeats"));
         }
-        if let Some(prev) = last_cycle {
+        if let Some((prev, prev_seq)) = self.last {
             if cycle < prev {
                 return Err(format!(
                     "line {line_no}: cycle {cycle} runs backwards from {prev} \
                      (merge must be cycle-ordered)"
                 ));
             }
-            if cycle == prev {
-                let prev_seq = last_seq.unwrap_or(0);
-                if seq <= prev_seq {
-                    return Err(format!(
-                        "line {line_no}: seq {seq} not strictly after {prev_seq} \
-                         within cycle {cycle}"
-                    ));
-                }
+            if cycle == prev && seq <= prev_seq {
+                return Err(format!(
+                    "line {line_no}: seq {seq} not strictly after {prev_seq} \
+                     within cycle {cycle}"
+                ));
             }
         }
-        last_seq = Some(seq);
-        last_cycle = Some(cycle);
-        summary.events += 1;
-        *summary.by_type.entry(ty.to_string()).or_insert(0) += 1;
+        self.last = Some((cycle, seq));
+        self.events += 1;
+        self.by_type[ty_index] += 1;
 
         if ty == "inval" {
             // Directory-side event: no per-txn lifecycle obligations, but
             // the classifier's inputs must be present and well-typed.
-            req_u64(&obj, "block", line_no)?;
-            req_u64(&obj, "targets", line_no)?;
+            req_u64("block")?;
+            req_u64("targets")?;
             obj.get("cause")
-                .and_then(Json::as_str)
+                .and_then(|v| v.as_str())
                 .ok_or_else(|| format!("line {line_no}: inval without `cause`"))?;
         }
 
         if matches!(ty, "txn_begin" | "txn_phase" | "txn_end" | "nack" | "retry") {
-            let txn = req_u64(&obj, "txn", line_no)?;
-            let check = txns.entry(txn).or_default();
+            let txn = req_u64("txn")?;
+            let check = self.txns.entry(txn).or_default();
             match ty {
                 "txn_begin" => {
                     if check.begin.is_some() {
                         return Err(format!("line {line_no}: txn {txn} began twice"));
                     }
-                    if !check.phases.is_empty() || check.end.is_some() {
+                    if check.any_phase || check.ended {
                         return Err(format!(
                             "line {line_no}: txn {txn} has lifecycle events before its begin"
                         ));
@@ -140,63 +171,40 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
                 "txn_phase" => {
                     let phase = obj
                         .get("phase")
-                        .and_then(Json::as_str)
+                        .and_then(|v| v.as_str())
                         .ok_or_else(|| format!("line {line_no}: phase without `phase`"))?;
-                    if check.end.is_some() {
+                    if check.ended {
                         return Err(format!(
                             "line {line_no}: txn {txn} phase `{phase}` after its end"
                         ));
                     }
-                    if let Some(b) = check.begin {
-                        if cycle < b {
-                            return Err(format!(
-                                "line {line_no}: txn {txn} phase `{phase}` before its begin"
-                            ));
-                        }
-                    }
-                    if phase == "home_lookup"
-                        && check.phases.iter().any(|(p, _)| p == "fanout")
-                    {
+                    if phase == "home_lookup" && check.fanout_seen {
                         return Err(format!(
                             "line {line_no}: txn {txn} home_lookup after fanout"
                         ));
                     }
-                    check.phases.push((phase.to_string(), cycle));
+                    check.any_phase = true;
+                    check.fanout_seen |= phase == "fanout";
                 }
                 "txn_end" => {
-                    if check.end.is_some() {
+                    if check.ended {
                         return Err(format!("line {line_no}: txn {txn} ended twice"));
                     }
                     if let Some(b) = check.begin {
-                        if cycle < b {
-                            return Err(format!(
-                                "line {line_no}: txn {txn} reply before its request \
-                                 (end {cycle} < begin {b})"
-                            ));
-                        }
-                        let latency = req_u64(&obj, "latency", line_no)?;
-                        if b + latency != cycle {
+                        let latency = req_u64("latency")?;
+                        if b.checked_add(latency) != Some(cycle) {
                             return Err(format!(
                                 "line {line_no}: txn {txn} latency {latency} inconsistent \
                                  with begin {b} / end {cycle}"
                             ));
                         }
                     }
-                    if let Some(&(ref p, pc)) =
-                        check.phases.iter().max_by_key(|(_, c)| *c)
-                    {
-                        if cycle < pc {
-                            return Err(format!(
-                                "line {line_no}: txn {txn} ended before its `{p}` phase"
-                            ));
-                        }
-                    }
-                    check.end = Some(cycle);
-                    check.end_retries = Some(req_u64(&obj, "retries", line_no)?);
+                    check.ended = true;
+                    check.end_retries = Some(req_u64("retries")?);
                 }
                 "retry" => {
-                    let attempt = req_u64(&obj, "attempt", line_no)? as u32;
-                    let backoff = req_u64(&obj, "backoff", line_no)?;
+                    let attempt = req_u64("attempt")?;
+                    let backoff = req_u64("backoff")?;
                     if attempt <= check.last_attempt {
                         return Err(format!(
                             "line {line_no}: txn {txn} retry attempt {attempt} not after \
@@ -220,24 +228,63 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
                 _ => {}
             }
         }
+        Ok(())
     }
 
-    for (txn, check) in &txns {
-        if let (Some(end_retries), events) = (check.end_retries, check.retry_events) {
-            if end_retries < events {
-                return Err(format!(
-                    "txn {txn}: end reports {end_retries} retries but {events} retry \
-                     events were recorded"
-                ));
+    /// The end-of-trace checks, then the summary.
+    pub(crate) fn finish(self) -> Result<TraceSummary, String> {
+        for (txn, check) in &self.txns {
+            if let (Some(end_retries), events) = (check.end_retries, check.retry_events) {
+                if end_retries < events {
+                    return Err(format!(
+                        "txn {txn}: end reports {end_retries} retries but {events} retry \
+                         events were recorded"
+                    ));
+                }
             }
         }
+        Ok(TraceSummary {
+            events: self.events,
+            transactions: self.txns.len() as u64,
+            completed: self
+                .txns
+                .values()
+                .filter(|c| c.begin.is_some() && c.ended)
+                .count() as u64,
+            by_type: EVENT_TYPES
+                .iter()
+                .zip(self.by_type)
+                .filter(|(_, n)| *n > 0)
+                .map(|(ty, n)| (ty.to_string(), n))
+                .collect(),
+        })
     }
-    summary.transactions = txns.len() as u64;
-    summary.completed = txns
-        .values()
-        .filter(|c| c.begin.is_some() && c.end.is_some())
-        .count() as u64;
-    Ok(summary)
+}
+
+/// Parses and validates a JSONL trace, returning its summary.
+///
+/// Checks, in order:
+/// 1. every non-empty line is a JSON object carrying `seq`, `cycle`,
+///    `cluster`, and a known `type`;
+/// 2. lines arrive in `(cycle, seq)` lexicographic order — `cycle`
+///    non-decreasing, `seq` strictly increasing within a cycle — and no
+///    `seq` repeats anywhere (the global cycle-ordered merge; global seq
+///    order alone is not monotone, because an event can be recorded early
+///    carrying a future cycle stamp);
+/// 3. per transaction: at most one `txn_begin`/`txn_end`; no phase or end
+///    ahead of the begin, no phase after the end (with 2, no lifecycle
+///    event at a cycle earlier than the begin either); phases in
+///    `home_lookup` → `fanout` order; an end's `latency` spans begin to end;
+/// 4. per transaction: retry `attempt`s strictly increasing with
+///    non-decreasing `backoff` (exponential backoff never shrinks), and a
+///    `txn_end.retries` no smaller than the retry events observed.
+pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
+    let mut check = TraceCheck::default();
+    for (line_no, line) in records(text) {
+        let obj = Fields::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
+        check.line(&obj, line_no)?;
+    }
+    check.finish()
 }
 
 /// Validates a `--stats-json` document: schema tag plus the required
@@ -330,6 +377,29 @@ mod tests {
         }
         .to_json()
         .to_string()
+    }
+
+    #[test]
+    fn seq_set_agrees_with_a_plain_set() {
+        let mut rng = 0x9e3779b97f4a7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for spread in [4, 64, u64::MAX] {
+            let (mut gaps, mut plain) = (SeqSet::default(), std::collections::BTreeSet::new());
+            for _ in 0..2000 {
+                // Clustered seqs with repeats, and the ends of the range.
+                let seq = match next() % 16 {
+                    0 => u64::MAX - next() % 3,
+                    1 => next() % 3,
+                    _ => (plain.len() as u64).wrapping_add(next() % spread),
+                };
+                assert_eq!(gaps.insert(seq), plain.insert(seq), "seq {seq}");
+            }
+        }
     }
 
     #[test]

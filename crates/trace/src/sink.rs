@@ -33,9 +33,9 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 
 use crate::event::TraceEvent;
-use crate::json::Json;
+use crate::json::{records, Fields, Json};
 use crate::metrics::IntervalSnapshot;
-use crate::replay::{validate_trace, TraceSummary};
+use crate::replay::{TraceCheck, TraceSummary};
 
 /// The nine trace-event `type`s (the JSONL envelope of
 /// [`TraceEvent::write_jsonl`]). Stream-only record types must stay disjoint
@@ -280,18 +280,17 @@ pub fn run_end_record(cycles: u64, recorded: u64, dropped_events: u64) -> Json {
 /// ready to diff byte-for-byte against a post-hoc `--trace-out` file.
 /// Returns an empty string when the stream holds no events.
 pub fn extract_trace_lines(stream: &str) -> String {
-    let mut out = String::new();
-    for line in stream.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Ok(obj) = Json::parse(line) {
-            if let Some(ty) = obj.get("type").and_then(Json::as_str) {
-                if EVENT_TYPES.contains(&ty) {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-            }
+    // A stream is nearly all events: one reservation, never regrown.
+    let mut out = String::with_capacity(stream.len());
+    for (_, line) in records(stream) {
+        let is_event = Fields::parse(line).is_ok_and(|obj| {
+            obj.get("type")
+                .and_then(|v| v.as_str())
+                .is_some_and(|ty| EVENT_TYPES.contains(&ty))
+        });
+        if is_event {
+            out.push_str(line);
+            out.push('\n');
         }
     }
     out
@@ -321,40 +320,40 @@ pub struct StreamSummary {
     pub trace: TraceSummary,
 }
 
-fn req_u64(obj: &Json, key: &str, line_no: usize) -> Result<u64, String> {
+fn req_u64(obj: &Fields<'_>, key: &str, line_no: usize) -> Result<u64, String> {
     obj.get(key)
-        .and_then(Json::as_u64)
+        .and_then(|v| v.as_u64())
         .ok_or_else(|| format!("line {line_no}: `{key}` missing or not an integer"))
 }
 
 /// Validates a streamed JSONL telemetry file: every line is a known
 /// record, the embedded trace-event lines form a valid trace (all
-/// [`validate_trace`] invariants), interval windows tile and are ordered
-/// against the events around them, sweep progress counts monotonically
-/// to its total, and a `run_end`/`sweep_end` record (if present) is the
-/// final line.
+/// [`crate::validate_trace`] invariants, checked as the lines go by and
+/// reported under the stream's own line numbers), interval windows tile
+/// and are ordered against the events around them, sweep progress counts
+/// monotonically to its total, and a `run_end`/`sweep_end` record (if
+/// present) is the final line.
 pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
     let mut summary = StreamSummary::default();
-    let mut trace_lines = String::new();
+    let mut trace = TraceCheck::default();
+    // A broken stream record anywhere outranks a broken event, so the
+    // first trace error waits for the end of the stream.
+    let mut trace_err = None;
     let mut last_interval_end: Option<u64> = None;
     let mut sweep_total: Option<u64> = None;
     let mut sweep_completed: u64 = 0;
     let mut sweep_indices: BTreeSet<u64> = BTreeSet::new();
     let mut closed_by: Option<&'static str> = None;
 
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
+    for (line_no, line) in records(text) {
         if let Some(closer) = closed_by {
             return Err(format!("line {line_no}: record after `{closer}`"));
         }
         summary.lines += 1;
-        let obj = Json::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
+        let obj = Fields::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
         let ty = obj
             .get("type")
-            .and_then(Json::as_str)
+            .and_then(|v| v.as_str())
             .ok_or_else(|| format!("line {line_no}: missing `type`"))?;
         if EVENT_TYPES.contains(&ty) {
             summary.events += 1;
@@ -369,8 +368,9 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                     ));
                 }
             }
-            trace_lines.push_str(line);
-            trace_lines.push('\n');
+            if trace_err.is_none() {
+                trace_err = trace.line(&obj, line_no).err();
+            }
             continue;
         }
         match ty {
@@ -382,9 +382,10 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 summary.intervals += 1;
                 let window = obj
                     .get("window")
-                    .ok_or_else(|| format!("line {line_no}: interval without `window`"))?;
-                let start = req_u64(window, "start", line_no)?;
-                let end = req_u64(window, "end", line_no)?;
+                    .ok_or_else(|| format!("line {line_no}: interval without `window`"))?
+                    .fields();
+                let start = req_u64(&window, "start", line_no)?;
+                let end = req_u64(&window, "end", line_no)?;
                 if end <= start {
                     return Err(format!(
                         "line {line_no}: interval window [{start}, {end}) is empty"
@@ -423,9 +424,9 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 let live = req_u64(&obj, "live_entries", line_no)?;
                 let sharers = obj
                     .get("sharers")
-                    .and_then(Json::as_arr)
+                    .and_then(|v| v.elements())
                     .ok_or_else(|| format!("line {line_no}: patterns without `sharers`"))?;
-                let counted: u64 = sharers.iter().filter_map(Json::as_u64).sum();
+                let counted: u64 = sharers.filter_map(|n| n.as_u64()).sum();
                 if counted > live {
                     return Err(format!(
                         "line {line_no}: patterns sharer histogram counts {counted} \
@@ -489,10 +490,11 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
             }
         }
     }
-    if !trace_lines.is_empty() {
-        summary.trace = validate_trace(&trace_lines)
-            .map_err(|e| format!("embedded trace: {e}"))?;
+    summary.trace = match trace_err {
+        Some(e) => Err(e),
+        None => trace.finish(),
     }
+    .map_err(|e| format!("embedded trace: {e}"))?;
     Ok(summary)
 }
 

@@ -1,10 +1,18 @@
-//! Property test for the trace line contract: the allocation-free writer
-//! ([`TraceEvent::write_jsonl`]) and the `Json` tree ([`TraceEvent::to_json`])
-//! are two consumers of one field walk and must agree on every byte, for
-//! every event kind, at the edges of every field.
+//! Property tests for the two JSON contracts of the crate.
+//!
+//! Writing: the allocation-free writer ([`TraceEvent::write_jsonl`]) and
+//! the `Json` tree ([`TraceEvent::to_json`]) are two consumers of one
+//! field walk and must agree on every byte, for every event kind, at the
+//! edges of every field.
+//!
+//! Reading: the tree ([`Json::parse`]) and the flat view ([`Fields`]) are
+//! two folds over one lexer and must agree on every document — what they
+//! accept, what they find, and the error they give.
 
 use proptest::prelude::*;
-use scd_trace::{event_line, EventKind, Json, Phase, TraceEvent};
+use proptest::TestRng;
+use scd_trace::json::Value;
+use scd_trace::{event_line, EventKind, Fields, Json, Phase, TraceEvent};
 
 /// Field values biased to the edges a decimal formatter gets wrong.
 fn edge_u64() -> impl Strategy<Value = u64> {
@@ -149,4 +157,158 @@ fn the_kind_strategy_covers_every_event_type() {
     let mut all = scd_trace::EVENT_TYPES.to_vec();
     all.sort_unstable();
     assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+}
+
+/// Strings that exercise the escaper and the lexer's borrowed/owned split.
+const TEXTS: [&str; 10] = [
+    "",
+    "type",
+    "plain ascii",
+    "quo\"te",
+    "back\\slash\n\ttab\r",
+    "ctl\u{1}\u{1f}\u{8}\u{c}",
+    "caf\u{e9} \u{65e5}\u{672c} \u{1f980}",
+    "/solidus",
+    "{\"not\":[a,record]}",
+    "\u{10ffff}",
+];
+
+fn arbitrary_json(rng: &mut TestRng, depth: u32) -> Json {
+    let text = |rng: &mut TestRng| TEXTS[rng.below(TEXTS.len() as u64) as usize].to_string();
+    match rng.below(if depth < 3 { 10 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 0),
+        2 => Json::U64([0, 7, u64::MAX, 10_000_000_000_000_000_000][rng.below(4) as usize]),
+        3 => Json::U64(rng.next_u64() >> rng.below(64)),
+        4 => Json::F64([-0.5, 2.0, 1e300, -1.25e-7, 18446744073709551616.0][rng.below(5) as usize]),
+        5 => Json::F64((rng.unit() - 0.5) * 1e6),
+        6 => Json::Str(text(rng)),
+        7 => Json::Arr((0..rng.below(4)).map(|_| arbitrary_json(rng, depth + 1)).collect()),
+        // Objects, twice as likely as arrays; keys may repeat.
+        _ => Json::Obj(
+            (0..rng.below(5))
+                .map(|_| (text(rng), arbitrary_json(rng, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// `Json`'s `Display`, with whitespace wherever the grammar allows it and
+/// floats sometimes in exponent form.
+fn render_loosely(j: &Json, rng: &mut TestRng, out: &mut String) {
+    let ws = |rng: &mut TestRng, out: &mut String| {
+        for _ in 0..rng.below(3).saturating_sub(1) {
+            out.push([' ', '\t', '\n', '\r'][rng.below(4) as usize]);
+        }
+    };
+    ws(rng, out);
+    match j {
+        Json::F64(v) if rng.below(2) == 0 => {
+            let plain = format!("{v:e}");
+            let marks: &[&str] = if plain.contains("e-") { &["e", "E"] } else { &["e", "E", "e+"] };
+            out.push_str(&plain.replace('e', marks[rng.below(marks.len() as u64) as usize]));
+        }
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_loosely(item, rng, out);
+            }
+            ws(rng, out);
+            out.push(']');
+        }
+        Json::Obj(fields) => {
+            out.push('{');
+            for (i, (k, v)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(rng, out);
+                out.push_str(&Json::Str(k.clone()).to_string());
+                ws(rng, out);
+                out.push(':');
+                render_loosely(v, rng, out);
+            }
+            ws(rng, out);
+            out.push('}');
+        }
+        scalar => out.push_str(&scalar.to_string()),
+    }
+    ws(rng, out);
+}
+
+/// The scalar a flat-view value holds, as the tree would hold it.
+fn scalar_of(v: &Value<'_>) -> Option<Json> {
+    use scd_trace::json::Token;
+    Some(match v.token() {
+        Token::Null => Json::Null,
+        Token::Bool(b) => Json::Bool(*b),
+        Token::U64(n) => Json::U64(*n),
+        Token::F64(x) => Json::F64(*x),
+        Token::Str(s) => Json::Str(s.to_string()),
+        Token::Arr | Token::Obj => return None,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn tree_and_flat_view_agree_on_every_document(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        // Mostly records (objects), sometimes any value at the top.
+        let doc = match rng.below(4) {
+            0 => arbitrary_json(&mut rng, 0),
+            _ => Json::Obj(
+                (0..rng.below(16))
+                    .map(|_| (TEXTS[rng.below(TEXTS.len() as u64) as usize].to_string(), arbitrary_json(&mut rng, 1)))
+                    .collect(),
+            ),
+        };
+        let mut text = String::new();
+        render_loosely(&doc, &mut rng, &mut text);
+
+        let tree = Json::parse(&text).expect("a rendered document parses");
+        prop_assert_eq!(&tree, &doc);
+        let flat = Fields::parse(&text).expect("both folds accept it");
+        for (key, _) in tree.field_map().into_iter().flatten() {
+            let want = tree.get(key).expect("the key came from the tree");
+            let got = flat.get(key).expect("the flat view finds every key");
+            // The value's text is the subtree, readable again by either fold.
+            prop_assert_eq!(&Json::parse(got.raw()).expect("raw text is JSON"), want);
+            if let Some(scalar) = scalar_of(got) {
+                prop_assert_eq!(&scalar, want);
+            }
+            prop_assert_eq!(got.as_u64(), want.as_u64());
+            prop_assert_eq!(got.as_f64(), want.as_f64());
+            prop_assert_eq!(got.as_str(), want.as_str());
+            prop_assert_eq!(got.as_bool(), want.as_bool());
+            let items = got.elements().map(|it| it.map(|v| Json::parse(v.raw()).unwrap()).collect::<Vec<_>>());
+            prop_assert_eq!(items.as_deref(), want.as_arr());
+            let nested = got.fields();
+            for inner in want.field_map().into_iter().flatten().map(|(k, _)| k) {
+                let inner_got = nested.get(inner).expect("the nested view finds every key");
+                prop_assert_eq!(&Json::parse(inner_got.raw()).unwrap(), want.get(inner).unwrap());
+            }
+        }
+        prop_assert!(flat.get("no such key").is_none());
+
+        // Damage: every truncation and one corruption per byte. The folds
+        // share the lexer, so they reject alike and say the same thing.
+        let verdicts = |bad: &str| (Json::parse(bad).err(), Fields::parse(bad).err());
+        for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            let (tree_err, flat_err) = verdicts(&text[..cut]);
+            prop_assert_eq!(&tree_err, &flat_err, "truncated at {}: {:?}", cut, &text[..cut]);
+        }
+        for at in (0..text.len()).filter(|&i| text.as_bytes()[i].is_ascii()) {
+            let with = b"\"\\{}[],:x0- \x01"[rng.below(13) as usize];
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] = with;
+            let bad = String::from_utf8(bytes).expect("ASCII for ASCII keeps UTF-8 valid");
+            let (tree_err, flat_err) = verdicts(&bad);
+            prop_assert_eq!(&tree_err, &flat_err, "byte {} -> {:?}: {:?}", at, with as char, bad);
+        }
+    }
 }

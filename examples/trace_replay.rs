@@ -99,7 +99,7 @@ fn main() {
 
         // And the same tree exports as a chrome://tracing document.
         let perfetto = to_perfetto(&tree, &machine.metrics().intervals);
-        let summary = validate_perfetto(&perfetto.to_string()).expect("valid export");
+        let summary = validate_perfetto(&perfetto).expect("valid export");
         println!(
             "  perfetto export: {} events ({} slices, {} msg ops, {} counter samples)",
             summary.events, summary.slices, summary.async_ops, summary.counters

@@ -23,7 +23,7 @@
 //! ```
 
 use scd::stats::Histogram;
-use scd::trace::Json;
+use scd::trace::{Fields, Json};
 use std::collections::HashMap;
 use std::io::Read as _;
 
@@ -135,92 +135,97 @@ impl Dash {
     }
 
     fn ingest(&mut self, line: &str) {
-        let Ok(j) = Json::parse(line) else { return };
-        let ty = j.get("type").and_then(Json::as_str).unwrap_or("").to_string();
-        if let Some(cycle) = j.get("cycle").and_then(Json::as_u64) {
+        let Ok(j) = Fields::parse(line) else { return };
+        let u64_of = |key: &str| j.get(key).and_then(|v| v.as_u64());
+        let f64_of = |key: &str| j.get(key).and_then(|v| v.as_f64());
+        let ty = j.get("type").and_then(|v| v.as_str()).unwrap_or("");
+        if let Some(cycle) = u64_of("cycle") {
             self.cycle = self.cycle.max(cycle);
         }
-        match ty.as_str() {
+        match ty {
             "run_meta" => {
-                self.clusters = j
-                    .get("run")
+                // The one subtree kept as a tree: `render` reads labels
+                // out of it on every frame.
+                self.run = j.get("run").and_then(|run| Json::parse(run.raw()).ok());
+                self.clusters = self
+                    .run
+                    .as_ref()
                     .and_then(|r| r.get("clusters"))
                     .and_then(Json::as_u64)
                     .unwrap_or(0) as usize;
-                self.run = j.get("run").cloned();
             }
             "interval" => {
-                if let Some(w) = j.get("window") {
-                    self.cycle = self.cycle.max(w.get("end").and_then(Json::as_u64).unwrap_or(0));
-                    self.ops_retired += w.get("ops_retired").and_then(Json::as_u64).unwrap_or(0);
+                if let Some(w) = j.get("window").map(|w| w.fields()) {
+                    let u64_of = |key: &str| w.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
+                    self.cycle = self.cycle.max(u64_of("end"));
+                    self.ops_retired += u64_of("ops_retired");
                 }
             }
             "attrib_delta" => {
-                if let Some(links) = j.get("links").and_then(Json::as_arr) {
-                    for l in links {
-                        let (Some(from), Some(to), Some(flits)) = (
-                            l.get("from").and_then(Json::as_u64),
-                            l.get("to").and_then(Json::as_u64),
-                            l.get("flits").and_then(Json::as_u64),
-                        ) else {
-                            continue;
-                        };
-                        *self.links.entry((from as usize, to as usize)).or_insert(0) += flits;
-                    }
+                for l in j.get("links").and_then(|v| v.elements()).into_iter().flatten() {
+                    let l = l.fields();
+                    let u64_of = |key: &str| l.get(key).and_then(|v| v.as_u64());
+                    let (Some(from), Some(to), Some(flits)) =
+                        (u64_of("from"), u64_of("to"), u64_of("flits"))
+                    else {
+                        continue;
+                    };
+                    *self.links.entry((from as usize, to as usize)).or_insert(0) += flits;
                 }
             }
             "patterns" => {
-                self.cycle = self
-                    .cycle
-                    .max(j.get("end").and_then(Json::as_u64).unwrap_or(0));
-                self.live_entries = j.get("live_entries").and_then(Json::as_u64).unwrap_or(0);
-                if let Some(sharers) = j.get("sharers").and_then(Json::as_arr) {
-                    self.sharers = sharers.iter().filter_map(Json::as_u64).collect();
+                self.cycle = self.cycle.max(u64_of("end").unwrap_or(0));
+                self.live_entries = u64_of("live_entries").unwrap_or(0);
+                if let Some(sharers) = j.get("sharers").and_then(|v| v.elements()) {
+                    self.sharers = sharers.filter_map(|n| n.as_u64()).collect();
                 }
                 self.patterns_samples += 1;
             }
             "run_end" => {
                 self.closed = true;
-                let cycles = j.get("cycles").and_then(Json::as_u64).unwrap_or(0);
-                let rec = j.get("recorded").and_then(Json::as_u64).unwrap_or(0);
-                let drop = j.get("dropped_events").and_then(Json::as_u64).unwrap_or(0);
+                let cycles = u64_of("cycles").unwrap_or(0);
+                let rec = u64_of("recorded").unwrap_or(0);
+                let drop = u64_of("dropped_events").unwrap_or(0);
                 self.cycle = self.cycle.max(cycles);
                 self.close_line = format!(
                     "run complete: {cycles} cycles, {rec} events recorded, {drop} dropped"
                 );
             }
             "sweep_begin" => {
-                let total = j.get("total").and_then(Json::as_u64).unwrap_or(0);
-                self.sweep = Some((0, total, 0.0, 0.0));
+                self.sweep = Some((0, u64_of("total").unwrap_or(0), 0.0, 0.0));
             }
             "sweep_run" => {
                 self.sweep = Some((
-                    j.get("completed").and_then(Json::as_u64).unwrap_or(0),
-                    j.get("total").and_then(Json::as_u64).unwrap_or(0),
-                    j.get("elapsed").and_then(Json::as_f64).unwrap_or(0.0),
-                    j.get("eta").and_then(Json::as_f64).unwrap_or(0.0),
+                    u64_of("completed").unwrap_or(0),
+                    u64_of("total").unwrap_or(0),
+                    f64_of("elapsed").unwrap_or(0.0),
+                    f64_of("eta").unwrap_or(0.0),
                 ));
             }
             "sweep_end" => {
                 self.closed = true;
-                let runs = j.get("runs").and_then(Json::as_u64).unwrap_or(0);
-                let wall = j.get("wall_seconds").and_then(Json::as_f64).unwrap_or(0.0);
+                let runs = u64_of("runs").unwrap_or(0);
+                let wall = f64_of("wall_seconds").unwrap_or(0.0);
                 self.close_line = format!("sweep complete: {runs} runs in {wall:.2}s");
             }
             // Everything else is a trace-event line.
             _ => {
                 self.events += 1;
-                *self.by_type.entry(ty.clone()).or_insert(0) += 1;
-                let cycle = j.get("cycle").and_then(Json::as_u64).unwrap_or(0);
-                let txn = j.get("txn").and_then(Json::as_u64);
-                match (ty.as_str(), txn) {
+                match self.by_type.get_mut(ty) {
+                    Some(n) => *n += 1,
+                    None => {
+                        self.by_type.insert(ty.to_string(), 1);
+                    }
+                }
+                let cycle = u64_of("cycle").unwrap_or(0);
+                match (ty, u64_of("txn")) {
                     ("txn_begin", Some(txn)) => {
                         self.open.insert(txn, ("issue".to_string(), cycle));
                     }
                     ("txn_phase", Some(txn)) => {
                         let phase = j
                             .get("phase")
-                            .and_then(Json::as_str)
+                            .and_then(|v| v.as_str())
                             .unwrap_or("?")
                             .to_string();
                         if let Some((prev, start)) =
@@ -235,11 +240,10 @@ impl Dash {
                             let d = cycle.saturating_sub(start) as usize;
                             self.phase_hist(&prev).record(d);
                         }
-                        if let Some(lat) = j.get("latency").and_then(Json::as_u64) {
+                        if let Some(lat) = u64_of("latency") {
                             self.total_lat.record(lat as usize);
                         }
-                        self.retries_total +=
-                            j.get("retries").and_then(Json::as_u64).unwrap_or(0);
+                        self.retries_total += u64_of("retries").unwrap_or(0);
                     }
                     _ => {}
                 }

@@ -408,8 +408,9 @@ fn main() {
         let events = machine.trace_events();
         let tree = SpanTree::from_events(&events);
         if let Some(path) = &perfetto_out {
-            let doc = to_perfetto(&tree, &machine.metrics().intervals);
-            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
+            let mut doc = to_perfetto(&tree, &machine.metrics().intervals);
+            doc.push('\n');
+            if let Err(e) = std::fs::write(path, doc) {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(1)
             }

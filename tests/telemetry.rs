@@ -373,6 +373,27 @@ fn perfetto_export_passes_validation() {
     }
 }
 
+/// The export is rendered straight into text, never through a `Json`
+/// tree. For the four paper applications it must still be a document the
+/// tree parser reads and renders back byte for byte (field order, number
+/// forms and escapes are all `Json`'s `Display`), and it must validate.
+#[test]
+fn perfetto_export_of_every_app_is_the_text_a_json_tree_would_render() {
+    let cfg = MachineConfig::tiny(8).with_trace(TraceConfig::full(1 << 18).with_interval(2_000));
+    for app in scd::apps::suite(cfg.processors(), 11, 0.03) {
+        let mut machine = Machine::new(cfg.clone(), app.boxed_programs());
+        machine.run();
+        let tree = SpanTree::from_events(&machine.trace_events());
+        let text = to_perfetto(&tree, &machine.metrics().intervals);
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", app.name));
+        assert_eq!(doc.to_string(), text, "{}", app.name);
+        let summary = validate_perfetto(&text).unwrap_or_else(|e| panic!("{}: {e}", app.name));
+        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+        assert_eq!(summary.events, events.len() as u64, "{}", app.name);
+        assert!(summary.slices > 0 && summary.async_ops > 0 && summary.counters > 0);
+    }
+}
+
 /// PR 1's post-mortems gain causal history: when a NACK storm trips the
 /// livelock watchdog under tracing, the `PostMortem` must attach the
 /// starving cluster's trace tail, and the rendered report must show it.
