@@ -6,7 +6,7 @@
 //! * [`SharingPattern::WideRead`] — every block read by a fixed number of
 //!   processors, then written by one: the Figure-2 experiment run through
 //!   the *full machine* instead of the Monte-Carlo model, which lets the
-//!   two be cross-validated (`bench --bin fig2_machine`);
+//!   two be cross-validated (`repro fig2_machine`);
 //! * [`SharingPattern::Migratory`] — blocks handed from processor to
 //!   processor, read-modify-write (MP3D's cells);
 //! * [`SharingPattern::ProducerConsumer`] — one writer, one reader per

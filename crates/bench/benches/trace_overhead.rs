@@ -1,23 +1,17 @@
-//! Guard for the observability overhead contract: with tracing disabled,
-//! a full machine run must cost within 2% of a configuration that never
-//! mentions tracing at all (`cfg.trace = None`). The streaming pipeline
-//! rides on the same contract: a machine with no sink attached (the
-//! default — the telemetry hub holds no pump) adds one boolean test per
-//! hook site and must stay under the same guard.
+//! Ceilings on what *looking* costs: the three telemetry paths a user can
+//! switch on (metrics + attribution, the full event ring, the ring with a
+//! sink attached), each as a multiple of the plain run, compared by
+//! min-of-N wall times with the variants interleaved so clock drift and
+//! frequency scaling hit all of them equally.
 //!
-//! All configurations take the inert path — an `Option` unwrap at
-//! construction and one boolean test per hook site — so the honest
-//! expectation is ~0% overhead. The guard compares min-of-N wall times
-//! with the variants interleaved (so clock drift and frequency
-//! scaling hit both equally) and fails loudly if the contract is broken.
-//!
-//! The enabled paths — what looking costs once it is switched on — are
-//! guarded the same way against ceilings (see [`enabled_guard`]).
+//! The *disabled* path has no timing guard: `cfg.trace = None` and
+//! `Some(TraceConfig::none())` build the same inert recorder, which is a
+//! unit test in `scd-machine` (`machine::telemetry::tests`), not a ratio.
 
-use criterion::{black_box, criterion_group, Criterion};
 use scd_apps::{lu, AppRun, LuParams};
 use scd_machine::{Machine, MachineConfig};
 use scd_trace::{TraceConfig, TraceSink};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn test_app() -> AppRun {
@@ -39,30 +33,6 @@ fn run_once(app: &AppRun, trace: Option<TraceConfig>) -> u64 {
     Machine::new(cfg, app.boxed_programs()).run().cycles
 }
 
-/// The streaming-disabled path: a machine that never had a sink attached.
-/// Goes through `try_run` (the streaming hook sites live in its event
-/// loop) after asserting the stream really is inert.
-fn run_once_unstreamed(app: &AppRun) -> u64 {
-    let mut machine = Machine::new(MachineConfig::paper_32(), app.boxed_programs());
-    assert!(!machine.stream_active(), "no sink was ever attached");
-    machine.try_run().expect("run must quiesce").cycles
-}
-
-fn bench_disabled_path(c: &mut Criterion) {
-    let app = test_app();
-    let mut g = c.benchmark_group("machine/trace_overhead");
-    g.bench_function("no-trace-field", |b| {
-        b.iter(|| black_box(run_once(&app, None)))
-    });
-    g.bench_function("trace-config-none", |b| {
-        b.iter(|| black_box(run_once(&app, Some(TraceConfig::none()))))
-    });
-    g.bench_function("streaming-unattached", |b| {
-        b.iter(|| black_box(run_once_unstreamed(&app)))
-    });
-    g.finish();
-}
-
 /// Min-of-`rounds` wall nanoseconds of each variant, the variants
 /// interleaved round by round so clock drift and frequency scaling hit
 /// all of them equally. Min-of-N is robust to one-sided noise (interrupts
@@ -82,40 +52,6 @@ fn min_interleaved(rounds: usize, variants: &mut [&mut dyn FnMut() -> u64]) -> V
         }
     }
     mins
-}
-
-/// The < 2% contract, asserted.
-fn overhead_guard() {
-    // Each round is ~5 ms per variant; 31 interleaved rounds spread the
-    // samples over enough wall time that every variant's min gets a shot
-    // at a quiet slice of a loaded machine.
-    let app = test_app();
-    let mins = min_interleaved(
-        31,
-        &mut [
-            &mut || run_once(&app, None),
-            &mut || run_once(&app, Some(TraceConfig::none())),
-            &mut || run_once_unstreamed(&app),
-        ],
-    );
-    let (baseline, disabled, unstreamed) = (mins[0], mins[1], mins[2]);
-    let ratio = disabled as f64 / baseline as f64;
-    let stream_ratio = unstreamed as f64 / baseline as f64;
-    println!(
-        "trace_overhead guard: min {baseline} ns (no field) vs {disabled} ns \
-         (TraceConfig::none) vs {unstreamed} ns (streaming unattached), \
-         ratios {ratio:.4} / {stream_ratio:.4}"
-    );
-    assert!(
-        ratio < 1.02,
-        "disabled-path tracing overhead {:.2}% breaks the < 2% contract",
-        (ratio - 1.0) * 100.0
-    );
-    assert!(
-        stream_ratio < 1.02,
-        "disabled-streaming overhead {:.2}% breaks the < 2% contract",
-        (stream_ratio - 1.0) * 100.0
-    );
 }
 
 /// A sink that counts what it is given and keeps nothing, so the guard
@@ -159,8 +95,8 @@ const METRICS_ATTRIB_CEILING: f64 = 1.75;
 const FULL_RING_CEILING: f64 = 2.25;
 const STREAM_CEILING: f64 = 4.5;
 
-/// The enabled-path guard: same min-of-interleaved-rounds method as the
-/// disabled-path one, over the three costs a user can switch on.
+/// The guard: min of interleaved rounds over the three costs a user can
+/// switch on.
 fn enabled_guard() {
     let app = test_app();
     let counters = TraceConfig {
@@ -198,12 +134,6 @@ fn enabled_guard() {
     }
 }
 
-criterion_group!(benches, bench_disabled_path);
-
-// A custom `main` instead of `criterion_main!`: the guards' assertions must
-// run after the reported benchmarks.
 fn main() {
-    benches();
-    overhead_guard();
     enabled_guard();
 }

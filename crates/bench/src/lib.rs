@@ -1,31 +1,28 @@
-//! # bench — experiment harness regenerating every table and figure
+//! # bench — the reproduction driver and the sweep engine
 //!
-//! One binary per artifact (see DESIGN.md §3 for the index):
+//! * [`repro`] — the one table of paper artifacts (Figures 2–14, Tables
+//!   1–2, the cross-check, the anatomy table and nine ablations) behind
+//!   the `repro` binary: `repro [artifact…] [--scale f] [--jobs n]`
+//!   prints each artifact's rows and writes them as CSV under `results/`;
+//!   `repro --check` regenerates in memory and compares with the
+//!   committed files byte for byte. `repro --help` lists the artifacts;
+//!   DESIGN.md §3 maps each to the paper.
+//! * [`sweep`] — the deterministic parallel grid engine under
+//!   `scd-sweep`, whose job pool `repro` shares.
+//! * [`runner`] — building §6.3 machines, running one app, and writing
+//!   `BENCH_*.json` points.
 //!
-//! | binary | artifact |
-//! |---|---|
-//! | `fig2` | Figure 2a/2b — invalidations vs. sharers per scheme |
-//! | `table1` | Table 1 — machine configurations and directory overhead |
-//! | `table2` | Table 2 — application characteristics |
-//! | `fig3_6` | Figures 3–6 — LocusRoute invalidation distributions |
-//! | `fig7_10` | Figures 7–10 — exec time + traffic per scheme per app |
-//! | `fig11_12` | Figures 11/12 — sparse directory size-factor sweeps |
-//! | `fig13` | Figure 13 — sparse associativity sweep (LU) |
-//! | `fig14` | Figure 14 — sparse replacement-policy sweep (LU) |
-//! | `ablation_locks` | §7 queue-lock grant-to-region behaviour |
-//! | `ablation_pending` | home pending-queue depth (NAK-replacement design) |
-//! | `ablation_region` | coarse-vector region-size sensitivity |
-//!
-//! Each binary prints the paper-style table/chart to stdout and writes CSV
-//! under `results/`. Criterion benches in `benches/` time the hot paths.
+//! `benches/trace_overhead.rs` holds the ceilings on what telemetry may
+//! cost once switched on. Host performance is measured by the stand-alone
+//! `benchmark/` crate, not here.
 
+pub mod repro;
 pub mod runner;
 pub mod sweep;
 
 pub use runner::{
-    bench_json_name, bench_point_document, run_app, run_app_attributed, run_app_with,
-    scheme_suite, slug, sparse_config, sparse_config_with, write_bench_json, write_bench_json_in,
-    write_results, SPARSE_CACHE_RATIO,
+    bench_json_name, bench_point_document, run_app_attributed, run_app_with, scheme_suite, slug,
+    sparse_config, sparse_config_with, write_bench_json_in, SPARSE_CACHE_RATIO,
 };
 pub use sweep::{
     build_config, generate_app, run_sweep, run_sweep_with, sweep_begin_record, sweep_document,

@@ -18,13 +18,6 @@ pub fn scheme_suite() -> Vec<(&'static str, Scheme)> {
     ]
 }
 
-/// Runs `app` on a machine configured with `scheme` (otherwise the paper's
-/// 32-processor setup).
-pub fn run_app(app: &AppRun, scheme: Scheme) -> RunStats {
-    let cfg = MachineConfig::paper_32().with_scheme(scheme);
-    run_app_with(app, cfg)
-}
-
 /// Runs `app` on an explicit machine configuration.
 pub fn run_app_with(app: &AppRun, cfg: MachineConfig) -> RunStats {
     assert_eq!(
@@ -153,23 +146,13 @@ pub fn bench_json_name(app_name: &str, scheme_name: &str) -> String {
     format!("BENCH_{}_{}.json", slug(app_name), slug(scheme_name))
 }
 
-/// Writes one perf-trajectory data point as `BENCH_<app>_<scheme>.json` in
-/// the current directory, using the `scd-run-stats/v1` schema (the same
-/// document `scdsim --stats-json` emits). Successive PRs compare these
-/// files (`scd-report` automates it) to track simulator behaviour over
-/// time. `attribution` is the optional `scd-attrib/v1` section from
-/// [`run_app_attributed`].
-pub fn write_bench_json(
-    app: &AppRun,
-    scheme_name: &str,
-    stats: &RunStats,
-    attribution: Option<Json>,
-) {
-    write_bench_json_in(std::path::Path::new("."), app, scheme_name, stats, attribution);
-}
-
-/// [`write_bench_json`] into an explicit directory (created if missing) —
-/// the sweep engine's `--bench-out` lands its per-run points this way.
+/// Writes one perf-trajectory data point as `BENCH_<app>_<scheme>.json`
+/// into `dir` (created if missing), using the `scd-run-stats/v1` schema
+/// (the same document `scdsim --stats-json` emits). Successive PRs compare
+/// these files (`scd-report` automates it) to track simulator behaviour
+/// over time. `attribution` is the optional `scd-attrib/v1` section from
+/// [`run_app_attributed`]. `scd-sweep --bench-out` lands its per-run
+/// points this way.
 pub fn write_bench_json_in(
     dir: &std::path::Path,
     app: &AppRun,
@@ -198,16 +181,6 @@ pub fn bench_point_document(
         .with("shared_refs", Json::U64(app.shared_refs()))
         .with("shared_bytes", Json::U64(app.shared_bytes));
     stats.to_json_document(Some(run), None, attribution, None, None)
-}
-
-/// Writes `content` to `results/<name>` (creating the directory), and
-/// reports where it went.
-pub fn write_results(name: &str, content: &str) {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
-    std::fs::write(&path, content).expect("write results file");
-    println!("[results written to {}]", path.display());
 }
 
 #[cfg(test)]

@@ -17,11 +17,12 @@
 //!   `--jobs 1` and `--jobs N` (modulo the explicitly non-deterministic
 //!   wall-clock `timing` section, which can be omitted).
 //!
-//! `src/bin/scd-sweep.rs` is the CLI front end; `smoke`'s trajectory mode
-//! and the CI perf gate run on this engine.
+//! `src/bin/scd-sweep.rs` is the CLI front end; the `repro` driver
+//! ([`crate::repro`]) runs its artifact points on the same pool
+//! ([`fan_out`]).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use scd_apps::{dwf, locusroute, lu, mp3d, AppRun, DwfParams, LocusRouteParams, LuParams,
@@ -168,9 +169,8 @@ pub struct SweepSpec {
     pub sparse: Vec<SparseVariant>,
     /// Workload seeds.
     pub seeds: Vec<u64>,
-    /// Coherence protocol backends. `[Dash]` (the default everywhere)
-    /// reproduces the legacy single-protocol grid byte-for-byte; adding
-    /// `Tardis`/`Dls` multiplies the grid so one sweep compares the
+    /// Coherence protocol backends (`[Dash]` by default everywhere);
+    /// adding `Tardis`/`Dls` multiplies the grid so one sweep compares the
     /// protocol families on identical reference streams.
     pub protocols: Vec<ProtocolKind>,
     /// Problem scale ∈ (0, 1].
@@ -211,8 +211,9 @@ impl SweepSpec {
                         for (s, &seed) in self.seeds.iter().enumerate() {
                             let scheme_label =
                                 format!("{}{}", scheme.name(self.clusters), sparse.label_suffix());
-                            // Dash ids keep the legacy three-segment shape;
-                            // the other protocols gain their own segment so
+                            // Dash ids have three segments (the names the
+                            // committed BENCH_*.json points carry); the
+                            // other protocols gain their own segment so
                             // grid points stay unambiguous.
                             let id = if protocol == ProtocolKind::Dash {
                                 format!("{app}/{}/s{seed}", slug(&scheme_label))
@@ -457,73 +458,28 @@ pub fn run_sweep_with(
     let apps = spec.generate_apps();
     let descs = spec.descriptors();
     let n = descs.len();
-    let workers = jobs.max(1).min(n.max(1));
     let mut slots: Vec<Option<SweepRun>> = (0..n).map(|_| None).collect();
     let mut completed = 0usize;
-    let progress = |run: &SweepRun, completed: usize| {
-        let elapsed = t0.elapsed().as_secs_f64();
-        let eta = elapsed / completed as f64 * (n - completed) as f64;
-        SweepProgress {
-            index: run.desc.index,
-            id: run.desc.id.clone(),
-            cycles: run.stats.cycles,
-            run_seconds: run.wall_seconds,
-            completed,
-            total: n,
-            elapsed,
-            eta,
-        }
-    };
-
-    if workers <= 1 {
-        for desc in descs {
-            let run = execute(desc, &apps, spec);
+    let workers = fan_out(
+        n,
+        jobs,
+        |i| execute(descs[i].clone(), &apps, spec),
+        |i, run| {
             completed += 1;
-            on_run(progress(&run, completed));
-            let index = run.desc.index;
-            slots[index] = Some(run);
-        }
-    } else {
-        // Job pool: descriptors are fed through a channel drained by all
-        // workers (receiver shared behind a mutex — the textbook
-        // work-queue shape without external crates); finished runs come
-        // back on a second channel and are merged by descriptor index.
-        let (job_tx, job_rx) = mpsc::channel::<RunDescriptor>();
-        for desc in descs {
-            job_tx.send(desc).expect("queue sweep job");
-        }
-        drop(job_tx);
-        let job_rx = Mutex::new(job_rx);
-        let (res_tx, res_rx) = mpsc::channel::<SweepRun>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let res_tx = res_tx.clone();
-                let (job_rx, apps, spec) = (&job_rx, &apps, spec);
-                scope.spawn(move || loop {
-                    // Take the next job while holding the lock, then run
-                    // it with the lock released.
-                    let desc = match job_rx.lock().expect("job queue poisoned").try_recv() {
-                        Ok(desc) => desc,
-                        Err(mpsc::TryRecvError::Empty | mpsc::TryRecvError::Disconnected) => {
-                            break;
-                        }
-                    };
-                    if res_tx.send(execute(desc, apps, spec)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(res_tx);
-            // The merge loop is the only consumer, so progress callbacks
-            // fire on the caller's thread, in completion order.
-            for run in res_rx {
-                completed += 1;
-                on_run(progress(&run, completed));
-                let index = run.desc.index;
-                slots[index] = Some(run);
-            }
-        });
-    }
+            let elapsed = t0.elapsed().as_secs_f64();
+            on_run(SweepProgress {
+                index: i,
+                id: run.desc.id.clone(),
+                cycles: run.stats.cycles,
+                run_seconds: run.wall_seconds,
+                completed,
+                total: n,
+                elapsed,
+                eta: elapsed / completed as f64 * (n - completed) as f64,
+            });
+            slots[i] = Some(run);
+        },
+    );
 
     SweepOutcome {
         runs: slots
@@ -536,6 +492,49 @@ pub fn run_sweep_with(
     }
 }
 
+/// The job pool under [`run_sweep_with`] and the `repro` driver: computes
+/// `work(i)` for every `i < n` on `jobs` threads (clamped to `n`) and
+/// hands each result to `done(i, result)` on the caller's thread, in
+/// completion order. `jobs <= 1` spawns nothing and runs `0..n` inline.
+/// Returns the worker count used.
+///
+/// `work` only borrows what the caller set up before the call, so a
+/// result cannot depend on which worker computed it or when.
+pub(crate) fn fan_out<T: Send>(
+    n: usize,
+    jobs: usize,
+    work: impl Fn(usize) -> T + Sync,
+    mut done: impl FnMut(usize, T),
+) -> usize {
+    let workers = jobs.max(1).min(n.max(1));
+    if workers <= 1 {
+        for i in 0..n {
+            done(i, work(i));
+        }
+        return workers;
+    }
+    // Relaxed: the counter only hands out indices; everything `work`
+    // reads was published by spawning the scope's threads.
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (tx, next, work) = (tx.clone(), &next, &work);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n || tx.send((i, work(i))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        for (i, result) in rx {
+            done(i, result);
+        }
+    });
+    workers
+}
+
 /// Builds the aggregated `scd-sweep/v1` document.
 ///
 /// Everything except the `timing` section is a pure function of the grid,
@@ -545,12 +544,7 @@ pub fn run_sweep_with(
 /// non-deterministic, so determinism checks pass `false` (the CLI flag is
 /// `--no-timing`).
 pub fn sweep_document(outcome: &SweepOutcome, spec: &SweepSpec, include_timing: bool) -> Json {
-    // A pure-DASH grid (every legacy sweep) keeps the document
-    // byte-identical to the pre-protocol schema: the `protocols` grid key
-    // and per-run `protocol` meta appear only once the grid crosses
-    // protocol families.
-    let multi_protocol = spec.protocols != [ProtocolKind::Dash];
-    let mut grid = Json::obj()
+    let grid = Json::obj()
         .with(
             "apps",
             Json::Arr(spec.apps.iter().map(|a| Json::Str(a.clone())).collect()),
@@ -574,9 +568,8 @@ pub fn sweep_document(outcome: &SweepOutcome, spec: &SweepSpec, include_timing: 
         )
         .with("scale", Json::F64(spec.scale))
         .with("clusters", Json::U64(spec.clusters as u64))
-        .with("runs", Json::U64(outcome.runs.len() as u64));
-    if multi_protocol {
-        grid = grid.with(
+        .with("runs", Json::U64(outcome.runs.len() as u64))
+        .with(
             "protocols",
             Json::Arr(
                 spec.protocols
@@ -585,22 +578,18 @@ pub fn sweep_document(outcome: &SweepOutcome, spec: &SweepSpec, include_timing: 
                     .collect(),
             ),
         );
-    }
 
     let runs = outcome
         .runs
         .iter()
         .map(|run| {
             let app = &outcome.apps[run.desc.app_idx];
-            let mut meta = Json::obj()
+            let meta = Json::obj()
                 .with("id", Json::Str(run.desc.id.clone()))
                 .with("app", Json::Str(app.name.into()))
                 .with("scheme", Json::Str(run.desc.scheme_label.clone()))
-                .with("sparse", Json::Str(run.desc.sparse.spec()));
-            if multi_protocol {
-                meta = meta.with("protocol", Json::Str(run.desc.protocol.name().into()));
-            }
-            let meta = meta
+                .with("sparse", Json::Str(run.desc.sparse.spec()))
+                .with("protocol", Json::Str(run.desc.protocol.name().into()))
                 .with("seed", Json::U64(run.desc.seed))
                 .with("shared_refs", Json::U64(app.shared_refs()))
                 .with("shared_bytes", Json::U64(app.shared_bytes));
@@ -742,24 +731,13 @@ mod tests {
 
     /// Multi-protocol grids multiply the descriptor list per protocol,
     /// give non-DASH points their own id segment, and stamp the grid and
-    /// per-run meta with the protocol — while a pure-DASH grid emits the
-    /// exact legacy document (no `protocols`/`protocol` keys at all).
+    /// per-run meta with the protocol.
     #[test]
     fn protocol_axis_multiplies_the_grid_and_stamps_the_document() {
         let mut spec = micro_spec();
         spec.apps = vec!["lu".into()];
         spec.schemes = vec![Scheme::dir_cv(2, 2)];
         spec.sparse = vec![SparseVariant::Full];
-        let legacy = sweep_document(&run_sweep(&spec, 1), &spec, false);
-        assert!(
-            legacy.get("grid").unwrap().get("protocols").is_none(),
-            "single-protocol grids must keep the legacy schema"
-        );
-        let legacy_meta = legacy.get("runs").and_then(Json::as_arr).unwrap()[0]
-            .get("run")
-            .unwrap();
-        assert!(legacy_meta.get("protocol").is_none());
-
         spec.protocols = vec![ProtocolKind::Dash, ProtocolKind::Tardis, ProtocolKind::Dls];
         let descs = spec.descriptors();
         assert_eq!(descs.len(), 3);

@@ -89,7 +89,7 @@ impl Default for Timing {
 }
 
 /// Full description of a simulated machine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
     /// Number of clusters (home/directory nodes).
     pub clusters: usize,
@@ -121,8 +121,6 @@ pub struct MachineConfig {
     /// Verify coherence invariants when the machine quiesces (slow; on by
     /// default in tests via the integration suites).
     pub check_invariants: bool,
-    /// Debug aid: eprintln every protocol message concerning this block.
-    pub trace_block: Option<u64>,
     /// Track data versions through the protocol and assert, on every
     /// observation, that no cluster ever reads an older version of a block
     /// than it has already seen (the *version oracle* — catches stale-copy
@@ -194,7 +192,6 @@ impl MachineConfig {
             seed: 0x5CD,
             max_cycles: 0,
             check_invariants: false,
-            trace_block: None,
             track_versions: false,
             link_occupancy: None,
             replacement_hints: false,
@@ -226,7 +223,6 @@ impl MachineConfig {
             seed: 0x5CD,
             max_cycles: 50_000_000,
             check_invariants: true,
-            trace_block: None,
             track_versions: true,
             link_occupancy: None,
             replacement_hints: false,

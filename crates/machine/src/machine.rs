@@ -925,11 +925,6 @@ impl Machine {
                     self.execute(t, p, op);
                 }
                 EvLog::Deliver(msg) => {
-                    if let Some(tb) = self.cfg.trace_block {
-                        if msg.kind.block() == Some(tb) {
-                            eprintln!("[{t:>8}] {:?}", msg);
-                        }
-                    }
                     self.deliver(t, msg);
                 }
                 EvLog::Replay { home, block } => {

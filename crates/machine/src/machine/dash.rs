@@ -48,13 +48,6 @@ impl Machine {
 
     fn miss_path(&mut self, t: Cycle, p: usize, block: u64, kind: MshrKind) {
         let (cl, lp) = (self.cluster_of(p), self.local_of(p));
-        if self.cfg.trace_block == Some(block) {
-            eprintln!(
-                "[{t:>8}] proc {p} (cl {cl}): miss {kind:?}, dirty_holder={:?} holds={}",
-                self.clusters[cl].caches.dirty_holder(block),
-                self.clusters[cl].caches.holds(block)
-            );
-        }
         let tm = self.cfg.timing;
         let home = self.cfg.home_of(block);
 
@@ -420,11 +413,7 @@ impl Machine {
 
     pub(crate) fn home_request(&mut self, t: Cycle, home: usize, requester: usize, block: u64, is_write: bool) {
         let tm = self.cfg.timing;
-        let tracing = self.cfg.trace_block == Some(block);
         if self.clusters[home].ser.is_busy(block) {
-            if tracing {
-                eprintln!("[{t:>8}] home {home}: queue req from {requester} (w={is_write})");
-            }
             self.clusters[home].ser.queue(
                 block,
                 scd_protocol::QueuedReq {
@@ -450,19 +439,6 @@ impl Machine {
         }
 
         let (action, replacement) = self.dir_decide(t, home, requester, block, is_write);
-        if tracing {
-            let d = match &action {
-                DirAction::Stalled { blocker } => format!("stalled on {blocker}"),
-                DirAction::SelfOwned => "self-owned park".into(),
-                DirAction::Forward { owner } => format!("forward to {owner}"),
-                DirAction::Supply { nb_evict } => format!("supply (nb_evict {nb_evict:?})"),
-                DirAction::Grant { inval_targets } => format!("grant (invals {inval_targets:?})"),
-            };
-            eprintln!(
-                "[{t:>8}] home {home}: req from {requester} (w={is_write}) -> {d}; entry now {:?}",
-                self.clusters[home].dir.probe(self.dir_key(block)).map(|e| e.sharer_superset())
-            );
-        }
 
         if let Some(rep) = replacement {
             self.dispatch_replacement(t, home, rep);
@@ -911,12 +887,6 @@ impl Machine {
             .get(&block)
             .copied()
             .unwrap_or(0);
-        if self.cfg.trace_block == Some(block) {
-            eprintln!(
-                "[{t:>8}] owner {owner}: forward(w={is_write}) req={requester} holds={} write_mshr={write_mshr} addressed_epoch={addressed_epoch} my_epoch={my_epoch}",
-                self.clusters[owner].caches.holds(block)
-            );
-        }
         debug_assert!(
             addressed_epoch >= my_epoch,
             "forward addressed to a stale epoch ({addressed_epoch} < {my_epoch})"
@@ -1085,12 +1055,6 @@ impl Machine {
                 if let Some(v) = self.register_sharer(t, home, block, sh as usize) {
                     evicted.push(v);
                 }
-            }
-            if self.cfg.trace_block == Some(block) {
-                eprintln!(
-                    "[{t:>8}] home {home}: SWB close owner={owner} req={requester}; entry {:?}; evicted {evicted:?}",
-                    self.clusters[home].dir.probe(self.dir_key(block)).map(|e| e.sharer_superset())
-                );
             }
             self.clusters[home].dir.release_if_empty(key);
             self.clusters[home].ser.close(block);

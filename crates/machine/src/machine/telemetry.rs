@@ -1255,3 +1255,39 @@ impl Machine {
         Some(j)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scd_tango::{ScriptProgram, ThreadProgram};
+
+    /// `cfg.trace = None` and `Some(TraceConfig::none())` are one code
+    /// path, not two that happen to cost the same: both resolve to the
+    /// inert recorder (hooks gated off, no per-cluster table allocated,
+    /// a tracer without rings) under a hub that holds no pump. This is the
+    /// fact the retired "< 2% disabled-path" timing guard stood for.
+    #[test]
+    fn untraced_and_trace_none_build_the_same_inert_recorder() {
+        let plain = MachineConfig::tiny(4);
+        assert!(plain.trace.is_none());
+        for cfg in [plain.clone(), plain.with_trace(TraceConfig::none())] {
+            let programs = (0..cfg.processors())
+                .map(|_| Box::new(ScriptProgram::new(Vec::new())) as Box<dyn ThreadProgram>)
+                .collect();
+            let machine = Machine::new(cfg, programs);
+            let rec = &machine.telemetry;
+            assert!(!rec.on, "every hook site gates on this flag");
+            assert!(rec.txn_live.is_empty() && rec.txn_seq.is_empty());
+            assert!(rec.txn_phase.is_empty() && rec.msg_cost.is_empty());
+            assert!(rec.obs.sharers.is_empty());
+            assert_eq!(rec.interval_next, Cycle::MAX, "no interval boundary is ever due");
+            // A tracer without rings ignores what it is handed.
+            let mut tracer = rec.tracer.clone();
+            tracer.record(0, 1, EventKind::Nack { txn: 1, block: 0 });
+            assert_eq!(tracer.recorded(), 0);
+            assert!(!tracer.messages_enabled());
+            assert!(machine.hub.pump.is_none());
+            assert!(!machine.stream_active(), "no sink was ever attached");
+        }
+    }
+}

@@ -163,16 +163,6 @@ impl Histogram {
         }
         out
     }
-
-    /// CSV rows `value,count,fraction` for external plotting.
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("value,count,fraction\n");
-        for v in 0..=self.max_value() {
-            let _ = writeln!(out, "{v},{},{:.6}", self.count(v), self.fraction(v));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -328,18 +318,5 @@ mod tests {
         assert!(s.contains("events: 4"));
         assert!(s.contains("75.00%"));
         assert!(s.lines().count() >= 7, "rows 0..=4 plus header: {s}");
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(2);
-        let csv = h.to_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "value,count,fraction");
-        assert_eq!(lines.len(), 4); // header + values 0,1,2
-        assert!(lines[1].starts_with("0,1,"));
-        assert!(lines[2].starts_with("1,0,"));
     }
 }

@@ -11,12 +11,10 @@
 
 #![warn(missing_docs)]
 
-pub mod chart;
 pub mod histogram;
 pub mod table;
 pub mod traffic;
 
-pub use chart::render_chart;
 pub use histogram::Histogram;
 pub use table::{render_table, Align};
 pub use traffic::{MessageClass, Traffic};

@@ -80,9 +80,6 @@ pub use sink::{
     run_end_record, run_meta_record, validate_stream, BufferSink, ChannelSink, JsonlFileSink,
     StreamSummary, TraceSink, EVENT_TYPES,
 };
-pub use report::{
-    compare_docs, compare_throughput, doc_label, throughput_rates, tracked_metrics, Comparison,
-    ReportMetric, ThroughputComparison, ThroughputMetric,
-};
+pub use report::{compare_docs, doc_label, tracked_metrics, Comparison, ReportMetric};
 pub use span::{MsgSpan, PhaseSpan, SpanTree, TxnSpan};
 pub use tracer::{TraceConfig, Tracer};

@@ -229,189 +229,6 @@ pub fn compare_docs(
     })
 }
 
-// ----------------------------------------------------------------------
-// Host throughput comparison (scd-sweep/v1 timing sections)
-// ----------------------------------------------------------------------
-
-/// One throughput rate of one comparison. Unlike [`ReportMetric`] these
-/// are **higher-is-better** (simulated work per host second) and keyed by
-/// the run id the sweep assigned, so the name is owned, not static.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ThroughputMetric {
-    /// `<run id>/refs_per_sec`-style label (`aggregate/...` for the
-    /// sweep-wide rates).
-    pub name: String,
-    /// Baseline rate.
-    pub base: f64,
-    /// Candidate rate.
-    pub cand: f64,
-    /// Relative change in percent (positive = faster).
-    pub delta_pct: f64,
-    /// Whether this rate participates in the verdict. Only the
-    /// `aggregate/*` rates are gated: per-run rates time a single run of
-    /// a few milliseconds at CI scales, where scheduler noise swings
-    /// them by tens of percent, so they are shown for diagnosis only.
-    pub gated: bool,
-    /// Whether the candidate fell more than the tolerance below the
-    /// baseline (always `false` for ungated rates).
-    pub regressed: bool,
-}
-
-/// The outcome of comparing the timing sections of two `scd-sweep/v1`
-/// documents.
-#[derive(Clone, Debug)]
-pub struct ThroughputComparison {
-    /// Tolerance applied, in percent of the baseline rate.
-    pub tolerance_pct: f64,
-    /// Rates present in both documents (aggregate first, then per run in
-    /// baseline order).
-    pub metrics: Vec<ThroughputMetric>,
-}
-
-impl ThroughputComparison {
-    /// Rates that fell beyond the tolerance.
-    pub fn regressions(&self) -> impl Iterator<Item = &ThroughputMetric> {
-        self.metrics.iter().filter(|m| m.regressed)
-    }
-
-    /// Whether the candidate passes the gate.
-    pub fn ok(&self) -> bool {
-        self.metrics.iter().all(|m| !m.regressed)
-    }
-
-    /// Fixed-width throughput table plus a verdict line.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<42} {:>14} {:>14} {:>10}  verdict",
-            "throughput", "baseline", "candidate", "delta"
-        );
-        for m in &self.metrics {
-            let _ = writeln!(
-                out,
-                "{:<42} {:>14} {:>14} {:>9.2}%  {}",
-                m.name,
-                fmt_value(m.base),
-                fmt_value(m.cand),
-                m.delta_pct,
-                if m.regressed {
-                    "REGRESSED"
-                } else if m.gated {
-                    "ok"
-                } else {
-                    "info"
-                }
-            );
-        }
-        let failed = self.regressions().count();
-        let gated = self.metrics.iter().filter(|m| m.gated).count();
-        if failed == 0 {
-            let _ = writeln!(
-                out,
-                "PASS: {gated} gated throughput rates within {}% of baseline",
-                fmt_value(self.tolerance_pct)
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "FAIL: {failed} of {gated} gated throughput rates dropped more than {}%",
-                fmt_value(self.tolerance_pct)
-            );
-        }
-        out
-    }
-}
-
-/// Extracts the throughput rates of one `scd-sweep/v1` document's timing
-/// section: the aggregate `refs_per_sec`/`events_per_sec` plus each
-/// run's `refs_per_sec`, keyed by run id. Fails when the document was
-/// generated with `--no-timing` (timing is null) or predates the rates.
-pub fn throughput_rates(doc: &Json) -> Result<Vec<(String, f64)>, String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing `schema`")?;
-    if schema != crate::schema::SWEEP_SCHEMA {
-        return Err(format!(
-            "unexpected schema `{schema}` (throughput gating reads scd-sweep/v1 documents)"
-        ));
-    }
-    let timing = match doc.get("timing") {
-        Some(t) if *t != Json::Null => t,
-        _ => return Err("timing section missing or null (sweep ran with --no-timing?)".into()),
-    };
-    let rate = |j: &Json, key: &str| {
-        j.get(key)
-            .and_then(num)
-            .ok_or_else(|| format!("timing.{key} missing or non-numeric"))
-    };
-    let mut out = vec![
-        ("aggregate/refs_per_sec".to_string(), rate(timing, "refs_per_sec")?),
-        (
-            "aggregate/events_per_sec".to_string(),
-            rate(timing, "events_per_sec")?,
-        ),
-    ];
-    for run in timing
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("timing.runs missing")?
-    {
-        let id = run
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or("timing.runs[].id missing")?;
-        out.push((format!("{id}/refs_per_sec"), rate(run, "refs_per_sec")?));
-    }
-    Ok(out)
-}
-
-/// Compares the host throughput of a candidate sweep against a baseline
-/// sweep at `tolerance_pct`. Higher is better: a rate regresses when the
-/// candidate falls more than the tolerance *below* the baseline; faster
-/// candidates never fail. Only the `aggregate/*` rates carry the verdict
-/// — per-run rates are far too noisy at CI scales (a single run lasts
-/// milliseconds) and are listed as `info` rows. Rates with a zero
-/// baseline (degenerate timer resolution) are reported but never judged.
-pub fn compare_throughput(
-    base: &Json,
-    cand: &Json,
-    tolerance_pct: f64,
-) -> Result<ThroughputComparison, String> {
-    let base_rates = throughput_rates(base).map_err(|e| format!("baseline: {e}"))?;
-    let cand_rates = throughput_rates(cand).map_err(|e| format!("candidate: {e}"))?;
-    let mut metrics = Vec::new();
-    for (name, b) in base_rates {
-        let Some(c) = cand_rates.iter().find(|(n, _)| *n == name).map(|&(_, c)| c) else {
-            continue;
-        };
-        let gated = name.starts_with("aggregate/");
-        let (delta_pct, regressed) = if b == 0.0 {
-            (0.0, false)
-        } else {
-            let d = (c - b) / b * 100.0;
-            (d, gated && d < -tolerance_pct)
-        };
-        metrics.push(ThroughputMetric {
-            name,
-            base: b,
-            cand: c,
-            delta_pct,
-            gated,
-            regressed,
-        });
-    }
-    if metrics.is_empty() {
-        return Err("no throughput rates in common".into());
-    }
-    Ok(ThroughputComparison {
-        tolerance_pct,
-        metrics,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,94 +331,5 @@ mod tests {
         assert!(tracked_metrics(&Json::obj()).is_err());
         let wrong = Json::parse(r#"{"schema":"other/v1"}"#).unwrap();
         assert!(compare_docs(&wrong, &wrong, 5.0).is_err());
-    }
-
-    /// A minimal scd-sweep/v1 document with the given aggregate and
-    /// per-run refs_per_sec (events_per_sec fixed at 10x refs).
-    fn sweep_doc(agg_refs: f64, runs: &[(&str, f64)]) -> Json {
-        let per_run: String = runs
-            .iter()
-            .map(|(id, r)| {
-                format!(
-                    r#"{{"id":"{id}","seconds":1.0,"refs_per_sec":{r},"events_per_sec":{}}}"#,
-                    r * 10.0
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        Json::parse(&format!(
-            r#"{{"schema":"scd-sweep/v1","grid":{{}},"runs":[],
-                "timing":{{"jobs":1,"wall_seconds":1.0,"serial_seconds":1.0,
-                  "speedup":1.0,"refs_per_sec":{agg_refs},
-                  "events_per_sec":{},"runs":[{per_run}]}}}}"#,
-            agg_refs * 10.0
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn throughput_self_comparison_is_clean() {
-        let d = sweep_doc(50_000.0, &[("lu/dir4cv4/s1", 60_000.0)]);
-        let cmp = compare_throughput(&d, &d, 10.0).unwrap();
-        assert!(cmp.ok());
-        assert_eq!(cmp.metrics.len(), 3, "aggregate refs+events, one per-run rate");
-        assert!(cmp.metrics.iter().all(|m| m.delta_pct == 0.0));
-    }
-
-    #[test]
-    fn throughput_gate_is_higher_is_better() {
-        let base = sweep_doc(50_000.0, &[("lu/dir4cv4/s1", 60_000.0)]);
-        // 3x faster: lower-is-better logic would flag this as a +200%
-        // "regression"; the throughput gate must pass it.
-        let faster = sweep_doc(150_000.0, &[("lu/dir4cv4/s1", 180_000.0)]);
-        assert!(compare_throughput(&base, &faster, 0.0).unwrap().ok());
-        // 20% slower against a 15% tolerance: fail, on both aggregate
-        // rates — the per-run rate dropped just as far but is info-only.
-        let slower = sweep_doc(40_000.0, &[("lu/dir4cv4/s1", 48_000.0)]);
-        let cmp = compare_throughput(&base, &slower, 15.0).unwrap();
-        assert!(!cmp.ok());
-        assert_eq!(cmp.regressions().count(), 2);
-        assert!(cmp.regressions().all(|m| m.name.starts_with("aggregate/")));
-        // ...but within a 25% tolerance it passes.
-        assert!(compare_throughput(&base, &slower, 25.0).unwrap().ok());
-    }
-
-    #[test]
-    fn throughput_matches_runs_by_id_and_skips_strangers() {
-        let base = sweep_doc(50_000.0, &[("lu/dir4cv4/s1", 60_000.0), ("gone/s1", 10.0)]);
-        let cand = sweep_doc(50_000.0, &[("lu/dir4cv4/s1", 59_000.0), ("new/s1", 99.0)]);
-        let cmp = compare_throughput(&base, &cand, 5.0).unwrap();
-        assert_eq!(cmp.metrics.len(), 3, "unmatched run ids are not judged");
-        assert!(cmp.ok());
-    }
-
-    #[test]
-    fn throughput_rejects_untimed_and_foreign_documents() {
-        let untimed =
-            Json::parse(r#"{"schema":"scd-sweep/v1","grid":{},"runs":[],"timing":null}"#)
-                .unwrap();
-        let d = sweep_doc(1.0, &[]);
-        assert!(compare_throughput(&untimed, &d, 5.0).is_err());
-        let stats = doc(1000, [40, 40, 10, 10], 50, 25);
-        assert!(compare_throughput(&stats, &d, 5.0).is_err());
-    }
-
-    #[test]
-    fn throughput_render_is_stable() {
-        let base = sweep_doc(50_000.0, &[("lu/dir4cv4/s1", 60_000.0)]);
-        let slower = sweep_doc(40_000.0, &[("lu/dir4cv4/s1", 48_000.0)]);
-        let text = compare_throughput(&base, &slower, 15.0).unwrap().render();
-        assert!(text.contains("aggregate/refs_per_sec"), "{text}");
-        assert!(text.contains("REGRESSED"), "{text}");
-        assert!(text.contains("info"), "per-run rows are info-only: {text}");
-        assert!(
-            text.contains("FAIL: 2 of 2 gated throughput rates dropped more than 15%"),
-            "{text}"
-        );
-        let clean = compare_throughput(&base, &base, 15.0).unwrap().render();
-        assert!(
-            clean.contains("PASS: 2 gated throughput rates within 15% of baseline"),
-            "{clean}"
-        );
     }
 }

@@ -17,41 +17,26 @@
 //! candidates; a single file self-compares (always a pass — useful as a
 //! schema smoke test). Exit codes: 0 all candidates within tolerance,
 //! 1 at least one regression, 2 usage or parse error.
-//!
-//! With `--throughput-tolerance`, the reporter instead gates *host
-//! throughput*: the files must be timed `scd-sweep/v1` documents, and the
-//! gate fails when an aggregate `refs_per_sec`/`events_per_sec` rate
-//! falls more than the tolerance below the baseline (higher-is-better —
-//! a faster simulator can never fail this gate; noisy per-run rates are
-//! listed as `info` rows and never judged).
 
-use scd::trace::{compare_docs, compare_throughput, doc_label, Json};
+use scd::trace::{compare_docs, doc_label, Json};
 use std::process::exit;
 
 const HELP: &str = "\
 scd-report: compare scd-run-stats/v1 documents and flag regressions
 
 usage: scd-report [--baseline <file>] [--tolerance <pct>[%]] <file>...
-       scd-report --throughput-tolerance <pct>[%] [--baseline <file>] <file>...
 
   --baseline <file>   stats document to compare against (default: the
                       first positional file)
   --tolerance <pct>   allowed worsening per metric, in percent
                       (default 5; `10` and `10%` both accepted)
-  --throughput-tolerance <pct>
-                      gate host throughput instead of simulated metrics:
-                      files must be timed scd-sweep/v1 documents, and the
-                      aggregate refs_per_sec/events_per_sec rates may fall
-                      at most <pct> percent below the baseline (higher is
-                      better; per-run rates are info-only)
-  <file>...           candidate documents (scdsim --stats-json output,
-                      BENCH_*.json bench points, or scd-sweep documents
-                      in throughput mode)
+  <file>...           candidate documents (scdsim --stats-json output or
+                      BENCH_*.json bench points)
   -h, --help          show this help
 
-Simulated metrics are lower-is-better, throughput rates higher-is-better.
-Exit code 0 when every candidate stays within tolerance of the baseline,
-1 on any regression, 2 on usage or parse errors.
+Every tracked metric is lower-is-better. Exit code 0 when every candidate
+stays within tolerance of the baseline, 1 on any regression, 2 on usage
+or parse errors.
 ";
 
 fn usage_err(msg: &str) -> ! {
@@ -89,7 +74,6 @@ fn parse_pct(flag: &str, raw: Option<String>) -> f64 {
 fn main() {
     let mut baseline: Option<String> = None;
     let mut tolerance = 5.0f64;
-    let mut throughput: Option<f64> = None;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -103,9 +87,6 @@ fn main() {
                 None => usage_err("--baseline needs a file argument"),
             },
             "--tolerance" => tolerance = parse_pct("--tolerance", args.next()),
-            "--throughput-tolerance" => {
-                throughput = Some(parse_pct("--throughput-tolerance", args.next()));
-            }
             path if !path.starts_with('-') => files.push(path.to_string()),
             other => usage_err(&format!("unknown flag {other}")),
         }
@@ -126,35 +107,22 @@ fn main() {
         if i > 0 {
             println!();
         }
-        if let Some(tol) = throughput {
-            let cmp = match compare_throughput(&base, &cand, tol) {
-                Ok(cmp) => cmp,
-                Err(e) => {
-                    eprintln!("scd-report: {base_path} vs {path}: {e}");
-                    exit(2);
-                }
-            };
-            println!("== {base_path} vs {path} (host throughput)");
-            print!("{}", cmp.render());
-            regressions += cmp.regressions().count();
-        } else {
-            let cmp = match compare_docs(&base, &cand, tolerance) {
-                Ok(cmp) => cmp,
-                Err(e) => {
-                    eprintln!("scd-report: {base_path} vs {path}: {e}");
-                    exit(2);
-                }
-            };
-            println!(
-                "== {} ({}) vs {} ({})",
-                base_path,
-                doc_label(&base),
-                path,
-                doc_label(&cand)
-            );
-            print!("{}", cmp.render());
-            regressions += cmp.regressions().count();
-        }
+        let cmp = match compare_docs(&base, &cand, tolerance) {
+            Ok(cmp) => cmp,
+            Err(e) => {
+                eprintln!("scd-report: {base_path} vs {path}: {e}");
+                exit(2);
+            }
+        };
+        println!(
+            "== {} ({}) vs {} ({})",
+            base_path,
+            doc_label(&base),
+            path,
+            doc_label(&cand)
+        );
+        print!("{}", cmp.render());
+        regressions += cmp.regressions().count();
     }
     if regressions > 0 {
         exit(1);

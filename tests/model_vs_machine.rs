@@ -1,6 +1,6 @@
 //! Cross-validation regression: the Figure-2 Monte-Carlo model and the
 //! full machine must agree on invalidations-per-write for controlled
-//! sharer counts (see `bench --bin fig2_machine` for the full sweep).
+//! sharer counts (see `repro fig2_machine` for the full sweep).
 
 use scd::apps::{synth, SharingPattern, SynthParams};
 use scd::core::analysis::average_invalidations;

@@ -1,6 +1,7 @@
-//! The paper's headline qualitative claims, asserted end-to-end at reduced
-//! scale (the full-scale numbers live in EXPERIMENTS.md and the `bench`
-//! binaries).
+//! The paper's headline qualitative claims, twice: simulated end-to-end at
+//! reduced scale (the fast shadow), and read off the committed full-scale
+//! `results/*.csv`, which CI's `repro --check` holds equal to what the code
+//! generates at scale 1.0 (the `full_scale_*` tests; no simulation).
 
 use scd::apps::{dwf, locusroute, lu, mp3d, DwfParams, LocusRouteParams, LuParams, Mp3dParams};
 use scd::core::analysis::{average_invalidations, extraneous_area, invalidation_curve};
@@ -221,4 +222,109 @@ fn claim_associativity_helps_and_lra_is_worst() {
         lru as f64 <= lra as f64 * 1.03,
         "LRU ({lru}) should not lose to LRA ({lra})"
     );
+}
+
+/// One committed `results/` file: header names and rows of cells.
+struct Csv {
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Csv {
+    fn load(name: &str) -> Csv {
+        let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let mut lines = text
+            .lines()
+            .map(|l| l.split(',').map(String::from).collect());
+        Csv {
+            header: lines.next().expect("a header line"),
+            rows: lines.collect(),
+        }
+    }
+
+    fn col(&self, name: &str) -> usize {
+        self.header
+            .iter()
+            .position(|h| h == name)
+            .unwrap_or_else(|| panic!("no column {name}"))
+    }
+
+    /// `column` of the one row whose leading cells are `key`.
+    fn num(&self, key: &[&str], column: &str) -> f64 {
+        let mut hits = self
+            .rows
+            .iter()
+            .filter(|r| r.iter().zip(key).all(|(c, k)| c == k));
+        let row = hits.next().unwrap_or_else(|| panic!("no row {key:?}"));
+        assert!(hits.next().is_none(), "{key:?} names several rows");
+        row[self.col(column)].parse().unwrap()
+    }
+}
+
+const APPS: [&str; 4] = ["LU", "DWF", "MP3D", "LocusRoute"];
+
+#[test]
+fn full_scale_figures_7_to_10_have_the_papers_shape() {
+    let fig = Csv::load("fig7_10.csv");
+    let time = |app, scheme| fig.num(&[app, scheme], "norm_time");
+    let msgs = |app, scheme| fig.num(&[app, scheme], "norm_traffic");
+    for app in APPS {
+        // "the coarse vector scheme ... is always within a fraction of a
+        // percent of the full vector", and never loses to broadcast.
+        assert!((time(app, "Coarse Vector") - 1.0).abs() <= 0.005, "{app}");
+        assert!(
+            time(app, "Coarse Vector") <= time(app, "Broadcast"),
+            "{app}"
+        );
+        assert!(
+            msgs(app, "Coarse Vector") <= msgs(app, "Broadcast"),
+            "{app}"
+        );
+    }
+    // LU: every processor reads the pivot column, so Dir3NB thrashes.
+    assert!(time("LU", "Non Broadcast") >= 1.3);
+    assert!(msgs("LU", "Non Broadcast") >= 2.5);
+    // LocusRoute: broadcasts blow the traffic up, and it is the one
+    // application where NB sends fewer messages than B.
+    assert!(msgs("LocusRoute", "Broadcast") >= 2.0);
+    assert!(msgs("LocusRoute", "Non Broadcast") < msgs("LocusRoute", "Broadcast"));
+    // MP3D: mostly pairwise sharing, which every scheme handles.
+    for scheme in ["Coarse Vector", "Broadcast", "Non Broadcast"] {
+        assert!((time("MP3D", scheme) - 1.0).abs() <= 0.005, "{scheme}");
+        assert!((msgs("MP3D", scheme) - 1.0).abs() <= 0.005, "{scheme}");
+    }
+}
+
+#[test]
+fn full_scale_sparse_directories_cost_little_and_degrade_gracefully() {
+    let fig = Csv::load("fig11_12.csv");
+    for figure in ["Figure 11 (LU)", "Figure 12 (DWF)"] {
+        for scheme in ["full bit vector", "coarse vector", "broadcast"] {
+            let time = |factor| fig.num(&[figure, scheme, factor], "norm_time");
+            // Size factor 4 is within 2% of a complete directory of the
+            // same scheme, and time only grows as the directory shrinks.
+            assert!(time("4") <= time("0") * 1.02, "{figure} {scheme}");
+            assert!(time("0") <= time("4"), "{figure} {scheme}");
+            assert!(
+                time("4") <= time("2") && time("2") <= time("1"),
+                "{figure} {scheme}"
+            );
+        }
+    }
+}
+
+#[test]
+fn full_scale_associativity_helps_and_lra_is_worst_when_tight() {
+    let fig13 = Csv::load("fig13.csv");
+    for factor in ["1", "2", "4"] {
+        let traffic = |ways| fig13.num(&[factor, ways], "norm_traffic");
+        assert!(
+            traffic("1") >= traffic("2") && traffic("2") >= traffic("4"),
+            "factor {factor}"
+        );
+    }
+    let fig14 = Csv::load("fig14.csv");
+    let traffic = |policy| fig14.num(&["1", policy], "norm_traffic");
+    assert!(traffic("LRA") > traffic("LRU") && traffic("LRA") > traffic("Rand"));
 }

@@ -131,6 +131,9 @@ fn comparison_output_is_golden() {
 fn usage_and_parse_errors_exit_two() {
     assert_eq!(run(&[]).status.code(), Some(2), "no files");
     assert_eq!(run(&["--bogus"]).status.code(), Some(2), "unknown flag");
+    let retired = run(&["--throughput-tolerance", "15%", "BENCH_lu_dir4cv4.json"]);
+    assert_eq!(retired.status.code(), Some(2), "host throughput lives in benchmark/");
+    assert!(String::from_utf8_lossy(&retired.stderr).contains("unknown flag --throughput-tolerance"));
     assert_eq!(
         run(&["/nonexistent/scd-report-base.json"]).status.code(),
         Some(2),
