@@ -19,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use scd_machine::machine::explore::{Choice, FaultEdges};
-use scd_machine::Machine;
+use scd_machine::{Machine, SimError};
 
 /// Exploration bounds and fault options.
 #[derive(Clone, Debug)]
@@ -116,10 +116,38 @@ fn quiet_catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     })
 }
 
+/// One edge of the search tree: the choice taken and the edge it was
+/// taken after (`None` at the root). A frame names its path by its last
+/// edge, and only a counterexample walks the links back into a `Vec`.
+type Edge = (Option<u32>, Choice);
+
 struct Frame {
     machine: Machine,
-    path: Vec<Choice>,
+    /// Last edge of the path to `machine`, an index into the edge arena.
+    path: Option<u32>,
+    depth: usize,
     faults_used: u32,
+}
+
+fn counterexample(edges: &[Edge], mut at: Option<u32>, error: String) -> Counterexample {
+    let mut choices = Vec::new();
+    while let Some(i) = at {
+        let (parent, choice) = edges[i as usize];
+        choices.push(choice);
+        at = parent;
+    }
+    choices.reverse();
+    Counterexample { error, choices }
+}
+
+/// `run` under [`quiet_catch`], with a simulation error or a protocol
+/// panic rendered as the violation message.
+fn checked<T>(run: impl FnOnce() -> Result<T, SimError>) -> Result<T, String> {
+    match quiet_catch(run) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(msg) => Err(format!("panic: {msg}")),
+    }
 }
 
 /// Exhaustively explores every interleaving of the machine `build`
@@ -139,15 +167,21 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
     // by a *shorter* path keeps depth-limited searches complete, which
     // `minimize`'s iterative deepening relies on.
     let mut seen: HashMap<u64, usize> = HashMap::new();
+    let mut edges: Vec<Edge> = Vec::new();
     let mut stack = vec![Frame {
         machine: root,
-        path: Vec::new(),
+        path: None,
+        depth: 0,
         faults_used: 0,
     }];
-    while let Some(frame) = stack.pop() {
-        let depth = frame.path.len();
-        let digest = frame.machine.state_digest();
-        match seen.entry(digest) {
+    'search: while let Some(frame) = stack.pop() {
+        let Frame {
+            mut machine,
+            path,
+            depth,
+            faults_used,
+        } = frame;
+        match seen.entry(machine.state_digest()) {
             Entry::Occupied(mut e) => {
                 if *e.get() <= depth {
                     continue;
@@ -155,43 +189,28 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
                 e.insert(depth);
             }
             Entry::Vacant(e) => {
+                // The bound is on states counted, and a counted state is a
+                // checked one: stop before taking one more.
+                if out.visited >= cfg.max_states {
+                    out.truncated = true;
+                    break;
+                }
                 e.insert(depth);
                 out.visited += 1;
             }
         }
-        if out.visited > cfg.max_states {
-            out.truncated = true;
-            break;
-        }
         if cfg.check_each_step {
-            if let Err(v) = frame.machine.check_step_invariants() {
-                out.violation = Some(Counterexample {
-                    error: v.to_string(),
-                    choices: frame.path,
-                });
+            if let Err(v) = machine.check_step_invariants() {
+                out.violation = Some(counterexample(&edges, path, v.to_string()));
                 break;
             }
         }
-        let mut machine = frame.machine;
         let choices = machine.exploration_choices(&cfg.faults);
         if choices.is_empty() {
             out.leaves += 1;
-            match quiet_catch(AssertUnwindSafe(|| machine.finalize_exploration())) {
-                Ok(Ok(_)) => {}
-                Ok(Err(e)) => {
-                    out.violation = Some(Counterexample {
-                        error: e.to_string(),
-                        choices: frame.path,
-                    });
-                    break;
-                }
-                Err(msg) => {
-                    out.violation = Some(Counterexample {
-                        error: format!("panic: {msg}"),
-                        choices: frame.path,
-                    });
-                    break;
-                }
+            if let Err(error) = checked(|| machine.finalize_exploration()) {
+                out.violation = Some(counterexample(&edges, path, error));
+                break;
             }
             continue;
         }
@@ -200,38 +219,29 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
             continue;
         }
         // Reverse push so choice 0 is explored first: counterexamples come
-        // out in a stable, reproducible DFS order.
-        for &ch in choices.iter().rev() {
-            if ch.is_fault() && frame.faults_used >= cfg.fault_budget {
-                continue;
+        // out in a stable, reproducible DFS order. Every child but the one
+        // stepped last is a clone; that one is the parent itself.
+        let affordable = |ch: &&Choice| !ch.is_fault() || faults_used < cfg.fault_budget;
+        let mut parent = Some(machine);
+        let mut todo = choices.iter().filter(affordable).rev().peekable();
+        while let Some(&ch) = todo.next() {
+            let mut child = match todo.peek() {
+                Some(_) => parent.clone(),
+                None => parent.take(),
             }
-            let mut child = machine.clone();
-            let mut path = frame.path.clone();
-            path.push(ch);
-            match quiet_catch(AssertUnwindSafe(|| child.step_explore(ch))) {
-                Ok(Ok(())) => stack.push(Frame {
-                    machine: child,
-                    path,
-                    faults_used: frame.faults_used + u32::from(ch.is_fault()),
-                }),
-                Ok(Err(e)) => {
-                    out.violation = Some(Counterexample {
-                        error: e.to_string(),
-                        choices: path,
-                    });
-                    break;
-                }
-                Err(msg) => {
-                    out.violation = Some(Counterexample {
-                        error: format!("panic: {msg}"),
-                        choices: path,
-                    });
-                    break;
-                }
+            .expect("the parent is moved out for the last child only");
+            edges.push((path, ch));
+            let path = Some(u32::try_from(edges.len() - 1).expect("edge arena outgrew u32"));
+            if let Err(error) = checked(|| child.step_explore(ch)) {
+                out.violation = Some(counterexample(&edges, path, error));
+                break 'search;
             }
-        }
-        if out.violation.is_some() {
-            break;
+            stack.push(Frame {
+                machine: child,
+                path,
+                depth: depth + 1,
+                faults_used: faults_used + u32::from(ch.is_fault()),
+            });
         }
     }
     out.digests = seen.into_keys().collect();
@@ -290,41 +300,22 @@ pub fn random_walk(
             .filter(|c| !c.is_fault() || faults_used < cfg.fault_budget)
             .collect();
         if choices.is_empty() {
-            match quiet_catch(AssertUnwindSafe(|| m.finalize_exploration())) {
-                Ok(Ok(_)) => {}
-                Ok(Err(e)) => {
-                    out.violation = Some(Counterexample {
-                        error: e.to_string(),
-                        choices: Vec::new(),
-                    });
-                }
-                Err(msg) => {
-                    out.violation = Some(Counterexample {
-                        error: format!("panic: {msg}"),
-                        choices: Vec::new(),
-                    });
-                }
+            if let Err(error) = checked(|| m.finalize_exploration()) {
+                out.violation = Some(Counterexample {
+                    error,
+                    choices: Vec::new(),
+                });
             }
             break;
         }
         let ch = choices[(next() % choices.len() as u64) as usize];
         faults_used += u32::from(ch.is_fault());
-        match quiet_catch(AssertUnwindSafe(|| m.step_explore(ch))) {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                out.violation = Some(Counterexample {
-                    error: e.to_string(),
-                    choices: Vec::new(),
-                });
-                break;
-            }
-            Err(msg) => {
-                out.violation = Some(Counterexample {
-                    error: format!("panic: {msg}"),
-                    choices: Vec::new(),
-                });
-                break;
-            }
+        if let Err(error) = checked(|| m.step_explore(ch)) {
+            out.violation = Some(Counterexample {
+                error,
+                choices: Vec::new(),
+            });
+            break;
         }
         out.steps += 1;
         out.digests.push(m.state_digest());
@@ -352,16 +343,9 @@ pub fn replay_trace(
     let mut steps = Vec::with_capacity(choices.len());
     for &ch in choices {
         steps.push(m.describe_choice(ch));
-        match quiet_catch(AssertUnwindSafe(|| m.step_explore(ch))) {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                steps.push(format!("=> {e}"));
-                break;
-            }
-            Err(msg) => {
-                steps.push(format!("=> panic: {msg}"));
-                break;
-            }
+        if let Err(error) = checked(|| m.step_explore(ch)) {
+            steps.push(format!("=> {error}"));
+            break;
         }
     }
     let mut jsonl = String::new();

@@ -41,6 +41,62 @@ fn full_corpus_explores_clean_and_untruncated() {
     }
 }
 
+/// The size of the explored state space is part of the contract: summed
+/// over corpus × scenarios, once with each litmus's own edges and budget
+/// and once with the NACK + delay 40 + dup 40 edges, `visited` and `leaves`
+/// are the `check.states` / `check.leaves` the benchmark's `check_corpus`
+/// workload reports per pass. A change to the explorer, the digest or the
+/// event queue that prunes, merges or duplicates states moves these.
+#[test]
+fn corpus_state_space_is_pinned() {
+    let sweep = FaultEdges {
+        nack: true,
+        delay: Some(40),
+        dup: Some(40),
+    };
+    let (mut visited, mut leaves) = (0, 0);
+    for faults in [None, Some(sweep)] {
+        for l in corpus() {
+            let cfg = ExploreConfig {
+                faults: faults.unwrap_or(l.faults),
+                ..cfg_for(&l)
+            };
+            for sc in scenarios() {
+                let out = explore(&|| l.build(&sc, None, false), &cfg);
+                let clean = out.violation.is_none() && !out.truncated;
+                assert!(clean, "{} under {}", l.name, sc.label);
+                assert_eq!(out.digests.len() as u64, out.visited);
+                visited += out.visited;
+                leaves += out.leaves;
+            }
+        }
+    }
+    assert_eq!((visited, leaves), (11_828, 261));
+}
+
+/// `max_states` bounds the states visited, not the states visited minus
+/// one: the search stops before counting (and before skipping the
+/// invariant check of) a state beyond the bound.
+#[test]
+fn max_states_is_an_inclusive_bound() {
+    let l = corpus()
+        .into_iter()
+        .find(|l| l.name == "message-passing")
+        .unwrap();
+    let sc = scenarios()
+        .into_iter()
+        .find(|s| s.label == "dense/complete")
+        .unwrap();
+    let cfg = ExploreConfig {
+        max_states: 10,
+        ..cfg_for(&l)
+    };
+    let out = explore(&|| l.build(&sc, None, false), &cfg);
+    assert!(out.truncated && out.violation.is_none());
+    assert_eq!(out.visited, 10);
+    assert_eq!(out.digests.len(), 10);
+}
+
 /// An armed skip-invalidation bug must be caught, the counterexample must
 /// minimize to a path no longer than the original, and the replay must
 /// produce standard `scd-trace` JSONL that the validator accepts.

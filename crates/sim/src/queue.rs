@@ -28,11 +28,33 @@
 //! to a multiple of `WHEEL_SLOTS`, so within one window a bucket holds
 //! events of exactly **one** cycle value — scanning buckets upward from
 //! `now`'s slot enumerates pending times in increasing order. Within a
-//! bucket, events are kept sorted by stamp (insertion binary-searches the
-//! position; the append fast path covers FIFO callers), so popping from the
-//! front yields the bucket minimum.
-
-use std::collections::VecDeque;
+//! bucket, events are kept sorted by stamp (insertion finds the position;
+//! the append fast path covers FIFO callers), so popping from the front
+//! yields the bucket minimum.
+//!
+//! # Representation
+//!
+//! A slot owns no storage. Every event in the ring is a node of one
+//! **slab** (`Vec<Node>`), a bucket is a singly linked list through the
+//! nodes' `next` indices, and the ring itself is a table of `(head, tail)`
+//! node indices, one pair per slot. A delivered event's node goes onto a
+//! free list threaded through the same `next` field and is the first to be
+//! reused, so a machine with a few dozen events in flight keeps working in
+//! the same few cache lines, and nothing is allocated once the slab has
+//! reached the run's high-water mark.
+//!
+//! What this buys beyond the pop: `clone` is two flat copies — the slab
+//! (pending events plus the free nodes, a `memcpy` when `E: Copy`) and the
+//! 8 KB link table — `drop` frees two blocks, and
+//! [`EventQueue::for_each_pending`] walks occupied slots only. None of them
+//! visits `WHEEL_SLOTS` buckets, which is what a model checker that clones
+//! a machine per explored state used to pay for.
+//!
+//! Stamp-sorted insertion walks the bucket's list when the append fast
+//! path does not apply. A bucket is the events of *one* cycle, a handful
+//! on the machines this simulates; the `VecDeque` buckets this replaced
+//! binary-searched the position and then shifted the tail, which is linear
+//! as well.
 
 /// Simulation time, in processor cycles.
 pub type Cycle = u64;
@@ -72,7 +94,11 @@ const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
 const WHEEL_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
 /// Words in the bucket-occupancy bitmap.
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+/// The null node index: end of a bucket's list, end of the free list, and
+/// the `head`/`tail` of an empty slot. The slab never grows to this index.
+const NIL: u32 = u32::MAX;
 
+/// An event in the overflow level, or on its way into the ring.
 #[derive(Clone)]
 struct Scheduled<E> {
     time: Cycle,
@@ -80,6 +106,35 @@ struct Scheduled<E> {
     stamp: Stamp,
     event: E,
 }
+
+/// One slab entry: an event in a ring bucket, or a free node.
+#[derive(Clone, Copy)]
+struct Node<E> {
+    time: Cycle,
+    stamp: Stamp,
+    /// `None` exactly while the node is on the free list.
+    event: Option<E>,
+    /// The bucket's next event in stamp order, or the next free node.
+    next: u32,
+}
+
+impl<E> Node<E> {
+    fn event(&self) -> &E {
+        self.event.as_ref().expect("linked node holds no event")
+    }
+}
+
+/// A slot's bucket: first and last node of its list, `NIL` when empty.
+#[derive(Clone, Copy)]
+struct Links {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Links = Links {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A deterministic discrete-event queue.
 ///
@@ -100,10 +155,15 @@ struct Scheduled<E> {
 /// ```
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// Near-future ring; bucket `i` holds the events of the unique cycle
-    /// `t` in the current window with `t & WHEEL_MASK == i`.
-    slots: Box<[VecDeque<Scheduled<E>>]>,
-    /// One bit per bucket: set iff the bucket is non-empty.
+    /// Near-future ring: the list at `ring[i]` holds the events of the
+    /// unique cycle `t` in the current window with `t & WHEEL_MASK == i`,
+    /// in stamp order.
+    ring: Box<[Links; WHEEL_SLOTS]>,
+    /// The ring's events and the free nodes, linked by index.
+    nodes: Vec<Node<E>>,
+    /// First free node (`NIL` when every node is in a bucket).
+    free_head: u32,
+    /// One bit per slot: set iff the slot's bucket is non-empty.
     occupied: [u64; WHEEL_WORDS],
     /// Events at or beyond `wheel_base + WHEEL_SLOTS`, in schedule order.
     overflow: Vec<Scheduled<E>>,
@@ -128,7 +188,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at cycle 0.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            ring: Box::new([EMPTY; WHEEL_SLOTS]),
+            nodes: Vec::new(),
+            free_head: NIL,
             occupied: [0; WHEEL_WORDS],
             overflow: Vec::new(),
             overflow_min: u64::MAX,
@@ -167,29 +229,109 @@ impl<E> EventQueue<E> {
         time >= self.wheel_base && time - self.wheel_base <= WHEEL_MASK
     }
 
-    fn bucket_push(slots: &mut [VecDeque<Scheduled<E>>], occupied: &mut [u64; WHEEL_WORDS], s: Scheduled<E>) {
-        let slot = (s.time & WHEEL_MASK) as usize;
-        let bucket = &mut slots[slot];
-        // One time value per bucket within a window — a cheap always-on
-        // check (this is the invariant that makes the bucket the same-cycle
-        // ready set). Was debug-only; promoted after the debug-only-check
-        // class of bugs this module has already paid for.
-        assert!(
-            bucket.front().is_none_or(|prev| prev.time == s.time),
-            "bucket holds mixed cycles ({} vs {})",
-            bucket.front().map(|p| p.time).unwrap_or(0),
-            s.time
-        );
-        // Keep the bucket sorted by stamp. FIFO callers always append
-        // (their stamps are globally monotone), so the common case is O(1);
-        // lane-stamped insertions binary-search their position.
-        if bucket.back().is_none_or(|prev| prev.stamp <= s.stamp) {
-            bucket.push_back(s);
+    /// The events of a slot's bucket, in delivery order.
+    fn bucket(&self, slot: usize) -> impl Iterator<Item = &Node<E>> {
+        let at = |n: u32| self.nodes.get(n as usize);
+        std::iter::successors(at(self.ring[slot].head), move |node| at(node.next))
+    }
+
+    /// Points the link after `prev` in `slot`'s list — the slot's head
+    /// when `prev` is `NIL` — at `to`.
+    fn relink(&mut self, slot: usize, prev: u32, to: u32) {
+        if prev == NIL {
+            self.ring[slot].head = to;
         } else {
-            let pos = bucket.partition_point(|e| e.stamp <= s.stamp);
-            bucket.insert(pos, s);
+            self.nodes[prev as usize].next = to;
         }
-        occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn bucket_push(&mut self, s: Scheduled<E>) {
+        let slot = (s.time & WHEEL_MASK) as usize;
+        let Links { head, tail } = self.ring[slot];
+        let node = Node {
+            time: s.time,
+            stamp: s.stamp,
+            event: Some(s.event),
+            next: NIL,
+        };
+        let n = if self.free_head == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1)
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("event slab outgrew its u32 links")
+        } else {
+            let n = self.free_head;
+            self.free_head = std::mem::replace(&mut self.nodes[n as usize], node).next;
+            n
+        };
+        if head == NIL {
+            self.ring[slot] = Links { head: n, tail: n };
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+        } else {
+            // One time value per bucket within a window — a cheap always-on
+            // check (this is the invariant that makes the bucket the
+            // same-cycle ready set). Was debug-only; promoted after the
+            // debug-only-check class of bugs this module has already paid
+            // for.
+            assert!(
+                self.nodes[head as usize].time == s.time,
+                "bucket holds mixed cycles ({} vs {})",
+                self.nodes[head as usize].time,
+                s.time
+            );
+            // Keep the bucket sorted by stamp. FIFO callers always append
+            // (their stamps are globally monotone), so the common case is
+            // O(1); a lane-stamped event that arrives out of order goes in
+            // front of the first later stamp (the tail's, at the latest).
+            if self.nodes[tail as usize].stamp <= s.stamp {
+                self.nodes[tail as usize].next = n;
+                self.ring[slot].tail = n;
+            } else {
+                let (mut prev, mut at) = (NIL, head);
+                while self.nodes[at as usize].stamp <= s.stamp {
+                    (prev, at) = (at, self.nodes[at as usize].next);
+                }
+                self.nodes[n as usize].next = at;
+                self.relink(slot, prev, n);
+            }
+        }
+        self.in_wheel += 1;
+    }
+
+    /// Unlinks the `idx`-th event of `slot`'s bucket, frees its node and
+    /// delivers it: the clock moves to its time. `None` (and no change) if
+    /// the bucket has no such event.
+    fn deliver(&mut self, slot: usize, idx: usize) -> Option<(Cycle, E)> {
+        let (mut prev, mut at) = (NIL, self.ring[slot].head);
+        for _ in 0..idx {
+            if at == NIL {
+                break;
+            }
+            (prev, at) = (at, self.nodes[at as usize].next);
+        }
+        if at == NIL {
+            return None;
+        }
+        let next = self.nodes[at as usize].next;
+        self.relink(slot, prev, next);
+        if next == NIL {
+            self.ring[slot].tail = prev;
+            if prev == NIL {
+                self.occupied[slot / 64] &= !(1 << (slot % 64));
+            }
+        }
+        let node = &mut self.nodes[at as usize];
+        let (time, event) = (node.time, node.event.take());
+        node.next = self.free_head;
+        self.free_head = at;
+        self.in_wheel -= 1;
+        // Always-on: delivering into the past would silently corrupt the
+        // clock for every later event.
+        assert!(time >= self.now, "delivery would move the clock backwards");
+        self.now = time;
+        self.delivered += 1;
+        Some((time, event.expect("linked node holds no event")))
     }
 
     /// Schedules `event` to fire `delay` cycles from now.
@@ -234,9 +376,17 @@ impl<E> EventQueue<E> {
         );
         let s = Scheduled { time, stamp, event };
         if self.in_window(time) {
-            Self::bucket_push(&mut self.slots, &mut self.occupied, s);
-            self.in_wheel += 1;
+            self.bucket_push(s);
         } else {
+            // `ready_set` can move the window past the clock (it cascades
+            // without popping); a schedule behind the window would then sit
+            // in the overflow level *before* the ring's events, which no
+            // reader of this queue expects.
+            assert!(
+                time > self.wheel_base,
+                "event scheduled behind the wheel window ({time} < {})",
+                self.wheel_base
+            );
             self.overflow_min = self.overflow_min.min(time);
             self.overflow.push(s);
         }
@@ -276,8 +426,7 @@ impl<E> EventQueue<E> {
         let pending = std::mem::take(&mut self.overflow);
         for s in pending {
             if self.in_window(s.time) {
-                Self::bucket_push(&mut self.slots, &mut self.occupied, s);
-                self.in_wheel += 1;
+                self.bucket_push(s);
             } else {
                 self.overflow_min = self.overflow_min.min(s.time);
                 self.overflow.push(s);
@@ -290,26 +439,11 @@ impl<E> EventQueue<E> {
 
     /// Delivers the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        if self.in_wheel == 0 {
-            if self.overflow.is_empty() {
-                return None;
-            }
-            self.cascade();
-        }
-        let start = (self.now.max(self.wheel_base) & WHEEL_MASK) as usize;
-        let slot = self.next_occupied(start);
-        let bucket = &mut self.slots[slot];
-        let s = bucket.pop_front().expect("occupancy bit set on empty bucket");
-        if bucket.is_empty() {
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-        }
-        self.in_wheel -= 1;
-        // Always-on: delivering into the past would silently corrupt the
-        // clock for every later event.
-        assert!(s.time >= self.now, "delivery would move the clock backwards");
-        self.now = s.time;
-        self.delivered += 1;
-        Some((s.time, s.event))
+        let slot = self.front_slot()?;
+        Some(
+            self.deliver(slot, 0)
+                .expect("occupancy bit set on empty bucket"),
+        )
     }
 
     /// Bucket index of the earliest pending event, cascading the overflow
@@ -335,9 +469,8 @@ impl<E> EventQueue<E> {
     /// choices a run could make.
     pub fn ready_set(&mut self) -> Option<(Cycle, Vec<&E>)> {
         let slot = self.front_slot()?;
-        let bucket = &self.slots[slot];
-        let time = bucket.front().expect("occupancy bit set on empty bucket").time;
-        Some((time, bucket.iter().map(|s| &s.event).collect()))
+        let time = self.peek_slot(slot);
+        Some((time, self.bucket(slot).map(Node::event).collect()))
     }
 
     /// Delivers the `idx`-th event of the ready set (delivery order within
@@ -347,31 +480,32 @@ impl<E> EventQueue<E> {
     /// queue is empty or `idx` is out of range.
     pub fn pop_ready(&mut self, idx: usize) -> Option<(Cycle, E)> {
         let slot = self.front_slot()?;
-        let bucket = &mut self.slots[slot];
-        let s = bucket.remove(idx)?;
-        if bucket.is_empty() {
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-        }
-        self.in_wheel -= 1;
-        assert!(s.time >= self.now, "delivery would move the clock backwards");
-        self.now = s.time;
-        self.delivered += 1;
-        Some((s.time, s.event))
+        self.deliver(slot, idx)
     }
 
     /// Visits every pending event in delivery order (time-sorted, stamp
     /// order within a cycle) as `(time, &event)`. Intended for state
-    /// inspection and canonical fingerprinting; O(n log n), so keep it off
-    /// hot paths.
+    /// inspection and canonical fingerprinting.
+    ///
+    /// The ring is already in that order — the window is aligned, so
+    /// ascending occupied slots are ascending cycles, and a bucket's list
+    /// is stamp-sorted — and every overflow event is later than the
+    /// window; only the overflow level, kept in schedule order, is sorted
+    /// here.
     pub fn for_each_pending(&self, mut f: impl FnMut(Cycle, &E)) {
-        let mut all: Vec<&Scheduled<E>> = self
-            .slots
-            .iter()
-            .flat_map(|b| b.iter())
-            .chain(self.overflow.iter())
-            .collect();
-        all.sort_by_key(|s| (s.time, s.stamp));
-        for s in all {
+        for (w, &word) in self.occupied.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for node in self.bucket(slot) {
+                    f(node.time, node.event());
+                }
+            }
+        }
+        let mut far: Vec<&Scheduled<E>> = self.overflow.iter().collect();
+        far.sort_by_key(|s| (s.time, s.stamp));
+        for s in far {
             f(s.time, &s.event);
         }
     }
@@ -382,8 +516,13 @@ impl<E> EventQueue<E> {
             return (!self.overflow.is_empty()).then_some(self.overflow_min);
         }
         let start = (self.now.max(self.wheel_base) & WHEEL_MASK) as usize;
-        let slot = self.next_occupied(start);
-        self.slots[slot].front().map(|s| s.time)
+        Some(self.peek_slot(self.next_occupied(start)))
+    }
+
+    /// The cycle an occupied slot holds.
+    fn peek_slot(&self, slot: usize) -> Cycle {
+        let head = self.bucket(slot).next();
+        head.expect("occupancy bit set on empty bucket").time
     }
 }
 

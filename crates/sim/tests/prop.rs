@@ -1,9 +1,9 @@
 //! Property-based tests for the event queue and RNG.
 
 use proptest::prelude::*;
-use scd_sim::{EventQueue, SimRng};
+use scd_sim::{EventQueue, SimRng, Stamp};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// The reference model: exactly the `BinaryHeap<Reverse<(time, seq)>>`
 /// structure the timing wheel replaced. Kept deliberately naive — its
@@ -49,6 +49,161 @@ impl HeapModel {
 
     fn peek_time(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
+    }
+}
+
+/// The `(time, stamp)`-ordered reference for the stamped API: a `BTreeMap`
+/// iterates in exactly the delivery order the queue promises, so every
+/// view of the queue (pops, ready set, pending walk) can be read off it.
+#[derive(Clone)]
+struct StampModel {
+    pending: BTreeMap<(u64, Stamp), usize>,
+    now: u64,
+    seq: u64,
+    delivered: u64,
+}
+
+/// One step of a queue script. `delay` is relative to the clock at the
+/// moment the step runs; `pick` selects within the ready set.
+#[derive(Clone, Copy, Debug)]
+enum QueueOp {
+    /// `schedule(delay, id)`: the FIFO stamp.
+    Fifo { delay: u64 },
+    /// `schedule_at_stamped(now + delay, Stamp { lane, seq }, id)`.
+    Stamped { delay: u64, lane: u32, rank: u64 },
+    /// `pop()`.
+    Pop,
+    /// `ready_set()` compared, then `pop_ready(pick % len)`. The ready set
+    /// is only ever read directly before a pop, as the explorer does:
+    /// `ready_set` may advance the ring's window past the clock, and the
+    /// queue refuses a schedule that lands behind the window.
+    PopReady { pick: usize },
+}
+
+fn queue_ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<QueueOp>> {
+    // Zero delays (same-cycle ties), the near ring, the window edge and the
+    // overflow level several windows out, which forces cascades.
+    let delay = || prop_oneof![Just(0u64), 0u64..8, 1000u64..1100, 4000u64..100_000];
+    // `rank` leads the lane's sequence number, so stamps of one lane and
+    // cycle arrive out of order.
+    let stamped = || {
+        let parts = (delay(), 0u32..3, 0u64..4);
+        parts.prop_map(|(delay, lane, rank)| QueueOp::Stamped { delay, lane, rank })
+    };
+    prop::collection::vec(
+        prop_oneof![
+            delay().prop_map(|delay| QueueOp::Fifo { delay }),
+            stamped(),
+            stamped(),
+            Just(QueueOp::Pop),
+            (0usize..8).prop_map(|pick| QueueOp::PopReady { pick }),
+        ],
+        len,
+    )
+}
+
+impl StampModel {
+    fn new() -> Self {
+        StampModel {
+            pending: BTreeMap::new(),
+            now: 0,
+            seq: 0,
+            delivered: 0,
+        }
+    }
+
+    fn ready(&self) -> Vec<((u64, Stamp), usize)> {
+        let Some((&(t, _), _)) = self.pending.first_key_value() else {
+            return Vec::new();
+        };
+        self.pending
+            .range((t, Stamp { lane: 0, seq: 0 })..)
+            .take_while(|(k, _)| k.0 == t)
+            .map(|(&k, &id)| (k, id))
+            .collect()
+    }
+
+    fn deliver(&mut self, key: (u64, Stamp)) -> Option<(u64, usize)> {
+        let id = self.pending.remove(&key)?;
+        self.now = key.0;
+        self.delivered += 1;
+        Some((key.0, id))
+    }
+
+    /// Runs `op` on the queue and on the model and holds every view of the
+    /// queue to the model. `id` is the event payload and makes lane stamps
+    /// unique.
+    fn step(
+        &mut self,
+        q: &mut EventQueue<usize>,
+        op: QueueOp,
+        id: usize,
+    ) -> Result<(), TestCaseError> {
+        match op {
+            QueueOp::Fifo { delay } => {
+                q.schedule(delay, id);
+                let stamp = Stamp {
+                    lane: u32::MAX,
+                    seq: self.seq,
+                };
+                self.seq += 1;
+                self.pending.insert((self.now + delay, stamp), id);
+            }
+            QueueOp::Stamped { delay, lane, rank } => {
+                let stamp = Stamp {
+                    lane,
+                    seq: rank * 1_000_000 + id as u64,
+                };
+                q.schedule_at_stamped(self.now + delay, stamp, id);
+                self.pending.insert((self.now + delay, stamp), id);
+            }
+            QueueOp::Pop => {
+                let first = self.pending.first_key_value().map(|(&k, _)| k);
+                prop_assert_eq!(q.pop(), first.and_then(|k| self.deliver(k)));
+            }
+            QueueOp::PopReady { pick } => {
+                let ready = self.ready();
+                let seen = q
+                    .ready_set()
+                    .map(|(t, evs)| (t, evs.into_iter().copied().collect::<Vec<_>>()));
+                let want = ready
+                    .first()
+                    .map(|&((t, _), _)| (t, ready.iter().map(|&(_, id)| id).collect::<Vec<_>>()));
+                prop_assert_eq!(seen, want);
+                prop_assert_eq!(q.pop_ready(ready.len()), None);
+                if !ready.is_empty() {
+                    let (key, _) = ready[pick % ready.len()];
+                    prop_assert_eq!(q.pop_ready(pick % ready.len()), self.deliver(key));
+                }
+            }
+        }
+        self.agrees(q)
+    }
+
+    fn agrees(&self, q: &EventQueue<usize>) -> Result<(), TestCaseError> {
+        prop_assert_eq!(q.now(), self.now);
+        prop_assert_eq!(q.delivered(), self.delivered);
+        prop_assert_eq!(q.pending(), self.pending.len());
+        prop_assert_eq!(q.is_empty(), self.pending.is_empty());
+        prop_assert_eq!(
+            q.peek_time(),
+            self.pending.first_key_value().map(|(&(t, _), _)| t)
+        );
+        let mut walked = Vec::new();
+        q.for_each_pending(|t, &id| walked.push((t, id)));
+        let want: Vec<(u64, usize)> = self.pending.iter().map(|(&(t, _), &id)| (t, id)).collect();
+        prop_assert_eq!(walked, want);
+        Ok(())
+    }
+
+    /// Pops the queue dry against the model.
+    fn drain(&mut self, q: &mut EventQueue<usize>) -> Result<(), TestCaseError> {
+        while !self.pending.is_empty() {
+            self.step(q, QueueOp::Pop, 0)?;
+        }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert_eq!(q.ready_set().map(|(t, _)| t), None);
+        Ok(())
     }
 }
 
@@ -172,6 +327,42 @@ proptest! {
             }
         }
         prop_assert_eq!(wheel.delivered(), script.len() as u64);
+    }
+
+    /// A clone is a second queue, not a second view of one: after a shared
+    /// prefix (cascades, out-of-order lane stamps, mid-bucket removals,
+    /// buckets emptied and refilled) the original and its clone run
+    /// different suffixes, and each stays equal to its own model in every
+    /// view — so neither sees an event, a freed bucket or a clock advance of
+    /// the other's. Both are then popped dry.
+    #[test]
+    fn clone_then_diverge_matches_the_stamp_model(
+        prefix in queue_ops(0..120),
+        suffix_a in queue_ops(1..120),
+        suffix_b in queue_ops(1..120),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = StampModel::new();
+        for (id, &op) in prefix.iter().enumerate() {
+            model.step(&mut q, op, id)?;
+        }
+        let (mut q2, mut model2) = (q.clone(), model.clone());
+        model2.agrees(&q2)?;
+        // Interleaved, so a structure shared between the copies would be
+        // written by one between two reads of the other.
+        for i in 0..suffix_a.len().max(suffix_b.len()) {
+            if let Some(&op) = suffix_a.get(i) {
+                model.step(&mut q, op, 1_000 + i)?;
+            }
+            if let Some(&op) = suffix_b.get(i) {
+                model2.step(&mut q2, op, 2_000 + i)?;
+            }
+        }
+        // A clone taken late, of a queue that has freed and reused buckets.
+        let (mut q3, mut model3) = (q.clone(), model.clone());
+        drop(q);
+        model3.drain(&mut q3)?;
+        model2.drain(&mut q2)?;
     }
 
     /// Same-cycle bursts at a wheel-wrap boundary: many events for the
