@@ -348,10 +348,11 @@ pub fn replay_trace(
             break;
         }
     }
-    let mut jsonl = String::new();
+    let mut jsonl = Vec::new();
     for ev in m.trace_events() {
         ev.write_jsonl(&mut jsonl);
-        jsonl.push('\n');
+        jsonl.push(b'\n');
     }
+    let jsonl = String::from_utf8(jsonl).expect("the line writer emits UTF-8");
     (jsonl, steps)
 }

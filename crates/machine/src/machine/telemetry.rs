@@ -182,6 +182,12 @@ pub(crate) struct Recorder {
     /// Pre-computed `cfg.is_active()`: the one flag hook sites gate on.
     /// Like `fault_active`, an inert trace must cost nothing.
     pub(crate) on: bool,
+    /// Whether anything reads the transaction lifecycle: a ring that
+    /// retains its events, the phase histograms, or (while one is
+    /// attached) a stream. The lifecycle hooks gate on it, so a run that
+    /// only counts traffic, samples intervals or watches the directory
+    /// keeps no live-transaction state and builds no event. Implies `on`.
+    lifecycle: bool,
     /// Resolved trace configuration (all-off when `cfg.trace` is `None`).
     cfg: TraceConfig,
     /// First cluster and cluster count of the owning part: notes for
@@ -241,6 +247,7 @@ impl Recorder {
         let per_cluster = if on { cfg.clusters } else { 0 };
         Recorder {
             on,
+            lifecycle: Self::config_reads_lifecycle(&trace),
             cfg: trace,
             part: (base, count),
             tracer: if on {
@@ -274,6 +281,12 @@ impl Recorder {
             notes: Vec::new(),
             pieces: Vec::new(),
         }
+    }
+
+    /// Whether the configuration alone gives the transaction lifecycle a
+    /// reader: rings that retain its events, or the phase histograms.
+    fn config_reads_lifecycle(cfg: &TraceConfig) -> bool {
+        cfg.ring_capacity > 0 || cfg.metrics
     }
 
     /// The resolved trace configuration. The engine reads two switches:
@@ -338,7 +351,7 @@ impl Recorder {
 
     /// A new coherence transaction issued its first request (to `home`).
     pub(crate) fn txn_begin(&mut self, t: Cycle, cl: usize, home: usize, block: u64, write: bool) {
-        if !self.on || self.live(cl, block).is_some() {
+        if !self.lifecycle || self.live(cl, block).is_some() {
             return;
         }
         // Transaction ids are minted per requester cluster (cluster in the
@@ -385,7 +398,7 @@ impl Recorder {
         block: u64,
         phase: Phase,
     ) {
-        if !self.on {
+        if !self.lifecycle {
             return;
         }
         let Some(slot) = self.txn_phase.get_mut(&(requester, block)) else {
@@ -482,7 +495,7 @@ impl Recorder {
 
     /// The requester received a NACK for its outstanding transaction.
     pub(crate) fn nack(&mut self, t: Cycle, cl: usize, block: u64) {
-        if !self.on {
+        if !self.lifecycle {
             return;
         }
         let Some(live) = self.live(cl, block) else {
@@ -497,7 +510,7 @@ impl Recorder {
 
     /// The requester reissued a NACKed request after backing off.
     pub(crate) fn retry(&mut self, t: Cycle, cl: usize, block: u64, attempt: u32, backoff: u64) {
-        if !self.on {
+        if !self.lifecycle {
             return;
         }
         let Some(live) = self.live(cl, block) else {
@@ -547,7 +560,7 @@ impl Recorder {
 
     /// A displaced directory entry's cached copies are being flushed.
     pub(crate) fn replacement(&mut self, t: Cycle, home: usize, victim: u64, targets: u32, dirty: bool) {
-        if !self.on {
+        if !self.lifecycle {
             return;
         }
         self.tracer.record(
@@ -564,7 +577,7 @@ impl Recorder {
     /// The transaction completed at its requester: close it out and feed
     /// the phase-latency histograms.
     pub(crate) fn txn_end(&mut self, t: Cycle, cl: usize, block: u64) {
-        if !self.on {
+        if !self.lifecycle {
             return;
         }
         let table = &mut self.txn_live[cl];
@@ -730,6 +743,9 @@ impl Recorder {
     /// now.
     pub(crate) fn start_streaming(&mut self, net: &Network) {
         self.streaming = true;
+        // A stream reads the lifecycle too — of a traced machine; an
+        // untraced one has no tables for the hooks to index.
+        self.lifecycle = self.on;
         self.tracer.set_mirror(true);
         self.window_attrib_base = self.attrib.counters();
         self.window_link_base = net
@@ -742,6 +758,7 @@ impl Recorder {
     /// The run's stream closed.
     pub(crate) fn stop_streaming(&mut self) {
         self.streaming = false;
+        self.lifecycle = Self::config_reads_lifecycle(&self.cfg);
         self.tracer.set_mirror(false);
     }
 
@@ -751,7 +768,7 @@ impl Recorder {
         Shipment {
             notes: std::mem::take(&mut self.notes),
             pieces: std::mem::take(&mut self.pieces),
-            mirror: self.tracer.drain_mirror().collect(),
+            mirror: self.tracer.take_mirror(),
         }
     }
 }
@@ -858,8 +875,8 @@ impl Hub {
 
     /// Takes the hub's share of one part's shipment at a window barrier
     /// (the notes are the coordinator's to route).
-    pub(crate) fn absorb_shipment(&mut self, s: Shipment) {
-        self.absorb(s.pieces, s.mirror);
+    pub(crate) fn absorb_shipment(&mut self, mut s: Shipment) {
+        self.absorb(s.pieces, s.mirror.drain(..));
     }
 
     /// Folds interval pieces into their boundary accumulators and queues
@@ -867,7 +884,7 @@ impl Hub {
     fn absorb(
         &mut self,
         pieces: impl IntoIterator<Item = IntervalPiece>,
-        mirror: impl IntoIterator<Item = TraceEvent>,
+        mirror: std::vec::Drain<'_, TraceEvent>,
     ) {
         for piece in pieces {
             let acc = self
@@ -1289,5 +1306,80 @@ mod tests {
             assert!(machine.hub.pump.is_none());
             assert!(!machine.stream_active(), "no sink was ever attached");
         }
+    }
+
+    /// A run over 4 clusters in which every processor writes a block its
+    /// neighbour then reads: misses, invalidations and ownership
+    /// transfers, so every lifecycle hook and phase is reached.
+    fn sharing_run(trace: TraceConfig) -> (Machine, RunStats) {
+        use scd_tango::Op;
+        let cfg = MachineConfig::tiny(4).with_trace(trace);
+        let procs = cfg.processors() as u64;
+        let programs = (0..procs)
+            .map(|p| {
+                let block = |i: u64| (p + i) % procs * 16;
+                let ops = (0..24)
+                    .flat_map(|i| [Op::Write(block(i)), Op::Read(block(i + 1))])
+                    .collect();
+                Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+            })
+            .collect();
+        let mut machine = Machine::new(cfg, programs);
+        let stats = machine.try_run().expect("run must quiesce");
+        (machine, stats)
+    }
+
+    /// A run that retains no event builds none and says so: with only
+    /// attribution (or intervals, or the observatory) on, the lifecycle
+    /// hooks are gated off, the live-transaction tables stay empty and
+    /// `trace.recorded` is 0 — while everything such a run is read for is
+    /// what the fully traced run produces. The phase histograms are a
+    /// reader of the lifecycle: `metrics` alone keeps it running.
+    #[test]
+    fn a_run_that_retains_no_events_builds_none() {
+        let (full, full_stats) = sharing_run(TraceConfig::full(1 << 12));
+        assert!(full.trace_counts().0 > 0);
+        let reg = full.metrics();
+        for (phase, h) in [
+            ("read", &reg.read_latency),
+            ("write", &reg.write_latency),
+            ("issue->home", &reg.issue_to_home),
+            ("home->fanout", &reg.home_to_fanout),
+            ("fanout->reply", &reg.fanout_to_reply),
+            ("home->reply", &reg.home_to_reply),
+        ] {
+            assert!(h.events() > 0, "the script never reached {phase}");
+        }
+        let attribution =
+            |m: &Machine, s: &RunStats| m.attribution_json(s.cycles).map(|j| j.to_string());
+
+        for quiet in [
+            TraceConfig::none().with_attribution(true),
+            TraceConfig::none().with_interval(500),
+            TraceConfig::none().with_patterns(true).with_interval(500),
+        ] {
+            let (machine, stats) = sharing_run(quiet);
+            let rec = &machine.telemetry;
+            assert!(rec.on && !rec.lifecycle, "{quiet:?}");
+            assert!(rec.txn_live.iter().all(Vec::is_empty), "{quiet:?}");
+            assert!(rec.txn_phase.is_empty() && rec.notes.is_empty(), "{quiet:?}");
+            assert!(rec.txn_seq.iter().all(|&n| n == 0), "{quiet:?}");
+            assert_eq!(machine.trace_counts(), (0, 0), "{quiet:?}");
+            assert_eq!(machine.metrics().transactions(), 0, "{quiet:?}");
+            assert_eq!(stats.to_json().to_string(), full_stats.to_json().to_string());
+            if quiet.attribution {
+                assert_eq!(attribution(&machine, &stats), attribution(&full, &full_stats));
+            }
+        }
+
+        let metrics_only = TraceConfig {
+            metrics: true,
+            ..TraceConfig::none()
+        };
+        let (machine, _) = sharing_run(metrics_only);
+        assert!(machine.telemetry.lifecycle);
+        assert_eq!(machine.trace_counts(), (0, 0), "no ring, no stream: nothing is built");
+        let histograms = |m: &Machine| m.metrics().to_json().to_string();
+        assert_eq!(histograms(&machine), histograms(&full), "every phase histogram");
     }
 }

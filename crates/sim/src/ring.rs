@@ -14,12 +14,21 @@ pub struct RingLog<T> {
     head: usize,
 }
 
+/// Slots a log reserves when it is built. A capacity is a bound, not a
+/// reservation: a log this size or smaller never allocates after `new`,
+/// while a larger one — a trace ring sized so that nothing is ever
+/// evicted — grows as it fills, because most of it is never written.
+/// Reserving such a ring whole cost 23 MB per cluster for a ring of 2^18
+/// trace events, and freeing blocks of that size makes the allocator
+/// serve every later buffer of up to 32 MB from one fragmenting heap.
+const EAGER_SLOTS: usize = 4096;
+
 impl<T> RingLog<T> {
     /// A log keeping the last `capacity` items. Capacity 0 disables the
     /// log entirely: pushes are no-ops and iteration is empty.
     pub fn new(capacity: usize) -> Self {
         RingLog {
-            buf: Vec::with_capacity(capacity),
+            buf: Vec::with_capacity(capacity.min(EAGER_SLOTS)),
             capacity,
             head: 0,
         }
@@ -92,6 +101,20 @@ mod tests {
         log.push(2);
         assert!(log.is_empty());
         assert_eq!(log.iter().count(), 0);
+    }
+
+    /// A log larger than its eager reservation grows to its capacity and
+    /// only then wraps.
+    #[test]
+    fn a_large_log_grows_to_its_capacity_then_wraps() {
+        let capacity = EAGER_SLOTS + 3;
+        let mut log = RingLog::new(capacity);
+        for i in 0..capacity + 10 {
+            log.push(i);
+        }
+        assert_eq!(log.len(), capacity);
+        let kept: Vec<usize> = log.iter().copied().collect();
+        assert_eq!(kept, (10..capacity + 10).collect::<Vec<_>>());
     }
 
     #[test]

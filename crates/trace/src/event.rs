@@ -7,7 +7,7 @@
 //! and the simulated cycle, so per-cluster ring buffers can be merged back
 //! into one causal history.
 
-use crate::json::{write_escaped, Json};
+use crate::json::{write_escaped, Json, Utf8};
 
 /// A coherence-transaction lifecycle phase (the latency breakdown the
 /// metrics registry histograms: issue → home lookup → invalidation
@@ -172,45 +172,123 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// One field of an event's JSONL envelope, as [`TraceEvent::walk`] hands
-/// it to a consumer.
-#[derive(Clone, Copy)]
-enum FieldValue {
+/// What [`TraceEvent::walk`] drives: one call per field of the JSONL
+/// envelope, in output order.
+///
+/// A key arrives punctuated the way the line needs it — `{"seq":` for the
+/// first field, `,"name":` for every other — as a byte array, so its
+/// length is part of the call's type: the line writer's copy of a key is a
+/// constant-length copy whether or not the call was inlined, and a
+/// consumer that wants the bare name strips two bytes from each end
+/// ([`bare_key`]).
+trait FieldVisitor {
     /// A counter, identifier or cycle.
-    U64(u64),
+    fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64);
     /// A flag.
-    Bool(bool),
+    fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool);
     /// A stable schema label.
-    Str(&'static str),
+    fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str);
 }
 
-impl From<FieldValue> for Json {
-    fn from(v: FieldValue) -> Json {
-        match v {
-            FieldValue::U64(n) => Json::U64(n),
-            FieldValue::Bool(b) => Json::Bool(b),
-            FieldValue::Str(s) => Json::Str(s.into()),
-        }
-    }
+/// The name inside a punctuated key: `,"cycle":` is `cycle`.
+fn bare_key(key: &[u8]) -> String {
+    std::str::from_utf8(&key[2..key.len() - 2])
+        .expect("keys are `walk`'s ASCII literals")
+        .to_string()
 }
 
-/// Appends `n` in decimal from a stack buffer (no `fmt` machinery, no
-/// heap). Inlined into each writer's field loop: the event writer ran
-/// 10 % slower per line when sharing it with the Perfetto export made it
-/// an out-of-line call.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends `n` in decimal: two digits per division, from a stack buffer
+/// (no `fmt` machinery, no heap). The one decimal writer of the crate's
+/// renderers — every event line and every Perfetto record goes through it.
+///
+/// The digits land right-aligned in the first half of the buffer and
+/// leave as one constant-length copy starting at the first digit, cut
+/// back to the digit count: a 20-byte move the compiler inlines, where a
+/// copy of exactly 1..=20 bytes is a call into `memcpy`.
 #[inline]
-pub(crate) fn push_u64(out: &mut String, mut n: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    const WIDTH: usize = 20; // digits of `u64::MAX`
+    let mut buf = [0u8; 2 * WIDTH];
+    let mut i = WIDTH;
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+    if n >= 10 {
+        let pair = n as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    let window: &[u8; WIDTH] = buf[i..i + WIDTH].try_into().expect("WIDTH bytes");
+    let end = out.len() + (WIDTH - i);
+    out.extend_from_slice(window);
+    out.truncate(end);
+}
+
+/// Appends `s` as a quoted JSON string. A label the machine supplies is a
+/// plain identifier: one scan, one copy. Only a string with a byte JSON
+/// must escape goes through the escaper, so both paths produce [`Json`]'s
+/// bytes.
+#[inline]
+pub(crate) fn push_label(out: &mut Vec<u8>, s: &str) {
+    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        write_escaped(&mut Utf8(out), s).expect("writing to a Vec cannot fail");
+    } else {
+        out.push(b'"');
+        out.extend_from_slice(s.as_bytes());
+        out.push(b'"');
+    }
+}
+
+/// The line writer: each field is its punctuated key, then its value.
+struct LineWriter<'a>(&'a mut Vec<u8>);
+
+impl FieldVisitor for LineWriter<'_> {
+    #[inline(always)]
+    fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64) {
+        self.0.extend_from_slice(key);
+        push_u64(self.0, n);
+    }
+
+    #[inline(always)]
+    fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool) {
+        self.0.extend_from_slice(key);
+        self.0.extend_from_slice(if b { b"true" } else { b"false" });
+    }
+
+    #[inline(always)]
+    fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str) {
+        self.0.extend_from_slice(key);
+        push_label(self.0, s);
+    }
+}
+
+/// The tree builder: the same fields as a [`Json`] object's.
+struct TreeBuilder(Vec<(String, Json)>);
+
+impl FieldVisitor for TreeBuilder {
+    fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64) {
+        self.0.push((bare_key(key), Json::U64(n)));
+    }
+
+    fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool) {
+        self.0.push((bare_key(key), Json::Bool(b)));
+    }
+
+    fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str) {
+        self.0.push((bare_key(key), Json::Str(s.into())));
+    }
 }
 
 impl TraceEvent {
@@ -218,22 +296,22 @@ impl TraceEvent {
     /// value, in output order. This is the only place that says which
     /// fields an event kind has; [`TraceEvent::write_jsonl`] and
     /// [`TraceEvent::to_json`] are its two consumers.
-    fn walk(&self, mut f: impl FnMut(&'static str, FieldValue)) {
-        use FieldValue::{Bool, Str, U64};
-        f("seq", U64(self.seq));
-        f("cycle", U64(self.cycle));
-        f("cluster", U64(self.cluster as u64));
-        f("type", Str(self.kind.label()));
+    #[inline(always)]
+    fn walk(&self, f: &mut impl FieldVisitor) {
+        f.u64(b"{\"seq\":", self.seq);
+        f.u64(b",\"cycle\":", self.cycle);
+        f.u64(b",\"cluster\":", self.cluster as u64);
+        f.label(b",\"type\":", self.kind.label());
         match self.kind {
             EventKind::TxnBegin { txn, block, write } => {
-                f("txn", U64(txn));
-                f("block", U64(block));
-                f("write", Bool(write));
+                f.u64(b",\"txn\":", txn);
+                f.u64(b",\"block\":", block);
+                f.boolean(b",\"write\":", write);
             }
             EventKind::TxnPhase { txn, block, phase } => {
-                f("txn", U64(txn));
-                f("block", U64(block));
-                f("phase", Str(phase.label()));
+                f.u64(b",\"txn\":", txn);
+                f.u64(b",\"block\":", block);
+                f.label(b",\"phase\":", phase.label());
             }
             EventKind::TxnEnd {
                 txn,
@@ -241,14 +319,14 @@ impl TraceEvent {
                 latency,
                 retries,
             } => {
-                f("txn", U64(txn));
-                f("block", U64(block));
-                f("latency", U64(latency));
-                f("retries", U64(retries as u64));
+                f.u64(b",\"txn\":", txn);
+                f.u64(b",\"block\":", block);
+                f.u64(b",\"latency\":", latency);
+                f.u64(b",\"retries\":", retries as u64);
             }
             EventKind::Nack { txn, block } => {
-                f("txn", U64(txn));
-                f("block", U64(block));
+                f.u64(b",\"txn\":", txn);
+                f.u64(b",\"block\":", block);
             }
             EventKind::Retry {
                 txn,
@@ -256,28 +334,28 @@ impl TraceEvent {
                 attempt,
                 backoff,
             } => {
-                f("txn", U64(txn));
-                f("block", U64(block));
-                f("attempt", U64(attempt as u64));
-                f("backoff", U64(backoff));
+                f.u64(b",\"txn\":", txn);
+                f.u64(b",\"block\":", block);
+                f.u64(b",\"attempt\":", attempt as u64);
+                f.u64(b",\"backoff\":", backoff);
             }
             EventKind::Inval {
                 block,
                 targets,
                 cause,
             } => {
-                f("block", U64(block));
-                f("targets", U64(targets as u64));
-                f("cause", Str(cause));
+                f.u64(b",\"block\":", block);
+                f.u64(b",\"targets\":", targets as u64);
+                f.label(b",\"cause\":", cause);
             }
             EventKind::Replacement {
                 victim,
                 targets,
                 dirty,
             } => {
-                f("victim", U64(victim));
-                f("targets", U64(targets as u64));
-                f("dirty", Bool(dirty));
+                f.u64(b",\"victim\":", victim);
+                f.u64(b",\"targets\":", targets as u64);
+                f.boolean(b",\"dirty\":", dirty);
             }
             EventKind::MsgSend {
                 src,
@@ -287,14 +365,14 @@ impl TraceEvent {
                 block,
                 hops,
             } => {
-                f("src", U64(src as u64));
-                f("dst", U64(dst as u64));
-                f("msg", Str(msg));
-                f("class", Str(class));
+                f.u64(b",\"src\":", src as u64);
+                f.u64(b",\"dst\":", dst as u64);
+                f.label(b",\"msg\":", msg);
+                f.label(b",\"class\":", class);
                 if let Some(b) = block {
-                    f("block", U64(b));
+                    f.u64(b",\"block\":", b);
                 }
-                f("hops", U64(hops as u64));
+                f.u64(b",\"hops\":", hops as u64);
             }
             EventKind::MsgDeliver {
                 src,
@@ -302,11 +380,11 @@ impl TraceEvent {
                 msg,
                 block,
             } => {
-                f("src", U64(src as u64));
-                f("dst", U64(dst as u64));
-                f("msg", Str(msg));
+                f.u64(b",\"src\":", src as u64);
+                f.u64(b",\"dst\":", dst as u64);
+                f.label(b",\"msg\":", msg);
                 if let Some(b) = block {
-                    f("block", U64(b));
+                    f.u64(b",\"block\":", b);
                 }
             }
         }
@@ -314,39 +392,23 @@ impl TraceEvent {
 
     /// Appends the event's JSONL line (no trailing newline) to `out`.
     /// This is the byte contract of every streamed, exported and replayed
-    /// trace line. It allocates nothing beyond growing `out`, so a caller
-    /// that reuses one buffer renders events without touching the heap.
-    pub fn write_jsonl(&self, out: &mut String) {
-        out.push('{');
-        let mut first = true;
-        self.walk(|key, value| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            // Keys are `walk`'s own literals, plain ASCII; only values can
-            // carry a caller's label and need the escaper.
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\":");
-            match value {
-                FieldValue::U64(n) => push_u64(out, n),
-                FieldValue::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-                FieldValue::Str(s) => {
-                    write_escaped(out, s).expect("writing to a String cannot fail")
-                }
-            }
-        });
-        out.push('}');
+    /// trace line. The bytes are UTF-8 — ASCII punctuation, decimals and
+    /// JSON-escaped labels — which a caller that needs a `str` checks once
+    /// per line or per file rather than once per field. It allocates
+    /// nothing beyond growing `out`, so a caller that reuses one buffer
+    /// renders events without touching the heap.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
+        self.walk(&mut LineWriter(out));
+        out.push(b'}');
     }
 
     /// The event as a [`Json`] object, for replay-side consumers and
     /// tests. `to_json().to_string()` equals [`TraceEvent::write_jsonl`]
     /// byte for byte (held by the property test in `tests/prop.rs`).
     pub fn to_json(&self) -> Json {
-        let mut fields = Vec::with_capacity(10);
-        self.walk(|key, value| fields.push((key.to_string(), value.into())));
-        Json::Obj(fields)
+        let mut fields = TreeBuilder(Vec::with_capacity(10));
+        self.walk(&mut fields);
+        Json::Obj(fields.0)
     }
 
     /// One-line human rendering for post-mortem tails.

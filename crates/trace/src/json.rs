@@ -209,6 +209,19 @@ pub(crate) fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result 
     out.write_char('"')
 }
 
+/// A byte buffer as a [`fmt::Write`] target: what is written is `str`, so
+/// the buffer stays UTF-8 if it was. Lets the crate's byte renderers send
+/// the rare value through [`write_escaped`] or a `Display` impl without a
+/// temporary `String`.
+pub(crate) struct Utf8<'a>(pub(crate) &'a mut Vec<u8>);
+
+impl fmt::Write for Utf8<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

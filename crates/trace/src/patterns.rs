@@ -793,12 +793,13 @@ mod tests {
             begin_ev(4, 2, 16, false),
         ];
         let mut online = PatternTable::new();
-        let mut text = String::new();
+        let mut text = Vec::new();
         for ev in &events {
             online.observe(ev);
             ev.write_jsonl(&mut text);
-            text.push('\n');
+            text.push(b'\n');
         }
+        let text = String::from_utf8(text).expect("the line writer emits UTF-8");
         let replay = PatternTable::from_trace(&text).expect("replay parses");
         assert_eq!(
             online.document(None, None).to_string(),

@@ -10,8 +10,9 @@
 //! process rows. Timestamps are simulated cycles rendered in the format's
 //! microsecond field — the viewer's "us" unit reads as cycles.
 //!
-//! Rendered straight into a `String` with the trace writer's idiom (no
-//! tree per record; the build is offline, no serde), and paired with
+//! Rendered straight into bytes with the trace writer's own decimal and
+//! label writers (no tree per record; the build is offline, no serde),
+//! checked as UTF-8 once when the document is complete, and paired with
 //! [`validate_perfetto`], which walks the document record by record, so
 //! CI can gate on schema well-formedness without a browser.
 
@@ -19,8 +20,8 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::event::push_u64;
-use crate::json::{write_escaped, Fields, Lexer, Token};
+use crate::event::{push_label, push_u64};
+use crate::json::{Fields, Lexer, Token, Utf8};
 use crate::metrics::IntervalSnapshot;
 use crate::span::{MsgSpan, SpanTree};
 
@@ -30,21 +31,21 @@ const BACKGROUND_TID: u64 = 0;
 
 /// Starts a field: a comma unless it is its object's first, then the
 /// key. Keys are this module's own literals, plain ASCII.
-fn key(out: &mut String, key: &str) {
-    if !out.ends_with('{') {
-        out.push(',');
+fn key(out: &mut Vec<u8>, key: &str) {
+    if !out.ends_with(b"{") {
+        out.push(b',');
     }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
+    out.push(b'"');
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(b"\":");
 }
 
-fn str_field(out: &mut String, k: &str, v: &str) {
+fn str_field(out: &mut Vec<u8>, k: &str, v: &str) {
     key(out, k);
-    write_escaped(out, v).expect("writing to a String cannot fail");
+    push_label(out, v);
 }
 
-fn u64_field(out: &mut String, k: &str, n: u64) {
+fn u64_field(out: &mut Vec<u8>, k: &str, n: u64) {
     key(out, k);
     push_u64(out, n);
 }
@@ -54,7 +55,7 @@ fn u64_field(out: &mut String, k: &str, n: u64) {
 /// `tid`, `ts` (those it has). The caller adds the rest and the `}`.
 #[allow(clippy::too_many_arguments)]
 fn open_record(
-    out: &mut String,
+    out: &mut Vec<u8>,
     name: &str,
     cat: Option<&str>,
     ph: &str,
@@ -63,10 +64,10 @@ fn open_record(
     tid: u64,
     ts: Option<u64>,
 ) {
-    if !out.ends_with('[') {
-        out.push(',');
+    if !out.ends_with(b"[") {
+        out.push(b',');
     }
-    out.push('{');
+    out.push(b'{');
     str_field(out, "name", name);
     if let Some(cat) = cat {
         str_field(out, "cat", cat);
@@ -74,7 +75,7 @@ fn open_record(
     str_field(out, "ph", ph);
     if let Some(id) = id {
         key(out, "id");
-        write!(out, "\"0x{id:x}\"").expect("writing to a String cannot fail");
+        write!(Utf8(out), "\"0x{id:x}\"").expect("writing to a Vec cannot fail");
     }
     u64_field(out, "pid", pid);
     u64_field(out, "tid", tid);
@@ -83,26 +84,26 @@ fn open_record(
     }
 }
 
-fn async_msg_pair(out: &mut String, m: &MsgSpan, pid: u64, tid: u64, id: u64) {
+fn async_msg_pair(out: &mut Vec<u8>, m: &MsgSpan, pid: u64, tid: u64, id: u64) {
     open_record(out, m.msg, Some("msg"), "b", Some(id), pid, tid, Some(m.send));
     key(out, "args");
-    out.push('{');
+    out.push(b'{');
     u64_field(out, "src", m.src as u64);
     u64_field(out, "dst", m.dst as u64);
     str_field(out, "class", m.class);
     u64_field(out, "hops", m.hops as u64);
-    out.push_str("}}");
+    out.extend_from_slice(b"}}");
     let end = m.deliver.unwrap_or(m.send);
     open_record(out, m.msg, Some("msg"), "e", Some(id), pid, tid, Some(end));
-    out.push('}');
+    out.push(b'}');
 }
 
-fn process_name(out: &mut String, pid: u64, name: &str) {
+fn process_name(out: &mut Vec<u8>, pid: u64, name: &str) {
     open_record(out, "process_name", None, "M", None, pid, 0, None);
     key(out, "args");
-    out.push('{');
+    out.push(b'{');
     str_field(out, "name", name);
-    out.push_str("}}");
+    out.extend_from_slice(b"}}");
 }
 
 /// Renders a span tree (plus optional interval counters) as a chrome
@@ -117,8 +118,8 @@ fn process_name(out: &mut String, pid: u64, name: &str) {
 /// (`messages`, `retries`, `nacks`, `occupancy`) attach to a synthetic
 /// pid one past the largest cluster.
 pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut name = String::new();
+    let mut out = b"{\"traceEvents\":[".to_vec();
+    let mut name = Vec::new();
     let mut max_pid = 0u64;
     let mut msg_id = 0u64;
     for t in &tree.txns {
@@ -128,22 +129,23 @@ pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> String {
             t.phases.last().map(|p| p.end).unwrap_or(t.begin)
         });
         name.clear();
-        name.push_str(if t.write { "write blk#" } else { "read blk#" });
+        name.extend_from_slice(if t.write { b"write blk#" } else { b"read blk#" });
         push_u64(&mut name, t.block);
-        open_record(&mut out, &name, Some("txn"), "X", None, pid, t.txn, Some(t.begin));
+        let name = std::str::from_utf8(&name).expect("a literal and a decimal");
+        open_record(&mut out, name, Some("txn"), "X", None, pid, t.txn, Some(t.begin));
         u64_field(&mut out, "dur", end.saturating_sub(t.begin));
         key(&mut out, "args");
-        out.push('{');
+        out.push(b'{');
         u64_field(&mut out, "txn", t.txn);
         u64_field(&mut out, "block", t.block);
         u64_field(&mut out, "retries", t.retries as u64);
         u64_field(&mut out, "nacks", t.nacks as u64);
         key(&mut out, "complete");
-        out.push_str(if t.end.is_some() { "true}}" } else { "false}}" });
+        out.extend_from_slice(if t.end.is_some() { b"true}}" } else { b"false}}" });
         for p in &t.phases {
             open_record(&mut out, p.phase, Some("phase"), "X", None, pid, t.txn, Some(p.start));
             u64_field(&mut out, "dur", p.duration());
-            out.push_str(",\"args\":{}}");
+            out.extend_from_slice(b",\"args\":{}}");
             for m in &p.msgs {
                 msg_id += 1;
                 async_msg_pair(&mut out, m, pid, t.txn, msg_id);
@@ -177,14 +179,16 @@ pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> String {
             ] {
                 open_record(&mut out, name, None, "C", None, counter_pid, 0, Some(s.start));
                 key(&mut out, "args");
-                out.push('{');
+                out.push(b'{');
                 u64_field(&mut out, "value", value);
-                out.push_str("}}");
+                out.extend_from_slice(b"}}");
             }
         }
     }
-    out.push_str("],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles\"}}");
-    out
+    out.extend_from_slice(
+        b"],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles\"}}",
+    );
+    String::from_utf8(out).expect("the renderers write UTF-8")
 }
 
 /// Aggregate of one validated Perfetto document.

@@ -4,60 +4,40 @@
 //! cycle (never a past one). The post-hoc export sorts the whole history
 //! by `(cycle, cluster, per-cluster seq)` and numbers it; a live stream
 //! has to produce the same lines in the same order without seeing the
-//! future. The pump does that with a watermark: an event is held in a
-//! min-heap until the caller says the simulation clock has moved strictly
-//! past its cycle, at which point nothing still unrecorded can sort
-//! before it. Solo machines and the shard coordinator both feed one of
-//! these; it is the only place events meet a [`TraceSink`], and the only
-//! place a trace line is rendered during a run.
+//! future. The pump does that with a watermark: an event is held until the
+//! caller says the simulation clock has moved strictly past its cycle, at
+//! which point nothing still unrecorded can sort before it. Solo machines
+//! and the shard coordinator both feed one of these; it is the only place
+//! events meet a [`TraceSink`], and the only place a trace line is
+//! rendered during a run.
+//!
+//! What holds the events is the engine's own timing wheel
+//! ([`EventQueue`]): scheduled at its cycle under `Stamp { lane: cluster,
+//! seq }`, an event is delivered in `(time, lane, seq)` order — which *is*
+//! the canonical trace order, so the pump sorts nothing itself.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 
+use scd_sim::{EventQueue, Stamp};
+
 use crate::event::TraceEvent;
-use crate::json::Json;
+use crate::json::{Json, Utf8};
 use crate::sink::{run_end_record, TraceSink};
-
-/// A recorded event waiting for the watermark to pass it. Ordered by the
-/// canonical `(cycle, cluster, per-cluster seq)` trace order, *reversed*,
-/// so [`BinaryHeap`] (a max-heap) pops the earliest event first.
-struct Pending(TraceEvent);
-
-impl Pending {
-    fn key(&self) -> (u64, u32, u64) {
-        (self.0.cycle, self.0.cluster, self.0.seq)
-    }
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
-    }
-}
 
 /// The watermark reorder pump in front of one attached [`TraceSink`].
 pub struct StreamPump {
     sink: Box<dyn TraceSink>,
     /// Recorded events the watermark has not passed yet.
-    pending: BinaryHeap<Pending>,
+    pending: EventQueue<TraceEvent>,
+    /// The highest watermark flushed so far: every event below it that the
+    /// pump was ever going to see has been emitted.
+    flushed: u64,
     /// Events emitted so far: each emitted line's `seq` is renumbered to
     /// its 1-based position in the canonical emission order, matching
     /// what `Tracer::merged` assigns post-hoc.
     emitted: u64,
     /// The one line buffer every record is rendered into.
-    line: String,
+    line: Vec<u8>,
 }
 
 impl StreamPump {
@@ -65,40 +45,62 @@ impl StreamPump {
     pub fn new(sink: Box<dyn TraceSink>) -> Self {
         StreamPump {
             sink,
-            pending: BinaryHeap::new(),
+            pending: EventQueue::new(),
+            flushed: 0,
             emitted: 0,
-            line: String::with_capacity(256),
+            line: Vec::with_capacity(256),
         }
     }
 
     /// Takes one recorded event (its `seq` still the per-cluster
     /// recording counter).
+    ///
+    /// # Panics
+    /// If the event is stamped below a watermark already flushed: lines
+    /// that sort after it are in the sink, so the stream could only carry
+    /// it out of order. Hooks stamp at or ahead of the clock and the
+    /// watermark trails the clock, so this is a bug in whoever fed the
+    /// pump, reported here instead of as a misordered trace.
     pub fn push(&mut self, ev: TraceEvent) {
-        self.pending.push(Pending(ev));
+        assert!(
+            ev.cycle >= self.flushed,
+            "event stamped behind the flushed watermark {}: {ev:?}",
+            self.flushed
+        );
+        let stamp = Stamp {
+            lane: ev.cluster,
+            seq: ev.seq,
+        };
+        self.pending.schedule_at_stamped(ev.cycle, stamp, ev);
     }
 
     /// Emits every pending event with `cycle < watermark`, in canonical
     /// order, renumbered.
     pub fn flush_below(&mut self, watermark: u64) {
-        while let Some(top) = self.pending.peek() {
-            if top.0.cycle >= watermark {
-                break;
-            }
-            let mut ev = self.pending.pop().expect("peeked above").0;
+        self.flushed = self.flushed.max(watermark);
+        while self.pending.peek_time().is_some_and(|t| t < watermark) {
+            let (_, mut ev) = self.pending.pop().expect("peeked above");
             self.emitted += 1;
             ev.seq = self.emitted;
             self.line.clear();
             ev.write_jsonl(&mut self.line);
-            self.sink.emit(&self.line);
+            self.emit_line();
         }
+    }
+
+    /// Hands the rendered line to the sink, as the `str` it is checked to
+    /// be — once per line, not once per field.
+    fn emit_line(&mut self) {
+        let line = std::str::from_utf8(&self.line).expect("renderers write UTF-8");
+        self.sink.emit(line);
     }
 
     /// Emits one stream-only record (`run_meta`, `interval`,
     /// `attrib_delta`, `patterns`) at the current position of the stream.
     pub fn emit_record(&mut self, record: &Json) {
         self.line.clear();
-        write!(self.line, "{record}").expect("writing to a String cannot fail");
-        self.sink.emit(&self.line);
+        write!(Utf8(&mut self.line), "{record}").expect("writing to a Vec cannot fail");
+        self.emit_line();
     }
 
     /// Pushes buffered lines to the sink's transport — called at interval
@@ -175,6 +177,24 @@ mod tests {
             .chain([run_end_record(60, 3, 0).to_string()])
             .collect();
         assert_eq!(*lines.lock().unwrap(), want);
+    }
+
+    /// What the heap this replaced let through as a misordered line: the
+    /// watermark passed cycle 10, so a cycle-5 event can no longer be
+    /// placed.
+    #[test]
+    #[should_panic(
+        expected = "behind the flushed watermark 10: TraceEvent { seq: 1, cycle: 5, cluster: 2"
+    )]
+    fn refuses_an_event_behind_the_flushed_watermark() {
+        let mut pump = StreamPump::new(Box::new(BufferSink::new()));
+        pump.flush_below(10);
+        pump.push(TraceEvent {
+            seq: 1,
+            cycle: 5,
+            cluster: 2,
+            kind: phase(7),
+        });
     }
 
     /// A sink that sheds load is reported by `close`, after the last

@@ -503,9 +503,9 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
 /// `to_json().to_string()` is held equal to by test); this wrapper is for
 /// callers that want an owned line and do not have a buffer to reuse.
 pub fn event_line(ev: &TraceEvent) -> String {
-    let mut line = String::with_capacity(160);
+    let mut line = Vec::with_capacity(160);
     ev.write_jsonl(&mut line);
-    line
+    String::from_utf8(line).expect("the line writer emits UTF-8")
 }
 
 #[cfg(test)]

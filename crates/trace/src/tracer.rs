@@ -121,9 +121,12 @@ pub struct Tracer {
     recorded: u64,
     dropped: u64,
     messages: bool,
-    /// Streaming tap: when armed, every recorded event is also appended
-    /// here (eviction-proof) for the machine's stream pump to drain.
-    mirror: Option<Vec<TraceEvent>>,
+    /// Whether the streaming tap is armed.
+    mirroring: bool,
+    /// The streaming tap: while armed, every recorded event is also
+    /// appended here (eviction-proof) for the machine's stream pump to
+    /// drain.
+    mirror: Vec<TraceEvent>,
 }
 
 /// Cloning resets the mirror: a cloned machine (exploration branching)
@@ -137,7 +140,8 @@ impl Clone for Tracer {
             recorded: self.recorded,
             dropped: self.dropped,
             messages: self.messages,
-            mirror: None,
+            mirroring: false,
+            mirror: Vec::new(),
         }
     }
 }
@@ -153,7 +157,8 @@ impl Tracer {
             recorded: 0,
             dropped: 0,
             messages: cfg.messages,
-            mirror: None,
+            mirroring: false,
+            mirror: Vec::new(),
         }
     }
 
@@ -165,7 +170,8 @@ impl Tracer {
             recorded: 0,
             dropped: 0,
             messages: false,
-            mirror: None,
+            mirroring: false,
+            mirror: Vec::new(),
         }
     }
 
@@ -174,14 +180,21 @@ impl Tracer {
     /// including events a full ring will evict, so a stream never loses
     /// what the rings lost.
     pub fn set_mirror(&mut self, on: bool) {
-        self.mirror = on.then(Vec::new);
+        self.mirroring = on;
+        self.mirror = Vec::new();
     }
 
     /// Drains the mirrored events recorded since the last call (empty
     /// when the mirror is disarmed). The buffer keeps its capacity, so a
     /// pump that drains every event-loop iteration never re-allocates it.
-    pub fn drain_mirror(&mut self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.mirror.iter_mut().flat_map(|m| m.drain(..))
+    pub fn drain_mirror(&mut self) -> std::vec::Drain<'_, TraceEvent> {
+        self.mirror.drain(..)
+    }
+
+    /// Hands over the mirror's buffer itself, leaving an empty one: for a
+    /// consumer on another thread, which cannot drain in place.
+    pub fn take_mirror(&mut self) -> Vec<TraceEvent> {
+        std::mem::take(&mut self.mirror)
     }
 
     /// Whether per-message events should be recorded.
@@ -192,13 +205,20 @@ impl Tracer {
     /// Records one event attributed to `cluster`. The event's `seq` is the
     /// cluster's local recording counter; [`Tracer::merged`] (or a stream
     /// emitter) renumbers it to the global canonical position.
+    ///
+    /// An event nobody will read — a ring of capacity 0 and no armed
+    /// mirror — is not built, numbered or counted.
     pub fn record(&mut self, cluster: usize, cycle: u64, kind: EventKind) {
         let Some(ring) = self.rings.get_mut(cluster) else {
             return;
         };
+        let retained = ring.capacity() > 0;
+        if !retained && !self.mirroring {
+            return;
+        }
         self.lane_seq[cluster] += 1;
         self.recorded += 1;
-        if ring.len() == ring.capacity() && ring.capacity() > 0 {
+        if retained && ring.len() == ring.capacity() {
             self.dropped += 1;
         }
         let ev = TraceEvent {
@@ -207,14 +227,14 @@ impl Tracer {
             cluster: cluster as u32,
             kind,
         };
-        if let Some(m) = &mut self.mirror {
-            m.push(ev.clone());
+        if self.mirroring {
+            self.mirror.push(ev.clone());
         }
         ring.push(ev);
     }
 
-    /// Events recorded since the run began (including any since evicted
-    /// from their rings).
+    /// Events recorded since the run began: retained in a ring (including
+    /// any since evicted from it) or handed to an armed mirror.
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
@@ -368,6 +388,23 @@ mod tests {
         assert_eq!(t.drain_mirror().count(), 1, "original keeps streaming");
         clone.record(0, 10, phase(10));
         assert_eq!(clone.drain_mirror().count(), 0, "a clone does not stream");
+    }
+
+    /// Rings of capacity 0 (an attribution- or interval-only run) retain
+    /// nothing, so nothing is numbered or counted — until a mirror is
+    /// armed, and then the stream gets every event.
+    #[test]
+    fn a_ring_that_holds_nothing_counts_nothing_unless_mirrored() {
+        let mut t = Tracer::new(2, &TraceConfig::none().with_attribution(true));
+        t.record(0, 1, phase(1));
+        assert_eq!((t.recorded(), t.dropped()), (0, 0));
+        t.set_mirror(true);
+        t.record(0, 2, phase(2));
+        t.record(1, 2, phase(3));
+        assert_eq!((t.recorded(), t.dropped()), (2, 0));
+        let seqs: Vec<u64> = t.drain_mirror().map(|e| e.seq).collect();
+        assert_eq!(seqs, [1, 1], "numbering starts with the first event built");
+        assert!(t.merged().is_empty());
     }
 
     #[test]

@@ -8,11 +8,18 @@
 //! Reading: the tree ([`Json::parse`]) and the flat view ([`Fields`]) are
 //! two folds over one lexer and must agree on every document — what they
 //! accept, what they find, and the error they give.
+//!
+//! And the ordering contract between them: the live stream
+//! ([`StreamPump`]) must emit the lines the post-hoc merge
+//! ([`Tracer::merged`]) exports, in its order, without seeing the future.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use scd_trace::json::Value;
-use scd_trace::{event_line, EventKind, Fields, Json, Phase, TraceEvent};
+use scd_trace::{
+    event_line, interval_record, run_end_record, BufferSink, EventKind, Fields,
+    IntervalSnapshot, Json, Phase, StreamPump, TraceConfig, TraceEvent, Tracer,
+};
 
 /// Field values biased to the edges a decimal formatter gets wrong.
 fn edge_u64() -> impl Strategy<Value = u64> {
@@ -43,7 +50,18 @@ fn label() -> impl Strategy<Value = &'static str> {
         Just("back\\slash\n\ttab"),
         Just("ctl\u{1}\u{1f}"),
         Just("caf\u{e9} \u{1f980}"),
+        // Longer than any line buffer one would size by looking at real
+        // traces: 300 plain bytes, and 64 bytes that each take the
+        // escaper's six-byte `\u00XX` form.
+        Just(leaked("plain_label.".repeat(25))),
+        Just(leaked((0..64u8).map(|i| char::from(1 + i % 8)).collect())),
     ]
+}
+
+/// The event fields are `&'static str`; a test that wants a computed label
+/// leaks it.
+fn leaked(s: String) -> &'static str {
+    Box::leak(s.into_boxed_str())
 }
 
 fn phase() -> impl Strategy<Value = Phase> {
@@ -136,9 +154,10 @@ proptest! {
     ) {
         let ev = TraceEvent { seq, cycle, cluster, kind };
         // Appends: whatever the buffer held stays put.
-        let mut line = String::from("prefix");
+        let mut line = b"prefix".to_vec();
         ev.write_jsonl(&mut line);
-        let line = line.strip_prefix("prefix").expect("the writer only appends");
+        let line = line.strip_prefix(b"prefix").expect("the writer only appends");
+        let line = std::str::from_utf8(line).expect("the writer emits UTF-8");
         prop_assert_eq!(line, ev.to_json().to_string());
         prop_assert_eq!(line, event_line(&ev));
         prop_assert_eq!(Json::parse(line).expect("the line is JSON"), ev.to_json());
@@ -157,6 +176,149 @@ fn the_kind_strategy_covers_every_event_type() {
     let mut all = scd_trace::EVENT_TYPES.to_vec();
     all.sort_unstable();
     assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+}
+
+/// One exact line per event kind, every numeric field at its type's
+/// maximum and the optional `block` of both message kinds absent. Captured
+/// from the closure-driven writer this one replaced: the schema's key
+/// order, punctuation and widest decimals, byte for byte.
+#[test]
+fn golden_line_per_event_kind() {
+    const W: u64 = u64::MAX;
+    const H: u32 = u32::MAX;
+    let golden = [
+        (
+            EventKind::TxnBegin { txn: W, block: W, write: true },
+            r#""type":"txn_begin","txn":18446744073709551615,"block":18446744073709551615,"write":true}"#,
+        ),
+        (
+            EventKind::TxnPhase { txn: W, block: W, phase: Phase::HomeLookup },
+            r#""type":"txn_phase","txn":18446744073709551615,"block":18446744073709551615,"phase":"home_lookup"}"#,
+        ),
+        (
+            EventKind::TxnEnd { txn: W, block: W, latency: W, retries: H },
+            r#""type":"txn_end","txn":18446744073709551615,"block":18446744073709551615,"latency":18446744073709551615,"retries":4294967295}"#,
+        ),
+        (
+            EventKind::Nack { txn: W, block: W },
+            r#""type":"nack","txn":18446744073709551615,"block":18446744073709551615}"#,
+        ),
+        (
+            EventKind::Retry { txn: W, block: W, attempt: H, backoff: W },
+            r#""type":"retry","txn":18446744073709551615,"block":18446744073709551615,"attempt":4294967295,"backoff":18446744073709551615}"#,
+        ),
+        (
+            EventKind::Inval { block: W, targets: H, cause: "nb_evict" },
+            r#""type":"inval","block":18446744073709551615,"targets":4294967295,"cause":"nb_evict"}"#,
+        ),
+        (
+            EventKind::Replacement { victim: W, targets: H, dirty: false },
+            r#""type":"replacement","victim":18446744073709551615,"targets":4294967295,"dirty":false}"#,
+        ),
+        (
+            EventKind::MsgSend {
+                src: H,
+                dst: H,
+                msg: "read_req",
+                class: "request",
+                block: None,
+                hops: H,
+            },
+            r#""type":"msg_send","src":4294967295,"dst":4294967295,"msg":"read_req","class":"request","hops":4294967295}"#,
+        ),
+        (
+            EventKind::MsgDeliver { src: H, dst: H, msg: "inval_ack", block: None },
+            r#""type":"msg_deliver","src":4294967295,"dst":4294967295,"msg":"inval_ack"}"#,
+        ),
+    ];
+    assert_eq!(golden.len(), scd_trace::EVENT_TYPES.len());
+    for (kind, tail) in golden {
+        let ev = TraceEvent { seq: W, cycle: W, cluster: H, kind };
+        let want = format!(
+            r#"{{"seq":18446744073709551615,"cycle":18446744073709551615,"cluster":4294967295,{tail}"#
+        );
+        assert_eq!(event_line(&ev), want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The pump against the post-hoc merge. A run is a sequence of
+    /// barriers: the clock (highest time processed) moves, events are
+    /// recorded at or ahead of the earliest time still open — on any
+    /// cluster, same-cycle ties across clusters, one cluster going forward
+    /// then back, stamps past the reorder structure's near window — the
+    /// interval boundaries the clock reached stream their record, and the
+    /// watermark moves to the next open time, capped at the next boundary
+    /// still owed (where it stalls while the clock lags behind). The sink
+    /// must receive `Tracer::merged`'s lines with each record in place.
+    #[test]
+    fn pump_streams_the_post_hoc_merge(seed in any::<u64>()) {
+        const CLUSTERS: u64 = 5;
+        let mut rng = TestRng::new(seed);
+        let pick = |rng: &mut TestRng, from: &[u64]| from[rng.below(from.len() as u64) as usize];
+        let mut tracer = Tracer::new(CLUSTERS as usize, &TraceConfig::full(1 << 12));
+        tracer.set_mirror(true);
+        let sink = BufferSink::new();
+        let lines = sink.handle();
+        let mut pump = StreamPump::new(Box::new(sink));
+
+        let period = 16 + rng.below(300);
+        let mut next_due = period;
+        // (boundary, rendered record) of every record streamed.
+        let mut records: Vec<(u64, String)> = Vec::new();
+        // Earliest time anything can still be recorded at.
+        let mut open = 0u64;
+        let mut recorded = 0u64;
+        for _ in 0..1 + rng.below(80) {
+            // The window's handlers: each pops at or after `open` and
+            // stamps what it records at or ahead of its pop.
+            let clock = open + pick(&mut rng, &[0, 0, 1, 5, 30]);
+            for _ in 0..rng.below(6) {
+                let at = open + pick(&mut rng, &[0, 0, 0, 1, 1, 7, 40, 40, 1023, 1024, 2500]);
+                recorded += 1;
+                tracer.record(
+                    rng.below(CLUSTERS) as usize,
+                    at,
+                    EventKind::Nack { txn: recorded, block: at },
+                );
+            }
+            for ev in tracer.drain_mirror() {
+                pump.push(ev);
+            }
+            // The barrier: boundaries the clock reached, then the
+            // watermark up to the next open time.
+            open = clock + pick(&mut rng, &[0, 1, 1, 3, 40, 700, 1500]);
+            while next_due <= clock {
+                pump.flush_below(next_due);
+                let record = interval_record(&IntervalSnapshot {
+                    start: next_due - period,
+                    end: next_due,
+                    ..Default::default()
+                });
+                pump.emit_record(&record);
+                records.push((next_due, record.to_string()));
+                next_due += period;
+            }
+            pump.flush_below(open.min(next_due));
+        }
+        prop_assert_eq!(pump.close(open, recorded, 0), 0);
+
+        // Post hoc: the merged history, each record ahead of the first
+        // event at or past its boundary, `run_end` last.
+        let mut want = Vec::new();
+        let mut records = records.into_iter().peekable();
+        for ev in tracer.merged() {
+            while let Some((_, record)) = records.next_if(|(boundary, _)| *boundary <= ev.cycle) {
+                want.push(record);
+            }
+            want.push(event_line(&ev));
+        }
+        want.extend(records.map(|(_, record)| record));
+        want.push(run_end_record(open, recorded, 0).to_string());
+        prop_assert_eq!(&*lines.lock().unwrap(), &want);
+    }
 }
 
 /// Strings that exercise the escaper and the lexer's borrowed/owned split.

@@ -123,12 +123,12 @@ fn write_trace(machine: &ShardedMachine, path: &str) {
             std::process::exit(1)
         }
     });
-    let mut line = String::new();
+    let mut line = Vec::new();
     for ev in &events {
         line.clear();
         ev.write_jsonl(&mut line);
-        line.push('\n');
-        out.write_all(line.as_bytes()).expect("trace write failed");
+        line.push(b'\n');
+        out.write_all(&line).expect("trace write failed");
     }
     out.flush().expect("trace flush failed");
     eprintln!(
