@@ -30,7 +30,7 @@ fn run_once(app: &AppRun, trace: Option<TraceConfig>) -> u64 {
     if let Some(t) = trace {
         cfg = cfg.with_trace(t);
     }
-    Machine::new(cfg, app.boxed_programs()).run().cycles
+    Machine::new(cfg, app.scripts()).run().cycles
 }
 
 /// Min-of-`rounds` wall nanoseconds of each variant, the variants
@@ -70,7 +70,7 @@ impl TraceSink for CountingSink {
 /// as `--stream-out` would attach a file.
 fn run_once_streamed(app: &AppRun) -> u64 {
     let cfg = MachineConfig::paper_32().with_trace(TraceConfig::full(4096));
-    let mut machine = Machine::new(cfg, app.boxed_programs());
+    let mut machine = Machine::new(cfg, app.scripts());
     machine.attach_stream(Box::new(CountingSink(0)), None);
     machine.try_run().expect("run must quiesce").cycles
 }

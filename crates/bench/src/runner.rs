@@ -25,7 +25,7 @@ pub fn run_app_with(app: &AppRun, cfg: MachineConfig) -> RunStats {
         cfg.processors(),
         "application generated for a different machine size"
     );
-    Machine::new(cfg, app.boxed_programs()).run()
+    Machine::new(cfg, app.scripts()).run()
 }
 
 /// Runs `app` with traffic-attribution counters enabled (no event ring,
@@ -56,7 +56,7 @@ pub fn run_app_attributed(
     );
     let mut tc = TraceConfig::none();
     tc.attribution = true;
-    let mut machine = ShardedMachine::new(cfg.with_trace(tc), app.boxed_programs(), shards)?;
+    let mut machine = ShardedMachine::new(cfg.with_trace(tc), app.scripts(), shards)?;
     let stats = machine.run();
     let attrib = machine.attribution_json(stats.cycles);
     let trace = machine.trace_json();

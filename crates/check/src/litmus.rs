@@ -9,10 +9,12 @@
 //! mod 4 collide in L1 and mod 8 in L2; homes interleave block mod
 //! clusters).
 
+use std::sync::Arc;
+
 use scd_core::{Organization, Replacement, Scheme};
 use scd_machine::machine::explore::{FaultEdges, Mutation};
 use scd_machine::{Machine, MachineConfig, ProtocolKind};
-use scd_tango::{Op, ScriptProgram, ThreadProgram};
+use scd_tango::{Op, Script};
 use scd_trace::TraceConfig;
 
 /// One litmus test: named programs plus the fault edges it wants explored.
@@ -24,8 +26,9 @@ pub struct Litmus {
     pub summary: &'static str,
     /// Cluster count (one processor each).
     pub clusters: usize,
-    /// Per-processor op streams.
-    pub programs: Vec<Vec<Op>>,
+    /// Per-processor op streams (shared with every machine built from
+    /// them, never copied).
+    pub programs: Vec<Arc<[Op]>>,
     /// Fault edges to enumerate while exploring this test.
     pub faults: FaultEdges,
     /// Maximum injected faults along any one explored path.
@@ -75,8 +78,8 @@ pub fn corpus() -> Vec<Litmus> {
             // lets either write's request slip past the other cluster's
             // read, covering the orders fixed latencies would pin down.
             programs: vec![
-                vec![Write(a(0)), Read(a(1))],
-                vec![Write(a(1)), Read(a(0))],
+                [Write(a(0)), Read(a(1))].into(),
+                [Write(a(1)), Read(a(0))].into(),
             ],
             faults: FaultEdges {
                 nack: false,
@@ -94,9 +97,9 @@ pub fn corpus() -> Vec<Litmus> {
             // directory-tracked. The reader's first poll caches the stale
             // flag before the writer's fan-out reaches it.
             programs: vec![
-                vec![Write(a(2)), Write(a(5))],
-                vec![Read(a(5)), Read(a(2)), Read(a(5))],
-                vec![],
+                [Write(a(2)), Write(a(5))].into(),
+                [Read(a(5)), Read(a(2)), Read(a(5))].into(),
+                [].into(),
             ],
             faults: FaultEdges::none(),
             fault_budget: 0,
@@ -111,8 +114,8 @@ pub fn corpus() -> Vec<Litmus> {
             // cluster 0's staged writes land in that window, so the
             // invalidation can cross the eviction in flight.
             programs: vec![
-                vec![Compute(90), Write(a(0)), Write(a(0))],
-                vec![Read(a(0)), Read(a(8)), Read(a(16))],
+                [Compute(90), Write(a(0)), Write(a(0))].into(),
+                [Read(a(0)), Read(a(8)), Read(a(16))].into(),
             ],
             faults: FaultEdges {
                 nack: false,
@@ -131,9 +134,9 @@ pub fn corpus() -> Vec<Litmus> {
             // staged write fans out an invalidation right as cluster 0's
             // reads of blocks 3 and 6 displace block 0's directory entry.
             programs: vec![
-                vec![Compute(80), Read(a(3)), Read(a(6))],
-                vec![Compute(60), Write(a(0))],
-                vec![Read(a(0))],
+                [Compute(80), Read(a(3)), Read(a(6))].into(),
+                [Compute(60), Write(a(0))].into(),
+                [Read(a(0))].into(),
             ],
             faults: FaultEdges::none(),
             fault_budget: 0,
@@ -147,8 +150,8 @@ pub fn corpus() -> Vec<Litmus> {
             // moments. A livelock shows up as an unexpectedly unbounded
             // path / deadlocked leaf.
             programs: vec![
-                vec![Write(a(1)), Read(a(1))],
-                vec![Write(a(1))],
+                [Write(a(1)), Read(a(1))].into(),
+                [Write(a(1))].into(),
             ],
             faults: FaultEdges {
                 nack: true,
@@ -168,9 +171,9 @@ pub fn corpus() -> Vec<Litmus> {
             // sharer. The duplicate edge re-sends a read request so
             // at-most-once directory recording is exercised too.
             programs: vec![
-                vec![Read(a(1))],
-                vec![Compute(150), Write(a(1))],
-                vec![Read(a(1)), Read(a(1))],
+                [Read(a(1))].into(),
+                [Compute(150), Write(a(1))].into(),
+                [Read(a(1)), Read(a(1))].into(),
             ],
             faults: FaultEdges {
                 nack: false,
@@ -191,14 +194,14 @@ pub fn corpus() -> Vec<Litmus> {
             // over the superseded version, and the barrier-synced `pts`
             // then lets the stale copy satisfy the final read.
             programs: vec![
-                vec![
+                [
                     Write(a(1)),
                     Op::Barrier(0),
                     Compute(5),
                     Write(a(1)),
                     Op::Barrier(1),
-                ],
-                vec![Op::Barrier(0), Read(a(1)), Op::Barrier(1), Read(a(1))],
+                ].into(),
+                [Op::Barrier(0), Read(a(1)), Op::Barrier(1), Read(a(1))].into(),
             ],
             faults: FaultEdges::none(),
             fault_budget: 0,
@@ -217,7 +220,7 @@ pub fn corpus() -> Vec<Litmus> {
             // cluster 0's (compute-delayed) closing write of the same
             // block, which the delay edge can push to either side.
             programs: vec![
-                vec![
+                [
                     Write(a(0)),
                     Op::Barrier(0),
                     Write(a(1)),
@@ -228,8 +231,8 @@ pub fn corpus() -> Vec<Litmus> {
                     Op::Barrier(3),
                     Compute(30),
                     Write(a(0)),
-                ],
-                vec![
+                ].into(),
+                [
                     Op::Barrier(0),
                     Read(a(0)),
                     Read(a(1)),
@@ -240,7 +243,7 @@ pub fn corpus() -> Vec<Litmus> {
                     Op::Barrier(3),
                     Read(a(0)),
                     Read(a(1)),
-                ],
+                ].into(),
             ],
             faults: FaultEdges {
                 nack: false,
@@ -259,8 +262,8 @@ pub fn corpus() -> Vec<Litmus> {
             // invalidation (`dls-skip-writeback`) leaves cluster 0
             // re-reading its stale copy while the slice has moved on.
             programs: vec![
-                vec![Read(a(0)), Compute(50), Read(a(0))],
-                vec![Compute(20), Read(a(0)), Write(a(0))],
+                [Read(a(0)), Compute(50), Read(a(0))].into(),
+                [Compute(20), Read(a(0)), Write(a(0))].into(),
             ],
             faults: FaultEdges {
                 nack: false,
@@ -380,12 +383,9 @@ impl Litmus {
         cfg
     }
 
-    /// The boxed per-processor programs for this litmus.
-    pub fn boxed_programs(&self) -> Vec<Box<dyn ThreadProgram>> {
-        self.programs
-            .iter()
-            .map(|ops| Box::new(ScriptProgram::new(ops.clone())) as Box<dyn ThreadProgram>)
-            .collect()
+    /// One fresh [`Script`] per processor of this litmus.
+    pub fn scripts(&self) -> Vec<Script> {
+        self.programs.iter().cloned().map(Script::from).collect()
     }
 
     /// Builds a machine running this litmus under `scenario`, optionally
@@ -396,27 +396,11 @@ impl Litmus {
         mutation: Option<Mutation>,
         trace: bool,
     ) -> Machine {
-        let mut m = Machine::new(self.config(scenario, trace), self.boxed_programs());
+        let mut m = Machine::new(self.config(scenario, trace), self.scripts());
         if let Some(mu) = mutation {
             m.arm_mutation(mu);
         }
         m
-    }
-
-    /// Builds the same litmus machine partitioned across `shards` worker
-    /// threads (conservative time windows) — results are byte-identical
-    /// to [`Litmus::build`] with no mutation armed.
-    pub fn build_sharded(
-        &self,
-        scenario: &Scenario,
-        trace: bool,
-        shards: usize,
-    ) -> Result<scd_machine::ShardedMachine, String> {
-        scd_machine::ShardedMachine::new(
-            self.config(scenario, trace),
-            self.boxed_programs(),
-            shards,
-        )
     }
 }
 

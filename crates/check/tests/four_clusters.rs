@@ -16,10 +16,10 @@ fn message_passing_two_readers(fault_budget: u32) -> Litmus {
         summary: "MP on four clusters: one writer, two polling readers, idle home",
         clusters: 4,
         programs: vec![
-            vec![Write(data), Write(flag)],
-            vec![Read(flag), Read(data), Read(flag)],
-            vec![Read(data), Read(flag)],
-            vec![],
+            [Write(data), Write(flag)].into(),
+            [Read(flag), Read(data), Read(flag)].into(),
+            [Read(data), Read(flag)].into(),
+            [].into(),
         ],
         faults: FaultEdges {
             nack: true,

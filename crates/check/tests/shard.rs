@@ -4,6 +4,7 @@
 //! worker thread.
 
 use scd_check::{corpus, scenarios};
+use scd_machine::ShardedMachine;
 use scd_noc::FaultPlan;
 
 #[test]
@@ -23,8 +24,7 @@ fn litmus_corpus_is_shard_invariant() {
                 (stats.to_json().to_string(), trace.join("\n"))
             };
             for shards in 2..=l.clusters {
-                let mut m = l
-                    .build_sharded(&sc, true, shards)
+                let mut m = ShardedMachine::new(l.config(&sc, true), l.scripts(), shards)
                     .unwrap_or_else(|e| panic!("{} under {}: {e}", l.name, sc.label));
                 let stats = m.try_run().unwrap_or_else(|e| {
                     panic!("{} under {} ({shards} shards): {e}", l.name, sc.label)
@@ -64,9 +64,8 @@ fn faulted_litmus_runs_are_shard_invariant() {
             let run = |shards: usize| {
                 let mut cfg = l.config(&sc, false);
                 cfg.fault_plan = Some(plan);
-                let mut m =
-                    scd_machine::ShardedMachine::new(cfg, l.boxed_programs(), shards)
-                        .unwrap_or_else(|e| panic!("{} under {}: {e}", l.name, sc.label));
+                let mut m = ShardedMachine::new(cfg, l.scripts(), shards)
+                    .unwrap_or_else(|e| panic!("{} under {}: {e}", l.name, sc.label));
                 m.try_run()
                     .unwrap_or_else(|e| {
                         panic!("{} under {} ({shards} shards): {e}", l.name, sc.label)

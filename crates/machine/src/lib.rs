@@ -8,13 +8,13 @@
 //!
 //! ```
 //! use scd_machine::{Machine, MachineConfig};
-//! use scd_tango::{Op, ScriptProgram, ThreadProgram};
+//! use scd_tango::{Op, Script};
 //!
 //! // Two clusters; processor 0 writes a block, processor 1 reads it.
 //! let cfg = MachineConfig::tiny(2);
-//! let programs: Vec<Box<dyn ThreadProgram>> = vec![
-//!     Box::new(ScriptProgram::new(vec![Op::Write(0x40), Op::Barrier(0)])),
-//!     Box::new(ScriptProgram::new(vec![Op::Barrier(0), Op::Read(0x40)])),
+//! let programs = vec![
+//!     Script::from(vec![Op::Write(0x40), Op::Barrier(0)]),
+//!     Script::from(vec![Op::Barrier(0), Op::Read(0x40)]),
 //! ];
 //! let stats = Machine::new(cfg, programs).run();
 //! assert_eq!(stats.shared_writes, 1);

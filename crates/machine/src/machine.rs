@@ -52,7 +52,7 @@ use scd_protocol::{
 use scd_protocol::rac::{MshrKind, StartOutcome};
 use scd_sim::{Cycle, EventQueue, RingLog, SimRng, Stamp};
 use scd_stats::{Histogram, MessageClass, Traffic};
-use scd_tango::{Op, ThreadProgram};
+use scd_tango::{Op, Script};
 use scd_trace::{Json, MetricsRegistry, Phase, TraceEvent};
 
 use crate::config::{MachineConfig, ProtocolKind};
@@ -169,8 +169,9 @@ enum ProcStatus {
     Done,
 }
 
+#[derive(Clone)]
 struct ProcState {
-    program: Box<dyn ThreadProgram>,
+    program: Script,
     pending: Option<Op>,
     status: ProcStatus,
     /// When the current block began, and whether it is a sync stall.
@@ -179,24 +180,6 @@ struct ProcState {
     mem_stall: u64,
     sync_stall: u64,
     finish: Cycle,
-}
-
-impl Clone for ProcState {
-    /// Clones via [`ThreadProgram::fork`] — the one field a derive cannot
-    /// copy. This is what lets a whole [`Machine`] be cloned for
-    /// exploration branching.
-    fn clone(&self) -> Self {
-        ProcState {
-            program: self.program.fork(),
-            pending: self.pending,
-            status: self.status,
-            blocked_since: self.blocked_since,
-            blocked_on_sync: self.blocked_on_sync,
-            mem_stall: self.mem_stall,
-            sync_stall: self.sync_stall,
-            finish: self.finish,
-        }
-    }
 }
 
 /// Result of the home directory's decision for one request (plain data, so
@@ -238,9 +221,10 @@ pub(crate) struct ClusterView<'a> {
 
 /// A configured DASH machine ready to run a workload.
 ///
-/// `Clone` produces an independent machine mid-run (thread programs are
-/// forked at their current position) — the substrate of the model
-/// checker's state branching; see [`explore`](crate::machine::explore).
+/// `Clone` produces an independent machine mid-run (each processor's
+/// [`Script`] keeps its position and shares its ops) — the substrate of
+/// the model checker's state branching; see
+/// [`explore`](crate::machine::explore).
 #[derive(Clone)]
 pub struct Machine {
     cfg: MachineConfig,
@@ -323,11 +307,11 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds a machine and attaches one [`ThreadProgram`] per processor.
+    /// Builds a machine and attaches one [`Script`] per processor.
     ///
     /// # Panics
     /// If the number of programs does not match `cfg.processors()`.
-    pub fn new(cfg: MachineConfig, programs: Vec<Box<dyn ThreadProgram>>) -> Self {
+    pub fn new(cfg: MachineConfig, programs: Vec<Script>) -> Self {
         let clusters = cfg.clusters;
         Self::new_shard(cfg, programs, 0, clusters)
     }
@@ -342,7 +326,7 @@ impl Machine {
     /// the shard that owns everything.
     pub(crate) fn new_shard(
         cfg: MachineConfig,
-        programs: Vec<Box<dyn ThreadProgram>>,
+        programs: Vec<Script>,
         shard_base: usize,
         shard_count: usize,
     ) -> Self {

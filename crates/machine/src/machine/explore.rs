@@ -19,8 +19,8 @@
 //! * [`Machine::state_digest`] canonically fingerprints the reached state
 //!   (metrics excluded, times made relative) so a checker can deduplicate
 //!   states across interleavings.
-//! * `Machine: Clone` (thread programs fork at their current position)
-//!   provides the branching itself.
+//! * `Machine: Clone` (a derive: scripts keep their position and share
+//!   their ops) provides the branching itself.
 //!
 //! The digest's time-relativity assumes latencies depend only on the
 //! (src, dst) pair. Under link contention (`cfg.link_occupancy`) the
@@ -401,12 +401,13 @@ impl Machine {
             }
         });
         0xE0u8.hash(&mut h);
-        // Processors: status, pending op, and the forkable program cursor.
+        // Processors: status, pending op, and the script position (within
+        // one exploration it determines the remaining ops).
         for st in &self.procs {
             (st.status == ProcStatus::Running, st.status == ProcStatus::Done).hash(&mut h);
             st.pending.hash(&mut h);
             st.blocked_on_sync.hash(&mut h);
-            st.program.cursor_digest().hash(&mut h);
+            st.program.pos().hash(&mut h);
         }
         self.running.hash(&mut h);
         0xE1u8.hash(&mut h);

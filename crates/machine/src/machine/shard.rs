@@ -162,9 +162,8 @@ pub struct ShardedMachine {
 
 impl ShardedMachine {
     /// Partitions `cfg.clusters` across `shards` contiguous ranges and
-    /// builds one worker machine per range. Programs are distributed by
-    /// [`ThreadProgram::fork`] — each shard runs its owned processors'
-    /// programs; the rest stay inert.
+    /// builds one worker machine per range. Every shard gets a clone of
+    /// the scripts and runs its owned processors'; the rest stay inert.
     ///
     /// Fails (with a human-readable reason) when the configuration cannot
     /// be sharded deterministically: more shards than clusters, a latency
@@ -173,7 +172,7 @@ impl ShardedMachine {
     /// at home-processing time).
     pub fn new(
         cfg: MachineConfig,
-        programs: Vec<Box<dyn ThreadProgram>>,
+        programs: Vec<Script>,
         shards: usize,
     ) -> Result<ShardedMachine, String> {
         if shards == 0 {
@@ -223,11 +222,7 @@ impl ShardedMachine {
             .collect();
         let machines: Vec<Machine> = parts
             .iter()
-            .map(|&(base, count)| {
-                let progs: Vec<Box<dyn ThreadProgram>> =
-                    programs.iter().map(|p| p.fork()).collect();
-                Machine::new_shard(cfg.clone(), progs, base, count)
-            })
+            .map(|&(base, count)| Machine::new_shard(cfg.clone(), programs.clone(), base, count))
             .collect();
         Ok(ShardedMachine {
             hub: telemetry::Hub::new(&machines[0].telemetry, shards),

@@ -1276,7 +1276,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scd_tango::{ScriptProgram, ThreadProgram};
+    use scd_tango::Script;
 
     /// `cfg.trace = None` and `Some(TraceConfig::none())` are one code
     /// path, not two that happen to cost the same: both resolve to the
@@ -1289,7 +1289,7 @@ mod tests {
         assert!(plain.trace.is_none());
         for cfg in [plain.clone(), plain.with_trace(TraceConfig::none())] {
             let programs = (0..cfg.processors())
-                .map(|_| Box::new(ScriptProgram::new(Vec::new())) as Box<dyn ThreadProgram>)
+                .map(|_| Script::from(Vec::new()))
                 .collect();
             let machine = Machine::new(cfg, programs);
             let rec = &machine.telemetry;
@@ -1318,10 +1318,10 @@ mod tests {
         let programs = (0..procs)
             .map(|p| {
                 let block = |i: u64| (p + i) % procs * 16;
-                let ops = (0..24)
+                let ops: Vec<Op> = (0..24)
                     .flat_map(|i| [Op::Write(block(i)), Op::Read(block(i + 1))])
                     .collect();
-                Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+                Script::from(ops)
             })
             .collect();
         let mut machine = Machine::new(cfg, programs);

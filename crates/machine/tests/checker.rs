@@ -6,14 +6,12 @@
 use scd_machine::checker::verify_quiescent;
 use scd_machine::machine::testing;
 use scd_machine::{Machine, MachineConfig};
-use scd_tango::{ScriptProgram, ThreadProgram};
+use scd_tango::Script;
 
 /// A fresh, never-run 4-cluster machine (quiescent by construction).
 fn idle_machine() -> Machine {
     let cfg = MachineConfig::tiny(4);
-    let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.processors())
-        .map(|_| Box::new(ScriptProgram::new(vec![])) as Box<dyn ThreadProgram>)
-        .collect();
+    let programs = (0..cfg.processors()).map(|_| Script::from(vec![])).collect();
     Machine::new(cfg, programs)
 }
 

@@ -7,14 +7,10 @@
 use scd_machine::{Machine, MachineConfig, RunStats};
 use scd_noc::LatencyModel;
 use scd_sim::SimRng;
-use scd_tango::{Op, ScriptProgram, ThreadProgram};
+use scd_tango::{Op, Script};
 
 fn run(cfg: MachineConfig, scripts: Vec<Vec<Op>>) -> RunStats {
-    let programs: Vec<Box<dyn ThreadProgram>> = scripts
-        .into_iter()
-        .map(|ops| Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>)
-        .collect();
-    Machine::new(cfg, programs).run()
+    Machine::new(cfg, scripts.into_iter().map(Script::from).collect()).run()
 }
 
 fn random_scripts(procs: usize, blocks: u64, wr: f64, seed: u64) -> Vec<Vec<Op>> {

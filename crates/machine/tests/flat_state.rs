@@ -1,17 +1,14 @@
 //! What must not depend on how the machine's tables came to hold their
 //! state: a post-mortem's text on the order blocks became busy, and the
-//! exploration digest on how far a home's dense tables once grew.
+//! exploration digest on how far a home's dense tables once grew — or on
+//! which of a machine and its mid-run clone is asked.
 
 use scd_machine::machine::testing;
 use scd_machine::{FaultEdges, Machine, MachineConfig};
-use scd_tango::{Op, ScriptProgram, ThreadProgram};
+use scd_tango::{Op, Script};
 
 fn machine(cfg: MachineConfig, scripts: Vec<Vec<Op>>) -> Machine {
-    let programs: Vec<Box<dyn ThreadProgram>> = scripts
-        .into_iter()
-        .map(|ops| Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>)
-        .collect();
-    Machine::new(cfg, programs)
+    Machine::new(cfg, scripts.into_iter().map(Script::from).collect())
 }
 
 #[test]
@@ -93,4 +90,44 @@ fn digest_forgets_a_block_that_was_touched_and_released() {
     grown
         .finalize_exploration()
         .expect("quiescent and coherent");
+}
+
+/// What `Machine: Clone` owes the explorer: a clone taken mid-run is the
+/// same state, stepping one does not move the other, and the same choices
+/// from the branch point end in the same statistics.
+#[test]
+fn a_mid_run_clone_is_the_same_state_and_an_independent_future() {
+    let mut original = machine(
+        MachineConfig::tiny(3),
+        vec![
+            vec![Op::Write(16), Op::Read(32), Op::Write(16)],
+            vec![Op::Read(16), Op::Write(32)],
+            vec![Op::Read(16), Op::Read(32)],
+        ],
+    );
+    original.begin_exploration();
+    let none = FaultEdges::none();
+    for _ in 0..6 {
+        let choice = *original.exploration_choices(&none).last().expect("still running");
+        original.step_explore(choice).expect("the protocol is sound");
+    }
+    let mut branch = original.clone();
+    assert_eq!(original.state_digest(), branch.state_digest());
+    let choices = original.exploration_choices(&none);
+    assert_eq!(choices, branch.exploration_choices(&none));
+
+    let choice = *choices.last().expect("still running");
+    original.step_explore(choice).expect("the protocol is sound");
+    assert_ne!(original.state_digest(), branch.state_digest(), "only one of them stepped");
+    branch.step_explore(choice).expect("the protocol is sound");
+    assert_eq!(original.state_digest(), branch.state_digest());
+
+    while let Some(&choice) = original.exploration_choices(&none).last() {
+        original.step_explore(choice).expect("the protocol is sound");
+        branch.step_explore(choice).expect("the protocol is sound");
+    }
+    let a = original.finalize_exploration().expect("quiescent and coherent");
+    let b = branch.finalize_exploration().expect("quiescent and coherent");
+    assert!(a.shared_refs() == 7 && a.cycles > 0, "the scripts ran to their ends");
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }

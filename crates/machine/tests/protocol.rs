@@ -8,18 +8,14 @@
 use scd_core::Scheme;
 use scd_machine::{Machine, MachineConfig, RunStats};
 use scd_stats::MessageClass::*;
-use scd_tango::{Op, ScriptProgram, ThreadProgram};
+use scd_tango::{Op, Script};
 
 fn addr(block: u64) -> u64 {
     block * 16
 }
 
 fn run(cfg: MachineConfig, scripts: Vec<Vec<Op>>) -> RunStats {
-    let programs: Vec<Box<dyn ThreadProgram>> = scripts
-        .into_iter()
-        .map(|ops| Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>)
-        .collect();
-    Machine::new(cfg, programs).run()
+    Machine::new(cfg, scripts.into_iter().map(Script::from).collect()).run()
 }
 
 #[test]

@@ -10,14 +10,11 @@
 use scd_machine::{Machine, MachineConfig, ShardedMachine, SimError};
 use scd_noc::{FaultPlan, LatencyModel};
 use scd_sim::SimRng;
-use scd_tango::{Op, ScriptProgram, ThreadProgram};
+use scd_tango::{Op, Script};
 use scd_trace::{BufferSink, Json, TraceConfig};
 
-fn programs(scripts: &[Vec<Op>]) -> Vec<Box<dyn ThreadProgram>> {
-    scripts
-        .iter()
-        .map(|ops| Box::new(ScriptProgram::new(ops.clone())) as Box<dyn ThreadProgram>)
-        .collect()
+fn programs(scripts: &[Vec<Op>]) -> Vec<Script> {
+    scripts.iter().cloned().map(Script::from).collect()
 }
 
 /// A mixed workload: random reads/writes over a small block set with a

@@ -5,11 +5,13 @@
 //! a memory-system simulator, *coupled* so that simulated timing feeds back
 //! into the interleaving of references.
 //!
-//! This crate reproduces that role. Each logical process is a
-//! [`ThreadProgram`] — a resumable generator of [`Op`]s. The machine asks a
+//! This crate reproduces that role. Each logical process is a [`Script`] —
+//! an immutable list of [`Op`]s and a position in it. The machine asks a
 //! processor for its next operation only when the previous one has completed
-//! in simulated time, which preserves exactly the timing-valid interleaving
-//! Tango's coupled mode provides.
+//! in simulated time, so memory timing decides how the processes' streams
+//! interleave, as in Tango's coupled mode. (No workload here has
+//! data-dependent control flow, so a list fetched on demand loses nothing
+//! to a generator that runs code.)
 //!
 //! Tango's *trace mode* is also reproduced: [`trace`] captures a run's
 //! per-process operation streams into a compact binary format that can be
@@ -23,5 +25,5 @@ pub mod op;
 pub mod trace;
 
 pub use address::{AddressSpace, Region};
-pub use op::{Op, ScriptProgram, ThreadProgram};
-pub use trace::{ReplayProgram, Trace, TraceRecorder};
+pub use op::{Op, Script};
+pub use trace::{Trace, TraceRecorder};

@@ -1,4 +1,7 @@
-//! Global events: the operations a logical process can issue.
+//! Global events: the operations a logical process can issue, and the
+//! [`Script`] cursor that hands them to the machine.
+
+use std::sync::Arc;
 
 /// One operation of a logical process.
 ///
@@ -36,65 +39,26 @@ impl Op {
     }
 }
 
-/// A resumable generator of operations for one logical process.
+/// One logical process's reference stream: an immutable op list and a
+/// position in it.
 ///
-/// `next_op` is called exactly once per completed operation; returning
-/// [`Op::Done`] retires the process (after which `next_op` is not called
-/// again).
-///
-/// Programs are `Send` so a sharded machine can hand each shard's
-/// processors to a worker thread.
-pub trait ThreadProgram: Send {
-    /// Produce the next operation. Must eventually return [`Op::Done`].
-    fn next_op(&mut self) -> Op;
-
-    /// An independent copy of this program, resumed at the current
-    /// position. Exploration tooling uses this to branch a machine into
-    /// several futures; a program that cannot be meaningfully copied may
-    /// panic, which simply makes it unusable for exploration.
-    fn fork(&self) -> Box<dyn ThreadProgram>;
-
-    /// A digest of the remaining op stream, for state fingerprinting:
-    /// programs with equal digests must produce identical op sequences
-    /// from this point on.
-    fn cursor_digest(&self) -> u64;
-}
-
-/// Digest helper shared by the in-repo programs: hashes an explicit
-/// remaining-op slice.
-pub(crate) fn digest_ops(ops: &[Op]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    ops.hash(&mut h);
-    h.finish()
-}
-
-/// A canned operation sequence (useful in tests and microbenchmarks).
-///
-/// The stream is held behind an [`Arc`] so one generated program can feed
-/// any number of simulations — across threads — without deep-copying the
-/// ops (the parallel sweep engine instantiates each reference program once
-/// and shares it immutably among its workers).
+/// The machine calls [`Script::next_op`] exactly once per completed
+/// operation, so simulated memory timing still decides how the processes'
+/// streams interleave. The ops sit behind an [`Arc`]: a clone is a second
+/// cursor over the same stream, which is how one generated program feeds
+/// any number of simulations (sweep workers, shards, exploration branches)
+/// without being copied.
 #[derive(Clone, Debug)]
-pub struct ScriptProgram {
-    ops: std::sync::Arc<[Op]>,
+pub struct Script {
+    ops: Arc<[Op]>,
     pos: usize,
 }
 
-impl ScriptProgram {
-    /// Wraps an explicit op list; `Done` is appended implicitly.
-    pub fn new(ops: Vec<Op>) -> Self {
-        Self::shared(ops.into())
-    }
-
-    /// Wraps an already-shared op stream without copying it.
-    pub fn shared(ops: std::sync::Arc<[Op]>) -> Self {
-        ScriptProgram { ops, pos: 0 }
-    }
-}
-
-impl ThreadProgram for ScriptProgram {
-    fn next_op(&mut self) -> Op {
+impl Script {
+    /// The next operation; [`Op::Done`] once the list is exhausted, and on
+    /// every call after that.
+    #[inline]
+    pub fn next_op(&mut self) -> Op {
         match self.ops.get(self.pos) {
             Some(&op) => {
                 self.pos += 1;
@@ -104,12 +68,25 @@ impl ThreadProgram for ScriptProgram {
         }
     }
 
-    fn fork(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
+    /// How many ops have been handed out. Cursors over one stream produce
+    /// identical op sequences from here on exactly when their positions are
+    /// equal, which makes this the program's share of a state fingerprint.
+    pub fn pos(&self) -> usize {
+        self.pos
     }
+}
 
-    fn cursor_digest(&self) -> u64 {
-        digest_ops(&self.ops[self.pos.min(self.ops.len())..])
+impl From<Arc<[Op]>> for Script {
+    /// A cursor at the start of an already-shared stream; nothing is copied.
+    fn from(ops: Arc<[Op]>) -> Self {
+        Script { ops, pos: 0 }
+    }
+}
+
+impl From<Vec<Op>> for Script {
+    /// Wraps an explicit op list; `Done` is implicit at the end.
+    fn from(ops: Vec<Op>) -> Self {
+        Script::from(Arc::<[Op]>::from(ops))
     }
 }
 
@@ -129,7 +106,7 @@ mod tests {
 
     #[test]
     fn script_yields_then_done_forever() {
-        let mut p = ScriptProgram::new(vec![Op::Read(16), Op::Compute(3)]);
+        let mut p = Script::from(vec![Op::Read(16), Op::Compute(3)]);
         assert_eq!(p.next_op(), Op::Read(16));
         assert_eq!(p.next_op(), Op::Compute(3));
         assert_eq!(p.next_op(), Op::Done);

@@ -6,22 +6,17 @@
 //! notes, a trace freezes one interleaving; the coupled mode — running the
 //! generator against the simulator — is what the paper's experiments use.)
 
-use crate::op::{Op, ThreadProgram};
+use std::sync::Arc;
+
+use crate::op::{Op, Script};
 
 /// A captured multiprocess reference trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
-    per_proc: Vec<Vec<Op>>,
+    per_proc: Vec<Arc<[Op]>>,
 }
 
 impl Trace {
-    /// An empty trace over `procs` processes.
-    pub fn new(procs: usize) -> Self {
-        Trace {
-            per_proc: vec![Vec::new(); procs],
-        }
-    }
-
     /// Number of processes.
     pub fn procs(&self) -> usize {
         self.per_proc.len()
@@ -34,7 +29,7 @@ impl Trace {
 
     /// Total operations across all processes.
     pub fn total_ops(&self) -> usize {
-        self.per_proc.iter().map(Vec::len).sum()
+        self.per_proc.iter().map(|ops| ops.len()).sum()
     }
 
     /// Serializes to the compact binary format.
@@ -44,7 +39,7 @@ impl Trace {
         write_varint(&mut out, self.per_proc.len() as u64);
         for ops in &self.per_proc {
             write_varint(&mut out, ops.len() as u64);
-            for &op in ops {
+            for &op in ops.iter() {
                 encode_op(&mut out, op);
             }
         }
@@ -69,7 +64,7 @@ impl Trace {
             for _ in 0..n {
                 ops.push(decode_op(&mut cur)?);
             }
-            per_proc.push(ops);
+            per_proc.push(ops.into());
         }
         if cur.pos != bytes.len() {
             return Err(TraceError::Corrupt("trailing bytes"));
@@ -89,14 +84,10 @@ impl Trace {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))
     }
 
-    /// Replay programs, one per process.
-    pub fn replay(&self) -> Vec<ReplayProgram> {
-        self.per_proc
-            .iter()
-            .map(|ops| ReplayProgram {
-                ops: ops.clone().into_iter(),
-            })
-            .collect()
+    /// One [`Script`] per process, each a cursor over the trace's own
+    /// stream (nothing is copied, however often a trace is replayed).
+    pub fn replay(&self) -> Vec<Script> {
+        self.per_proc.iter().cloned().map(Script::from).collect()
     }
 }
 
@@ -114,45 +105,27 @@ pub enum TraceError {
 /// Captures the op streams the machine actually issued.
 #[derive(Clone, Debug)]
 pub struct TraceRecorder {
-    trace: Trace,
+    per_proc: Vec<Vec<Op>>,
 }
 
 impl TraceRecorder {
     /// A recorder for `procs` processes.
     pub fn new(procs: usize) -> Self {
         TraceRecorder {
-            trace: Trace::new(procs),
+            per_proc: vec![Vec::new(); procs],
         }
     }
 
     /// Records that process `p` issued `op`.
     pub fn record(&mut self, p: usize, op: Op) {
-        self.trace.per_proc[p].push(op);
+        self.per_proc[p].push(op);
     }
 
     /// Finishes recording.
     pub fn finish(self) -> Trace {
-        self.trace
-    }
-}
-
-/// A [`ThreadProgram`] replaying one captured stream.
-#[derive(Clone, Debug)]
-pub struct ReplayProgram {
-    ops: std::vec::IntoIter<Op>,
-}
-
-impl ThreadProgram for ReplayProgram {
-    fn next_op(&mut self) -> Op {
-        self.ops.next().unwrap_or(Op::Done)
-    }
-
-    fn fork(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn cursor_digest(&self) -> u64 {
-        crate::op::digest_ops(self.ops.as_slice())
+        Trace {
+            per_proc: self.per_proc.into_iter().map(Arc::from).collect(),
+        }
     }
 }
 
@@ -283,10 +256,10 @@ mod tests {
         assert_eq!(rp[0].next_op(), Op::Compute(300));
         assert_eq!(rp[1].next_op(), Op::Lock(7));
         // Exhausted streams keep returning Done.
-        let mut one = ReplayProgram {
-            ops: vec![].into_iter(),
-        };
-        assert_eq!(one.next_op(), Op::Done);
+        assert_eq!(rp[1].next_op(), Op::Barrier(0));
+        assert_eq!(rp[1].next_op(), Op::Unlock(7));
+        assert_eq!(rp[1].next_op(), Op::Done);
+        assert_eq!(rp[1].next_op(), Op::Done);
     }
 
     #[test]

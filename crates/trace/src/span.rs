@@ -14,7 +14,8 @@
 //! the strict well-formedness judgment for tests that record with rings
 //! large enough to hold the whole run.
 
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::BuildHasherDefault;
 
 use crate::event::{EventKind, TraceEvent};
 
@@ -118,6 +119,12 @@ pub struct SpanTree {
     pub truncated: u64,
 }
 
+/// The builder's working maps, SipHash under fixed keys: with
+/// `RandomState` the maps drop their vectors in a different order every
+/// call, which leaves the allocator's free lists, and so the process's
+/// peak resident set, different from one run to the next.
+type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
 struct TxnBuild {
     span: TxnSpan,
     /// `(phase label, cycle)` marks; the begin contributes `issue`.
@@ -139,10 +146,10 @@ impl SpanTree {
         let mut arena: Vec<MsgSpan> = Vec::new();
         // (src, dst, msg, block) -> FIFO of undelivered arena indices.
         let mut pending: HashMap<(u32, u32, &'static str, Option<u64>), Vec<usize>> =
-            HashMap::new();
-        let mut live: HashMap<u64, TxnBuild> = HashMap::new();
+            HashMap::default();
+        let mut live: HashMap<u64, TxnBuild> = HashMap::default();
         // block -> live txn ids, in begin order.
-        let mut by_block: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut by_block: HashMap<u64, Vec<u64>> = HashMap::default();
         let mut done: Vec<TxnBuild> = Vec::new();
         let mut orphan_idx: Vec<usize> = Vec::new();
         let mut truncated = 0u64;

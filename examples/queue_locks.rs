@@ -7,7 +7,7 @@
 
 use scd::core::Scheme;
 use scd::machine::{Machine, MachineConfig};
-use scd::tango::{Op, ScriptProgram, ThreadProgram};
+use scd::tango::{Op, Script};
 
 fn main() {
     let clusters = 16;
@@ -28,13 +28,13 @@ fn main() {
         let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
         cfg.clusters = clusters;
         cfg.check_invariants = true;
-        let programs: Vec<Box<dyn ThreadProgram>> = (0..clusters)
+        let programs: Vec<Script> = (0..clusters)
             .map(|_| {
                 let mut ops = Vec::new();
                 for _ in 0..iters {
                     ops.extend([Op::Lock(3), Op::Compute(30), Op::Unlock(3)]);
                 }
-                Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+                Script::from(ops)
             })
             .collect();
         let stats = Machine::new(cfg, programs).run();

@@ -40,7 +40,7 @@ fn main() {
         ("Dir3NB (non-broadcast)     ", Scheme::dir_nb(3)),
     ] {
         let cfg = base.clone().with_scheme(scheme);
-        let stats = Machine::new(cfg, app.boxed_programs()).run();
+        let stats = Machine::new(cfg, app.scripts()).run();
         println!(
             "{label} {:>9} cycles | {:>7} req {:>7} rep {:>6} inval {:>6} ack",
             stats.cycles,

@@ -23,7 +23,7 @@ fn main() {
     );
 
     // Non-sparse baseline, then sparse directories of shrinking size.
-    let baseline = Machine::new(base.clone(), app.boxed_programs()).run();
+    let baseline = Machine::new(base.clone(), app.scripts()).run();
     println!(
         "{:<24} {:>10} {:>10} {:>13} {:>13}",
         "directory", "entries", "cycles", "traffic", "replacements"
@@ -43,7 +43,7 @@ fn main() {
         let cfg = base
             .clone()
             .with_sparse(entries_per_home, 4, Replacement::Lru);
-        let stats = Machine::new(cfg, app.boxed_programs()).run();
+        let stats = Machine::new(cfg, app.scripts()).run();
         println!(
             "{:<24} {:>10} {:>10} {:>13} {:>13}",
             format!("sparse, size factor {factor}"),

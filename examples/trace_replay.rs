@@ -11,7 +11,7 @@
 use scd::apps::{mp3d, Mp3dParams};
 use scd::core::Scheme;
 use scd::machine::{Machine, MachineConfig};
-use scd::tango::{ThreadProgram, Trace, TraceRecorder};
+use scd::tango::{Trace, TraceRecorder};
 use scd::trace::{to_perfetto, validate_perfetto, SpanTree, TraceConfig};
 
 fn main() {
@@ -58,12 +58,7 @@ fn main() {
             .with_scheme(scheme)
             .with_trace(TraceConfig::full(1 << 16).with_interval(1_000));
         cfg.clusters = procs;
-        let programs: Vec<Box<dyn ThreadProgram>> = loaded
-            .replay()
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn ThreadProgram>)
-            .collect();
-        let mut machine = Machine::new(cfg, programs);
+        let mut machine = Machine::new(cfg, loaded.replay());
         let stats = machine.run();
         println!(
             "replay on {name:<14}: {} cycles, {} messages",

@@ -354,7 +354,7 @@ fn main() {
 
     let wall = std::time::Instant::now();
     let mut machine =
-        ShardedMachine::new(cfg, app.boxed_programs(), shards).unwrap_or_else(|e| {
+        ShardedMachine::new(cfg, app.scripts(), shards).unwrap_or_else(|e| {
             eprintln!("cannot shard this configuration: {e}");
             std::process::exit(2)
         });

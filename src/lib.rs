@@ -17,7 +17,7 @@
 //! | [`noc`] | `scd-noc` | 2D mesh interconnect and latency models |
 //! | [`protocol`] | `scd-protocol` | DASH protocol messages, RAC, home serialization, queue locks |
 //! | [`machine`] | `scd-machine` | the assembled machine and run loop |
-//! | [`tango`] | `scd-tango` | reference generation, trace capture/replay |
+//! | [`tango`] | `scd-tango` | `Op` streams, the `Script` cursor, trace capture/replay |
 //! | [`apps`] | `scd-apps` | LU, DWF, MP3D, LocusRoute workload generators |
 //! | [`stats`] | `scd-stats` | traffic counters, histograms, table rendering |
 //! | [`trace`] | `scd-trace` | transaction tracing, metrics registry, JSON telemetry |
@@ -34,7 +34,7 @@
 //! let app = lu(&LuParams { n: 16, update_cost: 2 }, 8, 1);
 //! let mut cfg = MachineConfig::paper_32().with_scheme(Scheme::dir_cv(3, 2));
 //! cfg.clusters = 8;
-//! let stats = Machine::new(cfg, app.boxed_programs()).run();
+//! let stats = Machine::new(cfg, app.scripts()).run();
 //! assert!(stats.cycles > 0);
 //! assert_eq!(stats.shared_refs(), app.shared_refs());
 //! ```

@@ -8,7 +8,7 @@
 use scd::core::{Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig, RunStats};
 use scd::sim::SimRng;
-use scd::tango::{Op, ScriptProgram, ThreadProgram};
+use scd::tango::{Op, Script};
 
 /// A random mix of reads/writes over a small hot block set — maximal
 /// conflict pressure.
@@ -18,7 +18,7 @@ fn random_programs(
     blocks: u64,
     write_ratio: f64,
     seed: u64,
-) -> Vec<Box<dyn ThreadProgram>> {
+) -> Vec<Script> {
     let mut root = SimRng::new(seed);
     (0..procs)
         .map(|p| {
@@ -35,7 +35,7 @@ fn random_programs(
                     ops.push(Op::Compute(rng.below(20)));
                 }
             }
-            Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+            Script::from(ops)
         })
         .collect()
 }
@@ -187,7 +187,7 @@ fn locks_and_data_interleave_coherently() {
     // Lock-protected read-modify-write on hot blocks + unprotected noise.
     let procs = 8;
     let mut root = SimRng::new(1234);
-    let programs: Vec<Box<dyn ThreadProgram>> = (0..procs)
+    let programs: Vec<Script> = (0..procs)
         .map(|p| {
             let mut rng = root.fork(p as u64);
             let mut ops = Vec::new();
@@ -200,32 +200,12 @@ fn locks_and_data_interleave_coherently() {
                 ops.push(Op::Unlock(l));
                 ops.push(Op::Read(rng.below(20) * 16));
             }
-            Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+            Script::from(ops)
         })
         .collect();
     for scheme in [Scheme::FullVector, Scheme::dir_cv(1, 2), Scheme::dir_b(2)] {
         let cfg = MachineConfig::tiny(procs).with_scheme(scheme);
-        let stats = Machine::new(cfg, {
-            // Rebuild identical programs for each scheme run.
-            let mut root = SimRng::new(1234);
-            (0..procs)
-                .map(|p| {
-                    let mut rng = root.fork(p as u64);
-                    let mut ops = Vec::new();
-                    for _ in 0..60 {
-                        let l = rng.below(3) as u32;
-                        ops.push(Op::Lock(l));
-                        ops.push(Op::Read(l as u64 * 16));
-                        ops.push(Op::Compute(rng.below(10)));
-                        ops.push(Op::Write(l as u64 * 16));
-                        ops.push(Op::Unlock(l));
-                        ops.push(Op::Read(rng.below(20) * 16));
-                    }
-                    Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
-                })
-                .collect()
-        })
-        .run();
+        let stats = Machine::new(cfg, programs.clone()).run();
         let (grants, _) = stats.lock_metrics;
         assert_eq!(
             grants,
@@ -233,5 +213,4 @@ fn locks_and_data_interleave_coherently() {
             "{scheme:?}: every acquire granted exactly once"
         );
     }
-    let _ = programs;
 }

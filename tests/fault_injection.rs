@@ -9,7 +9,7 @@ use scd::core::{Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig, RunStats, SimError};
 use scd::noc::FaultPlan;
 use scd::sim::SimRng;
-use scd::tango::{Op, ScriptProgram, ThreadProgram};
+use scd::tango::{Op, Script};
 
 /// A random mix of reads/writes over a small hot block set (same shape as
 /// the coherence stress suite, shortened so the whole fault matrix stays
@@ -20,7 +20,7 @@ fn random_programs(
     blocks: u64,
     write_ratio: f64,
     seed: u64,
-) -> Vec<Box<dyn ThreadProgram>> {
+) -> Vec<Script> {
     let mut root = SimRng::new(seed);
     (0..procs)
         .map(|p| {
@@ -37,7 +37,7 @@ fn random_programs(
                     ops.push(Op::Compute(rng.below(20)));
                 }
             }
-            Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+            Script::from(ops)
         })
         .collect()
 }
@@ -212,10 +212,10 @@ fn permanent_nacks_trip_the_livelock_watchdog() {
     let cfg = MachineConfig::tiny(2)
         .with_fault(FaultPlan::nack(1.0))
         .with_watchdog(50_000);
-    let programs: Vec<Box<dyn ThreadProgram>> = vec![
-        Box::new(ScriptProgram::new(vec![])),
+    let programs: Vec<Script> = vec![
+        Script::from(vec![]),
         // Block 0's home is cluster 0, so cluster 1's read is remote.
-        Box::new(ScriptProgram::new(vec![Op::Read(0)])),
+        Script::from(vec![Op::Read(0)]),
     ];
     let err = Machine::new(cfg, programs).try_run().expect_err("must livelock");
     let SimError::LivelockWatchdog(pm) = &err else {
@@ -233,9 +233,9 @@ fn lost_lock_grant_reports_deadlock_with_post_mortem() {
     // processor 1 waits forever. Once the queue drains, that is a deadlock
     // and the post-mortem must name the blocked processor.
     let cfg = MachineConfig::tiny(2);
-    let programs: Vec<Box<dyn ThreadProgram>> = vec![
-        Box::new(ScriptProgram::new(vec![Op::Lock(0)])),
-        Box::new(ScriptProgram::new(vec![Op::Compute(500), Op::Lock(0)])),
+    let programs: Vec<Script> = vec![
+        Script::from(vec![Op::Lock(0)]),
+        Script::from(vec![Op::Compute(500), Op::Lock(0)]),
     ];
     let err = Machine::new(cfg, programs).try_run().expect_err("must deadlock");
     let SimError::Deadlock(pm) = &err else {
@@ -250,9 +250,9 @@ fn lost_lock_grant_reports_deadlock_with_post_mortem() {
 fn exceeding_the_cycle_budget_reports_max_cycles() {
     let mut cfg = MachineConfig::tiny(2);
     cfg.max_cycles = 100;
-    let programs: Vec<Box<dyn ThreadProgram>> = vec![
-        Box::new(ScriptProgram::new(vec![Op::Compute(80), Op::Compute(80)])),
-        Box::new(ScriptProgram::new(vec![])),
+    let programs: Vec<Script> = vec![
+        Script::from(vec![Op::Compute(80), Op::Compute(80)]),
+        Script::from(vec![]),
     ];
     let err = Machine::new(cfg, programs)
         .try_run()
@@ -265,9 +265,9 @@ fn exceeding_the_cycle_budget_reports_max_cycles() {
 fn run_panics_with_the_formatted_post_mortem() {
     let result = std::panic::catch_unwind(|| {
         let cfg = MachineConfig::tiny(2);
-        let programs: Vec<Box<dyn ThreadProgram>> = vec![
-            Box::new(ScriptProgram::new(vec![Op::Lock(0)])),
-            Box::new(ScriptProgram::new(vec![Op::Compute(500), Op::Lock(0)])),
+        let programs: Vec<Script> = vec![
+            Script::from(vec![Op::Lock(0)]),
+            Script::from(vec![Op::Compute(500), Op::Lock(0)]),
         ];
         Machine::new(cfg, programs).run()
     });

@@ -7,7 +7,7 @@ use scd::core::{Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig};
 use scd::noc::LatencyModel;
 use scd::sim::SimRng;
-use scd::tango::{Op, ScriptProgram, ThreadProgram};
+use scd::tango::{Op, Script};
 
 /// One point in the fuzzed configuration space.
 #[derive(Debug, Clone)]
@@ -58,7 +58,7 @@ pub fn build_and_run(fz: &FuzzConfig) -> scd::machine::RunStats {
 
     let procs = cfg.processors();
     let mut root = SimRng::new(fz.seed);
-    let programs: Vec<Box<dyn ThreadProgram>> = (0..procs)
+    let programs: Vec<Script> = (0..procs)
         .map(|p| {
             let mut rng = root.fork(p as u64);
             let mut ops = Vec::new();
@@ -88,7 +88,7 @@ pub fn build_and_run(fz: &FuzzConfig) -> scd::machine::RunStats {
             if let Some(l) = held {
                 ops.push(Op::Unlock(l));
             }
-            Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+            Script::from(ops)
         })
         .collect();
     Machine::new(cfg, programs).run()

@@ -21,7 +21,7 @@ fn machine_mean(scheme: Scheme, sharers: usize) -> f64 {
     cfg.clusters = 16;
     cfg.check_invariants = true;
     cfg.track_versions = true;
-    let stats = Machine::new(cfg, app.boxed_programs()).run();
+    let stats = Machine::new(cfg, app.scripts()).run();
     assert_eq!(stats.invalidations.events(), 96, "one event per write");
     stats.invalidations.mean()
 }
@@ -78,7 +78,7 @@ fn migratory_pattern_causes_pure_ownership_transfers() {
     let mut cfg = MachineConfig::paper_32();
     cfg.clusters = 16;
     cfg.check_invariants = true;
-    let stats = Machine::new(cfg, app.boxed_programs()).run();
+    let stats = Machine::new(cfg, app.scripts()).run();
     // Migratory sharing's signature: every write invalidates at most the
     // single previous holder (the distribution has no tail), and reads of
     // dirty data travel by ownership forwarding.

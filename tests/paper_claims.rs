@@ -14,7 +14,7 @@ const SEED: u64 = 0xD45B;
 fn run(app: &scd::apps::AppRun, scheme: Scheme) -> RunStats {
     let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
     cfg.check_invariants = true;
-    Machine::new(cfg, app.boxed_programs()).run()
+    Machine::new(cfg, app.scripts()).run()
 }
 
 #[test]
@@ -136,7 +136,7 @@ fn claim_sparse_directories_cost_little_time() {
     let app = lu(&LuParams { n: 48, update_cost: 4 }, PROCS, SEED);
     let dataset_blocks = (app.shared_bytes / 16) as usize;
     let base = MachineConfig::paper_32().with_scaled_caches((dataset_blocks / 8).max(256));
-    let baseline = Machine::new(base.clone(), app.boxed_programs()).run();
+    let baseline = Machine::new(base.clone(), app.scripts()).run();
     for factor in [1usize, 2, 4] {
         let per_home = (base.total_cache_blocks() * factor / base.clusters)
             .div_ceil(4)
@@ -145,7 +145,7 @@ fn claim_sparse_directories_cost_little_time() {
             .clone()
             .with_sparse(per_home.max(4), 4, Replacement::Random);
         cfg.check_invariants = true;
-        let stats = Machine::new(cfg, app.boxed_programs()).run();
+        let stats = Machine::new(cfg, app.scripts()).run();
         let ratio = stats.cycles as f64 / baseline.cycles as f64;
         assert!(
             ratio < 1.06,
@@ -208,7 +208,7 @@ fn claim_associativity_helps_and_lra_is_worst() {
     let run_with = |ways: usize, policy: Replacement| {
         let entries = per_home.div_ceil(ways) * ways;
         let cfg = base.clone().with_sparse(entries.max(ways), ways, policy);
-        Machine::new(cfg, app.boxed_programs()).run().traffic.total()
+        Machine::new(cfg, app.scripts()).run().traffic.total()
     };
     let a1 = run_with(1, Replacement::Random);
     let a4 = run_with(4, Replacement::Random);

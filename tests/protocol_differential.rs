@@ -19,7 +19,7 @@ use scd::machine::{
     Machine, MachineConfig, ProtocolKind, RunStats, ShardedMachine, ValueOracleReport,
 };
 use scd::noc::FaultPlan;
-use scd::tango::{Op, ScriptProgram, ThreadProgram};
+use scd::tango::{Op, Script};
 use scd::trace::{AttribClass, Attribution, TraceConfig};
 
 const CLUSTERS: usize = 6;
@@ -46,11 +46,8 @@ impl Kernel {
         }
     }
 
-    fn programs(&self) -> Vec<Box<dyn ThreadProgram>> {
-        self.streams
-            .iter()
-            .map(|s| Box::new(ScriptProgram::shared(s.clone())) as Box<dyn ThreadProgram>)
-            .collect()
+    fn programs(&self) -> Vec<Script> {
+        self.streams.iter().cloned().map(Script::from).collect()
     }
 }
 

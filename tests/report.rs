@@ -158,14 +158,14 @@ fn usage_and_parse_errors_exit_two() {
 #[test]
 fn accepts_real_stats_documents() {
     use scd::machine::{Machine, MachineConfig};
-    use scd::tango::{Op, ScriptProgram, ThreadProgram};
+    use scd::tango::{Op, Script};
     let cfg = MachineConfig::tiny(4);
-    let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.processors())
+    let programs: Vec<Script> = (0..cfg.processors())
         .map(|p| {
-            Box::new(ScriptProgram::new(vec![
+            Script::from(vec![
                 Op::Read(p as u64 * 16),
                 Op::Write((p as u64 % 2) * 64),
-            ])) as Box<dyn ThreadProgram>
+            ])
         })
         .collect();
     let mut machine = Machine::new(cfg, programs);

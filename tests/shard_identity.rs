@@ -37,7 +37,7 @@ fn config() -> MachineConfig {
 
 /// (full stats document, streamed JSONL) for one kernel at one shard count.
 fn run(app: &AppRun, shards: usize) -> (String, String) {
-    let mut m = ShardedMachine::new(config(), app.boxed_programs(), shards)
+    let mut m = ShardedMachine::new(config(), app.scripts(), shards)
         .unwrap_or_else(|e| panic!("{}: {e}", app.name));
     let sink = BufferSink::new();
     let lines = sink.handle();

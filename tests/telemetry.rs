@@ -9,7 +9,7 @@
 use scd::machine::{Machine, MachineConfig, ProtocolKind, RunStats, SimError};
 use scd::noc::FaultPlan;
 use scd::sim::SimRng;
-use scd::tango::{Op, ScriptProgram, ThreadProgram};
+use scd::tango::{Op, Script};
 use scd::trace::{
     analyze, extract_trace_lines, to_perfetto, validate_perfetto, validate_stats_json,
     validate_stream, validate_trace, AttribClass, Attribution, BufferSink, ChannelSink, Json,
@@ -24,7 +24,7 @@ fn random_programs(
     blocks: u64,
     write_ratio: f64,
     seed: u64,
-) -> Vec<Box<dyn ThreadProgram>> {
+) -> Vec<Script> {
     let mut root = SimRng::new(seed);
     (0..procs)
         .map(|p| {
@@ -41,7 +41,7 @@ fn random_programs(
                     ops.push(Op::Compute(rng.below(20)));
                 }
             }
-            Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+            Script::from(ops)
         })
         .collect()
 }
@@ -129,7 +129,7 @@ fn windows_closing_on_one_event_stream_whole_and_in_order() {
             .with_interval(50)
             .with_patterns(true),
     );
-    let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.processors() as u64)
+    let programs: Vec<Script> = (0..cfg.processors() as u64)
         .map(|p| {
             let ops = vec![
                 Op::Write(p * 16),
@@ -139,7 +139,7 @@ fn windows_closing_on_one_event_stream_whole_and_in_order() {
                 Op::Compute(400),
                 Op::Read(p * 16),
             ];
-            Box::new(ScriptProgram::new(ops)) as Box<dyn ThreadProgram>
+            Script::from(ops)
         })
         .collect();
     let mut machine = Machine::new(cfg, programs);
@@ -384,7 +384,7 @@ fn perfetto_export_passes_validation() {
 fn perfetto_export_of_every_app_is_the_text_a_json_tree_would_render() {
     let cfg = MachineConfig::tiny(8).with_trace(TraceConfig::full(1 << 18).with_interval(2_000));
     for app in scd::apps::suite(cfg.processors(), 11, 0.03) {
-        let mut machine = Machine::new(cfg.clone(), app.boxed_programs());
+        let mut machine = Machine::new(cfg.clone(), app.scripts());
         machine.run();
         let tree = SpanTree::from_events(&machine.trace_events());
         let text = to_perfetto(&tree, &machine.metrics().intervals);
@@ -406,11 +406,11 @@ fn post_mortem_attaches_trace_tails_for_stuck_clusters() {
         .with_fault(FaultPlan::nack(1.0))
         .with_watchdog(50_000)
         .with_trace(TraceConfig::full(256));
-    let programs: Vec<Box<dyn ThreadProgram>> = vec![
-        Box::new(ScriptProgram::new(vec![])),
+    let programs: Vec<Script> = vec![
+        Script::from(vec![]),
         // Block 0's home is cluster 0, so cluster 1's read is remote and
         // retries forever against the permanent NACKs.
-        Box::new(ScriptProgram::new(vec![Op::Read(0)])),
+        Script::from(vec![Op::Read(0)]),
     ];
     let err = Machine::new(cfg, programs).try_run().expect_err("must livelock");
     let SimError::LivelockWatchdog(pm) = &err else {
@@ -437,9 +437,9 @@ fn post_mortem_has_no_tails_when_tracing_is_off() {
     let cfg = MachineConfig::tiny(2)
         .with_fault(FaultPlan::nack(1.0))
         .with_watchdog(50_000);
-    let programs: Vec<Box<dyn ThreadProgram>> = vec![
-        Box::new(ScriptProgram::new(vec![])),
-        Box::new(ScriptProgram::new(vec![Op::Read(0)])),
+    let programs: Vec<Script> = vec![
+        Script::from(vec![]),
+        Script::from(vec![Op::Read(0)]),
     ];
     let err = Machine::new(cfg, programs).try_run().expect_err("must livelock");
     assert!(err.post_mortem().trace_tails.is_empty());

@@ -5,7 +5,7 @@
 use scd::apps::{locusroute, mp3d, LocusRouteParams, Mp3dParams};
 use scd::core::Scheme;
 use scd::machine::{Machine, MachineConfig};
-use scd::tango::{ThreadProgram, Trace, TraceRecorder};
+use scd::tango::{Trace, TraceRecorder};
 
 fn capture(app: &scd::apps::AppRun) -> Trace {
     let mut rec = TraceRecorder::new(app.programs.len());
@@ -17,14 +17,6 @@ fn capture(app: &scd::apps::AppRun) -> Trace {
     rec.finish()
 }
 
-fn replay_programs(trace: &Trace) -> Vec<Box<dyn ThreadProgram>> {
-    trace
-        .replay()
-        .into_iter()
-        .map(|p| Box::new(p) as Box<dyn ThreadProgram>)
-        .collect()
-}
-
 #[test]
 fn replay_is_bit_identical_to_direct_run() {
     let app = mp3d(&Mp3dParams::scaled(0.1), 8, 5);
@@ -32,12 +24,12 @@ fn replay_is_bit_identical_to_direct_run() {
     cfg.clusters = 8;
     cfg.check_invariants = true;
 
-    let direct = Machine::new(cfg.clone(), app.boxed_programs()).run();
+    let direct = Machine::new(cfg.clone(), app.scripts()).run();
 
     let trace = capture(&app);
     let bytes = trace.to_bytes();
     let reloaded = Trace::from_bytes(&bytes).expect("decode");
-    let replayed = Machine::new(cfg, replay_programs(&reloaded)).run();
+    let replayed = Machine::new(cfg, reloaded.replay()).run();
 
     assert_eq!(direct.cycles, replayed.cycles);
     assert_eq!(direct.traffic, replayed.traffic);
@@ -55,7 +47,7 @@ fn one_trace_many_memory_systems() {
     for scheme in [Scheme::FullVector, Scheme::dir_b(2), Scheme::dir_cv(2, 2)] {
         let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
         cfg.clusters = 8;
-        let stats = Machine::new(cfg, replay_programs(&trace)).run();
+        let stats = Machine::new(cfg, trace.replay()).run();
         totals.push(stats.traffic.total());
     }
     // Broadcast must emit the most traffic on this region-shared workload.
