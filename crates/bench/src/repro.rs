@@ -8,7 +8,8 @@
 //! on `paper_32` feed Table 2, Figures 3–10, the anatomy table and four
 //! ablations) is simulated once, and runs the unique points on the sweep
 //! engine's pool. [`check`] compares regenerated sheets with the files
-//! committed under `results/`, which is how CI holds the reproduction.
+//! committed under `results/`; `repro --check` and `tests/gates.rs` are
+//! that comparison, which is what holds the reproduction.
 
 use std::path::Path;
 

@@ -149,7 +149,7 @@ pub fn bench_json_name(app_name: &str, scheme_name: &str) -> String {
 /// Writes one perf-trajectory data point as `BENCH_<app>_<scheme>.json`
 /// into `dir` (created if missing), using the `scd-run-stats/v1` schema
 /// (the same document `scdsim --stats-json` emits). Successive PRs compare
-/// these files (`scd-report` automates it) to track simulator behaviour
+/// these files (`scd-telemetry report` does it) to track simulator behaviour
 /// over time. `attribution` is the optional `scd-attrib/v1` section from
 /// [`run_app_attributed`]. `scd-sweep --bench-out` lands its per-run
 /// points this way.

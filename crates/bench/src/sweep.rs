@@ -115,12 +115,7 @@ impl SparseVariant {
         if ways == 0 {
             return Err("sparse ways must be >= 1".into());
         }
-        let policy = match *policy {
-            "lru" => Replacement::Lru,
-            "rand" | "random" => Replacement::Random,
-            "lra" => Replacement::Lra,
-            other => return Err(format!("bad replacement policy `{other}`")),
-        };
+        let policy = Replacement::parse(policy)?;
         Ok(SparseVariant::Sparse {
             size_factor,
             ways,
@@ -155,6 +150,17 @@ impl SparseVariant {
             } => format!(" Sparse {size_factor}x {ways}w {}", policy_spec(policy)),
         }
     }
+}
+
+/// Parses a workload seed as `scdsim --seed` and `scd-sweep --seeds` take
+/// it: decimal, or hex behind `0x` (both help texts quote the default
+/// `0xD45B`).
+pub fn parse_seed(s: &str) -> Result<u64, String> {
+    let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
+    };
+    parsed.map_err(|_| format!("bad seed `{s}`"))
 }
 
 /// A sweep grid: the cross product of apps × schemes × sparse variants ×

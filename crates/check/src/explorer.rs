@@ -73,6 +73,20 @@ pub struct Outcome {
     pub digests: HashSet<u64>,
 }
 
+impl Outcome {
+    /// The row `scd-check` prints for an exploration that found no
+    /// violation; `tests/corpus_states.txt` commits one per litmus ×
+    /// scenario, so the state and leaf counts are reviewed when they move.
+    pub fn row(&self, litmus: &str, scenario: &str) -> String {
+        format!(
+            "check {litmus:<28} {scenario:<18} {:>7} states {:>6} leaves  {}",
+            self.visited,
+            self.leaves,
+            if self.truncated { "TRUNCATED" } else { "ok" }
+        )
+    }
+}
+
 /// Result of one random walk.
 #[derive(Debug, Default)]
 pub struct WalkOutcome {
@@ -328,8 +342,8 @@ pub fn random_walk(
 /// failure plus a human-readable step listing.
 ///
 /// The JSONL is the standard envelope (`seq`, `cycle`, `cluster`,
-/// `type`), so `scd-validate` and the Perfetto exporter consume it
-/// directly.
+/// `type`), so `scd-telemetry validate` and the Perfetto exporter consume
+/// it directly.
 pub fn replay_trace(
     build: &dyn Fn() -> Machine,
     cfg: &ExploreConfig,

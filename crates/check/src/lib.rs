@@ -21,11 +21,12 @@
 //!   iterative-deepening counterexample minimization;
 //! * counterexample emission: a violating choice sequence is replayed on a
 //!   trace-enabled machine and dumped as standard `scd-trace` JSONL, so
-//!   `scd-validate` and the Perfetto exporter consume it unchanged.
+//!   `scd-telemetry validate` and the Perfetto exporter consume it
+//!   unchanged.
 //!
 //! The `scd-check` binary (in the workspace root crate) fronts all of
-//! this for CI; the pieces are libraries so integration tests can gate on
-//! them directly.
+//! this on the command line; the pieces are libraries so the integration
+//! tests in `tests/` gate on them directly.
 
 #![warn(missing_docs)]
 

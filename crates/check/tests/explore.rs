@@ -19,9 +19,9 @@ fn cfg_for(l: &scd_check::Litmus) -> ExploreConfig {
 }
 
 /// Every litmus × scenario pair explores exhaustively with zero
-/// violations and without hitting the depth or state bounds. This is the
-/// CI gate: any protocol change that breaks an invariant in any reachable
-/// interleaving of any scheme/organization fails here.
+/// violations and without hitting the depth or state bounds: any protocol
+/// change that breaks an invariant in any reachable interleaving of any
+/// backend, scheme or organization fails here.
 #[test]
 fn full_corpus_explores_clean_and_untruncated() {
     for l in corpus() {
@@ -74,6 +74,52 @@ fn corpus_state_space_is_pinned() {
     assert_eq!((visited, leaves), (11_828, 261));
 }
 
+/// `corpus_states.txt` commits the row `scd-check` prints for every litmus
+/// × scenario, once as `scd-check --litmus all` explores them (each
+/// litmus's own edges and budget) and once with the NACK + delay 7 + dup 9
+/// edges at budget 1, each section under the command that prints it. A
+/// change that prunes, merges or adds states moves a row, and the file is
+/// then updated on purpose.
+#[test]
+fn corpus_states_txt_is_what_exploration_produces() {
+    let sweep = FaultEdges {
+        nack: true,
+        delay: Some(7),
+        dup: Some(9),
+    };
+    let sections = [
+        ("# scd-check --litmus all", None),
+        (
+            "# scd-check --litmus all --fault-nack --fault-delay 7 --fault-dup 9 --fault-budget 1",
+            Some((sweep, 1)),
+        ),
+    ];
+    let mut fresh = Vec::new();
+    for (header, edges) in sections {
+        fresh.push(header.to_string());
+        for l in corpus() {
+            let (faults, fault_budget) = edges.unwrap_or((l.faults, l.fault_budget));
+            let cfg = ExploreConfig {
+                faults,
+                fault_budget,
+                ..ExploreConfig::default()
+            };
+            for sc in scenarios() {
+                let out = explore(&|| l.build(&sc, None, false), &cfg);
+                assert!(out.violation.is_none(), "{} under {}", l.name, sc.label);
+                fresh.push(out.row(l.name, &sc.label));
+            }
+        }
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus_states.txt");
+    let committed = std::fs::read_to_string(path).expect("the committed state counts");
+    let committed: Vec<&str> = committed.lines().collect();
+    for (n, (want, got)) in committed.iter().zip(&fresh).enumerate() {
+        assert_eq!(want, got, "{path}:{}: committed row, regenerated row", n + 1);
+    }
+    assert_eq!(committed.len(), fresh.len(), "{path}: row count");
+}
+
 /// `max_states` bounds the states visited, not the states visited minus
 /// one: the search stops before counting (and before skipping the
 /// invariant check of) a state beyond the bound.
@@ -97,26 +143,22 @@ fn max_states_is_an_inclusive_bound() {
     assert_eq!(out.digests.len(), 10);
 }
 
-/// An armed skip-invalidation bug must be caught, the counterexample must
-/// minimize to a path no longer than the original, and the replay must
-/// produce standard `scd-trace` JSONL that the validator accepts.
-#[test]
-fn skip_inval_mutation_is_caught_with_replayable_counterexample() {
-    let l = corpus()
-        .into_iter()
-        .find(|l| l.name == "message-passing")
-        .unwrap();
+/// One seeded bug per backend must be caught on the scenario it breaks:
+/// the counterexample minimizes to a path no longer than the original, and
+/// its replay is standard `scd-trace` JSONL that the validator accepts.
+fn mutant_is_caught(litmus: &str, scenario: &str, mutation: Mutation) {
+    let l = corpus().into_iter().find(|l| l.name == litmus).unwrap();
     let sc = scenarios()
         .into_iter()
-        .find(|s| s.label == "dense/complete")
+        .find(|s| s.label == scenario)
         .unwrap();
     let cfg = cfg_for(&l);
-    let build = || l.build(&sc, Some(Mutation::SkipInval), false);
+    let build = || l.build(&sc, Some(mutation), false);
 
     let out = explore(&build, &cfg);
-    let found = out
-        .violation
-        .expect("skip-inval must violate coherence under message-passing");
+    let found = out.violation.unwrap_or_else(|| {
+        panic!("mutant not caught: {mutation:?} survived {litmus} under {scenario}")
+    });
     assert!(
         found.error.contains("block"),
         "violation must name the offending block: {}",
@@ -130,12 +172,27 @@ fn skip_inval_mutation_is_caught_with_replayable_counterexample() {
     // The replay describes every choice; a step-level failure (panic or
     // simulation error) appends one extra "=>" line, while a violation the
     // explorer caught *between* steps replays through all choices cleanly.
-    let traced = || l.build(&sc, Some(Mutation::SkipInval), true);
+    let traced = || l.build(&sc, Some(mutation), true);
     let (jsonl, steps) = replay_trace(&traced, &cfg, &min.choices);
     assert!(steps.len() >= min.choices.len());
     let summary = scd_trace::validate_trace(&jsonl)
         .expect("counterexample trace must be valid scd-trace JSONL");
     assert!(summary.events > 0);
+}
+
+#[test]
+fn skip_inval_mutation_is_caught_with_replayable_counterexample() {
+    mutant_is_caught("message-passing", "dense/complete", Mutation::SkipInval);
+}
+
+#[test]
+fn tardis_skip_wts_bump_mutation_is_caught_with_replayable_counterexample() {
+    mutant_is_caught("message-passing", "tardis", Mutation::TardisSkipWtsBump);
+}
+
+#[test]
+fn dls_skip_writeback_mutation_is_caught_with_replayable_counterexample() {
+    mutant_is_caught("write-after-shared-llc-hit", "dls", Mutation::DlsSkipWriteback);
 }
 
 /// The unmutated protocol survives the same exploration the mutation

@@ -64,8 +64,8 @@ fn four_clusters_one_fault_explores_clean() {
     assert_eq!(explores_clean(&message_passing_two_readers(1)), 12_804);
 }
 
-/// About 5,000 states per scenario, half a minute in a debug build: CI runs
-/// it in release (`cargo test -p scd-check --release -- --ignored four_clusters`).
+/// About 5,000 states per scenario, half a minute in a debug build: it runs
+/// under `cargo test --release --workspace -- --include-ignored`.
 #[test]
 #[ignore = "68k states; run in release"]
 fn four_clusters_two_faults_explores_clean() {

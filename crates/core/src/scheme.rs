@@ -116,6 +116,21 @@ impl Scheme {
         }
     }
 
+    /// Parses a CLI spec: `full`, `b:<i>`, `nb:<i>`, `x:<i>` or `cv:<i>:<r>`.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let bad = || format!("bad scheme spec `{spec}` (want full | b:I | nb:I | x:I | cv:I:R)");
+        let num = |v: &str| v.parse::<usize>().map_err(|_| bad());
+        let parts: Vec<&str> = spec.split(':').collect();
+        match parts.as_slice() {
+            ["full"] => Ok(Scheme::FullVector),
+            ["b", i] => Ok(Scheme::dir_b(num(i)?)),
+            ["nb", i] => Ok(Scheme::dir_nb(num(i)?)),
+            ["x", i] => Ok(Scheme::dir_x(num(i)?)),
+            ["cv", i, r] => Ok(Scheme::dir_cv(num(i)?, num(r)?)),
+            _ => Err(bad()),
+        }
+    }
+
     /// Human-readable name in the paper's notation (e.g. `Dir3CV2`).
     pub fn name(&self, p: usize) -> String {
         match *self {
@@ -193,6 +208,17 @@ mod tests {
         assert_eq!(Scheme::dir_nb(3).name(32), "Dir3NB");
         assert_eq!(Scheme::dir_x(3).name(32), "Dir3X");
         assert_eq!(Scheme::dir_cv(3, 2).name(32), "Dir3CV2");
+    }
+
+    #[test]
+    fn specs_parse_and_bad_ones_name_themselves() {
+        assert_eq!(Scheme::parse("full"), Ok(Scheme::FullVector));
+        assert_eq!(Scheme::parse("nb:3"), Ok(Scheme::dir_nb(3)));
+        assert_eq!(Scheme::parse("cv:4:4"), Ok(Scheme::dir_cv(4, 4)));
+        for bad in ["", "cv:4", "cv:4:x", "b:", "full:1", "dir3b"] {
+            let err = Scheme::parse(bad).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 
     #[test]

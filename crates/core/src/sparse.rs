@@ -31,6 +31,18 @@ pub enum Replacement {
     Lra,
 }
 
+impl Replacement {
+    /// Parses a CLI name: `lru`, `rand` (or `random`), `lra`.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "lru" => Ok(Replacement::Lru),
+            "rand" | "random" => Ok(Replacement::Random),
+            "lra" => Ok(Replacement::Lra),
+            other => Err(format!("bad replacement policy `{other}` (want lru | rand | lra)")),
+        }
+    }
+}
+
 /// One way of one set.
 #[derive(Clone, Debug)]
 struct Slot {

@@ -1,11 +1,11 @@
 //! Accept/reject table for the three record readers: one case per error
 //! branch of `validate_trace`, `validate_stream` and `validate_perfetto`,
-//! each asserting the whole error text. The texts are what `scd-validate`
-//! prints and what CI greps for, so a rewrite of the readers must keep
-//! them. All but two cases were written against the tree-building readers
-//! and passed there; the two are the fixes the single-pass readers made:
-//! embedded events cited by the stream's line numbers, and retry attempts
-//! compared as `u64`.
+//! each asserting the whole error text. The texts are what `scd-telemetry
+//! validate` prints and what `tests/cli.rs` looks for in its stderr, so a
+//! rewrite of the readers must keep them. All but two cases were written
+//! against the tree-building readers and passed there; the two are the
+//! fixes the single-pass readers made: embedded events cited by the
+//! stream's line numbers, and retry attempts compared as `u64`.
 
 use scd_trace::{
     event_line, validate_perfetto, validate_stream, validate_trace, EventKind, Phase, TraceEvent,

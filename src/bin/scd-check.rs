@@ -5,8 +5,8 @@
 //! every directory scheme × organization combination, asserting the
 //! coherence invariants at every reached state. Violations are reported
 //! as minimal choice sequences and optionally replayed into standard
-//! `scd-trace` JSONL counterexamples (consumable by `scd-validate` and
-//! the Perfetto exporter).
+//! `scd-trace` JSONL counterexamples (consumable by `scd-telemetry
+//! validate` and the Perfetto exporter).
 //!
 //! ```text
 //! scd-check --litmus all                         # full corpus, every scheme/org
@@ -267,16 +267,7 @@ fn main() {
 
             let outcome = explore(&build, &cfg);
             match &outcome.violation {
-                None => {
-                    println!(
-                        "check {:<28} {:<18} {:>7} states {:>6} leaves  {}",
-                        l.name,
-                        s.label,
-                        outcome.visited,
-                        outcome.leaves,
-                        if outcome.truncated { "TRUNCATED" } else { "ok" }
-                    );
-                }
+                None => println!("{}", outcome.row(l.name, &s.label)),
                 Some(found) => {
                     failures += 1;
                     let cex = if o.minimize {

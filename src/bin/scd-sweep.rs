@@ -3,13 +3,13 @@
 //! Runs a grid of apps × directory schemes × sparse configurations ×
 //! seeds on a worker pool (`bench::sweep`) and writes the aggregated
 //! `scd-sweep/v1` document. Everything except the wall-clock `timing`
-//! section is byte-identical whatever `--jobs` was, so
-//! `scd-sweep --no-timing` output can be `cmp`-ed across thread counts —
-//! the CI determinism check does exactly that.
+//! section is byte-identical whatever `--jobs` and `--shards` were, so
+//! `scd-sweep --no-timing` output can be `cmp`-ed across thread counts
+//! (`tests/sweep.rs::jobs_1_and_jobs_4_are_byte_identical` does).
 
 use bench::{
-    generate_app, run_sweep_with, sweep_begin_record, sweep_document, sweep_end_record,
-    write_bench_json_in, SparseVariant, SweepSpec,
+    generate_app, parse_seed, run_sweep_with, sweep_begin_record, sweep_document,
+    sweep_end_record, write_bench_json_in, SparseVariant, SweepSpec,
 };
 use scd::core::Scheme;
 use scd::machine::ProtocolKind;
@@ -55,30 +55,6 @@ usage: scd-sweep [options]
 fn usage_err(msg: &str) -> ! {
     eprintln!("scd-sweep: {msg}\n{HELP}");
     std::process::exit(2);
-}
-
-fn parse_scheme(s: &str) -> Scheme {
-    let parts: Vec<&str> = s.split(':').collect();
-    let num = |v: &str| -> usize {
-        v.parse()
-            .unwrap_or_else(|_| usage_err(&format!("bad scheme spec `{s}`")))
-    };
-    match parts.as_slice() {
-        ["full"] => Scheme::FullVector,
-        ["b", i] => Scheme::dir_b(num(i)),
-        ["nb", i] => Scheme::dir_nb(num(i)),
-        ["x", i] => Scheme::dir_x(num(i)),
-        ["cv", i, r] => Scheme::dir_cv(num(i), num(r)),
-        _ => usage_err(&format!("bad scheme spec `{s}`")),
-    }
-}
-
-fn parse_seed(s: &str) -> u64 {
-    let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.unwrap_or_else(|_| usage_err(&format!("bad seed `{s}`")))
 }
 
 fn split_list(s: &str) -> Vec<&str> {
@@ -132,7 +108,10 @@ fn main() {
                 spec.apps = split_list(&val()).iter().map(|s| s.to_string()).collect();
             }
             "--schemes" => {
-                spec.schemes = split_list(&val()).iter().map(|s| parse_scheme(s)).collect();
+                spec.schemes = split_list(&val())
+                    .iter()
+                    .map(|s| Scheme::parse(s).unwrap_or_else(|e| usage_err(&e)))
+                    .collect();
             }
             "--sparse" => {
                 spec.sparse = split_list(&val())
@@ -141,7 +120,10 @@ fn main() {
                     .collect();
             }
             "--seeds" => {
-                spec.seeds = split_list(&val()).iter().map(|s| parse_seed(s)).collect();
+                spec.seeds = split_list(&val())
+                    .iter()
+                    .map(|s| parse_seed(s).unwrap_or_else(|e| usage_err(&e)))
+                    .collect();
             }
             "--protocol" => {
                 spec.protocols = split_list(&val())

@@ -15,8 +15,8 @@
 //!
 //! The dashboard exits on its own once the stream closes (`run_end` /
 //! `sweep_end`). `--once` renders a single frame from the current file
-//! contents and exits — that mode is what CI uses, and it also works on
-//! a finished stream as a post-mortem summary.
+//! contents and exits — that mode is what `tests/cli.rs` drives, and it
+//! also works on a finished stream as a post-mortem summary.
 //!
 //! ```text
 //! scd-top <stream.jsonl> [--once] [--refresh-ms <n>] [--top-links <n>]
@@ -33,7 +33,7 @@ scd-top: live dashboard over an scd telemetry stream (JSONL)
 usage: scd-top <stream.jsonl> [options]
 
   --once            render one frame from the current file contents and
-                    exit (no screen clearing; what CI uses)
+                    exit (no screen clearing; scriptable)
   --refresh-ms <n>  poll/redraw period in milliseconds (default 500)
   --top-links <n>   rows in the link-traffic table when the machine is too
                     big for the matrix heatmap (default 10)
@@ -74,7 +74,7 @@ impl Tail {
         // Split once at the last newline and slice the complete region in
         // a single pass. (Splitting the buffer per line was quadratic in
         // the poll size — a first poll over a multi-megabyte stream, the
-        // CI --once case, recopied the whole remainder for every line.)
+        // --once case, recopied the whole remainder for every line.)
         let Some(last_nl) = self.partial.iter().rposition(|&b| b == b'\n') else {
             return Vec::new();
         };
@@ -424,7 +424,7 @@ fn main() {
     // wait for it (bounded so a typo'd path fails rather than hanging
     // forever); in --once mode a not-yet-created stream is the same
     // "waiting" state as an empty one — render the waiting frame and
-    // exit cleanly so CI probes racing the producer don't flake.
+    // exit cleanly so scripted probes racing the producer don't flake.
     let t0 = std::time::Instant::now();
     let mut tail = loop {
         match Tail::open(&path) {

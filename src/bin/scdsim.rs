@@ -31,6 +31,7 @@
 //!   --critical <k>                   print the top-k critical-path report
 //! ```
 
+use bench::parse_seed;
 use scd::apps::{dwf, locusroute, lu, mp3d, AppRun, DwfParams, LocusRouteParams, LuParams,
     Mp3dParams};
 use scd::core::{Replacement, Scheme};
@@ -38,9 +39,29 @@ use scd::machine::{MachineConfig, ProtocolKind, ShardedMachine};
 use scd::noc::FaultPlan;
 use scd::trace::{analyze, to_perfetto, Json, JsonlFileSink, PatternTable, SpanTree, TraceConfig};
 
-fn usage() -> ! {
-    eprintln!("{}", HELP.trim());
+/// Exit 2 naming what was refused; the full text is `--help`'s.
+fn usage_err(msg: &str) -> ! {
+    eprintln!("scdsim: {msg}\nrun `scdsim --help` for the options");
     std::process::exit(2)
+}
+
+/// `value` of `flag` as a number, or exit 2 naming both.
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_err(&format!("bad {flag} `{value}`")))
+}
+
+/// A `<n>:..:<n>:<policy>` directory-organization spec (`want` spells the
+/// shape out): its `N` counts and the replacement policy, or exit 2.
+fn organization<const N: usize>(flag: &str, v: &str, want: &str) -> ([usize; N], Replacement) {
+    let p: Vec<&str> = v.split(':').collect();
+    if p.len() != N + 1 {
+        usage_err(&format!("bad {flag} `{v}` (want {want})"));
+    }
+    let policy = Replacement::parse(p[N])
+        .unwrap_or_else(|e| usage_err(&format!("bad {flag} `{v}`: {e}")));
+    (std::array::from_fn(|i| num(flag, p[i])), policy)
 }
 
 const HELP: &str = r#"
@@ -61,7 +82,8 @@ usage: scdsim [options]
                                               time windows; every output is
                                               byte-identical to --shards 1)
   --scale <f>                                 problem scale (default 1.0)
-  --seed <n>                                  workload seed
+  --seed <n>                                  workload seed, decimal or 0x hex
+                                              (default 0xD45B)
   --sparse <entries>:<ways>:<lru|rand|lra>    sparse directory (per home)
   --overflow <i>:<wide>:<ways>:<lru|rand|lra> overflow directory
   --serial-invalidations                      SCI-style serial invalidations
@@ -138,30 +160,6 @@ fn write_trace(machine: &ShardedMachine, path: &str) {
     );
 }
 
-fn parse_policy(s: &str) -> Replacement {
-    match s {
-        "lru" => Replacement::Lru,
-        "rand" | "random" => Replacement::Random,
-        "lra" => Replacement::Lra,
-        _ => usage(),
-    }
-}
-
-fn parse_scheme(s: &str) -> Scheme {
-    let parts: Vec<&str> = s.split(':').collect();
-    match parts.as_slice() {
-        ["full"] => Scheme::FullVector,
-        ["b", i] => Scheme::dir_b(i.parse().unwrap_or_else(|_| usage())),
-        ["nb", i] => Scheme::dir_nb(i.parse().unwrap_or_else(|_| usage())),
-        ["x", i] => Scheme::dir_x(i.parse().unwrap_or_else(|_| usage())),
-        ["cv", i, r] => Scheme::dir_cv(
-            i.parse().unwrap_or_else(|_| usage()),
-            r.parse().unwrap_or_else(|_| usage()),
-        ),
-        _ => usage(),
-    }
-}
-
 fn main() {
     let mut app_name = "lu".to_string();
     let mut scheme = Scheme::FullVector;
@@ -194,74 +192,61 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| usage());
-        match a.as_str() {
+        let flag = a.as_str();
+        let mut val = || {
+            args.next()
+                .unwrap_or_else(|| usage_err(&format!("{flag} needs a value")))
+        };
+        match flag {
             "--app" => app_name = val(),
-            "--scheme" => scheme = parse_scheme(&val()),
+            "--scheme" => scheme = Scheme::parse(&val()).unwrap_or_else(|e| usage_err(&e)),
             "--protocol" => {
-                protocol = ProtocolKind::parse(&val()).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
+                protocol = ProtocolKind::parse(&val()).unwrap_or_else(|e| usage_err(&e))
             }
-            "--clusters" => clusters = val().parse().unwrap_or_else(|_| usage()),
-            "--procs-per-cluster" => ppc = val().parse().unwrap_or_else(|_| usage()),
-            "--shards" => shards = val().parse().unwrap_or_else(|_| usage()),
-            "--scale" => scale = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = val().parse().unwrap_or_else(|_| usage()),
+            "--clusters" => clusters = num(flag, &val()),
+            "--procs-per-cluster" => ppc = num(flag, &val()),
+            "--shards" => shards = num(flag, &val()),
+            "--scale" => scale = num(flag, &val()),
+            "--seed" => seed = parse_seed(&val()).unwrap_or_else(|e| usage_err(&e)),
             "--sparse" => {
-                let v = val();
-                let p: Vec<&str> = v.split(':').collect();
-                if p.len() != 3 {
-                    usage()
-                }
-                sparse = Some((
-                    p[0].parse().unwrap_or_else(|_| usage()),
-                    p[1].parse().unwrap_or_else(|_| usage()),
-                    parse_policy(p[2]),
-                ));
+                let ([entries, ways], policy) =
+                    organization(flag, &val(), "<entries>:<ways>:<lru|rand|lra>");
+                sparse = Some((entries, ways, policy));
             }
             "--overflow" => {
-                let v = val();
-                let p: Vec<&str> = v.split(':').collect();
-                if p.len() != 4 {
-                    usage()
-                }
-                overflow = Some((
-                    p[0].parse().unwrap_or_else(|_| usage()),
-                    p[1].parse().unwrap_or_else(|_| usage()),
-                    p[2].parse().unwrap_or_else(|_| usage()),
-                    parse_policy(p[3]),
-                ));
+                let ([i, wide, ways], policy) =
+                    organization(flag, &val(), "<i>:<wide>:<ways>:<lru|rand|lra>");
+                overflow = Some((i, wide, ways, policy));
             }
             "--serial-invalidations" => serial = true,
-            "--contention" => contention = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--max-cycles" => max_cycles = Some(val().parse().unwrap_or_else(|_| usage())),
+            "--contention" => contention = Some(num(flag, &val())),
+            "--max-cycles" => max_cycles = Some(num(flag, &val())),
             "--fault" => {
                 let v = val();
-                fault = Some(FaultPlan::parse(&v).unwrap_or_else(|e| {
-                    eprintln!("bad --fault spec {v:?}: {e}");
-                    std::process::exit(2)
-                }));
+                fault = Some(
+                    FaultPlan::parse(&v)
+                        .unwrap_or_else(|e| usage_err(&format!("bad --fault `{v}`: {e}"))),
+                );
             }
-            "--watchdog" => watchdog = val().parse().unwrap_or_else(|_| usage()),
+            "--watchdog" => watchdog = num(flag, &val()),
             "--trace-out" => trace_out = Some(val()),
-            "--trace-buffer" => {
-                trace_buffer = Some(val().parse().unwrap_or_else(|_| usage()))
-            }
+            "--trace-buffer" => trace_buffer = Some(num(flag, &val())),
             "--stream-out" => stream_out = Some(val()),
-            "--critical" => critical = Some(val().parse().unwrap_or_else(|_| usage())),
+            "--critical" => critical = Some(num(flag, &val())),
             "--stats-json" => stats_json = Some(val()),
             "--patterns-out" => patterns_out = Some(val()),
-            "--interval-stats" => interval = val().parse().unwrap_or_else(|_| usage()),
+            "--interval-stats" => interval = num(flag, &val()),
             "--perfetto-out" => perfetto_out = Some(val()),
             "--folded-out" => folded_out = Some(val()),
             "--hints" => hints = true,
             "--anatomy" => anatomy = true,
             "--histogram" => histogram = true,
             "--check" => check = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
+            "--help" | "-h" => {
+                println!("{}", HELP.trim());
+                return;
+            }
+            other => usage_err(&format!("unknown flag {other}")),
         }
     }
 
@@ -321,7 +306,7 @@ fn main() {
         "dwf" => dwf(&DwfParams::scaled(scale), procs, seed),
         "mp3d" => mp3d(&Mp3dParams::scaled(scale), procs, seed),
         "locusroute" => locusroute(&LocusRouteParams::scaled(scale), procs, seed),
-        _ => usage(),
+        other => usage_err(&format!("unknown app `{other}` (want lu | dwf | mp3d | locusroute)")),
     };
 
     println!(
@@ -355,8 +340,7 @@ fn main() {
     let wall = std::time::Instant::now();
     let mut machine =
         ShardedMachine::new(cfg, app.scripts(), shards).unwrap_or_else(|e| {
-            eprintln!("cannot shard this configuration: {e}");
-            std::process::exit(2)
+            usage_err(&format!("cannot shard this configuration: {e}"))
         });
     if let Some(path) = &stream_out {
         let sink = match JsonlFileSink::create(std::path::Path::new(path)) {

@@ -1,0 +1,289 @@
+//! The binaries' command-line contracts, driven through `CARGO_BIN_EXE_*`:
+//! exit codes (0 ok, 1 the run or a check failed, 2 usage), what goes to
+//! stdout and what to stderr, artifacts written before a failing exit, and
+//! the tools consuming each other's files. Every test leaves its files in
+//! a scratch directory that its failure messages name.
+
+use scd::core::Scheme;
+use scd::trace::validate_stream;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const SCDSIM: &str = env!("CARGO_BIN_EXE_scdsim");
+const SWEEP: &str = env!("CARGO_BIN_EXE_scd-sweep");
+const CHECK: &str = env!("CARGO_BIN_EXE_scd-check");
+const TOP: &str = env!("CARGO_BIN_EXE_scd-top");
+const TELEMETRY: &str = env!("CARGO_BIN_EXE_scd-telemetry");
+
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("scd-cli-{}-{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Runs `bin` in `dir`, so relative artifact names land there.
+fn run(bin: &str, dir: &Path, args: &[&str]) -> Output {
+    Command::new(bin)
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"))
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// `bin args` exits `code`; on `code` 1 or 2 its stderr says `needle`.
+#[track_caller]
+fn expect(bin: &str, dir: &Path, args: &[&str], code: i32, needle: &str) -> Output {
+    let out = run(bin, dir, args);
+    let name = Path::new(bin).file_name().unwrap().to_string_lossy();
+    assert_eq!(
+        out.status.code(),
+        Some(code),
+        "{name} {} (in {})\nstderr: {}",
+        args.join(" "),
+        dir.display(),
+        stderr(&out)
+    );
+    assert!(
+        stderr(&out).contains(needle),
+        "{name} {} (in {}): stderr lacks `{needle}`:\n{}",
+        args.join(" "),
+        dir.display(),
+        stderr(&out)
+    );
+    out
+}
+
+#[test]
+fn help_is_stdout_and_exit_0_for_every_binary() {
+    let dir = scratch("help");
+    for bin in [SCDSIM, SWEEP, CHECK, TOP, TELEMETRY] {
+        let out = expect(bin, &dir, &["--help"], 0, "");
+        assert!(stdout(&out).contains("usage: "), "{bin}: {}", stdout(&out));
+        assert!(out.stderr.is_empty(), "{bin}: {}", stderr(&out));
+    }
+    for sub in ["validate", "patterns", "report"] {
+        let out = expect(TELEMETRY, &dir, &[sub, "--help"], 0, "");
+        assert!(stdout(&out).contains(&format!("usage: scd-telemetry {sub}")));
+    }
+}
+
+/// A refused command line exits 2 and names the flag and the value, not
+/// the whole option list.
+#[test]
+fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
+    let dir = scratch("usage");
+    for (args, needle) in [
+        (&["--bogus"][..], "unknown flag --bogus"),
+        (&["--clusters", "many"], "bad --clusters `many`"),
+        (&["--seed"], "--seed needs a value"),
+        (&["--seed", "0xZZ"], "bad seed `0xZZ`"),
+        (&["--scheme", "cv:4"], "bad scheme spec `cv:4`"),
+        (&["--protocol", "mesi"], "unknown protocol `mesi`"),
+        (&["--sparse", "4:2"], "bad --sparse `4:2` (want <entries>:<ways>:<lru|rand|lra>)"),
+        (&["--sparse", "4:2:fifo"], "bad replacement policy `fifo`"),
+        (&["--overflow", "1:two:1:lru"], "bad --overflow `two`"),
+        (&["--fault", "nack:2"], "bad --fault `nack:2`"),
+        (&["--app", "quicksort"], "unknown app `quicksort`"),
+        // Unshardeable configurations are refused with the reason.
+        (
+            &["--clusters", "4", "--scale", "0.05", "--shards", "2", "--contention", "5"],
+            "cannot shard this configuration: link contention",
+        ),
+    ] {
+        let out = expect(SCDSIM, &dir, args, 2, needle);
+        assert!(stderr(&out).lines().count() <= 3, "{}", stderr(&out));
+    }
+    expect(TELEMETRY, &dir, &[], 2, "no subcommand given");
+    expect(TELEMETRY, &dir, &["frobnicate"], 2, "unknown subcommand frobnicate");
+    expect(TELEMETRY, &dir, &["validate"], 2, "no files given");
+    expect(TELEMETRY, &dir, &["validate", "absent.json"], 2, "cannot read absent.json");
+    expect(TELEMETRY, &dir, &["patterns"], 2, "no trace file given");
+}
+
+/// `Scheme::parse`, the one parser behind `scdsim --scheme` and `scd-sweep
+/// --schemes`, inverts the spec syntax for every scheme the model checker's
+/// scenarios are built from. (`Replacement::parse` round-trips through
+/// `SparseVariant::spec` in `bench::sweep`'s unit tests.)
+#[test]
+fn scheme_specs_round_trip_for_every_scenario() {
+    let spec = |scheme: Scheme| match scheme {
+        Scheme::FullVector => "full".to_string(),
+        Scheme::LimitedB { i } => format!("b:{i}"),
+        Scheme::LimitedNB { i, .. } => format!("nb:{i}"),
+        Scheme::Superset { i } => format!("x:{i}"),
+        Scheme::CoarseVector { i, r } => format!("cv:{i}:{r}"),
+    };
+    let scenarios = scd::check::scenarios();
+    assert!(scenarios.len() >= 13);
+    for sc in scenarios {
+        assert_eq!(Scheme::parse(&spec(sc.scheme)), Ok(sc.scheme), "{}", sc.label);
+    }
+}
+
+/// `--seed` takes the hex form both help texts quote the default in.
+#[test]
+fn scdsim_seed_is_decimal_or_hex() {
+    let dir = scratch("seed");
+    // MP3D draws its particles from the seed; LU's references ignore it.
+    let small = ["--app", "mp3d", "--clusters", "4", "--scale", "0.05", "--check", "--seed"];
+    let deterministic = |seed: &str| {
+        let out = expect(SCDSIM, &dir, &[&small[..], &[seed]].concat(), 0, "");
+        let text = stdout(&out);
+        // The one host-dependent line: wall seconds and rates.
+        text.lines().filter(|l| !l.starts_with("simulated ")).collect::<Vec<_>>().join("\n")
+    };
+    assert_eq!(deterministic("0xD45B"), deterministic("54363"));
+    assert_ne!(deterministic("0xD45B"), deterministic("7"));
+}
+
+/// A failing run exits 1 with the post-mortem on stderr, after writing
+/// the trace and span profile it was asked for — they matter most then —
+/// and both documents still validate.
+#[test]
+fn failing_runs_exit_1_with_a_post_mortem_after_writing_their_artifacts() {
+    let dir = scratch("failing");
+    let out = expect(
+        SCDSIM,
+        &dir,
+        &[
+            "--app", "lu", "--clusters", "8", "--scale", "0.3", "--max-cycles", "4000",
+            "--trace-out", "t.jsonl", "--perfetto-out", "p.json",
+        ],
+        1,
+        "simulation failed (max-cycles)",
+    );
+    assert!(stderr(&out).contains("exceeded max_cycles=4000"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("proc 0: "), "per-processor state: {}", stderr(&out));
+    let ok = expect(TELEMETRY, &dir, &["validate", "t.jsonl", "--perfetto", "p.json"], 0, "");
+    assert!(stdout(&ok).contains("t.jsonl: OK") && stdout(&ok).contains("p.json: OK"));
+
+    expect(
+        SCDSIM,
+        &dir,
+        &[
+            "--app", "lu", "--clusters", "4", "--scale", "0.2", "--fault", "nack:1.0",
+            "--watchdog", "50000",
+        ],
+        1,
+        "simulation failed (livelock-watchdog)",
+    );
+}
+
+/// A sink that sheds lines must be loud: the run still succeeds, and
+/// stderr says the stream is truncated and by how many writes.
+#[test]
+fn a_stream_sink_that_sheds_lines_is_reported() {
+    let dir = scratch("shed");
+    let args = ["--app", "lu", "--clusters", "8", "--scale", "0.2", "--stream-out", "/dev/full"];
+    let out = expect(SCDSIM, &dir, &args, 0, "warning: /dev/full is truncated: the sink dropped ");
+    assert!(stdout(&out).contains("simulated "), "the run completed: {}", stdout(&out));
+}
+
+/// The live-monitoring path: a sweep publishes progress to a stream while
+/// it runs, the stream validates, and `scd-top --once` renders a frame
+/// from it.
+#[test]
+fn scd_top_renders_a_sweep_progress_stream() {
+    let dir = scratch("top");
+    expect(
+        SWEEP,
+        &dir,
+        &[
+            "--apps", "lu,mp3d", "--schemes", "full,cv:3:2", "--scale", "0.05", "--clusters", "8",
+            "--jobs", "2", "--no-timing", "--stream-out", "sweep.jsonl", "--out", "sweep.json",
+        ],
+        0,
+        "progress stream written to sweep.jsonl",
+    );
+    let stream = std::fs::read_to_string(dir.join("sweep.jsonl")).expect("the progress stream");
+    let summary = validate_stream(&stream).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    assert!(summary.sweep_ended && summary.sweep_runs == 4, "{summary:?}");
+    let frame = stdout(&expect(TOP, &dir, &["sweep.jsonl", "--once"], 0, ""));
+    assert!(frame.contains("] 4/4 "), "{frame}");
+    assert!(frame.contains("sweep complete: 4 runs"), "{frame}");
+    expect(TOP, &dir, &[], 2, "need a stream file to follow");
+}
+
+/// The full-size telemetry flow: a traced, fault-injected, invariant-checked
+/// LU run streams live and writes every document `scdsim` can; all five
+/// validate; the pattern replay equals the online classifier and the
+/// stream's extracted events equal the trace file (the ring was sized so
+/// nothing evicted); and three small kinds of damage are each refused with
+/// the place they were found.
+#[test]
+#[ignore = "21 MB of trace read back six times; run in release"]
+fn traced_fault_injected_lu_run_validates_and_damaged_copies_are_refused() {
+    let dir = scratch("lu");
+    let out = expect(
+        SCDSIM,
+        &dir,
+        &[
+            "--app", "lu", "--clusters", "16", "--seed", "11", "--check",
+            "--fault", "nack:0.01,dup:0.005,delay:0.02:200", "--watchdog", "5000000",
+            "--trace-out", "trace.jsonl", "--trace-buffer", "1048576",
+            "--stream-out", "stream.jsonl", "--stats-json", "stats.json",
+            "--perfetto-out", "perfetto.json", "--folded-out", "folded.txt",
+            "--patterns-out", "patterns.json", "--critical", "10", "--interval-stats", "10000",
+        ],
+        0,
+        "0 evicted from rings",
+    );
+    assert!(stdout(&out).contains("\nfaults: "), "faults were injected: {}", stdout(&out));
+    expect(
+        TELEMETRY,
+        &dir,
+        &[
+            "validate", "--trace", "trace.jsonl", "--stats", "stats.json", "--stream",
+            "stream.jsonl", "--patterns", "patterns.json", "--perfetto", "perfetto.json",
+        ],
+        0,
+        "",
+    );
+    let replay = expect(
+        TELEMETRY,
+        &dir,
+        &["patterns", "trace.jsonl", "--compare", "patterns.json"],
+        0,
+        "",
+    );
+    assert!(stdout(&replay).contains("compare: OK"), "{}", stdout(&replay));
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect(name);
+    let [trace, stream, perfetto] = ["trace.jsonl", "stream.jsonl", "perfetto.json"].map(read);
+    let extract = ["validate", "--extract-trace", "stream.jsonl"];
+    let extracted = expect(TELEMETRY, &dir, &extract, 0, "");
+    assert!(
+        extracted.stdout == trace.as_bytes(),
+        "{}: streamed events differ from trace.jsonl",
+        dir.display()
+    );
+
+    // The stream's last two lines swapped: a record after run_end.
+    let mut lines: Vec<&str> = stream.lines().collect();
+    let n = lines.len();
+    lines.swap(n - 2, n - 1);
+    std::fs::write(dir.join("bad_stream.jsonl"), lines.join("\n") + "\n").unwrap();
+    // The Perfetto document cut short of its closing braces.
+    let cut = perfetto.len() - 3;
+    std::fs::write(dir.join("bad_perfetto.json"), &perfetto[..cut]).unwrap();
+    // One trace line twice: a repeated seq.
+    let mut lines: Vec<&str> = trace.lines().collect();
+    lines.insert(5, lines[4]);
+    std::fs::write(dir.join("bad_trace.jsonl"), lines.join("\n") + "\n").unwrap();
+    for (args, needle) in [
+        (["--stream", "bad_stream.jsonl"], format!("FAIL — line {n}: record after `run_end`")),
+        (["--perfetto", "bad_perfetto.json"], format!("at byte {cut}")),
+        (["--trace", "bad_trace.jsonl"], "FAIL — line 6: seq ".to_string()),
+    ] {
+        expect(TELEMETRY, &dir, &[&["validate"], &args[..]].concat(), 1, &needle);
+    }
+    // 130 MB of documents: kept only when something above failed.
+    std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
+}

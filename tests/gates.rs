@@ -1,5 +1,7 @@
-//! Gates that were shell steps in `ci.yml`, as tests. The slow one is
-//! ignored: `cargo test --release --workspace -- --include-ignored`.
+//! Gates on the repository as a whole rather than on one crate or one
+//! binary: what the engine's source may not contain, and `results/` being
+//! what this build generates. The slow one is ignored:
+//! `cargo test --release --workspace -- --include-ignored`.
 
 use std::path::{Path, PathBuf};
 

@@ -1,6 +1,6 @@
 //! The paper's headline qualitative claims, twice: simulated end-to-end at
 //! reduced scale (the fast shadow), and read off the committed full-scale
-//! `results/*.csv`, which CI's `repro --check` holds equal to what the code
+//! `results/*.csv`, which `tests/gates.rs` holds equal to what the code
 //! generates at scale 1.0 (the `full_scale_*` tests; no simulation).
 
 use scd::apps::{dwf, locusroute, lu, mp3d, DwfParams, LocusRouteParams, LuParams, Mp3dParams};

@@ -1,6 +1,6 @@
-//! `scd-report` CLI suite: golden comparison output for canned stats
-//! documents, tolerance-boundary behaviour, and the exit-code contract
-//! (0 clean, 1 regression, 2 usage) that makes the binary a CI perf gate.
+//! `scd-telemetry report` CLI suite: golden comparison output for canned
+//! stats documents, tolerance-boundary behaviour, and the exit-code
+//! contract (0 clean, 1 regression, 2 usage).
 
 use scd::trace::{compare_docs, Json};
 use std::path::PathBuf;
@@ -35,10 +35,11 @@ fn scratch(test: &str, name: &str, content: &str) -> PathBuf {
 }
 
 fn run(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_scd-report"))
+    Command::new(env!("CARGO_BIN_EXE_scd-telemetry"))
+        .arg("report")
         .args(args)
         .output()
-        .expect("spawn scd-report")
+        .expect("spawn scd-telemetry")
 }
 
 #[test]
@@ -153,8 +154,8 @@ fn usage_and_parse_errors_exit_two() {
     );
 }
 
-/// `scd-report` accepts real machine output end-to-end: a live run's
-/// stats document compares cleanly against itself.
+/// `scd-telemetry report` accepts real machine output end-to-end: a live
+/// run's stats document compares cleanly against itself.
 #[test]
 fn accepts_real_stats_documents() {
     use scd::machine::{Machine, MachineConfig};

@@ -2,10 +2,8 @@
 //! paper's kernels, a machine partitioned across worker threads must
 //! produce the *same bytes* as the serial engine — the full
 //! `scd-run-stats/v1` document (stats + metrics + attribution + trace
-//! bookkeeping) and the streamed telemetry JSONL. CI runs the same
-//! comparison through the `scdsim --shards` CLI on the release build;
-//! this test keeps the guarantee locked in `cargo test` at a debug-build
-//! scale.
+//! bookkeeping), the retained trace and the streamed telemetry JSONL —
+//! what `scdsim --shards N --stats-json --trace-out --stream-out` writes.
 
 use scd::apps::{dwf, locusroute, lu, mp3d, AppRun, DwfParams, LocusRouteParams, LuParams,
     Mp3dParams};
@@ -35,8 +33,9 @@ fn config() -> MachineConfig {
     cfg.with_trace(tc)
 }
 
-/// (full stats document, streamed JSONL) for one kernel at one shard count.
-fn run(app: &AppRun, shards: usize) -> (String, String) {
+/// (full stats document, retained trace, streamed JSONL) for one kernel at
+/// one shard count.
+fn run(app: &AppRun, shards: usize) -> [String; 3] {
     let mut m = ShardedMachine::new(config(), app.scripts(), shards)
         .unwrap_or_else(|e| panic!("{}: {e}", app.name));
     let sink = BufferSink::new();
@@ -53,26 +52,21 @@ fn run(app: &AppRun, shards: usize) -> (String, String) {
         m.trace_json(),
         m.occupancy_json(),
     );
+    let trace: Vec<String> = m.trace_events().iter().map(scd::trace::event_line).collect();
     let stream = lines.lock().unwrap().join("\n");
-    (doc.to_string(), stream)
+    [doc.to_string(), trace.join("\n"), stream]
 }
 
 #[test]
 fn four_kernels_are_byte_identical_across_shard_counts() {
     for app in kernels() {
-        let (doc1, stream1) = run(&app, 1);
+        let serial = run(&app, 1);
         for shards in [2, 4] {
-            let (doc_n, stream_n) = run(&app, shards);
-            assert_eq!(
-                doc1, doc_n,
-                "{}: stats document diverged at {shards} shards",
-                app.name
-            );
-            assert_eq!(
-                stream1, stream_n,
-                "{}: telemetry stream diverged at {shards} shards",
-                app.name
-            );
+            let sharded = run(&app, shards);
+            let documents = ["stats document", "retained trace", "telemetry stream"];
+            for ((what, one), n) in documents.iter().zip(&serial).zip(&sharded) {
+                assert!(one == n, "{}: {what} diverged at {shards} shards", app.name);
+            }
         }
     }
 }

@@ -348,8 +348,9 @@ fn span_tree_is_well_formed_under_nack_retry_faults() {
 }
 
 /// The Perfetto export of a traced run must pass the schema/stack checks
-/// `scd-validate --perfetto` applies: slices nest per lane, counter tracks
-/// ride on their own pid, and metadata names every cluster process.
+/// `scd-telemetry validate --perfetto` applies: slices nest per lane,
+/// counter tracks ride on their own pid, and metadata names every cluster
+/// process.
 #[test]
 fn perfetto_export_passes_validation() {
     let trace = TraceConfig::full(1 << 16).with_interval(500);
@@ -725,8 +726,8 @@ fn patterns_telemetry_does_not_perturb_and_validates() {
 /// The classifier is a pure function of the `(cycle, seq)`-ordered event
 /// stream: feeding the live machine's merged events and replaying the
 /// rendered JSONL text of the same events must produce byte-identical
-/// documents (the `scdsim --patterns-out` vs `scd-patterns` contract CI
-/// checks on real runs).
+/// documents (the `scdsim --patterns-out` vs `scd-telemetry patterns`
+/// contract; `tests/cli.rs` runs the two binaries on a full-size LU run).
 #[test]
 fn online_patterns_match_trace_replay_byte_for_byte() {
     use scd::trace::PatternTable;
