@@ -163,6 +163,15 @@ pub fn parse_seed(s: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("bad seed `{s}`"))
 }
 
+/// Parses a problem scale as `scdsim --scale` and `scd-sweep --scale` take
+/// it: a fraction of the full-size run in (0, 1].
+pub fn parse_scale(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(f) if f > 0.0 && f <= 1.0 => Ok(f),
+        _ => Err(format!("bad --scale `{s}` (want 0 < f <= 1)")),
+    }
+}
+
 /// A sweep grid: the cross product of apps × schemes × sparse variants ×
 /// seeds at one problem scale and machine size.
 #[derive(Clone, Debug)]

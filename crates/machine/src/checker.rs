@@ -1,8 +1,8 @@
 //! Coherence invariant verification, per protocol backend.
 //!
-//! Two entry points, both dispatching on `MachineConfig::protocol` so
-//! every backend is held to its own formulation of "one writer at a
-//! time":
+//! Two entry points, both dispatched by the machine's backend
+//! (`Backend::check`) so every protocol is held to its own formulation of
+//! "one writer at a time":
 //!
 //! * [`verify_quiescent`] — after a run drains (no processors running, no
 //!   messages in flight). Under **DASH** the following must hold for
@@ -48,8 +48,8 @@ use std::collections::BTreeMap;
 
 use scd_mem::LineState;
 
-use crate::config::{MachineConfig, ProtocolKind};
-use crate::machine::{ClusterView, Machine};
+use crate::config::MachineConfig;
+use crate::machine::{Backend, ClusterView, Machine, TardisNode};
 
 /// One invariant violation, locating the fault when known.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,18 +119,18 @@ fn residency(views: &[ClusterView<'_>]) -> BTreeMap<u64, (Vec<usize>, Vec<usize>
 
 /// Verifies the quiescent invariants; returns the first violation found.
 pub fn verify_quiescent(machine: &Machine) -> Result<(), Violation> {
-    let (cfg, views) = Machine::checker_view(std::slice::from_ref(machine));
-    verify_views(cfg, &views)
+    Backend::check(std::slice::from_ref(machine), true)
 }
 
-/// The quiescent check over an explicit set of cluster views — one per
-/// cluster, each from the machine part that owns it
-/// (`Machine::checker_view`), so the machine-wide invariants are checked
-/// across shards.
-pub(crate) fn verify_views(
-    cfg: &MachineConfig,
-    views: &[ClusterView<'_>],
-) -> Result<(), Violation> {
+/// Verifies the every-state invariants — the subset of each protocol's
+/// contract that holds at *every* reachable state, transients included.
+/// Safe to call at any point during a run or exploration.
+pub fn verify_step(machine: &Machine) -> Result<(), Violation> {
+    Backend::check(std::slice::from_ref(machine), false)
+}
+
+/// No home block may still be busy once the machine has quiesced.
+pub(crate) fn verify_idle(views: &[ClusterView<'_>]) -> Result<(), Violation> {
     for (cl, view) in views.iter().enumerate() {
         if view.node.ser.busy_blocks() != 0 {
             return Err(Violation::for_cluster(
@@ -142,34 +142,12 @@ pub(crate) fn verify_views(
             ));
         }
     }
-    match cfg.protocol {
-        ProtocolKind::Dash => verify_dash_views(cfg, views),
-        ProtocolKind::Tardis => {
-            verify_empty_directory(views)?;
-            verify_tardis_views(cfg, views)
-        }
-        ProtocolKind::Dls => {
-            verify_empty_directory(views)?;
-            verify_dls_views(cfg, views, true)
-        }
-    }
-}
-
-/// Verifies the every-state invariants — the subset of each protocol's
-/// contract that holds at *every* reachable state, transients included.
-/// Safe to call at any point during a run or exploration.
-pub fn verify_step(machine: &Machine) -> Result<(), Violation> {
-    let (cfg, views) = Machine::checker_view(std::slice::from_ref(machine));
-    match cfg.protocol {
-        ProtocolKind::Dash => verify_dash_step(&views),
-        ProtocolKind::Tardis => verify_tardis_views(cfg, &views),
-        ProtocolKind::Dls => verify_dls_views(cfg, &views, false),
-    }
+    Ok(())
 }
 
 /// Directoryless protocols must keep the directory that way: Tardis
 /// replaces it with timestamps, DLS with the absence of remote copies.
-fn verify_empty_directory(views: &[ClusterView<'_>]) -> Result<(), Violation> {
+pub(crate) fn verify_empty_directory(views: &[ClusterView<'_>]) -> Result<(), Violation> {
     for (cl, view) in views.iter().enumerate() {
         let live = view.node.dir.live_entries();
         if live != 0 {
@@ -183,7 +161,7 @@ fn verify_empty_directory(views: &[ClusterView<'_>]) -> Result<(), Violation> {
 }
 
 /// DASH quiescent invariants (see the module docs).
-fn verify_dash_views(
+pub(crate) fn verify_dash_views(
     cfg: &MachineConfig,
     views: &[ClusterView<'_>],
 ) -> Result<(), Violation> {
@@ -272,7 +250,7 @@ fn verify_dash_views(
 
 /// DASH every-state invariants: at most one dirty holder per block, and
 /// a dirty copy is exclusive (no other cluster caches the block at all).
-fn verify_dash_step(views: &[ClusterView<'_>]) -> Result<(), Violation> {
+pub(crate) fn verify_dash_step(views: &[ClusterView<'_>]) -> Result<(), Violation> {
     for (block, (dirty, holders)) in residency(views) {
         if dirty.len() > 1 {
             return Err(Violation::for_block(
@@ -311,9 +289,12 @@ fn verify_dash_step(views: &[ClusterView<'_>]) -> Result<(), Violation> {
 ///    that bumps `wts` without jumping past the granted read horizon
 ///    (the seeded `TardisSkipWtsBump` bug) leaves a live lease on the
 ///    stale version and trips this check.
-fn verify_tardis_views(
+///
+/// `nodes` is each cluster's timestamp state, indexed like `views`.
+pub(crate) fn verify_tardis_views(
     cfg: &MachineConfig,
     views: &[ClusterView<'_>],
+    nodes: &[&TardisNode],
 ) -> Result<(), Violation> {
     for (cl, view) in views.iter().enumerate() {
         for &(block, state) in &view.resident {
@@ -324,7 +305,7 @@ fn verify_tardis_views(
                     "dirty line under Tardis (writes must write through)".to_string(),
                 ));
             }
-            let Some(&(lwts, lrts)) = view.node.tardis.lease.get(&block) else {
+            let Some(&(lwts, lrts)) = nodes[cl].lease.get(&block) else {
                 return Err(Violation::locate(
                     cl,
                     block,
@@ -332,7 +313,7 @@ fn verify_tardis_views(
                 ));
             };
             let home = cfg.home_of(block);
-            let line = views[home].node.tardis.lines.value(cfg.dir_key(block));
+            let line = nodes[home].lines.value(cfg.dir_key(block));
             if line == Default::default() {
                 return Err(Violation::locate(
                     cl,
@@ -373,7 +354,7 @@ fn verify_tardis_views(
 /// DLS invariants: no non-home cluster ever holds a copy, and (at
 /// quiescence only — a granted write's fill may still be in flight
 /// mid-run) a home-resident copy carries the block's current version.
-fn verify_dls_views(
+pub(crate) fn verify_dls_views(
     cfg: &MachineConfig,
     views: &[ClusterView<'_>],
     quiescent: bool,

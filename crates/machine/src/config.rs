@@ -1,6 +1,6 @@
 //! Machine configuration and the paper's standard presets.
 
-use scd_core::{Organization, Replacement, Scheme};
+use scd_core::{Organization, Replacement, Scheme, MAX_POINTERS};
 use scd_noc::{FaultPlan, LatencyModel};
 use scd_trace::TraceConfig;
 
@@ -318,6 +318,63 @@ impl MachineConfig {
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
         self
+    }
+
+    /// Checks the geometry the constructors downstream would otherwise
+    /// assert on (cluster and processor counts, cache and directory
+    /// shapes, pointer counts), so a front end can refuse a bad command
+    /// line instead of panicking. The error names the field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        let sets = |what: &str, blocks: usize, ways: usize| {
+            if ways >= 1 && blocks >= ways && blocks.is_multiple_of(ways) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{what} = {blocks}:{ways} (the first must be a positive multiple of the \
+                     second, the associativity)"
+                ))
+            }
+        };
+        let pointers = |what: &str, i: usize| {
+            if (1..=MAX_POINTERS).contains(&i) {
+                Ok(())
+            } else {
+                Err(format!("{what} = {i} (want 1..={MAX_POINTERS})"))
+            }
+        };
+        if !(1..=u16::MAX as usize).contains(&self.clusters) {
+            return Err(format!("clusters = {} (want 1..={})", self.clusters, u16::MAX));
+        }
+        if self.procs_per_cluster == 0 {
+            return Err("procs_per_cluster = 0 (want at least 1)".into());
+        }
+        if self.block_bytes == 0 {
+            return Err("block_bytes = 0 (want at least 1)".into());
+        }
+        sets("l1_blocks:l1_ways", self.l1_blocks, self.l1_ways)?;
+        sets("l2_blocks:l2_ways", self.l2_blocks, self.l2_ways)?;
+        match self.organization {
+            Organization::Complete => {}
+            Organization::Sparse { entries, ways, .. } => {
+                sets("sparse entries:ways", entries, ways)?;
+            }
+            Organization::Overflow {
+                i,
+                wide_entries,
+                wide_ways,
+                ..
+            } => {
+                pointers("overflow pointer count", i)?;
+                sets("overflow wide entries:ways", wide_entries, wide_ways)?;
+            }
+        }
+        if let Some(i) = self.scheme.pointer_count() {
+            pointers("scheme pointer count", i)?;
+        }
+        if let Scheme::CoarseVector { r: 0, .. } = self.scheme {
+            return Err("scheme coarse-vector region size = 0 (want at least 1)".into());
+        }
+        Ok(())
     }
 
     /// Total processors.

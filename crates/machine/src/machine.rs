@@ -29,25 +29,34 @@
 //! * Conflicting home transactions queue per block instead of NAK/retry
 //!   (see `scd-protocol::serializer`).
 //!
-//! ## Engine, backends, telemetry
+//! ## Engine, requester, backends, telemetry
 //!
-//! This file is the protocol-agnostic engine: the event wheel, message
-//! transport and fault injection, processor scheduling, synchronization
-//! and the sharding substrate. What happens when a processor touches
-//! shared memory, and when a protocol-specific message arrives, is one of
-//! three backends selected by a `match` on [`ProtocolKind`]: `dash` (the
-//! paper's directory-based invalidation protocol, the default), `tardis`
-//! (timestamp coherence: lease-based reads, no invalidation fan-out) and
-//! `dls` (directoryless shared LLC: every remote miss resolves at the
-//! home slice). Everything that only *watches* lives in `telemetry`, which
-//! the engine reaches through hooks that cannot mutate it back.
+//! A [`Machine`] is two values. The `Engine` is everything every
+//! protocol shares: the event wheel, message transport and fault
+//! injection, processor scheduling, synchronization, the sharding
+//! substrate, and the per-cluster hardware (caches, directory store, RAC,
+//! home serializer, version tables). The `Backend` (`backend`) is what
+//! only one protocol reads: `dash` (the paper's directory-based
+//! invalidation protocol, the default), `tardis` (timestamp coherence:
+//! lease-based reads, no invalidation fan-out) or `dls` (directoryless
+//! shared LLC: every remote miss resolves at the home slice). A backend
+//! handler takes `&mut` its own tables plus the engine; it never sees the
+//! `Machine`, so engine code cannot reach protocol state and a DASH
+//! machine carries no Tardis table.
+//!
+//! The requester half of a transaction — issue through the RAC, match a
+//! reply to its MSHR, complete the waiters — is the same under all three
+//! protocols and is written once, in `requester`; a backend supplies only
+//! the request kind it sends and what a reply installs. Everything that
+//! only *watches* lives in `telemetry`, which the engine reaches through
+//! hooks that cannot mutate it back.
 
 use scd_core::{DenseTable, DirState, EntryAccess, FastMap, NodeId, NodeSet};
 use scd_mem::{CacheHierarchy, ClusterCaches, HitLevel, LineState};
 use scd_noc::{FaultPlan, Network};
 use scd_protocol::{
     BarrierManager, BusyReason, EarlyKind, HomeSerializer, LockManager, LockOutcome, Msg,
-    MsgArena, MsgKind, MsgRef, Rac, UnlockOutcome,
+    MsgArena, MsgKind, MsgRef, QueuedReq, Rac, UnlockOutcome,
 };
 use scd_protocol::rac::{MshrKind, StartOutcome};
 use scd_sim::{Cycle, EventQueue, RingLog, SimRng, Stamp};
@@ -55,36 +64,41 @@ use scd_stats::{Histogram, MessageClass, Traffic};
 use scd_tango::{Op, Script};
 use scd_trace::{Json, MetricsRegistry, Phase, TraceEvent};
 
-use crate::config::{MachineConfig, ProtocolKind};
+use crate::config::MachineConfig;
 use crate::error::{BlockedProc, ClusterDiag, PostMortem, SimError};
-use crate::stats::{
-    DlsCounters, FaultCounters, ProtocolCounters, RunStats, StallBreakdown, TardisCounters,
-};
+use crate::stats::{FaultCounters, ProtocolCounters, RunStats, StallBreakdown};
 
+mod backend;
 mod dash;
 mod dls;
 pub mod explore;
 mod oracle;
+mod requester;
 pub mod shard;
 mod tardis;
 mod telemetry;
 
+pub(crate) use backend::Backend;
+pub(crate) use tardis::TardisNode;
 pub use oracle::ValueOracleReport;
 use telemetry::{Hub, Recorder};
 
-/// Simulator events. The hot variant, `Deliver`, carries an 8-byte
-/// [`MsgRef`] into the message arena rather than the ~40-byte [`Msg`]
-/// itself, so the event queue's ring buckets shuffle two words per event.
+/// Simulator events, generic over how a delivery names its message. On the
+/// wheel ([`Ev`]) the hot variant, `Deliver`, carries an 8-byte [`MsgRef`]
+/// into the message arena rather than the ~40-byte [`Msg`] itself, so the
+/// event queue's ring buckets shuffle two words per event. In the
+/// post-mortem ring it carries the resolved [`Msg`], so rendering never
+/// chases a handle into an arena slot that was freed (and possibly reused)
+/// long after the event was logged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Ev {
+enum Event<M> {
     /// Processor fetches and executes its next operation.
     ProcNext(usize),
     /// Processor re-executes its pending operation (e.g. after a merged
     /// transaction completed with insufficient rights).
     ProcRetry(usize),
-    /// A protocol message reaches its destination cluster (payload parked
-    /// in the machine's [`MsgArena`]).
-    Deliver(MsgRef),
+    /// A protocol message reaches its destination cluster.
+    Deliver(M),
     /// The home directory replays one parked request for `block` (requests
     /// that queued behind an in-flight transaction re-occupy the directory
     /// one at a time, `dir_lookup` apart).
@@ -96,25 +110,19 @@ enum Ev {
     },
 }
 
-/// The event-log mirror of [`Ev`]: identical variants, but `Deliver`
-/// carries the resolved [`Msg`] so post-mortem rendering never chases a
-/// handle into an arena slot that was freed (and possibly reused) long
-/// after the event was logged.
-#[derive(Clone, Copy, Debug)]
-enum EvLog {
-    /// See [`Ev::ProcNext`].
-    ProcNext(usize),
-    /// See [`Ev::ProcRetry`].
-    ProcRetry(usize),
-    /// See [`Ev::Deliver`] — payload resolved at pop time.
-    Deliver(Msg),
-    /// See [`Ev::Replay`].
-    Replay {
-        /// The home cluster.
-        home: usize,
-        /// The block whose queue is draining.
-        block: u64,
-    },
+/// An event on the wheel: deliveries are handles into the [`MsgArena`].
+type Ev = Event<MsgRef>;
+
+impl<M> Event<M> {
+    /// The same event with its delivery payload resolved through `f`.
+    fn resolve<N, E>(self, f: impl FnOnce(M) -> Result<N, E>) -> Result<Event<N>, E> {
+        Ok(match self {
+            Event::ProcNext(p) => Event::ProcNext(p),
+            Event::ProcRetry(p) => Event::ProcRetry(p),
+            Event::Deliver(m) => Event::Deliver(f(m)?),
+            Event::Replay { home, block } => Event::Replay { home, block },
+        })
+    }
 }
 
 /// Per-cluster lock bookkeeping: which local processor holds the lock,
@@ -138,10 +146,6 @@ pub(crate) struct ClusterNode {
     pub(crate) barriers: BarrierManager,
     pub(crate) lock_state: FastMap<u32, ClusterLock>,
     pub(crate) barrier_local: FastMap<u32, Vec<usize>>,
-    /// In-progress serial invalidation chains (SCI-style mode): remaining
-    /// targets, the write requester awaiting the final reply, and the
-    /// version the write creates.
-    pub(crate) serial_chains: FastMap<u64, (std::collections::VecDeque<usize>, usize, u64)>,
     /// Version oracle: latest version the home has assigned per block,
     /// indexed like the directory by [`MachineConfig::dir_key`] (0 = never
     /// written).
@@ -149,17 +153,6 @@ pub(crate) struct ClusterNode {
     /// Version oracle: version of this cluster's resident copy per block
     /// (meaningful only while a copy is held; refreshed on every fill).
     pub(crate) line_version: FastMap<u64, u64>,
-    /// The last ownership-epoch version this cluster *completed* (filled
-    /// dirty) per block. A forward stamped with this epoch refers to data
-    /// we have (possibly downgraded since); a forward stamped newer refers
-    /// to our still-pending grant and must wait for it.
-    pub(crate) last_owner_epoch: FastMap<u64, u64>,
-    /// Home-side: blocks with an in-flight `FwdWrite`, whose version bump
-    /// makes `cur_version` one ahead of the *recorded* owner's epoch.
-    /// Indexed by [`MachineConfig::dir_key`].
-    pub(crate) pending_write_bump: DenseTable<bool>,
-    /// Tardis timestamp state (default-empty under the other protocols).
-    pub(crate) tardis: tardis::TardisNode,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,23 +175,6 @@ struct ProcState {
     finish: Cycle,
 }
 
-/// Result of the home directory's decision for one request (plain data, so
-/// the caller can send messages without fighting the borrow checker).
-enum DirAction {
-    Stalled { blocker: u64 },
-    SelfOwned,
-    Forward { owner: usize },
-    Supply { nb_evict: Option<usize> },
-    Grant { inval_targets: NodeSet },
-}
-
-struct ReplacementWork {
-    victim_key: u64,
-    targets: NodeSet,
-    /// The victim entry's recorded dirty owner, if any.
-    dirty_owner: Option<usize>,
-}
-
 /// A delivery bound for a cluster another shard owns: exported at the end
 /// of the window and merged into the destination shard's wheel at the
 /// barrier, carrying the canonical stamp drawn at the (source-side) send.
@@ -210,16 +186,17 @@ pub(crate) struct Outbound {
 }
 
 /// Per-cluster snapshot handed to the invariant checker: resident blocks
-/// in block order with their highest state, plus the full cluster node so
-/// each protocol's checker can read its own state (directory and
-/// serializer for DASH, timestamp lines and leases for Tardis, version
-/// counters for the directoryless LLC).
+/// in block order with their highest state, plus the engine's cluster node
+/// (directory and serializer for DASH, version tables for the
+/// directoryless LLC). What only one backend keeps — Tardis leases and
+/// timestamp lines — reaches its checker through `Backend::check`.
 pub(crate) struct ClusterView<'a> {
     pub(crate) resident: Vec<(u64, LineState)>,
     pub(crate) node: &'a ClusterNode,
 }
 
-/// A configured DASH machine ready to run a workload.
+/// A configured DASH machine ready to run a workload: the shared
+/// `Engine` plus the one coherence `Backend` its configuration selects.
 ///
 /// `Clone` produces an independent machine mid-run (each processor's
 /// [`Script`] keeps its position and shares its ops) — the substrate of
@@ -227,6 +204,16 @@ pub(crate) struct ClusterView<'a> {
 /// [`explore`](crate::machine::explore).
 #[derive(Clone)]
 pub struct Machine {
+    eng: Engine,
+    backend: Backend,
+}
+
+/// Everything every protocol shares (see the module docs). Backend
+/// handlers receive it as their only way to act on the machine: send,
+/// schedule, wake a processor, touch a cluster's caches, directory, RAC or
+/// serializer, record telemetry.
+#[derive(Clone)]
+pub(crate) struct Engine {
     cfg: MachineConfig,
     queue: EventQueue<Ev>,
     /// Slab of in-flight message payloads; `Ev::Deliver` holds handles.
@@ -242,10 +229,9 @@ pub struct Machine {
     shared_writes: u64,
     sync_ops: u64,
     counters: ProtocolCounters,
-    /// Tardis-specific counters (zero under the other protocols).
-    tardis_counters: TardisCounters,
-    /// DLS-specific counters (zero under the other protocols).
-    dls_counters: DlsCounters,
+    /// Pre-computed: `cfg.replacement_hints`, and the backend's home acts
+    /// on a hint (see `Backend::takes_hints`).
+    hints: bool,
     /// Value oracle for cross-protocol differential comparison (inert
     /// unless `cfg.value_oracle`).
     oracle: oracle::ValueOracle,
@@ -272,7 +258,7 @@ pub struct Machine {
     /// Cycle of the last retired operation (forward-progress watchdog).
     last_progress: Cycle,
     /// Recently processed events, kept for failure post-mortems.
-    event_log: RingLog<(Cycle, EvLog)>,
+    event_log: RingLog<(Cycle, Event<Msg>)>,
     /// This part's telemetry (inert unless `cfg.trace` is active); the
     /// engine only ever calls its hooks.
     telemetry: Recorder,
@@ -330,6 +316,528 @@ impl Machine {
         shard_base: usize,
         shard_count: usize,
     ) -> Self {
+        let backend = Backend::new(&cfg);
+        let hints = cfg.replacement_hints && backend.takes_hints();
+        Machine {
+            eng: Engine::new(cfg, programs, shard_base, shard_count, hints),
+            backend,
+        }
+    }
+
+    /// The configuration this machine was built with.
+    pub fn config(&self) -> &MachineConfig {
+        &self.eng.cfg
+    }
+
+    /// Runs the workload to completion and returns the collected metrics.
+    ///
+    /// # Panics
+    /// On any [`SimError`] — deadlock, `max_cycles` exceeded, an invariant
+    /// violation, or the livelock watchdog — with the formatted post-mortem
+    /// as the panic message. Use [`Machine::try_run`] to handle failures
+    /// gracefully instead.
+    pub fn run(&mut self) -> RunStats {
+        match self.try_run() {
+            Ok(stats) => stats,
+            Err(e) => {
+                // The panic payload carries the full post-mortem rendering
+                // (blocked processors, cluster state, event log, trace
+                // tails), so even harnesses that only capture the panic
+                // message get the causal history, not a bare headline.
+                panic!("simulation failed ({})\n{e}", e.kind());
+            }
+        }
+    }
+
+    /// Runs the workload to completion, returning a structured
+    /// [`SimError`] — carrying a [`PostMortem`] of the stuck machine —
+    /// instead of panicking when the run cannot complete.
+    pub fn try_run(&mut self) -> Result<RunStats, SimError> {
+        self.eng.start();
+        while let Some((t, ev)) = self.eng.queue.pop() {
+            if let Err(e) = self.process_event(t, ev) {
+                // Push what the stream already holds before surfacing
+                // the failure: a live consumer should see the history up
+                // to the death, closed by an honest run_end.
+                self.stream_close();
+                return Err(e);
+            }
+        }
+        self.finalize()
+    }
+
+    /// Processes every pending event strictly below `horizon` — one
+    /// conservative window of a sharded run. Returns the time of the last
+    /// event processed, if any. Anything popped inside the window can only
+    /// schedule locally (at or after the pop time) or export through the
+    /// outbox (`deliver_or_export` asserts exports never fall before
+    /// `horizon`). After the pops, any interval boundary at or below
+    /// `horizon` that no local event crossed is force-closed: its window
+    /// content is final because every local event below `horizon` has been
+    /// processed and none of them reached the boundary.
+    fn run_window(&mut self, horizon: Cycle) -> Result<Option<Cycle>, SimError> {
+        self.eng.window_end = horizon;
+        let mut last = None;
+        while let Some(t) = self.eng.queue.peek_time() {
+            if t >= horizon {
+                break;
+            }
+            let (t, ev) = self.eng.queue.pop().expect("peeked a pending event");
+            self.process_event(t, ev)?;
+            last = Some(t);
+        }
+        if self.eng.telemetry.on {
+            self.eng.observe_clock(horizon);
+        }
+        Ok(last)
+    }
+
+    /// Processes one popped event: runaway/watchdog guards, event-log
+    /// recording, and dispatch to the processor/protocol handlers. This is
+    /// the entire body of the run loop; [`Machine::try_run`] and the
+    /// exploration stepper share it so a checked interleaving exercises
+    /// exactly the code a production run does.
+    fn process_event(&mut self, t: Cycle, ev: Ev) -> Result<(), SimError> {
+        let eng = &mut self.eng;
+        if eng.cfg.max_cycles > 0 && t > eng.cfg.max_cycles {
+            let detail = format!(
+                "exceeded max_cycles={} ({} procs still running)",
+                eng.cfg.max_cycles, eng.running
+            );
+            return Err(SimError::MaxCycles(eng.post_mortem(t, detail)));
+        }
+        // The livelock watchdog compares against *global* progress, so
+        // under sharding it moves to the coordinator's barrier (a shard
+        // legitimately idles while a remote transaction it depends on
+        // makes progress on another worker).
+        if eng.solo
+            && eng.cfg.watchdog_cycles > 0
+            && eng.running > 0
+            && t.saturating_sub(eng.last_progress) > eng.cfg.watchdog_cycles
+        {
+            let detail = format!(
+                "no operation retired since cycle {} (watchdog window {})",
+                eng.last_progress, eng.cfg.watchdog_cycles
+            );
+            return Err(SimError::LivelockWatchdog(eng.post_mortem(t, detail)));
+        }
+        if eng.telemetry.on {
+            eng.observe_clock(t);
+        }
+        // Resolve the hot handle into its payload *before* logging, so
+        // the post-mortem ring holds the message itself, not a handle
+        // into a slot that the arena's free list will recycle.
+        let ev = match ev.resolve(|r| eng.arena.take(r).ok_or(r)) {
+            Ok(ev) => ev,
+            Err(r) => {
+                // Every alloc is taken exactly once (duplicated
+                // deliveries get their own slot), so a stale handle
+                // here means the arena bookkeeping is broken.
+                let detail = format!(
+                    "delivery of stale message handle (slot {}, generation {})",
+                    r.index(),
+                    r.generation()
+                );
+                return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
+            }
+        };
+        eng.event_log.push((t, ev));
+        match ev {
+            Event::ProcNext(p) => {
+                if eng.procs[p].status == ProcStatus::Done {
+                    return Ok(());
+                }
+                // Fetching the next operation means the previous one
+                // retired: forward progress for the watchdog.
+                eng.last_progress = t;
+                let op = eng.procs[p].program.next_op();
+                eng.procs[p].pending = Some(op);
+                match op {
+                    Op::Read(_) => eng.shared_reads += 1,
+                    Op::Write(_) => eng.shared_writes += 1,
+                    Op::Lock(_) | Op::Unlock(_) | Op::Barrier(_) => eng.sync_ops += 1,
+                    _ => {}
+                }
+                self.execute(t, p, op);
+            }
+            Event::ProcRetry(p) => {
+                let Some(op) = eng.procs[p].pending else {
+                    let detail = format!("retry of processor {p} with no pending op");
+                    return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
+                };
+                self.execute(t, p, op);
+            }
+            Event::Deliver(msg) => self.deliver(t, msg),
+            Event::Replay { home, block } => {
+                if let Some(req) = eng.clusters[home].ser.pop_ready(block) {
+                    self.backend.replay(eng, t, home, req);
+                }
+                eng.drain(t, home, block);
+            }
+        }
+        let eng = &mut self.eng;
+        if eng.running == 0 && eng.finish_time == 0 {
+            eng.finish_time = t;
+            // Keep draining in-flight messages so the machine quiesces
+            // and invariants can be checked.
+        }
+        Ok(())
+    }
+
+    /// Post-drain validation, shared by [`Machine::try_run`] and the
+    /// exploration API's leaf check.
+    fn finalize(&mut self) -> Result<RunStats, SimError> {
+        // Close the stream first (no-op when off): the queue is drained,
+        // so every recorded event can flush, and run_end belongs in the
+        // stream whether the checks below pass or not.
+        self.stream_close();
+        Self::check_drained(std::slice::from_ref(self)).map_err(|(_, e)| e)?;
+        Ok(self.collect())
+    }
+
+    /// What a drained machine made of `parts` (a solo machine is its own
+    /// only part) must satisfy: every processor retired, no leaked arena
+    /// payloads, and (when configured) the quiescent coherence invariants
+    /// — checked across part boundaries, each cluster's view coming from
+    /// the part that owns it. A failure names the offending part.
+    pub(crate) fn check_drained(parts: &[Machine]) -> Result<(), (usize, SimError)> {
+        for (s, m) in parts.iter().enumerate() {
+            let m = &m.eng;
+            let fail = |kind: fn(Box<PostMortem>) -> SimError, detail: String| {
+                Err((s, kind(m.post_mortem(m.queue.now(), detail))))
+            };
+            if m.running != 0 {
+                let detail = format!(
+                    "{} processors blocked with an empty event queue",
+                    m.running
+                );
+                return fail(SimError::Deadlock, detail);
+            }
+            if !m.arena.is_empty() {
+                // Every scheduled delivery takes its payload out of the
+                // arena; a drained queue with parked messages means a
+                // Deliver event was lost (or a payload leaked).
+                let detail = format!(
+                    "{} message(s) still parked in the arena after the event queue drained",
+                    m.arena.live()
+                );
+                return fail(SimError::InvariantViolation, detail);
+            }
+        }
+        if parts[0].eng.cfg.check_invariants {
+            if let Err(e) = Backend::check(parts, true) {
+                let owner = |c| parts.iter().position(|m| m.eng.owns(c));
+                let s = e.cluster.and_then(owner).unwrap_or(0);
+                let m = &parts[s].eng;
+                let pm = m.post_mortem(m.queue.now(), e.to_string());
+                return Err((s, SimError::InvariantViolation(pm)));
+            }
+        }
+        Ok(())
+    }
+
+    fn collect(&self) -> RunStats {
+        let eng = &self.eng;
+        let mut sparse: Option<scd_core::SparseStats> = None;
+        let mut overflow: Option<scd_core::OverflowStats> = None;
+        let mut lock_metrics = (0u64, 0u64);
+        let mut queue_metrics = (0usize, 0u64);
+        for c in &eng.clusters {
+            crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
+            crate::stats::add_opt(&mut overflow, c.dir.overflow_stats());
+            let (g, r) = c.locks.metrics();
+            lock_metrics.0 += g;
+            lock_metrics.1 += r;
+            let (d, q) = c.ser.queue_metrics();
+            queue_metrics.0 = queue_metrics.0.max(d);
+            queue_metrics.1 += q;
+        }
+        let (tardis, dls) = self.backend.counters();
+        RunStats {
+            cycles: eng.finish_time,
+            traffic: eng.traffic,
+            invalidations: eng.inval_hist.clone(),
+            shared_reads: eng.shared_reads,
+            shared_writes: eng.shared_writes,
+            sync_ops: eng.sync_ops,
+            network: eng.network.stats().clone(),
+            sparse,
+            overflow,
+            l2_misses: eng.clusters.iter().map(|c| c.caches.total_l2_misses()).sum(),
+            lock_metrics,
+            queue_metrics,
+            live_dir_entries: self.backend.live_entries(&eng.clusters),
+            protocol: eng.counters,
+            tardis,
+            dls,
+            faults: eng.faults,
+            versions_assigned: eng.versions_assigned,
+            events_delivered: eng.queue.delivered(),
+            stalls: StallBreakdown {
+                mem_stall: eng.procs.iter().map(|p| p.mem_stall).collect(),
+                sync_stall: eng.procs.iter().map(|p| p.sync_stall).collect(),
+                finish: eng.procs.iter().map(|p| p.finish).collect(),
+            },
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Processor-side execution
+    // ------------------------------------------------------------------
+
+    fn execute(&mut self, t: Cycle, p: usize, op: Op) {
+        let eng = &mut self.eng;
+        match op {
+            Op::Done => {
+                eng.procs[p].status = ProcStatus::Done;
+                eng.procs[p].finish = t;
+                eng.running -= 1;
+            }
+            Op::Compute(c) => {
+                let cl = eng.cluster_of(p);
+                eng.sched(cl, t + c, Ev::ProcNext(p));
+            }
+            Op::Read(addr) => self.mem_access(t, p, addr, MshrKind::Read),
+            Op::Write(addr) => self.mem_access(t, p, addr, MshrKind::Write),
+            Op::Lock(l) => eng.do_lock(t, p, l),
+            Op::Unlock(l) => self.do_unlock(t, p, l),
+            Op::Barrier(b) => self.do_barrier(t, p, b),
+        }
+    }
+
+    /// A processor touches shared memory: the backend resolves what it can
+    /// inside the cluster (hit, bus snoop, lease renewal) and otherwise
+    /// names the cycle at which the miss goes out through the RAC.
+    fn mem_access(&mut self, t: Cycle, p: usize, addr: u64, kind: MshrKind) {
+        let block = self.eng.cfg.block_of(addr);
+        if let Some(at) = self.backend.mem_access(&mut self.eng, t, p, block, kind) {
+            self.issue(at, p, block, kind);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Synchronization
+    // ------------------------------------------------------------------
+
+    fn do_unlock(&mut self, t: Cycle, p: usize, l: u32) {
+        let eng = &mut self.eng;
+        let (cl, lp) = (eng.cluster_of(p), eng.local_of(p));
+        let tm = eng.cfg.timing;
+        let home = eng.cfg.lock_home(l);
+        let st = eng.clusters[cl]
+            .lock_state
+            .get_mut(&l)
+            .expect("unlock of never-acquired lock");
+        assert_eq!(
+            st.holder,
+            Some(lp),
+            "processor {p} released lock {l} it does not hold"
+        );
+        st.holder = None;
+        if let Some(next) = st.waiters.pop_front() {
+            // Intra-cluster handoff over the bus; the home still sees this
+            // cluster as the holder.
+            st.holder = Some(next);
+            let g = eng.global_proc(cl, next);
+            eng.resume(t + tm.sync_op, g);
+        } else {
+            let pts = self.backend.sync_pts(cl);
+            eng.send(t + tm.sync_op, cl, home, MsgKind::UnlockReq { lock: l, pts });
+        }
+        eng.resume(t + tm.sync_op, p);
+    }
+
+    fn do_barrier(&mut self, t: Cycle, p: usize, b: u32) {
+        let eng = &mut self.eng;
+        let (cl, lp) = (eng.cluster_of(p), eng.local_of(p));
+        let tm = eng.cfg.timing;
+        let home = eng.cfg.barrier_home(b);
+        let local = eng.clusters[cl].barrier_local.entry(b).or_default();
+        local.push(lp);
+        let all_local = local.len() == eng.cfg.procs_per_cluster;
+        if all_local {
+            let pts = self.backend.sync_pts(cl);
+            eng.send(t + tm.sync_op, cl, home, MsgKind::BarrierArrive { barrier: b, pts });
+        }
+        eng.block(t, p, true);
+    }
+
+    // ------------------------------------------------------------------
+    // Message delivery
+    // ------------------------------------------------------------------
+
+    fn deliver(&mut self, t: Cycle, msg: Msg) {
+        let Msg { src, dst, kind } = msg;
+        let (eng, backend) = (&mut self.eng, &mut self.backend);
+        let tm = eng.cfg.timing;
+        if eng.telemetry.on && src != dst {
+            eng.telemetry.msg_deliver(t, &msg);
+        }
+        if eng.fault_active && src != dst && eng.fault_plan.nack_prob > 0.0 {
+            if let Some((block, was_write)) = kind.coherence_request() {
+                let nack_prob = eng.fault_plan.nack_prob;
+                if eng.nack_rng(src, dst).chance(nack_prob) {
+                    // Decided at delivery rather than in `home_request` so
+                    // replayed parked requests are never refused — they
+                    // already hold a queue slot.
+                    return eng.refuse(t, dst, src, block, was_write);
+                }
+            }
+        }
+        match kind {
+            MsgKind::Nack { block, was_write } => {
+                eng.telemetry.nack(t, dst, block);
+                match eng.clusters[dst].rac.on_nack(block, was_write) {
+                    Some(attempt) => {
+                        // Reissue with exponential backoff so a refusing
+                        // home is not hammered at network rate.
+                        eng.faults.retries += 1;
+                        let base = tm.bus_memory.max(1);
+                        let backoff = base << (attempt - 1).min(10);
+                        eng.telemetry.retry(t, dst, block, attempt, backoff);
+                        let home = eng.cfg.home_of(block);
+                        // Reissue whatever `issue` originally sent.
+                        let kind = backend.request_kind(dst, block, was_write);
+                        eng.send(t + backoff, dst, home, kind);
+                    }
+                    // Stale: the transaction was already serviced (a
+                    // duplicate's NACK crossed the real reply). Drop it.
+                    None => eng.faults.strays_dropped += 1,
+                }
+            }
+            MsgKind::LockReq { lock } => {
+                match eng.clusters[dst].locks.acquire(lock, src) {
+                    LockOutcome::Granted => {
+                        let pts = backend.lock_grant_pts(dst, lock);
+                        eng.send(t + tm.sync_op, dst, src, MsgKind::LockGrant { lock, pts });
+                    }
+                    // Queued: the grant comes on a later release.
+                    // AlreadyHeld: duplicate of an already-granted request
+                    // (a retry crossed the acquire) — drop it.
+                    LockOutcome::Queued | LockOutcome::AlreadyHeld => {}
+                }
+            }
+            MsgKind::LockGrant { lock, pts } => {
+                backend.absorb_pts(dst, pts);
+                let decline = {
+                    let st = eng.clusters[dst].lock_state.entry(lock).or_default();
+                    st.requested = false;
+                    if st.holder.is_none() {
+                        if let Some(lp) = st.waiters.pop_front() {
+                            st.holder = Some(lp);
+                            Some(lp)
+                        } else {
+                            None
+                        }
+                        .map(Ok)
+                        .unwrap_or(Err(()))
+                    } else {
+                        Err(())
+                    }
+                };
+                match decline {
+                    Ok(lp) => {
+                        let g = eng.global_proc(dst, lp);
+                        eng.resume(t + tm.sync_op, g);
+                    }
+                    Err(()) => {
+                        // Nobody is waiting locally (or we already hold it):
+                        // hand the lock straight back.
+                        let pts = backend.sync_pts(dst);
+                        eng.send(t + tm.sync_op, dst, src, MsgKind::UnlockReq { lock, pts });
+                    }
+                }
+            }
+            MsgKind::LockRetry { lock } => {
+                // Our queued request (if any) was dropped by the region
+                // release: the `requested` flag is stale, so clear it and
+                // re-request if processors are still waiting.
+                let needs_retry = {
+                    let st = eng.clusters[dst].lock_state.entry(lock).or_default();
+                    st.requested = false;
+                    if st.holder.is_none() && !st.waiters.is_empty() {
+                        st.requested = true;
+                        true
+                    } else {
+                        false
+                    }
+                };
+                if needs_retry {
+                    let home = eng.cfg.lock_home(lock);
+                    eng.send(t + tm.sync_op, dst, home, MsgKind::LockReq { lock });
+                }
+            }
+            MsgKind::UnlockReq { lock, pts } => {
+                backend.note_lock_pts(dst, lock, pts);
+                match eng.clusters[dst].locks.release(lock, src) {
+                    UnlockOutcome::Free => {}
+                    UnlockOutcome::GrantTo(c) => {
+                        let pts = backend.lock_grant_pts(dst, lock);
+                        eng.send(t + tm.sync_op, dst, c, MsgKind::LockGrant { lock, pts });
+                    }
+                    UnlockOutcome::RetryRegion(members) => {
+                        for m in members {
+                            eng.send(t + tm.sync_op, dst, m, MsgKind::LockRetry { lock });
+                        }
+                    }
+                }
+            }
+            MsgKind::BarrierArrive { barrier, pts } => {
+                backend.note_barrier_pts(dst, barrier, pts);
+                if let Some(release) =
+                    eng.clusters[dst]
+                        .barriers
+                        .arrive(barrier, src, eng.cfg.clusters)
+                {
+                    let pts = backend.take_barrier_pts(dst, barrier);
+                    for c in release {
+                        eng.send(t + tm.sync_op, dst, c, MsgKind::BarrierRelease { barrier, pts });
+                    }
+                }
+            }
+            MsgKind::BarrierRelease { barrier, pts } => {
+                backend.absorb_pts(dst, pts);
+                let local = eng.clusters[dst]
+                    .barrier_local
+                    .remove(&barrier)
+                    .expect("release for a barrier nobody reached");
+                for lp in local {
+                    let g = eng.global_proc(dst, lp);
+                    eng.resume(t + tm.sync_op, g);
+                }
+            }
+            // Everything else is protocol-specific.
+            _ => backend.deliver(eng, t, msg),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Introspection for the invariant checker
+    // ------------------------------------------------------------------
+
+    /// One view per cluster of the machine made of `parts`, each from the
+    /// part that owns the cluster (parts own ascending contiguous ranges).
+    pub(crate) fn checker_view(parts: &[Machine]) -> (&MachineConfig, Vec<ClusterView<'_>>) {
+        let views = parts
+            .iter()
+            .flat_map(|m| m.eng.owned_clusters())
+            .map(|c| ClusterView {
+                resident: c.caches.cluster_resident(),
+                node: c,
+            })
+            .collect();
+        (&parts[0].eng.cfg, views)
+    }
+}
+
+impl Engine {
+    fn new(
+        cfg: MachineConfig,
+        programs: Vec<Script>,
+        shard_base: usize,
+        shard_count: usize,
+        hints: bool,
+    ) -> Self {
         assert_eq!(
             programs.len(),
             cfg.processors(),
@@ -356,12 +864,8 @@ impl Machine {
                 barriers: BarrierManager::new(),
                 lock_state: FastMap::default(),
                 barrier_local: FastMap::default(),
-                serial_chains: FastMap::default(),
                 cur_version: DenseTable::new(),
                 line_version: FastMap::default(),
-                last_owner_epoch: FastMap::default(),
-                pending_write_bump: DenseTable::new(),
-                tardis: tardis::TardisNode::default(),
             })
             .collect();
         let mut network = Network::new(cfg.clusters, cfg.latency);
@@ -409,7 +913,7 @@ impl Machine {
                 c.dir.enable_churn_tracking();
             }
         }
-        Machine {
+        Engine {
             queue: EventQueue::new(),
             arena: MsgArena::new(),
             clusters,
@@ -423,8 +927,7 @@ impl Machine {
             shared_writes: 0,
             sync_ops: 0,
             counters: ProtocolCounters::default(),
-            tardis_counters: TardisCounters::default(),
-            dls_counters: DlsCounters::default(),
+            hints,
             oracle: oracle::ValueOracle::new(cfg.value_oracle, cfg.processors()),
             observed: FastMap::default(),
             versions_assigned: 0,
@@ -456,10 +959,14 @@ impl Machine {
         cluster.wrapping_sub(self.shard_base) < self.shard_count
     }
 
-    /// The cluster nodes this machine owns (all of them for a solo
-    /// machine).
+    /// The clusters this machine owns (all of them for a solo machine).
+    fn owned(&self) -> std::ops::Range<usize> {
+        self.shard_base..self.shard_base + self.shard_count
+    }
+
+    /// The cluster nodes this machine owns.
     fn owned_clusters(&self) -> &[ClusterNode] {
-        &self.clusters[self.shard_base..self.shard_base + self.shard_count]
+        &self.clusters[self.owned()]
     }
 
     /// Draws the next canonical stamp from `cluster`'s emission counter.
@@ -517,11 +1024,6 @@ impl Machine {
             .schedule_at_stamped(ob.deliver_at, ob.stamp, Ev::Deliver(r));
     }
 
-    /// The configuration this machine was built with.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
     fn cluster_of(&self, p: usize) -> usize {
         p / self.cfg.procs_per_cluster
     }
@@ -560,6 +1062,12 @@ impl Machine {
         self.clusters[cl].line_version.insert(block, version);
     }
 
+    /// Version oracle: the version of cluster `cl`'s copy of `block` (0 if
+    /// it never held one).
+    fn line_version(&self, cl: usize, block: u64) -> u64 {
+        self.clusters[cl].line_version.get(&block).copied().unwrap_or(0)
+    }
+
     /// Version oracle: cluster `cl` observed `block` (a read or write hit /
     /// completion). Panics if the observation runs backwards — i.e. the
     /// cluster sees data older than it has already seen, the signature of a
@@ -568,11 +1076,7 @@ impl Machine {
         if !self.cfg.track_versions {
             return;
         }
-        let v = self.clusters[cl]
-            .line_version
-            .get(&block)
-            .copied()
-            .unwrap_or(0);
+        let v = self.line_version(cl, block);
         let last = self.observed.entry((cl, block)).or_insert(0);
         assert!(
             v >= *last,
@@ -581,18 +1085,20 @@ impl Machine {
         *last = v;
     }
 
-    /// Sends `msg`, accounting traffic and network latency. Intra-cluster
-    /// deliveries are free and uncounted (they ride the cluster bus), and
-    /// are also exempt from fault injection.
-    fn send(&mut self, ready_at: Cycle, msg: Msg) {
-        let lat = self.network.send(ready_at, msg.src, msg.dst);
-        if msg.src != msg.dst {
-            self.traffic.record(msg.kind.class());
+    /// Sends `kind` from cluster `src` to cluster `dst`, accounting traffic
+    /// and network latency. Intra-cluster deliveries are free and uncounted
+    /// (they ride the cluster bus), and are also exempt from fault
+    /// injection.
+    fn send(&mut self, ready_at: Cycle, src: usize, dst: usize, kind: MsgKind) {
+        let msg = Msg { src, dst, kind };
+        let lat = self.network.send(ready_at, src, dst);
+        if src != dst {
+            self.traffic.record(kind.class());
             if self.telemetry.on {
                 // The recorder accounts the message; the link table is
                 // the network's, so the engine applies the flits.
                 if let Some(flits) = self.telemetry.msg_send(&self.network, ready_at, &msg) {
-                    self.network.note_link_traffic(msg.src, msg.dst, flits);
+                    self.network.note_link_traffic(src, dst, flits);
                 }
             }
             if self.fault_active {
@@ -638,16 +1144,10 @@ impl Machine {
     fn faulty_schedule(&mut self, nominal: Cycle, msg: Msg) {
         let plan = self.fault_plan;
         let request_class = msg.kind.class() == MessageClass::Request;
-        let coherence_req = matches!(
-            msg.kind,
-            MsgKind::ReadReq { .. }
-                | MsgKind::WriteReq { .. }
-                | MsgKind::TardisReadReq { .. }
-                | MsgKind::TardisWriteReq { .. }
-        );
+        let coherence_req = msg.kind.coherence_request();
         let mut deliver_at = nominal;
         let mut clamp_exempt = false;
-        if coherence_req
+        if coherence_req.is_some()
             && plan.reorder_window > 0
             && plan.reorder_prob > 0.0
             && self.send_rng(msg.src, msg.dst).chance(plan.reorder_prob)
@@ -678,10 +1178,8 @@ impl Machine {
             deliver_at = deliver_at.max(*clamp);
             *clamp = deliver_at;
         }
-        let dup_gap = if matches!(
-            msg.kind,
-            MsgKind::ReadReq { .. } | MsgKind::TardisReadReq { .. }
-        ) && plan.dup_prob > 0.0
+        let dup_gap = if matches!(coherence_req, Some((_, false)))
+            && plan.dup_prob > 0.0
             && self.send_rng(msg.src, msg.dst).chance(plan.dup_prob)
         {
             // At-least-once delivery, reads only: re-servicing a read is
@@ -700,6 +1198,19 @@ impl Machine {
         if let Some(gap) = dup_gap {
             self.deliver_or_export(deliver_at + gap, msg);
         }
+    }
+
+    /// The home refuses a coherence request with a NACK, touching no
+    /// state; the requester backs off and retries (or drops the NACK as a
+    /// stray if the transaction was serviced anyway).
+    fn refuse(&mut self, t: Cycle, home: usize, requester: usize, block: u64, was_write: bool) {
+        self.faults.nacks += 1;
+        self.send(
+            t + self.cfg.timing.dir_lookup,
+            home,
+            requester,
+            MsgKind::Nack { block, was_write },
+        );
     }
 
     fn unblock(&mut self, at: Cycle, p: usize) {
@@ -734,69 +1245,6 @@ impl Machine {
         st.blocked_on_sync = on_sync;
     }
 
-    /// Runs the workload to completion and returns the collected metrics.
-    ///
-    /// # Panics
-    /// On any [`SimError`] — deadlock, `max_cycles` exceeded, an invariant
-    /// violation, or the livelock watchdog — with the formatted post-mortem
-    /// as the panic message. Use [`Machine::try_run`] to handle failures
-    /// gracefully instead.
-    pub fn run(&mut self) -> RunStats {
-        match self.try_run() {
-            Ok(stats) => stats,
-            Err(e) => {
-                // The panic payload carries the full post-mortem rendering
-                // (blocked processors, cluster state, event log, trace
-                // tails), so even harnesses that only capture the panic
-                // message get the causal history, not a bare headline.
-                panic!("simulation failed ({})\n{e}", e.kind());
-            }
-        }
-    }
-
-    /// Runs the workload to completion, returning a structured
-    /// [`SimError`] — carrying a [`PostMortem`] of the stuck machine —
-    /// instead of panicking when the run cannot complete.
-    pub fn try_run(&mut self) -> Result<RunStats, SimError> {
-        self.start();
-        while let Some((t, ev)) = self.queue.pop() {
-            if let Err(e) = self.process_event(t, ev) {
-                // Push what the stream already holds before surfacing
-                // the failure: a live consumer should see the history up
-                // to the death, closed by an honest run_end.
-                self.stream_close();
-                return Err(e);
-            }
-        }
-        self.finalize()
-    }
-
-    /// Processes every pending event strictly below `horizon` — one
-    /// conservative window of a sharded run. Returns the time of the last
-    /// event processed, if any. Anything popped inside the window can only
-    /// schedule locally (at or after the pop time) or export through the
-    /// outbox (`deliver_or_export` asserts exports never fall before
-    /// `horizon`). After the pops, any interval boundary at or below
-    /// `horizon` that no local event crossed is force-closed: its window
-    /// content is final because every local event below `horizon` has been
-    /// processed and none of them reached the boundary.
-    fn run_window(&mut self, horizon: Cycle) -> Result<Option<Cycle>, SimError> {
-        self.window_end = horizon;
-        let mut last = None;
-        while let Some(t) = self.queue.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked a pending event");
-            self.process_event(t, ev)?;
-            last = Some(t);
-        }
-        if self.telemetry.on {
-            self.observe_clock(horizon);
-        }
-        Ok(last)
-    }
-
     /// Tells telemetry the clock reached `t` (an event pop, or the end of
     /// a shard's window): interval boundaries at or below `t` close — for
     /// an idle shard too, which owes the hub a zero-delta piece for every
@@ -822,174 +1270,6 @@ impl Machine {
             }
             self.sched(cl, 0, Ev::ProcNext(p));
         }
-    }
-
-    /// Processes one popped event: runaway/watchdog guards, event-log
-    /// recording, and dispatch to the processor/protocol handlers. This is
-    /// the entire body of the run loop; [`Machine::try_run`] and the
-    /// exploration stepper share it so a checked interleaving exercises
-    /// exactly the code a production run does.
-    fn process_event(&mut self, t: Cycle, ev: Ev) -> Result<(), SimError> {
-        {
-            if self.cfg.max_cycles > 0 && t > self.cfg.max_cycles {
-                let detail = format!(
-                    "exceeded max_cycles={} ({} procs still running)",
-                    self.cfg.max_cycles, self.running
-                );
-                return Err(SimError::MaxCycles(self.post_mortem(t, detail)));
-            }
-            // The livelock watchdog compares against *global* progress, so
-            // under sharding it moves to the coordinator's barrier (a shard
-            // legitimately idles while a remote transaction it depends on
-            // makes progress on another worker).
-            if self.solo
-                && self.cfg.watchdog_cycles > 0
-                && self.running > 0
-                && t.saturating_sub(self.last_progress) > self.cfg.watchdog_cycles
-            {
-                let detail = format!(
-                    "no operation retired since cycle {} (watchdog window {})",
-                    self.last_progress, self.cfg.watchdog_cycles
-                );
-                return Err(SimError::LivelockWatchdog(self.post_mortem(t, detail)));
-            }
-            if self.telemetry.on {
-                self.observe_clock(t);
-            }
-            // Resolve the hot handle into its payload *before* logging, so
-            // the post-mortem ring holds the message itself, not a handle
-            // into a slot that the arena's free list will recycle.
-            let ev = match ev {
-                Ev::ProcNext(p) => EvLog::ProcNext(p),
-                Ev::ProcRetry(p) => EvLog::ProcRetry(p),
-                Ev::Replay { home, block } => EvLog::Replay { home, block },
-                Ev::Deliver(r) => match self.arena.take(r) {
-                    Some(msg) => EvLog::Deliver(msg),
-                    None => {
-                        // Every alloc is taken exactly once (duplicated
-                        // deliveries get their own slot), so a stale handle
-                        // here means the arena bookkeeping is broken.
-                        let detail = format!(
-                            "delivery of stale message handle (slot {}, generation {})",
-                            r.index(),
-                            r.generation()
-                        );
-                        return Err(SimError::InvariantViolation(
-                            self.post_mortem(t, detail),
-                        ));
-                    }
-                },
-            };
-            self.event_log.push((t, ev));
-            match ev {
-                EvLog::ProcNext(p) => {
-                    if self.procs[p].status == ProcStatus::Done {
-                        return Ok(());
-                    }
-                    // Fetching the next operation means the previous one
-                    // retired: forward progress for the watchdog.
-                    self.last_progress = t;
-                    let op = self.procs[p].program.next_op();
-                    self.procs[p].pending = Some(op);
-                    match op {
-                        Op::Read(_) => self.shared_reads += 1,
-                        Op::Write(_) => self.shared_writes += 1,
-                        Op::Lock(_) | Op::Unlock(_) | Op::Barrier(_) => self.sync_ops += 1,
-                        _ => {}
-                    }
-                    self.execute(t, p, op);
-                }
-                EvLog::ProcRetry(p) => {
-                    let Some(op) = self.procs[p].pending else {
-                        let detail = format!("retry of processor {p} with no pending op");
-                        return Err(SimError::InvariantViolation(
-                            self.post_mortem(t, detail),
-                        ));
-                    };
-                    self.execute(t, p, op);
-                }
-                EvLog::Deliver(msg) => {
-                    self.deliver(t, msg);
-                }
-                EvLog::Replay { home, block } => {
-                    if let Some(req) = self.clusters[home].ser.pop_ready(block) {
-                        // Only protocols that queue at the home ever see a
-                        // replay: DASH always, DLS behind a home-local write.
-                        match self.cfg.protocol {
-                            ProtocolKind::Dash => self.home_request(
-                                t,
-                                home,
-                                req.requester,
-                                req.block,
-                                req.is_write,
-                            ),
-                            ProtocolKind::Dls => self.dls_replay(t, home, req),
-                            ProtocolKind::Tardis => {
-                                unreachable!("tardis never queues home requests")
-                            }
-                        }
-                    }
-                    self.drain(t, home, block);
-                }
-            }
-            if self.running == 0 && self.finish_time == 0 {
-                self.finish_time = t;
-                // Keep draining in-flight messages so the machine quiesces
-                // and invariants can be checked.
-            }
-        }
-        Ok(())
-    }
-
-    /// Post-drain validation, shared by [`Machine::try_run`] and the
-    /// exploration API's leaf check.
-    fn finalize(&mut self) -> Result<RunStats, SimError> {
-        // Close the stream first (no-op when off): the queue is drained,
-        // so every recorded event can flush, and run_end belongs in the
-        // stream whether the checks below pass or not.
-        self.stream_close();
-        Self::check_drained(std::slice::from_ref(self)).map_err(|(_, e)| e)?;
-        Ok(self.collect())
-    }
-
-    /// What a drained machine made of `parts` (a solo machine is its own
-    /// only part) must satisfy: every processor retired, no leaked arena
-    /// payloads, and (when configured) the quiescent coherence invariants
-    /// — checked across part boundaries, each cluster's view coming from
-    /// the part that owns it. A failure names the offending part.
-    pub(crate) fn check_drained(parts: &[Machine]) -> Result<(), (usize, SimError)> {
-        for (s, m) in parts.iter().enumerate() {
-            let fail = |kind: fn(Box<PostMortem>) -> SimError, detail: String| {
-                Err((s, kind(m.post_mortem(m.queue.now(), detail))))
-            };
-            if m.running != 0 {
-                let detail = format!(
-                    "{} processors blocked with an empty event queue",
-                    m.running
-                );
-                return fail(SimError::Deadlock, detail);
-            }
-            if !m.arena.is_empty() {
-                // Every scheduled delivery takes its payload out of the
-                // arena; a drained queue with parked messages means a
-                // Deliver event was lost (or a payload leaked).
-                let detail = format!(
-                    "{} message(s) still parked in the arena after the event queue drained",
-                    m.arena.live()
-                );
-                return fail(SimError::InvariantViolation, detail);
-            }
-        }
-        if parts[0].cfg.check_invariants {
-            let (cfg, views) = Self::checker_view(parts);
-            if let Err(e) = crate::checker::verify_views(cfg, &views) {
-                let owner = |c| parts.iter().position(|m| m.owns(c));
-                let s = e.cluster.and_then(owner).unwrap_or(0);
-                let pm = parts[s].post_mortem(parts[s].queue.now(), e.to_string());
-                return Err((s, SimError::InvariantViolation(pm)));
-            }
-        }
-        Ok(())
     }
 
     /// Snapshot of the machine for a [`SimError`]. Boxed because the
@@ -1031,7 +1311,7 @@ impl Machine {
             .iter()
             .map(|d: &ClusterDiag| d.cluster)
             .filter_map(|c| {
-                let tail = self.trace_tail(c, TAIL_EVENTS);
+                let tail = self.telemetry.tracer.tail(c, TAIL_EVENTS);
                 (!tail.is_empty()).then(|| (c, tail.iter().map(TraceEvent::render).collect()))
             })
             .collect();
@@ -1046,95 +1326,11 @@ impl Machine {
                 .map(|(at, ev)| format!("[{at:>8}] {ev:?}"))
                 .collect(),
             trace_tails,
-            dropped_events: self.trace_counts().1,
+            dropped_events: self.telemetry.tracer.dropped(),
             counters: self.counters,
             faults: self.faults,
             detail,
         })
-    }
-
-    fn collect(&self) -> RunStats {
-        let mut sparse: Option<scd_core::SparseStats> = None;
-        let mut overflow: Option<scd_core::OverflowStats> = None;
-        let mut live = 0;
-        let mut lock_metrics = (0u64, 0u64);
-        let mut queue_metrics = (0usize, 0u64);
-        for c in &self.clusters {
-            // Live directory-equivalent entries (the paper's memory-overhead
-            // metric): timestamp lines for Tardis, none for the
-            // directoryless LLC.
-            live += match self.cfg.protocol {
-                ProtocolKind::Dash => c.dir.live_entries(),
-                ProtocolKind::Tardis => c.tardis.lines.iter().count(),
-                ProtocolKind::Dls => 0,
-            };
-            crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
-            crate::stats::add_opt(&mut overflow, c.dir.overflow_stats());
-            let (g, r) = c.locks.metrics();
-            lock_metrics.0 += g;
-            lock_metrics.1 += r;
-            let (d, q) = c.ser.queue_metrics();
-            queue_metrics.0 = queue_metrics.0.max(d);
-            queue_metrics.1 += q;
-        }
-        RunStats {
-            cycles: self.finish_time,
-            traffic: self.traffic,
-            invalidations: self.inval_hist.clone(),
-            shared_reads: self.shared_reads,
-            shared_writes: self.shared_writes,
-            sync_ops: self.sync_ops,
-            network: self.network.stats().clone(),
-            sparse,
-            overflow,
-            l2_misses: self.clusters.iter().map(|c| c.caches.total_l2_misses()).sum(),
-            lock_metrics,
-            queue_metrics,
-            live_dir_entries: live,
-            protocol: self.counters,
-            tardis: (self.cfg.protocol == ProtocolKind::Tardis).then_some(self.tardis_counters),
-            dls: (self.cfg.protocol == ProtocolKind::Dls).then_some(self.dls_counters),
-            faults: self.faults,
-            versions_assigned: self.versions_assigned,
-            events_delivered: self.queue.delivered(),
-            stalls: StallBreakdown {
-                mem_stall: self.procs.iter().map(|p| p.mem_stall).collect(),
-                sync_stall: self.procs.iter().map(|p| p.sync_stall).collect(),
-                finish: self.procs.iter().map(|p| p.finish).collect(),
-            },
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Processor-side execution
-    // ------------------------------------------------------------------
-
-    fn execute(&mut self, t: Cycle, p: usize, op: Op) {
-        match op {
-            Op::Done => {
-                self.procs[p].status = ProcStatus::Done;
-                self.procs[p].finish = t;
-                self.running -= 1;
-            }
-            Op::Compute(c) => {
-                let cl = self.cluster_of(p);
-                self.sched(cl, t + c, Ev::ProcNext(p));
-            }
-            Op::Read(addr) => self.mem_access(t, p, addr, MshrKind::Read),
-            Op::Write(addr) => self.mem_access(t, p, addr, MshrKind::Write),
-            Op::Lock(l) => self.do_lock(t, p, l),
-            Op::Unlock(l) => self.do_unlock(t, p, l),
-            Op::Barrier(b) => self.do_barrier(t, p, b),
-        }
-    }
-
-    fn mem_access(&mut self, t: Cycle, p: usize, addr: u64, kind: MshrKind) {
-        let block = self.cfg.block_of(addr);
-        match self.cfg.protocol {
-            ProtocolKind::Dash => self.dash_mem_access(t, p, block, kind),
-            ProtocolKind::Tardis => self.tardis_mem_access(t, p, block, kind),
-            ProtocolKind::Dls => self.dls_mem_access(t, p, block, kind),
-        }
     }
 
     fn fill(&mut self, t: Cycle, cl: usize, lp: usize, block: u64, state: LineState) {
@@ -1142,36 +1338,15 @@ impl Machine {
             if ev.state == LineState::Dirty {
                 let home = self.cfg.home_of(ev.block);
                 self.clusters[cl].rac.note_writeback(ev.block);
-                self.send(
-                    t,
-                    Msg {
-                        src: cl,
-                        dst: home,
-                        kind: MsgKind::Writeback { block: ev.block },
-                    },
-                );
-            } else if self.cfg.replacement_hints
-                && self.cfg.protocol != ProtocolKind::Tardis
-                && !self.clusters[cl].caches.holds(ev.block)
-            {
+                self.send(t, cl, home, MsgKind::Writeback { block: ev.block });
+            } else if self.hints && !self.clusters[cl].caches.holds(ev.block) {
                 // The cluster's last clean copy left silently; tell the
                 // home so a precise entry can forget us.
                 let home = self.cfg.home_of(ev.block);
-                self.send(
-                    t,
-                    Msg {
-                        src: cl,
-                        dst: home,
-                        kind: MsgKind::ReplacementHint { block: ev.block },
-                    },
-                );
+                self.send(t, cl, home, MsgKind::ReplacementHint { block: ev.block });
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Synchronization
-    // ------------------------------------------------------------------
 
     fn do_lock(&mut self, t: Cycle, p: usize, l: u32) {
         let (cl, lp) = (self.cluster_of(p), self.local_of(p));
@@ -1182,322 +1357,22 @@ impl Machine {
         let need_request = st.holder.is_none() && !st.requested;
         if need_request {
             st.requested = true;
-            self.send(
-                t + tm.sync_op,
-                Msg {
-                    src: cl,
-                    dst: home,
-                    kind: MsgKind::LockReq { lock: l },
-                },
-            );
+            self.send(t + tm.sync_op, cl, home, MsgKind::LockReq { lock: l });
         }
         self.block(t, p, true);
     }
 
-    fn do_unlock(&mut self, t: Cycle, p: usize, l: u32) {
-        let (cl, lp) = (self.cluster_of(p), self.local_of(p));
-        let tm = self.cfg.timing;
-        let home = self.cfg.lock_home(l);
-        let st = self
-            .clusters[cl]
-            .lock_state
-            .get_mut(&l)
-            .expect("unlock of never-acquired lock");
-        assert_eq!(
-            st.holder,
-            Some(lp),
-            "processor {p} released lock {l} it does not hold"
-        );
-        st.holder = None;
-        if let Some(next) = st.waiters.pop_front() {
-            // Intra-cluster handoff over the bus; the home still sees this
-            // cluster as the holder.
-            st.holder = Some(next);
-            let g = self.global_proc(cl, next);
-            self.resume(t + tm.sync_op, g);
-        } else {
-            let pts = self.sync_pts(cl);
-            self.send(
-                t + tm.sync_op,
-                Msg {
-                    src: cl,
-                    dst: home,
-                    kind: MsgKind::UnlockReq { lock: l, pts },
-                },
-            );
+    /// Schedules the next replay of a parked request, if any. Replays run
+    /// as real events `dir_lookup` apart, so the directory's state
+    /// mutations and message emissions stay in timestamp order (a burst of
+    /// parked readers, e.g. LU's pivot column, also cannot complete in
+    /// zero home time).
+    fn drain(&mut self, t: Cycle, home: usize, block: u64) {
+        if !self.clusters[home].ser.is_busy(block)
+            && self.clusters[home].ser.pending_len(block) > 0
+        {
+            self.sched(home, t + self.cfg.timing.dir_lookup, Ev::Replay { home, block });
         }
-        self.resume(t + tm.sync_op, p);
-    }
-
-    fn do_barrier(&mut self, t: Cycle, p: usize, b: u32) {
-        let (cl, lp) = (self.cluster_of(p), self.local_of(p));
-        let tm = self.cfg.timing;
-        let home = self.cfg.barrier_home(b);
-        let local = self.clusters[cl].barrier_local.entry(b).or_default();
-        local.push(lp);
-        let all_local = local.len() == self.cfg.procs_per_cluster;
-        if all_local {
-            let pts = self.sync_pts(cl);
-            self.send(
-                t + tm.sync_op,
-                Msg {
-                    src: cl,
-                    dst: home,
-                    kind: MsgKind::BarrierArrive { barrier: b, pts },
-                },
-            );
-        }
-        self.block(t, p, true);
-    }
-
-    // ------------------------------------------------------------------
-    // Message delivery
-    // ------------------------------------------------------------------
-
-    fn deliver(&mut self, t: Cycle, msg: Msg) {
-        let Msg { src, dst, kind } = msg;
-        if self.telemetry.on && src != dst {
-            self.telemetry.msg_deliver(t, &msg);
-        }
-        if self.fault_active && src != dst && self.fault_plan.nack_prob > 0.0 {
-            if let MsgKind::ReadReq { block }
-            | MsgKind::WriteReq { block }
-            | MsgKind::TardisReadReq { block, .. }
-            | MsgKind::TardisWriteReq { block } = kind
-            {
-                let nack_prob = self.fault_plan.nack_prob;
-                if self.nack_rng(src, dst).chance(nack_prob) {
-                    // The home refuses the request without touching any
-                    // state; the requester backs off and retries. Decided
-                    // at delivery rather than in `home_request` so replayed
-                    // parked requests are never refused — they already hold
-                    // a queue slot.
-                    self.faults.nacks += 1;
-                    let was_write = matches!(
-                        kind,
-                        MsgKind::WriteReq { .. } | MsgKind::TardisWriteReq { .. }
-                    );
-                    self.send(
-                        t + self.cfg.timing.dir_lookup,
-                        Msg {
-                            src: dst,
-                            dst: src,
-                            kind: MsgKind::Nack { block, was_write },
-                        },
-                    );
-                    return;
-                }
-            }
-        }
-        match kind {
-            MsgKind::Nack { block, was_write } => {
-                self.telemetry.nack(t, dst, block);
-                match self.clusters[dst].rac.on_nack(block, was_write) {
-                    Some(attempt) => {
-                        // Reissue with exponential backoff so a refusing
-                        // home is not hammered at network rate.
-                        self.faults.retries += 1;
-                        let base = self.cfg.timing.bus_memory.max(1);
-                        let backoff = base << (attempt - 1).min(10);
-                        self.telemetry.retry(t, dst, block, attempt, backoff);
-                        let home = self.cfg.home_of(block);
-                        // Reissue whatever the active protocol's miss
-                        // path originally sent.
-                        let kind = match (self.cfg.protocol, was_write) {
-                            (ProtocolKind::Tardis, true) => MsgKind::TardisWriteReq { block },
-                            (ProtocolKind::Tardis, false) => MsgKind::TardisReadReq {
-                                block,
-                                pts: self.clusters[dst].tardis.pts,
-                            },
-                            (_, true) => MsgKind::WriteReq { block },
-                            (_, false) => MsgKind::ReadReq { block },
-                        };
-                        self.send(t + backoff, Msg { src: dst, dst: home, kind });
-                    }
-                    // Stale: the transaction was already serviced (a
-                    // duplicate's NACK crossed the real reply). Drop it.
-                    None => self.faults.strays_dropped += 1,
-                }
-            }
-            MsgKind::LockReq { lock } => {
-                match self.clusters[dst].locks.acquire(lock, src) {
-                    LockOutcome::Granted => {
-                        let pts = self.lock_grant_pts(dst, lock);
-                        self.send(
-                            t + self.cfg.timing.sync_op,
-                            Msg {
-                                src: dst,
-                                dst: src,
-                                kind: MsgKind::LockGrant { lock, pts },
-                            },
-                        );
-                    }
-                    // Queued: the grant comes on a later release.
-                    // AlreadyHeld: duplicate of an already-granted request
-                    // (a retry crossed the acquire) — drop it.
-                    LockOutcome::Queued | LockOutcome::AlreadyHeld => {}
-                }
-            }
-            MsgKind::LockGrant { lock, pts } => {
-                self.absorb_pts(dst, pts);
-                let decline = {
-                    let st = self.clusters[dst].lock_state.entry(lock).or_default();
-                    st.requested = false;
-                    if st.holder.is_none() {
-                        if let Some(lp) = st.waiters.pop_front() {
-                            st.holder = Some(lp);
-                            Some(lp)
-                        } else {
-                            None
-                        }
-                        .map(Ok)
-                        .unwrap_or(Err(()))
-                    } else {
-                        Err(())
-                    }
-                };
-                match decline {
-                    Ok(lp) => {
-                        let g = self.global_proc(dst, lp);
-                        self.resume(t + self.cfg.timing.sync_op, g);
-                    }
-                    Err(()) => {
-                        // Nobody is waiting locally (or we already hold it):
-                        // hand the lock straight back.
-                        let pts = self.sync_pts(dst);
-                        self.send(
-                            t + self.cfg.timing.sync_op,
-                            Msg {
-                                src: dst,
-                                dst: src,
-                                kind: MsgKind::UnlockReq { lock, pts },
-                            },
-                        );
-                    }
-                }
-            }
-            MsgKind::LockRetry { lock } => {
-                // Our queued request (if any) was dropped by the region
-                // release: the `requested` flag is stale, so clear it and
-                // re-request if processors are still waiting.
-                let needs_retry = {
-                    let st = self.clusters[dst].lock_state.entry(lock).or_default();
-                    st.requested = false;
-                    if st.holder.is_none() && !st.waiters.is_empty() {
-                        st.requested = true;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if needs_retry {
-                    let home = self.cfg.lock_home(lock);
-                    self.send(
-                        t + self.cfg.timing.sync_op,
-                        Msg {
-                            src: dst,
-                            dst: home,
-                            kind: MsgKind::LockReq { lock },
-                        },
-                    );
-                }
-            }
-            MsgKind::UnlockReq { lock, pts } => {
-                self.note_lock_pts(dst, lock, pts);
-                match self.clusters[dst].locks.release(lock, src) {
-                UnlockOutcome::Free => {}
-                UnlockOutcome::GrantTo(c) => {
-                    let pts = self.lock_grant_pts(dst, lock);
-                    self.send(
-                        t + self.cfg.timing.sync_op,
-                        Msg {
-                            src: dst,
-                            dst: c,
-                            kind: MsgKind::LockGrant { lock, pts },
-                        },
-                    );
-                }
-                UnlockOutcome::RetryRegion(members) => {
-                    for m in members {
-                        self.send(
-                            t + self.cfg.timing.sync_op,
-                            Msg {
-                                src: dst,
-                                dst: m,
-                                kind: MsgKind::LockRetry { lock },
-                            },
-                        );
-                    }
-                }
-            }
-            }
-            MsgKind::BarrierArrive { barrier, pts } => {
-                self.note_barrier_pts(dst, barrier, pts);
-                if let Some(release) =
-                    self.clusters[dst]
-                        .barriers
-                        .arrive(barrier, src, self.cfg.clusters)
-                {
-                    let pts = self.take_barrier_pts(dst, barrier);
-                    for c in release {
-                        self.send(
-                            t + self.cfg.timing.sync_op,
-                            Msg {
-                                src: dst,
-                                dst: c,
-                                kind: MsgKind::BarrierRelease { barrier, pts },
-                            },
-                        );
-                    }
-                }
-            }
-            MsgKind::BarrierRelease { barrier, pts } => {
-                self.absorb_pts(dst, pts);
-                let local = self.clusters[dst]
-                    .barrier_local
-                    .remove(&barrier)
-                    .expect("release for a barrier nobody reached");
-                for lp in local {
-                    let g = self.global_proc(dst, lp);
-                    self.resume(t + self.cfg.timing.sync_op, g);
-                }
-            }
-            kind => {
-                // Everything else is protocol-specific: hand it to the
-                // active backend, which returns `false` for a kind that
-                // belongs to another one (a routing bug).
-                let handled = match self.cfg.protocol {
-                    ProtocolKind::Dash => self.dash_deliver(t, msg),
-                    ProtocolKind::Tardis => self.tardis_deliver(t, msg),
-                    ProtocolKind::Dls => self.dls_deliver(t, msg),
-                };
-                assert!(
-                    handled,
-                    "message {:?} not handled by {} backend",
-                    kind.label(),
-                    self.cfg.protocol.name()
-                );
-            }
-        }
-    }
-
-
-    // ------------------------------------------------------------------
-    // Introspection for the invariant checker
-    // ------------------------------------------------------------------
-
-    /// One view per cluster of the machine made of `parts`, each from the
-    /// part that owns the cluster (parts own ascending contiguous ranges).
-    pub(crate) fn checker_view(parts: &[Machine]) -> (&MachineConfig, Vec<ClusterView<'_>>) {
-        let views = parts
-            .iter()
-            .flat_map(Machine::owned_clusters)
-            .map(|c| ClusterView {
-                resident: c.caches.cluster_resident(),
-                node: c,
-            })
-            .collect();
-        (&parts[0].cfg, views)
     }
 }
 
@@ -1524,8 +1399,8 @@ pub mod testing {
     use super::*;
 
     fn entry_of(m: &mut Machine, home: usize, block: u64) -> &mut scd_core::DirEntry {
-        let key = m.dir_key(block);
-        match m.clusters[home].dir.entry_mut(key, 0, |_| false) {
+        let key = m.eng.dir_key(block);
+        match m.eng.clusters[home].dir.entry_mut(key, 0, |_| false) {
             EntryAccess::Ready(e) | EntryAccess::Displaced { entry: e, .. } => e,
             EntryAccess::Stalled { .. } => unreachable!("no pinned entries in a fresh machine"),
         }
@@ -1535,7 +1410,7 @@ pub mod testing {
     /// `cluster`, bypassing the protocol.
     pub fn fill_line(m: &mut Machine, cluster: usize, lp: usize, block: u64, dirty: bool) {
         let state = if dirty { LineState::Dirty } else { LineState::Shared };
-        m.clusters[cluster].caches.fill(lp, block, state, 0);
+        m.eng.clusters[cluster].caches.fill(lp, block, state, 0);
     }
 
     /// Forces the home directory entry for `block` to Dirty with `owner`.
@@ -1551,16 +1426,17 @@ pub mod testing {
 
     /// Removes the home directory entry for `block` entirely.
     pub fn clear_entry(m: &mut Machine, home: usize, block: u64) {
-        let key = m.dir_key(block);
-        if let Some(e) = m.clusters[home].dir.lookup_mut(key, 0) {
+        let key = m.eng.dir_key(block);
+        let dir = &mut m.eng.clusters[home].dir;
+        if let Some(e) = dir.lookup_mut(key, 0) {
             e.clear();
         }
-        m.clusters[home].dir.release_if_empty(key);
+        dir.release_if_empty(key);
     }
 
     /// Marks `block` busy in the home serializer, as if a transaction never
     /// closed.
     pub fn mark_busy(m: &mut Machine, home: usize, block: u64) {
-        m.clusters[home].ser.mark_busy(block, BusyReason::AwaitClose);
+        m.eng.clusters[home].ser.mark_busy(block, BusyReason::AwaitClose);
     }
 }

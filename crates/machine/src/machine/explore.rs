@@ -31,10 +31,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use scd_core::FastSet;
-use scd_protocol::{Msg, MsgKind};
 use scd_sim::Cycle;
 
-use super::{Ev, EvLog, Machine, ProcStatus};
+use super::{Ev, Event, Machine, ProcStatus};
 use crate::error::SimError;
 use crate::stats::RunStats;
 
@@ -137,24 +136,9 @@ impl Choice {
     }
 }
 
-/// True for the message kinds the fault model may NACK or delay: plain
-/// coherence requests, which the protocol absorbs via serializer queueing
-/// and RAC retry. Everything else (replies, invalidations, acks, forwards)
-/// rides ordering assumptions that faults must not break — mirroring
-/// `Machine::faulty_schedule`.
-fn is_coherence_request(kind: MsgKind) -> bool {
-    matches!(
-        kind,
-        MsgKind::ReadReq { .. }
-            | MsgKind::WriteReq { .. }
-            | MsgKind::TardisReadReq { .. }
-            | MsgKind::TardisWriteReq { .. }
-    )
-}
-
 /// Hashes a hash map's entries in key order: its iteration order is an
 /// accident of the table, not state.
-fn hash_sorted<K: Ord + Copy + Hash, V: Hash>(
+pub(super) fn hash_sorted<K: Ord + Copy + Hash, V: Hash>(
     h: &mut impl Hasher,
     entries: impl Iterator<Item = (K, V)>,
 ) {
@@ -168,7 +152,7 @@ fn hash_sorted<K: Ord + Copy + Hash, V: Hash>(
 /// table that grew and was reset digests like one that never grew. The
 /// trailing count closes the section (a bare run of entries has no length
 /// prefix to keep it apart from what follows).
-fn hash_walk<T: Hash>(h: &mut impl Hasher, entries: impl Iterator<Item = (u64, T)>) {
+pub(super) fn hash_walk<T: Hash>(h: &mut impl Hasher, entries: impl Iterator<Item = (u64, T)>) {
     let mut count = 0u64;
     for entry in entries {
         entry.hash(h);
@@ -181,13 +165,13 @@ impl Machine {
     /// Arms a deliberate protocol bug (see [`Mutation`]). Survives
     /// cloning, so every explored branch carries the mutation.
     pub fn arm_mutation(&mut self, m: Mutation) {
-        self.mutation = Some(m);
+        self.eng.mutation = Some(m);
     }
 
     /// Seeds the event queue with each processor's first fetch, as
     /// [`Machine::try_run`] would. Call once before stepping.
     pub fn begin_exploration(&mut self) {
-        self.start();
+        self.eng.start();
     }
 
     /// Switches the machine into fault-tolerant delivery mode — stray
@@ -199,18 +183,18 @@ impl Machine {
     /// requests, and without them an injected duplicate's second reply is
     /// (correctly) reported as a protocol violation.
     pub fn tolerate_faults(&mut self) {
-        self.fault_active = true;
+        self.eng.fault_active = true;
     }
 
     /// True when no events are pending — the state is a leaf; validate it
     /// with [`Machine::finalize_exploration`].
     pub fn exploration_done(&self) -> bool {
-        self.queue.is_empty()
+        self.eng.queue.is_empty()
     }
 
     /// The current simulation cycle.
     pub fn now(&self) -> Cycle {
-        self.queue.now()
+        self.eng.queue.now()
     }
 
     /// Enumerates the legal transitions out of the current state.
@@ -224,7 +208,7 @@ impl Machine {
     /// An empty result means the state is a leaf (see
     /// [`Machine::exploration_done`]).
     pub fn exploration_choices(&mut self, faults: &FaultEdges) -> Vec<Choice> {
-        let ready: Vec<Ev> = match self.queue.ready_set() {
+        let ready: Vec<Ev> = match self.eng.queue.ready_set() {
             Some((_, evs)) => evs.into_iter().copied().collect(),
             None => return Vec::new(),
         };
@@ -235,7 +219,7 @@ impl Machine {
                 out.push(Choice::Ready { idx });
                 continue;
             };
-            let Some(&msg) = self.arena.get(*r) else {
+            let Some(&msg) = self.eng.arena.get(*r) else {
                 // Stale handle: let `step_explore` surface the invariant
                 // violation through the normal path.
                 out.push(Choice::Ready { idx });
@@ -245,20 +229,17 @@ impl Machine {
                 continue; // blocked behind an earlier same-channel message
             }
             out.push(Choice::Ready { idx });
-            if is_coherence_request(msg.kind) && msg.src != msg.dst {
+            let request = msg.kind.coherence_request().filter(|_| msg.src != msg.dst);
+            if let Some((_, is_write)) = request {
                 if faults.nack {
                     out.push(Choice::Nack { idx });
                 }
                 if let Some(delta) = faults.delay {
                     out.push(Choice::Delay { idx, delta });
                 }
-                if let Some(gap) = faults.dup {
-                    if matches!(
-                        msg.kind,
-                        MsgKind::ReadReq { .. } | MsgKind::TardisReadReq { .. }
-                    ) {
-                        out.push(Choice::Dup { idx, gap });
-                    }
+                // Only re-servicing a read is idempotent.
+                if let Some(gap) = faults.dup.filter(|_| !is_write) {
+                    out.push(Choice::Dup { idx, gap });
                 }
             }
         }
@@ -269,11 +250,12 @@ impl Machine {
     /// payloads. Must be called *before* stepping the choice.
     pub fn describe_choice(&mut self, choice: Choice) -> String {
         let ev = self
+            .eng
             .queue
             .ready_set()
             .and_then(|(_, evs)| evs.get(choice.idx()).map(|e| **e));
         let rendered = match ev {
-            Some(Ev::Deliver(r)) => match self.arena.get(r) {
+            Some(Ev::Deliver(r)) => match self.eng.arena.get(r) {
                 Some(msg) => format!("{msg:?}"),
                 None => format!("stale handle {r:?}"),
             },
@@ -299,6 +281,7 @@ impl Machine {
     /// oracle, internal asserts); explorers catch those as violations.
     pub fn step_explore(&mut self, choice: Choice) -> Result<(), SimError> {
         let (t, ev) = self
+            .eng
             .queue
             .pop_ready(choice.idx())
             .expect("exploration choice out of range");
@@ -308,52 +291,35 @@ impl Machine {
                 let Ev::Deliver(r) = ev else {
                     panic!("NACK edge on non-delivery event {ev:?}");
                 };
-                let msg = self.arena.take(r).expect("NACK edge on stale handle");
-                let (block, was_write) = match msg.kind {
-                    MsgKind::ReadReq { block } | MsgKind::TardisReadReq { block, .. } => {
-                        (block, false)
-                    }
-                    MsgKind::WriteReq { block } | MsgKind::TardisWriteReq { block } => {
-                        (block, true)
-                    }
-                    k => panic!("NACK edge on non-request {k:?}"),
+                let msg = self.eng.arena.take(r).expect("NACK edge on stale handle");
+                let Some((block, was_write)) = msg.kind.coherence_request() else {
+                    panic!("NACK edge on non-request {:?}", msg.kind);
                 };
                 // Mirror the fault plan's NACK: refused at delivery, no
                 // home state touched, requester backs off and retries.
-                self.event_log.push((t, EvLog::Deliver(msg)));
-                self.faults.nacks += 1;
-                self.send(
-                    t + self.cfg.timing.dir_lookup,
-                    Msg {
-                        src: msg.dst,
-                        dst: msg.src,
-                        kind: MsgKind::Nack { block, was_write },
-                    },
-                );
+                self.eng.event_log.push((t, Event::Deliver(msg)));
+                self.eng.refuse(t, msg.dst, msg.src, block, was_write);
                 Ok(())
             }
             Choice::Delay { delta, .. } => {
                 // Clamp-exempt reorder jitter: the request may now land
                 // behind traffic sent after it.
                 debug_assert!(matches!(ev, Ev::Deliver(_)));
-                self.faults.reorders += 1;
-                self.queue.schedule_at(t + delta.max(1), ev);
+                self.eng.faults.reorders += 1;
+                self.eng.queue.schedule_at(t + delta.max(1), ev);
                 Ok(())
             }
             Choice::Dup { gap, .. } => {
                 let Ev::Deliver(r) = ev else {
                     panic!("DUP edge on non-delivery event {ev:?}");
                 };
-                let msg = *self.arena.get(r).expect("DUP edge on stale handle");
-                debug_assert!(matches!(
-                    msg.kind,
-                    MsgKind::ReadReq { .. } | MsgKind::TardisReadReq { .. }
-                ));
+                let msg = *self.eng.arena.get(r).expect("DUP edge on stale handle");
+                debug_assert!(matches!(msg.kind.coherence_request(), Some((_, false))));
                 // The duplicate gets its own arena slot: every handle is
                 // taken exactly once.
-                let dup = self.arena.alloc(msg);
-                self.queue.schedule_at(t + gap.max(1), Ev::Deliver(dup));
-                self.faults.duplicates += 1;
+                let dup = self.eng.arena.alloc(msg);
+                self.eng.queue.schedule_at(t + gap.max(1), Ev::Deliver(dup));
+                self.eng.faults.duplicates += 1;
                 self.process_event(t, ev)
             }
         }
@@ -379,22 +345,23 @@ impl Machine {
     /// Guaranteed by construction: every behavior-steering component is
     /// hashed (pending events with payloads resolved, processor status and
     /// program positions, caches, directories, RACs, serializers, locks,
-    /// barriers, version oracle), while run *metrics* — counters,
-    /// histograms, stall accounting, high-water marks — are excluded,
-    /// since they differ between paths that reach the same protocol state.
+    /// barriers, version oracle, the backend's own tables), while run
+    /// *metrics* — counters, histograms, stall accounting, high-water
+    /// marks — are excluded, since they differ between paths that reach
+    /// the same protocol state.
     /// Event times are hashed relative to the current cycle; recency state
     /// (cache LRU, sparse-directory replacement) is reduced to ranks.
     pub fn state_digest(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        let now = self.queue.now();
+        let now = self.eng.queue.now();
         // Pending events, in delivery order, payloads resolved.
-        self.queue.for_each_pending(|t, ev| {
+        self.eng.queue.for_each_pending(|t, ev| {
             (t - now).hash(&mut h);
             match *ev {
                 Ev::ProcNext(p) => (0u8, p).hash(&mut h),
                 Ev::ProcRetry(p) => (1u8, p).hash(&mut h),
                 Ev::Replay { home, block } => (2u8, home, block).hash(&mut h),
-                Ev::Deliver(r) => match self.arena.get(r) {
+                Ev::Deliver(r) => match self.eng.arena.get(r) {
                     Some(msg) => (3u8, msg).hash(&mut h),
                     None => 4u8.hash(&mut h),
                 },
@@ -403,16 +370,16 @@ impl Machine {
         0xE0u8.hash(&mut h);
         // Processors: status, pending op, and the script position (within
         // one exploration it determines the remaining ops).
-        for st in &self.procs {
+        for st in &self.eng.procs {
             (st.status == ProcStatus::Running, st.status == ProcStatus::Done).hash(&mut h);
             st.pending.hash(&mut h);
             st.blocked_on_sync.hash(&mut h);
             st.program.pos().hash(&mut h);
         }
-        self.running.hash(&mut h);
+        self.eng.running.hash(&mut h);
         0xE1u8.hash(&mut h);
         // Clusters: every protocol-state component.
-        for c in &self.clusters {
+        for c in &self.eng.clusters {
             c.caches.fingerprint(&mut h);
             c.dir.fingerprint(&mut h);
             c.rac.fingerprint(&mut h);
@@ -426,7 +393,6 @@ impl Machine {
                     .map(|(&l, ls)| (l, (ls.holder, &ls.waiters, ls.requested))),
             );
             hash_sorted(&mut h, c.barrier_local.iter().map(|(&b, v)| (b, v)));
-            hash_sorted(&mut h, c.serial_chains.iter().map(|(&b, v)| (b, v)));
             hash_walk(&mut h, c.cur_version.iter());
             // Line versions only matter for blocks actually resident.
             let lines: Vec<(u64, u64)> = c
@@ -436,24 +402,16 @@ impl Machine {
                 .filter_map(|&(b, _)| c.line_version.get(&b).map(|&v| (b, v)))
                 .collect();
             lines.hash(&mut h);
-            hash_sorted(&mut h, c.last_owner_epoch.iter().map(|(&b, &v)| (b, v)));
-            hash_walk(&mut h, c.pending_write_bump.iter());
-            // Tardis timestamp state (default-empty under other protocols).
-            let t = &c.tardis;
-            t.pts.hash(&mut h);
-            hash_sorted(&mut h, t.lease.iter().map(|(&b, &v)| (b, v)));
-            hash_sorted(&mut h, t.renew_pending.iter().map(|(&b, v)| (b, v)));
-            hash_walk(&mut h, t.lines.iter().map(|(k, l)| (k, (l.wts, l.rts))));
-            hash_sorted(&mut h, t.lock_pts.iter().map(|(&k, &v)| (k, v)));
-            hash_sorted(&mut h, t.barrier_pts.iter().map(|(&k, &v)| (k, v)));
         }
+        self.backend.digest(&mut h);
         0xE2u8.hash(&mut h);
         // Version-oracle observations steer future assertions.
-        hash_sorted(&mut h, self.observed.iter().map(|(&k, &v)| (k, v)));
+        hash_sorted(&mut h, self.eng.observed.iter().map(|(&k, &v)| (k, v)));
         // Channel clamps still in the future constrain deliveries (slot
         // order is `(src, dst)` order).
-        let n = self.cfg.clusters;
+        let n = self.eng.cfg.clusters;
         let clamps: Vec<(usize, usize, u64)> = self
+            .eng
             .chan_clamp
             .iter()
             .enumerate()
@@ -461,10 +419,10 @@ impl Machine {
             .map(|(i, &c)| (i / n, i % n, c - now))
             .collect();
         clamps.hash(&mut h);
-        self.mutation.hash(&mut h);
+        self.eng.mutation.hash(&mut h);
         // Contention carries absolute link-busy times in the network;
         // include the clock so states at different times never merge.
-        if self.cfg.link_occupancy.is_some() {
+        if self.eng.cfg.link_occupancy.is_some() {
             now.hash(&mut h);
         }
         h.finish()

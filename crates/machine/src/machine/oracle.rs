@@ -124,7 +124,7 @@ pub struct ValueOracleReport {
     pub loads: Vec<Vec<Option<(usize, u64)>>>,
 }
 
-impl Machine {
+impl Engine {
     /// Hook: processor `p` performed a write to `block` creating (or
     /// extending, for a silent same-epoch rewrite) version `epoch`.
     pub(crate) fn oracle_write(&mut self, p: usize, block: u64, epoch: u64) {
@@ -136,39 +136,27 @@ impl Machine {
         self.oracle.mem.insert((block, epoch), (p, seq));
     }
 
-    /// Hook: processor `p`'s load observed its cluster's resident copy
-    /// of `block` (whose epoch is the cluster's `line_version`).
+    /// Hook: processor `p`'s load observed `block` at the epoch its
+    /// cluster's `line_version` records — the resident copy's, or, for a
+    /// fill consumed without caching (DLS), the one the reply just set.
     pub(crate) fn oracle_read(&mut self, p: usize, block: u64) {
         if !self.oracle.on {
             return;
         }
-        let cl = self.cluster_of(p);
-        let epoch = self.clusters[cl]
-            .line_version
-            .get(&block)
-            .copied()
-            .unwrap_or(0);
-        self.oracle_read_at(p, block, epoch);
-    }
-
-    /// Hook: processor `p`'s load observed `block` at a known `epoch`
-    /// (uncached DLS fills, which never install a line to read the
-    /// epoch back from).
-    pub(crate) fn oracle_read_at(&mut self, p: usize, block: u64, epoch: u64) {
-        if !self.oracle.on {
-            return;
-        }
+        let epoch = self.line_version(self.cluster_of(p), block);
         let rec = match self.oracle.mem.get(&(block, epoch)) {
             Some(&tag) => ReadRec::Resolved(tag),
             None => ReadRec::Deferred(block, epoch),
         };
         self.oracle.reads[p].push(rec);
     }
+}
 
+impl Machine {
     /// The resolved value-oracle report, or `None` when the oracle was
     /// off (`MachineConfig::value_oracle`). Meaningful only after the
     /// run completed; see the module docs for the race-free caveat.
     pub fn value_oracle_report(&self) -> Option<ValueOracleReport> {
-        self.oracle.on.then(|| self.oracle.report())
+        self.eng.oracle.on.then(|| self.eng.oracle.report())
     }
 }

@@ -71,7 +71,7 @@ struct WindowReport {
 /// After an error the worker keeps reporting (with an empty peek) so the
 /// coordinator can wind the fleet down cleanly.
 fn drive_worker(m: &mut Machine, rx: &Receiver<WindowPlan>, tx: &Sender<WindowReport>) {
-    m.start();
+    m.eng.start();
     let mut last_pop = None;
     let mut error: Option<SimError> = None;
     loop {
@@ -79,13 +79,13 @@ fn drive_worker(m: &mut Machine, rx: &Receiver<WindowPlan>, tx: &Sender<WindowRe
             peek: if error.is_some() {
                 None
             } else {
-                m.queue.peek_time()
+                m.eng.queue.peek_time()
             },
             last_pop: last_pop.take(),
-            outbounds: std::mem::take(&mut m.outbox),
-            telemetry: m.telemetry.ship(),
-            running: m.running,
-            last_progress: m.last_progress,
+            outbounds: std::mem::take(&mut m.eng.outbox),
+            telemetry: m.eng.telemetry.ship(),
+            running: m.eng.running,
+            last_progress: m.eng.last_progress,
             error: error.take(),
         };
         if tx.send(report).is_err() {
@@ -98,10 +98,10 @@ fn drive_worker(m: &mut Machine, rx: &Receiver<WindowPlan>, tx: &Sender<WindowRe
                 notes,
             }) => {
                 for ob in inbounds {
-                    m.import_delivery(ob);
+                    m.eng.import_delivery(ob);
                 }
                 for n in notes {
-                    m.telemetry.apply_note(n);
+                    m.eng.telemetry.apply_note(n);
                 }
                 match m.run_window(horizon) {
                     Ok(l) => last_pop = l,
@@ -225,7 +225,7 @@ impl ShardedMachine {
             .map(|&(base, count)| Machine::new_shard(cfg.clone(), programs.clone(), base, count))
             .collect();
         Ok(ShardedMachine {
-            hub: telemetry::Hub::new(&machines[0].telemetry, shards),
+            hub: telemetry::Hub::new(&machines[0].eng.telemetry, shards),
             machines,
             parts,
             lookahead,
@@ -257,7 +257,7 @@ impl ShardedMachine {
     /// when it is the whole machine, with the coordinator otherwise.
     fn run_state(&self) -> (&telemetry::Hub, &MetricsRegistry) {
         if self.machines.len() == 1 {
-            (&self.machines[0].hub, self.machines[0].metrics())
+            (&self.machines[0].eng.hub, self.machines[0].metrics())
         } else {
             (&self.hub, &self.metrics)
         }
@@ -265,7 +265,7 @@ impl ShardedMachine {
 
     fn hub_mut(&mut self) -> &mut telemetry::Hub {
         if self.machines.len() == 1 {
-            &mut self.machines[0].hub
+            &mut self.machines[0].eng.hub
         } else {
             &mut self.hub
         }
@@ -276,7 +276,7 @@ impl ShardedMachine {
     pub fn attach_stream(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
         self.hub_mut().attach(sink, run);
         for m in &mut self.machines {
-            m.telemetry.start_streaming(&m.network);
+            m.eng.telemetry.start_streaming(&m.eng.network);
         }
     }
 
@@ -474,7 +474,7 @@ impl ShardedMachine {
             let (cycles, recorded, dropped) = telemetry::run_end(&self.machines);
             self.hub.close(cycles, recorded, dropped);
             for m in &mut self.machines {
-                m.telemetry.stop_streaming();
+                m.eng.telemetry.stop_streaming();
             }
         }
         // Histogram sums are order-independent; the interval series is
@@ -485,7 +485,7 @@ impl ShardedMachine {
         match end {
             RunEnd::WorkerError { shard, error } => return Err(self.name_shard(shard, error)),
             RunEnd::Watchdog { shard, at, detail } => {
-                let pm = self.machines[shard].post_mortem(at, detail);
+                let pm = self.machines[shard].eng.post_mortem(at, detail);
                 return Err(SimError::LivelockWatchdog(pm));
             }
             RunEnd::Drained => {}
@@ -530,12 +530,12 @@ impl ShardedMachine {
     /// the union of every shard's write log.
     pub fn value_oracle_report(&self) -> Option<super::oracle::ValueOracleReport> {
         let (first, rest) = self.machines.split_first()?;
-        if !first.oracle.on {
+        if !first.eng.oracle.on {
             return None;
         }
-        let mut merged = first.oracle.clone();
+        let mut merged = first.eng.oracle.clone();
         for m in rest {
-            merged.absorb(&m.oracle);
+            merged.absorb(&m.eng.oracle);
         }
         Some(merged.report())
     }

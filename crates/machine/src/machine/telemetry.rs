@@ -193,8 +193,9 @@ pub(crate) struct Recorder {
     /// First cluster and cluster count of the owning part: notes for
     /// clusters outside it are queued instead of applied.
     part: (usize, usize),
-    /// Per-cluster bounded event rings.
-    tracer: Tracer,
+    /// Per-cluster bounded event rings (the engine's post-mortem reads
+    /// their tails).
+    pub(super) tracer: Tracer,
     /// Phase-latency histograms (only fed when `cfg.metrics`); for the
     /// whole machine also the interval series the hub merged.
     metrics: MetricsRegistry,
@@ -1028,13 +1029,13 @@ fn stream_window(
 /// All retained trace events of `parts`, merged into the canonical
 /// `(cycle, cluster, seq)` order and renumbered.
 pub(crate) fn trace_events(parts: &[Machine]) -> Vec<TraceEvent> {
-    Tracer::merged_from(parts.iter().map(|m| &m.telemetry.tracer))
+    Tracer::merged_from(parts.iter().map(|m| &m.eng.telemetry.tracer))
 }
 
 /// Events recorded / evicted-from-ring counts across `parts`.
 pub(crate) fn trace_counts(parts: &[Machine]) -> (u64, u64) {
     parts.iter().fold((0, 0), |(r, d), m| {
-        let t = &m.telemetry.tracer;
+        let t = &m.eng.telemetry.tracer;
         (r + t.recorded(), d + t.dropped())
     })
 }
@@ -1044,7 +1045,7 @@ pub(crate) fn trace_counts(parts: &[Machine]) -> (u64, u64) {
 /// silent. None when tracing is off. Lives outside [`RunStats`] so the
 /// `stats` section stays bit-identical across trace configurations.
 pub(crate) fn trace_json(parts: &[Machine]) -> Option<Json> {
-    parts[0].telemetry.on.then(|| {
+    parts[0].eng.telemetry.on.then(|| {
         let (recorded, dropped) = trace_counts(parts);
         Json::obj()
             .with("recorded", Json::U64(recorded))
@@ -1060,17 +1061,17 @@ pub(crate) fn trace_json(parts: &[Machine]) -> Option<Json> {
 /// link counters sum.
 pub(crate) fn attribution_json(parts: &[Machine], elapsed: Cycle) -> Option<Json> {
     let (first, rest) = parts.split_first()?;
-    if !first.telemetry.cfg.attribution {
+    if !first.eng.telemetry.cfg.attribution {
         return None;
     }
-    let mut attrib = first.telemetry.attrib.clone();
+    let mut attrib = first.eng.telemetry.attrib.clone();
     for m in rest {
-        attrib.merge(&m.telemetry.attrib);
+        attrib.merge(&m.eng.telemetry.attrib);
     }
     let mut j = attrib.to_json();
     let horizon = elapsed.max(1) as f64;
     const TOP_LINKS: usize = 16;
-    let all = merge_link_traffic(parts.iter().map(|m| m.network.link_traffic()));
+    let all = merge_link_traffic(parts.iter().map(|m| m.eng.network.link_traffic()));
     let links: Vec<Json> = all
         .iter()
         .take(TOP_LINKS)
@@ -1094,12 +1095,12 @@ pub(crate) fn attribution_json(parts: &[Machine], elapsed: Cycle) -> Option<Json
     // Sparse-directory set pressure: occupancy + replacement rate.
     let mut live = 0usize;
     let mut sparse: Option<scd_core::SparseStats> = None;
-    for c in parts.iter().flat_map(Machine::owned_clusters) {
+    for c in parts.iter().flat_map(|m| m.eng.owned_clusters()) {
         live += c.dir.live_entries();
         crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
     }
     if let Some(s) = sparse {
-        let cfg = &first.cfg;
+        let cfg = &first.eng.cfg;
         let capacity = match &cfg.organization {
             scd_core::Organization::Sparse { entries, .. } => *entries * cfg.clusters,
             _ => 0,
@@ -1124,11 +1125,11 @@ pub(crate) fn attribution_json(parts: &[Machine], elapsed: Cycle) -> Option<Json
 /// final cycle — the finish time, or the furthest clock of a run that
 /// died — and the recorded/evicted event totals.
 pub(crate) fn run_end(parts: &[Machine]) -> (Cycle, u64, u64) {
-    let finish = parts.iter().map(|m| m.finish_time).max().unwrap_or(0);
+    let finish = parts.iter().map(|m| m.eng.finish_time).max().unwrap_or(0);
     let cycles = if finish > 0 {
         finish
     } else {
-        parts.iter().map(|m| m.queue.now()).max().unwrap_or(0)
+        parts.iter().map(|m| m.eng.queue.now()).max().unwrap_or(0)
     };
     let (recorded, dropped) = trace_counts(parts);
     (cycles, recorded, dropped)
@@ -1146,20 +1147,20 @@ impl Machine {
     /// records follow their own `TraceConfig` switches. Cloning the
     /// machine detaches the stream on the clone.
     pub fn attach_stream(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
-        self.hub.attach(sink, run);
-        self.telemetry.start_streaming(&self.network);
+        self.eng.hub.attach(sink, run);
+        self.eng.telemetry.start_streaming(&self.eng.network);
     }
 
     /// Whether a sink is currently attached.
     pub fn stream_active(&self) -> bool {
-        self.hub.streaming()
+        self.eng.hub.streaming()
     }
 
     /// Lines the attached sink discarded (write errors, backpressure), as
     /// it reported when the stream closed. Nonzero means the stream on the
     /// other side of the sink is truncated; 0 while the stream is open.
     pub fn stream_shed_lines(&self) -> u64 {
-        self.hub.shed()
+        self.eng.hub.shed()
     }
 
     /// Flushes everything still pending, emits the closing `run_end`
@@ -1168,14 +1169,14 @@ impl Machine {
     /// call it directly only to stop streaming early or after an
     /// aborted run.
     pub fn stream_close(&mut self) {
-        if !self.hub.streaming() {
+        if !self.eng.hub.streaming() {
             return;
         }
-        self.hub
-            .absorb(None, self.telemetry.tracer.drain_mirror());
+        self.eng.hub
+            .absorb(None, self.eng.telemetry.tracer.drain_mirror());
         let (cycles, recorded, dropped) = run_end(std::slice::from_ref(self));
-        self.hub.close(cycles, recorded, dropped);
-        self.telemetry.stop_streaming();
+        self.eng.hub.close(cycles, recorded, dropped);
+        self.eng.telemetry.stop_streaming();
     }
 
     /// All retained trace events, merged into one cycle-ordered history.
@@ -1185,7 +1186,7 @@ impl Machine {
 
     /// The last `k` retained trace events of one cluster, oldest first.
     pub fn trace_tail(&self, cluster: usize, k: usize) -> Vec<TraceEvent> {
-        self.telemetry.tracer.tail(cluster, k)
+        self.eng.telemetry.tracer.tail(cluster, k)
     }
 
     /// Events recorded / evicted-from-ring counts for the run so far.
@@ -1201,16 +1202,16 @@ impl Machine {
 
     /// The metrics registry (empty unless `TraceConfig::metrics` was on).
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.telemetry.metrics
+        &self.eng.telemetry.metrics
     }
 
     /// The traffic attribution (None unless `TraceConfig::attribution`
     /// was on).
     pub fn attribution(&self) -> Option<&Attribution> {
-        self.telemetry
+        self.eng.telemetry
             .cfg
             .attribution
-            .then_some(&self.telemetry.attrib)
+            .then_some(&self.eng.telemetry.attrib)
     }
 
     /// The `scd-attrib/v1` document section (None when attribution is
@@ -1226,13 +1227,13 @@ impl Machine {
     /// utilization when the scheme is `Dir_i CV_r`), and sparse
     /// replacement churn. None unless `TraceConfig::patterns` was on.
     pub fn occupancy_json(&self) -> Option<Json> {
-        if !self.telemetry.cfg.patterns {
+        if !self.eng.telemetry.cfg.patterns {
             return None;
         }
-        let o = &self.telemetry.obs;
+        let o = &self.eng.telemetry.obs;
         let counts = |v: &[u64]| Json::Arr(v.iter().map(|&c| Json::U64(c)).collect());
         let mut churn: Option<scd_core::ChurnStats> = None;
-        for s in self.clusters.iter().filter_map(|c| c.dir.churn_stats()) {
+        for s in self.eng.clusters.iter().filter_map(|c| c.dir.churn_stats()) {
             churn.get_or_insert_with(Default::default).merge(&s);
         }
         let mut j = Json::obj()
@@ -1292,7 +1293,7 @@ mod tests {
                 .map(|_| Script::from(Vec::new()))
                 .collect();
             let machine = Machine::new(cfg, programs);
-            let rec = &machine.telemetry;
+            let rec = &machine.eng.telemetry;
             assert!(!rec.on, "every hook site gates on this flag");
             assert!(rec.txn_live.is_empty() && rec.txn_seq.is_empty());
             assert!(rec.txn_phase.is_empty() && rec.msg_cost.is_empty());
@@ -1303,7 +1304,7 @@ mod tests {
             tracer.record(0, 1, EventKind::Nack { txn: 1, block: 0 });
             assert_eq!(tracer.recorded(), 0);
             assert!(!tracer.messages_enabled());
-            assert!(machine.hub.pump.is_none());
+            assert!(machine.eng.hub.pump.is_none());
             assert!(!machine.stream_active(), "no sink was ever attached");
         }
     }
@@ -1359,7 +1360,7 @@ mod tests {
             TraceConfig::none().with_patterns(true).with_interval(500),
         ] {
             let (machine, stats) = sharing_run(quiet);
-            let rec = &machine.telemetry;
+            let rec = &machine.eng.telemetry;
             assert!(rec.on && !rec.lifecycle, "{quiet:?}");
             assert!(rec.txn_live.iter().all(Vec::is_empty), "{quiet:?}");
             assert!(rec.txn_phase.is_empty() && rec.notes.is_empty(), "{quiet:?}");
@@ -1377,7 +1378,7 @@ mod tests {
             ..TraceConfig::none()
         };
         let (machine, _) = sharing_run(metrics_only);
-        assert!(machine.telemetry.lifecycle);
+        assert!(machine.eng.telemetry.lifecycle);
         assert_eq!(machine.trace_counts(), (0, 0), "no ring, no stream: nothing is built");
         let histograms = |m: &Machine| m.metrics().to_json().to_string();
         assert_eq!(histograms(&machine), histograms(&full), "every phase histogram");

@@ -414,6 +414,29 @@ impl MsgKind {
         Self::LABELS[self.ordinal()]
     }
 
+    /// `Some((block, is_write))` for the four requests that open a
+    /// coherence transaction at the home, `None` for everything else. These
+    /// are the only messages the fault model may NACK, delay or (reads
+    /// only) duplicate: the home absorbs them through serializer queueing
+    /// and RAC retry, whereas replies, forwards, invalidations and
+    /// acknowledgements ride ordering assumptions faults must not break.
+    pub fn coherence_request(&self) -> Option<(Block, bool)> {
+        match *self {
+            MsgKind::ReadReq { block } | MsgKind::TardisReadReq { block, .. } => {
+                Some((block, false))
+            }
+            MsgKind::WriteReq { block } | MsgKind::TardisWriteReq { block } => {
+                Some((block, true))
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether this is one of the [`MsgKind::coherence_request`] kinds.
+    pub fn is_coherence_request(&self) -> bool {
+        self.coherence_request().is_some()
+    }
+
     /// The block this message concerns, if any.
     pub fn block(&self) -> Option<Block> {
         match *self {
@@ -584,6 +607,20 @@ mod tests {
                 "snake_case only: {l}"
             );
         }
+    }
+
+    #[test]
+    fn coherence_requests_are_the_four_miss_requests() {
+        assert_eq!(MsgKind::ReadReq { block: 1 }.coherence_request(), Some((1, false)));
+        assert_eq!(
+            MsgKind::TardisReadReq { block: 2, pts: 0 }.coherence_request(),
+            Some((2, false))
+        );
+        assert_eq!(MsgKind::WriteReq { block: 3 }.coherence_request(), Some((3, true)));
+        assert_eq!(MsgKind::TardisWriteReq { block: 4 }.coherence_request(), Some((4, true)));
+        assert!(!MsgKind::RenewReq { block: 1, wts: 0, pts: 0 }.is_coherence_request());
+        assert!(!MsgKind::Writeback { block: 1 }.is_coherence_request());
+        assert!(!MsgKind::ReadReply { block: 1, version: 0 }.is_coherence_request());
     }
 
     #[test]

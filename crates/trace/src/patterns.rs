@@ -14,7 +14,9 @@
 //! The classifier is a *pure function of the `(cycle, seq)`-ordered
 //! event stream*: feeding it a live machine's merged events or the lines
 //! of a recorded `--trace-out` file produces byte-identical
-//! `scd-patterns/v1` documents (CI diffs the two paths). Its inputs are
+//! `scd-patterns/v1` documents
+//! (`tests/telemetry.rs::online_patterns_match_trace_replay_byte_for_byte`
+//! holds the two paths equal). Its inputs are
 //! `txn_begin` events (who touches a block, read or write) and `inval`
 //! events (how many sharers each directory decision invalidated); every
 //! other event type passes through unobserved.

@@ -23,7 +23,7 @@ pub const SWEEP_SCHEMA: &str = "scd-sweep/v1";
 /// `scdsim --critical` queueing-vs-service reports.
 pub const CRITICAL_SCHEMA: &str = "scd-critical/v1";
 
-/// `scdsim --patterns-out` / `scd-patterns` directory-observatory
+/// `scdsim --patterns-out` / `scd-telemetry patterns` directory-observatory
 /// documents (sharing-pattern classifier + occupancy telemetry).
 pub const PATTERNS_SCHEMA: &str = "scd-patterns/v1";
 

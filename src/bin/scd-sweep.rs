@@ -8,11 +8,11 @@
 //! (`tests/sweep.rs::jobs_1_and_jobs_4_are_byte_identical` does).
 
 use bench::{
-    generate_app, parse_seed, run_sweep_with, sweep_begin_record, sweep_document,
+    generate_app, parse_scale, parse_seed, run_sweep_with, sweep_begin_record, sweep_document,
     sweep_end_record, write_bench_json_in, SparseVariant, SweepSpec,
 };
 use scd::core::Scheme;
-use scd::machine::ProtocolKind;
+use scd::machine::{MachineConfig, ProtocolKind};
 use scd::trace::{JsonlFileSink, TraceSink};
 use std::io::IsTerminal;
 
@@ -131,13 +131,7 @@ fn main() {
                     .map(|p| ProtocolKind::parse(p).unwrap_or_else(|e| usage_err(&e)))
                     .collect();
             }
-            "--scale" => {
-                let v = val();
-                match v.parse::<f64>() {
-                    Ok(f) if f > 0.0 && f <= 1.0 => spec.scale = f,
-                    _ => usage_err(&format!("bad --scale `{v}` (want 0 < f <= 1)")),
-                }
-            }
+            "--scale" => spec.scale = parse_scale(&val()).unwrap_or_else(|e| usage_err(&e)),
             "--clusters" => {
                 let v = val();
                 match v.parse::<usize>() {
@@ -172,6 +166,15 @@ fn main() {
     ] {
         if field.1 {
             usage_err(&format!("--{} list is empty", field.0));
+        }
+    }
+    // Every grid point shares this geometry (a sparse point derives its
+    // entry count from its app, always a multiple of its ways).
+    for &scheme in &spec.schemes {
+        let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
+        cfg.clusters = spec.clusters;
+        if let Err(e) = cfg.validate() {
+            usage_err(&format!("refused configuration: {e}"));
         }
     }
     for app in &spec.apps {

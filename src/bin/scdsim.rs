@@ -1,37 +1,11 @@
-//! scdsim — command-line front end to the DASH simulator.
-//!
-//! ```text
-//! scdsim [options]
-//!   --app <lu|dwf|mp3d|locusroute>   workload            (default lu)
-//!   --scheme <SPEC>                  directory scheme    (default full)
-//!       full | b:<i> | nb:<i> | x:<i> | cv:<i>:<r>
-//!   --protocol <dash|tardis|dls>     coherence protocol  (default dash)
-//!   --clusters <n>                   cluster count       (default 32)
-//!   --procs-per-cluster <n>          processors/cluster  (default 1)
-//!   --shards <n>                     worker threads (byte-identical output)
-//!   --scale <f>                      problem scale       (default 1.0)
-//!   --seed <n>                       workload seed       (default 0xD45B)
-//!   --sparse <entries>:<ways>:<lru|rand|lra>   sparse directory per home
-//!   --overflow <i>:<wide>:<ways>:<lru|rand|lra>  overflow directory
-//!   --serial-invalidations           SCI-style serial invalidation walk
-//!   --histogram                      print the invalidation distribution
-//!   --check                          verify coherence invariants at exit
-//!   --max-cycles <n>                 abort past n simulated cycles
-//!   --fault <spec>                   inject faults (nack:P,dup:P,delay:P:C,reorder:P:W)
-//!   --watchdog <cycles>              fail if no op retires for n cycles
-//!   --trace-out <path>               write the JSONL transaction trace
-//!   --trace-buffer <n>               trace ring capacity per cluster
-//!   --stream-out <path>              stream telemetry JSONL during the run
-//!   --stats-json <path>              write scd-run-stats/v1 JSON
-//!   --patterns-out <path>            write the scd-patterns/v1 directory
-//!                                    observatory document
-//!   --interval-stats <n>             sample traffic/occupancy every n cycles
-//!   --perfetto-out <path>            write a chrome://tracing span profile
-//!   --folded-out <path>              write folded stacks for flamegraphs
-//!   --critical <k>                   print the top-k critical-path report
-//! ```
+//! scdsim — command-line front end to the DASH simulator: one workload on
+//! one machine configuration, statistics on stdout, telemetry documents on
+//! request. `scdsim --help` lists the options (`HELP` is the one copy).
+//! Exit codes: 0 the run completed, 1 the run or a check failed (the
+//! post-mortem is on stderr, after any requested artifact was written),
+//! 2 the command line was refused (two lines naming what and why).
 
-use bench::parse_seed;
+use bench::{parse_scale, parse_seed};
 use scd::apps::{dwf, locusroute, lu, mp3d, AppRun, DwfParams, LocusRouteParams, LuParams,
     Mp3dParams};
 use scd::core::{Replacement, Scheme};
@@ -81,7 +55,7 @@ usage: scdsim [options]
                                               worker threads (conservative
                                               time windows; every output is
                                               byte-identical to --shards 1)
-  --scale <f>                                 problem scale (default 1.0)
+  --scale <f>                                 problem scale in (0, 1] (default 1.0)
   --seed <n>                                  workload seed, decimal or 0x hex
                                               (default 0xD45B)
   --sparse <entries>:<ways>:<lru|rand|lra>    sparse directory (per home)
@@ -206,7 +180,7 @@ fn main() {
             "--clusters" => clusters = num(flag, &val()),
             "--procs-per-cluster" => ppc = num(flag, &val()),
             "--shards" => shards = num(flag, &val()),
-            "--scale" => scale = num(flag, &val()),
+            "--scale" => scale = parse_scale(&val()).unwrap_or_else(|e| usage_err(&e)),
             "--seed" => seed = parse_seed(&val()).unwrap_or_else(|e| usage_err(&e)),
             "--sparse" => {
                 let ([entries, ways], policy) =
@@ -298,6 +272,10 @@ fn main() {
     }
     if let Some((i, wide, ways, policy)) = overflow {
         cfg = cfg.with_overflow(i, wide, ways, policy);
+    }
+
+    if let Err(e) = cfg.validate() {
+        usage_err(&format!("refused configuration: {e}"));
     }
 
     let procs = cfg.processors();

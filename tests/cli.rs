@@ -92,6 +92,16 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--overflow", "1:two:1:lru"], "bad --overflow `two`"),
         (&["--fault", "nack:2"], "bad --fault `nack:2`"),
         (&["--app", "quicksort"], "unknown app `quicksort`"),
+        // Geometry the constructors would assert on is refused up front
+        // (`MachineConfig::validate`), as is a scale outside (0, 1].
+        (&["--clusters", "0"], "refused configuration: clusters = 0"),
+        (&["--procs-per-cluster", "0"], "refused configuration: procs_per_cluster = 0"),
+        (&["--sparse", "0:1:lru"], "refused configuration: sparse entries:ways = 0:1"),
+        (&["--sparse", "6:4:lru"], "refused configuration: sparse entries:ways = 6:4"),
+        (&["--overflow", "0:4:2:lru"], "refused configuration: overflow pointer count = 0"),
+        (&["--scale", "-1"], "bad --scale `-1` (want 0 < f <= 1)"),
+        (&["--scale", "0"], "bad --scale `0` (want 0 < f <= 1)"),
+        (&["--scale", "7"], "bad --scale `7` (want 0 < f <= 1)"),
         // Unshardeable configurations are refused with the reason.
         (
             &["--clusters", "4", "--scale", "0.05", "--shards", "2", "--contention", "5"],

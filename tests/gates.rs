@@ -18,6 +18,42 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// One line of engine source: above its file's first `#[cfg(test)]`.
+struct Line {
+    file: PathBuf,
+    number: usize,
+    text: String,
+}
+
+impl std::fmt::Display for Line {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}: {}", self.file.display(), self.number, self.text)
+    }
+}
+
+fn engine_lines(krates: &[&str]) -> Vec<Line> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in krates {
+        rust_files(&root.join("crates").join(krate).join("src"), &mut files);
+    }
+    let mut lines = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("readable source");
+        let engine = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+        lines.extend(engine.enumerate().map(|(n, line)| Line {
+            file: file.clone(),
+            number: n + 1,
+            text: line.trim().to_string(),
+        }));
+    }
+    lines
+}
+
+fn listing(lines: &[&Line]) -> String {
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
 /// The engine keeps its state in dense tables, bounded vectors and maps
 /// behind `scd_core::flat::FixedHasher` (DESIGN.md §17). `HashMap::new()`
 /// and `HashSet::new()` exist only for the default hasher, so one of them
@@ -25,24 +61,36 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// drifting back onto the per-event path.
 #[test]
 fn no_default_hasher_on_the_engine_path() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for krate in ["core", "protocol", "machine", "noc", "mem", "sim"] {
-        rust_files(&root.join("crates").join(krate).join("src"), &mut files);
+    let lines = engine_lines(&["core", "protocol", "machine", "noc", "mem", "sim"]);
+    assert!(lines.len() > 10_000, "the six source trees were found");
+    let patterns = ["HashMap::new()", "HashSet::new()", "RandomState"];
+    let found: Vec<&Line> =
+        lines.iter().filter(|l| patterns.iter().any(|p| l.text.contains(p))).collect();
+    assert!(found.is_empty(), "default hasher on the engine path:\n{}", listing(&found));
+}
+
+/// The machine crate's shape (DESIGN.md §16): a `ProtocolKind` becomes
+/// behaviour in exactly one file, `machine/backend.rs` — everywhere else
+/// the engine and the handlers go through `Backend`'s methods, never a
+/// `match` on the configured protocol — and the requester half of a
+/// transaction is written once, so the RAC is entered (`rac.start(`) and
+/// a read reply meets its MSHR (`try_read_reply(`) at one site each.
+/// Comments may say what they like.
+#[test]
+fn one_protocol_dispatch_file_and_one_requester() {
+    let lines = engine_lines(&["machine"]);
+    let code = |needle: &str| -> Vec<&Line> {
+        lines.iter().filter(|l| l.text.contains(needle) && !l.text.starts_with("//")).collect()
+    };
+    let dispatch: Vec<&Line> = code("ProtocolKind::")
+        .into_iter()
+        .filter(|l| !l.file.ends_with("config.rs") && !l.file.ends_with("machine/backend.rs"))
+        .collect();
+    assert!(dispatch.is_empty(), "protocol dispatch outside backend.rs:\n{}", listing(&dispatch));
+    for needle in ["rac.start(", "try_read_reply("] {
+        let sites = code(needle);
+        assert_eq!(sites.len(), 1, "`{needle}` sites:\n{}", listing(&sites));
     }
-    assert!(files.len() > 30, "the six source trees were found");
-    let mut found = Vec::new();
-    for file in &files {
-        let text = std::fs::read_to_string(file).expect("readable source");
-        let engine = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
-        for (n, line) in engine.enumerate() {
-            let patterns = ["HashMap::new()", "HashSet::new()", "RandomState"];
-            if patterns.iter().any(|p| line.contains(p)) {
-                found.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
-            }
-        }
-    }
-    assert!(found.is_empty(), "default hasher on the engine path:\n{}", found.join("\n"));
 }
 
 /// What `repro --check` checks, without the binary.

@@ -11,7 +11,8 @@
 //!
 //! The same oracle equality is asserted for the sharded engine (the
 //! kernels partitioned across 2 worker threads) and under an injected
-//! fault plan (NACKs force the retry paths of all three protocols).
+//! fault plan (NACKs force the retry paths of all three protocols;
+//! duplicates, delays and reorders force the stray-reply drop).
 
 use std::sync::Arc;
 
@@ -244,6 +245,35 @@ fn nack_fault_plan_preserves_the_differential() {
         nacks += stats.faults.nacks;
     }
     assert!(nacks > 0, "fault plan never fired");
+}
+
+/// Duplicated, delayed and reordered requests reach the one place a read
+/// reply meets its MSHR (`requester::read_reply`): under every protocol a
+/// duplicated read is serviced twice and its second reply — `ReadReply`,
+/// `TardisReadReply` or `LlcFill` — must be dropped as a stray, again
+/// without changing a single observed value.
+#[test]
+fn dup_delay_reorder_fault_plan_preserves_the_differential() {
+    let plan = FaultPlan::parse("dup:0.3,delay:0.2:40,reorder:0.2:30").expect("valid plan");
+    for kernel in kernels() {
+        let (baseline, _) = run_solo(&kernel, config(ProtocolKind::Dash));
+        for protocol in ProtocolKind::ALL {
+            let (faulty, stats) = run_solo(&kernel, config(protocol).with_fault(plan));
+            assert_eq!(
+                baseline, faulty,
+                "{}: {protocol:?} diverged under dup+delay+reorder",
+                kernel.name
+            );
+            let f = stats.faults;
+            assert!(f.duplicates > 0, "{}: {protocol:?} duplicated nothing", kernel.name);
+            assert!(
+                f.strays_dropped > 0,
+                "{}: {protocol:?} dropped no stray ({f:?})",
+                kernel.name
+            );
+            assert!(f.delay_spikes + f.reorders > 0, "{}: {protocol:?}", kernel.name);
+        }
+    }
 }
 
 /// Satellite attribution gate for the new protocols: the online
