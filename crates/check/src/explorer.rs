@@ -15,9 +15,9 @@
 //! a trace-enabled machine and emits standard `scd-trace` JSONL.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use scd_core::{FastMap, FastSet};
 use scd_machine::machine::explore::{Choice, FaultEdges};
 use scd_machine::{Machine, SimError};
 
@@ -70,7 +70,7 @@ pub struct Outcome {
     /// The first violation found, if any.
     pub violation: Option<Counterexample>,
     /// Digests of every state visited (for subset cross-checks).
-    pub digests: HashSet<u64>,
+    pub digests: FastSet<u64>,
 }
 
 impl Outcome {
@@ -136,7 +136,8 @@ fn quiet_catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 type Edge = (Option<u32>, Choice);
 
 struct Frame {
-    machine: Machine,
+    /// Boxed: a machine is some 3 KB, and frames move on and off the stack.
+    machine: Box<Machine>,
     /// Last edge of the path to `machine`, an index into the edge arena.
     path: Option<u32>,
     depth: usize,
@@ -180,14 +181,17 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
     // Digest -> shallowest depth seen. Re-expanding a known state reached
     // by a *shorter* path keeps depth-limited searches complete, which
     // `minimize`'s iterative deepening relies on.
-    let mut seen: HashMap<u64, usize> = HashMap::new();
+    let mut seen: FastMap<u64, usize> = FastMap::default();
     let mut edges: Vec<Edge> = Vec::new();
     let mut stack = vec![Frame {
-        machine: root,
+        machine: Box::new(root),
         path: None,
         depth: 0,
         faults_used: 0,
     }];
+    // Boxes of frames the search is done with: a clone is written into one
+    // of them rather than into a fresh 3 KB allocation.
+    let mut spare: Vec<Box<Machine>> = Vec::new();
     'search: while let Some(frame) = stack.pop() {
         let Frame {
             mut machine,
@@ -198,6 +202,7 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
         match seen.entry(machine.state_digest()) {
             Entry::Occupied(mut e) => {
                 if *e.get() <= depth {
+                    spare.push(machine);
                     continue;
                 }
                 e.insert(depth);
@@ -226,10 +231,12 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
                 out.violation = Some(counterexample(&edges, path, error));
                 break;
             }
+            spare.push(machine);
             continue;
         }
         if depth >= cfg.max_depth {
             out.truncated = true;
+            spare.push(machine);
             continue;
         }
         // Reverse push so choice 0 is explored first: counterexamples come
@@ -239,11 +246,16 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
         let mut parent = Some(machine);
         let mut todo = choices.iter().filter(affordable).rev().peekable();
         while let Some(&ch) = todo.next() {
-            let mut child = match todo.peek() {
-                Some(_) => parent.clone(),
-                None => parent.take(),
-            }
-            .expect("the parent is moved out for the last child only");
+            let mut child = match (todo.peek(), &parent) {
+                (Some(_), Some(parent)) => match spare.pop() {
+                    Some(mut child) => {
+                        child.clone_from(parent);
+                        child
+                    }
+                    None => parent.clone(),
+                },
+                _ => parent.take().expect("the parent is moved out for the last child only"),
+            };
             edges.push((path, ch));
             let path = Some(u32::try_from(edges.len() - 1).expect("edge arena outgrew u32"));
             if let Err(error) = checked(|| child.step_explore(ch)) {
@@ -257,6 +269,8 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
                 faults_used: faults_used + u32::from(ch.is_fault()),
             });
         }
+        // Still here when the fault budget left no child to step.
+        spare.extend(parent);
     }
     out.digests = seen.into_keys().collect();
     out

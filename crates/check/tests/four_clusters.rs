@@ -1,43 +1,11 @@
-//! The first litmus above three clusters. It lives here and not in
-//! `corpus()` because the benchmark's `check_corpus` work is defined by the
-//! corpus: message passing with a second reader, on four clusters, with
-//! both blocks homed at the idle fourth so every copy the writer must
-//! invalidate is directory-tracked and the fan-out reaches two sharers.
+//! Four clusters: the litmus in `common` under every scenario, at fault
+//! budgets 1 and 2, and the seeded skip-invalidation bug caught there.
 
-use scd_check::{explore, scenarios, ExploreConfig, Litmus};
-use scd_machine::{FaultEdges, Mutation, ProtocolKind};
-use scd_tango::Op::{Read, Write};
+mod common;
 
-/// data = block 3, flag = block 7 (16-byte blocks), both homed at cluster 3.
-fn message_passing_two_readers(fault_budget: u32) -> Litmus {
-    let (data, flag) = (3 * 16, 7 * 16);
-    Litmus {
-        name: "message-passing-two-readers",
-        summary: "MP on four clusters: one writer, two polling readers, idle home",
-        clusters: 4,
-        programs: vec![
-            [Write(data), Write(flag)].into(),
-            [Read(flag), Read(data), Read(flag)].into(),
-            [Read(data), Read(flag)].into(),
-            [].into(),
-        ],
-        faults: FaultEdges {
-            nack: true,
-            delay: Some(40),
-            dup: Some(40),
-        },
-        fault_budget,
-    }
-}
-
-/// The litmus's own edges and budget, default bounds.
-fn cfg_for(l: &Litmus) -> ExploreConfig {
-    ExploreConfig {
-        faults: l.faults,
-        fault_budget: l.fault_budget,
-        ..ExploreConfig::default()
-    }
-}
+use common::{cfg_for, message_passing_two_readers};
+use scd_check::{explore, scenarios, Litmus};
+use scd_machine::{Mutation, ProtocolKind};
 
 /// Explores the litmus under every scenario, clean and untruncated, and
 /// returns the states visited, which the callers pin.
@@ -64,10 +32,8 @@ fn four_clusters_one_fault_explores_clean() {
     assert_eq!(explores_clean(&message_passing_two_readers(1)), 12_804);
 }
 
-/// About 5,000 states per scenario, half a minute in a debug build: it runs
-/// under `cargo test --release --workspace -- --include-ignored`.
+/// About 5,000 states per scenario: a few seconds in a debug build.
 #[test]
-#[ignore = "68k states; run in release"]
 fn four_clusters_two_faults_explores_clean() {
     assert_eq!(explores_clean(&message_passing_two_readers(2)), 67_925);
 }

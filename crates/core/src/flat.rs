@@ -16,11 +16,12 @@
 //! cluster numbers derived from the workload being simulated, so a
 //! workload built to collide slows only its own run; nothing keyed by
 //! input from outside the workload may use it. Iteration order of a
-//! [`FastMap`] is still unspecified: whatever iterates one for output, a
-//! digest or a post-mortem sorts first.
+//! [`FastMap`] is still unspecified: whatever iterates one for output or a
+//! post-mortem sorts first, and a state digest folds it with
+//! [`hash_unordered`], which does not depend on the order.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A multiply-rotate hasher for small integer keys (the FxHash
 /// construction). [`Hasher::finish`] rotates the well-mixed high bits down
@@ -68,6 +69,43 @@ pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FixedHasher>>;
 
 /// A hash set behind [`FixedHasher`]. Construct with `FastSet::default()`.
 pub type FastSet<K> = HashSet<K, BuildHasherDefault<FixedHasher>>;
+
+/// Folds the entries of an unordered table into `h`, allocating nothing.
+///
+/// Each entry is hashed on its own by a fresh `H`, spread by [`mix`], and
+/// the results are summed, so the fold depends on which entries the table
+/// holds and not on the order it iterates them in: two tables with the same
+/// entries fold equally whatever their insertion history or capacity. The
+/// section is the entry count, then the sum unless the table is empty (most
+/// of a small machine's tables are). Entries must be distinct (a map's
+/// are), since a sum cannot tell one entry from the same entry twice over.
+pub fn hash_unordered<H: Hasher + Default, T: Hash>(
+    h: &mut H,
+    entries: impl IntoIterator<Item = T>,
+) {
+    let (mut sum, mut count) = (0u64, 0u64);
+    for entry in entries {
+        let mut inner = H::default();
+        entry.hash(&mut inner);
+        sum = sum.wrapping_add(mix(inner.finish()));
+        count += 1;
+    }
+    h.write_u64(count);
+    if count > 0 {
+        h.write_u64(sum);
+    }
+}
+
+/// The 64-bit finalizer of MurmurHash3: a bijection in which every output
+/// bit depends on every input bit. [`FixedHasher`] keeps nearby keys'
+/// hashes close; spread first, they no longer cancel in a sum.
+fn mix(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
 
 /// Keys a [`DenseTable`] accepts: a table costs `size_of::<T>()` bytes per
 /// key up to the highest one touched, so a key this large means the caller
@@ -181,6 +219,46 @@ mod tests {
         let mut b = FixedHasher::default();
         b.write_u64(7);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    /// The fold of a map's entries, under hasher `H`.
+    fn fold<H: Hasher + Default>(m: &FastMap<u64, u64>) -> u64 {
+        let mut h = H::default();
+        hash_unordered(&mut h, m.iter());
+        h.finish()
+    }
+
+    fn unordered_fold_sees_entries_not_history<H: Hasher + Default>() {
+        let entries: Vec<(u64, u64)> = (0..40).map(|k| (k * 32 + 7, k % 3)).collect();
+        let forward: FastMap<u64, u64> = entries.iter().copied().collect();
+        let backward: FastMap<u64, u64> = entries.iter().rev().copied().collect();
+        // Grown to hold many more entries, then drained back: a bigger
+        // table iterating in another order.
+        let mut grown = forward.clone();
+        grown.extend((10_000..14_000).map(|k| (k, k)));
+        grown.retain(|&k, _| k < 10_000);
+        assert_ne!(
+            grown.iter().collect::<Vec<_>>(),
+            forward.iter().collect::<Vec<_>>(),
+            "the regrown table should iterate in a different order"
+        );
+        let want = fold::<H>(&forward);
+        assert_eq!(fold::<H>(&backward), want);
+        assert_eq!(fold::<H>(&grown), want);
+
+        let mut changed = forward.clone();
+        *changed.get_mut(&7).expect("key 7 is present") += 1;
+        assert_ne!(fold::<H>(&changed), want, "one value changed");
+        let mut fewer = forward.clone();
+        fewer.remove(&7);
+        assert_ne!(fold::<H>(&fewer), want, "one entry removed");
+        assert_ne!(fold::<H>(&FastMap::default()), want);
+    }
+
+    #[test]
+    fn unordered_fold_sees_entries_not_history_under_both_hashers() {
+        unordered_fold_sees_entries_not_history::<FixedHasher>();
+        unordered_fold_sees_entries_not_history::<std::collections::hash_map::DefaultHasher>();
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod sparse;
 pub mod store;
 
 pub use entry::{AddSharer, DirEntry, DirState, ReprKind, MAX_POINTERS};
-pub use flat::{DenseTable, FastMap, FastSet, FixedHasher};
+pub use flat::{hash_unordered, DenseTable, FastMap, FastSet, FixedHasher};
 pub use node_set::{NodeId, NodeSet};
 pub use overhead::{overhead, DirectoryChoice, MachineSpec, OverheadReport};
 pub use scheme::{ptr_bits, NbVictim, Scheme};

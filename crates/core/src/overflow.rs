@@ -251,22 +251,13 @@ impl OverflowDirectory {
         i * ptr_bits(clusters) + 1 /* dirty */ + 1 /* promoted */
     }
 
-    /// Hashes the protocol-visible state (small entries in key order, then
-    /// the wide cache via [`SparseDirectory::fingerprint`]) into `h` for
+    /// Hashes the protocol-visible state (the live small entries, folded
+    /// by [`hash_unordered`](crate::flat::hash_unordered), then the wide
+    /// cache via [`SparseDirectory::fingerprint`]) into `h` for
     /// model-checking state digests; promotion/demotion counters excluded.
-    pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
+    pub fn fingerprint<H: std::hash::Hasher + Default>(&self, h: &mut H) {
         use std::hash::Hash;
-        let mut keys: Vec<u64> = self
-            .small
-            .iter()
-            .filter(|(_, e)| !e.is_empty())
-            .map(|(&k, _)| k)
-            .collect();
-        keys.sort_unstable();
-        for k in keys {
-            k.hash(h);
-            self.small[&k].hash(h);
-        }
+        crate::flat::hash_unordered(h, self.small.iter().filter(|(_, e)| !e.is_empty()));
         0xa3u8.hash(h); // section separator
         self.wide.fingerprint(h);
     }

@@ -484,30 +484,19 @@ impl SparseDirectory {
     /// because the random policy's future choices depend on it.
     pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
-        let rank_of = |times: &[u64], t: u64| times.iter().filter(|&&x| x < t).count();
-        for set in 0..self.sets {
-            let range = set * self.ways..(set + 1) * self.ways;
-            let uses: Vec<u64> = self.slots[range.clone()]
-                .iter()
-                .filter(|s| s.valid)
-                .map(|s| s.last_use)
-                .collect();
-            let allocs: Vec<u64> = self.slots[range.clone()]
-                .iter()
-                .filter(|s| s.valid)
-                .map(|s| s.allocated)
-                .collect();
-            for (way, slot) in self.slots[range].iter().enumerate() {
-                if !slot.valid {
-                    (way, false).hash(h);
-                    continue;
-                }
-                (way, true, slot.key).hash(h);
-                slot.entry.hash(h);
-                rank_of(&uses, slot.last_use).hash(h);
-                rank_of(&allocs, slot.allocated).hash(h);
-            }
+        let mut valid = 0usize;
+        for (i, slot) in self.slots.iter().enumerate().filter(|(_, s)| s.valid) {
+            let first_way = i - i % self.ways;
+            let set = &self.slots[first_way..first_way + self.ways];
+            let rank_of = |time: fn(&Slot) -> u64| {
+                set.iter().filter(|s| s.valid && time(s) < time(slot)).count()
+            };
+            (i, slot.key).hash(h);
+            slot.entry.hash(h);
+            (rank_of(|s| s.last_use), rank_of(|s| s.allocated)).hash(h);
+            valid += 1;
         }
+        valid.hash(h);
         if self.policy == Replacement::Random {
             self.rng_state.hash(h);
         }

@@ -343,7 +343,7 @@ impl DirectoryStore {
     /// never-touched blocks are indistinguishable; sparse/overflow backings
     /// additionally canonicalize their recency bookkeeping (see
     /// [`SparseDirectory::fingerprint`]).
-    pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
+    pub fn fingerprint<H: std::hash::Hasher + Default>(&self, h: &mut H) {
         use std::hash::Hash;
         match &self.backing {
             Backing::Complete(table) => {

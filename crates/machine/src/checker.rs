@@ -44,12 +44,13 @@
 //! offending cluster and block so tooling — `scd-check` counterexamples,
 //! post-mortems — can locate the fault without parsing prose.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use scd_mem::LineState;
+use scd_mem::{ClusterCaches, LineState};
 
 use crate::config::MachineConfig;
-use crate::machine::{Backend, ClusterView, Machine, TardisNode};
+use crate::machine::{Backend, ClusterNode, ClusterView, Machine, TardisNode};
 
 /// One invariant violation, locating the fault when known.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,16 +118,35 @@ fn residency(views: &[ClusterView<'_>]) -> BTreeMap<u64, (Vec<usize>, Vec<usize>
     map
 }
 
+/// The violation `check` reports for the lowest block resident in
+/// `caches` (with the highest state the cluster holds it in): the first a
+/// walk of `ClusterCaches::cluster_resident` in block order would meet,
+/// found without building that list.
+fn first_resident_violation(
+    caches: &ClusterCaches,
+    check: impl Fn(u64, LineState) -> Result<(), Violation>,
+) -> Result<(), Violation> {
+    let mut first: Option<(u64, Violation)> = None;
+    caches.for_each_resident(|block, state| {
+        if first.as_ref().is_none_or(|&(b, _)| block < b) {
+            if let Err(v) = check(block, state) {
+                first = Some((block, v));
+            }
+        }
+    });
+    first.map_or(Ok(()), |(_, v)| Err(v))
+}
+
 /// Verifies the quiescent invariants; returns the first violation found.
 pub fn verify_quiescent(machine: &Machine) -> Result<(), Violation> {
-    Backend::check(std::slice::from_ref(machine), true)
+    Backend::check(std::slice::from_ref(machine))
 }
 
 /// Verifies the every-state invariants — the subset of each protocol's
 /// contract that holds at *every* reachable state, transients included.
 /// Safe to call at any point during a run or exploration.
 pub fn verify_step(machine: &Machine) -> Result<(), Violation> {
-    Backend::check(std::slice::from_ref(machine), false)
+    Backend::check_step(machine)
 }
 
 /// No home block may still be busy once the machine has quiesced.
@@ -250,30 +270,42 @@ pub(crate) fn verify_dash_views(
 
 /// DASH every-state invariants: at most one dirty holder per block, and
 /// a dirty copy is exclusive (no other cluster caches the block at all).
-pub(crate) fn verify_dash_step(views: &[ClusterView<'_>]) -> Result<(), Violation> {
-    for (block, (dirty, holders)) in residency(views) {
-        if dirty.len() > 1 {
-            return Err(Violation::for_block(
-                block,
-                format!("multiple dirty holders {dirty:?}"),
-            ));
-        }
-        if let Some(&owner) = dirty.first() {
-            if holders.len() > 1 {
-                let others: Vec<usize> =
-                    holders.iter().copied().filter(|&h| h != owner).collect();
-                return Err(Violation::locate(
-                    owner,
-                    block,
-                    format!(
-                        "cluster {owner} holds the block dirty while clusters {others:?} \
-                         still hold copies (dirty implies exclusive)"
-                    ),
-                ));
+/// Both fail exactly when a block held dirty somewhere is held by more
+/// than one cluster; the lowest such block is reported.
+pub(crate) fn verify_dash_step(clusters: &[ClusterNode]) -> Result<(), Violation> {
+    let holders = |block| clusters.iter().filter(|c| c.caches.holds(block)).count();
+    let mut first: Option<u64> = None;
+    for c in clusters {
+        c.caches.for_each_resident(|block, state| {
+            if state == LineState::Dirty && first.is_none_or(|b| block < b) && holders(block) > 1 {
+                first = Some(block);
             }
-        }
+        });
     }
-    Ok(())
+    let Some(block) = first else {
+        return Ok(());
+    };
+    let dirty: Vec<usize> = (0..clusters.len())
+        .filter(|&c| clusters[c].caches.holds_dirty(block))
+        .collect();
+    if dirty.len() > 1 {
+        return Err(Violation::for_block(
+            block,
+            format!("multiple dirty holders {dirty:?}"),
+        ));
+    }
+    let owner = dirty[0];
+    let others: Vec<usize> = (0..clusters.len())
+        .filter(|&c| c != owner && clusters[c].caches.holds(block))
+        .collect();
+    Err(Violation::locate(
+        owner,
+        block,
+        format!(
+            "cluster {owner} holds the block dirty while clusters {others:?} \
+             still hold copies (dirty implies exclusive)"
+        ),
+    ))
 }
 
 /// Tardis invariants — temporal single-writer, valid at every reachable
@@ -298,51 +330,106 @@ pub(crate) fn verify_tardis_views(
 ) -> Result<(), Violation> {
     for (cl, view) in views.iter().enumerate() {
         for &(block, state) in &view.resident {
-            if state == LineState::Dirty {
-                return Err(Violation::locate(
-                    cl,
-                    block,
-                    "dirty line under Tardis (writes must write through)".to_string(),
-                ));
-            }
-            let Some(&(lwts, lrts)) = nodes[cl].lease.get(&block) else {
-                return Err(Violation::locate(
-                    cl,
-                    block,
-                    "resident copy without a lease".to_string(),
-                ));
-            };
-            let home = cfg.home_of(block);
-            let line = nodes[home].lines.value(cfg.dir_key(block));
-            if line == Default::default() {
-                return Err(Violation::locate(
-                    cl,
-                    block,
-                    format!("lease ({lwts},{lrts}) but home {home} has no timestamp line"),
-                ));
-            }
-            if line.rts < line.wts {
-                return Err(Violation::locate(
-                    home,
-                    block,
-                    format!("home timestamps inverted (wts {} > rts {})", line.wts, line.rts),
-                ));
-            }
-            if lwts > line.wts {
-                return Err(Violation::locate(
-                    cl,
-                    block,
-                    format!("lease version {lwts} leads the home's wts {}", line.wts),
-                ));
-            }
-            if lwts < line.wts && line.wts <= lrts {
+            tardis_copy(cfg, nodes, cl, block, state)?;
+        }
+    }
+    Ok(())
+}
+
+/// [`verify_tardis_views`] over one whole machine's clusters, without
+/// building the views (`nodes` is indexed like `clusters`).
+pub(crate) fn verify_tardis_step(
+    cfg: &MachineConfig,
+    clusters: &[ClusterNode],
+    nodes: &[TardisNode],
+) -> Result<(), Violation> {
+    for (cl, c) in clusters.iter().enumerate() {
+        first_resident_violation(&c.caches, |block, state| {
+            tardis_copy(cfg, nodes, cl, block, state)
+        })?;
+    }
+    Ok(())
+}
+
+/// The Tardis invariants for cluster `cl`'s copy of `block`.
+fn tardis_copy<N: Borrow<TardisNode>>(
+    cfg: &MachineConfig,
+    nodes: &[N],
+    cl: usize,
+    block: u64,
+    state: LineState,
+) -> Result<(), Violation> {
+    if state == LineState::Dirty {
+        return Err(Violation::locate(
+            cl,
+            block,
+            "dirty line under Tardis (writes must write through)".to_string(),
+        ));
+    }
+    let Some(&(lwts, lrts)) = nodes[cl].borrow().lease.get(&block) else {
+        return Err(Violation::locate(
+            cl,
+            block,
+            "resident copy without a lease".to_string(),
+        ));
+    };
+    let home = cfg.home_of(block);
+    let line = nodes[home].borrow().lines.value(cfg.dir_key(block));
+    if line == Default::default() {
+        return Err(Violation::locate(
+            cl,
+            block,
+            format!("lease ({lwts},{lrts}) but home {home} has no timestamp line"),
+        ));
+    }
+    if line.rts < line.wts {
+        return Err(Violation::locate(
+            home,
+            block,
+            format!("home timestamps inverted (wts {} > rts {})", line.wts, line.rts),
+        ));
+    }
+    if lwts > line.wts {
+        return Err(Violation::locate(
+            cl,
+            block,
+            format!("lease version {lwts} leads the home's wts {}", line.wts),
+        ));
+    }
+    if lwts < line.wts && line.wts <= lrts {
+        return Err(Violation::locate(
+            cl,
+            block,
+            format!(
+                "live lease ({lwts},{lrts}) over a superseded version \
+                 (home wts {}): two writers share a timestamp range",
+                line.wts
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// DLS invariants: no non-home cluster ever holds a copy, and (at
+/// quiescence, which is when this runs — a granted write's fill may still
+/// be in flight mid-run) a home-resident copy carries the block's current
+/// version.
+pub(crate) fn verify_dls_views(
+    cfg: &MachineConfig,
+    views: &[ClusterView<'_>],
+) -> Result<(), Violation> {
+    for (cl, view) in views.iter().enumerate() {
+        for &(block, _) in &view.resident {
+            dls_copy(cfg, cl, block)?;
+            let cur = view.node.cur_version.value(cfg.dir_key(block));
+            let line = view.node.line_version.get(&block).copied().unwrap_or(0);
+            if line != cur {
                 return Err(Violation::locate(
                     cl,
                     block,
                     format!(
-                        "live lease ({lwts},{lrts}) over a superseded version \
-                         (home wts {}): two writers share a timestamp range",
-                        line.wts
+                        "home copy at version {line} but the slice is at {cur} \
+                         (a remote write missed the home invalidation)"
                     ),
                 ));
             }
@@ -351,39 +438,23 @@ pub(crate) fn verify_tardis_views(
     Ok(())
 }
 
-/// DLS invariants: no non-home cluster ever holds a copy, and (at
-/// quiescence only — a granted write's fill may still be in flight
-/// mid-run) a home-resident copy carries the block's current version.
-pub(crate) fn verify_dls_views(
-    cfg: &MachineConfig,
-    views: &[ClusterView<'_>],
-    quiescent: bool,
-) -> Result<(), Violation> {
-    for (cl, view) in views.iter().enumerate() {
-        for &(block, _) in &view.resident {
-            let home = cfg.home_of(block);
-            if home != cl {
-                return Err(Violation::locate(
-                    cl,
-                    block,
-                    format!("non-home copy under DLS (home is cluster {home})"),
-                ));
-            }
-            if quiescent {
-                let cur = view.node.cur_version.value(cfg.dir_key(block));
-                let line = view.node.line_version.get(&block).copied().unwrap_or(0);
-                if line != cur {
-                    return Err(Violation::locate(
-                        cl,
-                        block,
-                        format!(
-                            "home copy at version {line} but the slice is at {cur} \
-                             (a remote write missed the home invalidation)"
-                        ),
-                    ));
-                }
-            }
-        }
+/// The DLS invariant that holds at every state: only the home caches.
+pub(crate) fn verify_dls_step(cfg: &MachineConfig, clusters: &[ClusterNode]) -> Result<(), Violation> {
+    for (cl, c) in clusters.iter().enumerate() {
+        first_resident_violation(&c.caches, |block, _| dls_copy(cfg, cl, block))?;
+    }
+    Ok(())
+}
+
+/// Cluster `cl` may hold `block` under DLS only as its home.
+fn dls_copy(cfg: &MachineConfig, cl: usize, block: u64) -> Result<(), Violation> {
+    let home = cfg.home_of(block);
+    if home != cl {
+        return Err(Violation::locate(
+            cl,
+            block,
+            format!("non-home copy under DLS (home is cluster {home})"),
+        ));
     }
     Ok(())
 }

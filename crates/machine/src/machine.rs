@@ -185,7 +185,8 @@ pub(crate) struct Outbound {
     pub(crate) msg: Msg,
 }
 
-/// Per-cluster snapshot handed to the invariant checker: resident blocks
+/// Per-cluster snapshot handed to the quiescent invariant checker (the
+/// every-state one walks the caches in place): resident blocks
 /// in block order with their highest state, plus the engine's cluster node
 /// (directory and serializer for DASH, version tables for the
 /// directoryless LLC). What only one backend keeps — Tardis leases and
@@ -525,7 +526,7 @@ impl Machine {
             }
         }
         if parts[0].eng.cfg.check_invariants {
-            if let Err(e) = Backend::check(parts, true) {
+            if let Err(e) = Backend::check(parts) {
                 let owner = |c| parts.iter().position(|m| m.eng.owns(c));
                 let s = e.cluster.and_then(owner).unwrap_or(0);
                 let m = &parts[s].eng;

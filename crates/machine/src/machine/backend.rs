@@ -121,7 +121,7 @@ impl Backend {
 
     /// Folds the backend's behaviour-steering state into a state digest
     /// (counters are metrics and stay out).
-    pub(crate) fn digest(&self, h: &mut impl Hasher) {
+    pub(crate) fn digest(&self, h: &mut (impl Hasher + Default)) {
         match self {
             Backend::Dash(s) => s.digest(h),
             Backend::Tardis(s) => s.digest(h),
@@ -130,23 +130,19 @@ impl Backend {
     }
 
     /// The protocol's formulation of "one writer at a time" over the
-    /// machine made of `parts` (see `crate::checker`): the full contract
-    /// when `quiescent` — no home block left busy, an empty directory under
-    /// the directoryless protocols — otherwise the subset that holds at
-    /// every reachable state. Per-cluster backend state comes from the part
-    /// that owns the cluster, like the views.
-    pub(crate) fn check(parts: &[Machine], quiescent: bool) -> Result<(), Violation> {
+    /// drained machine made of `parts` (see `crate::checker`): the full
+    /// contract, including no home block left busy and an empty directory
+    /// under the directoryless protocols. Per-cluster backend state comes
+    /// from the part that owns the cluster, like the views.
+    pub(crate) fn check(parts: &[Machine]) -> Result<(), Violation> {
         let (cfg, views) = Machine::checker_view(parts);
         let backend = &parts[0].backend;
-        if quiescent {
-            checker::verify_idle(&views)?;
-            if !matches!(backend, Backend::Dash(_)) {
-                checker::verify_empty_directory(&views)?;
-            }
+        checker::verify_idle(&views)?;
+        if !matches!(backend, Backend::Dash(_)) {
+            checker::verify_empty_directory(&views)?;
         }
         match backend {
-            Backend::Dash(_) if quiescent => checker::verify_dash_views(cfg, &views),
-            Backend::Dash(_) => checker::verify_dash_step(&views),
+            Backend::Dash(_) => checker::verify_dash_views(cfg, &views),
             Backend::Tardis(_) => {
                 let nodes: Vec<&TardisNode> = parts
                     .iter()
@@ -157,7 +153,20 @@ impl Backend {
                     .collect();
                 checker::verify_tardis_views(cfg, &views, &nodes)
             }
-            Backend::Dls(_) => checker::verify_dls_views(cfg, &views, quiescent),
+            Backend::Dls(_) => checker::verify_dls_views(cfg, &views),
+        }
+    }
+
+    /// The subset of [`Backend::check`] that holds at every reachable
+    /// state, over one whole machine. It reports what `check`'s walks
+    /// would report first, but builds no views: it runs once per explored
+    /// state, and allocates only to describe a violation.
+    pub(crate) fn check_step(m: &Machine) -> Result<(), Violation> {
+        let (cfg, clusters) = (&m.eng.cfg, m.eng.owned_clusters());
+        match &m.backend {
+            Backend::Dash(_) => checker::verify_dash_step(clusters),
+            Backend::Tardis(s) => checker::verify_tardis_step(cfg, clusters, &s.nodes[m.eng.owned()]),
+            Backend::Dls(_) => checker::verify_dls_step(cfg, clusters),
         }
     }
 

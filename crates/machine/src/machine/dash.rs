@@ -77,10 +77,10 @@ impl DashState {
     }
 
     /// Folds the tables into a state digest (see `Machine::state_digest`).
-    pub(crate) fn digest(&self, h: &mut impl std::hash::Hasher) {
+    pub(crate) fn digest(&self, h: &mut (impl std::hash::Hasher + Default)) {
         for n in &self.nodes {
-            explore::hash_sorted(h, n.serial_chains.iter().map(|(&b, v)| (b, v)));
-            explore::hash_sorted(h, n.last_owner_epoch.iter().map(|(&b, &v)| (b, v)));
+            scd_core::hash_unordered(h, &n.serial_chains);
+            scd_core::hash_unordered(h, &n.last_owner_epoch);
             explore::hash_walk(h, n.pending_write_bump.iter());
         }
     }

@@ -27,10 +27,9 @@
 //! network carries absolute busy times, so the digest then includes the
 //! current cycle — merging is suppressed rather than made unsound.
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use scd_core::FastSet;
+use scd_core::{hash_unordered, FixedHasher};
 use scd_sim::Cycle;
 
 use super::{Ev, Event, Machine, ProcStatus};
@@ -136,17 +135,6 @@ impl Choice {
     }
 }
 
-/// Hashes a hash map's entries in key order: its iteration order is an
-/// accident of the table, not state.
-pub(super) fn hash_sorted<K: Ord + Copy + Hash, V: Hash>(
-    h: &mut impl Hasher,
-    entries: impl Iterator<Item = (K, V)>,
-) {
-    let mut entries: Vec<(K, V)> = entries.collect();
-    entries.sort_unstable_by_key(|e| e.0);
-    entries.hash(h);
-}
-
 /// Hashes the set slots of a dense table by walking it — it is in key order
 /// already, and [`scd_core::DenseTable::iter`] skips default slots, so a
 /// table that grew and was reset digests like one that never grew. The
@@ -208,24 +196,30 @@ impl Machine {
     /// An empty result means the state is a leaf (see
     /// [`Machine::exploration_done`]).
     pub fn exploration_choices(&mut self, faults: &FaultEdges) -> Vec<Choice> {
-        let ready: Vec<Ev> = match self.eng.queue.ready_set() {
-            Some((_, evs)) => evs.into_iter().copied().collect(),
-            None => return Vec::new(),
-        };
-        let mut seen_channels: FastSet<(usize, usize)> = FastSet::default();
         let mut out = Vec::new();
-        for (idx, ev) in ready.iter().enumerate() {
-            let Ev::Deliver(r) = ev else {
+        let Some((_, ready)) = self.eng.queue.ready_set() else {
+            return out;
+        };
+        let arena = &self.eng.arena;
+        let channel = |ev: &Ev| match *ev {
+            Ev::Deliver(r) => arena.get(r).map(|m| (m.src, m.dst)),
+            _ => None,
+        };
+        for (idx, ev) in ready.clone().enumerate() {
+            let Ev::Deliver(r) = *ev else {
                 out.push(Choice::Ready { idx });
                 continue;
             };
-            let Some(&msg) = self.eng.arena.get(*r) else {
+            let Some(&msg) = arena.get(r) else {
                 // Stale handle: let `step_explore` surface the invariant
                 // violation through the normal path.
                 out.push(Choice::Ready { idx });
                 continue;
             };
-            if !seen_channels.insert((msg.src, msg.dst)) {
+            // A ready set is a handful of events: rescanning its head is
+            // cheaper than building a set of the channels seen so far.
+            let own = Some((msg.src, msg.dst));
+            if ready.clone().take(idx).any(|earlier| channel(earlier) == own) {
                 continue; // blocked behind an earlier same-channel message
             }
             out.push(Choice::Ready { idx });
@@ -253,7 +247,7 @@ impl Machine {
             .eng
             .queue
             .ready_set()
-            .and_then(|(_, evs)| evs.get(choice.idx()).map(|e| **e));
+            .and_then(|(_, mut evs)| evs.nth(choice.idx()).copied());
         let rendered = match ev {
             Some(Ev::Deliver(r)) => match self.eng.arena.get(r) {
                 Some(msg) => format!("{msg:?}"),
@@ -351,8 +345,21 @@ impl Machine {
     /// the same protocol state.
     /// Event times are hashed relative to the current cycle; recency state
     /// (cache LRU, sparse-directory replacement) is reduced to ranks.
+    ///
+    /// This is [`Machine::state_digest_with`] under the engine's
+    /// [`FixedHasher`].
     pub fn state_digest(&self) -> u64 {
-        let mut h = DefaultHasher::new();
+        self.state_digest_with::<FixedHasher>()
+    }
+
+    /// [`Machine::state_digest`] under hasher `H`, which hashes the digest's
+    /// stream and every entry of the unordered tables it folds (see
+    /// [`scd_core::hash_unordered`]). Nothing is collected or sorted: tables
+    /// already in key order are walked, the rest folded. A test can run the
+    /// same digest under a second hasher to show that the production one
+    /// merges no states the other keeps apart.
+    pub fn state_digest_with<H: Hasher + Default>(&self) -> u64 {
+        let mut h = H::default();
         let now = self.eng.queue.now();
         // Pending events, in delivery order, payloads resolved.
         self.eng.queue.for_each_pending(|t, ev| {
@@ -386,39 +393,32 @@ impl Machine {
             c.ser.fingerprint(&mut h);
             c.locks.fingerprint(&mut h);
             c.barriers.fingerprint(&mut h);
-            hash_sorted(
+            hash_unordered(
                 &mut h,
                 c.lock_state
                     .iter()
                     .map(|(&l, ls)| (l, (ls.holder, &ls.waiters, ls.requested))),
             );
-            hash_sorted(&mut h, c.barrier_local.iter().map(|(&b, v)| (b, v)));
+            hash_unordered(&mut h, &c.barrier_local);
             hash_walk(&mut h, c.cur_version.iter());
             // Line versions only matter for blocks actually resident.
-            let lines: Vec<(u64, u64)> = c
-                .caches
-                .cluster_resident()
-                .iter()
-                .filter_map(|&(b, _)| c.line_version.get(&b).map(|&v| (b, v)))
-                .collect();
-            lines.hash(&mut h);
+            hash_unordered(&mut h, c.line_version.iter().filter(|(&b, _)| c.caches.holds(b)));
         }
         self.backend.digest(&mut h);
         0xE2u8.hash(&mut h);
         // Version-oracle observations steer future assertions.
-        hash_sorted(&mut h, self.eng.observed.iter().map(|(&k, &v)| (k, v)));
-        // Channel clamps still in the future constrain deliveries (slot
-        // order is `(src, dst)` order).
-        let n = self.eng.cfg.clusters;
-        let clamps: Vec<(usize, usize, u64)> = self
-            .eng
-            .chan_clamp
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > now)
-            .map(|(i, &c)| (i / n, i % n, c - now))
-            .collect();
-        clamps.hash(&mut h);
+        hash_unordered(&mut h, &self.eng.observed);
+        // Channel clamps still in the future constrain deliveries (a slot
+        // stands for its `(src, dst)` channel).
+        hash_walk(
+            &mut h,
+            self.eng
+                .chan_clamp
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > now)
+                .map(|(i, &c)| (i as u64, c - now)),
+        );
         self.eng.mutation.hash(&mut h);
         // Contention carries absolute link-busy times in the network;
         // include the clock so states at different times never merge.

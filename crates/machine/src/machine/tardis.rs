@@ -99,15 +99,16 @@ impl TardisState {
 
     /// Folds the timestamp state into a state digest (see
     /// `Machine::state_digest`).
-    pub(crate) fn digest(&self, h: &mut impl std::hash::Hasher) {
+    pub(crate) fn digest(&self, h: &mut (impl std::hash::Hasher + Default)) {
+        use scd_core::hash_unordered;
         use std::hash::Hash;
         for n in &self.nodes {
             n.pts.hash(h);
-            explore::hash_sorted(h, n.lease.iter().map(|(&b, &v)| (b, v)));
-            explore::hash_sorted(h, n.renew_pending.iter().map(|(&b, v)| (b, v)));
+            hash_unordered(h, &n.lease);
+            hash_unordered(h, &n.renew_pending);
             explore::hash_walk(h, n.lines.iter().map(|(k, l)| (k, (l.wts, l.rts))));
-            explore::hash_sorted(h, n.lock_pts.iter().map(|(&k, &v)| (k, v)));
-            explore::hash_sorted(h, n.barrier_pts.iter().map(|(&k, &v)| (k, v)));
+            hash_unordered(h, &n.lock_pts);
+            hash_unordered(h, &n.barrier_pts);
         }
     }
 

@@ -225,28 +225,28 @@ impl Cache {
     }
 
     /// Hashes the cache's protocol-visible state into `h` for
-    /// model-checking state digests. Slot position and (block, state) are
-    /// hashed directly; absolute `last_use` times are reduced to their rank
-    /// within the set — LRU victim selection only ever compares them inside
-    /// one set, so recency *order* is the behaviorally relevant part.
-    /// Hit/miss counters are excluded.
+    /// model-checking state digests: every occupied slot's position and
+    /// line word (block and state), then the number of occupied slots.
+    /// Absolute `last_use` times are reduced to their rank within the set
+    /// — LRU victim selection only ever compares them inside one set, so
+    /// recency *order* is the behaviorally relevant part. Hit/miss counters
+    /// are excluded.
     pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
-        use std::hash::Hash;
-        for set in 0..self.sets {
-            let range = set * self.ways..(set + 1) * self.ways;
-            for (way, i) in range.clone().enumerate() {
-                let Some((block, state)) = decode(self.lines[i]) else {
-                    (way, false).hash(h);
-                    continue;
-                };
-                (way, true, block, state).hash(h);
-                range
-                    .clone()
-                    .filter(|&j| self.lines[j] != INVALID && self.last_use[j] < self.last_use[i])
-                    .count()
-                    .hash(h);
+        let mut occupied = 0;
+        for (i, &line) in self.lines.iter().enumerate() {
+            if line == INVALID {
+                continue;
             }
+            let first_way = i - i % self.ways;
+            let rank = (first_way..first_way + self.ways)
+                .filter(|&j| self.lines[j] != INVALID && self.last_use[j] < self.last_use[i])
+                .count();
+            h.write_usize(i);
+            h.write_u64(line);
+            h.write_usize(rank);
+            occupied += 1;
         }
+        h.write_usize(occupied);
     }
 }
 

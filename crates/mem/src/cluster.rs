@@ -146,6 +146,22 @@ impl ClusterCaches {
         out
     }
 
+    /// Visits the entries of [`ClusterCaches::cluster_resident`] — each
+    /// resident block once, with the highest state any processor holds it
+    /// in — in no particular order, without collecting them.
+    pub fn for_each_resident(&self, mut f: impl FnMut(Block, LineState)) {
+        for (p, hier) in self.procs.iter().enumerate() {
+            for (block, _) in hier.resident() {
+                // A block is visited at the first processor holding it.
+                if self.procs[..p].iter().any(|q| q.probe(block).is_some()) {
+                    continue;
+                }
+                let dirty = self.holds_dirty(block);
+                f(block, if dirty { LineState::Dirty } else { LineState::Shared });
+            }
+        }
+    }
+
     /// Hashes every processor's hierarchy into `h`, in processor order,
     /// for model-checking state digests.
     pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
@@ -221,5 +237,9 @@ mod tests {
             c.cluster_resident(),
             vec![(11, LineState::Shared), (12, LineState::Dirty)]
         );
+        let mut visited = vec![];
+        c.for_each_resident(|b, s| visited.push((b, s)));
+        visited.sort_unstable();
+        assert_eq!(visited, c.cluster_resident(), "the same entries, each once");
     }
 }

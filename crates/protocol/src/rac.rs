@@ -349,10 +349,11 @@ impl Rac {
             .flush_pending = true;
     }
 
-    /// Hashes the RAC's observable state into `h` in a canonical (block)
-    /// order, for model-checking state digests. Covers every field — all
-    /// of them steer protocol behavior.
-    pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
+    /// Hashes the RAC's observable state into `h` for model-checking state
+    /// digests: the two tables in their (block) order, the writeback set
+    /// folded by [`scd_core::hash_unordered`]. Covers every field — all of
+    /// them steer protocol behavior.
+    pub fn fingerprint<H: std::hash::Hasher + Default>(&self, h: &mut H) {
         use std::hash::Hash;
         for (b, mshr) in &self.outstanding {
             b.hash(h);
@@ -360,9 +361,7 @@ impl Rac {
         }
         0xa1u8.hash(h); // section separator
         self.replacements.hash(h);
-        let mut wb: Vec<Block> = self.writeback_in_flight.iter().copied().collect();
-        wb.sort_unstable();
-        wb.hash(h);
+        scd_core::hash_unordered(h, &self.writeback_in_flight);
     }
 }
 

@@ -273,43 +273,21 @@ impl HomeSerializer {
         state
     }
 
-    /// Hashes the serializer's protocol-visible state into `h` in a
-    /// canonical (block-sorted) order for model-checking state digests.
-    /// Queue *order* within a block is preserved — it determines the next
-    /// grant — while the `max_queue_depth` / `total_queued` ablation
-    /// metrics are deliberately excluded (they differ between paths that
-    /// reach the same protocol state and would defeat state deduplication).
-    pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
+    /// Hashes the serializer's protocol-visible state into `h` for
+    /// model-checking state digests, each table folded by
+    /// [`scd_core::hash_unordered`] (blocks without a queue or an early
+    /// record left out). Queue *order* within a block is preserved — it
+    /// determines the next grant — while the `max_queue_depth` /
+    /// `total_queued` ablation metrics are deliberately excluded (they
+    /// differ between paths that reach the same protocol state and would
+    /// defeat state deduplication).
+    pub fn fingerprint<H: std::hash::Hasher + Default>(&self, h: &mut H) {
+        use scd_core::hash_unordered;
         use std::hash::Hash;
-        let mut busy: Vec<(Block, BusyReason)> =
-            self.busy.iter().map(|(&b, &r)| (b, r)).collect();
-        busy.sort_unstable_by_key(|e| e.0);
-        busy.hash(h);
-        let mut blocks: Vec<Block> = self
-            .pending
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&b, _)| b)
-            .collect();
-        blocks.sort_unstable();
-        for b in blocks {
-            b.hash(h);
-            for req in &self.pending[&b] {
-                req.hash(h);
-            }
-        }
+        hash_unordered(h, &self.busy);
+        hash_unordered(h, self.pending.iter().filter(|(_, q)| !q.is_empty()));
         0xa2u8.hash(h); // section separator
-        let mut early: Vec<Block> = self
-            .early
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&b, _)| b)
-            .collect();
-        early.sort_unstable();
-        for b in early {
-            b.hash(h);
-            self.early[&b].hash(h);
-        }
+        hash_unordered(h, self.early.iter().filter(|(_, v)| !v.is_empty()));
     }
 }
 

@@ -147,23 +147,18 @@ impl LockManager {
         (self.grants, self.retries)
     }
 
-    /// Hashes holder and waiter state into `h` in canonical (lock-sorted)
-    /// order for model-checking state digests; the grant/retry metrics are
-    /// excluded so equal protocol states reached by different paths merge.
-    pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
-        use std::hash::Hash;
-        let mut ids: Vec<u32> = self
-            .locks
-            .iter()
-            .filter(|(_, s)| s.holder.is_some() || !s.waiters.is_empty())
-            .map(|(&l, _)| l)
-            .collect();
-        ids.sort_unstable();
-        for l in ids {
-            let st = &self.locks[&l];
-            (l, st.holder).hash(h);
-            st.waiters.hash(h);
-        }
+    /// Hashes holder and waiter state of every lock held or waited on into
+    /// `h`, folded by [`scd_core::hash_unordered`], for model-checking
+    /// state digests; the grant/retry metrics are excluded so equal
+    /// protocol states reached by different paths merge.
+    pub fn fingerprint<H: std::hash::Hasher + Default>(&self, h: &mut H) {
+        scd_core::hash_unordered(
+            h,
+            self.locks
+                .iter()
+                .filter(|(_, s)| s.holder.is_some() || !s.waiters.is_empty())
+                .map(|(&l, s)| (l, s.holder, &s.waiters)),
+        );
     }
 }
 
@@ -205,22 +200,12 @@ impl BarrierManager {
         self.arrivals.get(&barrier).map_or(0, Vec::len)
     }
 
-    /// Hashes arrival state into `h` in canonical (barrier-sorted) order
-    /// for model-checking state digests. Arrival *order* within a barrier
-    /// is preserved — it fixes the release-message order.
-    pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
-        use std::hash::Hash;
-        let mut ids: Vec<u32> = self
-            .arrivals
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&b, _)| b)
-            .collect();
-        ids.sort_unstable();
-        for b in ids {
-            b.hash(h);
-            self.arrivals[&b].hash(h);
-        }
+    /// Hashes the arrivals at every barrier someone reached into `h`,
+    /// folded by [`scd_core::hash_unordered`], for model-checking state
+    /// digests. Arrival *order* within a barrier is preserved — it fixes
+    /// the release-message order.
+    pub fn fingerprint<H: std::hash::Hasher + Default>(&self, h: &mut H) {
+        scd_core::hash_unordered(h, self.arrivals.iter().filter(|(_, v)| !v.is_empty()));
     }
 }
 

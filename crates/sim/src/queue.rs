@@ -230,7 +230,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The events of a slot's bucket, in delivery order.
-    fn bucket(&self, slot: usize) -> impl Iterator<Item = &Node<E>> {
+    fn bucket(&self, slot: usize) -> impl Iterator<Item = &Node<E>> + Clone {
         let at = |n: u32| self.nodes.get(n as usize);
         std::iter::successors(at(self.ring[slot].head), move |node| at(node.next))
     }
@@ -466,11 +466,12 @@ impl<E> EventQueue<E> {
     /// module docs), the ready set is simply the earliest occupied bucket;
     /// this cascades the far-future level first when the ring is empty.
     /// Exploration tooling uses this to enumerate the same-cycle delivery
-    /// choices a run could make.
-    pub fn ready_set(&mut self) -> Option<(Cycle, Vec<&E>)> {
+    /// choices a run could make; the events are walked in place (clone the
+    /// iterator to walk them again), not collected.
+    pub fn ready_set(&mut self) -> Option<(Cycle, impl Iterator<Item = &E> + Clone)> {
         let slot = self.front_slot()?;
         let time = self.peek_slot(slot);
-        Some((time, self.bucket(slot).map(Node::event).collect()))
+        Some((time, self.bucket(slot).map(Node::event)))
     }
 
     /// Delivers the `idx`-th event of the ready set (delivery order within
@@ -665,15 +666,15 @@ mod tests {
         q.schedule_at(9, 'z');
         let (t, ready) = q.ready_set().unwrap();
         assert_eq!(t, 5);
-        assert_eq!(ready, vec![&'a', &'b', &'c']);
+        assert_eq!(ready.collect::<Vec<_>>(), vec![&'a', &'b', &'c']);
         assert_eq!(q.pop_ready(1), Some((5, 'b')));
         assert_eq!(q.pop_ready(1), Some((5, 'c')));
         assert_eq!(q.pop_ready(0), Some((5, 'a')));
         let (t, ready) = q.ready_set().unwrap();
-        assert_eq!((t, ready), (9, vec![&'z']));
+        assert_eq!((t, ready.collect::<Vec<_>>()), (9, vec![&'z']));
         assert_eq!(q.pop_ready(3), None); // out of range leaves the queue intact
         assert_eq!(q.pop(), Some((9, 'z')));
-        assert_eq!(q.ready_set(), None::<(u64, Vec<&char>)>);
+        assert!(q.ready_set().is_none());
     }
 
     /// `ready_set` cascades the far-future level, and a cloned queue
@@ -686,7 +687,7 @@ mod tests {
         q.schedule_at(far, 2u32);
         let mut dup = q.clone();
         let (t, ready) = q.ready_set().unwrap();
-        assert_eq!((t, ready.len()), (far, 2));
+        assert_eq!((t, ready.count()), (far, 2));
         assert_eq!(q.pop_ready(1), Some((far, 2)));
         assert_eq!(dup.pop(), Some((far, 1)));
         assert_eq!(dup.pop(), Some((far, 2)));
@@ -770,7 +771,7 @@ mod tests {
         assert_eq!(seen, vec![(4, 'a'), (4, 'b'), (8, 'z')]);
         let (t, ready) = q.ready_set().unwrap();
         assert_eq!(t, 4);
-        assert_eq!(ready, vec![&'a', &'b']);
+        assert_eq!(ready.collect::<Vec<_>>(), vec![&'a', &'b']);
     }
 
     /// Interleaved schedule/pop churn with mixed near/far delays matches a

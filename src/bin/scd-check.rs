@@ -16,7 +16,9 @@
 //! scd-check --litmus all --walk 64 --seed 7      # random-walk smoke mode
 //! ```
 //!
-//! Exit codes: 0 = no violations, 1 = violation found, 2 = usage error.
+//! Exit codes: 0 = every search complete and clean, 1 = a violation found
+//! or a search truncated by `--max-states` / `--max-depth` (it proved
+//! nothing about the states beyond the bound), 2 = usage error.
 
 use scd::check::{
     explore, minimize, random_walk, replay_trace, scenarios, Counterexample, ExploreConfig,
@@ -51,6 +53,10 @@ usage: scd-check [options]
   --walk STEPS             random-walk mode instead of exhaustive search
   --seed S                 random-walk seed (default 1)
   -h, --help               show this help
+
+exit status: 0 every search complete and clean; 1 a violation, or a search
+truncated by --max-states or --max-depth (raise the bound it names); 2 a
+usage error
 ";
 
 struct Options {
@@ -232,6 +238,8 @@ fn main() {
     }
 
     let mut failures = 0u32;
+    // Searches cut short by each bound: (--max-states, --max-depth).
+    let mut truncated = (0u32, 0u32);
     for l in &litmus {
         for s in &scens {
             let cfg = ExploreConfig {
@@ -267,7 +275,14 @@ fn main() {
 
             let outcome = explore(&build, &cfg);
             match &outcome.violation {
-                None => println!("{}", outcome.row(l.name, &s.label)),
+                None => {
+                    println!("{}", outcome.row(l.name, &s.label));
+                    if outcome.truncated && outcome.visited >= cfg.max_states {
+                        truncated.0 += 1;
+                    } else if outcome.truncated {
+                        truncated.1 += 1;
+                    }
+                }
                 Some(found) => {
                     failures += 1;
                     let cex = if o.minimize {
@@ -293,6 +308,19 @@ fn main() {
     }
     if failures > 0 {
         eprintln!("scd-check: {failures} violation(s) found");
+    }
+    for (runs, flag, bound) in [
+        (truncated.0, "--max-states", o.max_states),
+        (truncated.1, "--max-depth", o.max_depth as u64),
+    ] {
+        if runs > 0 {
+            eprintln!(
+                "scd-check: {runs} search(es) truncated at {flag} {bound}, proving nothing \
+                 beyond it; raise {flag}"
+            );
+        }
+    }
+    if failures > 0 || truncated != (0, 0) {
         exit(1);
     }
 }

@@ -75,6 +75,26 @@ fn help_is_stdout_and_exit_0_for_every_binary() {
     }
 }
 
+/// A search a bound cut short proved nothing about the states beyond it:
+/// `scd-check` prints its row as `TRUNCATED`, exits 1 and names the bound
+/// to raise, while the same search without the bound exits 0.
+#[test]
+fn scd_check_truncated_search_exits_1_naming_the_bound() {
+    let dir = scratch("check-truncated");
+    let one = ["--litmus", "message-passing", "--scheme", "dense", "--org", "complete"];
+    let out = expect(CHECK, &dir, &one, 0, "");
+    assert!(stdout(&out).ends_with(" ok\n"), "{}", stdout(&out));
+    for (args, needle) in [
+        ([&one[..], &["--max-states", "1"]].concat(), "1 search(es) truncated at --max-states 1"),
+        ([&one[..], &["--max-depth", "0"]].concat(), "1 search(es) truncated at --max-depth 0"),
+        (vec!["--litmus", "all", "--max-states", "0"], "truncated at --max-states 0"),
+    ] {
+        let out = expect(CHECK, &dir, &args, 1, needle);
+        assert!(stdout(&out).contains("TRUNCATED"), "{}", stdout(&out));
+        assert!(stderr(&out).contains("raise --max-"), "{}", stderr(&out));
+    }
+}
+
 /// A refused command line exits 2 and names the flag and the value, not
 /// the whole option list.
 #[test]

@@ -55,15 +55,17 @@ fn listing(lines: &[&Line]) -> String {
 }
 
 /// The engine keeps its state in dense tables, bounded vectors and maps
-/// behind `scd_core::flat::FixedHasher` (DESIGN.md §17). `HashMap::new()`
+/// behind `scd_core::flat::FixedHasher` (DESIGN.md §17), and the model
+/// checker digests and deduplicates states with it (§12). `HashMap::new()`
 /// and `HashSet::new()` exist only for the default hasher, so one of them
-/// (or a `RandomState`) above a file's first `#[cfg(test)]` means SipHash is
-/// drifting back onto the per-event path.
+/// (or a `RandomState`, or a `DefaultHasher` by name) above a file's first
+/// `#[cfg(test)]` means SipHash is drifting back onto the per-event or the
+/// per-state path.
 #[test]
 fn no_default_hasher_on_the_engine_path() {
-    let lines = engine_lines(&["core", "protocol", "machine", "noc", "mem", "sim"]);
-    assert!(lines.len() > 10_000, "the six source trees were found");
-    let patterns = ["HashMap::new()", "HashSet::new()", "RandomState"];
+    let lines = engine_lines(&["core", "protocol", "machine", "noc", "mem", "sim", "check"]);
+    assert!(lines.len() > 10_000, "the seven source trees were found");
+    let patterns = ["HashMap::new()", "HashSet::new()", "RandomState", "DefaultHasher"];
     let found: Vec<&Line> =
         lines.iter().filter(|l| patterns.iter().any(|p| l.text.contains(p))).collect();
     assert!(found.is_empty(), "default hasher on the engine path:\n{}", listing(&found));
