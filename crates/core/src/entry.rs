@@ -425,34 +425,48 @@ impl DirEntry {
     /// Always a superset of the true sharer set (for `Dir_i NB` the true set
     /// was trimmed by evictions, so it is exact there too).
     pub fn sharer_superset(&self) -> NodeSet {
+        let mut out = NodeSet::new(self.p as usize);
+        self.sharer_superset_into(&mut out);
+        out
+    }
+
+    /// [`DirEntry::sharer_superset`] written into `out`, whose previous
+    /// contents and universe are replaced. A caller that keeps one `out`
+    /// across calls allocates nothing per call.
+    pub fn sharer_superset_into(&self, out: &mut NodeSet) {
         let p = self.p as usize;
+        out.reset(p);
         match &self.repr {
-            Repr::Full(s) => s.clone(),
-            Repr::Pointers(ptrs) => NodeSet::from_iter(p, ptrs.as_slice().iter().copied()),
-            Repr::Broadcast => NodeSet::full(p),
+            Repr::Full(s) => out.union_with(s),
+            Repr::Pointers(ptrs) => {
+                for &n in ptrs.as_slice() {
+                    out.insert(n);
+                }
+            }
+            Repr::Broadcast => {
+                for n in 0..p {
+                    out.insert(n as NodeId);
+                }
+            }
             Repr::Composite { value, xmask } => {
-                let mut out = NodeSet::new(p);
                 let keep = !xmask;
                 for n in 0..p as u32 {
                     if n & keep == value & keep {
                         out.insert(n as NodeId);
                     }
                 }
-                out
             }
             Repr::Coarse { regions } => {
                 let r = match self.scheme {
                     Scheme::CoarseVector { r, .. } => r,
                     _ => unreachable!(),
                 };
-                let mut out = NodeSet::new(p);
                 for g in regions.iter() {
                     let start = g as usize * r;
                     for n in start..(start + r).min(p) {
                         out.insert(n as NodeId);
                     }
                 }
-                out
             }
         }
     }

@@ -123,6 +123,14 @@ impl NodeSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// Empties the set and makes its universe `capacity` nodes, reusing
+    /// its words: refilling a set of the same universe allocates nothing.
+    pub fn reset(&mut self, capacity: usize) {
+        self.words.clear();
+        self.words.resize(capacity.div_ceil(64), 0);
+        self.capacity = capacity;
+    }
+
     /// Removes all nodes.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);

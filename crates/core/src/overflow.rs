@@ -155,8 +155,8 @@ impl OverflowDirectory {
         }
         // Pointer overflow: promote into the wide cache.
         let sharers: Vec<NodeId> = small.sharer_superset().iter().collect();
-        match self.wide.allocate_excluding(key, now, &pinned) {
-            None => {
+        match self.wide.access(key, now, &pinned) {
+            Err(_) => {
                 // All wide slots pinned: fall back to NB semantics.
                 self.stats.fallback_evictions += 1;
                 match small.add_sharer(node) {
@@ -164,8 +164,8 @@ impl OverflowDirectory {
                     AddSharer::Recorded => OverflowAdd::Recorded,
                 }
             }
-            Some(Allocation::Hit(_)) => unreachable!("checked wide.probe above"),
-            Some(Allocation::Inserted(e)) => {
+            Ok(Allocation::Hit(_)) => unreachable!("checked wide.probe above"),
+            Ok(Allocation::Inserted(e)) => {
                 for s in sharers {
                     e.add_sharer(s);
                 }
@@ -174,7 +174,7 @@ impl OverflowDirectory {
                 self.stats.promotions += 1;
                 OverflowAdd::Recorded
             }
-            Some(Allocation::Replaced {
+            Ok(Allocation::Replaced {
                 victim_key,
                 victim,
                 entry,

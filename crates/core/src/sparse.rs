@@ -185,14 +185,17 @@ pub enum Allocation<'a> {
 /// A set-associative sparse directory.
 ///
 /// Keys are abstract block identifiers (the machine layer passes home-local
-/// block indices). Indexing is `key % num_sets` — tags in a real sparse
-/// directory are only a few bits because it holds a large fraction of memory
-/// blocks (paper §4.2).
+/// block indices). Indexing is `key % num_sets`, a mask when the set count
+/// is a power of two — tags in a real sparse directory are only a few bits
+/// because it holds a large fraction of memory blocks (paper §4.2).
 #[derive(Clone)]
 pub struct SparseDirectory {
     scheme: Scheme,
     clusters: usize,
     sets: usize,
+    /// `sets - 1` when `sets` is a power of two: the set index is then
+    /// `key & mask`, sparing every access a 64-bit division.
+    set_mask: Option<u64>,
     ways: usize,
     policy: Replacement,
     slots: Vec<Slot>,
@@ -223,10 +226,12 @@ impl SparseDirectory {
             "entry count {entries} must be a positive multiple of associativity {ways}"
         );
         let proto = DirEntry::new(scheme, clusters);
+        let sets = entries / ways;
         SparseDirectory {
             scheme,
             clusters,
-            sets: entries / ways,
+            sets,
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             ways,
             policy,
             slots: vec![
@@ -280,7 +285,10 @@ impl SparseDirectory {
     }
 
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
-        let set = (key % self.sets as u64) as usize;
+        let set = match self.set_mask {
+            Some(mask) => key & mask,
+            None => key % self.sets as u64,
+        } as usize;
         set * self.ways..(set + 1) * self.ways
     }
 
@@ -319,45 +327,60 @@ impl SparseDirectory {
     /// Finds or creates the entry for `key`, evicting a victim if the set is
     /// full. See [`Allocation`].
     pub fn allocate(&mut self, key: u64, now: u64) -> Allocation<'_> {
-        self.allocate_excluding(key, now, |_| false)
-            .expect("no keys banned, allocation cannot stall")
+        self.access(key, now, |_| false)
+            .unwrap_or_else(|_| unreachable!("no keys pinned, allocation cannot stall"))
     }
 
-    /// Like [`Self::allocate`], but never victimizes a key for which
-    /// `banned` returns true (the protocol pins blocks with in-flight
-    /// transactions). Returns `None` if the set is full and every resident
-    /// key is banned — the caller must park the request until one of them
-    /// unpins.
-    pub fn allocate_excluding(
+    /// Finds or creates the entry for `key` like [`Self::allocate`], but
+    /// never victimizes a key for which `pinned` returns true (the protocol
+    /// pins blocks with in-flight transactions). If the set is full and
+    /// every resident is pinned, nothing changes — no statistics, no
+    /// recency — and the set's first resident comes back as the `Err`
+    /// blocker: the caller parks the request until it unpins.
+    ///
+    /// One pass over the set finds a hit or a reclaimable way; only a full
+    /// set is scanned again, asking `pinned` about each resident. Nothing
+    /// is allocated on any path.
+    pub fn access(
         &mut self,
         key: u64,
         now: u64,
-        banned: impl Fn(u64) -> bool,
-    ) -> Option<Allocation<'_>> {
+        pinned: impl Fn(u64) -> bool,
+    ) -> Result<Allocation<'_>, u64> {
         let range = self.set_range(key);
+        // A hit, else the first empty way. Empty covers slots whose entry
+        // became empty (all copies written back) — the paper notes empty
+        // slots are created when caches write back dirty lines.
+        let mut free = None;
+        let mut hit = None;
+        for i in range.clone() {
+            let s = &self.slots[i];
+            if s.valid && s.key == key {
+                hit = Some(i);
+                break;
+            }
+            if free.is_none() && (!s.valid || s.entry.is_empty()) {
+                free = Some(i);
+            }
+        }
+        let victim = match (hit, free) {
+            (None, None) => {
+                let blocker = self.slots[range.start].key;
+                Some(self.choose_victim(range.clone(), &pinned).ok_or(blocker)?)
+            }
+            _ => None,
+        };
         if let Some(churn) = &mut self.churn {
             churn.on_access(key);
         }
-
-        // 1. Hit?
-        if let Some(idx) = range
-            .clone()
-            .find(|&i| self.slots[i].valid && self.slots[i].key == key)
-        {
+        if let Some(idx) = hit {
             self.stats.hits += 1;
             let slot = &mut self.slots[idx];
             slot.last_use = now;
-            return Some(Allocation::Hit(&mut slot.entry));
+            return Ok(Allocation::Hit(&mut slot.entry));
         }
         self.stats.misses += 1;
-
-        // 2. Empty way? Also opportunistically reclaim slots whose entry
-        // became empty (all copies written back) — the paper notes empty
-        // slots are created when caches write back dirty lines.
-        if let Some(idx) = range
-            .clone()
-            .find(|&i| !self.slots[i].valid || self.slots[i].entry.is_empty())
-        {
+        if let Some(idx) = free {
             self.stats.fills += 1;
             let slot = &mut self.slots[idx];
             slot.key = key;
@@ -365,33 +388,9 @@ impl SparseDirectory {
             slot.entry.clear();
             slot.last_use = now;
             slot.allocated = now;
-            return Some(Allocation::Inserted(&mut slot.entry));
+            return Ok(Allocation::Inserted(&mut slot.entry));
         }
-
-        // 3. Replacement, skipping pinned (banned) victims.
-        let eligible: Vec<usize> = range
-            .clone()
-            .filter(|&i| !banned(self.slots[i].key))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let victim_idx = match self.policy {
-            Replacement::Lru => eligible
-                .iter()
-                .copied()
-                .min_by_key(|&i| self.slots[i].last_use)
-                .expect("eligible is non-empty"),
-            Replacement::Lra => eligible
-                .iter()
-                .copied()
-                .min_by_key(|&i| self.slots[i].allocated)
-                .expect("eligible is non-empty"),
-            Replacement::Random => {
-                let off = (self.next_random() % eligible.len() as u64) as usize;
-                eligible[off]
-            }
-        };
+        let victim_idx = victim.expect("a full set that did not stall has a victim");
         self.stats.replacements += 1;
         let victim_key = self.slots[victim_idx].key;
         if let Some(churn) = &mut self.churn {
@@ -404,11 +403,33 @@ impl SparseDirectory {
         slot.valid = true;
         slot.last_use = now;
         slot.allocated = now;
-        Some(Allocation::Replaced {
+        Ok(Allocation::Replaced {
             victim_key,
             victim,
             entry: &mut slot.entry,
         })
+    }
+
+    /// The way of a full set the policy displaces, skipping pinned keys;
+    /// `None` when every resident is pinned. Ties go to the lowest way.
+    fn choose_victim(
+        &mut self,
+        range: std::ops::Range<usize>,
+        pinned: impl Fn(u64) -> bool,
+    ) -> Option<usize> {
+        let eligible = |i: &usize| !pinned(self.slots[*i].key);
+        match self.policy {
+            Replacement::Lru => range.filter(eligible).min_by_key(|&i| self.slots[i].last_use),
+            Replacement::Lra => range.filter(eligible).min_by_key(|&i| self.slots[i].allocated),
+            Replacement::Random => {
+                let count = range.clone().filter(eligible).count();
+                if count == 0 {
+                    return None;
+                }
+                let off = (self.next_random() % count as u64) as usize;
+                range.filter(|i| !pinned(self.slots[*i].key)).nth(off)
+            }
+        }
     }
 
     /// Drops the entry for `key` (used when the protocol empties an entry —
@@ -423,35 +444,6 @@ impl SparseDirectory {
             }
         }
         false
-    }
-
-    /// True if [`Self::allocate_excluding`] would return `None` for `key`:
-    /// the key is absent, no way is reclaimable, and every resident is
-    /// banned.
-    pub fn would_stall(&self, key: u64, banned: impl Fn(u64) -> bool) -> bool {
-        let range = self.set_range(key);
-        for i in range.clone() {
-            let s = &self.slots[i];
-            if s.valid && s.key == key {
-                return false;
-            }
-        }
-        for i in range.clone() {
-            let s = &self.slots[i];
-            if !s.valid || s.entry.is_empty() {
-                return false;
-            }
-        }
-        range.into_iter().all(|i| banned(self.slots[i].key))
-    }
-
-    /// Keys of the valid entries in `key`'s set (stall diagnostics).
-    pub fn resident_set_keys(&self, key: u64) -> Vec<u64> {
-        self.set_range(key)
-            .map(|i| &self.slots[i])
-            .filter(|s| s.valid)
-            .map(|s| s.key)
-            .collect()
     }
 
     /// Visits every live (valid, non-empty) entry with its key. Iteration
@@ -819,8 +811,8 @@ mod tests {
                 panic!()
             }
         }
-        match d.allocate_excluding(3, 10, |k| k == 1) {
-            Some(Allocation::Replaced { victim_key, .. }) => {
+        match d.access(3, 10, |k| k == 1) {
+            Ok(Allocation::Replaced { victim_key, .. }) => {
                 assert_eq!(victim_key, 2, "pinned key 1 must survive")
             }
             _ => panic!("expected replacement of the unpinned way"),
@@ -838,7 +830,9 @@ mod tests {
                 panic!()
             }
         }
-        assert!(d.allocate_excluding(3, 10, |_| true).is_none());
+        let before = d.stats();
+        assert!(matches!(d.access(3, 10, |_| true), Err(1)), "blocker is the first way");
+        assert_eq!(d.stats(), before, "a stall touches no statistics");
         // Nothing was displaced.
         assert!(d.probe(1).is_some() && d.probe(2).is_some());
     }

@@ -164,32 +164,19 @@ impl DirectoryStore {
                     .get_or_insert_with(|| DirEntry::new(self.scheme, self.clusters)),
             ),
             Backing::Overflow(od) => EntryAccess::Ready(od.entry_mut(key, now)),
-            Backing::Sparse(sd) => {
-                if sd.would_stall(key, &pinned) {
-                    // Report a pinned resident of the set as the blocker.
-                    let blocker = sd
-                        .resident_set_keys(key)
-                        .into_iter()
-                        .find(|&k| pinned(k))
-                        .expect("stall implies a pinned resident");
-                    return EntryAccess::Stalled { blocker };
-                }
-                match sd
-                    .allocate_excluding(key, now, &pinned)
-                    .expect("stall pre-checked")
-                {
-                    Allocation::Hit(e) | Allocation::Inserted(e) => EntryAccess::Ready(e),
-                    Allocation::Replaced {
-                        victim_key,
-                        victim,
-                        entry,
-                    } => EntryAccess::Displaced {
-                        victim_key,
-                        victim,
-                        entry,
-                    },
-                }
-            }
+            Backing::Sparse(sd) => match sd.access(key, now, pinned) {
+                Err(blocker) => EntryAccess::Stalled { blocker },
+                Ok(Allocation::Hit(e) | Allocation::Inserted(e)) => EntryAccess::Ready(e),
+                Ok(Allocation::Replaced {
+                    victim_key,
+                    victim,
+                    entry,
+                }) => EntryAccess::Displaced {
+                    victim_key,
+                    victim,
+                    entry,
+                },
+            },
         }
     }
 

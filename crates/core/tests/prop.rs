@@ -174,6 +174,9 @@ proptest! {
     fn superset_invariant(scheme in scheme_strategy(), seq in sharer_seq()) {
         let (e, truth) = replay(scheme, &seq);
         let sup = e.sharer_superset();
+        let mut reused = NodeSet::full(3);
+        e.sharer_superset_into(&mut reused);
+        prop_assert_eq!(&reused, &sup, "refilling a used set");
         for &n in &truth {
             prop_assert!(sup.contains(n), "{scheme:?}: true sharer {n} uncovered");
             prop_assert!(e.covers(n));
@@ -306,6 +309,62 @@ proptest! {
         }
     }
 
+    /// The single-pass `access` against the three-call sequence it
+    /// replaced (`would_stall`, then the first pinned resident as the
+    /// blocker, then `allocate_excluding`), kept below as [`OldSparse`]:
+    /// same outcomes, blockers, victims, residents and statistics under
+    /// every policy, for power-of-two (masked) and other set counts.
+    #[test]
+    fn sparse_access_matches_the_three_pass_sequence(
+        ops in prop::collection::vec((0u8..8, 0u64..32, any::<u32>(), 0u16..P as u16), 1..400),
+        ways in 1usize..=4,
+        sets in 1usize..=6,
+        policy_idx in 0usize..3,
+    ) {
+        let policy = [Replacement::Lru, Replacement::Random, Replacement::Lra][policy_idx];
+        let scheme = Scheme::dir_cv(2, 4);
+        let mut new = SparseDirectory::new(scheme, P, sets * ways, ways, policy, 11);
+        let mut old = OldSparse::new(scheme, P, sets * ways, ways, policy, 11);
+        for (t, &(op, key, pins, node)) in ops.iter().enumerate() {
+            let t = t as u64;
+            // Pin keys by a bitmask over the 32-key universe.
+            let pinned = |k: u64| pins >> (k % 32) & 1 == 1;
+            match op {
+                // Mostly allocations, with lookups and drops mixed in.
+                0..=4 => {
+                    let got = match new.access(key, t, pinned) {
+                        Err(blocker) => (Outcome::Stalled(blocker), None),
+                        Ok(scd_core::sparse::Allocation::Hit(e)) => (Outcome::Hit, Some(e)),
+                        Ok(scd_core::sparse::Allocation::Inserted(e)) => (Outcome::Inserted, Some(e)),
+                        Ok(scd_core::sparse::Allocation::Replaced { victim_key, victim, entry }) => {
+                            (Outcome::Replaced(victim_key, victim), Some(entry))
+                        }
+                    };
+                    let want = old.access(key, t, pinned);
+                    prop_assert_eq!(&got.0, &want.0);
+                    // The same protocol action on both: add a sharer, or
+                    // (one time in five) empty the entry out.
+                    for e in [got.1, want.1.and_then(|i| old.entry_mut(i))].into_iter().flatten() {
+                        if node % 5 == 0 {
+                            e.clear();
+                        } else {
+                            let _ = e.add_sharer(node);
+                        }
+                    }
+                }
+                5 | 6 => {
+                    let got = new.lookup(key, t).cloned();
+                    prop_assert_eq!(got, old.lookup(key, t));
+                }
+                _ => prop_assert_eq!(new.invalidate_key(key), old.invalidate_key(key)),
+            }
+            prop_assert_eq!(new.stats(), old.stats);
+            for k in 0..32 {
+                prop_assert_eq!(new.probe(k), old.probe(k));
+            }
+        }
+    }
+
     #[test]
     fn overhead_is_monotone_in_sparsity(clusters in 1usize..=256, log_s in 0u32..=8) {
         let spec = scd_core::MachineSpec::paper_defaults(clusters.max(1));
@@ -400,5 +459,162 @@ proptest! {
         }
         prop_assert_eq!(s.select(oracle.len()), None);
         prop_assert_eq!(s.first(), oracle.first().copied());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sparse directory's allocation path as it was before `access`: a
+// `would_stall` pre-check, the first pinned resident as the blocker, then
+// `allocate_excluding` with its `eligible` vector. The reference for
+// `sparse_access_matches_the_three_pass_sequence`.
+// ---------------------------------------------------------------------------
+
+/// What one allocation did, owned so both sides compare by value.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Hit,
+    Inserted,
+    Replaced(u64, DirEntry),
+    Stalled(u64),
+}
+
+#[derive(Clone)]
+struct OldSlot {
+    key: u64,
+    valid: bool,
+    entry: DirEntry,
+    last_use: u64,
+    allocated: u64,
+}
+
+struct OldSparse {
+    scheme: Scheme,
+    clusters: usize,
+    sets: usize,
+    ways: usize,
+    policy: Replacement,
+    slots: Vec<OldSlot>,
+    stats: scd_core::SparseStats,
+    rng_state: u64,
+}
+
+impl OldSparse {
+    fn new(scheme: Scheme, clusters: usize, entries: usize, ways: usize, policy: Replacement, seed: u64) -> Self {
+        let slot = OldSlot { key: 0, valid: false, entry: DirEntry::new(scheme, clusters), last_use: 0, allocated: 0 };
+        OldSparse {
+            scheme,
+            clusters,
+            sets: entries / ways,
+            ways,
+            policy,
+            slots: vec![slot; entries],
+            stats: Default::default(),
+            rng_state: seed | 1,
+        }
+    }
+
+    fn set_range(&self, key: u64) -> std::ops::Range<usize> {
+        let set = (key % self.sets as u64) as usize;
+        set * self.ways..(set + 1) * self.ways
+    }
+
+    fn next_random(&mut self) -> u64 {
+        let mut x = self.rng_state;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.rng_state = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn entry_mut(&mut self, idx: usize) -> Option<&mut DirEntry> {
+        Some(&mut self.slots[idx].entry)
+    }
+
+    fn lookup(&mut self, key: u64, now: u64) -> Option<DirEntry> {
+        for idx in self.set_range(key) {
+            if self.slots[idx].valid && self.slots[idx].key == key {
+                self.stats.hits += 1;
+                self.slots[idx].last_use = now;
+                return Some(self.slots[idx].entry.clone());
+            }
+        }
+        self.stats.misses += 1;
+        None
+    }
+
+    fn probe(&self, key: u64) -> Option<&DirEntry> {
+        self.set_range(key).map(|i| &self.slots[i]).find(|s| s.valid && s.key == key).map(|s| &s.entry)
+    }
+
+    fn invalidate_key(&mut self, key: u64) -> bool {
+        for idx in self.set_range(key) {
+            if self.slots[idx].valid && self.slots[idx].key == key {
+                self.slots[idx].valid = false;
+                self.slots[idx].entry.clear();
+                return true;
+            }
+        }
+        false
+    }
+
+    fn would_stall(&self, key: u64, banned: impl Fn(u64) -> bool) -> bool {
+        let range = self.set_range(key);
+        if range.clone().any(|i| self.slots[i].valid && self.slots[i].key == key) {
+            return false;
+        }
+        if range.clone().any(|i| !self.slots[i].valid || self.slots[i].entry.is_empty()) {
+            return false;
+        }
+        range.into_iter().all(|i| banned(self.slots[i].key))
+    }
+
+    fn resident_set_keys(&self, key: u64) -> Vec<u64> {
+        self.set_range(key).map(|i| &self.slots[i]).filter(|s| s.valid).map(|s| s.key).collect()
+    }
+
+    /// The store's old sequence; the slot index of the entry the caller
+    /// goes on to use, when there is one.
+    fn access(&mut self, key: u64, now: u64, banned: impl Fn(u64) -> bool) -> (Outcome, Option<usize>) {
+        if self.would_stall(key, &banned) {
+            let blocker = self.resident_set_keys(key).into_iter().find(|&k| banned(k)).unwrap();
+            return (Outcome::Stalled(blocker), None);
+        }
+        let range = self.set_range(key);
+        if let Some(idx) = range.clone().find(|&i| self.slots[i].valid && self.slots[i].key == key) {
+            self.stats.hits += 1;
+            self.slots[idx].last_use = now;
+            return (Outcome::Hit, Some(idx));
+        }
+        self.stats.misses += 1;
+        if let Some(idx) = range.clone().find(|&i| !self.slots[i].valid || self.slots[i].entry.is_empty()) {
+            self.stats.fills += 1;
+            let slot = &mut self.slots[idx];
+            slot.key = key;
+            slot.valid = true;
+            slot.entry.clear();
+            slot.last_use = now;
+            slot.allocated = now;
+            return (Outcome::Inserted, Some(idx));
+        }
+        let eligible: Vec<usize> = range.clone().filter(|&i| !banned(self.slots[i].key)).collect();
+        let victim_idx = match self.policy {
+            Replacement::Lru => eligible.iter().copied().min_by_key(|&i| self.slots[i].last_use).unwrap(),
+            Replacement::Lra => eligible.iter().copied().min_by_key(|&i| self.slots[i].allocated).unwrap(),
+            Replacement::Random => {
+                let off = (self.next_random() % eligible.len() as u64) as usize;
+                eligible[off]
+            }
+        };
+        self.stats.replacements += 1;
+        let victim_key = self.slots[victim_idx].key;
+        let slot = &mut self.slots[victim_idx];
+        let mut victim = DirEntry::new(self.scheme, self.clusters);
+        std::mem::swap(&mut victim, &mut slot.entry);
+        slot.key = key;
+        slot.valid = true;
+        slot.last_use = now;
+        slot.allocated = now;
+        (Outcome::Replaced(victim_key, victim), Some(victim_idx))
     }
 }

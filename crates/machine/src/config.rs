@@ -390,7 +390,12 @@ impl MachineConfig {
 
     /// Byte address to block number.
     pub fn block_of(&self, addr: u64) -> u64 {
-        addr / self.block_bytes
+        let b = self.block_bytes;
+        if b.is_power_of_two() {
+            addr >> b.trailing_zeros()
+        } else {
+            addr / b
+        }
     }
 
     /// Home cluster of a block: round-robin interleaving across clusters,
@@ -398,7 +403,8 @@ impl MachineConfig {
     /// across all clusters and allocated to the clusters using a
     /// round-robin scheme").
     pub fn home_of(&self, block: u64) -> usize {
-        (block % self.clusters as u64) as usize
+        let c = self.clusters as u64;
+        (if c.is_power_of_two() { block & (c - 1) } else { block % c }) as usize
     }
 
     /// Directory-store key for `block`: the *home-local* block index.
@@ -409,8 +415,16 @@ impl MachineConfig {
     /// into a single set. The quotient is also dense — a home's `k`-th
     /// block has key `k` — which is what lets home-side tables be indexed
     /// by it directly.
+    ///
+    /// Both mappings are a mask or a shift when `clusters` is a power of
+    /// two, as the paper's machines are; other counts divide.
     pub fn dir_key(&self, block: u64) -> u64 {
-        block / self.clusters as u64
+        let c = self.clusters as u64;
+        if c.is_power_of_two() {
+            block >> c.trailing_zeros()
+        } else {
+            block / c
+        }
     }
 
     /// Home cluster of lock `l`.
@@ -474,6 +488,26 @@ mod tests {
         assert_eq!(c.block_of(16), 1);
         assert_eq!(c.home_of(0), 0);
         assert_eq!(c.home_of(33), 1);
+    }
+
+    #[test]
+    fn shift_and_mask_mappings_equal_division() {
+        for clusters in [1, 3, 32, 64] {
+            for block_bytes in [16, 24] {
+                let c = MachineConfig {
+                    clusters,
+                    block_bytes,
+                    ..MachineConfig::paper_32()
+                };
+                let n = clusters as u64;
+                let samples = (0..4096).chain([u64::MAX - 1, u64::MAX, 1 << 40, (1 << 40) + 7]);
+                for x in samples {
+                    assert_eq!(c.home_of(x), (x % n) as usize, "home_of({x}) at {clusters}");
+                    assert_eq!(c.dir_key(x), x / n, "dir_key({x}) at {clusters}");
+                    assert_eq!(c.block_of(x), x / block_bytes, "block_of({x}) at {block_bytes}");
+                }
+            }
+        }
     }
 
     #[test]

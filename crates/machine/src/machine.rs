@@ -399,6 +399,7 @@ impl Machine {
     /// exploration stepper share it so a checked interleaving exercises
     /// exactly the code a production run does.
     fn process_event(&mut self, t: Cycle, ev: Ev) -> Result<(), SimError> {
+        self.eng.check_not_behind_clock(t)?;
         let eng = &mut self.eng;
         if eng.cfg.max_cycles > 0 && t > eng.cfg.max_cycles {
             let detail = format!(
@@ -1273,6 +1274,17 @@ impl Engine {
         }
     }
 
+    /// The wheel delivers an event from the past without rewinding its
+    /// clock; handling one at `t` would corrupt every later timestamp.
+    fn check_not_behind_clock(&self, t: Cycle) -> Result<(), SimError> {
+        let now = self.queue.now();
+        if t < now {
+            let detail = format!("delivery would move the clock backwards ({t} < {now})");
+            return Err(SimError::InvariantViolation(self.post_mortem(t, detail)));
+        }
+        Ok(())
+    }
+
     /// Snapshot of the machine for a [`SimError`]. Boxed because the
     /// snapshot is large and `try_run`'s `Ok` path should stay lean.
     fn post_mortem(&self, cycle: Cycle, detail: String) -> Box<PostMortem> {
@@ -1433,6 +1445,12 @@ pub mod testing {
             e.clear();
         }
         dir.release_if_empty(key);
+    }
+
+    /// Moves the wheel's clock to `t` without delivering anything, so a
+    /// pending event earlier than `t` is delivered from the past.
+    pub fn warp_clock(m: &mut Machine, t: Cycle) {
+        m.eng.queue.warp_clock(t);
     }
 
     /// Marks `block` busy in the home serializer, as if a transaction never

@@ -22,7 +22,9 @@ enum DirAction {
     SelfOwned,
     Forward { owner: usize },
     Supply { nb_evict: Option<usize> },
-    Grant { inval_targets: NodeSet },
+    /// Ownership granted; the invalidation targets are in
+    /// [`DashState::inval_targets`].
+    Grant,
 }
 
 struct ReplacementWork {
@@ -67,12 +69,27 @@ struct DashNode {
 #[derive(Clone)]
 pub(crate) struct DashState {
     nodes: Vec<DashNode>,
+    /// The invalidation targets of the grant being processed, filled in
+    /// place by `dir_decide` and read by the grant's fanout.
+    inval_targets: Scratch,
+}
+
+/// A target set reused across home requests so a write grant allocates
+/// nothing. It holds no state between events: a cloned machine starts it
+/// empty, and it is not part of the state digest.
+struct Scratch(NodeSet);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch(NodeSet::new(0))
+    }
 }
 
 impl DashState {
     pub(crate) fn new(clusters: usize) -> Self {
         DashState {
             nodes: vec![DashNode::default(); clusters],
+            inval_targets: Scratch(NodeSet::new(0)),
         }
     }
 
@@ -546,7 +563,8 @@ impl DashState {
                 let version = m.memory_version(home, block);
                 m.send(t + tm.bus_memory, home, requester, MsgKind::ReadReply { block, version });
             }
-            DirAction::Grant { inval_targets } => {
+            DirAction::Grant => {
+                let inval_targets = &self.inval_targets.0;
                 m.inval_hist.record(inval_targets.len());
                 m.telemetry.inval(t, home, block, inval_targets.len() as u32, "write");
                 if !inval_targets.is_empty() {
@@ -582,21 +600,24 @@ impl DashState {
                         .ser
                         .mark_busy(block, BusyReason::AwaitHomeWrite);
                 }
-                let mut members: Vec<usize> = Vec::new();
-                inval_targets.for_each_member(|c| members.push(c as usize));
-                if m.mutation == Some(explore::Mutation::SkipInval) {
+                let skipped = if m.mutation == Some(explore::Mutation::SkipInval) {
                     // Test-only protocol bug: silently forget one sharer.
                     // The ack count is lowered to match so the write still
                     // completes — leaving a coherence violation (a stale
                     // copy outliving the new ownership epoch) rather than a
                     // deadlock, which is the class of bug the model checker
                     // exists to catch.
-                    members.pop();
-                }
-                let n = members.len() as u32;
-                for c in members {
-                    m.send(t + tm.bus_memory, home, c, MsgKind::Inval { block, requester });
-                }
+                    inval_targets.iter().last()
+                } else {
+                    None
+                };
+                let n = (inval_targets.len() - skipped.is_some() as usize) as u32;
+                inval_targets.for_each_member(|c| {
+                    if Some(c) != skipped {
+                        let kind = MsgKind::Inval { block, requester };
+                        m.send(t + tm.bus_memory, home, c as usize, kind);
+                    }
+                });
                 m.send(
                     t + tm.bus_memory,
                     home,
@@ -732,14 +753,15 @@ impl DashState {
             }
             _ => {
                 if is_write {
-                    let mut targets = entry.invalidation_targets(requester as NodeId);
+                    let targets = &mut self.inval_targets.0;
+                    entry.sharer_superset_into(targets);
+                    targets.remove(requester as NodeId);
                     targets.remove(home as NodeId);
                     if patterns_on {
                         fanout_sample = Some(telemetry::FanoutSample {
                             precise: entry.is_precise(),
                             kind: entry.repr_kind(),
                             regions: entry.coarse_regions_set(),
-                            targets: targets.clone(),
                         });
                     }
                     if requester == home {
@@ -749,9 +771,7 @@ impl DashState {
                     } else {
                         entry.make_dirty(requester as NodeId);
                     }
-                    DirAction::Grant {
-                        inval_targets: targets,
-                    }
+                    DirAction::Grant
                 } else {
                     // The sharer is recorded below, once the entry borrow
                     // ends (the organization may promote/displace).
@@ -773,7 +793,7 @@ impl DashState {
         // been empty until the new sharer was recorded).
         m.clusters[home].dir.release_if_empty(key);
         if let Some(sample) = fanout_sample {
-            m.telemetry.fanout(&m.clusters, block, &sample);
+            m.telemetry.fanout(&m.clusters, block, &sample, &self.inval_targets.0);
         }
         (action, replacement)
     }

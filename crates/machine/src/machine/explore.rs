@@ -279,6 +279,8 @@ impl Machine {
             .queue
             .pop_ready(choice.idx())
             .expect("exploration choice out of range");
+        // Fault edges never reach `process_event`, which checks this too.
+        self.eng.check_not_behind_clock(t)?;
         match choice {
             Choice::Ready { .. } => self.process_event(t, ev),
             Choice::Nack { .. } => {

@@ -172,7 +172,6 @@ pub(crate) struct FanoutSample {
     pub(crate) precise: bool,
     pub(crate) kind: scd_core::ReprKind,
     pub(crate) regions: Option<usize>,
-    pub(crate) targets: NodeSet,
 }
 
 /// One machine part's telemetry state. Inert (and allocation-free) unless
@@ -613,14 +612,20 @@ impl Recorder {
     /// the entry's representation was, and how much of the invalidation
     /// superset actually held the block ("present" — the rest is
     /// imprecision waste). Only called when `patterns` is on.
-    pub(crate) fn fanout(&mut self, clusters: &[ClusterNode], block: u64, s: &FanoutSample) {
+    pub(crate) fn fanout(
+        &mut self,
+        clusters: &[ClusterNode],
+        block: u64,
+        s: &FanoutSample,
+        targets: &NodeSet,
+    ) {
         let mut present = 0u64;
-        s.targets.for_each_member(|c| {
+        targets.for_each_member(|c| {
             if clusters[c as usize].caches.holds(block) {
                 present += 1;
             }
         });
-        let targets = s.targets.len() as u64;
+        let targets = targets.len() as u64;
         let o = &mut self.obs;
         o.fanout_events += 1;
         if s.precise {
@@ -726,9 +731,11 @@ impl Recorder {
         let cap = clusters.len();
         let mut win = vec![0u64; cap + 1];
         let mut live = 0u64;
+        let mut sharers = NodeSet::new(cap);
         for c in clusters {
             c.dir.for_each_live(|_, e| {
-                win[e.sharer_superset().len().min(cap)] += 1;
+                e.sharer_superset_into(&mut sharers);
+                win[sharers.len().min(cap)] += 1;
                 live += 1;
             });
         }

@@ -41,7 +41,7 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-/// A slot of [`Cache::lines`]: the block number above two state bits.
+/// The line word of a [`Cache`] way: the block number above two state bits.
 /// Zero is "no line here", so a cache built from zeroed vectors is empty.
 const STATE_BITS: u32 = 2;
 const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
@@ -66,11 +66,12 @@ fn decode(line: u64) -> Option<(Block, LineState)> {
 
 /// A set-associative, LRU-replaced cache keyed by block number.
 ///
-/// Way `w` of set `s` lives at index `s * ways + w` of two parallel
-/// vectors: the line (block and state in one word, so a lookup reads one
-/// array) and its last use. Both start zeroed, which the allocator hands
-/// out as untouched zero pages: building a cache writes nothing, and a
-/// set's memory is first touched when the set is first used.
+/// Way `w` of set `s` is `ways[s * ways + w]`: the line (block and state
+/// in one word) beside its last use, so a set's lookup and its LRU update
+/// read the same host cache lines. The vector starts zeroed, which the
+/// allocator hands out as untouched zero pages: building a cache writes
+/// nothing, and a set's memory is first touched when the set is first
+/// used.
 #[derive(Clone, Debug)]
 pub struct Cache {
     sets: usize,
@@ -78,8 +79,8 @@ pub struct Cache {
     /// `sets - 1` when `sets` is a power of two: the set index is then
     /// `block & mask`, sparing every probe a 64-bit division.
     set_mask: Option<u64>,
-    lines: Vec<u64>,
-    last_use: Vec<u64>,
+    /// `[line, last_use]` per way.
+    slots: Vec<[u64; 2]>,
     stats: CacheStats,
 }
 
@@ -99,15 +100,14 @@ impl Cache {
             sets,
             ways,
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            lines: vec![INVALID; blocks],
-            last_use: vec![0; blocks],
+            slots: vec![[INVALID, 0]; blocks],
             stats: CacheStats::default(),
         }
     }
 
     /// Capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.lines.len()
+        self.slots.len()
     }
 
     /// Associativity.
@@ -128,25 +128,24 @@ impl Cache {
         set * self.ways..(set + 1) * self.ways
     }
 
-    /// The slot holding `block` and the state it is held in, if resident.
+    /// The slot holding `block` and the state it is held in, if resident:
+    /// each way is one compare of its tag bits, and only the hit decodes
+    /// its state.
     fn find(&self, block: Block) -> Option<(usize, LineState)> {
         let range = self.set_range(block);
         let start = range.start;
-        self.lines[range]
+        let way = self.slots[range]
             .iter()
-            .enumerate()
-            .find_map(|(way, &line)| {
-                decode(line)
-                    .filter(|&(tag, _)| tag == block)
-                    .map(|(_, state)| (start + way, state))
-            })
+            .position(|&[line, _]| line >> STATE_BITS == block && line != INVALID)?;
+        let (_, state) = decode(self.slots[start + way][0])?;
+        Some((start + way, state))
     }
 
     /// Looks `block` up, updating LRU and hit/miss counters.
     pub fn access(&mut self, block: Block, now: u64) -> Option<LineState> {
         match self.find(block) {
             Some((idx, state)) => {
-                self.last_use[idx] = now;
+                self.slots[idx][1] = now;
                 self.stats.hits += 1;
                 Some(state)
             }
@@ -177,21 +176,20 @@ impl Cache {
         // Update in place if present; else an empty way; else evict LRU.
         let (idx, evicted) = if let Some((idx, _)) = self.find(block) {
             (idx, None)
-        } else if let Some(idx) = range.clone().find(|&i| self.lines[i] == INVALID) {
+        } else if let Some(idx) = range.clone().find(|&i| self.slots[i][0] == INVALID) {
             (idx, None)
         } else {
             let victim = range
-                .min_by_key(|&i| self.last_use[i])
+                .min_by_key(|&i| self.slots[i][1])
                 .expect("non-zero associativity");
-            let (block, state) = decode(self.lines[victim]).expect("a full set holds lines");
+            let (block, state) = decode(self.slots[victim][0]).expect("a full set holds lines");
             self.stats.evictions += 1;
             if state == LineState::Dirty {
                 self.stats.dirty_evictions += 1;
             }
             (victim, Some(Evicted { block, state }))
         };
-        self.lines[idx] = encode(block, state);
-        self.last_use[idx] = now;
+        self.slots[idx] = [encode(block, state), now];
         evicted
     }
 
@@ -199,7 +197,7 @@ impl Cache {
     pub fn set_state(&mut self, block: Block, state: LineState) -> bool {
         match self.find(block) {
             Some((idx, _)) => {
-                self.lines[idx] = encode(block, state);
+                self.slots[idx][0] = encode(block, state);
                 true
             }
             None => false,
@@ -209,7 +207,7 @@ impl Cache {
     /// Removes `block`; returns its state if it was present.
     pub fn invalidate(&mut self, block: Block) -> Option<LineState> {
         let (idx, state) = self.find(block)?;
-        self.lines[idx] = INVALID;
+        self.slots[idx][0] = INVALID;
         self.stats.invalidations += 1;
         Some(state)
     }
@@ -221,7 +219,7 @@ impl Cache {
 
     /// Iterates over all resident blocks and their states.
     pub fn resident(&self) -> impl Iterator<Item = (Block, LineState)> + '_ {
-        self.lines.iter().filter_map(|&line| decode(line))
+        self.slots.iter().filter_map(|&[line, _]| decode(line))
     }
 
     /// Hashes the cache's protocol-visible state into `h` for
@@ -233,13 +231,14 @@ impl Cache {
     /// are excluded.
     pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
         let mut occupied = 0;
-        for (i, &line) in self.lines.iter().enumerate() {
+        for (i, &[line, used]) in self.slots.iter().enumerate() {
             if line == INVALID {
                 continue;
             }
             let first_way = i - i % self.ways;
-            let rank = (first_way..first_way + self.ways)
-                .filter(|&j| self.lines[j] != INVALID && self.last_use[j] < self.last_use[i])
+            let rank = self.slots[first_way..first_way + self.ways]
+                .iter()
+                .filter(|&&[other, other_used]| other != INVALID && other_used < used)
                 .count();
             h.write_usize(i);
             h.write_u64(line);

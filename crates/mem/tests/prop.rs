@@ -3,8 +3,8 @@
 //! sequences.
 
 use proptest::prelude::*;
-use scd_mem::{Cache, CacheHierarchy, LineState};
-use std::collections::HashSet;
+use scd_mem::{Cache, CacheHierarchy, CacheStats, Evicted, LineState};
+use std::collections::{BTreeMap, HashSet};
 
 #[derive(Clone, Debug)]
 enum CacheOp {
@@ -113,5 +113,120 @@ proptest! {
             }
             last_use.insert(b, now);
         }
+    }
+
+    /// The one-array cache against a model that keeps each set as a
+    /// `BTreeMap` from block to `(state, last use)` and evicts the least
+    /// recently used: same answers, evictions, statistics and residents,
+    /// for 1/2/4-way caches with masked (power-of-two) and remainder
+    /// (other) set counts.
+    #[test]
+    fn cache_matches_a_map_per_set_lru_model(
+        ops in prop::collection::vec(op_strategy(), 1..400),
+        ways_idx in 0usize..3,
+        sets_idx in 0usize..6,
+    ) {
+        let ways = [1, 2, 4][ways_idx];
+        let sets = [1, 2, 3, 4, 5, 8][sets_idx];
+        let mut c = Cache::new(sets * ways, ways);
+        let mut model = LruModel::new(sets, ways);
+        // Every operation has its own time, so LRU never sees a tie.
+        for (now, op) in (1u64..).zip(ops) {
+            match op {
+                CacheOp::Access(b) => prop_assert_eq!(c.access(b, now), model.access(b, now)),
+                CacheOp::Insert(b, d) => {
+                    let st = if d { LineState::Dirty } else { LineState::Shared };
+                    prop_assert_eq!(c.insert(b, st, now), model.insert(b, st, now));
+                }
+                CacheOp::Invalidate(b) => prop_assert_eq!(c.invalidate(b), model.invalidate(b)),
+                CacheOp::Upgrade(b) => {
+                    prop_assert_eq!(c.set_state(b, LineState::Dirty), model.set_state(b, LineState::Dirty));
+                }
+                CacheOp::Downgrade(b) => {
+                    prop_assert_eq!(c.set_state(b, LineState::Shared), model.set_state(b, LineState::Shared));
+                }
+            }
+            prop_assert_eq!(c.stats(), model.stats);
+            let mut resident: Vec<_> = c.resident().collect();
+            resident.sort_unstable();
+            prop_assert_eq!(resident, model.resident());
+            for b in 0..64 {
+                prop_assert_eq!(c.probe(b), model.probe(b));
+            }
+        }
+    }
+}
+
+/// Reference LRU cache: set `block % sets` is a map from block to its
+/// state and last use, holding at most `ways` lines.
+struct LruModel {
+    sets: Vec<BTreeMap<u64, (LineState, u64)>>,
+    ways: usize,
+    stats: CacheStats,
+}
+
+impl LruModel {
+    fn new(sets: usize, ways: usize) -> Self {
+        LruModel { sets: vec![BTreeMap::new(); sets], ways, stats: CacheStats::default() }
+    }
+
+    fn set(&mut self, block: u64) -> &mut BTreeMap<u64, (LineState, u64)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(block % n) as usize]
+    }
+
+    fn probe(&self, block: u64) -> Option<LineState> {
+        let n = self.sets.len() as u64;
+        self.sets[(block % n) as usize].get(&block).map(|&(state, _)| state)
+    }
+
+    fn access(&mut self, block: u64, now: u64) -> Option<LineState> {
+        let hit = self.set(block).get_mut(&block).map(|line| {
+            line.1 = now;
+            line.0
+        });
+        match hit {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        hit
+    }
+
+    fn insert(&mut self, block: u64, state: LineState, now: u64) -> Option<Evicted> {
+        let ways = self.ways;
+        let set = self.set(block);
+        let victim = if set.contains_key(&block) || set.len() < ways {
+            None
+        } else {
+            let (&lru, _) = set.iter().min_by_key(|(_, &(_, used))| used).expect("a full set");
+            let (state, _) = set.remove(&lru).expect("resident");
+            Some(Evicted { block: lru, state })
+        };
+        set.insert(block, (state, now));
+        if let Some(ev) = victim {
+            self.stats.evictions += 1;
+            if ev.state == LineState::Dirty {
+                self.stats.dirty_evictions += 1;
+            }
+        }
+        victim
+    }
+
+    fn set_state(&mut self, block: u64, state: LineState) -> bool {
+        self.set(block).get_mut(&block).map(|line| line.0 = state).is_some()
+    }
+
+    fn invalidate(&mut self, block: u64) -> Option<LineState> {
+        let gone = self.set(block).remove(&block).map(|(state, _)| state);
+        if gone.is_some() {
+            self.stats.invalidations += 1;
+        }
+        gone
+    }
+
+    fn resident(&self) -> Vec<(u64, LineState)> {
+        let mut all: Vec<_> = self.sets.iter().flatten().map(|(&b, &(s, _))| (b, s)).collect();
+        all.sort_unstable();
+        all
     }
 }

@@ -35,6 +35,6 @@ pub mod sync;
 
 pub use arena::{MsgArena, MsgRef};
 pub use msg::{Msg, MsgKind};
-pub use rac::{Mshr, MshrKind, Rac};
+pub use rac::{Mshr, MshrKind, Rac, Waiters};
 pub use serializer::{BusyReason, EarlyKind, HomeSerializer, QueuedReq};
 pub use sync::{BarrierManager, LockManager, LockOutcome, UnlockOutcome};

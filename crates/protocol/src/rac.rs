@@ -20,6 +20,86 @@ pub enum MshrKind {
     Write,
 }
 
+/// Waiters a [`Waiters`] list holds in place before it spills to the heap:
+/// a miss usually has one, and merges beyond four are rare.
+const INLINE_WAITERS: usize = 4;
+
+/// The `(processor, kind)` list of one MSHR, in arrival order. The first
+/// [`INLINE_WAITERS`] live inside the MSHR, so starting a transaction
+/// allocates nothing; it compares, hashes and iterates as its slice.
+#[derive(Clone)]
+pub enum Waiters {
+    /// Up to [`INLINE_WAITERS`] waiters: the first `len` of the array.
+    Inline(u8, [(usize, MshrKind); INLINE_WAITERS]),
+    /// More than that, on the heap.
+    Spilled(Vec<(usize, MshrKind)>),
+}
+
+impl Waiters {
+    /// A list holding `first` alone.
+    pub fn one(first: (usize, MshrKind)) -> Self {
+        let mut items = [(0, MshrKind::Read); INLINE_WAITERS];
+        items[0] = first;
+        Waiters::Inline(1, items)
+    }
+
+    /// Appends `w`, spilling to the heap past [`INLINE_WAITERS`].
+    pub fn push(&mut self, w: (usize, MshrKind)) {
+        match self {
+            Waiters::Inline(len, items) if (*len as usize) < INLINE_WAITERS => {
+                items[*len as usize] = w;
+                *len += 1;
+            }
+            Waiters::Inline(_, items) => {
+                let mut spilled = items.to_vec();
+                spilled.push(w);
+                *self = Waiters::Spilled(spilled);
+            }
+            Waiters::Spilled(v) => v.push(w),
+        }
+    }
+}
+
+impl std::ops::Deref for Waiters {
+    type Target = [(usize, MshrKind)];
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Waiters::Inline(len, items) => &items[..*len as usize],
+            Waiters::Spilled(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Waiters {
+    type Item = &'a (usize, MshrKind);
+    type IntoIter = std::slice::Iter<'a, (usize, MshrKind)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Waiters {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Waiters {}
+
+impl std::hash::Hash for Waiters {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        (**self).hash(h);
+    }
+}
+
+impl std::fmt::Debug for Waiters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One outstanding transaction of a cluster.
 #[derive(Clone, Debug, Hash)]
 pub struct Mshr {
@@ -28,7 +108,7 @@ pub struct Mshr {
     /// Local processors blocked on this transaction, with the kind of
     /// access each wanted (a processor whose want is stronger than the
     /// MSHR's kind must reissue when the MSHR completes).
-    pub waiters: Vec<(usize, MshrKind)>,
+    pub waiters: Waiters,
     /// `Some(n)` once the ownership reply told us how many acks to expect.
     pub acks_expected: Option<u32>,
     /// Acks received so far (acks may overtake the ownership reply).
@@ -148,7 +228,7 @@ impl Rac {
             Err(at) => {
                 let mshr = Mshr {
                     kind,
-                    waiters: vec![(proc, kind)],
+                    waiters: Waiters::one((proc, kind)),
                     acks_expected: None,
                     acks_received: 0,
                     reply_received: false,
@@ -376,7 +456,7 @@ mod tests {
         assert_eq!(rac.start(5, MshrKind::Read, 1), StartOutcome::Merged);
         assert!(rac.has_mshr(5));
         let m = rac.read_reply(5);
-        assert_eq!(m.waiters, vec![(0, MshrKind::Read), (1, MshrKind::Read)]);
+        assert_eq!(*m.waiters, [(0, MshrKind::Read), (1, MshrKind::Read)]);
         assert!(!rac.has_mshr(5));
     }
 
@@ -538,8 +618,8 @@ mod tests {
         assert!(rac.write_reply(16, 1, 7).is_none());
         let read = rac.read_reply(40);
         assert_eq!(
-            read.waiters,
-            vec![
+            *read.waiters,
+            [
                 (0, MshrKind::Read),
                 (1, MshrKind::Read),
                 (3, MshrKind::Write)
@@ -547,8 +627,8 @@ mod tests {
         );
         let write = rac.write_reply(8, 0, 3).expect("no acks owed");
         assert_eq!(
-            write.waiters,
-            vec![(1, MshrKind::Write), (0, MshrKind::Read)]
+            *write.waiters,
+            [(1, MshrKind::Write), (0, MshrKind::Read)]
         );
         assert_eq!(write.version, 3);
         assert!(
@@ -578,6 +658,27 @@ mod tests {
         assert_eq!(digest(&a), digest(&b));
         b.read_reply(24);
         assert_ne!(digest(&a), digest(&b));
+    }
+
+    #[test]
+    fn waiters_spill_past_the_inline_four_and_hash_as_their_slice() {
+        use std::hash::{Hash, Hasher};
+        let digest = |x: &dyn Fn(&mut std::collections::hash_map::DefaultHasher)| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            x(&mut h);
+            h.finish()
+        };
+        let all: Vec<_> = (0..7)
+            .map(|p| (p, if p % 3 == 0 { MshrKind::Write } else { MshrKind::Read }))
+            .collect();
+        let mut w = Waiters::one(all[0]);
+        for (n, &x) in all.iter().enumerate().skip(1) {
+            w.push(x);
+            assert_eq!(matches!(w, Waiters::Inline(..)), n < INLINE_WAITERS);
+            assert_eq!(*w, all[..=n]);
+            assert_eq!(digest(&|h| w.hash(h)), digest(&|h| all[..=n].to_vec().hash(h)));
+        }
+        assert_eq!(format!("{w:?}"), format!("{all:?}"));
     }
 
     #[test]

@@ -300,8 +300,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Unlinks the `idx`-th event of `slot`'s bucket, frees its node and
-    /// delivers it: the clock moves to its time. `None` (and no change) if
-    /// the bucket has no such event.
+    /// delivers it: the clock moves to its time, never backwards (see
+    /// [`EventQueue::pop`]). `None` (and no change) if the bucket has no
+    /// such event.
     fn deliver(&mut self, slot: usize, idx: usize) -> Option<(Cycle, E)> {
         let (mut prev, mut at) = (NIL, self.ring[slot].head);
         for _ in 0..idx {
@@ -326,10 +327,7 @@ impl<E> EventQueue<E> {
         node.next = self.free_head;
         self.free_head = at;
         self.in_wheel -= 1;
-        // Always-on: delivering into the past would silently corrupt the
-        // clock for every later event.
-        assert!(time >= self.now, "delivery would move the clock backwards");
-        self.now = time;
+        self.now = self.now.max(time);
         self.delivered += 1;
         Some((time, event.expect("linked node holds no event")))
     }
@@ -438,6 +436,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Delivers the next event, advancing the clock to its time.
+    ///
+    /// An event whose time is behind the clock (only a corrupted queue
+    /// holds one: every schedule refuses the past) is delivered with its
+    /// own time and leaves the clock where it was, so `time < now()` after
+    /// the pop reports it; the caller decides how to fail.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let slot = self.front_slot()?;
         Some(
@@ -475,7 +478,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Delivers the `idx`-th event of the ready set (delivery order within
-    /// the earliest cycle), advancing the clock to its time. `pop_ready(0)` is
+    /// the earliest cycle), advancing the clock to its time as
+    /// [`EventQueue::pop`] does. `pop_ready(0)` is
     /// exactly [`EventQueue::pop`]; larger indices let an explorer branch
     /// over alternative same-cycle delivery orders. Returns `None` if the
     /// queue is empty or `idx` is out of range.
@@ -511,6 +515,14 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Moves the clock to `time` without delivering anything, stranding any
+    /// pending event before `time` behind it. A corruption for tests of
+    /// the callers' `time < now()` check; no simulation calls it.
+    #[doc(hidden)]
+    pub fn warp_clock(&mut self, time: Cycle) {
+        self.now = time;
+    }
+
     /// Delivery time of the next event without consuming it.
     pub fn peek_time(&self) -> Option<Cycle> {
         if self.in_wheel == 0 {
@@ -542,6 +554,18 @@ mod tests {
         assert_eq!(q.pop(), Some((30, 'c')));
         assert_eq!(q.pop(), None);
         assert_eq!(q.delivered(), 3);
+    }
+
+    #[test]
+    fn an_event_behind_the_clock_is_reported_not_rewound_to() {
+        let mut q = EventQueue::new();
+        q.schedule_at(10, 'a');
+        q.schedule_at(5000, 'b');
+        q.warp_clock(50);
+        assert_eq!(q.pop(), Some((10, 'a')), "delivered with its own time");
+        assert_eq!(q.now(), 50, "the clock does not move backwards");
+        assert_eq!(q.pop(), Some((5000, 'b')));
+        assert_eq!(q.now(), 5000);
     }
 
     #[test]

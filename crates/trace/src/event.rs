@@ -7,7 +7,7 @@
 //! and the simulated cycle, so per-cluster ring buffers can be merged back
 //! into one causal history.
 
-use crate::json::{write_escaped, Json, Utf8};
+use crate::json::{write_escaped, Json, Key, Utf8};
 
 /// A coherence-transaction lifecycle phase (the latency breakdown the
 /// metrics registry histograms: issue → home lookup → invalidation
@@ -191,10 +191,9 @@ trait FieldVisitor {
 }
 
 /// The name inside a punctuated key: `,"cycle":` is `cycle`.
-fn bare_key(key: &[u8]) -> String {
-    std::str::from_utf8(&key[2..key.len() - 2])
-        .expect("keys are `walk`'s ASCII literals")
-        .to_string()
+fn bare_key(key: &'static [u8]) -> Key {
+    let name = std::str::from_utf8(&key[2..key.len() - 2]);
+    Key::Borrowed(name.expect("keys are `walk`'s ASCII literals"))
 }
 
 const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
@@ -275,7 +274,7 @@ impl FieldVisitor for LineWriter<'_> {
 }
 
 /// The tree builder: the same fields as a [`Json`] object's.
-struct TreeBuilder(Vec<(String, Json)>);
+struct TreeBuilder(Vec<(Key, Json)>);
 
 impl FieldVisitor for TreeBuilder {
     fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64) {

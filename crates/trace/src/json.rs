@@ -39,7 +39,38 @@ pub enum Json {
     /// Array.
     Arr(Vec<Json>),
     /// Object with insertion-ordered fields.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Key, Json)>),
+}
+
+/// An object field's name. The writers name fields with literals, which
+/// are borrowed for the program's life; a parsed or computed name is
+/// owned.
+pub type Key = Cow<'static, str>;
+
+/// What [`Json::set`] accepts as a field name: a literal is kept as the
+/// borrowed [`Key`], so naming a field allocates nothing; a `String` is
+/// moved in, a `&String` copied.
+pub trait IntoKey {
+    /// The name as a [`Key`].
+    fn into_key(self) -> Key;
+}
+
+impl IntoKey for &'static str {
+    fn into_key(self) -> Key {
+        Cow::Borrowed(self)
+    }
+}
+
+impl IntoKey for String {
+    fn into_key(self) -> Key {
+        Cow::Owned(self)
+    }
+}
+
+impl IntoKey for &String {
+    fn into_key(self) -> Key {
+        Cow::Owned(self.clone())
+    }
 }
 
 impl Json {
@@ -49,13 +80,14 @@ impl Json {
     }
 
     /// Adds (or replaces) a field on an object; panics on non-objects.
-    pub fn set(&mut self, key: &str, value: Json) -> &mut Self {
+    pub fn set(&mut self, key: impl IntoKey, value: Json) -> &mut Self {
+        let key = key.into_key();
         match self {
             Json::Obj(fields) => {
-                if let Some(f) = fields.iter_mut().find(|(k, _)| k == key) {
+                if let Some(f) = fields.iter_mut().find(|(k, _)| *k == key) {
                     f.1 = value;
                 } else {
-                    fields.push((key.to_string(), value));
+                    fields.push((key, value));
                 }
             }
             _ => panic!("Json::set on a non-object"),
@@ -64,7 +96,7 @@ impl Json {
     }
 
     /// Builder-style [`Json::set`].
-    pub fn with(mut self, key: &str, value: Json) -> Self {
+    pub fn with(mut self, key: impl IntoKey, value: Json) -> Self {
         self.set(key, value);
         self
     }
@@ -72,7 +104,7 @@ impl Json {
     /// Field lookup on objects; `None` otherwise.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(fields) => fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -125,7 +157,7 @@ impl Json {
     pub fn field_map(&self) -> Option<BTreeMap<&str, &Json>> {
         match self {
             Json::Obj(fields) => {
-                Some(fields.iter().map(|(k, v)| (k.as_str(), v)).collect())
+                Some(fields.iter().map(|(k, v)| (k.as_ref(), v)).collect())
             }
             _ => None,
         }
@@ -159,7 +191,7 @@ impl Json {
             Token::Obj => {
                 let mut fields = Vec::new();
                 while let Some(key) = lexer.key()? {
-                    fields.push((key.into_owned(), Json::read(lexer)?));
+                    fields.push((Cow::Owned(key.into_owned()), Json::read(lexer)?));
                 }
                 Json::Obj(fields)
             }

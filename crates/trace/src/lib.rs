@@ -63,7 +63,7 @@ pub use attrib::{
 };
 pub use critical::{analyze, BlockingEdge, CriticalReport, PhaseCost, TxnCost};
 pub use event::{EventKind, Phase, TraceEvent};
-pub use json::{Fields, Json};
+pub use json::{Fields, IntoKey, Json, Key};
 pub use metrics::{IntervalSnapshot, MetricsRegistry, TxnTimeline, LATENCY_BUCKET_CAP};
 pub use patterns::{
     validate_patterns_json, validate_patterns_section, PatternClass, PatternTable,

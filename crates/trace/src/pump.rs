@@ -79,7 +79,9 @@ impl StreamPump {
     pub fn flush_below(&mut self, watermark: u64) {
         self.flushed = self.flushed.max(watermark);
         while self.pending.peek_time().is_some_and(|t| t < watermark) {
-            let (_, mut ev) = self.pending.pop().expect("peeked above");
+            let (t, mut ev) = self.pending.pop().expect("peeked above");
+            // The wheel leaves its clock alone for an event from the past.
+            assert!(t >= self.pending.now(), "delivery would move the clock backwards");
             self.emitted += 1;
             ev.seq = self.emitted;
             self.line.clear();

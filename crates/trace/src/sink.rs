@@ -225,7 +225,7 @@ pub fn attrib_delta_record(
 ) -> Json {
     let mut cls = Json::obj();
     for (label, counters) in classes {
-        cls.set(label, counters.clone());
+        cls.set(*label, counters.clone());
     }
     Json::obj()
         .with("type", Json::Str("attrib_delta".into()))

@@ -266,13 +266,18 @@ impl Tracer {
     /// each having recorded a disjoint cluster set) into one canonically
     /// ordered, renumbered history. Equivalent to [`Tracer::merged`] on a
     /// tracer that recorded everything itself.
+    ///
+    /// The result is allocated once at its exact length, and sorted in
+    /// place: `(cycle, cluster, seq)` is unique (a cluster's `seq` counts
+    /// its own events), so an unstable sort gives the stable order without
+    /// a scratch buffer the size of the history.
     pub fn merged_from<'a>(parts: impl IntoIterator<Item = &'a Tracer>) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = parts
-            .into_iter()
-            .flat_map(|t| t.rings.iter())
-            .flat_map(|r| r.iter().cloned())
-            .collect();
-        all.sort_by_key(|e| (e.cycle, e.cluster, e.seq));
+        let rings: Vec<_> = parts.into_iter().flat_map(|t| t.rings.iter()).collect();
+        let mut all = Vec::with_capacity(rings.iter().map(|r| r.len()).sum());
+        for r in rings {
+            all.extend(r.iter().cloned());
+        }
+        all.sort_unstable_by_key(|e| (e.cycle, e.cluster, e.seq));
         for (i, e) in all.iter_mut().enumerate() {
             e.seq = i as u64 + 1;
         }

@@ -349,7 +349,7 @@ fn arbitrary_json(rng: &mut TestRng, depth: u32) -> Json {
         // Objects, twice as likely as arrays; keys may repeat.
         _ => Json::Obj(
             (0..rng.below(5))
-                .map(|_| (text(rng), arbitrary_json(rng, depth + 1)))
+                .map(|_| (text(rng).into(), arbitrary_json(rng, depth + 1)))
                 .collect(),
         ),
     }
@@ -388,7 +388,7 @@ fn render_loosely(j: &Json, rng: &mut TestRng, out: &mut String) {
                     out.push(',');
                 }
                 ws(rng, out);
-                out.push_str(&Json::Str(k.clone()).to_string());
+                out.push_str(&Json::Str(k.to_string()).to_string());
                 ws(rng, out);
                 out.push(':');
                 render_loosely(v, rng, out);
@@ -425,7 +425,7 @@ proptest! {
             0 => arbitrary_json(&mut rng, 0),
             _ => Json::Obj(
                 (0..rng.below(16))
-                    .map(|_| (TEXTS[rng.below(TEXTS.len() as u64) as usize].to_string(), arbitrary_json(&mut rng, 1)))
+                    .map(|_| (TEXTS[rng.below(TEXTS.len() as u64) as usize].into(), arbitrary_json(&mut rng, 1)))
                     .collect(),
             ),
         };
