@@ -31,7 +31,7 @@ const SEED: u64 = 0xD45B;
 /// count, of the synthetic workloads that cross-check it).
 const MODEL_SEED: u64 = 0xF162;
 /// Monte-Carlo events per Figure 2 point.
-const MODEL_EVENTS: usize = 20_000;
+pub const MODEL_EVENTS: usize = 20_000;
 
 /// A row, or the leading cells of one, from anything that prints.
 macro_rules! cells {

@@ -3,7 +3,7 @@
 
 use scd_apps::AppRun;
 use scd_core::Scheme;
-use scd_machine::{Machine, MachineConfig, RunStats, ShardedMachine};
+use scd_machine::{Machine, MachineConfig, RunStats};
 use scd_trace::{Json, TraceConfig};
 
 /// The paper's four evaluated schemes for 32 processors with a ~13%
@@ -29,26 +29,20 @@ pub fn run_app_with(app: &AppRun, cfg: MachineConfig) -> RunStats {
 }
 
 /// Runs `app` with traffic-attribution counters enabled (no event ring,
-/// no metrics — just the byte/flit/link accounting) on a machine
-/// partitioned across `shards` worker threads (1 = the serial engine),
-/// returning the stats together with the `scd-attrib/v1` section for the
-/// bench document and the machine's `trace` bookkeeping section
-/// (`recorded` / `dropped_events`), which the sweep engine surfaces in
-/// each per-run `scd-sweep/v1` document so truncated telemetry is never
-/// silent.
+/// no metrics — just the byte/flit/link accounting), returning the stats
+/// together with the `scd-attrib/v1` section for the bench document and
+/// the machine's `trace` bookkeeping section (`recorded` /
+/// `dropped_events`), which the sweep engine surfaces in each per-run
+/// `scd-sweep/v1` document so truncated telemetry is never silent.
 ///
 /// Attribution counters live outside [`RunStats`], so the stats returned
 /// here are identical to what [`run_app_with`] produces for the same
 /// configuration — bench points gain an attribution section without
-/// perturbing any tracked metric — and all three values are
-/// byte-identical for any shard count. `Err` reports a configuration the
-/// conservative-window engine cannot shard (zero lookahead, link
-/// contention, the patterns observatory); one shard accepts anything.
+/// perturbing any tracked metric.
 pub fn run_app_attributed(
     app: &AppRun,
     cfg: MachineConfig,
-    shards: usize,
-) -> Result<(RunStats, Option<Json>, Option<Json>), String> {
+) -> (RunStats, Option<Json>, Option<Json>) {
     assert_eq!(
         app.programs.len(),
         cfg.processors(),
@@ -56,11 +50,11 @@ pub fn run_app_attributed(
     );
     let mut tc = TraceConfig::none();
     tc.attribution = true;
-    let mut machine = ShardedMachine::new(cfg.with_trace(tc), app.scripts(), shards)?;
+    let mut machine = Machine::new(cfg.with_trace(tc), app.scripts());
     let stats = machine.run();
     let attrib = machine.attribution_json(stats.cycles);
     let trace = machine.trace_json();
-    Ok((stats, attrib, trace))
+    (stats, attrib, trace)
 }
 
 /// Ratio of data-set size to total cache size used by the sparse-directory

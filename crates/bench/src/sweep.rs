@@ -192,10 +192,9 @@ pub struct SweepSpec {
     pub scale: f64,
     /// Cluster count (one processor per cluster, as in the paper's runs).
     pub clusters: usize,
-    /// Shards (worker threads) *inside* each machine — orthogonal to
-    /// `--jobs`, which parallelizes *across* grid points. Results are
-    /// byte-identical for any value, so this is pure execution policy and
-    /// never appears in the deterministic document sections.
+    /// Read by nothing: kept only because the frozen `benchmark/` crate
+    /// builds this struct by literal; it goes with ROADMAP.md item 1(a).
+    #[doc(hidden)]
     pub shards: usize,
 }
 
@@ -360,8 +359,7 @@ fn execute(desc: RunDescriptor, apps: &[AppRun], spec: &SweepSpec) -> SweepRun {
     let app = &apps[desc.app_idx];
     let cfg = build_config(&desc, app, spec);
     let t0 = Instant::now();
-    let (stats, attribution, trace) = run_app_attributed(app, cfg, spec.shards.max(1))
-        .unwrap_or_else(|e| panic!("cannot shard sweep point {}: {e}", desc.id));
+    let (stats, attribution, trace) = run_app_attributed(app, cfg);
     SweepRun {
         desc,
         stats,
@@ -644,7 +642,6 @@ pub fn sweep_document(outcome: &SweepOutcome, spec: &SweepSpec, include_timing: 
         let total_events: u64 = outcome.runs.iter().map(|run| run.stats.events_delivered).sum();
         Json::obj()
             .with("jobs", Json::U64(outcome.jobs as u64))
-            .with("shards", Json::U64(spec.shards.max(1) as u64))
             .with("wall_seconds", Json::F64(outcome.wall_seconds))
             .with("serial_seconds", Json::F64(serial))
             .with(
@@ -799,22 +796,6 @@ mod tests {
         let a = sweep_document(&serial, &spec, false).to_string();
         let b = sweep_document(&parallel, &spec, false).to_string();
         assert_eq!(a, b);
-    }
-
-    /// `--shards` is execution policy: partitioning each machine across
-    /// worker threads leaves the deterministic document byte-identical,
-    /// and composes with `--jobs`.
-    #[test]
-    fn sharded_machines_leave_the_sweep_document_byte_identical() {
-        let spec = micro_spec();
-        let baseline = sweep_document(&run_sweep(&spec, 1), &spec, false).to_string();
-        let mut sharded = spec.clone();
-        sharded.shards = 2;
-        let outcome = run_sweep(&sharded, 2);
-        assert_eq!(
-            sweep_document(&outcome, &sharded, false).to_string(),
-            baseline
-        );
     }
 
     /// Progress callbacks arrive once per run with a monotone `completed`

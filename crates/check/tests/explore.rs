@@ -298,3 +298,30 @@ fn fault_edges_expand_the_state_space() {
         quiet.visited
     );
 }
+
+/// Besides being explored, every litmus test *runs* to a clean finish
+/// under every scenario with the fault injector live on every channel:
+/// the run path's own NACK, duplicate, delay and reorder placement.
+#[test]
+fn litmus_runs_quiesce_under_a_live_fault_plan() {
+    let plan = scd_noc::FaultPlan {
+        nack_prob: 0.1,
+        dup_prob: 0.05,
+        delay_prob: 0.1,
+        delay_cycles: 7,
+        reorder_prob: 0.05,
+        reorder_window: 5,
+    };
+    let mut faults = 0;
+    for l in corpus() {
+        for sc in scenarios() {
+            let mut cfg = l.config(&sc, false);
+            cfg.fault_plan = Some(plan);
+            let stats = scd_machine::Machine::new(cfg, l.scripts())
+                .try_run()
+                .unwrap_or_else(|e| panic!("{} under {}: {e}", l.name, sc.label));
+            faults += stats.faults.nacks + stats.faults.duplicates + stats.faults.delay_spikes;
+        }
+    }
+    assert!(faults > 0, "the plan never fired");
+}

@@ -44,7 +44,6 @@
 //! offending cluster and block so tooling — `scd-check` counterexamples,
 //! post-mortems — can locate the fault without parsing prose.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use scd_mem::{ClusterCaches, LineState};
@@ -139,7 +138,7 @@ fn first_resident_violation(
 
 /// Verifies the quiescent invariants; returns the first violation found.
 pub fn verify_quiescent(machine: &Machine) -> Result<(), Violation> {
-    Backend::check(std::slice::from_ref(machine))
+    Backend::check(machine)
 }
 
 /// Verifies the every-state invariants — the subset of each protocol's
@@ -326,7 +325,7 @@ pub(crate) fn verify_dash_step(clusters: &[ClusterNode]) -> Result<(), Violation
 pub(crate) fn verify_tardis_views(
     cfg: &MachineConfig,
     views: &[ClusterView<'_>],
-    nodes: &[&TardisNode],
+    nodes: &[TardisNode],
 ) -> Result<(), Violation> {
     for (cl, view) in views.iter().enumerate() {
         for &(block, state) in &view.resident {
@@ -352,9 +351,9 @@ pub(crate) fn verify_tardis_step(
 }
 
 /// The Tardis invariants for cluster `cl`'s copy of `block`.
-fn tardis_copy<N: Borrow<TardisNode>>(
+fn tardis_copy(
     cfg: &MachineConfig,
-    nodes: &[N],
+    nodes: &[TardisNode],
     cl: usize,
     block: u64,
     state: LineState,
@@ -366,7 +365,7 @@ fn tardis_copy<N: Borrow<TardisNode>>(
             "dirty line under Tardis (writes must write through)".to_string(),
         ));
     }
-    let Some(&(lwts, lrts)) = nodes[cl].borrow().lease.get(&block) else {
+    let Some(&(lwts, lrts)) = nodes[cl].lease.get(&block) else {
         return Err(Violation::locate(
             cl,
             block,
@@ -374,7 +373,7 @@ fn tardis_copy<N: Borrow<TardisNode>>(
         ));
     };
     let home = cfg.home_of(block);
-    let line = nodes[home].borrow().lines.value(cfg.dir_key(block));
+    let line = nodes[home].lines.value(cfg.dir_key(block));
     if line == Default::default() {
         return Err(Violation::locate(
             cl,

@@ -7,7 +7,7 @@ use scd_trace::TraceConfig;
 /// Which coherence protocol family the machine speaks (DESIGN.md §16).
 ///
 /// All three backends run on the same engine — event wheel, NoC, caches,
-/// fault injector, tracing/attribution, sharding — so runs on identical
+/// fault injector, tracing/attribution — so runs on identical
 /// op streams compare directory memory × traffic × latency across
 /// protocol families.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

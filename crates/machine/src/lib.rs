@@ -33,6 +33,31 @@ pub use checker::Violation;
 pub use config::{MachineConfig, ProtocolKind, Timing};
 pub use error::{PostMortem, SimError};
 pub use machine::explore::{Choice, FaultEdges, Mutation};
-pub use machine::shard::ShardedMachine;
 pub use machine::{Machine, ValueOracleReport};
 pub use stats::{DlsCounters, FaultCounters, RunStats, TardisCounters};
+
+/// A serial [`Machine`] under the name the deleted sharded engine had,
+/// kept only because the frozen `benchmark/` crate still calls it; it
+/// goes with ROADMAP.md item 1(a). `new` ignores `shards`.
+#[doc(hidden)]
+pub struct ShardedMachine(Machine);
+
+impl ShardedMachine {
+    /// A serial machine; `shards` is ignored and the result is always `Ok`.
+    pub fn new(cfg: MachineConfig, programs: Vec<scd_tango::Script>, _shards: usize) -> Result<Self, String> {
+        Ok(ShardedMachine(Machine::new(cfg, programs)))
+    }
+}
+
+impl std::ops::Deref for ShardedMachine {
+    type Target = Machine;
+    fn deref(&self) -> &Machine {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for ShardedMachine {
+    fn deref_mut(&mut self) -> &mut Machine {
+        &mut self.0
+    }
+}

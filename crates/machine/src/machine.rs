@@ -33,8 +33,8 @@
 //!
 //! A [`Machine`] is two values. The `Engine` is everything every
 //! protocol shares: the event wheel, message transport and fault
-//! injection, processor scheduling, synchronization, the sharding
-//! substrate, and the per-cluster hardware (caches, directory store, RAC,
+//! injection, processor scheduling, synchronization, and the
+//! per-cluster hardware (caches, directory store, RAC,
 //! home serializer, version tables). The `Backend` (`backend`) is what
 //! only one protocol reads: `dash` (the paper's directory-based
 //! invalidation protocol, the default), `tardis` (timestamp coherence:
@@ -74,7 +74,6 @@ mod dls;
 pub mod explore;
 mod oracle;
 mod requester;
-pub mod shard;
 mod tardis;
 mod telemetry;
 
@@ -175,16 +174,6 @@ struct ProcState {
     finish: Cycle,
 }
 
-/// A delivery bound for a cluster another shard owns: exported at the end
-/// of the window and merged into the destination shard's wheel at the
-/// barrier, carrying the canonical stamp drawn at the (source-side) send.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Outbound {
-    pub(crate) deliver_at: Cycle,
-    pub(crate) stamp: Stamp,
-    pub(crate) msg: Msg,
-}
-
 /// Per-cluster snapshot handed to the quiescent invariant checker (the
 /// every-state one walks the caches in place): resident blocks
 /// in block order with their highest state, plus the engine's cluster node
@@ -249,7 +238,8 @@ pub(crate) struct Engine {
     /// seed. Send-side draws (reorder/delay/dup) and deliver-side draws
     /// (nack injection) use separate streams so each is consumed in its
     /// own channel-local order — which makes fault placement a function of
-    /// per-channel traffic history alone, identical for any shard count.
+    /// per-channel traffic history alone, not of how unrelated channels
+    /// interleave.
     fault_send_rng: Vec<Option<SimRng>>,
     fault_nack_rng: Vec<Option<SimRng>>,
     faults: FaultCounters,
@@ -260,37 +250,20 @@ pub(crate) struct Engine {
     last_progress: Cycle,
     /// Recently processed events, kept for failure post-mortems.
     event_log: RingLog<(Cycle, Event<Msg>)>,
-    /// This part's telemetry (inert unless `cfg.trace` is active); the
+    /// The machine's telemetry (inert unless `cfg.trace` is active); the
     /// engine only ever calls its hooks.
     telemetry: Recorder,
-    /// The run's telemetry hub, used when this machine is the whole
-    /// machine (a shard's stays idle: its coordinator owns the run's).
-    /// `Clone` detaches the stream.
+    /// The run's telemetry hub: interval records and the stream. `Clone`
+    /// detaches the stream.
     hub: Hub,
     /// Armed test-only protocol mutation (see [`explore::Mutation`]); used
     /// to validate that the model checker actually catches protocol bugs.
     mutation: Option<explore::Mutation>,
-    /// First cluster this machine owns. A solo machine owns `[0, clusters)`;
-    /// a shard owns a contiguous sub-range and exports everything else.
-    shard_base: usize,
-    /// Number of clusters this machine owns.
-    shard_count: usize,
-    /// Pre-computed `shard_count == cfg.clusters`: gates the per-event
-    /// watchdog check and telemetry-hub step that the shard coordinator
-    /// takes over in a sharded run.
-    solo: bool,
     /// Per-cluster canonical-stamp counters: every scheduled event is
     /// stamped `(cluster, emit_seq[cluster]++)` from the cluster context
     /// that emitted it, making same-cycle delivery order a pure function
-    /// of per-cluster local history (identical for any shard count).
+    /// of per-cluster local history, which the stream pump relies on.
     emit_seq: Vec<u64>,
-    /// Deliveries bound for clusters other shards own, drained at window
-    /// barriers.
-    outbox: Vec<Outbound>,
-    /// End of the current conservative window (exclusive); used to check
-    /// the lookahead invariant on exported deliveries. `u64::MAX` in solo
-    /// mode.
-    window_end: Cycle,
 }
 
 impl Machine {
@@ -299,28 +272,10 @@ impl Machine {
     /// # Panics
     /// If the number of programs does not match `cfg.processors()`.
     pub fn new(cfg: MachineConfig, programs: Vec<Script>) -> Self {
-        let clusters = cfg.clusters;
-        Self::new_shard(cfg, programs, 0, clusters)
-    }
-
-    /// Builds one shard of a machine: it owns clusters
-    /// `[shard_base, shard_base + shard_count)` and their processors. The
-    /// full-size cluster/processor tables are still allocated (so every
-    /// index site works unchanged), but non-owned processors are inert
-    /// stubs marked `Done`, `start` seeds only owned processors, and
-    /// deliveries addressed to non-owned clusters are exported through the
-    /// outbox instead of being scheduled locally. A solo machine is simply
-    /// the shard that owns everything.
-    pub(crate) fn new_shard(
-        cfg: MachineConfig,
-        programs: Vec<Script>,
-        shard_base: usize,
-        shard_count: usize,
-    ) -> Self {
         let backend = Backend::new(&cfg);
         let hints = cfg.replacement_hints && backend.takes_hints();
         Machine {
-            eng: Engine::new(cfg, programs, shard_base, shard_count, hints),
+            eng: Engine::new(cfg, programs, hints),
             backend,
         }
     }
@@ -367,32 +322,6 @@ impl Machine {
         self.finalize()
     }
 
-    /// Processes every pending event strictly below `horizon` — one
-    /// conservative window of a sharded run. Returns the time of the last
-    /// event processed, if any. Anything popped inside the window can only
-    /// schedule locally (at or after the pop time) or export through the
-    /// outbox (`deliver_or_export` asserts exports never fall before
-    /// `horizon`). After the pops, any interval boundary at or below
-    /// `horizon` that no local event crossed is force-closed: its window
-    /// content is final because every local event below `horizon` has been
-    /// processed and none of them reached the boundary.
-    fn run_window(&mut self, horizon: Cycle) -> Result<Option<Cycle>, SimError> {
-        self.eng.window_end = horizon;
-        let mut last = None;
-        while let Some(t) = self.eng.queue.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            let (t, ev) = self.eng.queue.pop().expect("peeked a pending event");
-            self.process_event(t, ev)?;
-            last = Some(t);
-        }
-        if self.eng.telemetry.on {
-            self.eng.observe_clock(horizon);
-        }
-        Ok(last)
-    }
-
     /// Processes one popped event: runaway/watchdog guards, event-log
     /// recording, and dispatch to the processor/protocol handlers. This is
     /// the entire body of the run loop; [`Machine::try_run`] and the
@@ -408,12 +337,7 @@ impl Machine {
             );
             return Err(SimError::MaxCycles(eng.post_mortem(t, detail)));
         }
-        // The livelock watchdog compares against *global* progress, so
-        // under sharding it moves to the coordinator's barrier (a shard
-        // legitimately idles while a remote transaction it depends on
-        // makes progress on another worker).
-        if eng.solo
-            && eng.cfg.watchdog_cycles > 0
+        if eng.cfg.watchdog_cycles > 0
             && eng.running > 0
             && t.saturating_sub(eng.last_progress) > eng.cfg.watchdog_cycles
         {
@@ -493,46 +417,35 @@ impl Machine {
         // so every recorded event can flush, and run_end belongs in the
         // stream whether the checks below pass or not.
         self.stream_close();
-        Self::check_drained(std::slice::from_ref(self)).map_err(|(_, e)| e)?;
+        self.check_drained()?;
         Ok(self.collect())
     }
 
-    /// What a drained machine made of `parts` (a solo machine is its own
-    /// only part) must satisfy: every processor retired, no leaked arena
-    /// payloads, and (when configured) the quiescent coherence invariants
-    /// — checked across part boundaries, each cluster's view coming from
-    /// the part that owns it. A failure names the offending part.
-    pub(crate) fn check_drained(parts: &[Machine]) -> Result<(), (usize, SimError)> {
-        for (s, m) in parts.iter().enumerate() {
-            let m = &m.eng;
-            let fail = |kind: fn(Box<PostMortem>) -> SimError, detail: String| {
-                Err((s, kind(m.post_mortem(m.queue.now(), detail))))
-            };
-            if m.running != 0 {
-                let detail = format!(
-                    "{} processors blocked with an empty event queue",
-                    m.running
-                );
-                return fail(SimError::Deadlock, detail);
-            }
-            if !m.arena.is_empty() {
-                // Every scheduled delivery takes its payload out of the
-                // arena; a drained queue with parked messages means a
-                // Deliver event was lost (or a payload leaked).
-                let detail = format!(
-                    "{} message(s) still parked in the arena after the event queue drained",
-                    m.arena.live()
-                );
-                return fail(SimError::InvariantViolation, detail);
-            }
+    /// What a drained machine must satisfy: every processor retired, no
+    /// leaked arena payloads, and (when configured) the quiescent
+    /// coherence invariants.
+    fn check_drained(&self) -> Result<(), SimError> {
+        let m = &self.eng;
+        let fail = |kind: fn(Box<PostMortem>) -> SimError, detail: String| {
+            Err(kind(m.post_mortem(m.queue.now(), detail)))
+        };
+        if m.running != 0 {
+            let detail = format!("{} processors blocked with an empty event queue", m.running);
+            return fail(SimError::Deadlock, detail);
         }
-        if parts[0].eng.cfg.check_invariants {
-            if let Err(e) = Backend::check(parts) {
-                let owner = |c| parts.iter().position(|m| m.eng.owns(c));
-                let s = e.cluster.and_then(owner).unwrap_or(0);
-                let m = &parts[s].eng;
-                let pm = m.post_mortem(m.queue.now(), e.to_string());
-                return Err((s, SimError::InvariantViolation(pm)));
+        if !m.arena.is_empty() {
+            // Every scheduled delivery takes its payload out of the
+            // arena; a drained queue with parked messages means a
+            // Deliver event was lost (or a payload leaked).
+            let detail = format!(
+                "{} message(s) still parked in the arena after the event queue drained",
+                m.arena.live()
+            );
+            return fail(SimError::InvariantViolation, detail);
+        }
+        if m.cfg.check_invariants {
+            if let Err(e) = Backend::check(self) {
+                return fail(SimError::InvariantViolation, e.to_string());
             }
         }
         Ok(())
@@ -817,37 +730,25 @@ impl Machine {
     // Introspection for the invariant checker
     // ------------------------------------------------------------------
 
-    /// One view per cluster of the machine made of `parts`, each from the
-    /// part that owns the cluster (parts own ascending contiguous ranges).
-    pub(crate) fn checker_view(parts: &[Machine]) -> (&MachineConfig, Vec<ClusterView<'_>>) {
-        let views = parts
+    /// One view per cluster, for the quiescent checker.
+    pub(crate) fn checker_view(&self) -> Vec<ClusterView<'_>> {
+        self.eng
+            .clusters
             .iter()
-            .flat_map(|m| m.eng.owned_clusters())
             .map(|c| ClusterView {
                 resident: c.caches.cluster_resident(),
                 node: c,
             })
-            .collect();
-        (&parts[0].eng.cfg, views)
+            .collect()
     }
 }
 
 impl Engine {
-    fn new(
-        cfg: MachineConfig,
-        programs: Vec<Script>,
-        shard_base: usize,
-        shard_count: usize,
-        hints: bool,
-    ) -> Self {
+    fn new(cfg: MachineConfig, programs: Vec<Script>, hints: bool) -> Self {
         assert_eq!(
             programs.len(),
             cfg.processors(),
             "need one program per processor"
-        );
-        assert!(
-            shard_base + shard_count <= cfg.clusters && shard_count > 0,
-            "shard range out of bounds"
         );
         let clusters: Vec<ClusterNode> = (0..cfg.clusters)
             .map(|c| ClusterNode {
@@ -874,35 +775,23 @@ impl Engine {
         if let Some(occ) = cfg.link_occupancy {
             network = network.with_contention(occ);
         }
-        let owned = shard_base..shard_base + shard_count;
         let procs = programs
             .into_iter()
-            .enumerate()
-            .map(|(p, program)| {
-                let mine = owned.contains(&(p / cfg.procs_per_cluster));
-                ProcState {
-                    program,
-                    pending: None,
-                    // Non-owned processors live on another shard; marking
-                    // them Done keeps every index site valid while this
-                    // shard never runs them.
-                    status: if mine {
-                        ProcStatus::Running
-                    } else {
-                        ProcStatus::Done
-                    },
-                    blocked_since: 0,
-                    blocked_on_sync: false,
-                    mem_stall: 0,
-                    sync_stall: 0,
-                    finish: 0,
-                }
+            .map(|program| ProcState {
+                program,
+                pending: None,
+                status: ProcStatus::Running,
+                blocked_since: 0,
+                blocked_on_sync: false,
+                mem_stall: 0,
+                sync_stall: 0,
+                finish: 0,
             })
             .collect::<Vec<_>>();
-        let running = shard_count * cfg.procs_per_cluster;
+        let running = procs.len();
         let fault_plan = cfg.fault_plan.unwrap_or_default();
         let event_log = RingLog::new(cfg.event_log);
-        let recorder = Recorder::new(&cfg, shard_base, shard_count);
+        let recorder = Recorder::new(&cfg);
         if recorder.config().attribution {
             network.enable_link_counters();
         }
@@ -941,41 +830,19 @@ impl Engine {
             chan_clamp: Vec::new(),
             last_progress: 0,
             event_log,
-            hub: Hub::new(&recorder, 1),
+            hub: Hub::new(&recorder),
             telemetry: recorder,
             mutation: None,
-            shard_base,
-            shard_count,
-            solo: shard_count == cfg.clusters,
             emit_seq: vec![0; cfg.clusters],
-            outbox: Vec::new(),
-            window_end: Cycle::MAX,
             cfg,
         }
-    }
-
-    /// Whether this machine owns `cluster` (always true for a solo
-    /// machine).
-    #[inline]
-    fn owns(&self, cluster: usize) -> bool {
-        cluster.wrapping_sub(self.shard_base) < self.shard_count
-    }
-
-    /// The clusters this machine owns (all of them for a solo machine).
-    fn owned(&self) -> std::ops::Range<usize> {
-        self.shard_base..self.shard_base + self.shard_count
-    }
-
-    /// The cluster nodes this machine owns.
-    fn owned_clusters(&self) -> &[ClusterNode] {
-        &self.clusters[self.owned()]
     }
 
     /// Draws the next canonical stamp from `cluster`'s emission counter.
     /// Every schedule site stamps from the cluster context doing the
     /// emitting, which is always the cluster whose event is currently
-    /// being processed — so counters are only ever bumped by the owning
-    /// shard, in an order that is pure local history.
+    /// being processed — so each counter advances in an order that is
+    /// pure local history.
     #[inline]
     fn stamp(&mut self, cluster: usize) -> Stamp {
         let k = self.emit_seq[cluster];
@@ -993,37 +860,11 @@ impl Engine {
         self.queue.schedule_at_stamped(time, stamp, ev);
     }
 
-    /// Routes one finalized delivery: scheduled locally when this shard
-    /// owns the destination, exported through the outbox otherwise. The
-    /// stamp is drawn from the *source* cluster either way, so the
-    /// destination shard inserts it exactly where a solo run would have.
-    fn deliver_or_export(&mut self, deliver_at: Cycle, msg: Msg) {
-        let stamp = self.stamp(msg.src);
-        if self.owns(msg.dst) {
-            let r = self.arena.alloc(msg);
-            self.queue.schedule_at_stamped(deliver_at, stamp, Ev::Deliver(r));
-        } else {
-            // The conservative-window invariant: a cross-shard delivery
-            // can never land inside the window that produced it.
-            assert!(
-                deliver_at >= self.window_end,
-                "cross-shard delivery at {deliver_at} inside window ending {}",
-                self.window_end
-            );
-            self.outbox.push(Outbound {
-                deliver_at,
-                stamp,
-                msg,
-            });
-        }
-    }
-
-    /// Merges one delivery exported by another shard into the local wheel.
-    pub(crate) fn import_delivery(&mut self, ob: Outbound) {
-        debug_assert!(self.owns(ob.msg.dst));
-        let r = self.arena.alloc(ob.msg);
-        self.queue
-            .schedule_at_stamped(ob.deliver_at, ob.stamp, Ev::Deliver(r));
+    /// Schedules one finalized delivery, stamped from its *source*
+    /// cluster.
+    fn schedule_delivery(&mut self, deliver_at: Cycle, msg: Msg) {
+        let r = self.arena.alloc(msg);
+        self.sched(msg.src, deliver_at, Ev::Deliver(r));
     }
 
     fn cluster_of(&self, p: usize) -> usize {
@@ -1107,12 +948,11 @@ impl Engine {
                 return self.faulty_schedule(ready_at + lat, msg);
             }
         }
-        self.deliver_or_export(ready_at + lat, msg);
+        self.schedule_delivery(ready_at + lat, msg);
     }
 
     /// The per-channel fault stream for `(src, dst)`: a pure function of
-    /// the master seed and the channel, so any shard (or a solo run)
-    /// derives the identical stream. `side` separates send-side draws from
+    /// the master seed and the channel. `side` separates send-side draws from
     /// deliver-side (nack) draws.
     fn channel_rng(seed: u64, src: usize, dst: usize, side: u64) -> SimRng {
         let mut x = seed ^ 0xFA17_5EED_0000_0000;
@@ -1196,9 +1036,9 @@ impl Engine {
         } else {
             None
         };
-        self.deliver_or_export(deliver_at, msg);
+        self.schedule_delivery(deliver_at, msg);
         if let Some(gap) = dup_gap {
-            self.deliver_or_export(deliver_at + gap, msg);
+            self.schedule_delivery(deliver_at + gap, msg);
         }
     }
 
@@ -1247,18 +1087,13 @@ impl Engine {
         st.blocked_on_sync = on_sync;
     }
 
-    /// Tells telemetry the clock reached `t` (an event pop, or the end of
-    /// a shard's window): interval boundaries at or below `t` close — for
-    /// an idle shard too, which owes the hub a zero-delta piece for every
-    /// window the fleet finished — and, when this is the whole machine,
-    /// the hub merges and streams what that made final.
+    /// Tells telemetry an event popped at `t`: interval boundaries at or
+    /// below `t` close, and the hub streams what that made final.
     fn observe_clock(&mut self, t: Cycle) {
         let ops = self.shared_reads + self.shared_writes + self.sync_ops;
         self.telemetry
             .close_intervals(t, &self.network, &self.clusters, &self.faults, ops);
-        if self.solo {
-            self.hub.step(&mut self.telemetry, t);
-        }
+        self.hub.step(&mut self.telemetry, t);
     }
 
     /// Seeds the event queue with every processor's first fetch. Separated
@@ -1267,9 +1102,6 @@ impl Engine {
     fn start(&mut self) {
         for p in 0..self.procs.len() {
             let cl = self.cluster_of(p);
-            if !self.owns(cl) {
-                continue; // another shard seeds this processor
-            }
             self.sched(cl, 0, Ev::ProcNext(p));
         }
     }
@@ -1451,6 +1283,15 @@ pub mod testing {
     /// pending event earlier than `t` is delivered from the past.
     pub fn warp_clock(m: &mut Machine, t: Cycle) {
         m.eng.queue.warp_clock(t);
+    }
+
+    /// The recorder's live transaction slots, and the machine's
+    /// outstanding request MSHRs. A slot lives from its transaction's
+    /// `txn_begin` to its `txn_end`, which the RAC's MSHR brackets, so the
+    /// first never exceeds the second.
+    pub fn txn_slots(m: &Machine) -> (usize, usize) {
+        let mshrs = m.eng.clusters.iter().map(|c| c.rac.outstanding()).sum();
+        (m.eng.telemetry.live_txns(), mshrs)
     }
 
     /// Marks `block` busy in the home serializer, as if a transaction never

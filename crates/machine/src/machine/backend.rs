@@ -14,7 +14,7 @@ use std::hash::Hasher;
 
 use super::dash::DashState;
 use super::dls::DlsState;
-use super::tardis::{TardisNode, TardisState};
+use super::tardis::TardisState;
 use super::*;
 use crate::checker::{self, Violation};
 use crate::config::ProtocolKind;
@@ -130,29 +130,18 @@ impl Backend {
     }
 
     /// The protocol's formulation of "one writer at a time" over the
-    /// drained machine made of `parts` (see `crate::checker`): the full
-    /// contract, including no home block left busy and an empty directory
-    /// under the directoryless protocols. Per-cluster backend state comes
-    /// from the part that owns the cluster, like the views.
-    pub(crate) fn check(parts: &[Machine]) -> Result<(), Violation> {
-        let (cfg, views) = Machine::checker_view(parts);
-        let backend = &parts[0].backend;
+    /// drained machine `m` (see `crate::checker`): the full contract,
+    /// including no home block left busy and an empty directory under the
+    /// directoryless protocols.
+    pub(crate) fn check(m: &Machine) -> Result<(), Violation> {
+        let (cfg, views) = (&m.eng.cfg, m.checker_view());
         checker::verify_idle(&views)?;
-        if !matches!(backend, Backend::Dash(_)) {
+        if !matches!(m.backend, Backend::Dash(_)) {
             checker::verify_empty_directory(&views)?;
         }
-        match backend {
+        match &m.backend {
             Backend::Dash(_) => checker::verify_dash_views(cfg, &views),
-            Backend::Tardis(_) => {
-                let nodes: Vec<&TardisNode> = parts
-                    .iter()
-                    .flat_map(|m| {
-                        let own = m.backend.tardis().expect("every part runs one protocol");
-                        &own.nodes[m.eng.owned()]
-                    })
-                    .collect();
-                checker::verify_tardis_views(cfg, &views, &nodes)
-            }
+            Backend::Tardis(s) => checker::verify_tardis_views(cfg, &views, &s.nodes),
             Backend::Dls(_) => checker::verify_dls_views(cfg, &views),
         }
     }
@@ -162,10 +151,10 @@ impl Backend {
     /// would report first, but builds no views: it runs once per explored
     /// state, and allocates only to describe a violation.
     pub(crate) fn check_step(m: &Machine) -> Result<(), Violation> {
-        let (cfg, clusters) = (&m.eng.cfg, m.eng.owned_clusters());
+        let (cfg, clusters) = (&m.eng.cfg, &m.eng.clusters[..]);
         match &m.backend {
             Backend::Dash(_) => checker::verify_dash_step(clusters),
-            Backend::Tardis(s) => checker::verify_tardis_step(cfg, clusters, &s.nodes[m.eng.owned()]),
+            Backend::Tardis(s) => checker::verify_tardis_step(cfg, clusters, &s.nodes),
             Backend::Dls(_) => checker::verify_dls_step(cfg, clusters),
         }
     }

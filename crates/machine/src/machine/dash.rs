@@ -454,7 +454,7 @@ impl DashState {
             return;
         }
 
-        m.telemetry.txn_phase(t, home, requester, block, Phase::HomeLookup);
+        m.telemetry.home_phase(t, home, requester, block, Phase::HomeLookup);
 
         // Home bus snoop: keep/make the home cluster's own copies coherent.
         if is_write {
@@ -568,7 +568,7 @@ impl DashState {
                 m.inval_hist.record(inval_targets.len());
                 m.telemetry.inval(t, home, block, inval_targets.len() as u32, "write");
                 if !inval_targets.is_empty() {
-                    m.telemetry.txn_phase(t, home, requester, block, Phase::Fanout);
+                    m.telemetry.home_phase(t, home, requester, block, Phase::Fanout);
                 }
                 let version = m.bump_version(home, block);
                 if m.cfg.serial_invalidations && !inval_targets.is_empty() {

@@ -101,7 +101,7 @@ impl DlsState {
             );
             return;
         }
-        m.telemetry.txn_phase(t, home, requester, block, Phase::HomeLookup);
+        m.telemetry.home_phase(t, home, requester, block, Phase::HomeLookup);
         if is_write {
             self.counters.llc_writes += 1;
             if m.mutation == Some(explore::Mutation::DlsSkipWriteback) {

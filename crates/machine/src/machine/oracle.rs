@@ -13,19 +13,26 @@
 //! produce identical images and identical per-load tags on the same
 //! program.
 //!
-//! Resolution is *post-run*: a load usually records the `(block,
-//! epoch)` it observed and looks the tag up after the machine (or every
-//! shard) has quiesced, because under sharding the write that produced
-//! an epoch may retire on another worker. The one case that must
-//! resolve eagerly is a load followed by a same-epoch overwrite (a
-//! silent DASH dirty-write hit by a cluster-local peer — necessarily
-//! the same shard), so a load resolves immediately whenever the epoch's
-//! tag is already known locally.
+//! Resolution is *deferred* when it has to be: a load records the tag of
+//! the write it observed when that tag is already known, and otherwise
+//! the `(block, epoch)` it observed, which is looked up after the run. A
+//! load can observe an epoch whose write has not yet *retired* at its
+//! writer: under Tardis and DLS the home takes a write-through, assigns
+//! its epoch and serves it to other readers before the writer's
+//! acknowledgement — the moment `oracle_write` logs the tag — gets back.
+//! Only a racy load can land in that window (the unit test below pins
+//! one); the barrier-ordered differential kernels never do, and ROADMAP
+//! item 3's store-buffering and message-passing outcomes will be read
+//! through this path. The one case that must resolve
+//! eagerly is a load followed by a same-epoch overwrite (a silent DASH
+//! dirty-write hit by a cluster-local peer), which would otherwise
+//! resolve to the later write's tag; so a load resolves immediately
+//! whenever the epoch's tag is already known.
 //!
-//! The oracle is only meaningful for **data-race-free programs**: a
-//! racy load may legitimately observe different writes under different
-//! protocols (or different shard counts), so the differential kernels
-//! are barrier-ordered. It is off by default
+//! The cross-protocol *equality* is only meaningful for **data-race-free
+//! programs**: a racy load may legitimately observe different writes
+//! under different protocols, so the differential kernels are
+//! barrier-ordered. The oracle is off by default
 //! (`MachineConfig::value_oracle`) and costs nothing when off.
 
 use super::*;
@@ -40,8 +47,7 @@ pub(crate) enum ReadRec {
     Deferred(u64, u64),
 }
 
-/// The machine-side oracle state (one per machine / shard; merged
-/// across shards before reporting).
+/// The machine-side oracle state.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ValueOracle {
     /// Pre-computed `cfg.value_oracle`, checked once per hook.
@@ -64,28 +70,8 @@ impl ValueOracle {
         }
     }
 
-    /// Folds another shard's oracle into this one. Exact because the
-    /// logs partition: each processor's reads/writes retire on its
-    /// owning shard, and a `(block, epoch)` tag is only ever rewritten
-    /// (silent same-epoch dirty hit) by the cluster that created it.
-    pub(crate) fn absorb(&mut self, other: &ValueOracle) {
-        for (&k, &v) in &other.mem {
-            self.mem.insert(k, v);
-        }
-        for (p, log) in other.reads.iter().enumerate() {
-            if !log.is_empty() {
-                self.reads[p] = log.clone();
-            }
-        }
-        for (p, &s) in other.wseq.iter().enumerate() {
-            if s > 0 {
-                self.wseq[p] = s;
-            }
-        }
-    }
-
     /// Resolves the log into a comparable report. Call only after the
-    /// run (and any cross-shard merge) is complete.
+    /// run is complete.
     pub(crate) fn report(&self) -> ValueOracleReport {
         let mut best: FastMap<u64, u64> = FastMap::default();
         let mut image: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
@@ -113,7 +99,7 @@ impl ValueOracle {
 }
 
 /// The resolved value-oracle outcome of one run, comparable across
-/// protocols, shard counts, and (for race-free programs) schedules.
+/// protocols and (for race-free programs) schedules.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValueOracleReport {
     /// Final memory image: block -> tag `(proc, seq)` of the last write
@@ -158,5 +144,39 @@ impl Machine {
     /// run completed; see the module docs for the race-free caveat.
     pub fn value_oracle_report(&self) -> Option<ValueOracleReport> {
         self.eng.oracle.on.then(|| self.eng.oracle.report())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ProtocolKind;
+
+    /// A load can observe a write that has not retired at its writer:
+    /// under DLS the home's LLC slice takes a stream of remote writes and
+    /// serves each new epoch to a reader on the home cluster before the
+    /// writer's acknowledgement gets back. Such a load is recorded
+    /// `Deferred` and resolves to the write's tag only after the run.
+    #[test]
+    fn a_load_can_observe_a_write_before_it_retires() {
+        let mut cfg = MachineConfig::tiny(2).with_protocol(ProtocolKind::Dls);
+        cfg.value_oracle = true;
+        let addr = (0..)
+            .map(|b| b * cfg.block_bytes)
+            .find(|&a| cfg.home_of(cfg.block_of(a)) == 1)
+            .expect("cluster 1 is home to some block");
+        let programs = vec![
+            Script::from(vec![Op::Write(addr); 16]),
+            Script::from(vec![Op::Read(addr); 64]),
+        ];
+        let mut m = Machine::new(cfg, programs);
+        m.try_run().expect("run must quiesce");
+        let report = m.value_oracle_report().expect("oracle was on");
+        let early = m.eng.oracle.reads[1]
+            .iter()
+            .zip(&report.loads[1])
+            .filter(|(rec, tag)| matches!(rec, ReadRec::Deferred(..)) && tag.is_some())
+            .count();
+        assert!(early > 0, "no load saw the write before it retired: {:?}", report.loads[1]);
     }
 }

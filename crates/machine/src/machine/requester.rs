@@ -27,7 +27,7 @@ impl Machine {
             StartOutcome::IssueRequest => {
                 let home = eng.cfg.home_of(block);
                 let write = kind == MshrKind::Write;
-                eng.telemetry.txn_begin(t, cl, home, block, write);
+                eng.telemetry.txn_begin(t, cl, block, write);
                 let kind = self.backend.request_kind(cl, block, write);
                 eng.send(t, cl, home, kind);
             }

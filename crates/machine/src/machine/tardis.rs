@@ -186,7 +186,7 @@ impl TardisState {
         let tm = m.cfg.timing;
         match kind {
             MsgKind::TardisReadReq { block, pts } => {
-                m.telemetry.txn_phase(t, dst, src, block, Phase::HomeLookup);
+                m.telemetry.home_phase(t, dst, src, block, Phase::HomeLookup);
                 let key = m.dir_key(block);
                 let line = self.nodes[dst].lines.slot(key);
                 // Extend the lease past the requester's logical time so
@@ -203,7 +203,7 @@ impl TardisState {
                 );
             }
             MsgKind::TardisWriteReq { block } => {
-                m.telemetry.txn_phase(t, dst, src, block, Phase::HomeLookup);
+                m.telemetry.home_phase(t, dst, src, block, Phase::HomeLookup);
                 let key = m.dir_key(block);
                 let line = self.nodes[dst].lines.slot(key);
                 // Jump past every lease ever granted over the old

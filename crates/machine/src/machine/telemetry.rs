@@ -1,17 +1,12 @@
 //! Telemetry (scd-trace): everything that watches the machine, kept
 //! apart from the machine.
 //!
-//! Two types. A [`Recorder`] belongs to one machine *part* (the whole
-//! machine, or one shard of it): event rings, live-transaction tables,
-//! traffic attribution, the directory observatory, phase histograms and
-//! interval baselines for the clusters that part owns, plus the outboxes
-//! for what must leave the part (transaction notes for peer parts,
-//! interval pieces for the hub). A [`Hub`] belongs to one *run*: it sums
-//! the parts' interval pieces per boundary and holds the stream pump, so
-//! it is the one place machine-wide records are ordered. The machine owns
-//! the hub when it is the whole machine; the shard coordinator owns it
-//! when there are N parts. A solo event at cycle `t` is the N = 1 case of
-//! a window barrier (`clock = next = t`), so both run the same code.
+//! Two types. A [`Recorder`] holds what is *recorded*: event rings,
+//! live-transaction tables, traffic attribution, the directory
+//! observatory, phase histograms and interval baselines, plus the closed
+//! interval windows not yet handed on. A [`Hub`] holds the stream pump:
+//! it is the one place records are ordered and rendered, and it turns
+//! each closed window into the interval series and its stream records.
 //!
 //! The engine reaches telemetry only through the recorder's hooks. A hook
 //! takes `&mut self` plus *shared* borrows of what it reads (`&Network`,
@@ -22,9 +17,6 @@
 //! network's link table) the hook returns it and the engine applies it.
 //! Every hook site costs one pre-computed branch when its facility is off.
 
-use std::collections::BTreeMap;
-
-use scd_noc::merge_link_traffic;
 use scd_trace::{
     AttribClass, AttribParams, Attribution, ClassCounters, EventKind, IntervalSnapshot, MsgCost,
     StreamPump, TraceConfig, Tracer, TxnTimeline,
@@ -34,7 +26,8 @@ use super::*;
 
 /// One in-flight traced coherence transaction. Keyed by (requester
 /// cluster, block), which is unique because the RAC holds one MSHR per
-/// cluster/block pair; merged waiters join the existing transaction.
+/// cluster/block pair; merged waiters join the existing transaction. The
+/// home records its phases here too: it dies with its `txn_end`.
 #[derive(Clone)]
 struct TxnLive {
     block: u64,
@@ -46,71 +39,13 @@ struct TxnLive {
     retries: u32,
 }
 
-/// Home-side view of a live traced transaction, keyed like [`TxnLive`]
-/// by (requester cluster, block). The home consults this — never the
-/// requester's `txn_live` map, which may live on another shard — when it
-/// records `HomeLookup`/`Fanout` phases; the flags make each phase
-/// set-once per transaction id.
-#[derive(Clone, Copy)]
-struct PhaseSlot {
-    id: u64,
-    issue: Cycle,
-    hl_done: bool,
-    fo_done: bool,
-}
-
-/// Cross-shard telemetry notes exchanged at window barriers. Notes ride
-/// the barrier, not the simulated network: they carry trace metadata whose
-/// happens-before edges (a home services a request at least one network
-/// leg after it was issued; a requester completes at least one leg after
-/// the home's phase) guarantee the note is applied before any event that
-/// reads it. Within one shard, notes are applied immediately.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum TxnNote {
-    /// Requester → home: a traced transaction began.
-    Begin {
-        /// Requester cluster (keys the home's phase slot).
-        requester: usize,
-        /// The block's home cluster (where the note is applied).
-        home: usize,
-        block: u64,
-        /// The transaction id (cluster-encoded, see [`Recorder::txn_begin`]).
-        id: u64,
-        issue: Cycle,
-    },
-    /// Home → requester: a lifecycle phase was recorded at the home.
-    Phase {
-        /// Requester cluster.
-        requester: usize,
-        block: u64,
-        /// The transaction id the home recorded the phase under.
-        id: u64,
-        phase: Phase,
-        /// When the home recorded it.
-        at: Cycle,
-    },
-}
-
-impl TxnNote {
-    /// The cluster whose tables the note updates.
-    pub(crate) fn target(&self) -> usize {
-        match *self {
-            TxnNote::Begin { home, .. } => home,
-            TxnNote::Phase { requester, .. } => requester,
-        }
-    }
-}
-
 /// Per-class attribution counters, in [`AttribClass::ALL`] order.
 type ClassTable = [ClassCounters; AttribClass::ALL.len()];
 /// Flits per directed link `(from, to)`.
 type LinkFlits = Vec<((usize, usize), u64)>;
 
-/// One part's contribution to one interval boundary `end`: the per-window
-/// counter deltas its clusters produced plus its share of the occupancy
-/// sample. The hub sums pieces across parts into the exact
-/// [`IntervalSnapshot`] the whole machine produced, and the attribution
-/// deltas into the streamed `attrib_delta` record.
+/// One closed interval window: the machine's counter deltas over it and,
+/// for a stream, its traffic deltas and occupancy sample.
 #[derive(Clone, Debug)]
 struct IntervalPiece {
     snap: IntervalSnapshot,
@@ -124,14 +59,6 @@ struct IntervalPiece {
     /// attached. It rides the piece so two boundaries closing on one event
     /// still stream window, delta, patterns, window, delta, patterns.
     patterns: Option<(u64, Vec<u64>)>,
-}
-
-/// What one part hands over at a window barrier: notes for peer parts,
-/// closed interval pieces and freshly recorded events for the hub.
-pub(crate) struct Shipment {
-    pub(crate) notes: Vec<TxnNote>,
-    pieces: Vec<IntervalPiece>,
-    mirror: Vec<TraceEvent>,
 }
 
 /// Directory-observatory occupancy telemetry, only fed when
@@ -174,8 +101,8 @@ pub(crate) struct FanoutSample {
     pub(crate) regions: Option<usize>,
 }
 
-/// One machine part's telemetry state. Inert (and allocation-free) unless
-/// the machine was built with an active [`TraceConfig`].
+/// The machine's telemetry state. Inert (and allocation-free) unless the
+/// machine was built with an active [`TraceConfig`].
 #[derive(Clone)]
 pub(crate) struct Recorder {
     /// Pre-computed `cfg.is_active()`: the one flag hook sites gate on.
@@ -189,14 +116,11 @@ pub(crate) struct Recorder {
     lifecycle: bool,
     /// Resolved trace configuration (all-off when `cfg.trace` is `None`).
     cfg: TraceConfig,
-    /// First cluster and cluster count of the owning part: notes for
-    /// clusters outside it are queued instead of applied.
-    part: (usize, usize),
     /// Per-cluster bounded event rings (the engine's post-mortem reads
     /// their tails).
     pub(super) tracer: Tracer,
-    /// Phase-latency histograms (only fed when `cfg.metrics`); for the
-    /// whole machine also the interval series the hub merged.
+    /// Phase-latency histograms (only fed when `cfg.metrics`), and the
+    /// interval series the hub appends to.
     metrics: MetricsRegistry,
     /// Per-class traffic attribution (only fed when `cfg.attribution`).
     attrib: Attribution,
@@ -209,15 +133,9 @@ pub(crate) struct Recorder {
     obs: Observatory,
     /// Live traced transactions per requester cluster, searched by block:
     /// a cluster has one per MSHR, so at most one per local processor.
-    /// Requester-side state, touched only while processing events of the
-    /// requester's own cluster.
     txn_live: Vec<Vec<TxnLive>>,
-    /// Home-side phase slots, keyed by (requester cluster, block) and fed
-    /// by `TxnNote::Begin`. Touched only while processing home events.
-    txn_phase: FastMap<(usize, u64), PhaseSlot>,
     /// Per-requester-cluster transaction id counters. Ids encode the
-    /// cluster in the high bits so each cluster hands them out locally —
-    /// no global counter to race on across shards.
+    /// cluster in the high bits so each cluster hands them out locally.
     txn_seq: Vec<u64>,
     /// Next interval-snapshot boundary (`Cycle::MAX` when sampling is off).
     interval_next: Cycle,
@@ -231,16 +149,13 @@ pub(crate) struct Recorder {
     /// window traffic is diffed against (streamed runs only).
     window_attrib_base: ClassTable,
     window_link_base: FastMap<(usize, usize), u64>,
-    /// Notes for clusters other parts own, drained at window barriers.
-    notes: Vec<TxnNote>,
     /// Closed interval windows waiting for the hub.
     pieces: Vec<IntervalPiece>,
 }
 
 impl Recorder {
-    /// The recorder of the part owning clusters `[base, base + count)` of
-    /// a `clusters`-cluster machine.
-    pub(crate) fn new(cfg: &MachineConfig, base: usize, count: usize) -> Self {
+    /// The recorder of a machine built with `cfg`.
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
         let trace = cfg.trace.unwrap_or_else(TraceConfig::none);
         let on = trace.is_active();
         let params = AttribParams::with_block_bytes(cfg.block_bytes);
@@ -249,7 +164,6 @@ impl Recorder {
             on,
             lifecycle: Self::config_reads_lifecycle(&trace),
             cfg: trace,
-            part: (base, count),
             tracer: if on {
                 Tracer::new(cfg.clusters, &trace)
             } else {
@@ -267,7 +181,6 @@ impl Recorder {
                 ..Observatory::default()
             },
             txn_live: vec![Vec::new(); per_cluster],
-            txn_phase: FastMap::default(),
             txn_seq: vec![0; per_cluster],
             interval_next: if trace.interval > 0 {
                 trace.interval
@@ -278,7 +191,6 @@ impl Recorder {
             streaming: false,
             window_attrib_base: Default::default(),
             window_link_base: FastMap::default(),
-            notes: Vec::new(),
             pieces: Vec::new(),
         }
     }
@@ -297,8 +209,9 @@ impl Recorder {
         self.cfg
     }
 
-    fn owns(&self, cluster: usize) -> bool {
-        cluster.wrapping_sub(self.part.0) < self.part.1
+    /// Live traced transactions, machine-wide.
+    pub(crate) fn live_txns(&self) -> usize {
+        self.txn_live.iter().map(Vec::len).sum()
     }
 
     /// Cluster `cl`'s live transaction for `block`, if it has one.
@@ -349,16 +262,15 @@ impl Recorder {
         }
     }
 
-    /// A new coherence transaction issued its first request (to `home`).
-    pub(crate) fn txn_begin(&mut self, t: Cycle, cl: usize, home: usize, block: u64, write: bool) {
+    /// A new coherence transaction issued its first request.
+    pub(crate) fn txn_begin(&mut self, t: Cycle, cl: usize, block: u64, write: bool) {
         if !self.lifecycle || self.live(cl, block).is_some() {
             return;
         }
         // Transaction ids are minted per requester cluster (cluster in the
-        // high bits, a cluster-local sequence below) so a sharded run and
-        // the serial engine assign the same id to the same transaction — a
-        // single global counter would encode the interleaving of unrelated
-        // clusters into every exported trace.
+        // high bits, a cluster-local sequence below): the id a trace shows
+        // is then a function of that cluster's own history, not of how
+        // unrelated clusters interleave.
         self.txn_seq[cl] += 1;
         let id = ((cl as u64) << 40) | self.txn_seq[cl];
         self.txn_live[cl].push(TxnLive {
@@ -372,25 +284,12 @@ impl Recorder {
         });
         self.tracer
             .record(cl, t, EventKind::TxnBegin { txn: id, block, write });
-        self.route_note(TxnNote::Begin {
-            requester: cl,
-            home,
-            block,
-            id,
-            issue: t,
-        });
     }
 
-    /// The home directory first serviced the transaction (set-once:
-    /// queued replays and re-entrant processing don't re-record).
-    ///
-    /// Phase attribution is *home-side* state ([`PhaseSlot`], fed by
-    /// [`TxnNote::Begin`]): the home must decide whether a delivery belongs
-    /// to the live transaction without reading the requester's `txn_live`
-    /// table, which under sharding may live on another worker. The
-    /// recorded timestamp travels back to the requester as a
-    /// [`TxnNote::Phase`] for the end-of-transaction timeline.
-    pub(crate) fn txn_phase(
+    /// The home recorded a `HomeLookup` or `Fanout` phase of `requester`'s
+    /// live transaction for `block`, at most once per transaction: queued
+    /// replays and re-entrant processing don't re-record.
+    pub(crate) fn home_phase(
         &mut self,
         t: Cycle,
         home: usize,
@@ -401,7 +300,7 @@ impl Recorder {
         if !self.lifecycle {
             return;
         }
-        let Some(slot) = self.txn_phase.get_mut(&(requester, block)) else {
+        let Some(live) = self.live(requester, block) else {
             return;
         };
         // A delivery timestamped before the live transaction began is
@@ -410,87 +309,21 @@ impl Recorder {
         // — observable because begins are stamped a cache-lookup ahead of
         // the pop that created them). It must not be attributed here, or
         // the exported lifecycle runs backwards.
-        if t < slot.issue {
+        if t < live.issue {
             return;
         }
-        let done = match phase {
-            Phase::HomeLookup => &mut slot.hl_done,
-            Phase::Fanout => &mut slot.fo_done,
+        let slot = match phase {
+            Phase::HomeLookup => &mut live.home_lookup,
+            Phase::Fanout => &mut live.fanout,
             _ => return,
         };
-        if *done {
+        if slot.is_some() {
             return;
         }
-        *done = true;
-        let id = slot.id;
+        *slot = Some(t);
+        let txn = live.id;
         self.tracer
-            .record(home, t, EventKind::TxnPhase { txn: id, block, phase });
-        self.route_note(TxnNote::Phase {
-            requester,
-            block,
-            id,
-            phase,
-            at: t,
-        });
-    }
-
-    /// Applies a telemetry note locally when its target cluster lives on
-    /// this part, otherwise queues it for the coordinator to ferry across
-    /// the next window barrier. In a solo machine every note applies
-    /// immediately.
-    fn route_note(&mut self, note: TxnNote) {
-        if self.owns(note.target()) {
-            self.apply_note(note);
-        } else {
-            self.notes.push(note);
-        }
-    }
-
-    /// Applies one telemetry note to this part's tables. Called by
-    /// [`Recorder::route_note`] for local targets and by the shard worker
-    /// for notes ferried across a window barrier.
-    pub(crate) fn apply_note(&mut self, note: TxnNote) {
-        match note {
-            TxnNote::Begin {
-                requester,
-                block,
-                id,
-                issue,
-                ..
-            } => {
-                self.txn_phase.insert(
-                    (requester, block),
-                    PhaseSlot {
-                        id,
-                        issue,
-                        hl_done: false,
-                        fo_done: false,
-                    },
-                );
-            }
-            TxnNote::Phase {
-                requester,
-                block,
-                id,
-                phase,
-                at,
-            } => {
-                let Some(live) = self.live(requester, block) else {
-                    return;
-                };
-                if live.id != id {
-                    return; // note for an already-completed predecessor
-                }
-                let slot = match phase {
-                    Phase::HomeLookup => &mut live.home_lookup,
-                    Phase::Fanout => &mut live.fanout,
-                    _ => return,
-                };
-                if slot.is_none() {
-                    *slot = Some(at);
-                }
-            }
-        }
+            .record(home, t, EventKind::TxnPhase { txn, block, phase });
     }
 
     /// The requester received a NACK for its outstanding transaction.
@@ -645,12 +478,7 @@ impl Recorder {
     }
 
     /// Advances interval sampling across every boundary up to `t`, parking
-    /// one [`IntervalPiece`] per boundary for the hub. A part only sees its
-    /// own slice of the machine; the hub sums pieces across parts into the
-    /// exact whole-machine record. Also how an idle shard is forced to
-    /// close the windows the fleet finished: any boundary `b <= t` with no
-    /// local events in `[b, t)` closes with exactly the deltas it would
-    /// have closed with lazily.
+    /// one [`IntervalPiece`] per boundary for the hub.
     pub(crate) fn close_intervals(
         &mut self,
         t: Cycle,
@@ -689,9 +517,7 @@ impl Recorder {
 
     /// Closes one interval window's traffic accounting: the per-class and
     /// per-link attribution deltas since the previous boundary (empty
-    /// unless attribution is on and a stream will carry them). A part's
-    /// deltas are exact because each cluster (and each message's source
-    /// accounting) belongs to exactly one part.
+    /// unless attribution is on and a stream will carry them).
     fn close_window(&mut self, snap: IntervalSnapshot, net: &Network) -> IntervalPiece {
         let mut attrib_delta = ClassTable::default();
         let mut link_delta = Vec::new();
@@ -769,29 +595,9 @@ impl Recorder {
         self.lifecycle = Self::config_reads_lifecycle(&self.cfg);
         self.tracer.set_mirror(false);
     }
-
-    /// Empties the outboxes: everything this part owes its peers and the
-    /// hub since the last barrier.
-    pub(crate) fn ship(&mut self) -> Shipment {
-        Shipment {
-            notes: std::mem::take(&mut self.notes),
-            pieces: std::mem::take(&mut self.pieces),
-            mirror: self.tracer.take_mirror(),
-        }
-    }
 }
 
-/// One interval boundary being summed across parts.
-#[derive(Clone)]
-struct BoundaryAcc {
-    snap: IntervalSnapshot,
-    attrib: ClassTable,
-    links: FastMap<(usize, usize), u64>,
-    patterns: Option<(u64, Vec<u64>)>,
-    contribs: usize,
-}
-
-/// One run's telemetry hub: the interval-boundary merge and the stream.
+/// One run's telemetry hub: the interval series and the stream.
 ///
 /// Ordering contract of the stream: events are emitted in the exact
 /// post-hoc `(cycle, seq)` merge order. An event may be recorded with a
@@ -800,8 +606,6 @@ struct BoundaryAcc {
 /// can still arrive — the pump ([`StreamPump`]) holds events until that
 /// watermark clears them, and is the only place a line is rendered.
 pub(crate) struct Hub {
-    /// How many parts feed this hub (each owes one piece per boundary).
-    parts: usize,
     /// Whether windows carry an `attrib_delta` record.
     attribution: bool,
     /// The pump in front of the attached sink (`None` = streaming off;
@@ -810,13 +614,6 @@ pub(crate) struct Hub {
     pump: Option<Box<StreamPump>>,
     /// Lines the sink reported shedding, read when the stream closed.
     shed: u64,
-    /// Interval boundaries still being accumulated.
-    boundaries: BTreeMap<Cycle, BoundaryAcc>,
-    /// The next interval boundary the stream owes a record for. The
-    /// stream must never emit an event at or past this cycle before the
-    /// boundary's record: boundaries are deterministic multiples of the
-    /// period, so the cap is known before any part ships a piece.
-    next_due: Cycle,
 }
 
 /// Cloning a machine detaches the stream: exploration branches share one
@@ -826,30 +623,25 @@ pub(crate) struct Hub {
 impl Clone for Hub {
     fn clone(&self) -> Self {
         Hub {
+            attribution: self.attribution,
             pump: None,
             shed: 0,
-            boundaries: self.boundaries.clone(),
-            ..*self
         }
     }
 }
 
 impl Hub {
-    /// The hub of a run over `parts` machine parts, `rec` being the
-    /// (fresh) recorder of any one of them.
-    pub(crate) fn new(rec: &Recorder, parts: usize) -> Self {
+    /// The hub of the machine whose (fresh) recorder is `rec`.
+    pub(crate) fn new(rec: &Recorder) -> Self {
         Hub {
-            parts,
             attribution: rec.cfg.attribution,
             pump: None,
             shed: 0,
-            boundaries: BTreeMap::new(),
-            next_due: rec.interval_next,
         }
     }
 
     /// Attaches `sink`: an optional `run_meta` record first, then whatever
-    /// the parts record, closed by `run_end` at [`Hub::close`].
+    /// the recorder records, closed by `run_end` at [`Hub::close`].
     pub(crate) fn attach(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
         let mut pump = StreamPump::new(sink);
         if let Some(run) = run {
@@ -870,107 +662,35 @@ impl Hub {
         self.shed
     }
 
-    /// The whole-machine step: one event at `t` is a barrier at which the
-    /// clock and the next pending time are both `t`. An early-out unless a
+    /// One event popped at `t`, after the recorder closed every interval
+    /// boundary at or below `t`: queue what it recorded, append each
+    /// closed window to the interval series and stream it, then move the
+    /// stream's watermark to `t` — nothing recorded from here on sorts
+    /// below it, and the next boundary is past it. An early-out unless a
     /// boundary just closed or a stream is attached.
     pub(crate) fn step(&mut self, rec: &mut Recorder, t: Cycle) {
         if self.pump.is_none() && rec.pieces.is_empty() {
             return;
         }
-        self.absorb(rec.pieces.drain(..), rec.tracer.drain_mirror());
-        self.advance(t, Some(t), &mut rec.metrics.intervals);
-    }
-
-    /// Takes the hub's share of one part's shipment at a window barrier
-    /// (the notes are the coordinator's to route).
-    pub(crate) fn absorb_shipment(&mut self, mut s: Shipment) {
-        self.absorb(s.pieces, s.mirror.drain(..));
-    }
-
-    /// Folds interval pieces into their boundary accumulators and queues
-    /// freshly recorded events in the pump.
-    fn absorb(
-        &mut self,
-        pieces: impl IntoIterator<Item = IntervalPiece>,
-        mirror: std::vec::Drain<'_, TraceEvent>,
-    ) {
-        for piece in pieces {
-            let acc = self
-                .boundaries
-                .entry(piece.snap.end)
-                .or_insert_with(|| BoundaryAcc {
-                    snap: IntervalSnapshot {
-                        start: piece.snap.start,
-                        end: piece.snap.end,
-                        ..Default::default()
-                    },
-                    attrib: Default::default(),
-                    links: FastMap::default(),
-                    patterns: None,
-                    contribs: 0,
-                });
-            acc.snap.messages += piece.snap.messages;
-            acc.snap.retries += piece.snap.retries;
-            acc.snap.nacks += piece.snap.nacks;
-            acc.snap.occupancy += piece.snap.occupancy;
-            acc.snap.ops_retired += piece.snap.ops_retired;
-            for (a, b) in acc.attrib.iter_mut().zip(piece.attrib_delta.iter()) {
-                *a = a.plus(*b);
+        self.queue(rec);
+        for piece in rec.pieces.drain(..) {
+            rec.metrics.intervals.push(piece.snap);
+            if let Some(pump) = self.pump.as_mut() {
+                let traffic = self.attribution.then_some((&piece.attrib_delta, piece.link_delta));
+                stream_window(pump, &piece.snap, traffic, piece.patterns);
             }
-            for (link, d) in piece.link_delta {
-                *acc.links.entry(link).or_insert(0) += d;
-            }
-            // Only the whole machine samples patterns (the observatory is
-            // refused for N > 1), so there is nothing to sum.
-            acc.patterns = acc.patterns.take().or(piece.patterns);
-            acc.contribs += 1;
-            debug_assert!(acc.contribs <= self.parts, "a part closed a boundary twice");
         }
         if let Some(pump) = self.pump.as_mut() {
-            for ev in mirror {
+            pump.flush_below(t);
+        }
+    }
+
+    /// Queues the events `rec` recorded since the last call in the pump.
+    fn queue(&mut self, rec: &mut Recorder) {
+        if let Some(pump) = self.pump.as_mut() {
+            for ev in rec.tracer.drain_mirror() {
                 pump.push(ev);
             }
-        }
-    }
-
-    /// Emits every fully-summed boundary the run has reached — a boundary
-    /// only becomes a record once some event at or past it was processed,
-    /// i.e. once `clock` (the highest event time processed anywhere) is at
-    /// or past it — appending the merged snapshots to `intervals`; then
-    /// moves the stream's watermark up to `next`, the earliest time
-    /// anything can still be recorded at (`None` = the run drained).
-    pub(crate) fn advance(
-        &mut self,
-        clock: Cycle,
-        next: Option<Cycle>,
-        intervals: &mut Vec<IntervalSnapshot>,
-    ) {
-        while let Some(entry) = self.boundaries.first_entry() {
-            if *entry.key() > clock {
-                break;
-            }
-            let acc = entry.remove();
-            debug_assert_eq!(acc.contribs, self.parts, "boundary missing a part's piece");
-            // Windows are one period wide.
-            self.next_due = acc.snap.end + (acc.snap.end - acc.snap.start);
-            intervals.push(acc.snap);
-            if let Some(pump) = self.pump.as_mut() {
-                let traffic = self
-                    .attribution
-                    .then(|| (&acc.attrib, acc.links.into_iter().collect()));
-                stream_window(pump, &acc.snap, traffic, acc.patterns);
-            }
-        }
-        if let Some(pump) = self.pump.as_mut() {
-            // Safe watermark: nothing recorded from here on sorts below the
-            // next pending event time, and no event at or past the next
-            // *due* interval boundary may flush before that boundary's
-            // record. `next_due` — not the accumulator map — is the cap:
-            // boundaries are deterministic multiples of the period, so the
-            // record for `next_due` is owed even before any part has
-            // shipped a piece for it (trace events can carry cycles past
-            // the window that recorded them).
-            pump.flush_below(next.unwrap_or(Cycle::MAX).min(self.next_due));
         }
     }
 
@@ -1028,120 +748,6 @@ fn stream_window(
     }
 }
 
-// ----------------------------------------------------------------------
-// Machine-wide documents: one implementation each, folding over the parts
-// of one machine. `Machine`'s methods pass itself as the only part.
-// ----------------------------------------------------------------------
-
-/// All retained trace events of `parts`, merged into the canonical
-/// `(cycle, cluster, seq)` order and renumbered.
-pub(crate) fn trace_events(parts: &[Machine]) -> Vec<TraceEvent> {
-    Tracer::merged_from(parts.iter().map(|m| &m.eng.telemetry.tracer))
-}
-
-/// Events recorded / evicted-from-ring counts across `parts`.
-pub(crate) fn trace_counts(parts: &[Machine]) -> (u64, u64) {
-    parts.iter().fold((0, 0), |(r, d), m| {
-        let t = &m.eng.telemetry.tracer;
-        (r + t.recorded(), d + t.dropped())
-    })
-}
-
-/// The `trace` section of the `scd-run-stats/v1` document: events
-/// recorded vs evicted from the rings, so truncated history is never
-/// silent. None when tracing is off. Lives outside [`RunStats`] so the
-/// `stats` section stays bit-identical across trace configurations.
-pub(crate) fn trace_json(parts: &[Machine]) -> Option<Json> {
-    parts[0].eng.telemetry.on.then(|| {
-        let (recorded, dropped) = trace_counts(parts);
-        Json::obj()
-            .with("recorded", Json::U64(recorded))
-            .with("dropped_events", Json::U64(dropped))
-    })
-}
-
-/// The full `scd-attrib/v1` document section: per-class byte/flit
-/// counters plus the machine-side gauges only this side can see — the
-/// busiest links with their channel occupancy, and (for sparse
-/// organizations) directory set pressure. None when attribution is off.
-/// Exact over parts: each message is attributed by exactly one part and
-/// link counters sum.
-pub(crate) fn attribution_json(parts: &[Machine], elapsed: Cycle) -> Option<Json> {
-    let (first, rest) = parts.split_first()?;
-    if !first.eng.telemetry.cfg.attribution {
-        return None;
-    }
-    let mut attrib = first.eng.telemetry.attrib.clone();
-    for m in rest {
-        attrib.merge(&m.eng.telemetry.attrib);
-    }
-    let mut j = attrib.to_json();
-    let horizon = elapsed.max(1) as f64;
-    const TOP_LINKS: usize = 16;
-    let all = merge_link_traffic(parts.iter().map(|m| m.eng.network.link_traffic()));
-    let links: Vec<Json> = all
-        .iter()
-        .take(TOP_LINKS)
-        .map(|((from, to), c)| {
-            Json::obj()
-                .with("from", Json::U64(*from as u64))
-                .with("to", Json::U64(*to as u64))
-                .with("messages", Json::U64(c.messages))
-                .with("flits", Json::U64(c.flits))
-                // Fraction of the horizon the channel was moving
-                // flits (one flit-time per flit).
-                .with("occupancy", Json::F64(c.flits as f64 / horizon))
-        })
-        .collect();
-    j.set(
-        "links",
-        Json::obj()
-            .with("tracked", Json::U64(all.len() as u64))
-            .with("busiest", Json::Arr(links)),
-    );
-    // Sparse-directory set pressure: occupancy + replacement rate.
-    let mut live = 0usize;
-    let mut sparse: Option<scd_core::SparseStats> = None;
-    for c in parts.iter().flat_map(|m| m.eng.owned_clusters()) {
-        live += c.dir.live_entries();
-        crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
-    }
-    if let Some(s) = sparse {
-        let cfg = &first.eng.cfg;
-        let capacity = match &cfg.organization {
-            scd_core::Organization::Sparse { entries, .. } => *entries * cfg.clusters,
-            _ => 0,
-        };
-        let mut sp = Json::obj()
-            .with("capacity", Json::U64(capacity as u64))
-            .with("live", Json::U64(live as u64));
-        if capacity > 0 {
-            sp.set("occupancy", Json::F64(live as f64 / capacity as f64));
-        }
-        sp.set("replacements", Json::U64(s.replacements));
-        sp.set(
-            "replacements_per_kcycle",
-            Json::F64(s.replacements as f64 * 1000.0 / horizon),
-        );
-        j.set("sparse", sp);
-    }
-    Some(j)
-}
-
-/// What the closing `run_end` record reports for a run over `parts`: the
-/// final cycle — the finish time, or the furthest clock of a run that
-/// died — and the recorded/evicted event totals.
-pub(crate) fn run_end(parts: &[Machine]) -> (Cycle, u64, u64) {
-    let finish = parts.iter().map(|m| m.eng.finish_time).max().unwrap_or(0);
-    let cycles = if finish > 0 {
-        finish
-    } else {
-        parts.iter().map(|m| m.eng.queue.now()).max().unwrap_or(0)
-    };
-    let (recorded, dropped) = trace_counts(parts);
-    (cycles, recorded, dropped)
-}
-
 impl Machine {
     /// Attaches `sink` and starts streaming: an optional `run_meta`
     /// record first, then trace events, interval windows, and
@@ -1171,7 +777,8 @@ impl Machine {
     }
 
     /// Flushes everything still pending, emits the closing `run_end`
-    /// record (final cycle, recorded/evicted counters), and detaches the
+    /// record — the final cycle (the finish time, or the clock of a run
+    /// that died) and the recorded/evicted counters — and detaches the
     /// sink. Idempotent; runs automatically when the run finalizes —
     /// call it directly only to stop streaming early or after an
     /// aborted run.
@@ -1179,16 +786,22 @@ impl Machine {
         if !self.eng.hub.streaming() {
             return;
         }
-        self.eng.hub
-            .absorb(None, self.eng.telemetry.tracer.drain_mirror());
-        let (cycles, recorded, dropped) = run_end(std::slice::from_ref(self));
+        let eng = &mut self.eng;
+        eng.hub.queue(&mut eng.telemetry);
+        let cycles = if eng.finish_time > 0 {
+            eng.finish_time
+        } else {
+            eng.queue.now()
+        };
+        let (recorded, dropped) = self.trace_counts();
         self.eng.hub.close(cycles, recorded, dropped);
         self.eng.telemetry.stop_streaming();
     }
 
-    /// All retained trace events, merged into one cycle-ordered history.
+    /// All retained trace events, merged into the canonical
+    /// `(cycle, cluster, seq)` order and renumbered.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        trace_events(std::slice::from_ref(self))
+        self.eng.telemetry.tracer.merged()
     }
 
     /// The last `k` retained trace events of one cluster, oldest first.
@@ -1198,13 +811,21 @@ impl Machine {
 
     /// Events recorded / evicted-from-ring counts for the run so far.
     pub fn trace_counts(&self) -> (u64, u64) {
-        trace_counts(std::slice::from_ref(self))
+        let t = &self.eng.telemetry.tracer;
+        (t.recorded(), t.dropped())
     }
 
-    /// The `trace` section of the `scd-run-stats/v1` document (None when
-    /// tracing is off).
+    /// The `trace` section of the `scd-run-stats/v1` document: events
+    /// recorded vs evicted from the rings, so truncated history is never
+    /// silent. None when tracing is off. Lives outside [`RunStats`] so the
+    /// `stats` section stays bit-identical across trace configurations.
     pub fn trace_json(&self) -> Option<Json> {
-        trace_json(std::slice::from_ref(self))
+        self.eng.telemetry.on.then(|| {
+            let (recorded, dropped) = self.trace_counts();
+            Json::obj()
+                .with("recorded", Json::U64(recorded))
+                .with("dropped_events", Json::U64(dropped))
+        })
     }
 
     /// The metrics registry (empty unless `TraceConfig::metrics` was on).
@@ -1221,11 +842,64 @@ impl Machine {
             .then_some(&self.eng.telemetry.attrib)
     }
 
-    /// The `scd-attrib/v1` document section (None when attribution is
-    /// off). `elapsed` is the cycle horizon occupancies are normalized
-    /// over (pass the run's final cycle).
+    /// The `scd-attrib/v1` document section: per-class byte/flit counters
+    /// plus the machine-side gauges only this side can see — the busiest
+    /// links with their channel occupancy, and (for sparse organizations)
+    /// directory set pressure. None when attribution is off. `elapsed` is
+    /// the cycle horizon occupancies are normalized over (pass the run's
+    /// final cycle).
     pub fn attribution_json(&self, elapsed: Cycle) -> Option<Json> {
-        attribution_json(std::slice::from_ref(self), elapsed)
+        let mut j = self.attribution()?.to_json();
+        let horizon = elapsed.max(1) as f64;
+        const TOP_LINKS: usize = 16;
+        let all = self.eng.network.link_traffic();
+        let links: Vec<Json> = all
+            .iter()
+            .take(TOP_LINKS)
+            .map(|((from, to), c)| {
+                Json::obj()
+                    .with("from", Json::U64(*from as u64))
+                    .with("to", Json::U64(*to as u64))
+                    .with("messages", Json::U64(c.messages))
+                    .with("flits", Json::U64(c.flits))
+                    // Fraction of the horizon the channel was moving
+                    // flits (one flit-time per flit).
+                    .with("occupancy", Json::F64(c.flits as f64 / horizon))
+            })
+            .collect();
+        j.set(
+            "links",
+            Json::obj()
+                .with("tracked", Json::U64(all.len() as u64))
+                .with("busiest", Json::Arr(links)),
+        );
+        // Sparse-directory set pressure: occupancy + replacement rate.
+        let mut live = 0usize;
+        let mut sparse: Option<scd_core::SparseStats> = None;
+        for c in &self.eng.clusters {
+            live += c.dir.live_entries();
+            crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
+        }
+        if let Some(s) = sparse {
+            let cfg = &self.eng.cfg;
+            let capacity = match &cfg.organization {
+                scd_core::Organization::Sparse { entries, .. } => *entries * cfg.clusters,
+                _ => 0,
+            };
+            let mut sp = Json::obj()
+                .with("capacity", Json::U64(capacity as u64))
+                .with("live", Json::U64(live as u64));
+            if capacity > 0 {
+                sp.set("occupancy", Json::F64(live as f64 / capacity as f64));
+            }
+            sp.set("replacements", Json::U64(s.replacements));
+            sp.set(
+                "replacements_per_kcycle",
+                Json::F64(s.replacements as f64 * 1000.0 / horizon),
+            );
+            j.set("sparse", sp);
+        }
+        Some(j)
     }
 
     /// The `occupancy` section of the `scd-patterns/v1` document:
@@ -1303,7 +977,7 @@ mod tests {
             let rec = &machine.eng.telemetry;
             assert!(!rec.on, "every hook site gates on this flag");
             assert!(rec.txn_live.is_empty() && rec.txn_seq.is_empty());
-            assert!(rec.txn_phase.is_empty() && rec.msg_cost.is_empty());
+            assert!(rec.msg_cost.is_empty());
             assert!(rec.obs.sharers.is_empty());
             assert_eq!(rec.interval_next, Cycle::MAX, "no interval boundary is ever due");
             // A tracer without rings ignores what it is handed.
@@ -1370,7 +1044,6 @@ mod tests {
             let rec = &machine.eng.telemetry;
             assert!(rec.on && !rec.lifecycle, "{quiet:?}");
             assert!(rec.txn_live.iter().all(Vec::is_empty), "{quiet:?}");
-            assert!(rec.txn_phase.is_empty() && rec.notes.is_empty(), "{quiet:?}");
             assert!(rec.txn_seq.iter().all(|&n| n == 0), "{quiet:?}");
             assert_eq!(machine.trace_counts(), (0, 0), "{quiet:?}");
             assert_eq!(machine.metrics().transactions(), 0, "{quiet:?}");

@@ -5,26 +5,6 @@ use scd_noc::NetworkStats;
 use scd_stats::{Histogram, MessageClass, Traffic};
 use scd_trace::{Json, MetricsRegistry};
 
-/// `AddAssign` as the field-wise sum of a counter block, which is how the
-/// blocks of a machine's parts fold into machine-wide ones: every counter
-/// is bumped by exactly one part.
-macro_rules! sum_fields {
-    ($t:ty { $($f:ident),* }) => {
-        impl std::ops::AddAssign for $t {
-            fn add_assign(&mut self, o: Self) {
-                $(self.$f += o.$f;)*
-            }
-        }
-    };
-}
-
-sum_fields!(ProtocolCounters {
-    forwards, races, self_owned_parks, nb_evictions, replacement_flushes, sparse_stalls
-});
-sum_fields!(TardisCounters { lease_fills, renewals, renew_refetches, write_throughs });
-sum_fields!(DlsCounters { llc_fills, llc_writes });
-sum_fields!(FaultCounters { nacks, retries, duplicates, strays_dropped, delay_spikes, reorders });
-
 /// Adds an optional stat block into an optional accumulator (`None` =
 /// the block does not apply to this configuration).
 pub(crate) fn add_opt<T: std::ops::AddAssign>(acc: &mut Option<T>, x: Option<T>) {
@@ -183,40 +163,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Folds the statistics of another part of the same machine into this
-    /// one. Every counter is owned by exactly one part (processors,
-    /// clusters and message sources partition), so plain sums — plus max
-    /// for the clock-like fields — reproduce the whole-machine run exactly.
-    pub fn merge(&mut self, p: RunStats) {
-        self.cycles = self.cycles.max(p.cycles);
-        self.traffic.merge(&p.traffic);
-        self.invalidations.merge(&p.invalidations);
-        self.shared_reads += p.shared_reads;
-        self.shared_writes += p.shared_writes;
-        self.sync_ops += p.sync_ops;
-        self.network.merge(&p.network);
-        add_opt(&mut self.sparse, p.sparse);
-        add_opt(&mut self.overflow, p.overflow);
-        self.l2_misses += p.l2_misses;
-        self.lock_metrics.0 += p.lock_metrics.0;
-        self.lock_metrics.1 += p.lock_metrics.1;
-        self.queue_metrics.0 = self.queue_metrics.0.max(p.queue_metrics.0);
-        self.queue_metrics.1 += p.queue_metrics.1;
-        self.live_dir_entries += p.live_dir_entries;
-        self.protocol += p.protocol;
-        add_opt(&mut self.tardis, p.tardis);
-        add_opt(&mut self.dls, p.dls);
-        self.faults += p.faults;
-        self.versions_assigned += p.versions_assigned;
-        self.events_delivered += p.events_delivered;
-        // Per-processor rows: a part reports zeros for processors it does
-        // not own.
-        let sum = |a: &mut [u64], b: &[u64]| a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
-        sum(&mut self.stalls.mem_stall, &p.stalls.mem_stall);
-        sum(&mut self.stalls.sync_stall, &p.stalls.sync_stall);
-        sum(&mut self.stalls.finish, &p.stalls.finish);
-    }
-
     /// Total shared references (Table 2's "shared refs").
     pub fn shared_refs(&self) -> u64 {
         self.shared_reads + self.shared_writes

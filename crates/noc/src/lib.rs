@@ -20,4 +20,4 @@ pub mod network;
 
 pub use fault::FaultPlan;
 pub use mesh::{Mesh, RouteIter};
-pub use network::{merge_link_traffic, LatencyModel, LinkCounters, Network, NetworkStats};
+pub use network::{LatencyModel, LinkCounters, Network, NetworkStats};

@@ -1,7 +1,5 @@
 //! Latency model and per-network accounting.
 
-use std::collections::BTreeMap;
-
 use crate::mesh::Mesh;
 
 /// How message latency is computed.
@@ -40,22 +38,6 @@ impl LatencyModel {
             LatencyModel::Mesh { fixed, per_hop } => fixed + per_hop * hops as u64,
         }
     }
-
-    /// The minimum latency of any remote (`src != dst`) message under this
-    /// model: adjacent clusters are one hop apart, so a mesh message costs
-    /// at least `fixed + per_hop`. This is the conservative-window
-    /// **lookahead** of a sharded run — a message sent at cycle `t` can
-    /// never be delivered to another cluster before `t + lookahead`, so
-    /// shards may safely advance `lookahead` cycles past the global
-    /// minimum pending event without waiting on each other. Contention and
-    /// fault-injected jitter only ever *add* latency, so the bound holds
-    /// under both.
-    pub fn min_remote_latency(&self) -> u64 {
-        match *self {
-            LatencyModel::Uniform { latency } => latency,
-            LatencyModel::Mesh { fixed, per_hop } => fixed + per_hop,
-        }
-    }
 }
 
 /// Message and hop accounting.
@@ -78,20 +60,6 @@ impl NetworkStats {
             0.0
         } else {
             self.hops as f64 / self.messages as f64
-        }
-    }
-
-    /// Folds another accounting into this one (element-wise sums). Used to
-    /// combine per-shard networks into whole-machine statistics.
-    pub fn merge(&mut self, other: &NetworkStats) {
-        self.messages += other.messages;
-        self.hops += other.hops;
-        self.contention_cycles += other.contention_cycles;
-        if self.hop_histogram.len() < other.hop_histogram.len() {
-            self.hop_histogram.resize(other.hop_histogram.len(), 0);
-        }
-        for (i, &n) in other.hop_histogram.iter().enumerate() {
-            self.hop_histogram[i] += n;
         }
     }
 }
@@ -284,27 +252,6 @@ impl Network {
         v.sort_by(|a, b| b.1.flits.cmp(&a.1.flits).then(a.0.cmp(&b.0)));
         v
     }
-}
-
-/// Merges per-link traffic snapshots (e.g. one per shard, each covering
-/// the links its clusters sent on) into one table with the same
-/// busiest-first, link-id-tie-broken ordering [`Network::link_traffic`]
-/// produces — so a merged table is byte-compatible with a whole-machine
-/// one.
-pub fn merge_link_traffic(
-    parts: impl IntoIterator<Item = Vec<((usize, usize), LinkCounters)>>,
-) -> Vec<((usize, usize), LinkCounters)> {
-    let mut map: BTreeMap<(usize, usize), LinkCounters> = BTreeMap::new();
-    for part in parts {
-        for (link, c) in part {
-            let e = map.entry(link).or_default();
-            e.messages += c.messages;
-            e.flits += c.flits;
-        }
-    }
-    let mut v: Vec<_> = map.into_iter().collect();
-    v.sort_by(|a, b| b.1.flits.cmp(&a.1.flits).then(a.0.cmp(&b.0)));
-    v
 }
 
 #[cfg(test)]

@@ -18,11 +18,10 @@
 //!   same-cycle delivery FIFO in schedule order — the classic heap
 //!   tie-break, and the behaviour every pre-existing caller sees.
 //! * [`EventQueue::schedule_at_stamped`] lets the caller supply the stamp.
-//!   A sharded simulation uses per-lane (per-cluster) monotone counters so
-//!   the same-cycle order is a pure function of each lane's local history —
+//!   The machine uses per-lane (per-cluster) monotone counters so the
+//!   same-cycle order is a pure function of each lane's local history —
 //!   independent of the global interleaving in which the schedules were
-//!   issued, and therefore identical whether the machine runs on one
-//!   thread or many.
+//!   issued.
 //!
 //! Structurally: the ring window is always `WHEEL_SLOTS` cycles and aligned
 //! to a multiple of `WHEEL_SLOTS`, so within one window a bucket holds
@@ -64,8 +63,9 @@ pub type Cycle = u64;
 ///
 /// Callers that don't care use the plain `schedule` APIs, which stamp
 /// events with the sentinel lane `u32::MAX` and a global counter (FIFO).
-/// Callers that need an interleaving-independent order (the sharded
-/// machine) stamp each event from a per-lane monotone counter.
+/// Callers that need an interleaving-independent order (the machine, and
+/// the stream pump behind it) stamp each event from a per-lane monotone
+/// counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Stamp {
     /// The emitting lane (a cluster index in the machine; `u32::MAX` for
@@ -738,8 +738,8 @@ mod tests {
     }
 
     /// Lane-stamped events of one cycle come out in stamp order regardless
-    /// of the order they were scheduled — the property the sharded machine
-    /// relies on for interleaving-independent delivery.
+    /// of the order they were scheduled — the property the machine relies
+    /// on for interleaving-independent delivery.
     #[test]
     fn stamped_events_sort_within_a_cycle() {
         let mut q = EventQueue::new();

@@ -46,7 +46,7 @@ impl Op {
 /// operation, so simulated memory timing still decides how the processes'
 /// streams interleave. The ops sit behind an [`Arc`]: a clone is a second
 /// cursor over the same stream, which is how one generated program feeds
-/// any number of simulations (sweep workers, shards, exploration branches)
+/// any number of simulations (sweep workers, exploration branches)
 /// without being copied.
 #[derive(Clone, Debug)]
 pub struct Script {

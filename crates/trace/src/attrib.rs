@@ -247,17 +247,6 @@ impl ClassCounters {
             flit_hops: self.flit_hops.saturating_sub(earlier.flit_hops),
         }
     }
-
-    /// Counter-wise sum — for folding per-shard deltas of the same class
-    /// and window back into the machine-wide figure.
-    pub fn plus(self, other: ClassCounters) -> ClassCounters {
-        ClassCounters {
-            messages: self.messages + other.messages,
-            bytes: self.bytes + other.bytes,
-            flits: self.flits + other.flits,
-            flit_hops: self.flit_hops + other.flit_hops,
-        }
-    }
 }
 
 /// The per-class traffic attribution of one run.
@@ -306,16 +295,6 @@ impl Attribution {
     /// (via [`ClassCounters::minus`]).
     pub fn counters(&self) -> [ClassCounters; AttribClass::ALL.len()] {
         self.classes
-    }
-
-    /// Folds another attribution's per-class counters into this one.
-    /// Both sides must share the same wire model; each message is
-    /// recorded by exactly one shard, so summing per-shard attributions
-    /// reproduces the serial accounting.
-    pub fn merge(&mut self, other: &Attribution) {
-        for (a, b) in self.classes.iter_mut().zip(other.classes.iter()) {
-            *a = a.plus(*b);
-        }
     }
 
     /// Sum over every class.

@@ -144,22 +144,6 @@ impl MetricsRegistry {
         self.intervals.push(snap);
     }
 
-    /// Folds another registry's histograms and intervals into this one.
-    /// Histogram sums are order-independent, so merging per-shard
-    /// registries reproduces the serial run's aggregates exactly; the
-    /// other registry's intervals are appended in order (shard registries
-    /// hand their windows to the coordinator separately and carry none).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        self.read_latency.merge(&other.read_latency);
-        self.write_latency.merge(&other.write_latency);
-        self.issue_to_home.merge(&other.issue_to_home);
-        self.home_to_fanout.merge(&other.home_to_fanout);
-        self.fanout_to_reply.merge(&other.fanout_to_reply);
-        self.home_to_reply.merge(&other.home_to_reply);
-        self.retries_per_txn.merge(&other.retries_per_txn);
-        self.intervals.extend(other.intervals.iter().copied());
-    }
-
     /// Completed transactions recorded.
     pub fn transactions(&self) -> u64 {
         self.read_latency.events() + self.write_latency.events()

@@ -6,10 +6,10 @@
 //! has to produce the same lines in the same order without seeing the
 //! future. The pump does that with a watermark: an event is held until the
 //! caller says the simulation clock has moved strictly past its cycle, at
-//! which point nothing still unrecorded can sort before it. Solo machines
-//! and the shard coordinator both feed one of these; it is the only place
-//! events meet a [`TraceSink`], and the only place a trace line is
-//! rendered during a run.
+//! which point nothing still unrecorded can sort before it. A machine's
+//! telemetry hub feeds one of these; it is the only place events meet a
+//! [`TraceSink`], and the only place a trace line is rendered during a
+//! run.
 //!
 //! What holds the events is the engine's own timing wheel
 //! ([`EventQueue`]): scheduled at its cycle under `Stamp { lane: cluster,

@@ -109,9 +109,7 @@ impl TraceConfig {
 /// is the recording order (a valid causal order: the simulator records
 /// effects after causes within a cycle); across clusters the cluster index
 /// breaks same-cycle ties. The canonical order is a pure function of each
-/// cluster's local history, which is what lets a sharded machine — where
-/// clusters record on different worker threads — emit the exact byte
-/// stream a single-threaded run emits.
+/// cluster's local history.
 #[derive(Debug)]
 pub struct Tracer {
     rings: Vec<RingLog<TraceEvent>>,
@@ -191,12 +189,6 @@ impl Tracer {
         self.mirror.drain(..)
     }
 
-    /// Hands over the mirror's buffer itself, leaving an empty one: for a
-    /// consumer on another thread, which cannot drain in place.
-    pub fn take_mirror(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.mirror)
-    }
-
     /// Whether per-message events should be recorded.
     pub fn messages_enabled(&self) -> bool {
         self.messages
@@ -258,23 +250,14 @@ impl Tracer {
     /// All retained events merged into one global, canonically ordered
     /// history — `(cycle, cluster, per-cluster seq)` — with each event's
     /// `seq` renumbered to its 1-based position in that order.
-    pub fn merged(&self) -> Vec<TraceEvent> {
-        Self::merged_from([self])
-    }
-
-    /// Merges the retained events of several tracers (e.g. one per shard,
-    /// each having recorded a disjoint cluster set) into one canonically
-    /// ordered, renumbered history. Equivalent to [`Tracer::merged`] on a
-    /// tracer that recorded everything itself.
     ///
     /// The result is allocated once at its exact length, and sorted in
     /// place: `(cycle, cluster, seq)` is unique (a cluster's `seq` counts
     /// its own events), so an unstable sort gives the stable order without
     /// a scratch buffer the size of the history.
-    pub fn merged_from<'a>(parts: impl IntoIterator<Item = &'a Tracer>) -> Vec<TraceEvent> {
-        let rings: Vec<_> = parts.into_iter().flat_map(|t| t.rings.iter()).collect();
-        let mut all = Vec::with_capacity(rings.iter().map(|r| r.len()).sum());
-        for r in rings {
+    pub fn merged(&self) -> Vec<TraceEvent> {
+        let mut all = Vec::with_capacity(self.rings.iter().map(|r| r.len()).sum());
+        for r in &self.rings {
             all.extend(r.iter().cloned());
         }
         all.sort_unstable_by_key(|e| (e.cycle, e.cluster, e.seq));
@@ -321,7 +304,7 @@ mod tests {
         assert_eq!(merged.len(), 3);
         assert_eq!(merged[0].cycle, 10);
         // Same cycle: the lower cluster index wins, regardless of which
-        // cluster recorded first (shard-order independence).
+        // cluster recorded first.
         assert_eq!(merged[1].kind, phase(3));
         assert_eq!(merged[2].kind, phase(1));
         assert!(merged.windows(2).all(|w| w[0].cycle <= w[1].cycle));
@@ -330,24 +313,6 @@ mod tests {
             merged.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-    }
-
-    /// Two tracers over disjoint cluster sets merge into the same history
-    /// a single tracer would have recorded.
-    #[test]
-    fn merged_from_shards_matches_single_tracer() {
-        let mut whole = Tracer::new(2, &TraceConfig::full(8));
-        whole.record(1, 50, phase(1));
-        whole.record(0, 10, phase(2));
-        whole.record(0, 50, phase(3));
-        // Shard A owns cluster 0, shard B owns cluster 1; each records
-        // only its own clusters, in its own local order.
-        let mut a = Tracer::new(2, &TraceConfig::full(8));
-        let mut b = Tracer::new(2, &TraceConfig::full(8));
-        b.record(1, 50, phase(1));
-        a.record(0, 10, phase(2));
-        a.record(0, 50, phase(3));
-        assert_eq!(Tracer::merged_from([&a, &b]), whole.merged());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Runs a grid of apps × directory schemes × sparse configurations ×
 //! seeds on a worker pool (`bench::sweep`) and writes the aggregated
 //! `scd-sweep/v1` document. Everything except the wall-clock `timing`
-//! section is byte-identical whatever `--jobs` and `--shards` were, so
+//! section is byte-identical whatever `--jobs` was, so
 //! `scd-sweep --no-timing` output can be `cmp`-ed across thread counts
 //! (`tests/sweep.rs::jobs_1_and_jobs_4_are_byte_identical` does).
 
@@ -23,11 +23,6 @@ usage: scd-sweep [options]
 
   --jobs <n>          worker threads across grid points
                       (default: all hardware threads)
-  --shards <n>        worker threads *inside* each machine (conservative
-                      time-window partitioning; results are byte-identical
-                      to --shards 1, so this only changes wall-clock).
-                      Composes with --jobs: total threads ~ jobs x shards
-                      (default 1)
   --apps <a,..>       lu,dwf,mp3d,locusroute (default: all four)
   --schemes <s,..>    full | b:I | nb:I | x:I | cv:I:R
                       (default: full,cv:3:2,b:3,nb:3 — the paper's SS5 suite)
@@ -97,13 +92,6 @@ fn main() {
                     _ => usage_err(&format!("bad --jobs `{v}` (want an integer >= 1)")),
                 }
             }
-            "--shards" => {
-                let v = val();
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => spec.shards = n,
-                    _ => usage_err(&format!("bad --shards `{v}` (want an integer >= 1)")),
-                }
-            }
             "--apps" => {
                 spec.apps = split_list(&val()).iter().map(|s| s.to_string()).collect();
             }
@@ -144,9 +132,7 @@ fn main() {
             "--stream-out" => stream_out = Some(val()),
             "--no-timing" => timing = false,
             "--trajectory" => {
-                let (scale, shards) = (spec.scale, spec.shards);
-                spec = SweepSpec::trajectory(scale);
-                spec.shards = shards;
+                spec = SweepSpec::trajectory(spec.scale);
                 spec.sparse = vec![SparseVariant::Full, bench::CANONICAL_SPARSE];
             }
             "-h" | "--help" => {
@@ -196,13 +182,12 @@ fn main() {
         * spec.seeds.len();
     eprintln!(
         "[scd-sweep] {points} grid points ({} apps x {} protocols x {} schemes x {} sparse \
-         x {} seeds), {jobs} jobs x {} shards",
+         x {} seeds), {jobs} jobs",
         spec.apps.len(),
         spec.protocols.len(),
         spec.schemes.len(),
         spec.sparse.len(),
         spec.seeds.len(),
-        spec.shards,
     );
 
     let mut sink: Option<JsonlFileSink> = stream_out.as_ref().map(|path| {

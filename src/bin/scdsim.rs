@@ -9,7 +9,7 @@ use bench::{parse_scale, parse_seed};
 use scd::apps::{dwf, locusroute, lu, mp3d, AppRun, DwfParams, LocusRouteParams, LuParams,
     Mp3dParams};
 use scd::core::{Replacement, Scheme};
-use scd::machine::{MachineConfig, ProtocolKind, ShardedMachine};
+use scd::machine::{Machine, MachineConfig, ProtocolKind};
 use scd::noc::FaultPlan;
 use scd::trace::{analyze, to_perfetto, Json, JsonlFileSink, PatternTable, SpanTree, TraceConfig};
 
@@ -51,10 +51,6 @@ usage: scdsim [options]
                                               toryless shared LLC)
   --clusters <n>                              cluster count (default 32)
   --procs-per-cluster <n>                     processors per cluster (default 1)
-  --shards <n>                                partition the machine across n
-                                              worker threads (conservative
-                                              time windows; every output is
-                                              byte-identical to --shards 1)
   --scale <f>                                 problem scale in (0, 1] (default 1.0)
   --seed <n>                                  workload seed, decimal or 0x hex
                                               (default 0xD45B)
@@ -108,7 +104,7 @@ usage: scdsim [options]
 "#;
 
 /// Writes the merged, cycle-ordered trace as JSONL and reports volume.
-fn write_trace(machine: &ShardedMachine, path: &str) {
+fn write_trace(machine: &Machine, path: &str) {
     use std::io::Write as _;
     let events = machine.trace_events();
     let (recorded, dropped) = machine.trace_counts();
@@ -140,7 +136,6 @@ fn main() {
     let mut protocol = ProtocolKind::Dash;
     let mut clusters = 32usize;
     let mut ppc = 1usize;
-    let mut shards = 1usize;
     let mut scale = 1.0f64;
     let mut seed = 0xD45Bu64;
     let mut sparse: Option<(usize, usize, Replacement)> = None;
@@ -179,7 +174,6 @@ fn main() {
             }
             "--clusters" => clusters = num(flag, &val()),
             "--procs-per-cluster" => ppc = num(flag, &val()),
-            "--shards" => shards = num(flag, &val()),
             "--scale" => scale = parse_scale(&val()).unwrap_or_else(|e| usage_err(&e)),
             "--seed" => seed = parse_seed(&val()).unwrap_or_else(|e| usage_err(&e)),
             "--sparse" => {
@@ -316,10 +310,7 @@ fn main() {
         .with("scale", Json::F64(scale));
 
     let wall = std::time::Instant::now();
-    let mut machine =
-        ShardedMachine::new(cfg, app.scripts(), shards).unwrap_or_else(|e| {
-            usage_err(&format!("cannot shard this configuration: {e}"))
-        });
+    let mut machine = Machine::new(cfg, app.scripts());
     if let Some(path) = &stream_out {
         let sink = match JsonlFileSink::create(std::path::Path::new(path)) {
             Ok(s) => s,

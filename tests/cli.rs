@@ -122,11 +122,8 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--scale", "-1"], "bad --scale `-1` (want 0 < f <= 1)"),
         (&["--scale", "0"], "bad --scale `0` (want 0 < f <= 1)"),
         (&["--scale", "7"], "bad --scale `7` (want 0 < f <= 1)"),
-        // Unshardeable configurations are refused with the reason.
-        (
-            &["--clusters", "4", "--scale", "0.05", "--shards", "2", "--contention", "5"],
-            "cannot shard this configuration: link contention",
-        ),
+        // Sharded execution is gone, flag and all.
+        (&["--shards", "2"], "unknown flag --shards"),
     ] {
         let out = expect(SCDSIM, &dir, args, 2, needle);
         assert!(stderr(&out).lines().count() <= 3, "{}", stderr(&out));

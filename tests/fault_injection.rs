@@ -157,35 +157,6 @@ fn combined_fault_modes_still_quiesce() {
     }
 }
 
-/// Fault placement is drawn from per-channel RNG streams keyed by
-/// (seed, src, dst), so partitioning the machine across worker threads
-/// must not move a single injection: a combined-mode faulty run under
-/// `--shards 2` is bit-identical to the serial run, scheme by scheme.
-#[test]
-fn combined_fault_modes_are_shard_invariant() {
-    use scd::machine::ShardedMachine;
-    let plan = FaultPlan::parse("nack:0.03,dup:0.02,delay:0.03:150,reorder:0.03:80")
-        .expect("valid spec");
-    for scheme in [Scheme::FullVector, Scheme::dir_nb(3), Scheme::dir_cv(3, 2)] {
-        let run = |shards: usize| {
-            let cfg = MachineConfig::tiny(6).with_scheme(scheme).with_fault(plan);
-            let programs = random_programs(cfg.processors(), 250, 24, 0.4, 0xFA065);
-            ShardedMachine::new(cfg, programs, shards)
-                .expect("tiny machines shard")
-                .try_run()
-                .unwrap_or_else(|e| panic!("faulty run failed to quiesce: {e}"))
-        };
-        let serial = run(1);
-        let sharded = run(2);
-        assert!(serial.faults.nacks > 0, "faults must actually fire");
-        assert_eq!(
-            serial.to_json().to_string(),
-            sharded.to_json().to_string(),
-            "scheme {scheme:?} diverged under 2 shards"
-        );
-    }
-}
-
 #[test]
 fn inert_plan_is_bit_identical_to_no_plan() {
     let run = |plan: Option<FaultPlan>| {
@@ -244,6 +215,21 @@ fn lost_lock_grant_reports_deadlock_with_post_mortem() {
     assert_eq!(pm.running, 1, "{err}");
     assert!(pm.blocked_procs.iter().any(|b| b.proc == 1), "{err}");
     assert!(err.to_string().contains("deadlock"), "{err}");
+}
+
+#[test]
+fn a_barrier_nobody_else_reaches_reports_deadlock() {
+    // Processor 3 waits at a barrier the others never reach: the queue
+    // drains with it blocked, and the post-mortem names it.
+    let cfg = MachineConfig::tiny(4);
+    let mut programs = vec![Script::from(vec![Op::Read(16)]); 4];
+    programs[3] = Script::from(vec![Op::Barrier(7)]);
+    let err = Machine::new(cfg, programs).try_run().expect_err("must deadlock");
+    let SimError::Deadlock(pm) = &err else {
+        panic!("expected Deadlock, got {err}");
+    };
+    assert_eq!(pm.running, 1, "{err}");
+    assert!(pm.blocked_procs.iter().any(|b| b.proc == 3), "{err}");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Gates on the repository as a whole rather than on one crate or one
-//! binary: what the engine's source may not contain, and `results/` being
-//! what this build generates. The slow one is ignored:
+//! binary: what the engine's source may not contain, what the documents
+//! may point at, and `results/` being what this build generates. The slow
+//! one is ignored:
 //! `cargo test --release --workspace -- --include-ignored`.
 
 use std::path::{Path, PathBuf};
@@ -93,6 +94,147 @@ fn one_protocol_dispatch_file_and_one_requester() {
         let sites = code(needle);
         assert_eq!(sites.len(), 1, "`{needle}` sites:\n{}", listing(&sites));
     }
+}
+
+/// Every file and directory of the repository (build output and VCS data
+/// aside), as `/`-separated paths relative to the root; directories end
+/// in `/`.
+fn repo_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).expect("a directory") {
+        let path = entry.expect("a directory entry").path();
+        let rel = path.strip_prefix(root).expect("under the root");
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        let name = rel.rsplit('/').next().unwrap_or(&rel);
+        if name == "target" || name == ".git" {
+            continue;
+        }
+        if path.is_dir() {
+            out.push(format!("{rel}/"));
+            repo_files(root, &path, out);
+        } else {
+            out.push(rel);
+        }
+    }
+}
+
+/// The binaries whose flags the documents name.
+const BINARIES: [&str; 5] = ["scdsim", "scd-sweep", "scd-check", "scd-telemetry", "scd-top"];
+
+/// `a{b,c}d` as `[abd, acd]` (one brace group); anything else as itself.
+fn expand_braces(name: &str) -> Vec<String> {
+    match (name.split_once('{'), name.split_once('}')) {
+        (Some((head, _)), Some((body, tail))) => {
+            let body = &body[head.len() + 1..];
+            body.split(',').map(|alt| format!("{head}{alt}{tail}")).collect()
+        }
+        _ => vec![name.to_string()],
+    }
+}
+
+/// What is stale about one backticked span, or one command of a fenced
+/// block (`fenced`): a `path.rs::name` whose file lacks `fn name`, a
+/// repository path that does not exist, or a binary's `--flag` that its
+/// source does not match on. A path may be written from the root or as a
+/// suffix (`machine/telemetry.rs`), with an optional `:line`; a name may
+/// end in `*` (a prefix) or hold one `{a,b}` group.
+fn stale_pointers(root: &Path, files: &[String], span: &str, fenced: bool) -> Vec<String> {
+    let mut stale = Vec::new();
+    let resolve = |path: &str| -> Vec<PathBuf> {
+        let path = path.split(':').next().unwrap_or(path);
+        let hits = files.iter().filter(|f| *f == path || f.ends_with(&format!("/{path}")));
+        hits.map(|f| root.join(f)).collect()
+    };
+    if let Some((path, name)) = span.split_once(".rs::").filter(|_| !fenced) {
+        let path = format!("{path}.rs");
+        let texts: Vec<String> =
+            resolve(&path).into_iter().filter_map(|f| std::fs::read_to_string(f).ok()).collect();
+        let name = name.rsplit("::").next().unwrap_or(name);
+        for name in expand_braces(name) {
+            let (name, prefix) = match name.strip_suffix('*') {
+                Some(stem) => (stem.to_string(), true),
+                None => (name, false),
+            };
+            let opens: &[&str] = if prefix { &[""] } else { &["(", "<"] };
+            let defines = |text: &String| opens.iter().any(|o| text.contains(&format!("fn {name}{o}")));
+            if texts.is_empty() {
+                stale.push(format!("`{span}`: no file {path}"));
+            } else if !texts.iter().any(defines) {
+                stale.push(format!("`{span}`: {path} has no `fn {name}`"));
+            }
+        }
+    } else if !fenced {
+        let bare = span.split(':').next().unwrap_or(span);
+        let exts = [".rs", ".md", ".json", ".jsonl", ".csv", ".txt", ".toml", ".sh", ".yml"];
+        let path_like = span.contains('/')
+            && !span.starts_with('/')
+            && !span.contains("target/")
+            && span.chars().all(|c| c.is_alphanumeric() || "_.-/:".contains(c))
+            && (bare.ends_with('/') || exts.iter().any(|e| bare.ends_with(e)));
+        if path_like && resolve(span).is_empty() {
+            stale.push(format!("`{span}`: no such path"));
+        }
+    }
+    let words: Vec<&str> = span.split_whitespace().collect();
+    for (i, word) in words.iter().enumerate() {
+        let Some(bin) = BINARIES.iter().find(|b| word.rsplit('/').next() == Some(**b)) else {
+            continue;
+        };
+        let source = std::fs::read_to_string(root.join(format!("src/bin/{bin}.rs")))
+            .expect("the binary's source");
+        let args = words[i + 1..].iter().take_while(|w| {
+            !["|", "&&", "||", ";"].contains(w) && !w.starts_with('>') && !BINARIES.contains(w)
+        });
+        for flag in args.filter(|w| w.starts_with("--") && w.len() > 2) {
+            let flag = flag.split('=').next().unwrap_or(flag);
+            let flag = flag.trim_end_matches(|c: char| !c.is_alphanumeric());
+            if !source.contains(&format!("\"{flag}\"")) {
+                stale.push(format!("`{bin} {flag}`: not a flag of {bin}"));
+            }
+        }
+    }
+    stale
+}
+
+/// Tests, files and flags that README.md, DESIGN.md and EXPERIMENTS.md
+/// name must exist: a backticked `path.rs::name` names a `fn name` in that
+/// file, a backticked repository path exists, and a `--flag` given to one
+/// of the binaries (inline or in a fenced block) is one its source matches
+/// on. Deleting a test, a file or a flag without fixing the documents that
+/// point at it fails here.
+#[test]
+fn doc_pointers_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    repo_files(root, root, &mut files);
+    let (mut stale, mut spans) = (Vec::new(), 0);
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("a document");
+        let (mut fenced, mut command) = (false, String::new());
+        for (n, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            let found: Vec<String> = if fenced {
+                // A fenced command may continue over `\`-ended lines.
+                command.push_str(line.trim_end_matches('\\'));
+                command.push(' ');
+                if line.ends_with('\\') {
+                    continue;
+                }
+                vec![std::mem::take(&mut command)]
+            } else {
+                line.split('`').skip(1).step_by(2).map(str::to_string).collect()
+            };
+            for span in found {
+                spans += 1;
+                let problems = stale_pointers(root, &files, span.trim(), fenced);
+                stale.extend(problems.into_iter().map(|p| format!("{doc}:{}: {p}", n + 1)));
+            }
+        }
+    }
+    assert!(spans > 500, "only {spans} spans: the documents were not read");
+    assert!(stale.is_empty(), "stale pointers:\n{}", stale.join("\n"));
 }
 
 /// What `repro --check` checks, without the binary.

@@ -4,7 +4,7 @@
 //! generates at scale 1.0 (the `full_scale_*` tests; no simulation).
 
 use scd::apps::{dwf, locusroute, lu, mp3d, DwfParams, LocusRouteParams, LuParams, Mp3dParams};
-use scd::core::analysis::{average_invalidations, extraneous_area, invalidation_curve};
+use scd::core::analysis::{average_invalidations, dir_b_exact, extraneous_area, invalidation_curve};
 use scd::core::{overhead, DirectoryChoice, MachineSpec, Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig, RunStats};
 
@@ -32,6 +32,73 @@ fn claim_fig2_coarse_vector_beats_broadcast_and_superset() {
     assert!(cv < 0.5 * b, "CV has a much smaller extraneous area");
     // Broadcast goes straight to P-2 past the pointer count.
     assert_eq!(average_invalidations(Scheme::dir_b(3), p, 4, 500, 2), 30.0);
+}
+
+/// Mean and variance of the invalidations a `Dir_i CV_r` write sends once
+/// its `s > i` sharers have overflowed into region bits, on `p` clusters,
+/// over the Figure 2 model's placement (`crates/core/src/analysis.rs`):
+/// home `h` and writer `w != h` uniform, the sharers a uniform `s`-subset
+/// of the other `p - 2`. A region `g` with `m_g` members other than `w`
+/// and `h` sends `m_g` invalidations exactly when it holds a sharer, and
+/// holds none with probability `C(p-2-m_g, s) / C(p-2, s)`; so the mean is
+/// `Σ_c [1 - C(p-2-m_c, s) / C(p-2, s)]` over the clusters `c ∉ {w, h}`.
+fn coarse_vector_moments(p: usize, r: usize, s: usize) -> (f64, f64) {
+    let n = p - 2;
+    // P(none of k given eligible clusters is a sharer) = C(n-k, s) / C(n, s).
+    let miss = |k: usize| -> f64 {
+        (0..s).map(|j| (n - k).saturating_sub(j) as f64 / (n - j) as f64).product()
+    };
+    let moments = |m: &[usize]| -> (f64, f64) {
+        let (mut mean, mut square) = (0.0, 0.0);
+        for (g, &a) in m.iter().enumerate() {
+            mean += a as f64 * (1.0 - miss(a));
+            for (h, &b) in m.iter().enumerate() {
+                let both = if g == h { 1.0 - miss(a) } else { 1.0 - miss(a) - miss(b) + miss(a + b) };
+                square += (a * b) as f64 * both;
+            }
+        }
+        (mean, square)
+    };
+    // Writer and home share a region with probability (r-1)/(p-1).
+    let same = (r - 1) as f64 / (p - 1) as f64;
+    let mut one = vec![r; p / r];
+    one[0] = r - 2;
+    let mut two = vec![r; p / r];
+    two[0] = r - 1;
+    two[1] = r - 1;
+    let (m1, q1) = moments(&one);
+    let (m2, q2) = moments(&two);
+    let mean = same * m1 + (1.0 - same) * m2;
+    (mean, same * q1 + (1.0 - same) * q2 - mean * mean)
+}
+
+/// Figure 2's committed points against the closed form, row by row:
+/// `Dir` is `s` and `Dir3B` is `dir_b_exact` exactly, and each coarse
+/// vector point lies within 4 standard errors of its exact expectation
+/// (over `MODEL_EVENTS` events) plus the CSV's 5e-5 rounding. `Dir3X` has
+/// no closed form; the ordering claims above hold it.
+#[test]
+fn fig2_points_match_the_closed_form() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    for (file, p, cv, r) in [("fig2a.csv", 32, "Dir3CV2", 2), ("fig2b.csv", 64, "Dir3CV4", 4)] {
+        let text = std::fs::read_to_string(root.join(file)).expect("a committed CSV");
+        let mut lines = text.lines();
+        let header: Vec<&str> = lines.next().expect("a header").split(',').collect();
+        let col = |name: &str| header.iter().position(|h| *h == name).expect(name);
+        let rows: Vec<Vec<f64>> = lines
+            .map(|l| l.split(',').map(|c| c.parse().expect("a number")).collect())
+            .collect();
+        assert_eq!(rows.len(), p - 1, "{file}: one row per sharer count 0..=p-2");
+        for row in &rows {
+            let s = row[col("sharers")] as usize;
+            assert_eq!(row[col("Dir")], s as f64, "{file} s={s}: Dir");
+            assert_eq!(row[col("Dir3B")], dir_b_exact(3, p, s), "{file} s={s}: Dir3B");
+            let (mean, var) = if s <= 3 { (s as f64, 0.0) } else { coarse_vector_moments(p, r, s) };
+            let band = 4.0 * (var / bench::repro::MODEL_EVENTS as f64).sqrt() + 5e-5;
+            let got = row[col(cv)];
+            assert!((got - mean).abs() <= band, "{file} s={s}: {cv} {got} vs {mean:.4} ± {band:.4}");
+        }
+    }
 }
 
 #[test]

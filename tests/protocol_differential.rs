@@ -9,16 +9,13 @@
 //! protocols is therefore a per-reference equivalence proof for the
 //! execution, not just a final-state check.
 //!
-//! The same oracle equality is asserted for the sharded engine (the
-//! kernels partitioned across 2 worker threads) and under an injected
-//! fault plan (NACKs force the retry paths of all three protocols;
-//! duplicates, delays and reorders force the stray-reply drop).
+//! The same oracle equality is asserted under an injected fault plan
+//! (NACKs force the retry paths of all three protocols; duplicates,
+//! delays and reorders force the stray-reply drop).
 
 use std::sync::Arc;
 
-use scd::machine::{
-    Machine, MachineConfig, ProtocolKind, RunStats, ShardedMachine, ValueOracleReport,
-};
+use scd::machine::{Machine, MachineConfig, ProtocolKind, RunStats, ValueOracleReport};
 use scd::noc::FaultPlan;
 use scd::tango::{Op, Script};
 use scd::trace::{AttribClass, Attribution, TraceConfig};
@@ -31,7 +28,7 @@ fn a(b: u64) -> u64 {
 }
 
 /// One kernel: a name plus one shared op stream per processor. The
-/// streams live behind `Arc` so every protocol/shard/fault variant runs
+/// streams live behind `Arc` so every protocol/fault variant runs
 /// the *same* reference sequence without re-generating or copying it.
 struct Kernel {
     name: &'static str,
@@ -178,14 +175,6 @@ fn run_solo(kernel: &Kernel, cfg: MachineConfig) -> (ValueOracleReport, RunStats
     (report, stats)
 }
 
-fn run_sharded(kernel: &Kernel, cfg: MachineConfig, shards: usize) -> ValueOracleReport {
-    let mut m = ShardedMachine::new(cfg, kernel.programs(), shards)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-    m.try_run()
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-    m.value_oracle_report().expect("oracle was enabled")
-}
-
 /// The core differential oracle: for each kernel, Tardis and DLS must
 /// reproduce DASH's final memory image and every individual load value.
 #[test]
@@ -205,24 +194,6 @@ fn four_kernels_agree_across_all_three_protocols() {
         let dc = ds.dls.expect("dls counters present");
         assert!(dc.llc_fills > 0, "{}: no remote read reached the LLC", kernel.name);
         assert!(dc.llc_writes > 0, "{}: no remote write reached the LLC", kernel.name);
-    }
-}
-
-/// The sharded engine must preserve the oracle verdict: partitioning any
-/// protocol's machine across two worker threads changes nothing about
-/// what the loads observed.
-#[test]
-fn sharded_runs_agree_with_the_solo_baseline() {
-    for kernel in kernels() {
-        let (baseline, _) = run_solo(&kernel, config(ProtocolKind::Dash));
-        for protocol in ProtocolKind::ALL {
-            let sharded = run_sharded(&kernel, config(protocol), 2);
-            assert_eq!(
-                baseline, sharded,
-                "{}: {protocol:?} diverged under 2 shards",
-                kernel.name
-            );
-        }
     }
 }
 

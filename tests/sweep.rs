@@ -1,5 +1,5 @@
-//! `scd-sweep` CLI suite: byte-identical output across `--jobs` and
-//! `--shards`, the `scd-sweep/v1` document shape, `--bench-out` file
+//! `scd-sweep` CLI suite: byte-identical output across `--jobs`, the
+//! `scd-sweep/v1` document shape, `--bench-out` file
 //! emission, the usage-error contract, and the committed `BENCH_*.json`
 //! trajectory regenerated byte for byte.
 
@@ -38,12 +38,11 @@ const GRID: &[&str] = &[
 ];
 
 /// The tentpole promise: `--jobs 1` and `--jobs 4` produce byte-identical
-/// documents once the (inherently wall-clock) timing section is omitted,
-/// and so does `--shards 2`, which partitions each grid point's machine.
+/// documents once the (inherently wall-clock) timing section is omitted.
 #[test]
 fn jobs_1_and_jobs_4_are_byte_identical() {
     let dir = scratch("determinism");
-    let docs = [["--jobs", "1"], ["--jobs", "4"], ["--shards", "2"]].map(|threads| {
+    let docs = [["--jobs", "1"], ["--jobs", "4"]].map(|threads| {
         let path = dir.join(format!("{}{}.json", &threads[0][2..], threads[1]));
         let out_args = ["--no-timing", "--out", path.to_str().unwrap()];
         let out = run(&[GRID, &threads, &out_args].concat());
@@ -57,7 +56,6 @@ fn jobs_1_and_jobs_4_are_byte_identical() {
     });
     assert!(!docs[0].is_empty());
     assert!(docs[0] == docs[1], "--jobs 1 and --jobs 4 documents differ");
-    assert!(docs[0] == docs[2], "--jobs 1 and --shards 2 documents differ");
 }
 
 /// Document shape: schema tag, grid echo, one `scd-run-stats/v1` run per
@@ -156,6 +154,7 @@ fn bench_out_writes_named_points() {
 fn usage_errors_exit_two() {
     for (case, args) in [
         ("unknown flag", vec!["--bogus"]),
+        ("sharding is gone", vec!["--shards", "2"]),
         ("unknown app", vec!["--apps", "quicksort"]),
         ("bad scheme", vec!["--schemes", "cv:4"]),
         ("bad sparse", vec!["--sparse", "2:4:fifo"]),

@@ -559,6 +559,46 @@ fn attached_stream_does_not_perturb_the_run() {
     assert_eq!(base.to_json().to_string(), streamed.to_json().to_string());
 }
 
+/// The recorder's transaction tables stay bounded in a long streamed run:
+/// at every interval boundary of an `lu` run with a stream attached and
+/// every observer on, the live transaction slots number no more than the
+/// MSHRs outstanding, and none is left once the run drains. A slot per
+/// (requester, block) ever traced that nothing removed would grow with
+/// the run instead.
+#[test]
+fn recorder_transaction_tables_stay_bounded_in_a_streamed_run() {
+    use scd::apps::{lu, LuParams};
+    use scd::machine::{machine::testing, Choice};
+
+    let interval = 250;
+    let trace = TraceConfig::full(1 << 10)
+        .with_interval(interval)
+        .with_patterns(true);
+    let mut cfg = MachineConfig::paper_32().with_trace(trace);
+    cfg.clusters = 16;
+    let app = lu(&LuParams::scaled(0.3), cfg.processors(), 0);
+    let mut machine = Machine::new(cfg, app.scripts());
+    let sink = BufferSink::new();
+    let lines = sink.handle();
+    machine.attach_stream(Box::new(sink), None);
+    machine.begin_exploration();
+    let (mut boundary, mut boundaries, mut peak) = (interval, 0, 0);
+    while !machine.exploration_done() {
+        machine.step_explore(Choice::Ready { idx: 0 }).expect("lu runs clean");
+        if machine.now() >= boundary {
+            let (slots, mshrs) = testing::txn_slots(&machine);
+            assert!(slots <= mshrs, "cycle {}: {slots} slots, {mshrs} MSHRs", machine.now());
+            peak = peak.max(slots);
+            boundaries += 1;
+            boundary += interval;
+        }
+    }
+    machine.finalize_exploration().expect("lu drains clean");
+    assert!(boundaries > 20 && peak > 0, "{boundaries} boundaries, peak {peak}");
+    assert_eq!(testing::txn_slots(&machine), (0, 0), "a slot outlived the run");
+    assert!(!lines.lock().unwrap().is_empty(), "the stream carried the run");
+}
+
 /// The bounded-channel sink never blocks the simulation and never lies
 /// about loss: lines delivered plus lines dropped equals the lines an
 /// unbounded sink captured for the identical run, and the drop counter is
@@ -577,6 +617,7 @@ fn channel_sink_accounts_for_every_dropped_line() {
     let (sink, rx) = ChannelSink::bounded(CAPACITY);
     let drops = sink.drop_counter();
     machine.attach_stream(Box::new(sink), None);
+    assert_eq!(machine.stream_shed_lines(), 0, "nothing is shed before the run");
     // Nobody drains `rx` during the run, so the channel fills and every
     // further line must be counted as dropped, not block the machine.
     machine.try_run().expect("backpressured run must quiesce");
