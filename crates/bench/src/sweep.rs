@@ -216,12 +216,18 @@ impl SweepSpec {
 
     /// The descriptor list in canonical (deterministic) order: apps outer,
     /// then protocols, then schemes, then sparse variants, then seeds.
+    /// Only DASH reads the directory organization, so the other protocols
+    /// run the [`SparseVariant::Full`] points alone (a sparse twin would
+    /// repeat its cycles and traffic).
     pub fn descriptors(&self) -> Vec<RunDescriptor> {
         let mut descs = Vec::new();
         for (a, app) in self.apps.iter().enumerate() {
             for &protocol in &self.protocols {
                 for scheme in &self.schemes {
-                    for sparse in &self.sparse {
+                    let sparse = self.sparse.iter().filter(|&&v| {
+                        protocol == ProtocolKind::Dash || v == SparseVariant::Full
+                    });
+                    for sparse in sparse {
                         for (s, &seed) in self.seeds.iter().enumerate() {
                             let scheme_label =
                                 format!("{}{}", scheme.name(self.clusters), sparse.label_suffix());
@@ -782,6 +788,23 @@ mod tests {
         assert_eq!(refs[0], refs[2]);
         assert!(outcome.runs[1].stats.tardis.is_some(), "tardis counters");
         assert!(outcome.runs[2].stats.dls.is_some(), "dls counters");
+    }
+
+    /// Only DASH reads the directory organization: Tardis and DLS run the
+    /// full-directory points alone, and a grid of nothing else is empty.
+    #[test]
+    fn sparse_points_are_dash_only() {
+        let mut spec = micro_spec();
+        spec.protocols = vec![ProtocolKind::Dash, ProtocolKind::Tardis, ProtocolKind::Dls];
+        let descs = spec.descriptors();
+        // 2 apps x 2 schemes x (2 DASH variants + the full point of each other protocol).
+        assert_eq!(descs.len(), 2 * 2 * 4);
+        assert!(descs
+            .iter()
+            .all(|d| d.protocol == ProtocolKind::Dash || d.sparse == SparseVariant::Full));
+        spec.protocols = vec![ProtocolKind::Tardis, ProtocolKind::Dls];
+        spec.sparse.retain(|&v| v != SparseVariant::Full);
+        assert!(spec.descriptors().is_empty());
     }
 
     /// The engine's core promise: the aggregated document (timing aside)

@@ -353,10 +353,11 @@ impl MachineConfig {
         }
         sets("l1_blocks:l1_ways", self.l1_blocks, self.l1_ways)?;
         sets("l2_blocks:l2_ways", self.l2_blocks, self.l2_ways)?;
-        match self.organization {
-            Organization::Complete => {}
+        let organization = match self.organization {
+            Organization::Complete => None,
             Organization::Sparse { entries, ways, .. } => {
                 sets("sparse entries:ways", entries, ways)?;
+                Some("sparse")
             }
             Organization::Overflow {
                 i,
@@ -366,7 +367,15 @@ impl MachineConfig {
             } => {
                 pointers("overflow pointer count", i)?;
                 sets("overflow wide entries:ways", wide_entries, wide_ways)?;
+                Some("overflow")
             }
+        };
+        if let Some(org) = organization.filter(|_| self.protocol != ProtocolKind::Dash) {
+            return Err(format!(
+                "organization = {org} under protocol = {} (only dash reads a directory \
+                 organization; want complete)",
+                self.protocol.name()
+            ));
         }
         if let Some(i) = self.scheme.pointer_count() {
             pointers("scheme pointer count", i)?;

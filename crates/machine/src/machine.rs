@@ -80,7 +80,7 @@ mod telemetry;
 pub(crate) use backend::Backend;
 pub(crate) use tardis::TardisNode;
 pub use oracle::ValueOracleReport;
-use telemetry::{Hub, Recorder};
+use telemetry::Recorder;
 
 /// Simulator events, generic over how a delivery names its message. On the
 /// wheel ([`Ev`]) the hot variant, `Deliver`, carries an 8-byte [`MsgRef`]
@@ -250,12 +250,10 @@ pub(crate) struct Engine {
     last_progress: Cycle,
     /// Recently processed events, kept for failure post-mortems.
     event_log: RingLog<(Cycle, Event<Msg>)>,
-    /// The machine's telemetry (inert unless `cfg.trace` is active); the
+    /// The machine's telemetry (inert unless `cfg.trace` is active, and
+    /// streaming only while a sink is attached; `Clone` detaches it); the
     /// engine only ever calls its hooks.
     telemetry: Recorder,
-    /// The run's telemetry hub: interval records and the stream. `Clone`
-    /// detaches the stream.
-    hub: Hub,
     /// Armed test-only protocol mutation (see [`explore::Mutation`]); used
     /// to validate that the model checker actually catches protocol bugs.
     mutation: Option<explore::Mutation>,
@@ -830,7 +828,6 @@ impl Engine {
             chan_clamp: Vec::new(),
             last_progress: 0,
             event_log,
-            hub: Hub::new(&recorder),
             telemetry: recorder,
             mutation: None,
             emit_seq: vec![0; cfg.clusters],
@@ -1088,12 +1085,12 @@ impl Engine {
     }
 
     /// Tells telemetry an event popped at `t`: interval boundaries at or
-    /// below `t` close, and the hub streams what that made final.
+    /// below `t` close, and the stream emits what that made final.
     fn observe_clock(&mut self, t: Cycle) {
         let ops = self.shared_reads + self.shared_writes + self.sync_ops;
         self.telemetry
             .close_intervals(t, &self.network, &self.clusters, &self.faults, ops);
-        self.hub.step(&mut self.telemetry, t);
+        self.telemetry.flush_below(t);
     }
 
     /// Seeds the event queue with every processor's first fetch. Separated

@@ -1,12 +1,12 @@
 //! Telemetry (scd-trace): everything that watches the machine, kept
 //! apart from the machine.
 //!
-//! Two types. A [`Recorder`] holds what is *recorded*: event rings,
-//! live-transaction tables, traffic attribution, the directory
-//! observatory, phase histograms and interval baselines, plus the closed
-//! interval windows not yet handed on. A [`Hub`] holds the stream pump:
-//! it is the one place records are ordered and rendered, and it turns
-//! each closed window into the interval series and its stream records.
+//! One type, the [`Recorder`], holds what is *recorded*: the tracer (event
+//! rings, and the stream pump while a sink is attached), live-transaction
+//! tables, traffic attribution, the directory observatory, phase
+//! histograms and interval baselines. A recorded event has one path:
+//! hook → `Tracer::record` → ring and/or pump. An interval window is
+//! appended to the series, and streamed, at the moment it closes.
 //!
 //! The engine reaches telemetry only through the recorder's hooks. A hook
 //! takes `&mut self` plus *shared* borrows of what it reads (`&Network`,
@@ -19,7 +19,7 @@
 
 use scd_trace::{
     AttribClass, AttribParams, Attribution, ClassCounters, EventKind, IntervalSnapshot, MsgCost,
-    StreamPump, TraceConfig, Tracer, TxnTimeline,
+    StreamPump, TraceConfig, TraceSink, Tracer, TxnTimeline,
 };
 
 use super::*;
@@ -43,23 +43,6 @@ struct TxnLive {
 type ClassTable = [ClassCounters; AttribClass::ALL.len()];
 /// Flits per directed link `(from, to)`.
 type LinkFlits = Vec<((usize, usize), u64)>;
-
-/// One closed interval window: the machine's counter deltas over it and,
-/// for a stream, its traffic deltas and occupancy sample.
-#[derive(Clone, Debug)]
-struct IntervalPiece {
-    snap: IntervalSnapshot,
-    /// Per-class attribution counter deltas over the window (all zero
-    /// unless attribution is on and a stream is attached).
-    attrib_delta: ClassTable,
-    /// Per-link flit deltas over the window (likewise).
-    link_delta: LinkFlits,
-    /// The window's directory-occupancy sample — live entries and their
-    /// sharer-count histogram — when the observatory is on and a stream is
-    /// attached. It rides the piece so two boundaries closing on one event
-    /// still stream window, delta, patterns, window, delta, patterns.
-    patterns: Option<(u64, Vec<u64>)>,
-}
 
 /// Directory-observatory occupancy telemetry, only fed when
 /// `TraceConfig::patterns` is on. Everything here is read-only against
@@ -117,10 +100,10 @@ pub(crate) struct Recorder {
     /// Resolved trace configuration (all-off when `cfg.trace` is `None`).
     cfg: TraceConfig,
     /// Per-cluster bounded event rings (the engine's post-mortem reads
-    /// their tails).
+    /// their tails) and the attached stream's pump.
     pub(super) tracer: Tracer,
     /// Phase-latency histograms (only fed when `cfg.metrics`), and the
-    /// interval series the hub appends to.
+    /// interval series.
     metrics: MetricsRegistry,
     /// Per-class traffic attribution (only fed when `cfg.attribution`).
     attrib: Attribution,
@@ -142,15 +125,13 @@ pub(crate) struct Recorder {
     /// The machine's cumulative counters as of the last interval boundary
     /// (its `end`), so each window reports deltas.
     interval_base: IntervalSnapshot,
-    /// Whether a stream is attached to the run: arms the tracer's mirror
-    /// and the per-window traffic deltas only a stream consumes.
-    streaming: bool,
     /// Attribution counters at the last closed interval window, which
     /// window traffic is diffed against (streamed runs only).
     window_attrib_base: ClassTable,
     window_link_base: FastMap<(usize, usize), u64>,
-    /// Closed interval windows waiting for the hub.
-    pieces: Vec<IntervalPiece>,
+    /// Lines the last stream's sink reported shedding, read when it
+    /// closed.
+    shed: u64,
 }
 
 impl Recorder {
@@ -188,10 +169,9 @@ impl Recorder {
                 Cycle::MAX
             },
             interval_base: IntervalSnapshot::default(),
-            streaming: false,
             window_attrib_base: Default::default(),
             window_link_base: FastMap::default(),
-            pieces: Vec::new(),
+            shed: 0,
         }
     }
 
@@ -222,14 +202,15 @@ impl Recorder {
     /// One inter-cluster send: charges the message's pre-resolved
     /// byte/flit cost to its class and records the `msg_send` event.
     /// Returns the flits the engine must charge to every link of the
-    /// route (`None` with attribution off).
+    /// route (`None` with attribution off). Message events are gated on
+    /// the tracer, not on `on`: an attribution-only run builds none.
     pub(crate) fn msg_send(&mut self, net: &Network, ready_at: Cycle, msg: &Msg) -> Option<u64> {
         let hops = net.hops(msg.src, msg.dst) as u32;
         let flits = self.cfg.attribution.then(|| {
             self.attrib
                 .record_class(self.msg_cost[msg.kind.ordinal()], hops)
         });
-        if self.tracer.messages_enabled() {
+        if self.tracer.records() {
             self.tracer.record(
                 msg.src,
                 ready_at,
@@ -248,7 +229,7 @@ impl Recorder {
 
     /// One inter-cluster delivery.
     pub(crate) fn msg_deliver(&mut self, t: Cycle, msg: &Msg) {
-        if self.tracer.messages_enabled() {
+        if self.tracer.records() {
             self.tracer.record(
                 msg.dst,
                 t,
@@ -477,8 +458,12 @@ impl Recorder {
         }
     }
 
-    /// Advances interval sampling across every boundary up to `t`, parking
-    /// one [`IntervalPiece`] per boundary for the hub.
+    /// Advances interval sampling across every boundary up to `t`: each
+    /// closed window joins the interval series and, with a stream
+    /// attached, is streamed at once. Every event recorded before the pop
+    /// at `t` is already in the pump, so a window's events precede its
+    /// records, and two boundaries closing on one event still stream
+    /// window, delta, patterns, window, delta, patterns.
     pub(crate) fn close_intervals(
         &mut self,
         t: Cycle,
@@ -505,55 +490,48 @@ impl Recorder {
                 ops_retired: now.ops_retired - base.ops_retired,
                 ..now
             };
-            let mut piece = self.close_window(snap, net);
-            if self.cfg.patterns {
-                piece.patterns = self.sample_patterns(clusters);
+            self.metrics.intervals.push(snap);
+            let patterns = self.cfg.patterns.then(|| self.sample_patterns(clusters));
+            let traffic = (self.cfg.attribution && self.tracer.streaming())
+                .then(|| self.window_traffic(net));
+            if let Some(pump) = self.tracer.pump() {
+                stream_window(pump, &snap, traffic, patterns);
             }
-            self.pieces.push(piece);
             self.interval_base = now;
             self.interval_next += self.cfg.interval;
         }
     }
 
-    /// Closes one interval window's traffic accounting: the per-class and
-    /// per-link attribution deltas since the previous boundary (empty
-    /// unless attribution is on and a stream will carry them).
-    fn close_window(&mut self, snap: IntervalSnapshot, net: &Network) -> IntervalPiece {
+    /// One closed window's traffic, for the stream: the per-class and
+    /// per-link attribution deltas since the previous boundary.
+    fn window_traffic(&mut self, net: &Network) -> (ClassTable, LinkFlits) {
         let mut attrib_delta = ClassTable::default();
-        let mut link_delta = Vec::new();
-        if self.cfg.attribution && self.streaming {
-            let cur = self.attrib.counters();
-            for (d, (c, b)) in attrib_delta
-                .iter_mut()
-                .zip(cur.iter().zip(self.window_attrib_base.iter()))
-            {
-                *d = c.minus(*b);
-            }
-            self.window_attrib_base = cur;
-            let base = &mut self.window_link_base;
-            link_delta = net
-                .link_traffic()
-                .into_iter()
-                .filter_map(|(link, c)| {
-                    let prev = base.insert(link, c.flits).unwrap_or(0);
-                    let d = c.flits.saturating_sub(prev);
-                    (d > 0).then_some((link, d))
-                })
-                .collect();
+        let cur = self.attrib.counters();
+        for (d, (c, b)) in attrib_delta
+            .iter_mut()
+            .zip(cur.iter().zip(self.window_attrib_base.iter()))
+        {
+            *d = c.minus(*b);
         }
-        IntervalPiece {
-            snap,
-            attrib_delta,
-            link_delta,
-            patterns: None,
-        }
+        self.window_attrib_base = cur;
+        let base = &mut self.window_link_base;
+        let link_delta = net
+            .link_traffic()
+            .into_iter()
+            .filter_map(|(link, c)| {
+                let prev = base.insert(link, c.flits).unwrap_or(0);
+                let d = c.flits.saturating_sub(prev);
+                (d > 0).then_some((link, d))
+            })
+            .collect();
+        (attrib_delta, link_delta)
     }
 
     /// Scans every home's live directory entries at an interval boundary
     /// and folds the sharer-count distribution into the observatory;
-    /// returns the window's sample when a stream will carry it.
-    /// O(live entries) per boundary.
-    fn sample_patterns(&mut self, clusters: &[ClusterNode]) -> Option<(u64, Vec<u64>)> {
+    /// returns the window's sample (live entries and their sharer-count
+    /// histogram) for a stream to carry. O(live entries) per boundary.
+    fn sample_patterns(&mut self, clusters: &[ClusterNode]) -> (u64, Vec<u64>) {
         let cap = clusters.len();
         let mut win = vec![0u64; cap + 1];
         let mut live = 0u64;
@@ -569,18 +547,24 @@ impl Recorder {
         for (a, b) in self.obs.sharers.iter_mut().zip(&win) {
             *a += b;
         }
-        self.streaming.then_some((live, win))
+        (live, win)
     }
 
-    /// A stream was attached to the run: mirror every recorded event for
-    /// the hub's pump and diff window traffic against the counters as of
-    /// now.
-    pub(crate) fn start_streaming(&mut self, net: &Network) {
-        self.streaming = true;
+    /// Attaches `sink`: an optional `run_meta` record first, then every
+    /// event recorded from now on and each window as it closes, closed by
+    /// `run_end` at [`Recorder::close_stream`]. Window traffic is diffed
+    /// against the counters as of now.
+    pub(crate) fn attach_stream(&mut self, sink: Box<dyn TraceSink>, run: Option<Json>, net: &Network) {
+        let mut pump = StreamPump::new(sink);
+        if let Some(run) = run {
+            pump.emit_record(&scd_trace::run_meta_record(&run));
+            pump.flush_sink();
+        }
+        self.tracer.attach(pump);
+        self.shed = 0;
         // A stream reads the lifecycle too — of a traced machine; an
         // untraced one has no tables for the hooks to index.
         self.lifecycle = self.on;
-        self.tracer.set_mirror(true);
         self.window_attrib_base = self.attrib.counters();
         self.window_link_base = net
             .link_traffic()
@@ -589,116 +573,28 @@ impl Recorder {
             .collect();
     }
 
-    /// The run's stream closed.
-    pub(crate) fn stop_streaming(&mut self) {
-        self.streaming = false;
-        self.lifecycle = Self::config_reads_lifecycle(&self.cfg);
-        self.tracer.set_mirror(false);
-    }
-}
-
-/// One run's telemetry hub: the interval series and the stream.
-///
-/// Ordering contract of the stream: events are emitted in the exact
-/// post-hoc `(cycle, seq)` merge order. An event may be recorded with a
-/// *future* cycle stamp but never a past one, so once the simulation clock
-/// strictly passes a pending event's cycle, nothing that sorts before it
-/// can still arrive — the pump ([`StreamPump`]) holds events until that
-/// watermark clears them, and is the only place a line is rendered.
-pub(crate) struct Hub {
-    /// Whether windows carry an `attrib_delta` record.
-    attribution: bool,
-    /// The pump in front of the attached sink (`None` = streaming off;
-    /// boxed so the machines an explorer clones by the thousand, which
-    /// never stream, carry a pointer rather than the pump's buffers).
-    pump: Option<Box<StreamPump>>,
-    /// Lines the sink reported shedding, read when the stream closed.
-    shed: u64,
-}
-
-/// Cloning a machine detaches the stream: exploration branches share one
-/// history up to the fork, and two writers interleaving into one sink
-/// would corrupt both orderings. The clone is inert (like a machine that
-/// never attached a sink); re-attach explicitly to stream from it.
-impl Clone for Hub {
-    fn clone(&self) -> Self {
-        Hub {
-            attribution: self.attribution,
-            pump: None,
-            shed: 0,
-        }
-    }
-}
-
-impl Hub {
-    /// The hub of the machine whose (fresh) recorder is `rec`.
-    pub(crate) fn new(rec: &Recorder) -> Self {
-        Hub {
-            attribution: rec.cfg.attribution,
-            pump: None,
-            shed: 0,
-        }
-    }
-
-    /// Attaches `sink`: an optional `run_meta` record first, then whatever
-    /// the recorder records, closed by `run_end` at [`Hub::close`].
-    pub(crate) fn attach(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
-        let mut pump = StreamPump::new(sink);
-        if let Some(run) = run {
-            pump.emit_record(&scd_trace::run_meta_record(&run));
-            pump.flush_sink();
-        }
-        self.pump = Some(Box::new(pump));
-        self.shed = 0;
-    }
-
-    /// Whether a sink is currently attached.
-    pub(crate) fn streaming(&self) -> bool {
-        self.pump.is_some()
-    }
-
-    /// Lines the attached sink discarded, as it reported at close.
-    pub(crate) fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// One event popped at `t`, after the recorder closed every interval
-    /// boundary at or below `t`: queue what it recorded, append each
-    /// closed window to the interval series and stream it, then move the
-    /// stream's watermark to `t` — nothing recorded from here on sorts
-    /// below it, and the next boundary is past it. An early-out unless a
-    /// boundary just closed or a stream is attached.
-    pub(crate) fn step(&mut self, rec: &mut Recorder, t: Cycle) {
-        if self.pump.is_none() && rec.pieces.is_empty() {
-            return;
-        }
-        self.queue(rec);
-        for piece in rec.pieces.drain(..) {
-            rec.metrics.intervals.push(piece.snap);
-            if let Some(pump) = self.pump.as_mut() {
-                let traffic = self.attribution.then_some((&piece.attrib_delta, piece.link_delta));
-                stream_window(pump, &piece.snap, traffic, piece.patterns);
-            }
-        }
-        if let Some(pump) = self.pump.as_mut() {
+    /// One event popped at `t`, after every boundary at or below `t`
+    /// closed: moves the stream's watermark to `t`.
+    ///
+    /// The stream emits events in the exact post-hoc `(cycle, seq)` merge
+    /// order. An event may be recorded with a *future* cycle stamp but
+    /// never a past one, so once the clock strictly passes a pending
+    /// event's cycle, nothing that sorts before it can still arrive — the
+    /// pump ([`StreamPump`]) holds events until that watermark clears
+    /// them, and is the only place a line is rendered.
+    pub(crate) fn flush_below(&mut self, t: Cycle) {
+        if let Some(pump) = self.tracer.pump() {
             pump.flush_below(t);
         }
     }
 
-    /// Queues the events `rec` recorded since the last call in the pump.
-    fn queue(&mut self, rec: &mut Recorder) {
-        if let Some(pump) = self.pump.as_mut() {
-            for ev in rec.tracer.drain_mirror() {
-                pump.push(ev);
-            }
-        }
-    }
-
     /// Flushes everything still pending, emits the closing `run_end`
-    /// record and detaches the sink. No-op without one.
-    pub(crate) fn close(&mut self, cycles: Cycle, recorded: u64, dropped: u64) {
-        if let Some(pump) = self.pump.take() {
-            self.shed = pump.close(cycles, recorded, dropped);
+    /// record — `cycles` and the recorded/evicted counters — and detaches
+    /// the sink. No-op without one.
+    pub(crate) fn close_stream(&mut self, cycles: Cycle) {
+        if let Some(pump) = self.tracer.detach() {
+            self.shed = pump.close(cycles, self.tracer.recorded(), self.tracer.dropped());
+            self.lifecycle = Self::config_reads_lifecycle(&self.cfg);
         }
     }
 }
@@ -711,7 +607,7 @@ impl Hub {
 fn stream_window(
     pump: &mut StreamPump,
     snap: &IntervalSnapshot,
-    traffic: Option<(&ClassTable, LinkFlits)>,
+    traffic: Option<(ClassTable, LinkFlits)>,
     patterns: Option<(u64, Vec<u64>)>,
 ) {
     pump.flush_below(snap.end);
@@ -755,25 +651,25 @@ impl Machine {
     /// `run_end` record when the run finalizes (success or failure) or
     /// [`Machine::stream_close`] is called.
     ///
-    /// Trace events only flow when the machine was built with
-    /// `TraceConfig::ring_capacity > 0`; interval and attribution
-    /// records follow their own `TraceConfig` switches. Cloning the
-    /// machine detaches the stream on the clone.
-    pub fn attach_stream(&mut self, sink: Box<dyn scd_trace::TraceSink>, run: Option<Json>) {
-        self.eng.hub.attach(sink, run);
-        self.eng.telemetry.start_streaming(&self.eng.network);
+    /// Trace events only flow when the machine was built with an active
+    /// `TraceConfig`; interval and attribution records follow their own
+    /// `TraceConfig` switches. Cloning the machine detaches the stream
+    /// on the clone.
+    pub fn attach_stream(&mut self, sink: Box<dyn TraceSink>, run: Option<Json>) {
+        let eng = &mut self.eng;
+        eng.telemetry.attach_stream(sink, run, &eng.network);
     }
 
     /// Whether a sink is currently attached.
     pub fn stream_active(&self) -> bool {
-        self.eng.hub.streaming()
+        self.eng.telemetry.tracer.streaming()
     }
 
     /// Lines the attached sink discarded (write errors, backpressure), as
     /// it reported when the stream closed. Nonzero means the stream on the
     /// other side of the sink is truncated; 0 while the stream is open.
     pub fn stream_shed_lines(&self) -> u64 {
-        self.eng.hub.shed()
+        self.eng.telemetry.shed
     }
 
     /// Flushes everything still pending, emits the closing `run_end`
@@ -783,19 +679,13 @@ impl Machine {
     /// call it directly only to stop streaming early or after an
     /// aborted run.
     pub fn stream_close(&mut self) {
-        if !self.eng.hub.streaming() {
-            return;
-        }
         let eng = &mut self.eng;
-        eng.hub.queue(&mut eng.telemetry);
         let cycles = if eng.finish_time > 0 {
             eng.finish_time
         } else {
             eng.queue.now()
         };
-        let (recorded, dropped) = self.trace_counts();
-        self.eng.hub.close(cycles, recorded, dropped);
-        self.eng.telemetry.stop_streaming();
+        eng.telemetry.close_stream(cycles);
     }
 
     /// All retained trace events, merged into the canonical
@@ -963,8 +853,8 @@ mod tests {
     /// `cfg.trace = None` and `Some(TraceConfig::none())` are one code
     /// path, not two that happen to cost the same: both resolve to the
     /// inert recorder (hooks gated off, no per-cluster table allocated,
-    /// a tracer without rings) under a hub that holds no pump. This is the
-    /// fact the retired "< 2% disabled-path" timing guard stood for.
+    /// a tracer without rings or pump). This is the fact the retired
+    /// "< 2% disabled-path" timing guard stood for.
     #[test]
     fn untraced_and_trace_none_build_the_same_inert_recorder() {
         let plain = MachineConfig::tiny(4);
@@ -984,8 +874,7 @@ mod tests {
             let mut tracer = rec.tracer.clone();
             tracer.record(0, 1, EventKind::Nack { txn: 1, block: 0 });
             assert_eq!(tracer.recorded(), 0);
-            assert!(!tracer.messages_enabled());
-            assert!(machine.eng.hub.pump.is_none());
+            assert!(!tracer.records());
             assert!(!machine.stream_active(), "no sink was ever attached");
         }
     }

@@ -6,7 +6,7 @@
 //! * **Zero-cost when off.** A [`TraceConfig`] is inert by default (the
 //!   `FaultPlan` pattern). Whoever embeds the recording side resolves
 //!   `is_active()` once and gates every hook on that one flag (in
-//!   `scd-machine` it is the per-part telemetry recorder, not the engine),
+//!   `scd-machine` it is the telemetry recorder, not the engine),
 //!   so a run with tracing disabled is bit-identical to one without trace
 //!   hooks at all.
 //! * **Stable schemas.** Trace events serialize to JSONL with a fixed
@@ -26,8 +26,8 @@
 //! as a CI perf gate.
 //!
 //! The [`sink`] module streams the same records *during* the run — a
-//! [`TraceSink`] consumes JSONL lines incrementally (file or
-//! bounded-channel transport with explicit drop accounting) in the exact
+//! [`TraceSink`] consumes JSONL lines incrementally (a file, with explicit
+//! drop accounting) in the exact
 //! bytes the post-hoc exporters would produce — and [`critical`] walks a
 //! [`SpanTree`] to split every transaction's latency into queueing vs
 //! service time per phase with its blocking edges.
@@ -77,7 +77,7 @@ pub use schema::{
 };
 pub use sink::{
     attrib_delta_record, event_line, extract_trace_lines, interval_record, patterns_record,
-    run_end_record, run_meta_record, validate_stream, BufferSink, ChannelSink, JsonlFileSink,
+    run_end_record, run_meta_record, validate_stream, BufferSink, JsonlFileSink,
     StreamSummary, TraceSink, EVENT_TYPES,
 };
 pub use report::{compare_docs, doc_label, tracked_metrics, Comparison, ReportMetric};

@@ -7,9 +7,9 @@
 //! future. The pump does that with a watermark: an event is held until the
 //! caller says the simulation clock has moved strictly past its cycle, at
 //! which point nothing still unrecorded can sort before it. A machine's
-//! telemetry hub feeds one of these; it is the only place events meet a
-//! [`TraceSink`], and the only place a trace line is rendered during a
-//! run.
+//! tracer hands each event to one of these as it records it; the pump is
+//! the only place events meet a [`TraceSink`], and the only place a trace
+//! line is rendered during a run.
 //!
 //! What holds the events is the engine's own timing wheel
 //! ([`EventQueue`]): scheduled at its cycle under `Stamp { lane: cluster,
@@ -145,32 +145,26 @@ mod tests {
     #[test]
     fn holds_future_events_until_the_clock_passes_them() {
         let mut tracer = Tracer::new(2, &TraceConfig::full(16));
-        tracer.set_mirror(true);
         let sink = BufferSink::new();
         let lines = sink.handle();
-        let mut pump = StreamPump::new(Box::new(sink));
+        tracer.attach(StreamPump::new(Box::new(sink)));
         let emitted = || lines.lock().unwrap().len();
+        let flush = |t: &mut Tracer, watermark| t.pump().unwrap().flush_below(watermark);
 
         // Clock at 10: cluster 1 records a reply that lands at 50.
         tracer.record(1, 50, phase(1));
         tracer.record(1, 10, phase(2));
-        for ev in tracer.drain_mirror() {
-            pump.push(ev);
-        }
-        pump.flush_below(10);
+        flush(&mut tracer, 10);
         assert_eq!(emitted(), 0, "cycle 10 is not yet strictly passed");
-        pump.flush_below(11);
+        flush(&mut tracer, 11);
         assert_eq!(emitted(), 1, "only the cycle-10 event is safe");
 
         // Clock reaches 50: cluster 0 records at 50, which sorts *before*
         // the held cluster-1 event of the same cycle.
-        pump.flush_below(50);
+        flush(&mut tracer, 50);
         assert_eq!(emitted(), 1, "a watermark equal to the stamp holds it");
         tracer.record(0, 50, phase(3));
-        for ev in tracer.drain_mirror() {
-            pump.push(ev);
-        }
-        assert_eq!(pump.close(60, 3, 0), 0);
+        assert_eq!(tracer.detach().unwrap().close(60, 3, 0), 0);
 
         let want: Vec<String> = tracer
             .merged()
@@ -199,11 +193,36 @@ mod tests {
         });
     }
 
+    /// A sink with room for one line that sheds, and counts, the rest.
+    struct OneSlot {
+        kept: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
+        shed: u64,
+    }
+
+    impl TraceSink for OneSlot {
+        fn emit(&mut self, line: &str) {
+            let mut kept = self.kept.lock().unwrap();
+            if kept.is_empty() {
+                kept.push(line.to_owned());
+            } else {
+                self.shed += 1;
+            }
+        }
+        fn flush(&mut self) {}
+        fn dropped(&self) -> u64 {
+            self.shed
+        }
+    }
+
     /// A sink that sheds load is reported by `close`, after the last
     /// line.
     #[test]
     fn close_reports_what_the_sink_shed() {
-        let (sink, rx) = crate::sink::ChannelSink::bounded(1);
+        let kept = std::sync::Arc::default();
+        let sink = OneSlot {
+            kept: std::sync::Arc::clone(&kept),
+            shed: 0,
+        };
         let mut pump = StreamPump::new(Box::new(sink));
         for i in 0..3 {
             pump.push(TraceEvent {
@@ -213,8 +232,8 @@ mod tests {
                 kind: phase(i),
             });
         }
-        // Three events and run_end into a one-slot channel nobody reads.
+        // Three events and run_end into a one-slot sink.
         assert_eq!(pump.close(3, 3, 0), 3);
-        assert_eq!(rx.try_iter().count(), 1);
+        assert_eq!(kept.lock().unwrap().len(), 1);
     }
 }

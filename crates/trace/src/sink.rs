@@ -1,8 +1,8 @@
 //! Streaming sinks: incremental JSONL telemetry emitted *during* a run.
 //!
-//! The post-hoc exporters (PRs 2–3) only speak after `Machine::run`
-//! returns; a sink receives the same records line by line while the run
-//! is still in flight. Three contracts:
+//! The post-hoc exporters only speak after `Machine::run` returns; a sink
+//! receives the same records line by line while the run is still in
+//! flight. Three contracts:
 //!
 //! * **Byte compatibility.** Trace-event lines pushed through a sink are
 //!   byte-identical to the lines a post-hoc `--trace-out` file would
@@ -13,12 +13,11 @@
 //!   exactly; with eviction the stream is a strict superset — streaming
 //!   never loses what the rings lost.
 //! * **Inert when detached.** A machine with no sink attached behaves
-//!   bit-identically to one built before sinks existed; the hook is one
-//!   pre-computed bool per event, under the same <2% disabled-overhead
-//!   guard as tracing itself.
+//!   bit-identically to one that never had one: the tracer hands an event
+//!   to a pump only while one is attached, and nothing else reads it.
 //! * **Backpressure never blocks the simulation.** A sink that cannot
-//!   keep up sheds *its own* load: [`ChannelSink`] drops the newest line
-//!   and counts it, it never stalls the caller.
+//!   keep up sheds *its own* load and counts it ([`TraceSink::dropped`]);
+//!   it never stalls the caller.
 //!
 //! Stream-only records (`run_meta`, `interval`, `attrib_delta`,
 //! `patterns`, `run_end`, and the sweep engine's `sweep_begin`/
@@ -28,8 +27,6 @@
 
 use std::collections::BTreeSet;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 
 use crate::event::TraceEvent;
@@ -113,55 +110,6 @@ impl TraceSink for JsonlFileSink {
 impl Drop for JsonlFileSink {
     fn drop(&mut self) {
         let _ = self.out.flush();
-    }
-}
-
-/// Bounded-channel sink for live consumers (dashboards, servers).
-///
-/// Backpressure policy: **drop-newest, never block**. When the channel's
-/// buffer is full (or the receiver hung up), the line being emitted is
-/// discarded and counted; lines already buffered are preserved, so the
-/// consumer sees a prefix-faithful stream plus an honest drop count.
-pub struct ChannelSink {
-    tx: SyncSender<String>,
-    dropped: Arc<AtomicU64>,
-}
-
-impl ChannelSink {
-    /// A sink/receiver pair over a channel buffering at most `capacity`
-    /// lines.
-    pub fn bounded(capacity: usize) -> (Self, Receiver<String>) {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-        (
-            ChannelSink {
-                tx,
-                dropped: Arc::new(AtomicU64::new(0)),
-            },
-            rx,
-        )
-    }
-
-    /// A shared handle onto the drop counter, for observing shed load
-    /// after the sink has been boxed and handed to the machine.
-    pub fn drop_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.dropped)
-    }
-}
-
-impl TraceSink for ChannelSink {
-    fn emit(&mut self, line: &str) {
-        match self.tx.try_send(line.to_string()) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn flush(&mut self) {}
-
-    fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -538,28 +486,6 @@ mod tests {
                 retries: 0,
             },
         }
-    }
-
-    #[test]
-    fn channel_sink_drops_newest_and_counts() {
-        let (mut sink, rx) = ChannelSink::bounded(2);
-        let drops = sink.drop_counter();
-        for i in 0..5 {
-            sink.emit(&format!("line {i}"));
-        }
-        assert_eq!(sink.dropped(), 3);
-        assert_eq!(drops.load(Ordering::Relaxed), 3);
-        // The buffered prefix survives intact: drop-newest, not drop-oldest.
-        let got: Vec<String> = rx.try_iter().collect();
-        assert_eq!(got, vec!["line 0".to_string(), "line 1".to_string()]);
-    }
-
-    #[test]
-    fn channel_sink_counts_disconnected_receiver() {
-        let (mut sink, rx) = ChannelSink::bounded(4);
-        drop(rx);
-        sink.emit("orphan");
-        assert_eq!(sink.dropped(), 1);
     }
 
     /// A stream smaller than the `BufWriter` only meets the full disk at

@@ -1,4 +1,5 @@
-//! The recording side: configuration and per-cluster bounded ring buffers.
+//! The recording side: configuration, per-cluster bounded ring buffers,
+//! and the stream pump a recorded event is handed to.
 //!
 //! Follows the `FaultPlan` pattern from `scd-noc`: a [`TraceConfig`] is
 //! pure configuration, inert by default, and a machine built without one
@@ -10,17 +11,15 @@
 use scd_sim::RingLog;
 
 use crate::event::{EventKind, TraceEvent};
+use crate::pump::StreamPump;
 
 /// What to record, and how much history to keep. The default records
 /// nothing (all fields zero/false).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Events retained per cluster (bounded ring). 0 records nothing.
+    /// Events retained per cluster (bounded ring). 0 retains nothing;
+    /// events are then built only for an attached stream.
     pub ring_capacity: usize,
-    /// Record per-message send/deliver events (high volume; the
-    /// transaction lifecycle events are always recorded when tracing is
-    /// on).
-    pub messages: bool,
     /// Collect the metrics registry (phase-latency histograms).
     pub metrics: bool,
     /// Interval time-series snapshot period in cycles. 0 disables
@@ -58,23 +57,9 @@ impl TraceConfig {
     pub fn full(capacity: usize) -> Self {
         TraceConfig {
             ring_capacity: capacity,
-            messages: true,
             metrics: true,
             interval: 0,
             attribution: true,
-            patterns: false,
-        }
-    }
-
-    /// Lifecycle-only tracing (no per-message events): much lower volume,
-    /// still enough to reconstruct transaction histories.
-    pub fn lifecycle(capacity: usize) -> Self {
-        TraceConfig {
-            ring_capacity: capacity,
-            messages: false,
-            metrics: true,
-            interval: 0,
-            attribution: false,
             patterns: false,
         }
     }
@@ -110,7 +95,11 @@ impl TraceConfig {
 /// effects after causes within a cycle); across clusters the cluster index
 /// breaks same-cycle ties. The canonical order is a pure function of each
 /// cluster's local history.
-#[derive(Debug)]
+///
+/// While a [`StreamPump`] is attached, every recorded event is handed to
+/// it as well — including events a full ring will evict, so a stream
+/// never loses what the rings lost.
+#[derive(Clone)]
 pub struct Tracer {
     rings: Vec<RingLog<TraceEvent>>,
     /// Per-cluster recording counters (the `seq` stamped into events).
@@ -118,29 +107,21 @@ pub struct Tracer {
     /// Total events recorded across all clusters.
     recorded: u64,
     dropped: u64,
-    messages: bool,
-    /// Whether the streaming tap is armed.
-    mirroring: bool,
-    /// The streaming tap: while armed, every recorded event is also
-    /// appended here (eviction-proof) for the machine's stream pump to
-    /// drain.
-    mirror: Vec<TraceEvent>,
+    /// Whether the rings retain anything (`ring_capacity > 0`).
+    retains: bool,
+    pump: Stream,
 }
 
-/// Cloning resets the mirror: a cloned machine (exploration branching)
-/// must not stream, and an undrained mirror would grow without bound.
-/// Ring history, counters, and config are preserved.
-impl Clone for Tracer {
+/// The attached stream, if any. Boxed so the machines an explorer clones
+/// by the thousand, which never stream, carry a pointer rather than the
+/// pump's buffers. Cloning detaches it: exploration branches share one
+/// history up to the fork, and two writers interleaving into one sink
+/// would corrupt both orderings.
+struct Stream(Option<Box<StreamPump>>);
+
+impl Clone for Stream {
     fn clone(&self) -> Self {
-        Tracer {
-            rings: self.rings.clone(),
-            lane_seq: self.lane_seq.clone(),
-            recorded: self.recorded,
-            dropped: self.dropped,
-            messages: self.messages,
-            mirroring: false,
-            mirror: Vec::new(),
-        }
+        Stream(None)
     }
 }
 
@@ -154,63 +135,61 @@ impl Tracer {
             lane_seq: vec![0; clusters],
             recorded: 0,
             dropped: 0,
-            messages: cfg.messages,
-            mirroring: false,
-            mirror: Vec::new(),
+            retains: clusters > 0 && cfg.ring_capacity > 0,
+            pump: Stream(None),
         }
     }
 
     /// An inert tracer (capacity 0 everywhere); records nothing.
     pub fn inert() -> Self {
-        Tracer {
-            rings: Vec::new(),
-            lane_seq: Vec::new(),
-            recorded: 0,
-            dropped: 0,
-            messages: false,
-            mirroring: false,
-            mirror: Vec::new(),
-        }
+        Tracer::new(0, &TraceConfig::none())
     }
 
-    /// Arms (or disarms) the streaming mirror. While armed, every
-    /// recorded event is also buffered for [`Tracer::drain_mirror`] —
-    /// including events a full ring will evict, so a stream never loses
-    /// what the rings lost.
-    pub fn set_mirror(&mut self, on: bool) {
-        self.mirroring = on;
-        self.mirror = Vec::new();
+    /// Hands every event recorded from now on to `pump` too.
+    pub fn attach(&mut self, pump: StreamPump) {
+        self.pump = Stream(Some(Box::new(pump)));
     }
 
-    /// Drains the mirrored events recorded since the last call (empty
-    /// when the mirror is disarmed). The buffer keeps its capacity, so a
-    /// pump that drains every event-loop iteration never re-allocates it.
-    pub fn drain_mirror(&mut self) -> std::vec::Drain<'_, TraceEvent> {
-        self.mirror.drain(..)
+    /// Detaches the stream, returning its pump (`None` if none was
+    /// attached).
+    pub fn detach(&mut self) -> Option<StreamPump> {
+        self.pump.0.take().map(|p| *p)
     }
 
-    /// Whether per-message events should be recorded.
-    pub fn messages_enabled(&self) -> bool {
-        self.messages
+    /// The attached pump, to move its watermark or emit a record.
+    pub fn pump(&mut self) -> Option<&mut StreamPump> {
+        self.pump.0.as_deref_mut()
+    }
+
+    /// Whether a pump is attached.
+    pub fn streaming(&self) -> bool {
+        self.pump.0.is_some()
+    }
+
+    /// Whether [`Tracer::record`] would keep an event: a ring retains it
+    /// or a pump takes it. Hooks that build costly events gate on this.
+    pub fn records(&self) -> bool {
+        self.retains || self.streaming()
     }
 
     /// Records one event attributed to `cluster`. The event's `seq` is the
-    /// cluster's local recording counter; [`Tracer::merged`] (or a stream
-    /// emitter) renumbers it to the global canonical position.
+    /// cluster's local recording counter; [`Tracer::merged`] (or the pump)
+    /// renumbers it to the global canonical position.
     ///
-    /// An event nobody will read — a ring of capacity 0 and no armed
-    /// mirror — is not built, numbered or counted.
+    /// An event nobody will read — a ring of capacity 0 and no attached
+    /// pump — is not built, numbered or counted. The event is moved into
+    /// whichever of ring and pump keeps it, and cloned only when both do.
     pub fn record(&mut self, cluster: usize, cycle: u64, kind: EventKind) {
         let Some(ring) = self.rings.get_mut(cluster) else {
             return;
         };
-        let retained = ring.capacity() > 0;
-        if !retained && !self.mirroring {
+        let pump = self.pump.0.as_deref_mut();
+        if !self.retains && pump.is_none() {
             return;
         }
         self.lane_seq[cluster] += 1;
         self.recorded += 1;
-        if retained && ring.len() == ring.capacity() {
+        if self.retains && ring.len() == ring.capacity() {
             self.dropped += 1;
         }
         let ev = TraceEvent {
@@ -219,14 +198,18 @@ impl Tracer {
             cluster: cluster as u32,
             kind,
         };
-        if self.mirroring {
-            self.mirror.push(ev.clone());
+        match pump {
+            Some(pump) if self.retains => {
+                pump.push(ev.clone());
+                ring.push(ev);
+            }
+            Some(pump) => pump.push(ev),
+            None => ring.push(ev),
         }
-        ring.push(ev);
     }
 
     /// Events recorded since the run began: retained in a ring (including
-    /// any since evicted from it) or handed to an armed mirror.
+    /// any since evicted from it) or handed to an attached pump.
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
@@ -290,7 +273,6 @@ mod tests {
         assert!(TraceConfig::none().with_attribution(true).is_active());
         assert!(TraceConfig::none().with_patterns(true).is_active());
         assert!(TraceConfig::full(16).attribution);
-        assert!(!TraceConfig::lifecycle(16).attribution);
         assert!(!TraceConfig::full(16).patterns, "observatory is opt-in");
     }
 
@@ -343,37 +325,14 @@ mod tests {
         assert_eq!(tail[1].cycle, 5);
     }
 
-    #[test]
-    fn mirror_survives_eviction_and_is_disarmed_by_clone() {
-        let mut t = Tracer::new(1, &TraceConfig::full(2));
-        t.set_mirror(true);
-        for i in 0..5 {
-            t.record(0, i, phase(i));
-        }
-        assert_eq!(t.drain_mirror().count(), 5, "mirror outlives the ring");
-        assert_eq!(t.drain_mirror().count(), 0, "draining empties it");
-        t.record(0, 9, phase(9));
-        let mut clone = t.clone();
-        assert_eq!(clone.recorded(), t.recorded());
-        assert_eq!(t.drain_mirror().count(), 1, "original keeps streaming");
-        clone.record(0, 10, phase(10));
-        assert_eq!(clone.drain_mirror().count(), 0, "a clone does not stream");
-    }
-
     /// Rings of capacity 0 (an attribution- or interval-only run) retain
-    /// nothing, so nothing is numbered or counted — until a mirror is
-    /// armed, and then the stream gets every event.
+    /// nothing, so nothing is built, numbered or counted.
     #[test]
-    fn a_ring_that_holds_nothing_counts_nothing_unless_mirrored() {
+    fn a_ring_that_holds_nothing_counts_nothing() {
         let mut t = Tracer::new(2, &TraceConfig::none().with_attribution(true));
+        assert!(!t.records());
         t.record(0, 1, phase(1));
         assert_eq!((t.recorded(), t.dropped()), (0, 0));
-        t.set_mirror(true);
-        t.record(0, 2, phase(2));
-        t.record(1, 2, phase(3));
-        assert_eq!((t.recorded(), t.dropped()), (2, 0));
-        let seqs: Vec<u64> = t.drain_mirror().map(|e| e.seq).collect();
-        assert_eq!(seqs, [1, 1], "numbering starts with the first event built");
         assert!(t.merged().is_empty());
     }
 

@@ -259,10 +259,9 @@ proptest! {
         let mut rng = TestRng::new(seed);
         let pick = |rng: &mut TestRng, from: &[u64]| from[rng.below(from.len() as u64) as usize];
         let mut tracer = Tracer::new(CLUSTERS as usize, &TraceConfig::full(1 << 12));
-        tracer.set_mirror(true);
         let sink = BufferSink::new();
         let lines = sink.handle();
-        let mut pump = StreamPump::new(Box::new(sink));
+        tracer.attach(StreamPump::new(Box::new(sink)));
 
         let period = 16 + rng.below(300);
         let mut next_due = period;
@@ -284,12 +283,10 @@ proptest! {
                     EventKind::Nack { txn: recorded, block: at },
                 );
             }
-            for ev in tracer.drain_mirror() {
-                pump.push(ev);
-            }
             // The barrier: boundaries the clock reached, then the
             // watermark up to the next open time.
             open = clock + pick(&mut rng, &[0, 1, 1, 3, 40, 700, 1500]);
+            let pump = tracer.pump().expect("attached above");
             while next_due <= clock {
                 pump.flush_below(next_due);
                 let record = interval_record(&IntervalSnapshot {
@@ -303,7 +300,7 @@ proptest! {
             }
             pump.flush_below(open.min(next_due));
         }
-        prop_assert_eq!(pump.close(open, recorded, 0), 0);
+        prop_assert_eq!(tracer.detach().expect("attached above").close(open, recorded, 0), 0);
 
         // Post hoc: the merged history, each record ahead of the first
         // event at or past its boundary, `run_end` last.

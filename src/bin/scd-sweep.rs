@@ -172,14 +172,14 @@ fn main() {
         }
     }
 
+    let points = spec.descriptors().len();
+    if points == 0 {
+        usage_err("--protocol and --sparse leave no grid point (tardis and dls run only `full`)");
+    }
+
     let jobs = jobs.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, usize::from)
     });
-    let points = spec.apps.len()
-        * spec.protocols.len()
-        * spec.schemes.len()
-        * spec.sparse.len()
-        * spec.seeds.len();
     eprintln!(
         "[scd-sweep] {points} grid points ({} apps x {} protocols x {} schemes x {} sparse \
          x {} seeds), {jobs} jobs",

@@ -11,7 +11,9 @@ use scd::apps::{dwf, locusroute, lu, mp3d, AppRun, DwfParams, LocusRouteParams, 
 use scd::core::{Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig, ProtocolKind};
 use scd::noc::FaultPlan;
-use scd::trace::{analyze, to_perfetto, Json, JsonlFileSink, PatternTable, SpanTree, TraceConfig};
+use scd::trace::{
+    analyze, to_perfetto, Json, JsonlFileSink, PatternTable, SpanTree, TraceConfig, TraceEvent,
+};
 
 /// Exit 2 naming what was refused; the full text is `--help`'s.
 fn usage_err(msg: &str) -> ! {
@@ -104,9 +106,8 @@ usage: scdsim [options]
 "#;
 
 /// Writes the merged, cycle-ordered trace as JSONL and reports volume.
-fn write_trace(machine: &Machine, path: &str) {
+fn write_trace(machine: &Machine, events: &[TraceEvent], path: &str) {
     use std::io::Write as _;
-    let events = machine.trace_events();
     let (recorded, dropped) = machine.trace_counts();
     let mut out = std::io::BufWriter::new(match std::fs::File::create(path) {
         Ok(f) => f,
@@ -116,7 +117,7 @@ fn write_trace(machine: &Machine, path: &str) {
         }
     });
     let mut line = Vec::new();
-    for ev in &events {
+    for ev in events {
         line.clear();
         ev.write_jsonl(&mut line);
         line.push(b'\n');
@@ -334,18 +335,22 @@ fn main() {
     }
     // The transaction trace (and the span profile derived from it) is
     // most valuable exactly when the run failed: write both before
-    // bailing out.
+    // bailing out. One merge of the retained history feeds every reader.
+    let events = machine.trace_events();
     if let Some(path) = &trace_out {
-        write_trace(&machine, path);
+        write_trace(&machine, &events, path);
     }
-    if let Some(path) = &patterns_out {
-        // Online classification: the typed entry point runs the same
-        // counting code the replay tool reaches through parsed lines, so
-        // the two outputs are byte-identical for the same event history.
+    // Online classification: the typed entry point runs the same counting
+    // code the replay tool reaches through parsed lines, so the two
+    // outputs are byte-identical for the same event history.
+    let patterns = patterns_out.is_some().then(|| {
         let mut table = PatternTable::new();
-        for ev in &machine.trace_events() {
+        for ev in &events {
             table.observe(ev);
         }
+        table
+    });
+    if let (Some(path), Some(table)) = (&patterns_out, &patterns) {
         let doc = table.document(Some(run_meta.clone()), machine.occupancy_json());
         if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
             eprintln!("cannot write {path}: {e}");
@@ -358,7 +363,6 @@ fn main() {
         );
     }
     if perfetto_out.is_some() || folded_out.is_some() || critical.is_some() {
-        let events = machine.trace_events();
         let tree = SpanTree::from_events(&events);
         if let Some(path) = &perfetto_out {
             let mut doc = to_perfetto(&tree, &machine.metrics().intervals);
@@ -403,13 +407,7 @@ fn main() {
             want_metrics.then(|| machine.metrics()),
             machine.attribution_json(stats.cycles),
             machine.trace_json(),
-            patterns_out.is_some().then(|| {
-                let mut table = PatternTable::new();
-                for ev in &machine.trace_events() {
-                    table.observe(ev);
-                }
-                table.section_json()
-            }),
+            patterns.as_ref().map(PatternTable::section_json),
         );
         if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
             eprintln!("cannot write {path}: {e}");

@@ -119,6 +119,15 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--sparse", "0:1:lru"], "refused configuration: sparse entries:ways = 0:1"),
         (&["--sparse", "6:4:lru"], "refused configuration: sparse entries:ways = 6:4"),
         (&["--overflow", "0:4:2:lru"], "refused configuration: overflow pointer count = 0"),
+        // Only DASH reads the directory organization.
+        (
+            &["--protocol", "tardis", "--sparse", "64:4:lru"],
+            "refused configuration: organization = sparse under protocol = tardis",
+        ),
+        (
+            &["--protocol", "dls", "--overflow", "3:64:4:lru"],
+            "refused configuration: organization = overflow under protocol = dls",
+        ),
         (&["--scale", "-1"], "bad --scale `-1` (want 0 < f <= 1)"),
         (&["--scale", "0"], "bad --scale `0` (want 0 < f <= 1)"),
         (&["--scale", "7"], "bad --scale `7` (want 0 < f <= 1)"),

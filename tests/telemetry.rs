@@ -12,8 +12,8 @@ use scd::sim::SimRng;
 use scd::tango::{Op, Script};
 use scd::trace::{
     analyze, extract_trace_lines, to_perfetto, validate_perfetto, validate_stats_json,
-    validate_stream, validate_trace, AttribClass, Attribution, BufferSink, ChannelSink, Json,
-    SpanTree, TraceConfig,
+    validate_stream, validate_trace, AttribClass, Attribution, BufferSink, Json, SpanTree,
+    TraceConfig, TraceSink,
 };
 
 /// A random read/write mix over a small hot block set (the coherence
@@ -70,8 +70,8 @@ fn disabled_tracing_is_bit_identical() {
 
 /// Stronger than the contract requires: the recorder's hooks only borrow
 /// machine state, so no observer combination may move a single cycle,
-/// message or load value. Every subset of {ring, messages, metrics,
-/// interval, attribution, patterns}, with and without an attached sink,
+/// message or load value. Every subset of {ring, metrics, interval,
+/// attribution, patterns}, with and without an attached sink,
 /// under every protocol backend, against the run that never heard of
 /// tracing: identical `RunStats` JSON and identical value-oracle report.
 #[test]
@@ -92,15 +92,14 @@ fn active_tracing_does_not_perturb_the_run() {
             (stats.to_json().to_string(), oracle, machine.trace_counts().0)
         };
         let (base_stats, base_oracle, _) = run(None, false);
-        for bits in 0..64u32 {
+        for bits in 0..32u32 {
             let on = |bit: u32| bits & (1 << bit) != 0;
             let tc = TraceConfig {
                 ring_capacity: if on(0) { 4096 } else { 0 },
-                messages: on(1),
-                metrics: on(2),
-                interval: if on(3) { 500 } else { 0 },
-                attribution: on(4),
-                patterns: on(5),
+                metrics: on(1),
+                interval: if on(2) { 500 } else { 0 },
+                attribution: on(3),
+                patterns: on(4),
             };
             for sink in [false, true] {
                 let what = format!("{} {tc:?} sink={sink}", protocol.name());
@@ -230,7 +229,7 @@ fn recorded_trace_replays_with_lifecycle_invariants_intact() {
 #[test]
 fn interval_snapshots_tile_the_run() {
     const PERIOD: u64 = 500;
-    let trace = TraceConfig::lifecycle(1024).with_interval(PERIOD);
+    let trace = TraceConfig::full(1024).with_interval(PERIOD);
     let (machine, stats) = run_with_trace(Some(trace), 0x7E1E);
     let intervals = &machine.metrics().intervals;
     assert!(!intervals.is_empty(), "run too short for any interval");
@@ -251,7 +250,7 @@ fn interval_snapshots_tile_the_run() {
 /// `scd-run-stats/v1` schema (the `BENCH_*.json` / `--stats-json` format).
 #[test]
 fn metrics_registry_reports_latency_histograms() {
-    let (machine, stats) = run_with_trace(Some(TraceConfig::lifecycle(64)), 0x7E1E);
+    let (machine, stats) = run_with_trace(Some(TraceConfig::full(64)), 0x7E1E);
     let m = machine.metrics();
     assert!(m.transactions() > 0);
     assert!(m.read_latency.events() > 0 && m.write_latency.events() > 0);
@@ -599,11 +598,36 @@ fn recorder_transaction_tables_stay_bounded_in_a_streamed_run() {
     assert!(!lines.lock().unwrap().is_empty(), "the stream carried the run");
 }
 
-/// The bounded-channel sink never blocks the simulation and never lies
-/// about loss: lines delivered plus lines dropped equals the lines an
-/// unbounded sink captured for the identical run, and the drop counter is
-/// visible while the machine still owns the sink and, through
-/// `stream_shed_lines`, after it closed the stream.
+/// A sink with room for `room` lines that sheds the rest and counts them,
+/// as a bounded channel nobody drains would. Its counts are shared, so a
+/// clone kept before boxing reads them after the machine let go.
+#[derive(Clone)]
+struct BoundedSink {
+    room: u64,
+    /// (delivered, shed)
+    counts: std::sync::Arc<std::sync::Mutex<(u64, u64)>>,
+}
+
+impl TraceSink for BoundedSink {
+    fn emit(&mut self, _line: &str) {
+        let mut counts = self.counts.lock().unwrap();
+        if counts.0 < self.room {
+            counts.0 += 1;
+        } else {
+            counts.1 += 1;
+        }
+    }
+    fn flush(&mut self) {}
+    fn dropped(&self) -> u64 {
+        self.counts.lock().unwrap().1
+    }
+}
+
+/// A bounded sink never blocks the simulation and never lies about loss:
+/// lines delivered plus lines dropped equals the lines an unbounded sink
+/// captured for the identical run, and the drop count is visible while
+/// the machine still owns the sink and, through `stream_shed_lines`,
+/// after it closed the stream.
 #[test]
 fn channel_sink_accounts_for_every_dropped_line() {
     let (_, _, full) = run_streamed(TraceConfig::full(1 << 16), None, 0x7E1E);
@@ -613,17 +637,19 @@ fn channel_sink_accounts_for_every_dropped_line() {
     cfg.trace = Some(TraceConfig::full(1 << 16));
     let programs = random_programs(cfg.processors(), 250, 24, 0.4, 0x7E1E);
     let mut machine = Machine::new(cfg, programs);
-    const CAPACITY: usize = 8;
-    let (sink, rx) = ChannelSink::bounded(CAPACITY);
-    let drops = sink.drop_counter();
+    const CAPACITY: u64 = 8;
+    let sink = BoundedSink {
+        room: CAPACITY,
+        counts: Default::default(),
+    };
+    let counts = sink.clone();
     machine.attach_stream(Box::new(sink), None);
     assert_eq!(machine.stream_shed_lines(), 0, "nothing is shed before the run");
-    // Nobody drains `rx` during the run, so the channel fills and every
-    // further line must be counted as dropped, not block the machine.
+    // The sink fills early in the run, and every further line must be
+    // counted as dropped, not block the machine.
     machine.try_run().expect("backpressured run must quiesce");
-    let delivered = rx.try_iter().count() as u64;
-    let dropped = drops.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(delivered, CAPACITY as u64, "channel holds exactly its bound");
+    let (delivered, dropped) = *counts.counts.lock().unwrap();
+    assert_eq!(delivered, CAPACITY, "the sink holds exactly its bound");
     assert!(dropped > 0, "run too small to overflow the channel");
     // The unstreamed twin had a run_meta line this run did not (attach_stream
     // got `None`), hence the -1.
@@ -631,6 +657,85 @@ fn channel_sink_accounts_for_every_dropped_line() {
     // ... and still visible after the machine closed the stream and let the
     // sink go: this is what `scdsim --stream-out` warns from.
     assert_eq!(machine.stream_shed_lines(), dropped);
+}
+
+/// An event line without its leading `seq` field, which numbers it within
+/// its own document: the rest of the line is the same bytes in a stream
+/// and in the post-hoc export.
+fn unnumbered(line: &str) -> &str {
+    assert!(line.starts_with("{\"seq\":"), "not an event line: {line}");
+    line.split_once(',').expect("an event line has fields after seq").1
+}
+
+/// A stream outlives its rings: with 8-event rings that evict, the stream
+/// still carries every recorded event, its `run_end` counts them, and
+/// what the rings kept for the post-hoc export is a subsequence of it.
+#[test]
+fn a_stream_carries_every_event_its_rings_evict() {
+    let (machine, _, stream) = run_streamed(TraceConfig::full(8), None, 0x7E1E);
+    let (recorded, dropped) = machine.trace_counts();
+    assert!(dropped > 0, "8-deep rings must overflow on this run");
+    let summary = validate_stream(&stream).unwrap_or_else(|e| panic!("stream invalid: {e}"));
+    assert_eq!(summary.events as u64, recorded, "an event the rings evicted left the stream");
+    let run_end = Json::parse(stream.lines().last().expect("a closed stream")).expect("run_end");
+    assert_eq!(run_end.get("recorded").and_then(Json::as_u64), Some(recorded));
+
+    let extracted = extract_trace_lines(&stream);
+    let mut streamed = extracted.lines().map(unnumbered);
+    for ev in machine.trace_events() {
+        let line = ev.to_json().to_string();
+        let kept = unnumbered(&line);
+        assert!(
+            streamed.any(|s| s == kept),
+            "a retained event is missing from the stream, or out of order: {kept}"
+        );
+    }
+}
+
+/// A clone does not stream: a streaming machine cloned mid-run through the
+/// exploration API runs to its end without writing a line into the sink
+/// it shares with the original, whose stream still validates and equals
+/// its post-hoc export.
+#[test]
+fn a_cloned_machine_writes_nothing_into_the_stream() {
+    use scd::machine::Choice;
+
+    let mut cfg = MachineConfig::tiny(6);
+    cfg.trace = Some(TraceConfig::full(1 << 16).with_interval(500));
+    let programs = random_programs(cfg.processors(), 250, 24, 0.4, 0x7E1E);
+    let mut machine = Machine::new(cfg, programs);
+    let sink = BufferSink::new();
+    let lines = sink.handle();
+    machine.attach_stream(Box::new(sink), None);
+    machine.begin_exploration();
+    let run_to_end = |m: &mut Machine| {
+        while !m.exploration_done() {
+            m.step_explore(Choice::Ready { idx: 0 }).expect("the run is clean");
+        }
+        m.finalize_exploration().expect("the run drains clean");
+    };
+    while !machine.exploration_done() && machine.now() < 2_000 {
+        machine.step_explore(Choice::Ready { idx: 0 }).expect("the run is clean");
+    }
+
+    let mut clone = machine.clone();
+    assert!(machine.stream_active() && !clone.stream_active());
+    let written = lines.lock().unwrap().len();
+    assert!(written > 0, "the original streamed before the fork");
+    run_to_end(&mut clone);
+    assert!(clone.trace_counts().0 > machine.trace_counts().0, "the clone ran on");
+    assert_eq!(lines.lock().unwrap().len(), written, "the clone wrote into the sink");
+
+    run_to_end(&mut machine);
+    let stream = lines.lock().unwrap().join("\n") + "\n";
+    let summary = validate_stream(&stream).unwrap_or_else(|e| panic!("stream invalid: {e}"));
+    assert!(summary.run_ended && summary.intervals > 0);
+    let post_hoc: String = machine
+        .trace_events()
+        .iter()
+        .map(|e| format!("{}\n", e.to_json()))
+        .collect();
+    assert_eq!(extract_trace_lines(&stream), post_hoc);
 }
 
 /// Critical-path decomposition is exact, not approximate: for every
