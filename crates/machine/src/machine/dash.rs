@@ -12,6 +12,7 @@
 //! transaction is `requester`'s.
 
 use scd_protocol::Mshr;
+use scd_trace::event::cause;
 
 use super::*;
 
@@ -518,7 +519,7 @@ impl DashState {
                 if is_write {
                     // Ownership transfer: zero invalidations.
                     m.inval_hist.record(0);
-                    m.telemetry.inval(t, home, block, 0, "write");
+                    m.telemetry.inval(t, home, block, 0, cause::WRITE);
                 }
                 m.clusters[home]
                     .ser
@@ -551,7 +552,7 @@ impl DashState {
                     // the new reader can be recorded (an invalidation event
                     // of size 1, §6.1 Figure 4).
                     m.inval_hist.record(1);
-                    m.telemetry.inval(t, home, block, 1, "nb_evict");
+                    m.telemetry.inval(t, home, block, 1, cause::NB_EVICT);
                     let epoch = m.memory_version(home, block);
                     m.send(
                         t + tm.bus_memory,
@@ -566,7 +567,7 @@ impl DashState {
             DirAction::Grant => {
                 let inval_targets = &self.inval_targets.0;
                 m.inval_hist.record(inval_targets.len());
-                m.telemetry.inval(t, home, block, inval_targets.len() as u32, "write");
+                m.telemetry.inval(t, home, block, inval_targets.len() as u32, cause::WRITE);
                 if !inval_targets.is_empty() {
                     m.telemetry.home_phase(t, home, requester, block, Phase::Fanout);
                 }
@@ -951,7 +952,7 @@ impl DashState {
         for v in evicted {
             m.counters.nb_evictions += 1;
             m.inval_hist.record(1);
-            m.telemetry.inval(t, home, block, 1, "swb_evict");
+            m.telemetry.inval(t, home, block, 1, cause::SWB_EVICT);
             m.send(
                 t + m.cfg.timing.bus_memory,
                 home,

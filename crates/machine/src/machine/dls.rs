@@ -29,6 +29,7 @@
 use super::dash::DashState;
 use super::*;
 use crate::stats::DlsCounters;
+use scd_trace::event::cause;
 
 /// What the DLS backend owns: the DASH state its home-local delegation
 /// runs on, and the protocol's event counters.
@@ -121,7 +122,7 @@ impl DlsState {
             // Zero invalidation *messages* by construction; record the
             // empty fan-out so the histogram stays comparable.
             m.inval_hist.record(0);
-            m.telemetry.inval(t, home, block, 0, "write");
+            m.telemetry.inval(t, home, block, 0, cause::WRITE);
             let version = m.bump_version(home, block);
             m.send(t + tm.bus_memory, home, requester, MsgKind::LlcWriteAck { block, version });
         } else {

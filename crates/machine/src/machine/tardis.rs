@@ -39,6 +39,7 @@
 
 use super::*;
 use crate::stats::TardisCounters;
+use scd_trace::event::cause;
 
 /// Lease length in logical-timestamp units: a read may extend the
 /// block's `rts` to `max(wts, pts) + LEASE`. Short enough that a reader
@@ -224,7 +225,7 @@ impl TardisState {
                 // No invalidations, ever: record the zero fan-out so the
                 // paper's invalidation histogram stays comparable.
                 m.inval_hist.record(0);
-                m.telemetry.inval(t, dst, block, 0, "write");
+                m.telemetry.inval(t, dst, block, 0, cause::WRITE);
                 let version = m.bump_version(dst, block);
                 m.send(
                     t + tm.bus_memory,

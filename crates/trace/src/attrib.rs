@@ -93,32 +93,62 @@ impl AttribClass {
         matches!(self, AttribClass::Renewal | AttribClass::LlcFill)
     }
 
-    /// Classifies a stable message label. Unknown labels (a future
-    /// protocol extension) conservatively count as requests.
-    pub fn classify(label: &str) -> AttribClass {
-        match label {
-            "read_reply" | "write_reply" | "transfer_reply"
-            | "tardis_read_reply" | "tardis_write_reply" | "llc_write_ack" => {
-                AttribClass::Reply
-            }
-            "nack" => AttribClass::Nack,
-            "inval" => AttribClass::Invalidation,
-            "inval_ack" | "dir_flush_ack" => AttribClass::Ack,
-            "writeback" | "sharing_writeback" => AttribClass::Writeback,
-            "dir_flush" => AttribClass::SparseFlush,
-            "lock_req" | "lock_grant" | "lock_retry" | "unlock_req"
-            | "barrier_arrive" | "barrier_release" => AttribClass::Sync,
-            "renew_req" | "renew_reply" => AttribClass::Renewal,
-            "llc_fill" => AttribClass::LlcFill,
-            _ => AttribClass::Request,
-        }
-    }
-
     /// Position in [`AttribClass::ALL`] (the variants are declared in
     /// schema order).
     fn index(self) -> usize {
         self as usize
     }
+}
+
+/// Declares [`MESSAGES`] and [`message`] from one list of rows: the
+/// look-up is a `match` over exactly the table's labels, not a scan.
+macro_rules! messages {
+    ($(($label:literal, $class:ident, $data:literal),)*) => {
+        /// Every message kind as `(label, class, carries a block)`: the
+        /// crate's one message vocabulary, held to `scd-protocol`'s
+        /// `MsgKind::LABELS` by `crates/machine/tests/labels.rs`.
+        pub const MESSAGES: &[(&str, AttribClass, bool)] =
+            &[$(($label, AttribClass::$class, $data),)*];
+
+        /// The [`MESSAGES`] row of a label.
+        pub fn message(label: &str) -> Option<(&'static str, AttribClass, bool)> {
+            match label { $($label => Some(($label, AttribClass::$class, $data)),)* _ => None }
+        }
+    };
+}
+
+messages! {
+    ("read_req", Request, false),
+    ("write_req", Request, false),
+    ("writeback", Writeback, true),
+    ("replacement_hint", Request, false),
+    ("fwd_read", Request, false),
+    ("fwd_write", Request, false),
+    ("sharing_writeback", Writeback, true),
+    ("ownership_transfer", Request, false),
+    ("writeback_race", Request, false),
+    ("read_reply", Reply, true),
+    ("write_reply", Reply, true),
+    ("transfer_reply", Reply, true),
+    ("nack", Nack, false),
+    ("inval", Invalidation, false),
+    ("inval_ack", Ack, false),
+    ("dir_flush", SparseFlush, false),
+    ("dir_flush_ack", Ack, false),
+    ("lock_req", Sync, false),
+    ("lock_grant", Sync, false),
+    ("lock_retry", Sync, false),
+    ("unlock_req", Sync, false),
+    ("barrier_arrive", Sync, false),
+    ("barrier_release", Sync, false),
+    ("tardis_read_req", Request, false),
+    ("tardis_write_req", Request, false),
+    ("tardis_read_reply", Reply, true),
+    ("tardis_write_reply", Reply, true),
+    ("renew_req", Renewal, false),
+    ("renew_reply", Renewal, false),
+    ("llc_fill", LlcFill, true),
+    ("llc_write_ack", Reply, false),
 }
 
 /// What one message of a given label costs under a wire model: the
@@ -169,38 +199,16 @@ impl AttribParams {
         }
     }
 
-    /// Whether a message label carries a data payload.
-    pub fn carries_data(label: &str) -> bool {
-        matches!(
-            label,
-            "read_reply" | "write_reply" | "transfer_reply" | "writeback"
-                | "sharing_writeback" | "tardis_read_reply"
-                | "tardis_write_reply" | "llc_fill"
-        )
-    }
-
-    /// Bytes on the wire for one message with `label`.
-    pub fn bytes(&self, label: &str) -> u64 {
-        if Self::carries_data(label) {
-            self.header_bytes + self.data_bytes
-        } else {
-            self.header_bytes
-        }
-    }
-
-    /// Flits for one message with `label` (ceiling division; at least 1).
-    pub fn flits(&self, label: &str) -> u64 {
-        let bytes = self.bytes(label);
-        bytes.div_ceil(self.flit_bytes.max(1)).max(1)
-    }
-
     /// Everything [`Attribution::record`] derives from `label`, resolved
-    /// once.
+    /// with one [`MESSAGES`] lookup; an unknown label is a header-only
+    /// request (a future protocol extension).
     pub fn cost(&self, label: &str) -> MsgCost {
+        let (class, data) = message(label).map_or((AttribClass::Request, false), |m| (m.1, m.2));
+        let bytes = self.header_bytes + if data { self.data_bytes } else { 0 };
         MsgCost {
-            class: AttribClass::classify(label),
-            bytes: self.bytes(label),
-            flits: self.flits(label),
+            class,
+            bytes,
+            flits: bytes.div_ceil(self.flit_bytes.max(1)).max(1),
         }
     }
 }
@@ -401,24 +409,25 @@ mod tests {
     #[test]
     fn classification_covers_the_scheme_relevant_flows() {
         use AttribClass::*;
-        assert_eq!(AttribClass::classify("read_req"), Request);
-        assert_eq!(AttribClass::classify("fwd_write"), Request);
-        assert_eq!(AttribClass::classify("read_reply"), Reply);
-        assert_eq!(AttribClass::classify("nack"), Nack);
-        assert_eq!(AttribClass::classify("inval"), Invalidation);
-        assert_eq!(AttribClass::classify("inval_ack"), Ack);
-        assert_eq!(AttribClass::classify("dir_flush_ack"), Ack);
-        assert_eq!(AttribClass::classify("writeback"), Writeback);
-        assert_eq!(AttribClass::classify("sharing_writeback"), Writeback);
-        assert_eq!(AttribClass::classify("dir_flush"), SparseFlush);
-        assert_eq!(AttribClass::classify("barrier_release"), Sync);
-        assert_eq!(AttribClass::classify("renew_req"), Renewal);
-        assert_eq!(AttribClass::classify("renew_reply"), Renewal);
-        assert_eq!(AttribClass::classify("llc_fill"), LlcFill);
-        assert_eq!(AttribClass::classify("llc_write_ack"), Reply);
-        assert_eq!(AttribClass::classify("tardis_read_req"), Request);
-        assert_eq!(AttribClass::classify("tardis_read_reply"), Reply);
-        assert_eq!(AttribClass::classify("tardis_write_reply"), Reply);
+        let classify = |label| AttribParams::default().cost(label).class;
+        assert_eq!(classify("read_req"), Request);
+        assert_eq!(classify("fwd_write"), Request);
+        assert_eq!(classify("read_reply"), Reply);
+        assert_eq!(classify("nack"), Nack);
+        assert_eq!(classify("inval"), Invalidation);
+        assert_eq!(classify("inval_ack"), Ack);
+        assert_eq!(classify("dir_flush_ack"), Ack);
+        assert_eq!(classify("writeback"), Writeback);
+        assert_eq!(classify("sharing_writeback"), Writeback);
+        assert_eq!(classify("dir_flush"), SparseFlush);
+        assert_eq!(classify("barrier_release"), Sync);
+        assert_eq!(classify("renew_req"), Renewal);
+        assert_eq!(classify("renew_reply"), Renewal);
+        assert_eq!(classify("llc_fill"), LlcFill);
+        assert_eq!(classify("llc_write_ack"), Reply);
+        assert_eq!(classify("tardis_read_req"), Request);
+        assert_eq!(classify("tardis_read_reply"), Reply);
+        assert_eq!(classify("tardis_write_reply"), Reply);
         let labels: std::collections::HashSet<_> =
             AttribClass::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), AttribClass::ALL.len());
@@ -454,20 +463,17 @@ mod tests {
             Some(1)
         );
         // llc_fill carries a data payload; renewals are header-only.
-        assert!(AttribParams::carries_data("llc_fill"));
-        assert!(!AttribParams::carries_data("renew_req"));
+        assert!(message("llc_fill").is_some_and(|m| m.2));
+        assert!(!message("renew_req").is_some_and(|m| m.2));
     }
 
     #[test]
     fn wire_model_charges_data_payloads() {
         let p = AttribParams::default();
-        assert_eq!(p.bytes("read_req"), 8, "header only");
-        assert_eq!(p.bytes("read_reply"), 24, "header + block");
-        assert_eq!(p.flits("read_req"), 1);
-        assert_eq!(p.flits("read_reply"), 3);
-        let wide = AttribParams::with_block_bytes(64);
-        assert_eq!(wide.bytes("writeback"), 72);
-        assert_eq!(wide.flits("writeback"), 9);
+        let size = |p: AttribParams, label| (p.cost(label).bytes, p.cost(label).flits);
+        assert_eq!(size(p, "read_req"), (8, 1), "header only");
+        assert_eq!(size(p, "read_reply"), (24, 3), "header + block");
+        assert_eq!(size(AttribParams::with_block_bytes(64), "writeback"), (72, 9));
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! and the simulated cycle, so per-cluster ring buffers can be merged back
 //! into one causal history.
 
-use crate::json::{write_escaped, Json, Key, Utf8};
+use scd_stats::MessageClass;
+
+use crate::attrib::message;
+use crate::json::{write_escaped, Json, Key, Lexer, Utf8, Value};
 
 /// A coherence-transaction lifecycle phase (the latency breakdown the
 /// metrics registry histograms: issue → home lookup → invalidation
@@ -26,16 +29,34 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Every phase, in lifecycle order.
+    pub const ALL: [Phase; 4] = [Phase::Issue, Phase::HomeLookup, Phase::Fanout, Phase::Reply];
+
     /// Stable schema name.
     pub fn label(self) -> &'static str {
-        match self {
-            Phase::Issue => "issue",
-            Phase::HomeLookup => "home_lookup",
-            Phase::Fanout => "fanout",
-            Phase::Reply => "reply",
-        }
+        ["issue", "home_lookup", "fanout", "reply"][self as usize]
     }
 }
+
+/// The `cause` labels of an [`EventKind::Inval`], the only ones
+/// [`TraceEvent::parse`] accepts.
+pub mod cause {
+    /// A write's fan-out (or, with 0 targets, its ownership transfer).
+    pub const WRITE: &str = "write";
+    /// A `Dir_i NB` read-caused pointer eviction.
+    pub const NB_EVICT: &str = "nb_evict";
+    /// A sharing-writeback-close eviction.
+    pub const SWB_EVICT: &str = "swb_evict";
+    /// Every cause.
+    pub const ALL: [&str; 3] = [WRITE, NB_EVICT, SWB_EVICT];
+}
+
+/// The nine trace-event `type`s, in [`EventKind`] order. Stream-only record
+/// types stay disjoint from them, so a stream splits into events and records.
+pub const EVENT_TYPES: [&str; 9] = [
+    "txn_begin", "txn_phase", "txn_end", "nack", "retry", "inval", "replacement", "msg_send",
+    "msg_deliver",
+];
 
 /// What happened.
 #[derive(Clone, Debug, PartialEq)]
@@ -98,9 +119,7 @@ pub enum EventKind {
         /// Invalidation messages sent (0 for a write that found a dirty
         /// owner to forward to — an ownership transfer, no fan-out).
         targets: u32,
-        /// Why: `"write"` for a write fan-out, `"nb_evict"` for a
-        /// `Dir_i NB` read-caused pointer eviction, `"swb_evict"` for a
-        /// sharing-writeback-close eviction.
+        /// Why: one of the [`cause`] labels.
         cause: &'static str,
     },
     /// A sparse-directory (or overflow wide-slot) entry was displaced and
@@ -119,9 +138,9 @@ pub enum EventKind {
         src: u32,
         /// Destination cluster.
         dst: u32,
-        /// Stable message-kind label (see `scd-protocol::MsgKind::label`).
+        /// Stable message-kind label ([`crate::attrib::MESSAGES`]).
         msg: &'static str,
-        /// The paper's traffic class label.
+        /// The paper's traffic class label ([`MessageClass::label`]).
         class: &'static str,
         /// The block concerned, if any.
         block: Option<u64>,
@@ -142,19 +161,24 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Position of this event type in [`EVENT_TYPES`].
+    pub fn index(&self) -> usize {
+        match self {
+            EventKind::TxnBegin { .. } => 0,
+            EventKind::TxnPhase { .. } => 1,
+            EventKind::TxnEnd { .. } => 2,
+            EventKind::Nack { .. } => 3,
+            EventKind::Retry { .. } => 4,
+            EventKind::Inval { .. } => 5,
+            EventKind::Replacement { .. } => 6,
+            EventKind::MsgSend { .. } => 7,
+            EventKind::MsgDeliver { .. } => 8,
+        }
+    }
+
     /// Stable schema name of this event type.
     pub fn label(&self) -> &'static str {
-        match self {
-            EventKind::TxnBegin { .. } => "txn_begin",
-            EventKind::TxnPhase { .. } => "txn_phase",
-            EventKind::TxnEnd { .. } => "txn_end",
-            EventKind::Nack { .. } => "nack",
-            EventKind::Retry { .. } => "retry",
-            EventKind::Inval { .. } => "inval",
-            EventKind::Replacement { .. } => "replacement",
-            EventKind::MsgSend { .. } => "msg_send",
-            EventKind::MsgDeliver { .. } => "msg_deliver",
-        }
+        EVENT_TYPES[self.index()]
     }
 }
 
@@ -170,30 +194,6 @@ pub struct TraceEvent {
     pub cluster: u32,
     /// The payload.
     pub kind: EventKind,
-}
-
-/// What [`TraceEvent::walk`] drives: one call per field of the JSONL
-/// envelope, in output order.
-///
-/// A key arrives punctuated the way the line needs it — `{"seq":` for the
-/// first field, `,"name":` for every other — as a byte array, so its
-/// length is part of the call's type: the line writer's copy of a key is a
-/// constant-length copy whether or not the call was inlined, and a
-/// consumer that wants the bare name strips two bytes from each end
-/// ([`bare_key`]).
-trait FieldVisitor {
-    /// A counter, identifier or cycle.
-    fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64);
-    /// A flag.
-    fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool);
-    /// A stable schema label.
-    fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str);
-}
-
-/// The name inside a punctuated key: `,"cycle":` is `cycle`.
-fn bare_key(key: &'static [u8]) -> Key {
-    let name = std::str::from_utf8(&key[2..key.len() - 2]);
-    Key::Borrowed(name.expect("keys are `walk`'s ASCII literals"))
 }
 
 const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
@@ -250,6 +250,17 @@ pub(crate) fn push_label(out: &mut Vec<u8>, s: &str) {
     }
 }
 
+/// What [`TraceEvent::walk`] drives, a call per field in output order. A key
+/// comes punctuated (`{"seq":`, `,"name":`) in a byte array of fixed length.
+trait FieldVisitor {
+    /// A counter, identifier or cycle.
+    fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64);
+    /// A flag.
+    fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool);
+    /// A stable schema label.
+    fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str);
+}
+
 /// The line writer: each field is its punctuated key, then its value.
 struct LineWriter<'a>(&'a mut Vec<u8>);
 
@@ -273,20 +284,154 @@ impl FieldVisitor for LineWriter<'_> {
     }
 }
 
-/// The tree builder: the same fields as a [`Json`] object's.
+/// The tree builder: a [`Json`] object's fields, named by the bare keys.
 struct TreeBuilder(Vec<(Key, Json)>);
+
+impl TreeBuilder {
+    fn push(&mut self, key: &'static [u8], value: Json) {
+        let name = std::str::from_utf8(&key[2..key.len() - 2]);
+        self.0.push((Key::Borrowed(name.expect("keys are `walk`'s ASCII literals")), value));
+    }
+}
 
 impl FieldVisitor for TreeBuilder {
     fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64) {
-        self.0.push((bare_key(key), Json::U64(n)));
+        self.push(key, Json::U64(n));
     }
 
     fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool) {
-        self.0.push((bare_key(key), Json::Bool(b)));
+        self.push(key, Json::Bool(b));
     }
 
     fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str) {
-        self.0.push((bare_key(key), Json::Str(s.into())));
+        self.push(key, Json::Str(s.into()));
+    }
+}
+
+/// Declares [`Slot`], one per envelope key, and [`KEYS`] from one list;
+/// [`Slot::of`] is a `match`, so a key costs a few compares, not a scan.
+macro_rules! slots {
+    ($($slot:ident = $key:literal,)*) => {
+        #[derive(Clone, Copy)]
+        enum Slot { $($slot,)* }
+
+        const KEYS: &[&str] = &[$($key,)*];
+
+        impl Slot {
+            #[inline]
+            fn of(key: &str) -> Option<Slot> {
+                match key { $($key => Some(Slot::$slot),)* _ => None }
+            }
+        }
+    };
+}
+
+slots! {
+    Seq = "seq", Cycle = "cycle", Cluster = "cluster", Type = "type", Txn = "txn",
+    Block = "block", Write = "write", Phase = "phase", Latency = "latency",
+    Retries = "retries", Attempt = "attempt", Backoff = "backoff", Targets = "targets",
+    Cause = "cause", Victim = "victim", Dirty = "dirty", Src = "src", Dst = "dst",
+    Msg = "msg", Class = "class", Hops = "hops",
+}
+
+/// One event line lexed in one pass: the first value of each envelope key
+/// (as [`crate::Fields::get`] finds it), typed by [`EventLine::decode`].
+pub(crate) struct EventLine<'a>([Option<Value<'a>>; KEYS.len()]);
+
+impl<'a> EventLine<'a> {
+    /// Lexes `text` as one JSON document; a non-object has no fields.
+    #[inline]
+    pub(crate) fn lex(text: &'a str) -> Result<Self, String> {
+        let mut line = EventLine([const { None }; KEYS.len()]);
+        let mut lexer = Lexer::new(text);
+        lexer.fields(|key, value| {
+            if let Some(slot) = Slot::of(&key) {
+                line.0[slot as usize].get_or_insert(value);
+            }
+        })?;
+        lexer.end()?;
+        Ok(line)
+    }
+
+    fn get(&self, slot: Slot) -> Option<&Value<'a>> {
+        self.0[slot as usize].as_ref()
+    }
+
+    /// The `type`, if the line has a string one.
+    pub(crate) fn type_label(&self) -> Option<&str> {
+        self.get(Slot::Type)?.as_str()
+    }
+
+    /// The `cycle`, if the line has an integer one.
+    pub(crate) fn cycle(&self) -> Option<u64> {
+        self.get(Slot::Cycle)?.as_u64()
+    }
+
+    /// An integer field, in range for `T`.
+    fn int<T: TryFrom<u64>>(&self, slot: Slot) -> Result<T, String> {
+        let key = KEYS[slot as usize];
+        let n = self.get(slot).and_then(Value::as_u64);
+        let n = n.ok_or_else(|| format!("missing or non-integer `{key}`"))?;
+        let range = || format!("`{key}` {n} out of range for {}", std::any::type_name::<T>());
+        T::try_from(n).map_err(|_| range())
+    }
+
+    fn flag(&self, slot: Slot) -> Result<bool, String> {
+        let flag = self.get(slot).and_then(Value::as_bool);
+        flag.ok_or_else(|| format!("missing or non-boolean `{}`", KEYS[slot as usize]))
+    }
+
+    /// The label in `slot`, resolved by `f`; missing, "`what` without `key`".
+    fn label<T>(&self, slot: Slot, what: &str, f: impl Fn(&str) -> Option<T>) -> Result<T, String> {
+        let key = KEYS[slot as usize];
+        let s = self.get(slot).and_then(Value::as_str);
+        let s = s.ok_or_else(|| format!("{what} without `{key}`"))?;
+        f(s).ok_or_else(|| format!("unknown `{key}` label `{s}`"))
+    }
+
+    /// The typed event, a kind to a row, fields checked in `walk`'s order.
+    pub(crate) fn decode(&self) -> Result<TraceEvent, String> {
+        use EventKind::*;
+        use Slot as S;
+        let (long, short) = (|s| self.int::<u64>(s), |s| self.int::<u32>(s));
+        let (seq, cycle, cluster) = (long(S::Seq)?, long(S::Cycle)?, short(S::Cluster)?);
+        let ty = self.type_label().ok_or("missing `type`")?;
+        let (txn, block, flag) = (|| long(S::Txn), || long(S::Block), |s| self.flag(s));
+        let phase = || {
+            self.label(S::Phase, "phase", |s| Phase::ALL.into_iter().find(|p| p.label() == s))
+        };
+        let why = || self.label(S::Cause, ty, |s| cause::ALL.into_iter().find(|c| *c == s));
+        let msg = || self.label(S::Msg, ty, |s| message(s).map(|m| m.0));
+        let opt_block = || self.get(S::Block).map(|_| long(S::Block)).transpose();
+        let class = || self.label(S::Class, ty, |s| {
+            MessageClass::ALL.map(MessageClass::label).into_iter().find(|c| *c == s)
+        });
+        let kind = match ty {
+            "txn_begin" => TxnBegin { txn: txn()?, block: block()?, write: flag(S::Write)? },
+            "txn_phase" => TxnPhase { txn: txn()?, block: block()?, phase: phase()? },
+            "txn_end" => TxnEnd {
+                txn: txn()?, block: block()?,
+                latency: long(S::Latency)?, retries: short(S::Retries)?,
+            },
+            "nack" => Nack { txn: txn()?, block: block()? },
+            "retry" => Retry {
+                txn: txn()?, block: block()?,
+                attempt: short(S::Attempt)?, backoff: long(S::Backoff)?,
+            },
+            "inval" => Inval { block: block()?, targets: short(S::Targets)?, cause: why()? },
+            "replacement" => Replacement {
+                victim: long(S::Victim)?, targets: short(S::Targets)?, dirty: flag(S::Dirty)?,
+            },
+            "msg_send" => MsgSend {
+                src: short(S::Src)?, dst: short(S::Dst)?, msg: msg()?, class: class()?,
+                block: opt_block()?, hops: short(S::Hops)?,
+            },
+            "msg_deliver" => MsgDeliver {
+                src: short(S::Src)?, dst: short(S::Dst)?, msg: msg()?, block: opt_block()?,
+            },
+            other => return Err(format!("unknown event type `{other}`")),
+        };
+        Ok(TraceEvent { seq, cycle, cluster, kind })
     }
 }
 
@@ -294,7 +439,9 @@ impl TraceEvent {
     /// The event's schema: every key of its JSONL envelope with its
     /// value, in output order. This is the only place that says which
     /// fields an event kind has; [`TraceEvent::write_jsonl`] and
-    /// [`TraceEvent::to_json`] are its two consumers.
+    /// [`TraceEvent::to_json`] are its two consumers, and
+    /// [`TraceEvent::parse`] its inverse (held to it by the round-trip
+    /// property in `tests/prop.rs`).
     #[inline(always)]
     fn walk(&self, f: &mut impl FieldVisitor) {
         f.u64(b"{\"seq\":", self.seq);
@@ -408,6 +555,13 @@ impl TraceEvent {
         let mut fields = TreeBuilder(Vec::with_capacity(10));
         self.walk(&mut fields);
         Json::Obj(fields.0)
+    }
+
+    /// Reads one JSONL line back, the inverse of [`TraceEvent::write_jsonl`]
+    /// and the only reader of event payloads from text: every field's type
+    /// and range, every label's vocabulary checked; no line number in errors.
+    pub fn parse(line: &str) -> Result<TraceEvent, String> {
+        EventLine::lex(line)?.decode()
     }
 
     /// One-line human rendering for post-mortem tails.

@@ -1,4 +1,4 @@
-//! A minimal JSON value: writer, and one lexer under two readers.
+//! A minimal JSON value: writer, and one lexer under three readers.
 //!
 //! The workspace builds offline (no serde), so the telemetry exporters
 //! hand-roll their JSON through this module. The writer emits compact,
@@ -9,15 +9,16 @@
 //! Reading is one borrowed pull [`Lexer`] — the single definition of the
 //! grammar this repository accepts (standard JSON: all escapes including
 //! surrogate pairs, signed/exponent numbers, nesting capped at
-//! [`MAX_DEPTH`]) and of its error texts — with two folds on top:
+//! [`MAX_DEPTH`]) and of its error texts — with three folds on top:
 //!
 //! * [`Json::parse`] builds the tree, for *documents* a reader walks more
 //!   than once (`scd-run-stats/v1`, `scd-patterns/v1`, `BENCH_*.json`);
 //! * [`Fields`] is the flat view of one object, for *records* read once
-//!   and dropped (a JSONL line, a Perfetto `traceEvents` item): keys and
-//!   scalars are slices of the input, nested values stay text that either
-//!   fold can read again, and nothing is allocated unless a string holds
-//!   an escape.
+//!   and dropped (a stream record, a Perfetto `traceEvents` item): keys
+//!   and scalars are slices of the input, nested values stay text that
+//!   either fold can read again, and nothing is allocated unless a string
+//!   holds an escape;
+//! * [`crate::TraceEvent::parse`] decodes a trace-event line into its event.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -500,6 +501,20 @@ impl<'a> Lexer<'a> {
         Ok(())
     }
 
+    /// The object walk of [`Fields`] and the event decoder: hands `f` each
+    /// field of the value at the cursor, read whole (a non-object has none).
+    #[inline]
+    pub fn fields(&mut self, mut f: impl FnMut(Cow<'a, str>, Value<'a>)) -> Result<(), String> {
+        let open = self.value()?;
+        if open != Token::Obj {
+            return self.skip(&open);
+        }
+        while let Some(key) = self.key()? {
+            f(key, self.whole()?);
+        }
+        Ok(())
+    }
+
     /// Reads the value at the cursor whole: a container is skipped, and
     /// its text comes back as a slice any reader can lex again.
     #[inline]
@@ -751,8 +766,8 @@ pub fn records(text: &str) -> impl Iterator<Item = (usize, &str)> {
         .filter(|(_, line)| line.starts_with('{') || !line.trim().is_empty())
 }
 
-/// Fields a [`Fields`] view holds without touching the heap: a trace
-/// event has at most ten, a Perfetto record eight.
+/// Fields a [`Fields`] view holds without touching the heap: a Perfetto
+/// record has at most eight.
 const INLINE_FIELDS: usize = 12;
 
 /// The flat fold: the top-level fields of one object, read in one pass
@@ -782,20 +797,14 @@ impl<'a> Fields<'a> {
             inline: [const { None }; INLINE_FIELDS],
             spill: Vec::new(),
         };
-        let open = lexer.value()?;
-        if open != Token::Obj {
-            lexer.skip(&open)?;
-            return Ok(fields);
-        }
         let mut n = 0;
-        while let Some(key) = lexer.key()? {
-            let field = (key, lexer.whole()?);
+        lexer.fields(|key, value| {
             match fields.inline.get_mut(n) {
-                Some(slot) => *slot = Some(field),
-                None => fields.spill.push(field),
+                Some(slot) => *slot = Some((key, value)),
+                None => fields.spill.push((key, value)),
             }
             n += 1;
-        }
+        })?;
         Ok(fields)
     }
 

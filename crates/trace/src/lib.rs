@@ -34,11 +34,11 @@
 //!
 //! Reading a recorded run back goes through one borrowed lexer in
 //! [`json`]: documents ([`validate_stats_json`], [`compare_docs`]) keep a
-//! [`Json`] tree, while every per-record reader — [`validate_trace`],
-//! [`validate_stream`], [`extract_trace_lines`],
-//! [`PatternTable::from_trace`], [`validate_perfetto`] — is a single pass
-//! over the flat [`Fields`] view with no allocation per record, and
-//! [`to_perfetto`] renders its document straight into text.
+//! [`Json`] tree; every trace reader — [`validate_trace`],
+//! [`validate_stream`], [`PatternTable::from_trace`] — folds the typed
+//! events [`TraceEvent::parse`] decodes; Perfetto items and stream records
+//! are read through the flat [`Fields`] view. Nothing is allocated per
+//! record, and [`to_perfetto`] renders its document straight into text.
 
 #![warn(missing_docs)]
 
@@ -62,7 +62,7 @@ pub use attrib::{
     ATTRIB_SCHEMA,
 };
 pub use critical::{analyze, BlockingEdge, CriticalReport, PhaseCost, TxnCost};
-pub use event::{EventKind, Phase, TraceEvent};
+pub use event::{EventKind, Phase, TraceEvent, EVENT_TYPES};
 pub use json::{Fields, IntoKey, Json, Key};
 pub use metrics::{IntervalSnapshot, MetricsRegistry, TxnTimeline, LATENCY_BUCKET_CAP};
 pub use patterns::{
@@ -78,7 +78,7 @@ pub use schema::{
 pub use sink::{
     attrib_delta_record, event_line, extract_trace_lines, interval_record, patterns_record,
     run_end_record, run_meta_record, validate_stream, BufferSink, JsonlFileSink,
-    StreamSummary, TraceSink, EVENT_TYPES,
+    StreamSummary, TraceSink,
 };
 pub use report::{compare_docs, doc_label, tracked_metrics, Comparison, ReportMetric};
 pub use span::{MsgSpan, PhaseSpan, SpanTree, TxnSpan};

@@ -13,7 +13,8 @@
 //!
 //! The classifier is a *pure function of the `(cycle, seq)`-ordered
 //! event stream*: feeding it a live machine's merged events or the lines
-//! of a recorded `--trace-out` file produces byte-identical
+//! of a recorded `--trace-out` file (decoded by [`TraceEvent::parse`],
+//! which refuses a line the validator would) produces byte-identical
 //! `scd-patterns/v1` documents
 //! (`tests/telemetry.rs::online_patterns_match_trace_replay_byte_for_byte`
 //! holds the two paths equal). Its inputs are
@@ -24,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::event::{EventKind, TraceEvent};
-use crate::json::{records, Fields, Json};
+use crate::json::{records, Json};
 use crate::schema::PATTERNS_SCHEMA;
 
 /// Blocks the table tracks individually before new blocks fall into the
@@ -192,7 +193,7 @@ pub struct PatternTable {
     inval_max: u64,
     /// `inval_dist[n]` = decisions that sent exactly `n` invalidations.
     inval_dist: Vec<u64>,
-    inval_by_cause: BTreeMap<String, u64>,
+    inval_by_cause: BTreeMap<&'static str, u64>,
 }
 
 impl Default for PatternTable {
@@ -244,7 +245,7 @@ impl PatternTable {
         }
     }
 
-    fn note_inval(&mut self, block: u64, targets: u64, cause: &str) {
+    fn note_inval(&mut self, block: u64, targets: u64, cause: &'static str) {
         self.inval_events += 1;
         self.inval_total += targets;
         self.inval_max = self.inval_max.max(targets);
@@ -253,12 +254,7 @@ impl PatternTable {
             self.inval_dist.resize(idx + 1, 0);
         }
         self.inval_dist[idx] += 1;
-        match self.inval_by_cause.get_mut(cause) {
-            Some(n) => *n += 1,
-            None => {
-                self.inval_by_cause.insert(cause.to_string(), 1);
-            }
-        }
+        *self.inval_by_cause.entry(cause).or_insert(0) += 1;
         match self.track(block) {
             Some(track) => {
                 track.inval_events += 1;
@@ -285,53 +281,25 @@ impl PatternTable {
         }
     }
 
-    /// The replay-side counting, over either fold of a trace line — the
-    /// same `note_*` calls as [`PatternTable::observe`]. Unknown or
-    /// irrelevant types pass through; malformed payloads are counted as
-    /// untracked rather than erroring, so a truncated ring never poisons
-    /// the table.
-    fn observe_record(&mut self, ev: &impl Record) {
-        self.events += 1;
-        match ev.str_of("type") {
-            Some("txn_begin") => match (ev.u64_of("block"), ev.u64_of("cluster")) {
-                (Some(block), Some(cluster)) => {
-                    let write = ev.bool_of("write").unwrap_or(false);
-                    self.note_begin(block, cluster as u32, write);
-                }
-                _ => self.untracked_events += 1,
-            },
-            Some("inval") => match (ev.u64_of("block"), ev.u64_of("targets")) {
-                (Some(block), Some(targets)) => {
-                    let cause = ev.str_of("cause").unwrap_or("unknown");
-                    self.note_inval(block, targets, cause);
-                }
-                _ => self.untracked_events += 1,
-            },
-            _ => {}
+    /// Observes a [`Json`] tree event, decoding the two types the table reads
+    /// from its text; the rest, and any the decoder refuses, pass through
+    /// counted. Kept only for `benchmark/src/probes.rs` (ROADMAP.md 1(a)).
+    pub fn observe_event(&mut self, ev: &Json) {
+        let read = matches!(ev.get("type").and_then(Json::as_str), Some("txn_begin" | "inval"));
+        match read.then(|| TraceEvent::parse(&ev.to_string())) {
+            Some(Ok(ev)) => self.observe(&ev),
+            _ => self.events += 1,
         }
     }
 
-    /// Observes one trace line already parsed into a tree, in stream
-    /// order (for callers that hold `Json` events; a file goes through
-    /// [`PatternTable::observe_line`]).
-    pub fn observe_event(&mut self, ev: &Json) {
-        self.observe_record(ev);
-    }
-
-    /// Observes one rendered JSONL line (replay path). A parse failure is
-    /// an error (a trace file is all-JSONL or corrupt).
-    pub fn observe_line(&mut self, line: &str) -> Result<(), String> {
-        self.observe_record(&Fields::parse(line)?);
-        Ok(())
-    }
-
-    /// Builds a table from a recorded `--trace-out` JSONL file.
+    /// Builds a table from a recorded `--trace-out` JSONL file: each line
+    /// decoded by [`TraceEvent::parse`], then [`PatternTable::observe`]d.
+    /// A line the decoder refuses is an error naming the line.
     pub fn from_trace(text: &str) -> Result<Self, String> {
         let mut table = PatternTable::new();
         for (line_no, line) in records(text) {
-            table
-                .observe_line(line)
-                .map_err(|e| format!("line {line_no}: {e}"))?;
+            let ev = TraceEvent::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
+            table.observe(&ev);
         }
         Ok(table)
     }
@@ -399,7 +367,7 @@ impl PatternTable {
     fn invalidations_json(&self) -> Json {
         let mut by_cause = Json::obj();
         for (cause, count) in &self.inval_by_cause {
-            by_cause.set(cause, Json::U64(*count));
+            by_cause.set(*cause, Json::U64(*count));
         }
         Json::obj()
             .with("events", Json::U64(self.inval_events))
@@ -436,38 +404,6 @@ impl PatternTable {
         j.set("invalidations", self.invalidations_json());
         j.set("occupancy", occupancy.unwrap_or(Json::Null));
         j
-    }
-}
-
-/// The three look-ups replay needs from a trace line, whichever fold read
-/// it.
-trait Record {
-    fn u64_of(&self, key: &str) -> Option<u64>;
-    fn str_of(&self, key: &str) -> Option<&str>;
-    fn bool_of(&self, key: &str) -> Option<bool>;
-}
-
-impl Record for Json {
-    fn u64_of(&self, key: &str) -> Option<u64> {
-        self.get(key).and_then(Json::as_u64)
-    }
-    fn str_of(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(Json::as_str)
-    }
-    fn bool_of(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(Json::as_bool)
-    }
-}
-
-impl Record for Fields<'_> {
-    fn u64_of(&self, key: &str) -> Option<u64> {
-        self.get(key).and_then(|v| v.as_u64())
-    }
-    fn str_of(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(|v| v.as_str())
-    }
-    fn bool_of(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(|v| v.as_bool())
     }
 }
 
@@ -633,15 +569,7 @@ pub fn validate_patterns_json(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn begin(seq: u64, cluster: u32, block: u64, write: bool) -> Json {
-        begin_ev(seq, cluster, block, write).to_json()
-    }
-
-    fn inval(seq: u64, block: u64, targets: u32) -> Json {
-        inval_ev(seq, block, targets).to_json()
-    }
-
-    fn begin_ev(seq: u64, cluster: u32, block: u64, write: bool) -> TraceEvent {
+    fn begin(seq: u64, cluster: u32, block: u64, write: bool) -> TraceEvent {
         TraceEvent {
             seq,
             cycle: seq * 10,
@@ -654,7 +582,7 @@ mod tests {
         }
     }
 
-    fn inval_ev(seq: u64, block: u64, targets: u32) -> TraceEvent {
+    fn inval(seq: u64, block: u64, targets: u32) -> TraceEvent {
         TraceEvent {
             seq,
             cycle: seq * 10,
@@ -662,15 +590,15 @@ mod tests {
             kind: EventKind::Inval {
                 block,
                 targets,
-                cause: "write",
+                cause: crate::event::cause::WRITE,
             },
         }
     }
 
-    fn classify_stream(events: &[Json]) -> PatternClass {
+    fn classify_stream(events: &[TraceEvent]) -> PatternClass {
         let mut t = PatternTable::new();
         for ev in events {
-            t.observe_event(ev);
+            t.observe(ev);
         }
         assert_eq!(t.tracked_blocks(), 1);
         t.blocks.values().next().unwrap().classify()
@@ -730,7 +658,7 @@ mod tests {
         // A single writer with a machine-wide consumer set is widely
         // shared (LU pivot), not producer-consumer: the sharer set is
         // what overflows limited pointers.
-        let mut pivot: Vec<Json> = vec![begin(1, 0, 8, true)];
+        let mut pivot: Vec<TraceEvent> = vec![begin(1, 0, 8, true)];
         for r in 0..WIDELY_SHARED_MIN_READERS as u32 {
             pivot.push(begin(2 + r as u64, r + 1, 8, false));
         }
@@ -759,7 +687,7 @@ mod tests {
             begin(5, 2, 16, true),
             inval(6, 16, 3),
         ] {
-            t.observe_event(&ev);
+            t.observe(&ev);
         }
         assert_eq!(t.inval_dist(), &[1, 1, 0, 1]);
         assert!((t.inval_mean() - 4.0 / 3.0).abs() < 1e-9);
@@ -770,9 +698,9 @@ mod tests {
     #[test]
     fn bounded_table_counts_overflow_deterministically() {
         let mut t = PatternTable::with_capacity(1);
-        t.observe_event(&begin(1, 0, 8, false));
-        t.observe_event(&begin(2, 1, 99, false));
-        t.observe_event(&inval(3, 99, 2));
+        t.observe(&begin(1, 0, 8, false));
+        t.observe(&begin(2, 1, 99, false));
+        t.observe(&inval(3, 99, 2));
         assert_eq!(t.tracked_blocks(), 1);
         // Both the txn_begin and the per-block half of the inval fell
         // outside the table; the aggregate distribution still counts it.
@@ -789,10 +717,10 @@ mod tests {
     #[test]
     fn online_equals_replay_byte_for_byte() {
         let events = [
-            begin_ev(1, 0, 8, true),
-            inval_ev(2, 8, 1),
-            begin_ev(3, 1, 8, false),
-            begin_ev(4, 2, 16, false),
+            begin(1, 0, 8, true),
+            inval(2, 8, 1),
+            begin(3, 1, 8, false),
+            begin(4, 2, 16, false),
         ];
         let mut online = PatternTable::new();
         let mut text = Vec::new();
@@ -807,6 +735,29 @@ mod tests {
             online.document(None, None).to_string(),
             replay.document(None, None).to_string()
         );
+    }
+
+    /// The tree adapter counts what the decoder refuses rather than
+    /// panicking, and observes what it accepts.
+    #[test]
+    fn the_tree_adapter_passes_off_vocabulary_events_through() {
+        let probe = TraceEvent {
+            seq: 1,
+            cycle: 3,
+            cluster: 0,
+            kind: EventKind::MsgSend {
+                src: 0,
+                dst: 1,
+                msg: "ReadReq",
+                class: "request",
+                block: Some(8),
+                hops: 2,
+            },
+        };
+        let mut t = PatternTable::new();
+        t.observe_event(&probe.to_json());
+        t.observe_event(&begin(2, 1, 8, true).to_json());
+        assert_eq!((t.events(), t.tracked_blocks()), (2, 1));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{records, Fields, Json};
-use crate::sink::EVENT_TYPES;
+use crate::event::{EventKind, Phase, TraceEvent, EVENT_TYPES};
+use crate::json::{records, Json};
 
 /// Aggregate of one validated trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -35,9 +35,9 @@ struct TxnCheck {
     ended: bool,
     any_phase: bool,
     fanout_seen: bool,
-    last_attempt: u64,
+    last_attempt: u32,
     last_backoff: u64,
-    end_retries: Option<u64>,
+    end_retries: Option<u32>,
     retry_events: u64,
 }
 
@@ -84,13 +84,13 @@ impl SeqSet {
     }
 }
 
-/// The trace rules as a state machine over event lines: [`validate_trace`]
-/// feeds it a file, `validate_stream` feeds it the event lines of a stream
-/// as it meets them. It keeps one [`TxnCheck`] per transaction and a
-/// [`SeqSet`], nothing per line.
+/// The ordering and lifecycle rules as a state machine over decoded
+/// events (keys, types and labels are [`TraceEvent::parse`]'s to check):
+/// [`validate_trace`] feeds it a file, `validate_stream` the event lines
+/// of a stream as it meets them. It keeps one [`TxnCheck`] per
+/// transaction and a [`SeqSet`], nothing per line.
 #[derive(Default)]
 pub(crate) struct TraceCheck {
-    events: u64,
     /// Counts in [`EVENT_TYPES`] order.
     by_type: [u64; EVENT_TYPES.len()],
     /// `(cycle, seq)` of the previous line.
@@ -100,133 +100,91 @@ pub(crate) struct TraceCheck {
 }
 
 impl TraceCheck {
-    /// Checks one event line; `line_no` is the line its errors cite.
-    pub(crate) fn line(&mut self, obj: &Fields<'_>, line_no: usize) -> Result<(), String> {
-        let req_u64 = |key: &str| {
-            obj.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("line {line_no}: missing or non-integer `{key}`"))
-        };
-        let seq = req_u64("seq")?;
-        let cycle = req_u64("cycle")?;
-        req_u64("cluster")?;
-        let ty = obj
-            .get("type")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("line {line_no}: missing `type`"))?;
-        let Some(ty_index) = EVENT_TYPES.iter().position(|known| *known == ty) else {
-            return Err(format!("line {line_no}: unknown event type `{ty}`"));
-        };
+    /// Checks one event. An error names the broken rule; the caller
+    /// prefixes the event's line, as it does a decoding error.
+    pub(crate) fn event(&mut self, ev: &TraceEvent) -> Result<(), String> {
+        let (seq, cycle) = (ev.seq, ev.cycle);
         // The merge orders lines by (cycle, seq). Global seq order alone is
         // NOT monotone: an event can be recorded early with a future cycle
         // stamp (e.g. a txn_begin stamped with its post-lookup issue cycle),
         // so it sorts after events recorded later at earlier cycles. Seqs
         // are still globally unique.
         if !self.seen_seqs.insert(seq) {
-            return Err(format!("line {line_no}: seq {seq} repeats"));
+            return Err(format!("seq {seq} repeats"));
         }
         if let Some((prev, prev_seq)) = self.last {
             if cycle < prev {
-                return Err(format!(
-                    "line {line_no}: cycle {cycle} runs backwards from {prev} \
-                     (merge must be cycle-ordered)"
-                ));
+                let why = "merge must be cycle-ordered";
+                return Err(format!("cycle {cycle} runs backwards from {prev} ({why})"));
             }
             if cycle == prev && seq <= prev_seq {
-                return Err(format!(
-                    "line {line_no}: seq {seq} not strictly after {prev_seq} \
-                     within cycle {cycle}"
-                ));
+                return Err(format!("seq {seq} not strictly after {prev_seq} within cycle {cycle}"));
             }
         }
         self.last = Some((cycle, seq));
-        self.events += 1;
-        self.by_type[ty_index] += 1;
+        self.by_type[ev.kind.index()] += 1;
 
-        if ty == "inval" {
-            // Directory-side event: no per-txn lifecycle obligations, but
-            // the classifier's inputs must be present and well-typed.
-            req_u64("block")?;
-            req_u64("targets")?;
-            obj.get("cause")
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("line {line_no}: inval without `cause`"))?;
-        }
-
-        if matches!(ty, "txn_begin" | "txn_phase" | "txn_end" | "nack" | "retry") {
-            let txn = req_u64("txn")?;
-            let check = self.txns.entry(txn).or_default();
-            match ty {
-                "txn_begin" => {
-                    if check.begin.is_some() {
-                        return Err(format!("line {line_no}: txn {txn} began twice"));
-                    }
-                    if check.any_phase || check.ended {
-                        return Err(format!(
-                            "line {line_no}: txn {txn} has lifecycle events before its begin"
-                        ));
-                    }
-                    check.begin = Some(cycle);
+        // Directory-side and message events carry no per-txn obligations.
+        let (EventKind::TxnBegin { txn, .. }
+        | EventKind::TxnPhase { txn, .. }
+        | EventKind::TxnEnd { txn, .. }
+        | EventKind::Nack { txn, .. }
+        | EventKind::Retry { txn, .. }) = ev.kind
+        else {
+            return Ok(());
+        };
+        let check = self.txns.entry(txn).or_default();
+        match ev.kind {
+            EventKind::TxnBegin { .. } => {
+                if check.begin.is_some() {
+                    return Err(format!("txn {txn} began twice"));
                 }
-                "txn_phase" => {
-                    let phase = obj
-                        .get("phase")
-                        .and_then(|v| v.as_str())
-                        .ok_or_else(|| format!("line {line_no}: phase without `phase`"))?;
-                    if check.ended {
-                        return Err(format!(
-                            "line {line_no}: txn {txn} phase `{phase}` after its end"
-                        ));
-                    }
-                    if phase == "home_lookup" && check.fanout_seen {
-                        return Err(format!(
-                            "line {line_no}: txn {txn} home_lookup after fanout"
-                        ));
-                    }
-                    check.any_phase = true;
-                    check.fanout_seen |= phase == "fanout";
+                if check.any_phase || check.ended {
+                    return Err(format!("txn {txn} has lifecycle events before its begin"));
                 }
-                "txn_end" => {
-                    if check.ended {
-                        return Err(format!("line {line_no}: txn {txn} ended twice"));
-                    }
-                    if let Some(b) = check.begin {
-                        let latency = req_u64("latency")?;
-                        if b.checked_add(latency) != Some(cycle) {
-                            return Err(format!(
-                                "line {line_no}: txn {txn} latency {latency} inconsistent \
-                                 with begin {b} / end {cycle}"
-                            ));
-                        }
-                    }
-                    check.ended = true;
-                    check.end_retries = Some(req_u64("retries")?);
-                }
-                "retry" => {
-                    let attempt = req_u64("attempt")?;
-                    let backoff = req_u64("backoff")?;
-                    if attempt <= check.last_attempt {
-                        return Err(format!(
-                            "line {line_no}: txn {txn} retry attempt {attempt} not after \
-                             attempt {}",
-                            check.last_attempt
-                        ));
-                    }
-                    if backoff < check.last_backoff {
-                        return Err(format!(
-                            "line {line_no}: txn {txn} backoff shrank ({} -> {backoff}); \
-                             retries must back off monotonically",
-                            check.last_backoff
-                        ));
-                    }
-                    check.last_attempt = attempt;
-                    check.last_backoff = backoff;
-                    check.retry_events += 1;
-                }
-                // NACKs carry no per-txn ordering obligations beyond the
-                // global cycle order checked above.
-                _ => {}
+                check.begin = Some(cycle);
             }
+            EventKind::TxnPhase { phase, .. } => {
+                if check.ended {
+                    return Err(format!("txn {txn} phase `{}` after its end", phase.label()));
+                }
+                if phase == Phase::HomeLookup && check.fanout_seen {
+                    return Err(format!("txn {txn} home_lookup after fanout"));
+                }
+                check.any_phase = true;
+                check.fanout_seen |= phase == Phase::Fanout;
+            }
+            EventKind::TxnEnd { latency, retries, .. } => {
+                if check.ended {
+                    return Err(format!("txn {txn} ended twice"));
+                }
+                if let Some(b) = check.begin.filter(|b| b.checked_add(latency) != Some(cycle)) {
+                    let span = format!("begin {b} / end {cycle}");
+                    return Err(format!("txn {txn} latency {latency} inconsistent with {span}"));
+                }
+                check.ended = true;
+                check.end_retries = Some(retries);
+            }
+            EventKind::Retry { attempt, backoff, .. } => {
+                let (last_attempt, last_backoff) = (check.last_attempt, check.last_backoff);
+                if attempt <= last_attempt {
+                    return Err(format!(
+                        "txn {txn} retry attempt {attempt} not after attempt {last_attempt}"
+                    ));
+                }
+                if backoff < last_backoff {
+                    return Err(format!(
+                        "txn {txn} backoff shrank ({last_backoff} -> {backoff}); \
+                         retries must back off monotonically"
+                    ));
+                }
+                check.last_attempt = attempt;
+                check.last_backoff = backoff;
+                check.retry_events += 1;
+            }
+            // NACKs carry no per-txn ordering obligations beyond the
+            // global cycle order checked above.
+            _ => {}
         }
         Ok(())
     }
@@ -234,17 +192,14 @@ impl TraceCheck {
     /// The end-of-trace checks, then the summary.
     pub(crate) fn finish(self) -> Result<TraceSummary, String> {
         for (txn, check) in &self.txns {
-            if let (Some(end_retries), events) = (check.end_retries, check.retry_events) {
-                if end_retries < events {
-                    return Err(format!(
-                        "txn {txn}: end reports {end_retries} retries but {events} retry \
-                         events were recorded"
-                    ));
-                }
+            let events = check.retry_events;
+            if let Some(end) = check.end_retries.filter(|&end| u64::from(end) < events) {
+                let recorded = format!("{events} retry events were recorded");
+                return Err(format!("txn {txn}: end reports {end} retries but {recorded}"));
             }
         }
         Ok(TraceSummary {
-            events: self.events,
+            events: self.by_type.iter().sum(),
             transactions: self.txns.len() as u64,
             completed: self
                 .txns
@@ -264,8 +219,8 @@ impl TraceCheck {
 /// Parses and validates a JSONL trace, returning its summary.
 ///
 /// Checks, in order:
-/// 1. every non-empty line is a JSON object carrying `seq`, `cycle`,
-///    `cluster`, and a known `type`;
+/// 1. every non-empty line is an event [`TraceEvent::parse`] accepts, its
+///    fields in type and range and its labels in their vocabularies;
 /// 2. lines arrive in `(cycle, seq)` lexicographic order — `cycle`
 ///    non-decreasing, `seq` strictly increasing within a cycle — and no
 ///    `seq` repeats anywhere (the global cycle-ordered merge; global seq
@@ -281,8 +236,9 @@ impl TraceCheck {
 pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
     let mut check = TraceCheck::default();
     for (line_no, line) in records(text) {
-        let obj = Fields::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        check.line(&obj, line_no)?;
+        TraceEvent::parse(line)
+            .and_then(|ev| check.event(&ev))
+            .map_err(|e| format!("line {line_no}: {e}"))?;
     }
     check.finish()
 }
@@ -366,7 +322,6 @@ pub fn validate_stats_json(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, Phase, TraceEvent};
 
     fn line(seq: u64, cycle: u64, kind: EventKind) -> String {
         TraceEvent {

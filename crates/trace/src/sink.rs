@@ -29,25 +29,10 @@ use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::event::TraceEvent;
+use crate::event::{EventLine, TraceEvent, EVENT_TYPES};
 use crate::json::{records, Fields, Json};
 use crate::metrics::IntervalSnapshot;
 use crate::replay::{TraceCheck, TraceSummary};
-
-/// The nine trace-event `type`s (the JSONL envelope of
-/// [`TraceEvent::write_jsonl`]). Stream-only record types must stay disjoint
-/// from this set so a stream can be split back into events and records.
-pub const EVENT_TYPES: [&str; 9] = [
-    "txn_begin",
-    "txn_phase",
-    "txn_end",
-    "nack",
-    "retry",
-    "inval",
-    "replacement",
-    "msg_send",
-    "msg_deliver",
-];
 
 /// A consumer of rendered JSONL telemetry lines.
 ///
@@ -231,11 +216,8 @@ pub fn extract_trace_lines(stream: &str) -> String {
     // A stream is nearly all events: one reservation, never regrown.
     let mut out = String::with_capacity(stream.len());
     for (_, line) in records(stream) {
-        let is_event = Fields::parse(line).is_ok_and(|obj| {
-            obj.get("type")
-                .and_then(|v| v.as_str())
-                .is_some_and(|ty| EVENT_TYPES.contains(&ty))
-        });
+        let is_event = EventLine::lex(line)
+            .is_ok_and(|ev| ev.type_label().is_some_and(|ty| EVENT_TYPES.contains(&ty)));
         if is_event {
             out.push_str(line);
             out.push('\n');
@@ -268,10 +250,10 @@ pub struct StreamSummary {
     pub trace: TraceSummary,
 }
 
-fn req_u64(obj: &Fields<'_>, key: &str, line_no: usize) -> Result<u64, String> {
+fn req_u64(obj: &Fields<'_>, key: &str) -> Result<u64, String> {
     obj.get(key)
         .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("line {line_no}: `{key}` missing or not an integer"))
+        .ok_or_else(|| format!("`{key}` missing or not an integer"))
 }
 
 /// Validates a streamed JSONL telemetry file: every line is a known
@@ -293,107 +275,79 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
     let mut sweep_indices: BTreeSet<u64> = BTreeSet::new();
     let mut closed_by: Option<&'static str> = None;
 
-    for (line_no, line) in records(text) {
+    // One line's checks; an error is prefixed with the line's number.
+    let mut record = |line: &str, line_no: usize| -> Result<(), String> {
         if let Some(closer) = closed_by {
-            return Err(format!("line {line_no}: record after `{closer}`"));
+            return Err(format!("record after `{closer}`"));
         }
         summary.lines += 1;
-        let obj = Fields::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        let ty = obj
-            .get("type")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("line {line_no}: missing `type`"))?;
+        // Event lines (nearly all of a stream) are lexed once, records twice.
+        let ev = EventLine::lex(line)?;
+        let ty = ev.type_label().ok_or("missing `type`")?;
         if EVENT_TYPES.contains(&ty) {
             summary.events += 1;
-            let cycle = req_u64(&obj, "cycle", line_no)?;
+            let cycle = ev.cycle().ok_or("`cycle` missing or not an integer")?;
             // Ordering guarantee: an interval record is emitted only after
             // every event of its window, so no event may surface later
             // with a cycle from inside an already-closed window.
-            if let Some(end) = last_interval_end {
-                if cycle < end {
-                    return Err(format!(
-                        "line {line_no}: event at cycle {cycle} after the interval ending at {end}"
-                    ));
-                }
+            if let Some(end) = last_interval_end.filter(|&end| cycle < end) {
+                return Err(format!("event at cycle {cycle} after the interval ending at {end}"));
             }
             if trace_err.is_none() {
-                trace_err = trace.line(&obj, line_no).err();
+                let checked = ev.decode().and_then(|event| trace.event(&event));
+                trace_err = checked.map_err(|e| format!("line {line_no}: {e}")).err();
             }
-            continue;
+            return Ok(());
         }
+        let obj = Fields::parse(line)?;
+        // A window record's `[start, end)`, which must not be empty.
+        let window = |obj: &Fields<'_>, what: &str| {
+            let (start, end) = (req_u64(obj, "start")?, req_u64(obj, "end")?);
+            if end <= start {
+                return Err(format!("{what} window [{start}, {end}) is empty"));
+            }
+            Ok((start, end))
+        };
         match ty {
             "run_meta" => {
-                obj.get("run")
-                    .ok_or_else(|| format!("line {line_no}: run_meta without `run`"))?;
+                obj.get("run").ok_or("run_meta without `run`")?;
             }
             "interval" => {
                 summary.intervals += 1;
-                let window = obj
-                    .get("window")
-                    .ok_or_else(|| format!("line {line_no}: interval without `window`"))?
-                    .fields();
-                let start = req_u64(&window, "start", line_no)?;
-                let end = req_u64(&window, "end", line_no)?;
-                if end <= start {
-                    return Err(format!(
-                        "line {line_no}: interval window [{start}, {end}) is empty"
-                    ));
-                }
-                if let Some(prev) = last_interval_end {
-                    if start != prev {
-                        return Err(format!(
-                            "line {line_no}: interval starts at {start}, previous ended at {prev}"
-                        ));
-                    }
+                let window_obj = obj.get("window").ok_or("interval without `window`")?;
+                let (start, end) = window(&window_obj.fields(), "interval")?;
+                if let Some(prev) = last_interval_end.filter(|&prev| start != prev) {
+                    return Err(format!("interval starts at {start}, previous ended at {prev}"));
                 }
                 last_interval_end = Some(end);
             }
             "attrib_delta" => {
                 summary.attrib_deltas += 1;
-                let start = req_u64(&obj, "start", line_no)?;
-                let end = req_u64(&obj, "end", line_no)?;
-                if end <= start {
-                    return Err(format!(
-                        "line {line_no}: attrib_delta window [{start}, {end}) is empty"
-                    ));
-                }
-                obj.get("classes")
-                    .ok_or_else(|| format!("line {line_no}: attrib_delta without `classes`"))?;
+                window(&obj, "attrib_delta")?;
+                obj.get("classes").ok_or("attrib_delta without `classes`")?;
             }
             "patterns" => {
                 summary.patterns_samples += 1;
-                let start = req_u64(&obj, "start", line_no)?;
-                let end = req_u64(&obj, "end", line_no)?;
-                if end <= start {
-                    return Err(format!(
-                        "line {line_no}: patterns window [{start}, {end}) is empty"
-                    ));
-                }
-                let live = req_u64(&obj, "live_entries", line_no)?;
-                let sharers = obj
-                    .get("sharers")
-                    .and_then(|v| v.elements())
-                    .ok_or_else(|| format!("line {line_no}: patterns without `sharers`"))?;
+                window(&obj, "patterns")?;
+                let live = req_u64(&obj, "live_entries")?;
+                let sharers = obj.get("sharers").and_then(|v| v.elements());
+                let sharers = sharers.ok_or("patterns without `sharers`")?;
                 let counted: u64 = sharers.filter_map(|n| n.as_u64()).sum();
                 if counted > live {
-                    return Err(format!(
-                        "line {line_no}: patterns sharer histogram counts {counted} \
-                         entries but only {live} are live"
-                    ));
+                    let histogram = format!("patterns sharer histogram counts {counted} entries");
+                    return Err(format!("{histogram} but only {live} are live"));
                 }
             }
             "run_end" => {
-                let recorded = req_u64(&obj, "recorded", line_no)?;
-                let dropped = req_u64(&obj, "dropped_events", line_no)?;
-                req_u64(&obj, "cycles", line_no)?;
+                let recorded = req_u64(&obj, "recorded")?;
+                let dropped = req_u64(&obj, "dropped_events")?;
+                req_u64(&obj, "cycles")?;
                 if dropped > recorded {
-                    return Err(format!(
-                        "line {line_no}: run_end dropped_events {dropped} > recorded {recorded}"
-                    ));
+                    return Err(format!("run_end dropped_events {dropped} > recorded {recorded}"));
                 }
                 if (summary.events as u64) > recorded {
                     return Err(format!(
-                        "line {line_no}: stream carries {} events but run_end says {recorded} recorded",
+                        "stream carries {} events but run_end says {recorded} recorded",
                         summary.events
                     ));
                 }
@@ -401,48 +355,46 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 closed_by = Some("run_end");
             }
             "sweep_begin" => {
-                let total = req_u64(&obj, "total", line_no)?;
+                let total = req_u64(&obj, "total")?;
                 if total == 0 {
-                    return Err(format!("line {line_no}: sweep_begin with total 0"));
+                    return Err("sweep_begin with total 0".into());
                 }
                 sweep_total = Some(total);
             }
             "sweep_run" => {
                 summary.sweep_runs += 1;
-                let total = sweep_total
-                    .ok_or_else(|| format!("line {line_no}: sweep_run before sweep_begin"))?;
-                let completed = req_u64(&obj, "completed", line_no)?;
-                let index = req_u64(&obj, "index", line_no)?;
+                let total = sweep_total.ok_or("sweep_run before sweep_begin")?;
+                let completed = req_u64(&obj, "completed")?;
+                let index = req_u64(&obj, "index")?;
                 if completed != sweep_completed + 1 || completed > total {
                     return Err(format!(
-                        "line {line_no}: sweep_run completed {completed} after {sweep_completed} (total {total})"
+                        "sweep_run completed {completed} after {sweep_completed} (total {total})"
                     ));
                 }
                 if !sweep_indices.insert(index) {
-                    return Err(format!("line {line_no}: sweep_run index {index} repeats"));
+                    return Err(format!("sweep_run index {index} repeats"));
                 }
                 sweep_completed = completed;
             }
             "sweep_end" => {
-                let runs = req_u64(&obj, "runs", line_no)?;
+                let runs = req_u64(&obj, "runs")?;
                 if runs != sweep_completed {
-                    return Err(format!(
-                        "line {line_no}: sweep_end runs {runs} != {sweep_completed} sweep_run records"
-                    ));
+                    let records = format!("{sweep_completed} sweep_run records");
+                    return Err(format!("sweep_end runs {runs} != {records}"));
                 }
                 summary.sweep_ended = true;
                 closed_by = Some("sweep_end");
             }
-            other => {
-                return Err(format!("line {line_no}: unknown record type `{other}`"));
-            }
+            other => return Err(format!("unknown record type `{other}`")),
         }
+        Ok(())
+    };
+    for (line_no, line) in records(text) {
+        record(line, line_no).map_err(|e| format!("line {line_no}: {e}"))?;
     }
-    summary.trace = match trace_err {
-        Some(e) => Err(e),
-        None => trace.finish(),
-    }
-    .map_err(|e| format!("embedded trace: {e}"))?;
+    summary.trace = trace_err
+        .map_or_else(|| trace.finish(), Err)
+        .map_err(|e| format!("embedded trace: {e}"))?;
     Ok(summary)
 }
 

@@ -3,7 +3,8 @@
 //! Writing: the allocation-free writer ([`TraceEvent::write_jsonl`]) and
 //! the `Json` tree ([`TraceEvent::to_json`]) are two consumers of one
 //! field walk and must agree on every byte, for every event kind, at the
-//! edges of every field.
+//! edges of every field; and the decoder ([`TraceEvent::parse`]) reads
+//! every line of the machine's vocabulary back to its event.
 //!
 //! Reading: the tree ([`Json::parse`]) and the flat view ([`Fields`]) are
 //! two folds over one lexer and must agree on every document — what they
@@ -15,6 +16,9 @@
 
 use proptest::prelude::*;
 use proptest::TestRng;
+use scd_stats::MessageClass;
+use scd_trace::attrib::MESSAGES;
+use scd_trace::event::cause;
 use scd_trace::json::Value;
 use scd_trace::{
     event_line, interval_record, run_end_record, BufferSink, EventKind, Fields,
@@ -77,7 +81,12 @@ fn block() -> impl Strategy<Value = Option<u64>> {
     prop_oneof![Just(None), edge_u64().prop_map(Some)]
 }
 
-fn kind() -> impl Strategy<Value = EventKind> {
+/// A message, class or cause label strategy.
+type Labels = BoxedStrategy<&'static str>;
+
+/// Every event kind at the edges of its fields, with `msg`, `class` and
+/// `cause` labels drawn from the given strategies.
+fn kind_over(msg: Labels, class: Labels, cause: Labels) -> impl Strategy<Value = EventKind> {
     prop_oneof![
         (edge_u64(), edge_u64(), any::<bool>())
             .prop_map(|(txn, block, write)| EventKind::TxnBegin { txn, block, write }),
@@ -103,7 +112,7 @@ fn kind() -> impl Strategy<Value = EventKind> {
                 backoff
             }
         ),
-        (edge_u64(), edge_u32(), label()).prop_map(|(block, targets, cause)| EventKind::Inval {
+        (edge_u64(), edge_u32(), cause).prop_map(|(block, targets, cause)| EventKind::Inval {
             block,
             targets,
             cause
@@ -118,8 +127,8 @@ fn kind() -> impl Strategy<Value = EventKind> {
         (
             edge_u32(),
             edge_u32(),
-            label(),
-            label(),
+            msg.clone(),
+            class,
             block(),
             edge_u32()
         )
@@ -131,7 +140,7 @@ fn kind() -> impl Strategy<Value = EventKind> {
                 block,
                 hops
             }),
-        (edge_u32(), edge_u32(), label(), block()).prop_map(|(src, dst, msg, block)| {
+        (edge_u32(), edge_u32(), msg, block()).prop_map(|(src, dst, msg, block)| {
             EventKind::MsgDeliver {
                 src,
                 dst,
@@ -140,6 +149,27 @@ fn kind() -> impl Strategy<Value = EventKind> {
             }
         }),
     ]
+}
+
+/// Labels as a careless caller could pass them: what the writer must
+/// escape.
+fn kind() -> impl Strategy<Value = EventKind> {
+    kind_over(label().boxed(), label().boxed(), label().boxed())
+}
+
+/// One of `labels`, uniformly.
+fn one_of(labels: Vec<&'static str>) -> Labels {
+    (0..labels.len()).prop_map(move |i| labels[i]).boxed()
+}
+
+/// Labels as the machine supplies them: the vocabularies the decoder
+/// accepts.
+fn vocabulary_kind() -> impl Strategy<Value = EventKind> {
+    kind_over(
+        one_of(MESSAGES.iter().map(|m| m.0).collect()),
+        one_of(MessageClass::ALL.iter().map(|c| c.label()).collect()),
+        one_of(cause::ALL.to_vec()),
+    )
 }
 
 proptest! {
@@ -164,18 +194,38 @@ proptest! {
     }
 }
 
-/// The strategy above must actually reach all nine kinds (a `prop_oneof!`
-/// arm dropped in an edit would silently shrink the property).
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// The decoder is the writer's inverse over every event the machine
+    /// can record.
+    #[test]
+    fn the_decoder_inverts_the_writer(
+        seq in edge_u64(),
+        cycle in edge_u64(),
+        cluster in edge_u32(),
+        kind in vocabulary_kind(),
+    ) {
+        let ev = TraceEvent { seq, cycle, cluster, kind };
+        prop_assert_eq!(TraceEvent::parse(&event_line(&ev)), Ok(ev));
+    }
+}
+
+/// The strategies above must actually reach all nine kinds (a
+/// `prop_oneof!` arm dropped in an edit would silently shrink the
+/// properties).
 #[test]
 fn the_kind_strategy_covers_every_event_type() {
-    let mut rng = proptest::TestRng::new(1);
-    let strategy = kind();
-    let seen: std::collections::BTreeSet<&str> = (0..2000)
-        .map(|_| strategy.generate(&mut rng).label())
-        .collect();
     let mut all = scd_trace::EVENT_TYPES.to_vec();
     all.sort_unstable();
-    assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+    let kinds: [BoxedStrategy<EventKind>; 2] = [kind().boxed(), vocabulary_kind().boxed()];
+    for strategy in kinds {
+        let mut rng = proptest::TestRng::new(1);
+        let seen: std::collections::BTreeSet<&str> = (0..2000)
+            .map(|_| strategy.generate(&mut rng).label())
+            .collect();
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+    }
 }
 
 /// One exact line per event kind, every numeric field at its type's

@@ -5,7 +5,9 @@
 //! rewrite of the readers must keep them. All but two cases were written
 //! against the tree-building readers and passed there; the two are the
 //! fixes the single-pass readers made: embedded events cited by the
-//! stream's line numbers, and retry attempts compared as `u64`.
+//! stream's line numbers, and an out-of-range retry attempt refused rather
+//! than truncated. The typed decoder (`TraceEvent::parse`) added the rows
+//! of `validate_trace_rejects_what_the_writer_cannot_produce`.
 
 use scd_trace::{
     event_line, validate_perfetto, validate_stream, validate_trace, EventKind, Phase, TraceEvent,
@@ -149,13 +151,14 @@ fn validate_trace_rejects_with_the_documented_texts() {
             vec![retry(1, 20, 2, 15), retry(2, 40, 2, 15)],
             "line 2: txn 1 retry attempt 2 not after attempt 2",
         ),
-        // Attempts are compared whole: 2^32 + 1 is not "attempt 1" again.
+        // No silent truncation: 2^32 + 1 is not "attempt 1" again, it is
+        // not an attempt at all.
         (
             vec![
                 s(r#"{"seq":1,"cycle":20,"cluster":0,"type":"retry","txn":1,"block":4,"attempt":4294967297,"backoff":3}"#),
                 s(r#"{"seq":2,"cycle":21,"cluster":0,"type":"retry","txn":1,"block":4,"attempt":2,"backoff":3}"#),
             ],
-            "line 2: txn 1 retry attempt 2 not after attempt 4294967297",
+            "line 1: `attempt` 4294967297 out of range for u32",
         ),
         (
             vec![retry(1, 20, 1, 30), retry(2, 40, 2, 15)],
@@ -164,6 +167,58 @@ fn validate_trace_rejects_with_the_documented_texts() {
         (
             vec![retry(1, 20, 1, 15), retry(2, 40, 2, 15), end(3, 50, 1, 0, 1)],
             "txn 1: end reports 1 retries but 2 retry events were recorded",
+        ),
+    ];
+    reject_table(validate_trace, &cases);
+}
+
+/// What the typed decoder adds to the table: every field is read as its
+/// type and range, and every label against its vocabulary.
+#[test]
+fn validate_trace_rejects_what_the_writer_cannot_produce() {
+    let line = |tail: &str| vec![format!(r#"{{"seq":1,"cycle":2,"cluster":0,{tail}}}"#)];
+    let send = r#""type":"msg_send","src":0,"dst":1"#;
+    let cases: Vec<(Vec<String>, &str)> = vec![
+        (
+            line(&format!(r#"{send},"msg":"ReadReq","class":"requests","hops":1"#)),
+            "line 1: unknown `msg` label `ReadReq`",
+        ),
+        (
+            line(&format!(r#"{send},"msg":"read_req","class":"request","hops":1"#)),
+            "line 1: unknown `class` label `request`",
+        ),
+        (
+            line(&format!(r#"{send},"msg":"read_req","class":"requests","block":8"#)),
+            "line 1: missing or non-integer `hops`",
+        ),
+        (line(&format!(r#"{send},"class":"requests","hops":1"#)), "line 1: msg_send without `msg`"),
+        (
+            line(r#""type":"msg_deliver","src":0,"dst":1,"msg":"inval","block":"8""#),
+            "line 1: missing or non-integer `block`",
+        ),
+        (
+            line(r#""type":"inval","block":8,"targets":1,"cause":"unknown""#),
+            "line 1: unknown `cause` label `unknown`",
+        ),
+        (
+            line(r#""type":"txn_phase","txn":1,"block":4,"phase":"warp""#),
+            "line 1: unknown `phase` label `warp`",
+        ),
+        (
+            line(r#""type":"txn_begin","txn":1,"block":4"#),
+            "line 1: missing or non-boolean `write`",
+        ),
+        (
+            line(r#""type":"inval","block":8,"targets":4294967296,"cause":"write""#),
+            "line 1: `targets` 4294967296 out of range for u32",
+        ),
+        (
+            vec![s(r#"{"seq":1,"cycle":2,"cluster":4294967296,"type":"nack","txn":1,"block":4}"#)],
+            "line 1: `cluster` 4294967296 out of range for u32",
+        ),
+        (
+            line(r#""type":"txn_end","txn":1,"block":4,"latency":9,"retries":-1"#),
+            "line 1: missing or non-integer `retries`",
         ),
     ];
     reject_table(validate_trace, &cases);
@@ -373,6 +428,10 @@ fn validate_stream_cites_the_streams_own_line_numbers() {
         (
             [&preamble[..], &[nack(2, 40), nack(1, 50)]].concat(),
             "embedded trace: line 8: seq 1 repeats",
+        ),
+        (
+            [&preamble[..], &[s(r#"{"seq":2,"cycle":40,"cluster":0,"type":"txn_phase","txn":1,"block":4,"phase":"warp"}"#)]].concat(),
+            "embedded trace: line 7: unknown `phase` label `warp`",
         ),
         // A stream record broken further down still outranks it.
         (

@@ -23,7 +23,7 @@
 //! ```
 
 use scd::stats::Histogram;
-use scd::trace::{Fields, Json};
+use scd::trace::{EventKind, Fields, Json, Phase, TraceEvent};
 use std::collections::HashMap;
 use std::io::Read as _;
 
@@ -99,14 +99,14 @@ struct Dash {
     /// Highest simulated cycle observed (events, intervals, run_end).
     cycle: u64,
     /// Trace-event lines consumed, by event type.
-    by_type: HashMap<String, u64>,
-    events: u64,
+    by_type: HashMap<&'static str, u64>,
     /// Ops retired, summed over interval records ("refs" for rate math).
     ops_retired: u64,
-    /// Open transactions: txn id -> (current phase name, phase start).
-    open: HashMap<u64, (String, u64)>,
-    /// Cycle-latency histograms per phase name, plus end-to-end.
-    phase_lat: Vec<(String, Histogram)>,
+    /// Open transactions: txn id -> (current phase, phase start).
+    open: HashMap<u64, (Phase, u64)>,
+    /// Cycle-latency histograms per phase, in the order first seen, plus
+    /// end-to-end.
+    phase_lat: Vec<(Phase, Histogram)>,
     total_lat: Histogram,
     retries_total: u64,
     /// Flits per (src, dst), accumulated from attribution deltas.
@@ -126,22 +126,45 @@ struct Dash {
 }
 
 impl Dash {
-    fn phase_hist(&mut self, name: &str) -> &mut Histogram {
-        if let Some(i) = self.phase_lat.iter().position(|(n, _)| n == name) {
+    fn phase_hist(&mut self, phase: Phase) -> &mut Histogram {
+        if let Some(i) = self.phase_lat.iter().position(|(p, _)| *p == phase) {
             return &mut self.phase_lat[i].1;
         }
-        self.phase_lat.push((name.to_string(), Histogram::new()));
+        self.phase_lat.push((phase, Histogram::new()));
         &mut self.phase_lat.last_mut().unwrap().1
     }
 
+    /// Folds one trace event: counts, and the phase clock of its
+    /// transaction (a phase's latency is recorded when the next begins).
+    fn event(&mut self, ev: &TraceEvent) {
+        self.cycle = self.cycle.max(ev.cycle);
+        *self.by_type.entry(ev.kind.label()).or_insert(0) += 1;
+        let left = match ev.kind {
+            EventKind::TxnBegin { txn, .. } => {
+                self.open.insert(txn, (Phase::Issue, ev.cycle));
+                None
+            }
+            EventKind::TxnPhase { txn, phase, .. } => self.open.insert(txn, (phase, ev.cycle)),
+            EventKind::TxnEnd { txn, latency, retries, .. } => {
+                self.total_lat.record(latency as usize);
+                self.retries_total += u64::from(retries);
+                self.open.remove(&txn)
+            }
+            _ => None,
+        };
+        if let Some((prev, start)) = left {
+            self.phase_hist(prev).record(ev.cycle.saturating_sub(start) as usize);
+        }
+    }
+
     fn ingest(&mut self, line: &str) {
+        if let Ok(ev) = TraceEvent::parse(line) {
+            return self.event(&ev);
+        }
         let Ok(j) = Fields::parse(line) else { return };
         let u64_of = |key: &str| j.get(key).and_then(|v| v.as_u64());
         let f64_of = |key: &str| j.get(key).and_then(|v| v.as_f64());
         let ty = j.get("type").and_then(|v| v.as_str()).unwrap_or("");
-        if let Some(cycle) = u64_of("cycle") {
-            self.cycle = self.cycle.max(cycle);
-        }
         match ty {
             "run_meta" => {
                 // The one subtree kept as a tree: `render` reads labels
@@ -208,50 +231,12 @@ impl Dash {
                 let wall = f64_of("wall_seconds").unwrap_or(0.0);
                 self.close_line = format!("sweep complete: {runs} runs in {wall:.2}s");
             }
-            // Everything else is a trace-event line.
-            _ => {
-                self.events += 1;
-                match self.by_type.get_mut(ty) {
-                    Some(n) => *n += 1,
-                    None => {
-                        self.by_type.insert(ty.to_string(), 1);
-                    }
-                }
-                let cycle = u64_of("cycle").unwrap_or(0);
-                match (ty, u64_of("txn")) {
-                    ("txn_begin", Some(txn)) => {
-                        self.open.insert(txn, ("issue".to_string(), cycle));
-                    }
-                    ("txn_phase", Some(txn)) => {
-                        let phase = j
-                            .get("phase")
-                            .and_then(|v| v.as_str())
-                            .unwrap_or("?")
-                            .to_string();
-                        if let Some((prev, start)) =
-                            self.open.insert(txn, (phase, cycle))
-                        {
-                            let d = cycle.saturating_sub(start) as usize;
-                            self.phase_hist(&prev).record(d);
-                        }
-                    }
-                    ("txn_end", Some(txn)) => {
-                        if let Some((prev, start)) = self.open.remove(&txn) {
-                            let d = cycle.saturating_sub(start) as usize;
-                            self.phase_hist(&prev).record(d);
-                        }
-                        if let Some(lat) = u64_of("latency") {
-                            self.total_lat.record(lat as usize);
-                        }
-                        self.retries_total += u64_of("retries").unwrap_or(0);
-                    }
-                    _ => {}
-                }
-            }
+            _ => {}
         }
     }
 
     fn render(&self, elapsed: f64, top_links: usize) -> String {
+        let events: u64 = self.by_type.values().sum();
         use std::fmt::Write as _;
         let mut s = String::new();
         let rate = |n: u64| n as f64 / elapsed.max(1e-9);
@@ -272,7 +257,7 @@ impl Dash {
             "cycle {:>12}  |  {:>9.0} cycles/s  {:>9.0} events/s  {:>9.0} refs/s",
             self.cycle,
             rate(self.cycle),
-            rate(self.events),
+            rate(events),
             rate(self.ops_retired),
         );
 
@@ -282,7 +267,7 @@ impl Dash {
         let _ = writeln!(
             s,
             "events {:>10}  |  {} nacks, {} retry msgs, {} txn retries, {} replacements",
-            self.events, nack, retry, self.retries_total, repl
+            events, nack, retry, self.retries_total, repl
         );
 
         if self.total_lat.events() > 0 {
@@ -300,8 +285,8 @@ impl Dash {
                 );
             };
             row(&mut s, "end-to-end", &self.total_lat);
-            for (name, h) in &self.phase_lat {
-                row(&mut s, name, h);
+            for (phase, h) in &self.phase_lat {
+                row(&mut s, phase.label(), h);
             }
         }
 

@@ -223,6 +223,27 @@ fn a_stream_sink_that_sheds_lines_is_reported() {
     assert!(stdout(&out).contains("simulated "), "the run completed: {}", stdout(&out));
 }
 
+/// `scd-telemetry patterns` reads a trace through the decoder `validate
+/// --trace` uses, so it refuses what validation refuses, naming the line:
+/// a `txn_begin` without `write` is not a read, and an `inval` without
+/// `cause` is not filed under some made-up cause.
+#[test]
+fn patterns_refuses_a_trace_that_validate_refuses() {
+    let dir = scratch("patterns-refuses");
+    let begin = r#"{"seq":1,"cycle":10,"cluster":0,"type":"txn_begin","txn":1,"block":4,"write":true}"#;
+    let no_write = r#"{"seq":2,"cycle":11,"cluster":1,"type":"txn_begin","txn":2,"block":4}"#;
+    let no_cause = r#"{"seq":3,"cycle":12,"cluster":0,"type":"inval","block":4,"targets":1}"#;
+    for (lines, needle) in [
+        ([begin, no_write, no_cause], "line 2: missing or non-boolean `write`"),
+        ([begin, no_cause, ""], "line 2: inval without `cause`"),
+    ] {
+        std::fs::write(dir.join("bad.jsonl"), lines.join("\n")).unwrap();
+        expect(TELEMETRY, &dir, &["validate", "--trace", "bad.jsonl"], 1, needle);
+        expect(TELEMETRY, &dir, &["patterns", "bad.jsonl"], 1, &format!("bad.jsonl: {needle}"));
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
+}
+
 /// The live-monitoring path: a sweep publishes progress to a stream while
 /// it runs, the stream validates, and `scd-top --once` renders a frame
 /// from it.

@@ -34,9 +34,16 @@ impl std::fmt::Display for Line {
 
 fn engine_lines(krates: &[&str]) -> Vec<Line> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dirs: Vec<PathBuf> = krates.iter().map(|k| root.join("crates").join(k).join("src")).collect();
+    non_test_lines(&dirs)
+}
+
+/// Every line above its file's first `#[cfg(test)]`, over the Rust files
+/// under `dirs`.
+fn non_test_lines(dirs: &[PathBuf]) -> Vec<Line> {
     let mut files = Vec::new();
-    for krate in krates {
-        rust_files(&root.join("crates").join(krate).join("src"), &mut files);
+    for dir in dirs {
+        rust_files(dir, &mut files);
     }
     let mut lines = Vec::new();
     for file in files {
@@ -94,6 +101,43 @@ fn one_protocol_dispatch_file_and_one_requester() {
         let sites = code(needle);
         assert_eq!(sites.len(), 1, "`{needle}` sites:\n{}", listing(&sites));
     }
+}
+
+/// Event payloads are read from text in one place, `TraceEvent::parse`
+/// (DESIGN.md §18). Outside `crates/trace/src/event.rs`, no line of the
+/// trace crate or of the binaries looks a payload key up by name: as the
+/// first argument of a `get`, `*_of` or `req_*` call, or as a `match`
+/// arm. Writers (`.with("txn", …)`) and document paths
+/// (`req_u64(fanout, "occupancy.fanout", "targets")`) name keys freely.
+#[test]
+fn one_trace_event_decoder() {
+    const KEYS: [&str; 10] = [
+        "txn", "latency", "retries", "attempt", "backoff", "targets", "cause", "phase", "victim",
+        "hops",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lines = non_test_lines(&[root.join("crates/trace/src"), root.join("src/bin")]);
+    assert!(lines.len() > 5_000, "the trace crate and the binaries were found");
+    let looks_up = |l: &Line| {
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        KEYS.iter().any(|key| {
+            let quoted = format!("\"{key}\"");
+            l.text.match_indices(&quoted).any(|(at, _)| {
+                let after = l.text[at + quoted.len()..].trim_start();
+                let callee = l.text[..at].strip_suffix('(').map(|b| b.rsplit(|c| !ident(c)).next());
+                let called = callee
+                    .flatten()
+                    .is_some_and(|f| f == "get" || f.ends_with("_of") || f.starts_with("req_"));
+                called || after.starts_with("=>") || after.starts_with('|')
+            })
+        })
+    };
+    let found: Vec<&Line> = lines
+        .iter()
+        .filter(|l| !l.file.ends_with("crates/trace/src/event.rs") && !l.text.starts_with("//"))
+        .filter(|l| looks_up(l))
+        .collect();
+    assert!(found.is_empty(), "event payload looked up outside TraceEvent::parse:\n{}", listing(&found));
 }
 
 /// Every file and directory of the repository (build output and VCS data

@@ -884,7 +884,8 @@ fn online_patterns_match_trace_replay_byte_for_byte() {
     let mut text = Vec::new();
     for ev in &machine.trace_events() {
         // The typed entry point, as `scdsim --patterns-out` feeds it; the
-        // replay below goes through parsed lines and `observe_event`.
+        // replay below decodes the lines with `TraceEvent::parse` and feeds
+        // the same `observe`.
         online.observe(ev);
         ev.write_jsonl(&mut text);
         text.push(b'\n');
@@ -896,4 +897,37 @@ fn online_patterns_match_trace_replay_byte_for_byte() {
         replay.document(None, None).to_string()
     );
     assert!(online.events() > 0);
+}
+
+/// `TraceEvent::parse` is the writer's inverse on what each backend
+/// really records: every line of a patterns-on, fault-injected run
+/// decodes and renders back to the identical bytes, for DASH, Tardis and
+/// DLS alike.
+#[test]
+fn every_recorded_line_decodes_and_renders_back_byte_for_byte() {
+    use scd::trace::{event_line, TraceEvent};
+    for protocol in ProtocolKind::ALL {
+        let mut tc = TraceConfig::full(1 << 16);
+        tc.patterns = true;
+        let mut cfg = MachineConfig::tiny(6)
+            .with_protocol(protocol)
+            .with_fault(FaultPlan::nack(0.1))
+            .with_trace(tc);
+        cfg.watchdog_cycles = 1_000_000;
+        let programs = random_programs(cfg.processors(), 150, 24, 0.4, 0xC0DE);
+        let mut machine = Machine::new(cfg, programs);
+        machine.try_run().expect("run must quiesce");
+        let events = machine.trace_events();
+        let mut kinds = std::collections::BTreeSet::new();
+        for ev in &events {
+            let line = event_line(ev);
+            let back = TraceEvent::parse(&line)
+                .unwrap_or_else(|e| panic!("{}: {e}\n{line}", protocol.name()));
+            assert_eq!(event_line(&back), line, "{}", protocol.name());
+            kinds.insert(ev.kind.label());
+        }
+        for kind in ["txn_begin", "txn_end", "inval", "msg_send", "msg_deliver"] {
+            assert!(kinds.contains(kind), "{}: no `{kind}` line recorded", protocol.name());
+        }
+    }
 }
