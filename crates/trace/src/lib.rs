@@ -35,10 +35,11 @@
 //! Reading a recorded run back goes through one borrowed lexer in
 //! [`json`]: documents ([`validate_stats_json`], [`compare_docs`]) keep a
 //! [`Json`] tree; every trace reader — [`validate_trace`],
-//! [`validate_stream`], [`PatternTable::from_trace`] — folds the typed
-//! events [`TraceEvent::parse`] decodes; Perfetto items and stream records
-//! are read through the flat [`Fields`] view. Nothing is allocated per
-//! record, and [`to_perfetto`] renders its document straight into text.
+//! [`validate_stream`], and [`run_lines`] under [`PatternTable::from_trace`]
+//! and `scd-telemetry spans` — folds the typed events [`TraceEvent::parse`]
+//! decodes; Perfetto items and stream records are read through the flat
+//! [`Fields`] view. Nothing is allocated per record, and [`to_perfetto`]
+//! renders its document straight into text.
 
 #![warn(missing_docs)]
 
@@ -71,14 +72,14 @@ pub use patterns::{
 };
 pub use perfetto::{to_perfetto, validate_perfetto, PerfettoSummary};
 pub use pump::StreamPump;
-pub use replay::{validate_stats_json, validate_trace, TraceSummary};
+pub use replay::{run_lines, validate_stats_json, validate_trace, RunLine, TraceSummary};
 pub use schema::{
     CRITICAL_SCHEMA, METRICS_SCHEMA, PATTERNS_SCHEMA, RUN_STATS_SCHEMA, SWEEP_SCHEMA,
 };
 pub use sink::{
-    attrib_delta_record, event_line, extract_trace_lines, interval_record, patterns_record,
-    run_end_record, run_meta_record, validate_stream, BufferSink, JsonlFileSink,
-    StreamSummary, TraceSink,
+    attrib_delta_record, event_line, extract_trace_lines, interval_record, is_event_line,
+    patterns_record, run_end_record, run_meta_record, validate_stream, BufferSink,
+    JsonlFileSink, StreamSummary, TraceSink,
 };
 pub use report::{compare_docs, doc_label, tracked_metrics, Comparison, ReportMetric};
 pub use span::{MsgSpan, PhaseSpan, SpanTree, TxnSpan};

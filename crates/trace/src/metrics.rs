@@ -8,7 +8,8 @@
 
 use scd_stats::Histogram;
 
-use crate::json::Json;
+use crate::json::{Fields, Json};
+use crate::sink::req_u64;
 
 /// Latency histograms are bounded: a request latency above this many
 /// cycles clamps into the top bucket (the count is exact, the value
@@ -65,6 +66,18 @@ impl IntervalSnapshot {
             .with("nacks", Json::U64(self.nacks))
             .with("occupancy", Json::U64(self.occupancy))
             .with("ops_retired", Json::U64(self.ops_retired))
+    }
+
+    /// Reads a window back from its JSON text, the inverse of
+    /// [`IntervalSnapshot::to_json`]: all seven fields, each an integer.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let window = Fields::parse(text)?;
+        let int = |key| req_u64(&window, key);
+        Ok(IntervalSnapshot {
+            start: int("start")?, end: int("end")?, messages: int("messages")?,
+            retries: int("retries")?, nacks: int("nacks")?, occupancy: int("occupancy")?,
+            ops_retired: int("ops_retired")?,
+        })
     }
 }
 

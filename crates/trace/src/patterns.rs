@@ -25,7 +25,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::event::{EventKind, TraceEvent};
-use crate::json::{records, Json};
+use crate::json::Json;
+use crate::replay::{run_lines, RunLine};
 use crate::schema::PATTERNS_SCHEMA;
 
 /// Blocks the table tracks individually before new blocks fall into the
@@ -292,14 +293,15 @@ impl PatternTable {
         }
     }
 
-    /// Builds a table from a recorded `--trace-out` JSONL file: each line
-    /// decoded by [`TraceEvent::parse`], then [`PatternTable::observe`]d.
-    /// A line the decoder refuses is an error naming the line.
+    /// Builds a table from a recorded run, a `--trace-out` trace or a
+    /// single-run `--stream-out` stream: each event [`run_lines`] decodes is
+    /// [`PatternTable::observe`]d. A line it refuses is an error naming it.
     pub fn from_trace(text: &str) -> Result<Self, String> {
         let mut table = PatternTable::new();
-        for (line_no, line) in records(text) {
-            let ev = TraceEvent::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
-            table.observe(&ev);
+        for line in run_lines(text) {
+            if let (_, RunLine::Event(ev)) = line? {
+                table.observe(&ev);
+            }
         }
         Ok(table)
     }
@@ -429,7 +431,7 @@ pub fn thresholds_json() -> Json {
         )
 }
 
-fn req_u64(obj: &Json, path: &str, key: &str) -> Result<u64, String> {
+pub(crate) fn req_u64(obj: &Json, path: &str, key: &str) -> Result<u64, String> {
     obj.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("{path}.{key} missing or not an integer"))

@@ -421,7 +421,8 @@ mod tests {
     }
 
     /// The document's bytes, as the `Json` tree this module used to build
-    /// rendered them: `--perfetto-out` files are compared across commits.
+    /// rendered them: `scd-telemetry spans --perfetto-out` files are
+    /// compared across commits.
     #[test]
     fn export_bytes_are_pinned() {
         let golden = concat!(

@@ -11,7 +11,44 @@
 use std::collections::BTreeMap;
 
 use crate::event::{EventKind, Phase, TraceEvent, EVENT_TYPES};
-use crate::json::{records, Json};
+use crate::json::{records, Fields, Json};
+use crate::metrics::IntervalSnapshot;
+use crate::patterns::req_u64;
+
+/// One line of a recorded run, as [`run_lines`] reads it.
+#[derive(Debug, PartialEq)]
+pub enum RunLine {
+    /// A trace event.
+    Event(TraceEvent),
+    /// The window of a stream's `interval` record.
+    Interval(IntervalSnapshot),
+}
+
+/// The lines of a recorded run — a `--trace-out` trace or a single-run
+/// `--stream-out` stream — in order, numbered from 1: the one reader of
+/// `PatternTable::from_trace` and `scd-telemetry spans`. An event is
+/// decoded by [`TraceEvent::parse`], an `interval` window by
+/// [`IntervalSnapshot::parse`]; the other single-run records are skipped.
+/// Anything else is an error citing its line, with the decoder's text.
+pub fn run_lines(text: &str) -> impl Iterator<Item = Result<(usize, RunLine), String>> + '_ {
+    records(text).filter_map(|(line_no, line)| {
+        // Only a line the event decoder refuses is read again, so a pure
+        // trace costs what decoding it costs.
+        let read = TraceEvent::parse(line).map(|ev| Some(RunLine::Event(ev))).or_else(|refusal| {
+            let Ok(fields) = Fields::parse(line) else { return Err(refusal) };
+            match fields.get("type").and_then(|v| v.as_str()) {
+                Some("interval") => {
+                    let window = fields.get("window").ok_or("interval without `window`")?;
+                    IntervalSnapshot::parse(window.raw()).map(|w| Some(RunLine::Interval(w)))
+                }
+                Some("run_meta" | "attrib_delta" | "patterns" | "run_end") => Ok(None),
+                _ => Err(refusal),
+            }
+        });
+        let read = read.map_err(|e| format!("line {line_no}: {e}")).transpose()?;
+        Some(read.map(|l| (line_no, l)))
+    })
+}
 
 /// Aggregate of one validated trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -256,10 +293,7 @@ pub fn validate_stats_json(text: &str) -> Result<(), String> {
     }
     let stats = j.get("stats").ok_or("missing `stats`")?;
     for key in ["cycles", "shared_reads", "shared_writes", "l2_misses"] {
-        stats
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("stats.{key} missing or not an integer"))?;
+        req_u64(stats, "stats", key)?;
     }
     let traffic = stats.get("traffic").ok_or("missing `stats.traffic`")?;
     let mut total = 0u64;
@@ -301,14 +335,8 @@ pub fn validate_stats_json(text: &str) -> Result<(), String> {
     }
     if let Some(trace) = j.get("trace") {
         if *trace != Json::Null {
-            let recorded = trace
-                .get("recorded")
-                .and_then(Json::as_u64)
-                .ok_or("trace.recorded missing or not an integer")?;
-            let dropped = trace
-                .get("dropped_events")
-                .and_then(Json::as_u64)
-                .ok_or("trace.dropped_events missing or not an integer")?;
+            let recorded = req_u64(trace, "trace", "recorded")?;
+            let dropped = req_u64(trace, "trace", "dropped_events")?;
             if dropped > recorded {
                 return Err(format!(
                     "trace.dropped_events {dropped} > trace.recorded {recorded}"

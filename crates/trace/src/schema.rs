@@ -20,7 +20,7 @@ pub const ATTRIB_SCHEMA: &str = "scd-attrib/v1";
 /// `scd-sweep` aggregated grid documents.
 pub const SWEEP_SCHEMA: &str = "scd-sweep/v1";
 
-/// `scdsim --critical` queueing-vs-service reports.
+/// `CriticalReport::to_json`: the `scd-telemetry spans --critical` report.
 pub const CRITICAL_SCHEMA: &str = "scd-critical/v1";
 
 /// `scdsim --patterns-out` / `scd-telemetry patterns` directory-observatory

@@ -216,14 +216,19 @@ pub fn extract_trace_lines(stream: &str) -> String {
     // A stream is nearly all events: one reservation, never regrown.
     let mut out = String::with_capacity(stream.len());
     for (_, line) in records(stream) {
-        let is_event = EventLine::lex(line)
-            .is_ok_and(|ev| ev.type_label().is_some_and(|ty| EVENT_TYPES.contains(&ty)));
-        if is_event {
+        if is_event_line(line) {
             out.push_str(line);
             out.push('\n');
         }
     }
     out
+}
+
+/// Whether a JSONL line is a trace event (its `type` is one of
+/// [`EVENT_TYPES`]) rather than a stream record.
+pub fn is_event_line(line: &str) -> bool {
+    let ev = EventLine::lex(line);
+    ev.is_ok_and(|ev| ev.type_label().is_some_and(|ty| EVENT_TYPES.contains(&ty)))
 }
 
 /// What a validated stream contained.
@@ -250,7 +255,7 @@ pub struct StreamSummary {
     pub trace: TraceSummary,
 }
 
-fn req_u64(obj: &Fields<'_>, key: &str) -> Result<u64, String> {
+pub(crate) fn req_u64(obj: &Fields<'_>, key: &str) -> Result<u64, String> {
     obj.get(key)
         .and_then(|v| v.as_u64())
         .ok_or_else(|| format!("`{key}` missing or not an integer"))
@@ -300,13 +305,15 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
             return Ok(());
         }
         let obj = Fields::parse(line)?;
-        // A window record's `[start, end)`, which must not be empty.
-        let window = |obj: &Fields<'_>, what: &str| {
-            let (start, end) = (req_u64(obj, "start")?, req_u64(obj, "end")?);
+        // A window `[start, end)`, which must not be empty.
+        let nonempty = |what: &str, start: u64, end: u64| {
             if end <= start {
                 return Err(format!("{what} window [{start}, {end}) is empty"));
             }
             Ok((start, end))
+        };
+        let window = |obj: &Fields<'_>, what: &str| {
+            nonempty(what, req_u64(obj, "start")?, req_u64(obj, "end")?)
         };
         match ty {
             "run_meta" => {
@@ -314,8 +321,9 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
             }
             "interval" => {
                 summary.intervals += 1;
-                let window_obj = obj.get("window").ok_or("interval without `window`")?;
-                let (start, end) = window(&window_obj.fields(), "interval")?;
+                let window = obj.get("window").ok_or("interval without `window`")?;
+                let IntervalSnapshot { start, end, .. } = IntervalSnapshot::parse(window.raw())?;
+                nonempty("interval", start, end)?;
                 if let Some(prev) = last_interval_end.filter(|&prev| start != prev) {
                     return Err(format!("interval starts at {start}, previous ended at {prev}"));
                 }

@@ -3,8 +3,9 @@
 //! Writing: the allocation-free writer ([`TraceEvent::write_jsonl`]) and
 //! the `Json` tree ([`TraceEvent::to_json`]) are two consumers of one
 //! field walk and must agree on every byte, for every event kind, at the
-//! edges of every field; and the decoder ([`TraceEvent::parse`]) reads
-//! every line of the machine's vocabulary back to its event.
+//! edges of every field; and the decoders ([`TraceEvent::parse`],
+//! [`IntervalSnapshot::parse`]) read every line of the machine's
+//! vocabulary, and every interval window, back to what was written.
 //!
 //! Reading: the tree ([`Json::parse`]) and the flat view ([`Fields`]) are
 //! two folds over one lexer and must agree on every document — what they
@@ -208,6 +209,22 @@ proptest! {
     ) {
         let ev = TraceEvent { seq, cycle, cluster, kind };
         prop_assert_eq!(TraceEvent::parse(&event_line(&ev)), Ok(ev));
+    }
+
+    /// The window decoder is the inverse of `IntervalSnapshot::to_json`,
+    /// field for field.
+    #[test]
+    fn the_window_decoder_inverts_to_json(
+        start in edge_u64(),
+        end in edge_u64(),
+        messages in edge_u64(),
+        retries in edge_u64(),
+        nacks in edge_u64(),
+        occupancy in edge_u64(),
+        ops_retired in edge_u64(),
+    ) {
+        let s = IntervalSnapshot { start, end, messages, retries, nacks, occupancy, ops_retired };
+        prop_assert_eq!(IntervalSnapshot::parse(&s.to_json().to_string()), Ok(s));
     }
 }
 

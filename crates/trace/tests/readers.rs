@@ -10,7 +10,8 @@
 //! of `validate_trace_rejects_what_the_writer_cannot_produce`.
 
 use scd_trace::{
-    event_line, validate_perfetto, validate_stream, validate_trace, EventKind, Phase, TraceEvent,
+    event_line, run_lines, validate_perfetto, validate_stream, validate_trace, EventKind,
+    IntervalSnapshot, Phase, RunLine, TraceEvent,
 };
 
 fn ev(seq: u64, cycle: u64, kind: EventKind) -> String {
@@ -250,7 +251,7 @@ fn validate_trace_accepts_what_the_recorder_can_produce() {
     assert_eq!(validate_trace("").expect("empty trace"), Default::default());
 }
 
-const INTERVAL_0_20: &str = r#"{"type":"interval","window":{"start":0,"end":20}}"#;
+const INTERVAL_0_20: &str = r#"{"type":"interval","window":{"start":0,"end":20,"messages":0,"retries":0,"nacks":0,"occupancy":0,"ops_retired":0}}"#;
 
 #[test]
 fn validate_stream_rejects_with_the_documented_texts() {
@@ -284,11 +285,15 @@ fn validate_stream_rejects_with_the_documented_texts() {
             "line 1: `end` missing or not an integer",
         ),
         (
-            vec![s(r#"{"type":"interval","window":{"start":20,"end":20}}"#)],
+            vec![s(r#"{"type":"interval","window":{"start":0,"end":20,"messages":0,"retries":0,"nacks":0,"occupancy":0}}"#)],
+            "line 1: `ops_retired` missing or not an integer",
+        ),
+        (
+            vec![INTERVAL_0_20.replace(r#""start":0,"end":20"#, r#""start":20,"end":20"#)],
             "line 1: interval window [20, 20) is empty",
         ),
         (
-            vec![s(INTERVAL_0_20), s(r#"{"type":"interval","window":{"start":30,"end":40}}"#)],
+            vec![s(INTERVAL_0_20), INTERVAL_0_20.replace(r#""start":0,"end":20"#, r#""start":30,"end":40"#)],
             "line 2: interval starts at 30, previous ended at 20",
         ),
         (
@@ -415,7 +420,7 @@ fn validate_stream_cites_the_streams_own_line_numbers() {
     let preamble = [
         s(r#"{"type":"run_meta","run":{"app":"lu"}}"#),
         nack(1, 30),
-        s(r#"{"type":"interval","window":{"start":0,"end":20}}"#),
+        s(INTERVAL_0_20),
         s(r#"{"type":"attrib_delta","start":0,"end":20,"classes":{}}"#),
         s(r#"{"type":"patterns","start":0,"end":20,"live_entries":0,"sharers":[]}"#),
         String::new(),
@@ -463,6 +468,48 @@ fn validate_stream_accepts_and_summarises_every_record_type() {
          trace: TraceSummary { events: 2, transactions: 1, completed: 1, \
          by_type: {\"txn_begin\": 1, \"txn_end\": 1} } }"
     );
+}
+
+/// `run_lines` reads a trace and a single-run stream alike: events and
+/// interval windows in order under their own line numbers, the other
+/// single-run records skipped. Anything else is an error citing its line,
+/// a broken event with the decoder's text.
+#[test]
+fn run_lines_reads_a_trace_or_a_single_run_stream() {
+    let stream = [
+        s(r#"{"type":"run_meta","run":{"app":"lu"}}"#),
+        begin(1, 10, 1),
+        s(INTERVAL_0_20),
+        s(r#"{"type":"attrib_delta","start":0,"end":20,"classes":{},"links":[]}"#),
+        s(r#"{"type":"patterns","start":0,"end":20,"live_entries":3,"sharers":[1,2]}"#),
+        String::new(),
+        end(2, 30, 1, 20, 0),
+        s(r#"{"type":"run_end","cycles":30,"recorded":2,"dropped_events":0}"#),
+    ]
+    .join("\n");
+    let lines: Vec<(usize, RunLine)> = run_lines(&stream).collect::<Result<_, _>>().unwrap();
+    let event = |line: &str| RunLine::Event(TraceEvent::parse(line).unwrap());
+    let window = IntervalSnapshot { start: 0, end: 20, ..Default::default() };
+    assert_eq!(
+        lines,
+        [(2, event(&begin(1, 10, 1))), (3, RunLine::Interval(window)), (7, event(&end(2, 30, 1, 20, 0)))]
+    );
+
+    let cases: Vec<(Vec<String>, &str)> = vec![
+        (vec![begin(1, 10, 1), s("not json")], "line 2: bad literal at byte 0"),
+        (
+            vec![s(r#"{"seq":1,"cycle":2,"cluster":0,"type":"txn_begin","txn":1,"block":4}"#)],
+            "line 1: missing or non-boolean `write`",
+        ),
+        (vec![s(r#"{"type":"interval"}"#)], "line 1: interval without `window`"),
+        (
+            vec![s(r#"{"type":"interval","window":{"start":0,"end":20}}"#)],
+            "line 1: `messages` missing or not an integer",
+        ),
+        (vec![s(r#"{"type":"sweep_begin","total":2}"#)], "line 1: missing or non-integer `seq`"),
+    ];
+    let read = |text: &str| run_lines(text).collect::<Result<Vec<_>, _>>();
+    reject_table(read, &cases);
 }
 
 fn perfetto_doc(records: &str) -> Vec<String> {

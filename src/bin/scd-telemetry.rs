@@ -1,47 +1,36 @@
 //! scd-telemetry — the offline tools over the telemetry formats, as
-//! subcommands of one binary:
-//!
-//! ```text
-//! scd-telemetry validate [--trace <f>]... [--stats <f>]... [--patterns <f>]...
-//!                        [--perfetto <f>]... [--stream <f>]...
-//!                        [--extract-trace <f>] [<f>]...
-//! scd-telemetry patterns <trace.jsonl> [--out <f>] [--compare <f>] [--json]
-//! scd-telemetry report   [--baseline <f>] [--tolerance <pct>[%]] <f>...
-//! ```
-//!
-//! `validate` checks trace logs (`scdsim --trace-out`) against the
-//! per-transaction lifecycle invariants, stats dumps (`--stats-json`,
-//! `BENCH_*.json`) against `scd-run-stats/v1`, pattern documents against
-//! `scd-patterns/v1`, Perfetto exports against the chrome `trace_event`
-//! format and live streams (`--stream-out`) against the record grammar;
-//! `--extract-trace` is a filter, not a check: it prints a stream's
-//! trace-event lines verbatim, byte-comparable with the `--trace-out`
-//! file of the same run. `patterns` replays a recorded trace through the
-//! [`scd::trace::PatternTable`] classifier — a pure function of the event
-//! stream, so the replay's classifier and invalidation sections equal the
-//! online `scdsim --patterns-out` document's byte for byte, which
-//! `--compare` checks. `report` compares `scd-run-stats/v1` documents
-//! metric by metric (all lower-is-better) against a baseline.
+//! subcommands of one binary: `scdsim` records a run, this binary reads
+//! it. `validate` checks files against their schemas, `patterns`
+//! classifies sharing patterns and `spans` profiles transactions from a
+//! trace or a single-run stream alike (both read it through
+//! [`scd::trace::run_lines`]), and `report` flags regressions between
+//! `scd-run-stats/v1` documents. `HELP` and the per-subcommand help texts
+//! below are the one copy of the options.
 //!
 //! Exit codes, every subcommand: 0 = ok, 1 = a file failed validation,
 //! a comparison mismatched or a metric regressed, 2 = usage error or an
 //! unreadable / unparseable input.
 
 use scd::stats::table::{render_bars, render_table, Align};
+use scd::trace::json::records;
 use scd::trace::{
-    compare_docs, doc_label, extract_trace_lines, validate_patterns_json, validate_perfetto,
-    validate_stats_json, validate_stream, validate_trace, Json, PatternTable,
+    analyze, compare_docs, doc_label, extract_trace_lines, is_event_line, run_lines,
+    to_perfetto, validate_patterns_json, validate_perfetto, validate_stats_json, validate_stream,
+    validate_trace, Json, PatternTable, RunLine, SpanTree,
 };
 use std::process::exit;
 
 const HELP: &str = "\
 scd-telemetry: offline tools over scd telemetry files
 
-usage: scd-telemetry <validate|patterns|report> [options]   (each takes --help)
+usage: scd-telemetry <validate|patterns|spans|report> [options]
+       (each takes --help)
 
   validate   check trace, stats, patterns, Perfetto and stream files
              against their schemas
-  patterns   classify sharing patterns from a recorded trace
+  patterns   classify sharing patterns from a recorded trace or stream
+  spans      span profile of a recorded trace or stream: Perfetto export,
+             folded stacks, slowest transactions
   report     compare scd-run-stats/v1 documents and flag regressions
 
 Exit codes: 0 ok; 1 validation failure, mismatch or regression;
@@ -66,7 +55,7 @@ usage: scd-telemetry validate [--trace <file>]... [--stats <file>]...
                          invalidation distribution sums to its counters,
                          occupancy invariants hold
   --perfetto <file>      validate a chrome trace_event export
-                         (scdsim --perfetto-out)
+                         (scd-telemetry spans --perfetto-out)
   --stream <file>        validate a live telemetry stream
                          (scdsim --stream-out, scd-sweep --stream-out):
                          record shapes, event/interval ordering, interval
@@ -74,18 +63,21 @@ usage: scd-telemetry validate [--trace <file>]... [--stats <file>]...
                          run_end/sweep_end
   --extract-trace <file> print the stream's trace-event lines verbatim to
                          stdout (byte-comparable with --trace-out output)
-  <file>                 auto-detect: .jsonl -> trace, otherwise stats
+  <file>                 auto-detect: a .jsonl file is a trace if its
+                         first record is a trace event, else a stream;
+                         any other file is a stats document
   -h, --help             show this help
 ";
 
 const PATTERNS_HELP: &str = "\
-scd-telemetry patterns: classify sharing patterns from a recorded trace
+scd-telemetry patterns: classify sharing patterns from a recorded run
 
-usage: scd-telemetry patterns <trace.jsonl> [--out <file>] [--compare <file>]
-                              [--json]
+usage: scd-telemetry patterns <trace.jsonl | stream.jsonl> [--out <file>]
+                              [--compare <file>] [--json]
 
-  <trace.jsonl>    transaction trace recorded with scdsim --trace-out
-                   (the trace must have been recorded with --patterns-out
+  <trace.jsonl>    transaction trace recorded with scdsim --trace-out, or
+  <stream.jsonl>   a single-run stream recorded with scdsim --stream-out
+                   (the run must have been recorded with --patterns-out
                    also active, so it carries inval events)
   --out <file>     write the scd-patterns/v1 document (occupancy is null:
                    a replay cannot see live directory state)
@@ -94,6 +86,22 @@ usage: scd-telemetry patterns <trace.jsonl> [--out <file>] [--compare <file>]
                    byte-identical to this replay's; exits 1 on mismatch
   --json           print the document to stdout instead of the report
   -h, --help       show this help
+";
+
+const SPANS_HELP: &str = "\
+scd-telemetry spans: the span profile of a recorded run
+
+usage: scd-telemetry spans <trace.jsonl | stream.jsonl> [--perfetto-out <file>]
+                           [--folded-out <file>] [--critical <k>]
+
+  <file>                 scdsim --trace-out or --stream-out, folded into one
+                         causal span tree (txn -> phase -> message)
+  --perfetto-out <file>  write a chrome trace_event JSON (chrome://tracing,
+                         ui.perfetto.dev); only a stream has counter tracks
+  --folded-out <file>    write folded stacks (flamegraph input; cycles)
+  --critical <k>         print the top-k slowest transactions: per-phase
+                         queueing/service split, blocking message per phase
+  -h, --help             show this help
 ";
 
 const REPORT_HELP: &str = "\
@@ -138,11 +146,16 @@ fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| fail(2, &format!("cannot read {path}: {e}")))
 }
 
+fn write(path: &str, text: String) {
+    std::fs::write(path, text).unwrap_or_else(|e| fail(2, &format!("cannot write {path}: {e}")))
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("validate") => validate(args),
         Some("patterns") => patterns(args),
+        Some("spans") => spans(args),
         Some("report") => report(args),
         Some("-h" | "--help") => print!("{HELP}"),
         Some(other) => usage_err(HELP, &format!("unknown subcommand {other}")),
@@ -161,7 +174,8 @@ enum Kind {
 }
 
 fn validate(mut args: Args) {
-    let mut jobs: Vec<(Kind, String)> = Vec::new();
+    // `None`: a `.jsonl` file, a trace or a stream by its first record.
+    let mut jobs: Vec<(Option<Kind>, String)> = Vec::new();
     while let Some(arg) = args.next() {
         let kind = match arg.as_str() {
             "-h" | "--help" => return print!("{VALIDATE_HELP}"),
@@ -172,14 +186,14 @@ fn validate(mut args: Args) {
             "--stream" => Kind::Stream,
             "--extract-trace" => Kind::ExtractTrace,
             path if !path.starts_with('-') => {
-                let kind = if path.ends_with(".jsonl") { Kind::Trace } else { Kind::Stats };
+                let kind = (!path.ends_with(".jsonl")).then_some(Kind::Stats);
                 jobs.push((kind, arg));
                 continue;
             }
             other => usage_err(VALIDATE_HELP, &format!("unknown flag {other}")),
         };
         let path = value(&mut args, VALIDATE_HELP, &arg);
-        jobs.push((kind, path));
+        jobs.push((Some(kind), path));
     }
     if jobs.is_empty() {
         usage_err(VALIDATE_HELP, "no files given");
@@ -188,6 +202,10 @@ fn validate(mut args: Args) {
     let mut failures = 0usize;
     for (kind, path) in &jobs {
         let text = read(path);
+        let kind = kind.as_ref().unwrap_or_else(|| {
+            let trace = records(&text).next().is_some_and(|(_, first)| is_event_line(first));
+            if trace { &Kind::Trace } else { &Kind::Stream }
+        });
         let verdict = match kind {
             Kind::Trace => validate_trace(&text).map(|s| {
                 let mut ok = format!(
@@ -323,8 +341,7 @@ fn patterns(mut args: Args) {
     let doc = table.document(None, None);
 
     if let Some(path) = &out_path {
-        std::fs::write(path, format!("{doc}\n"))
-            .unwrap_or_else(|e| fail(2, &format!("cannot write {path}: {e}")));
+        write(path, format!("{doc}\n"));
         println!("patterns written to {path}");
     }
 
@@ -348,6 +365,61 @@ fn patterns(mut args: Args) {
             exit(1);
         }
         println!("compare: OK — replay matches {path} byte-for-byte");
+    }
+}
+
+fn spans(mut args: Args) {
+    let (mut run_path, mut perfetto_out, mut folded_out, mut critical) = (None, None, None, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "-h" | "--help" => return print!("{SPANS_HELP}"),
+            "--perfetto-out" => perfetto_out = Some(value(&mut args, SPANS_HELP, &arg)),
+            "--folded-out" => folded_out = Some(value(&mut args, SPANS_HELP, &arg)),
+            "--critical" => {
+                let raw = value(&mut args, SPANS_HELP, &arg);
+                let bad = || usage_err(SPANS_HELP, &format!("bad --critical `{raw}`"));
+                critical = Some(raw.parse::<usize>().unwrap_or_else(|_| bad()));
+            }
+            path if !path.starts_with('-') => {
+                if run_path.replace(arg).is_some() {
+                    usage_err(SPANS_HELP, "more than one trace or stream file given");
+                }
+            }
+            other => usage_err(SPANS_HELP, &format!("unknown flag {other}")),
+        }
+    }
+    let Some(run_path) = run_path else {
+        usage_err(SPANS_HELP, "no trace or stream file given");
+    };
+    if perfetto_out.is_none() && folded_out.is_none() && critical.is_none() {
+        usage_err(SPANS_HELP, "nothing to write: give --perfetto-out, --folded-out or --critical");
+    }
+
+    let (mut events, mut intervals) = (Vec::new(), Vec::new());
+    for line in run_lines(&read(&run_path)) {
+        match line.unwrap_or_else(|e| fail(1, &format!("{run_path}: {e}"))).1 {
+            RunLine::Event(ev) => events.push(ev),
+            RunLine::Interval(window) => intervals.push(window),
+        }
+    }
+    let tree = SpanTree::from_events(&events);
+    if let Some(path) = &perfetto_out {
+        write(path, to_perfetto(&tree, &intervals) + "\n");
+        eprintln!(
+            "span profile written to {path}: {} txns ({} complete), \
+             {} attributed msgs, {} background msgs",
+            tree.txns.len(),
+            tree.completed(),
+            tree.attributed_msgs(),
+            tree.orphan_msgs.len()
+        );
+    }
+    if let Some(path) = &folded_out {
+        write(path, tree.to_folded());
+        eprintln!("folded stacks written to {path}");
+    }
+    if let Some(k) = critical {
+        print!("{}", analyze(&tree).render(k));
     }
 }
 

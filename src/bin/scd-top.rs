@@ -23,7 +23,7 @@
 //! ```
 
 use scd::stats::Histogram;
-use scd::trace::{EventKind, Fields, Json, Phase, TraceEvent};
+use scd::trace::{EventKind, Fields, IntervalSnapshot, Json, Phase, TraceEvent};
 use std::collections::HashMap;
 use std::io::Read as _;
 
@@ -178,10 +178,9 @@ impl Dash {
                     .unwrap_or(0) as usize;
             }
             "interval" => {
-                if let Some(w) = j.get("window").map(|w| w.fields()) {
-                    let u64_of = |key: &str| w.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
-                    self.cycle = self.cycle.max(u64_of("end"));
-                    self.ops_retired += u64_of("ops_retired");
+                if let Some(Ok(w)) = j.get("window").map(|w| IntervalSnapshot::parse(w.raw())) {
+                    self.cycle = self.cycle.max(w.end);
+                    self.ops_retired += w.ops_retired;
                 }
             }
             "attrib_delta" => {

@@ -5,15 +5,11 @@
 //! post-mortem is on stderr, after any requested artifact was written),
 //! 2 the command line was refused (two lines naming what and why).
 
-use bench::{parse_scale, parse_seed};
-use scd::apps::{dwf, locusroute, lu, mp3d, AppRun, DwfParams, LocusRouteParams, LuParams,
-    Mp3dParams};
+use bench::{generate_app, parse_scale, parse_seed};
 use scd::core::{Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig, ProtocolKind};
 use scd::noc::FaultPlan;
-use scd::trace::{
-    analyze, to_perfetto, Json, JsonlFileSink, PatternTable, SpanTree, TraceConfig, TraceEvent,
-};
+use scd::trace::{Json, JsonlFileSink, PatternTable, TraceConfig, TraceEvent};
 
 /// Exit 2 naming what was refused; the full text is `--help`'s.
 fn usage_err(msg: &str) -> ! {
@@ -68,7 +64,8 @@ usage: scdsim [options]
                                               (comma-separate to combine)
   --watchdog <cycles>                         fail if no op retires for n cycles
   --trace-out <path>                          write the JSONL transaction trace
-                                              (lifecycle + message events)
+                                              (lifecycle + message events;
+                                              scd-telemetry spans profiles it)
   --trace-buffer <n>                          trace ring capacity per cluster
                                               (default 4096 when tracing)
   --stream-out <path>                         stream telemetry JSONL while the
@@ -76,7 +73,9 @@ usage: scdsim [options]
                                               (cycle, seq) order, interval
                                               snapshots, attribution deltas,
                                               then a run_end record (tail -f
-                                              it, or point scd-top at it)
+                                              it, point scd-top at it, or
+                                              profile it with scd-telemetry
+                                              spans)
   --stats-json <path>                         write the scd-run-stats/v1
                                               document (stats + metrics +
                                               traffic attribution)
@@ -88,16 +87,6 @@ usage: scdsim [options]
                                               directory occupancy telemetry
   --interval-stats <n>                        sample traffic/retries/occupancy
                                               every n cycles, print the table
-  --perfetto-out <path>                       derive the causal span tree and
-                                              write a chrome trace_event JSON
-                                              (open in chrome://tracing or
-                                              ui.perfetto.dev)
-  --folded-out <path>                         write folded stacks (flamegraph
-                                              input; weights in cycles)
-  --critical <k>                              print the top-k slowest
-                                              transactions with per-phase
-                                              queueing/service split and the
-                                              blocking message on each phase
   --anatomy                                   print busy/stall breakdown
   --histogram                                 print invalidation distribution
   --check                                     verify coherence invariants
@@ -105,25 +94,23 @@ usage: scdsim [options]
   --help
 "#;
 
+/// Writes `contents` to `path`, or exits 1 naming both.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1)
+    }
+}
+
 /// Writes the merged, cycle-ordered trace as JSONL and reports volume.
 fn write_trace(machine: &Machine, events: &[TraceEvent], path: &str) {
-    use std::io::Write as _;
     let (recorded, dropped) = machine.trace_counts();
-    let mut out = std::io::BufWriter::new(match std::fs::File::create(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1)
-        }
-    });
-    let mut line = Vec::new();
+    let mut text = Vec::new();
     for ev in events {
-        line.clear();
-        ev.write_jsonl(&mut line);
-        line.push(b'\n');
-        out.write_all(&line).expect("trace write failed");
+        ev.write_jsonl(&mut text);
+        text.push(b'\n');
     }
-    out.flush().expect("trace flush failed");
+    write_file(path, text);
     eprintln!(
         "trace written to {path}: {} events retained ({recorded} recorded, {dropped} \
          evicted from rings)",
@@ -153,12 +140,9 @@ fn main() {
     let mut trace_out: Option<String> = None;
     let mut trace_buffer: Option<usize> = None;
     let mut stream_out: Option<String> = None;
-    let mut critical: Option<usize> = None;
     let mut stats_json: Option<String> = None;
     let mut patterns_out: Option<String> = None;
     let mut interval: u64 = 0;
-    let mut perfetto_out: Option<String> = None;
-    let mut folded_out: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -201,12 +185,9 @@ fn main() {
             "--trace-out" => trace_out = Some(val()),
             "--trace-buffer" => trace_buffer = Some(num(flag, &val())),
             "--stream-out" => stream_out = Some(val()),
-            "--critical" => critical = Some(num(flag, &val())),
             "--stats-json" => stats_json = Some(val()),
             "--patterns-out" => patterns_out = Some(val()),
             "--interval-stats" => interval = num(flag, &val()),
-            "--perfetto-out" => perfetto_out = Some(val()),
-            "--folded-out" => folded_out = Some(val()),
             "--hints" => hints = true,
             "--anatomy" => anatomy = true,
             "--histogram" => histogram = true,
@@ -234,17 +215,15 @@ fn main() {
     }
     cfg.fault_plan = fault;
     cfg.watchdog_cycles = watchdog;
-    // Tracing: a trace file or span profile wants the full event stream;
+    // Tracing: a trace or stream file wants the full event stream;
     // a stats file or interval sampling only needs the metrics registry.
     // Any telemetry request also turns on traffic attribution (counters
     // only — the run stays bit-identical).
     let want_metrics = stats_json.is_some() || interval > 0;
     // The sharing-pattern classifier consumes txn_begin/inval events, so
     // --patterns-out implies full event recording and the patterns flag.
-    let want_events =
-        trace_out.is_some() || trace_buffer.is_some() || perfetto_out.is_some()
-            || folded_out.is_some() || stream_out.is_some() || critical.is_some()
-            || patterns_out.is_some();
+    let want_events = trace_out.is_some() || trace_buffer.is_some() || stream_out.is_some()
+        || patterns_out.is_some();
     if want_events || want_metrics {
         let mut tc = if want_events {
             TraceConfig::full(trace_buffer.unwrap_or(4096))
@@ -274,13 +253,9 @@ fn main() {
     }
 
     let procs = cfg.processors();
-    let app: AppRun = match app_name.as_str() {
-        "lu" => lu(&LuParams::scaled(scale), procs, seed),
-        "dwf" => dwf(&DwfParams::scaled(scale), procs, seed),
-        "mp3d" => mp3d(&Mp3dParams::scaled(scale), procs, seed),
-        "locusroute" => locusroute(&LocusRouteParams::scaled(scale), procs, seed),
-        other => usage_err(&format!("unknown app `{other}` (want lu | dwf | mp3d | locusroute)")),
-    };
+    let app = generate_app(&app_name, procs, seed, scale).unwrap_or_else(|| {
+        usage_err(&format!("unknown app `{app_name}` (want lu | dwf | mp3d | locusroute)"))
+    });
 
     println!(
         "{}: {} procs ({} clusters x {}), scheme {}{}, {} shared refs",
@@ -313,13 +288,10 @@ fn main() {
     let wall = std::time::Instant::now();
     let mut machine = Machine::new(cfg, app.scripts());
     if let Some(path) = &stream_out {
-        let sink = match JsonlFileSink::create(std::path::Path::new(path)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot open {path} for streaming: {e}");
-                std::process::exit(1)
-            }
-        };
+        let sink = JsonlFileSink::create(std::path::Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("cannot open {path} for streaming: {e}");
+            std::process::exit(1)
+        });
         machine.attach_stream(Box::new(sink), Some(run_meta.clone()));
     }
     let result = machine.try_run();
@@ -333,9 +305,9 @@ fn main() {
             eprintln!("warning: {path} is truncated: the sink dropped {shed} write(s)");
         }
     }
-    // The transaction trace (and the span profile derived from it) is
-    // most valuable exactly when the run failed: write both before
-    // bailing out. One merge of the retained history feeds every reader.
+    // The trace (which `scd-telemetry spans` profiles) matters most when
+    // the run failed: write it before bailing out. One merge of the
+    // retained history feeds the trace file and the classifier.
     let events = machine.trace_events();
     if let Some(path) = &trace_out {
         write_trace(&machine, &events, path);
@@ -345,53 +317,17 @@ fn main() {
     // outputs are byte-identical for the same event history.
     let patterns = patterns_out.is_some().then(|| {
         let mut table = PatternTable::new();
-        for ev in &events {
-            table.observe(ev);
-        }
+        events.iter().for_each(|ev| table.observe(ev));
         table
     });
     if let (Some(path), Some(table)) = (&patterns_out, &patterns) {
         let doc = table.document(Some(run_meta.clone()), machine.occupancy_json());
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1)
-        }
+        write_file(path, format!("{doc}\n"));
         eprintln!(
             "patterns written to {path}: {} blocks classified over {} events",
             table.tracked_blocks(),
             table.events(),
         );
-    }
-    if perfetto_out.is_some() || folded_out.is_some() || critical.is_some() {
-        let tree = SpanTree::from_events(&events);
-        if let Some(path) = &perfetto_out {
-            let mut doc = to_perfetto(&tree, &machine.metrics().intervals);
-            doc.push('\n');
-            if let Err(e) = std::fs::write(path, doc) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1)
-            }
-            eprintln!(
-                "span profile written to {path}: {} txns ({} complete), \
-                 {} attributed msgs, {} background msgs",
-                tree.txns.len(),
-                tree.completed(),
-                tree.attributed_msgs(),
-                tree.orphan_msgs.len()
-            );
-        }
-        if let Some(path) = &folded_out {
-            if let Err(e) = std::fs::write(path, tree.to_folded()) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1)
-            }
-            eprintln!("folded stacks written to {path}");
-        }
-        if let Some(k) = critical {
-            // Printed before the failure bail-out below: the slowest
-            // transactions are most interesting when the run went wrong.
-            print!("{}", analyze(&tree).render(k));
-        }
     }
     let stats = match result {
         Ok(stats) => stats,
@@ -409,10 +345,7 @@ fn main() {
             machine.trace_json(),
             patterns.as_ref().map(PatternTable::section_json),
         );
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1)
-        }
+        write_file(path, format!("{doc}\n"));
         eprintln!("stats written to {path}");
     }
     let secs = wall.elapsed().as_secs_f64();

@@ -69,7 +69,7 @@ fn help_is_stdout_and_exit_0_for_every_binary() {
         assert!(stdout(&out).contains("usage: "), "{bin}: {}", stdout(&out));
         assert!(out.stderr.is_empty(), "{bin}: {}", stderr(&out));
     }
-    for sub in ["validate", "patterns", "report"] {
+    for sub in ["validate", "patterns", "spans", "report"] {
         let out = expect(TELEMETRY, &dir, &[sub, "--help"], 0, "");
         assert!(stdout(&out).contains(&format!("usage: scd-telemetry {sub}")));
     }
@@ -133,6 +133,10 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--scale", "7"], "bad --scale `7` (want 0 < f <= 1)"),
         // Sharded execution is gone, flag and all.
         (&["--shards", "2"], "unknown flag --shards"),
+        // The span profile is read from a recording by `scd-telemetry spans`.
+        (&["--perfetto-out", "p.json"], "unknown flag --perfetto-out"),
+        (&["--folded-out", "f.txt"], "unknown flag --folded-out"),
+        (&["--critical", "10"], "unknown flag --critical"),
     ] {
         let out = expect(SCDSIM, &dir, args, 2, needle);
         assert!(stderr(&out).lines().count() <= 3, "{}", stderr(&out));
@@ -142,6 +146,9 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
     expect(TELEMETRY, &dir, &["validate"], 2, "no files given");
     expect(TELEMETRY, &dir, &["validate", "absent.json"], 2, "cannot read absent.json");
     expect(TELEMETRY, &dir, &["patterns"], 2, "no trace file given");
+    expect(TELEMETRY, &dir, &["spans"], 2, "no trace or stream file given");
+    expect(TELEMETRY, &dir, &["spans", "t.jsonl"], 2, "nothing to write");
+    expect(TELEMETRY, &dir, &["spans", "t.jsonl", "--critical", "x"], 2, "bad --critical `x`");
 }
 
 /// `Scheme::parse`, the one parser behind `scdsim --scheme` and `scd-sweep
@@ -181,8 +188,8 @@ fn scdsim_seed_is_decimal_or_hex() {
 }
 
 /// A failing run exits 1 with the post-mortem on stderr, after writing
-/// the trace and span profile it was asked for — they matter most then —
-/// and both documents still validate.
+/// the trace it was asked for — it matters most then — and the trace and
+/// the span profile `scd-telemetry spans` reads from it both validate.
 #[test]
 fn failing_runs_exit_1_with_a_post_mortem_after_writing_their_artifacts() {
     let dir = scratch("failing");
@@ -191,13 +198,14 @@ fn failing_runs_exit_1_with_a_post_mortem_after_writing_their_artifacts() {
         &dir,
         &[
             "--app", "lu", "--clusters", "8", "--scale", "0.3", "--max-cycles", "4000",
-            "--trace-out", "t.jsonl", "--perfetto-out", "p.json",
+            "--trace-out", "t.jsonl",
         ],
         1,
         "simulation failed (max-cycles)",
     );
     assert!(stderr(&out).contains("exceeded max_cycles=4000"), "{}", stderr(&out));
     assert!(stderr(&out).contains("proc 0: "), "per-processor state: {}", stderr(&out));
+    expect(TELEMETRY, &dir, &["spans", "t.jsonl", "--perfetto-out", "p.json"], 0, "span profile");
     let ok = expect(TELEMETRY, &dir, &["validate", "t.jsonl", "--perfetto", "p.json"], 0, "");
     assert!(stdout(&ok).contains("t.jsonl: OK") && stdout(&ok).contains("p.json: OK"));
 
@@ -211,6 +219,36 @@ fn failing_runs_exit_1_with_a_post_mortem_after_writing_their_artifacts() {
         1,
         "simulation failed (livelock-watchdog)",
     );
+}
+
+/// One recording, read back either way: a positional `.jsonl` file is a
+/// trace or a stream by its first record, so `validate` checks a
+/// `--stream-out` file as a stream; `patterns` and `spans` read the
+/// stream as they read the trace of the same run.
+#[test]
+fn a_stream_reads_back_like_the_trace_of_its_run() {
+    let dir = scratch("stream-or-trace");
+    let record = [
+        "--app", "lu", "--clusters", "4", "--scale", "0.1", "--patterns-out", "online.json",
+        "--trace-out", "t.jsonl", "--stream-out", "s.jsonl",
+    ];
+    expect(SCDSIM, &dir, &record, 0, "0 evicted from rings");
+    let ok = stdout(&expect(TELEMETRY, &dir, &["validate", "s.jsonl", "t.jsonl"], 0, ""));
+    assert!(ok.contains("s.jsonl: OK — ") && ok.contains(" intervals, "), "{ok}");
+    assert!(ok.contains("t.jsonl: OK — ") && ok.contains(" transactions ("), "{ok}");
+    let read = |args: &[&str]| stdout(&expect(TELEMETRY, &dir, args, 0, ""));
+    for file in ["s.jsonl", "t.jsonl"] {
+        let replay = read(&["patterns", file, "--compare", "online.json"]);
+        assert!(replay.contains("compare: OK"), "{file}: {replay}");
+    }
+    assert_eq!(read(&["patterns", "s.jsonl"]), read(&["patterns", "t.jsonl"]));
+    assert_eq!(
+        read(&["spans", "s.jsonl", "--folded-out", "s.folded", "--critical", "3"]),
+        read(&["spans", "t.jsonl", "--folded-out", "t.folded", "--critical", "3"]),
+    );
+    let folded = |name: &str| std::fs::read(dir.join(name)).expect(name);
+    assert!(folded("s.folded") == folded("t.folded"), "{}: folded stacks differ", dir.display());
+    std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
 }
 
 /// A sink that sheds lines must be loud: the run still succeeds, and
@@ -287,13 +325,18 @@ fn traced_fault_injected_lu_run_validates_and_damaged_copies_are_refused() {
             "--fault", "nack:0.01,dup:0.005,delay:0.02:200", "--watchdog", "5000000",
             "--trace-out", "trace.jsonl", "--trace-buffer", "1048576",
             "--stream-out", "stream.jsonl", "--stats-json", "stats.json",
-            "--perfetto-out", "perfetto.json", "--folded-out", "folded.txt",
-            "--patterns-out", "patterns.json", "--critical", "10", "--interval-stats", "10000",
+            "--patterns-out", "patterns.json", "--interval-stats", "10000",
         ],
         0,
         "0 evicted from rings",
     );
     assert!(stdout(&out).contains("\nfaults: "), "faults were injected: {}", stdout(&out));
+    let spans = [
+        "spans", "stream.jsonl", "--perfetto-out", "perfetto.json", "--folded-out", "folded.txt",
+        "--critical", "10",
+    ];
+    let critical = expect(TELEMETRY, &dir, &spans, 0, "folded stacks written to folded.txt");
+    assert!(stdout(&critical).starts_with("critical path: "), "{}", stdout(&critical));
     expect(
         TELEMETRY,
         &dir,

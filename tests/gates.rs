@@ -140,6 +140,20 @@ fn one_trace_event_decoder() {
     assert!(found.is_empty(), "event payload looked up outside TraceEvent::parse:\n{}", listing(&found));
 }
 
+/// `scdsim` records a run and `scd-telemetry` reads it back (DESIGN.md
+/// §9): the span profile, a pure fold of the recorded events, is not
+/// built in the process that ran the machine. No line of `scdsim`'s
+/// source names the span tree or one of its three outputs.
+#[test]
+fn one_binary_records_one_reads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let source = std::fs::read_to_string(root.join("src/bin/scdsim.rs")).expect("scdsim's source");
+    for name in ["SpanTree", "to_perfetto", "to_folded", "analyze"] {
+        let found: Vec<&str> = source.lines().filter(|l| l.contains(name)).collect();
+        assert!(found.is_empty(), "src/bin/scdsim.rs names `{name}`:\n{}", found.join("\n"));
+    }
+}
+
 /// Every file and directory of the repository (build output and VCS data
 /// aside), as `/`-separated paths relative to the root; directories end
 /// in `/`.
@@ -175,13 +189,36 @@ fn expand_braces(name: &str) -> Vec<String> {
     }
 }
 
+/// The sources whose `match` arms are the command-line flags the
+/// documents may name bare: every binary of the root package, `repro`
+/// and the benchmark's driver.
+fn flag_sources(root: &Path) -> String {
+    let mut files = vec![root.join("crates/bench/src/bin/repro.rs"), root.join("benchmark/src/main.rs")];
+    rust_files(&root.join("src/bin"), &mut files);
+    files.iter().map(|f| std::fs::read_to_string(f).expect("a binary's source")).collect()
+}
+
+/// The flag a backticked span opens with (`--jobs 4` names `--jobs`).
+fn bare_flag(span: &str) -> Option<&str> {
+    let word = span.split_whitespace().next()?.split('=').next()?;
+    let flag = word.trim_end_matches(|c: char| !c.is_alphanumeric());
+    (flag.starts_with("--") && flag.len() > 2).then_some(flag)
+}
+
 /// What is stale about one backticked span, or one command of a fenced
 /// block (`fenced`): a `path.rs::name` whose file lacks `fn name`, a
-/// repository path that does not exist, or a binary's `--flag` that its
-/// source does not match on. A path may be written from the root or as a
+/// repository path that does not exist, a binary's `--flag` that its
+/// source does not match on, or a bare `--flag` no binary in
+/// `flag_sources` matches on. A path may be written from the root or as a
 /// suffix (`machine/telemetry.rs`), with an optional `:line`; a name may
 /// end in `*` (a prefix) or hold one `{a,b}` group.
-fn stale_pointers(root: &Path, files: &[String], span: &str, fenced: bool) -> Vec<String> {
+fn stale_pointers(
+    root: &Path,
+    files: &[String],
+    flags: &str,
+    span: &str,
+    fenced: bool,
+) -> Vec<String> {
     let mut stale = Vec::new();
     let resolve = |path: &str| -> Vec<PathBuf> {
         let path = path.split(':').next().unwrap_or(path);
@@ -217,6 +254,9 @@ fn stale_pointers(root: &Path, files: &[String], span: &str, fenced: bool) -> Ve
         if path_like && resolve(span).is_empty() {
             stale.push(format!("`{span}`: no such path"));
         }
+        if let Some(flag) = bare_flag(span).filter(|f| !flags.contains(&format!("\"{f}\""))) {
+            stale.push(format!("`{span}`: no binary matches on {flag}"));
+        }
     }
     let words: Vec<&str> = span.split_whitespace().collect();
     for (i, word) in words.iter().enumerate() {
@@ -241,9 +281,10 @@ fn stale_pointers(root: &Path, files: &[String], span: &str, fenced: bool) -> Ve
 
 /// Tests, files and flags that README.md, DESIGN.md and EXPERIMENTS.md
 /// name must exist: a backticked `path.rs::name` names a `fn name` in that
-/// file, a backticked repository path exists, and a `--flag` given to one
-/// of the binaries (inline or in a fenced block) is one its source matches
-/// on. Deleting a test, a file or a flag without fixing the documents that
+/// file, a backticked repository path exists, a `--flag` given to one of
+/// the binaries (inline or in a fenced block) is one its source matches
+/// on, and a backticked bare `--flag` is one some binary matches on.
+/// Deleting a test, a file or a flag without fixing the documents that
 /// point at it fails here.
 #[test]
 fn doc_pointers_resolve() {
@@ -251,6 +292,7 @@ fn doc_pointers_resolve() {
     let mut files = Vec::new();
     repo_files(root, root, &mut files);
     let (mut stale, mut spans) = (Vec::new(), 0);
+    let flags = flag_sources(root);
     for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
         let text = std::fs::read_to_string(root.join(doc)).expect("a document");
         let (mut fenced, mut command) = (false, String::new());
@@ -272,7 +314,7 @@ fn doc_pointers_resolve() {
             };
             for span in found {
                 spans += 1;
-                let problems = stale_pointers(root, &files, span.trim(), fenced);
+                let problems = stale_pointers(root, &files, &flags, span.trim(), fenced);
                 stale.extend(problems.into_iter().map(|p| format!("{doc}:{}: {p}", n + 1)));
             }
         }

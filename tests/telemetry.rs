@@ -931,3 +931,68 @@ fn every_recorded_line_decodes_and_renders_back_byte_for_byte() {
         }
     }
 }
+
+/// `scd-telemetry spans` and `patterns` read back what `scdsim` records,
+/// and the span profile they derive is the one the live machine's own
+/// events give. One run per backend plus one that fails (its stream still
+/// closes): over the streamed file the Perfetto document (counters from
+/// the streamed intervals), the folded stacks and the critical report
+/// equal the in-process calls byte for byte; over the trace file they
+/// equal the same calls without intervals; and the patterns replay of
+/// the stream equals that of the trace.
+#[test]
+fn span_profile_read_back_from_a_recording_is_the_in_process_one() {
+    use scd::trace::{event_line, JsonlFileSink};
+    use std::process::Command;
+    let dir = std::env::temp_dir().join(format!("scd-spans-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let telemetry = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_scd-telemetry"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("spawn scd-telemetry");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "scd-telemetry {args:?} in {}: {stderr}", dir.display());
+        String::from_utf8(out.stdout).expect("UTF-8 output")
+    };
+    let runs = [
+        ("dash", ProtocolKind::Dash, None),
+        ("tardis", ProtocolKind::Tardis, None),
+        ("dls", ProtocolKind::Dls, None),
+        ("failing", ProtocolKind::Dash, Some(3_000)),
+    ];
+    for (name, protocol, max_cycles) in runs {
+        let mut tc = TraceConfig::full(1 << 16).with_interval(500);
+        tc.patterns = true;
+        let mut cfg = MachineConfig::tiny(6).with_protocol(protocol).with_trace(tc);
+        cfg.max_cycles = max_cycles.unwrap_or(cfg.max_cycles);
+        let programs = random_programs(cfg.processors(), 150, 24, 0.4, 0x5EED);
+        let mut m = Machine::new(cfg, programs);
+        let stream = dir.join(format!("{name}.stream.jsonl"));
+        m.attach_stream(Box::new(JsonlFileSink::create(&stream).expect("stream file")), None);
+        assert_eq!(m.try_run().is_ok(), max_cycles.is_none(), "{name}: run outcome");
+        assert_eq!(m.trace_counts().1, 0, "{name}: the ring evicted events");
+        let events = m.trace_events();
+        let trace: String = events.iter().map(|ev| event_line(ev) + "\n").collect();
+        std::fs::write(dir.join(format!("{name}.trace.jsonl")), trace).expect("trace file");
+
+        let tree = SpanTree::from_events(&events);
+        let critical = analyze(&tree).render(5);
+        for (file, intervals) in [("stream", &m.metrics().intervals[..]), ("trace", &[][..])] {
+            let input = format!("{name}.{file}.jsonl");
+            let printed = telemetry(&[
+                "spans", &input, "--perfetto-out", "p.json", "--folded-out", "f.txt",
+                "--critical", "5",
+            ]);
+            let read = |out: &str| std::fs::read_to_string(dir.join(out)).expect(out);
+            assert!(read("p.json") == to_perfetto(&tree, intervals) + "\n", "{input}: perfetto");
+            assert!(read("f.txt") == tree.to_folded(), "{input}: folded stacks");
+            assert_eq!(printed, critical, "{input}: critical report");
+        }
+        assert!(!m.metrics().intervals.is_empty(), "{name}: no interval was streamed");
+        let patterns = |file: &str| telemetry(&["patterns", &format!("{name}.{file}.jsonl"), "--json"]);
+        assert_eq!(patterns("stream"), patterns("trace"), "{name}: patterns replay");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
+}
