@@ -1,8 +1,10 @@
 //! Ceilings on what *looking* costs: the three telemetry paths a user can
 //! switch on (metrics + attribution, the full event ring, the ring with a
-//! sink attached), each as a multiple of the plain run, compared by
-//! min-of-N wall times with the variants interleaved so clock drift and
-//! frequency scaling hit all of them equally.
+//! sink attached), each as a multiple of the plain run, and reading the
+//! recording back (`validate_trace` over the streamed run's trace) as a
+//! multiple of the streamed run, compared by min-of-N wall times with the
+//! variants interleaved so clock drift and frequency scaling hit all of
+//! them equally.
 //!
 //! The *disabled* path has no timing guard: `cfg.trace = None` and
 //! `Some(TraceConfig::none())` build the same inert recorder, which is a
@@ -10,7 +12,7 @@
 
 use scd_apps::{lu, AppRun, LuParams};
 use scd_machine::{Machine, MachineConfig};
-use scd_trace::{TraceConfig, TraceSink};
+use scd_trace::{extract_trace_lines, validate_trace, BufferSink, TraceConfig, TraceSink};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -75,6 +77,19 @@ fn run_once_streamed(app: &AppRun) -> u64 {
     machine.try_run().expect("run must quiesce").cycles
 }
 
+/// The trace of the streamed run, as `--stream-out` would have written
+/// it: the read-side ceiling's input.
+fn streamed_trace(app: &AppRun) -> String {
+    let cfg = MachineConfig::paper_32().with_trace(TraceConfig::full(4096));
+    let mut machine = Machine::new(cfg, app.scripts());
+    let sink = BufferSink::new();
+    let lines = sink.handle();
+    machine.attach_stream(Box::new(sink), None);
+    machine.try_run().expect("run must quiesce");
+    let stream = lines.lock().expect("the run has finished").join("\n");
+    extract_trace_lines(&stream)
+}
+
 /// Ceilings on what *looking* costs, as multiples of the plain run. These
 /// are the measured floor, committed, not ROADMAP item 7's old budget
 /// (metrics+attribution <= 1.2x, full trace <= 1.5x, live stream <= 2x):
@@ -92,10 +107,19 @@ const METRICS_ATTRIB_CEILING: f64 = 1.4;
 const FULL_RING_CEILING: f64 = 2.15;
 const STREAM_CEILING: f64 = 3.3;
 
+/// Ceiling on reading the streamed run's trace back with `validate_trace`,
+/// as a multiple of the streamed run itself (DESIGN.md section 18). The
+/// writer's exact bytes take the decoder's direct pass. Measured as the
+/// three above, ten runs: 0.35-0.39x; with every line sent down the lexer
+/// path instead (what a writer change that made lines non-canonical
+/// would do), 0.81-0.89x, which this ceiling refuses.
+const READ_CEILING: f64 = 0.48;
+
 /// The guard: min of interleaved rounds over the three costs a user can
 /// switch on.
 fn enabled_guard() {
     let app = test_app();
+    let trace = streamed_trace(&app);
     let counters = TraceConfig {
         metrics: true,
         attribution: true,
@@ -108,17 +132,28 @@ fn enabled_guard() {
             &mut || run_once(&app, Some(counters)),
             &mut || run_once(&app, Some(TraceConfig::full(4096))),
             &mut || run_once_streamed(&app),
+            &mut || {
+                validate_trace(&trace)
+                    .expect("the recorded trace is valid")
+                    .events
+            },
         ],
     );
     let plain = mins[0] as f64;
     let ratios: Vec<f64> = mins.iter().map(|&m| m as f64 / plain).collect();
+    let read = mins[4] as f64 / mins[3] as f64;
     println!(
         "trace_overhead enabled guard: plain {} ns; metrics+attribution {:.2}x \
          (ceiling {METRICS_ATTRIB_CEILING}), full ring {:.2}x (ceiling \
          {FULL_RING_CEILING}), full ring + counting sink {:.2}x (ceiling \
-         {STREAM_CEILING}); the ceilings are the measured floor plus a quarter \
-         (DESIGN.md section 13)",
-        mins[0], ratios[1], ratios[2], ratios[3]
+         {STREAM_CEILING}); validate_trace of its {} lines {read:.3}x the \
+         streamed run (ceiling {READ_CEILING}); the ceilings are the measured \
+         floor plus a quarter (DESIGN.md sections 13 and 18)",
+        mins[0],
+        ratios[1],
+        ratios[2],
+        ratios[3],
+        trace.lines().count()
     );
     for (what, ratio, ceiling) in [
         ("metrics+attribution", ratios[1], METRICS_ATTRIB_CEILING),
@@ -130,6 +165,12 @@ fn enabled_guard() {
             "{what} costs {ratio:.2}x the plain run, over its {ceiling}x ceiling"
         );
     }
+    assert!(
+        read <= READ_CEILING,
+        "validate_trace costs {read:.3}x the streamed run it reads, over its \
+         {READ_CEILING}x ceiling: are the writer's lines still the bytes the \
+         decoder's exact pass reads?"
+    );
 }
 
 fn main() {

@@ -250,6 +250,26 @@ pub(crate) fn push_label(out: &mut Vec<u8>, s: &str) {
     }
 }
 
+/// `walk`'s keys as the writer spells them, punctuation included: the one
+/// set [`LineWriter`] emits and the exact-bytes reader ([`Exact`]) compares.
+mod key {
+    macro_rules! keys {
+        ($($name:ident = $bytes:literal,)*) => {
+            $(pub(super) const $name: &[u8; $bytes.len()] = $bytes;)*
+        };
+    }
+
+    keys! {
+        SEQ = b"{\"seq\":", CYCLE = b",\"cycle\":", CLUSTER = b",\"cluster\":",
+        TYPE = b",\"type\":", TXN = b",\"txn\":", BLOCK = b",\"block\":", WRITE = b",\"write\":",
+        PHASE = b",\"phase\":", LATENCY = b",\"latency\":", RETRIES = b",\"retries\":",
+        ATTEMPT = b",\"attempt\":", BACKOFF = b",\"backoff\":", TARGETS = b",\"targets\":",
+        CAUSE = b",\"cause\":", VICTIM = b",\"victim\":", DIRTY = b",\"dirty\":",
+        SRC = b",\"src\":", DST = b",\"dst\":", MSG = b",\"msg\":", CLASS = b",\"class\":",
+        HOPS = b",\"hops\":",
+    }
+}
+
 /// What [`TraceEvent::walk`] drives, a call per field in output order. A key
 /// comes punctuated (`{"seq":`, `,"name":`) in a byte array of fixed length.
 trait FieldVisitor {
@@ -308,6 +328,201 @@ impl FieldVisitor for TreeBuilder {
     }
 }
 
+/// The vocabularies a label resolves against, shared by both readers.
+fn phase_named(s: &str) -> Option<Phase> {
+    Phase::ALL.into_iter().find(|p| p.label() == s)
+}
+
+fn cause_named(s: &str) -> Option<&'static str> {
+    cause::ALL.into_iter().find(|c| *c == s)
+}
+
+fn msg_named(s: &str) -> Option<&'static str> {
+    message(s).map(|m| m.0)
+}
+
+fn class_named(s: &str) -> Option<&'static str> {
+    MessageClass::ALL.map(MessageClass::label).into_iter().find(|c| *c == s)
+}
+
+/// A cursor over a line as [`TraceEvent::write_jsonl`] writes it. Each
+/// read compares the next bytes with what the writer would have put
+/// there and gives `None` at the first difference, without saying why:
+/// [`EventLine::lex`] then hands the line to the lexer, which does.
+struct Exact<'a> {
+    text: &'a str,
+    /// What is left of `text` to read.
+    rest: &'a [u8],
+}
+
+impl<'a> Exact<'a> {
+    #[inline(always)]
+    fn key<const N: usize>(&mut self, key: &[u8; N]) -> Option<()> {
+        let (at, rest) = self.rest.split_first_chunk()?;
+        (at == key).then(|| self.rest = rest)
+    }
+
+    /// `key`, then an integer as `push_u64` writes it, with no leading
+    /// zero. Nineteen digits cannot overflow; a twentieth can, so that
+    /// rare run is read again with the check.
+    #[inline(always)]
+    fn u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<u64> {
+        self.key(key)?;
+        let digits = self.rest;
+        let mut v = 0u64;
+        let mut n = 0;
+        while let Some(d) = digits.get(n).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+            v = v.wrapping_mul(10).wrapping_add(d as u64);
+            n += 1;
+        }
+        let v = match n {
+            0 => return None,
+            1 => v,
+            _ if digits[0] == b'0' => return None,
+            2..=19 => v,
+            20 => std::str::from_utf8(&digits[..n]).ok()?.parse().ok()?,
+            _ => return None,
+        };
+        self.rest = &digits[n..];
+        Some(v)
+    }
+
+    #[inline(always)]
+    fn u32<const N: usize>(&mut self, key: &[u8; N]) -> Option<u32> {
+        self.u64(key)?.try_into().ok()
+    }
+
+    /// `key`, then the optional field's integer; `Some(None)` when the
+    /// next key is another.
+    #[inline(always)]
+    fn opt_u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<Option<u64>> {
+        if self.rest.starts_with(key) {
+            self.u64(key).map(Some)
+        } else {
+            Some(None)
+        }
+    }
+
+    #[inline(always)]
+    fn flag<const N: usize>(&mut self, key: &[u8; N]) -> Option<bool> {
+        self.key(key)?;
+        let (b, len) = match self.rest.first()? {
+            b't' if self.rest.starts_with(b"true") => (true, 4),
+            b'f' if self.rest.starts_with(b"false") => (false, 5),
+            _ => return None,
+        };
+        self.rest = &self.rest[len..];
+        Some(b)
+    }
+
+    /// `key`, then a quoted label resolved by `named`. Every vocabulary
+    /// word is a plain identifier, so a label spelled with an escape (or
+    /// holding a control byte) resolves to nothing here.
+    #[inline(always)]
+    fn label<T, const N: usize>(
+        &mut self,
+        key: &[u8; N],
+        named: impl Fn(&'a str) -> Option<T>,
+    ) -> Option<T> {
+        self.key(key)?;
+        let rest = self.rest.strip_prefix(b"\"")?;
+        let len = closing_quote(rest)?;
+        let start = self.text.len() - rest.len();
+        self.rest = &rest[len + 1..];
+        // Quotes are ASCII, so both cuts are char boundaries.
+        named(&self.text[start..start + len])
+    }
+
+    /// The writer's `}`, the last byte of the line.
+    #[inline(always)]
+    fn end(&self) -> Option<()> {
+        (self.rest == b"}").then_some(())
+    }
+
+    /// The event, when `text` is byte for byte a line `walk` and
+    /// `write_jsonl` could have written: the keys in `walk`'s order, each
+    /// value in the writer's spelling, each label in its vocabulary.
+    #[inline]
+    fn read(text: &'a str) -> Option<TraceEvent> {
+        use EventKind::*;
+        let mut r = Exact { text, rest: text.as_bytes() };
+        let (seq, cycle, cluster) = (r.u64(key::SEQ)?, r.u64(key::CYCLE)?, r.u32(key::CLUSTER)?);
+        let kind = match r.label(key::TYPE, Some)? {
+            "txn_begin" => TxnBegin {
+                txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?, write: r.flag(key::WRITE)?,
+            },
+            "txn_phase" => TxnPhase {
+                txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
+                phase: r.label(key::PHASE, phase_named)?,
+            },
+            "txn_end" => TxnEnd {
+                txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
+                latency: r.u64(key::LATENCY)?, retries: r.u32(key::RETRIES)?,
+            },
+            "nack" => Nack { txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)? },
+            "retry" => Retry {
+                txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
+                attempt: r.u32(key::ATTEMPT)?, backoff: r.u64(key::BACKOFF)?,
+            },
+            "inval" => Inval {
+                block: r.u64(key::BLOCK)?, targets: r.u32(key::TARGETS)?,
+                cause: r.label(key::CAUSE, cause_named)?,
+            },
+            "replacement" => Replacement {
+                victim: r.u64(key::VICTIM)?, targets: r.u32(key::TARGETS)?,
+                dirty: r.flag(key::DIRTY)?,
+            },
+            "msg_send" => MsgSend {
+                src: r.u32(key::SRC)?, dst: r.u32(key::DST)?, msg: r.label(key::MSG, msg_named)?,
+                class: r.label(key::CLASS, class_named)?, block: r.opt_u64(key::BLOCK)?,
+                hops: r.u32(key::HOPS)?,
+            },
+            "msg_deliver" => MsgDeliver {
+                src: r.u32(key::SRC)?, dst: r.u32(key::DST)?, msg: r.label(key::MSG, msg_named)?,
+                block: r.opt_u64(key::BLOCK)?,
+            },
+            _ => return None,
+        };
+        r.end()?;
+        Some(TraceEvent { seq, cycle, cluster, kind })
+    }
+}
+
+/// The first `"` in `bytes`, eight bytes to a step: a byte loop's exit
+/// branch, taken once per label at a length it cannot predict, cost more
+/// than the rest of the label. `x` is zero in the byte that held a quote,
+/// and the lowest byte the zero-byte test flags is always a true zero.
+#[inline(always)]
+fn closing_quote(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let mut n = 0;
+    while let Some(chunk) = bytes[n..].first_chunk::<8>() {
+        let x = u64::from_le_bytes(*chunk) ^ (ONES * u64::from(b'"'));
+        let zero = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zero != 0 {
+            return Some(n + zero.trailing_zeros() as usize / 8);
+        }
+        n += 8;
+    }
+    bytes[n..].iter().position(|&b| b == b'"').map(|at| n + at)
+}
+
+/// The exact-bytes reader alone: the event when `line` is byte for byte
+/// what [`TraceEvent::write_jsonl`] writes, `None` otherwise. Public for
+/// the tests that hold it to the lexer path, not as an API.
+#[doc(hidden)]
+pub fn read_exact(line: &str) -> Option<TraceEvent> {
+    Exact::read(line)
+}
+
+/// The lexer path alone, as [`TraceEvent::parse`] takes it for a line
+/// [`read_exact`] refuses. Public for the same tests.
+#[doc(hidden)]
+pub fn read_lexed(line: &str) -> Result<TraceEvent, String> {
+    Slots::lex(line)?.decode()
+}
+
 /// Declares [`Slot`], one per envelope key, and [`KEYS`] from one list;
 /// [`Slot::of`] is a `match`, so a key costs a few compares, not a scan.
 macro_rules! slots {
@@ -334,15 +549,62 @@ slots! {
     Msg = "msg", Class = "class", Hops = "hops",
 }
 
-/// One event line lexed in one pass: the first value of each envelope key
-/// (as [`crate::Fields::get`] finds it), typed by [`EventLine::decode`].
-pub(crate) struct EventLine<'a>([Option<Value<'a>>; KEYS.len()]);
+/// One event line read in one pass: the event itself when the line is
+/// the writer's exact bytes, else its lexed fields.
+pub(crate) enum EventLine<'a> {
+    /// [`TraceEvent::write_jsonl`]'s bytes, read by [`Exact`].
+    Exact(TraceEvent),
+    /// Any other spelling, read by the lexer. Boxed: the slots are ten
+    /// times the event's size, and only a line off the writer's bytes
+    /// pays for them.
+    Lexed(Box<Slots<'a>>),
+}
 
 impl<'a> EventLine<'a> {
-    /// Lexes `text` as one JSON document; a non-object has no fields.
+    /// Reads `text` as one JSON document: the writer's bytes directly,
+    /// anything else through the lexer, which alone gives errors.
     #[inline]
     pub(crate) fn lex(text: &'a str) -> Result<Self, String> {
-        let mut line = EventLine([const { None }; KEYS.len()]);
+        match Exact::read(text) {
+            Some(ev) => Ok(EventLine::Exact(ev)),
+            None => Slots::lex(text).map(|slots| EventLine::Lexed(Box::new(slots))),
+        }
+    }
+
+    /// The `type`, if the line has a string one.
+    pub(crate) fn type_label(&self) -> Option<&str> {
+        match self {
+            EventLine::Exact(ev) => Some(ev.kind.label()),
+            EventLine::Lexed(slots) => slots.get(Slot::Type)?.as_str(),
+        }
+    }
+
+    /// The `cycle`, if the line has an integer one.
+    pub(crate) fn cycle(&self) -> Option<u64> {
+        match self {
+            EventLine::Exact(ev) => Some(ev.cycle),
+            EventLine::Lexed(slots) => slots.get(Slot::Cycle)?.as_u64(),
+        }
+    }
+
+    /// The typed event.
+    pub(crate) fn decode(self) -> Result<TraceEvent, String> {
+        match self {
+            EventLine::Exact(ev) => Ok(ev),
+            EventLine::Lexed(slots) => slots.decode(),
+        }
+    }
+}
+
+/// A lexed line: the first value of each envelope key (as
+/// [`crate::Fields::get`] finds it), typed by [`Slots::decode`].
+pub(crate) struct Slots<'a>([Option<Value<'a>>; KEYS.len()]);
+
+impl<'a> Slots<'a> {
+    /// Lexes `text` as one JSON document; a non-object has no fields.
+    #[inline]
+    fn lex(text: &'a str) -> Result<Self, String> {
+        let mut line = Slots([const { None }; KEYS.len()]);
         let mut lexer = Lexer::new(text);
         lexer.fields(|key, value| {
             if let Some(slot) = Slot::of(&key) {
@@ -355,16 +617,6 @@ impl<'a> EventLine<'a> {
 
     fn get(&self, slot: Slot) -> Option<&Value<'a>> {
         self.0[slot as usize].as_ref()
-    }
-
-    /// The `type`, if the line has a string one.
-    pub(crate) fn type_label(&self) -> Option<&str> {
-        self.get(Slot::Type)?.as_str()
-    }
-
-    /// The `cycle`, if the line has an integer one.
-    pub(crate) fn cycle(&self) -> Option<u64> {
-        self.get(Slot::Cycle)?.as_u64()
     }
 
     /// An integer field, in range for `T`.
@@ -390,22 +642,18 @@ impl<'a> EventLine<'a> {
     }
 
     /// The typed event, a kind to a row, fields checked in `walk`'s order.
-    pub(crate) fn decode(&self) -> Result<TraceEvent, String> {
+    fn decode(&self) -> Result<TraceEvent, String> {
         use EventKind::*;
         use Slot as S;
         let (long, short) = (|s| self.int::<u64>(s), |s| self.int::<u32>(s));
         let (seq, cycle, cluster) = (long(S::Seq)?, long(S::Cycle)?, short(S::Cluster)?);
-        let ty = self.type_label().ok_or("missing `type`")?;
+        let ty = self.get(S::Type).and_then(Value::as_str).ok_or("missing `type`")?;
         let (txn, block, flag) = (|| long(S::Txn), || long(S::Block), |s| self.flag(s));
-        let phase = || {
-            self.label(S::Phase, "phase", |s| Phase::ALL.into_iter().find(|p| p.label() == s))
-        };
-        let why = || self.label(S::Cause, ty, |s| cause::ALL.into_iter().find(|c| *c == s));
-        let msg = || self.label(S::Msg, ty, |s| message(s).map(|m| m.0));
+        let phase = || self.label(S::Phase, "phase", phase_named);
+        let why = || self.label(S::Cause, ty, cause_named);
+        let msg = || self.label(S::Msg, ty, msg_named);
         let opt_block = || self.get(S::Block).map(|_| long(S::Block)).transpose();
-        let class = || self.label(S::Class, ty, |s| {
-            MessageClass::ALL.map(MessageClass::label).into_iter().find(|c| *c == s)
-        });
+        let class = || self.label(S::Class, ty, class_named);
         let kind = match ty {
             "txn_begin" => TxnBegin { txn: txn()?, block: block()?, write: flag(S::Write)? },
             "txn_phase" => TxnPhase { txn: txn()?, block: block()?, phase: phase()? },
@@ -444,20 +692,20 @@ impl TraceEvent {
     /// property in `tests/prop.rs`).
     #[inline(always)]
     fn walk(&self, f: &mut impl FieldVisitor) {
-        f.u64(b"{\"seq\":", self.seq);
-        f.u64(b",\"cycle\":", self.cycle);
-        f.u64(b",\"cluster\":", self.cluster as u64);
-        f.label(b",\"type\":", self.kind.label());
+        f.u64(key::SEQ, self.seq);
+        f.u64(key::CYCLE, self.cycle);
+        f.u64(key::CLUSTER, self.cluster as u64);
+        f.label(key::TYPE, self.kind.label());
         match self.kind {
             EventKind::TxnBegin { txn, block, write } => {
-                f.u64(b",\"txn\":", txn);
-                f.u64(b",\"block\":", block);
-                f.boolean(b",\"write\":", write);
+                f.u64(key::TXN, txn);
+                f.u64(key::BLOCK, block);
+                f.boolean(key::WRITE, write);
             }
             EventKind::TxnPhase { txn, block, phase } => {
-                f.u64(b",\"txn\":", txn);
-                f.u64(b",\"block\":", block);
-                f.label(b",\"phase\":", phase.label());
+                f.u64(key::TXN, txn);
+                f.u64(key::BLOCK, block);
+                f.label(key::PHASE, phase.label());
             }
             EventKind::TxnEnd {
                 txn,
@@ -465,14 +713,14 @@ impl TraceEvent {
                 latency,
                 retries,
             } => {
-                f.u64(b",\"txn\":", txn);
-                f.u64(b",\"block\":", block);
-                f.u64(b",\"latency\":", latency);
-                f.u64(b",\"retries\":", retries as u64);
+                f.u64(key::TXN, txn);
+                f.u64(key::BLOCK, block);
+                f.u64(key::LATENCY, latency);
+                f.u64(key::RETRIES, retries as u64);
             }
             EventKind::Nack { txn, block } => {
-                f.u64(b",\"txn\":", txn);
-                f.u64(b",\"block\":", block);
+                f.u64(key::TXN, txn);
+                f.u64(key::BLOCK, block);
             }
             EventKind::Retry {
                 txn,
@@ -480,28 +728,28 @@ impl TraceEvent {
                 attempt,
                 backoff,
             } => {
-                f.u64(b",\"txn\":", txn);
-                f.u64(b",\"block\":", block);
-                f.u64(b",\"attempt\":", attempt as u64);
-                f.u64(b",\"backoff\":", backoff);
+                f.u64(key::TXN, txn);
+                f.u64(key::BLOCK, block);
+                f.u64(key::ATTEMPT, attempt as u64);
+                f.u64(key::BACKOFF, backoff);
             }
             EventKind::Inval {
                 block,
                 targets,
                 cause,
             } => {
-                f.u64(b",\"block\":", block);
-                f.u64(b",\"targets\":", targets as u64);
-                f.label(b",\"cause\":", cause);
+                f.u64(key::BLOCK, block);
+                f.u64(key::TARGETS, targets as u64);
+                f.label(key::CAUSE, cause);
             }
             EventKind::Replacement {
                 victim,
                 targets,
                 dirty,
             } => {
-                f.u64(b",\"victim\":", victim);
-                f.u64(b",\"targets\":", targets as u64);
-                f.boolean(b",\"dirty\":", dirty);
+                f.u64(key::VICTIM, victim);
+                f.u64(key::TARGETS, targets as u64);
+                f.boolean(key::DIRTY, dirty);
             }
             EventKind::MsgSend {
                 src,
@@ -511,14 +759,14 @@ impl TraceEvent {
                 block,
                 hops,
             } => {
-                f.u64(b",\"src\":", src as u64);
-                f.u64(b",\"dst\":", dst as u64);
-                f.label(b",\"msg\":", msg);
-                f.label(b",\"class\":", class);
+                f.u64(key::SRC, src as u64);
+                f.u64(key::DST, dst as u64);
+                f.label(key::MSG, msg);
+                f.label(key::CLASS, class);
                 if let Some(b) = block {
-                    f.u64(b",\"block\":", b);
+                    f.u64(key::BLOCK, b);
                 }
-                f.u64(b",\"hops\":", hops as u64);
+                f.u64(key::HOPS, hops as u64);
             }
             EventKind::MsgDeliver {
                 src,
@@ -526,11 +774,11 @@ impl TraceEvent {
                 msg,
                 block,
             } => {
-                f.u64(b",\"src\":", src as u64);
-                f.u64(b",\"dst\":", dst as u64);
-                f.label(b",\"msg\":", msg);
+                f.u64(key::SRC, src as u64);
+                f.u64(key::DST, dst as u64);
+                f.label(key::MSG, msg);
                 if let Some(b) = block {
-                    f.u64(b",\"block\":", b);
+                    f.u64(key::BLOCK, b);
                 }
             }
         }

@@ -7,8 +7,9 @@
 //! regression tests and the benchmark trajectory (`BENCH_*.json`) compare.
 //!
 //! Reading is one borrowed pull [`Lexer`] — the single definition of the
-//! grammar this repository accepts (standard JSON: all escapes including
-//! surrogate pairs, signed/exponent numbers, nesting capped at
+//! grammar this repository accepts (RFC 8259 JSON: all escapes including
+//! surrogate pairs, no raw control bytes in strings, signed/exponent
+//! numbers without leading zeros or bare dots, nesting capped at
 //! [`MAX_DEPTH`]) and of its error texts — with three folds on top:
 //!
 //! * [`Json::parse`] builds the tree, for *documents* a reader walks more
@@ -18,7 +19,8 @@
 //!   and scalars are slices of the input, nested values stay text that
 //!   either fold can read again, and nothing is allocated unless a string
 //!   holds an escape;
-//! * [`crate::TraceEvent::parse`] decodes a trace-event line into its event.
+//! * [`crate::TraceEvent::parse`] decodes a trace-event line into its
+//!   event; a line that is not the writer's exact bytes is lexed here.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -545,17 +547,18 @@ impl<'a> Lexer<'a> {
         let start = self.pos;
         let bytes = self.text.as_bytes();
         let mut i = start;
+        while bytes.get(i).is_some_and(|&b| !STOPS_A_RUN[b as usize]) {
+            i += 1;
+        }
         // Delimiters are ASCII, so every cut is a char boundary.
-        loop {
-            match bytes.get(i) {
-                Some(b'"') => {
-                    self.pos = i + 1;
-                    return Ok(Cow::Borrowed(&self.text[start..i]));
-                }
-                Some(b'\\') => return self.escaped_string(start, i).map(Cow::Owned),
-                Some(_) => i += 1,
-                None => return Err("unterminated string".into()),
+        match bytes.get(i) {
+            Some(b'"') => {
+                self.pos = i + 1;
+                Ok(Cow::Borrowed(&self.text[start..i]))
             }
+            Some(b'\\') => self.escaped_string(start, i).map(Cow::Owned),
+            Some(_) => Err(control(i)),
+            None => Err("unterminated string".into()),
         }
     }
 
@@ -593,6 +596,7 @@ impl<'a> Lexer<'a> {
                     });
                     run = i;
                 }
+                Some(0..=0x1f) => return Err(control(i)),
                 Some(_) => i += 1,
             }
         }
@@ -642,7 +646,9 @@ impl<'a> Lexer<'a> {
             i += 1;
         }
         let more = matches!(bytes.get(i), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
-        if !more && (1..=19).contains(&(i - start)) {
+        // A leading zero is a number of its own: `01` goes to the grammar.
+        let zero_led = bytes[start] == b'0' && i - start > 1;
+        if !more && (1..=19).contains(&(i - start)) && !zero_led {
             self.pos = i;
             return Ok(Token::U64(v));
         }
@@ -650,7 +656,8 @@ impl<'a> Lexer<'a> {
     }
 
     /// Every number that is not a short run of digits: the whole lexical
-    /// class is cut out and handed to `std`.
+    /// class is cut out, held to RFC 8259's grammar, and handed to `std`,
+    /// which would also take `01`, `1.` or `-.5`.
     #[cold]
     fn long_number(&mut self) -> Result<Token<'a>, String> {
         let start = self.pos;
@@ -658,15 +665,67 @@ impl<'a> Lexer<'a> {
             self.pos += 1;
         }
         let text = &self.text[start..self.pos];
+        if let Some(at) = grammar_break(text.as_bytes()) {
+            return Err(format!("bad number `{text}` at byte {}", start + at));
+        }
         if !text.contains(['.', 'e', 'E', '-']) {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Token::U64(v));
             }
         }
-        text.parse::<f64>()
-            .map(Token::F64)
-            .map_err(|e| format!("bad number `{text}`: {e}"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Token::F64(v)),
+            _ => Err(format!("number `{text}` out of range at byte {start}")),
+        }
     }
+}
+
+/// Where `text` (one cut of `[0-9.eE+-]`) leaves the number grammar
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, if it does.
+fn grammar_break(text: &[u8]) -> Option<usize> {
+    let digits = |i: usize| text[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    match digits(i) {
+        0 => return Some(i),
+        n if n > 1 && text[i] == b'0' => return Some(i + 1),
+        n => i += n,
+    }
+    if text.get(i) == Some(&b'.') {
+        i += 1;
+        match digits(i) {
+            0 => return Some(i),
+            n => i += n,
+        }
+    }
+    if let Some(b'e' | b'E') = text.get(i) {
+        i += 1;
+        i += usize::from(matches!(text.get(i), Some(b'+' | b'-')));
+        match digits(i) {
+            0 => return Some(i),
+            n => i += n,
+        }
+    }
+    (i < text.len()).then_some(i)
+}
+
+/// The bytes that end a plain run inside a string: the closing quote, an
+/// escape, and the control bytes JSON forbids raw. One load per byte.
+const STOPS_A_RUN: [bool; 256] = {
+    let mut stops = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        stops[b] = true;
+        b += 1;
+    }
+    stops[b'"' as usize] = true;
+    stops[b'\\' as usize] = true;
+    stops
+};
+
+/// A raw control byte at `at` inside a string, which JSON must escape.
+#[cold]
+fn control(at: usize) -> String {
+    format!("unescaped control character at byte {at}")
 }
 
 /// A value read whole: its token, plus its text for the containers a
@@ -907,6 +966,49 @@ mod tests {
     fn parse_rejects_garbage() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"open"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// What RFC 8259 forbids and `std`'s number parser would take: a
+    /// leading zero, a fraction or exponent without digits, a sign or
+    /// dot without an integer part, a raw control byte in a string, and
+    /// a number no `f64` holds. Each is refused where it goes wrong.
+    #[test]
+    fn refuses_what_the_standard_forbids_with_its_position() {
+        for (bad, want) in [
+            ("01", "bad number `01` at byte 1"),
+            ("00", "bad number `00` at byte 1"),
+            ("01.5", "bad number `01.5` at byte 1"),
+            ("-01", "bad number `-01` at byte 2"),
+            ("[1,012]", "bad number `012` at byte 4"),
+            ("1.", "bad number `1.` at byte 2"),
+            ("1.e5", "bad number `1.e5` at byte 2"),
+            ("1e", "bad number `1e` at byte 2"),
+            ("1e+", "bad number `1e+` at byte 3"),
+            ("-.5", "bad number `-.5` at byte 1"),
+            ("-", "bad number `-` at byte 1"),
+            ("1-2", "bad number `1-2` at byte 1"),
+            ("1.5.2", "bad number `1.5.2` at byte 3"),
+            ("\"a\tb\"", "unescaped control character at byte 2"),
+            ("{\"k\u{1}\":1}", "unescaped control character at byte 3"),
+            ("\"\\n\u{1f}\"", "unescaped control character at byte 3"),
+            ("1e999", "number `1e999` out of range at byte 0"),
+            ("[-1e400]", "number `-1e400` out of range at byte 1"),
+        ] {
+            assert_eq!(Json::parse(bad).unwrap_err(), want, "{bad:?}");
+            assert_eq!(Fields::parse(bad).err().as_deref(), Some(want), "{bad:?}");
+        }
+        for (good, want) in [
+            ("0", Json::U64(0)),
+            ("-0", Json::F64(-0.0)),
+            ("0.5", Json::F64(0.5)),
+            ("10", Json::U64(10)),
+            ("1e05", Json::F64(1e5)),
+            ("1E-2", Json::F64(0.01)),
+            ("1e-999", Json::F64(0.0)),
+            ("18446744073709551616", Json::F64(18446744073709551616.0)),
+        ] {
+            assert_eq!(Json::parse(good).unwrap(), want, "{good:?}");
         }
     }
 

@@ -37,9 +37,10 @@
 //! [`Json`] tree; every trace reader — [`validate_trace`],
 //! [`validate_stream`], and [`run_lines`] under [`PatternTable::from_trace`]
 //! and `scd-telemetry spans` — folds the typed events [`TraceEvent::parse`]
-//! decodes; Perfetto items and stream records are read through the flat
-//! [`Fields`] view. Nothing is allocated per record, and [`to_perfetto`]
-//! renders its document straight into text.
+//! decodes (the writer's exact bytes in a direct pass, any other spelling
+//! through the lexer); Perfetto items and stream records are read through
+//! the flat [`Fields`] view. Nothing is allocated per record the recorder
+//! wrote, and [`to_perfetto`] renders its document straight into text.
 
 #![warn(missing_docs)]
 

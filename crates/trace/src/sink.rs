@@ -286,7 +286,7 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
             return Err(format!("record after `{closer}`"));
         }
         summary.lines += 1;
-        // Event lines (nearly all of a stream) are lexed once, records twice.
+        // Event lines (nearly all of a stream) are read once, records twice.
         let ev = EventLine::lex(line)?;
         let ty = ev.type_label().ok_or("missing `type`")?;
         if EVENT_TYPES.contains(&ty) {

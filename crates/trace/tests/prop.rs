@@ -9,7 +9,10 @@
 //!
 //! Reading: the tree ([`Json::parse`]) and the flat view ([`Fields`]) are
 //! two folds over one lexer and must agree on every document — what they
-//! accept, what they find, and the error they give.
+//! accept, what they find, and the error they give. Under
+//! [`TraceEvent::parse`], the exact-bytes reader must take every line the
+//! writer writes, and on any other line must leave the answer to the
+//! lexer path: the same event or the same error text.
 //!
 //! And the ordering contract between them: the live stream
 //! ([`StreamPump`]) must emit the lines the post-hoc merge
@@ -19,7 +22,7 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use scd_stats::MessageClass;
 use scd_trace::attrib::MESSAGES;
-use scd_trace::event::cause;
+use scd_trace::event::{cause, read_exact, read_lexed};
 use scd_trace::json::Value;
 use scd_trace::{
     event_line, interval_record, run_end_record, BufferSink, EventKind, Fields,
@@ -211,6 +214,20 @@ proptest! {
         prop_assert_eq!(TraceEvent::parse(&event_line(&ev)), Ok(ev));
     }
 
+    /// The exact-bytes reader takes every line the writer writes. A
+    /// reader that fell back to the lexer would still pass the round trip
+    /// above; this is the property that catches it.
+    #[test]
+    fn the_exact_reader_takes_every_written_line(
+        seq in edge_u64(),
+        cycle in edge_u64(),
+        cluster in edge_u32(),
+        kind in vocabulary_kind(),
+    ) {
+        let ev = TraceEvent { seq, cycle, cluster, kind };
+        prop_assert_eq!(read_exact(&event_line(&ev)), Some(ev));
+    }
+
     /// The window decoder is the inverse of `IntervalSnapshot::to_json`,
     /// field for field.
     #[test]
@@ -242,6 +259,130 @@ fn the_kind_strategy_covers_every_event_type() {
             .map(|_| strategy.generate(&mut rng).label())
             .collect();
         assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+    }
+}
+
+/// Every label of every vocabulary, through the exact reader: each
+/// message kind with each class, with and without a `block`, on both
+/// message events; each phase; each cause.
+#[test]
+fn the_exact_reader_takes_every_label() {
+    let mut kinds: Vec<EventKind> = Phase::ALL
+        .into_iter()
+        .map(|phase| EventKind::TxnPhase { txn: 1, block: 2, phase })
+        .chain(cause::ALL.map(|cause| EventKind::Inval { block: 2, targets: 3, cause }))
+        .collect();
+    for &(msg, ..) in MESSAGES {
+        for block in [None, Some(7), Some(u64::MAX)] {
+            kinds.push(EventKind::MsgDeliver { src: 0, dst: u32::MAX, msg, block });
+            for class in MessageClass::ALL.map(MessageClass::label) {
+                kinds.push(EventKind::MsgSend { src: 1, dst: 0, msg, class, block, hops: 9 });
+            }
+        }
+    }
+    for kind in kinds {
+        let ev = TraceEvent { seq: 10, cycle: u64::MAX, cluster: u32::MAX, kind };
+        assert_eq!(read_exact(&event_line(&ev)), Some(ev.clone()), "{}", event_line(&ev));
+    }
+}
+
+/// A line's `(key, value)` texts, in order.
+type FieldTexts = Vec<(String, String)>;
+
+/// A written line as its `(key, value)` texts. Vocabulary labels hold no
+/// `,`, `:` or `"`, so the cuts are exact.
+fn fields_of(line: &str) -> FieldTexts {
+    let body = line.strip_prefix('{').and_then(|l| l.strip_suffix('}')).expect("an object");
+    let field = |f: &str| {
+        let (k, v) = f.split_once(':').expect("`key:value`");
+        (k.to_string(), v.to_string())
+    };
+    body.split(',').map(field).collect()
+}
+
+/// `fields` written back, with `colon` and `comma` after each separator.
+fn line_of(fields: &[(String, String)], colon: &str, comma: &str) -> String {
+    let fields: Vec<String> = fields.iter().map(|(k, v)| format!("{k}:{colon}{v}")).collect();
+    format!("{{{}}}", fields.join(&format!(",{comma}")))
+}
+
+/// Spellings of `line` that are not the writer's bytes: each one a place
+/// where an exact-bytes reader could go wrong.
+fn perturbations(line: &str) -> Vec<String> {
+    const U32_KEYS: [&str; 7] = ["cluster", "retries", "attempt", "targets", "src", "dst", "hops"];
+    let fields = fields_of(line);
+    let n = fields.len();
+    let mut out = vec![
+        line_of(&fields, " ", ""),
+        line_of(&fields, "", " "),
+        line_of(&fields, "\t", "\n"),
+        format!("{line} "),
+        format!(" {line}"),
+        format!("{line}}}"),
+        format!("{line}{line}"),
+    ];
+    let mut edit = |f: &dyn Fn(&mut FieldTexts)| {
+        let mut copy = fields.clone();
+        f(&mut copy);
+        out.push(line_of(&copy, "", ""));
+    };
+    for i in 0..n {
+        let (key, value) = &fields[i];
+        let bare = key.trim_matches('"');
+        if i + 1 < n {
+            edit(&|f| f.swap(i, i + 1));
+        }
+        // A duplicate key: right after the first with another value (the
+        // first one wins), and again at the end.
+        edit(&|f| f.insert(i + 1, (key.clone(), "7".into())));
+        edit(&|f| f.push((key.clone(), value.clone())));
+        edit(&|f| {
+            f.remove(i);
+        });
+        if value.bytes().all(|b| b.is_ascii_digit()) {
+            edit(&|f| f[i].1 = format!("{value}.0"));
+            edit(&|f| f[i].1 = format!("0{value}"));
+            edit(&|f| f[i].1 = format!("{value}e0"));
+            edit(&|f| f[i].1 = format!("\"{value}\""));
+            if U32_KEYS.contains(&bare) {
+                edit(&|f| f[i].1 = (1u64 << 32).to_string());
+            }
+        }
+        if let Some(label) = value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+            let mut chars = label.chars();
+            let first = chars.next().expect("vocabulary labels are not empty");
+            let rest = chars.as_str();
+            edit(&|f| f[i].1 = format!("\"\\u{:04x}{rest}\"", first as u32));
+            edit(&|f| f[i].1 = format!("\"{label}\t\""));
+            edit(&|f| f[i].1 = format!("\"{}\"", label.to_uppercase()));
+        }
+        if value == "true" || value == "false" {
+            edit(&|f| f[i].1 = "1".into());
+        }
+    }
+    out.extend((0..line.len()).map(|cut| line[..cut].to_string()));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Off the writer's bytes, `parse` answers what the lexer path alone
+    /// answers: the same event, or the same error text. Whitespace, key
+    /// order, a duplicate key, `2.0` or `02` for `2`, an escaped or
+    /// unknown label, `2^32` in a `u32` field, bytes after the `}` and
+    /// every truncation.
+    #[test]
+    fn off_the_written_bytes_parse_is_the_lexer_path(
+        seq in edge_u64(),
+        cycle in edge_u64(),
+        cluster in edge_u32(),
+        kind in vocabulary_kind(),
+    ) {
+        let line = event_line(&TraceEvent { seq, cycle, cluster, kind });
+        for bad in perturbations(&line) {
+            prop_assert_eq!(TraceEvent::parse(&bad), read_lexed(&bad), "{}", bad);
+        }
     }
 }
 

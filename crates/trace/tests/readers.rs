@@ -221,6 +221,23 @@ fn validate_trace_rejects_what_the_writer_cannot_produce() {
             line(r#""type":"txn_end","txn":1,"block":4,"latency":9,"retries":-1"#),
             "line 1: missing or non-integer `retries`",
         ),
+        // What RFC 8259 forbids, refused by the lexer where it goes wrong.
+        (
+            vec![s(r#"{"seq":01,"cycle":2,"cluster":0,"type":"nack","txn":1,"block":4}"#)],
+            "line 1: bad number `01` at byte 8",
+        ),
+        (
+            line(r#""type":"nack","txn":1.,"block":4"#),
+            "line 1: bad number `1.` at byte 53",
+        ),
+        (
+            line(r#""type":"nack","txn":1,"block":1e999"#),
+            "line 1: number `1e999` out of range at byte 61",
+        ),
+        (
+            line("\"type\":\"na\tck\",\"txn\":1,\"block\":4"),
+            "line 1: unescaped control character at byte 41",
+        ),
     ];
     reject_table(validate_trace, &cases);
 }
@@ -265,6 +282,10 @@ fn validate_stream_rejects_with_the_documented_texts() {
             "line 2: record after `sweep_end`",
         ),
         (vec![s(INTERVAL_0_20), s("{\"type\":")], "line 2: unexpected `∅` at byte 8"),
+        (
+            vec![s(INTERVAL_0_20), s(r#"{"seq":1,"cycle":020,"cluster":0,"type":"nack","txn":1,"block":4}"#)],
+            "line 2: bad number `020` at byte 18",
+        ),
         (vec![s(r#"{"run":{}}"#)], "line 1: missing `type`"),
         (
             vec![s(r#"{"seq":1,"cluster":0,"type":"nack","txn":1}"#)],
