@@ -1,10 +1,11 @@
 //! Ceilings on what *looking* costs: the three telemetry paths a user can
 //! switch on (metrics + attribution, the full event ring, the ring with a
 //! sink attached), each as a multiple of the plain run, and reading the
-//! recording back (`validate_trace` over the streamed run's trace) as a
-//! multiple of the streamed run, compared by min-of-N wall times with the
-//! variants interleaved so clock drift and frequency scaling hit all of
-//! them equally.
+//! recording back (`validate_trace` over the streamed run's trace, and
+//! `validate_perfetto` over its span profile's export) as multiples of the
+//! streamed run, compared by min-of-N wall times with the variants
+//! interleaved so clock drift and frequency scaling hit all of them
+//! equally.
 //!
 //! The *disabled* path has no timing guard: `cfg.trace = None` and
 //! `Some(TraceConfig::none())` build the same inert recorder, which is a
@@ -12,7 +13,10 @@
 
 use scd_apps::{lu, AppRun, LuParams};
 use scd_machine::{Machine, MachineConfig};
-use scd_trace::{extract_trace_lines, validate_trace, BufferSink, TraceConfig, TraceSink};
+use scd_trace::{
+    extract_trace_lines, to_perfetto, validate_perfetto, validate_trace, BufferSink, SpanTree,
+    TraceConfig, TraceEvent, TraceSink,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -78,8 +82,9 @@ fn run_once_streamed(app: &AppRun) -> u64 {
 }
 
 /// The trace of the streamed run, as `--stream-out` would have written
-/// it: the read-side ceiling's input.
-fn streamed_trace(app: &AppRun) -> String {
+/// it, and the Perfetto export of its span tree (`scd-telemetry spans
+/// --perfetto-out` over that stream): the read-side ceilings' inputs.
+fn streamed_trace(app: &AppRun) -> (String, String) {
     let cfg = MachineConfig::paper_32().with_trace(TraceConfig::full(4096));
     let mut machine = Machine::new(cfg, app.scripts());
     let sink = BufferSink::new();
@@ -87,7 +92,13 @@ fn streamed_trace(app: &AppRun) -> String {
     machine.attach_stream(Box::new(sink), None);
     machine.try_run().expect("run must quiesce");
     let stream = lines.lock().expect("the run has finished").join("\n");
-    extract_trace_lines(&stream)
+    let trace = extract_trace_lines(&stream);
+    let events: Vec<TraceEvent> = trace
+        .lines()
+        .map(|line| TraceEvent::parse(line).expect("the recorder writes events"))
+        .collect();
+    let perfetto = to_perfetto(&SpanTree::from_events(&events), &machine.metrics().intervals);
+    (trace, perfetto)
 }
 
 /// Ceilings on what *looking* costs, as multiples of the plain run. These
@@ -115,11 +126,19 @@ const STREAM_CEILING: f64 = 3.3;
 /// would do), 0.81-0.89x, which this ceiling refuses.
 const READ_CEILING: f64 = 0.48;
 
+/// Ceiling on `validate_perfetto` over the streamed run's span profile, as
+/// a multiple of the streamed run (DESIGN.md section 18). The exporter's
+/// records take the validator's exact-bytes pass. Measured as the ones
+/// above, twenty runs: 0.16-0.27x; with every record sent down the lexer
+/// path instead (what an exporter change that made records non-canonical
+/// would do), 0.77-0.93x, which this ceiling refuses.
+const PERFETTO_CEILING: f64 = 0.33;
+
 /// The guard: min of interleaved rounds over the three costs a user can
 /// switch on.
 fn enabled_guard() {
     let app = test_app();
-    let trace = streamed_trace(&app);
+    let (trace, perfetto) = streamed_trace(&app);
     let counters = TraceConfig {
         metrics: true,
         attribution: true,
@@ -137,23 +156,32 @@ fn enabled_guard() {
                     .expect("the recorded trace is valid")
                     .events
             },
+            &mut || {
+                validate_perfetto(&perfetto)
+                    .expect("the exported profile is valid")
+                    .events
+            },
         ],
     );
     let plain = mins[0] as f64;
     let ratios: Vec<f64> = mins.iter().map(|&m| m as f64 / plain).collect();
     let read = mins[4] as f64 / mins[3] as f64;
+    let read_perfetto = mins[5] as f64 / mins[3] as f64;
     println!(
         "trace_overhead enabled guard: plain {} ns; metrics+attribution {:.2}x \
          (ceiling {METRICS_ATTRIB_CEILING}), full ring {:.2}x (ceiling \
          {FULL_RING_CEILING}), full ring + counting sink {:.2}x (ceiling \
          {STREAM_CEILING}); validate_trace of its {} lines {read:.3}x the \
-         streamed run (ceiling {READ_CEILING}); the ceilings are the measured \
-         floor plus a quarter (DESIGN.md sections 13 and 18)",
+         streamed run (ceiling {READ_CEILING}); validate_perfetto of its {} \
+         byte export {read_perfetto:.3}x (ceiling {PERFETTO_CEILING}); the \
+         ceilings are the measured floor plus a quarter (DESIGN.md sections \
+         13 and 18)",
         mins[0],
         ratios[1],
         ratios[2],
         ratios[3],
-        trace.lines().count()
+        trace.lines().count(),
+        perfetto.len()
     );
     for (what, ratio, ceiling) in [
         ("metrics+attribution", ratios[1], METRICS_ATTRIB_CEILING),
@@ -170,6 +198,12 @@ fn enabled_guard() {
         "validate_trace costs {read:.3}x the streamed run it reads, over its \
          {READ_CEILING}x ceiling: are the writer's lines still the bytes the \
          decoder's exact pass reads?"
+    );
+    assert!(
+        read_perfetto <= PERFETTO_CEILING,
+        "validate_perfetto costs {read_perfetto:.3}x the streamed run whose \
+         profile it reads, over its {PERFETTO_CEILING}x ceiling: are the \
+         exporter's records still the bytes the validator's exact pass reads?"
     );
 }
 

@@ -14,8 +14,11 @@
 //! The fixed hasher gives up the default hasher's protection against keys
 //! crafted to collide. Its keys are simulator-internal block, lock and
 //! cluster numbers derived from the workload being simulated, so a
-//! workload built to collide slows only its own run; nothing keyed by
-//! input from outside the workload may use it. Iteration order of a
+//! workload built to collide slows only its own run. A recorded trace
+//! qualifies too: `scd-trace`'s span tree is keyed by the clusters,
+//! blocks, transaction ids and labels a recording holds, and a file
+//! crafted to collide slows only its own replay. Nothing keyed by input
+//! a process takes on behalf of others may use it. Iteration order of a
 //! [`FastMap`] is still unspecified: whatever iterates one for output or a
 //! post-mortem sorts first, and a state digest folds it with
 //! [`hash_unordered`], which does not depend on the order.

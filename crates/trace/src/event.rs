@@ -362,28 +362,12 @@ impl<'a> Exact<'a> {
         (at == key).then(|| self.rest = rest)
     }
 
-    /// `key`, then an integer as `push_u64` writes it, with no leading
-    /// zero. Nineteen digits cannot overflow; a twentieth can, so that
-    /// rare run is read again with the check.
+    /// `key`, then an integer as `push_u64` writes it ([`exact_u64`]).
     #[inline(always)]
     fn u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<u64> {
         self.key(key)?;
-        let digits = self.rest;
-        let mut v = 0u64;
-        let mut n = 0;
-        while let Some(d) = digits.get(n).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
-            v = v.wrapping_mul(10).wrapping_add(d as u64);
-            n += 1;
-        }
-        let v = match n {
-            0 => return None,
-            1 => v,
-            _ if digits[0] == b'0' => return None,
-            2..=19 => v,
-            20 => std::str::from_utf8(&digits[..n]).ok()?.parse().ok()?,
-            _ => return None,
-        };
-        self.rest = &digits[n..];
+        let (v, n) = exact_u64(self.rest)?;
+        self.rest = &self.rest[n..];
         Some(v)
     }
 
@@ -488,12 +472,35 @@ impl<'a> Exact<'a> {
     }
 }
 
+/// The integer `bytes` starts with, as [`push_u64`] writes it, and its
+/// digit count: a digit run with no leading zero. Nineteen digits cannot
+/// overflow; a twentieth can, so that rare run is read again with the
+/// check. `None` for anything the writer would not have written.
+#[inline(always)]
+pub(crate) fn exact_u64(digits: &[u8]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    let mut n = 0;
+    while let Some(d) = digits.get(n).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+        v = v.wrapping_mul(10).wrapping_add(d as u64);
+        n += 1;
+    }
+    let v = match n {
+        0 => return None,
+        1 => v,
+        _ if digits[0] == b'0' => return None,
+        2..=19 => v,
+        20 => std::str::from_utf8(&digits[..n]).ok()?.parse().ok()?,
+        _ => return None,
+    };
+    Some((v, n))
+}
+
 /// The first `"` in `bytes`, eight bytes to a step: a byte loop's exit
 /// branch, taken once per label at a length it cannot predict, cost more
 /// than the rest of the label. `x` is zero in the byte that held a quote,
 /// and the lowest byte the zero-byte test flags is always a true zero.
 #[inline(always)]
-fn closing_quote(bytes: &[u8]) -> Option<usize> {
+pub(crate) fn closing_quote(bytes: &[u8]) -> Option<usize> {
     const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
     let mut n = 0;

@@ -15,7 +15,8 @@
 //! * [`Json::parse`] builds the tree, for *documents* a reader walks more
 //!   than once (`scd-run-stats/v1`, `scd-patterns/v1`, `BENCH_*.json`);
 //! * [`Fields`] is the flat view of one object, for *records* read once
-//!   and dropped (a stream record, a Perfetto `traceEvents` item): keys
+//!   and dropped (a stream record, a Perfetto `traceEvents` item the
+//!   exporter did not write byte for byte): keys
 //!   and scalars are slices of the input, nested values stay text that
 //!   either fold can read again, and nothing is allocated unless a string
 //!   holds an escape;
@@ -529,6 +530,20 @@ impl<'a> Lexer<'a> {
             token,
             raw: &self.text[start..self.pos],
         })
+    }
+
+    /// The text not yet read, for a reader that knows how the value at the
+    /// cursor was written (the Perfetto record reader).
+    #[inline]
+    pub(crate) fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
+    }
+
+    /// Moves the cursor past the `n` bytes of a whole value that such a
+    /// reader took from [`Lexer::rest`].
+    #[inline]
+    pub(crate) fn advance(&mut self, n: usize) {
+        self.pos += n;
     }
 
     /// Requires that only whitespace is left.

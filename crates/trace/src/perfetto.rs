@@ -11,99 +11,163 @@
 //! microsecond field — the viewer's "us" unit reads as cycles.
 //!
 //! Rendered straight into bytes with the trace writer's own decimal and
-//! label writers (no tree per record; the build is offline, no serde),
-//! checked as UTF-8 once when the document is complete, and paired with
-//! [`validate_perfetto`], which walks the document record by record, so
-//! CI can gate on schema well-formedness without a browser.
+//! label writers and one set of literal fragments (no tree per record;
+//! the build is offline, no serde), checked as UTF-8 once when the
+//! document is complete, and paired with [`validate_perfetto`], which
+//! walks the document record by record, so CI can gate on schema
+//! well-formedness without a browser. The validator reads a record the
+//! exporter wrote straight from its bytes and lexes any other.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::event::{push_label, push_u64};
-use crate::json::{Fields, Lexer, Token, Utf8};
+use crate::event::{closing_quote, exact_u64, push_label, push_u64};
+use crate::json::{Fields, Lexer, Token};
 use crate::metrics::IntervalSnapshot;
-use crate::span::{MsgSpan, SpanTree};
+use crate::span::{MsgSpan, PhaseSpan, SpanTree, TxnSpan};
 
 /// Thread id used for spans not owned by any transaction (orphan
 /// messages). Transaction ids start at 1, so 0 never collides.
 const BACKGROUND_TID: u64 = 0;
 
-/// Starts a field: a comma unless it is its object's first, then the
-/// key. Keys are this module's own literals, plain ASCII.
-fn key(out: &mut Vec<u8>, key: &str) {
-    if !out.ends_with(b"{") {
-        out.push(b',');
+/// The document's fixed bytes, keys and punctuation included: the one set
+/// the record writers emit and the exact-bytes reader ([`Exact`])
+/// compares. A record is a run of them with one value between each two;
+/// each kind's own run from its `name` to its `pid` is one fragment.
+mod key {
+    macro_rules! keys {
+        ($($name:ident = $bytes:literal,)*) => {
+            $(pub(super) const $name: &[u8; $bytes.len()] = $bytes;)*
+        };
     }
-    out.push(b'"');
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(b"\":");
+
+    keys! {
+        NAME = b"{\"name\":",
+        TXN = b",\"cat\":\"txn\",\"ph\":\"X\",\"pid\":",
+        PHASE = b",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":",
+        BEGIN = b",\"cat\":\"msg\",\"ph\":\"b\",\"id\":\"0x",
+        END = b",\"cat\":\"msg\",\"ph\":\"e\",\"id\":\"0x",
+        META = b",\"ph\":\"M\",\"pid\":",
+        COUNTER = b",\"ph\":\"C\",\"pid\":",
+        ID_PID = b"\",\"pid\":",
+        TID = b",\"tid\":", TS = b",\"ts\":", DUR = b",\"dur\":",
+        TXN_ARGS = b",\"args\":{\"txn\":", BLOCK = b",\"block\":",
+        RETRIES = b",\"retries\":", NACKS = b",\"nacks\":", COMPLETE = b",\"complete\":",
+        NO_ARGS = b",\"args\":{}}",
+        MSG_ARGS = b",\"args\":{\"src\":", DST = b",\"dst\":", CLASS = b",\"class\":",
+        HOPS = b",\"hops\":",
+        META_ARGS = b",\"args\":{\"name\":",
+        VALUE_ARGS = b",\"args\":{\"value\":",
+        CLOSE_ARGS = b"}}", CLOSE = b"}",
+    }
 }
 
-fn str_field(out: &mut Vec<u8>, k: &str, v: &str) {
-    key(out, k);
-    push_label(out, v);
-}
+// One writer per record kind: each appends the kind's fixed bytes from
+// `key` with the values between them, in the schema's field order.
 
-fn u64_field(out: &mut Vec<u8>, k: &str, n: u64) {
-    key(out, k);
-    push_u64(out, n);
-}
-
-/// Opens the next record of `traceEvents` with the fields every kind
-/// shares, in the schema's order: `name`, `cat`, `ph`, `id`, `pid`,
-/// `tid`, `ts` (those it has). The caller adds the rest and the `}`.
-#[allow(clippy::too_many_arguments)]
-fn open_record(
-    out: &mut Vec<u8>,
-    name: &str,
-    cat: Option<&str>,
-    ph: &str,
-    id: Option<u64>,
-    pid: u64,
-    tid: u64,
-    ts: Option<u64>,
-) {
+/// Starts the next record of `traceEvents`: a comma unless it is the
+/// first, its `name`, then the kind's fragment.
+fn open(out: &mut Vec<u8>, name: &str, kind: &[u8]) {
     if !out.ends_with(b"[") {
         out.push(b',');
     }
-    out.push(b'{');
-    str_field(out, "name", name);
-    if let Some(cat) = cat {
-        str_field(out, "cat", cat);
-    }
-    str_field(out, "ph", ph);
-    if let Some(id) = id {
-        key(out, "id");
-        write!(Utf8(out), "\"0x{id:x}\"").expect("writing to a Vec cannot fail");
-    }
-    u64_field(out, "pid", pid);
-    u64_field(out, "tid", tid);
-    if let Some(ts) = ts {
-        u64_field(out, "ts", ts);
-    }
+    out.extend_from_slice(key::NAME);
+    push_label(out, name);
+    out.extend_from_slice(kind);
 }
 
+fn u64_field(out: &mut Vec<u8>, key: &[u8], n: u64) {
+    out.extend_from_slice(key);
+    push_u64(out, n);
+}
+
+/// The `pid` (its key ends the kind's fragment) and the `tid`.
+fn lane(out: &mut Vec<u8>, pid: u64, tid: u64) {
+    push_u64(out, pid);
+    u64_field(out, key::TID, tid);
+}
+
+/// Appends `n` in lower-case hex, as `{:x}` writes it: a digit per step,
+/// from a stack buffer.
+fn push_hex(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 16];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b"0123456789abcdef"[(n & 0xf) as usize];
+        n >>= 4;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// A transaction's `X` slice, the root of its lane, named `name`.
+fn txn_slice(out: &mut Vec<u8>, t: &TxnSpan, name: &str) {
+    let end = t.end.unwrap_or_else(|| t.phases.last().map(|p| p.end).unwrap_or(t.begin));
+    open(out, name, key::TXN);
+    lane(out, t.cluster as u64, t.txn);
+    u64_field(out, key::TS, t.begin);
+    u64_field(out, key::DUR, end.saturating_sub(t.begin));
+    u64_field(out, key::TXN_ARGS, t.txn);
+    u64_field(out, key::BLOCK, t.block);
+    u64_field(out, key::RETRIES, t.retries as u64);
+    u64_field(out, key::NACKS, t.nacks as u64);
+    out.extend_from_slice(key::COMPLETE);
+    out.extend_from_slice(if t.end.is_some() { b"true" } else { b"false" });
+    out.extend_from_slice(key::CLOSE_ARGS);
+}
+
+/// A phase's `X` slice on its transaction's lane.
+fn phase_slice(out: &mut Vec<u8>, p: &PhaseSpan, pid: u64, tid: u64) {
+    open(out, p.phase, key::PHASE);
+    lane(out, pid, tid);
+    u64_field(out, key::TS, p.start);
+    u64_field(out, key::DUR, p.duration());
+    out.extend_from_slice(key::NO_ARGS);
+}
+
+/// Opens a message's async record of `kind` ([`key::BEGIN`] or
+/// [`key::END`]) through its `ts`; the fragment ends at the hex `id`'s
+/// `0x`.
+fn async_open(out: &mut Vec<u8>, m: &MsgSpan, kind: &[u8], id: u64, pid: u64, tid: u64, ts: u64) {
+    open(out, m.msg, kind);
+    push_hex(out, id);
+    u64_field(out, key::ID_PID, pid);
+    u64_field(out, key::TID, tid);
+    u64_field(out, key::TS, ts);
+}
+
+/// A message's `b` and `e` records, on its transaction's lane.
 fn async_msg_pair(out: &mut Vec<u8>, m: &MsgSpan, pid: u64, tid: u64, id: u64) {
-    open_record(out, m.msg, Some("msg"), "b", Some(id), pid, tid, Some(m.send));
-    key(out, "args");
-    out.push(b'{');
-    u64_field(out, "src", m.src as u64);
-    u64_field(out, "dst", m.dst as u64);
-    str_field(out, "class", m.class);
-    u64_field(out, "hops", m.hops as u64);
-    out.extend_from_slice(b"}}");
-    let end = m.deliver.unwrap_or(m.send);
-    open_record(out, m.msg, Some("msg"), "e", Some(id), pid, tid, Some(end));
-    out.push(b'}');
+    async_open(out, m, key::BEGIN, id, pid, tid, m.send);
+    u64_field(out, key::MSG_ARGS, m.src as u64);
+    u64_field(out, key::DST, m.dst as u64);
+    out.extend_from_slice(key::CLASS);
+    push_label(out, m.class);
+    u64_field(out, key::HOPS, m.hops as u64);
+    out.extend_from_slice(key::CLOSE_ARGS);
+    async_open(out, m, key::END, id, pid, tid, m.deliver.unwrap_or(m.send));
+    out.extend_from_slice(key::CLOSE);
 }
 
+/// An `M` record naming process row `pid`.
 fn process_name(out: &mut Vec<u8>, pid: u64, name: &str) {
-    open_record(out, "process_name", None, "M", None, pid, 0, None);
-    key(out, "args");
-    out.push(b'{');
-    str_field(out, "name", name);
-    out.extend_from_slice(b"}}");
+    open(out, "process_name", key::META);
+    lane(out, pid, 0);
+    out.extend_from_slice(key::META_ARGS);
+    push_label(out, name);
+    out.extend_from_slice(key::CLOSE_ARGS);
+}
+
+/// A `C` sample of counter track `name`.
+fn counter(out: &mut Vec<u8>, name: &str, pid: u64, ts: u64, value: u64) {
+    open(out, name, key::COUNTER);
+    lane(out, pid, 0);
+    u64_field(out, key::TS, ts);
+    u64_field(out, key::VALUE_ARGS, value);
+    out.extend_from_slice(key::CLOSE_ARGS);
 }
 
 /// Renders a span tree (plus optional interval counters) as a chrome
@@ -118,34 +182,32 @@ fn process_name(out: &mut Vec<u8>, pid: u64, name: &str) {
 /// (`messages`, `retries`, `nacks`, `occupancy`) attach to a synthetic
 /// pid one past the largest cluster.
 pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> String {
+    to_perfetto_numbered(tree, intervals, 0)
+}
+
+/// [`to_perfetto`] with the async ids counted up from `ids_after + 1`
+/// instead of from 1, so a test can reach every width of the hex `id`.
+/// Public for the tests that hold the exact-bytes reader to the writer,
+/// not as an API.
+#[doc(hidden)]
+pub fn to_perfetto_numbered(
+    tree: &SpanTree,
+    intervals: &[IntervalSnapshot],
+    ids_after: u64,
+) -> String {
     let mut out = b"{\"traceEvents\":[".to_vec();
     let mut name = Vec::new();
     let mut max_pid = 0u64;
-    let mut msg_id = 0u64;
+    let mut msg_id = ids_after;
     for t in &tree.txns {
         let pid = t.cluster as u64;
         max_pid = max_pid.max(pid);
-        let end = t.end.unwrap_or_else(|| {
-            t.phases.last().map(|p| p.end).unwrap_or(t.begin)
-        });
         name.clear();
         name.extend_from_slice(if t.write { b"write blk#" } else { b"read blk#" });
         push_u64(&mut name, t.block);
-        let name = std::str::from_utf8(&name).expect("a literal and a decimal");
-        open_record(&mut out, name, Some("txn"), "X", None, pid, t.txn, Some(t.begin));
-        u64_field(&mut out, "dur", end.saturating_sub(t.begin));
-        key(&mut out, "args");
-        out.push(b'{');
-        u64_field(&mut out, "txn", t.txn);
-        u64_field(&mut out, "block", t.block);
-        u64_field(&mut out, "retries", t.retries as u64);
-        u64_field(&mut out, "nacks", t.nacks as u64);
-        key(&mut out, "complete");
-        out.extend_from_slice(if t.end.is_some() { b"true}}" } else { b"false}}" });
+        txn_slice(&mut out, t, std::str::from_utf8(&name).expect("a literal and a decimal"));
         for p in &t.phases {
-            open_record(&mut out, p.phase, Some("phase"), "X", None, pid, t.txn, Some(p.start));
-            u64_field(&mut out, "dur", p.duration());
-            out.extend_from_slice(b",\"args\":{}}");
+            phase_slice(&mut out, p, pid, t.txn);
             for m in &p.msgs {
                 msg_id += 1;
                 async_msg_pair(&mut out, m, pid, t.txn, msg_id);
@@ -171,18 +233,10 @@ pub fn to_perfetto(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> String {
         let counter_pid = max_pid + 1;
         process_name(&mut out, counter_pid, "machine counters");
         for s in intervals {
-            for (name, value) in [
-                ("messages", s.messages),
-                ("retries", s.retries),
-                ("nacks", s.nacks),
-                ("occupancy", s.occupancy),
-            ] {
-                open_record(&mut out, name, None, "C", None, counter_pid, 0, Some(s.start));
-                key(&mut out, "args");
-                out.push(b'{');
-                u64_field(&mut out, "value", value);
-                out.extend_from_slice(b"}}");
-            }
+            counter(&mut out, "messages", counter_pid, s.start, s.messages);
+            counter(&mut out, "retries", counter_pid, s.start, s.retries);
+            counter(&mut out, "nacks", counter_pid, s.start, s.nacks);
+            counter(&mut out, "occupancy", counter_pid, s.start, s.occupancy);
         }
     }
     out.extend_from_slice(
@@ -214,7 +268,42 @@ pub struct PerfettoSummary {
 /// carry `ts` and a numeric `args.value`; and within each `(pid, tid)`
 /// lane the `X` slices obey stack discipline (properly nested, never
 /// partially overlapping).
+///
+/// A record that is byte for byte one [`to_perfetto`] writes is read
+/// directly; any other spelling goes through the lexer, which alone gives
+/// errors, so the verdict and its text do not depend on which pass ran.
 pub fn validate_perfetto(text: &str) -> Result<PerfettoSummary, String> {
+    read(text, Exact::read)
+}
+
+/// [`validate_perfetto`] with every record read through the lexer: the
+/// reference the exact-bytes pass is held to. Public for those tests, not
+/// as an API.
+#[doc(hidden)]
+pub fn read_lexed(text: &str) -> Result<PerfettoSummary, String> {
+    read(text, |_| None)
+}
+
+/// How many `traceEvents` records [`validate_perfetto`] takes by the
+/// exact-bytes pass, valid or not. Public for the tests that check it
+/// takes every record [`to_perfetto`] writes.
+#[doc(hidden)]
+pub fn exact_records(text: &str) -> u64 {
+    let taken = std::cell::Cell::new(0);
+    let _ = read(text, |rest| {
+        let record = Exact::read(rest);
+        taken.set(taken.get() + u64::from(record.is_some()));
+        record
+    });
+    taken.get()
+}
+
+/// The one validating pass: each `traceEvents` record is read by `exact`
+/// when it can be, else lexed, and checked once as a [`Record`].
+fn read<'a>(
+    text: &'a str,
+    exact: impl Fn(&'a str) -> Option<(Record<'a>, usize)>,
+) -> Result<PerfettoSummary, String> {
     let mut check = PerfettoCheck::default();
     // A document that is not JSON is reported as that, wherever the
     // damage is, so a record's error waits until the text has been read.
@@ -231,9 +320,21 @@ pub fn validate_perfetto(text: &str) -> Result<PerfettoSummary, String> {
                 events_found = Some(is_array);
                 if is_array {
                     while lexer.element()? {
-                        let record = Fields::read(&mut lexer)?;
+                        let record = match exact(lexer.rest()) {
+                            Some((record, len)) => {
+                                lexer.advance(len);
+                                Ok(record)
+                            }
+                            None => {
+                                let fields = Fields::read(&mut lexer)?;
+                                if record_err.is_some() {
+                                    continue;
+                                }
+                                Record::of(&fields, check.summary.events)
+                            }
+                        };
                         if record_err.is_none() {
-                            record_err = check.record(&record).err();
+                            record_err = record.and_then(|r| check.record(r)).err();
                         }
                     }
                     continue;
@@ -254,6 +355,187 @@ pub fn validate_perfetto(text: &str) -> Result<PerfettoSummary, String> {
     }
 }
 
+/// One `traceEvents` record, as much of it as the checks read: what both
+/// passes produce and [`PerfettoCheck`] checks.
+enum Record<'a> {
+    /// An `X` slice: its lane and extent.
+    Slice { pid: u64, tid: u64, ts: u64, dur: u64 },
+    /// An async `b` (`begin`) or `e`.
+    Async { begin: bool, pid: u64, id: Cow<'a, str>, ts: u64 },
+    /// A `C` sample.
+    Counter,
+    /// An `M` record.
+    Meta,
+}
+
+impl<'a> Record<'a> {
+    /// The `i`-th record, lexed: every field it needs, checked in the
+    /// order that gives the first error (`ph`, `name`, `pid`, `tid`, then
+    /// the kind's own).
+    fn of(ev: &Fields<'a>, i: u64) -> Result<Self, String> {
+        let at = |key: &str| format!("traceEvents[{i}]: missing or invalid `{key}`");
+        let u64_of = |key: &str| ev.get(key).and_then(|v| v.as_u64()).ok_or_else(|| at(key));
+        let str_of = |key: &str| match ev.get(key).map(|v| v.token()) {
+            Some(Token::Str(s)) => Ok(s),
+            _ => Err(at(key)),
+        };
+        let ph = str_of("ph")?;
+        str_of("name")?;
+        let pid = u64_of("pid")?;
+        let tid = u64_of("tid")?;
+        Ok(match ph.as_ref() {
+            "X" => Record::Slice { pid, tid, ts: u64_of("ts")?, dur: u64_of("dur")? },
+            "b" | "e" => {
+                let ts = u64_of("ts")?;
+                Record::Async { begin: ph == "b", pid, id: str_of("id")?.clone(), ts }
+            }
+            "C" => {
+                u64_of("ts")?;
+                let args = ev.get("args").map(|a| a.fields());
+                let value = args.as_ref().and_then(|a| a.get("value"));
+                if value.and_then(|v| v.as_f64()).is_none() {
+                    return Err(at("args.value"));
+                }
+                Record::Counter
+            }
+            "M" => Record::Meta,
+            other => return Err(format!("traceEvents[{i}]: unknown ph `{other}`")),
+        })
+    }
+}
+
+/// A cursor over one `traceEvents` record as the writers above write it.
+/// As the event decoder's, each read compares the next bytes with what
+/// the writer would have put there and gives `None` at the first
+/// difference, leaving the record to the lexer.
+struct Exact<'a> {
+    text: &'a str,
+    /// What is left of `text` to read.
+    rest: &'a [u8],
+}
+
+impl<'a> Exact<'a> {
+    #[inline(always)]
+    fn key<const N: usize>(&mut self, key: &[u8; N]) -> Option<()> {
+        let (at, rest) = self.rest.split_first_chunk()?;
+        (at == key).then(|| self.rest = rest)
+    }
+
+    /// An integer as `push_u64` writes it.
+    #[inline(always)]
+    fn num(&mut self) -> Option<u64> {
+        let (v, n) = exact_u64(self.rest)?;
+        self.rest = &self.rest[n..];
+        Some(v)
+    }
+
+    #[inline(always)]
+    fn u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<u64> {
+        self.key(key)?;
+        self.num()
+    }
+
+    /// The string body at the cursor, up to its closing quote (left
+    /// unread), when it holds no escape and no control byte: a slice the
+    /// lexer would have borrowed as it is.
+    #[inline(always)]
+    fn plain(&mut self) -> Option<(usize, usize)> {
+        let len = closing_quote(self.rest)?;
+        let body = &self.rest[..len];
+        if body.iter().fold(false, |bad, &b| bad | (b < 0x20) | (b == b'\\')) {
+            return None;
+        }
+        let start = self.text.len() - self.rest.len();
+        self.rest = &self.rest[len..];
+        Some((start, start + len))
+    }
+
+    /// `key`, then a quoted plain string.
+    #[inline(always)]
+    fn string<const N: usize>(&mut self, key: &[u8; N]) -> Option<()> {
+        self.key(key)?;
+        self.rest = self.rest.strip_prefix(b"\"")?;
+        self.plain()?;
+        self.rest = &self.rest[1..];
+        Some(())
+    }
+
+    /// The fragment, when it is next.
+    #[inline(always)]
+    fn eat<const N: usize>(&mut self, fragment: &[u8; N]) -> bool {
+        self.key(fragment).is_some()
+    }
+
+    /// After an async fragment, which ends inside the `id` at its `0x`:
+    /// the rest of the `id` and the lane up to the `ts`. Gives the id with
+    /// its `0x`, the pid and the ts.
+    #[inline(always)]
+    fn async_lane(&mut self) -> Option<(&'a str, u64, u64)> {
+        let (start, end) = self.plain()?;
+        // The fragment's last two bytes are the `0x`; they and the quotes
+        // are ASCII, so each cut is a char boundary.
+        let id = &self.text[start - 2..end];
+        let pid = self.u64(key::ID_PID)?;
+        self.u64(key::TID)?;
+        Some((id, pid, self.u64(key::TS)?))
+    }
+
+    /// The record at the start of `text` and its length, when it is byte
+    /// for byte one of the six layouts the writers above produce; the
+    /// bytes after it are the lexer's.
+    #[inline]
+    fn read(text: &'a str) -> Option<(Record<'a>, usize)> {
+        let mut r = Exact { text, rest: text.as_bytes() };
+        r.string(key::NAME)?;
+        // The kinds by how often the writer emits them.
+        let record = if r.eat(key::BEGIN) {
+            let (id, pid, ts) = r.async_lane()?;
+            r.u64(key::MSG_ARGS)?;
+            r.u64(key::DST)?;
+            r.string(key::CLASS)?;
+            r.u64(key::HOPS)?;
+            r.key(key::CLOSE_ARGS)?;
+            Record::Async { begin: true, pid, id: Cow::Borrowed(id), ts }
+        } else if r.eat(key::END) {
+            let (id, pid, ts) = r.async_lane()?;
+            r.key(key::CLOSE)?;
+            Record::Async { begin: false, pid, id: Cow::Borrowed(id), ts }
+        } else if r.eat(key::PHASE) {
+            let (pid, tid) = (r.num()?, r.u64(key::TID)?);
+            let (ts, dur) = (r.u64(key::TS)?, r.u64(key::DUR)?);
+            r.key(key::NO_ARGS)?;
+            Record::Slice { pid, tid, ts, dur }
+        } else if r.eat(key::TXN) {
+            let (pid, tid) = (r.num()?, r.u64(key::TID)?);
+            let (ts, dur) = (r.u64(key::TS)?, r.u64(key::DUR)?);
+            r.u64(key::TXN_ARGS)?;
+            r.u64(key::BLOCK)?;
+            r.u64(key::RETRIES)?;
+            r.u64(key::NACKS)?;
+            r.key(key::COMPLETE)?;
+            let flag: &[u8] = if r.rest.starts_with(b"true") { b"true" } else { b"false" };
+            r.rest = r.rest.strip_prefix(flag)?;
+            r.key(key::CLOSE_ARGS)?;
+            Record::Slice { pid, tid, ts, dur }
+        } else if r.eat(key::COUNTER) {
+            r.num()?;
+            r.u64(key::TID)?;
+            r.u64(key::TS)?;
+            r.u64(key::VALUE_ARGS)?;
+            r.key(key::CLOSE_ARGS)?;
+            Record::Counter
+        } else {
+            r.key(key::META)?;
+            r.num()?;
+            r.u64(key::TID)?;
+            r.string(key::META_ARGS)?;
+            r.key(key::CLOSE_ARGS)?;
+            Record::Meta
+        };
+        Some((record, text.len() - r.rest.len()))
+    }
+}
+
 /// What [`validate_perfetto`] keeps while the records go by: the open
 /// async operations and the `X` slices, nothing per record otherwise.
 #[derive(Default)]
@@ -266,58 +548,40 @@ struct PerfettoCheck<'a> {
 }
 
 impl<'a> PerfettoCheck<'a> {
-    fn record(&mut self, ev: &Fields<'a>) -> Result<(), String> {
+    fn record(&mut self, record: Record<'a>) -> Result<(), String> {
+        use std::collections::btree_map::Entry;
         let i = self.summary.events;
-        let at = |key: &str| format!("traceEvents[{i}]: missing or invalid `{key}`");
-        let u64_of = |key: &str| ev.get(key).and_then(|v| v.as_u64()).ok_or_else(|| at(key));
-        let str_of = |key: &str| match ev.get(key).map(|v| v.token()) {
-            Some(Token::Str(s)) => Ok(s),
-            _ => Err(at(key)),
-        };
-        let ph = str_of("ph")?;
-        str_of("name")?;
-        let pid = u64_of("pid")?;
-        let tid = u64_of("tid")?;
         self.summary.events += 1;
-        match ph.as_ref() {
-            "X" => {
-                self.slices.push((pid, tid, u64_of("ts")?, u64_of("dur")?));
+        match record {
+            Record::Slice { pid, tid, ts, dur } => {
+                self.slices.push((pid, tid, ts, dur));
                 self.summary.slices += 1;
             }
-            "b" | "e" => {
-                let ts = u64_of("ts")?;
-                let id = str_of("id")?;
-                if ph == "b" {
-                    if self.open_async.insert((pid, id.clone()), ts).is_some() {
-                        return Err(format!(
-                            "traceEvents[{i}]: async id `{id}` reopened on pid {pid}"
-                        ));
-                    }
-                } else {
-                    let begin = self.open_async.remove(&(pid, id.clone())).ok_or_else(|| {
-                        format!("traceEvents[{i}]: async end `{id}` on pid {pid} without a begin")
-                    })?;
-                    if ts < begin {
-                        return Err(format!(
-                            "traceEvents[{i}]: async `{id}` ends at {ts} before its begin {begin}"
-                        ));
-                    }
-                    self.summary.async_ops += 1;
+            Record::Async { begin: true, pid, id, ts } => match self.open_async.entry((pid, id)) {
+                Entry::Vacant(op) => {
+                    op.insert(ts);
                 }
-            }
-            "C" => {
-                u64_of("ts")?;
-                let args = ev.get("args").map(|a| a.fields());
-                let value = args.as_ref().and_then(|a| a.get("value"));
-                if value.and_then(|v| v.as_f64()).is_none() {
-                    return Err(at("args.value"));
+                Entry::Occupied(op) => {
+                    let id = &op.key().1;
+                    return Err(format!("traceEvents[{i}]: async id `{id}` reopened on pid {pid}"));
                 }
-                self.summary.counters += 1;
+            },
+            Record::Async { begin: false, pid, id, ts } => {
+                let op = (pid, id);
+                let begin = self.open_async.remove(&op);
+                let id = op.1;
+                let begin = begin.ok_or_else(|| {
+                    format!("traceEvents[{i}]: async end `{id}` on pid {pid} without a begin")
+                })?;
+                if ts < begin {
+                    return Err(format!(
+                        "traceEvents[{i}]: async `{id}` ends at {ts} before its begin {begin}"
+                    ));
+                }
+                self.summary.async_ops += 1;
             }
-            "M" => self.summary.meta += 1,
-            other => {
-                return Err(format!("traceEvents[{i}]: unknown ph `{other}`"));
-            }
+            Record::Counter => self.summary.counters += 1,
+            Record::Meta => self.summary.meta += 1,
         }
         Ok(())
     }
@@ -445,6 +709,15 @@ mod tests {
             to_perfetto(&SpanTree::default(), &[]),
             "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles\"}}"
         );
+    }
+
+    #[test]
+    fn hex_ids_are_written_as_format_writes_them() {
+        for n in (0..64).flat_map(|s| [1u64 << s, (1u64 << s) - 1]).chain([u64::MAX]) {
+            let mut out = Vec::new();
+            push_hex(&mut out, n);
+            assert_eq!(out, format!("{n:x}").into_bytes());
+        }
     }
 
     #[test]

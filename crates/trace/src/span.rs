@@ -14,8 +14,9 @@
 //! the strict well-formedness judgment for tests that record with rings
 //! large enough to hold the whole run.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::BuildHasherDefault;
+use std::collections::hash_map::Entry;
+
+use scd_core::FastMap;
 
 use crate::event::{EventKind, TraceEvent};
 
@@ -119,11 +120,11 @@ pub struct SpanTree {
     pub truncated: u64,
 }
 
-/// The builder's working maps, SipHash under fixed keys: with
-/// `RandomState` the maps drop their vectors in a different order every
-/// call, which leaves the allocator's free lists, and so the process's
-/// peak resident set, different from one run to the next.
-type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+/// No index: the end of a `next` chain.
+const NIL: usize = usize::MAX;
+
+/// What matches a deliver to its send: `(src, dst, msg, block)`.
+type MsgKey = (u32, u32, &'static str, Option<u64>);
 
 struct TxnBuild {
     span: TxnSpan,
@@ -143,13 +144,23 @@ impl SpanTree {
     /// sync traffic, replacement flushes, plain evictions — lands in
     /// [`SpanTree::orphan_msgs`].
     pub fn from_events(events: &[TraceEvent]) -> SpanTree {
+        // The working maps are `FastMap`s: the workspace's fixed hasher,
+        // fast on these small keys and with no per-process seed, so they
+        // allocate and free in the same order every call and leave the
+        // allocator's free lists, and the process's peak resident set, the
+        // same from one run to the next. Their keys come from a recorded
+        // trace, but a file crafted to collide slows only its own replay.
         let mut arena: Vec<MsgSpan> = Vec::new();
-        // (src, dst, msg, block) -> FIFO of undelivered arena indices.
-        let mut pending: HashMap<(u32, u32, &'static str, Option<u64>), Vec<usize>> =
-            HashMap::default();
-        let mut live: HashMap<u64, TxnBuild> = HashMap::default();
-        // block -> live txn ids, in begin order.
-        let mut by_block: HashMap<u64, Vec<u64>> = HashMap::default();
+        // Beside the arena: the next undelivered message of the same key.
+        let mut next: Vec<usize> = Vec::new();
+        // (src, dst, msg, block) -> (head, tail) of the FIFO of its
+        // undelivered arena indices, linked through `next`; a key leaves
+        // the map when its last message delivers.
+        let mut pending: FastMap<MsgKey, (usize, usize)> = FastMap::default();
+        let mut live: FastMap<u64, TxnBuild> = FastMap::default();
+        // block -> live txn ids, in begin order; a block leaves the map
+        // when its last live transaction ends.
+        let mut by_block: FastMap<u64, Vec<u64>> = FastMap::default();
         let mut done: Vec<TxnBuild> = Vec::new();
         let mut orphan_idx: Vec<usize> = Vec::new();
         let mut truncated = 0u64;
@@ -194,8 +205,11 @@ impl SpanTree {
                     Some(mut b) => {
                         b.span.end = Some(ev.cycle);
                         b.span.retries = *retries;
-                        if let Some(ids) = by_block.get_mut(&b.span.block) {
-                            ids.retain(|id| id != txn);
+                        if let Entry::Occupied(mut ids) = by_block.entry(b.span.block) {
+                            ids.get_mut().retain(|id| id != txn);
+                            if ids.get().is_empty() {
+                                ids.remove();
+                            }
                         }
                         done.push(b);
                     }
@@ -220,10 +234,17 @@ impl SpanTree {
                         deliver: None,
                         hops: *hops,
                     });
-                    pending
-                        .entry((*src, *dst, msg, *block))
-                        .or_default()
-                        .push(idx);
+                    next.push(NIL);
+                    match pending.entry((*src, *dst, msg, *block)) {
+                        Entry::Occupied(mut q) => {
+                            let tail = &mut q.get_mut().1;
+                            next[*tail] = idx;
+                            *tail = idx;
+                        }
+                        Entry::Vacant(q) => {
+                            q.insert((idx, idx));
+                        }
+                    }
                     // Owner search, newest live txn on the block first:
                     // requester endpoint match, then a write txn (the
                     // fan-out invals/acks a home sends on a requester's
@@ -250,10 +271,13 @@ impl SpanTree {
                     msg,
                     block,
                 } => {
-                    if let Some(q) = pending.get_mut(&(*src, *dst, msg, *block)) {
-                        if !q.is_empty() {
-                            let idx = q.remove(0);
-                            arena[idx].deliver = Some(ev.cycle);
+                    if let Entry::Occupied(mut q) = pending.entry((*src, *dst, msg, *block)) {
+                        let (head, tail) = *q.get();
+                        arena[head].deliver = Some(ev.cycle);
+                        if head == tail {
+                            q.remove();
+                        } else {
+                            q.get_mut().0 = next[head];
                         }
                     }
                 }
@@ -412,37 +436,54 @@ impl SpanTree {
     /// leaves the message kinds (weighted by flight time; the phase frame
     /// keeps its remaining self-time). Deterministic: stacks are sorted.
     pub fn to_folded(&self) -> String {
-        use std::collections::BTreeMap;
-        let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
+        // A stack is its frames: root, phase (none for background
+        // traffic) and message leaf (none for a phase's self-time).
+        type Stack = (&'static str, Option<&'static str>, Option<&'static str>);
+        let mut weights: FastMap<Stack, u64> = FastMap::default();
+        let mut add = |stack: Stack, weight: u64| {
+            if weight > 0 {
+                *weights.entry(stack).or_insert(0) += weight;
+            }
+        };
         for t in &self.txns {
             let root = if t.write { "write" } else { "read" };
             for p in &t.phases {
                 let mut in_flight = 0u64;
                 for m in &p.msgs {
-                    let f = m.flight();
-                    if f > 0 {
-                        *stacks
-                            .entry(format!("{root};{};msg:{}", p.phase, m.msg))
-                            .or_insert(0) += f;
-                        in_flight += f;
-                    }
+                    add((root, Some(p.phase), Some(m.msg)), m.flight());
+                    in_flight += m.flight();
                 }
-                let self_time = p.duration().saturating_sub(in_flight);
-                if self_time > 0 {
-                    *stacks
-                        .entry(format!("{root};{}", p.phase))
-                        .or_insert(0) += self_time;
-                }
+                add((root, Some(p.phase), None), p.duration().saturating_sub(in_flight));
             }
         }
         for m in &self.orphan_msgs {
-            let f = m.flight();
-            if f > 0 {
-                *stacks.entry(format!("background;msg:{}", m.msg)).or_insert(0) += f;
-            }
+            add(("background", None, Some(m.msg)), m.flight());
         }
+        // Rendered once per distinct stack, then sorted as text: labels
+        // are free-form, so two stacks can render alike, and one label can
+        // be a prefix of another, which orders differently as a frame.
+        let mut lines: Vec<(String, u64)> = weights
+            .into_iter()
+            .map(|((root, phase, msg), weight)| {
+                let mut stack = root.to_string();
+                if let Some(phase) = phase {
+                    stack.push(';');
+                    stack.push_str(phase);
+                }
+                if let Some(msg) = msg {
+                    stack.push_str(";msg:");
+                    stack.push_str(msg);
+                }
+                (stack, weight)
+            })
+            .collect();
+        lines.sort_unstable();
         let mut out = String::new();
-        for (stack, weight) in stacks {
+        let mut lines = lines.into_iter().peekable();
+        while let Some((stack, mut weight)) = lines.next() {
+            while let Some((_, more)) = lines.next_if(|(next, _)| *next == stack) {
+                weight += more;
+            }
             out.push_str(&stack);
             out.push(' ');
             out.push_str(&weight.to_string());
@@ -614,6 +655,28 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum();
         assert!(total <= 50, "{total} cycles folded from a 50-cycle txn");
+    }
+
+    /// Two messages of one `(src, dst, msg, block)` in flight at once: the
+    /// delivers are matched to the sends first in, first out, and a key
+    /// sent again after its queue emptied starts a new one.
+    #[test]
+    fn same_key_messages_deliver_in_send_order() {
+        let events = vec![
+            ev(1, 10, 2, send(2, 3, "inval", "invalidation", 4)),
+            ev(2, 12, 2, send(2, 3, "inval", "invalidation", 4)),
+            ev(3, 13, 2, send(2, 3, "inval", "invalidation", 5)),
+            ev(4, 20, 3, deliver(2, 3, "inval", 4)),
+            ev(5, 21, 3, deliver(2, 3, "inval", 5)),
+            ev(6, 25, 3, deliver(2, 3, "inval", 4)),
+            ev(7, 30, 2, send(2, 3, "inval", "invalidation", 4)),
+            ev(8, 41, 3, deliver(2, 3, "inval", 4)),
+            ev(9, 42, 3, deliver(2, 3, "inval", 4)),
+        ];
+        let tree = SpanTree::from_events(&events);
+        let flights: Vec<_> = tree.orphan_msgs.iter().map(|m| (m.send, m.deliver)).collect();
+        assert_eq!(flights, [(10, Some(20)), (12, Some(25)), (13, Some(21)), (30, Some(41))]);
+        tree.check().unwrap();
     }
 
     #[test]

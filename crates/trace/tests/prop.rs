@@ -14,6 +14,10 @@
 //! writer writes, and on any other line must leave the answer to the
 //! lexer path: the same event or the same error text.
 //!
+//! [`validate_perfetto`] has the same two passes: its exact-bytes reader
+//! must take every record [`to_perfetto`] writes, and on any other
+//! document leave the verdict and its text to the lexer.
+//!
 //! And the ordering contract between them: the live stream
 //! ([`StreamPump`]) must emit the lines the post-hoc merge
 //! ([`Tracer::merged`]) exports, in its order, without seeing the future.
@@ -24,9 +28,11 @@ use scd_stats::MessageClass;
 use scd_trace::attrib::MESSAGES;
 use scd_trace::event::{cause, read_exact, read_lexed};
 use scd_trace::json::Value;
+use scd_trace::perfetto::{self, exact_records, to_perfetto_numbered};
 use scd_trace::{
-    event_line, interval_record, run_end_record, BufferSink, EventKind, Fields,
-    IntervalSnapshot, Json, Phase, StreamPump, TraceConfig, TraceEvent, Tracer,
+    event_line, interval_record, run_end_record, to_perfetto, validate_perfetto, BufferSink,
+    EventKind, Fields, IntervalSnapshot, Json, MsgSpan, Phase, PhaseSpan, SpanTree, StreamPump,
+    TraceConfig, TraceEvent, Tracer, TxnSpan,
 };
 
 /// Field values biased to the edges a decimal formatter gets wrong.
@@ -676,6 +682,344 @@ proptest! {
             let bad = String::from_utf8(bytes).expect("ASCII for ASCII keeps UTF-8 valid");
             let (tree_err, flat_err) = verdicts(&bad);
             prop_assert_eq!(&tree_err, &flat_err, "byte {} -> {:?}: {:?}", at, with as char, bad);
+        }
+    }
+}
+
+/// Message labels: the vocabulary, as the machine supplies it.
+fn message_label() -> Labels {
+    one_of(MESSAGES.iter().map(|m| m.0).collect())
+}
+
+fn class_label() -> Labels {
+    one_of(MessageClass::ALL.iter().map(|c| c.label()).collect())
+}
+
+/// Names the exporter writes as they are: the vocabularies, and labels a
+/// careless caller could pass that still need no escape.
+fn plain_label() -> Labels {
+    prop_oneof![
+        message_label(),
+        one_of(Phase::ALL.iter().map(|p| p.label()).collect()),
+        Just(""),
+        Just("caf\u{e9} \u{1f980}"),
+        Just(leaked("plain_label.".repeat(25))),
+    ]
+    .boxed()
+}
+
+fn msg_span(name: Labels) -> impl Strategy<Value = MsgSpan> {
+    (
+        (edge_u32(), edge_u32()),
+        name,
+        prop_oneof![class_label(), plain_label()],
+        block(),
+        edge_u64(),
+        prop::option::of(edge_u64()),
+        edge_u32(),
+    )
+        .prop_map(|((src, dst), msg, class, block, send, deliver, hops)| MsgSpan {
+            msg,
+            class,
+            src,
+            dst,
+            block,
+            send,
+            deliver,
+            hops,
+        })
+}
+
+/// Span trees at the edges of every field the exporter writes, shaped or
+/// not like a real run's: the exact-bytes reader reads layouts, not
+/// verdicts.
+fn span_tree() -> impl Strategy<Value = SpanTree> {
+    let msgs = prop::collection::vec(msg_span(plain_label()), 0..3);
+    let phase = (plain_label(), edge_u64(), edge_u64(), msgs)
+        .prop_map(|(phase, start, end, msgs)| PhaseSpan { phase, start, end, msgs });
+    let txn = (
+        (edge_u64(), edge_u32()),
+        edge_u64(),
+        any::<bool>(),
+        edge_u64(),
+        prop::option::of(edge_u64()),
+        (edge_u32(), edge_u32()),
+        prop::collection::vec(phase, 0..3),
+    )
+        .prop_map(|((txn, cluster), block, write, begin, end, (retries, nacks), phases)| TxnSpan {
+            txn,
+            cluster,
+            block,
+            write,
+            begin,
+            end,
+            retries,
+            nacks,
+            phases,
+        });
+    (prop::collection::vec(txn, 0..4), prop::collection::vec(msg_span(plain_label()), 0..3))
+        .prop_map(|(txns, orphan_msgs)| SpanTree { txns, orphan_msgs, truncated: 0 })
+}
+
+fn intervals() -> impl Strategy<Value = Vec<IntervalSnapshot>> {
+    let window = (edge_u64(), edge_u64(), edge_u64(), edge_u64(), edge_u64(), edge_u64())
+        .prop_map(|(start, messages, retries, nacks, occupancy, ops_retired)| IntervalSnapshot {
+            start,
+            end: start.saturating_add(500),
+            messages,
+            retries,
+            nacks,
+            occupancy,
+            ops_retired,
+        });
+    prop::collection::vec(window, 0..3)
+}
+
+/// The records [`to_perfetto`] writes for `tree`, counted from the tree.
+fn records_of(tree: &SpanTree, intervals: &[IntervalSnapshot]) -> u64 {
+    let mut pids: Vec<u32> = tree.txns.iter().map(|t| t.cluster).collect();
+    pids.extend(tree.orphan_msgs.iter().map(|m| m.src));
+    pids.sort_unstable();
+    pids.dedup();
+    let phases: usize = tree.txns.iter().map(|t| t.phases.len()).sum();
+    let msgs = tree.txns.iter().map(|t| t.msgs().count()).sum::<usize>() + tree.orphan_msgs.len();
+    let counters = if intervals.is_empty() { 0 } else { 1 + 4 * intervals.len() };
+    (tree.txns.len() + phases + 2 * msgs + pids.len() + counters) as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Every record the exporter writes — each of the six kinds, every
+    /// number at its type's edges, `complete` both ways, ids of every hex
+    /// width, empty trees — is taken by the exact-bytes reader, and the
+    /// verdict is the lexer path's. A reader that fell back in silence
+    /// would pass every other test.
+    #[test]
+    fn the_exact_reader_takes_every_perfetto_record(
+        tree in span_tree(),
+        intervals in intervals(),
+        width in 0u32..17,
+    ) {
+        // The first id has `width + 1` hex digits, up to sixteen: the
+        // messages of one tree cannot count past `u64::MAX`.
+        let ids_after = match width {
+            0 => 0,
+            16 => u64::MAX - 64,
+            w => 1u64 << (4 * w),
+        };
+        for tree in [&tree, &SpanTree::default()] {
+            let text = to_perfetto_numbered(tree, &intervals, ids_after);
+            prop_assert_eq!(exact_records(&text), records_of(tree, &intervals), "{}", text);
+            prop_assert_eq!(validate_perfetto(&text), perfetto::read_lexed(&text), "{}", text);
+        }
+    }
+}
+
+/// A message drawn for [`valid_tree`]: labels, offset of its send into
+/// its phase, flight time and hops.
+type DrawnMsg = (&'static str, &'static str, u64, u64, u32);
+
+fn drawn_msg((msg, class, at, flight, hops): DrawnMsg, from: u64) -> MsgSpan {
+    MsgSpan {
+        msg,
+        class,
+        src: hops,
+        dst: 0,
+        block: Some(at),
+        send: from + at,
+        deliver: Some(from + at + flight),
+        hops,
+    }
+}
+
+/// A valid span tree in the shape of a real run's: transactions on their
+/// own lanes, phases tiling each one, every message delivered no earlier
+/// than it was sent. Built from drawn lengths.
+fn valid_tree() -> impl Strategy<Value = SpanTree> {
+    let msg = (message_label(), class_label(), 0u64..8, 0u64..40, 0u32..4);
+    let txn = (
+        (0u32..3, any::<bool>()),
+        0u64..2_000,
+        prop::collection::vec(0u64..30, 1..4),
+        prop::collection::vec(msg.clone(), 0..3),
+        any::<bool>(),
+    );
+    let txns = prop::collection::vec(txn, 0..3);
+    (txns, prop::collection::vec(msg, 0..2)).prop_map(|(txns, orphans)| {
+        let txns = txns
+            .into_iter()
+            .enumerate()
+            .map(|(i, ((cluster, write), begin, lengths, msgs, complete))| {
+                let mut phases: Vec<PhaseSpan> = Vec::new();
+                let mut start = begin;
+                for (p, len) in lengths.into_iter().enumerate() {
+                    let phase = Phase::ALL[p % Phase::ALL.len()].label();
+                    phases.push(PhaseSpan { phase, start, end: start + len, msgs: Vec::new() });
+                    start += len;
+                }
+                for (m, drawn) in msgs.into_iter().enumerate() {
+                    let slot = m % phases.len();
+                    let at = phases[slot].start;
+                    phases[slot].msgs.push(drawn_msg(drawn, at));
+                }
+                TxnSpan {
+                    txn: i as u64 + 1,
+                    cluster,
+                    block: begin,
+                    write,
+                    begin,
+                    end: complete.then_some(start),
+                    retries: 0,
+                    nacks: cluster,
+                    phases,
+                }
+            })
+            .collect();
+        let orphan_msgs = orphans.into_iter().map(|m| drawn_msg(m, 5)).collect();
+        SpanTree { txns, orphan_msgs, truncated: 0 }
+    })
+}
+
+/// A document as its records' texts, between the writer's fixed head and
+/// tail. Vocabulary names hold no `,{"name":`, so the cuts are exact.
+fn records_of_doc(text: &str) -> (&str, Vec<String>, &str) {
+    let head = "{\"traceEvents\":[";
+    let tail = &text[text.rfind("],\"displayTimeUnit\"").expect("the writer's tail")..];
+    let body = &text[head.len()..text.len() - tail.len()];
+    let records = if body.is_empty() {
+        Vec::new()
+    } else {
+        let mut records = body.split(",{\"name\":");
+        let first = records.next().map(str::to_string);
+        first.into_iter().chain(records.map(|r| format!("{{\"name\":{r}"))).collect()
+    };
+    (head, records, tail)
+}
+
+/// A record's top-level `key:value` texts, in order: its commas outside
+/// the nested `args`. Vocabulary names hold no `,` or brace.
+fn record_fields(record: &str) -> FieldTexts {
+    let body = &record[1..record.len() - 1];
+    let mut fields = Vec::new();
+    let (mut depth, mut from) = (0, 0);
+    for (i, b) in body.bytes().enumerate() {
+        match b {
+            b'{' => depth += 1,
+            b'}' => depth -= 1,
+            b',' if depth == 0 => {
+                fields.push(&body[from..i]);
+                from = i + 1;
+            }
+            _ => {}
+        }
+    }
+    fields.push(&body[from..]);
+    fields
+        .into_iter()
+        .map(|f| {
+            let (k, v) = f.split_once(':').expect("`key:value`");
+            (k.to_string(), v.to_string())
+        })
+        .collect()
+}
+
+/// Spellings of a valid document that are not the exporter's bytes, or
+/// not valid: each a place where the exact-bytes pass could part from
+/// the lexer's. One record changed at a time, so the rest stay on the
+/// exact path and both passes feed one check.
+fn perfetto_perturbations(text: &str) -> Vec<String> {
+    let (head, records, tail) = records_of_doc(text);
+    let doc = |records: &[String]| format!("{head}{}{tail}", records.join(","));
+    let mut out = vec![
+        text.replace("\":", "\": "),
+        text.replace(",\"", ", \""),
+        text.replace(",{", ",\n {"),
+    ];
+    for (r, record) in records.iter().enumerate() {
+        let fields = record_fields(record);
+        let mut edit = |f: &dyn Fn(&mut FieldTexts)| {
+            let mut copy = fields.clone();
+            f(&mut copy);
+            let body: Vec<String> = copy.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+            let mut all = records.clone();
+            all[r] = format!("{{{}}}", body.join(","));
+            out.push(doc(&all));
+        };
+        edit(&|f| f[0].1.insert(0, ' '));
+        edit(&|f| f.push(("\"extra\"".into(), "{\"a\":[1,2.5]}".into())));
+        for i in 0..fields.len() {
+            let (key, value) = &fields[i];
+            if i + 1 < fields.len() {
+                edit(&|f| f.swap(i, i + 1));
+            }
+            edit(&|f| f.insert(i + 1, (key.clone(), "7".into())));
+            edit(&|f| f.push((key.clone(), value.clone())));
+            edit(&|f| {
+                f.remove(i);
+            });
+            if value.bytes().all(|b| b.is_ascii_digit()) {
+                edit(&|f| f[i].1 = format!("{value}.0"));
+                edit(&|f| f[i].1 = format!("0{value}"));
+                edit(&|f| f[i].1 = format!("\"{value}\""));
+            }
+            if let Some(name) = value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+                if let Some(first) = name.chars().next() {
+                    let rest = &name[first.len_utf8()..];
+                    edit(&|f| f[i].1 = format!("\"\\u{:04x}{rest}\"", first as u32));
+                }
+                edit(&|f| f[i].1 = format!("\"{}\"", name.to_uppercase()));
+                edit(&|f| f[i].1 = format!("\"{name}\t\""));
+            }
+            if value.starts_with("{\"value\":") {
+                edit(&|f| f[i].1 = value.replace('}', ".5}"));
+            }
+        }
+        // Out of order or out of place: an `e` before its `b`, a `b`
+        // reopened, a record dropped, a slice widened past its parent.
+        if r + 1 < records.len() {
+            let mut swapped = records.clone();
+            swapped.swap(r, r + 1);
+            out.push(doc(&swapped));
+        }
+        let mut twice = records.clone();
+        twice.insert(r, record.clone());
+        out.push(doc(&twice));
+        let mut dropped = records.clone();
+        dropped.remove(r);
+        out.push(doc(&dropped));
+        if let Some(at) = record.find(",\"dur\":") {
+            let mut wide = records.clone();
+            wide[r] = format!("{}1000000{}", &record[..at + 7], &record[at + 7..]);
+            out.push(doc(&wide));
+        }
+    }
+    let cuts = (0..text.len()).filter(|&i| text.is_char_boundary(i));
+    out.extend(cuts.map(|cut| text[..cut].to_string()));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Off the exporter's bytes, `validate_perfetto` answers what the
+    /// lexer path alone answers: the same summary or the same error text.
+    /// Whitespace, swapped, duplicate, missing and extra keys, `1.0` for
+    /// an integer, `0` before digits, a float counter value, an escaped,
+    /// upper-cased or control-holding name or id, an `e` before its `b`, a
+    /// reopened id, a dropped record, straddling slices, and every
+    /// truncation.
+    #[test]
+    fn off_the_exporter_bytes_validate_perfetto_is_the_lexer_path(
+        tree in valid_tree(),
+        intervals in intervals(),
+    ) {
+        let text = to_perfetto(&tree, &intervals);
+        let summary = validate_perfetto(&text);
+        prop_assert!(summary.is_ok(), "{:?}\n{}", summary, text);
+        prop_assert_eq!(exact_records(&text), summary.unwrap().events);
+        for bad in perfetto_perturbations(&text) {
+            prop_assert_eq!(validate_perfetto(&bad), perfetto::read_lexed(&bad), "{}", bad);
         }
     }
 }

@@ -997,16 +997,11 @@ fn span_profile_read_back_from_a_recording_is_the_in_process_one() {
     std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
 }
 
-/// Every trace reader's speed rests on one fact: the recorder only ever
-/// writes the bytes `TraceEvent::parse`'s exact-bytes pass reads, so the
-/// lexer path never runs on them. Checked, not assumed, on five
-/// recordings — one per backend, one under `nack` + `dup` + `delay`
-/// faults, one that fails: every event line of the trace and of the
-/// stream is taken by the exact-bytes reader, as the event `parse` gives.
-#[test]
-fn the_exact_reader_takes_every_event_line_the_recorder_writes() {
-    use scd::trace::event::read_exact;
-    use scd::trace::{event_line, Fields, TraceEvent, EVENT_TYPES};
+/// Five recordings, each with a stream attached, intervals, patterns and
+/// rings large enough to hold the whole run: one per backend, one under
+/// `nack` + `dup` + `delay` faults, one that fails. Each comes back as its
+/// name, the machine after the run and the stream's lines.
+fn five_recordings() -> Vec<(&'static str, Machine, Vec<String>)> {
     let runs = [
         ("dash", ProtocolKind::Dash, None, None),
         ("tardis", ProtocolKind::Tardis, None, None),
@@ -1014,6 +1009,7 @@ fn the_exact_reader_takes_every_event_line_the_recorder_writes() {
         ("faults", ProtocolKind::Dash, Some("nack:0.2,dup:0.05,delay:0.05:150"), None),
         ("failing", ProtocolKind::Dash, None, Some(3_000)),
     ];
+    let mut recordings = Vec::new();
     for (name, protocol, fault, max_cycles) in runs {
         let mut tc = TraceConfig::full(1 << 16).with_interval(500);
         tc.patterns = true;
@@ -1035,6 +1031,22 @@ fn the_exact_reader_takes_every_event_line_the_recorder_writes() {
             assert!(stats.faults.duplicates > 0, "{name}: no duplicate was injected");
         }
         assert_eq!(m.trace_counts().1, 0, "{name}: the ring evicted events");
+        let lines = streamed.lock().unwrap().clone();
+        recordings.push((name, m, lines));
+    }
+    recordings
+}
+
+/// Every trace reader's speed rests on one fact: the recorder only ever
+/// writes the bytes `TraceEvent::parse`'s exact-bytes pass reads, so the
+/// lexer path never runs on them. Checked, not assumed, on the five
+/// recordings: every event line of the trace and of the stream is taken
+/// by the exact-bytes reader, as the event `parse` gives.
+#[test]
+fn the_exact_reader_takes_every_event_line_the_recorder_writes() {
+    use scd::trace::event::read_exact;
+    use scd::trace::{event_line, Fields, TraceEvent, EVENT_TYPES};
+    for (name, m, streamed) in five_recordings() {
         let trace: Vec<String> = m.trace_events().iter().map(event_line).collect();
         // Told apart from records by the flat view, not by the reader
         // under test.
@@ -1042,7 +1054,7 @@ fn the_exact_reader_takes_every_event_line_the_recorder_writes() {
             let fields = Fields::parse(line).expect("a stream line is JSON");
             fields.get("type").and_then(|t| t.as_str()).is_some_and(|t| EVENT_TYPES.contains(&t))
         };
-        let stream: Vec<String> = streamed.lock().unwrap().iter().filter(is_event).cloned().collect();
+        let stream: Vec<String> = streamed.iter().filter(is_event).cloned().collect();
         assert_eq!(stream.len(), trace.len(), "{name}: the stream's events are the trace's");
         for (file, lines) in [("trace", &trace), ("stream", &stream)] {
             assert!(!lines.is_empty(), "{name}: the {file} holds no event");
@@ -1051,5 +1063,25 @@ fn the_exact_reader_takes_every_event_line_the_recorder_writes() {
                 assert_eq!(read_exact(line), Some(parsed), "{name} {file}: lexed\n{line}");
             }
         }
+    }
+}
+
+/// The same fact for the Perfetto leg: `validate_perfetto` reads the
+/// exporter's records directly only if the exporter writes nothing else.
+/// Each of the five recordings' span tree is exported with its interval
+/// counters, and every `traceEvents` record is taken by the exact-bytes
+/// reader, to the verdict the lexer path gives.
+#[test]
+fn the_exact_reader_takes_every_perfetto_record_the_exporter_writes() {
+    use scd::trace::perfetto::{exact_records, read_lexed};
+    for (name, m, _) in five_recordings() {
+        let tree = SpanTree::from_events(&m.trace_events());
+        let intervals = &m.metrics().intervals;
+        assert!(!intervals.is_empty(), "{name}: no interval was recorded");
+        let text = to_perfetto(&tree, intervals);
+        let summary = validate_perfetto(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(summary.async_ops > 0 && summary.counters > 0, "{name}: {summary:?}");
+        assert_eq!(exact_records(&text), summary.events, "{name}: a record was lexed");
+        assert_eq!(read_lexed(&text), Ok(summary), "{name}: the lexer path's verdict");
     }
 }
