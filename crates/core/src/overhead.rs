@@ -56,12 +56,6 @@ impl MachineSpec {
     pub fn memory_blocks(&self) -> u64 {
         self.total_memory() / self.block_bytes
     }
-
-    /// Number of cache blocks in the machine (the natural sparse-directory
-    /// size unit — "size factor 1" in §6.3).
-    pub fn cache_blocks(&self) -> u64 {
-        self.total_cache() / self.block_bytes
-    }
 }
 
 /// A directory provisioning choice to be costed.

@@ -49,7 +49,7 @@ use std::collections::BTreeMap;
 use scd_mem::{ClusterCaches, LineState};
 
 use crate::config::MachineConfig;
-use crate::machine::{Backend, ClusterNode, ClusterView, Machine, TardisNode};
+use crate::machine::{Backend, ClusterNode, Machine, TardisNode};
 
 /// One invariant violation, locating the fault when known.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,25 +102,26 @@ impl std::fmt::Display for Violation {
 impl std::error::Error for Violation {}
 
 /// Machine-wide residency: block -> (dirty holders, all holders), in block
-/// order so the first violation reported is always the same one.
-fn residency(views: &[ClusterView<'_>]) -> BTreeMap<u64, (Vec<usize>, Vec<usize>)> {
+/// order so the first violation reported is always the same one; each
+/// holder list is in cluster order.
+fn residency(clusters: &[ClusterNode]) -> BTreeMap<u64, (Vec<usize>, Vec<usize>)> {
     let mut map: BTreeMap<u64, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
-    for (cl, view) in views.iter().enumerate() {
-        for &(block, state) in &view.resident {
+    for (cl, c) in clusters.iter().enumerate() {
+        c.caches.for_each_resident(|block, state| {
             let e = map.entry(block).or_default();
             if state == LineState::Dirty {
                 e.0.push(cl);
             }
             e.1.push(cl);
-        }
+        });
     }
     map
 }
 
 /// The violation `check` reports for the lowest block resident in
 /// `caches` (with the highest state the cluster holds it in): the first a
-/// walk of `ClusterCaches::cluster_resident` in block order would meet,
-/// found without building that list.
+/// walk of the cluster's resident blocks in block order would meet,
+/// found without sorting them.
 fn first_resident_violation(
     caches: &ClusterCaches,
     check: impl Fn(u64, LineState) -> Result<(), Violation>,
@@ -149,15 +150,13 @@ pub fn verify_step(machine: &Machine) -> Result<(), Violation> {
 }
 
 /// No home block may still be busy once the machine has quiesced.
-pub(crate) fn verify_idle(views: &[ClusterView<'_>]) -> Result<(), Violation> {
-    for (cl, view) in views.iter().enumerate() {
-        if view.node.ser.busy_blocks() != 0 {
+pub(crate) fn verify_idle(clusters: &[ClusterNode]) -> Result<(), Violation> {
+    for (cl, c) in clusters.iter().enumerate() {
+        let busy = c.ser.busy_blocks();
+        if busy != 0 {
             return Err(Violation::for_cluster(
                 cl,
-                format!(
-                    "still has {} busy blocks after quiesce",
-                    view.node.ser.busy_blocks()
-                ),
+                format!("still has {busy} busy blocks after quiesce"),
             ));
         }
     }
@@ -166,9 +165,9 @@ pub(crate) fn verify_idle(views: &[ClusterView<'_>]) -> Result<(), Violation> {
 
 /// Directoryless protocols must keep the directory that way: Tardis
 /// replaces it with timestamps, DLS with the absence of remote copies.
-pub(crate) fn verify_empty_directory(views: &[ClusterView<'_>]) -> Result<(), Violation> {
-    for (cl, view) in views.iter().enumerate() {
-        let live = view.node.dir.live_entries();
+pub(crate) fn verify_empty_directory(clusters: &[ClusterNode]) -> Result<(), Violation> {
+    for (cl, c) in clusters.iter().enumerate() {
+        let live = c.dir.live_entries();
         if live != 0 {
             return Err(Violation::for_cluster(
                 cl,
@@ -180,11 +179,8 @@ pub(crate) fn verify_empty_directory(views: &[ClusterView<'_>]) -> Result<(), Vi
 }
 
 /// DASH quiescent invariants (see the module docs).
-pub(crate) fn verify_dash_views(
-    cfg: &MachineConfig,
-    views: &[ClusterView<'_>],
-) -> Result<(), Violation> {
-    for (block, (dirty, holders)) in residency(views) {
+pub(crate) fn verify_dash(cfg: &MachineConfig, clusters: &[ClusterNode]) -> Result<(), Violation> {
+    for (block, (dirty, holders)) in residency(clusters) {
         if dirty.len() > 1 {
             return Err(Violation::for_block(
                 block,
@@ -193,7 +189,7 @@ pub(crate) fn verify_dash_views(
         }
         let home = cfg.home_of(block);
         // The directory is keyed by the home-local block index.
-        let entry = views[home].node.dir.probe(cfg.dir_key(block));
+        let entry = clusters[home].dir.probe(cfg.dir_key(block));
 
         if let Some(e) = entry {
             // Precise representations never record the home cluster; a
@@ -321,22 +317,7 @@ pub(crate) fn verify_dash_step(clusters: &[ClusterNode]) -> Result<(), Violation
 ///    (the seeded `TardisSkipWtsBump` bug) leaves a live lease on the
 ///    stale version and trips this check.
 ///
-/// `nodes` is each cluster's timestamp state, indexed like `views`.
-pub(crate) fn verify_tardis_views(
-    cfg: &MachineConfig,
-    views: &[ClusterView<'_>],
-    nodes: &[TardisNode],
-) -> Result<(), Violation> {
-    for (cl, view) in views.iter().enumerate() {
-        for &(block, state) in &view.resident {
-            tardis_copy(cfg, nodes, cl, block, state)?;
-        }
-    }
-    Ok(())
-}
-
-/// [`verify_tardis_views`] over one whole machine's clusters, without
-/// building the views (`nodes` is indexed like `clusters`).
+/// `nodes` is each cluster's timestamp state, indexed like `clusters`.
 pub(crate) fn verify_tardis_step(
     cfg: &MachineConfig,
     clusters: &[ClusterNode],
@@ -413,15 +394,12 @@ fn tardis_copy(
 /// quiescence, which is when this runs — a granted write's fill may still
 /// be in flight mid-run) a home-resident copy carries the block's current
 /// version.
-pub(crate) fn verify_dls_views(
-    cfg: &MachineConfig,
-    views: &[ClusterView<'_>],
-) -> Result<(), Violation> {
-    for (cl, view) in views.iter().enumerate() {
-        for &(block, _) in &view.resident {
+pub(crate) fn verify_dls(cfg: &MachineConfig, clusters: &[ClusterNode]) -> Result<(), Violation> {
+    for (cl, c) in clusters.iter().enumerate() {
+        first_resident_violation(&c.caches, |block, _| {
             dls_copy(cfg, cl, block)?;
-            let cur = view.node.cur_version.value(cfg.dir_key(block));
-            let line = view.node.line_version.get(&block).copied().unwrap_or(0);
+            let cur = c.cur_version.value(cfg.dir_key(block));
+            let line = c.line_version.get(&block).copied().unwrap_or(0);
             if line != cur {
                 return Err(Violation::locate(
                     cl,
@@ -432,7 +410,8 @@ pub(crate) fn verify_dls_views(
                     ),
                 ));
             }
-        }
+            Ok(())
+        })?;
     }
     Ok(())
 }

@@ -118,15 +118,12 @@ pub struct MachineConfig {
     /// Abort the run if simulated time exceeds this many cycles (deadlock /
     /// runaway guard). 0 disables the limit.
     pub max_cycles: u64,
-    /// Verify coherence invariants when the machine quiesces (slow; on by
-    /// default in tests via the integration suites).
+    /// Verify coherence invariants: the quiescent checker when the machine
+    /// drains, and the *version oracle* on every observation — no cluster
+    /// may ever read an older version of a block than it has already seen
+    /// (catches stale-copy and lost-invalidation bugs directly). Costs a
+    /// hash lookup per reference; on in `tiny()`, off in `paper_32()`.
     pub check_invariants: bool,
-    /// Track data versions through the protocol and assert, on every
-    /// observation, that no cluster ever reads an older version of a block
-    /// than it has already seen (the *version oracle* — catches stale-copy
-    /// and lost-invalidation bugs directly). Costs a few hash lookups per
-    /// reference; on in `tiny()`, off in `paper_32()`.
-    pub track_versions: bool,
     /// Model link contention in the mesh: each message holds every link of
     /// its route for this many cycles and queues behind earlier traffic.
     /// `None` = latency-only network (the paper's effective model).
@@ -192,7 +189,6 @@ impl MachineConfig {
             seed: 0x5CD,
             max_cycles: 0,
             check_invariants: false,
-            track_versions: false,
             link_occupancy: None,
             replacement_hints: false,
             serial_invalidations: false,
@@ -223,7 +219,6 @@ impl MachineConfig {
             seed: 0x5CD,
             max_cycles: 50_000_000,
             check_invariants: true,
-            track_versions: true,
             link_occupancy: None,
             replacement_hints: false,
             serial_invalidations: false,

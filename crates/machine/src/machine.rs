@@ -145,11 +145,11 @@ pub(crate) struct ClusterNode {
     pub(crate) barriers: BarrierManager,
     pub(crate) lock_state: FastMap<u32, ClusterLock>,
     pub(crate) barrier_local: FastMap<u32, Vec<usize>>,
-    /// Version oracle: latest version the home has assigned per block,
+    /// Data versions: latest version the home has assigned per block,
     /// indexed like the directory by [`MachineConfig::dir_key`] (0 = never
     /// written).
     pub(crate) cur_version: DenseTable<u64>,
-    /// Version oracle: version of this cluster's resident copy per block
+    /// Data versions: version of this cluster's resident copy per block
     /// (meaningful only while a copy is held; refreshed on every fill).
     pub(crate) line_version: FastMap<u64, u64>,
 }
@@ -172,17 +172,6 @@ struct ProcState {
     mem_stall: u64,
     sync_stall: u64,
     finish: Cycle,
-}
-
-/// Per-cluster snapshot handed to the quiescent invariant checker (the
-/// every-state one walks the caches in place): resident blocks
-/// in block order with their highest state, plus the engine's cluster node
-/// (directory and serializer for DASH, version tables for the
-/// directoryless LLC). What only one backend keeps — Tardis leases and
-/// timestamp lines — reaches its checker through `Backend::check`.
-pub(crate) struct ClusterView<'a> {
-    pub(crate) resident: Vec<(u64, LineState)>,
-    pub(crate) node: &'a ClusterNode,
 }
 
 /// A configured DASH machine ready to run a workload: the shared
@@ -222,11 +211,9 @@ pub(crate) struct Engine {
     /// Pre-computed: `cfg.replacement_hints`, and the backend's home acts
     /// on a hint (see `Backend::takes_hints`).
     hints: bool,
-    /// Value oracle for cross-protocol differential comparison (inert
-    /// unless `cfg.value_oracle`).
-    oracle: oracle::ValueOracle,
-    /// Version oracle: highest version each cluster has observed per block.
-    observed: FastMap<(usize, u64), u64>,
+    /// The version and value oracles (inert unless
+    /// `cfg.check_invariants` or `cfg.value_oracle`).
+    oracle: oracle::Oracle,
     versions_assigned: u64,
     /// Resolved fault plan (inert when `cfg.fault_plan` is `None`).
     fault_plan: FaultPlan,
@@ -400,6 +387,9 @@ impl Machine {
             }
         }
         let eng = &mut self.eng;
+        if let Some(detail) = eng.oracle.regression.take() {
+            return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
+        }
         if eng.running == 0 && eng.finish_time == 0 {
             eng.finish_time = t;
             // Keep draining in-flight messages so the machine quiesces
@@ -723,22 +713,6 @@ impl Machine {
             _ => backend.deliver(eng, t, msg),
         }
     }
-
-    // ------------------------------------------------------------------
-    // Introspection for the invariant checker
-    // ------------------------------------------------------------------
-
-    /// One view per cluster, for the quiescent checker.
-    pub(crate) fn checker_view(&self) -> Vec<ClusterView<'_>> {
-        self.eng
-            .clusters
-            .iter()
-            .map(|c| ClusterView {
-                resident: c.caches.cluster_resident(),
-                node: c,
-            })
-            .collect()
-    }
 }
 
 impl Engine {
@@ -817,8 +791,7 @@ impl Engine {
             sync_ops: 0,
             counters: ProtocolCounters::default(),
             hints,
-            oracle: oracle::ValueOracle::new(cfg.value_oracle, cfg.processors()),
-            observed: FastMap::default(),
+            oracle: oracle::Oracle::new(cfg.check_invariants, cfg.value_oracle, cfg.processors()),
             versions_assigned: 0,
             fault_active: fault_plan.is_active(),
             fault_plan,
@@ -882,7 +855,7 @@ impl Engine {
         self.cfg.dir_key(block)
     }
 
-    /// Version oracle: the home hands out a fresh version for a new
+    /// Data versions: the home hands out a fresh version for a new
     /// ownership epoch of `block`.
     fn bump_version(&mut self, home: usize, block: u64) -> u64 {
         self.versions_assigned += 1;
@@ -892,37 +865,20 @@ impl Engine {
         *v
     }
 
-    /// Version oracle: the version memory would supply for `block`.
+    /// Data versions: the version memory would supply for `block`.
     fn memory_version(&self, home: usize, block: u64) -> u64 {
         self.clusters[home].cur_version.value(self.dir_key(block))
     }
 
-    /// Version oracle: cluster `cl` installed a copy of `block` at `version`.
+    /// Data versions: cluster `cl` installed a copy of `block` at `version`.
     fn set_line_version(&mut self, cl: usize, block: u64, version: u64) {
         self.clusters[cl].line_version.insert(block, version);
     }
 
-    /// Version oracle: the version of cluster `cl`'s copy of `block` (0 if
+    /// Data versions: the version of cluster `cl`'s copy of `block` (0 if
     /// it never held one).
     fn line_version(&self, cl: usize, block: u64) -> u64 {
         self.clusters[cl].line_version.get(&block).copied().unwrap_or(0)
-    }
-
-    /// Version oracle: cluster `cl` observed `block` (a read or write hit /
-    /// completion). Panics if the observation runs backwards — i.e. the
-    /// cluster sees data older than it has already seen, the signature of a
-    /// stale copy surviving an invalidation it should not have.
-    fn observe(&mut self, cl: usize, block: u64) {
-        if !self.cfg.track_versions {
-            return;
-        }
-        let v = self.line_version(cl, block);
-        let last = self.observed.entry((cl, block)).or_insert(0);
-        assert!(
-            v >= *last,
-            "version oracle: cluster {cl} observed block {block} at version {v}              after already seeing version {last}"
-        );
-        *last = v;
     }
 
     /// Sends `kind` from cluster `src` to cluster `dst`, accounting traffic
@@ -1274,6 +1230,11 @@ pub mod testing {
             e.clear();
         }
         dir.release_if_empty(key);
+    }
+
+    /// Sets the version of `cluster`'s copy of `block`, bypassing the protocol.
+    pub fn set_line_version(m: &mut Machine, cluster: usize, block: u64, version: u64) {
+        m.eng.set_line_version(cluster, block, version);
     }
 
     /// Moves the wheel's clock to `t` without delivering anything, so a

@@ -134,22 +134,21 @@ impl Backend {
     /// including no home block left busy and an empty directory under the
     /// directoryless protocols.
     pub(crate) fn check(m: &Machine) -> Result<(), Violation> {
-        let (cfg, views) = (&m.eng.cfg, m.checker_view());
-        checker::verify_idle(&views)?;
+        let (cfg, clusters) = (&m.eng.cfg, &m.eng.clusters[..]);
+        checker::verify_idle(clusters)?;
         if !matches!(m.backend, Backend::Dash(_)) {
-            checker::verify_empty_directory(&views)?;
+            checker::verify_empty_directory(clusters)?;
         }
         match &m.backend {
-            Backend::Dash(_) => checker::verify_dash_views(cfg, &views),
-            Backend::Tardis(s) => checker::verify_tardis_views(cfg, &views, &s.nodes),
-            Backend::Dls(_) => checker::verify_dls_views(cfg, &views),
+            Backend::Dash(_) => checker::verify_dash(cfg, clusters),
+            Backend::Tardis(s) => checker::verify_tardis_step(cfg, clusters, &s.nodes),
+            Backend::Dls(_) => checker::verify_dls(cfg, clusters),
         }
     }
 
     /// The subset of [`Backend::check`] that holds at every reachable
-    /// state, over one whole machine. It reports what `check`'s walks
-    /// would report first, but builds no views: it runs once per explored
-    /// state, and allocates only to describe a violation.
+    /// state, over one whole machine. It runs once per explored state,
+    /// and allocates only to describe a violation.
     pub(crate) fn check_step(m: &Machine) -> Result<(), Violation> {
         let (cfg, clusters) = (&m.eng.cfg, &m.eng.clusters[..]);
         match &m.backend {

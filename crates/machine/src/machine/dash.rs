@@ -122,16 +122,13 @@ impl DashState {
                 _ => tm.l2_hit,
             };
             if kind == MshrKind::Read {
-                m.observe(cl, block);
                 m.oracle_read(p, block);
                 m.resume(t + lat, p);
                 return None;
             }
             if state == LineState::Dirty {
-                m.observe(cl, block);
                 // A silent rewrite of the held ownership epoch.
-                let epoch = m.line_version(cl, block);
-                m.oracle_write(p, block, epoch);
+                m.oracle_write(p, block);
                 m.resume(t + lat, p);
                 return None;
             }
@@ -166,7 +163,6 @@ impl DashState {
                         MsgKind::SharingWriteback { block, requester: cl, epoch },
                     );
                 }
-                m.observe(cl, block);
                 m.oracle_read(p, block);
                 m.resume(t + tm.bus_memory, p);
                 return None;
@@ -175,7 +171,6 @@ impl DashState {
                 // A clean peer copy satisfies the read bus-locally; the
                 // directory already covers this cluster.
                 m.fill(t, cl, lp, block, LineState::Shared);
-                m.observe(cl, block);
                 m.oracle_read(p, block);
                 m.resume(t + tm.bus_memory, p);
                 return None;
@@ -187,10 +182,8 @@ impl DashState {
                     // Bus ownership transfer; the cluster remains owner.
                     m.clusters[cl].caches.proc_mut(q).invalidate(block);
                     m.fill(t, cl, lp, block, LineState::Dirty);
-                    m.observe(cl, block);
                     // Same ownership epoch, new writer within the cluster.
-                    let epoch = m.line_version(cl, block);
-                    m.oracle_write(p, block, epoch);
+                    m.oracle_write(p, block);
                     m.resume(t + tm.bus_memory, p);
                     return None;
                 }
@@ -345,7 +338,8 @@ impl DashState {
                 let was_dirty = m.clusters[dst].caches.invalidate_all(block);
                 debug_assert!(
                     !was_dirty,
-                    "invalidation hit a dirty owner: block {block} at cluster {dst}                      (requester {requester}, t {t})"
+                    "invalidation hit a dirty owner: block {block} at cluster {dst} \
+                     (requester {requester}, t {t})"
                 );
                 // A reordered network (contention) can deliver this before
                 // the data reply of an in-flight read that was serialized
@@ -888,12 +882,8 @@ impl DashState {
             );
         } else {
             m.clusters[owner].caches.downgrade_all(block);
-            let v = if m.cfg.track_versions {
-                m.line_version(owner, block)
-            } else {
-                0
-            };
-            m.send(t + tm.l2_hit, owner, requester, MsgKind::ReadReply { block, version: v });
+            let version = m.line_version(owner, block);
+            m.send(t + tm.l2_hit, owner, requester, MsgKind::ReadReply { block, version });
             let epoch = self.owner_epoch(owner, block);
             m.send(
                 t + tm.l2_hit,

@@ -271,8 +271,8 @@ impl Machine {
     /// # Panics
     /// If `choice` does not name a currently-enabled transition (an
     /// explorer bug, not a machine state) — including fault edges on
-    /// non-request events. May also propagate protocol panics (version
-    /// oracle, internal asserts); explorers catch those as violations.
+    /// non-request events. May also propagate protocol panics (internal
+    /// asserts); explorers catch those as violations.
     pub fn step_explore(&mut self, choice: Choice) -> Result<(), SimError> {
         let (t, ev) = self
             .eng
@@ -409,7 +409,7 @@ impl Machine {
         self.backend.digest(&mut h);
         0xE2u8.hash(&mut h);
         // Version-oracle observations steer future assertions.
-        hash_unordered(&mut h, &self.eng.observed);
+        hash_unordered(&mut h, &self.eng.oracle.observed);
         // Channel clamps still in the future constrain deliveries (a slot
         // stands for its `(src, dst)` channel).
         hash_walk(

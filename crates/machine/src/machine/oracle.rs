@@ -1,17 +1,27 @@
-//! The cross-protocol value oracle: a symbolic memory image.
+//! The machine's oracles: one set of observation hooks, two checks.
 //!
 //! Every protocol backend reports the same two facts through the hooks
-//! here — "processor `p` performed its `n`-th write to `block`,
-//! creating version epoch `e`" and "processor `p`'s load of `block`
-//! observed epoch `e`". Values are never simulated; a write is
-//! identified by its *tag* `(proc, seq)`, which is protocol-independent
-//! (version epochs are not: Tardis assigns one per write, DASH one per
-//! ownership epoch). Resolving every load and the final per-block state
-//! to tags yields a memory image two different protocols can be
-//! compared on — the differential oracle in
-//! `tests/protocol_differential.rs` asserts dash, tardis and dls
-//! produce identical images and identical per-load tags on the same
-//! program.
+//! here — "processor `p` performed a write to `block`" and "processor
+//! `p`'s load observed `block`" — each at the version epoch its
+//! cluster's `line_version` records. Two oracles read those facts:
+//!
+//! * The **version oracle** (on with `MachineConfig::check_invariants`)
+//!   keeps, per cluster and block, the highest version that cluster has
+//!   observed. An observation below it means a stale copy survived an
+//!   invalidation it should not have; the oracle keeps the first such
+//!   regression and `process_event` reports it as a
+//!   `SimError::InvariantViolation` with a post-mortem.
+//! * The **value oracle** (on with `MachineConfig::value_oracle`) builds
+//!   a symbolic memory image. Values are never simulated; a write is
+//!   identified by its *tag* `(proc, seq)`, which is
+//!   protocol-independent (version epochs are not: Tardis assigns one
+//!   per write, DASH one per ownership epoch). Resolving every load and
+//!   the final per-block state to tags yields a memory image two
+//!   different protocols can be compared on — the differential oracle in
+//!   `tests/protocol_differential.rs` asserts dash, tardis and dls
+//!   produce identical images and identical per-load tags on the same
+//!   program. It is a separate switch because its per-load log grows
+//!   with the run and is cloned with every explored state.
 //!
 //! Resolution is *deferred* when it has to be: a load records the tag of
 //! the write it observed when that tag is already known, and otherwise
@@ -32,8 +42,8 @@
 //! The cross-protocol *equality* is only meaningful for **data-race-free
 //! programs**: a racy load may legitimately observe different writes
 //! under different protocols, so the differential kernels are
-//! barrier-ordered. The oracle is off by default
-//! (`MachineConfig::value_oracle`) and costs nothing when off.
+//! barrier-ordered. Both oracles are off by default and cost nothing
+//! when off; neither changes a message or a timing.
 
 use super::*;
 use std::collections::BTreeMap;
@@ -49,9 +59,17 @@ pub(crate) enum ReadRec {
 
 /// The machine-side oracle state.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ValueOracle {
-    /// Pre-computed `cfg.value_oracle`, checked once per hook.
-    pub(crate) on: bool,
+pub(crate) struct Oracle {
+    /// Pre-computed `versions || values`, checked once per hook.
+    on: bool,
+    /// Pre-computed `cfg.check_invariants`: the version oracle.
+    versions: bool,
+    /// Pre-computed `cfg.value_oracle`: the value oracle.
+    pub(crate) values: bool,
+    /// `(cluster, block)` -> highest version that cluster has observed.
+    pub(crate) observed: FastMap<(usize, u64), u64>,
+    /// The first version regression seen, until the run loop reports it.
+    pub(crate) regression: Option<String>,
     /// `(block, epoch)` -> tag of the latest write in that epoch.
     pub(crate) mem: FastMap<(u64, u64), (usize, u64)>,
     /// Per global processor: its loads, in program order.
@@ -60,13 +78,32 @@ pub(crate) struct ValueOracle {
     pub(crate) wseq: Vec<u64>,
 }
 
-impl ValueOracle {
-    pub(crate) fn new(on: bool, procs: usize) -> Self {
-        ValueOracle {
-            on,
+impl Oracle {
+    pub(crate) fn new(versions: bool, values: bool, procs: usize) -> Self {
+        Oracle {
+            on: versions || values,
+            versions,
+            values,
+            observed: FastMap::default(),
+            regression: None,
             mem: FastMap::default(),
             reads: vec![Vec::new(); procs],
             wseq: vec![0; procs],
+        }
+    }
+
+    /// Version oracle: cluster `cl` observed `block` at version `v`. A
+    /// version below one the cluster has already seen is a regression;
+    /// the first is kept for the run loop to report.
+    fn observe(&mut self, cl: usize, block: u64, v: u64) {
+        let last = self.observed.entry((cl, block)).or_insert(0);
+        if v >= *last {
+            *last = v;
+        } else if self.regression.is_none() {
+            self.regression = Some(format!(
+                "version oracle: cluster {cl} observed block {block} at version {v} \
+                 after already seeing version {last}"
+            ));
         }
     }
 
@@ -111,30 +148,46 @@ pub struct ValueOracleReport {
 }
 
 impl Engine {
-    /// Hook: processor `p` performed a write to `block` creating (or
-    /// extending, for a silent same-epoch rewrite) version `epoch`.
-    pub(crate) fn oracle_write(&mut self, p: usize, block: u64, epoch: u64) {
+    /// The version `p`'s cluster holds `block` at, observed by `p`: the
+    /// resident copy's, or, for a fill consumed without caching (DLS),
+    /// the one the reply just set.
+    fn oracle_observe(&mut self, p: usize, block: u64) -> u64 {
+        let cl = self.cluster_of(p);
+        let v = self.line_version(cl, block);
+        if self.oracle.versions {
+            self.oracle.observe(cl, block, v);
+        }
+        v
+    }
+
+    /// Hook: processor `p` performed a write to `block`, creating (or
+    /// extending, for a silent same-epoch rewrite) the version epoch its
+    /// cluster's `line_version` now records.
+    pub(crate) fn oracle_write(&mut self, p: usize, block: u64) {
         if !self.oracle.on {
             return;
         }
-        let seq = self.oracle.wseq[p] + 1;
-        self.oracle.wseq[p] = seq;
-        self.oracle.mem.insert((block, epoch), (p, seq));
+        let epoch = self.oracle_observe(p, block);
+        if self.oracle.values {
+            let seq = self.oracle.wseq[p] + 1;
+            self.oracle.wseq[p] = seq;
+            self.oracle.mem.insert((block, epoch), (p, seq));
+        }
     }
 
-    /// Hook: processor `p`'s load observed `block` at the epoch its
-    /// cluster's `line_version` records — the resident copy's, or, for a
-    /// fill consumed without caching (DLS), the one the reply just set.
+    /// Hook: processor `p`'s load observed `block`.
     pub(crate) fn oracle_read(&mut self, p: usize, block: u64) {
         if !self.oracle.on {
             return;
         }
-        let epoch = self.line_version(self.cluster_of(p), block);
-        let rec = match self.oracle.mem.get(&(block, epoch)) {
-            Some(&tag) => ReadRec::Resolved(tag),
-            None => ReadRec::Deferred(block, epoch),
-        };
-        self.oracle.reads[p].push(rec);
+        let epoch = self.oracle_observe(p, block);
+        if self.oracle.values {
+            let rec = match self.oracle.mem.get(&(block, epoch)) {
+                Some(&tag) => ReadRec::Resolved(tag),
+                None => ReadRec::Deferred(block, epoch),
+            };
+            self.oracle.reads[p].push(rec);
+        }
     }
 }
 
@@ -143,7 +196,7 @@ impl Machine {
     /// off (`MachineConfig::value_oracle`). Meaningful only after the
     /// run completed; see the module docs for the race-free caveat.
     pub fn value_oracle_report(&self) -> Option<ValueOracleReport> {
-        self.eng.oracle.on.then(|| self.eng.oracle.report())
+        self.eng.oracle.values.then(|| self.eng.oracle.report())
     }
 }
 

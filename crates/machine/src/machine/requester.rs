@@ -74,7 +74,6 @@ impl Engine {
             if let Some(state) = install {
                 self.fill(t, cl, lp, block, state);
             }
-            self.observe(cl, block);
             self.oracle_read(g, block);
             self.resume(at, g);
         }
@@ -96,9 +95,8 @@ impl Engine {
             self.fill(t, cl, writer, block, state);
         }
         self.set_line_version(cl, block, mshr.version);
-        self.observe(cl, block);
         let g = self.global_proc(cl, writer);
-        self.oracle_write(g, block, mshr.version);
+        self.oracle_write(g, block);
         self.resume(t + tm.l1_hit, g);
         for &(lp, _) in &mshr.waiters[1..] {
             let g = self.global_proc(cl, lp);

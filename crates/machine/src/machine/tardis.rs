@@ -144,7 +144,6 @@ impl TardisState {
             match node.lease.get(&block) {
                 Some(&(_, rts)) if node.pts <= rts => {
                     // Lease still covers our logical time: a pure hit.
-                    m.observe(cl, block);
                     m.oracle_read(p, block);
                     m.resume(t + lat, p);
                     return None;
@@ -281,7 +280,6 @@ impl TardisState {
                         l.1 = l.1.max(rts);
                     }
                     for lp in waiters {
-                        m.observe(dst, block);
                         let g = m.global_proc(dst, lp);
                         m.oracle_read(g, block);
                         m.resume(t + tm.l1_hit, g);

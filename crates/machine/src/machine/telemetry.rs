@@ -694,11 +694,6 @@ impl Machine {
         self.eng.telemetry.tracer.merged()
     }
 
-    /// The last `k` retained trace events of one cluster, oldest first.
-    pub fn trace_tail(&self, cluster: usize, k: usize) -> Vec<TraceEvent> {
-        self.eng.telemetry.tracer.tail(cluster, k)
-    }
-
     /// Events recorded / evicted-from-ring counts for the run so far.
     pub fn trace_counts(&self) -> (u64, u64) {
         let t = &self.eng.telemetry.tracer;

@@ -149,9 +149,10 @@ pub struct RunStats {
     pub dls: Option<DlsCounters>,
     /// Fault-injection counters (all zero when no fault plan is active).
     pub faults: FaultCounters,
-    /// Ownership-epoch versions assigned by the version oracle (0 when
-    /// `track_versions` is off). Every write transaction that reaches a
-    /// home directory creates one.
+    /// Data versions the homes assigned, counted on every run: each write
+    /// transaction that reaches a home creates one. The version oracle
+    /// (`MachineConfig::check_invariants`) checks them; counting does not
+    /// depend on it.
     pub versions_assigned: u64,
     /// Simulator events popped off the event queue over the whole run
     /// (processor steps, deliveries, replays). A host-side throughput
@@ -166,11 +167,6 @@ impl RunStats {
     /// Total shared references (Table 2's "shared refs").
     pub fn shared_refs(&self) -> u64 {
         self.shared_reads + self.shared_writes
-    }
-
-    /// Execution time normalized to a baseline run.
-    pub fn normalized_time(&self, baseline: &RunStats) -> f64 {
-        self.cycles as f64 / baseline.cycles as f64
     }
 
     /// The core run statistics as a JSON object with insertion-ordered,

@@ -6,7 +6,7 @@
 use scd_machine::checker::verify_quiescent;
 use scd_machine::machine::testing;
 use scd_machine::{Machine, MachineConfig};
-use scd_tango::Script;
+use scd_tango::{Op, Script};
 
 /// A fresh, never-run 4-cluster machine (quiescent by construction).
 fn idle_machine() -> Machine {
@@ -114,4 +114,25 @@ fn delivery_behind_the_clock_is_an_invariant_violation() {
         assert!(pm.detail.contains("clock backwards (0 < 5)"), "{}", pm.detail);
         assert_eq!(pm.running, m.config().processors(), "nothing ran");
     }
+}
+
+/// A version regression is a structured invariant violation with a
+/// post-mortem, not a panic: cluster 0 reads its copy of block 1 at a
+/// planted version 5, then upgrades it, and the home hands out version 1.
+#[test]
+fn a_version_regression_is_an_invariant_violation() {
+    let cfg = MachineConfig::tiny(4);
+    let addr = cfg.block_bytes; // block 1
+    let mut programs: Vec<Script> = (0..cfg.processors()).map(|_| Script::from(vec![])).collect();
+    programs[0] = Script::from(vec![Op::Read(addr), Op::Write(addr)]);
+    let mut m = Machine::new(cfg, programs);
+    testing::fill_line(&mut m, 0, 0, 1, false);
+    testing::set_line_version(&mut m, 0, 1, 5);
+    let err = m.try_run().unwrap_err();
+    assert_eq!(err.kind(), "invariant-violation", "{err}");
+    let detail = &err.post_mortem().detail;
+    assert_eq!(
+        detail,
+        "version oracle: cluster 0 observed block 1 at version 1 after already seeing version 5"
+    );
 }

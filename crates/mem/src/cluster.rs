@@ -128,27 +128,10 @@ impl ClusterCaches {
         self.procs.iter().map(|h| h.l2_stats().misses).sum()
     }
 
-    /// All blocks resident anywhere in the cluster, in block order, each
-    /// with the *highest* state any processor holds it in (dirty beats
-    /// shared) — the cluster-level view the directory tracks.
-    pub fn cluster_resident(&self) -> Vec<(Block, LineState)> {
-        let mut out: Vec<(Block, LineState)> =
-            self.procs.iter().flat_map(|h| h.resident()).collect();
-        // `Dirty` sorts after `Shared`, so the last of a block's run wins.
-        out.sort_unstable();
-        out.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 = later.1;
-            }
-            same
-        });
-        out
-    }
-
-    /// Visits the entries of [`ClusterCaches::cluster_resident`] — each
-    /// resident block once, with the highest state any processor holds it
-    /// in — in no particular order, without collecting them.
+    /// Visits every block resident anywhere in the cluster once, with the
+    /// *highest* state any processor holds it in (dirty beats shared) —
+    /// the cluster-level view the directory tracks — in no particular
+    /// order, without collecting them.
     pub fn for_each_resident(&self, mut f: impl FnMut(Block, LineState)) {
         for (p, hier) in self.procs.iter().enumerate() {
             for (block, _) in hier.resident() {
@@ -227,19 +210,19 @@ mod tests {
     }
 
     #[test]
-    fn cluster_resident_takes_highest_state() {
+    fn each_resident_block_is_visited_once_at_its_highest_state() {
         let mut c = cluster(2);
         c.fill(0, 11, LineState::Shared, 0);
         c.fill(1, 12, LineState::Dirty, 0);
         c.fill(1, 11, LineState::Shared, 0);
         c.fill(0, 12, LineState::Shared, 0);
-        assert_eq!(
-            c.cluster_resident(),
-            vec![(11, LineState::Shared), (12, LineState::Dirty)]
-        );
         let mut visited = vec![];
         c.for_each_resident(|b, s| visited.push((b, s)));
         visited.sort_unstable();
-        assert_eq!(visited, c.cluster_resident(), "the same entries, each once");
+        assert_eq!(
+            visited,
+            vec![(11, LineState::Shared), (12, LineState::Dirty)],
+            "the same entries, each once"
+        );
     }
 }

@@ -128,11 +128,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// L1 statistics.
-    pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
-    }
-
     /// L2 statistics.
     pub fn l2_stats(&self) -> CacheStats {
         self.l2.stats()

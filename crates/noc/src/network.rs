@@ -108,18 +108,6 @@ impl Network {
         }
     }
 
-    /// Creates a network over an explicit mesh.
-    pub fn with_mesh(mesh: Mesh, model: LatencyModel) -> Self {
-        Network {
-            mesh,
-            model,
-            stats: NetworkStats::default(),
-            link_occupancy: None,
-            link_free: Vec::new(),
-            pair_traffic: None,
-        }
-    }
-
     /// Enables link contention: each message holds every link along its
     /// dimension-ordered route for `occupancy` cycles, and queues behind
     /// earlier traffic (store-and-forward approximation; only meaningful

@@ -99,8 +99,8 @@ pub enum MsgKind {
     ReadReply {
         /// The block.
         block: Block,
-        /// Version of the data carried (see `scd-machine`'s version
-        /// oracle); 0 when version tracking is off.
+        /// Version of the data carried (read by `scd-machine`'s version
+        /// oracle).
         version: u64,
     },
     /// Ownership (and data) reply for a write, carrying the number of
@@ -110,14 +110,14 @@ pub enum MsgKind {
         block: Block,
         /// Invalidations sent on the requester's behalf.
         inval_count: u32,
-        /// Version the write will create (version oracle; 0 when off).
+        /// Version the write will create (read by the version oracle).
         version: u64,
     },
     /// Ownership+data reply sent by a previous owner after [`MsgKind::FwdWrite`].
     TransferReply {
         /// The block.
         block: Block,
-        /// Version the write will create (version oracle; 0 when off).
+        /// Version the write will create (read by the version oracle).
         version: u64,
     },
     /// The home refused to service a request this time (transient: the
@@ -242,7 +242,7 @@ pub enum MsgKind {
         wts: u64,
         /// Lease end: the copy may satisfy reads while `pts <= rts`.
         rts: u64,
-        /// Version of the data carried (version oracle; 0 when off).
+        /// Version of the data carried (read by the version oracle).
         version: u64,
     },
     /// Completion reply for a Tardis write-through.
@@ -251,7 +251,7 @@ pub enum MsgKind {
         block: Block,
         /// The new version's write timestamp.
         wts: u64,
-        /// Version the write created (version oracle; 0 when off).
+        /// Version the write created (read by the version oracle).
         version: u64,
     },
     /// Lease renewal: a resident copy's lease expired; ask the home to
@@ -283,7 +283,7 @@ pub enum MsgKind {
     LlcFill {
         /// The block.
         block: Block,
-        /// Version of the data carried (version oracle; 0 when off).
+        /// Version of the data carried (read by the version oracle).
         version: u64,
     },
     /// Completion reply for a remote DLS write absorbed by the home LLC
@@ -291,7 +291,7 @@ pub enum MsgKind {
     LlcWriteAck {
         /// The block.
         block: Block,
-        /// Version the write created (version oracle; 0 when off).
+        /// Version the write created (read by the version oracle).
         version: u64,
     },
 }

@@ -86,11 +86,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
 }
 
 #[cfg(test)]

@@ -209,7 +209,6 @@ fn main() {
     cfg.link_occupancy = contention;
     cfg.replacement_hints = hints;
     cfg.check_invariants = check;
-    cfg.track_versions = check;
     if let Some(n) = max_cycles {
         cfg.max_cycles = n;
     }

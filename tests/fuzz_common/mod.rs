@@ -54,7 +54,7 @@ pub fn build_and_run(fz: &FuzzConfig) -> scd::machine::RunStats {
     cfg.link_occupancy = fz.contention;
     cfg.replacement_hints = fz.hints;
     cfg.serial_invalidations = fz.serial;
-    // tiny() already enables check_invariants and track_versions.
+    // tiny() already enables check_invariants, and with it the version oracle.
 
     let procs = cfg.processors();
     let mut root = SimRng::new(fz.seed);

@@ -103,6 +103,27 @@ fn one_protocol_dispatch_file_and_one_requester() {
     }
 }
 
+/// Checking is observation (DESIGN.md §12): the version oracle, the value
+/// oracle and the quiescent checker read the machine, never steer it. So
+/// no protocol handler above its file's first `#[cfg(test)]` reads a
+/// verification switch; a handler that did could send a different
+/// message, or a different payload, with checking on than off, and the
+/// checks would then pass on a machine that runs only under them.
+#[test]
+fn verification_switches_never_steer_the_protocol() {
+    let handlers = ["dash.rs", "tardis.rs", "dls.rs", "requester.rs"].map(|h| format!("machine/{h}"));
+    let lines = engine_lines(&["machine"]);
+    let handler_lines: Vec<&Line> =
+        lines.iter().filter(|l| handlers.iter().any(|h| l.file.ends_with(h))).collect();
+    assert!(handler_lines.len() > 1_000, "the four handler files were found");
+    let found: Vec<&Line> = handler_lines
+        .into_iter()
+        .filter(|l| !l.text.starts_with("//"))
+        .filter(|l| ["check_invariants", "value_oracle"].iter().any(|s| l.text.contains(s)))
+        .collect();
+    assert!(found.is_empty(), "a verification switch steers a handler:\n{}", listing(&found));
+}
+
 /// Event payloads are read from text in one place, `TraceEvent::parse`
 /// (DESIGN.md §18). Outside `crates/trace/src/event.rs`, no line of the
 /// trace crate or of the binaries looks a payload key up by name: as the

@@ -20,7 +20,6 @@ fn machine_mean(scheme: Scheme, sharers: usize) -> f64 {
     let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
     cfg.clusters = 16;
     cfg.check_invariants = true;
-    cfg.track_versions = true;
     let stats = Machine::new(cfg, app.scripts()).run();
     assert_eq!(stats.invalidations.events(), 96, "one event per write");
     stats.invalidations.mean()

@@ -175,6 +175,32 @@ fn run_solo(kernel: &Kernel, cfg: MachineConfig) -> (ValueOracleReport, RunStats
     (report, stats)
 }
 
+/// A forwarded read carries the owner's version whichever checks are on:
+/// cluster 0 writes block 1 (homed at cluster 1) and passes a barrier,
+/// then cluster 2 reads it, and the home forwards the read to the dirty
+/// owner. The load resolves to the producer's write with the version
+/// oracle off as well as on.
+#[test]
+fn a_forwarded_read_sees_the_owners_write_with_or_without_invariant_checks() {
+    let programs = || {
+        vec![
+            Script::from(vec![Op::Write(a(1)), Op::Barrier(0)]),
+            Script::from(vec![Op::Barrier(0)]),
+            Script::from(vec![Op::Barrier(0), Op::Read(a(1))]),
+        ]
+    };
+    for check in [true, false] {
+        let mut cfg = MachineConfig::paper_32().with_value_oracle();
+        cfg.clusters = 3;
+        cfg.check_invariants = check;
+        let mut m = Machine::new(cfg, programs());
+        let stats = m.try_run().unwrap_or_else(|e| panic!("check {check}: {e}"));
+        assert_eq!(stats.protocol.forwards, 1, "check {check}: the read was not forwarded");
+        let report = m.value_oracle_report().expect("oracle was enabled");
+        assert_eq!(report.loads[2], [Some((0, 1))], "check {check}");
+    }
+}
+
 /// The core differential oracle: for each kernel, Tardis and DLS must
 /// reproduce DASH's final memory image and every individual load value.
 #[test]

@@ -12,7 +12,7 @@ use scd::machine::{Machine, MachineConfig};
 fn oracle_is_live_and_counts_ownership_epochs() {
     let app = mp3d(&Mp3dParams::scaled(0.1), 32, 3);
     let mut cfg = MachineConfig::paper_32();
-    cfg.track_versions = true;
+    cfg.check_invariants = true;
     let stats = Machine::new(cfg, app.scripts()).run();
     assert!(
         stats.versions_assigned > 1_000,
@@ -36,7 +36,6 @@ fn paper_workloads_pass_the_oracle_under_every_scheme() {
             Scheme::dir_nb(3),
         ] {
             let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
-            cfg.track_versions = true;
             cfg.check_invariants = true;
             cfg.max_cycles = 200_000_000;
             // The run panics if any cluster observes a stale version.
@@ -55,13 +54,11 @@ fn sparse_and_overflow_organizations_pass_the_oracle() {
     let mut sparse_cfg = scaled
         .clone()
         .with_sparse((scaled.total_cache_blocks() / 32).max(4), 4, Replacement::Lru);
-    sparse_cfg.track_versions = true;
     sparse_cfg.check_invariants = true;
     let s = Machine::new(sparse_cfg, app.scripts()).run();
     assert!(s.sparse.unwrap().replacements > 0, "replacements exercised");
 
     let mut of_cfg = MachineConfig::paper_32().with_overflow(2, 8, 4, Replacement::Lru);
-    of_cfg.track_versions = true;
     of_cfg.check_invariants = true;
     let o = Machine::new(of_cfg, app.scripts()).run();
     assert!(o.overflow.unwrap().promotions > 0, "promotions exercised");
@@ -72,7 +69,6 @@ fn serial_invalidation_mode_passes_the_oracle() {
     let app = locusroute(&LocusRouteParams::scaled(0.12), 32, 11);
     let mut cfg = MachineConfig::paper_32();
     cfg.serial_invalidations = true;
-    cfg.track_versions = true;
     cfg.check_invariants = true;
     let stats = Machine::new(cfg, app.scripts()).run();
     assert!(stats.versions_assigned > 0);
