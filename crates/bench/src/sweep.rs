@@ -19,7 +19,7 @@
 //!
 //! `src/bin/scd-sweep.rs` is the CLI front end; the `repro` driver
 //! ([`crate::repro`]) runs its artifact points on the same pool
-//! ([`fan_out`]).
+//! (`fan_out`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;

@@ -75,7 +75,7 @@ pub type FastSet<K> = HashSet<K, BuildHasherDefault<FixedHasher>>;
 
 /// Folds the entries of an unordered table into `h`, allocating nothing.
 ///
-/// Each entry is hashed on its own by a fresh `H`, spread by [`mix`], and
+/// Each entry is hashed on its own by a fresh `H`, spread by `mix`, and
 /// the results are summed, so the fold depends on which entries the table
 /// holds and not on the order it iterates them in: two tables with the same
 /// entries fold equally whatever their insertion history or capacity. The

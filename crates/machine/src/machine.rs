@@ -180,7 +180,7 @@ struct ProcState {
 /// `Clone` produces an independent machine mid-run (each processor's
 /// [`Script`] keeps its position and shares its ops) — the substrate of
 /// the model checker's state branching; see
-/// [`explore`](crate::machine::explore).
+/// [`explore`].
 #[derive(Clone)]
 pub struct Machine {
     eng: Engine,

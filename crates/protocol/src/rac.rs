@@ -25,11 +25,11 @@ pub enum MshrKind {
 const INLINE_WAITERS: usize = 4;
 
 /// The `(processor, kind)` list of one MSHR, in arrival order. The first
-/// [`INLINE_WAITERS`] live inside the MSHR, so starting a transaction
+/// `INLINE_WAITERS` live inside the MSHR, so starting a transaction
 /// allocates nothing; it compares, hashes and iterates as its slice.
 #[derive(Clone)]
 pub enum Waiters {
-    /// Up to [`INLINE_WAITERS`] waiters: the first `len` of the array.
+    /// Up to `INLINE_WAITERS` waiters: the first `len` of the array.
     Inline(u8, [(usize, MshrKind); INLINE_WAITERS]),
     /// More than that, on the heap.
     Spilled(Vec<(usize, MshrKind)>),
@@ -43,7 +43,7 @@ impl Waiters {
         Waiters::Inline(1, items)
     }
 
-    /// Appends `w`, spilling to the heap past [`INLINE_WAITERS`].
+    /// Appends `w`, spilling to the heap past `INLINE_WAITERS`.
     pub fn push(&mut self, w: (usize, MshrKind)) {
         match self {
             Waiters::Inline(len, items) if (*len as usize) < INLINE_WAITERS => {

@@ -10,7 +10,7 @@
 use scd_stats::MessageClass;
 
 use crate::attrib::message;
-use crate::json::{write_escaped, Json, Key, Lexer, Utf8, Value};
+use crate::json::{push_label, push_u64, Exact, Fields, Json, Key, Value};
 
 /// A coherence-transaction lifecycle phase (the latency breakdown the
 /// metrics registry histograms: issue → home lookup → invalidation
@@ -196,70 +196,10 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-2021222324252627282930313233343536373839\
-4041424344454647484950515253545556575859\
-6061626364656667686970717273747576777879\
-8081828384858687888990919293949596979899";
-
-/// Appends `n` in decimal: two digits per division, from a stack buffer
-/// (no `fmt` machinery, no heap). The one decimal writer of the crate's
-/// renderers — every event line and every Perfetto record goes through it.
-///
-/// The digits land right-aligned in the first half of the buffer and
-/// leave as one constant-length copy starting at the first digit, cut
-/// back to the digit count: a 20-byte move the compiler inlines, where a
-/// copy of exactly 1..=20 bytes is a call into `memcpy`.
-#[inline]
-pub(crate) fn push_u64(out: &mut Vec<u8>, mut n: u64) {
-    const WIDTH: usize = 20; // digits of `u64::MAX`
-    let mut buf = [0u8; 2 * WIDTH];
-    let mut i = WIDTH;
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        i -= 1;
-        buf[i] = b'0' + n as u8;
-    }
-    let window: &[u8; WIDTH] = buf[i..i + WIDTH].try_into().expect("WIDTH bytes");
-    let end = out.len() + (WIDTH - i);
-    out.extend_from_slice(window);
-    out.truncate(end);
-}
-
-/// Appends `s` as a quoted JSON string. A label the machine supplies is a
-/// plain identifier: one scan, one copy. Only a string with a byte JSON
-/// must escape goes through the escaper, so both paths produce [`Json`]'s
-/// bytes.
-#[inline]
-pub(crate) fn push_label(out: &mut Vec<u8>, s: &str) {
-    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-        write_escaped(&mut Utf8(out), s).expect("writing to a Vec cannot fail");
-    } else {
-        out.push(b'"');
-        out.extend_from_slice(s.as_bytes());
-        out.push(b'"');
-    }
-}
-
 /// `walk`'s keys as the writer spells them, punctuation included: the one
-/// set [`LineWriter`] emits and the exact-bytes reader ([`Exact`]) compares.
+/// set [`LineWriter`] emits and [`read_exact`] compares.
 mod key {
-    macro_rules! keys {
-        ($($name:ident = $bytes:literal,)*) => {
-            $(pub(super) const $name: &[u8; $bytes.len()] = $bytes;)*
-        };
-    }
-
-    keys! {
+    crate::json::keys! {
         SEQ = b"{\"seq\":", CYCLE = b",\"cycle\":", CLUSTER = b",\"cluster\":",
         TYPE = b",\"type\":", TXN = b",\"txn\":", BLOCK = b",\"block\":", WRITE = b",\"write\":",
         PHASE = b",\"phase\":", LATENCY = b",\"latency\":", RETRIES = b",\"retries\":",
@@ -345,226 +285,73 @@ fn class_named(s: &str) -> Option<&'static str> {
     MessageClass::ALL.map(MessageClass::label).into_iter().find(|c| *c == s)
 }
 
-/// A cursor over a line as [`TraceEvent::write_jsonl`] writes it. Each
-/// read compares the next bytes with what the writer would have put
-/// there and gives `None` at the first difference, without saying why:
-/// [`EventLine::lex`] then hands the line to the lexer, which does.
-struct Exact<'a> {
-    text: &'a str,
-    /// What is left of `text` to read.
-    rest: &'a [u8],
-}
-
-impl<'a> Exact<'a> {
-    #[inline(always)]
-    fn key<const N: usize>(&mut self, key: &[u8; N]) -> Option<()> {
-        let (at, rest) = self.rest.split_first_chunk()?;
-        (at == key).then(|| self.rest = rest)
-    }
-
-    /// `key`, then an integer as `push_u64` writes it ([`exact_u64`]).
-    #[inline(always)]
-    fn u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<u64> {
-        self.key(key)?;
-        let (v, n) = exact_u64(self.rest)?;
-        self.rest = &self.rest[n..];
-        Some(v)
-    }
-
-    #[inline(always)]
-    fn u32<const N: usize>(&mut self, key: &[u8; N]) -> Option<u32> {
-        self.u64(key)?.try_into().ok()
-    }
-
-    /// `key`, then the optional field's integer; `Some(None)` when the
-    /// next key is another.
-    #[inline(always)]
-    fn opt_u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<Option<u64>> {
-        if self.rest.starts_with(key) {
-            self.u64(key).map(Some)
-        } else {
-            Some(None)
-        }
-    }
-
-    #[inline(always)]
-    fn flag<const N: usize>(&mut self, key: &[u8; N]) -> Option<bool> {
-        self.key(key)?;
-        let (b, len) = match self.rest.first()? {
-            b't' if self.rest.starts_with(b"true") => (true, 4),
-            b'f' if self.rest.starts_with(b"false") => (false, 5),
-            _ => return None,
-        };
-        self.rest = &self.rest[len..];
-        Some(b)
-    }
-
-    /// `key`, then a quoted label resolved by `named`. Every vocabulary
-    /// word is a plain identifier, so a label spelled with an escape (or
-    /// holding a control byte) resolves to nothing here.
-    #[inline(always)]
-    fn label<T, const N: usize>(
-        &mut self,
-        key: &[u8; N],
-        named: impl Fn(&'a str) -> Option<T>,
-    ) -> Option<T> {
-        self.key(key)?;
-        let rest = self.rest.strip_prefix(b"\"")?;
-        let len = closing_quote(rest)?;
-        let start = self.text.len() - rest.len();
-        self.rest = &rest[len + 1..];
-        // Quotes are ASCII, so both cuts are char boundaries.
-        named(&self.text[start..start + len])
-    }
-
-    /// The writer's `}`, the last byte of the line.
-    #[inline(always)]
-    fn end(&self) -> Option<()> {
-        (self.rest == b"}").then_some(())
-    }
-
-    /// The event, when `text` is byte for byte a line `walk` and
-    /// `write_jsonl` could have written: the keys in `walk`'s order, each
-    /// value in the writer's spelling, each label in its vocabulary.
-    #[inline]
-    fn read(text: &'a str) -> Option<TraceEvent> {
-        use EventKind::*;
-        let mut r = Exact { text, rest: text.as_bytes() };
-        let (seq, cycle, cluster) = (r.u64(key::SEQ)?, r.u64(key::CYCLE)?, r.u32(key::CLUSTER)?);
-        let kind = match r.label(key::TYPE, Some)? {
-            "txn_begin" => TxnBegin {
-                txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?, write: r.flag(key::WRITE)?,
-            },
-            "txn_phase" => TxnPhase {
-                txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
-                phase: r.label(key::PHASE, phase_named)?,
-            },
-            "txn_end" => TxnEnd {
-                txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
-                latency: r.u64(key::LATENCY)?, retries: r.u32(key::RETRIES)?,
-            },
-            "nack" => Nack { txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)? },
-            "retry" => Retry {
-                txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
-                attempt: r.u32(key::ATTEMPT)?, backoff: r.u64(key::BACKOFF)?,
-            },
-            "inval" => Inval {
-                block: r.u64(key::BLOCK)?, targets: r.u32(key::TARGETS)?,
-                cause: r.label(key::CAUSE, cause_named)?,
-            },
-            "replacement" => Replacement {
-                victim: r.u64(key::VICTIM)?, targets: r.u32(key::TARGETS)?,
-                dirty: r.flag(key::DIRTY)?,
-            },
-            "msg_send" => MsgSend {
-                src: r.u32(key::SRC)?, dst: r.u32(key::DST)?, msg: r.label(key::MSG, msg_named)?,
-                class: r.label(key::CLASS, class_named)?, block: r.opt_u64(key::BLOCK)?,
-                hops: r.u32(key::HOPS)?,
-            },
-            "msg_deliver" => MsgDeliver {
-                src: r.u32(key::SRC)?, dst: r.u32(key::DST)?, msg: r.label(key::MSG, msg_named)?,
-                block: r.opt_u64(key::BLOCK)?,
-            },
-            _ => return None,
-        };
-        r.end()?;
-        Some(TraceEvent { seq, cycle, cluster, kind })
-    }
-}
-
-/// The integer `bytes` starts with, as [`push_u64`] writes it, and its
-/// digit count: a digit run with no leading zero. Nineteen digits cannot
-/// overflow; a twentieth can, so that rare run is read again with the
-/// check. `None` for anything the writer would not have written.
-#[inline(always)]
-pub(crate) fn exact_u64(digits: &[u8]) -> Option<(u64, usize)> {
-    let mut v = 0u64;
-    let mut n = 0;
-    while let Some(d) = digits.get(n).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
-        v = v.wrapping_mul(10).wrapping_add(d as u64);
-        n += 1;
-    }
-    let v = match n {
-        0 => return None,
-        1 => v,
-        _ if digits[0] == b'0' => return None,
-        2..=19 => v,
-        20 => std::str::from_utf8(&digits[..n]).ok()?.parse().ok()?,
+/// The exact-bytes reader alone: the event when `line` is byte for byte
+/// a line `walk` and [`TraceEvent::write_jsonl`] could have written (the
+/// keys in `walk`'s order, each value in the writer's spelling, each label
+/// in its vocabulary), `None` otherwise. Public for the tests that hold it
+/// to the lexer path, not as an API.
+#[doc(hidden)]
+#[inline]
+pub fn read_exact(line: &str) -> Option<TraceEvent> {
+    use EventKind::*;
+    let mut r = Exact::new(line);
+    let (seq, cycle, cluster) = (r.u64(key::SEQ)?, r.u64(key::CYCLE)?, r.u32(key::CLUSTER)?);
+    let kind = match r.label(key::TYPE, Some)? {
+        "txn_begin" => TxnBegin {
+            txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?, write: r.flag(key::WRITE)?,
+        },
+        "txn_phase" => TxnPhase {
+            txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
+            phase: r.label(key::PHASE, phase_named)?,
+        },
+        "txn_end" => TxnEnd {
+            txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
+            latency: r.u64(key::LATENCY)?, retries: r.u32(key::RETRIES)?,
+        },
+        "nack" => Nack { txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)? },
+        "retry" => Retry {
+            txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
+            attempt: r.u32(key::ATTEMPT)?, backoff: r.u64(key::BACKOFF)?,
+        },
+        "inval" => Inval {
+            block: r.u64(key::BLOCK)?, targets: r.u32(key::TARGETS)?,
+            cause: r.label(key::CAUSE, cause_named)?,
+        },
+        "replacement" => Replacement {
+            victim: r.u64(key::VICTIM)?, targets: r.u32(key::TARGETS)?,
+            dirty: r.flag(key::DIRTY)?,
+        },
+        "msg_send" => MsgSend {
+            src: r.u32(key::SRC)?, dst: r.u32(key::DST)?, msg: r.label(key::MSG, msg_named)?,
+            class: r.label(key::CLASS, class_named)?, block: r.opt_u64(key::BLOCK)?,
+            hops: r.u32(key::HOPS)?,
+        },
+        "msg_deliver" => MsgDeliver {
+            src: r.u32(key::SRC)?, dst: r.u32(key::DST)?, msg: r.label(key::MSG, msg_named)?,
+            block: r.opt_u64(key::BLOCK)?,
+        },
         _ => return None,
     };
-    Some((v, n))
-}
-
-/// The first `"` in `bytes`, eight bytes to a step: a byte loop's exit
-/// branch, taken once per label at a length it cannot predict, cost more
-/// than the rest of the label. `x` is zero in the byte that held a quote,
-/// and the lowest byte the zero-byte test flags is always a true zero.
-#[inline(always)]
-pub(crate) fn closing_quote(bytes: &[u8]) -> Option<usize> {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
-    let mut n = 0;
-    while let Some(chunk) = bytes[n..].first_chunk::<8>() {
-        let x = u64::from_le_bytes(*chunk) ^ (ONES * u64::from(b'"'));
-        let zero = x.wrapping_sub(ONES) & !x & HIGHS;
-        if zero != 0 {
-            return Some(n + zero.trailing_zeros() as usize / 8);
-        }
-        n += 8;
-    }
-    bytes[n..].iter().position(|&b| b == b'"').map(|at| n + at)
-}
-
-/// The exact-bytes reader alone: the event when `line` is byte for byte
-/// what [`TraceEvent::write_jsonl`] writes, `None` otherwise. Public for
-/// the tests that hold it to the lexer path, not as an API.
-#[doc(hidden)]
-pub fn read_exact(line: &str) -> Option<TraceEvent> {
-    Exact::read(line)
+    r.end()?;
+    Some(TraceEvent { seq, cycle, cluster, kind })
 }
 
 /// The lexer path alone, as [`TraceEvent::parse`] takes it for a line
 /// [`read_exact`] refuses. Public for the same tests.
 #[doc(hidden)]
 pub fn read_lexed(line: &str) -> Result<TraceEvent, String> {
-    Slots::lex(line)?.decode()
-}
-
-/// Declares [`Slot`], one per envelope key, and [`KEYS`] from one list;
-/// [`Slot::of`] is a `match`, so a key costs a few compares, not a scan.
-macro_rules! slots {
-    ($($slot:ident = $key:literal,)*) => {
-        #[derive(Clone, Copy)]
-        enum Slot { $($slot,)* }
-
-        const KEYS: &[&str] = &[$($key,)*];
-
-        impl Slot {
-            #[inline]
-            fn of(key: &str) -> Option<Slot> {
-                match key { $($key => Some(Slot::$slot),)* _ => None }
-            }
-        }
-    };
-}
-
-slots! {
-    Seq = "seq", Cycle = "cycle", Cluster = "cluster", Type = "type", Txn = "txn",
-    Block = "block", Write = "write", Phase = "phase", Latency = "latency",
-    Retries = "retries", Attempt = "attempt", Backoff = "backoff", Targets = "targets",
-    Cause = "cause", Victim = "victim", Dirty = "dirty", Src = "src", Dst = "dst",
-    Msg = "msg", Class = "class", Hops = "hops",
+    decode(&Fields::parse(line)?)
 }
 
 /// One event line read in one pass: the event itself when the line is
 /// the writer's exact bytes, else its lexed fields.
 pub(crate) enum EventLine<'a> {
-    /// [`TraceEvent::write_jsonl`]'s bytes, read by [`Exact`].
+    /// [`TraceEvent::write_jsonl`]'s bytes, read by [`read_exact`].
     Exact(TraceEvent),
-    /// Any other spelling, read by the lexer. Boxed: the slots are ten
+    /// Any other spelling, read by the lexer. Boxed: the fields are ten
     /// times the event's size, and only a line off the writer's bytes
     /// pays for them.
-    Lexed(Box<Slots<'a>>),
+    Lexed(Box<Fields<'a>>),
 }
 
 impl<'a> EventLine<'a> {
@@ -572,9 +359,9 @@ impl<'a> EventLine<'a> {
     /// anything else through the lexer, which alone gives errors.
     #[inline]
     pub(crate) fn lex(text: &'a str) -> Result<Self, String> {
-        match Exact::read(text) {
+        match read_exact(text) {
             Some(ev) => Ok(EventLine::Exact(ev)),
-            None => Slots::lex(text).map(|slots| EventLine::Lexed(Box::new(slots))),
+            None => Fields::parse(text).map(|fields| EventLine::Lexed(Box::new(fields))),
         }
     }
 
@@ -582,7 +369,7 @@ impl<'a> EventLine<'a> {
     pub(crate) fn type_label(&self) -> Option<&str> {
         match self {
             EventLine::Exact(ev) => Some(ev.kind.label()),
-            EventLine::Lexed(slots) => slots.get(Slot::Type)?.as_str(),
+            EventLine::Lexed(fields) => fields.get("type")?.as_str(),
         }
     }
 
@@ -590,7 +377,7 @@ impl<'a> EventLine<'a> {
     pub(crate) fn cycle(&self) -> Option<u64> {
         match self {
             EventLine::Exact(ev) => Some(ev.cycle),
-            EventLine::Lexed(slots) => slots.get(Slot::Cycle)?.as_u64(),
+            EventLine::Lexed(fields) => fields.get("cycle")?.as_u64(),
         }
     }
 
@@ -598,96 +385,75 @@ impl<'a> EventLine<'a> {
     pub(crate) fn decode(self) -> Result<TraceEvent, String> {
         match self {
             EventLine::Exact(ev) => Ok(ev),
-            EventLine::Lexed(slots) => slots.decode(),
+            EventLine::Lexed(fields) => decode(&fields),
         }
     }
 }
 
-/// A lexed line: the first value of each envelope key (as
-/// [`crate::Fields::get`] finds it), typed by [`Slots::decode`].
-pub(crate) struct Slots<'a>([Option<Value<'a>>; KEYS.len()]);
+/// An integer field of a lexed line, in range for `T`.
+fn int<T: TryFrom<u64>>(fields: &Fields<'_>, key: &str) -> Result<T, String> {
+    let n = fields.get(key).and_then(Value::as_u64);
+    let n = n.ok_or_else(|| format!("missing or non-integer `{key}`"))?;
+    let range = || format!("`{key}` {n} out of range for {}", std::any::type_name::<T>());
+    T::try_from(n).map_err(|_| range())
+}
 
-impl<'a> Slots<'a> {
-    /// Lexes `text` as one JSON document; a non-object has no fields.
-    #[inline]
-    fn lex(text: &'a str) -> Result<Self, String> {
-        let mut line = Slots([const { None }; KEYS.len()]);
-        let mut lexer = Lexer::new(text);
-        lexer.fields(|key, value| {
-            if let Some(slot) = Slot::of(&key) {
-                line.0[slot as usize].get_or_insert(value);
-            }
-        })?;
-        lexer.end()?;
-        Ok(line)
-    }
+fn boolean(fields: &Fields<'_>, key: &str) -> Result<bool, String> {
+    let flag = fields.get(key).and_then(Value::as_bool);
+    flag.ok_or_else(|| format!("missing or non-boolean `{key}`"))
+}
 
-    fn get(&self, slot: Slot) -> Option<&Value<'a>> {
-        self.0[slot as usize].as_ref()
-    }
+/// The label under `key`, resolved by `f`; missing, "`what` without `key`".
+fn label<T>(
+    fields: &Fields<'_>,
+    key: &str,
+    what: &str,
+    f: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let s = fields.get(key).and_then(Value::as_str);
+    let s = s.ok_or_else(|| format!("{what} without `{key}`"))?;
+    f(s).ok_or_else(|| format!("unknown `{key}` label `{s}`"))
+}
 
-    /// An integer field, in range for `T`.
-    fn int<T: TryFrom<u64>>(&self, slot: Slot) -> Result<T, String> {
-        let key = KEYS[slot as usize];
-        let n = self.get(slot).and_then(Value::as_u64);
-        let n = n.ok_or_else(|| format!("missing or non-integer `{key}`"))?;
-        let range = || format!("`{key}` {n} out of range for {}", std::any::type_name::<T>());
-        T::try_from(n).map_err(|_| range())
-    }
-
-    fn flag(&self, slot: Slot) -> Result<bool, String> {
-        let flag = self.get(slot).and_then(Value::as_bool);
-        flag.ok_or_else(|| format!("missing or non-boolean `{}`", KEYS[slot as usize]))
-    }
-
-    /// The label in `slot`, resolved by `f`; missing, "`what` without `key`".
-    fn label<T>(&self, slot: Slot, what: &str, f: impl Fn(&str) -> Option<T>) -> Result<T, String> {
-        let key = KEYS[slot as usize];
-        let s = self.get(slot).and_then(Value::as_str);
-        let s = s.ok_or_else(|| format!("{what} without `{key}`"))?;
-        f(s).ok_or_else(|| format!("unknown `{key}` label `{s}`"))
-    }
-
-    /// The typed event, a kind to a row, fields checked in `walk`'s order.
-    fn decode(&self) -> Result<TraceEvent, String> {
-        use EventKind::*;
-        use Slot as S;
-        let (long, short) = (|s| self.int::<u64>(s), |s| self.int::<u32>(s));
-        let (seq, cycle, cluster) = (long(S::Seq)?, long(S::Cycle)?, short(S::Cluster)?);
-        let ty = self.get(S::Type).and_then(Value::as_str).ok_or("missing `type`")?;
-        let (txn, block, flag) = (|| long(S::Txn), || long(S::Block), |s| self.flag(s));
-        let phase = || self.label(S::Phase, "phase", phase_named);
-        let why = || self.label(S::Cause, ty, cause_named);
-        let msg = || self.label(S::Msg, ty, msg_named);
-        let opt_block = || self.get(S::Block).map(|_| long(S::Block)).transpose();
-        let class = || self.label(S::Class, ty, class_named);
-        let kind = match ty {
-            "txn_begin" => TxnBegin { txn: txn()?, block: block()?, write: flag(S::Write)? },
-            "txn_phase" => TxnPhase { txn: txn()?, block: block()?, phase: phase()? },
-            "txn_end" => TxnEnd {
-                txn: txn()?, block: block()?,
-                latency: long(S::Latency)?, retries: short(S::Retries)?,
-            },
-            "nack" => Nack { txn: txn()?, block: block()? },
-            "retry" => Retry {
-                txn: txn()?, block: block()?,
-                attempt: short(S::Attempt)?, backoff: long(S::Backoff)?,
-            },
-            "inval" => Inval { block: block()?, targets: short(S::Targets)?, cause: why()? },
-            "replacement" => Replacement {
-                victim: long(S::Victim)?, targets: short(S::Targets)?, dirty: flag(S::Dirty)?,
-            },
-            "msg_send" => MsgSend {
-                src: short(S::Src)?, dst: short(S::Dst)?, msg: msg()?, class: class()?,
-                block: opt_block()?, hops: short(S::Hops)?,
-            },
-            "msg_deliver" => MsgDeliver {
-                src: short(S::Src)?, dst: short(S::Dst)?, msg: msg()?, block: opt_block()?,
-            },
-            other => return Err(format!("unknown event type `{other}`")),
-        };
-        Ok(TraceEvent { seq, cycle, cluster, kind })
-    }
+/// The typed event of a lexed line, a kind to a row, fields checked in
+/// `walk`'s order.
+fn decode(fields: &Fields<'_>) -> Result<TraceEvent, String> {
+    use EventKind::*;
+    let (long, short) = (|key| int::<u64>(fields, key), |key| int::<u32>(fields, key));
+    let (seq, cycle, cluster) = (long("seq")?, long("cycle")?, short("cluster")?);
+    let ty = fields.get("type").and_then(Value::as_str).ok_or("missing `type`")?;
+    let (txn, block, flag) = (|| long("txn"), || long("block"), |key| boolean(fields, key));
+    let phase = || label(fields, "phase", "phase", phase_named);
+    let why = || label(fields, "cause", ty, cause_named);
+    let msg = || label(fields, "msg", ty, msg_named);
+    let opt_block = || fields.get("block").map(|_| long("block")).transpose();
+    let class = || label(fields, "class", ty, class_named);
+    let kind = match ty {
+        "txn_begin" => TxnBegin { txn: txn()?, block: block()?, write: flag("write")? },
+        "txn_phase" => TxnPhase { txn: txn()?, block: block()?, phase: phase()? },
+        "txn_end" => TxnEnd {
+            txn: txn()?, block: block()?,
+            latency: long("latency")?, retries: short("retries")?,
+        },
+        "nack" => Nack { txn: txn()?, block: block()? },
+        "retry" => Retry {
+            txn: txn()?, block: block()?,
+            attempt: short("attempt")?, backoff: long("backoff")?,
+        },
+        "inval" => Inval { block: block()?, targets: short("targets")?, cause: why()? },
+        "replacement" => Replacement {
+            victim: long("victim")?, targets: short("targets")?, dirty: flag("dirty")?,
+        },
+        "msg_send" => MsgSend {
+            src: short("src")?, dst: short("dst")?, msg: msg()?, class: class()?,
+            block: opt_block()?, hops: short("hops")?,
+        },
+        "msg_deliver" => MsgDeliver {
+            src: short("src")?, dst: short("dst")?, msg: msg()?, block: opt_block()?,
+        },
+        other => return Err(format!("unknown event type `{other}`")),
+    };
+    Ok(TraceEvent { seq, cycle, cluster, kind })
 }
 
 impl TraceEvent {

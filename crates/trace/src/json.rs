@@ -15,13 +15,19 @@
 //! * [`Json::parse`] builds the tree, for *documents* a reader walks more
 //!   than once (`scd-run-stats/v1`, `scd-patterns/v1`, `BENCH_*.json`);
 //! * [`Fields`] is the flat view of one object, for *records* read once
-//!   and dropped (a stream record, a Perfetto `traceEvents` item the
-//!   exporter did not write byte for byte): keys
+//!   and dropped (a stream record, a Perfetto `traceEvents` item or an
+//!   event line the writer did not write byte for byte): keys
 //!   and scalars are slices of the input, nested values stay text that
 //!   either fold can read again, and nothing is allocated unless a string
 //!   holds an escape;
 //! * [`crate::TraceEvent::parse`] decodes a trace-event line into its
-//!   event; a line that is not the writer's exact bytes is lexed here.
+//!   event; a line off the writer's exact bytes is read as [`Fields`].
+//!
+//! The byte renderers' grammar is here too: `push_u64` and `push_label`
+//! write values, a `keys!` set the fixed bytes between them, and one
+//! `Exact` cursor reads text they wrote back by comparing it with those
+//! bytes, before any lexing. The event and Perfetto readers keep only
+//! their layouts: which key or fragment comes next.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -504,20 +510,6 @@ impl<'a> Lexer<'a> {
         Ok(())
     }
 
-    /// The object walk of [`Fields`] and the event decoder: hands `f` each
-    /// field of the value at the cursor, read whole (a non-object has none).
-    #[inline]
-    pub fn fields(&mut self, mut f: impl FnMut(Cow<'a, str>, Value<'a>)) -> Result<(), String> {
-        let open = self.value()?;
-        if open != Token::Obj {
-            return self.skip(&open);
-        }
-        while let Some(key) = self.key()? {
-            f(key, self.whole()?);
-        }
-        Ok(())
-    }
-
     /// Reads the value at the cursor whole: a container is skipped, and
     /// its text comes back as a slice any reader can lex again.
     #[inline]
@@ -864,21 +856,28 @@ impl<'a> Fields<'a> {
         Ok(fields)
     }
 
-    /// Reads the value at the lexer's cursor.
+    /// Reads the value at the lexer's cursor, each field whole (a
+    /// non-object has none).
     #[inline]
     pub fn read(lexer: &mut Lexer<'a>) -> Result<Self, String> {
         let mut fields = Fields {
             inline: [const { None }; INLINE_FIELDS],
             spill: Vec::new(),
         };
+        let open = lexer.value()?;
+        if open != Token::Obj {
+            lexer.skip(&open)?;
+            return Ok(fields);
+        }
         let mut n = 0;
-        lexer.fields(|key, value| {
+        while let Some(key) = lexer.key()? {
+            let value = lexer.whole()?;
             match fields.inline.get_mut(n) {
                 Some(slot) => *slot = Some((key, value)),
                 None => fields.spill.push((key, value)),
             }
             n += 1;
-        })?;
+        }
         Ok(fields)
     }
 
@@ -891,6 +890,240 @@ impl<'a> Fields<'a> {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
     }
+}
+
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends `n` in decimal: two digits per division, from a stack buffer
+/// (no `fmt` machinery, no heap). The one decimal writer of the crate's
+/// renderers — every event line and every Perfetto record goes through it.
+///
+/// The digits land right-aligned in the first half of the buffer and
+/// leave as one constant-length copy starting at the first digit, cut
+/// back to the digit count: a 20-byte move the compiler inlines, where a
+/// copy of exactly 1..=20 bytes is a call into `memcpy`.
+#[inline]
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    const WIDTH: usize = 20; // digits of `u64::MAX`
+    let mut buf = [0u8; 2 * WIDTH];
+    let mut i = WIDTH;
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    let window: &[u8; WIDTH] = buf[i..i + WIDTH].try_into().expect("WIDTH bytes");
+    let end = out.len() + (WIDTH - i);
+    out.extend_from_slice(window);
+    out.truncate(end);
+}
+
+/// Appends `s` as a quoted JSON string. A label the machine supplies is a
+/// plain identifier: one scan, one copy. Only a string with a byte JSON
+/// must escape goes through the escaper, so both paths produce [`Json`]'s
+/// bytes.
+#[inline]
+pub(crate) fn push_label(out: &mut Vec<u8>, s: &str) {
+    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        write_escaped(&mut Utf8(out), s).expect("writing to a Vec cannot fail");
+    } else {
+        out.push(b'"');
+        out.extend_from_slice(s.as_bytes());
+        out.push(b'"');
+    }
+}
+
+/// Declares a writer's fixed bytes, keys and punctuation included, as
+/// byte arrays of fixed length: the one spelling the writer emits and
+/// [`Exact`] compares. Each format invokes it in a `mod key` of its own.
+macro_rules! keys {
+    ($($name:ident = $bytes:literal,)*) => {
+        $(pub(super) const $name: &[u8; $bytes.len()] = $bytes;)*
+    };
+}
+pub(crate) use keys;
+
+/// A cursor over text one of the crate's writers wrote. Each read compares
+/// the next bytes with what the writer would have put there and gives
+/// `None` at the first difference, without saying why: the caller then
+/// hands the text to the [`Lexer`], which does.
+pub(crate) struct Exact<'a> {
+    text: &'a str,
+    /// What is left of `text` to read.
+    rest: &'a [u8],
+}
+
+impl<'a> Exact<'a> {
+    #[inline(always)]
+    pub(crate) fn new(text: &'a str) -> Self {
+        Exact { text, rest: text.as_bytes() }
+    }
+
+    /// How many bytes of the text have been read.
+    #[inline(always)]
+    pub(crate) fn consumed(&self) -> usize {
+        self.text.len() - self.rest.len()
+    }
+
+    #[inline(always)]
+    pub(crate) fn key<const N: usize>(&mut self, key: &[u8; N]) -> Option<()> {
+        let (at, rest) = self.rest.split_first_chunk()?;
+        (at == key).then(|| self.rest = rest)
+    }
+
+    /// The fragment, when it is next.
+    #[inline(always)]
+    pub(crate) fn eat<const N: usize>(&mut self, fragment: &[u8; N]) -> bool {
+        self.key(fragment).is_some()
+    }
+
+    /// An integer as [`push_u64`] writes it ([`exact_u64`]).
+    #[inline(always)]
+    pub(crate) fn num(&mut self) -> Option<u64> {
+        let (v, n) = exact_u64(self.rest)?;
+        self.rest = &self.rest[n..];
+        Some(v)
+    }
+
+    /// `key`, then an integer.
+    #[inline(always)]
+    pub(crate) fn u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<u64> {
+        self.key(key)?;
+        self.num()
+    }
+
+    #[inline(always)]
+    pub(crate) fn u32<const N: usize>(&mut self, key: &[u8; N]) -> Option<u32> {
+        self.u64(key)?.try_into().ok()
+    }
+
+    /// `key`, then the optional field's integer; `Some(None)` when the
+    /// next key is another.
+    #[inline(always)]
+    pub(crate) fn opt_u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<Option<u64>> {
+        if self.rest.starts_with(key) {
+            self.u64(key).map(Some)
+        } else {
+            Some(None)
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn flag<const N: usize>(&mut self, key: &[u8; N]) -> Option<bool> {
+        self.key(key)?;
+        let (b, len) = match self.rest.first()? {
+            b't' if self.rest.starts_with(b"true") => (true, 4),
+            b'f' if self.rest.starts_with(b"false") => (false, 5),
+            _ => return None,
+        };
+        self.rest = &self.rest[len..];
+        Some(b)
+    }
+
+    /// `key`, then a quoted label resolved by `named`. Every vocabulary
+    /// word is a plain identifier, so a label spelled with an escape (or
+    /// holding a control byte) resolves to nothing, and the body needs no
+    /// scan of its own.
+    #[inline(always)]
+    pub(crate) fn label<T, const N: usize>(
+        &mut self,
+        key: &[u8; N],
+        named: impl Fn(&'a str) -> Option<T>,
+    ) -> Option<T> {
+        self.key(key)?;
+        let rest = self.rest.strip_prefix(b"\"")?;
+        let len = closing_quote(rest)?;
+        let start = self.text.len() - rest.len();
+        self.rest = &rest[len + 1..];
+        // Quotes are ASCII, so both cuts are char boundaries.
+        named(&self.text[start..start + len])
+    }
+
+    /// The string body at the cursor, up to its closing quote (left
+    /// unread), when it holds no escape and no control byte: a slice the
+    /// lexer would have borrowed as it is.
+    #[inline(always)]
+    pub(crate) fn plain(&mut self) -> Option<()> {
+        let len = closing_quote(self.rest)?;
+        let body = &self.rest[..len];
+        if body.iter().fold(false, |bad, &b| bad | (b < 0x20) | (b == b'\\')) {
+            return None;
+        }
+        self.rest = &self.rest[len..];
+        Some(())
+    }
+
+    /// `key`, then a quoted [`Exact::plain`] string.
+    #[inline(always)]
+    pub(crate) fn string<const N: usize>(&mut self, key: &[u8; N]) -> Option<()> {
+        self.key(key)?;
+        self.rest = self.rest.strip_prefix(b"\"")?;
+        self.plain()?;
+        self.rest = &self.rest[1..];
+        Some(())
+    }
+
+    /// A `}` that is the last byte of the text.
+    #[inline(always)]
+    pub(crate) fn end(&self) -> Option<()> {
+        (self.rest == b"}").then_some(())
+    }
+}
+
+/// The integer `bytes` starts with, as [`push_u64`] writes it, and its
+/// digit count: a digit run with no leading zero. Nineteen digits cannot
+/// overflow; a twentieth can, so that rare run is read again with the
+/// check. `None` for anything the writer would not have written.
+#[inline(always)]
+fn exact_u64(digits: &[u8]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    let mut n = 0;
+    while let Some(d) = digits.get(n).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+        v = v.wrapping_mul(10).wrapping_add(d as u64);
+        n += 1;
+    }
+    let v = match n {
+        0 => return None,
+        1 => v,
+        _ if digits[0] == b'0' => return None,
+        2..=19 => v,
+        20 => std::str::from_utf8(&digits[..n]).ok()?.parse().ok()?,
+        _ => return None,
+    };
+    Some((v, n))
+}
+
+/// The first `"` in `bytes`, eight bytes to a step: a byte loop's exit
+/// branch, taken once per label at a length it cannot predict, cost more
+/// than the rest of the label. `x` is zero in the byte that held a quote,
+/// and the lowest byte the zero-byte test flags is always a true zero.
+#[inline(always)]
+fn closing_quote(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let mut n = 0;
+    while let Some(chunk) = bytes[n..].first_chunk::<8>() {
+        let x = u64::from_le_bytes(*chunk) ^ (ONES * u64::from(b'"'));
+        let zero = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zero != 0 {
+            return Some(n + zero.trailing_zeros() as usize / 8);
+        }
+        n += 8;
+    }
+    bytes[n..].iter().position(|&b| b == b'"').map(|at| n + at)
 }
 
 #[cfg(test)]

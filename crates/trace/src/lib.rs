@@ -35,8 +35,8 @@
 //! Reading a recorded run back goes through one borrowed lexer in
 //! [`json`]: documents ([`validate_stats_json`], [`compare_docs`]) keep a
 //! [`Json`] tree; every trace reader — [`validate_trace`],
-//! [`validate_stream`], and [`run_lines`] under [`PatternTable::from_trace`]
-//! and `scd-telemetry spans` — folds the typed events [`TraceEvent::parse`]
+//! [`validate_stream`], and [`run_line`] under [`PatternTable::from_trace`],
+//! `scd-telemetry spans` and `top` — folds the typed events [`TraceEvent::parse`]
 //! decodes (the writer's exact bytes in a direct pass, any other spelling
 //! through the lexer); [`validate_perfetto`] reads the exporter's records
 //! the same two ways, and stream records are read through the flat
@@ -74,7 +74,7 @@ pub use patterns::{
 };
 pub use perfetto::{to_perfetto, validate_perfetto, PerfettoSummary};
 pub use pump::StreamPump;
-pub use replay::{run_lines, validate_stats_json, validate_trace, RunLine, TraceSummary};
+pub use replay::{run_line, run_lines, validate_stats_json, validate_trace, RunLine, TraceSummary};
 pub use schema::{
     CRITICAL_SCHEMA, METRICS_SCHEMA, PATTERNS_SCHEMA, RUN_STATS_SCHEMA, SWEEP_SCHEMA,
 };

@@ -21,8 +21,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use crate::event::{closing_quote, exact_u64, push_label, push_u64};
-use crate::json::{Fields, Lexer, Token};
+use crate::json::{push_label, push_u64, Exact, Fields, Lexer, Token};
 use crate::metrics::IntervalSnapshot;
 use crate::span::{MsgSpan, PhaseSpan, SpanTree, TxnSpan};
 
@@ -31,17 +30,11 @@ use crate::span::{MsgSpan, PhaseSpan, SpanTree, TxnSpan};
 const BACKGROUND_TID: u64 = 0;
 
 /// The document's fixed bytes, keys and punctuation included: the one set
-/// the record writers emit and the exact-bytes reader ([`Exact`])
+/// the record writers emit and the exact-bytes reader ([`exact`])
 /// compares. A record is a run of them with one value between each two;
 /// each kind's own run from its `name` to its `pid` is one fragment.
 mod key {
-    macro_rules! keys {
-        ($($name:ident = $bytes:literal,)*) => {
-            $(pub(super) const $name: &[u8; $bytes.len()] = $bytes;)*
-        };
-    }
-
-    keys! {
+    crate::json::keys! {
         NAME = b"{\"name\":",
         TXN = b",\"cat\":\"txn\",\"ph\":\"X\",\"pid\":",
         PHASE = b",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":",
@@ -273,7 +266,7 @@ pub struct PerfettoSummary {
 /// directly; any other spelling goes through the lexer, which alone gives
 /// errors, so the verdict and its text do not depend on which pass ran.
 pub fn validate_perfetto(text: &str) -> Result<PerfettoSummary, String> {
-    read(text, Exact::read)
+    read(text, exact)
 }
 
 /// [`validate_perfetto`] with every record read through the lexer: the
@@ -291,7 +284,7 @@ pub fn read_lexed(text: &str) -> Result<PerfettoSummary, String> {
 pub fn exact_records(text: &str) -> u64 {
     let taken = std::cell::Cell::new(0);
     let _ = read(text, |rest| {
-        let record = Exact::read(rest);
+        let record = exact(rest);
         taken.set(taken.get() + u64::from(record.is_some()));
         record
     });
@@ -404,136 +397,72 @@ impl<'a> Record<'a> {
     }
 }
 
-/// A cursor over one `traceEvents` record as the writers above write it.
-/// As the event decoder's, each read compares the next bytes with what
-/// the writer would have put there and gives `None` at the first
-/// difference, leaving the record to the lexer.
-struct Exact<'a> {
-    text: &'a str,
-    /// What is left of `text` to read.
-    rest: &'a [u8],
+/// After an async fragment, which ends inside the `id` at its `0x`: the
+/// rest of the `id` and the lane up to the `ts`. Gives the id with its
+/// `0x`, the pid and the ts.
+#[inline(always)]
+fn async_lane<'a>(r: &mut Exact<'a>, text: &'a str) -> Option<(&'a str, u64, u64)> {
+    // The fragment's last two bytes are the `0x`; they and the quote are
+    // ASCII, so each cut is a char boundary.
+    let start = r.consumed() - 2;
+    r.plain()?;
+    let id = &text[start..r.consumed()];
+    let pid = r.u64(key::ID_PID)?;
+    r.u64(key::TID)?;
+    Some((id, pid, r.u64(key::TS)?))
 }
 
-impl<'a> Exact<'a> {
-    #[inline(always)]
-    fn key<const N: usize>(&mut self, key: &[u8; N]) -> Option<()> {
-        let (at, rest) = self.rest.split_first_chunk()?;
-        (at == key).then(|| self.rest = rest)
-    }
-
-    /// An integer as `push_u64` writes it.
-    #[inline(always)]
-    fn num(&mut self) -> Option<u64> {
-        let (v, n) = exact_u64(self.rest)?;
-        self.rest = &self.rest[n..];
-        Some(v)
-    }
-
-    #[inline(always)]
-    fn u64<const N: usize>(&mut self, key: &[u8; N]) -> Option<u64> {
-        self.key(key)?;
-        self.num()
-    }
-
-    /// The string body at the cursor, up to its closing quote (left
-    /// unread), when it holds no escape and no control byte: a slice the
-    /// lexer would have borrowed as it is.
-    #[inline(always)]
-    fn plain(&mut self) -> Option<(usize, usize)> {
-        let len = closing_quote(self.rest)?;
-        let body = &self.rest[..len];
-        if body.iter().fold(false, |bad, &b| bad | (b < 0x20) | (b == b'\\')) {
-            return None;
-        }
-        let start = self.text.len() - self.rest.len();
-        self.rest = &self.rest[len..];
-        Some((start, start + len))
-    }
-
-    /// `key`, then a quoted plain string.
-    #[inline(always)]
-    fn string<const N: usize>(&mut self, key: &[u8; N]) -> Option<()> {
-        self.key(key)?;
-        self.rest = self.rest.strip_prefix(b"\"")?;
-        self.plain()?;
-        self.rest = &self.rest[1..];
-        Some(())
-    }
-
-    /// The fragment, when it is next.
-    #[inline(always)]
-    fn eat<const N: usize>(&mut self, fragment: &[u8; N]) -> bool {
-        self.key(fragment).is_some()
-    }
-
-    /// After an async fragment, which ends inside the `id` at its `0x`:
-    /// the rest of the `id` and the lane up to the `ts`. Gives the id with
-    /// its `0x`, the pid and the ts.
-    #[inline(always)]
-    fn async_lane(&mut self) -> Option<(&'a str, u64, u64)> {
-        let (start, end) = self.plain()?;
-        // The fragment's last two bytes are the `0x`; they and the quotes
-        // are ASCII, so each cut is a char boundary.
-        let id = &self.text[start - 2..end];
-        let pid = self.u64(key::ID_PID)?;
-        self.u64(key::TID)?;
-        Some((id, pid, self.u64(key::TS)?))
-    }
-
-    /// The record at the start of `text` and its length, when it is byte
-    /// for byte one of the six layouts the writers above produce; the
-    /// bytes after it are the lexer's.
-    #[inline]
-    fn read(text: &'a str) -> Option<(Record<'a>, usize)> {
-        let mut r = Exact { text, rest: text.as_bytes() };
-        r.string(key::NAME)?;
-        // The kinds by how often the writer emits them.
-        let record = if r.eat(key::BEGIN) {
-            let (id, pid, ts) = r.async_lane()?;
-            r.u64(key::MSG_ARGS)?;
-            r.u64(key::DST)?;
-            r.string(key::CLASS)?;
-            r.u64(key::HOPS)?;
-            r.key(key::CLOSE_ARGS)?;
-            Record::Async { begin: true, pid, id: Cow::Borrowed(id), ts }
-        } else if r.eat(key::END) {
-            let (id, pid, ts) = r.async_lane()?;
-            r.key(key::CLOSE)?;
-            Record::Async { begin: false, pid, id: Cow::Borrowed(id), ts }
-        } else if r.eat(key::PHASE) {
-            let (pid, tid) = (r.num()?, r.u64(key::TID)?);
-            let (ts, dur) = (r.u64(key::TS)?, r.u64(key::DUR)?);
-            r.key(key::NO_ARGS)?;
-            Record::Slice { pid, tid, ts, dur }
-        } else if r.eat(key::TXN) {
-            let (pid, tid) = (r.num()?, r.u64(key::TID)?);
-            let (ts, dur) = (r.u64(key::TS)?, r.u64(key::DUR)?);
-            r.u64(key::TXN_ARGS)?;
-            r.u64(key::BLOCK)?;
-            r.u64(key::RETRIES)?;
-            r.u64(key::NACKS)?;
-            r.key(key::COMPLETE)?;
-            let flag: &[u8] = if r.rest.starts_with(b"true") { b"true" } else { b"false" };
-            r.rest = r.rest.strip_prefix(flag)?;
-            r.key(key::CLOSE_ARGS)?;
-            Record::Slice { pid, tid, ts, dur }
-        } else if r.eat(key::COUNTER) {
-            r.num()?;
-            r.u64(key::TID)?;
-            r.u64(key::TS)?;
-            r.u64(key::VALUE_ARGS)?;
-            r.key(key::CLOSE_ARGS)?;
-            Record::Counter
-        } else {
-            r.key(key::META)?;
-            r.num()?;
-            r.u64(key::TID)?;
-            r.string(key::META_ARGS)?;
-            r.key(key::CLOSE_ARGS)?;
-            Record::Meta
-        };
-        Some((record, text.len() - r.rest.len()))
-    }
+/// The `traceEvents` record at the start of `text` and its length, when it
+/// is byte for byte one of the six layouts the writers above produce; the
+/// bytes after it are the lexer's.
+#[inline]
+fn exact(text: &str) -> Option<(Record<'_>, usize)> {
+    let mut r = Exact::new(text);
+    r.string(key::NAME)?;
+    // The kinds by how often the writer emits them.
+    let record = if r.eat(key::BEGIN) {
+        let (id, pid, ts) = async_lane(&mut r, text)?;
+        r.u64(key::MSG_ARGS)?;
+        r.u64(key::DST)?;
+        r.string(key::CLASS)?;
+        r.u64(key::HOPS)?;
+        r.key(key::CLOSE_ARGS)?;
+        Record::Async { begin: true, pid, id: Cow::Borrowed(id), ts }
+    } else if r.eat(key::END) {
+        let (id, pid, ts) = async_lane(&mut r, text)?;
+        r.key(key::CLOSE)?;
+        Record::Async { begin: false, pid, id: Cow::Borrowed(id), ts }
+    } else if r.eat(key::PHASE) {
+        let (pid, tid) = (r.num()?, r.u64(key::TID)?);
+        let (ts, dur) = (r.u64(key::TS)?, r.u64(key::DUR)?);
+        r.key(key::NO_ARGS)?;
+        Record::Slice { pid, tid, ts, dur }
+    } else if r.eat(key::TXN) {
+        let (pid, tid) = (r.num()?, r.u64(key::TID)?);
+        let (ts, dur) = (r.u64(key::TS)?, r.u64(key::DUR)?);
+        r.u64(key::TXN_ARGS)?;
+        r.u64(key::BLOCK)?;
+        r.u64(key::RETRIES)?;
+        r.u64(key::NACKS)?;
+        r.flag(key::COMPLETE)?;
+        r.key(key::CLOSE_ARGS)?;
+        Record::Slice { pid, tid, ts, dur }
+    } else if r.eat(key::COUNTER) {
+        r.num()?;
+        r.u64(key::TID)?;
+        r.u64(key::TS)?;
+        r.u64(key::VALUE_ARGS)?;
+        r.key(key::CLOSE_ARGS)?;
+        Record::Counter
+    } else {
+        r.key(key::META)?;
+        r.num()?;
+        r.u64(key::TID)?;
+        r.string(key::META_ARGS)?;
+        r.key(key::CLOSE_ARGS)?;
+        Record::Meta
+    };
+    Some((record, r.consumed()))
 }
 
 /// What [`validate_perfetto`] keeps while the records go by: the open

@@ -15,7 +15,7 @@ use crate::json::{records, Fields, Json};
 use crate::metrics::IntervalSnapshot;
 use crate::patterns::req_u64;
 
-/// One line of a recorded run, as [`run_lines`] reads it.
+/// One line of a recorded run, as [`run_line`] reads it.
 #[derive(Debug, PartialEq)]
 pub enum RunLine {
     /// A trace event.
@@ -24,28 +24,32 @@ pub enum RunLine {
     Interval(IntervalSnapshot),
 }
 
-/// The lines of a recorded run — a `--trace-out` trace or a single-run
-/// `--stream-out` stream — in order, numbered from 1: the one reader of
-/// `PatternTable::from_trace` and `scd-telemetry spans`. An event is
-/// decoded by [`TraceEvent::parse`], an `interval` window by
-/// [`IntervalSnapshot::parse`]; the other single-run records are skipped.
-/// Anything else is an error citing its line, with the decoder's text.
+/// One line of a recorded run — a `--trace-out` trace or a single-run
+/// `--stream-out` stream: an event decoded by [`TraceEvent::parse`], an
+/// `interval` window by [`IntervalSnapshot::parse`], `None` for the other
+/// single-run records. Anything else is an error, with the decoder's text.
+pub fn run_line(line: &str) -> Result<Option<RunLine>, String> {
+    // Only a line the event decoder refuses is read again, so a pure
+    // trace costs what decoding it costs.
+    TraceEvent::parse(line).map(|ev| Some(RunLine::Event(ev))).or_else(|refusal| {
+        let Ok(fields) = Fields::parse(line) else { return Err(refusal) };
+        match fields.get("type").and_then(|v| v.as_str()) {
+            Some("interval") => {
+                let window = fields.get("window").ok_or("interval without `window`")?;
+                IntervalSnapshot::parse(window.raw()).map(|w| Some(RunLine::Interval(w)))
+            }
+            Some("run_meta" | "attrib_delta" | "patterns" | "run_end") => Ok(None),
+            _ => Err(refusal),
+        }
+    })
+}
+
+/// The lines of a recorded run in order, numbered from 1, each read by
+/// [`run_line`]: the one reader of `PatternTable::from_trace` and
+/// `scd-telemetry spans`. An error cites its line.
 pub fn run_lines(text: &str) -> impl Iterator<Item = Result<(usize, RunLine), String>> + '_ {
     records(text).filter_map(|(line_no, line)| {
-        // Only a line the event decoder refuses is read again, so a pure
-        // trace costs what decoding it costs.
-        let read = TraceEvent::parse(line).map(|ev| Some(RunLine::Event(ev))).or_else(|refusal| {
-            let Ok(fields) = Fields::parse(line) else { return Err(refusal) };
-            match fields.get("type").and_then(|v| v.as_str()) {
-                Some("interval") => {
-                    let window = fields.get("window").ok_or("interval without `window`")?;
-                    IntervalSnapshot::parse(window.raw()).map(|w| Some(RunLine::Interval(w)))
-                }
-                Some("run_meta" | "attrib_delta" | "patterns" | "run_end") => Ok(None),
-                _ => Err(refusal),
-            }
-        });
-        let read = read.map_err(|e| format!("line {line_no}: {e}")).transpose()?;
+        let read = run_line(line).map_err(|e| format!("line {line_no}: {e}")).transpose()?;
         Some(read.map(|l| (line_no, l)))
     })
 }

@@ -39,7 +39,7 @@ usage: scd-sweep [options]
   --bench-out <dir>   also write per-run BENCH_<app>_<scheme>.json points
   --stream-out <path> publish live sweep progress as JSONL while the grid
                       runs (sweep_begin, one sweep_run per finished point,
-                      sweep_end; point scd-top at it for a dashboard)
+                      sweep_end; scd-telemetry top renders it live)
   --no-timing         omit the wall-clock timing section (byte-deterministic
                       output for determinism checks)
   --trajectory        shorthand for the perf-trajectory grid: all apps,

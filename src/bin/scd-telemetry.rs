@@ -1,29 +1,35 @@
-//! scd-telemetry — the offline tools over the telemetry formats, as
-//! subcommands of one binary: `scdsim` records a run, this binary reads
-//! it. `validate` checks files against their schemas, `patterns`
-//! classifies sharing patterns and `spans` profiles transactions from a
-//! trace or a single-run stream alike (both read it through
-//! [`scd::trace::run_lines`]), and `report` flags regressions between
-//! `scd-run-stats/v1` documents. `HELP` and the per-subcommand help texts
-//! below are the one copy of the options.
+//! scd-telemetry — the tools over the telemetry formats, as subcommands
+//! of one binary: `scdsim` and `scd-sweep` record, this binary reads.
+//! `validate` checks files against their schemas, `patterns` classifies
+//! sharing patterns and `spans` profiles transactions from a trace or a
+//! single-run stream alike, `top` follows a stream while it is written
+//! (all three read its lines through [`scd::trace::run_line`]), and
+//! `report` flags regressions between `scd-run-stats/v1` documents. `HELP`
+//! and the per-subcommand help texts below are the one copy of the
+//! options, and [`each_arg`] the one loop over them.
 //!
 //! Exit codes, every subcommand: 0 = ok, 1 = a file failed validation,
 //! a comparison mismatched or a metric regressed, 2 = usage error or an
 //! unreadable / unparseable input.
 
 use scd::stats::table::{render_bars, render_table, Align};
+use scd::stats::Histogram;
 use scd::trace::json::records;
 use scd::trace::{
-    analyze, compare_docs, doc_label, extract_trace_lines, is_event_line, run_lines,
+    analyze, compare_docs, doc_label, extract_trace_lines, is_event_line, run_line, run_lines,
     to_perfetto, validate_patterns_json, validate_perfetto, validate_stats_json, validate_stream,
-    validate_trace, Json, PatternTable, RunLine, SpanTree,
+    validate_trace, EventKind, Fields, Json, PatternTable, Phase, RunLine, SpanTree, TraceEvent,
+    EVENT_TYPES,
 };
+use std::collections::HashMap;
+use std::io::{Read as _, Write as _};
 use std::process::exit;
+use std::time::{Duration, Instant};
 
 const HELP: &str = "\
-scd-telemetry: offline tools over scd telemetry files
+scd-telemetry: tools over scd telemetry files
 
-usage: scd-telemetry <validate|patterns|spans|report> [options]
+usage: scd-telemetry <validate|patterns|spans|report|top> [options]
        (each takes --help)
 
   validate   check trace, stats, patterns, Perfetto and stream files
@@ -32,6 +38,7 @@ usage: scd-telemetry <validate|patterns|spans|report> [options]
   spans      span profile of a recorded trace or stream: Perfetto export,
              folded stacks, slowest transactions
   report     compare scd-run-stats/v1 documents and flag regressions
+  top        live dashboard over a telemetry stream while it is written
 
 Exit codes: 0 ok; 1 validation failure, mismatch or regression;
 2 usage error or unreadable input.
@@ -124,6 +131,19 @@ when every candidate stays within tolerance of the baseline, 1 on any
 regression, 2 on usage or parse errors.
 ";
 
+const TOP_HELP: &str = "\
+scd-telemetry top: live dashboard over an scd telemetry stream (JSONL)
+
+usage: scd-telemetry top <stream.jsonl> [--once]
+
+  <stream.jsonl>  scdsim --stream-out or scd-sweep --stream-out, followed
+                  while the producer writes it, complete lines only, and
+                  redrawn every 500 ms until its run_end or sweep_end
+  --once          render one frame from the current file contents and
+                  exit (no screen clearing; scriptable)
+  -h, --help      show this help
+";
+
 type Args = std::iter::Skip<std::env::Args>;
 
 fn usage_err(help: &str, msg: &str) -> ! {
@@ -136,10 +156,32 @@ fn fail(code: i32, msg: &str) -> ! {
     exit(code);
 }
 
-/// The value of `flag`, or a usage error.
-fn value(args: &mut Args, help: &str, flag: &str) -> String {
-    args.next()
-        .unwrap_or_else(|| usage_err(help, &format!("{flag} needs an argument")))
+/// The one argument loop: `-h`/`--help` prints `help` and exits 0; a flag
+/// in `valued` comes to `each` with the argument after it, one in `bare`
+/// with none, and a positional as the flag `""`, all in order; any other
+/// flag is a usage error.
+fn each_arg(
+    mut args: Args,
+    help: &str,
+    valued: &[&'static str],
+    bare: &[&'static str],
+    mut each: impl FnMut(&'static str, String),
+) {
+    while let Some(arg) = args.next() {
+        if arg == "-h" || arg == "--help" {
+            print!("{help}");
+            exit(0);
+        } else if let Some(&flag) = valued.iter().find(|&&f| f == arg) {
+            let value = args.next();
+            each(flag, value.unwrap_or_else(|| usage_err(help, &format!("{flag} needs an argument"))));
+        } else if let Some(&flag) = bare.iter().find(|&&f| f == arg) {
+            each(flag, String::new());
+        } else if arg.starts_with('-') {
+            usage_err(help, &format!("unknown flag {arg}"));
+        } else {
+            each("", arg);
+        }
+    }
 }
 
 fn read(path: &str) -> String {
@@ -157,44 +199,18 @@ fn main() {
         Some("patterns") => patterns(args),
         Some("spans") => spans(args),
         Some("report") => report(args),
+        Some("top") => top(args),
         Some("-h" | "--help") => print!("{HELP}"),
         Some(other) => usage_err(HELP, &format!("unknown subcommand {other}")),
         None => usage_err(HELP, "no subcommand given"),
     }
 }
 
-/// What one `validate` argument asks of its file.
-enum Kind {
-    Trace,
-    Stats,
-    Patterns,
-    Perfetto,
-    Stream,
-    ExtractTrace,
-}
-
-fn validate(mut args: Args) {
-    // `None`: a `.jsonl` file, a trace or a stream by its first record.
-    let mut jobs: Vec<(Option<Kind>, String)> = Vec::new();
-    while let Some(arg) = args.next() {
-        let kind = match arg.as_str() {
-            "-h" | "--help" => return print!("{VALIDATE_HELP}"),
-            "--trace" => Kind::Trace,
-            "--stats" => Kind::Stats,
-            "--patterns" => Kind::Patterns,
-            "--perfetto" => Kind::Perfetto,
-            "--stream" => Kind::Stream,
-            "--extract-trace" => Kind::ExtractTrace,
-            path if !path.starts_with('-') => {
-                let kind = (!path.ends_with(".jsonl")).then_some(Kind::Stats);
-                jobs.push((kind, arg));
-                continue;
-            }
-            other => usage_err(VALIDATE_HELP, &format!("unknown flag {other}")),
-        };
-        let path = value(&mut args, VALIDATE_HELP, &arg);
-        jobs.push((Some(kind), path));
-    }
+fn validate(args: Args) {
+    // `""`: a positional path, which names no kind.
+    let mut jobs: Vec<(&str, String)> = Vec::new();
+    let kinds = ["--trace", "--stats", "--patterns", "--perfetto", "--stream", "--extract-trace"];
+    each_arg(args, VALIDATE_HELP, &kinds, &[], |kind, path| jobs.push((kind, path)));
     if jobs.is_empty() {
         usage_err(VALIDATE_HELP, "no files given");
     }
@@ -202,12 +218,16 @@ fn validate(mut args: Args) {
     let mut failures = 0usize;
     for (kind, path) in &jobs {
         let text = read(path);
-        let kind = kind.as_ref().unwrap_or_else(|| {
-            let trace = records(&text).next().is_some_and(|(_, first)| is_event_line(first));
-            if trace { &Kind::Trace } else { &Kind::Stream }
-        });
+        // A positional `.jsonl` file is a trace or a stream by its first
+        // record; any other is a stats document.
+        let kind = match *kind {
+            "" if !path.ends_with(".jsonl") => "--stats",
+            "" if records(&text).next().is_some_and(|(_, first)| is_event_line(first)) => "--trace",
+            "" => "--stream",
+            kind => kind,
+        };
         let verdict = match kind {
-            Kind::Trace => validate_trace(&text).map(|s| {
+            "--trace" => validate_trace(&text).map(|s| {
                 let mut ok = format!(
                     "{} events, {} transactions ({} completed)",
                     s.events, s.transactions, s.completed
@@ -217,15 +237,15 @@ fn validate(mut args: Args) {
                 }
                 ok
             }),
-            Kind::Stats => validate_stats_json(&text).map(|()| "scd-run-stats/v1".to_string()),
-            Kind::Patterns => validate_patterns_json(&text).map(|()| "scd-patterns/v1".to_string()),
-            Kind::Perfetto => validate_perfetto(&text).map(|s| {
+            "--stats" => validate_stats_json(&text).map(|()| "scd-run-stats/v1".to_string()),
+            "--patterns" => validate_patterns_json(&text).map(|()| "scd-patterns/v1".to_string()),
+            "--perfetto" => validate_perfetto(&text).map(|s| {
                 format!(
                     "{} events ({} slices, {} msg ops, {} counters, {} meta)",
                     s.events, s.slices, s.async_ops, s.counters, s.meta
                 )
             }),
-            Kind::Stream => validate_stream(&text).map(|s| {
+            "--stream" => validate_stream(&text).map(|s| {
                 format!(
                     "{} lines ({} events, {} intervals, {} attrib deltas, {} sweep runs{}{})",
                     s.lines,
@@ -237,7 +257,7 @@ fn validate(mut args: Args) {
                     if s.sweep_ended { ", sweep_end" } else { "" },
                 )
             }),
-            Kind::ExtractTrace => {
+            _extract_trace => {
                 print!("{}", extract_trace_lines(&text));
                 continue;
             }
@@ -313,25 +333,15 @@ fn render_patterns(table: &PatternTable) -> String {
     out
 }
 
-fn patterns(mut args: Args) {
-    let mut trace_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut compare_path: Option<String> = None;
-    let mut json = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return print!("{PATTERNS_HELP}"),
-            "--out" => out_path = Some(value(&mut args, PATTERNS_HELP, &arg)),
-            "--compare" => compare_path = Some(value(&mut args, PATTERNS_HELP, &arg)),
-            "--json" => json = true,
-            path if !path.starts_with('-') => {
-                if trace_path.replace(arg).is_some() {
-                    usage_err(PATTERNS_HELP, "more than one trace file given");
-                }
-            }
-            other => usage_err(PATTERNS_HELP, &format!("unknown flag {other}")),
-        }
-    }
+fn patterns(args: Args) {
+    let (mut trace_path, mut out_path, mut compare_path, mut json) = (None, None, None, false);
+    each_arg(args, PATTERNS_HELP, &["--out", "--compare"], &["--json"], |flag, value| match flag {
+        "--out" => out_path = Some(value),
+        "--compare" => compare_path = Some(value),
+        "--json" => json = true,
+        _ if trace_path.is_none() => trace_path = Some(value),
+        _ => usage_err(PATTERNS_HELP, "more than one trace file given"),
+    });
     let Some(trace_path) = trace_path else {
         usage_err(PATTERNS_HELP, "no trace file given");
     };
@@ -368,26 +378,19 @@ fn patterns(mut args: Args) {
     }
 }
 
-fn spans(mut args: Args) {
+fn spans(args: Args) {
     let (mut run_path, mut perfetto_out, mut folded_out, mut critical) = (None, None, None, None);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return print!("{SPANS_HELP}"),
-            "--perfetto-out" => perfetto_out = Some(value(&mut args, SPANS_HELP, &arg)),
-            "--folded-out" => folded_out = Some(value(&mut args, SPANS_HELP, &arg)),
-            "--critical" => {
-                let raw = value(&mut args, SPANS_HELP, &arg);
-                let bad = || usage_err(SPANS_HELP, &format!("bad --critical `{raw}`"));
-                critical = Some(raw.parse::<usize>().unwrap_or_else(|_| bad()));
-            }
-            path if !path.starts_with('-') => {
-                if run_path.replace(arg).is_some() {
-                    usage_err(SPANS_HELP, "more than one trace or stream file given");
-                }
-            }
-            other => usage_err(SPANS_HELP, &format!("unknown flag {other}")),
+    let valued = ["--perfetto-out", "--folded-out", "--critical"];
+    each_arg(args, SPANS_HELP, &valued, &[], |flag, value| match flag {
+        "--perfetto-out" => perfetto_out = Some(value),
+        "--folded-out" => folded_out = Some(value),
+        "--critical" => {
+            let bad = || usage_err(SPANS_HELP, &format!("bad --critical `{value}`"));
+            critical = Some(value.parse::<usize>().unwrap_or_else(|_| bad()));
         }
-    }
+        _ if run_path.is_none() => run_path = Some(value),
+        _ => usage_err(SPANS_HELP, "more than one trace or stream file given"),
+    });
     let Some(run_path) = run_path else {
         usage_err(SPANS_HELP, "no trace or stream file given");
     };
@@ -423,25 +426,16 @@ fn spans(mut args: Args) {
     }
 }
 
-fn report(mut args: Args) {
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 5.0f64;
-    let mut files: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return print!("{REPORT_HELP}"),
-            "--baseline" => baseline = Some(value(&mut args, REPORT_HELP, &arg)),
-            "--tolerance" => {
-                let raw = value(&mut args, REPORT_HELP, &arg);
-                match raw.trim_end_matches('%').parse::<f64>() {
-                    Ok(pct) if pct >= 0.0 && pct.is_finite() => tolerance = pct,
-                    _ => usage_err(REPORT_HELP, &format!("invalid tolerance `{raw}`")),
-                }
-            }
-            path if !path.starts_with('-') => files.push(arg),
-            other => usage_err(REPORT_HELP, &format!("unknown flag {other}")),
-        }
-    }
+fn report(args: Args) {
+    let (mut baseline, mut tolerance, mut files) = (None, 5.0f64, Vec::new());
+    each_arg(args, REPORT_HELP, &["--baseline", "--tolerance"], &[], |flag, value| match flag {
+        "--baseline" => baseline = Some(value),
+        "--tolerance" => match value.trim_end_matches('%').parse::<f64>() {
+            Ok(pct) if pct >= 0.0 && pct.is_finite() => tolerance = pct,
+            _ => usage_err(REPORT_HELP, &format!("invalid tolerance `{value}`")),
+        },
+        _ => files.push(value),
+    });
 
     let (base_path, candidates) = match (baseline, files.as_slice()) {
         (Some(base), []) => (base.clone(), vec![base]), // self-comparison
@@ -476,5 +470,322 @@ fn report(mut args: Args) {
     }
     if regressions > 0 {
         exit(1);
+    }
+}
+
+/// The dashboard's redraw period.
+const REFRESH: Duration = Duration::from_millis(500);
+
+/// Rows of the link-traffic table when the machine is too big for the
+/// matrix heatmap.
+const TOP_LINKS: usize = 10;
+
+/// Everything the dashboard knows, folded over the stream so far.
+#[derive(Default)]
+struct Dash {
+    /// `<app> on <scheme> (<n> clusters)`, from the `run_meta` record.
+    title: Option<String>,
+    clusters: usize,
+    /// Highest simulated cycle observed (events, intervals, run_end).
+    cycle: u64,
+    /// Trace-event lines consumed, by type in `EVENT_TYPES` order.
+    by_type: [u64; EVENT_TYPES.len()],
+    /// Ops retired, summed over interval records ("refs" for rate math).
+    ops_retired: u64,
+    /// Open transactions: txn id -> (current phase, phase start).
+    open: HashMap<u64, (Phase, u64)>,
+    /// Cycle-latency histograms per phase, in the order first seen, plus
+    /// end-to-end.
+    phase_lat: Vec<(Phase, Histogram)>,
+    total_lat: Histogram,
+    retries_total: u64,
+    /// Flits per (src, dst), accumulated from attribution deltas.
+    links: HashMap<(usize, usize), u64>,
+    /// Latest directory-observatory sample: live entries and the
+    /// sharer-count histogram (`sharers[n]` = live entries with `n`
+    /// sharers), plus how many samples the stream carried so far.
+    live_entries: u64,
+    sharers: Vec<u64>,
+    patterns_samples: u64,
+    /// Sweep progress: (completed, total, elapsed, eta) from the latest
+    /// `sweep_run`, total seeded by `sweep_begin`.
+    sweep: Option<(u64, u64, f64, f64)>,
+    /// Summary line of the closing `run_end` / `sweep_end`, the footer.
+    closed: Option<String>,
+}
+
+impl Dash {
+    /// Folds one stream line: events and interval windows as `run_line`
+    /// reads them for every reader of a run, the records it does not
+    /// decode through their fields.
+    fn line(&mut self, line: &str) {
+        match run_line(line) {
+            Ok(Some(RunLine::Event(ev))) => self.event(&ev),
+            Ok(Some(RunLine::Interval(w))) => {
+                self.cycle = self.cycle.max(w.end);
+                self.ops_retired += w.ops_retired;
+            }
+            Ok(None) | Err(_) => self.record(line),
+        }
+    }
+
+    /// Folds one trace event: counts, and the phase clock of its
+    /// transaction (a phase's latency is recorded when the next begins).
+    fn event(&mut self, ev: &TraceEvent) {
+        self.cycle = self.cycle.max(ev.cycle);
+        self.by_type[ev.kind.index()] += 1;
+        let left = match ev.kind {
+            EventKind::TxnBegin { txn, .. } => {
+                self.open.insert(txn, (Phase::Issue, ev.cycle));
+                None
+            }
+            EventKind::TxnPhase { txn, phase, .. } => self.open.insert(txn, (phase, ev.cycle)),
+            EventKind::TxnEnd { txn, latency, retries, .. } => {
+                self.total_lat.record(latency as usize);
+                self.retries_total += u64::from(retries);
+                self.open.remove(&txn)
+            }
+            _ => None,
+        };
+        if let Some((prev, start)) = left {
+            let i = self.phase_lat.iter().position(|(p, _)| *p == prev).unwrap_or_else(|| {
+                self.phase_lat.push((prev, Histogram::new()));
+                self.phase_lat.len() - 1
+            });
+            self.phase_lat[i].1.record(ev.cycle.saturating_sub(start) as usize);
+        }
+    }
+
+    /// Folds a record that is neither an event nor a window: the run's
+    /// description, traffic, directory samples, sweep progress and the
+    /// closing record. Anything else is left alone.
+    fn record(&mut self, line: &str) {
+        let Ok(j) = Fields::parse(line) else { return };
+        let u64_of = |key: &str| j.get(key).and_then(|v| v.as_u64());
+        let f64_of = |key: &str| j.get(key).and_then(|v| v.as_f64());
+        match j.get("type").and_then(|v| v.as_str()).unwrap_or("") {
+            "run_meta" => {
+                let run = j.get("run").map(|run| run.fields());
+                let run_of = |key: &str| run.as_ref().and_then(|run| run.get(key));
+                let label = |key: &str| run_of(key).and_then(|v| v.as_str()).unwrap_or("?").to_string();
+                let clusters = run_of("clusters").and_then(|v| v.as_u64()).unwrap_or(0);
+                self.clusters = clusters as usize;
+                let title = format!("{} on {} ({clusters} clusters)", label("app"), label("scheme"));
+                self.title = run.is_some().then_some(title);
+            }
+            "attrib_delta" => {
+                for l in j.get("links").and_then(|v| v.elements()).into_iter().flatten() {
+                    let l = l.fields();
+                    let u64_of = |key: &str| l.get(key).and_then(|v| v.as_u64());
+                    let (Some(from), Some(to), Some(flits)) =
+                        (u64_of("from"), u64_of("to"), u64_of("flits"))
+                    else {
+                        continue;
+                    };
+                    *self.links.entry((from as usize, to as usize)).or_insert(0) += flits;
+                }
+            }
+            "patterns" => {
+                self.cycle = self.cycle.max(u64_of("end").unwrap_or(0));
+                self.live_entries = u64_of("live_entries").unwrap_or(0);
+                if let Some(sharers) = j.get("sharers").and_then(|v| v.elements()) {
+                    self.sharers = sharers.filter_map(|n| n.as_u64()).collect();
+                }
+                self.patterns_samples += 1;
+            }
+            "run_end" => {
+                let cycles = u64_of("cycles").unwrap_or(0);
+                let rec = u64_of("recorded").unwrap_or(0);
+                let drop = u64_of("dropped_events").unwrap_or(0);
+                self.cycle = self.cycle.max(cycles);
+                self.closed =
+                    Some(format!("run complete: {cycles} cycles, {rec} events recorded, {drop} dropped"));
+            }
+            "sweep_begin" => {
+                self.sweep = Some((0, u64_of("total").unwrap_or(0), 0.0, 0.0));
+            }
+            "sweep_run" => {
+                self.sweep = Some((
+                    u64_of("completed").unwrap_or(0),
+                    u64_of("total").unwrap_or(0),
+                    f64_of("elapsed").unwrap_or(0.0),
+                    f64_of("eta").unwrap_or(0.0),
+                ));
+            }
+            "sweep_end" => {
+                let runs = u64_of("runs").unwrap_or(0);
+                let wall = f64_of("wall_seconds").unwrap_or(0.0);
+                self.closed = Some(format!("sweep complete: {runs} runs in {wall:.2}s"));
+            }
+            _ => {}
+        }
+    }
+
+    fn render(&self, elapsed: f64) -> String {
+        let events: u64 = self.by_type.iter().sum();
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        let rate = |n: u64| n as f64 / elapsed.max(1e-9);
+        let waiting = "waiting for stream (no run_meta / sweep records yet)";
+        let _ = writeln!(s, "scd-top — {}", self.title.as_deref().unwrap_or(waiting));
+        let _ = writeln!(
+            s,
+            "cycle {:>12}  |  {:>9.0} cycles/s  {:>9.0} events/s  {:>9.0} refs/s",
+            self.cycle,
+            rate(self.cycle),
+            rate(events),
+            rate(self.ops_retired),
+        );
+
+        let [_, _, _, nack, retry, _, repl, _, _] = self.by_type;
+        let _ = writeln!(
+            s,
+            "events {:>10}  |  {} nacks, {} retry msgs, {} txn retries, {} replacements",
+            events, nack, retry, self.retries_total, repl
+        );
+
+        if self.total_lat.events() > 0 {
+            let _ = writeln!(s, "\nlatency (cycles)        p50      p90      p99      max  txns");
+            let phases = self.phase_lat.iter().map(|(phase, h)| (phase.label(), h));
+            for (name, h) in std::iter::once(("end-to-end", &self.total_lat)).chain(phases) {
+                let _ = writeln!(
+                    s,
+                    "  {:<18} {:>8} {:>8} {:>8} {:>8} {:>5}",
+                    name,
+                    h.percentile(0.50),
+                    h.percentile(0.90),
+                    h.percentile(0.99),
+                    h.max_value(),
+                    h.events()
+                );
+            }
+        }
+
+        if !self.links.is_empty() {
+            let _ = writeln!(s, "\nlink traffic (flits, from attribution deltas)");
+            if self.clusters > 0 && self.clusters <= 16 {
+                // Matrix heatmap: rows = source, columns = destination.
+                let max = self.links.values().copied().max().unwrap_or(1).max(1);
+                const SHADE: &[u8] = b" .:-=+*#%@";
+                let _ = write!(s, "     ");
+                for d in 0..self.clusters {
+                    let _ = write!(s, "{:>2}", d % 100);
+                }
+                let _ = writeln!(s, "   (shade ~ flits, max {max})");
+                for src in 0..self.clusters {
+                    let _ = write!(s, "  {src:>2} ");
+                    for dst in 0..self.clusters {
+                        let v = self.links.get(&(src, dst)).copied().unwrap_or(0);
+                        let idx = if v == 0 {
+                            0
+                        } else {
+                            1 + (v * (SHADE.len() as u64 - 2) / max) as usize
+                        };
+                        let c = SHADE[idx.min(SHADE.len() - 1)] as char;
+                        let _ = write!(s, " {c}");
+                    }
+                    let _ = writeln!(s);
+                }
+            } else {
+                let mut rows: Vec<(&(usize, usize), &u64)> = self.links.iter().collect();
+                rows.sort_by_key(|(&(src, dst), &v)| (std::cmp::Reverse(v), src, dst));
+                for (&(src, dst), &v) in rows.into_iter().take(TOP_LINKS) {
+                    let _ = writeln!(s, "  {src:>3} -> {dst:>3}  {v:>12}");
+                }
+            }
+        }
+
+        if self.patterns_samples > 0 {
+            let _ = writeln!(
+                s,
+                "\nsharer distribution (window {}, {} live entries, sample {})",
+                self.cycle, self.live_entries, self.patterns_samples
+            );
+            let max = self.sharers.iter().copied().max().unwrap_or(0).max(1);
+            const BAR: usize = 30;
+            for (n, &count) in self.sharers.iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                let fill = ((count * BAR as u64) / max) as usize;
+                let _ = writeln!(
+                    s,
+                    "  {:>3} sharers {:>8}  {}",
+                    n,
+                    count,
+                    "#".repeat(fill.max(1))
+                );
+            }
+        }
+
+        if let Some((done, total, elapsed, eta)) = self.sweep {
+            let width = 40usize;
+            // A damaged stream can report more runs done than its total:
+            // the bar is full, not longer.
+            let fill = (done as usize * width).checked_div(total as usize).unwrap_or(0).min(width);
+            let _ = writeln!(
+                s,
+                "\nsweep [{}{}] {done}/{total}  {elapsed:.1}s elapsed, eta {eta:.1}s",
+                "#".repeat(fill),
+                "-".repeat(width - fill),
+            );
+        }
+
+        if let Some(footer) = &self.closed {
+            let _ = writeln!(s, "\n{footer}");
+        }
+        s
+    }
+}
+
+fn top(args: Args) {
+    let (mut path, mut once) = (None, false);
+    each_arg(args, TOP_HELP, &[], &["--once"], |flag, value| match flag {
+        "--once" => once = true,
+        _ if path.is_none() => path = Some(value),
+        _ => usage_err(TOP_HELP, "more than one stream file given"),
+    });
+    let Some(path) = path else {
+        usage_err(TOP_HELP, "need a stream file to follow");
+    };
+
+    // The producer may not have created the file yet. Following, wait for
+    // it (bounded, so a mistyped path fails rather than hangs); with
+    // --once a stream not yet created is the same "waiting" frame as an
+    // empty one, so scripted probes racing the producer do not flake.
+    let t0 = Instant::now();
+    let mut file = loop {
+        match std::fs::File::open(&path) {
+            Ok(file) => break file,
+            Err(_) if once => return print!("{}", Dash::default().render(t0.elapsed().as_secs_f64())),
+            Err(e) if t0.elapsed().as_secs() > 30 => fail(2, &format!("cannot open {path}: {e}")),
+            Err(_) => std::thread::sleep(REFRESH),
+        }
+    };
+
+    let (mut dash, mut partial) = (Dash::default(), Vec::new());
+    loop {
+        // The producer only appends: the file cursor stays where the last
+        // poll left it, a line still being written waits in `partial`, and
+        // a read error mid-follow is "nothing new yet".
+        let _ = file.read_to_end(&mut partial);
+        if let Some(last_nl) = partial.iter().rposition(|&b| b == b'\n') {
+            let complete: Vec<u8> = partial.drain(..=last_nl).collect();
+            for (_, line) in records(&String::from_utf8_lossy(&complete)) {
+                dash.line(line);
+            }
+        }
+        let frame = dash.render(t0.elapsed().as_secs_f64());
+        if once {
+            return print!("{frame}");
+        }
+        // Home + clear-to-end keeps redraws flicker-free without needing
+        // a full terminal library.
+        print!("\x1b[H\x1b[2J{frame}");
+        let _ = std::io::stdout().flush();
+        if dash.closed.is_some() {
+            return;
+        }
+        std::thread::sleep(REFRESH);
     }
 }

@@ -73,9 +73,9 @@ usage: scdsim [options]
                                               (cycle, seq) order, interval
                                               snapshots, attribution deltas,
                                               then a run_end record (tail -f
-                                              it, point scd-top at it, or
-                                              profile it with scd-telemetry
-                                              spans)
+                                              it, watch it with scd-telemetry
+                                              top, or profile it with
+                                              scd-telemetry spans)
   --stats-json <path>                         write the scd-run-stats/v1
                                               document (stats + metrics +
                                               traffic attribution)
@@ -252,6 +252,11 @@ fn main() {
     }
 
     let procs = cfg.processors();
+    // MP3D splits its particles evenly, so each processor needs one.
+    let particles = scd::apps::Mp3dParams::scaled(scale).particles;
+    if app_name == "mp3d" && particles < procs {
+        usage_err(&format!("mp3d at --scale {scale} has {particles} particles, too few for {procs} processors"));
+    }
     let app = generate_app(&app_name, procs, seed, scale).unwrap_or_else(|| {
         usage_err(&format!("unknown app `{app_name}` (want lu | dwf | mp3d | locusroute)"))
     });

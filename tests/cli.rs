@@ -12,7 +12,6 @@ use std::process::{Command, Output};
 const SCDSIM: &str = env!("CARGO_BIN_EXE_scdsim");
 const SWEEP: &str = env!("CARGO_BIN_EXE_scd-sweep");
 const CHECK: &str = env!("CARGO_BIN_EXE_scd-check");
-const TOP: &str = env!("CARGO_BIN_EXE_scd-top");
 const TELEMETRY: &str = env!("CARGO_BIN_EXE_scd-telemetry");
 
 fn scratch(test: &str) -> PathBuf {
@@ -64,12 +63,12 @@ fn expect(bin: &str, dir: &Path, args: &[&str], code: i32, needle: &str) -> Outp
 #[test]
 fn help_is_stdout_and_exit_0_for_every_binary() {
     let dir = scratch("help");
-    for bin in [SCDSIM, SWEEP, CHECK, TOP, TELEMETRY] {
+    for bin in [SCDSIM, SWEEP, CHECK, TELEMETRY] {
         let out = expect(bin, &dir, &["--help"], 0, "");
         assert!(stdout(&out).contains("usage: "), "{bin}: {}", stdout(&out));
         assert!(out.stderr.is_empty(), "{bin}: {}", stderr(&out));
     }
-    for sub in ["validate", "patterns", "spans", "report"] {
+    for sub in ["validate", "patterns", "spans", "report", "top"] {
         let out = expect(TELEMETRY, &dir, &[sub, "--help"], 0, "");
         assert!(stdout(&out).contains(&format!("usage: scd-telemetry {sub}")));
     }
@@ -131,6 +130,11 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--scale", "-1"], "bad --scale `-1` (want 0 < f <= 1)"),
         (&["--scale", "0"], "bad --scale `0` (want 0 < f <= 1)"),
         (&["--scale", "7"], "bad --scale `7` (want 0 < f <= 1)"),
+        // MP3D gives each processor an equal share of its particles.
+        (
+            &["--app", "mp3d", "--clusters", "256", "--procs-per-cluster", "4", "--scale", "0.1"],
+            "mp3d at --scale 0.1 has 614 particles, too few for 1024 processors",
+        ),
         // Sharded execution is gone, flag and all.
         (&["--shards", "2"], "unknown flag --shards"),
         // The span profile is read from a recording by `scd-telemetry spans`.
@@ -283,10 +287,11 @@ fn patterns_refuses_a_trace_that_validate_refuses() {
 }
 
 /// The live-monitoring path: a sweep publishes progress to a stream while
-/// it runs, the stream validates, and `scd-top --once` renders a frame
-/// from it.
+/// it runs, the stream validates, and `scd-telemetry top --once` renders a
+/// frame from it. A damaged copy that counts more runs done than its
+/// total, and has no `sweep_end`, still renders: a full bar, no footer.
 #[test]
-fn scd_top_renders_a_sweep_progress_stream() {
+fn top_renders_a_sweep_progress_stream() {
     let dir = scratch("top");
     expect(
         SWEEP,
@@ -301,10 +306,76 @@ fn scd_top_renders_a_sweep_progress_stream() {
     let stream = std::fs::read_to_string(dir.join("sweep.jsonl")).expect("the progress stream");
     let summary = validate_stream(&stream).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
     assert!(summary.sweep_ended && summary.sweep_runs == 4, "{summary:?}");
-    let frame = stdout(&expect(TOP, &dir, &["sweep.jsonl", "--once"], 0, ""));
+    let frame = stdout(&expect(TELEMETRY, &dir, &["top", "sweep.jsonl", "--once"], 0, ""));
     assert!(frame.contains("] 4/4 "), "{frame}");
     assert!(frame.contains("sweep complete: 4 runs"), "{frame}");
-    expect(TOP, &dir, &[], 2, "need a stream file to follow");
+    let damaged: String = stream
+        .lines()
+        .filter(|l| !l.contains("\"type\":\"sweep_end\""))
+        .map(|l| format!("{}\n", l.replace("\"completed\":4,", "\"completed\":9,")))
+        .collect();
+    std::fs::write(dir.join("damaged.jsonl"), damaged).expect("write the damaged copy");
+    let frame = stdout(&expect(TELEMETRY, &dir, &["top", "damaged.jsonl", "--once"], 0, ""));
+    assert!(frame.contains(&format!("[{}] 9/4 ", "#".repeat(40))), "{frame}");
+    assert!(!frame.contains("sweep complete"), "{frame}");
+    expect(TELEMETRY, &dir, &["top"], 2, "need a stream file to follow");
+    std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
+}
+
+/// The dashboard of a single-run stream, every line but the wall-clock
+/// rates (the `cycle` line).
+const LU_FRAME: &str = "\
+scd-top — LU on Dir32 (32 clusters)
+events       2794  |  0 nacks, 0 retry msgs, 0 txn retries, 0 replacements
+
+latency (cycles)        p50      p90      p99      max  txns
+  end-to-end               53       99      125      132   142
+  issue                    18       70       95       97   142
+  home_lookup              32       51       58       59   142
+
+link traffic (flits, from attribution deltas)
+    1 ->   2           194
+    2 ->   3           189
+    0 ->   1           185
+    3 ->   4           168
+    8 ->   0           144
+    4 ->   5           135
+    3 ->   2           108
+    4 ->   3           105
+    2 ->   1           104
+    5 ->   6            96
+
+sharer distribution (window 3272, 32 live entries, sample 1)
+    1 sharers       23  ##############################
+    6 sharers        5  ######
+    7 sharers        4  #####
+
+run complete: 3272 cycles, 2794 events recorded, 0 dropped
+";
+
+/// A finished single-run stream renders its whole frame; the same stream
+/// with its last line half written (a producer caught mid-write) renders
+/// the lines before it and leaves the cut one alone.
+#[test]
+fn top_renders_a_single_run_stream_up_to_its_last_complete_line() {
+    let dir = scratch("top-run");
+    let record = [
+        "--app", "lu", "--scale", "0.1", "--stream-out", "st.jsonl", "--patterns-out", "p.json",
+        "--interval-stats", "2000",
+    ];
+    expect(SCDSIM, &dir, &record, 0, "");
+    let frame = |file: &str| {
+        let frame = stdout(&expect(TELEMETRY, &dir, &["top", file, "--once"], 0, ""));
+        frame.lines().filter(|l| !l.starts_with("cycle ")).map(|l| format!("{l}\n")).collect::<String>()
+    };
+    assert_eq!(frame("st.jsonl"), LU_FRAME, "{}", dir.display());
+    let stream = std::fs::read_to_string(dir.join("st.jsonl")).expect("the stream");
+    let last = stream.trim_end().rfind('\n').expect("more than one line") + 1;
+    std::fs::write(dir.join("cut.jsonl"), &stream[..last + (stream.len() - last) / 2]).expect("cut");
+    let open = LU_FRAME.replace("window 3272", "window 3270");
+    let open = open.replace("\nrun complete: 3272 cycles, 2794 events recorded, 0 dropped\n", "");
+    assert_eq!(frame("cut.jsonl"), open, "{}", dir.display());
+    std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
 }
 
 /// The full-size telemetry flow: a traced, fault-injected, invariant-checked
