@@ -14,6 +14,7 @@
 //! of the model checker's); [`replay_trace`] re-runs a counterexample on
 //! a trace-enabled machine and emits standard `scd-trace` JSONL.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -102,7 +103,6 @@ pub struct WalkOutcome {
 /// default hook spam stderr (protocol `assert!`s double as invariant
 /// checks during exploration, so panics here are *expected* findings).
 fn quiet_catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    use std::cell::Cell;
     use std::sync::Once;
     thread_local! {
         static CAPTURING: Cell<bool> = const { Cell::new(false) };
@@ -136,12 +136,88 @@ fn quiet_catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 type Edge = (Option<u32>, Choice);
 
 struct Frame {
-    /// Boxed: a machine is some 3 KB, and frames move on and off the stack.
-    machine: Box<Machine>,
+    /// The frame's machine, an index into the search's [`Machines`].
+    machine: usize,
+    /// Its `state_digest()`, taken when the frame was made.
+    digest: u64,
     /// Last edge of the path to `machine`, an index into the edge arena.
     path: Option<u32>,
     depth: usize,
     faults_used: u32,
+}
+
+thread_local! {
+    /// The machines the last search on this thread ended with. The next
+    /// search takes them all as spares and puts back what it ends with, so
+    /// the pool holds at most the peak frontier of the largest search the
+    /// thread has run.
+    static POOL: Cell<Vec<Machine>> = const { Cell::new(Vec::new()) };
+}
+
+/// Every machine a search owns, named by index: a frame holds one, and
+/// the spares are those no frame holds. Machines never move between
+/// frames; a branch is a refill of a spare in place.
+struct Machines {
+    all: Vec<Machine>,
+    spare: Vec<usize>,
+}
+
+impl Machines {
+    /// The thread's pool, every machine in it a spare.
+    fn take() -> Machines {
+        let all = POOL.take();
+        Machines {
+            spare: (0..all.len()).collect(),
+            all,
+        }
+    }
+
+    /// Puts `m` in place of a spare (dropping the spare's machine) or in
+    /// a new slot, and returns its index.
+    fn put(&mut self, m: Machine) -> usize {
+        match self.spare.pop() {
+            Some(at) => {
+                self.all[at] = m;
+                at
+            }
+            None => {
+                self.all.push(m);
+                self.all.len() - 1
+            }
+        }
+    }
+
+    /// A copy of machine `from`: `clone_from` into a spare when there is
+    /// one, a `clone` in a new slot when there is not.
+    fn copy(&mut self, from: usize) -> usize {
+        let Some(to) = self.spare.pop() else {
+            let m = self.all[from].clone();
+            self.all.push(m);
+            return self.all.len() - 1;
+        };
+        let (low, high) = self.all.split_at_mut(to.max(from));
+        if to < from {
+            low[to].clone_from(&high[0]);
+        } else {
+            high[0].clone_from(&low[from]);
+        }
+        to
+    }
+
+    /// Returns the machines to the thread's pool, less `broken`: one a
+    /// caught panic may have left half-updated is dropped, never reused.
+    fn give_back(mut self, broken: Option<usize>) {
+        if let Some(at) = broken {
+            self.all.swap_remove(at);
+        }
+        POOL.set(self.all);
+    }
+}
+
+/// Appends `edge` to the arena and returns its index, the path it ends.
+fn add_edge(edges: &mut Vec<Edge>, edge: Edge) -> Option<u32> {
+    edges.push(edge);
+    Some(u32::try_from(edges.len() - 1).expect("edge arena outgrew u32"))
 }
 
 fn counterexample(edges: &[Edge], mut at: Option<u32>, error: String) -> Counterexample {
@@ -171,6 +247,18 @@ fn checked<T>(run: impl FnOnce() -> Result<T, SimError>) -> Result<T, String> {
 /// `build` is a constructor rather than a machine so counterexamples can
 /// later be replayed against fresh instances (exploration consumes its
 /// machines).
+///
+/// A branch is made without the allocator: every child but a parent's
+/// last is written with `clone_from` into a spare machine — one a frame
+/// of this search is done with, or one an earlier search on this thread
+/// left behind — whose buffers it refills in place. (A `clone` of a
+/// 2-cluster litmus machine a few steps in makes 23 to 33 allocations,
+/// the wheel's 8 KB link table among them; a `clone_from` into a spare of
+/// the same shape makes none.) A child whose digest
+/// `seen` already holds at a depth no greater than its own goes straight
+/// back to the spares: the pop would drop it anyway, since `seen` only
+/// gains entries and lowers depths, so visited states, leaves and
+/// truncation are those of a search that checked at the pop only.
 pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
     let mut out = Outcome::default();
     let mut root = build();
@@ -183,26 +271,28 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
     // `minimize`'s iterative deepening relies on.
     let mut seen: FastMap<u64, usize> = FastMap::default();
     let mut edges: Vec<Edge> = Vec::new();
+    let mut machines = Machines::take();
     let mut stack = vec![Frame {
-        machine: Box::new(root),
+        digest: root.state_digest(),
+        machine: machines.put(root),
         path: None,
         depth: 0,
         faults_used: 0,
     }];
-    // Boxes of frames the search is done with: a clone is written into one
-    // of them rather than into a fresh 3 KB allocation.
-    let mut spare: Vec<Box<Machine>> = Vec::new();
+    let mut choices = Vec::new();
+    let mut broken = None;
     'search: while let Some(frame) = stack.pop() {
         let Frame {
-            mut machine,
+            machine,
+            digest,
             path,
             depth,
             faults_used,
         } = frame;
-        match seen.entry(machine.state_digest()) {
+        match seen.entry(digest) {
             Entry::Occupied(mut e) => {
                 if *e.get() <= depth {
-                    spare.push(machine);
+                    machines.spare.push(machine);
                     continue;
                 }
                 e.insert(depth);
@@ -218,60 +308,70 @@ pub fn explore(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) -> Outcome {
                 out.visited += 1;
             }
         }
+        let m = &mut machines.all[machine];
         if cfg.check_each_step {
-            if let Err(v) = machine.check_step_invariants() {
+            if let Err(v) = m.check_step_invariants() {
                 out.violation = Some(counterexample(&edges, path, v.to_string()));
                 break;
             }
         }
-        let choices = machine.exploration_choices(&cfg.faults);
+        m.exploration_choices(&cfg.faults, &mut choices);
         if choices.is_empty() {
             out.leaves += 1;
-            if let Err(error) = checked(|| machine.finalize_exploration()) {
+            if let Err(error) = checked(|| m.finalize_exploration()) {
                 out.violation = Some(counterexample(&edges, path, error));
+                broken = Some(machine);
                 break;
             }
-            spare.push(machine);
+            machines.spare.push(machine);
             continue;
         }
         if depth >= cfg.max_depth {
             out.truncated = true;
-            spare.push(machine);
+            machines.spare.push(machine);
             continue;
         }
         // Reverse push so choice 0 is explored first: counterexamples come
         // out in a stable, reproducible DFS order. Every child but the one
-        // stepped last is a clone; that one is the parent itself.
+        // stepped last is a copy; that one is the parent itself.
         let affordable = |ch: &&Choice| !ch.is_fault() || faults_used < cfg.fault_budget;
-        let mut parent = Some(machine);
         let mut todo = choices.iter().filter(affordable).rev().peekable();
+        let mut parent_free = true;
         while let Some(&ch) = todo.next() {
-            let mut child = match (todo.peek(), &parent) {
-                (Some(_), Some(parent)) => match spare.pop() {
-                    Some(mut child) => {
-                        child.clone_from(parent);
-                        child
-                    }
-                    None => parent.clone(),
-                },
-                _ => parent.take().expect("the parent is moved out for the last child only"),
+            let child = if todo.peek().is_some() {
+                machines.copy(machine)
+            } else {
+                parent_free = false;
+                machine
             };
-            edges.push((path, ch));
-            let path = Some(u32::try_from(edges.len() - 1).expect("edge arena outgrew u32"));
-            if let Err(error) = checked(|| child.step_explore(ch)) {
-                out.violation = Some(counterexample(&edges, path, error));
-                break 'search;
+            let m = &mut machines.all[child];
+            let digest = match checked(|| m.step_explore(ch)) {
+                Ok(()) => m.state_digest(),
+                Err(error) => {
+                    let path = add_edge(&mut edges, (path, ch));
+                    out.violation = Some(counterexample(&edges, path, error));
+                    broken = Some(child);
+                    break 'search;
+                }
+            };
+            if seen.get(&digest).is_some_and(|&d| d <= depth + 1) {
+                machines.spare.push(child);
+                continue;
             }
             stack.push(Frame {
                 machine: child,
-                path,
+                digest,
+                path: add_edge(&mut edges, (path, ch)),
                 depth: depth + 1,
                 faults_used: faults_used + u32::from(ch.is_fault()),
             });
         }
-        // Still here when the fault budget left no child to step.
-        spare.extend(parent);
+        // Still free when the fault budget left no child to step.
+        if parent_free {
+            machines.spare.push(machine);
+        }
     }
+    machines.give_back(broken);
     out.digests = seen.into_keys().collect();
     out
 }
@@ -321,12 +421,10 @@ pub fn random_walk(
     m.begin_exploration();
     out.digests.push(m.state_digest());
     let mut faults_used = 0u32;
+    let mut choices = Vec::new();
     for _ in 0..max_steps {
-        let choices: Vec<Choice> = m
-            .exploration_choices(&cfg.faults)
-            .into_iter()
-            .filter(|c| !c.is_fault() || faults_used < cfg.fault_budget)
-            .collect();
+        m.exploration_choices(&cfg.faults, &mut choices);
+        choices.retain(|c| !c.is_fault() || faults_used < cfg.fault_budget);
         if choices.is_empty() {
             if let Err(error) = checked(|| m.finalize_exploration()) {
                 out.violation = Some(Counterexample {

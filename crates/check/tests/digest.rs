@@ -30,6 +30,7 @@ fn explore_under_both_hashers(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) 
     let mut fixed_of: HashMap<u64, u64> = HashMap::new();
     let mut seen: HashMap<u64, usize> = HashMap::new();
     let mut stack = vec![(root, 0, 0u32)];
+    let mut choices = Vec::new();
     while let Some((mut m, depth, faults_used)) = stack.pop() {
         let (fixed, sip) = (m.state_digest(), m.state_digest_with::<DefaultHasher>());
         let want_sip = *sip_of.entry(fixed).or_insert(sip);
@@ -45,7 +46,7 @@ fn explore_under_both_hashers(build: &dyn Fn() -> Machine, cfg: &ExploreConfig) 
                 e.insert(depth);
             }
         }
-        let choices = m.exploration_choices(&cfg.faults);
+        m.exploration_choices(&cfg.faults, &mut choices);
         let mut parent = Some(m);
         let mut todo = choices
             .iter()

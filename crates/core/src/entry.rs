@@ -119,7 +119,7 @@ impl Pointers {
 
 /// Sharer-set representation; which variants are reachable depends on the
 /// scheme.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 enum Repr {
     /// Precise bit vector (`Dir_N` only).
     Full(NodeSet),
@@ -134,12 +134,35 @@ enum Repr {
     Coarse { regions: NodeSet },
 }
 
+impl Clone for Repr {
+    fn clone(&self) -> Self {
+        match self {
+            Repr::Full(set) => Repr::Full(set.clone()),
+            Repr::Pointers(ptrs) => Repr::Pointers(ptrs.clone()),
+            Repr::Broadcast => Repr::Broadcast,
+            &Repr::Composite { value, xmask } => Repr::Composite { value, xmask },
+            Repr::Coarse { regions } => Repr::Coarse {
+                regions: regions.clone(),
+            },
+        }
+    }
+
+    /// A bit vector refilled into one of the same variant keeps its words.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Repr::Full(to), Repr::Full(from))
+            | (Repr::Coarse { regions: to }, Repr::Coarse { regions: from }) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
+}
+
 /// A directory entry: dirty bit + sharer representation for one memory block.
 ///
 /// `Hash` covers the full observable state (dirty bit, representation,
 /// rotation counter), so model-checking state digests can hash entries
 /// directly.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct DirEntry {
     scheme: Scheme,
     /// Number of clusters in the machine.
@@ -149,6 +172,8 @@ pub struct DirEntry {
     /// Rotation counter for the `NbVictim::Rotating` policy.
     rotation: u8,
 }
+
+crate::clone_fields!(DirEntry { scheme, p, dirty, repr, rotation });
 
 impl DirEntry {
     /// Creates an empty (uncached, clean) entry.

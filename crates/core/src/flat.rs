@@ -22,9 +22,55 @@
 //! [`FastMap`] is still unspecified: whatever iterates one for output or a
 //! post-mortem sorts first, and a state digest folds it with
 //! [`hash_unordered`], which does not depend on the order.
+//!
+//! [`clone_fields!`](crate::clone_fields) is the third piece the layers
+//! above share: a `Clone` whose `clone_from` refills every field in place,
+//! for the state a model checker copies once per explored branch.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Implements `Clone` for a struct field by field, with a `clone_from`
+/// that calls each field's own `clone_from`, so refilling a value that
+/// already owns buffers (a `Vec`'s, a map's, a nested struct's) copies
+/// into them instead of allocating. A derived `clone_from` is
+/// `*self = source.clone()`: it allocates a fresh copy of everything and
+/// frees what `self` held.
+///
+/// Both methods destructure `Self` without `..`, so a field added to the
+/// struct and not to the macro's list fails to compile. Type parameters
+/// are listed before the name and get a `Clone` bound.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Log<T> {
+///     lines: Vec<T>,
+///     head: usize,
+/// }
+/// scd_core::clone_fields!([T] Log<T> { lines, head });
+///
+/// let src = Log { lines: vec![1, 2, 3], head: 1 };
+/// let mut spare = Log { lines: Vec::with_capacity(8), head: 0 };
+/// spare.clone_from(&src);
+/// assert_eq!(spare, src);
+/// assert_eq!(spare.lines.capacity(), 8, "the spare's buffer was refilled");
+/// ```
+#[macro_export]
+macro_rules! clone_fields {
+    ($([$($param:ident),+])? $name:ident $(<$($arg:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$($param: Clone),+>)? Clone for $name$(<$($arg),+>)? {
+            fn clone(&self) -> Self {
+                let $name { $($field),+ } = self;
+                $name { $($field: Clone::clone($field)),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let $name { $($field),+ } = self;
+                $(Clone::clone_from($field, &source.$field);)+
+            }
+        }
+    };
+}
 
 /// A multiply-rotate hasher for small integer keys (the FxHash
 /// construction). [`Hasher::finish`] rotates the well-mixed high bits down
@@ -121,10 +167,12 @@ pub const DENSE_KEY_LIMIT: u64 = 1 << 28;
 /// the default value is indistinguishable from one beyond the grown range:
 /// readers see "absent" for both, and [`DenseTable::iter`] skips both, so a
 /// table that grew and was reset reads like one that never grew.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct DenseTable<T> {
     slots: Vec<T>,
 }
+
+crate::clone_fields!([T] DenseTable<T> { slots });
 
 impl<T: Default + PartialEq> DenseTable<T> {
     /// An empty table (no allocation until the first write).

@@ -19,11 +19,13 @@ pub type NodeId = u16;
 /// [`NodeSet::insert`] and [`NodeSet::remove`] ignore them (returning
 /// `false`), matching [`NodeSet::contains`], so no tail bit can ever leak
 /// into [`NodeSet::len`] or iteration as a phantom member.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct NodeSet {
     words: Vec<u64>,
     capacity: usize,
 }
+
+crate::clone_fields!(NodeSet { words, capacity });
 
 impl NodeSet {
     /// Creates an empty set over a universe of `capacity` nodes.

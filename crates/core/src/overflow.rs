@@ -69,7 +69,6 @@ impl std::ops::AddAssign for OverflowStats {
 
 /// One home node's overflow directory: per-block small entries plus a wide
 /// overflow cache.
-#[derive(Clone)]
 pub struct OverflowDirectory {
     small_scheme: Scheme,
     clusters: usize,
@@ -79,6 +78,8 @@ pub struct OverflowDirectory {
     wide: SparseDirectory,
     stats: OverflowStats,
 }
+
+crate::clone_fields!(OverflowDirectory { small_scheme, clusters, small, wide, stats });
 
 impl OverflowDirectory {
     /// Creates an overflow directory with `i`-pointer small entries and

@@ -44,7 +44,7 @@ impl Replacement {
 }
 
 /// One way of one set.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Slot {
     /// Key (block identifier) currently resident, if any.
     key: u64,
@@ -55,6 +55,8 @@ struct Slot {
     /// Allocation time (LRA).
     allocated: u64,
 }
+
+crate::clone_fields!(Slot { key, valid, entry, last_use, allocated });
 
 /// Statistics the experiment harness reads off a sparse directory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -132,7 +134,7 @@ impl ChurnStats {
 
 /// The gated tracker: a bounded map from evicted key to the allocation
 /// clock at eviction time.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct ChurnTracker {
     stats: ChurnStats,
     /// Allocation counter (the distance unit).
@@ -140,6 +142,8 @@ struct ChurnTracker {
     evicted_at: crate::flat::FastMap<u64, u64>,
     fifo: std::collections::VecDeque<u64>,
 }
+
+crate::clone_fields!(ChurnTracker { stats, clock, evicted_at, fifo });
 
 impl ChurnTracker {
     fn on_access(&mut self, key: u64) {
@@ -188,7 +192,6 @@ pub enum Allocation<'a> {
 /// block indices). Indexing is `key % num_sets`, a mask when the set count
 /// is a power of two — tags in a real sparse directory are only a few bits
 /// because it holds a large fraction of memory blocks (paper §4.2).
-#[derive(Clone)]
 pub struct SparseDirectory {
     scheme: Scheme,
     clusters: usize,
@@ -205,6 +208,19 @@ pub struct SparseDirectory {
     /// Replacement-churn telemetry; `None` until enabled (zero cost off).
     churn: Option<Box<ChurnTracker>>,
 }
+
+crate::clone_fields!(SparseDirectory {
+    scheme,
+    clusters,
+    sets,
+    set_mask,
+    ways,
+    policy,
+    slots,
+    stats,
+    rng_state,
+    churn,
+});
 
 impl SparseDirectory {
     /// Creates a sparse directory with `entries` total slots organized as

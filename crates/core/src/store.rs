@@ -93,20 +93,40 @@ pub enum EntryAccess<'a> {
 }
 
 /// Directory storage for one home node.
-#[derive(Clone)]
 pub struct DirectoryStore {
     scheme: Scheme,
     clusters: usize,
     backing: Backing,
 }
 
-#[derive(Clone)]
+crate::clone_fields!(DirectoryStore { scheme, clusters, backing });
+
 enum Backing {
     /// Indexed by key; `None` is an entry nobody materialized (or one
     /// released since).
     Complete(DenseTable<Option<DirEntry>>),
     Sparse(SparseDirectory),
     Overflow(OverflowDirectory),
+}
+
+impl Clone for Backing {
+    fn clone(&self) -> Self {
+        match self {
+            Backing::Complete(t) => Backing::Complete(t.clone()),
+            Backing::Sparse(d) => Backing::Sparse(d.clone()),
+            Backing::Overflow(d) => Backing::Overflow(d.clone()),
+        }
+    }
+
+    /// Refilled from the same organization, the tables keep their buffers.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Backing::Complete(to), Backing::Complete(from)) => to.clone_from(from),
+            (Backing::Sparse(to), Backing::Sparse(from)) => to.clone_from(from),
+            (Backing::Overflow(to), Backing::Overflow(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 impl DirectoryStore {

@@ -127,15 +127,16 @@ impl<M> Event<M> {
 /// Per-cluster lock bookkeeping: which local processor holds the lock,
 /// which are queued behind it, and whether the cluster has a request
 /// outstanding at the lock's home.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ClusterLock {
     holder: Option<usize>,
     waiters: std::collections::VecDeque<usize>,
     requested: bool,
 }
 
+scd_core::clone_fields!(ClusterLock { holder, waiters, requested });
+
 /// One processing node.
-#[derive(Clone)]
 pub(crate) struct ClusterNode {
     pub(crate) caches: ClusterCaches,
     pub(crate) dir: scd_core::DirectoryStore,
@@ -154,6 +155,19 @@ pub(crate) struct ClusterNode {
     pub(crate) line_version: FastMap<u64, u64>,
 }
 
+scd_core::clone_fields!(ClusterNode {
+    caches,
+    dir,
+    rac,
+    ser,
+    locks,
+    barriers,
+    lock_state,
+    barrier_local,
+    cur_version,
+    line_version,
+});
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ProcStatus {
     Running,
@@ -161,7 +175,6 @@ enum ProcStatus {
     Done,
 }
 
-#[derive(Clone)]
 struct ProcState {
     program: Script,
     pending: Option<Op>,
@@ -174,24 +187,38 @@ struct ProcState {
     finish: Cycle,
 }
 
+scd_core::clone_fields!(ProcState {
+    program,
+    pending,
+    status,
+    blocked_since,
+    blocked_on_sync,
+    mem_stall,
+    sync_stall,
+    finish,
+});
+
 /// A configured DASH machine ready to run a workload: the shared
 /// `Engine` plus the one coherence `Backend` its configuration selects.
 ///
 /// `Clone` produces an independent machine mid-run (each processor's
 /// [`Script`] keeps its position and shares its ops) — the substrate of
 /// the model checker's state branching; see
-/// [`explore`].
-#[derive(Clone)]
+/// [`explore`]. `clone_from` makes the same machine out of a spare one,
+/// refilling the buffers the spare already owns field by field, so a
+/// branch written into a spare of the same shape allocates (almost)
+/// nothing.
 pub struct Machine {
     eng: Engine,
     backend: Backend,
 }
 
+scd_core::clone_fields!(Machine { eng, backend });
+
 /// Everything every protocol shares (see the module docs). Backend
 /// handlers receive it as their only way to act on the machine: send,
 /// schedule, wake a processor, touch a cluster's caches, directory, RAC or
 /// serializer, record telemetry.
-#[derive(Clone)]
 pub(crate) struct Engine {
     cfg: MachineConfig,
     queue: EventQueue<Ev>,
@@ -250,6 +277,37 @@ pub(crate) struct Engine {
     /// of per-cluster local history, which the stream pump relies on.
     emit_seq: Vec<u64>,
 }
+
+scd_core::clone_fields!(Engine {
+    cfg,
+    queue,
+    arena,
+    clusters,
+    network,
+    traffic,
+    inval_hist,
+    procs,
+    running,
+    finish_time,
+    shared_reads,
+    shared_writes,
+    sync_ops,
+    counters,
+    hints,
+    oracle,
+    versions_assigned,
+    fault_plan,
+    fault_active,
+    fault_send_rng,
+    fault_nack_rng,
+    faults,
+    chan_clamp,
+    last_progress,
+    event_log,
+    telemetry,
+    mutation,
+    emit_seq,
+});
 
 impl Machine {
     /// Builds a machine and attaches one [`Script`] per processor.

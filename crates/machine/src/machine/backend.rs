@@ -21,7 +21,6 @@ use crate::config::ProtocolKind;
 use crate::stats::{DlsCounters, TardisCounters};
 
 /// The state only one protocol reads, and the handlers that read it.
-#[derive(Clone)]
 pub(crate) enum Backend {
     /// The paper's directory-based invalidation protocol.
     Dash(DashState),
@@ -29,6 +28,26 @@ pub(crate) enum Backend {
     Tardis(TardisState),
     /// Directoryless shared LLC; home-local accesses run on DASH state.
     Dls(DlsState),
+}
+
+impl Clone for Backend {
+    fn clone(&self) -> Self {
+        match self {
+            Backend::Dash(s) => Backend::Dash(s.clone()),
+            Backend::Tardis(s) => Backend::Tardis(s.clone()),
+            Backend::Dls(s) => Backend::Dls(s.clone()),
+        }
+    }
+
+    /// Refilled from the same protocol, the tables keep their buffers.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Backend::Dash(to), Backend::Dash(from)) => to.clone_from(from),
+            (Backend::Tardis(to), Backend::Tardis(from)) => to.clone_from(from),
+            (Backend::Dls(to), Backend::Dls(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 impl Backend {

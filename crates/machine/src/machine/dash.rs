@@ -48,7 +48,7 @@ fn replacement_work(home: usize, victim_block: u64, victim: &scd_core::DirEntry)
 }
 
 /// One cluster's DASH-only tables.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct DashNode {
     /// In-progress serial invalidation chains (SCI-style mode): remaining
     /// targets, the write requester awaiting the final reply, and the
@@ -65,9 +65,10 @@ struct DashNode {
     pending_write_bump: DenseTable<bool>,
 }
 
+scd_core::clone_fields!(DashNode { serial_chains, last_owner_epoch, pending_write_bump });
+
 /// What the DASH backend owns: per-cluster tables no other backend and no
 /// engine code reads.
-#[derive(Clone)]
 pub(crate) struct DashState {
     nodes: Vec<DashNode>,
     /// The invalidation targets of the grant being processed, filled in
@@ -75,14 +76,21 @@ pub(crate) struct DashState {
     inval_targets: Scratch,
 }
 
+scd_core::clone_fields!(DashState { nodes, inval_targets });
+
 /// A target set reused across home requests so a write grant allocates
 /// nothing. It holds no state between events: a cloned machine starts it
-/// empty, and it is not part of the state digest.
+/// empty, a machine refilled by `clone_from` empties its own (keeping the
+/// words), and it is not part of the state digest.
 struct Scratch(NodeSet);
 
 impl Clone for Scratch {
     fn clone(&self) -> Self {
         Scratch(NodeSet::new(0))
+    }
+
+    fn clone_from(&mut self, _: &Self) {
+        self.0.reset(0);
     }
 }
 

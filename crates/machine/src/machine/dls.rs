@@ -33,11 +33,12 @@ use scd_trace::event::cause;
 
 /// What the DLS backend owns: the DASH state its home-local delegation
 /// runs on, and the protocol's event counters.
-#[derive(Clone)]
 pub(crate) struct DlsState {
     pub(crate) dash: DashState,
     pub(crate) counters: DlsCounters,
 }
+
+scd_core::clone_fields!(DlsState { dash, counters });
 
 impl DlsState {
     pub(crate) fn new(clusters: usize) -> Self {

@@ -19,8 +19,9 @@
 //! * [`Machine::state_digest`] canonically fingerprints the reached state
 //!   (metrics excluded, times made relative) so a checker can deduplicate
 //!   states across interleavings.
-//! * `Machine: Clone` (a derive: scripts keep their position and share
-//!   their ops) provides the branching itself.
+//! * `Machine: Clone` (scripts keep their position and share their ops)
+//!   provides the branching itself, and its `clone_from` refills a spare
+//!   machine in place, which is how an explorer makes a branch.
 //!
 //! The digest's time-relativity assumes latencies depend only on the
 //! (src, dst) pair. Under link contention (`cfg.link_occupancy`) the
@@ -185,7 +186,9 @@ impl Machine {
         self.eng.queue.now()
     }
 
-    /// Enumerates the legal transitions out of the current state.
+    /// Enumerates the legal transitions out of the current state into
+    /// `out`, which is cleared first (an explorer keeps one vector for
+    /// every state it expands).
     ///
     /// All ready-set (earliest-cycle) events are candidates, except that
     /// among same-channel `Deliver`s only the *first* is enabled — a
@@ -195,10 +198,10 @@ impl Machine {
     ///
     /// An empty result means the state is a leaf (see
     /// [`Machine::exploration_done`]).
-    pub fn exploration_choices(&mut self, faults: &FaultEdges) -> Vec<Choice> {
-        let mut out = Vec::new();
+    pub fn exploration_choices(&mut self, faults: &FaultEdges, out: &mut Vec<Choice>) {
+        out.clear();
         let Some((_, ready)) = self.eng.queue.ready_set() else {
-            return out;
+            return;
         };
         let arena = &self.eng.arena;
         let channel = |ev: &Ev| match *ev {
@@ -237,7 +240,6 @@ impl Machine {
                 }
             }
         }
-        out
     }
 
     /// Renders a choice for counterexample listings, resolving message

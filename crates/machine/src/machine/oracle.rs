@@ -58,7 +58,7 @@ pub(crate) enum ReadRec {
 }
 
 /// The machine-side oracle state.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Oracle {
     /// Pre-computed `versions || values`, checked once per hook.
     on: bool,
@@ -77,6 +77,8 @@ pub(crate) struct Oracle {
     /// Per global processor: how many writes it has performed.
     pub(crate) wseq: Vec<u64>,
 }
+
+scd_core::clone_fields!(Oracle { on, versions, values, observed, regression, mem, reads, wseq });
 
 impl Oracle {
     pub(crate) fn new(versions: bool, values: bool, procs: usize) -> Self {

@@ -59,7 +59,7 @@ pub(crate) struct TardisLine {
 }
 
 /// One cluster's Tardis state.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct TardisNode {
     /// This cluster's program timestamp: the logical time of the last
     /// write it performed or synchronized with.
@@ -82,13 +82,16 @@ pub(crate) struct TardisNode {
     barrier_pts: FastMap<u32, u64>,
 }
 
+scd_core::clone_fields!(TardisNode { pts, lease, renew_pending, lines, lock_pts, barrier_pts });
+
 /// What the Tardis backend owns: every cluster's timestamp state and the
 /// protocol's event counters.
-#[derive(Clone)]
 pub(crate) struct TardisState {
     pub(crate) nodes: Vec<TardisNode>,
     pub(crate) counters: TardisCounters,
 }
+
+scd_core::clone_fields!(TardisState { nodes, counters });
 
 impl TardisState {
     pub(crate) fn new(clusters: usize) -> Self {

@@ -1,14 +1,30 @@
 //! What must not depend on how the machine's tables came to hold their
 //! state: a post-mortem's text on the order blocks became busy, and the
 //! exploration digest on how far a home's dense tables once grew — or on
-//! which of a machine and its mid-run clone is asked.
+//! which of a machine, its mid-run clone and a spare refilled from it is
+//! asked.
 
 use scd_machine::machine::testing;
-use scd_machine::{FaultEdges, Machine, MachineConfig};
+use scd_machine::{Choice, FaultEdges, Machine, MachineConfig, ProtocolKind};
+use scd_noc::FaultPlan;
 use scd_tango::{Op, Script};
 
 fn machine(cfg: MachineConfig, scripts: Vec<Vec<Op>>) -> Machine {
     Machine::new(cfg, scripts.into_iter().map(Script::from).collect())
+}
+
+fn choices(m: &mut Machine, faults: &FaultEdges) -> Vec<Choice> {
+    let mut out = Vec::new();
+    m.exploration_choices(faults, &mut out);
+    out
+}
+
+/// How a drained machine ends: its statistics, or the error text.
+fn ending(m: &mut Machine) -> String {
+    match m.finalize_exploration() {
+        Ok(stats) => format!("{stats:?}"),
+        Err(e) => e.to_string(),
+    }
 }
 
 #[test]
@@ -71,8 +87,8 @@ fn digest_forgets_a_block_that_was_touched_and_released() {
     grown.begin_exploration();
     let mut steps = 0;
     loop {
-        let choices = plain.exploration_choices(&FaultEdges::none());
-        assert_eq!(choices, grown.exploration_choices(&FaultEdges::none()));
+        let choices = choices(&mut plain, &FaultEdges::none());
+        assert_eq!(choices, self::choices(&mut grown, &FaultEdges::none()));
         let Some(&choice) = choices.last() else { break };
         plain.step_explore(choice).expect("the protocol is sound");
         grown.step_explore(choice).expect("the protocol is sound");
@@ -94,7 +110,11 @@ fn digest_forgets_a_block_that_was_touched_and_released() {
 
 /// What `Machine: Clone` owes the explorer: a clone taken mid-run is the
 /// same state, stepping one does not move the other, and the same choices
-/// from the branch point end in the same statistics.
+/// from the branch point end in the same statistics. The explorer's other
+/// way to branch, `clone_from` into a spare machine, owes the same: each
+/// spare here was built from other programs on another cluster count,
+/// protocol and fault plan, and run part way with fault edges, so every
+/// table it holds has to be refilled, not kept.
 #[test]
 fn a_mid_run_clone_is_the_same_state_and_an_independent_future() {
     let mut original = machine(
@@ -108,26 +128,68 @@ fn a_mid_run_clone_is_the_same_state_and_an_independent_future() {
     original.begin_exploration();
     let none = FaultEdges::none();
     for _ in 0..6 {
-        let choice = *original.exploration_choices(&none).last().expect("still running");
+        let choice = *choices(&mut original, &none).last().expect("still running");
         original.step_explore(choice).expect("the protocol is sound");
     }
-    let mut branch = original.clone();
-    assert_eq!(original.state_digest(), branch.state_digest());
-    let choices = original.exploration_choices(&none);
-    assert_eq!(choices, branch.exploration_choices(&none));
+    let faults = FaultEdges {
+        nack: true,
+        delay: Some(5),
+        dup: Some(3),
+    };
+    let spare = |clusters: usize, protocol: ProtocolKind, plan: FaultPlan| {
+        let cfg = MachineConfig::tiny(clusters)
+            .with_protocol(protocol)
+            .with_fault(plan);
+        let far = 2 * clusters as u64;
+        let scripts = (0..clusters as u64)
+            .map(|c| vec![Op::Read(c), Op::Write(c + 1), Op::Read(far + c)])
+            .collect();
+        let mut m = machine(cfg, scripts);
+        m.tolerate_faults();
+        m.begin_exploration();
+        for step in 0..12 {
+            let choices = choices(&mut m, &faults);
+            let Some(&choice) = choices.get(step % 3).or(choices.first()) else {
+                break;
+            };
+            m.step_explore(choice).expect("the protocol is sound");
+        }
+        m
+    };
+    let mut branches = vec![original.clone()];
+    for mut m in [
+        spare(2, ProtocolKind::Tardis, FaultPlan::nack(0.3)),
+        spare(4, ProtocolKind::Dash, FaultPlan::delay(0.5, 9)),
+    ] {
+        m.clone_from(&original);
+        branches.push(m);
+    }
+    let choices_now = choices(&mut original, &none);
+    for branch in &mut branches {
+        assert_eq!(original.state_digest(), branch.state_digest());
+        assert_eq!(choices_now, choices(branch, &none));
+    }
 
-    let choice = *choices.last().expect("still running");
+    let choice = *choices_now.last().expect("still running");
     original.step_explore(choice).expect("the protocol is sound");
-    assert_ne!(original.state_digest(), branch.state_digest(), "only one of them stepped");
-    branch.step_explore(choice).expect("the protocol is sound");
-    assert_eq!(original.state_digest(), branch.state_digest());
-
-    while let Some(&choice) = original.exploration_choices(&none).last() {
-        original.step_explore(choice).expect("the protocol is sound");
+    for branch in &mut branches {
+        assert_ne!(original.state_digest(), branch.state_digest(), "only one of them stepped");
         branch.step_explore(choice).expect("the protocol is sound");
+        assert_eq!(original.state_digest(), branch.state_digest());
+    }
+
+    let mut steps = 0;
+    while let Some(&choice) = choices(&mut original, &none).last() {
+        original.step_explore(choice).expect("the protocol is sound");
+        for branch in &mut branches {
+            branch.step_explore(choice).expect("the protocol is sound");
+            assert_eq!(original.state_digest(), branch.state_digest(), "after step {steps}");
+        }
+        steps += 1;
     }
     let a = original.finalize_exploration().expect("quiescent and coherent");
-    let b = branch.finalize_exploration().expect("quiescent and coherent");
     assert!(a.shared_refs() == 7 && a.cycles > 0, "the scripts ran to their ends");
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    for branch in &mut branches {
+        assert_eq!(format!("{a:?}"), ending(branch));
+    }
 }

@@ -72,7 +72,7 @@ fn decode(line: u64) -> Option<(Block, LineState)> {
 /// allocator hands out as untouched zero pages: building a cache writes
 /// nothing, and a set's memory is first touched when the set is first
 /// used.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Cache {
     sets: usize,
     ways: usize,
@@ -82,6 +82,32 @@ pub struct Cache {
     /// `[line, last_use]` per way.
     slots: Vec<[u64; 2]>,
     stats: CacheStats,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        Cache {
+            slots: self.slots.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies the slots into `self`'s vector, which a cache of the same
+    /// geometry reuses without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        let Cache {
+            sets,
+            ways,
+            set_mask,
+            slots,
+            stats,
+        } = self;
+        *sets = source.sets;
+        *ways = source.ways;
+        *set_mask = source.set_mask;
+        slots.clone_from(&source.slots);
+        *stats = source.stats;
+    }
 }
 
 impl Cache {

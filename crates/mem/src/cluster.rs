@@ -12,9 +12,25 @@ use crate::hierarchy::{CacheHierarchy, HitLevel};
 use crate::Block;
 
 /// The caches of one cluster's processors.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ClusterCaches {
     procs: Vec<CacheHierarchy>,
+}
+
+impl Clone for ClusterCaches {
+    fn clone(&self) -> Self {
+        ClusterCaches {
+            procs: self.procs.clone(),
+        }
+    }
+
+    /// Refills every processor's caches in place (see [`Cache`]'s).
+    ///
+    /// [`Cache`]: crate::Cache
+    fn clone_from(&mut self, source: &Self) {
+        let ClusterCaches { procs } = self;
+        procs.clone_from(&source.procs);
+    }
 }
 
 impl ClusterCaches {

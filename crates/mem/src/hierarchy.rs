@@ -34,10 +34,25 @@ impl HitLevel {
 }
 
 /// An inclusive L1/L2 pair.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CacheHierarchy {
     l1: Cache,
     l2: Cache,
+}
+
+impl Clone for CacheHierarchy {
+    fn clone(&self) -> Self {
+        CacheHierarchy {
+            l1: self.l1.clone(),
+            l2: self.l2.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let CacheHierarchy { l1, l2 } = self;
+        l1.clone_from(&source.l1);
+        l2.clone_from(&source.l2);
+    }
 }
 
 impl CacheHierarchy {

@@ -41,7 +41,7 @@ impl LatencyModel {
 }
 
 /// Message and hop accounting.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Messages sent (excluding src == dst local deliveries).
     pub messages: u64,
@@ -51,6 +51,28 @@ pub struct NetworkStats {
     pub hop_histogram: Vec<u64>,
     /// Cycles spent queued behind busy links (contention model only).
     pub contention_cycles: u64,
+}
+
+impl Clone for NetworkStats {
+    fn clone(&self) -> Self {
+        NetworkStats {
+            hop_histogram: self.hop_histogram.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let NetworkStats {
+            messages,
+            hops,
+            hop_histogram,
+            contention_cycles,
+        } = self;
+        *messages = source.messages;
+        *hops = source.hops;
+        hop_histogram.clone_from(&source.hop_histogram);
+        *contention_cycles = source.contention_cycles;
+    }
 }
 
 impl NetworkStats {
@@ -76,7 +98,7 @@ pub struct LinkCounters {
 }
 
 /// The interconnect of one machine: topology + latency model + statistics.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Network {
     mesh: Mesh,
     model: LatencyModel,
@@ -92,6 +114,37 @@ pub struct Network {
     /// default) records nothing — the inert-by-default contract of every
     /// profiling hook.
     pair_traffic: Option<Vec<LinkCounters>>,
+}
+
+impl Clone for Network {
+    fn clone(&self) -> Self {
+        Network {
+            mesh: self.mesh,
+            model: self.model,
+            stats: self.stats.clone(),
+            link_occupancy: self.link_occupancy,
+            link_free: self.link_free.clone(),
+            pair_traffic: self.pair_traffic.clone(),
+        }
+    }
+
+    /// Refills the statistics and link tables in place.
+    fn clone_from(&mut self, source: &Self) {
+        let Network {
+            mesh,
+            model,
+            stats,
+            link_occupancy,
+            link_free,
+            pair_traffic,
+        } = self;
+        *mesh = source.mesh;
+        *model = source.model;
+        stats.clone_from(&source.stats);
+        *link_occupancy = source.link_occupancy;
+        link_free.clone_from(&source.link_free);
+        pair_traffic.clone_from(&source.pair_traffic);
+    }
 }
 
 impl Network {

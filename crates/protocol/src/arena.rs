@@ -42,7 +42,7 @@ impl MsgRef {
     }
 }
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct Slot {
     /// Bumped on every free; a handle is live iff its generation matches.
     generation: u32,
@@ -52,7 +52,7 @@ struct Slot {
 
 /// A slab of in-flight messages with free-list reuse and generational
 /// use-after-free detection. See the module docs.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct MsgArena {
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -62,6 +62,8 @@ pub struct MsgArena {
     /// High-water mark of simultaneously live messages.
     high_water: usize,
 }
+
+scd_core::clone_fields!(MsgArena { slots, free, live, allocs, high_water });
 
 impl MsgArena {
     /// An empty arena.

@@ -168,7 +168,7 @@ pub enum StartOutcome {
 /// order and searched linearly, as the hardware's would be: a cluster has
 /// at most one outstanding transaction per local processor, and a home
 /// only as many replacements in flight as requests it is servicing.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Rac {
     outstanding: Vec<(Block, Mshr)>,
     /// Home-side: flush acks still owed per replaced block.
@@ -184,6 +184,8 @@ pub struct Rac {
     /// blocks, not a table bounded by the machine.
     writeback_in_flight: FastSet<Block>,
 }
+
+scd_core::clone_fields!(Rac { outstanding, replacements, writeback_in_flight });
 
 /// Position of `block` in a block-ordered table, or where to insert it.
 fn slot_of<T>(table: &[(Block, T)], block: Block) -> Result<usize, usize> {

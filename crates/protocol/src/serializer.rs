@@ -71,7 +71,7 @@ pub struct QueuedReq {
 }
 
 /// The home-side serialization state.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct HomeSerializer {
     busy: FastMap<Block, BusyReason>,
     pending: FastMap<Block, VecDeque<QueuedReq>>,
@@ -86,6 +86,8 @@ pub struct HomeSerializer {
     /// Total requests ever queued (ablation metric).
     total_queued: u64,
 }
+
+scd_core::clone_fields!(HomeSerializer { busy, pending, early, max_queue_depth, total_queued });
 
 impl HomeSerializer {
     /// An idle serializer.

@@ -40,14 +40,16 @@ pub enum UnlockOutcome {
     RetryRegion(Vec<Cluster>),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct LockState {
     holder: Option<Cluster>,
     waiters: DirEntry,
 }
 
+scd_core::clone_fields!(LockState { holder, waiters });
+
 /// Per-home lock bookkeeping.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LockManager {
     scheme: Scheme,
     clusters: usize,
@@ -57,6 +59,8 @@ pub struct LockManager {
     /// Retry messages a coarse waiter vector caused.
     retries: u64,
 }
+
+scd_core::clone_fields!(LockManager { scheme, clusters, locks, grants, retries });
 
 impl LockManager {
     /// Creates a manager whose waiter vectors use `scheme`.
@@ -163,10 +167,12 @@ impl LockManager {
 }
 
 /// A centralized barrier counter at the barrier's home cluster.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct BarrierManager {
     arrivals: FastMap<u32, Vec<Cluster>>,
 }
+
+scd_core::clone_fields!(BarrierManager { arrivals });
 
 impl BarrierManager {
     /// An empty manager.

@@ -42,12 +42,15 @@
 //! the same few cache lines, and nothing is allocated once the slab has
 //! reached the run's high-water mark.
 //!
-//! What this buys beyond the pop: `clone` is two flat copies — the slab
-//! (pending events plus the free nodes, a `memcpy` when `E: Copy`) and the
-//! 8 KB link table — `drop` frees two blocks, and
+//! What this buys beyond the pop: `clone` is a flat copy of the slab
+//! (pending events plus the free nodes, a `memcpy` when `E: Copy`) and of
+//! the occupied slots' links, `drop` frees two blocks, and
 //! [`EventQueue::for_each_pending`] walks occupied slots only. None of them
 //! visits `WHEEL_SLOTS` buckets, which is what a model checker that clones
-//! a machine per explored state used to pay for.
+//! a machine per explored state used to pay for. `clone_from` into a queue
+//! that already has a link table and a slab allocates nothing: it resets
+//! the slots that queue had occupied, copies the source's, and refills the
+//! slab in place (an unoccupied slot's links are always empty).
 //!
 //! Stamp-sorted insertion walks the bucket's list when the append fast
 //! path does not apply. A bucket is the events of *one* cycle, a handful
@@ -136,6 +139,18 @@ const EMPTY: Links = Links {
     tail: NIL,
 };
 
+/// Calls `f` with every slot whose bit is set in an occupancy bitmap, in
+/// ascending order.
+fn for_each_occupied(occupied: &[u64; WHEEL_WORDS], mut f: impl FnMut(usize)) {
+    for (w, &word) in occupied.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// A deterministic discrete-event queue.
 ///
 /// Events scheduled for the same cycle are delivered in the order they were
@@ -153,7 +168,6 @@ const EMPTY: Links = Links {
 /// assert_eq!(q.now(), 5);
 /// assert_eq!(q.pop(), Some((10, "late")));
 /// ```
-#[derive(Clone)]
 pub struct EventQueue<E> {
     /// Near-future ring: the list at `ring[i]` holds the events of the
     /// unique cycle `t` in the current window with `t & WHEEL_MASK == i`,
@@ -176,6 +190,42 @@ pub struct EventQueue<E> {
     now: Cycle,
     seq: u64,
     delivered: u64,
+}
+
+impl<E: Clone> Clone for EventQueue<E> {
+    fn clone(&self) -> Self {
+        let mut q = EventQueue::new();
+        q.clone_from(self);
+        q
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let EventQueue {
+            ring,
+            nodes,
+            free_head,
+            occupied,
+            overflow,
+            overflow_min,
+            wheel_base,
+            in_wheel,
+            now,
+            seq,
+            delivered,
+        } = self;
+        for_each_occupied(occupied, |slot| ring[slot] = EMPTY);
+        for_each_occupied(&source.occupied, |slot| ring[slot] = source.ring[slot]);
+        *occupied = source.occupied;
+        nodes.clone_from(&source.nodes);
+        *free_head = source.free_head;
+        overflow.clone_from(&source.overflow);
+        *overflow_min = source.overflow_min;
+        *wheel_base = source.wheel_base;
+        *in_wheel = source.in_wheel;
+        *now = source.now;
+        *seq = source.seq;
+        *delivered = source.delivered;
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -498,16 +548,11 @@ impl<E> EventQueue<E> {
     /// window; only the overflow level, kept in schedule order, is sorted
     /// here.
     pub fn for_each_pending(&self, mut f: impl FnMut(Cycle, &E)) {
-        for (w, &word) in self.occupied.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let slot = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for node in self.bucket(slot) {
-                    f(node.time, node.event());
-                }
+        for_each_occupied(&self.occupied, |slot| {
+            for node in self.bucket(slot) {
+                f(node.time, node.event());
             }
-        }
+        });
         let mut far: Vec<&Scheduled<E>> = self.overflow.iter().collect();
         far.sort_by_key(|s| (s.time, s.stamp));
         for s in far {

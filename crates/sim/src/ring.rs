@@ -6,12 +6,34 @@
 //! after the buffer fills; the history is recovered oldest-first.
 
 /// A bounded log that keeps only the most recent `capacity` items.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RingLog<T> {
     buf: Vec<T>,
     capacity: usize,
     /// Index the next push writes to (wraps once `buf` is full).
     head: usize,
+}
+
+impl<T: Clone> Clone for RingLog<T> {
+    fn clone(&self) -> Self {
+        RingLog {
+            buf: self.buf.clone(),
+            capacity: self.capacity,
+            head: self.head,
+        }
+    }
+
+    /// Refills `self`'s buffer in place rather than allocating a new one.
+    fn clone_from(&mut self, source: &Self) {
+        let RingLog {
+            buf,
+            capacity,
+            head,
+        } = self;
+        buf.clone_from(&source.buf);
+        *capacity = source.capacity;
+        *head = source.head;
+    }
 }
 
 /// Slots a log reserves when it is built. A capacity is a bound, not a

@@ -78,6 +78,54 @@ enum QueueOp {
     /// `ready_set` may advance the ring's window past the clock, and the
     /// queue refuses a schedule that lands behind the window.
     PopReady { pick: usize },
+    /// `clone_from` the queue into a spare with another history (see
+    /// [`queue_with_history`]), hold the refill to a clone, and go on in
+    /// the refilled queue.
+    CloneFrom { history: u64 },
+}
+
+/// A queue the script never touched: events of its own, in ring slots and
+/// in the overflow level, some of them popped, left pending across a
+/// window several cycles wide, so a spare refilled from the script's
+/// queue holds occupied slots that queue lacks.
+fn queue_with_history(history: u64) -> EventQueue<usize> {
+    let mut rng = SimRng::new(history);
+    let mut q = EventQueue::new();
+    for id in 0..48 {
+        let delay = if rng.below(4) == 0 {
+            2000 + rng.below(5000)
+        } else {
+            rng.below(900)
+        };
+        q.schedule(delay, 9_000_000 + id);
+        if rng.below(6) == 0 {
+            q.pop();
+        }
+    }
+    q
+}
+
+/// Pops `a` and `b` dry side by side, holding their ready sets, pending
+/// walks and pops equal at every step.
+fn same_views(mut a: EventQueue<usize>, mut b: EventQueue<usize>) -> Result<(), TestCaseError> {
+    loop {
+        let ready = |q: &mut EventQueue<usize>| {
+            q.ready_set()
+                .map(|(t, evs)| (t, evs.copied().collect::<Vec<_>>()))
+        };
+        prop_assert_eq!(ready(&mut a), ready(&mut b));
+        let pending = |q: &EventQueue<usize>| {
+            let mut walked = Vec::new();
+            q.for_each_pending(|t, &id| walked.push((t, id)));
+            walked
+        };
+        prop_assert_eq!(pending(&a), pending(&b));
+        let popped = a.pop();
+        prop_assert_eq!(popped, b.pop());
+        if popped.is_none() {
+            return Ok(());
+        }
+    }
 }
 
 fn queue_ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<QueueOp>> {
@@ -97,6 +145,7 @@ fn queue_ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<QueueOp>>
             stamped(),
             Just(QueueOp::Pop),
             (0usize..8).prop_map(|pick| QueueOp::PopReady { pick }),
+            any::<u64>().prop_map(|history| QueueOp::CloneFrom { history }),
         ],
         len,
     )
@@ -175,6 +224,15 @@ impl StampModel {
                     let (key, _) = ready[pick % ready.len()];
                     prop_assert_eq!(q.pop_ready(pick % ready.len()), self.deliver(key));
                 }
+            }
+            QueueOp::CloneFrom { history } => {
+                let refill = |q: &EventQueue<usize>| {
+                    let mut spare = queue_with_history(history);
+                    spare.clone_from(q);
+                    spare
+                };
+                same_views(q.clone(), refill(q))?;
+                *q = refill(q);
             }
         }
         self.agrees(q)

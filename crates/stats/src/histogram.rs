@@ -7,13 +7,36 @@
 /// so a pathological run (say, a multi-million-cycle latency under fault
 /// injection) cannot allocate per-value buckets without limit. Counts and
 /// totals use saturating arithmetic throughout.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total_events: u64,
     total_weight: u64,
     /// Largest representable value; 0 means unbounded (legacy behaviour).
     cap: usize,
+}
+
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Histogram {
+            counts: self.counts.clone(),
+            ..*self
+        }
+    }
+
+    /// Refills `self`'s buckets in place rather than allocating new ones.
+    fn clone_from(&mut self, source: &Self) {
+        let Histogram {
+            counts,
+            total_events,
+            total_weight,
+            cap,
+        } = self;
+        counts.clone_from(&source.counts);
+        *total_events = source.total_events;
+        *total_weight = source.total_weight;
+        *cap = source.cap;
+    }
 }
 
 impl Histogram {
