@@ -317,8 +317,9 @@ impl MachineConfig {
 
     /// Checks the geometry the constructors downstream would otherwise
     /// assert on (cluster and processor counts, cache and directory
-    /// shapes, pointer counts), so a front end can refuse a bad command
-    /// line instead of panicking. The error names the field and its value.
+    /// shapes, pointer counts, a fault plan's cycle bounds), so a front
+    /// end can refuse a bad command line instead of panicking. The error
+    /// names the field and its value.
     pub fn validate(&self) -> Result<(), String> {
         let sets = |what: &str, blocks: usize, ways: usize| {
             if ways >= 1 && blocks >= ways && blocks.is_multiple_of(ways) {
@@ -378,7 +379,7 @@ impl MachineConfig {
         if let Scheme::CoarseVector { r: 0, .. } = self.scheme {
             return Err("scheme coarse-vector region size = 0 (want at least 1)".into());
         }
-        Ok(())
+        self.fault_plan.as_ref().map_or(Ok(()), FaultPlan::validate)
     }
 
     /// Total processors.

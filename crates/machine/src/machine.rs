@@ -32,10 +32,12 @@
 //! ## Engine, requester, backends, telemetry
 //!
 //! A [`Machine`] is two values. The `Engine` is everything every
-//! protocol shares: the event wheel, message transport and fault
-//! injection, processor scheduling, synchronization, and the
-//! per-cluster hardware (caches, directory store, RAC,
-//! home serializer, version tables). The `Backend` (`backend`) is what
+//! protocol shares: the event wheel, message transport, processor
+//! scheduling, synchronization, the per-cluster hardware (caches,
+//! directory store, RAC, home serializer, version tables), and two owned
+//! parts: the `FaultInjector` (`fault`), the only code that reads a
+//! `FaultPlan`, and the `Tally`, the run's metrics, which nothing reads
+//! back to steer the run. The `Backend` (`backend`) is what
 //! only one protocol reads: `dash` (the paper's directory-based
 //! invalidation protocol, the default), `tardis` (timestamp coherence:
 //! lease-based reads, no invalidation fan-out) or `dls` (directoryless
@@ -53,25 +55,26 @@
 
 use scd_core::{DenseTable, DirState, EntryAccess, FastMap, NodeId, NodeSet};
 use scd_mem::{CacheHierarchy, ClusterCaches, HitLevel, LineState};
-use scd_noc::{FaultPlan, Network};
+use scd_noc::Network;
 use scd_protocol::{
     BarrierManager, BusyReason, EarlyKind, HomeSerializer, LockManager, LockOutcome, Msg,
     MsgArena, MsgKind, MsgRef, QueuedReq, Rac, UnlockOutcome,
 };
 use scd_protocol::rac::{MshrKind, StartOutcome};
-use scd_sim::{Cycle, EventQueue, RingLog, SimRng, Stamp};
-use scd_stats::{Histogram, MessageClass, Traffic};
+use scd_sim::{Cycle, EventQueue, RingLog, Stamp};
+use scd_stats::{Histogram, Traffic};
 use scd_tango::{Op, Script};
 use scd_trace::{Json, MetricsRegistry, Phase, TraceEvent};
 
 use crate::config::MachineConfig;
 use crate::error::{BlockedProc, ClusterDiag, PostMortem, SimError};
-use crate::stats::{FaultCounters, ProtocolCounters, RunStats, StallBreakdown};
+use crate::stats::{ProtocolCounters, RunStats, StallBreakdown};
 
 mod backend;
 mod dash;
 mod dls;
 pub mod explore;
+mod fault;
 mod oracle;
 mod requester;
 mod tardis;
@@ -79,6 +82,7 @@ mod telemetry;
 
 pub(crate) use backend::Backend;
 pub(crate) use tardis::TardisNode;
+use fault::FaultInjector;
 pub use oracle::ValueOracleReport;
 use telemetry::Recorder;
 
@@ -226,40 +230,16 @@ pub(crate) struct Engine {
     arena: MsgArena,
     clusters: Vec<ClusterNode>,
     network: Network,
-    traffic: Traffic,
-    inval_hist: Histogram,
     procs: Vec<ProcState>,
     running: usize,
-    finish_time: Cycle,
-    shared_reads: u64,
-    shared_writes: u64,
-    sync_ops: u64,
-    counters: ProtocolCounters,
     /// Pre-computed: `cfg.replacement_hints`, and the backend's home acts
     /// on a hint (see `Backend::takes_hints`).
     hints: bool,
     /// The version and value oracles (inert unless
     /// `cfg.check_invariants` or `cfg.value_oracle`).
     oracle: oracle::Oracle,
-    versions_assigned: u64,
-    /// Resolved fault plan (inert when `cfg.fault_plan` is `None`).
-    fault_plan: FaultPlan,
-    /// Pre-computed `fault_plan.is_active()`: an inert plan must cost
-    /// nothing and never consume randomness, so every hook gates on this.
-    fault_active: bool,
-    /// Per-directed-channel fault streams, one slot per `(src, dst)` (see
-    /// [`chan_slot`]), derived lazily as a pure function of the master
-    /// seed. Send-side draws (reorder/delay/dup) and deliver-side draws
-    /// (nack injection) use separate streams so each is consumed in its
-    /// own channel-local order — which makes fault placement a function of
-    /// per-channel traffic history alone, not of how unrelated channels
-    /// interleave.
-    fault_send_rng: Vec<Option<SimRng>>,
-    fault_nack_rng: Vec<Option<SimRng>>,
-    faults: FaultCounters,
-    /// Latest scheduled request-class delivery per `(src, dst)` slot, so
-    /// injected latency spikes keep each channel FIFO.
-    chan_clamp: Vec<Cycle>,
+    tally: Tally,
+    faults: FaultInjector,
     /// Cycle of the last retired operation (forward-progress watchdog).
     last_progress: Cycle,
     /// Recently processed events, kept for failure post-mortems.
@@ -279,35 +259,83 @@ pub(crate) struct Engine {
 }
 
 scd_core::clone_fields!(Engine {
-    cfg,
-    queue,
-    arena,
-    clusters,
-    network,
-    traffic,
-    inval_hist,
-    procs,
-    running,
-    finish_time,
-    shared_reads,
-    shared_writes,
-    sync_ops,
-    counters,
-    hints,
-    oracle,
-    versions_assigned,
-    fault_plan,
-    fault_active,
-    fault_send_rng,
-    fault_nack_rng,
-    faults,
-    chan_clamp,
-    last_progress,
-    event_log,
-    telemetry,
-    mutation,
-    emit_seq,
+    cfg, queue, arena, clusters, network, procs, running, hints, oracle, tally, faults,
+    last_progress, event_log, telemetry, mutation, emit_seq,
 });
+
+/// The run's tallies: what [`RunStats`] is assembled from, and nothing
+/// reads back to steer the run. `state_digest` never reads them, so
+/// metrics stay out of the digest by construction.
+#[derive(Default)]
+pub(crate) struct Tally {
+    traffic: Traffic,
+    inval_hist: Histogram,
+    shared_reads: u64,
+    shared_writes: u64,
+    sync_ops: u64,
+    counters: ProtocolCounters,
+    versions_assigned: u64,
+    /// When the last processor finished (0 while any runs).
+    finish_time: Cycle,
+}
+
+scd_core::clone_fields!(Tally {
+    traffic, inval_hist, shared_reads, shared_writes, sync_ops, counters, versions_assigned, finish_time
+});
+
+impl Tally {
+    /// Operations fetched so far (the interval sampler's retired count).
+    fn ops(&self) -> u64 {
+        self.shared_reads + self.shared_writes + self.sync_ops
+    }
+
+    /// The run's statistics: these tallies plus what the machine's parts
+    /// count on their own (directories, caches, locks, network, wheel,
+    /// processors, fault injector, backend).
+    fn finish(&self, eng: &Engine, backend: &Backend) -> RunStats {
+        let mut sparse: Option<scd_core::SparseStats> = None;
+        let mut overflow: Option<scd_core::OverflowStats> = None;
+        let mut lock_metrics = (0u64, 0u64);
+        let mut queue_metrics = (0usize, 0u64);
+        for c in &eng.clusters {
+            crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
+            crate::stats::add_opt(&mut overflow, c.dir.overflow_stats());
+            let (g, r) = c.locks.metrics();
+            lock_metrics.0 += g;
+            lock_metrics.1 += r;
+            let (d, q) = c.ser.queue_metrics();
+            queue_metrics.0 = queue_metrics.0.max(d);
+            queue_metrics.1 += q;
+        }
+        let (tardis, dls) = backend.counters();
+        RunStats {
+            cycles: self.finish_time,
+            traffic: self.traffic,
+            invalidations: self.inval_hist.clone(),
+            shared_reads: self.shared_reads,
+            shared_writes: self.shared_writes,
+            sync_ops: self.sync_ops,
+            network: eng.network.stats().clone(),
+            sparse,
+            overflow,
+            l2_misses: eng.clusters.iter().map(|c| c.caches.total_l2_misses()).sum(),
+            lock_metrics,
+            queue_metrics,
+            live_dir_entries: backend.live_entries(&eng.clusters),
+            protocol: self.counters,
+            tardis,
+            dls,
+            faults: eng.faults.counters(),
+            versions_assigned: self.versions_assigned,
+            events_delivered: eng.queue.delivered(),
+            stalls: StallBreakdown {
+                mem_stall: eng.procs.iter().map(|p| p.mem_stall).collect(),
+                sync_stall: eng.procs.iter().map(|p| p.sync_stall).collect(),
+                finish: eng.procs.iter().map(|p| p.finish).collect(),
+            },
+        }
+    }
+}
 
 impl Machine {
     /// Builds a machine and attaches one [`Script`] per processor.
@@ -422,9 +450,9 @@ impl Machine {
                 let op = eng.procs[p].program.next_op();
                 eng.procs[p].pending = Some(op);
                 match op {
-                    Op::Read(_) => eng.shared_reads += 1,
-                    Op::Write(_) => eng.shared_writes += 1,
-                    Op::Lock(_) | Op::Unlock(_) | Op::Barrier(_) => eng.sync_ops += 1,
+                    Op::Read(_) => eng.tally.shared_reads += 1,
+                    Op::Write(_) => eng.tally.shared_writes += 1,
+                    Op::Lock(_) | Op::Unlock(_) | Op::Barrier(_) => eng.tally.sync_ops += 1,
                     _ => {}
                 }
                 self.execute(t, p, op);
@@ -448,8 +476,8 @@ impl Machine {
         if let Some(detail) = eng.oracle.regression.take() {
             return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
         }
-        if eng.running == 0 && eng.finish_time == 0 {
-            eng.finish_time = t;
+        if eng.running == 0 && eng.tally.finish_time == 0 {
+            eng.tally.finish_time = t;
             // Keep draining in-flight messages so the machine quiesces
             // and invariants can be checked.
         }
@@ -464,7 +492,7 @@ impl Machine {
         // stream whether the checks below pass or not.
         self.stream_close();
         self.check_drained()?;
-        Ok(self.collect())
+        Ok(self.eng.tally.finish(&self.eng, &self.backend))
     }
 
     /// What a drained machine must satisfy: every processor retired, no
@@ -495,51 +523,6 @@ impl Machine {
             }
         }
         Ok(())
-    }
-
-    fn collect(&self) -> RunStats {
-        let eng = &self.eng;
-        let mut sparse: Option<scd_core::SparseStats> = None;
-        let mut overflow: Option<scd_core::OverflowStats> = None;
-        let mut lock_metrics = (0u64, 0u64);
-        let mut queue_metrics = (0usize, 0u64);
-        for c in &eng.clusters {
-            crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
-            crate::stats::add_opt(&mut overflow, c.dir.overflow_stats());
-            let (g, r) = c.locks.metrics();
-            lock_metrics.0 += g;
-            lock_metrics.1 += r;
-            let (d, q) = c.ser.queue_metrics();
-            queue_metrics.0 = queue_metrics.0.max(d);
-            queue_metrics.1 += q;
-        }
-        let (tardis, dls) = self.backend.counters();
-        RunStats {
-            cycles: eng.finish_time,
-            traffic: eng.traffic,
-            invalidations: eng.inval_hist.clone(),
-            shared_reads: eng.shared_reads,
-            shared_writes: eng.shared_writes,
-            sync_ops: eng.sync_ops,
-            network: eng.network.stats().clone(),
-            sparse,
-            overflow,
-            l2_misses: eng.clusters.iter().map(|c| c.caches.total_l2_misses()).sum(),
-            lock_metrics,
-            queue_metrics,
-            live_dir_entries: self.backend.live_entries(&eng.clusters),
-            protocol: eng.counters,
-            tardis,
-            dls,
-            faults: eng.faults,
-            versions_assigned: eng.versions_assigned,
-            events_delivered: eng.queue.delivered(),
-            stalls: StallBreakdown {
-                mem_stall: eng.procs.iter().map(|p| p.mem_stall).collect(),
-                sync_stall: eng.procs.iter().map(|p| p.sync_stall).collect(),
-                finish: eng.procs.iter().map(|p| p.finish).collect(),
-            },
-        }
     }
 
     // ------------------------------------------------------------------
@@ -634,16 +617,8 @@ impl Machine {
         if eng.telemetry.on && src != dst {
             eng.telemetry.msg_deliver(t, &msg);
         }
-        if eng.fault_active && src != dst && eng.fault_plan.nack_prob > 0.0 {
-            if let Some((block, was_write)) = kind.coherence_request() {
-                let nack_prob = eng.fault_plan.nack_prob;
-                if eng.nack_rng(src, dst).chance(nack_prob) {
-                    // Decided at delivery rather than in `home_request` so
-                    // replayed parked requests are never refused — they
-                    // already hold a queue slot.
-                    return eng.refuse(t, dst, src, block, was_write);
-                }
-            }
+        if let Some((block, was_write)) = eng.faults.nacks(&msg) {
+            return eng.refuse(t, dst, src, block, was_write);
         }
         match kind {
             MsgKind::Nack { block, was_write } => {
@@ -652,7 +627,7 @@ impl Machine {
                     Some(attempt) => {
                         // Reissue with exponential backoff so a refusing
                         // home is not hammered at network rate.
-                        eng.faults.retries += 1;
+                        eng.faults.count().retries += 1;
                         let base = tm.bus_memory.max(1);
                         let backoff = base << (attempt - 1).min(10);
                         eng.telemetry.retry(t, dst, block, attempt, backoff);
@@ -663,7 +638,7 @@ impl Machine {
                     }
                     // Stale: the transaction was already serviced (a
                     // duplicate's NACK crossed the real reply). Drop it.
-                    None => eng.faults.strays_dropped += 1,
+                    None => eng.faults.count().strays_dropped += 1,
                 }
             }
             MsgKind::LockReq { lock } => {
@@ -680,50 +655,27 @@ impl Machine {
             }
             MsgKind::LockGrant { lock, pts } => {
                 backend.absorb_pts(dst, pts);
-                let decline = {
-                    let st = eng.clusters[dst].lock_state.entry(lock).or_default();
-                    st.requested = false;
-                    if st.holder.is_none() {
-                        if let Some(lp) = st.waiters.pop_front() {
-                            st.holder = Some(lp);
-                            Some(lp)
-                        } else {
-                            None
-                        }
-                        .map(Ok)
-                        .unwrap_or(Err(()))
-                    } else {
-                        Err(())
-                    }
-                };
-                match decline {
-                    Ok(lp) => {
-                        let g = eng.global_proc(dst, lp);
-                        eng.resume(t + tm.sync_op, g);
-                    }
-                    Err(()) => {
-                        // Nobody is waiting locally (or we already hold it):
-                        // hand the lock straight back.
-                        let pts = backend.sync_pts(dst);
-                        eng.send(t + tm.sync_op, dst, src, MsgKind::UnlockReq { lock, pts });
-                    }
+                let st = eng.clusters[dst].lock_state.entry(lock).or_default();
+                st.requested = false;
+                let next = if st.holder.is_none() { st.waiters.pop_front() } else { None };
+                if let Some(lp) = next {
+                    st.holder = Some(lp);
+                    let g = eng.global_proc(dst, lp);
+                    eng.resume(t + tm.sync_op, g);
+                } else {
+                    // Nobody is waiting locally (or we already hold it):
+                    // hand the lock straight back.
+                    let pts = backend.sync_pts(dst);
+                    eng.send(t + tm.sync_op, dst, src, MsgKind::UnlockReq { lock, pts });
                 }
             }
             MsgKind::LockRetry { lock } => {
                 // Our queued request (if any) was dropped by the region
                 // release: the `requested` flag is stale, so clear it and
                 // re-request if processors are still waiting.
-                let needs_retry = {
-                    let st = eng.clusters[dst].lock_state.entry(lock).or_default();
-                    st.requested = false;
-                    if st.holder.is_none() && !st.waiters.is_empty() {
-                        st.requested = true;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if needs_retry {
+                let st = eng.clusters[dst].lock_state.entry(lock).or_default();
+                st.requested = st.holder.is_none() && !st.waiters.is_empty();
+                if st.requested {
                     let home = eng.cfg.lock_home(lock);
                     eng.send(t + tm.sync_op, dst, home, MsgKind::LockReq { lock });
                 }
@@ -819,7 +771,6 @@ impl Engine {
             })
             .collect::<Vec<_>>();
         let running = procs.len();
-        let fault_plan = cfg.fault_plan.unwrap_or_default();
         let event_log = RingLog::new(cfg.event_log);
         let recorder = Recorder::new(&cfg);
         if recorder.config().attribution {
@@ -839,24 +790,12 @@ impl Engine {
             arena: MsgArena::new(),
             clusters,
             network,
-            traffic: Traffic::new(),
-            inval_hist: Histogram::new(),
             procs,
             running,
-            finish_time: 0,
-            shared_reads: 0,
-            shared_writes: 0,
-            sync_ops: 0,
-            counters: ProtocolCounters::default(),
             hints,
             oracle: oracle::Oracle::new(cfg.check_invariants, cfg.value_oracle, cfg.processors()),
-            versions_assigned: 0,
-            fault_active: fault_plan.is_active(),
-            fault_plan,
-            fault_send_rng: Vec::new(),
-            fault_nack_rng: Vec::new(),
-            faults: FaultCounters::default(),
-            chan_clamp: Vec::new(),
+            tally: Tally::default(),
+            faults: FaultInjector::new(&cfg),
             last_progress: 0,
             event_log,
             telemetry: recorder,
@@ -916,7 +855,7 @@ impl Engine {
     /// Data versions: the home hands out a fresh version for a new
     /// ownership epoch of `block`.
     fn bump_version(&mut self, home: usize, block: u64) -> u64 {
-        self.versions_assigned += 1;
+        self.tally.versions_assigned += 1;
         let key = self.dir_key(block);
         let v = self.clusters[home].cur_version.slot(key);
         *v += 1;
@@ -945,111 +884,24 @@ impl Engine {
     /// injection.
     fn send(&mut self, ready_at: Cycle, src: usize, dst: usize, kind: MsgKind) {
         let msg = Msg { src, dst, kind };
-        let lat = self.network.send(ready_at, src, dst);
-        if src != dst {
-            self.traffic.record(kind.class());
-            if self.telemetry.on {
-                // The recorder accounts the message; the link table is
-                // the network's, so the engine applies the flits.
-                if let Some(flits) = self.telemetry.msg_send(&self.network, ready_at, &msg) {
-                    self.network.note_link_traffic(src, dst, flits);
-                }
-            }
-            if self.fault_active {
-                return self.faulty_schedule(ready_at + lat, msg);
+        let nominal = ready_at + self.network.send(ready_at, src, dst);
+        if src == dst {
+            return self.schedule_delivery(nominal, msg);
+        }
+        self.tally.traffic.record(kind.class());
+        if self.telemetry.on {
+            // The recorder accounts the message; the link table is the
+            // network's, so the engine applies the flits.
+            if let Some(flits) = self.telemetry.msg_send(&self.network, ready_at, &msg) {
+                self.network.note_link_traffic(src, dst, flits);
             }
         }
-        self.schedule_delivery(ready_at + lat, msg);
-    }
-
-    /// The per-channel fault stream for `(src, dst)`: a pure function of
-    /// the master seed and the channel. `side` separates send-side draws from
-    /// deliver-side (nack) draws.
-    fn channel_rng(seed: u64, src: usize, dst: usize, side: u64) -> SimRng {
-        let mut x = seed ^ 0xFA17_5EED_0000_0000;
-        for v in [src as u64, dst as u64, side] {
-            x = (x ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            x ^= x >> 29;
-        }
-        SimRng::new(x)
-    }
-
-    fn send_rng(&mut self, src: usize, dst: usize) -> &mut SimRng {
-        let seed = self.cfg.seed;
-        chan_slot(&mut self.fault_send_rng, self.cfg.clusters, src, dst)
-            .get_or_insert_with(|| Self::channel_rng(seed, src, dst, 1))
-    }
-
-    fn nack_rng(&mut self, src: usize, dst: usize) -> &mut SimRng {
-        let seed = self.cfg.seed;
-        chan_slot(&mut self.fault_nack_rng, self.cfg.clusters, src, dst)
-            .get_or_insert_with(|| Self::channel_rng(seed, src, dst, 2))
-    }
-
-    /// Applies the fault plan to one inter-cluster delivery: latency spikes
-    /// and out-of-order jitter move the delivery time, duplication
-    /// schedules the message twice. Which kinds each mode may touch is
-    /// dictated by the protocol's ordering assumptions (DESIGN.md, failure
-    /// model): replies, invalidations and acknowledgements are never
-    /// perturbed — delaying one past a newer ownership epoch would corrupt
-    /// state the protocol has no recovery path for, whereas requests are
-    /// absorbed by the home's serializer, SelfOwned handling, and NAKs.
-    fn faulty_schedule(&mut self, nominal: Cycle, msg: Msg) {
-        let plan = self.fault_plan;
-        let request_class = msg.kind.class() == MessageClass::Request;
-        let coherence_req = msg.kind.coherence_request();
-        let mut deliver_at = nominal;
-        let mut clamp_exempt = false;
-        if coherence_req.is_some()
-            && plan.reorder_window > 0
-            && plan.reorder_prob > 0.0
-            && self.send_rng(msg.src, msg.dst).chance(plan.reorder_prob)
-        {
-            // Jitter *outside* the channel clamp: the request may land
-            // behind traffic sent after it, or — when a spike holds the
-            // clamp high — ahead of traffic sent before it, such as its own
-            // cluster's writeback.
-            deliver_at += self
-                .send_rng(msg.src, msg.dst)
-                .range(1, plan.reorder_window + 1);
-            self.faults.reorders += 1;
-            clamp_exempt = true;
-        } else if request_class
-            && plan.delay_cycles > 0
-            && plan.delay_prob > 0.0
-            && self.send_rng(msg.src, msg.dst).chance(plan.delay_prob)
-        {
-            deliver_at += self
-                .send_rng(msg.src, msg.dst)
-                .range(1, plan.delay_cycles + 1);
-            self.faults.delay_spikes += 1;
-        }
-        if request_class && !clamp_exempt {
-            // A spiked request must not be overtaken by later traffic on
-            // its own (FIFO) channel.
-            let clamp = chan_slot(&mut self.chan_clamp, self.cfg.clusters, msg.src, msg.dst);
-            deliver_at = deliver_at.max(*clamp);
-            *clamp = deliver_at;
-        }
-        let dup_gap = if matches!(coherence_req, Some((_, false)))
-            && plan.dup_prob > 0.0
-            && self.send_rng(msg.src, msg.dst).chance(plan.dup_prob)
-        {
-            // At-least-once delivery, reads only: re-servicing a read is
-            // idempotent (sharer registration is superset-safe and the
-            // stray reply is dropped at the RAC), while re-servicing a
-            // write would record a second ownership grant. The duplicate
-            // gets its own arena slot: each handle is taken exactly once.
-            let hi = self.cfg.timing.bus_memory.max(1) + 1;
-            let gap = self.send_rng(msg.src, msg.dst).range(1, hi);
-            self.faults.duplicates += 1;
-            Some(gap)
-        } else {
-            None
-        };
+        let (deliver_at, dup) = self.faults.on_send(nominal, &msg);
         self.schedule_delivery(deliver_at, msg);
-        if let Some(gap) = dup_gap {
-            self.schedule_delivery(deliver_at + gap, msg);
+        if let Some(at) = dup {
+            // The duplicate gets its own arena slot: each handle is taken
+            // exactly once.
+            self.schedule_delivery(at, msg);
         }
     }
 
@@ -1057,13 +909,8 @@ impl Engine {
     /// state; the requester backs off and retries (or drops the NACK as a
     /// stray if the transaction was serviced anyway).
     fn refuse(&mut self, t: Cycle, home: usize, requester: usize, block: u64, was_write: bool) {
-        self.faults.nacks += 1;
-        self.send(
-            t + self.cfg.timing.dir_lookup,
-            home,
-            requester,
-            MsgKind::Nack { block, was_write },
-        );
+        self.faults.count().nacks += 1;
+        self.send(t + self.cfg.timing.dir_lookup, home, requester, MsgKind::Nack { block, was_write });
     }
 
     fn unblock(&mut self, at: Cycle, p: usize) {
@@ -1101,9 +948,8 @@ impl Engine {
     /// Tells telemetry an event popped at `t`: interval boundaries at or
     /// below `t` close, and the stream emits what that made final.
     fn observe_clock(&mut self, t: Cycle) {
-        let ops = self.shared_reads + self.shared_writes + self.sync_ops;
-        self.telemetry
-            .close_intervals(t, &self.network, &self.clusters, &self.faults, ops);
+        let (faults, ops) = (self.faults.counters(), self.tally.ops());
+        self.telemetry.close_intervals(t, &self.network, &self.clusters, &faults, ops);
         self.telemetry.flush_below(t);
     }
 
@@ -1183,8 +1029,8 @@ impl Engine {
                 .collect(),
             trace_tails,
             dropped_events: self.telemetry.tracer.dropped(),
-            counters: self.counters,
-            faults: self.faults,
+            counters: self.tally.counters,
+            faults: self.faults.counters(),
             detail,
         })
     }
@@ -1230,21 +1076,6 @@ impl Engine {
             self.sched(home, t + self.cfg.timing.dir_lookup, Ev::Replay { home, block });
         }
     }
-}
-
-/// The slot of directed channel `(src, dst)` in a `clusters²` table. The
-/// per-channel fault tables are only ever touched with a fault plan active
-/// (or an explorer's fault edges), so they stay unallocated until then.
-fn chan_slot<T: Clone + Default>(
-    table: &mut Vec<T>,
-    clusters: usize,
-    src: usize,
-    dst: usize,
-) -> &mut T {
-    if table.is_empty() {
-        table.resize(clusters * clusters, T::default());
-    }
-    &mut table[src * clusters + dst]
 }
 
 /// Test-only hooks for hand-corrupting machine state, so the invariant

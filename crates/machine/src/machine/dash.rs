@@ -267,7 +267,7 @@ impl DashState {
                 requester,
                 was_write,
             } => {
-                m.counters.races += 1;
+                m.tally.counters.races += 1;
                 let key = m.dir_key(block);
                 if was_write {
                     self.nodes[dst].pending_write_bump.reset(key);
@@ -478,7 +478,7 @@ impl DashState {
 
         match action {
             DirAction::Stalled { blocker } => {
-                m.counters.sparse_stalls += 1;
+                m.tally.counters.sparse_stalls += 1;
                 m.clusters[home].ser.queue(blocker, req);
             }
             DirAction::SelfOwned => {
@@ -503,7 +503,7 @@ impl DashState {
                     m.clusters[home].dir.release_if_empty(key);
                     return self.home_request(m, t, home, req);
                 }
-                if m.fault_active {
+                if m.faults.tolerant() {
                     // Under fault injection a request from the recorded
                     // owner may be a duplicate or a reordered retry, not
                     // evidence of an in-flight writeback; parking for a
@@ -513,14 +513,14 @@ impl DashState {
                     // stale duplicate's NACK is dropped at the RAC.
                     return m.refuse(t, home, requester, block, is_write);
                 }
-                m.counters.self_owned_parks += 1;
+                m.tally.counters.self_owned_parks += 1;
                 m.clusters[home].ser.park_for_writeback(block, requester, req);
             }
             DirAction::Forward { owner } => {
-                m.counters.forwards += 1;
+                m.tally.counters.forwards += 1;
                 if is_write {
                     // Ownership transfer: zero invalidations.
-                    m.inval_hist.record(0);
+                    m.tally.inval_hist.record(0);
                     m.telemetry.inval(t, home, block, 0, cause::WRITE);
                 }
                 m.clusters[home]
@@ -549,11 +549,11 @@ impl DashState {
             }
             DirAction::Supply { nb_evict } => {
                 if let Some(victim) = nb_evict {
-                    m.counters.nb_evictions += 1;
+                    m.tally.counters.nb_evictions += 1;
                     // Dir_NB pointer overflow: one sharer loses its copy so
                     // the new reader can be recorded (an invalidation event
                     // of size 1, §6.1 Figure 4).
-                    m.inval_hist.record(1);
+                    m.tally.inval_hist.record(1);
                     m.telemetry.inval(t, home, block, 1, cause::NB_EVICT);
                     let epoch = m.memory_version(home, block);
                     m.send(
@@ -568,7 +568,7 @@ impl DashState {
             }
             DirAction::Grant => {
                 let inval_targets = &self.inval_targets.0;
-                m.inval_hist.record(inval_targets.len());
+                m.tally.inval_hist.record(inval_targets.len());
                 m.telemetry.inval(t, home, block, inval_targets.len() as u32, cause::WRITE);
                 if !inval_targets.is_empty() {
                     m.telemetry.home_phase(t, home, requester, block, Phase::Fanout);
@@ -640,7 +640,7 @@ impl DashState {
             return;
         }
         let tm = m.cfg.timing;
-        m.counters.replacement_flushes += 1;
+        m.tally.counters.replacement_flushes += 1;
         m.telemetry.replacement(
             t,
             home,
@@ -948,8 +948,8 @@ impl DashState {
         m.clusters[home].ser.close(block);
         let epoch = m.memory_version(home, block);
         for v in evicted {
-            m.counters.nb_evictions += 1;
-            m.inval_hist.record(1);
+            m.tally.counters.nb_evictions += 1;
+            m.tally.inval_hist.record(1);
             m.telemetry.inval(t, home, block, 1, cause::SWB_EVICT);
             m.send(
                 t + m.cfg.timing.bus_memory,

@@ -172,7 +172,7 @@ impl Machine {
     /// requests, and without them an injected duplicate's second reply is
     /// (correctly) reported as a protocol violation.
     pub fn tolerate_faults(&mut self) {
-        self.eng.fault_active = true;
+        self.eng.faults.tolerate();
     }
 
     /// True when no events are pending — the state is a leaf; validate it
@@ -303,7 +303,7 @@ impl Machine {
                 // Clamp-exempt reorder jitter: the request may now land
                 // behind traffic sent after it.
                 debug_assert!(matches!(ev, Ev::Deliver(_)));
-                self.eng.faults.reorders += 1;
+                self.eng.faults.count().reorders += 1;
                 self.eng.queue.schedule_at(t + delta.max(1), ev);
                 Ok(())
             }
@@ -317,7 +317,7 @@ impl Machine {
                 // taken exactly once.
                 let dup = self.eng.arena.alloc(msg);
                 self.eng.queue.schedule_at(t + gap.max(1), Ev::Deliver(dup));
-                self.eng.faults.duplicates += 1;
+                self.eng.faults.count().duplicates += 1;
                 self.process_event(t, ev)
             }
         }
@@ -412,17 +412,7 @@ impl Machine {
         0xE2u8.hash(&mut h);
         // Version-oracle observations steer future assertions.
         hash_unordered(&mut h, &self.eng.oracle.observed);
-        // Channel clamps still in the future constrain deliveries (a slot
-        // stands for its `(src, dst)` channel).
-        hash_walk(
-            &mut h,
-            self.eng
-                .chan_clamp
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > now)
-                .map(|(i, &c)| (i as u64, c - now)),
-        );
+        self.eng.faults.fingerprint(&mut h, now);
         self.eng.mutation.hash(&mut h);
         // Contention carries absolute link-busy times in the network;
         // include the clock so states at different times never merge.

@@ -45,12 +45,12 @@ impl Engine {
     /// and panics in the RAC.
     pub(super) fn read_reply(&mut self, cl: usize, block: u64) -> Option<Mshr> {
         let rac = &mut self.clusters[cl].rac;
-        if !self.fault_active {
+        if !self.faults.tolerant() {
             return Some(rac.read_reply(block));
         }
         let mshr = rac.try_read_reply(block);
         if mshr.is_none() {
-            self.faults.strays_dropped += 1;
+            self.faults.count().strays_dropped += 1;
         }
         mshr
     }

@@ -226,7 +226,7 @@ impl TardisState {
                 self.counters.write_throughs += 1;
                 // No invalidations, ever: record the zero fan-out so the
                 // paper's invalidation histogram stays comparable.
-                m.inval_hist.record(0);
+                m.tally.inval_hist.record(0);
                 m.telemetry.inval(t, dst, block, 0, cause::WRITE);
                 let version = m.bump_version(dst, block);
                 m.send(

@@ -23,6 +23,7 @@ use scd_trace::{
 };
 
 use super::*;
+use crate::stats::FaultCounters;
 
 /// One in-flight traced coherence transaction. Keyed by (requester
 /// cluster, block), which is unique because the RAC holds one MSHR per
@@ -89,7 +90,7 @@ pub(crate) struct FanoutSample {
 #[derive(Clone)]
 pub(crate) struct Recorder {
     /// Pre-computed `cfg.is_active()`: the one flag hook sites gate on.
-    /// Like `fault_active`, an inert trace must cost nothing.
+    /// Like the fault injector's `active`, an inert trace must cost nothing.
     pub(crate) on: bool,
     /// Whether anything reads the transaction lifecycle: a ring that
     /// retains its events, the phase histograms, or (while one is
@@ -680,8 +681,8 @@ impl Machine {
     /// aborted run.
     pub fn stream_close(&mut self) {
         let eng = &mut self.eng;
-        let cycles = if eng.finish_time > 0 {
-            eng.finish_time
+        let cycles = if eng.tally.finish_time > 0 {
+            eng.tally.finish_time
         } else {
             eng.queue.now()
         };

@@ -31,4 +31,9 @@ fn validate_refuses_each_bad_geometry_naming_field_and_value() {
         |c| *c = c.clone().with_overflow(2, 5, 2, Replacement::Lru),
         "overflow wide entries:ways = 5:2",
     );
+    // A plan built in code meets the bound `FaultPlan::parse` holds.
+    bad(
+        |c| c.fault_plan = Some(scd_noc::FaultPlan::delay(1.0, u64::MAX)),
+        "fault delay cycle bound = 18446744073709551615",
+    );
 }

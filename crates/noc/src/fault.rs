@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] describes *which* network-level misbehaviours a run
 //! should inject and at what rates; it is pure configuration. The machine
-//! applies it per message with a forked `SimRng`, so fault placement is a
-//! deterministic function of the machine seed — a failing faulty run
-//! reproduces bit-for-bit.
+//! applies it per message from `SimRng` streams derived per directed
+//! channel, so fault placement is a deterministic function of the machine
+//! seed — a failing faulty run reproduces bit-for-bit.
 //!
 //! Four fault modes exist, each scoped to the message kinds the DASH-style
 //! protocol can absorb (see `scd-machine`'s failure-model notes and
@@ -27,6 +27,14 @@
 //! The plan is off by default ([`FaultPlan::default`] injects nothing) and
 //! a disabled plan leaves the simulation bit-identical to a build without
 //! fault hooks.
+
+use std::ops::RangeInclusive;
+
+/// The cycle bounds a fault accepts: a delay spike's or reorder window's
+/// maximum, and an explored delay or duplicate gap. The top keeps a
+/// delivery cycle far from wrapping the clock (the longest run in
+/// `results/` takes 1.44 M cycles).
+pub const FAULT_CYCLES: RangeInclusive<u64> = 1..=u32::MAX as u64;
 
 /// Fault-injection rates for one run. All probabilities are per eligible
 /// message, in `[0, 1]`.
@@ -140,17 +148,17 @@ impl FaultPlan {
             match (mode, cycles) {
                 ("nack", None) => plan.nack_prob = prob,
                 ("dup", None) => plan.dup_prob = prob,
-                ("delay", Some(c)) if c > 0 => {
+                ("delay", Some(c)) if FAULT_CYCLES.contains(&c) => {
                     plan.delay_prob = prob;
                     plan.delay_cycles = c;
                 }
-                ("reorder", Some(c)) if c > 0 => {
+                ("reorder", Some(c)) if FAULT_CYCLES.contains(&c) => {
                     plan.reorder_prob = prob;
                     plan.reorder_window = c;
                 }
                 ("delay" | "reorder", _) => {
                     return Err(format!(
-                        "fault clause `{clause}`: needs a positive cycle bound \
+                        "fault clause `{clause}`: needs a cycle bound in {FAULT_CYCLES:?} \
                          ({mode}:<prob>:<cycles>)"
                     ));
                 }
@@ -166,6 +174,22 @@ impl FaultPlan {
             }
         }
         Ok(plan)
+    }
+
+    /// Refuses what [`FaultPlan::parse`] refuses in a plan built in code:
+    /// an enabled delay or reorder mode whose cycle bound lies outside
+    /// [`FAULT_CYCLES`].
+    pub fn validate(&self) -> Result<(), String> {
+        let modes = [
+            ("delay", self.delay_prob, self.delay_cycles),
+            ("reorder", self.reorder_prob, self.reorder_window),
+        ];
+        match modes.into_iter().find(|&(_, p, c)| p > 0.0 && !FAULT_CYCLES.contains(&c)) {
+            Some((mode, _, c)) => {
+                Err(format!("fault {mode} cycle bound = {c} (want {FAULT_CYCLES:?})"))
+            }
+            None => Ok(()),
+        }
     }
 }
 
@@ -211,10 +235,29 @@ mod tests {
             "delay:0.1",
             "delay:0.1:0",
             "delay:0.1:10:3",
+            // A bound past `FAULT_CYCLES` would wrap the delivery clock.
+            "delay:1:18446744073709551615",
+            "delay:1:9223372036854775808",
+            "delay:1:4294967296",
+            "reorder:1:18446744073709551615",
             "jitter:0.1",
             "dup:zero",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_an_enabled_bound_outside_fault_cycles() {
+        assert_eq!(FaultPlan::delay(1.0, u32::MAX as u64).validate(), Ok(()));
+        assert_eq!(FaultPlan::nack(0.5).validate(), Ok(()), "a disabled mode's zero bound is fine");
+        for (plan, needle) in [
+            (FaultPlan::delay(1.0, u64::MAX), "fault delay cycle bound = 18446744073709551615"),
+            (FaultPlan::delay(0.5, 0), "fault delay cycle bound = 0"),
+            (FaultPlan::reorder(0.1, 1 << 32), "fault reorder cycle bound = 4294967296"),
+        ] {
+            let e = plan.validate().expect_err(needle);
+            assert!(e.starts_with(needle), "`{e}` lacks `{needle}`");
         }
     }
 

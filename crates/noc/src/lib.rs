@@ -18,6 +18,6 @@ pub mod fault;
 pub mod mesh;
 pub mod network;
 
-pub use fault::FaultPlan;
+pub use fault::{FaultPlan, FAULT_CYCLES};
 pub use mesh::{Mesh, RouteIter};
 pub use network::{LatencyModel, LinkCounters, Network, NetworkStats};

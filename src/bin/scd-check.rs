@@ -24,6 +24,7 @@ use scd::check::{
     explore, minimize, random_walk, replay_trace, scenarios, Counterexample, ExploreConfig,
 };
 use scd::machine::machine::explore::{FaultEdges, Mutation};
+use scd::noc::FAULT_CYCLES;
 use std::process::exit;
 
 const HELP: &str = "\
@@ -107,6 +108,11 @@ fn parse_args() -> Options {
         args.next()
             .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
     };
+    // A fault edge's cycle count, within the bound a `FaultPlan` holds.
+    let cycles = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
+        let c = value(args, flag).parse().ok().filter(|c| FAULT_CYCLES.contains(c));
+        c.unwrap_or_else(|| usage(&format!("{flag} must be a cycle count in {FAULT_CYCLES:?}")))
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-h" | "--help" => {
@@ -129,20 +135,8 @@ fn parse_args() -> Options {
                     .unwrap_or_else(|_| usage("--max-states must be an integer"))
             }
             "--fault-nack" => o.fault_nack = true,
-            "--fault-delay" => {
-                o.fault_delay = Some(
-                    value(&mut args, "--fault-delay")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--fault-delay must be an integer")),
-                )
-            }
-            "--fault-dup" => {
-                o.fault_dup = Some(
-                    value(&mut args, "--fault-dup")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--fault-dup must be an integer")),
-                )
-            }
+            "--fault-delay" => o.fault_delay = Some(cycles(&mut args, "--fault-delay")),
+            "--fault-dup" => o.fault_dup = Some(cycles(&mut args, "--fault-dup")),
             "--fault-budget" => {
                 o.fault_budget = Some(
                     value(&mut args, "--fault-budget")

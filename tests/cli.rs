@@ -110,6 +110,10 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--sparse", "4:2:fifo"], "bad replacement policy `fifo`"),
         (&["--overflow", "1:two:1:lru"], "bad --overflow `two`"),
         (&["--fault", "nack:2"], "bad --fault `nack:2`"),
+        // A cycle bound past `FAULT_CYCLES` would wrap the delivery clock.
+        (&["--fault", "delay:1:18446744073709551615"], "bad --fault `delay:1:18446744073709551615`"),
+        (&["--fault", "delay:1:9223372036854775808"], "bad --fault `delay:1:9223372036854775808`"),
+        (&["--fault", "reorder:1:18446744073709551615"], "bad --fault `reorder:1:18446744073709551615`"),
         (&["--app", "quicksort"], "unknown app `quicksort`"),
         // Geometry the constructors would assert on is refused up front
         // (`MachineConfig::validate`), as is a scale outside (0, 1].
@@ -144,6 +148,13 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
     ] {
         let out = expect(SCDSIM, &dir, args, 2, needle);
         assert!(stderr(&out).lines().count() <= 3, "{}", stderr(&out));
+    }
+    // `scd-check`'s explored delay and duplicate gaps hold the same bound.
+    for flag in ["--fault-delay", "--fault-dup"] {
+        for cycles in ["0", "4294967296", "18446744073709551615"] {
+            let needle = format!("{flag} must be a cycle count in 1..=4294967295");
+            expect(CHECK, &dir, &[flag, cycles], 2, &needle);
+        }
     }
     expect(TELEMETRY, &dir, &[], 2, "no subcommand given");
     expect(TELEMETRY, &dir, &["frobnicate"], 2, "unknown subcommand frobnicate");

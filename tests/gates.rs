@@ -124,6 +124,30 @@ fn verification_switches_never_steer_the_protocol() {
     assert!(found.is_empty(), "a verification switch steers a handler:\n{}", listing(&found));
 }
 
+/// The fault model has one owner (DESIGN.md §8): outside
+/// `machine/fault.rs`, no code line of the machine crate reads a
+/// `FaultPlan` rate, so which messages a mode may touch, its draws and its
+/// clamp are decided in one module. And the explorer never names the run's
+/// `Tally`, so metrics stay out of a state's digest by construction.
+#[test]
+fn fault_policy_lives_in_one_module() {
+    const RATES: [&str; 6] =
+        ["nack_prob", "dup_prob", "delay_prob", "delay_cycles", "reorder_prob", "reorder_window"];
+    let lines = engine_lines(&["machine"]);
+    assert!(lines.iter().any(|l| l.file.ends_with("machine/fault.rs")), "fault.rs was found");
+    let rates: Vec<&Line> = lines
+        .iter()
+        .filter(|l| !l.file.ends_with("machine/fault.rs") && !l.text.starts_with("//"))
+        .filter(|l| RATES.iter().any(|r| l.text.contains(r)))
+        .collect();
+    assert!(rates.is_empty(), "a fault rate read outside machine/fault.rs:\n{}", listing(&rates));
+    let tally: Vec<&Line> = lines
+        .iter()
+        .filter(|l| l.file.ends_with("machine/explore.rs") && l.text.contains("tally"))
+        .collect();
+    assert!(tally.is_empty(), "the explorer names the tally:\n{}", listing(&tally));
+}
+
 /// Event payloads are read from text in one place, `TraceEvent::parse`
 /// (DESIGN.md §18). Outside `crates/trace/src/event.rs`, no line of the
 /// trace crate or of the binaries looks a payload key up by name: as the
