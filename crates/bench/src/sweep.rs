@@ -58,6 +58,18 @@ pub fn generate_app(name: &str, procs: usize, seed: u64, scale: f64) -> Option<A
     })
 }
 
+/// Refuses a problem the generator cannot split over `procs` processors:
+/// MP3D splits its particles evenly, so each processor needs one.
+pub fn app_fits(name: &str, procs: usize, scale: f64) -> Result<(), String> {
+    let particles = Mp3dParams::scaled(scale).particles;
+    if name == "mp3d" && particles < procs {
+        return Err(format!(
+            "mp3d at --scale {scale} has {particles} particles, too few for {procs} processors"
+        ));
+    }
+    Ok(())
+}
+
 /// One sparse-directory axis value: the full (complete) directory, or a
 /// §6.3 sparse directory described by size factor × associativity ×
 /// replacement policy.

@@ -33,11 +33,14 @@
 //!
 //! A [`Machine`] is two values. The `Engine` is everything every
 //! protocol shares: the event wheel, message transport, processor
-//! scheduling, synchronization, the per-cluster hardware (caches,
-//! directory store, RAC, home serializer, version tables), and two owned
-//! parts: the `FaultInjector` (`fault`), the only code that reads a
-//! `FaultPlan`, and the `Tally`, the run's metrics, which nothing reads
-//! back to steer the run. The `Backend` (`backend`) is what
+//! scheduling, the per-cluster hardware (caches, directory store, RAC,
+//! home serializer, version tables), and three owned parts: the
+//! `FaultInjector` (`fault`), the only code that reads a `FaultPlan`; the
+//! `Tally`, the run's metrics, which nothing reads back to steer the run;
+//! and each cluster's `SyncTables` (`scd-protocol::sync`), both halves of
+//! every lock and barrier with the `pts` they carry, which decide what a
+//! sync operation or message does, so the engine only sends and resumes.
+//! The `Backend` (`backend`) is what
 //! only one protocol reads: `dash` (the paper's directory-based
 //! invalidation protocol, the default), `tardis` (timestamp coherence:
 //! lease-based reads, no invalidation fan-out) or `dls` (directoryless
@@ -57,8 +60,8 @@ use scd_core::{DenseTable, DirState, EntryAccess, FastMap, NodeId, NodeSet};
 use scd_mem::{CacheHierarchy, ClusterCaches, HitLevel, LineState};
 use scd_noc::Network;
 use scd_protocol::{
-    BarrierManager, BusyReason, EarlyKind, HomeSerializer, LockManager, LockOutcome, Msg,
-    MsgArena, MsgKind, MsgRef, QueuedReq, Rac, UnlockOutcome,
+    BusyReason, EarlyKind, HomeSerializer, LocalRelease, LockOutcome, Msg, MsgArena, MsgKind,
+    MsgRef, QueuedReq, Rac, SyncTables, UnlockOutcome,
 };
 use scd_protocol::rac::{MshrKind, StartOutcome};
 use scd_sim::{Cycle, EventQueue, RingLog, Stamp};
@@ -128,28 +131,14 @@ impl<M> Event<M> {
     }
 }
 
-/// Per-cluster lock bookkeeping: which local processor holds the lock,
-/// which are queued behind it, and whether the cluster has a request
-/// outstanding at the lock's home.
-#[derive(Debug, Default)]
-pub(crate) struct ClusterLock {
-    holder: Option<usize>,
-    waiters: std::collections::VecDeque<usize>,
-    requested: bool,
-}
-
-scd_core::clone_fields!(ClusterLock { holder, waiters, requested });
-
 /// One processing node.
 pub(crate) struct ClusterNode {
     pub(crate) caches: ClusterCaches,
     pub(crate) dir: scd_core::DirectoryStore,
     pub(crate) rac: Rac,
     pub(crate) ser: HomeSerializer,
-    pub(crate) locks: LockManager,
-    pub(crate) barriers: BarrierManager,
-    pub(crate) lock_state: FastMap<u32, ClusterLock>,
-    pub(crate) barrier_local: FastMap<u32, Vec<usize>>,
+    /// Both halves of every lock and barrier this cluster takes part in.
+    pub(crate) sync: SyncTables,
     /// Data versions: latest version the home has assigned per block,
     /// indexed like the directory by [`MachineConfig::dir_key`] (0 = never
     /// written).
@@ -164,10 +153,7 @@ scd_core::clone_fields!(ClusterNode {
     dir,
     rac,
     ser,
-    locks,
-    barriers,
-    lock_state,
-    barrier_local,
+    sync,
     cur_version,
     line_version,
 });
@@ -300,7 +286,7 @@ impl Tally {
         for c in &eng.clusters {
             crate::stats::add_opt(&mut sparse, c.dir.sparse_stats());
             crate::stats::add_opt(&mut overflow, c.dir.overflow_stats());
-            let (g, r) = c.locks.metrics();
+            let (g, r) = c.sync.metrics();
             lock_metrics.0 += g;
             lock_metrics.1 += r;
             let (d, q) = c.ser.queue_metrics();
@@ -455,14 +441,14 @@ impl Machine {
                     Op::Lock(_) | Op::Unlock(_) | Op::Barrier(_) => eng.tally.sync_ops += 1,
                     _ => {}
                 }
-                self.execute(t, p, op);
+                self.execute(t, p, op)?;
             }
             Event::ProcRetry(p) => {
                 let Some(op) = eng.procs[p].pending else {
                     let detail = format!("retry of processor {p} with no pending op");
                     return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
                 };
-                self.execute(t, p, op);
+                self.execute(t, p, op)?;
             }
             Event::Deliver(msg) => self.deliver(t, msg),
             Event::Replay { home, block } => {
@@ -529,7 +515,7 @@ impl Machine {
     // Processor-side execution
     // ------------------------------------------------------------------
 
-    fn execute(&mut self, t: Cycle, p: usize, op: Op) {
+    fn execute(&mut self, t: Cycle, p: usize, op: Op) -> Result<(), SimError> {
         let eng = &mut self.eng;
         match op {
             Op::Done => {
@@ -544,9 +530,10 @@ impl Machine {
             Op::Read(addr) => self.mem_access(t, p, addr, MshrKind::Read),
             Op::Write(addr) => self.mem_access(t, p, addr, MshrKind::Write),
             Op::Lock(l) => eng.do_lock(t, p, l),
-            Op::Unlock(l) => self.do_unlock(t, p, l),
+            Op::Unlock(l) => return self.do_unlock(t, p, l),
             Op::Barrier(b) => self.do_barrier(t, p, b),
         }
+        Ok(())
     }
 
     /// A processor touches shared memory: the backend resolves what it can
@@ -563,45 +550,38 @@ impl Machine {
     // Synchronization
     // ------------------------------------------------------------------
 
-    fn do_unlock(&mut self, t: Cycle, p: usize, l: u32) {
+    /// Processor `p` releases lock `l`: an invariant violation (touching
+    /// nothing) when it does not hold it, a program error the run reports
+    /// rather than survives.
+    fn do_unlock(&mut self, t: Cycle, p: usize, l: u32) -> Result<(), SimError> {
         let eng = &mut self.eng;
         let (cl, lp) = (eng.cluster_of(p), eng.local_of(p));
-        let tm = eng.cfg.timing;
-        let home = eng.cfg.lock_home(l);
-        let st = eng.clusters[cl]
-            .lock_state
-            .get_mut(&l)
-            .expect("unlock of never-acquired lock");
-        assert_eq!(
-            st.holder,
-            Some(lp),
-            "processor {p} released lock {l} it does not hold"
-        );
-        st.holder = None;
-        if let Some(next) = st.waiters.pop_front() {
-            // Intra-cluster handoff over the bus; the home still sees this
-            // cluster as the holder.
-            st.holder = Some(next);
-            let g = eng.global_proc(cl, next);
-            eng.resume(t + tm.sync_op, g);
-        } else {
-            let pts = self.backend.sync_pts(cl);
-            eng.send(t + tm.sync_op, cl, home, MsgKind::UnlockReq { lock: l, pts });
+        let at = t + eng.cfg.timing.sync_op;
+        match eng.clusters[cl].sync.release(l, lp) {
+            None => {
+                let detail = format!("processor {p} released lock {l} it does not hold");
+                return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
+            }
+            Some(LocalRelease::HandOff(next)) => {
+                let g = eng.global_proc(cl, next);
+                eng.resume(at, g);
+            }
+            Some(LocalRelease::ToHome) => {
+                let (home, pts) = (eng.cfg.lock_home(l), self.backend.sync_pts(cl));
+                eng.send(at, cl, home, MsgKind::UnlockReq { lock: l, pts });
+            }
         }
-        eng.resume(t + tm.sync_op, p);
+        eng.resume(at, p);
+        Ok(())
     }
 
     fn do_barrier(&mut self, t: Cycle, p: usize, b: u32) {
         let eng = &mut self.eng;
         let (cl, lp) = (eng.cluster_of(p), eng.local_of(p));
-        let tm = eng.cfg.timing;
-        let home = eng.cfg.barrier_home(b);
-        let local = eng.clusters[cl].barrier_local.entry(b).or_default();
-        local.push(lp);
-        let all_local = local.len() == eng.cfg.procs_per_cluster;
-        if all_local {
-            let pts = self.backend.sync_pts(cl);
-            eng.send(t + tm.sync_op, cl, home, MsgKind::BarrierArrive { barrier: b, pts });
+        if eng.clusters[cl].sync.arrive(b, lp, eng.cfg.procs_per_cluster) {
+            let (home, pts) = (eng.cfg.barrier_home(b), self.backend.sync_pts(cl));
+            let kind = MsgKind::BarrierArrive { barrier: b, pts };
+            eng.send(t + eng.cfg.timing.sync_op, cl, home, kind);
         }
         eng.block(t, p, true);
     }
@@ -642,24 +622,16 @@ impl Machine {
                 }
             }
             MsgKind::LockReq { lock } => {
-                match eng.clusters[dst].locks.acquire(lock, src) {
-                    LockOutcome::Granted => {
-                        let pts = backend.lock_grant_pts(dst, lock);
-                        eng.send(t + tm.sync_op, dst, src, MsgKind::LockGrant { lock, pts });
-                    }
-                    // Queued: the grant comes on a later release.
-                    // AlreadyHeld: duplicate of an already-granted request
-                    // (a retry crossed the acquire) — drop it.
-                    LockOutcome::Queued | LockOutcome::AlreadyHeld => {}
+                // Queued: the grant comes on a later release.
+                // AlreadyHeld: duplicate of an already-granted request
+                // (a retry crossed the acquire) — drop it.
+                if let LockOutcome::Granted(pts) = eng.clusters[dst].sync.home_acquire(lock, src) {
+                    eng.send(t + tm.sync_op, dst, src, MsgKind::LockGrant { lock, pts });
                 }
             }
             MsgKind::LockGrant { lock, pts } => {
                 backend.absorb_pts(dst, pts);
-                let st = eng.clusters[dst].lock_state.entry(lock).or_default();
-                st.requested = false;
-                let next = if st.holder.is_none() { st.waiters.pop_front() } else { None };
-                if let Some(lp) = next {
-                    st.holder = Some(lp);
+                if let Some(lp) = eng.clusters[dst].sync.on_grant(lock) {
                     let g = eng.global_proc(dst, lp);
                     eng.resume(t + tm.sync_op, g);
                 } else {
@@ -670,22 +642,15 @@ impl Machine {
                 }
             }
             MsgKind::LockRetry { lock } => {
-                // Our queued request (if any) was dropped by the region
-                // release: the `requested` flag is stale, so clear it and
-                // re-request if processors are still waiting.
-                let st = eng.clusters[dst].lock_state.entry(lock).or_default();
-                st.requested = st.holder.is_none() && !st.waiters.is_empty();
-                if st.requested {
+                if eng.clusters[dst].sync.on_retry(lock) {
                     let home = eng.cfg.lock_home(lock);
                     eng.send(t + tm.sync_op, dst, home, MsgKind::LockReq { lock });
                 }
             }
             MsgKind::UnlockReq { lock, pts } => {
-                backend.note_lock_pts(dst, lock, pts);
-                match eng.clusters[dst].locks.release(lock, src) {
+                match eng.clusters[dst].sync.home_release(lock, src, pts) {
                     UnlockOutcome::Free => {}
-                    UnlockOutcome::GrantTo(c) => {
-                        let pts = backend.lock_grant_pts(dst, lock);
+                    UnlockOutcome::GrantTo(c, pts) => {
                         eng.send(t + tm.sync_op, dst, c, MsgKind::LockGrant { lock, pts });
                     }
                     UnlockOutcome::RetryRegion(members) => {
@@ -696,13 +661,8 @@ impl Machine {
                 }
             }
             MsgKind::BarrierArrive { barrier, pts } => {
-                backend.note_barrier_pts(dst, barrier, pts);
-                if let Some(release) =
-                    eng.clusters[dst]
-                        .barriers
-                        .arrive(barrier, src, eng.cfg.clusters)
-                {
-                    let pts = backend.take_barrier_pts(dst, barrier);
+                let sync = &mut eng.clusters[dst].sync;
+                if let Some((release, pts)) = sync.home_arrive(barrier, src, pts, eng.cfg.clusters) {
                     for c in release {
                         eng.send(t + tm.sync_op, dst, c, MsgKind::BarrierRelease { barrier, pts });
                     }
@@ -710,9 +670,11 @@ impl Machine {
             }
             MsgKind::BarrierRelease { barrier, pts } => {
                 backend.absorb_pts(dst, pts);
+                // Only a cluster that arrived is released, and it arrives
+                // once all its processors are parked here.
                 let local = eng.clusters[dst]
-                    .barrier_local
-                    .remove(&barrier)
+                    .sync
+                    .on_release(barrier)
                     .expect("release for a barrier nobody reached");
                 for lp in local {
                     let g = eng.global_proc(dst, lp);
@@ -745,10 +707,7 @@ impl Engine {
                 ),
                 rac: Rac::new(),
                 ser: HomeSerializer::new(),
-                locks: LockManager::new(cfg.scheme, cfg.clusters),
-                barriers: BarrierManager::new(),
-                lock_state: FastMap::default(),
-                barrier_local: FastMap::default(),
+                sync: SyncTables::new(cfg.scheme, cfg.clusters),
                 cur_version: DenseTable::new(),
                 line_version: FastMap::default(),
             })
@@ -913,6 +872,13 @@ impl Engine {
         self.send(t + self.cfg.timing.dir_lookup, home, requester, MsgKind::Nack { block, was_write });
     }
 
+    /// An invalidation event of `targets` copies at `home`: the run's
+    /// invalidation histogram and telemetry both record it.
+    fn inval_event(&mut self, t: Cycle, home: usize, block: u64, targets: usize, cause: &'static str) {
+        self.tally.inval_hist.record(targets);
+        self.telemetry.inval(t, home, block, targets as u32, cause);
+    }
+
     fn unblock(&mut self, at: Cycle, p: usize) {
         let st = &mut self.procs[p];
         if st.status == ProcStatus::Blocked {
@@ -1052,14 +1018,9 @@ impl Engine {
 
     fn do_lock(&mut self, t: Cycle, p: usize, l: u32) {
         let (cl, lp) = (self.cluster_of(p), self.local_of(p));
-        let tm = self.cfg.timing;
-        let home = self.cfg.lock_home(l);
-        let st = self.clusters[cl].lock_state.entry(l).or_default();
-        st.waiters.push_back(lp);
-        let need_request = st.holder.is_none() && !st.requested;
-        if need_request {
-            st.requested = true;
-            self.send(t + tm.sync_op, cl, home, MsgKind::LockReq { lock: l });
+        if self.clusters[cl].sync.acquire(l, lp) {
+            let home = self.cfg.lock_home(l);
+            self.send(t + self.cfg.timing.sync_op, cl, home, MsgKind::LockReq { lock: l });
         }
         self.block(t, p, true);
     }

@@ -6,9 +6,9 @@
 //! engine-facing surface is small: what a processor access does inside
 //! the cluster (`mem_access`), which request a miss sends
 //! (`request_kind`), what a protocol message does on arrival (`deliver`,
-//! `replay`), the timestamps Tardis piggybacks on synchronization (the
-//! six `*_pts` hooks, inert elsewhere), and what the protocol contributes
-//! to statistics, state digests and invariant checks.
+//! `replay`), the cluster timestamp Tardis piggybacks on synchronization
+//! (`sync_pts` and `absorb_pts`, inert elsewhere), and what the protocol
+//! contributes to statistics, state digests and invariant checks.
 
 use std::hash::Hasher;
 
@@ -178,53 +178,25 @@ impl Backend {
     }
 
     // --------------------------------------------------------------
-    // Timestamp piggybacks on the engine's synchronization messages:
-    // Tardis orders `pts` through lock handoffs and barrier releases
-    // (see the hooks' own docs in `tardis.rs`); the other backends carry
-    // zeros.
+    // Timestamps on the engine's synchronization messages: Tardis orders
+    // `pts` through lock handoffs and barrier releases (the home's maxima
+    // live on the records of `scd_protocol::sync`); the other backends
+    // carry zeros.
     // --------------------------------------------------------------
 
-    fn tardis(&self) -> Option<&TardisState> {
-        match self {
-            Backend::Tardis(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn tardis_mut(&mut self) -> Option<&mut TardisState> {
-        match self {
-            Backend::Tardis(s) => Some(s),
-            _ => None,
-        }
-    }
-
+    /// The `pts` a sync message leaving cluster `cl` carries.
     pub(crate) fn sync_pts(&self, cl: usize) -> u64 {
-        self.tardis().map_or(0, |s| s.sync_pts(cl))
+        match self {
+            Backend::Tardis(s) => s.nodes[cl].pts,
+            _ => 0,
+        }
     }
 
+    /// Cluster `cl` absorbs the `pts` an incoming grant or release carried.
     pub(crate) fn absorb_pts(&mut self, cl: usize, pts: u64) {
-        if let Some(s) = self.tardis_mut() {
-            s.absorb_pts(cl, pts);
+        if let Backend::Tardis(s) = self {
+            let node = &mut s.nodes[cl];
+            node.pts = node.pts.max(pts);
         }
-    }
-
-    pub(crate) fn note_lock_pts(&mut self, home: usize, lock: u32, pts: u64) {
-        if let Some(s) = self.tardis_mut() {
-            s.note_lock_pts(home, lock, pts);
-        }
-    }
-
-    pub(crate) fn lock_grant_pts(&self, home: usize, lock: u32) -> u64 {
-        self.tardis().map_or(0, |s| s.lock_grant_pts(home, lock))
-    }
-
-    pub(crate) fn note_barrier_pts(&mut self, home: usize, barrier: u32, pts: u64) {
-        if let Some(s) = self.tardis_mut() {
-            s.note_barrier_pts(home, barrier, pts);
-        }
-    }
-
-    pub(crate) fn take_barrier_pts(&mut self, home: usize, barrier: u32) -> u64 {
-        self.tardis_mut().map_or(0, |s| s.take_barrier_pts(home, barrier))
     }
 }

@@ -520,8 +520,7 @@ impl DashState {
                 m.tally.counters.forwards += 1;
                 if is_write {
                     // Ownership transfer: zero invalidations.
-                    m.tally.inval_hist.record(0);
-                    m.telemetry.inval(t, home, block, 0, cause::WRITE);
+                    m.inval_event(t, home, block, 0, cause::WRITE);
                 }
                 m.clusters[home]
                     .ser
@@ -553,8 +552,7 @@ impl DashState {
                     // Dir_NB pointer overflow: one sharer loses its copy so
                     // the new reader can be recorded (an invalidation event
                     // of size 1, §6.1 Figure 4).
-                    m.tally.inval_hist.record(1);
-                    m.telemetry.inval(t, home, block, 1, cause::NB_EVICT);
+                    m.inval_event(t, home, block, 1, cause::NB_EVICT);
                     let epoch = m.memory_version(home, block);
                     m.send(
                         t + tm.bus_memory,
@@ -568,8 +566,7 @@ impl DashState {
             }
             DirAction::Grant => {
                 let inval_targets = &self.inval_targets.0;
-                m.tally.inval_hist.record(inval_targets.len());
-                m.telemetry.inval(t, home, block, inval_targets.len() as u32, cause::WRITE);
+                m.inval_event(t, home, block, inval_targets.len(), cause::WRITE);
                 if !inval_targets.is_empty() {
                     m.telemetry.home_phase(t, home, requester, block, Phase::Fanout);
                 }
@@ -949,8 +946,7 @@ impl DashState {
         let epoch = m.memory_version(home, block);
         for v in evicted {
             m.tally.counters.nb_evictions += 1;
-            m.tally.inval_hist.record(1);
-            m.telemetry.inval(t, home, block, 1, cause::SWB_EVICT);
+            m.inval_event(t, home, block, 1, cause::SWB_EVICT);
             m.send(
                 t + m.cfg.timing.bus_memory,
                 home,

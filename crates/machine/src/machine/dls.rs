@@ -122,8 +122,7 @@ impl DlsState {
             }
             // Zero invalidation *messages* by construction; record the
             // empty fan-out so the histogram stays comparable.
-            m.tally.inval_hist.record(0);
-            m.telemetry.inval(t, home, block, 0, cause::WRITE);
+            m.inval_event(t, home, block, 0, cause::WRITE);
             let version = m.bump_version(home, block);
             m.send(t + tm.bus_memory, home, requester, MsgKind::LlcWriteAck { block, version });
         } else {

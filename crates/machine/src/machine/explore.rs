@@ -395,15 +395,7 @@ impl Machine {
             c.dir.fingerprint(&mut h);
             c.rac.fingerprint(&mut h);
             c.ser.fingerprint(&mut h);
-            c.locks.fingerprint(&mut h);
-            c.barriers.fingerprint(&mut h);
-            hash_unordered(
-                &mut h,
-                c.lock_state
-                    .iter()
-                    .map(|(&l, ls)| (l, (ls.holder, &ls.waiters, ls.requested))),
-            );
-            hash_unordered(&mut h, &c.barrier_local);
+            c.sync.fingerprint(&mut h);
             hash_walk(&mut h, c.cur_version.iter());
             // Line versions only matter for blocks actually resident.
             hash_unordered(&mut h, c.line_version.iter().filter(|(&b, _)| c.caches.holds(b)));

@@ -74,15 +74,9 @@ pub(crate) struct TardisNode {
     /// which raises its `rts` or `wts`, so "all zero" and "never touched"
     /// coincide.
     pub(crate) lines: DenseTable<TardisLine>,
-    /// Home-side: max `pts` released through each lock, handed to the
-    /// next holder with the grant.
-    lock_pts: FastMap<u32, u64>,
-    /// Home-side: max `pts` carried by barrier arrivals, broadcast with
-    /// the release.
-    barrier_pts: FastMap<u32, u64>,
 }
 
-scd_core::clone_fields!(TardisNode { pts, lease, renew_pending, lines, lock_pts, barrier_pts });
+scd_core::clone_fields!(TardisNode { pts, lease, renew_pending, lines });
 
 /// What the Tardis backend owns: every cluster's timestamp state and the
 /// protocol's event counters.
@@ -111,8 +105,6 @@ impl TardisState {
             hash_unordered(h, &n.lease);
             hash_unordered(h, &n.renew_pending);
             explore::hash_walk(h, n.lines.iter().map(|(k, l)| (k, (l.wts, l.rts))));
-            hash_unordered(h, &n.lock_pts);
-            hash_unordered(h, &n.barrier_pts);
         }
     }
 
@@ -226,8 +218,7 @@ impl TardisState {
                 self.counters.write_throughs += 1;
                 // No invalidations, ever: record the zero fan-out so the
                 // paper's invalidation histogram stays comparable.
-                m.tally.inval_hist.record(0);
-                m.telemetry.inval(t, dst, block, 0, cause::WRITE);
+                m.inval_event(t, dst, block, 0, cause::WRITE);
                 let version = m.bump_version(dst, block);
                 m.send(
                     t + tm.bus_memory,
@@ -311,45 +302,5 @@ impl TardisState {
         let node = &mut self.nodes[cl];
         node.lease.insert(block, (wts, rts));
         node.pts = node.pts.max(wts);
-    }
-
-    // --------------------------------------------------------------
-    // Timestamp piggybacks on the engine's synchronization messages
-    // (zero / no-op under the other backends: see `Backend`).
-    // --------------------------------------------------------------
-
-    /// The `pts` a sync message leaving cluster `cl` should carry.
-    pub(crate) fn sync_pts(&self, cl: usize) -> u64 {
-        self.nodes[cl].pts
-    }
-
-    /// Absorbs a `pts` carried by an incoming grant or release.
-    pub(crate) fn absorb_pts(&mut self, cl: usize, pts: u64) {
-        let node = &mut self.nodes[cl];
-        node.pts = node.pts.max(pts);
-    }
-
-    /// Home-side: a release carried the holder's `pts`; fold it into
-    /// the lock's running maximum.
-    pub(crate) fn note_lock_pts(&mut self, home: usize, lock: u32, pts: u64) {
-        let e = self.nodes[home].lock_pts.entry(lock).or_insert(0);
-        *e = (*e).max(pts);
-    }
-
-    /// Home-side: the `pts` a lock grant hands to the next holder.
-    pub(crate) fn lock_grant_pts(&self, home: usize, lock: u32) -> u64 {
-        self.nodes[home].lock_pts.get(&lock).copied().unwrap_or(0)
-    }
-
-    /// Home-side: a barrier arrival carried a cluster's `pts`.
-    pub(crate) fn note_barrier_pts(&mut self, home: usize, barrier: u32, pts: u64) {
-        let e = self.nodes[home].barrier_pts.entry(barrier).or_insert(0);
-        *e = (*e).max(pts);
-    }
-
-    /// Home-side: the maximum `pts` across a barrier's arrivals,
-    /// broadcast with the release (and reset for the next episode).
-    pub(crate) fn take_barrier_pts(&mut self, home: usize, barrier: u32) -> u64 {
-        self.nodes[home].barrier_pts.remove(&barrier).unwrap_or(0)
     }
 }

@@ -8,7 +8,7 @@
 //! inside its cluster.
 
 use scd_core::Scheme;
-use scd_machine::{Machine, MachineConfig, RunStats};
+use scd_machine::{Machine, MachineConfig, RunStats, SimError};
 use scd_stats::MessageClass::*;
 use scd_tango::{Op, Script};
 
@@ -109,6 +109,34 @@ fn local_lock_handoff_skips_the_home() {
     );
     assert_eq!(stats.traffic.get(Reply), 1, "a single grant");
     assert_eq!(stats.lock_metrics.0, 1, "the home grants the cluster once");
+}
+
+/// A program that releases a lock it does not hold is refused with a
+/// post-mortem naming the processor and the lock, not a panic.
+#[test]
+fn releasing_a_lock_not_held_is_an_invariant_violation() {
+    let refused = |cfg, scripts: Vec<Vec<Op>>| {
+        let programs = scripts.into_iter().map(Script::from).collect();
+        match Machine::new(cfg, programs).try_run() {
+            Err(e @ SimError::InvariantViolation(_)) => e.post_mortem().detail.clone(),
+            other => panic!("expected an invariant violation, got {other:?}"),
+        }
+    };
+    // Never acquired, on a one-processor machine.
+    let detail = refused(cfg(1, 1), vec![vec![Op::Unlock(0)]]);
+    assert_eq!(detail, "processor 0 released lock 0 it does not hold");
+    // Held by a cluster-mate: processor 0 takes lock 3, processor 1
+    // releases it.
+    let detail = refused(
+        cfg(2, 2),
+        vec![
+            vec![Op::Lock(3), Op::Compute(500), Op::Unlock(3)],
+            vec![Op::Compute(100), Op::Unlock(3)],
+            vec![],
+            vec![],
+        ],
+    );
+    assert_eq!(detail, "processor 1 released lock 3 it does not hold");
 }
 
 #[test]

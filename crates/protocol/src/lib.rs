@@ -18,8 +18,9 @@
 //!   cluster: while a forwarded transaction or sparse replacement is in
 //!   flight, later requests for the block queue (in place of DASH's
 //!   NAK-and-retry; same message counts on the common paths);
-//! * [`sync`] — directory-based queue locks (with the §7 coarse-vector
-//!   grant-to-region behaviour) and centralized barriers.
+//! * [`sync`] — each cluster's lock and barrier tables: directory-based
+//!   queue locks (with the §7 coarse-vector grant-to-region behaviour)
+//!   and centralized barriers, requester and home halves together.
 //!
 //! The flows themselves (who sends what when) are driven by `scd-machine`,
 //! which owns the event loop, caches and network; this crate keeps every
@@ -37,4 +38,4 @@ pub use arena::{MsgArena, MsgRef};
 pub use msg::{Msg, MsgKind};
 pub use rac::{Mshr, MshrKind, Rac, Waiters};
 pub use serializer::{BusyReason, EarlyKind, HomeSerializer, QueuedReq};
-pub use sync::{BarrierManager, LockManager, LockOutcome, UnlockOutcome};
+pub use sync::{LocalRelease, LockOutcome, SyncTables, UnlockOutcome};

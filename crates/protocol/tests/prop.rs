@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use scd_protocol::rac::{MshrKind, Rac};
-use scd_protocol::{BarrierManager, BusyReason, HomeSerializer, LockManager, LockOutcome,
-    QueuedReq, UnlockOutcome};
+use scd_protocol::{BusyReason, HomeSerializer, LockOutcome, QueuedReq, SyncTables, UnlockOutcome};
 use scd_core::Scheme;
 use std::collections::HashSet;
 
@@ -97,15 +96,15 @@ proptest! {
     }
 
     #[test]
-    fn lock_manager_mutual_exclusion_under_random_schedules(
+    fn lock_table_mutual_exclusion_under_random_schedules(
         ops in prop::collection::vec((0usize..6, any::<bool>()), 1..200),
         scheme_idx in 0usize..3,
     ) {
-        // Random acquire/release attempts from 6 clusters: the manager must
-        // never report two holders, and every grant must go to a cluster
-        // that asked.
+        // Random acquire/release attempts from 6 clusters at the lock's
+        // home: the tables must never report two holders, and every grant
+        // must go to a cluster that asked.
         let scheme = [Scheme::FullVector, Scheme::dir_cv(1, 2), Scheme::dir_b(1)][scheme_idx];
-        let mut lm = LockManager::new(scheme, 6);
+        let mut lm = SyncTables::new(scheme, 6);
         let mut holder: Option<usize> = None;
         let mut waiting: HashSet<usize> = HashSet::new();
         for (cl, acquire) in ops {
@@ -113,8 +112,8 @@ proptest! {
                 if holder == Some(cl) || waiting.contains(&cl) {
                     continue; // a cluster has at most one request in flight
                 }
-                match lm.acquire(0, cl) {
-                    LockOutcome::Granted => {
+                match lm.home_acquire(0, cl) {
+                    LockOutcome::Granted(_) => {
                         prop_assert!(holder.is_none(), "grant while held");
                         holder = Some(cl);
                     }
@@ -124,11 +123,11 @@ proptest! {
                     LockOutcome::AlreadyHeld => unreachable!("guarded above"),
                 }
             } else if holder == Some(cl) {
-                match lm.release(0, cl) {
+                match lm.home_release(0, cl, 0) {
                     UnlockOutcome::Free => {
                         holder = None;
                     }
-                    UnlockOutcome::GrantTo(next) => {
+                    UnlockOutcome::GrantTo(next, _) => {
                         prop_assert!(waiting.remove(&next), "grant to non-waiter {next}");
                         holder = Some(next);
                     }
@@ -138,8 +137,8 @@ proptest! {
                         holder = None;
                         for m in members {
                             if waiting.contains(&m) {
-                                match lm.acquire(0, m) {
-                                    LockOutcome::Granted => {
+                                match lm.home_acquire(0, m) {
+                                    LockOutcome::Granted(_) => {
                                         prop_assert!(holder.is_none());
                                         waiting.remove(&m);
                                         holder = Some(m);
@@ -158,9 +157,9 @@ proptest! {
         while let Some(h) = holder {
             guard += 1;
             prop_assert!(guard < 100, "lock never drains");
-            match lm.release(0, h) {
+            match lm.home_release(0, h, 0) {
                 UnlockOutcome::Free => holder = None,
-                UnlockOutcome::GrantTo(next) => {
+                UnlockOutcome::GrantTo(next, _) => {
                     prop_assert!(waiting.remove(&next));
                     holder = Some(next);
                 }
@@ -168,7 +167,7 @@ proptest! {
                     holder = None;
                     for m in members {
                         if waiting.remove(&m) && holder.is_none() {
-                            if let LockOutcome::Granted = lm.acquire(0, m) {
+                            if let LockOutcome::Granted(_) = lm.home_acquire(0, m) {
                                 holder = Some(m);
                             }
                         }
@@ -184,7 +183,7 @@ proptest! {
         n in 2usize..10,
         seed in any::<u64>(),
     ) {
-        let mut bm = BarrierManager::new();
+        let mut bm = SyncTables::new(Scheme::FullVector, n);
         let mut arrivals: Vec<usize> = (0..n).collect();
         // Deterministic shuffle from the seed.
         let mut rng = seed | 1;
@@ -196,7 +195,7 @@ proptest! {
         }
         let mut released = None;
         for (i, &c) in arrivals.iter().enumerate() {
-            let r = bm.arrive(0, c, n);
+            let r = bm.home_arrive(0, c, 0, n).map(|(clusters, _)| clusters);
             if i + 1 == n {
                 released = r;
             } else {

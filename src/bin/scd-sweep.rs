@@ -8,8 +8,8 @@
 //! (`tests/sweep.rs::jobs_1_and_jobs_4_are_byte_identical` does).
 
 use bench::{
-    generate_app, parse_scale, parse_seed, run_sweep_with, sweep_begin_record, sweep_document,
-    sweep_end_record, write_bench_json_in, SparseVariant, SweepSpec,
+    app_fits, generate_app, parse_scale, parse_seed, run_sweep_with, sweep_begin_record,
+    sweep_document, sweep_end_record, write_bench_json_in, SparseVariant, SweepSpec,
 };
 use scd::core::Scheme;
 use scd::machine::{MachineConfig, ProtocolKind};
@@ -169,6 +169,10 @@ fn main() {
                 "unknown app `{app}` (want one of {})",
                 bench::APP_NAMES.join(",")
             ));
+        }
+        // A sweep runs one processor per cluster.
+        if let Err(e) = app_fits(app, spec.clusters, spec.scale) {
+            usage_err(&e);
         }
     }
 

@@ -5,7 +5,7 @@
 //! post-mortem is on stderr, after any requested artifact was written),
 //! 2 the command line was refused (two lines naming what and why).
 
-use bench::{generate_app, parse_scale, parse_seed};
+use bench::{app_fits, generate_app, parse_scale, parse_seed};
 use scd::core::{Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig, ProtocolKind};
 use scd::noc::FaultPlan;
@@ -252,10 +252,8 @@ fn main() {
     }
 
     let procs = cfg.processors();
-    // MP3D splits its particles evenly, so each processor needs one.
-    let particles = scd::apps::Mp3dParams::scaled(scale).particles;
-    if app_name == "mp3d" && particles < procs {
-        usage_err(&format!("mp3d at --scale {scale} has {particles} particles, too few for {procs} processors"));
+    if let Err(e) = app_fits(&app_name, procs, scale) {
+        usage_err(&e);
     }
     let app = generate_app(&app_name, procs, seed, scale).unwrap_or_else(|| {
         usage_err(&format!("unknown app `{app_name}` (want lu | dwf | mp3d | locusroute)"))

@@ -148,6 +148,35 @@ fn fault_policy_lives_in_one_module() {
     assert!(tally.is_empty(), "the explorer names the tally:\n{}", listing(&tally));
 }
 
+/// Synchronization has one owner (DESIGN.md §16): each cluster's lock and
+/// barrier records live in `scd_protocol::sync` and carry their own
+/// timestamps, so the only `*_pts` functions the machine crate defines
+/// are the two through which a backend supplies and absorbs a cluster's
+/// `pts`. And a backend records an invalidation event through one engine
+/// call, so no file under `machine/` names the tally's histogram.
+#[test]
+fn synchronization_lives_in_one_module() {
+    let lines = engine_lines(&["machine"]);
+    let fn_name = |l: &Line| -> Option<String> {
+        let rest = l.text.split_once("fn ")?.1;
+        Some(rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect())
+    };
+    let pts_fns: Vec<&Line> =
+        lines.iter().filter(|l| fn_name(l).is_some_and(|f| f.ends_with("_pts"))).collect();
+    let names: std::collections::BTreeSet<String> = pts_fns.iter().filter_map(|l| fn_name(l)).collect();
+    assert_eq!(
+        names,
+        ["absorb_pts".to_string(), "sync_pts".to_string()].into(),
+        "`*_pts` functions in the machine crate:\n{}",
+        listing(&pts_fns)
+    );
+    let backends: Vec<&Line> =
+        lines.iter().filter(|l| l.file.parent().is_some_and(|d| d.ends_with("src/machine"))).collect();
+    assert!(backends.len() > 1_000, "the files under machine/ were found");
+    let hist: Vec<&Line> = backends.into_iter().filter(|l| l.text.contains("inval_hist")).collect();
+    assert!(hist.is_empty(), "a backend names the invalidation histogram:\n{}", listing(&hist));
+}
+
 /// Event payloads are read from text in one place, `TraceEvent::parse`
 /// (DESIGN.md §18). Outside `crates/trace/src/event.rs`, no line of the
 /// trace crate or of the binaries looks a payload key up by name: as the
