@@ -7,14 +7,17 @@
 //! difference is reported as `file:line` with exit code 1. No artifact
 //! named means all of them; `--scale` (default 1.0, what `results/`
 //! holds) shrinks the problem sizes; `--jobs` defaults to every hardware
-//! thread and never changes a byte of output.
+//! thread and never changes a byte of output. README.md's "Exit codes"
+//! table says what each exit means.
 
 use std::path::Path;
 use std::process::exit;
 
+use bench::cli::{fail, refuse, Args};
+use bench::parse_scale;
 use bench::repro::{check, regenerate, write, Artifact, ARTIFACTS};
 
-fn usage() -> String {
+fn help() -> String {
     let mut text = String::from(
         "usage: repro [artifact...] [--scale <f>] [--jobs <n>] [--check]\n\nartifacts (default: all):\n",
     );
@@ -24,39 +27,22 @@ fn usage() -> String {
     text
 }
 
-fn usage_err(msg: &str) -> ! {
-    eprintln!("repro: {msg}\n{}", usage());
-    exit(2);
-}
-
-fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> T {
-    raw.and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| usage_err(&format!("{flag} needs a value")))
-}
-
 fn main() {
     let mut chosen: Vec<&Artifact> = Vec::new();
     let mut scale = 1.0f64;
     let mut jobs = std::thread::available_parallelism().map_or(1, usize::from);
     let mut checking = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::new("repro", help());
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{}", usage());
-                return;
-            }
-            "--scale" => scale = value("--scale", args.next()),
-            "--jobs" => jobs = value("--jobs", args.next()),
+            "--scale" => scale = args.parse_with(parse_scale),
+            "--jobs" => jobs = args.parse(),
             "--check" => checking = true,
             name => match ARTIFACTS.iter().find(|a| a.name == name) {
                 Some(artifact) => chosen.push(artifact),
-                None => usage_err(&format!("unknown artifact or flag `{name}`")),
+                None => refuse(format_args!("unknown artifact or flag `{name}`")),
             },
         }
-    }
-    if !(scale > 0.0 && scale <= 1.0) {
-        usage_err("--scale must be in (0, 1]");
     }
     if chosen.is_empty() {
         chosen = ARTIFACTS.iter().collect();
@@ -95,8 +81,7 @@ fn main() {
             println!("{}", sheet.table());
         }
         if let Err(e) = write(dir, &out.sheets) {
-            eprintln!("repro: cannot write under {}/: {e}", dir.display());
-            exit(1);
+            fail(1, format_args!("cannot write under {}/: {e}", dir.display()));
         }
         eprintln!(
             "[{} files written under {}/]",

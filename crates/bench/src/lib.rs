@@ -11,11 +11,14 @@
 //!   `scd-sweep`, whose job pool `repro` shares.
 //! * [`runner`] — building §6.3 machines, running one app, and writing
 //!   `BENCH_*.json` points.
+//! * [`cli`] — the one argument loop and the one refusal of the
+//!   workspace's five binaries.
 //!
 //! `benches/trace_overhead.rs` holds the ceilings on what telemetry may
 //! cost once switched on. Host performance is measured by the stand-alone
 //! `benchmark/` crate, not here.
 
+pub mod cli;
 pub mod repro;
 pub mod runner;
 pub mod sweep;

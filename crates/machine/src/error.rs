@@ -1,7 +1,8 @@
 //! Graceful failure reporting: [`SimError`] and its [`PostMortem`].
 //!
 //! A run that cannot complete — deadlock, cycle-budget exhaustion, a
-//! coherence invariant violation, or the forward-progress watchdog firing —
+//! program misusing synchronization, a coherence invariant violation, an
+//! inconsistent engine, or the forward-progress watchdog firing —
 //! used to abort with a bare `panic!`. [`crate::Machine::try_run`] instead
 //! returns a [`SimError`] carrying a structured snapshot of the machine at
 //! the moment of failure: which processors were blocked and on what,
@@ -120,9 +121,16 @@ pub enum SimError {
     Deadlock(Box<PostMortem>),
     /// Simulated time exceeded `MachineConfig::max_cycles`.
     MaxCycles(Box<PostMortem>),
-    /// The quiescent coherence check failed, or the engine hit an
-    /// internally inconsistent state (e.g. a retry with no pending op).
-    InvariantViolation(Box<PostMortem>),
+    /// A `Script` misused synchronization (e.g. released a lock it does
+    /// not hold): a bug in the workload, not in coherence.
+    Program(Box<PostMortem>),
+    /// Coherence broke: the version oracle saw a regression, or the
+    /// backend's quiescent check failed.
+    Invariant(Box<PostMortem>),
+    /// The engine is inconsistent (a stale message handle, a retry with no
+    /// pending op, a payload left in the arena, the clock moving
+    /// backwards): a bug in the simulator.
+    Internal(Box<PostMortem>),
     /// No operation retired for `MachineConfig::watchdog_cycles` cycles
     /// while processors were still unfinished (livelock — e.g. an
     /// unbounded NACK/retry storm).
@@ -135,7 +143,9 @@ impl SimError {
         match self {
             SimError::Deadlock(pm)
             | SimError::MaxCycles(pm)
-            | SimError::InvariantViolation(pm)
+            | SimError::Program(pm)
+            | SimError::Invariant(pm)
+            | SimError::Internal(pm)
             | SimError::LivelockWatchdog(pm) => pm,
         }
     }
@@ -145,7 +155,9 @@ impl SimError {
         match self {
             SimError::Deadlock(_) => "deadlock",
             SimError::MaxCycles(_) => "max-cycles",
-            SimError::InvariantViolation(_) => "invariant-violation",
+            SimError::Program(_) => "program-error",
+            SimError::Invariant(_) => "invariant-violation",
+            SimError::Internal(_) => "internal-error",
             SimError::LivelockWatchdog(_) => "livelock-watchdog",
         }
     }
@@ -156,7 +168,9 @@ impl std::fmt::Display for SimError {
         let headline = match self {
             SimError::Deadlock(_) => "deadlock: processors blocked with an empty event queue",
             SimError::MaxCycles(_) => "simulation exceeded max_cycles",
-            SimError::InvariantViolation(_) => "coherence invariant violated",
+            SimError::Program(_) => "program error: a script misused synchronization",
+            SimError::Invariant(_) => "coherence invariant violated",
+            SimError::Internal(_) => "internal error: the simulator's state is inconsistent",
             SimError::LivelockWatchdog(_) => {
                 "livelock watchdog: no operation retired within the watchdog window"
             }
@@ -213,10 +227,9 @@ mod tests {
     fn kinds_are_distinct() {
         assert_eq!(SimError::Deadlock(pm()).kind(), "deadlock");
         assert_eq!(SimError::MaxCycles(pm()).kind(), "max-cycles");
-        assert_eq!(
-            SimError::InvariantViolation(pm()).kind(),
-            "invariant-violation"
-        );
+        assert_eq!(SimError::Program(pm()).kind(), "program-error");
+        assert_eq!(SimError::Invariant(pm()).kind(), "invariant-violation");
+        assert_eq!(SimError::Internal(pm()).kind(), "internal-error");
         assert_eq!(
             SimError::LivelockWatchdog(pm()).kind(),
             "livelock-watchdog"
@@ -228,10 +241,34 @@ mod tests {
         for err in [
             SimError::Deadlock(pm()),
             SimError::MaxCycles(pm()),
-            SimError::InvariantViolation(pm()),
+            SimError::Program(pm()),
+            SimError::Invariant(pm()),
+            SimError::Internal(pm()),
             SimError::LivelockWatchdog(pm()),
         ] {
             assert_eq!(err.post_mortem().cycle, 123);
+        }
+    }
+
+    /// Each kind opens with its own headline, and only `Invariant` says
+    /// coherence broke.
+    #[test]
+    fn each_kind_has_its_own_headline() {
+        for (err, headline) in [
+            (SimError::Deadlock(pm()), "deadlock: processors blocked with an empty event queue"),
+            (SimError::MaxCycles(pm()), "simulation exceeded max_cycles"),
+            (SimError::Program(pm()), "program error: a script misused synchronization"),
+            (SimError::Invariant(pm()), "coherence invariant violated"),
+            (SimError::Internal(pm()), "internal error: the simulator's state is inconsistent"),
+            (
+                SimError::LivelockWatchdog(pm()),
+                "livelock watchdog: no operation retired within the watchdog window",
+            ),
+        ] {
+            let text = err.to_string();
+            assert_eq!(text.lines().next(), Some(headline), "{}", err.kind());
+            let coherence = matches!(err, SimError::Invariant(_));
+            assert_eq!(headline.contains("coherence"), coherence, "{}", err.kind());
         }
     }
 }

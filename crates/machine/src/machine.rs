@@ -421,7 +421,7 @@ impl Machine {
                     r.index(),
                     r.generation()
                 );
-                return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
+                return Err(SimError::Internal(eng.post_mortem(t, detail)));
             }
         };
         eng.event_log.push((t, ev));
@@ -446,7 +446,7 @@ impl Machine {
             Event::ProcRetry(p) => {
                 let Some(op) = eng.procs[p].pending else {
                     let detail = format!("retry of processor {p} with no pending op");
-                    return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
+                    return Err(SimError::Internal(eng.post_mortem(t, detail)));
                 };
                 self.execute(t, p, op)?;
             }
@@ -460,7 +460,7 @@ impl Machine {
         }
         let eng = &mut self.eng;
         if let Some(detail) = eng.oracle.regression.take() {
-            return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
+            return Err(SimError::Invariant(eng.post_mortem(t, detail)));
         }
         if eng.running == 0 && eng.tally.finish_time == 0 {
             eng.tally.finish_time = t;
@@ -501,11 +501,11 @@ impl Machine {
                 "{} message(s) still parked in the arena after the event queue drained",
                 m.arena.live()
             );
-            return fail(SimError::InvariantViolation, detail);
+            return fail(SimError::Internal, detail);
         }
         if m.cfg.check_invariants {
             if let Err(e) = Backend::check(self) {
-                return fail(SimError::InvariantViolation, e.to_string());
+                return fail(SimError::Invariant, e.to_string());
             }
         }
         Ok(())
@@ -550,9 +550,9 @@ impl Machine {
     // Synchronization
     // ------------------------------------------------------------------
 
-    /// Processor `p` releases lock `l`: an invariant violation (touching
-    /// nothing) when it does not hold it, a program error the run reports
-    /// rather than survives.
+    /// Processor `p` releases lock `l`: a program error (touching nothing)
+    /// when it does not hold it, which the run reports rather than
+    /// survives.
     fn do_unlock(&mut self, t: Cycle, p: usize, l: u32) -> Result<(), SimError> {
         let eng = &mut self.eng;
         let (cl, lp) = (eng.cluster_of(p), eng.local_of(p));
@@ -560,7 +560,7 @@ impl Machine {
         match eng.clusters[cl].sync.release(l, lp) {
             None => {
                 let detail = format!("processor {p} released lock {l} it does not hold");
-                return Err(SimError::InvariantViolation(eng.post_mortem(t, detail)));
+                return Err(SimError::Program(eng.post_mortem(t, detail)));
             }
             Some(LocalRelease::HandOff(next)) => {
                 let g = eng.global_proc(cl, next);
@@ -935,7 +935,7 @@ impl Engine {
         let now = self.queue.now();
         if t < now {
             let detail = format!("delivery would move the clock backwards ({t} < {now})");
-            return Err(SimError::InvariantViolation(self.post_mortem(t, detail)));
+            return Err(SimError::Internal(self.post_mortem(t, detail)));
         }
         Ok(())
     }

@@ -10,7 +10,7 @@
 //!   observed. An observation below it means a stale copy survived an
 //!   invalidation it should not have; the oracle keeps the first such
 //!   regression and `process_event` reports it as a
-//!   `SimError::InvariantViolation` with a post-mortem.
+//!   `SimError::Invariant` with a post-mortem.
 //! * The **value oracle** (on with `MachineConfig::value_oracle`) builds
 //!   a symbolic memory image. Values are never simulated; a write is
 //!   identified by its *tag* `(proc, seq)`, which is

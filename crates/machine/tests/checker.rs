@@ -98,17 +98,17 @@ fn uncovered_sharer_is_reported() {
 }
 
 /// An event delivered from behind the wheel's clock is a structured
-/// invariant violation with a post-mortem, not a panic inside the queue —
+/// internal error with a post-mortem, not a panic inside the queue —
 /// on a fault edge too, which never reaches the normal delivery path.
 #[test]
-fn delivery_behind_the_clock_is_an_invariant_violation() {
+fn delivery_behind_the_clock_is_an_internal_error() {
     use scd_machine::Choice;
     for choice in [Choice::Ready { idx: 0 }, Choice::Nack { idx: 0 }] {
         let mut m = idle_machine();
         m.begin_exploration();
         testing::warp_clock(&mut m, 5);
         let err = m.step_explore(choice).unwrap_err();
-        assert_eq!(err.kind(), "invariant-violation", "{choice:?}: {err}");
+        assert_eq!(err.kind(), "internal-error", "{choice:?}: {err}");
         let pm = err.post_mortem();
         assert_eq!(pm.cycle, 0, "the post-mortem names the stale event's time");
         assert!(pm.detail.contains("clock backwards (0 < 5)"), "{}", pm.detail);

@@ -114,12 +114,12 @@ fn local_lock_handoff_skips_the_home() {
 /// A program that releases a lock it does not hold is refused with a
 /// post-mortem naming the processor and the lock, not a panic.
 #[test]
-fn releasing_a_lock_not_held_is_an_invariant_violation() {
+fn releasing_a_lock_not_held_is_a_program_error() {
     let refused = |cfg, scripts: Vec<Vec<Op>>| {
         let programs = scripts.into_iter().map(Script::from).collect();
         match Machine::new(cfg, programs).try_run() {
-            Err(e @ SimError::InvariantViolation(_)) => e.post_mortem().detail.clone(),
-            other => panic!("expected an invariant violation, got {other:?}"),
+            Err(e @ SimError::Program(_)) => e.post_mortem().detail.clone(),
+            other => panic!("expected a program error, got {other:?}"),
         }
     };
     // Never acquired, on a one-processor machine.

@@ -16,14 +16,14 @@
 //! scd-check --litmus all --walk 64 --seed 7      # random-walk smoke mode
 //! ```
 //!
-//! Exit codes: 0 = every search complete and clean, 1 = a violation found
-//! or a search truncated by `--max-states` / `--max-depth` (it proved
-//! nothing about the states beyond the bound), 2 = usage error.
+//! README.md's "Exit codes" table says what each exit means.
 
+use bench::cli::{refuse, Args};
 use scd::check::{
-    explore, minimize, random_walk, replay_trace, scenarios, Counterexample, ExploreConfig,
+    corpus, explore, minimize, random_walk, replay_trace, scenarios, Counterexample, ExploreConfig,
 };
 use scd::machine::machine::explore::{FaultEdges, Mutation};
+use scd::machine::ProtocolKind;
 use scd::noc::FAULT_CYCLES;
 use std::process::exit;
 
@@ -60,117 +60,23 @@ truncated by --max-states or --max-depth (raise the bound it names); 2 a
 usage error
 ";
 
-struct Options {
-    litmus: String,
-    protocol: String,
-    scheme: String,
-    org: String,
-    max_depth: usize,
-    max_states: u64,
-    fault_nack: bool,
-    fault_delay: Option<u64>,
-    fault_dup: Option<u64>,
-    fault_budget: Option<u32>,
-    mutate: Option<Mutation>,
-    minimize: bool,
-    cex_out: Option<String>,
-    walk: Option<usize>,
-    seed: u64,
-    list: bool,
+/// A fault edge's cycle count `v` given to `flag`, within the bound a
+/// `FaultPlan` holds.
+fn cycles(v: &str, flag: &str) -> Result<u64, String> {
+    let c = v.parse().ok().filter(|c| FAULT_CYCLES.contains(c));
+    c.ok_or_else(|| format!("{flag} must be a cycle count in {FAULT_CYCLES:?}"))
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("scd-check: {msg}\n\n{HELP}");
-    exit(2);
-}
-
-fn parse_args() -> Options {
-    let mut o = Options {
-        litmus: "all".into(),
-        protocol: "all".into(),
-        scheme: "all".into(),
-        org: "all".into(),
-        max_depth: 4096,
-        max_states: 200_000,
-        fault_nack: false,
-        fault_delay: None,
-        fault_dup: None,
-        fault_budget: None,
-        mutate: None,
-        minimize: false,
-        cex_out: None,
-        walk: None,
-        seed: 1,
-        list: false,
-    };
-    let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next()
-            .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-    };
-    // A fault edge's cycle count, within the bound a `FaultPlan` holds.
-    let cycles = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
-        let c = value(args, flag).parse().ok().filter(|c| FAULT_CYCLES.contains(c));
-        c.unwrap_or_else(|| usage(&format!("{flag} must be a cycle count in {FAULT_CYCLES:?}")))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{HELP}");
-                exit(0);
-            }
-            "--list" => o.list = true,
-            "--litmus" => o.litmus = value(&mut args, "--litmus"),
-            "--protocol" => o.protocol = value(&mut args, "--protocol"),
-            "--scheme" => o.scheme = value(&mut args, "--scheme"),
-            "--org" => o.org = value(&mut args, "--org"),
-            "--max-depth" => {
-                o.max_depth = value(&mut args, "--max-depth")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-depth must be an integer"))
-            }
-            "--max-states" => {
-                o.max_states = value(&mut args, "--max-states")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-states must be an integer"))
-            }
-            "--fault-nack" => o.fault_nack = true,
-            "--fault-delay" => o.fault_delay = Some(cycles(&mut args, "--fault-delay")),
-            "--fault-dup" => o.fault_dup = Some(cycles(&mut args, "--fault-dup")),
-            "--fault-budget" => {
-                o.fault_budget = Some(
-                    value(&mut args, "--fault-budget")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--fault-budget must be an integer")),
-                )
-            }
-            "--mutate" => match value(&mut args, "--mutate").as_str() {
-                "skip-inval" => o.mutate = Some(Mutation::SkipInval),
-                "tardis-skip-wts-bump" => o.mutate = Some(Mutation::TardisSkipWtsBump),
-                "dls-skip-writeback" => o.mutate = Some(Mutation::DlsSkipWriteback),
-                other => usage(&format!(
-                    "unknown mutation `{other}` (known: skip-inval, \
-                     tardis-skip-wts-bump, dls-skip-writeback)"
-                )),
-            },
-            "--minimize" => o.minimize = true,
-            "--counterexample-out" => o.cex_out = Some(value(&mut args, "--counterexample-out")),
-            "--walk" => {
-                o.walk = Some(
-                    value(&mut args, "--walk")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--walk must be an integer")),
-                )
-            }
-            "--seed" => {
-                o.seed = value(&mut args, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed must be an integer"))
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
+fn mutation(name: &str) -> Result<Mutation, String> {
+    match name {
+        "skip-inval" => Ok(Mutation::SkipInval),
+        "tardis-skip-wts-bump" => Ok(Mutation::TardisSkipWtsBump),
+        "dls-skip-writeback" => Ok(Mutation::DlsSkipWriteback),
+        other => Err(format!(
+            "unknown mutation `{other}` (known: skip-inval, tardis-skip-wts-bump, \
+             dls-skip-writeback)"
+        )),
     }
-    o
 }
 
 fn emit_counterexample(
@@ -194,32 +100,51 @@ fn emit_counterexample(
 }
 
 fn main() {
-    let o = parse_args();
-    let litmus = match scd::check::litmus::select(&o.litmus) {
-        Ok(l) => l,
-        Err(e) => usage(&e),
-    };
-    let protocols: Vec<scd::machine::ProtocolKind> = if o.protocol == "all" {
-        scd::machine::ProtocolKind::ALL.to_vec()
-    } else {
-        o.protocol
-            .split(',')
-            .map(|p| {
-                scd::machine::ProtocolKind::parse(p.trim())
-                    .unwrap_or_else(|e| usage(&e))
-            })
-            .collect()
-    };
+    let (mut litmus, mut protocols) = (None, ProtocolKind::ALL.to_vec());
+    let (mut scheme, mut org) = ("all".to_string(), "all".to_string());
+    let (mut max_depth, mut max_states) = (4096usize, 200_000u64);
+    let (mut fault_nack, mut fault_delay, mut fault_dup, mut fault_budget) = (false, None, None, None);
+    let (mut mutate, mut minimize_cex, mut cex_out) = (None, false, None);
+    let (mut walk, mut seed, mut list) = (None, 1u64, false);
+    let mut args = Args::new("scd-check", HELP);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--list" => list = true,
+            "--litmus" => litmus = Some(args.parse_with(scd::check::litmus::select)),
+            "--protocol" => {
+                let parse = |p: &str| match p {
+                    "all" => Ok(ProtocolKind::ALL.to_vec()),
+                    p => ProtocolKind::parse(p).map(|p| vec![p]),
+                };
+                protocols = args.list(parse).concat();
+            }
+            "--scheme" => scheme = args.value(),
+            "--org" => org = args.value(),
+            "--max-depth" => max_depth = args.parse(),
+            "--max-states" => max_states = args.parse(),
+            "--fault-nack" => fault_nack = true,
+            "--fault-delay" => fault_delay = Some(args.parse_with(|v| cycles(v, &arg))),
+            "--fault-dup" => fault_dup = Some(args.parse_with(|v| cycles(v, &arg))),
+            "--fault-budget" => fault_budget = Some(args.parse()),
+            "--mutate" => mutate = Some(args.parse_with(mutation)),
+            "--minimize" => minimize_cex = true,
+            "--counterexample-out" => cex_out = Some(args.value()),
+            "--walk" => walk = Some(args.parse()),
+            "--seed" => seed = args.parse(),
+            other => refuse(format_args!("unknown flag {other}")),
+        }
+    }
+    let litmus = litmus.unwrap_or_else(corpus);
     let scens: Vec<_> = scenarios()
         .into_iter()
         .filter(|s| protocols.contains(&s.protocol))
-        .filter(|s| o.scheme == "all" || s.label.starts_with(&o.scheme))
-        .filter(|s| o.org == "all" || s.label.ends_with(&o.org))
+        .filter(|s| scheme == "all" || s.label.starts_with(&scheme))
+        .filter(|s| org == "all" || s.label.ends_with(&org))
         .collect();
     if scens.is_empty() {
-        usage("no scenario matches the --protocol/--scheme/--org filters");
+        refuse("no scenario matches the --protocol/--scheme/--org filters");
     }
-    if o.list {
+    if list {
         println!("litmus tests:");
         for l in &litmus {
             println!("  {:<32} {}", l.name, l.summary);
@@ -238,19 +163,19 @@ fn main() {
         for s in &scens {
             let cfg = ExploreConfig {
                 faults: FaultEdges {
-                    nack: l.faults.nack || o.fault_nack,
-                    delay: o.fault_delay.or(l.faults.delay),
-                    dup: o.fault_dup.or(l.faults.dup),
+                    nack: l.faults.nack || fault_nack,
+                    delay: fault_delay.or(l.faults.delay),
+                    dup: fault_dup.or(l.faults.dup),
                 },
-                fault_budget: o.fault_budget.unwrap_or(l.fault_budget),
-                max_depth: o.max_depth,
-                max_states: o.max_states,
+                fault_budget: fault_budget.unwrap_or(l.fault_budget),
+                max_depth,
+                max_states,
                 check_each_step: true,
             };
-            let build = || l.build(s, o.mutate, false);
+            let build = || l.build(s, mutate, false);
 
-            if let Some(steps) = o.walk {
-                let w = random_walk(&build, &cfg, o.seed, steps);
+            if let Some(steps) = walk {
+                let w = random_walk(&build, &cfg, seed, steps);
                 match &w.violation {
                     None => println!(
                         "walk  {:<28} {:<18} {:>6} steps  ok",
@@ -279,7 +204,7 @@ fn main() {
                 }
                 Some(found) => {
                     failures += 1;
-                    let cex = if o.minimize {
+                    let cex = if minimize_cex {
                         minimize(&build, &cfg, found.choices.len())
                             .unwrap_or_else(|| found.clone())
                     } else {
@@ -293,8 +218,8 @@ fn main() {
                         cex.choices.len()
                     );
                     eprintln!("  {}", cex.error);
-                    if let Some(path) = &o.cex_out {
-                        emit_counterexample(l, s, o.mutate, &cfg, &cex, path);
+                    if let Some(path) = &cex_out {
+                        emit_counterexample(l, s, mutate, &cfg, &cex, path);
                     }
                 }
             }
@@ -304,8 +229,8 @@ fn main() {
         eprintln!("scd-check: {failures} violation(s) found");
     }
     for (runs, flag, bound) in [
-        (truncated.0, "--max-states", o.max_states),
-        (truncated.1, "--max-depth", o.max_depth as u64),
+        (truncated.0, "--max-states", max_states),
+        (truncated.1, "--max-depth", max_depth as u64),
     ] {
         if runs > 0 {
             eprintln!(

@@ -6,7 +6,9 @@
 //! section is byte-identical whatever `--jobs` was, so
 //! `scd-sweep --no-timing` output can be `cmp`-ed across thread counts
 //! (`tests/sweep.rs::jobs_1_and_jobs_4_are_byte_identical` does).
+//! README.md's "Exit codes" table says what each exit means.
 
+use bench::cli::{fail, refuse, write, Args};
 use bench::{
     app_fits, generate_app, parse_scale, parse_seed, run_sweep_with, sweep_begin_record,
     sweep_document, sweep_end_record, write_bench_json_in, SparseVariant, SweepSpec,
@@ -47,17 +49,8 @@ usage: scd-sweep [options]
   -h, --help          show this help
 ";
 
-fn usage_err(msg: &str) -> ! {
-    eprintln!("scd-sweep: {msg}\n{HELP}");
-    std::process::exit(2);
-}
-
-fn split_list(s: &str) -> Vec<&str> {
-    s.split(',').map(str::trim).filter(|p| !p.is_empty()).collect()
-}
-
 fn main() {
-    let mut jobs: Option<usize> = None;
+    let mut jobs = std::thread::available_parallelism().map_or(1, usize::from);
     let mut spec = SweepSpec {
         apps: bench::APP_NAMES.iter().map(|s| s.to_string()).collect(),
         schemes: vec![
@@ -78,112 +71,62 @@ fn main() {
     let mut stream_out: Option<String> = None;
     let mut timing = true;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::new("scd-sweep", HELP);
     while let Some(arg) = args.next() {
-        let mut val = || {
-            args.next()
-                .unwrap_or_else(|| usage_err(&format!("{arg} needs a value")))
-        };
         match arg.as_str() {
             "--jobs" => {
-                let v = val();
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => usage_err(&format!("bad --jobs `{v}` (want an integer >= 1)")),
-                }
+                jobs = args.parse_with(|v| match v.parse() {
+                    Ok(n) if n >= 1 => Ok(n),
+                    _ => Err(format!("bad --jobs `{v}` (want an integer >= 1)")),
+                });
             }
-            "--apps" => {
-                spec.apps = split_list(&val()).iter().map(|s| s.to_string()).collect();
-            }
-            "--schemes" => {
-                spec.schemes = split_list(&val())
-                    .iter()
-                    .map(|s| Scheme::parse(s).unwrap_or_else(|e| usage_err(&e)))
-                    .collect();
-            }
-            "--sparse" => {
-                spec.sparse = split_list(&val())
-                    .iter()
-                    .map(|s| SparseVariant::parse(s).unwrap_or_else(|e| usage_err(&e)))
-                    .collect();
-            }
-            "--seeds" => {
-                spec.seeds = split_list(&val())
-                    .iter()
-                    .map(|s| parse_seed(s).unwrap_or_else(|e| usage_err(&e)))
-                    .collect();
-            }
-            "--protocol" => {
-                spec.protocols = split_list(&val())
-                    .iter()
-                    .map(|p| ProtocolKind::parse(p).unwrap_or_else(|e| usage_err(&e)))
-                    .collect();
-            }
-            "--scale" => spec.scale = parse_scale(&val()).unwrap_or_else(|e| usage_err(&e)),
+            "--apps" => spec.apps = args.list(|s| Ok(s.to_string())),
+            "--schemes" => spec.schemes = args.list(Scheme::parse),
+            "--sparse" => spec.sparse = args.list(SparseVariant::parse),
+            "--seeds" => spec.seeds = args.list(parse_seed),
+            "--protocol" => spec.protocols = args.list(ProtocolKind::parse),
+            "--scale" => spec.scale = args.parse_with(parse_scale),
             "--clusters" => {
-                let v = val();
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 2 => spec.clusters = n,
-                    _ => usage_err(&format!("bad --clusters `{v}`")),
-                }
+                spec.clusters = args.parse_with(|v| match v.parse() {
+                    Ok(n) if n >= 2 => Ok(n),
+                    _ => Err(format!("bad --clusters `{v}`")),
+                });
             }
-            "--out" => out = Some(val()),
-            "--bench-out" => bench_out = Some(val()),
-            "--stream-out" => stream_out = Some(val()),
+            "--out" => out = Some(args.value()),
+            "--bench-out" => bench_out = Some(args.value()),
+            "--stream-out" => stream_out = Some(args.value()),
             "--no-timing" => timing = false,
             "--trajectory" => {
                 spec = SweepSpec::trajectory(spec.scale);
                 spec.sparse = vec![SparseVariant::Full, bench::CANONICAL_SPARSE];
             }
-            "-h" | "--help" => {
-                print!("{HELP}");
-                return;
-            }
-            other => usage_err(&format!("unknown flag {other}")),
+            other => refuse(format_args!("unknown flag {other}")),
         }
     }
 
-    for field in [
-        ("apps", spec.apps.is_empty()),
-        ("schemes", spec.schemes.is_empty()),
-        ("sparse", spec.sparse.is_empty()),
-        ("seeds", spec.seeds.is_empty()),
-        ("protocol", spec.protocols.is_empty()),
-    ] {
-        if field.1 {
-            usage_err(&format!("--{} list is empty", field.0));
-        }
-    }
     // Every grid point shares this geometry (a sparse point derives its
     // entry count from its app, always a multiple of its ways).
     for &scheme in &spec.schemes {
         let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
         cfg.clusters = spec.clusters;
         if let Err(e) = cfg.validate() {
-            usage_err(&format!("refused configuration: {e}"));
+            refuse(format_args!("refused configuration: {e}"));
         }
     }
     for app in &spec.apps {
         if generate_app(app, 2, 0, 0.01).is_none() {
-            usage_err(&format!(
-                "unknown app `{app}` (want one of {})",
-                bench::APP_NAMES.join(",")
-            ));
+            let known = bench::APP_NAMES.join(",");
+            refuse(format_args!("unknown app `{app}` (want one of {known})"));
         }
         // A sweep runs one processor per cluster.
-        if let Err(e) = app_fits(app, spec.clusters, spec.scale) {
-            usage_err(&e);
-        }
+        app_fits(app, spec.clusters, spec.scale).unwrap_or_else(|e| refuse(e));
     }
 
     let points = spec.descriptors().len();
     if points == 0 {
-        usage_err("--protocol and --sparse leave no grid point (tardis and dls run only `full`)");
+        refuse("--protocol and --sparse leave no grid point (tardis and dls run only `full`)");
     }
 
-    let jobs = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    });
     eprintln!(
         "[scd-sweep] {points} grid points ({} apps x {} protocols x {} schemes x {} sparse \
          x {} seeds), {jobs} jobs",
@@ -195,10 +138,8 @@ fn main() {
     );
 
     let mut sink: Option<JsonlFileSink> = stream_out.as_ref().map(|path| {
-        JsonlFileSink::create(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("scd-sweep: cannot open {path} for streaming: {e}");
-            std::process::exit(1);
-        })
+        JsonlFileSink::create(std::path::Path::new(path))
+            .unwrap_or_else(|e| fail(1, format_args!("cannot open {path} for streaming: {e}")))
     });
     if let Some(sink) = sink.as_mut() {
         sink.emit(&sweep_begin_record(&spec, jobs).to_string());
@@ -262,10 +203,7 @@ fn main() {
     let doc = sweep_document(&outcome, &spec, timing);
     match out {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-                eprintln!("scd-sweep: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
+            write(&path, format!("{doc}\n"));
             eprintln!("[scd-sweep] document written to {path}");
         }
         None => println!("{doc}"),

@@ -6,12 +6,9 @@
 //! (all three read its lines through [`scd::trace::run_line`]), and
 //! `report` flags regressions between `scd-run-stats/v1` documents. `HELP`
 //! and the per-subcommand help texts below are the one copy of the
-//! options, and [`each_arg`] the one loop over them.
-//!
-//! Exit codes, every subcommand: 0 = ok, 1 = a file failed validation,
-//! a comparison mismatched or a metric regressed, 2 = usage error or an
-//! unreadable / unparseable input.
+//! options; README.md's "Exit codes" table says what each exit means.
 
+use bench::cli::{fail, read, refuse, write, Args};
 use scd::stats::table::{render_bars, render_table, Align};
 use scd::stats::Histogram;
 use scd::trace::json::records;
@@ -144,75 +141,39 @@ usage: scd-telemetry top <stream.jsonl> [--once]
   -h, --help      show this help
 ";
 
-type Args = std::iter::Skip<std::env::Args>;
-
-fn usage_err(help: &str, msg: &str) -> ! {
-    eprintln!("scd-telemetry: {msg}\n{help}");
-    exit(2);
+fn main() {
+    let mut args = Args::new("scd-telemetry", HELP);
+    match args.next().as_deref() {
+        Some("validate") => validate(args.sub("validate", VALIDATE_HELP)),
+        Some("patterns") => patterns(args.sub("patterns", PATTERNS_HELP)),
+        Some("spans") => spans(args.sub("spans", SPANS_HELP)),
+        Some("report") => report(args.sub("report", REPORT_HELP)),
+        Some("top") => top(args.sub("top", TOP_HELP)),
+        Some(other) => refuse(format_args!("unknown subcommand {other}")),
+        None => refuse("no subcommand given"),
+    }
 }
 
-fn fail(code: i32, msg: &str) -> ! {
-    eprintln!("scd-telemetry: {msg}");
-    exit(code);
+/// `arg` as a positional, or a refusal when it looks like a flag.
+fn positional(arg: &str) -> String {
+    if arg.starts_with('-') {
+        refuse(format_args!("unknown flag {arg}"));
+    }
+    arg.to_string()
 }
 
-/// The one argument loop: `-h`/`--help` prints `help` and exits 0; a flag
-/// in `valued` comes to `each` with the argument after it, one in `bare`
-/// with none, and a positional as the flag `""`, all in order; any other
-/// flag is a usage error.
-fn each_arg(
-    mut args: Args,
-    help: &str,
-    valued: &[&'static str],
-    bare: &[&'static str],
-    mut each: impl FnMut(&'static str, String),
-) {
+fn validate(mut args: Args) {
+    // `""`: a positional path, which names no kind.
+    let mut jobs: Vec<(String, String)> = Vec::new();
     while let Some(arg) = args.next() {
-        if arg == "-h" || arg == "--help" {
-            print!("{help}");
-            exit(0);
-        } else if let Some(&flag) = valued.iter().find(|&&f| f == arg) {
-            let value = args.next();
-            each(flag, value.unwrap_or_else(|| usage_err(help, &format!("{flag} needs an argument"))));
-        } else if let Some(&flag) = bare.iter().find(|&&f| f == arg) {
-            each(flag, String::new());
-        } else if arg.starts_with('-') {
-            usage_err(help, &format!("unknown flag {arg}"));
-        } else {
-            each("", arg);
+        match arg.as_str() {
+            "--trace" | "--stats" | "--patterns" | "--perfetto" | "--stream"
+            | "--extract-trace" => jobs.push((arg, args.value())),
+            _ => jobs.push((String::new(), positional(&arg))),
         }
     }
-}
-
-fn read(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| fail(2, &format!("cannot read {path}: {e}")))
-}
-
-fn write(path: &str, text: String) {
-    std::fs::write(path, text).unwrap_or_else(|e| fail(2, &format!("cannot write {path}: {e}")))
-}
-
-fn main() {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("validate") => validate(args),
-        Some("patterns") => patterns(args),
-        Some("spans") => spans(args),
-        Some("report") => report(args),
-        Some("top") => top(args),
-        Some("-h" | "--help") => print!("{HELP}"),
-        Some(other) => usage_err(HELP, &format!("unknown subcommand {other}")),
-        None => usage_err(HELP, "no subcommand given"),
-    }
-}
-
-fn validate(args: Args) {
-    // `""`: a positional path, which names no kind.
-    let mut jobs: Vec<(&str, String)> = Vec::new();
-    let kinds = ["--trace", "--stats", "--patterns", "--perfetto", "--stream", "--extract-trace"];
-    each_arg(args, VALIDATE_HELP, &kinds, &[], |kind, path| jobs.push((kind, path)));
     if jobs.is_empty() {
-        usage_err(VALIDATE_HELP, "no files given");
+        refuse("no files given");
     }
 
     let mut failures = 0usize;
@@ -220,7 +181,7 @@ fn validate(args: Args) {
         let text = read(path);
         // A positional `.jsonl` file is a trace or a stream by its first
         // record; any other is a stats document.
-        let kind = match *kind {
+        let kind = match kind.as_str() {
             "" if !path.ends_with(".jsonl") => "--stats",
             "" if records(&text).next().is_some_and(|(_, first)| is_event_line(first)) => "--trace",
             "" => "--stream",
@@ -271,7 +232,7 @@ fn validate(args: Args) {
         }
     }
     if failures > 0 {
-        fail(1, &format!("{failures} of {} files failed", jobs.len()));
+        fail(1, format_args!("{failures} of {} files failed", jobs.len()));
     }
 }
 
@@ -333,21 +294,25 @@ fn render_patterns(table: &PatternTable) -> String {
     out
 }
 
-fn patterns(args: Args) {
+fn patterns(mut args: Args) {
     let (mut trace_path, mut out_path, mut compare_path, mut json) = (None, None, None, false);
-    each_arg(args, PATTERNS_HELP, &["--out", "--compare"], &["--json"], |flag, value| match flag {
-        "--out" => out_path = Some(value),
-        "--compare" => compare_path = Some(value),
-        "--json" => json = true,
-        _ if trace_path.is_none() => trace_path = Some(value),
-        _ => usage_err(PATTERNS_HELP, "more than one trace file given"),
-    });
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => out_path = Some(args.value()),
+            "--compare" => compare_path = Some(args.value()),
+            "--json" => json = true,
+            _ if trace_path.replace(positional(&arg)).is_some() => {
+                refuse("more than one trace file given")
+            }
+            _ => {}
+        }
+    }
     let Some(trace_path) = trace_path else {
-        usage_err(PATTERNS_HELP, "no trace file given");
+        refuse("no trace file given");
     };
 
     let table = PatternTable::from_trace(&read(&trace_path))
-        .unwrap_or_else(|e| fail(1, &format!("{trace_path}: {e}")));
+        .unwrap_or_else(|e| fail(1, format_args!("{trace_path}: {e}")));
     let doc = table.document(None, None);
 
     if let Some(path) = &out_path {
@@ -365,7 +330,7 @@ fn patterns(args: Args) {
         let sections = Json::parse(&read(path))
             .map_err(|e| e.to_string())
             .and_then(|online| Ok((stream_sections(&online)?, stream_sections(&doc)?)));
-        let (online, replay) = sections.unwrap_or_else(|e| fail(1, &format!("{path}: {e}")));
+        let (online, replay) = sections.unwrap_or_else(|e| fail(1, format_args!("{path}: {e}")));
         if online != replay {
             eprintln!(
                 "compare: MISMATCH — replayed classifier/invalidations differ from {path}\n\
@@ -378,29 +343,29 @@ fn patterns(args: Args) {
     }
 }
 
-fn spans(args: Args) {
+fn spans(mut args: Args) {
     let (mut run_path, mut perfetto_out, mut folded_out, mut critical) = (None, None, None, None);
-    let valued = ["--perfetto-out", "--folded-out", "--critical"];
-    each_arg(args, SPANS_HELP, &valued, &[], |flag, value| match flag {
-        "--perfetto-out" => perfetto_out = Some(value),
-        "--folded-out" => folded_out = Some(value),
-        "--critical" => {
-            let bad = || usage_err(SPANS_HELP, &format!("bad --critical `{value}`"));
-            critical = Some(value.parse::<usize>().unwrap_or_else(|_| bad()));
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--perfetto-out" => perfetto_out = Some(args.value()),
+            "--folded-out" => folded_out = Some(args.value()),
+            "--critical" => critical = Some(args.parse::<usize>()),
+            _ if run_path.replace(positional(&arg)).is_some() => {
+                refuse("more than one trace or stream file given")
+            }
+            _ => {}
         }
-        _ if run_path.is_none() => run_path = Some(value),
-        _ => usage_err(SPANS_HELP, "more than one trace or stream file given"),
-    });
+    }
     let Some(run_path) = run_path else {
-        usage_err(SPANS_HELP, "no trace or stream file given");
+        refuse("no trace or stream file given");
     };
     if perfetto_out.is_none() && folded_out.is_none() && critical.is_none() {
-        usage_err(SPANS_HELP, "nothing to write: give --perfetto-out, --folded-out or --critical");
+        refuse("nothing to write: give --perfetto-out, --folded-out or --critical");
     }
 
     let (mut events, mut intervals) = (Vec::new(), Vec::new());
     for line in run_lines(&read(&run_path)) {
-        match line.unwrap_or_else(|e| fail(1, &format!("{run_path}: {e}"))).1 {
+        match line.unwrap_or_else(|e| fail(1, format_args!("{run_path}: {e}"))).1 {
             RunLine::Event(ev) => events.push(ev),
             RunLine::Interval(window) => intervals.push(window),
         }
@@ -426,28 +391,32 @@ fn spans(args: Args) {
     }
 }
 
-fn report(args: Args) {
+fn report(mut args: Args) {
     let (mut baseline, mut tolerance, mut files) = (None, 5.0f64, Vec::new());
-    each_arg(args, REPORT_HELP, &["--baseline", "--tolerance"], &[], |flag, value| match flag {
-        "--baseline" => baseline = Some(value),
-        "--tolerance" => match value.trim_end_matches('%').parse::<f64>() {
-            Ok(pct) if pct >= 0.0 && pct.is_finite() => tolerance = pct,
-            _ => usage_err(REPORT_HELP, &format!("invalid tolerance `{value}`")),
-        },
-        _ => files.push(value),
-    });
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--baseline" => baseline = Some(args.value()),
+            "--tolerance" => {
+                tolerance = args.parse_with(|v| match v.trim_end_matches('%').parse::<f64>() {
+                    Ok(pct) if pct >= 0.0 && pct.is_finite() => Ok(pct),
+                    _ => Err(format!("invalid tolerance `{v}`")),
+                });
+            }
+            _ => files.push(positional(&arg)),
+        }
+    }
 
     let (base_path, candidates) = match (baseline, files.as_slice()) {
         (Some(base), []) => (base.clone(), vec![base]), // self-comparison
         (Some(base), rest) => (base, rest.to_vec()),
         (None, [only]) => (only.clone(), vec![only.clone()]), // self-comparison
         (None, [first, rest @ ..]) => (first.clone(), rest.to_vec()),
-        (None, []) => usage_err(REPORT_HELP, "no files given"),
+        (None, []) => refuse("no files given"),
     };
 
     let load = |path: &str| {
         Json::parse(&read(path))
-            .unwrap_or_else(|e| fail(2, &format!("{path}: not a JSON document: {e}")))
+            .unwrap_or_else(|e| refuse(format_args!("{path}: not a JSON document: {e}")))
     };
     let base = load(&base_path);
     let mut regressions = 0usize;
@@ -457,7 +426,7 @@ fn report(args: Args) {
             println!();
         }
         let cmp = compare_docs(&base, &cand, tolerance)
-            .unwrap_or_else(|e| fail(2, &format!("{base_path} vs {path}: {e}")));
+            .unwrap_or_else(|e| refuse(format_args!("{base_path} vs {path}: {e}")));
         println!(
             "== {} ({}) vs {} ({})",
             base_path,
@@ -740,13 +709,15 @@ impl Dash {
 
 fn top(args: Args) {
     let (mut path, mut once) = (None, false);
-    each_arg(args, TOP_HELP, &[], &["--once"], |flag, value| match flag {
-        "--once" => once = true,
-        _ if path.is_none() => path = Some(value),
-        _ => usage_err(TOP_HELP, "more than one stream file given"),
-    });
+    for arg in args {
+        match arg.as_str() {
+            "--once" => once = true,
+            _ if path.replace(positional(&arg)).is_some() => refuse("more than one stream file given"),
+            _ => {}
+        }
+    }
     let Some(path) = path else {
-        usage_err(TOP_HELP, "need a stream file to follow");
+        refuse("need a stream file to follow");
     };
 
     // The producer may not have created the file yet. Following, wait for
@@ -758,7 +729,7 @@ fn top(args: Args) {
         match std::fs::File::open(&path) {
             Ok(file) => break file,
             Err(_) if once => return print!("{}", Dash::default().render(t0.elapsed().as_secs_f64())),
-            Err(e) if t0.elapsed().as_secs() > 30 => fail(2, &format!("cannot open {path}: {e}")),
+            Err(e) if t0.elapsed().as_secs() > 30 => refuse(format_args!("cannot open {path}: {e}")),
             Err(_) => std::thread::sleep(REFRESH),
         }
     };

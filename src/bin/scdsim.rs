@@ -1,43 +1,29 @@
 //! scdsim — command-line front end to the DASH simulator: one workload on
 //! one machine configuration, statistics on stdout, telemetry documents on
-//! request. `scdsim --help` lists the options (`HELP` is the one copy).
-//! Exit codes: 0 the run completed, 1 the run or a check failed (the
-//! post-mortem is on stderr, after any requested artifact was written),
-//! 2 the command line was refused (two lines naming what and why).
+//! request. `scdsim --help` lists the options (`HELP` is the one copy);
+//! README.md's "Exit codes" table says what each exit means.
 
+use bench::cli::{fail, refuse, write, Args};
 use bench::{app_fits, generate_app, parse_scale, parse_seed};
 use scd::core::{Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig, ProtocolKind};
 use scd::noc::FaultPlan;
 use scd::trace::{Json, JsonlFileSink, PatternTable, TraceConfig, TraceEvent};
 
-/// Exit 2 naming what was refused; the full text is `--help`'s.
-fn usage_err(msg: &str) -> ! {
-    eprintln!("scdsim: {msg}\nrun `scdsim --help` for the options");
-    std::process::exit(2)
-}
-
-/// `value` of `flag` as a number, or exit 2 naming both.
-fn num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| usage_err(&format!("bad {flag} `{value}`")))
-}
-
 /// A `<n>:..:<n>:<policy>` directory-organization spec (`want` spells the
-/// shape out): its `N` counts and the replacement policy, or exit 2.
-fn organization<const N: usize>(flag: &str, v: &str, want: &str) -> ([usize; N], Replacement) {
+/// shape out): its `N` counts and the replacement policy, or a refusal.
+fn organization<const N: usize>(v: &str, flag: &str, want: &str) -> ([usize; N], Replacement) {
     let p: Vec<&str> = v.split(':').collect();
     if p.len() != N + 1 {
-        usage_err(&format!("bad {flag} `{v}` (want {want})"));
+        refuse(format_args!("bad {flag} `{v}` (want {want})"));
     }
     let policy = Replacement::parse(p[N])
-        .unwrap_or_else(|e| usage_err(&format!("bad {flag} `{v}`: {e}")));
-    (std::array::from_fn(|i| num(flag, p[i])), policy)
+        .unwrap_or_else(|e| refuse(format_args!("bad {flag} `{v}`: {e}")));
+    let count = |n: &str| n.parse().unwrap_or_else(|_| refuse(format_args!("bad {flag} `{n}`")));
+    (std::array::from_fn(|i| count(p[i])), policy)
 }
 
-const HELP: &str = r#"
-scdsim — event-driven DASH multiprocessor simulator
+const HELP: &str = r#"scdsim — event-driven DASH multiprocessor simulator
 (Gupta/Weber/Mowry ICPP'90 reproduction)
 
 usage: scdsim [options]
@@ -94,14 +80,6 @@ usage: scdsim [options]
   --help
 "#;
 
-/// Writes `contents` to `path`, or exits 1 naming both.
-fn write_file(path: &str, contents: impl AsRef<[u8]>) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1)
-    }
-}
-
 /// Writes the merged, cycle-ordered trace as JSONL and reports volume.
 fn write_trace(machine: &Machine, events: &[TraceEvent], path: &str) {
     let (recorded, dropped) = machine.trace_counts();
@@ -110,7 +88,7 @@ fn write_trace(machine: &Machine, events: &[TraceEvent], path: &str) {
         ev.write_jsonl(&mut text);
         text.push(b'\n');
     }
-    write_file(path, text);
+    write(path, text);
     eprintln!(
         "trace written to {path}: {} events retained ({recorded} recorded, {dropped} \
          evicted from rings)",
@@ -119,24 +97,16 @@ fn write_trace(machine: &Machine, events: &[TraceEvent], path: &str) {
 }
 
 fn main() {
+    // Every machine option lands in `cfg`; `paper_32`'s values are the
+    // defaults `HELP` names.
+    let mut cfg = MachineConfig::paper_32();
     let mut app_name = "lu".to_string();
-    let mut scheme = Scheme::FullVector;
-    let mut protocol = ProtocolKind::Dash;
-    let mut clusters = 32usize;
-    let mut ppc = 1usize;
     let mut scale = 1.0f64;
     let mut seed = 0xD45Bu64;
     let mut sparse: Option<(usize, usize, Replacement)> = None;
     let mut overflow: Option<(usize, usize, usize, Replacement)> = None;
-    let mut serial = false;
-    let mut contention: Option<u64> = None;
-    let mut hints = false;
     let mut anatomy = false;
     let mut histogram = false;
-    let mut check = false;
-    let mut max_cycles: Option<u64> = None;
-    let mut fault: Option<FaultPlan> = None;
-    let mut watchdog = 0u64;
     let mut trace_out: Option<String> = None;
     let mut trace_buffer: Option<usize> = None;
     let mut stream_out: Option<String> = None;
@@ -144,76 +114,50 @@ fn main() {
     let mut patterns_out: Option<String> = None;
     let mut interval: u64 = 0;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let flag = a.as_str();
-        let mut val = || {
-            args.next()
-                .unwrap_or_else(|| usage_err(&format!("{flag} needs a value")))
-        };
+    let mut args = Args::new("scdsim", HELP);
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
         match flag {
-            "--app" => app_name = val(),
-            "--scheme" => scheme = Scheme::parse(&val()).unwrap_or_else(|e| usage_err(&e)),
-            "--protocol" => {
-                protocol = ProtocolKind::parse(&val()).unwrap_or_else(|e| usage_err(&e))
-            }
-            "--clusters" => clusters = num(flag, &val()),
-            "--procs-per-cluster" => ppc = num(flag, &val()),
-            "--scale" => scale = parse_scale(&val()).unwrap_or_else(|e| usage_err(&e)),
-            "--seed" => seed = parse_seed(&val()).unwrap_or_else(|e| usage_err(&e)),
+            "--app" => app_name = args.value(),
+            "--scheme" => cfg.scheme = args.parse_with(Scheme::parse),
+            "--protocol" => cfg.protocol = args.parse_with(ProtocolKind::parse),
+            "--clusters" => cfg.clusters = args.parse(),
+            "--procs-per-cluster" => cfg.procs_per_cluster = args.parse(),
+            "--scale" => scale = args.parse_with(parse_scale),
+            "--seed" => seed = args.parse_with(parse_seed),
             "--sparse" => {
                 let ([entries, ways], policy) =
-                    organization(flag, &val(), "<entries>:<ways>:<lru|rand|lra>");
+                    organization(&args.value(), flag, "<entries>:<ways>:<lru|rand|lra>");
                 sparse = Some((entries, ways, policy));
             }
             "--overflow" => {
                 let ([i, wide, ways], policy) =
-                    organization(flag, &val(), "<i>:<wide>:<ways>:<lru|rand|lra>");
+                    organization(&args.value(), flag, "<i>:<wide>:<ways>:<lru|rand|lra>");
                 overflow = Some((i, wide, ways, policy));
             }
-            "--serial-invalidations" => serial = true,
-            "--contention" => contention = Some(num(flag, &val())),
-            "--max-cycles" => max_cycles = Some(num(flag, &val())),
+            "--serial-invalidations" => cfg.serial_invalidations = true,
+            "--contention" => cfg.link_occupancy = Some(args.parse()),
+            "--max-cycles" => cfg.max_cycles = args.parse(),
             "--fault" => {
-                let v = val();
-                fault = Some(
-                    FaultPlan::parse(&v)
-                        .unwrap_or_else(|e| usage_err(&format!("bad --fault `{v}`: {e}"))),
-                );
+                let bad = |v: &str, e| format!("bad --fault `{v}`: {e}");
+                let plan = args.parse_with(|v| FaultPlan::parse(v).map_err(|e| bad(v, e)));
+                cfg.fault_plan = Some(plan);
             }
-            "--watchdog" => watchdog = num(flag, &val()),
-            "--trace-out" => trace_out = Some(val()),
-            "--trace-buffer" => trace_buffer = Some(num(flag, &val())),
-            "--stream-out" => stream_out = Some(val()),
-            "--stats-json" => stats_json = Some(val()),
-            "--patterns-out" => patterns_out = Some(val()),
-            "--interval-stats" => interval = num(flag, &val()),
-            "--hints" => hints = true,
+            "--watchdog" => cfg.watchdog_cycles = args.parse(),
+            "--trace-out" => trace_out = Some(args.value()),
+            "--trace-buffer" => trace_buffer = Some(args.parse()),
+            "--stream-out" => stream_out = Some(args.value()),
+            "--stats-json" => stats_json = Some(args.value()),
+            "--patterns-out" => patterns_out = Some(args.value()),
+            "--interval-stats" => interval = args.parse(),
+            "--hints" => cfg.replacement_hints = true,
             "--anatomy" => anatomy = true,
             "--histogram" => histogram = true,
-            "--check" => check = true,
-            "--help" | "-h" => {
-                println!("{}", HELP.trim());
-                return;
-            }
-            other => usage_err(&format!("unknown flag {other}")),
+            "--check" => cfg.check_invariants = true,
+            other => refuse(format_args!("unknown flag {other}")),
         }
     }
 
-    let mut cfg = MachineConfig::paper_32()
-        .with_scheme(scheme)
-        .with_protocol(protocol);
-    cfg.clusters = clusters;
-    cfg.procs_per_cluster = ppc;
-    cfg.serial_invalidations = serial;
-    cfg.link_occupancy = contention;
-    cfg.replacement_hints = hints;
-    cfg.check_invariants = check;
-    if let Some(n) = max_cycles {
-        cfg.max_cycles = n;
-    }
-    cfg.fault_plan = fault;
-    cfg.watchdog_cycles = watchdog;
     // Tracing: a trace or stream file wants the full event stream;
     // a stats file or interval sampling only needs the metrics registry.
     // Any telemetry request also turns on traffic attribution (counters
@@ -248,15 +192,13 @@ fn main() {
     }
 
     if let Err(e) = cfg.validate() {
-        usage_err(&format!("refused configuration: {e}"));
+        refuse(format_args!("refused configuration: {e}"));
     }
 
     let procs = cfg.processors();
-    if let Err(e) = app_fits(&app_name, procs, scale) {
-        usage_err(&e);
-    }
+    app_fits(&app_name, procs, scale).unwrap_or_else(|e| refuse(e));
     let app = generate_app(&app_name, procs, seed, scale).unwrap_or_else(|| {
-        usage_err(&format!("unknown app `{app_name}` (want lu | dwf | mp3d | locusroute)"))
+        refuse(format_args!("unknown app `{app_name}` (want lu | dwf | mp3d | locusroute)"))
     });
 
     println!(
@@ -266,10 +208,10 @@ fn main() {
         cfg.clusters,
         cfg.procs_per_cluster,
         cfg.scheme.name(cfg.clusters),
-        if protocol == ProtocolKind::Dash {
+        if cfg.protocol == ProtocolKind::Dash {
             String::new()
         } else {
-            format!(", protocol {}", protocol.name())
+            format!(", protocol {}", cfg.protocol.name())
         },
         app.shared_refs(),
     );
@@ -278,8 +220,8 @@ fn main() {
     let mut run_meta = Json::obj()
         .with("app", Json::Str(app.name.to_string()))
         .with("scheme", Json::Str(cfg.scheme.name(cfg.clusters)));
-    if protocol != ProtocolKind::Dash {
-        run_meta = run_meta.with("protocol", Json::Str(protocol.name().into()));
+    if cfg.protocol != ProtocolKind::Dash {
+        run_meta = run_meta.with("protocol", Json::Str(cfg.protocol.name().into()));
     }
     let run_meta = run_meta
         .with("clusters", Json::U64(cfg.clusters as u64))
@@ -290,10 +232,8 @@ fn main() {
     let wall = std::time::Instant::now();
     let mut machine = Machine::new(cfg, app.scripts());
     if let Some(path) = &stream_out {
-        let sink = JsonlFileSink::create(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open {path} for streaming: {e}");
-            std::process::exit(1)
-        });
+        let sink = JsonlFileSink::create(std::path::Path::new(path))
+            .unwrap_or_else(|e| fail(1, format_args!("cannot open {path} for streaming: {e}")));
         machine.attach_stream(Box::new(sink), Some(run_meta.clone()));
     }
     let result = machine.try_run();
@@ -324,7 +264,7 @@ fn main() {
     });
     if let (Some(path), Some(table)) = (&patterns_out, &patterns) {
         let doc = table.document(Some(run_meta.clone()), machine.occupancy_json());
-        write_file(path, format!("{doc}\n"));
+        write(path, format!("{doc}\n"));
         eprintln!(
             "patterns written to {path}: {} blocks classified over {} events",
             table.tracked_blocks(),
@@ -333,11 +273,7 @@ fn main() {
     }
     let stats = match result {
         Ok(stats) => stats,
-        Err(e) => {
-            eprintln!("simulation failed ({})", e.kind());
-            eprintln!("{e}");
-            std::process::exit(1)
-        }
+        Err(e) => fail(1, format_args!("simulation failed ({})\n{e}", e.kind())),
     };
     if let Some(path) = &stats_json {
         let doc = stats.to_json_document(
@@ -347,7 +283,7 @@ fn main() {
             machine.trace_json(),
             patterns.as_ref().map(PatternTable::section_json),
         );
-        write_file(path, format!("{doc}\n"));
+        write(path, format!("{doc}\n"));
         eprintln!("stats written to {path}");
     }
     let secs = wall.elapsed().as_secs_f64();

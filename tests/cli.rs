@@ -60,6 +60,16 @@ fn expect(bin: &str, dir: &Path, args: &[&str], code: i32, needle: &str) -> Outp
     out
 }
 
+/// A refusal is exactly two stderr lines: the reason, then the `--help`
+/// of `command` (a binary, or a binary and its subcommand).
+#[track_caller]
+fn refused_in_two_lines(out: &Output, command: &str) {
+    let text = stderr(out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{command}: {text}");
+    assert_eq!(lines[1], format!("run `{command} --help` for the options"), "{text}");
+}
+
 #[test]
 fn help_is_stdout_and_exit_0_for_every_binary() {
     let dir = scratch("help");
@@ -147,23 +157,29 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--critical", "10"], "unknown flag --critical"),
     ] {
         let out = expect(SCDSIM, &dir, args, 2, needle);
-        assert!(stderr(&out).lines().count() <= 3, "{}", stderr(&out));
+        refused_in_two_lines(&out, "scdsim");
     }
     // `scd-check`'s explored delay and duplicate gaps hold the same bound.
     for flag in ["--fault-delay", "--fault-dup"] {
         for cycles in ["0", "4294967296", "18446744073709551615"] {
             let needle = format!("{flag} must be a cycle count in 1..=4294967295");
-            expect(CHECK, &dir, &[flag, cycles], 2, &needle);
+            let out = expect(CHECK, &dir, &[flag, cycles], 2, &needle);
+            refused_in_two_lines(&out, "scd-check");
         }
     }
-    expect(TELEMETRY, &dir, &[], 2, "no subcommand given");
-    expect(TELEMETRY, &dir, &["frobnicate"], 2, "unknown subcommand frobnicate");
-    expect(TELEMETRY, &dir, &["validate"], 2, "no files given");
-    expect(TELEMETRY, &dir, &["validate", "absent.json"], 2, "cannot read absent.json");
-    expect(TELEMETRY, &dir, &["patterns"], 2, "no trace file given");
-    expect(TELEMETRY, &dir, &["spans"], 2, "no trace or stream file given");
-    expect(TELEMETRY, &dir, &["spans", "t.jsonl"], 2, "nothing to write");
-    expect(TELEMETRY, &dir, &["spans", "t.jsonl", "--critical", "x"], 2, "bad --critical `x`");
+    for (args, needle, command) in [
+        (&[][..], "no subcommand given", "scd-telemetry"),
+        (&["frobnicate"], "unknown subcommand frobnicate", "scd-telemetry"),
+        (&["validate"], "no files given", "scd-telemetry validate"),
+        (&["validate", "absent.json"], "cannot read absent.json", "scd-telemetry validate"),
+        (&["patterns"], "no trace file given", "scd-telemetry patterns"),
+        (&["spans"], "no trace or stream file given", "scd-telemetry spans"),
+        (&["spans", "t.jsonl"], "nothing to write", "scd-telemetry spans"),
+        (&["spans", "t.jsonl", "--critical", "x"], "bad --critical `x`", "scd-telemetry spans"),
+    ] {
+        let out = expect(TELEMETRY, &dir, args, 2, needle);
+        refused_in_two_lines(&out, command);
+    }
 }
 
 /// `Scheme::parse`, the one parser behind `scdsim --scheme` and `scd-sweep

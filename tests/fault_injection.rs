@@ -80,7 +80,7 @@ fn every_scheme_quiesces_under_every_fault_mode() {
         for (mode, plan) in fault_modes() {
             // tiny() runs the quiescent invariant checker and the version
             // oracle, so a fault that corrupted coherence would surface as
-            // an InvariantViolation here.
+            // an Invariant error here.
             let cfg = MachineConfig::tiny(6).with_scheme(scheme).with_fault(plan);
             let stats = run_faulty(cfg, 24, 0xFA017);
             assert!(stats.cycles > 0, "{scheme:?} under {mode}");

@@ -40,10 +40,16 @@ fn engine_lines(krates: &[&str]) -> Vec<Line> {
 
 /// Every line above its file's first `#[cfg(test)]`, over the Rust files
 /// under `dirs`.
-fn non_test_lines(dirs: &[PathBuf]) -> Vec<Line> {
+/// The lines above each file's first `#[cfg(test)]`, over every `.rs`
+/// file under `paths` (a path may also name one file).
+fn non_test_lines(paths: &[PathBuf]) -> Vec<Line> {
     let mut files = Vec::new();
-    for dir in dirs {
-        rust_files(dir, &mut files);
+    for path in paths {
+        if path.is_file() {
+            files.push(path.clone());
+        } else {
+            rust_files(path, &mut files);
+        }
     }
     let mut lines = Vec::new();
     for file in files {
@@ -244,15 +250,17 @@ fn one_binary_records_one_reads() {
     assert!(found.is_empty(), "a binary other than scd-telemetry reads lines:\n{}", found.join("\n"));
 }
 
-/// The non-test lines of the trace crate and the binaries, at most: the
-/// readers were made one path at a price in lines, and paid it back. A
-/// change that grows them raises this number in its own diff.
-const READERS_CEILING: usize = 7_597;
+/// The non-test lines of the trace crate, the binaries (`repro` too) and
+/// the command line they share, at most: the readers were made one path at
+/// a price in lines, and paid it back. A change that grows them raises
+/// this number in its own diff.
+const READERS_CEILING: usize = 7_579;
 
 #[test]
 fn the_readers_stay_within_their_line_ceiling() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let lines = non_test_lines(&[root.join("crates/trace/src"), root.join("src/bin")]).len();
+    let paths = ["crates/trace/src", "src/bin", "crates/bench/src/bin/repro.rs", "crates/bench/src/cli.rs"];
+    let lines = non_test_lines(&paths.map(|p| root.join(p))).len();
     assert!(lines <= READERS_CEILING, "{lines} non-test lines, ceiling {READERS_CEILING}");
 }
 

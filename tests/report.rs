@@ -128,30 +128,29 @@ fn comparison_output_is_golden() {
     );
 }
 
+/// `out` is a refusal: exit 2, the reason on one stderr line and on the
+/// next the subcommand's `--help`.
+#[track_caller]
+fn refused(out: &Output, case: &str) {
+    assert_eq!(out.status.code(), Some(2), "{case}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 2, "{case}: {stderr}");
+    assert_eq!(lines[1], "run `scd-telemetry report --help` for the options", "{case}");
+}
+
 #[test]
 fn usage_and_parse_errors_exit_two() {
-    assert_eq!(run(&[]).status.code(), Some(2), "no files");
-    assert_eq!(run(&["--bogus"]).status.code(), Some(2), "unknown flag");
+    refused(&run(&[]), "no files");
+    refused(&run(&["--bogus"]), "unknown flag");
     let retired = run(&["--throughput-tolerance", "15%", "BENCH_lu_dir4cv4.json"]);
-    assert_eq!(retired.status.code(), Some(2), "host throughput lives in benchmark/");
+    refused(&retired, "host throughput lives in benchmark/");
     assert!(String::from_utf8_lossy(&retired.stderr).contains("unknown flag --throughput-tolerance"));
-    assert_eq!(
-        run(&["/nonexistent/scd-report-base.json"]).status.code(),
-        Some(2),
-        "unreadable file"
-    );
+    refused(&run(&["/nonexistent/scd-report-base.json"]), "unreadable file");
     let garbage = scratch("usage", "garbage.json", "not json at all");
-    assert_eq!(
-        run(&[garbage.to_str().unwrap()]).status.code(),
-        Some(2),
-        "unparseable file"
-    );
+    refused(&run(&[garbage.to_str().unwrap()]), "unparseable file");
     let foreign = scratch("usage", "foreign.json", r#"{"schema":"other/v1"}"#);
-    assert_eq!(
-        run(&[foreign.to_str().unwrap()]).status.code(),
-        Some(2),
-        "wrong schema"
-    );
+    refused(&run(&[foreign.to_str().unwrap()]), "wrong schema");
 }
 
 /// `scd-telemetry report` accepts real machine output end-to-end: a live

@@ -171,7 +171,12 @@ fn usage_errors_exit_two() {
             vec!["--protocol", "tardis,dls", "--sparse", "2:4:rand", "--apps", "lu", "--scale", "0.02"],
         ),
     ] {
-        assert_eq!(run(&args).status.code(), Some(2), "{case}");
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{case}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 2, "{case}: {stderr}");
+        assert_eq!(lines[1], "run `scd-sweep --help` for the options", "{case}");
     }
 }
 
