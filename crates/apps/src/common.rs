@@ -50,11 +50,6 @@ impl AppRun {
         self.scripts()
     }
 
-    /// Total operations across all processors.
-    pub fn total_ops(&self) -> usize {
-        self.programs.iter().map(|ops| ops.len()).sum()
-    }
-
     /// Shared references (reads + writes) across all processors.
     pub fn shared_refs(&self) -> u64 {
         self.programs
@@ -172,7 +167,6 @@ mod tests {
             ],
             64,
         );
-        assert_eq!(run.total_ops(), 6);
         assert_eq!(run.shared_refs(), 3);
         assert_eq!(run.reads(), 2);
         assert_eq!(run.writes(), 1);

@@ -215,6 +215,6 @@ mod tests {
         let b = dwf(&DwfParams::default(), 8, 3);
         assert_eq!(a.programs, b.programs);
         let small = dwf(&DwfParams::scaled(0.25), 8, 3);
-        assert!(small.total_ops() < a.total_ops());
+        assert!(small.shared_refs() < a.shared_refs());
     }
 }

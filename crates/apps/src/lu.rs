@@ -157,7 +157,7 @@ mod tests {
     fn scaling_shrinks_the_problem() {
         let big = lu(&LuParams::scaled(1.0), 8, 1);
         let small = lu(&LuParams::scaled(0.25), 8, 1);
-        assert!(small.total_ops() < big.total_ops() / 10);
+        assert!(small.shared_refs() < big.shared_refs() / 10);
         assert!(small.shared_bytes < big.shared_bytes);
     }
 

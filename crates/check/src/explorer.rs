@@ -21,6 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use scd_core::{FastMap, FastSet};
 use scd_machine::machine::explore::{Choice, FaultEdges};
 use scd_machine::{Machine, SimError};
+use scd_sim::SimRng;
 
 /// Exploration bounds and fault options.
 #[derive(Clone, Debug)]
@@ -397,9 +398,9 @@ pub fn minimize(
 
 /// Drives one seeded random path through the exploration choice space.
 ///
-/// Uses an inline xorshift64* generator so walks are reproducible from the
-/// seed alone. The visited digests let tests assert the walk stays inside
-/// the exhaustively-explored state set.
+/// Draws each choice from a [`SimRng`] seeded with `seed`, so walks are
+/// reproducible from the seed alone. The visited digests let tests assert
+/// the walk stays inside the exhaustively-explored state set.
 pub fn random_walk(
     build: &dyn Fn() -> Machine,
     cfg: &ExploreConfig,
@@ -407,13 +408,7 @@ pub fn random_walk(
     max_steps: usize,
 ) -> WalkOutcome {
     let mut out = WalkOutcome::default();
-    let mut rng = seed | 1;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    };
+    let mut rng = SimRng::new(seed);
     let mut m = build();
     if cfg.faults.any() {
         m.tolerate_faults();
@@ -434,7 +429,7 @@ pub fn random_walk(
             }
             break;
         }
-        let ch = choices[(next() % choices.len() as u64) as usize];
+        let ch = choices[rng.index(choices.len())];
         faults_used += u32::from(ch.is_fault());
         if let Err(error) = checked(|| m.step_explore(ch)) {
             out.violation = Some(Counterexample {

@@ -21,9 +21,7 @@
 //! `s <= i` and `p - 2` beyond; the coarse-vector and superset schemes are
 //! genuinely stochastic.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use scd_sim::SimRng;
 
 use crate::entry::DirEntry;
 use crate::node_set::NodeId;
@@ -38,20 +36,20 @@ pub fn average_invalidations(scheme: Scheme, p: usize, s: usize, events: usize, 
         s <= p - 2,
         "at most p-2 clusters can share (writer and home excluded)"
     );
-    let mut rng = StdRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = SimRng::seeded(seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut total = 0u64;
     let mut others: Vec<NodeId> = Vec::with_capacity(p);
     for _ in 0..events {
-        let h: NodeId = rng.gen_range(0..p as u16);
+        let h: NodeId = rng.below(p as u64) as u16;
         let w: NodeId = loop {
-            let c = rng.gen_range(0..p as u16);
+            let c = rng.below(p as u64) as u16;
             if c != h {
                 break c;
             }
         };
         others.clear();
         others.extend((0..p as NodeId).filter(|&n| n != h && n != w));
-        others.shuffle(&mut rng);
+        rng.shuffle(&mut others);
         let mut entry = DirEntry::new(scheme, p);
         for &n in &others[..s] {
             // Dir_NB never appears in Figure 2 (its sharer count cannot

@@ -206,11 +206,6 @@ impl DirEntry {
         self.scheme
     }
 
-    /// The machine size (number of clusters) this entry tracks.
-    pub fn universe(&self) -> usize {
-        self.p as usize
-    }
-
     /// Current state of the block.
     pub fn state(&self) -> DirState {
         if self.dirty {

@@ -23,7 +23,7 @@
 use crate::entry::{AddSharer, DirEntry};
 use crate::flat::FastMap;
 use crate::node_set::NodeId;
-use crate::scheme::{ptr_bits, Scheme};
+use crate::scheme::Scheme;
 use crate::sparse::{Allocation, Replacement, SparseDirectory};
 
 /// Outcome of recording a sharer in an overflow directory.
@@ -246,12 +246,6 @@ impl OverflowDirectory {
         self.wide.for_each_live(&mut f);
     }
 
-    /// State bits per *block* of the small array (pointers only — no
-    /// broadcast/mode bits — plus dirty and a promoted flag).
-    pub fn small_bits_per_block(i: usize, clusters: usize) -> usize {
-        i * ptr_bits(clusters) + 1 /* dirty */ + 1 /* promoted */
-    }
-
     /// Hashes the protocol-visible state (the live small entries, folded
     /// by [`hash_unordered`](crate::flat::hash_unordered), then the wide
     /// cache via [`SparseDirectory::fingerprint`]) into `h` for
@@ -387,12 +381,5 @@ mod tests {
         d.maintain(7);
         assert_eq!(d.live_entries(), 0);
         assert!(d.probe(7).is_none());
-    }
-
-    #[test]
-    fn storage_accounting() {
-        // 3 pointers on 32 clusters: 15 + dirty + promoted = 17 bits/block,
-        // same budget as Dir3CV2's 17 state bits.
-        assert_eq!(OverflowDirectory::small_bits_per_block(3, 32), 17);
     }
 }

@@ -14,6 +14,8 @@
 //! therefore *returns* the victim's entry so the caller can compute the
 //! invalidation set.
 
+use scd_sim::SimRng;
+
 use crate::entry::DirEntry;
 use crate::scheme::Scheme;
 
@@ -203,8 +205,11 @@ pub struct SparseDirectory {
     policy: Replacement,
     slots: Vec<Slot>,
     stats: SparseStats,
-    /// xorshift64* state for the random policy (deterministic per seed).
-    rng_state: u64,
+    /// Victim stream of the random policy (deterministic per seed). It
+    /// starts from `seed | 1`, so seeds that differ only in bit 0 share a
+    /// stream; ending that aliasing moves `fig13`/`fig14` and belongs with
+    /// one run seed for the whole machine (ROADMAP item 3).
+    rng: SimRng,
     /// Replacement-churn telemetry; `None` until enabled (zero cost off).
     churn: Option<Box<ChurnTracker>>,
 }
@@ -218,7 +223,7 @@ crate::clone_fields!(SparseDirectory {
     policy,
     slots,
     stats,
-    rng_state,
+    rng,
     churn,
 });
 
@@ -261,7 +266,7 @@ impl SparseDirectory {
                 entries
             ],
             stats: SparseStats::default(),
-            rng_state: seed | 1,
+            rng: SimRng::new(seed | 1),
             churn: None,
         }
     }
@@ -306,16 +311,6 @@ impl SparseDirectory {
             None => key % self.sets as u64,
         } as usize;
         set * self.ways..(set + 1) * self.ways
-    }
-
-    fn next_random(&mut self) -> u64 {
-        // xorshift64* — cheap, deterministic, good enough for victim choice.
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
     /// Looks up `key` without allocating; touches LRU state on hit.
@@ -442,7 +437,9 @@ impl SparseDirectory {
                 if count == 0 {
                     return None;
                 }
-                let off = (self.next_random() % count as u64) as usize;
+                // A plain `%`, not `SimRng::below`: rejection sampling
+                // would draw other victims and move `fig13`/`fig14`.
+                let off = (self.rng.next_u64() % count as u64) as usize;
                 range.filter(|i| !pinned(self.slots[*i].key)).nth(off)
             }
         }
@@ -488,7 +485,7 @@ impl SparseDirectory {
     /// their rank within the set: victim selection only ever compares these
     /// times against each other inside one set, so two states whose
     /// recency *orders* agree behave identically even if the clocks differ.
-    /// The hit/replacement counters are excluded; `rng_state` is included
+    /// The hit/replacement counters are excluded; the random stream is included
     /// because the random policy's future choices depend on it.
     pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
@@ -506,7 +503,7 @@ impl SparseDirectory {
         }
         valid.hash(h);
         if self.policy == Replacement::Random {
-            self.rng_state.hash(h);
+            self.rng.hash(h);
         }
     }
 }

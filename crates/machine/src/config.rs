@@ -113,7 +113,10 @@ pub struct MachineConfig {
     pub latency: LatencyModel,
     /// Fixed-cost timing parameters.
     pub timing: Timing,
-    /// Master seed (workloads fork their own streams from it).
+    /// Seeds the machine's own random streams: the random victims of
+    /// sparse and overflow directories, and fault injection. Workloads
+    /// take their seed from their generator, not from here, and no binary
+    /// sets it yet (ROADMAP item 3).
     pub seed: u64,
     /// Abort the run if simulated time exceeds this many cycles (deadlock /
     /// runaway guard). 0 disables the limit.
@@ -291,24 +294,6 @@ impl MachineConfig {
         self
     }
 
-    /// Enables the differential value oracle.
-    pub fn with_value_oracle(mut self) -> Self {
-        self.value_oracle = true;
-        self
-    }
-
-    /// Enables fault injection with the given plan.
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Enables the forward-progress watchdog (0 disables it).
-    pub fn with_watchdog(mut self, cycles: u64) -> Self {
-        self.watchdog_cycles = cycles;
-        self
-    }
-
     /// Enables transaction tracing / the metrics registry.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
@@ -471,7 +456,10 @@ mod tests {
             LatencyModel::Mesh { fixed, per_hop } => (fixed, per_hop),
             _ => unreachable!(),
         };
-        let net = fixed as f64 + per_hop as f64 * mesh.mean_distance();
+        let pairs = (0..32).flat_map(|a| (0..32).map(move |b| (a, b)));
+        let hops: usize = pairs.map(|(a, b)| mesh.distance(a, b)).sum();
+        let mean_distance = hops as f64 / (32.0 * 31.0);
+        let net = fixed as f64 + per_hop as f64 * mean_distance;
         let remote2 = t.l2_hit as f64 + net + t.bus_memory as f64 + net;
         assert!(
             (55.0..65.0).contains(&remote2),

@@ -183,7 +183,8 @@ mod tests {
     /// one cycle apart on channel (0, 1), each due 10 cycles after it
     /// leaves.
     fn deliveries(plan: FaultPlan, n: u64) -> Vec<Cycle> {
-        let mut f = FaultInjector::new(&MachineConfig::tiny(2).with_fault(plan));
+        let cfg = MachineConfig { fault_plan: Some(plan), ..MachineConfig::tiny(2) };
+        let mut f = FaultInjector::new(&cfg);
         let kinds = [MsgKind::ReadReq { block: 4 }, MsgKind::WriteReq { block: 5 }, MsgKind::Writeback { block: 6 }];
         (0..n).map(|t| f.on_send(t + 10, &Msg { src: 0, dst: 1, kind: kinds[t as usize % 3] }).0).collect()
     }

@@ -137,9 +137,8 @@ fn a_mid_run_clone_is_the_same_state_and_an_independent_future() {
         dup: Some(3),
     };
     let spare = |clusters: usize, protocol: ProtocolKind, plan: FaultPlan| {
-        let cfg = MachineConfig::tiny(clusters)
-            .with_protocol(protocol)
-            .with_fault(plan);
+        let cfg = MachineConfig::tiny(clusters).with_protocol(protocol);
+        let cfg = MachineConfig { fault_plan: Some(plan), ..cfg };
         let far = 2 * clusters as u64;
         let scripts = (0..clusters as u64)
             .map(|c| vec![Op::Read(c), Op::Write(c + 1), Op::Read(far + c)])

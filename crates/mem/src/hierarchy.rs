@@ -72,17 +72,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// DASH-prototype geometry for a given block size: 64 KB direct-mapped
-    /// L1, 256 KB 4-way L2.
-    pub fn dash_prototype(block_bytes: usize) -> Self {
-        Self::new(
-            (64 << 10) / block_bytes,
-            1,
-            (256 << 10) / block_bytes,
-            4,
-        )
-    }
-
     /// Looks up `block`, filling the L1 on an L2 hit.
     pub fn access(&mut self, block: Block, now: u64) -> HitLevel {
         if let Some(s) = self.l1.access(block, now) {
@@ -232,12 +221,6 @@ mod tests {
         assert_eq!(h.invalidate(4), Some(LineState::Dirty));
         assert_eq!(h.access(4, 1), HitLevel::Miss);
         assert_eq!(h.invalidate(4), None);
-    }
-
-    #[test]
-    fn dash_prototype_geometry() {
-        let h = CacheHierarchy::dash_prototype(16);
-        assert_eq!(h.capacity(), (256 << 10) / 16);
     }
 
     #[test]

@@ -116,26 +116,6 @@ impl Mesh {
         };
         (from, to)
     }
-
-    /// Network diameter (longest shortest path).
-    pub fn diameter(&self) -> usize {
-        self.width - 1 + self.height - 1
-    }
-
-    /// Mean hop distance over all ordered pairs of distinct nodes.
-    pub fn mean_distance(&self) -> f64 {
-        let n = self.nodes();
-        if n == 1 {
-            return 0.0;
-        }
-        let mut total = 0usize;
-        for a in 0..n {
-            for b in 0..n {
-                total += self.distance(a, b);
-            }
-        }
-        total as f64 / (n * (n - 1)) as f64
-    }
 }
 
 /// Allocation-free dimension-ordered route walk: X-moves toward the
@@ -278,13 +258,5 @@ mod tests {
             assert_eq!(it.size_hint(), (expect, Some(expect)));
         }
         assert_eq!(expect, 0);
-    }
-
-    #[test]
-    fn diameter_and_mean() {
-        let m = Mesh::new(4, 4);
-        assert_eq!(m.diameter(), 6);
-        let mean = m.mean_distance();
-        assert!(mean > 2.0 && mean < 3.0, "4x4 mean distance ~2.67, got {mean}");
     }
 }

@@ -220,11 +220,6 @@ impl Network {
         base + waited
     }
 
-    /// Latency a message would have, without recording it.
-    pub fn peek_latency(&self, src: usize, dst: usize) -> u64 {
-        self.model.latency(&self.mesh, src, dst)
-    }
-
     /// Mesh hops between two clusters (0 for a local delivery), without
     /// recording anything.
     pub fn hops(&self, src: usize, dst: usize) -> usize {
@@ -245,11 +240,6 @@ impl Network {
     pub fn enable_link_counters(&mut self) {
         let nodes = self.mesh.nodes();
         self.pair_traffic = Some(vec![LinkCounters::default(); nodes * nodes]);
-    }
-
-    /// Whether per-link counters are being collected.
-    pub fn link_counters_enabled(&self) -> bool {
-        self.pair_traffic.is_some()
     }
 
     /// Charges one message of `flits` flits to every directed link on the
@@ -356,7 +346,6 @@ mod tests {
     fn link_counters_are_inert_until_enabled() {
         let mut n = Network::new(16, LatencyModel::Uniform { latency: 5 });
         n.note_link_traffic(0, 3, 4);
-        assert!(!n.link_counters_enabled());
         assert!(n.link_traffic().is_empty(), "disabled counters record nothing");
         n.enable_link_counters();
         n.note_link_traffic(0, 3, 4);
@@ -369,14 +358,5 @@ mod tests {
         assert_eq!(links[0].1, LinkCounters { messages: 2, flits: 5 });
         assert_eq!(links[2].1, LinkCounters { messages: 1, flits: 4 });
         assert_eq!(n.stats().messages, 0, "counters never touch send stats");
-    }
-
-    #[test]
-    fn peek_does_not_record() {
-        let mut n = Network::new(16, LatencyModel::Uniform { latency: 5 });
-        assert_eq!(n.peek_latency(0, 3), 5);
-        assert_eq!(n.stats().messages, 0);
-        n.send(0, 0, 3);
-        assert_eq!(n.stats().messages, 1);
     }
 }

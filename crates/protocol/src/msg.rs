@@ -432,11 +432,6 @@ impl MsgKind {
         }
     }
 
-    /// Whether this is one of the [`MsgKind::coherence_request`] kinds.
-    pub fn is_coherence_request(&self) -> bool {
-        self.coherence_request().is_some()
-    }
-
     /// The block this message concerns, if any.
     pub fn block(&self) -> Option<Block> {
         match *self {
@@ -618,9 +613,9 @@ mod tests {
         );
         assert_eq!(MsgKind::WriteReq { block: 3 }.coherence_request(), Some((3, true)));
         assert_eq!(MsgKind::TardisWriteReq { block: 4 }.coherence_request(), Some((4, true)));
-        assert!(!MsgKind::RenewReq { block: 1, wts: 0, pts: 0 }.is_coherence_request());
-        assert!(!MsgKind::Writeback { block: 1 }.is_coherence_request());
-        assert!(!MsgKind::ReadReply { block: 1, version: 0 }.is_coherence_request());
+        assert_eq!(MsgKind::RenewReq { block: 1, wts: 0, pts: 0 }.coherence_request(), None);
+        assert_eq!(MsgKind::Writeback { block: 1 }.coherence_request(), None);
+        assert_eq!(MsgKind::ReadReply { block: 1, version: 0 }.coherence_request(), None);
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! adding a consumer never perturbs another's stream.
 //!
 //! The generator is xorshift64\* — tiny, fast, and ample quality for
-//! workload shuffling (this is not a cryptographic or Monte-Carlo-grade
-//! application; the Figure 2 analysis in `scd-core` uses `rand::StdRng`).
+//! workload shuffling, random directory victims and the Figure 2 Monte
+//! Carlo (`scd-core`'s `analysis`), which only needs uniform draws. It is
+//! the only pseudo-random generator in the engine (`tests/gates.rs`
+//! holds that).
 
-/// Deterministic xorshift64* generator.
-#[derive(Clone, Debug)]
+/// Deterministic xorshift64* generator. `Hash` hashes the state, so a
+/// model-checking digest tells apart two futures of a random policy.
+#[derive(Clone, Debug, Hash)]
 pub struct SimRng {
     state: u64,
 }
@@ -21,6 +24,15 @@ impl SimRng {
         SimRng {
             state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed },
         }
+    }
+
+    /// Creates a generator from `seed` scrambled by splitmix64, so that
+    /// low-entropy seeds (0, small integers) start from a full-width state.
+    pub fn seeded(seed: u64) -> Self {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        SimRng::new(z ^ (z >> 31))
     }
 
     /// Derives an independent stream for a sub-component.

@@ -65,11 +65,6 @@ impl Traffic {
         self.counts[Self::idx(class)] += 1;
     }
 
-    /// Records `n` messages of `class`.
-    pub fn record_n(&mut self, class: MessageClass, n: u64) {
-        self.counts[Self::idx(class)] += n;
-    }
-
     /// Count for one class.
     pub fn get(&self, class: MessageClass) -> u64 {
         self.counts[Self::idx(class)]
@@ -90,11 +85,6 @@ impl Traffic {
         for i in 0..4 {
             self.counts[i] += other.counts[i];
         }
-    }
-
-    /// This traffic normalized to `baseline` (1.0 = identical total).
-    pub fn normalized_total(&self, baseline: &Traffic) -> f64 {
-        self.total() as f64 / baseline.total() as f64
     }
 }
 
@@ -120,8 +110,10 @@ mod tests {
     fn record_and_total() {
         let mut t = Traffic::new();
         t.record(MessageClass::Request);
-        t.record_n(MessageClass::Invalidation, 5);
-        t.record_n(MessageClass::Acknowledgement, 5);
+        for _ in 0..5 {
+            t.record(MessageClass::Invalidation);
+            t.record(MessageClass::Acknowledgement);
+        }
         assert_eq!(t.get(MessageClass::Request), 1);
         assert_eq!(t.get(MessageClass::Reply), 0);
         assert_eq!(t.coherence(), 10);
@@ -133,20 +125,12 @@ mod tests {
         let mut a = Traffic::new();
         a.record(MessageClass::Reply);
         let mut b = Traffic::new();
-        b.record_n(MessageClass::Reply, 2);
+        b.record(MessageClass::Reply);
+        b.record(MessageClass::Reply);
         b.record(MessageClass::Request);
         a.merge(&b);
         assert_eq!(a.get(MessageClass::Reply), 3);
         assert_eq!(a.total(), 4);
-    }
-
-    #[test]
-    fn normalization() {
-        let mut base = Traffic::new();
-        base.record_n(MessageClass::Request, 100);
-        let mut t = Traffic::new();
-        t.record_n(MessageClass::Request, 112);
-        assert!((t.normalized_total(&base) - 1.12).abs() < 1e-12);
     }
 
     #[test]

@@ -87,14 +87,6 @@ impl AddressSpace {
     pub fn regions(&self) -> &[(String, Region)] {
         &self.regions
     }
-
-    /// The region containing `addr`, if any (diagnostics).
-    pub fn region_of(&self, addr: u64) -> Option<&str> {
-        self.regions
-            .iter()
-            .find(|(_, r)| r.contains(addr))
-            .map(|(n, _)| n.as_str())
-    }
 }
 
 #[cfg(test)]
@@ -127,15 +119,5 @@ mod tests {
         let mut a = AddressSpace::new(16);
         let r = a.alloc("m", 32);
         r.addr(32);
-    }
-
-    #[test]
-    fn region_lookup() {
-        let mut a = AddressSpace::new(16);
-        let r1 = a.alloc("first", 16);
-        let _r2 = a.alloc("second", 16);
-        assert_eq!(a.region_of(r1.base()), Some("first"));
-        assert_eq!(a.region_of(17), Some("second"));
-        assert_eq!(a.region_of(1000), None);
     }
 }

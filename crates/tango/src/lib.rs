@@ -12,18 +12,11 @@
 //! interleave, as in Tango's coupled mode. (No workload here has
 //! data-dependent control flow, so a list fetched on demand loses nothing
 //! to a generator that runs code.)
-//!
-//! Tango's *trace mode* is also reproduced: [`trace`] captures a run's
-//! per-process operation streams into a compact binary format that can be
-//! replayed later (or on a differently configured machine — with the usual
-//! caveat that a trace fixes one interleaving).
 
 #![warn(missing_docs)]
 
 pub mod address;
 pub mod op;
-pub mod trace;
 
 pub use address::{AddressSpace, Region};
 pub use op::{Op, Script};
-pub use trace::{Trace, TraceRecorder};

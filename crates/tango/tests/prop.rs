@@ -1,9 +1,8 @@
-//! Property-based tests for trace encoding: arbitrary op streams round-trip
-//! through the binary format, and corrupted inputs never panic; and for the
-//! `Script` cursor: its position stands for the rest of the program.
+//! Property-based tests for the `Script` cursor: its position stands for
+//! the rest of the program.
 
 use proptest::prelude::*;
-use scd_tango::{Op, Script, Trace, TraceRecorder};
+use scd_tango::{Op, Script};
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
@@ -54,49 +53,6 @@ proptest! {
         for _ in 0..3 {
             prop_assert_eq!(drained.next_op(), Op::Done);
             prop_assert_eq!(drained.pos(), ops.len());
-        }
-    }
-
-    #[test]
-    fn trace_roundtrip(
-        streams in prop::collection::vec(prop::collection::vec(op_strategy(), 0..50), 1..8)
-    ) {
-        let mut rec = TraceRecorder::new(streams.len());
-        for (p, ops) in streams.iter().enumerate() {
-            for &op in ops {
-                rec.record(p, op);
-            }
-        }
-        let trace = rec.finish();
-        let bytes = trace.to_bytes();
-        let back = Trace::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&trace, &back);
-        for (p, ops) in streams.iter().enumerate() {
-            prop_assert_eq!(back.ops(p), ops.as_slice());
-        }
-    }
-
-    #[test]
-    fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        // Result may be Ok (if it happens to parse) or Err — but no panic.
-        let _ = Trace::from_bytes(&bytes);
-    }
-
-    #[test]
-    fn decoder_never_panics_on_truncation(
-        streams in prop::collection::vec(prop::collection::vec(op_strategy(), 0..20), 1..4),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        let mut rec = TraceRecorder::new(streams.len());
-        for (p, ops) in streams.iter().enumerate() {
-            for &op in ops {
-                rec.record(p, op);
-            }
-        }
-        let bytes = rec.finish().to_bytes();
-        let cut = (bytes.len() as f64 * cut_frac) as usize;
-        if cut < bytes.len() {
-            prop_assert!(Trace::from_bytes(&bytes[..cut]).is_err());
         }
     }
 }

@@ -152,11 +152,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Appends one interval window.
-    pub fn push_interval(&mut self, snap: IntervalSnapshot) {
-        self.intervals.push(snap);
-    }
-
     /// Completed transactions recorded.
     pub fn transactions(&self) -> u64 {
         self.read_latency.events() + self.write_latency.events()
@@ -275,7 +270,7 @@ mod tests {
             write: false,
             retries: 1,
         });
-        r.push_interval(IntervalSnapshot {
+        r.intervals.push(IntervalSnapshot {
             start: 0,
             end: 1000,
             messages: 5,
@@ -305,7 +300,7 @@ mod tests {
     fn interval_table_renders_every_window() {
         let mut r = MetricsRegistry::new();
         for i in 0..3 {
-            r.push_interval(IntervalSnapshot {
+            r.intervals.push(IntervalSnapshot {
                 start: i * 100,
                 end: (i + 1) * 100,
                 ..Default::default()

@@ -105,6 +105,7 @@ fn main() {
     let mut seed = 0xD45Bu64;
     let mut sparse: Option<(usize, usize, Replacement)> = None;
     let mut overflow: Option<(usize, usize, usize, Replacement)> = None;
+    let mut scheme_given = false;
     let mut anatomy = false;
     let mut histogram = false;
     let mut trace_out: Option<String> = None;
@@ -119,7 +120,7 @@ fn main() {
         let flag = arg.as_str();
         match flag {
             "--app" => app_name = args.value(),
-            "--scheme" => cfg.scheme = args.parse_with(Scheme::parse),
+            "--scheme" => (cfg.scheme, scheme_given) = (args.parse_with(Scheme::parse), true),
             "--protocol" => cfg.protocol = args.parse_with(ProtocolKind::parse),
             "--clusters" => cfg.clusters = args.parse(),
             "--procs-per-cluster" => cfg.procs_per_cluster = args.parse(),
@@ -188,6 +189,10 @@ fn main() {
         cfg = cfg.with_sparse(entries, ways, policy);
     }
     if let Some((i, wide, ways, policy)) = overflow {
+        if scheme_given && cfg.scheme != Scheme::dir_nb(i) {
+            let asked = cfg.scheme.name(cfg.clusters);
+            refuse(format_args!("--scheme {asked} conflicts with --overflow, whose entries are Dir{i}NB"));
+        }
         cfg = cfg.with_overflow(i, wide, ways, policy);
     }
 

@@ -132,6 +132,12 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--sparse", "0:1:lru"], "refused configuration: sparse entries:ways = 0:1"),
         (&["--sparse", "6:4:lru"], "refused configuration: sparse entries:ways = 6:4"),
         (&["--overflow", "0:4:2:lru"], "refused configuration: overflow pointer count = 0"),
+        // The overflow organization runs `Dir_i NB` entries, nothing else.
+        (
+            &["--clusters", "8", "--scheme", "cv:3:2", "--overflow", "3:64:4:lru"],
+            "--scheme Dir3CV2 conflicts with --overflow, whose entries are Dir3NB",
+        ),
+        (&["--scheme", "nb:2", "--overflow", "3:64:4:lru"], "--scheme Dir2NB conflicts with --overflow"),
         // Only DASH reads the directory organization.
         (
             &["--protocol", "tardis", "--sparse", "64:4:lru"],

@@ -81,7 +81,8 @@ fn every_scheme_quiesces_under_every_fault_mode() {
             // tiny() runs the quiescent invariant checker and the version
             // oracle, so a fault that corrupted coherence would surface as
             // an Invariant error here.
-            let cfg = MachineConfig::tiny(6).with_scheme(scheme).with_fault(plan);
+            let cfg = MachineConfig::tiny(6).with_scheme(scheme);
+            let cfg = MachineConfig { fault_plan: Some(plan), ..cfg };
             let stats = run_faulty(cfg, 24, 0xFA017);
             assert!(stats.cycles > 0, "{scheme:?} under {mode}");
         }
@@ -92,17 +93,14 @@ fn every_scheme_quiesces_under_every_fault_mode() {
 fn sparse_and_overflow_directories_quiesce_under_every_fault_mode() {
     for scheme in [Scheme::FullVector, Scheme::dir_cv(2, 2), Scheme::dir_b(2)] {
         for (mode, plan) in fault_modes() {
-            let sparse = MachineConfig::tiny(6)
-                .with_scheme(scheme)
-                .with_sparse(8, 2, Replacement::Lru)
-                .with_fault(plan);
+            let sparse = MachineConfig::tiny(6).with_scheme(scheme).with_sparse(8, 2, Replacement::Lru);
+            let sparse = MachineConfig { fault_plan: Some(plan), ..sparse };
             // 32 blocks per home >> 8 directory entries per home, so
             // replacement flushes interleave with the injected faults.
             run_faulty(sparse, 192, 0xFA025);
 
-            let overflow = MachineConfig::tiny(6)
-                .with_overflow(2, 4, 2, Replacement::Lru)
-                .with_fault(plan);
+            let overflow = MachineConfig::tiny(6).with_overflow(2, 4, 2, Replacement::Lru);
+            let overflow = MachineConfig { fault_plan: Some(plan), ..overflow };
             let stats = run_faulty(overflow, 96, 0xFA033);
             assert!(stats.cycles > 0, "overflow under {mode}");
         }
@@ -111,7 +109,7 @@ fn sparse_and_overflow_directories_quiesce_under_every_fault_mode() {
 
 #[test]
 fn nack_mode_counts_nacks_and_retries() {
-    let cfg = MachineConfig::tiny(6).with_fault(FaultPlan::nack(0.05));
+    let cfg = MachineConfig { fault_plan: Some(FaultPlan::nack(0.05)), ..MachineConfig::tiny(6) };
     let stats = run_faulty(cfg, 24, 0xFA041);
     assert!(stats.faults.nacks > 0, "no NACKs injected: {:?}", stats.faults);
     assert!(stats.faults.retries > 0, "no retries issued: {:?}", stats.faults);
@@ -125,7 +123,7 @@ fn nack_mode_counts_nacks_and_retries() {
 
 #[test]
 fn dup_mode_counts_duplicates_and_dropped_strays() {
-    let cfg = MachineConfig::tiny(6).with_fault(FaultPlan::dup(0.05));
+    let cfg = MachineConfig { fault_plan: Some(FaultPlan::dup(0.05)), ..MachineConfig::tiny(6) };
     let stats = run_faulty(cfg, 24, 0xFA049);
     assert!(stats.faults.duplicates > 0, "no duplicates: {:?}", stats.faults);
     assert!(
@@ -137,11 +135,11 @@ fn dup_mode_counts_duplicates_and_dropped_strays() {
 
 #[test]
 fn delay_and_reorder_modes_count_their_injections() {
-    let cfg = MachineConfig::tiny(6).with_fault(FaultPlan::delay(0.05, 200));
+    let cfg = MachineConfig { fault_plan: Some(FaultPlan::delay(0.05, 200)), ..MachineConfig::tiny(6) };
     let stats = run_faulty(cfg, 24, 0xFA057);
     assert!(stats.faults.delay_spikes > 0, "{:?}", stats.faults);
 
-    let cfg = MachineConfig::tiny(6).with_fault(FaultPlan::reorder(0.05, 100));
+    let cfg = MachineConfig { fault_plan: Some(FaultPlan::reorder(0.05, 100)), ..MachineConfig::tiny(6) };
     let stats = run_faulty(cfg, 24, 0xFA057);
     assert!(stats.faults.reorders > 0, "{:?}", stats.faults);
 }
@@ -151,7 +149,8 @@ fn combined_fault_modes_still_quiesce() {
     let plan = FaultPlan::parse("nack:0.03,dup:0.02,delay:0.03:150,reorder:0.03:80")
         .expect("valid spec");
     for scheme in [Scheme::FullVector, Scheme::dir_nb(3), Scheme::dir_cv(3, 2)] {
-        let cfg = MachineConfig::tiny(6).with_scheme(scheme).with_fault(plan);
+        let cfg = MachineConfig::tiny(6).with_scheme(scheme);
+        let cfg = MachineConfig { fault_plan: Some(plan), ..cfg };
         let stats = run_faulty(cfg, 24, 0xFA065);
         assert!(stats.faults.nacks > 0 && stats.faults.duplicates > 0, "{:?}", stats.faults);
     }
@@ -180,9 +179,11 @@ fn permanent_nacks_trip_the_livelock_watchdog() {
     // nack_prob = 1.0 refuses every coherence request forever: the retry
     // loop never converges, so the watchdog must end the run and name the
     // starving processor.
-    let cfg = MachineConfig::tiny(2)
-        .with_fault(FaultPlan::nack(1.0))
-        .with_watchdog(50_000);
+    let cfg = MachineConfig {
+        fault_plan: Some(FaultPlan::nack(1.0)),
+        watchdog_cycles: 50_000,
+        ..MachineConfig::tiny(2)
+    };
     let programs: Vec<Script> = vec![
         Script::from(vec![]),
         // Block 0's home is cluster 0, so cluster 1's read is remote.
@@ -277,7 +278,8 @@ fn run_panics_with_the_formatted_post_mortem() {
 fn message_arena_stays_sound_under_fault_churn() {
     let plan = FaultPlan::parse("dup:0.04,delay:0.04:180,reorder:0.04:90").expect("valid spec");
     for scheme in all_schemes() {
-        let cfg = MachineConfig::tiny(6).with_scheme(scheme).with_fault(plan);
+        let cfg = MachineConfig::tiny(6).with_scheme(scheme);
+        let cfg = MachineConfig { fault_plan: Some(plan), ..cfg };
         let stats = run_faulty(cfg, 48, 0xFA073);
         assert!(
             stats.faults.duplicates > 0

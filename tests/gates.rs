@@ -38,8 +38,6 @@ fn engine_lines(krates: &[&str]) -> Vec<Line> {
     non_test_lines(&dirs)
 }
 
-/// Every line above its file's first `#[cfg(test)]`, over the Rust files
-/// under `dirs`.
 /// The lines above each file's first `#[cfg(test)]`, over every `.rs`
 /// file under `paths` (a path may also name one file).
 fn non_test_lines(paths: &[PathBuf]) -> Vec<Line> {
@@ -262,6 +260,150 @@ fn the_readers_stay_within_their_line_ceiling() {
     let paths = ["crates/trace/src", "src/bin", "crates/bench/src/bin/repro.rs", "crates/bench/src/cli.rs"];
     let lines = non_test_lines(&paths.map(|p| root.join(p))).len();
     assert!(lines <= READERS_CEILING, "{lines} non-test lines, ceiling {READERS_CEILING}");
+}
+
+/// Every crate's `src` directory.
+fn crate_sources(root: &Path) -> Vec<PathBuf> {
+    let crates = std::fs::read_dir(root.join("crates")).expect("a crates directory");
+    let mut dirs: Vec<PathBuf> =
+        crates.map(|c| c.expect("a directory entry").path().join("src")).collect();
+    dirs.sort();
+    dirs
+}
+
+/// The non-test lines of every crate's `src`, at most, counted as the
+/// readers are. Code that goes lowers it in the same diff; a change that
+/// grows the crates raises it in its own.
+const ENGINE_CEILING: usize = 23_501;
+
+#[test]
+fn the_crates_stay_within_their_line_ceiling() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lines = non_test_lines(&crate_sources(root)).len();
+    assert!(lines <= ENGINE_CEILING, "{lines} non-test lines, ceiling {ENGINE_CEILING}");
+}
+
+/// Both ceilings count a file down to its first `#[cfg(test)]`, so that
+/// line must open the test modules that end the file: under
+/// `crates/*/src` and `src`, every `#[cfg(test)]` is followed by a `mod`,
+/// and after the first one only those modules start in column 0. A
+/// test-only `fn` in mid-file would otherwise hide the rest of its file
+/// from both counts.
+#[test]
+fn test_code_ends_its_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in crate_sources(root).into_iter().chain([root.join("src")]) {
+        rust_files(&dir, &mut files);
+    }
+    let is_mod = |l: &str| ["mod ", "pub mod ", "pub(crate) mod "].iter().any(|m| l.starts_with(m));
+    let mut found = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        let lines: Vec<&str> = text.lines().collect();
+        let Some(first) = lines.iter().position(|l| l.contains("#[cfg(test)]")) else { continue };
+        for (n, line) in lines.iter().enumerate().skip(first) {
+            let item = line.trim_start();
+            let starts_item = line.starts_with(|c: char| !c.is_whitespace() && c != '}');
+            let after_cfg = n > first && lines[n - 1].contains("#[cfg(test)]");
+            let allowed = if line.contains("#[cfg(test)]") {
+                lines.get(n + 1).is_some_and(|next| is_mod(next.trim_start()))
+            } else {
+                !starts_item || (after_cfg && is_mod(item))
+            };
+            if !allowed {
+                found.push(format!("{}:{}: {line}", file.display(), n + 1));
+            }
+        }
+    }
+    assert!(files.len() > 50, "the source trees were found");
+    assert!(found.is_empty(), "code after a file's test modules:\n{}", found.join("\n"));
+}
+
+/// Whether `text` holds `name` as a whole identifier.
+fn mentions(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(name)
+        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + name.len()..].starts_with(ident))
+}
+
+/// Every `pub fn` of the crates and the root library has a caller outside
+/// tests: a code line of the crates, the binaries, the examples, the
+/// benches or `benchmark/src` that names it as a whole word, other than
+/// its definition. (`benchmark/src` changes only with the benchmark, so
+/// what it alone calls waits for that change; ROADMAP item 1(a).) The
+/// exceptions are `tests/test_hooks.txt`, one name and its reason a line:
+/// hooks that tests reach on purpose, and references that claim tests
+/// compare against. A new uncalled function fails here, and so does a
+/// listed name that gained a caller or is gone.
+#[test]
+fn every_public_function_has_a_caller() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let defining: Vec<PathBuf> = crate_sources(root).into_iter().chain([root.join("src")]).collect();
+    let benches = crate_sources(root).into_iter().map(|src| src.with_file_name("benches"));
+    let calling: Vec<PathBuf> = defining
+        .iter()
+        .cloned()
+        .chain(benches.filter(|b| b.is_dir()))
+        .chain(["examples", "benchmark/src"].map(|d| root.join(d)))
+        .collect();
+    let code: Vec<Line> =
+        non_test_lines(&calling).into_iter().filter(|l| !l.text.starts_with("//")).collect();
+    let defined_name = |l: &Line| {
+        let rest = l.text.split_once("pub fn ").or_else(|| l.text.split_once("pub const fn "))?.1;
+        let name: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+        Some(name)
+    };
+    let uncalled: std::collections::BTreeMap<String, &Line> = code
+        .iter()
+        .filter(|l| defining.iter().any(|d| l.file.starts_with(d)))
+        .filter_map(|def| Some((defined_name(def)?, def)))
+        .filter(|(name, def)| !code.iter().any(|l| !std::ptr::eq(l, *def) && mentions(&l.text, name)))
+        .collect();
+    let hooks = std::fs::read_to_string(root.join("tests/test_hooks.txt")).expect("the hook list");
+    let listed: std::collections::BTreeSet<&str> = hooks
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| {
+            let (name, reason) = l.split_once(' ').unwrap_or((l, ""));
+            assert!(!reason.trim().is_empty(), "tests/test_hooks.txt: `{name}` has no reason");
+            name
+        })
+        .collect();
+    assert!(code.len() > 20_000, "the source trees were found");
+    let unlisted: Vec<String> = uncalled
+        .iter()
+        .filter(|(name, _)| !listed.contains(name.as_str()))
+        .map(|(_, l)| l.to_string())
+        .collect();
+    let stale: Vec<&&str> = listed.iter().filter(|name| !uncalled.contains_key(**name)).collect();
+    assert!(
+        unlisted.is_empty() && stale.is_empty(),
+        "public functions nothing but tests calls:\n{}\nin tests/test_hooks.txt, but called or gone: {stale:?}",
+        unlisted.join("\n")
+    );
+}
+
+/// One pseudo-random generator (DESIGN.md §6): xorshift64*'s multiplier
+/// occurs in the non-test code of `crates/sim/src/rng.rs` and nowhere
+/// else, so every random stream (workloads, faults, random victims,
+/// Figure 2, `scd-check --walk`) is a `SimRng`. The dev-only proptest
+/// stand-in keeps its own, as the external crate it replaces would.
+#[test]
+fn one_random_generator() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths = crate_sources(root);
+    paths.extend(["src", "examples", "benchmark/src"].map(|d| root.join(d)));
+    let lines = non_test_lines(&paths);
+    let multiplier = |l: &&Line| l.text.replace('_', "").to_lowercase().contains("2545f4914f6cdd1d");
+    let found: Vec<&Line> = lines
+        .iter()
+        .filter(multiplier)
+        .filter(|l| !l.file.ends_with("crates/sim/src/rng.rs"))
+        .filter(|l| !l.file.starts_with(root.join("crates/proptest-shim")))
+        .collect();
+    assert!(lines.iter().filter(multiplier).count() > found.len(), "SimRng's multiplier was found");
+    assert!(found.is_empty(), "a second xorshift64*:\n{}", listing(&found));
 }
 
 /// Every file and directory of the repository (build output and VCS data

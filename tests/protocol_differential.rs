@@ -161,9 +161,7 @@ fn kernels() -> Vec<Kernel> {
 }
 
 fn config(protocol: ProtocolKind) -> MachineConfig {
-    MachineConfig::tiny(CLUSTERS)
-        .with_protocol(protocol)
-        .with_value_oracle()
+    MachineConfig { value_oracle: true, ..MachineConfig::tiny(CLUSTERS).with_protocol(protocol) }
 }
 
 fn run_solo(kernel: &Kernel, cfg: MachineConfig) -> (ValueOracleReport, RunStats) {
@@ -190,7 +188,8 @@ fn a_forwarded_read_sees_the_owners_write_with_or_without_invariant_checks() {
         ]
     };
     for check in [true, false] {
-        let mut cfg = MachineConfig::paper_32().with_value_oracle();
+        let mut cfg = MachineConfig::paper_32();
+        cfg.value_oracle = true;
         cfg.clusters = 3;
         cfg.check_invariants = check;
         let mut m = Machine::new(cfg, programs());
@@ -232,7 +231,7 @@ fn nack_fault_plan_preserves_the_differential() {
     let (baseline, _) = run_solo(&kernel, config(ProtocolKind::Dash));
     let mut nacks = 0;
     for protocol in ProtocolKind::ALL {
-        let cfg = config(protocol).with_fault(FaultPlan::nack(0.2));
+        let cfg = MachineConfig { fault_plan: Some(FaultPlan::nack(0.2)), ..config(protocol) };
         let (faulty, stats) = run_solo(&kernel, cfg);
         assert_eq!(
             baseline, faulty,
@@ -255,7 +254,8 @@ fn dup_delay_reorder_fault_plan_preserves_the_differential() {
     for kernel in kernels() {
         let (baseline, _) = run_solo(&kernel, config(ProtocolKind::Dash));
         for protocol in ProtocolKind::ALL {
-            let (faulty, stats) = run_solo(&kernel, config(protocol).with_fault(plan));
+            let cfg = MachineConfig { fault_plan: Some(plan), ..config(protocol) };
+            let (faulty, stats) = run_solo(&kernel, cfg);
             assert_eq!(
                 baseline, faulty,
                 "{}: {protocol:?} diverged under dup+delay+reorder",

@@ -78,9 +78,8 @@ fn disabled_tracing_is_bit_identical() {
 fn active_tracing_does_not_perturb_the_run() {
     for protocol in ProtocolKind::ALL {
         let run = |trace: Option<TraceConfig>, sink: bool| {
-            let mut cfg = MachineConfig::tiny(6)
-                .with_protocol(protocol)
-                .with_value_oracle();
+            let mut cfg = MachineConfig::tiny(6).with_protocol(protocol);
+            cfg.value_oracle = true;
             cfg.trace = trace;
             let programs = random_programs(cfg.processors(), 120, 24, 0.4, 0x7E1E);
             let mut machine = Machine::new(cfg, programs);
@@ -197,9 +196,8 @@ fn windows_closing_on_one_event_stream_whole_and_in_order() {
 /// its request) and monotonically backed-off retries.
 #[test]
 fn recorded_trace_replays_with_lifecycle_invariants_intact() {
-    let mut cfg = MachineConfig::tiny(6)
-        .with_fault(FaultPlan::nack(0.25))
-        .with_trace(TraceConfig::full(1 << 16));
+    let mut cfg = MachineConfig::tiny(6).with_trace(TraceConfig::full(1 << 16));
+    cfg.fault_plan = Some(FaultPlan::nack(0.25));
     cfg.watchdog_cycles = 1_000_000;
     let programs = random_programs(cfg.processors(), 250, 24, 0.4, 0xBEEF);
     let mut machine = Machine::new(cfg, programs);
@@ -327,9 +325,8 @@ fn span_tree_is_well_formed_for_a_clean_run() {
 /// issue phases, and the span builder may not tangle them.
 #[test]
 fn span_tree_is_well_formed_under_nack_retry_faults() {
-    let mut cfg = MachineConfig::tiny(6)
-        .with_fault(FaultPlan::nack(0.25))
-        .with_trace(TraceConfig::full(1 << 16));
+    let mut cfg = MachineConfig::tiny(6).with_trace(TraceConfig::full(1 << 16));
+    cfg.fault_plan = Some(FaultPlan::nack(0.25));
     cfg.watchdog_cycles = 1_000_000;
     let programs = random_programs(cfg.processors(), 250, 24, 0.4, 0xBEEF);
     let mut machine = Machine::new(cfg, programs);
@@ -402,10 +399,11 @@ fn perfetto_export_of_every_app_is_the_text_a_json_tree_would_render() {
 /// starving cluster's trace tail, and the rendered report must show it.
 #[test]
 fn post_mortem_attaches_trace_tails_for_stuck_clusters() {
-    let cfg = MachineConfig::tiny(2)
-        .with_fault(FaultPlan::nack(1.0))
-        .with_watchdog(50_000)
-        .with_trace(TraceConfig::full(256));
+    let cfg = MachineConfig {
+        fault_plan: Some(FaultPlan::nack(1.0)),
+        watchdog_cycles: 50_000,
+        ..MachineConfig::tiny(2).with_trace(TraceConfig::full(256))
+    };
     let programs: Vec<Script> = vec![
         Script::from(vec![]),
         // Block 0's home is cluster 0, so cluster 1's read is remote and
@@ -434,9 +432,11 @@ fn post_mortem_attaches_trace_tails_for_stuck_clusters() {
 /// Without tracing the post-mortem stays as PR 1 shipped it: no tails.
 #[test]
 fn post_mortem_has_no_tails_when_tracing_is_off() {
-    let cfg = MachineConfig::tiny(2)
-        .with_fault(FaultPlan::nack(1.0))
-        .with_watchdog(50_000);
+    let cfg = MachineConfig {
+        fault_plan: Some(FaultPlan::nack(1.0)),
+        watchdog_cycles: 50_000,
+        ..MachineConfig::tiny(2)
+    };
     let programs: Vec<Script> = vec![
         Script::from(vec![]),
         Script::from(vec![Op::Read(0)]),
@@ -455,7 +455,7 @@ fn run_streamed(
     let mut cfg = MachineConfig::tiny(6);
     cfg.trace = Some(trace);
     if let Some(f) = fault {
-        cfg = cfg.with_fault(f);
+        cfg.fault_plan = Some(f);
         cfg.watchdog_cycles = 1_000_000;
     }
     let programs = random_programs(cfg.processors(), 250, 24, 0.4, seed);
@@ -529,9 +529,8 @@ fn streamed_trace_survives_nack_and_delay_faults() {
 fn stale_duplicate_deliveries_are_not_attributed_to_successor_txns() {
     for seed in [0xBEEFu64, 0x7E1E, 11, 23, 99] {
         let plan = FaultPlan::parse("nack:0.05,dup:0.1,delay:0.05:150").expect("fault spec");
-        let mut cfg = MachineConfig::tiny(6)
-            .with_fault(plan)
-            .with_trace(TraceConfig::full(1 << 16));
+        let mut cfg = MachineConfig::tiny(6).with_trace(TraceConfig::full(1 << 16));
+        cfg.fault_plan = Some(plan);
         cfg.watchdog_cycles = 1_000_000;
         let programs = random_programs(cfg.processors(), 400, 12, 0.5, seed);
         let mut machine = Machine::new(cfg, programs);
@@ -909,10 +908,8 @@ fn every_recorded_line_decodes_and_renders_back_byte_for_byte() {
     for protocol in ProtocolKind::ALL {
         let mut tc = TraceConfig::full(1 << 16);
         tc.patterns = true;
-        let mut cfg = MachineConfig::tiny(6)
-            .with_protocol(protocol)
-            .with_fault(FaultPlan::nack(0.1))
-            .with_trace(tc);
+        let mut cfg = MachineConfig::tiny(6).with_protocol(protocol).with_trace(tc);
+        cfg.fault_plan = Some(FaultPlan::nack(0.1));
         cfg.watchdog_cycles = 1_000_000;
         let programs = random_programs(cfg.processors(), 150, 24, 0.4, 0xC0DE);
         let mut machine = Machine::new(cfg, programs);
@@ -1015,7 +1012,7 @@ fn five_recordings() -> Vec<(&'static str, Machine, Vec<String>)> {
         tc.patterns = true;
         let mut cfg = MachineConfig::tiny(6).with_protocol(protocol).with_trace(tc);
         if let Some(spec) = fault {
-            cfg = cfg.with_fault(FaultPlan::parse(spec).expect("fault spec"));
+            cfg.fault_plan = Some(FaultPlan::parse(spec).expect("fault spec"));
             cfg.watchdog_cycles = 1_000_000;
         }
         cfg.max_cycles = max_cycles.unwrap_or(cfg.max_cycles);
