@@ -47,6 +47,10 @@ fn main() {
     if chosen.is_empty() {
         chosen = ARTIFACTS.iter().collect();
     }
+    let dir = Path::new("results");
+    if checking && !dir.is_dir() {
+        refuse("results/ not found in the working directory (--check compares with it)");
+    }
 
     let t0 = std::time::Instant::now();
     let out = regenerate(&chosen, scale, jobs);
@@ -57,7 +61,6 @@ fn main() {
         t0.elapsed().as_secs_f64(),
         out.jobs
     );
-    let dir = Path::new("results");
     if checking {
         let differences = check(dir, &out.sheets);
         for d in &differences {

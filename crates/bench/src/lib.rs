@@ -28,7 +28,7 @@ pub use runner::{
     sparse_config, sparse_config_with, write_bench_json_in, SPARSE_CACHE_RATIO,
 };
 pub use sweep::{
-    app_fits, build_config, generate_app, parse_scale, parse_seed, run_sweep, run_sweep_with,
+    build_config, generate_app, parse_scale, parse_seed, run_sweep, run_sweep_with,
     sweep_begin_record, sweep_document, sweep_end_record, RunDescriptor, SparseVariant, SweepOutcome, SweepProgress,
     SweepRun, SweepSpec, APP_NAMES, CANONICAL_SPARSE,
 };

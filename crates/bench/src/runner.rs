@@ -20,11 +20,6 @@ pub fn scheme_suite() -> Vec<(&'static str, Scheme)> {
 
 /// Runs `app` on an explicit machine configuration.
 pub fn run_app_with(app: &AppRun, cfg: MachineConfig) -> RunStats {
-    assert_eq!(
-        app.programs.len(),
-        cfg.processors(),
-        "application generated for a different machine size"
-    );
     Machine::new(cfg, app.scripts()).run()
 }
 
@@ -43,11 +38,6 @@ pub fn run_app_attributed(
     app: &AppRun,
     cfg: MachineConfig,
 ) -> (RunStats, Option<Json>, Option<Json>) {
-    assert_eq!(
-        app.programs.len(),
-        cfg.processors(),
-        "application generated for a different machine size"
-    );
     let mut tc = TraceConfig::none();
     tc.attribution = true;
     let mut machine = Machine::new(cfg.with_trace(tc), app.scripts());

@@ -46,28 +46,20 @@ const _: () = {
 /// Generator keys accepted in sweep grids, in canonical order.
 pub const APP_NAMES: [&str; 4] = ["lu", "dwf", "mp3d", "locusroute"];
 
-/// Generates the reference program for one generator key, or `None` for an
-/// unknown key.
-pub fn generate_app(name: &str, procs: usize, seed: u64, scale: f64) -> Option<AppRun> {
-    Some(match name {
+/// Generates the reference program for one generator key, or refuses an unknown
+/// key or an MP3D problem with fewer particles than processors to share them.
+pub fn generate_app(name: &str, procs: usize, seed: u64, scale: f64) -> Result<AppRun, String> {
+    let too_few = |n| format!("mp3d at --scale {scale} has {n} particles, too few for {procs} processors");
+    Ok(match name {
         "lu" => lu(&LuParams::scaled(scale), procs, seed),
         "dwf" => dwf(&DwfParams::scaled(scale), procs, seed),
-        "mp3d" => mp3d(&Mp3dParams::scaled(scale), procs, seed),
+        "mp3d" => match Mp3dParams::scaled(scale) {
+            p if p.particles < procs => return Err(too_few(p.particles)),
+            p => mp3d(&p, procs, seed),
+        },
         "locusroute" => locusroute(&LocusRouteParams::scaled(scale), procs, seed),
-        _ => return None,
+        _ => return Err(format!("unknown app `{name}` (want {})", APP_NAMES.join(" | "))),
     })
-}
-
-/// Refuses a problem the generator cannot split over `procs` processors:
-/// MP3D splits its particles evenly, so each processor needs one.
-pub fn app_fits(name: &str, procs: usize, scale: f64) -> Result<(), String> {
-    let particles = Mp3dParams::scaled(scale).particles;
-    if name == "mp3d" && particles < procs {
-        return Err(format!(
-            "mp3d at --scale {scale} has {particles} particles, too few for {procs} processors"
-        ));
-    }
-    Ok(())
 }
 
 /// One sparse-directory axis value: the full (complete) directory, or a
@@ -278,21 +270,20 @@ impl SweepSpec {
     /// Generates the shared reference-program table: one entry per
     /// (app, seed) pair, indexed by [`RunDescriptor::app_idx`]. Programs
     /// are generated **once** here and shared immutably by every worker.
-    ///
-    /// # Panics
-    /// On unknown generator keys — validate CLI input with
-    /// [`generate_app`] first.
-    pub fn generate_apps(&self) -> Vec<AppRun> {
-        let mut table = Vec::with_capacity(self.apps.len() * self.seeds.len());
-        for app in &self.apps {
-            for &seed in &self.seeds {
-                table.push(
-                    generate_app(app, self.clusters, seed, self.scale)
-                        .unwrap_or_else(|| panic!("unknown app `{app}`")),
-                );
-            }
+    /// Refuses what [`MachineConfig::validate`] refuses of a point's machine
+    /// (before and after [`build_config`] sizes it) or [`generate_app`] does.
+    pub fn generate_apps(&self) -> Result<Vec<AppRun>, String> {
+        let descs = self.descriptors();
+        for desc in &descs {
+            point_machine(desc, self).validate()?;
         }
-        table
+        let table = (self.apps.iter())
+            .flat_map(|app| self.seeds.iter().map(move |&seed| generate_app(app, self.clusters, seed, self.scale)))
+            .collect::<Result<Vec<_>, _>>()?;
+        for desc in &descs {
+            build_config(desc, &table[desc.app_idx], self).validate()?;
+        }
+        Ok(table)
     }
 }
 
@@ -323,18 +314,20 @@ pub struct RunDescriptor {
 /// The machine configuration for one descriptor (pure function of the
 /// descriptor, the app and the grid — workers call it independently).
 pub fn build_config(desc: &RunDescriptor, app: &AppRun, spec: &SweepSpec) -> MachineConfig {
-    let mut base = MachineConfig::paper_32()
-        .with_scheme(desc.scheme)
-        .with_protocol(desc.protocol);
-    base.clusters = spec.clusters;
     match desc.sparse {
-        SparseVariant::Full => base,
+        SparseVariant::Full => point_machine(desc, spec),
         SparseVariant::Sparse {
             size_factor,
             ways,
             policy,
-        } => sparse_config_with(base, app, size_factor, ways, policy),
+        } => sparse_config_with(point_machine(desc, spec), app, size_factor, ways, policy),
     }
+}
+
+/// A point's machine before [`build_config`] sizes it for its app.
+fn point_machine(desc: &RunDescriptor, spec: &SweepSpec) -> MachineConfig {
+    let cfg = MachineConfig::paper_32().with_scheme(desc.scheme).with_protocol(desc.protocol);
+    MachineConfig { clusters: spec.clusters, ..cfg }
 }
 
 /// One finished grid point.
@@ -359,7 +352,7 @@ pub struct SweepOutcome {
     pub runs: Vec<SweepRun>,
     /// Worker threads actually used.
     pub jobs: usize,
-    /// Wall-clock seconds for the whole sweep (including app generation).
+    /// Wall-clock seconds for the grid's runs (app generation excluded).
     pub wall_seconds: f64,
     /// The shared reference-program table (indexed by `app_idx`).
     pub apps: Vec<AppRun>,
@@ -465,28 +458,31 @@ pub fn sweep_end_record(outcome: &SweepOutcome) -> Json {
         .with("serial_seconds", Json::F64(outcome.serial_seconds()))
 }
 
-/// Runs the grid on `jobs` worker threads (clamped to the grid size;
-/// `<= 1` runs inline on the caller's thread).
+/// Generates `spec`'s apps and runs the grid on `jobs` worker threads
+/// (clamped to the grid size; `<= 1` runs inline on the caller's thread),
+/// panicking with the refusal if [`SweepSpec::generate_apps`] refuses it.
 ///
 /// Determinism: each worker constructs its own `Machine` from the shared,
 /// immutable spec/app table, so per-run statistics cannot depend on
 /// scheduling; the merge below is by descriptor index, so the output order
 /// cannot either.
 pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepOutcome {
-    run_sweep_with(spec, jobs, &mut |_| {})
+    let apps = spec.generate_apps().unwrap_or_else(|e| panic!("{e}"));
+    run_sweep_with(spec, apps, jobs, &mut |_| {})
 }
 
-/// [`run_sweep`] with a progress callback, invoked once per completed
-/// run — always from the caller's thread (the merge loop), never from a
-/// worker, so the callback needs no synchronization and arrives in
-/// completion order.
+/// [`run_sweep`] on the table [`SweepSpec::generate_apps`] returned (so a
+/// front end refuses a grid before announcing it), with a progress
+/// callback, invoked once per completed run — always from the caller's
+/// thread (the merge loop), never from a worker, so the callback needs no
+/// synchronization and arrives in completion order.
 pub fn run_sweep_with(
     spec: &SweepSpec,
+    apps: Vec<AppRun>,
     jobs: usize,
     on_run: &mut dyn FnMut(SweepProgress),
 ) -> SweepOutcome {
     let t0 = Instant::now();
-    let apps = spec.generate_apps();
     let descs = spec.descriptors();
     let n = descs.len();
     let mut slots: Vec<Option<SweepRun>> = (0..n).map(|_| None).collect();
@@ -842,7 +838,8 @@ mod tests {
         let baseline = sweep_document(&run_sweep(&spec, 1), &spec, false).to_string();
         for jobs in [1usize, 3] {
             let mut events: Vec<SweepProgress> = Vec::new();
-            let outcome = run_sweep_with(&spec, jobs, &mut |p| events.push(p));
+            let apps = spec.generate_apps().expect("the micro grid is valid");
+            let outcome = run_sweep_with(&spec, apps, jobs, &mut |p| events.push(p));
             let n = outcome.runs.len();
             assert_eq!(events.len(), n, "one callback per run (jobs={jobs})");
             let mut indices: Vec<usize> = events.iter().map(|p| p.index).collect();

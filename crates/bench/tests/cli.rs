@@ -4,8 +4,12 @@
 
 use std::process::{Command, Output};
 
+/// Runs `repro` in an empty directory, which has no `results/`.
 fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("spawn repro")
+    let dir = std::env::temp_dir().join(format!("scd-repro-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let run = Command::new(env!("CARGO_BIN_EXE_repro")).current_dir(&dir).args(args).output();
+    run.expect("spawn repro")
 }
 
 /// `args` are refused in two stderr lines, the first saying `reason`.
@@ -33,6 +37,14 @@ fn a_scale_out_of_range_is_refused_as_parse_scale_refuses_it() {
 #[test]
 fn an_unknown_artifact_is_refused_in_two_lines() {
     refused(&["fig99"], "unknown artifact or flag `fig99`");
+}
+
+/// Without `results/` there is nothing to compare with: refused before
+/// any simulation, not reported as every file differing.
+#[test]
+fn check_without_results_is_refused_before_regenerating() {
+    let reason = "results/ not found in the working directory (--check compares with it)";
+    refused(&["--check", "table1"], reason);
 }
 
 #[test]

@@ -278,8 +278,8 @@ pub fn corpus() -> Vec<Litmus> {
 /// Every scheme × organization combination the corpus is checked under:
 /// dense (full-vector), 1-pointer broadcast / no-broadcast / superset,
 /// coarse-vector — each over a complete and a deliberately tiny sparse
-/// directory — plus the overflow organization (which fixes its own
-/// pointer scheme).
+/// directory — plus the overflow organization under the `Dir1NB` its
+/// entries are.
 pub fn scenarios() -> Vec<Scenario> {
     let schemes: [(&str, Scheme); 5] = [
         ("dense", Scheme::FullVector),
@@ -363,20 +363,8 @@ impl Litmus {
     /// The machine configuration for this litmus under `scenario`.
     pub fn config(&self, scenario: &Scenario, trace: bool) -> MachineConfig {
         let mut cfg = MachineConfig::tiny(self.clusters).with_protocol(scenario.protocol);
-        match &scenario.organization {
-            &Organization::Overflow {
-                i,
-                wide_entries,
-                wide_ways,
-                policy,
-            } => {
-                cfg = cfg.with_overflow(i, wide_entries, wide_ways, policy);
-            }
-            org => {
-                cfg.scheme = scenario.scheme;
-                cfg.organization = org.clone();
-            }
-        }
+        cfg.scheme = scenario.scheme;
+        cfg.organization = scenario.organization.clone();
         if trace {
             cfg = cfg.with_trace(TraceConfig::full(16 * 1024));
         }

@@ -253,7 +253,9 @@ impl MachineConfig {
 
     /// Switches to an overflow directory (§7 future work): `i`-pointer
     /// small entries per block plus `wide_entries` full-vector slots per
-    /// home, `wide_ways`-associative.
+    /// home, `wide_ways`-associative. It sets the scheme to `Dir_i NB`, the
+    /// small entries' format (entry-level operations such as `make_dirty`
+    /// honour it), the only one [`MachineConfig::validate`] accepts here.
     pub fn with_overflow(
         mut self,
         i: usize,
@@ -267,8 +269,6 @@ impl MachineConfig {
             wide_ways,
             policy,
         };
-        // Entry-level operations still honour the scheme for make_dirty /
-        // waiter queues; pointers-only NB matches the small entries.
         self.scheme = Scheme::dir_nb(i);
         self
     }
@@ -302,10 +302,17 @@ impl MachineConfig {
 
     /// Checks the geometry the constructors downstream would otherwise
     /// assert on (cluster and processor counts, cache and directory
-    /// shapes, pointer counts, a fault plan's cycle bounds), so a front
-    /// end can refuse a bad command line instead of panicking. The error
-    /// names the field and its value.
+    /// shapes, pointer counts, a fault plan's cycle bounds) and that an
+    /// overflow organization runs its `Dir_i NB` entries. The error is
+    /// `refused configuration: `, the field and its value.
+    /// [`Machine::try_new`](crate::Machine::try_new) calls it on every
+    /// machine; `scdsim` and the sweep engine call it before generating
+    /// programs sized by it.
     pub fn validate(&self) -> Result<(), String> {
+        self.check_geometry().map_err(|e| format!("refused configuration: {e}"))
+    }
+
+    fn check_geometry(&self) -> Result<(), String> {
         let sets = |what: &str, blocks: usize, ways: usize| {
             if ways >= 1 && blocks >= ways && blocks.is_multiple_of(ways) {
                 Ok(())
@@ -348,6 +355,12 @@ impl MachineConfig {
             } => {
                 pointers("overflow pointer count", i)?;
                 sets("overflow wide entries:ways", wide_entries, wide_ways)?;
+                if self.scheme != Scheme::dir_nb(i) {
+                    let (asked, nb) = (self.scheme.name(self.clusters), Scheme::dir_nb(i).name(self.clusters));
+                    return Err(format!(
+                        "scheme = {asked} under organization = overflow (its entries are {nb}; want that scheme)"
+                    ));
+                }
                 Some("overflow")
             }
         };

@@ -43,9 +43,9 @@ pub use stats::{DlsCounters, FaultCounters, RunStats, TardisCounters};
 pub struct ShardedMachine(Machine);
 
 impl ShardedMachine {
-    /// A serial machine; `shards` is ignored and the result is always `Ok`.
+    /// A serial machine or [`Machine::try_new`]'s refusal; `shards` is ignored.
     pub fn new(cfg: MachineConfig, programs: Vec<scd_tango::Script>, _shards: usize) -> Result<Self, String> {
-        Ok(ShardedMachine(Machine::new(cfg, programs)))
+        Machine::try_new(cfg, programs).map(ShardedMachine)
     }
 }
 

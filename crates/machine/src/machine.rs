@@ -324,17 +324,29 @@ impl Tally {
 }
 
 impl Machine {
-    /// Builds a machine and attaches one [`Script`] per processor.
+    /// [`Machine::try_new`] for a configuration and programs known to fit.
     ///
     /// # Panics
-    /// If the number of programs does not match `cfg.processors()`.
+    /// With `try_new`'s refusal as the message.
     pub fn new(cfg: MachineConfig, programs: Vec<Script>) -> Self {
+        Machine::try_new(cfg, programs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a machine and attaches one [`Script`] per processor, or
+    /// refuses: what [`MachineConfig::validate`] refuses, then a program
+    /// count other than `cfg.processors()`.
+    pub fn try_new(cfg: MachineConfig, programs: Vec<Script>) -> Result<Self, String> {
+        cfg.validate()?;
+        let (n, procs) = (programs.len(), cfg.processors());
+        if n != procs {
+            return Err(format!("programs = {n} for {procs} processors (want one per processor)"));
+        }
         let backend = Backend::new(&cfg);
         let hints = cfg.replacement_hints && backend.takes_hints();
-        Machine {
+        Ok(Machine {
             eng: Engine::new(cfg, programs, hints),
             backend,
-        }
+        })
     }
 
     /// The configuration this machine was built with.
@@ -689,11 +701,6 @@ impl Machine {
 
 impl Engine {
     fn new(cfg: MachineConfig, programs: Vec<Script>, hints: bool) -> Self {
-        assert_eq!(
-            programs.len(),
-            cfg.processors(),
-            "need one program per processor"
-        );
         let clusters: Vec<ClusterNode> = (0..cfg.clusters)
             .map(|c| ClusterNode {
                 caches: ClusterCaches::new(cfg.procs_per_cluster, || {

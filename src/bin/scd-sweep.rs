@@ -10,11 +10,11 @@
 
 use bench::cli::{fail, refuse, write, Args};
 use bench::{
-    app_fits, generate_app, parse_scale, parse_seed, run_sweep_with, sweep_begin_record,
-    sweep_document, sweep_end_record, write_bench_json_in, SparseVariant, SweepSpec,
+    parse_scale, parse_seed, run_sweep_with, sweep_begin_record, sweep_document,
+    sweep_end_record, write_bench_json_in, SparseVariant, SweepSpec,
 };
 use scd::core::Scheme;
-use scd::machine::{MachineConfig, ProtocolKind};
+use scd::machine::ProtocolKind;
 use scd::trace::{JsonlFileSink, TraceSink};
 use std::io::IsTerminal;
 
@@ -86,12 +86,7 @@ fn main() {
             "--seeds" => spec.seeds = args.list(parse_seed),
             "--protocol" => spec.protocols = args.list(ProtocolKind::parse),
             "--scale" => spec.scale = args.parse_with(parse_scale),
-            "--clusters" => {
-                spec.clusters = args.parse_with(|v| match v.parse() {
-                    Ok(n) if n >= 2 => Ok(n),
-                    _ => Err(format!("bad --clusters `{v}`")),
-                });
-            }
+            "--clusters" => spec.clusters = args.parse(),
             "--out" => out = Some(args.value()),
             "--bench-out" => bench_out = Some(args.value()),
             "--stream-out" => stream_out = Some(args.value()),
@@ -104,28 +99,11 @@ fn main() {
         }
     }
 
-    // Every grid point shares this geometry (a sparse point derives its
-    // entry count from its app, always a multiple of its ways).
-    for &scheme in &spec.schemes {
-        let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
-        cfg.clusters = spec.clusters;
-        if let Err(e) = cfg.validate() {
-            refuse(format_args!("refused configuration: {e}"));
-        }
-    }
-    for app in &spec.apps {
-        if generate_app(app, 2, 0, 0.01).is_none() {
-            let known = bench::APP_NAMES.join(",");
-            refuse(format_args!("unknown app `{app}` (want one of {known})"));
-        }
-        // A sweep runs one processor per cluster.
-        app_fits(app, spec.clusters, spec.scale).unwrap_or_else(|e| refuse(e));
-    }
-
     let points = spec.descriptors().len();
     if points == 0 {
         refuse("--protocol and --sparse leave no grid point (tardis and dls run only `full`)");
     }
+    let apps = spec.generate_apps().unwrap_or_else(|e| refuse(e));
 
     eprintln!(
         "[scd-sweep] {points} grid points ({} apps x {} protocols x {} schemes x {} sparse \
@@ -150,7 +128,7 @@ fn main() {
     // when requested, gets every record regardless and is flushed per run
     // so a dashboard can tail it.
     let progress_tty = std::io::stderr().is_terminal();
-    let outcome = run_sweep_with(&spec, jobs, &mut |p| {
+    let outcome = run_sweep_with(&spec, apps, jobs, &mut |p| {
         if progress_tty {
             eprintln!("[scd-sweep] {}", p.render());
         }

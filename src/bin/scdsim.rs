@@ -4,7 +4,7 @@
 //! README.md's "Exit codes" table says what each exit means.
 
 use bench::cli::{fail, refuse, write, Args};
-use bench::{app_fits, generate_app, parse_scale, parse_seed};
+use bench::{generate_app, parse_scale, parse_seed};
 use scd::core::{Replacement, Scheme};
 use scd::machine::{Machine, MachineConfig, ProtocolKind};
 use scd::noc::FaultPlan;
@@ -105,7 +105,7 @@ fn main() {
     let mut seed = 0xD45Bu64;
     let mut sparse: Option<(usize, usize, Replacement)> = None;
     let mut overflow: Option<(usize, usize, usize, Replacement)> = None;
-    let mut scheme_given = false;
+    let mut scheme: Option<Scheme> = None;
     let mut anatomy = false;
     let mut histogram = false;
     let mut trace_out: Option<String> = None;
@@ -120,7 +120,7 @@ fn main() {
         let flag = arg.as_str();
         match flag {
             "--app" => app_name = args.value(),
-            "--scheme" => (cfg.scheme, scheme_given) = (args.parse_with(Scheme::parse), true),
+            "--scheme" => scheme = Some(args.parse_with(Scheme::parse)),
             "--protocol" => cfg.protocol = args.parse_with(ProtocolKind::parse),
             "--clusters" => cfg.clusters = args.parse(),
             "--procs-per-cluster" => cfg.procs_per_cluster = args.parse(),
@@ -189,22 +189,18 @@ fn main() {
         cfg = cfg.with_sparse(entries, ways, policy);
     }
     if let Some((i, wide, ways, policy)) = overflow {
-        if scheme_given && cfg.scheme != Scheme::dir_nb(i) {
-            let asked = cfg.scheme.name(cfg.clusters);
-            refuse(format_args!("--scheme {asked} conflicts with --overflow, whose entries are Dir{i}NB"));
-        }
         cfg = cfg.with_overflow(i, wide, ways, policy);
     }
-
-    if let Err(e) = cfg.validate() {
-        refuse(format_args!("refused configuration: {e}"));
+    // After `with_overflow`, which sets its own scheme: `validate` then
+    // refuses a given scheme the overflow entries do not hold.
+    if let Some(scheme) = scheme {
+        cfg.scheme = scheme;
     }
 
+    // The workload's programs are sized by this geometry: check it first.
+    cfg.validate().unwrap_or_else(|e| refuse(e));
     let procs = cfg.processors();
-    app_fits(&app_name, procs, scale).unwrap_or_else(|e| refuse(e));
-    let app = generate_app(&app_name, procs, seed, scale).unwrap_or_else(|| {
-        refuse(format_args!("unknown app `{app_name}` (want lu | dwf | mp3d | locusroute)"))
-    });
+    let app = generate_app(&app_name, procs, seed, scale).unwrap_or_else(|e| refuse(e));
 
     println!(
         "{}: {} procs ({} clusters x {}), scheme {}{}, {} shared refs",

@@ -104,6 +104,10 @@ fn scd_check_truncated_search_exits_1_naming_the_bound() {
     }
 }
 
+/// `bench::generate_app`'s refusal, which `scdsim` and `scd-sweep` print
+/// alike.
+const UNKNOWN_APP: &str = "unknown app `quicksort` (want lu | dwf | mp3d | locusroute)";
+
 /// A refused command line exits 2 and names the flag and the value, not
 /// the whole option list.
 #[test]
@@ -124,7 +128,7 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--fault", "delay:1:18446744073709551615"], "bad --fault `delay:1:18446744073709551615`"),
         (&["--fault", "delay:1:9223372036854775808"], "bad --fault `delay:1:9223372036854775808`"),
         (&["--fault", "reorder:1:18446744073709551615"], "bad --fault `reorder:1:18446744073709551615`"),
-        (&["--app", "quicksort"], "unknown app `quicksort`"),
+        (&["--app", "quicksort"], UNKNOWN_APP),
         // Geometry the constructors would assert on is refused up front
         // (`MachineConfig::validate`), as is a scale outside (0, 1].
         (&["--clusters", "0"], "refused configuration: clusters = 0"),
@@ -134,10 +138,14 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--overflow", "0:4:2:lru"], "refused configuration: overflow pointer count = 0"),
         // The overflow organization runs `Dir_i NB` entries, nothing else.
         (
-            &["--clusters", "8", "--scheme", "cv:3:2", "--overflow", "3:64:4:lru"],
-            "--scheme Dir3CV2 conflicts with --overflow, whose entries are Dir3NB",
+            &["--app", "lu", "--clusters", "8", "--scale", "0.05", "--scheme", "cv:3:2", "--overflow", "3:64:4:lru"],
+            "refused configuration: scheme = Dir3CV2 under organization = overflow (its entries are \
+             Dir3NB; want that scheme)",
         ),
-        (&["--scheme", "nb:2", "--overflow", "3:64:4:lru"], "--scheme Dir2NB conflicts with --overflow"),
+        (
+            &["--scheme", "nb:2", "--overflow", "3:64:4:lru"],
+            "refused configuration: scheme = Dir2NB under organization = overflow (its entries are Dir3NB",
+        ),
         // Only DASH reads the directory organization.
         (
             &["--protocol", "tardis", "--sparse", "64:4:lru"],
@@ -164,6 +172,14 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
     ] {
         let out = expect(SCDSIM, &dir, args, 2, needle);
         refused_in_two_lines(&out, "scdsim");
+    }
+    // `scd-sweep` meets the same library refusals, on its real grid points.
+    for (args, needle) in [
+        (&["--clusters", "0"][..], "refused configuration: clusters = 0"),
+        (&["--apps", "quicksort"], UNKNOWN_APP),
+    ] {
+        let out = expect(SWEEP, &dir, args, 2, needle);
+        refused_in_two_lines(&out, "scd-sweep");
     }
     // `scd-check`'s explored delay and duplicate gaps hold the same bound.
     for flag in ["--fault-delay", "--fault-dup"] {
