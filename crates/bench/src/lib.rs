@@ -30,5 +30,5 @@ pub use runner::{
 pub use sweep::{
     build_config, generate_app, parse_scale, parse_seed, run_sweep, run_sweep_with,
     sweep_begin_record, sweep_document, sweep_end_record, RunDescriptor, SparseVariant, SweepOutcome, SweepProgress,
-    SweepRun, SweepSpec, APP_NAMES, CANONICAL_SPARSE,
+    SweepRun, SweepSpec, APP_NAMES, CANONICAL_SPARSE, RUN_SEED,
 };

@@ -23,10 +23,8 @@ use scd_stats::{render_table, Align};
 use scd_tango::Op;
 
 use crate::runner::{run_app_with, scheme_suite, sparse_config};
-use crate::sweep::{fan_out, generate_app};
+use crate::sweep::{fan_out, generate_app, RUN_SEED};
 
-/// Workload seed of every committed artifact.
-const SEED: u64 = 0xD45B;
 /// Seed of the Figure 2 Monte-Carlo model (and, offset by the sharer
 /// count, of the synthetic workloads that cross-check it).
 const MODEL_SEED: u64 = 0xF162;
@@ -109,9 +107,9 @@ fn generate(key: AppKey, scale: f64) -> AppRun {
                 ..LuParams::default()
             },
             procs,
-            SEED,
+            RUN_SEED,
         ),
-        AppKey::Paper(name) => generate_app(name, 32, SEED, scale).expect("a key from APP_NAMES"),
+        AppKey::Paper(name) => generate_app(name, 32, RUN_SEED, scale).expect("a key from APP_NAMES"),
         AppKey::WideRead { sharers } => synth(
             &SynthParams {
                 pattern: SharingPattern::WideRead { sharers },

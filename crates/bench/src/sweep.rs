@@ -156,9 +156,13 @@ impl SparseVariant {
     }
 }
 
+/// The run seed of every committed artifact (`results/`, the
+/// `BENCH_*.json` baselines) and the default of `scdsim --seed` and
+/// `scd-sweep --seeds`, whose help texts quote it.
+pub const RUN_SEED: u64 = 0xD45B;
+
 /// Parses a workload seed as `scdsim --seed` and `scd-sweep --seeds` take
-/// it: decimal, or hex behind `0x` (both help texts quote the default
-/// `0xD45B`).
+/// it: decimal, or hex behind `0x`.
 pub fn parse_seed(s: &str) -> Result<u64, String> {
     let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16),
@@ -210,7 +214,7 @@ impl SweepSpec {
             apps: APP_NAMES.iter().map(|s| s.to_string()).collect(),
             schemes: vec![Scheme::dir_cv(4, 4)],
             sparse: vec![SparseVariant::Full, CANONICAL_SPARSE],
-            seeds: vec![0xD45B],
+            seeds: vec![RUN_SEED],
             protocols: vec![ProtocolKind::Dash],
             scale,
             clusters: 32,

@@ -208,7 +208,10 @@ pub struct SparseDirectory {
     /// Victim stream of the random policy (deterministic per seed). It
     /// starts from `seed | 1`, so seeds that differ only in bit 0 share a
     /// stream; ending that aliasing moves `fig13`/`fig14` and belongs with
-    /// one run seed for the whole machine (ROADMAP item 3).
+    /// one run seed for the whole machine (ROADMAP item 3), which waits on
+    /// a steady benchmark RSS (item 1(b)): any machine seed but `0x5CD`
+    /// tried so far moved `telemetry_replay` from 149.4–149.7 MB to
+    /// 169.2–169.6 MB.
     rng: SimRng,
     /// Replacement-churn telemetry; `None` until enabled (zero cost off).
     churn: Option<Box<ChurnTracker>>,

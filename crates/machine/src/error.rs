@@ -48,8 +48,7 @@ pub struct PostMortem {
     pub blocked_procs: Vec<BlockedProc>,
     /// Every cluster with outstanding MSHRs or busy home blocks.
     pub clusters: Vec<ClusterDiag>,
-    /// The last events the engine processed, oldest first (capacity set by
-    /// `MachineConfig::event_log`; empty when disabled).
+    /// The last events the engine processed, oldest first (at most 64).
     pub recent_events: Vec<String>,
     /// Per-cluster trace tails for clusters with protocol state still in
     /// flight: `(cluster, rendered events, oldest first)`. Populated only

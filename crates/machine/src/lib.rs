@@ -30,7 +30,7 @@ pub mod machine;
 pub mod stats;
 
 pub use checker::Violation;
-pub use config::{MachineConfig, ProtocolKind, Timing};
+pub use config::{MachineConfig, ProtocolKind, Timing, TIMING};
 pub use error::{PostMortem, SimError};
 pub use machine::explore::{Choice, FaultEdges, Mutation};
 pub use machine::{Machine, ValueOracleReport};

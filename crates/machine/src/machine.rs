@@ -69,7 +69,7 @@ use scd_stats::{Histogram, Traffic};
 use scd_tango::{Op, Script};
 use scd_trace::{Json, MetricsRegistry, Phase, TraceEvent};
 
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, TIMING};
 use crate::error::{BlockedProc, ClusterDiag, PostMortem, SimError};
 use crate::stats::{ProtocolCounters, RunStats, StallBreakdown};
 
@@ -205,6 +205,9 @@ pub struct Machine {
 
 scd_core::clone_fields!(Machine { eng, backend });
 
+/// How many of the last processed events a failure post-mortem reports.
+const EVENT_LOG: usize = 64;
+
 /// Everything every protocol shares (see the module docs). Backend
 /// handlers receive it as their only way to act on the machine: send,
 /// schedule, wake a processor, touch a cluster's caches, directory, RAC or
@@ -228,7 +231,8 @@ pub(crate) struct Engine {
     faults: FaultInjector,
     /// Cycle of the last retired operation (forward-progress watchdog).
     last_progress: Cycle,
-    /// Recently processed events, kept for failure post-mortems.
+    /// The last [`EVENT_LOG`] processed events, kept for failure
+    /// post-mortems.
     event_log: RingLog<(Cycle, Event<Msg>)>,
     /// The machine's telemetry (inert unless `cfg.trace` is active, and
     /// streaming only while a sink is attached; `Clone` detaches it); the
@@ -568,7 +572,7 @@ impl Machine {
     fn do_unlock(&mut self, t: Cycle, p: usize, l: u32) -> Result<(), SimError> {
         let eng = &mut self.eng;
         let (cl, lp) = (eng.cluster_of(p), eng.local_of(p));
-        let at = t + eng.cfg.timing.sync_op;
+        let at = t + TIMING.sync_op;
         match eng.clusters[cl].sync.release(l, lp) {
             None => {
                 let detail = format!("processor {p} released lock {l} it does not hold");
@@ -593,7 +597,7 @@ impl Machine {
         if eng.clusters[cl].sync.arrive(b, lp, eng.cfg.procs_per_cluster) {
             let (home, pts) = (eng.cfg.barrier_home(b), self.backend.sync_pts(cl));
             let kind = MsgKind::BarrierArrive { barrier: b, pts };
-            eng.send(t + eng.cfg.timing.sync_op, cl, home, kind);
+            eng.send(t + TIMING.sync_op, cl, home, kind);
         }
         eng.block(t, p, true);
     }
@@ -605,7 +609,6 @@ impl Machine {
     fn deliver(&mut self, t: Cycle, msg: Msg) {
         let Msg { src, dst, kind } = msg;
         let (eng, backend) = (&mut self.eng, &mut self.backend);
-        let tm = eng.cfg.timing;
         if eng.telemetry.on && src != dst {
             eng.telemetry.msg_deliver(t, &msg);
         }
@@ -620,7 +623,7 @@ impl Machine {
                         // Reissue with exponential backoff so a refusing
                         // home is not hammered at network rate.
                         eng.faults.count().retries += 1;
-                        let base = tm.bus_memory.max(1);
+                        let base = TIMING.bus_memory.max(1);
                         let backoff = base << (attempt - 1).min(10);
                         eng.telemetry.retry(t, dst, block, attempt, backoff);
                         let home = eng.cfg.home_of(block);
@@ -638,36 +641,36 @@ impl Machine {
                 // AlreadyHeld: duplicate of an already-granted request
                 // (a retry crossed the acquire) — drop it.
                 if let LockOutcome::Granted(pts) = eng.clusters[dst].sync.home_acquire(lock, src) {
-                    eng.send(t + tm.sync_op, dst, src, MsgKind::LockGrant { lock, pts });
+                    eng.send(t + TIMING.sync_op, dst, src, MsgKind::LockGrant { lock, pts });
                 }
             }
             MsgKind::LockGrant { lock, pts } => {
                 backend.absorb_pts(dst, pts);
                 if let Some(lp) = eng.clusters[dst].sync.on_grant(lock) {
                     let g = eng.global_proc(dst, lp);
-                    eng.resume(t + tm.sync_op, g);
+                    eng.resume(t + TIMING.sync_op, g);
                 } else {
                     // Nobody is waiting locally (or we already hold it):
                     // hand the lock straight back.
                     let pts = backend.sync_pts(dst);
-                    eng.send(t + tm.sync_op, dst, src, MsgKind::UnlockReq { lock, pts });
+                    eng.send(t + TIMING.sync_op, dst, src, MsgKind::UnlockReq { lock, pts });
                 }
             }
             MsgKind::LockRetry { lock } => {
                 if eng.clusters[dst].sync.on_retry(lock) {
                     let home = eng.cfg.lock_home(lock);
-                    eng.send(t + tm.sync_op, dst, home, MsgKind::LockReq { lock });
+                    eng.send(t + TIMING.sync_op, dst, home, MsgKind::LockReq { lock });
                 }
             }
             MsgKind::UnlockReq { lock, pts } => {
                 match eng.clusters[dst].sync.home_release(lock, src, pts) {
                     UnlockOutcome::Free => {}
                     UnlockOutcome::GrantTo(c, pts) => {
-                        eng.send(t + tm.sync_op, dst, c, MsgKind::LockGrant { lock, pts });
+                        eng.send(t + TIMING.sync_op, dst, c, MsgKind::LockGrant { lock, pts });
                     }
                     UnlockOutcome::RetryRegion(members) => {
                         for m in members {
-                            eng.send(t + tm.sync_op, dst, m, MsgKind::LockRetry { lock });
+                            eng.send(t + TIMING.sync_op, dst, m, MsgKind::LockRetry { lock });
                         }
                     }
                 }
@@ -676,7 +679,7 @@ impl Machine {
                 let sync = &mut eng.clusters[dst].sync;
                 if let Some((release, pts)) = sync.home_arrive(barrier, src, pts, eng.cfg.clusters) {
                     for c in release {
-                        eng.send(t + tm.sync_op, dst, c, MsgKind::BarrierRelease { barrier, pts });
+                        eng.send(t + TIMING.sync_op, dst, c, MsgKind::BarrierRelease { barrier, pts });
                     }
                 }
             }
@@ -690,7 +693,7 @@ impl Machine {
                     .expect("release for a barrier nobody reached");
                 for lp in local {
                     let g = eng.global_proc(dst, lp);
-                    eng.resume(t + tm.sync_op, g);
+                    eng.resume(t + TIMING.sync_op, g);
                 }
             }
             // Everything else is protocol-specific.
@@ -737,7 +740,7 @@ impl Engine {
             })
             .collect::<Vec<_>>();
         let running = procs.len();
-        let event_log = RingLog::new(cfg.event_log);
+        let event_log = RingLog::new(EVENT_LOG);
         let recorder = Recorder::new(&cfg);
         if recorder.config().attribution {
             network.enable_link_counters();
@@ -876,7 +879,7 @@ impl Engine {
     /// stray if the transaction was serviced anyway).
     fn refuse(&mut self, t: Cycle, home: usize, requester: usize, block: u64, was_write: bool) {
         self.faults.count().nacks += 1;
-        self.send(t + self.cfg.timing.dir_lookup, home, requester, MsgKind::Nack { block, was_write });
+        self.send(t + TIMING.dir_lookup, home, requester, MsgKind::Nack { block, was_write });
     }
 
     /// An invalidation event of `targets` copies at `home`: the run's
@@ -1027,7 +1030,7 @@ impl Engine {
         let (cl, lp) = (self.cluster_of(p), self.local_of(p));
         if self.clusters[cl].sync.acquire(l, lp) {
             let home = self.cfg.lock_home(l);
-            self.send(t + self.cfg.timing.sync_op, cl, home, MsgKind::LockReq { lock: l });
+            self.send(t + TIMING.sync_op, cl, home, MsgKind::LockReq { lock: l });
         }
         self.block(t, p, true);
     }
@@ -1041,7 +1044,7 @@ impl Engine {
         if !self.clusters[home].ser.is_busy(block)
             && self.clusters[home].ser.pending_len(block) > 0
         {
-            self.sched(home, t + self.cfg.timing.dir_lookup, Ev::Replay { home, block });
+            self.sched(home, t + TIMING.dir_lookup, Ev::Replay { home, block });
         }
     }
 }

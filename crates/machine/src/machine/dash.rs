@@ -122,12 +122,11 @@ impl DashState {
     /// out through the RAC at cycle `at`.
     pub(crate) fn mem_access(&mut self, m: &mut Engine, t: Cycle, p: usize, block: u64, kind: MshrKind) -> Option<Cycle> {
         let (cl, lp) = (m.cluster_of(p), m.local_of(p));
-        let tm = m.cfg.timing;
         let hit = m.clusters[cl].caches.access(lp, block, t);
         if let Some(state) = hit.state() {
             let lat = match hit {
-                HitLevel::L1(_) => tm.l1_hit,
-                _ => tm.l2_hit,
+                HitLevel::L1(_) => TIMING.l1_hit,
+                _ => TIMING.l2_hit,
             };
             if kind == MshrKind::Read {
                 m.oracle_read(p, block);
@@ -142,7 +141,7 @@ impl DashState {
             }
             // Write hit on a shared line: ownership upgrade required.
         }
-        self.snoop(m, t + tm.l2_hit, p, block, kind)
+        self.snoop(m, t + TIMING.l2_hit, p, block, kind)
     }
 
     /// A miss in the processor's own hierarchy: a peer in the cluster
@@ -150,7 +149,6 @@ impl DashState {
     /// miss out through the RAC.
     fn snoop(&mut self, m: &mut Engine, t: Cycle, p: usize, block: u64, kind: MshrKind) -> Option<Cycle> {
         let (cl, lp) = (m.cluster_of(p), m.local_of(p));
-        let tm = m.cfg.timing;
         let home = m.cfg.home_of(block);
         // Intra-cluster snoop: a peer with a copy supplies over the bus.
         if kind == MshrKind::Read {
@@ -165,14 +163,14 @@ impl DashState {
                     // before it arrives.
                     let epoch = self.owner_epoch(cl, block);
                     m.send(
-                        t + tm.bus_memory,
+                        t + TIMING.bus_memory,
                         cl,
                         home,
                         MsgKind::SharingWriteback { block, requester: cl, epoch },
                     );
                 }
                 m.oracle_read(p, block);
-                m.resume(t + tm.bus_memory, p);
+                m.resume(t + TIMING.bus_memory, p);
                 return None;
             }
             if m.clusters[cl].caches.holds(block) {
@@ -180,7 +178,7 @@ impl DashState {
                 // directory already covers this cluster.
                 m.fill(t, cl, lp, block, LineState::Shared);
                 m.oracle_read(p, block);
-                m.resume(t + tm.bus_memory, p);
+                m.resume(t + TIMING.bus_memory, p);
                 return None;
             }
         }
@@ -192,7 +190,7 @@ impl DashState {
                     m.fill(t, cl, lp, block, LineState::Dirty);
                     // Same ownership epoch, new writer within the cluster.
                     m.oracle_write(p, block);
-                    m.resume(t + tm.bus_memory, p);
+                    m.resume(t + TIMING.bus_memory, p);
                     return None;
                 }
             }
@@ -407,7 +405,7 @@ impl DashState {
                     if let Some(next) = targets.pop_front() {
                         let epoch = *version;
                         m.send(
-                            t + m.cfg.timing.bus_memory,
+                            t + TIMING.bus_memory,
                             dst,
                             next,
                             MsgKind::DirFlush { block, epoch, owner_flush: false },
@@ -424,7 +422,7 @@ impl DashState {
                                 .mark_busy(block, BusyReason::AwaitHomeWrite);
                         }
                         m.send(
-                            t + m.cfg.timing.bus_memory,
+                            t + TIMING.bus_memory,
                             dst,
                             requester,
                             MsgKind::WriteReply { block, inval_count: 0, version },
@@ -450,7 +448,6 @@ impl DashState {
     // ------------------------------------------------------------------
 
     pub(crate) fn home_request(&mut self, m: &mut Engine, t: Cycle, home: usize, req: QueuedReq) {
-        let tm = m.cfg.timing;
         let QueuedReq { requester, block, is_write } = req;
         if m.clusters[home].ser.is_busy(block) {
             m.clusters[home].ser.queue(block, req);
@@ -544,7 +541,7 @@ impl DashState {
                         epoch: m.memory_version(home, block),
                     }
                 };
-                m.send(t + tm.bus_memory, home, owner, kind);
+                m.send(t + TIMING.bus_memory, home, owner, kind);
             }
             DirAction::Supply { nb_evict } => {
                 if let Some(victim) = nb_evict {
@@ -555,14 +552,14 @@ impl DashState {
                     m.inval_event(t, home, block, 1, cause::NB_EVICT);
                     let epoch = m.memory_version(home, block);
                     m.send(
-                        t + tm.bus_memory,
+                        t + TIMING.bus_memory,
                         home,
                         victim,
                         MsgKind::DirFlush { block, epoch, owner_flush: false },
                     );
                 }
                 let version = m.memory_version(home, block);
-                m.send(t + tm.bus_memory, home, requester, MsgKind::ReadReply { block, version });
+                m.send(t + TIMING.bus_memory, home, requester, MsgKind::ReadReply { block, version });
             }
             DirAction::Grant => {
                 let inval_targets = &self.inval_targets.0;
@@ -584,7 +581,7 @@ impl DashState {
                         .ser
                         .mark_busy(block, BusyReason::AwaitFlushAcks);
                     m.send(
-                        t + tm.bus_memory,
+                        t + TIMING.bus_memory,
                         home,
                         first,
                         MsgKind::DirFlush { block, epoch: version, owner_flush: false },
@@ -615,11 +612,11 @@ impl DashState {
                 inval_targets.for_each_member(|c| {
                     if Some(c) != skipped {
                         let kind = MsgKind::Inval { block, requester };
-                        m.send(t + tm.bus_memory, home, c as usize, kind);
+                        m.send(t + TIMING.bus_memory, home, c as usize, kind);
                     }
                 });
                 m.send(
-                    t + tm.bus_memory,
+                    t + TIMING.bus_memory,
                     home,
                     requester,
                     MsgKind::WriteReply { block, inval_count: n, version },
@@ -636,7 +633,6 @@ impl DashState {
         if rep.targets.is_empty() {
             return;
         }
-        let tm = m.cfg.timing;
         m.tally.counters.replacement_flushes += 1;
         m.telemetry.replacement(
             t,
@@ -650,7 +646,7 @@ impl DashState {
         rep.targets.for_each_member(|c| {
             let c = c as usize;
             m.send(
-                t + tm.bus_memory,
+                t + TIMING.bus_memory,
                 home,
                 c,
                 MsgKind::DirFlush { block: rep.victim_key, epoch, owner_flush: rep.dirty_owner == Some(c) },
@@ -815,7 +811,6 @@ impl DashState {
         version: u64,
         addressed_epoch: u64,
     ) {
-        let tm = m.cfg.timing;
         let write_mshr =
             m.clusters[owner].rac.mshr_kind(block) == Some(MshrKind::Write);
         let my_epoch = self.owner_epoch(owner, block);
@@ -852,7 +847,7 @@ impl DashState {
             );
             // The block was evicted; its writeback is in flight to the home.
             m.send(
-                t + tm.l2_hit,
+                t + TIMING.l2_hit,
                 owner,
                 home,
                 MsgKind::WritebackRace { block, requester, was_write: is_write },
@@ -875,12 +870,11 @@ impl DashState {
         is_write: bool,
         version: u64,
     ) {
-        let tm = m.cfg.timing;
         if is_write {
             m.clusters[owner].caches.invalidate_all(block);
-            m.send(t + tm.l2_hit, owner, requester, MsgKind::TransferReply { block, version });
+            m.send(t + TIMING.l2_hit, owner, requester, MsgKind::TransferReply { block, version });
             m.send(
-                t + tm.l2_hit,
+                t + TIMING.l2_hit,
                 owner,
                 home,
                 MsgKind::OwnershipTransfer { block, new_owner: requester },
@@ -888,10 +882,10 @@ impl DashState {
         } else {
             m.clusters[owner].caches.downgrade_all(block);
             let version = m.line_version(owner, block);
-            m.send(t + tm.l2_hit, owner, requester, MsgKind::ReadReply { block, version });
+            m.send(t + TIMING.l2_hit, owner, requester, MsgKind::ReadReply { block, version });
             let epoch = self.owner_epoch(owner, block);
             m.send(
-                t + tm.l2_hit,
+                t + TIMING.l2_hit,
                 owner,
                 home,
                 MsgKind::SharingWriteback { block, requester, epoch },
@@ -948,7 +942,7 @@ impl DashState {
             m.tally.counters.nb_evictions += 1;
             m.inval_event(t, home, block, 1, cause::SWB_EVICT);
             m.send(
-                t + m.cfg.timing.bus_memory,
+                t + TIMING.bus_memory,
                 home,
                 v,
                 MsgKind::DirFlush { block, epoch, owner_flush: false },

@@ -63,7 +63,7 @@ impl DlsState {
         // across protocols.
         let hit = m.clusters[cl].caches.access(lp, block, t);
         debug_assert!(hit.state().is_none(), "remote copy under DLS");
-        Some(t + m.cfg.timing.l2_hit)
+        Some(t + TIMING.l2_hit)
     }
 
     /// A queued home-side request came off the serializer (DLS queues
@@ -89,7 +89,6 @@ impl DlsState {
         block: u64,
         is_write: bool,
     ) {
-        let tm = m.cfg.timing;
         if m.clusters[home].ser.is_busy(block) {
             // A home-cluster write was granted but has not filled yet:
             // the slice's content is still settling. Queue like DASH.
@@ -124,13 +123,13 @@ impl DlsState {
             // empty fan-out so the histogram stays comparable.
             m.inval_event(t, home, block, 0, cause::WRITE);
             let version = m.bump_version(home, block);
-            m.send(t + tm.bus_memory, home, requester, MsgKind::LlcWriteAck { block, version });
+            m.send(t + TIMING.bus_memory, home, requester, MsgKind::LlcWriteAck { block, version });
         } else {
             self.counters.llc_fills += 1;
             // A dirty home copy supplies the slice; memory is now clean.
             m.clusters[home].caches.downgrade_all(block);
             let version = m.memory_version(home, block);
-            m.send(t + tm.bus_memory, home, requester, MsgKind::LlcFill { block, version });
+            m.send(t + TIMING.bus_memory, home, requester, MsgKind::LlcFill { block, version });
         }
     }
 

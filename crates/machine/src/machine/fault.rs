@@ -12,7 +12,7 @@ use scd_sim::{Cycle, SimRng};
 use scd_stats::MessageClass;
 
 use super::explore::hash_walk;
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, TIMING};
 use crate::stats::FaultCounters;
 
 /// One directed channel. Send-side draws (reorder, delay, dup) and
@@ -53,7 +53,7 @@ impl FaultInjector {
             active: plan.is_active(),
             seed: cfg.seed,
             clusters: cfg.clusters,
-            dup_gap: cfg.timing.bus_memory.max(1),
+            dup_gap: TIMING.bus_memory.max(1),
             channels: Vec::new(),
             counters: FaultCounters::default(),
         }

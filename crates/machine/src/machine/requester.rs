@@ -63,7 +63,7 @@ impl Engine {
     pub(super) fn complete_read(&mut self, t: Cycle, cl: usize, block: u64, version: u64, mshr: &Mshr, install: Option<LineState>) {
         self.telemetry.txn_end(t, cl, block);
         self.set_line_version(cl, block, version);
-        let at = t + self.cfg.timing.l1_hit;
+        let at = t + TIMING.l1_hit;
         let install = install.filter(|_| !mshr.poisoned);
         for &(lp, kind) in &mshr.waiters {
             let g = self.global_proc(cl, lp);
@@ -85,7 +85,6 @@ impl Engine {
     /// processors that merged behind it re-execute against the result.
     pub(super) fn complete_write(&mut self, t: Cycle, cl: usize, block: u64, mshr: &Mshr, install: Option<LineState>) {
         self.telemetry.txn_end(t, cl, block);
-        let tm = self.cfg.timing;
         let (writer, _) = *mshr
             .waiters
             .first()
@@ -97,10 +96,10 @@ impl Engine {
         self.set_line_version(cl, block, mshr.version);
         let g = self.global_proc(cl, writer);
         self.oracle_write(g, block);
-        self.resume(t + tm.l1_hit, g);
+        self.resume(t + TIMING.l1_hit, g);
         for &(lp, _) in &mshr.waiters[1..] {
             let g = self.global_proc(cl, lp);
-            self.retry(t + tm.bus_memory, g);
+            self.retry(t + TIMING.bus_memory, g);
         }
     }
 }

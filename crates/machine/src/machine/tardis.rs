@@ -128,13 +128,12 @@ impl TardisState {
     /// round-trips).
     pub(crate) fn mem_access(&mut self, m: &mut Engine, t: Cycle, p: usize, block: u64, kind: MshrKind) -> Option<Cycle> {
         let (cl, lp) = (m.cluster_of(p), m.local_of(p));
-        let tm = m.cfg.timing;
         let hit = m.clusters[cl].caches.access(lp, block, t);
         if hit.state().is_some() && kind == MshrKind::Read {
             let node = &self.nodes[cl];
             let lat = match hit {
-                HitLevel::L1(_) => tm.l1_hit,
-                _ => tm.l2_hit,
+                HitLevel::L1(_) => TIMING.l1_hit,
+                _ => TIMING.l2_hit,
             };
             match node.lease.get(&block) {
                 Some(&(_, rts)) if node.pts <= rts => {
@@ -146,7 +145,7 @@ impl TardisState {
                 Some(&(wts, _)) => {
                     // Resident but expired: try a timestamp-only renewal
                     // before paying for a refetch.
-                    self.renew(m, t + tm.l2_hit, p, block, wts);
+                    self.renew(m, t + TIMING.l2_hit, p, block, wts);
                     return None;
                 }
                 None => {
@@ -156,7 +155,7 @@ impl TardisState {
                 }
             }
         }
-        Some(t + tm.l2_hit)
+        Some(t + TIMING.l2_hit)
     }
 
     /// Parks `p` on a lease renewal for `block`, sending the request if
@@ -178,7 +177,6 @@ impl TardisState {
     /// that belong to another backend.
     pub(crate) fn deliver(&mut self, m: &mut Engine, t: Cycle, msg: Msg) -> bool {
         let Msg { src, dst, kind } = msg;
-        let tm = m.cfg.timing;
         match kind {
             MsgKind::TardisReadReq { block, pts } => {
                 m.telemetry.home_phase(t, dst, src, block, Phase::HomeLookup);
@@ -191,7 +189,7 @@ impl TardisState {
                 self.counters.lease_fills += 1;
                 let version = m.memory_version(dst, block);
                 m.send(
-                    t + tm.bus_memory,
+                    t + TIMING.bus_memory,
                     dst,
                     src,
                     MsgKind::TardisReadReply { block, wts, rts, version },
@@ -221,7 +219,7 @@ impl TardisState {
                 m.inval_event(t, dst, block, 0, cause::WRITE);
                 let version = m.bump_version(dst, block);
                 m.send(
-                    t + tm.bus_memory,
+                    t + TIMING.bus_memory,
                     dst,
                     src,
                     MsgKind::TardisWriteReply { block, wts, version },
@@ -237,7 +235,7 @@ impl TardisState {
                     let rts = line.rts;
                     self.counters.renewals += 1;
                     m.send(
-                        t + tm.dir_lookup,
+                        t + TIMING.dir_lookup,
                         dst,
                         src,
                         MsgKind::RenewReply { block, renewed: true, rts },
@@ -245,7 +243,7 @@ impl TardisState {
                 } else {
                     // The version moved on: the copy is stale.
                     m.send(
-                        t + tm.dir_lookup,
+                        t + TIMING.dir_lookup,
                         dst,
                         src,
                         MsgKind::RenewReply { block, renewed: false, rts: 0 },
@@ -276,7 +274,7 @@ impl TardisState {
                     for lp in waiters {
                         let g = m.global_proc(dst, lp);
                         m.oracle_read(g, block);
-                        m.resume(t + tm.l1_hit, g);
+                        m.resume(t + TIMING.l1_hit, g);
                     }
                 } else {
                     // Stale copy: drop it and re-execute the reads, which
@@ -286,7 +284,7 @@ impl TardisState {
                     node.lease.remove(&block);
                     for lp in waiters {
                         let g = m.global_proc(dst, lp);
-                        m.retry(t + tm.l1_hit, g);
+                        m.retry(t + TIMING.l1_hit, g);
                     }
                 }
             }

@@ -153,7 +153,7 @@ impl Recorder {
             },
             metrics: MetricsRegistry::new(),
             msg_cost: if trace.attribution {
-                MsgKind::LABELS.iter().map(|l| params.cost(l)).collect()
+                scd_protocol::MESSAGES.iter().map(|m| params.cost(Some(m))).collect()
             } else {
                 Vec::new()
             },

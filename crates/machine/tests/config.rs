@@ -58,7 +58,7 @@ fn validate_refuses_each_bad_geometry_naming_field_and_value() {
         |c| *c = c.clone().with_overflow(3, 64, 4, Replacement::Lru).with_scheme(Scheme::dir_nb(2)),
         "scheme = Dir2NB under organization = overflow (its entries are Dir3NB",
     );
-    // A plan built in code meets the bound `FaultPlan::parse` holds.
+    // A plan built in code meets the bound a parsed `--fault` spec meets.
     bad(
         |c| c.fault_plan = Some(scd_noc::FaultPlan::delay(1.0, u64::MAX)),
         "fault delay cycle bound = 18446744073709551615",

@@ -35,7 +35,7 @@ pub mod serializer;
 pub mod sync;
 
 pub use arena::{MsgArena, MsgRef};
-pub use msg::{Msg, MsgKind};
+pub use msg::{message, KindInfo, Msg, MsgKind, MESSAGES};
 pub use rac::{Mshr, MshrKind, Rac, Waiters};
 pub use serializer::{BusyReason, EarlyKind, HomeSerializer, QueuedReq};
 pub use sync::{LocalRelease, LockOutcome, SyncTables, UnlockOutcome};

@@ -1,6 +1,6 @@
-//! Protocol messages and their traffic classification.
+//! Protocol messages and their vocabulary: each kind's label and classes.
 
-use scd_stats::MessageClass;
+use scd_stats::{AttribClass, MessageClass};
 
 /// A block number (byte address / block size).
 pub type Block = u64;
@@ -296,122 +296,101 @@ pub enum MsgKind {
     },
 }
 
+/// What a message kind is, whatever its fields: one row of [`MESSAGES`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KindInfo {
+    /// Stable snake_case name, part of the JSONL trace format — never
+    /// reuse or rename.
+    pub label: &'static str,
+    /// The paper's traffic class (§5; Figures 7–10, 13 and 14 count by it).
+    pub class: MessageClass,
+    /// The class `scd-trace`'s attribution charges it to.
+    pub attrib: AttribClass,
+    /// Whether it carries a data block (the wire model's payload).
+    pub data: bool,
+}
+
+/// Declares [`MESSAGES`], [`message`] and [`MsgKind::ordinal`] from one
+/// list of rows, one per variant: a kind's row is its position in the
+/// list, and the label look-up is a `match` over exactly these labels.
+macro_rules! vocabulary {
+    ($($kind:ident: $label:literal, $class:ident, $attrib:ident, $data:literal;)*) => {
+        /// The protocol's message vocabulary, indexed by
+        /// [`MsgKind::ordinal`]: the one table the machine, the
+        /// attribution and the trace readers all read.
+        pub const MESSAGES: &[KindInfo] = &[$(KindInfo {
+            label: $label,
+            class: MessageClass::$class,
+            attrib: AttribClass::$attrib,
+            data: $data,
+        },)*];
+
+        /// The variants without their fields, in row order.
+        enum Row { $($kind,)* }
+
+        /// The [`MESSAGES`] row of a label (`None` outside the vocabulary).
+        pub fn message(label: &str) -> Option<&'static KindInfo> {
+            match label {
+                $($label => Some(&MESSAGES[Row::$kind as usize]),)*
+                _ => None,
+            }
+        }
+
+        impl MsgKind {
+            /// Dense index of this kind's row in [`MESSAGES`], for per-kind
+            /// lookup tables: anything that is a function of the kind alone
+            /// can be resolved once per row and indexed here.
+            pub fn ordinal(&self) -> usize {
+                match self { $(MsgKind::$kind { .. } => Row::$kind as usize,)* }
+            }
+        }
+    };
+}
+
+vocabulary! {
+    // kind: label, paper class, attribution class, carries a block;
+    ReadReq: "read_req", Request, Request, false;
+    WriteReq: "write_req", Request, Request, false;
+    Writeback: "writeback", Request, Writeback, true;
+    ReplacementHint: "replacement_hint", Request, Request, false;
+    FwdRead: "fwd_read", Request, Request, false;
+    FwdWrite: "fwd_write", Request, Request, false;
+    SharingWriteback: "sharing_writeback", Request, Writeback, true;
+    OwnershipTransfer: "ownership_transfer", Request, Request, false;
+    WritebackRace: "writeback_race", Request, Request, false;
+    ReadReply: "read_reply", Reply, Reply, true;
+    WriteReply: "write_reply", Reply, Reply, true;
+    TransferReply: "transfer_reply", Reply, Reply, true;
+    Nack: "nack", Reply, Nack, false;
+    Inval: "inval", Invalidation, Invalidation, false;
+    InvalAck: "inval_ack", Acknowledgement, Ack, false;
+    DirFlush: "dir_flush", Invalidation, SparseFlush, false;
+    DirFlushAck: "dir_flush_ack", Acknowledgement, Ack, false;
+    LockReq: "lock_req", Request, Sync, false;
+    LockGrant: "lock_grant", Reply, Sync, false;
+    LockRetry: "lock_retry", Reply, Sync, false;
+    UnlockReq: "unlock_req", Request, Sync, false;
+    BarrierArrive: "barrier_arrive", Request, Sync, false;
+    BarrierRelease: "barrier_release", Reply, Sync, false;
+    TardisReadReq: "tardis_read_req", Request, Request, false;
+    TardisWriteReq: "tardis_write_req", Request, Request, false;
+    TardisReadReply: "tardis_read_reply", Reply, Reply, true;
+    TardisWriteReply: "tardis_write_reply", Reply, Reply, true;
+    RenewReq: "renew_req", Request, Renewal, false;
+    RenewReply: "renew_reply", Reply, Renewal, false;
+    LlcFill: "llc_fill", Reply, LlcFill, true;
+    LlcWriteAck: "llc_write_ack", Reply, Reply, false;
+}
+
 impl MsgKind {
     /// The paper's traffic class of this message.
     pub fn class(&self) -> MessageClass {
-        use MessageClass::*;
-        match self {
-            MsgKind::ReadReq { .. }
-            | MsgKind::WriteReq { .. }
-            | MsgKind::Writeback { .. }
-            | MsgKind::ReplacementHint { .. }
-            | MsgKind::FwdRead { .. }
-            | MsgKind::FwdWrite { .. }
-            | MsgKind::SharingWriteback { .. }
-            | MsgKind::OwnershipTransfer { .. }
-            | MsgKind::WritebackRace { .. }
-            | MsgKind::LockReq { .. }
-            | MsgKind::UnlockReq { .. }
-            | MsgKind::TardisReadReq { .. }
-            | MsgKind::TardisWriteReq { .. }
-            | MsgKind::RenewReq { .. }
-            | MsgKind::BarrierArrive { .. } => Request,
-            MsgKind::ReadReply { .. }
-            | MsgKind::WriteReply { .. }
-            | MsgKind::TransferReply { .. }
-            | MsgKind::Nack { .. }
-            | MsgKind::LockGrant { .. }
-            | MsgKind::LockRetry { .. }
-            | MsgKind::TardisReadReply { .. }
-            | MsgKind::TardisWriteReply { .. }
-            | MsgKind::RenewReply { .. }
-            | MsgKind::LlcFill { .. }
-            | MsgKind::LlcWriteAck { .. }
-            | MsgKind::BarrierRelease { .. } => Reply,
-            MsgKind::Inval { .. } | MsgKind::DirFlush { .. } => Invalidation,
-            MsgKind::InvalAck { .. } | MsgKind::DirFlushAck { .. } => Acknowledgement,
-        }
-    }
-
-    /// Every kind's stable snake_case name, indexed by
-    /// [`MsgKind::ordinal`]. Names are part of the JSONL trace format —
-    /// never reuse or rename.
-    pub const LABELS: [&'static str; 31] = [
-        "read_req",
-        "write_req",
-        "writeback",
-        "replacement_hint",
-        "fwd_read",
-        "fwd_write",
-        "sharing_writeback",
-        "ownership_transfer",
-        "writeback_race",
-        "read_reply",
-        "write_reply",
-        "transfer_reply",
-        "nack",
-        "inval",
-        "inval_ack",
-        "dir_flush",
-        "dir_flush_ack",
-        "lock_req",
-        "lock_grant",
-        "lock_retry",
-        "unlock_req",
-        "barrier_arrive",
-        "barrier_release",
-        "tardis_read_req",
-        "tardis_write_req",
-        "tardis_read_reply",
-        "tardis_write_reply",
-        "renew_req",
-        "renew_reply",
-        "llc_fill",
-        "llc_write_ack",
-    ];
-
-    /// Dense index of this kind (declaration order), for per-kind lookup
-    /// tables: anything that is a function of the kind alone can be
-    /// resolved once per entry of [`MsgKind::LABELS`] and indexed here.
-    pub fn ordinal(&self) -> usize {
-        match self {
-            MsgKind::ReadReq { .. } => 0,
-            MsgKind::WriteReq { .. } => 1,
-            MsgKind::Writeback { .. } => 2,
-            MsgKind::ReplacementHint { .. } => 3,
-            MsgKind::FwdRead { .. } => 4,
-            MsgKind::FwdWrite { .. } => 5,
-            MsgKind::SharingWriteback { .. } => 6,
-            MsgKind::OwnershipTransfer { .. } => 7,
-            MsgKind::WritebackRace { .. } => 8,
-            MsgKind::ReadReply { .. } => 9,
-            MsgKind::WriteReply { .. } => 10,
-            MsgKind::TransferReply { .. } => 11,
-            MsgKind::Nack { .. } => 12,
-            MsgKind::Inval { .. } => 13,
-            MsgKind::InvalAck { .. } => 14,
-            MsgKind::DirFlush { .. } => 15,
-            MsgKind::DirFlushAck { .. } => 16,
-            MsgKind::LockReq { .. } => 17,
-            MsgKind::LockGrant { .. } => 18,
-            MsgKind::LockRetry { .. } => 19,
-            MsgKind::UnlockReq { .. } => 20,
-            MsgKind::BarrierArrive { .. } => 21,
-            MsgKind::BarrierRelease { .. } => 22,
-            MsgKind::TardisReadReq { .. } => 23,
-            MsgKind::TardisWriteReq { .. } => 24,
-            MsgKind::TardisReadReply { .. } => 25,
-            MsgKind::TardisWriteReply { .. } => 26,
-            MsgKind::RenewReq { .. } => 27,
-            MsgKind::RenewReply { .. } => 28,
-            MsgKind::LlcFill { .. } => 29,
-            MsgKind::LlcWriteAck { .. } => 30,
-        }
+        MESSAGES[self.ordinal()].class
     }
 
     /// Stable snake_case name of this message kind, for trace schemas.
     pub fn label(&self) -> &'static str {
-        Self::LABELS[self.ordinal()]
+        MESSAGES[self.ordinal()].label
     }
 
     /// `Some((block, is_write))` for the four requests that open a
@@ -589,10 +568,12 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len(), "labels must be distinct");
-        assert_eq!(kinds.len(), MsgKind::LABELS.len());
+        assert_eq!(kinds.len(), MESSAGES.len());
         for (i, k) in kinds.iter().enumerate() {
             assert_eq!(k.ordinal(), i, "{k:?} is listed out of declaration order");
+            assert_eq!(message(k.label()), Some(&MESSAGES[i]), "{k:?}'s label finds its row");
         }
+        assert_eq!(message("future_req"), None);
         assert_eq!(MsgKind::ReadReq { block: 1 }.label(), "read_req");
         assert_eq!(MsgKind::DirFlushAck { block: 1 }.label(), "dir_flush_ack");
         for k in &kinds {

@@ -17,4 +17,4 @@ pub mod traffic;
 
 pub use histogram::Histogram;
 pub use table::{render_table, Align};
-pub use traffic::{MessageClass, Traffic};
+pub use traffic::{AttribClass, MessageClass, Traffic};

@@ -1,4 +1,5 @@
-//! Message-traffic accounting by class.
+//! Message-traffic accounting by class: the paper's four network classes
+//! and the finer attribution taxonomy.
 
 /// The four message classes of the DASH protocol description (§5):
 /// "Request messages are sent by the caches to request data or ownership.
@@ -36,6 +37,82 @@ impl MessageClass {
             MessageClass::Invalidation => "invalidations",
             MessageClass::Acknowledgement => "acks",
         }
+    }
+}
+
+/// The attribution taxonomy of `scd-trace`'s traffic documents. Finer
+/// than the paper's four network classes: NACKs split out of replies,
+/// replacement writebacks out of requests, and sparse-replacement flushes
+/// out of invalidations, because those are exactly the flows the schemes
+/// trade against each other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum AttribClass {
+    /// Read/write/upgrade requests, forwards, and race/transfer closers.
+    Request,
+    /// Data and ownership replies.
+    Reply,
+    /// Invalidations sent on a writer's behalf.
+    Invalidation,
+    /// Invalidation and flush acknowledgements.
+    Ack,
+    /// Transient refusals (the retry traffic the RAC absorbs).
+    Nack,
+    /// Replacement writebacks and sharing downgrades (cache-side
+    /// evictions returning data to memory).
+    Writeback,
+    /// Sparse-directory / `Dir_i NB` replacement flushes (directory-side
+    /// evictions invalidating covered copies).
+    SparseFlush,
+    /// Lock and barrier traffic.
+    Sync,
+    /// Tardis lease renewals (timestamp-only round trips that replace
+    /// refetches — the traffic Tardis trades invalidations for).
+    Renewal,
+    /// DLS fills served from the home LLC slice to a non-caching remote
+    /// reader (the repeat traffic DLS trades directory memory for).
+    LlcFill,
+}
+
+impl AttribClass {
+    /// Every class, in schema order (the variants are declared in it, so
+    /// `class as usize` is its position here). The first eight are the
+    /// original `scd-attrib/v1` classes and are always emitted; the
+    /// classes after them are protocol-specific and appear in documents
+    /// only when nonzero, so DASH outputs are byte-identical to the
+    /// 8-class era.
+    pub const ALL: [AttribClass; 10] = [
+        AttribClass::Request,
+        AttribClass::Reply,
+        AttribClass::Invalidation,
+        AttribClass::Ack,
+        AttribClass::Nack,
+        AttribClass::Writeback,
+        AttribClass::SparseFlush,
+        AttribClass::Sync,
+        AttribClass::Renewal,
+        AttribClass::LlcFill,
+    ];
+
+    /// Stable schema name.
+    pub fn label(self) -> &'static str {
+        match self {
+            AttribClass::Request => "requests",
+            AttribClass::Reply => "replies",
+            AttribClass::Invalidation => "invalidations",
+            AttribClass::Ack => "acks",
+            AttribClass::Nack => "nacks",
+            AttribClass::Writeback => "writebacks",
+            AttribClass::SparseFlush => "sparse_flushes",
+            AttribClass::Sync => "sync",
+            AttribClass::Renewal => "renewals",
+            AttribClass::LlcFill => "llc_fills",
+        }
+    }
+
+    /// Whether this class is omitted from documents when all-zero
+    /// (protocol-specific classes added after `scd-attrib/v1` froze).
+    pub fn optional(self) -> bool {
+        matches!(self, AttribClass::Renewal | AttribClass::LlcFill)
     }
 }
 

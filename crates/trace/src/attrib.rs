@@ -8,11 +8,15 @@
 //! count, a byte count under a simple header+payload wire model, flits,
 //! and flit·hops (the link-bandwidth integral).
 //!
-//! Classification keys off the *stable message labels*
-//! (`scd-protocol::MsgKind::label`), so the same code attributes an
-//! online run (the machine feeds labels as it sends) and an offline
-//! trace ([`Attribution::from_events`]). The two agree exactly when the
-//! trace recorded every send (unbounded rings, messages on).
+//! Classification reads each kind's row of `scd-protocol`'s message
+//! vocabulary ([`MESSAGES`](scd_protocol::MESSAGES)), so the same code
+//! attributes an online run (the machine resolves each row once) and an
+//! offline trace by its stable labels ([`Attribution::from_events`]). The
+//! two agree exactly when the trace recorded every send (unbounded rings,
+//! messages on).
+
+use scd_protocol::{message, KindInfo};
+pub use scd_stats::AttribClass;
 
 use crate::event::{EventKind, TraceEvent};
 use crate::json::Json;
@@ -21,139 +25,9 @@ use crate::json::Json;
 /// the consolidated [`crate::schema`] registry).
 pub use crate::schema::ATTRIB_SCHEMA;
 
-/// The attribution taxonomy. Finer than the paper's four network classes:
-/// NACKs split out of replies, replacement writebacks out of requests,
-/// and sparse-replacement flushes out of invalidations, because those are
-/// exactly the flows the schemes trade against each other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AttribClass {
-    /// Read/write/upgrade requests, forwards, and race/transfer closers.
-    Request,
-    /// Data and ownership replies.
-    Reply,
-    /// Invalidations sent on a writer's behalf.
-    Invalidation,
-    /// Invalidation and flush acknowledgements.
-    Ack,
-    /// Transient refusals (the retry traffic the RAC absorbs).
-    Nack,
-    /// Replacement writebacks and sharing downgrades (cache-side
-    /// evictions returning data to memory).
-    Writeback,
-    /// Sparse-directory / `Dir_i NB` replacement flushes (directory-side
-    /// evictions invalidating covered copies).
-    SparseFlush,
-    /// Lock and barrier traffic.
-    Sync,
-    /// Tardis lease renewals (timestamp-only round trips that replace
-    /// refetches — the traffic Tardis trades invalidations for).
-    Renewal,
-    /// DLS fills served from the home LLC slice to a non-caching remote
-    /// reader (the repeat traffic DLS trades directory memory for).
-    LlcFill,
-}
-
-impl AttribClass {
-    /// Every class, in schema order. The first eight are the original
-    /// `scd-attrib/v1` classes and are always emitted; the classes after
-    /// them are protocol-specific and appear in documents only when
-    /// nonzero, so DASH outputs are byte-identical to the 8-class era.
-    pub const ALL: [AttribClass; 10] = [
-        AttribClass::Request,
-        AttribClass::Reply,
-        AttribClass::Invalidation,
-        AttribClass::Ack,
-        AttribClass::Nack,
-        AttribClass::Writeback,
-        AttribClass::SparseFlush,
-        AttribClass::Sync,
-        AttribClass::Renewal,
-        AttribClass::LlcFill,
-    ];
-
-    /// Stable schema name.
-    pub fn label(self) -> &'static str {
-        match self {
-            AttribClass::Request => "requests",
-            AttribClass::Reply => "replies",
-            AttribClass::Invalidation => "invalidations",
-            AttribClass::Ack => "acks",
-            AttribClass::Nack => "nacks",
-            AttribClass::Writeback => "writebacks",
-            AttribClass::SparseFlush => "sparse_flushes",
-            AttribClass::Sync => "sync",
-            AttribClass::Renewal => "renewals",
-            AttribClass::LlcFill => "llc_fills",
-        }
-    }
-
-    /// Whether this class is omitted from documents when all-zero
-    /// (protocol-specific classes added after `scd-attrib/v1` froze).
-    pub fn optional(self) -> bool {
-        matches!(self, AttribClass::Renewal | AttribClass::LlcFill)
-    }
-
-    /// Position in [`AttribClass::ALL`] (the variants are declared in
-    /// schema order).
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// Declares [`MESSAGES`] and [`message`] from one list of rows: the
-/// look-up is a `match` over exactly the table's labels, not a scan.
-macro_rules! messages {
-    ($(($label:literal, $class:ident, $data:literal),)*) => {
-        /// Every message kind as `(label, class, carries a block)`: the
-        /// crate's one message vocabulary, held to `scd-protocol`'s
-        /// `MsgKind::LABELS` by `crates/machine/tests/labels.rs`.
-        pub const MESSAGES: &[(&str, AttribClass, bool)] =
-            &[$(($label, AttribClass::$class, $data),)*];
-
-        /// The [`MESSAGES`] row of a label.
-        pub fn message(label: &str) -> Option<(&'static str, AttribClass, bool)> {
-            match label { $($label => Some(($label, AttribClass::$class, $data)),)* _ => None }
-        }
-    };
-}
-
-messages! {
-    ("read_req", Request, false),
-    ("write_req", Request, false),
-    ("writeback", Writeback, true),
-    ("replacement_hint", Request, false),
-    ("fwd_read", Request, false),
-    ("fwd_write", Request, false),
-    ("sharing_writeback", Writeback, true),
-    ("ownership_transfer", Request, false),
-    ("writeback_race", Request, false),
-    ("read_reply", Reply, true),
-    ("write_reply", Reply, true),
-    ("transfer_reply", Reply, true),
-    ("nack", Nack, false),
-    ("inval", Invalidation, false),
-    ("inval_ack", Ack, false),
-    ("dir_flush", SparseFlush, false),
-    ("dir_flush_ack", Ack, false),
-    ("lock_req", Sync, false),
-    ("lock_grant", Sync, false),
-    ("lock_retry", Sync, false),
-    ("unlock_req", Sync, false),
-    ("barrier_arrive", Sync, false),
-    ("barrier_release", Sync, false),
-    ("tardis_read_req", Request, false),
-    ("tardis_write_req", Request, false),
-    ("tardis_read_reply", Reply, true),
-    ("tardis_write_reply", Reply, true),
-    ("renew_req", Renewal, false),
-    ("renew_reply", Renewal, false),
-    ("llc_fill", LlcFill, true),
-    ("llc_write_ack", Reply, false),
-}
-
-/// What one message of a given label costs under a wire model: the
+/// What one message of a given kind costs under a wire model: the
 /// class it is charged to and its size. A pure function of
-/// `(AttribParams, label)`, so a sender can resolve it once per label
+/// `(AttribParams, kind)`, so a sender can resolve it once per kind
 /// ([`AttribParams::cost`]) and then record by value
 /// ([`Attribution::record_class`]) with no string matching per message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,11 +73,11 @@ impl AttribParams {
         }
     }
 
-    /// Everything [`Attribution::record`] derives from `label`, resolved
-    /// with one [`MESSAGES`] lookup; an unknown label is a header-only
-    /// request (a future protocol extension).
-    pub fn cost(&self, label: &str) -> MsgCost {
-        let (class, data) = message(label).map_or((AttribClass::Request, false), |m| (m.1, m.2));
+    /// Everything [`Attribution::record`] derives from a kind's row of
+    /// the message vocabulary; no row (an unknown label, a future protocol
+    /// extension) is a header-only request.
+    pub fn cost(&self, row: Option<&KindInfo>) -> MsgCost {
+        let (class, data) = row.map_or((AttribClass::Request, false), |m| (m.attrib, m.data));
         let bytes = self.header_bytes + if data { self.data_bytes } else { 0 };
         MsgCost {
             class,
@@ -282,20 +156,20 @@ impl Attribution {
     /// returns the flits it put on the wire (so callers can feed per-link
     /// accounting without re-deriving the model).
     pub fn record(&mut self, label: &str, hops: u32) -> u64 {
-        self.record_class(self.params.cost(label), hops)
+        self.record_class(self.params.cost(message(label)), hops)
     }
 
     /// [`Attribution::record`] for a sender that resolved the label's
     /// [`MsgCost`] ahead of time (it must come from this attribution's
     /// own [`Attribution::params`]). Same accounting, no label matching.
     pub fn record_class(&mut self, cost: MsgCost, hops: u32) -> u64 {
-        self.classes[cost.class.index()].add(cost.bytes, cost.flits, hops as u64);
+        self.classes[cost.class as usize].add(cost.bytes, cost.flits, hops as u64);
         cost.flits
     }
 
     /// Counters of one class.
     pub fn class(&self, class: AttribClass) -> ClassCounters {
-        self.classes[class.index()]
+        self.classes[class as usize]
     }
 
     /// A snapshot of every class's counters, in [`AttribClass::ALL`]
@@ -409,7 +283,7 @@ mod tests {
     #[test]
     fn classification_covers_the_scheme_relevant_flows() {
         use AttribClass::*;
-        let classify = |label| AttribParams::default().cost(label).class;
+        let classify = |label| AttribParams::default().cost(message(label)).class;
         assert_eq!(classify("read_req"), Request);
         assert_eq!(classify("fwd_write"), Request);
         assert_eq!(classify("read_reply"), Reply);
@@ -428,11 +302,12 @@ mod tests {
         assert_eq!(classify("tardis_read_req"), Request);
         assert_eq!(classify("tardis_read_reply"), Reply);
         assert_eq!(classify("tardis_write_reply"), Reply);
+        assert_eq!(classify("future_req"), Request, "no row: a header-only request");
         let labels: std::collections::HashSet<_> =
             AttribClass::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), AttribClass::ALL.len());
         for (i, c) in AttribClass::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i, "{c:?} is declared out of schema order");
+            assert_eq!(*c as usize, i, "{c:?} is declared out of schema order");
         }
     }
 
@@ -463,17 +338,21 @@ mod tests {
             Some(1)
         );
         // llc_fill carries a data payload; renewals are header-only.
-        assert!(message("llc_fill").is_some_and(|m| m.2));
-        assert!(!message("renew_req").is_some_and(|m| m.2));
+        assert!(message("llc_fill").is_some_and(|m| m.data));
+        assert!(!message("renew_req").is_some_and(|m| m.data));
     }
 
     #[test]
     fn wire_model_charges_data_payloads() {
         let p = AttribParams::default();
-        let size = |p: AttribParams, label| (p.cost(label).bytes, p.cost(label).flits);
+        let size = |p: AttribParams, label| {
+            let cost = p.cost(message(label));
+            (cost.bytes, cost.flits)
+        };
         assert_eq!(size(p, "read_req"), (8, 1), "header only");
         assert_eq!(size(p, "read_reply"), (24, 3), "header + block");
         assert_eq!(size(AttribParams::with_block_bytes(64), "writeback"), (72, 9));
+        assert_eq!(size(p, "future_req"), (8, 1), "no row: header only");
     }
 
     #[test]

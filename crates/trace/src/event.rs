@@ -7,9 +7,9 @@
 //! and the simulated cycle, so per-cluster ring buffers can be merged back
 //! into one causal history.
 
+use scd_protocol::message;
 use scd_stats::MessageClass;
 
-use crate::attrib::message;
 use crate::json::{push_label, push_u64, Exact, Fields, Json, Key, Value};
 
 /// A coherence-transaction lifecycle phase (the latency breakdown the
@@ -138,7 +138,7 @@ pub enum EventKind {
         src: u32,
         /// Destination cluster.
         dst: u32,
-        /// Stable message-kind label ([`crate::attrib::MESSAGES`]).
+        /// Stable message-kind label ([`scd_protocol::MESSAGES`]).
         msg: &'static str,
         /// The paper's traffic class label ([`MessageClass::label`]).
         class: &'static str,
@@ -278,7 +278,7 @@ fn cause_named(s: &str) -> Option<&'static str> {
 }
 
 fn msg_named(s: &str) -> Option<&'static str> {
-    message(s).map(|m| m.0)
+    message(s).map(|m| m.label)
 }
 
 fn class_named(s: &str) -> Option<&'static str> {

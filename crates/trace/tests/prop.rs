@@ -25,7 +25,7 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use scd_stats::MessageClass;
-use scd_trace::attrib::MESSAGES;
+use scd_protocol::MESSAGES;
 use scd_trace::event::{cause, read_exact, read_lexed};
 use scd_trace::json::Value;
 use scd_trace::perfetto::{self, exact_records, to_perfetto_numbered};
@@ -176,7 +176,7 @@ fn one_of(labels: Vec<&'static str>) -> Labels {
 /// accepts.
 fn vocabulary_kind() -> impl Strategy<Value = EventKind> {
     kind_over(
-        one_of(MESSAGES.iter().map(|m| m.0).collect()),
+        one_of(MESSAGES.iter().map(|m| m.label).collect()),
         one_of(MessageClass::ALL.iter().map(|c| c.label()).collect()),
         one_of(cause::ALL.to_vec()),
     )
@@ -278,7 +278,7 @@ fn the_exact_reader_takes_every_label() {
         .map(|phase| EventKind::TxnPhase { txn: 1, block: 2, phase })
         .chain(cause::ALL.map(|cause| EventKind::Inval { block: 2, targets: 3, cause }))
         .collect();
-    for &(msg, ..) in MESSAGES {
+    for msg in MESSAGES.iter().map(|m| m.label) {
         for block in [None, Some(7), Some(u64::MAX)] {
             kinds.push(EventKind::MsgDeliver { src: 0, dst: u32::MAX, msg, block });
             for class in MessageClass::ALL.map(MessageClass::label) {
@@ -688,7 +688,7 @@ proptest! {
 
 /// Message labels: the vocabulary, as the machine supplies it.
 fn message_label() -> Labels {
-    one_of(MESSAGES.iter().map(|m| m.0).collect())
+    one_of(MESSAGES.iter().map(|m| m.label).collect())
 }
 
 fn class_label() -> Labels {

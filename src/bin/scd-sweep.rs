@@ -30,7 +30,8 @@ usage: scd-sweep [options]
                       (default: full,cv:3:2,b:3,nb:3 — the paper's SS5 suite)
   --sparse <v,..>     full | <factor>:<ways>:<lru|rand|lra>
                       (default: full; e.g. full,2:4:rand adds the SS6.3 point)
-  --seeds <n,..>      workload seeds (default: 54363 = 0xD45B)
+  --seeds <n,..>      workload seeds (default: 54363 = 0xD45B; lu and dwf
+                      ignore the seed, so each extra seed repeats their runs)
   --protocol <p,..>   coherence protocol backends: dash | tardis | dls
                       (default: dash; a multi-protocol list multiplies the
                       grid so one sweep compares the families on identical
@@ -60,7 +61,7 @@ fn main() {
             Scheme::dir_nb(3),
         ],
         sparse: vec![SparseVariant::Full],
-        seeds: vec![0xD45B],
+        seeds: vec![bench::RUN_SEED],
         protocols: vec![ProtocolKind::Dash],
         scale: 1.0,
         clusters: 32,

@@ -37,7 +37,8 @@ usage: scdsim [options]
   --procs-per-cluster <n>                     processors per cluster (default 1)
   --scale <f>                                 problem scale in (0, 1] (default 1.0)
   --seed <n>                                  workload seed, decimal or 0x hex
-                                              (default 0xD45B)
+                                              (default 0xD45B; lu and dwf
+                                              ignore it)
   --sparse <entries>:<ways>:<lru|rand|lra>    sparse directory (per home)
   --overflow <i>:<wide>:<ways>:<lru|rand|lra> overflow directory
   --serial-invalidations                      SCI-style serial invalidations
@@ -102,7 +103,7 @@ fn main() {
     let mut cfg = MachineConfig::paper_32();
     let mut app_name = "lu".to_string();
     let mut scale = 1.0f64;
-    let mut seed = 0xD45Bu64;
+    let mut seed = bench::RUN_SEED;
     let mut sparse: Option<(usize, usize, Replacement)> = None;
     let mut overflow: Option<(usize, usize, usize, Replacement)> = None;
     let mut scheme: Option<Scheme> = None;

@@ -84,6 +84,19 @@ fn help_is_stdout_and_exit_0_for_every_binary() {
     }
 }
 
+/// The help texts quote the default run seed that `bench::RUN_SEED` sets.
+#[test]
+fn help_texts_quote_the_run_seed() {
+    let dir = scratch("help-seed");
+    let (dec, hex) = (bench::RUN_SEED, format!("0x{:X}", bench::RUN_SEED));
+    let scdsim = stdout(&expect(SCDSIM, &dir, &["--help"], 0, ""));
+    assert!(scdsim.contains(&format!("(default {hex};")), "{scdsim}");
+    let sweep = stdout(&expect(SWEEP, &dir, &["--help"], 0, ""));
+    for quoted in [format!("(default: {dec} = {hex};"), format!("seed {hex}, 32 clusters")] {
+        assert!(sweep.contains(&quoted), "`{quoted}` missing:\n{sweep}");
+    }
+}
+
 /// A search a bound cut short proved nothing about the states beyond it:
 /// `scd-check` prints its row as `TRUNCATED`, exits 1 and names the bound
 /// to raise, while the same search without the bound exits 0.
@@ -124,10 +137,20 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         (&["--sparse", "4:2:fifo"], "bad replacement policy `fifo`"),
         (&["--overflow", "1:two:1:lru"], "bad --overflow `two`"),
         (&["--fault", "nack:2"], "bad --fault `nack:2`"),
-        // A cycle bound past `FAULT_CYCLES` would wrap the delivery clock.
-        (&["--fault", "delay:1:18446744073709551615"], "bad --fault `delay:1:18446744073709551615`"),
-        (&["--fault", "delay:1:9223372036854775808"], "bad --fault `delay:1:9223372036854775808`"),
-        (&["--fault", "reorder:1:18446744073709551615"], "bad --fault `reorder:1:18446744073709551615`"),
+        // A cycle bound past `FAULT_CYCLES` would wrap the delivery clock;
+        // `FaultPlan::validate` refuses it, as it does a plan built in code.
+        (
+            &["--fault", "delay:1:18446744073709551615"],
+            "scdsim: refused configuration: fault delay cycle bound = 18446744073709551615 (want 1..=4294967295)\n",
+        ),
+        (
+            &["--fault", "delay:1:9223372036854775808"],
+            "refused configuration: fault delay cycle bound = 9223372036854775808",
+        ),
+        (
+            &["--fault", "reorder:1:18446744073709551615"],
+            "refused configuration: fault reorder cycle bound = 18446744073709551615",
+        ),
         (&["--app", "quicksort"], UNKNOWN_APP),
         // Geometry the constructors would assert on is refused up front
         // (`MachineConfig::validate`), as is a scale outside (0, 1].

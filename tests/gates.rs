@@ -218,6 +218,35 @@ fn one_trace_event_decoder() {
     assert!(found.is_empty(), "event payload looked up outside TraceEvent::parse:\n{}", listing(&found));
 }
 
+/// The message vocabulary has one home (DESIGN.md §18): `scd-protocol`'s
+/// `MESSAGES`, whose rows the machine, the attribution and the trace
+/// readers all read. So each kind's label is a string literal on one code
+/// line of `crates/*/src` and `src`, its row. `HOMONYMS` are the files
+/// where the same word names something else: `nack` and `inval` are also
+/// trace event types, and `nack` a `--fault` mode.
+#[test]
+fn one_message_vocabulary() {
+    const HOMONYMS: [(&str, &str); 4] = [
+        ("nack", "crates/trace/src/event.rs"),
+        ("inval", "crates/trace/src/event.rs"),
+        ("inval", "crates/trace/src/patterns.rs"),
+        ("nack", "crates/noc/src/fault.rs"),
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let paths: Vec<PathBuf> = crate_sources(root).into_iter().chain([root.join("src")]).collect();
+    let lines = non_test_lines(&paths);
+    assert_eq!(scd::protocol::MESSAGES.len(), 31, "the vocabulary was found");
+    for row in scd::protocol::MESSAGES {
+        let quoted = format!("\"{}\"", row.label);
+        let sites: Vec<&Line> = lines
+            .iter()
+            .filter(|l| l.text.contains(&quoted) && !l.text.starts_with("//"))
+            .filter(|l| !HOMONYMS.iter().any(|&(word, file)| word == row.label && l.file.ends_with(file)))
+            .collect();
+        assert_eq!(sites.len(), 1, "`{}` is stated on these lines:\n{}", row.label, listing(&sites));
+    }
+}
+
 /// `scdsim` records a run and `scd-telemetry` reads it back (DESIGN.md
 /// §9): the span profile, a pure fold of the recorded events, is not
 /// built in the process that ran the machine. No line of `scdsim`'s
@@ -252,7 +281,7 @@ fn one_binary_records_one_reads() {
 /// the command line they share, at most: the readers were made one path at
 /// a price in lines, and paid it back. A change that grows them raises
 /// this number in its own diff.
-const READERS_CEILING: usize = 7_556;
+const READERS_CEILING: usize = 7_432;
 
 #[test]
 fn the_readers_stay_within_their_line_ceiling() {
@@ -274,7 +303,7 @@ fn crate_sources(root: &Path) -> Vec<PathBuf> {
 /// The non-test lines of every crate's `src`, at most, counted as the
 /// readers are. Code that goes lowers it in the same diff; a change that
 /// grows the crates raises it in its own.
-const ENGINE_CEILING: usize = 23_498;
+const ENGINE_CEILING: usize = 23_405;
 
 #[test]
 fn the_crates_stay_within_their_line_ceiling() {

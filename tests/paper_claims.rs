@@ -18,7 +18,7 @@ use scd::machine::{Machine, MachineConfig, RunStats};
 use scd::sim::SimRng;
 
 const PROCS: usize = 32;
-const SEED: u64 = 0xD45B;
+const SEED: u64 = bench::RUN_SEED;
 
 fn run(app: &scd::apps::AppRun, scheme: Scheme) -> RunStats {
     let mut cfg = MachineConfig::paper_32().with_scheme(scheme);
