@@ -29,6 +29,7 @@ use scd_apps::{dwf, locusroute, lu, mp3d, AppRun, DwfParams, LocusRouteParams, L
     Mp3dParams};
 use scd_core::{Replacement, Scheme};
 use scd_machine::{MachineConfig, ProtocolKind, RunStats};
+use scd_trace::event::record;
 use scd_trace::Json;
 
 use crate::runner::{run_app_attributed, slug, sparse_config_with};
@@ -415,7 +416,7 @@ impl SweepProgress {
     /// machine's trace stream; see `scd_trace::sink`).
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .with("type", Json::Str("sweep_run".into()))
+            .with("type", Json::Str(record::SWEEP_RUN.into()))
             .with("index", Json::U64(self.index as u64))
             .with("id", Json::Str(self.id.clone()))
             .with("cycles", Json::U64(self.cycles))
@@ -438,7 +439,7 @@ impl SweepProgress {
 /// The streamed `sweep_begin` record: grid size and worker count.
 pub fn sweep_begin_record(spec: &SweepSpec, jobs: usize) -> Json {
     Json::obj()
-        .with("type", Json::Str("sweep_begin".into()))
+        .with("type", Json::Str(record::SWEEP_BEGIN.into()))
         .with("total", Json::U64(spec.descriptors().len() as u64))
         .with("jobs", Json::U64(jobs as u64))
         .with(
@@ -455,7 +456,7 @@ pub fn sweep_begin_record(spec: &SweepSpec, jobs: usize) -> Json {
 /// The streamed `sweep_end` record: aggregate wall-clock accounting.
 pub fn sweep_end_record(outcome: &SweepOutcome) -> Json {
     Json::obj()
-        .with("type", Json::Str("sweep_end".into()))
+        .with("type", Json::Str(record::SWEEP_END.into()))
         .with("runs", Json::U64(outcome.runs.len() as u64))
         .with("jobs", Json::U64(outcome.jobs as u64))
         .with("wall_seconds", Json::F64(outcome.wall_seconds))

@@ -6,7 +6,7 @@
 use scd_check::{
     corpus, explore, minimize, random_walk, replay_trace, scenarios, ExploreConfig,
 };
-use scd_machine::{FaultEdges, Mutation};
+use scd_machine::{FaultEdges, Machine, Mutation};
 
 /// The exploration config a litmus test asks for (its own fault edges and
 /// budget, default bounds).
@@ -297,6 +297,24 @@ fn fault_edges_expand_the_state_space() {
         faulty.visited,
         quiet.visited
     );
+}
+
+/// The widest fault edges a `FaultEdges` can hold stay inside the engine's
+/// clock: a delay and a duplicate of `u32::MAX` cycles explore the first
+/// litmus test clean, where a `u64` edge of `u64::MAX` overflowed the
+/// delivery time and came back as a protocol counterexample. The cycle
+/// budget is lifted: `tiny`'s 50M would end such a branch as a run over
+/// budget.
+#[test]
+fn the_widest_fault_edges_are_not_counterexamples() {
+    let (l, sc) = (&corpus()[0], &scenarios()[0]);
+    let mut machine = l.config(sc, false);
+    machine.max_cycles = 0;
+    let faults = FaultEdges { nack: false, delay: Some(u32::MAX), dup: Some(u32::MAX) };
+    let cfg = ExploreConfig { faults, fault_budget: 2, ..ExploreConfig::default() };
+    let out = explore(&|| Machine::new(machine.clone(), l.scripts()), &cfg);
+    assert!(out.violation.is_none(), "{:?}", out.violation);
+    assert!(out.leaves > 0 && !out.truncated);
 }
 
 /// Besides being explored, every litmus test *runs* to a clean finish

@@ -62,17 +62,19 @@ pub enum Mutation {
 }
 
 /// Which fault edges [`Machine::exploration_choices`] enumerates, mirroring
-/// the modes of `scd_noc::FaultPlan` as nondeterministic transitions.
+/// the modes of `scd_noc::FaultPlan` as nondeterministic transitions. A
+/// cycle count is a `u32`, as a plan's bound is (`scd_noc::FAULT_CYCLES`),
+/// so no edge can push an event past the end of the clock; 0 acts as 1.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultEdges {
     /// NACK coherence requests at delivery (plan: `nack_prob`).
     pub nack: bool,
     /// Delay a coherence request by this many cycles (plan: `reorder`
     /// jitter, which is channel-clamp-exempt). `None` disables.
-    pub delay: Option<u64>,
+    pub delay: Option<u32>,
     /// Duplicate a read request, the copy arriving this many cycles later
     /// (plan: `dup_prob`). `None` disables.
-    pub dup: Option<u64>,
+    pub dup: Option<u32>,
 }
 
 impl FaultEdges {
@@ -107,7 +109,7 @@ pub enum Choice {
         /// Index into the current ready set.
         idx: usize,
         /// Cycles of added latency.
-        delta: u64,
+        delta: u32,
     },
     /// Deliver the `idx`-th ready-set event (a read request) *and*
     /// schedule an identical duplicate `gap` cycles later.
@@ -115,7 +117,7 @@ pub enum Choice {
         /// Index into the current ready set.
         idx: usize,
         /// Cycles until the duplicate arrives.
-        gap: u64,
+        gap: u32,
     },
 }
 
@@ -304,7 +306,7 @@ impl Machine {
                 // behind traffic sent after it.
                 debug_assert!(matches!(ev, Ev::Deliver(_)));
                 self.eng.faults.count().reorders += 1;
-                self.eng.queue.schedule_at(t + delta.max(1), ev);
+                self.eng.queue.schedule_at(t + u64::from(delta.max(1)), ev);
                 Ok(())
             }
             Choice::Dup { gap, .. } => {
@@ -316,7 +318,7 @@ impl Machine {
                 // The duplicate gets its own arena slot: every handle is
                 // taken exactly once.
                 let dup = self.eng.arena.alloc(msg);
-                self.eng.queue.schedule_at(t + gap.max(1), Ev::Deliver(dup));
+                self.eng.queue.schedule_at(t + u64::from(gap.max(1)), Ev::Deliver(dup));
                 self.eng.faults.count().duplicates += 1;
                 self.process_event(t, ev)
             }

@@ -51,36 +51,157 @@ pub mod cause {
     pub const ALL: [&str; 3] = [WRITE, NB_EVICT, SWB_EVICT];
 }
 
-/// The nine trace-event `type`s, in [`EventKind`] order. Stream-only record
-/// types stay disjoint from them, so a stream splits into events and records.
-pub const EVENT_TYPES: [&str; 9] = [
-    "txn_begin", "txn_phase", "txn_end", "nack", "retry", "inval", "replacement", "msg_send",
-    "msg_deliver",
-];
+/// The `type`s of the stream-only records, which share the JSONL transport
+/// with trace events and stay disjoint from [`EVENT_TYPES`], so a stream
+/// splits into events and records.
+pub mod record {
+    /// The opening record of a single-run stream.
+    pub const RUN_META: &str = "run_meta";
+    /// One window of the interval time series.
+    pub const INTERVAL: &str = "interval";
+    /// One window's traffic, per class and per link.
+    pub const ATTRIB_DELTA: &str = "attrib_delta";
+    /// One directory-occupancy sample.
+    pub const PATTERNS: &str = "patterns";
+    /// The closing record of a single-run stream.
+    pub const RUN_END: &str = "run_end";
+    /// The opening record of a sweep stream.
+    pub const SWEEP_BEGIN: &str = "sweep_begin";
+    /// One finished run of a sweep.
+    pub const SWEEP_RUN: &str = "sweep_run";
+    /// The closing record of a sweep stream.
+    pub const SWEEP_END: &str = "sweep_end";
+    /// Every record type.
+    pub const ALL: [&str; 8] =
+        [RUN_META, INTERVAL, ATTRIB_DELTA, PATTERNS, RUN_END, SWEEP_BEGIN, SWEEP_RUN, SWEEP_END];
+}
 
-/// What happened.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EventKind {
+/// A field's key as the writer spells it, `,"name":`, in a byte array of
+/// fixed length: the one spelling [`TraceEvent::write_jsonl`] emits and
+/// [`read_exact`] compares in one constant-length step.
+macro_rules! key {
+    ($name:ident) => {{
+        const KEY: &[u8; stringify!($name).len() + 4] =
+            concat!(",\"", stringify!($name), "\":").as_bytes().first_chunk().unwrap();
+        KEY
+    }};
+}
+
+/// The first key, which opens the line.
+const SEQ: &[u8; 7] = b"{\"seq\":";
+
+/// One field on each path: its type's [`Field`] codec, or, for a
+/// `&'static str` label, a [`Scalar::Label`] read by the resolver its row
+/// names.
+macro_rules! field {
+    (scalar $v:ident: $ty:ty) => { Field::scalar($v) };
+    (scalar $v:ident: $ty:ty as $named:ident) => { Some(Scalar::Label($v)) };
+    (exact $r:ident, $f:ident: $ty:ty) => { <$ty as Field>::exact($r, key!($f)) };
+    (exact $r:ident, $f:ident: $ty:ty as $named:ident) => { $r.label(key!($f), $named) };
+    (lexed $l:ident $what:ident, $f:ident: $ty:ty) => { <$ty as Field>::lexed($l, stringify!($f)) };
+    (lexed $l:ident $what:ident, $f:ident: $ty:ty as $named:ident) => {
+        label($l, stringify!($f), $what, $named)
+    };
+}
+
+/// Declares [`EventKind`] and everything that follows from its fields: a
+/// row per kind gives its variant, its `type` label and its fields in
+/// output order. [`EVENT_TYPES`], [`EventKind::index`], the writer, the
+/// tree and both readers are generated from the rows. A field's type
+/// picks its codec ([`Field`]); a `&'static str` label names the resolver
+/// of its vocabulary after `as`.
+macro_rules! events {
+    ($($(#[$doc:meta])* $kind:ident = $label:literal {
+        $($(#[$fdoc:meta])* $f:ident: $ty:ty $(as $named:ident)?,)*
+    })*) => {
+        /// What happened.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum EventKind {
+            $($(#[$doc])* $kind { $($(#[$fdoc])* $f: $ty,)* },)*
+        }
+
+        /// The variants without their fields: a kind's position in
+        /// [`EVENT_TYPES`].
+        pub(crate) enum Row { $($kind,)* }
+
+        /// The nine trace-event `type`s, in [`EventKind`] order. Stream-only
+        /// [`record`] types stay disjoint from them.
+        pub const EVENT_TYPES: [&str; [$($label),*].len()] = [$($label),*];
+
+        impl EventKind {
+            /// Position of this event type in [`EVENT_TYPES`].
+            pub fn index(&self) -> usize {
+                match self { $(EventKind::$kind { .. } => Row::$kind as usize,)* }
+            }
+
+            /// Appends the payload's fields, each key then value.
+            #[inline(always)]
+            fn write(&self, out: &mut Vec<u8>) {
+                match *self {
+                    $(EventKind::$kind { $($f),* } => {
+                        $(if let Some(v) = field!(scalar $f: $ty $(as $named)?) {
+                            v.write(key!($f), out);
+                        })*
+                    })*
+                }
+            }
+
+            /// The payload's fields as a tree's.
+            fn tree(&self, out: &mut Vec<(Key, Json)>) {
+                match *self {
+                    $(EventKind::$kind { $($f),* } => {
+                        $(if let Some(v) = field!(scalar $f: $ty $(as $named)?) {
+                            out.push((Key::Borrowed(stringify!($f)), v.json()));
+                        })*
+                    })*
+                }
+            }
+
+            /// The payload of a `ty` line after its `type`, as the writer
+            /// spells it.
+            #[inline(always)]
+            fn exact(ty: &str, r: &mut Exact<'_>) -> Option<Self> {
+                Some(match ty {
+                    $($label => EventKind::$kind { $($f: field!(exact r, $f: $ty $(as $named)?)?,)* },)*
+                    _ => return None,
+                })
+            }
+
+            /// The payload of a lexed `ty` line, fields checked in output
+            /// order.
+            fn lexed(ty: &str, fields: &Fields<'_>) -> Result<Self, String> {
+                Ok(match ty {
+                    $($label => EventKind::$kind {
+                        $($f: field!(lexed fields ty, $f: $ty $(as $named)?)?,)*
+                    },)*
+                    other => return Err(format!("unknown event type `{other}`")),
+                })
+            }
+        }
+    };
+}
+
+events! {
     /// A coherence transaction (read or write miss) issued its request.
-    TxnBegin {
+    TxnBegin = "txn_begin" {
         /// Transaction id, unique within the run.
         txn: u64,
         /// The block.
         block: u64,
         /// Whether this is a write/ownership transaction.
         write: bool,
-    },
+    }
     /// A transaction crossed a lifecycle phase.
-    TxnPhase {
+    TxnPhase = "txn_phase" {
         /// Transaction id.
         txn: u64,
         /// The block.
         block: u64,
         /// The phase entered.
         phase: Phase,
-    },
+    }
     /// A transaction completed at its requester.
-    TxnEnd {
+    TxnEnd = "txn_end" {
         /// Transaction id.
         txn: u64,
         /// The block.
@@ -89,16 +210,16 @@ pub enum EventKind {
         latency: u64,
         /// NACK-driven reissues the transaction absorbed.
         retries: u32,
-    },
+    }
     /// The home refused a request with a transient NACK.
-    Nack {
+    Nack = "nack" {
         /// Transaction id (the requester's outstanding MSHR).
         txn: u64,
         /// The block.
         block: u64,
-    },
+    }
     /// A requester reissued a NACKed request after exponential backoff.
-    Retry {
+    Retry = "retry" {
         /// Transaction id.
         txn: u64,
         /// The block.
@@ -107,78 +228,75 @@ pub enum EventKind {
         attempt: u32,
         /// Backoff delay in cycles before the reissue.
         backoff: u64,
-    },
+    }
     /// The home directory decided an invalidation set: one event per
     /// directory write transaction (and per `Dir_i NB` pointer-overflow
     /// eviction), weighted by the invalidation messages sent. The
     /// event-stream mirror of the `RunStats::invalidations` histogram,
     /// and the raw input of the sharing-pattern classifier.
-    Inval {
+    Inval = "inval" {
         /// The block whose sharers were invalidated.
         block: u64,
         /// Invalidation messages sent (0 for a write that found a dirty
         /// owner to forward to — an ownership transfer, no fan-out).
         targets: u32,
         /// Why: one of the [`cause`] labels.
-        cause: &'static str,
-    },
+        cause: &'static str as cause_named,
+    }
     /// A sparse-directory (or overflow wide-slot) entry was displaced and
     /// its covered copies flushed.
-    Replacement {
+    Replacement = "replacement" {
         /// The victim block losing its entry.
         victim: u64,
         /// Clusters flushed.
         targets: u32,
         /// Whether the victim entry recorded a dirty owner.
         dirty: bool,
-    },
+    }
     /// A protocol message entered the network.
-    MsgSend {
+    MsgSend = "msg_send" {
         /// Source cluster.
         src: u32,
         /// Destination cluster.
         dst: u32,
         /// Stable message-kind label ([`scd_protocol::MESSAGES`]).
-        msg: &'static str,
-        /// The paper's traffic class label ([`MessageClass::label`]).
-        class: &'static str,
+        msg: &'static str as msg_named,
+        /// The paper's traffic class label ([`MessageClass::label`]) of
+        /// `msg`'s row.
+        class: &'static str as class_named,
         /// The block concerned, if any.
         block: Option<u64>,
         /// Mesh hops the message traverses.
         hops: u32,
-    },
+    }
     /// A protocol message reached its destination cluster.
-    MsgDeliver {
+    MsgDeliver = "msg_deliver" {
         /// Source cluster.
         src: u32,
         /// Destination cluster.
         dst: u32,
         /// Stable message-kind label.
-        msg: &'static str,
+        msg: &'static str as msg_named,
         /// The block concerned, if any.
         block: Option<u64>,
-    },
+    }
 }
 
 impl EventKind {
-    /// Position of this event type in [`EVENT_TYPES`].
-    pub fn index(&self) -> usize {
-        match self {
-            EventKind::TxnBegin { .. } => 0,
-            EventKind::TxnPhase { .. } => 1,
-            EventKind::TxnEnd { .. } => 2,
-            EventKind::Nack { .. } => 3,
-            EventKind::Retry { .. } => 4,
-            EventKind::Inval { .. } => 5,
-            EventKind::Replacement { .. } => 6,
-            EventKind::MsgSend { .. } => 7,
-            EventKind::MsgDeliver { .. } => 8,
-        }
-    }
-
     /// Stable schema name of this event type.
     pub fn label(&self) -> &'static str {
         EVENT_TYPES[self.index()]
+    }
+
+    /// What a row cannot say: a `msg_send`'s `class` is its `msg`'s paper
+    /// class, the only one the recorder writes.
+    fn check(&self) -> Result<(), String> {
+        let EventKind::MsgSend { msg, class, .. } = *self else { return Ok(()) };
+        let paper = message(msg).map_or("", |m| m.class.label());
+        if class == paper {
+            return Ok(());
+        }
+        Err(format!("msg_send `class` `{class}` is not `{msg}`'s class `{paper}`"))
     }
 }
 
@@ -196,75 +314,109 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// `walk`'s keys as the writer spells them, punctuation included: the one
-/// set [`LineWriter`] emits and [`read_exact`] compares.
-mod key {
-    crate::json::keys! {
-        SEQ = b"{\"seq\":", CYCLE = b",\"cycle\":", CLUSTER = b",\"cluster\":",
-        TYPE = b",\"type\":", TXN = b",\"txn\":", BLOCK = b",\"block\":", WRITE = b",\"write\":",
-        PHASE = b",\"phase\":", LATENCY = b",\"latency\":", RETRIES = b",\"retries\":",
-        ATTEMPT = b",\"attempt\":", BACKOFF = b",\"backoff\":", TARGETS = b",\"targets\":",
-        CAUSE = b",\"cause\":", VICTIM = b",\"victim\":", DIRTY = b",\"dirty\":",
-        SRC = b",\"src\":", DST = b",\"dst\":", MSG = b",\"msg\":", CLASS = b",\"class\":",
-        HOPS = b",\"hops\":",
-    }
+/// A field's value as the writer spells it.
+#[derive(Clone, Copy)]
+enum Scalar {
+    Int(u64),
+    Flag(bool),
+    Label(&'static str),
 }
 
-/// What [`TraceEvent::walk`] drives, a call per field in output order. A key
-/// comes punctuated (`{"seq":`, `,"name":`) in a byte array of fixed length.
-trait FieldVisitor {
-    /// A counter, identifier or cycle.
-    fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64);
-    /// A flag.
-    fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool);
-    /// A stable schema label.
-    fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str);
-}
-
-/// The line writer: each field is its punctuated key, then its value.
-struct LineWriter<'a>(&'a mut Vec<u8>);
-
-impl FieldVisitor for LineWriter<'_> {
+impl Scalar {
+    /// Appends `key` and the value.
     #[inline(always)]
-    fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64) {
-        self.0.extend_from_slice(key);
-        push_u64(self.0, n);
+    fn write<const N: usize>(self, key: &[u8; N], out: &mut Vec<u8>) {
+        out.extend_from_slice(key);
+        match self {
+            Scalar::Int(n) => push_u64(out, n),
+            Scalar::Flag(b) => out.extend_from_slice(if b { b"true" } else { b"false" }),
+            Scalar::Label(s) => push_label(out, s),
+        }
     }
 
-    #[inline(always)]
-    fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool) {
-        self.0.extend_from_slice(key);
-        self.0.extend_from_slice(if b { b"true" } else { b"false" });
-    }
-
-    #[inline(always)]
-    fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str) {
-        self.0.extend_from_slice(key);
-        push_label(self.0, s);
-    }
-}
-
-/// The tree builder: a [`Json`] object's fields, named by the bare keys.
-struct TreeBuilder(Vec<(Key, Json)>);
-
-impl TreeBuilder {
-    fn push(&mut self, key: &'static [u8], value: Json) {
-        let name = std::str::from_utf8(&key[2..key.len() - 2]);
-        self.0.push((Key::Borrowed(name.expect("keys are `walk`'s ASCII literals")), value));
+    fn json(self) -> Json {
+        match self {
+            Scalar::Int(n) => Json::U64(n),
+            Scalar::Flag(b) => Json::Bool(b),
+            Scalar::Label(s) => Json::Str(s.into()),
+        }
     }
 }
 
-impl FieldVisitor for TreeBuilder {
-    fn u64<const N: usize>(&mut self, key: &'static [u8; N], n: u64) {
-        self.push(key, Json::U64(n));
-    }
+/// A field type's codec: the scalar the writer and the tree take, and
+/// how each reader takes it back.
+trait Field: Copy {
+    /// The value as written; `None` for an absent optional.
+    fn scalar(self) -> Option<Scalar>;
+    /// The value after `key` in the writer's spelling, else `None`.
+    fn exact<const N: usize>(r: &mut Exact<'_>, key: &[u8; N]) -> Option<Self>;
+    /// The value under `key` of a lexed line, or why not.
+    fn lexed(fields: &Fields<'_>, key: &str) -> Result<Self, String>;
+}
 
-    fn boolean<const N: usize>(&mut self, key: &'static [u8; N], b: bool) {
-        self.push(key, Json::Bool(b));
+impl Field for u64 {
+    fn scalar(self) -> Option<Scalar> {
+        Some(Scalar::Int(self))
     }
+    #[inline(always)]
+    fn exact<const N: usize>(r: &mut Exact<'_>, key: &[u8; N]) -> Option<Self> {
+        r.u64(key)
+    }
+    fn lexed(fields: &Fields<'_>, key: &str) -> Result<Self, String> {
+        int(fields, key)
+    }
+}
 
-    fn label<const N: usize>(&mut self, key: &'static [u8; N], s: &'static str) {
-        self.push(key, Json::Str(s.into()));
+impl Field for u32 {
+    fn scalar(self) -> Option<Scalar> {
+        Some(Scalar::Int(self.into()))
+    }
+    #[inline(always)]
+    fn exact<const N: usize>(r: &mut Exact<'_>, key: &[u8; N]) -> Option<Self> {
+        r.u32(key)
+    }
+    fn lexed(fields: &Fields<'_>, key: &str) -> Result<Self, String> {
+        int(fields, key)
+    }
+}
+
+impl Field for Option<u64> {
+    fn scalar(self) -> Option<Scalar> {
+        self.map(Scalar::Int)
+    }
+    #[inline(always)]
+    fn exact<const N: usize>(r: &mut Exact<'_>, key: &[u8; N]) -> Option<Self> {
+        r.opt_u64(key)
+    }
+    fn lexed(fields: &Fields<'_>, key: &str) -> Result<Self, String> {
+        fields.get(key).map(|_| int(fields, key)).transpose()
+    }
+}
+
+impl Field for bool {
+    fn scalar(self) -> Option<Scalar> {
+        Some(Scalar::Flag(self))
+    }
+    #[inline(always)]
+    fn exact<const N: usize>(r: &mut Exact<'_>, key: &[u8; N]) -> Option<Self> {
+        r.flag(key)
+    }
+    fn lexed(fields: &Fields<'_>, key: &str) -> Result<Self, String> {
+        let flag = fields.get(key).and_then(Value::as_bool);
+        flag.ok_or_else(|| format!("missing or non-boolean `{key}`"))
+    }
+}
+
+impl Field for Phase {
+    fn scalar(self) -> Option<Scalar> {
+        Some(Scalar::Label(self.label()))
+    }
+    #[inline(always)]
+    fn exact<const N: usize>(r: &mut Exact<'_>, key: &[u8; N]) -> Option<Self> {
+        r.label(key, phase_named)
+    }
+    fn lexed(fields: &Fields<'_>, key: &str) -> Result<Self, String> {
+        label(fields, key, key, phase_named)
     }
 }
 
@@ -285,54 +437,39 @@ fn class_named(s: &str) -> Option<&'static str> {
     MessageClass::ALL.map(MessageClass::label).into_iter().find(|c| *c == s)
 }
 
+/// An integer field of a lexed line, in range for `T`.
+fn int<T: TryFrom<u64>>(fields: &Fields<'_>, key: &str) -> Result<T, String> {
+    let n = fields.get(key).and_then(Value::as_u64);
+    let n = n.ok_or_else(|| format!("missing or non-integer `{key}`"))?;
+    let range = || format!("`{key}` {n} out of range for {}", std::any::type_name::<T>());
+    T::try_from(n).map_err(|_| range())
+}
+
+/// The label under `key`, resolved by `f`; missing, "`what` without `key`".
+fn label<T>(
+    fields: &Fields<'_>,
+    key: &str,
+    what: &str,
+    f: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let s = fields.get(key).and_then(Value::as_str);
+    let s = s.ok_or_else(|| format!("{what} without `{key}`"))?;
+    f(s).ok_or_else(|| format!("unknown `{key}` label `{s}`"))
+}
+
 /// The exact-bytes reader alone: the event when `line` is byte for byte
-/// a line `walk` and [`TraceEvent::write_jsonl`] could have written (the
-/// keys in `walk`'s order, each value in the writer's spelling, each label
-/// in its vocabulary), `None` otherwise. Public for the tests that hold it
-/// to the lexer path, not as an API.
+/// a line [`TraceEvent::write_jsonl`] could have written (the keys in its
+/// order, each value in its spelling, each label in its vocabulary),
+/// `None` otherwise. Public for the tests that hold it to the lexer path,
+/// not as an API.
 #[doc(hidden)]
 #[inline]
 pub fn read_exact(line: &str) -> Option<TraceEvent> {
-    use EventKind::*;
     let mut r = Exact::new(line);
-    let (seq, cycle, cluster) = (r.u64(key::SEQ)?, r.u64(key::CYCLE)?, r.u32(key::CLUSTER)?);
-    let kind = match r.label(key::TYPE, Some)? {
-        "txn_begin" => TxnBegin {
-            txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?, write: r.flag(key::WRITE)?,
-        },
-        "txn_phase" => TxnPhase {
-            txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
-            phase: r.label(key::PHASE, phase_named)?,
-        },
-        "txn_end" => TxnEnd {
-            txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
-            latency: r.u64(key::LATENCY)?, retries: r.u32(key::RETRIES)?,
-        },
-        "nack" => Nack { txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)? },
-        "retry" => Retry {
-            txn: r.u64(key::TXN)?, block: r.u64(key::BLOCK)?,
-            attempt: r.u32(key::ATTEMPT)?, backoff: r.u64(key::BACKOFF)?,
-        },
-        "inval" => Inval {
-            block: r.u64(key::BLOCK)?, targets: r.u32(key::TARGETS)?,
-            cause: r.label(key::CAUSE, cause_named)?,
-        },
-        "replacement" => Replacement {
-            victim: r.u64(key::VICTIM)?, targets: r.u32(key::TARGETS)?,
-            dirty: r.flag(key::DIRTY)?,
-        },
-        "msg_send" => MsgSend {
-            src: r.u32(key::SRC)?, dst: r.u32(key::DST)?, msg: r.label(key::MSG, msg_named)?,
-            class: r.label(key::CLASS, class_named)?, block: r.opt_u64(key::BLOCK)?,
-            hops: r.u32(key::HOPS)?,
-        },
-        "msg_deliver" => MsgDeliver {
-            src: r.u32(key::SRC)?, dst: r.u32(key::DST)?, msg: r.label(key::MSG, msg_named)?,
-            block: r.opt_u64(key::BLOCK)?,
-        },
-        _ => return None,
-    };
+    let (seq, cycle, cluster) = (r.u64(SEQ)?, r.u64(key!(cycle))?, r.u32(key!(cluster))?);
+    let kind = EventKind::exact(r.label(key!(type), Some)?, &mut r)?;
     r.end()?;
+    kind.check().ok()?;
     Some(TraceEvent { seq, cycle, cluster, kind })
 }
 
@@ -341,6 +478,15 @@ pub fn read_exact(line: &str) -> Option<TraceEvent> {
 #[doc(hidden)]
 pub fn read_lexed(line: &str) -> Result<TraceEvent, String> {
     decode(&Fields::parse(line)?)
+}
+
+/// The typed event of a lexed line, fields checked in output order.
+fn decode(fields: &Fields<'_>) -> Result<TraceEvent, String> {
+    let (seq, cycle, cluster) = (int(fields, "seq")?, int(fields, "cycle")?, int(fields, "cluster")?);
+    let ty = fields.get("type").and_then(Value::as_str).ok_or("missing `type`")?;
+    let kind = EventKind::lexed(ty, fields)?;
+    kind.check()?;
+    Ok(TraceEvent { seq, cycle, cluster, kind })
 }
 
 /// One event line read in one pass: the event itself when the line is
@@ -390,173 +536,7 @@ impl<'a> EventLine<'a> {
     }
 }
 
-/// An integer field of a lexed line, in range for `T`.
-fn int<T: TryFrom<u64>>(fields: &Fields<'_>, key: &str) -> Result<T, String> {
-    let n = fields.get(key).and_then(Value::as_u64);
-    let n = n.ok_or_else(|| format!("missing or non-integer `{key}`"))?;
-    let range = || format!("`{key}` {n} out of range for {}", std::any::type_name::<T>());
-    T::try_from(n).map_err(|_| range())
-}
-
-fn boolean(fields: &Fields<'_>, key: &str) -> Result<bool, String> {
-    let flag = fields.get(key).and_then(Value::as_bool);
-    flag.ok_or_else(|| format!("missing or non-boolean `{key}`"))
-}
-
-/// The label under `key`, resolved by `f`; missing, "`what` without `key`".
-fn label<T>(
-    fields: &Fields<'_>,
-    key: &str,
-    what: &str,
-    f: impl Fn(&str) -> Option<T>,
-) -> Result<T, String> {
-    let s = fields.get(key).and_then(Value::as_str);
-    let s = s.ok_or_else(|| format!("{what} without `{key}`"))?;
-    f(s).ok_or_else(|| format!("unknown `{key}` label `{s}`"))
-}
-
-/// The typed event of a lexed line, a kind to a row, fields checked in
-/// `walk`'s order.
-fn decode(fields: &Fields<'_>) -> Result<TraceEvent, String> {
-    use EventKind::*;
-    let (long, short) = (|key| int::<u64>(fields, key), |key| int::<u32>(fields, key));
-    let (seq, cycle, cluster) = (long("seq")?, long("cycle")?, short("cluster")?);
-    let ty = fields.get("type").and_then(Value::as_str).ok_or("missing `type`")?;
-    let (txn, block, flag) = (|| long("txn"), || long("block"), |key| boolean(fields, key));
-    let phase = || label(fields, "phase", "phase", phase_named);
-    let why = || label(fields, "cause", ty, cause_named);
-    let msg = || label(fields, "msg", ty, msg_named);
-    let opt_block = || fields.get("block").map(|_| long("block")).transpose();
-    let class = || label(fields, "class", ty, class_named);
-    let kind = match ty {
-        "txn_begin" => TxnBegin { txn: txn()?, block: block()?, write: flag("write")? },
-        "txn_phase" => TxnPhase { txn: txn()?, block: block()?, phase: phase()? },
-        "txn_end" => TxnEnd {
-            txn: txn()?, block: block()?,
-            latency: long("latency")?, retries: short("retries")?,
-        },
-        "nack" => Nack { txn: txn()?, block: block()? },
-        "retry" => Retry {
-            txn: txn()?, block: block()?,
-            attempt: short("attempt")?, backoff: long("backoff")?,
-        },
-        "inval" => Inval { block: block()?, targets: short("targets")?, cause: why()? },
-        "replacement" => Replacement {
-            victim: long("victim")?, targets: short("targets")?, dirty: flag("dirty")?,
-        },
-        "msg_send" => MsgSend {
-            src: short("src")?, dst: short("dst")?, msg: msg()?, class: class()?,
-            block: opt_block()?, hops: short("hops")?,
-        },
-        "msg_deliver" => MsgDeliver {
-            src: short("src")?, dst: short("dst")?, msg: msg()?, block: opt_block()?,
-        },
-        other => return Err(format!("unknown event type `{other}`")),
-    };
-    Ok(TraceEvent { seq, cycle, cluster, kind })
-}
-
 impl TraceEvent {
-    /// The event's schema: every key of its JSONL envelope with its
-    /// value, in output order. This is the only place that says which
-    /// fields an event kind has; [`TraceEvent::write_jsonl`] and
-    /// [`TraceEvent::to_json`] are its two consumers, and
-    /// [`TraceEvent::parse`] its inverse (held to it by the round-trip
-    /// property in `tests/prop.rs`).
-    #[inline(always)]
-    fn walk(&self, f: &mut impl FieldVisitor) {
-        f.u64(key::SEQ, self.seq);
-        f.u64(key::CYCLE, self.cycle);
-        f.u64(key::CLUSTER, self.cluster as u64);
-        f.label(key::TYPE, self.kind.label());
-        match self.kind {
-            EventKind::TxnBegin { txn, block, write } => {
-                f.u64(key::TXN, txn);
-                f.u64(key::BLOCK, block);
-                f.boolean(key::WRITE, write);
-            }
-            EventKind::TxnPhase { txn, block, phase } => {
-                f.u64(key::TXN, txn);
-                f.u64(key::BLOCK, block);
-                f.label(key::PHASE, phase.label());
-            }
-            EventKind::TxnEnd {
-                txn,
-                block,
-                latency,
-                retries,
-            } => {
-                f.u64(key::TXN, txn);
-                f.u64(key::BLOCK, block);
-                f.u64(key::LATENCY, latency);
-                f.u64(key::RETRIES, retries as u64);
-            }
-            EventKind::Nack { txn, block } => {
-                f.u64(key::TXN, txn);
-                f.u64(key::BLOCK, block);
-            }
-            EventKind::Retry {
-                txn,
-                block,
-                attempt,
-                backoff,
-            } => {
-                f.u64(key::TXN, txn);
-                f.u64(key::BLOCK, block);
-                f.u64(key::ATTEMPT, attempt as u64);
-                f.u64(key::BACKOFF, backoff);
-            }
-            EventKind::Inval {
-                block,
-                targets,
-                cause,
-            } => {
-                f.u64(key::BLOCK, block);
-                f.u64(key::TARGETS, targets as u64);
-                f.label(key::CAUSE, cause);
-            }
-            EventKind::Replacement {
-                victim,
-                targets,
-                dirty,
-            } => {
-                f.u64(key::VICTIM, victim);
-                f.u64(key::TARGETS, targets as u64);
-                f.boolean(key::DIRTY, dirty);
-            }
-            EventKind::MsgSend {
-                src,
-                dst,
-                msg,
-                class,
-                block,
-                hops,
-            } => {
-                f.u64(key::SRC, src as u64);
-                f.u64(key::DST, dst as u64);
-                f.label(key::MSG, msg);
-                f.label(key::CLASS, class);
-                if let Some(b) = block {
-                    f.u64(key::BLOCK, b);
-                }
-                f.u64(key::HOPS, hops as u64);
-            }
-            EventKind::MsgDeliver {
-                src,
-                dst,
-                msg,
-                block,
-            } => {
-                f.u64(key::SRC, src as u64);
-                f.u64(key::DST, dst as u64);
-                f.label(key::MSG, msg);
-                if let Some(b) = block {
-                    f.u64(key::BLOCK, b);
-                }
-            }
-        }
-    }
-
     /// Appends the event's JSONL line (no trailing newline) to `out`.
     /// This is the byte contract of every streamed, exported and replayed
     /// trace line. The bytes are UTF-8 — ASCII punctuation, decimals and
@@ -565,17 +545,28 @@ impl TraceEvent {
     /// nothing beyond growing `out`, so a caller that reuses one buffer
     /// renders events without touching the heap.
     pub fn write_jsonl(&self, out: &mut Vec<u8>) {
-        self.walk(&mut LineWriter(out));
+        Scalar::Int(self.seq).write(SEQ, out);
+        Scalar::Int(self.cycle).write(key!(cycle), out);
+        Scalar::Int(self.cluster.into()).write(key!(cluster), out);
+        Scalar::Label(self.kind.label()).write(key!(type), out);
+        self.kind.write(out);
         out.push(b'}');
     }
 
     /// The event as a [`Json`] object, for replay-side consumers and
-    /// tests. `to_json().to_string()` equals [`TraceEvent::write_jsonl`]
-    /// byte for byte (held by the property test in `tests/prop.rs`).
+    /// tests, built field by field as the writer writes them:
+    /// `to_json().to_string()` equals [`TraceEvent::write_jsonl`] byte for
+    /// byte (held by the property test in `tests/prop.rs`).
     pub fn to_json(&self) -> Json {
-        let mut fields = TreeBuilder(Vec::with_capacity(10));
-        self.walk(&mut fields);
-        Json::Obj(fields.0)
+        let mut fields = Vec::with_capacity(10);
+        fields.extend([
+            (Key::Borrowed("seq"), Json::U64(self.seq)),
+            (Key::Borrowed("cycle"), Json::U64(self.cycle)),
+            (Key::Borrowed("cluster"), Json::U64(self.cluster.into())),
+            (Key::Borrowed("type"), Json::Str(self.kind.label().into())),
+        ]);
+        self.kind.tree(&mut fields);
+        Json::Obj(fields)
     }
 
     /// Reads one JSONL line back, the inverse of [`TraceEvent::write_jsonl`]

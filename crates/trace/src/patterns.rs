@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::event::{EventKind, TraceEvent};
+use crate::event::{EventKind, Row, TraceEvent, EVENT_TYPES};
 use crate::json::Json;
 use crate::replay::{run_lines, RunLine};
 use crate::schema::PATTERNS_SCHEMA;
@@ -286,8 +286,9 @@ impl PatternTable {
     /// from its text; the rest, and any the decoder refuses, pass through
     /// counted. Kept only for `benchmark/src/probes.rs` (ROADMAP.md 1(a)).
     pub fn observe_event(&mut self, ev: &Json) {
-        let read = matches!(ev.get("type").and_then(Json::as_str), Some("txn_begin" | "inval"));
-        match read.then(|| TraceEvent::parse(&ev.to_string())) {
+        let read = [Row::TxnBegin, Row::Inval].map(|row| EVENT_TYPES[row as usize]);
+        let ty = ev.get("type").and_then(Json::as_str).filter(|ty| read.contains(ty));
+        match ty.map(|_| TraceEvent::parse(&ev.to_string())) {
             Some(Ok(ev)) => self.observe(&ev),
             _ => self.events += 1,
         }

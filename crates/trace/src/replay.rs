@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::{EventKind, Phase, TraceEvent, EVENT_TYPES};
+use crate::event::{record, EventKind, Phase, TraceEvent, EVENT_TYPES};
 use crate::json::{records, Fields, Json};
 use crate::metrics::IntervalSnapshot;
 use crate::patterns::req_u64;
@@ -34,11 +34,13 @@ pub fn run_line(line: &str) -> Result<Option<RunLine>, String> {
     TraceEvent::parse(line).map(|ev| Some(RunLine::Event(ev))).or_else(|refusal| {
         let Ok(fields) = Fields::parse(line) else { return Err(refusal) };
         match fields.get("type").and_then(|v| v.as_str()) {
-            Some("interval") => {
+            Some(record::INTERVAL) => {
                 let window = fields.get("window").ok_or("interval without `window`")?;
                 IntervalSnapshot::parse(window.raw()).map(|w| Some(RunLine::Interval(w)))
             }
-            Some("run_meta" | "attrib_delta" | "patterns" | "run_end") => Ok(None),
+            Some(record::RUN_META | record::ATTRIB_DELTA | record::PATTERNS | record::RUN_END) => {
+                Ok(None)
+            }
             _ => Err(refusal),
         }
     })

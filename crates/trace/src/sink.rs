@@ -29,7 +29,7 @@ use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{EventLine, TraceEvent, EVENT_TYPES};
+use crate::event::{record, EventLine, TraceEvent, EVENT_TYPES};
 use crate::json::{records, Fields, Json};
 use crate::metrics::IntervalSnapshot;
 use crate::replay::{TraceCheck, TraceSummary};
@@ -134,7 +134,7 @@ impl TraceSink for BufferSink {
 /// same `run` object the `scd-run-stats/v1` document embeds.
 pub fn run_meta_record(run: &Json) -> Json {
     Json::obj()
-        .with("type", Json::Str("run_meta".into()))
+        .with("type", Json::Str(record::RUN_META.into()))
         .with("run", run.clone())
 }
 
@@ -143,7 +143,7 @@ pub fn run_meta_record(run: &Json) -> Json {
 /// precedes this record in the stream.
 pub fn interval_record(snap: &IntervalSnapshot) -> Json {
     Json::obj()
-        .with("type", Json::Str("interval".into()))
+        .with("type", Json::Str(record::INTERVAL.into()))
         .with("window", snap.to_json())
 }
 
@@ -161,7 +161,7 @@ pub fn attrib_delta_record(
         cls.set(*label, counters.clone());
     }
     Json::obj()
-        .with("type", Json::Str("attrib_delta".into()))
+        .with("type", Json::Str(record::ATTRIB_DELTA.into()))
         .with("start", Json::U64(start))
         .with("end", Json::U64(end))
         .with("classes", cls)
@@ -188,7 +188,7 @@ pub fn attrib_delta_record(
 /// superset each scheme would invalidate), trailing zeros trimmed.
 pub fn patterns_record(start: u64, end: u64, live_entries: u64, sharers: &[u64]) -> Json {
     Json::obj()
-        .with("type", Json::Str("patterns".into()))
+        .with("type", Json::Str(record::PATTERNS.into()))
         .with("start", Json::U64(start))
         .with("end", Json::U64(end))
         .with("live_entries", Json::U64(live_entries))
@@ -203,7 +203,7 @@ pub fn patterns_record(start: u64, end: u64, live_entries: u64, sharers: &[u64])
 /// how much ring history the post-hoc file will be missing.
 pub fn run_end_record(cycles: u64, recorded: u64, dropped_events: u64) -> Json {
     Json::obj()
-        .with("type", Json::Str("run_end".into()))
+        .with("type", Json::Str(record::RUN_END.into()))
         .with("cycles", Json::U64(cycles))
         .with("recorded", Json::U64(recorded))
         .with("dropped_events", Json::U64(dropped_events))
@@ -316,27 +316,27 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
             nonempty(what, req_u64(obj, "start")?, req_u64(obj, "end")?)
         };
         match ty {
-            "run_meta" => {
+            record::RUN_META => {
                 obj.get("run").ok_or("run_meta without `run`")?;
             }
-            "interval" => {
+            record::INTERVAL => {
                 summary.intervals += 1;
                 let window = obj.get("window").ok_or("interval without `window`")?;
                 let IntervalSnapshot { start, end, .. } = IntervalSnapshot::parse(window.raw())?;
-                nonempty("interval", start, end)?;
+                nonempty(record::INTERVAL, start, end)?;
                 if let Some(prev) = last_interval_end.filter(|&prev| start != prev) {
                     return Err(format!("interval starts at {start}, previous ended at {prev}"));
                 }
                 last_interval_end = Some(end);
             }
-            "attrib_delta" => {
+            record::ATTRIB_DELTA => {
                 summary.attrib_deltas += 1;
-                window(&obj, "attrib_delta")?;
+                window(&obj, record::ATTRIB_DELTA)?;
                 obj.get("classes").ok_or("attrib_delta without `classes`")?;
             }
-            "patterns" => {
+            record::PATTERNS => {
                 summary.patterns_samples += 1;
-                window(&obj, "patterns")?;
+                window(&obj, record::PATTERNS)?;
                 let live = req_u64(&obj, "live_entries")?;
                 let sharers = obj.get("sharers").and_then(|v| v.elements());
                 let sharers = sharers.ok_or("patterns without `sharers`")?;
@@ -346,7 +346,7 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                     return Err(format!("{histogram} but only {live} are live"));
                 }
             }
-            "run_end" => {
+            record::RUN_END => {
                 let recorded = req_u64(&obj, "recorded")?;
                 let dropped = req_u64(&obj, "dropped_events")?;
                 req_u64(&obj, "cycles")?;
@@ -360,16 +360,16 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                     ));
                 }
                 summary.run_ended = true;
-                closed_by = Some("run_end");
+                closed_by = Some(record::RUN_END);
             }
-            "sweep_begin" => {
+            record::SWEEP_BEGIN => {
                 let total = req_u64(&obj, "total")?;
                 if total == 0 {
                     return Err("sweep_begin with total 0".into());
                 }
                 sweep_total = Some(total);
             }
-            "sweep_run" => {
+            record::SWEEP_RUN => {
                 summary.sweep_runs += 1;
                 let total = sweep_total.ok_or("sweep_run before sweep_begin")?;
                 let completed = req_u64(&obj, "completed")?;
@@ -384,14 +384,14 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 }
                 sweep_completed = completed;
             }
-            "sweep_end" => {
+            record::SWEEP_END => {
                 let runs = req_u64(&obj, "runs")?;
                 if runs != sweep_completed {
                     let records = format!("{sweep_completed} sweep_run records");
                     return Err(format!("sweep_end runs {runs} != {records}"));
                 }
                 summary.sweep_ended = true;
-                closed_by = Some("sweep_end");
+                closed_by = Some(record::SWEEP_END);
             }
             other => return Err(format!("unknown record type `{other}`")),
         }
@@ -579,16 +579,7 @@ mod tests {
 
     #[test]
     fn stream_record_types_stay_disjoint_from_event_types() {
-        for ty in [
-            "run_meta",
-            "interval",
-            "attrib_delta",
-            "patterns",
-            "run_end",
-            "sweep_begin",
-            "sweep_run",
-            "sweep_end",
-        ] {
+        for ty in record::ALL {
             assert!(!EVENT_TYPES.contains(&ty), "`{ty}` collides with an event type");
         }
     }

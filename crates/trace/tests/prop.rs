@@ -2,7 +2,7 @@
 //!
 //! Writing: the allocation-free writer ([`TraceEvent::write_jsonl`]) and
 //! the `Json` tree ([`TraceEvent::to_json`]) are two consumers of one
-//! field walk and must agree on every byte, for every event kind, at the
+//! schema table and must agree on every byte, for every event kind, at the
 //! edges of every field; and the decoders ([`TraceEvent::parse`],
 //! [`IntervalSnapshot::parse`]) read every line of the machine's
 //! vocabulary, and every interval window, back to what was written.
@@ -25,7 +25,7 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use scd_stats::MessageClass;
-use scd_protocol::MESSAGES;
+use scd_protocol::{message, MESSAGES};
 use scd_trace::event::{cause, read_exact, read_lexed};
 use scd_trace::json::Value;
 use scd_trace::perfetto::{self, exact_records, to_perfetto_numbered};
@@ -94,9 +94,12 @@ fn block() -> impl Strategy<Value = Option<u64>> {
 /// A message, class or cause label strategy.
 type Labels = BoxedStrategy<&'static str>;
 
-/// Every event kind at the edges of its fields, with `msg`, `class` and
+/// Every event kind at the edges of its fields, with `(msg, class)` and
 /// `cause` labels drawn from the given strategies.
-fn kind_over(msg: Labels, class: Labels, cause: Labels) -> impl Strategy<Value = EventKind> {
+fn kind_over(
+    msg_class: BoxedStrategy<(&'static str, &'static str)>,
+    cause: Labels,
+) -> impl Strategy<Value = EventKind> {
     prop_oneof![
         (edge_u64(), edge_u64(), any::<bool>())
             .prop_map(|(txn, block, write)| EventKind::TxnBegin { txn, block, write }),
@@ -134,15 +137,8 @@ fn kind_over(msg: Labels, class: Labels, cause: Labels) -> impl Strategy<Value =
                 dirty,
             }
         }),
-        (
-            edge_u32(),
-            edge_u32(),
-            msg.clone(),
-            class,
-            block(),
-            edge_u32()
-        )
-            .prop_map(|(src, dst, msg, class, block, hops)| EventKind::MsgSend {
+        (edge_u32(), edge_u32(), msg_class.clone(), block(), edge_u32())
+            .prop_map(|(src, dst, (msg, class), block, hops)| EventKind::MsgSend {
                 src,
                 dst,
                 msg,
@@ -150,7 +146,7 @@ fn kind_over(msg: Labels, class: Labels, cause: Labels) -> impl Strategy<Value =
                 block,
                 hops
             }),
-        (edge_u32(), edge_u32(), msg, block()).prop_map(|(src, dst, msg, block)| {
+        (edge_u32(), edge_u32(), msg_class, block()).prop_map(|(src, dst, (msg, _), block)| {
             EventKind::MsgDeliver {
                 src,
                 dst,
@@ -164,7 +160,7 @@ fn kind_over(msg: Labels, class: Labels, cause: Labels) -> impl Strategy<Value =
 /// Labels as a careless caller could pass them: what the writer must
 /// escape.
 fn kind() -> impl Strategy<Value = EventKind> {
-    kind_over(label().boxed(), label().boxed(), label().boxed())
+    kind_over((label(), label()).boxed(), label().boxed())
 }
 
 /// One of `labels`, uniformly.
@@ -173,13 +169,10 @@ fn one_of(labels: Vec<&'static str>) -> Labels {
 }
 
 /// Labels as the machine supplies them: the vocabularies the decoder
-/// accepts.
+/// accepts, each message with its own class.
 fn vocabulary_kind() -> impl Strategy<Value = EventKind> {
-    kind_over(
-        one_of(MESSAGES.iter().map(|m| m.label).collect()),
-        one_of(MessageClass::ALL.iter().map(|c| c.label()).collect()),
-        one_of(cause::ALL.to_vec()),
-    )
+    let msg_class = (0..MESSAGES.len()).prop_map(|i| (MESSAGES[i].label, MESSAGES[i].class.label()));
+    kind_over(msg_class.boxed(), one_of(cause::ALL.to_vec()))
 }
 
 proptest! {
@@ -269,7 +262,7 @@ fn the_kind_strategy_covers_every_event_type() {
 }
 
 /// Every label of every vocabulary, through the exact reader: each
-/// message kind with each class, with and without a `block`, on both
+/// message kind with its class, with and without a `block`, on both
 /// message events; each phase; each cause.
 #[test]
 fn the_exact_reader_takes_every_label() {
@@ -281,9 +274,8 @@ fn the_exact_reader_takes_every_label() {
     for msg in MESSAGES.iter().map(|m| m.label) {
         for block in [None, Some(7), Some(u64::MAX)] {
             kinds.push(EventKind::MsgDeliver { src: 0, dst: u32::MAX, msg, block });
-            for class in MessageClass::ALL.map(MessageClass::label) {
-                kinds.push(EventKind::MsgSend { src: 1, dst: 0, msg, class, block, hops: 9 });
-            }
+            let class = message(msg).expect("a MESSAGES label").class.label();
+            kinds.push(EventKind::MsgSend { src: 1, dst: 0, msg, class, block, hops: 9 });
         }
     }
     for kind in kinds {

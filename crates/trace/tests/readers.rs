@@ -194,6 +194,10 @@ fn validate_trace_rejects_what_the_writer_cannot_produce() {
         ),
         (line(&format!(r#"{send},"class":"requests","hops":1"#)), "line 1: msg_send without `msg`"),
         (
+            line(&format!(r#"{send},"msg":"read_req","class":"invalidations","hops":1"#)),
+            "line 1: msg_send `class` `invalidations` is not `read_req`'s class `requests`",
+        ),
+        (
             line(r#""type":"msg_deliver","src":0,"dst":1,"msg":"inval","block":"8""#),
             "line 1: missing or non-integer `block`",
         ),

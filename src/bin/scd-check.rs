@@ -62,8 +62,8 @@ usage error
 
 /// A fault edge's cycle count `v` given to `flag`, within the bound a
 /// `FaultPlan` holds.
-fn cycles(v: &str, flag: &str) -> Result<u64, String> {
-    let c = v.parse().ok().filter(|c| FAULT_CYCLES.contains(c));
+fn cycles(v: &str, flag: &str) -> Result<u32, String> {
+    let c = v.parse().ok().filter(|&c: &u32| FAULT_CYCLES.contains(&u64::from(c)));
     c.ok_or_else(|| format!("{flag} must be a cycle count in {FAULT_CYCLES:?}"))
 }
 

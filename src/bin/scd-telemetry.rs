@@ -11,6 +11,7 @@
 use bench::cli::{fail, read, refuse, write, Args};
 use scd::stats::table::{render_bars, render_table, Align};
 use scd::stats::Histogram;
+use scd::trace::event::record;
 use scd::trace::json::records;
 use scd::trace::{
     analyze, compare_docs, doc_label, extract_trace_lines, is_event_line, run_line, run_lines,
@@ -533,7 +534,7 @@ impl Dash {
         let u64_of = |key: &str| j.get(key).and_then(|v| v.as_u64());
         let f64_of = |key: &str| j.get(key).and_then(|v| v.as_f64());
         match j.get("type").and_then(|v| v.as_str()).unwrap_or("") {
-            "run_meta" => {
+            record::RUN_META => {
                 let run = j.get("run").map(|run| run.fields());
                 let run_of = |key: &str| run.as_ref().and_then(|run| run.get(key));
                 let label = |key: &str| run_of(key).and_then(|v| v.as_str()).unwrap_or("?").to_string();
@@ -542,7 +543,7 @@ impl Dash {
                 let title = format!("{} on {} ({clusters} clusters)", label("app"), label("scheme"));
                 self.title = run.is_some().then_some(title);
             }
-            "attrib_delta" => {
+            record::ATTRIB_DELTA => {
                 for l in j.get("links").and_then(|v| v.elements()).into_iter().flatten() {
                     let l = l.fields();
                     let u64_of = |key: &str| l.get(key).and_then(|v| v.as_u64());
@@ -554,7 +555,7 @@ impl Dash {
                     *self.links.entry((from as usize, to as usize)).or_insert(0) += flits;
                 }
             }
-            "patterns" => {
+            record::PATTERNS => {
                 self.cycle = self.cycle.max(u64_of("end").unwrap_or(0));
                 self.live_entries = u64_of("live_entries").unwrap_or(0);
                 if let Some(sharers) = j.get("sharers").and_then(|v| v.elements()) {
@@ -562,7 +563,7 @@ impl Dash {
                 }
                 self.patterns_samples += 1;
             }
-            "run_end" => {
+            record::RUN_END => {
                 let cycles = u64_of("cycles").unwrap_or(0);
                 let rec = u64_of("recorded").unwrap_or(0);
                 let drop = u64_of("dropped_events").unwrap_or(0);
@@ -570,10 +571,10 @@ impl Dash {
                 self.closed =
                     Some(format!("run complete: {cycles} cycles, {rec} events recorded, {drop} dropped"));
             }
-            "sweep_begin" => {
+            record::SWEEP_BEGIN => {
                 self.sweep = Some((0, u64_of("total").unwrap_or(0), 0.0, 0.0));
             }
-            "sweep_run" => {
+            record::SWEEP_RUN => {
                 self.sweep = Some((
                     u64_of("completed").unwrap_or(0),
                     u64_of("total").unwrap_or(0),
@@ -581,7 +582,7 @@ impl Dash {
                     f64_of("eta").unwrap_or(0.0),
                 ));
             }
-            "sweep_end" => {
+            record::SWEEP_END => {
                 let runs = u64_of("runs").unwrap_or(0);
                 let wall = f64_of("wall_seconds").unwrap_or(0.0);
                 self.closed = Some(format!("sweep complete: {runs} runs in {wall:.2}s"));

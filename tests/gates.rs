@@ -218,32 +218,37 @@ fn one_trace_event_decoder() {
     assert!(found.is_empty(), "event payload looked up outside TraceEvent::parse:\n{}", listing(&found));
 }
 
-/// The message vocabulary has one home (DESIGN.md §18): `scd-protocol`'s
-/// `MESSAGES`, whose rows the machine, the attribution and the trace
-/// readers all read. So each kind's label is a string literal on one code
-/// line of `crates/*/src` and `src`, its row. `HOMONYMS` are the files
-/// where the same word names something else: `nack` and `inval` are also
-/// trace event types, and `nack` a `--fault` mode.
+/// Each word of the three wire vocabularies has one home (DESIGN.md §18):
+/// a message kind's label its row of `scd-protocol`'s `MESSAGES`, an event
+/// type its row of `scd-trace`'s `events!` table, a stream-record type its
+/// `event::record` constant. So each is a string literal on one code line
+/// of `crates/*/src` and `src` per vocabulary that holds it: `nack` and
+/// `inval` are message kinds and event types, on two lines. `HOMONYMS` are
+/// the files where a word names something else.
 #[test]
-fn one_message_vocabulary() {
+fn one_wire_vocabulary() {
     const HOMONYMS: [(&str, &str); 4] = [
-        ("nack", "crates/trace/src/event.rs"),
-        ("inval", "crates/trace/src/event.rs"),
-        ("inval", "crates/trace/src/patterns.rs"),
-        ("nack", "crates/noc/src/fault.rs"),
+        ("nack", "crates/noc/src/fault.rs"),          // a `--fault` mode
+        ("patterns", "crates/machine/src/stats.rs"),  // the stats document's section
+        ("patterns", "crates/trace/src/replay.rs"),   // that section, read back
+        ("patterns", "src/bin/scd-telemetry.rs"),     // a subcommand
     ];
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let paths: Vec<PathBuf> = crate_sources(root).into_iter().chain([root.join("src")]).collect();
     let lines = non_test_lines(&paths);
-    assert_eq!(scd::protocol::MESSAGES.len(), 31, "the vocabulary was found");
-    for row in scd::protocol::MESSAGES {
-        let quoted = format!("\"{}\"", row.label);
+    let (events, records) = (scd::trace::EVENT_TYPES, scd::trace::event::record::ALL);
+    let messages = scd::protocol::MESSAGES.iter().map(|row| row.label);
+    let words: Vec<&str> = messages.chain(events).chain(records).collect();
+    assert_eq!(words.len(), 31 + 9 + 8, "the vocabularies were found");
+    for word in &words {
+        let quoted = format!("\"{word}\"");
         let sites: Vec<&Line> = lines
             .iter()
             .filter(|l| l.text.contains(&quoted) && !l.text.starts_with("//"))
-            .filter(|l| !HOMONYMS.iter().any(|&(word, file)| word == row.label && l.file.ends_with(file)))
+            .filter(|l| !HOMONYMS.iter().any(|&(w, file)| w == *word && l.file.ends_with(file)))
             .collect();
-        assert_eq!(sites.len(), 1, "`{}` is stated on these lines:\n{}", row.label, listing(&sites));
+        let homes = words.iter().filter(|w| *w == word).count();
+        assert_eq!(sites.len(), homes, "`{word}` is stated on these lines:\n{}", listing(&sites));
     }
 }
 
@@ -281,7 +286,7 @@ fn one_binary_records_one_reads() {
 /// the command line they share, at most: the readers were made one path at
 /// a price in lines, and paid it back. A change that grows them raises
 /// this number in its own diff.
-const READERS_CEILING: usize = 7_432;
+const READERS_CEILING: usize = 7_427;
 
 #[test]
 fn the_readers_stay_within_their_line_ceiling() {
@@ -303,7 +308,7 @@ fn crate_sources(root: &Path) -> Vec<PathBuf> {
 /// The non-test lines of every crate's `src`, at most, counted as the
 /// readers are. Code that goes lowers it in the same diff; a change that
 /// grows the crates raises it in its own.
-const ENGINE_CEILING: usize = 23_405;
+const ENGINE_CEILING: usize = 23_402;
 
 #[test]
 fn the_crates_stay_within_their_line_ceiling() {
