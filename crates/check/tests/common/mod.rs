@@ -16,10 +16,10 @@ pub fn message_passing_two_readers(fault_budget: u32) -> Litmus {
         summary: "MP on four clusters: one writer, two polling readers, idle home",
         clusters: 4,
         programs: vec![
-            [Write(data), Write(flag)].into(),
-            [Read(flag), Read(data), Read(flag)].into(),
-            [Read(data), Read(flag)].into(),
-            [].into(),
+            vec![Write(data), Write(flag)].into(),
+            vec![Read(flag), Read(data), Read(flag)].into(),
+            vec![Read(data), Read(flag)].into(),
+            vec![].into(),
         ],
         faults: FaultEdges {
             nack: true,

@@ -6,10 +6,10 @@
 //! into the interleaving of references.
 //!
 //! This crate reproduces that role. Each logical process is a [`Script`] —
-//! an immutable list of [`Op`]s and a position in it. The machine asks a
-//! processor for its next operation only when the previous one has completed
-//! in simulated time, so memory timing decides how the processes' streams
-//! interleave, as in Tango's coupled mode. (No workload here has
+//! a position in an immutable, shared [`Program`] of [`Op`]s, a word each.
+//! The machine asks a processor for its next operation only when the
+//! previous one has completed in simulated time, so memory timing decides
+//! how the processes' streams interleave, as in Tango's coupled mode. (No workload here has
 //! data-dependent control flow, so a list fetched on demand loses nothing
 //! to a generator that runs code.)
 
@@ -19,4 +19,4 @@ pub mod address;
 pub mod op;
 
 pub use address::{AddressSpace, Region};
-pub use op::{Op, Script};
+pub use op::{Op, Program, Script};

@@ -23,7 +23,7 @@ use scd::check::{
     corpus, explore, minimize, random_walk, replay_trace, scenarios, Counterexample, ExploreConfig,
 };
 use scd::machine::machine::explore::{FaultEdges, Mutation};
-use scd::machine::ProtocolKind;
+use scd::machine::{MachineConfig, ProtocolKind};
 use scd::noc::FAULT_CYCLES;
 use std::process::exit;
 
@@ -61,10 +61,12 @@ usage error
 ";
 
 /// A fault edge's cycle count `v` given to `flag`, within the bound a
-/// `FaultPlan` holds.
+/// `FaultPlan` holds and the litmus machine's cycle budget: a longer gap
+/// would end its branch as a run past the budget, not as a verdict.
 fn cycles(v: &str, flag: &str) -> Result<u32, String> {
-    let c = v.parse().ok().filter(|&c: &u32| FAULT_CYCLES.contains(&u64::from(c)));
-    c.ok_or_else(|| format!("{flag} must be a cycle count in {FAULT_CYCLES:?}"))
+    let budget = MachineConfig::tiny(1).max_cycles;
+    let c = v.parse().ok().filter(|&c: &u32| FAULT_CYCLES.contains(&u64::from(c)) && u64::from(c) <= budget);
+    c.ok_or_else(|| format!("{flag} must be a cycle count in {FAULT_CYCLES:?}, at most the litmus max_cycles {budget}"))
 }
 
 fn mutation(name: &str) -> Result<Mutation, String> {

@@ -482,6 +482,8 @@ struct Dash {
     sweep: Option<(u64, u64, f64, f64)>,
     /// Summary line of the closing `run_end` / `sweep_end`, the footer.
     closed: Option<String>,
+    /// Lines neither the event decoder nor [`Dash::record`] took.
+    refused: u64,
 }
 
 impl Dash {
@@ -528,9 +530,9 @@ impl Dash {
 
     /// Folds a record that is neither an event nor a window: the run's
     /// description, traffic, directory samples, sweep progress and the
-    /// closing record. Anything else is left alone.
+    /// closing record. Anything else is counted as refused.
     fn record(&mut self, line: &str) {
-        let Ok(j) = Fields::parse(line) else { return };
+        let Ok(j) = Fields::parse(line) else { self.refused += 1; return };
         let u64_of = |key: &str| j.get(key).and_then(|v| v.as_u64());
         let f64_of = |key: &str| j.get(key).and_then(|v| v.as_f64());
         match j.get("type").and_then(|v| v.as_str()).unwrap_or("") {
@@ -587,7 +589,7 @@ impl Dash {
                 let wall = f64_of("wall_seconds").unwrap_or(0.0);
                 self.closed = Some(format!("sweep complete: {runs} runs in {wall:.2}s"));
             }
-            _ => {}
+            _ => self.refused += 1,
         }
     }
 
@@ -703,6 +705,9 @@ impl Dash {
 
         if let Some(footer) = &self.closed {
             let _ = writeln!(s, "\n{footer}");
+        }
+        if self.refused > 0 {
+            let _ = writeln!(s, "\n{} lines refused", self.refused);
         }
         s
     }

@@ -204,10 +204,11 @@ fn scdsim_usage_errors_exit_2_naming_what_was_refused() {
         let out = expect(SWEEP, &dir, args, 2, needle);
         refused_in_two_lines(&out, "scd-sweep");
     }
-    // `scd-check`'s explored delay and duplicate gaps hold the same bound.
+    // `scd-check`'s explored delay and duplicate gaps hold the same bound,
+    // and the litmus machine's cycle budget.
     for flag in ["--fault-delay", "--fault-dup"] {
-        for cycles in ["0", "4294967296", "18446744073709551615"] {
-            let needle = format!("{flag} must be a cycle count in 1..=4294967295");
+        for cycles in ["0", "50000001", "4294967295", "4294967296", "18446744073709551615"] {
+            let needle = format!("{flag} must be a cycle count in 1..=4294967295, at most the litmus max_cycles 50000000");
             let out = expect(CHECK, &dir, &[flag, cycles], 2, &needle);
             refused_in_two_lines(&out, "scd-check");
         }
@@ -427,7 +428,8 @@ run complete: 3272 cycles, 2794 events recorded, 0 dropped
 
 /// A finished single-run stream renders its whole frame; the same stream
 /// with its last line half written (a producer caught mid-write) renders
-/// the lines before it and leaves the cut one alone.
+/// the lines before it and leaves the cut one alone; a copy with lines the
+/// decoder refuses says how many it refused.
 #[test]
 fn top_renders_a_single_run_stream_up_to_its_last_complete_line() {
     let dir = scratch("top-run");
@@ -447,6 +449,18 @@ fn top_renders_a_single_run_stream_up_to_its_last_complete_line() {
     let open = LU_FRAME.replace("window 3272", "window 3270");
     let open = open.replace("\nrun complete: 3272 cycles, 2794 events recorded, 0 dropped\n", "");
     assert_eq!(frame("cut.jsonl"), open, "{}", dir.display());
+    // Request sends relabelled as replies are refused by the event decoder
+    // and counted in the footer, not dropped without a sign.
+    let relabel = |l: &str| {
+        let send = l.contains("\"type\":\"msg_send\"");
+        if send { l.replace("\"class\":\"requests\"", "\"class\":\"replies\"") } else { l.to_string() }
+    };
+    let damaged: Vec<String> = stream.lines().map(relabel).collect();
+    let refused = stream.lines().zip(&damaged).filter(|(l, d)| l != d).count();
+    std::fs::write(dir.join("class.jsonl"), damaged.join("\n") + "\n").expect("write the damaged copy");
+    let frame = frame("class.jsonl");
+    assert!(refused > 0 && frame.contains(&format!("\n\n{refused} lines refused\n")), "{frame}");
+    assert!(frame.contains(&format!("events       {} ", 2794 - refused)), "{frame}");
     std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
 }
 

@@ -286,7 +286,7 @@ fn one_binary_records_one_reads() {
 /// the command line they share, at most: the readers were made one path at
 /// a price in lines, and paid it back. A change that grows them raises
 /// this number in its own diff.
-const READERS_CEILING: usize = 7_427;
+const READERS_CEILING: usize = 7_434;
 
 #[test]
 fn the_readers_stay_within_their_line_ceiling() {
@@ -308,7 +308,7 @@ fn crate_sources(root: &Path) -> Vec<PathBuf> {
 /// The non-test lines of every crate's `src`, at most, counted as the
 /// readers are. Code that goes lowers it in the same diff; a change that
 /// grows the crates raises it in its own.
-const ENGINE_CEILING: usize = 23_402;
+const ENGINE_CEILING: usize = 23_484;
 
 #[test]
 fn the_crates_stay_within_their_line_ceiling() {

@@ -13,11 +13,9 @@
 //! (NACKs force the retry paths of all three protocols; duplicates,
 //! delays and reorders force the stray-reply drop).
 
-use std::sync::Arc;
-
 use scd::machine::{Machine, MachineConfig, ProtocolKind, RunStats, ValueOracleReport};
 use scd::noc::FaultPlan;
-use scd::tango::{Op, Script};
+use scd::tango::{Op, Program, Script};
 use scd::trace::{AttribClass, Attribution, TraceConfig};
 
 const CLUSTERS: usize = 6;
@@ -27,12 +25,12 @@ fn a(b: u64) -> u64 {
     b * 16
 }
 
-/// One kernel: a name plus one shared op stream per processor. The
-/// streams live behind `Arc` so every protocol/fault variant runs
-/// the *same* reference sequence without re-generating or copying it.
+/// One kernel: a name plus one shared program per processor, so every
+/// protocol/fault variant runs the *same* reference sequence without
+/// re-generating or copying it.
 struct Kernel {
     name: &'static str,
-    streams: Vec<Arc<[Op]>>,
+    streams: Vec<Program>,
 }
 
 impl Kernel {
