@@ -65,6 +65,8 @@ pub enum Mutation {
 /// the modes of `scd_noc::FaultPlan` as nondeterministic transitions. A
 /// cycle count is a `u32`, as a plan's bound is (`scd_noc::FAULT_CYCLES`),
 /// so no edge can push an event past the end of the clock; 0 acts as 1.
+/// A branch's `max_cycles` budget grows by each gap it injects, so a long
+/// gap ends in a verdict, not in a run past the budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultEdges {
     /// NACK coherence requests at delivery (plan: `nack_prob`).
@@ -306,7 +308,7 @@ impl Machine {
                 // behind traffic sent after it.
                 debug_assert!(matches!(ev, Ev::Deliver(_)));
                 self.eng.faults.count().reorders += 1;
-                self.eng.queue.schedule_at(t + u64::from(delta.max(1)), ev);
+                self.inject_after(t, delta, ev);
                 Ok(())
             }
             Choice::Dup { gap, .. } => {
@@ -318,11 +320,24 @@ impl Machine {
                 // The duplicate gets its own arena slot: every handle is
                 // taken exactly once.
                 let dup = self.eng.arena.alloc(msg);
-                self.eng.queue.schedule_at(t + u64::from(gap.max(1)), Ev::Deliver(dup));
+                self.inject_after(t, gap, Ev::Deliver(dup));
                 self.eng.faults.count().duplicates += 1;
                 self.process_event(t, ev)
             }
         }
+    }
+
+    /// Schedules an injected `ev` `gap` cycles after `t` (0 acts as 1) and
+    /// raises this branch's cycle budget by the same gap: the wait is the
+    /// fault's, not the workload's. Like the fault budget, the raised
+    /// budget is not part of [`Machine::state_digest`].
+    fn inject_after(&mut self, t: Cycle, gap: u32, ev: Ev) {
+        let gap = u64::from(gap.max(1));
+        let budget = &mut self.eng.cfg.max_cycles;
+        if *budget > 0 {
+            *budget += gap;
+        }
+        self.eng.queue.schedule_at(t + gap, ev);
     }
 
     /// Leaf validation: the drained machine must have every processor

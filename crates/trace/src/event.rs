@@ -7,10 +7,13 @@
 //! and the simulated cycle, so per-cluster ring buffers can be merged back
 //! into one causal history.
 
+use std::fmt;
+
 use scd_protocol::message;
 use scd_stats::MessageClass;
 
-use crate::json::{push_label, push_u64, Exact, Fields, Json, Key, Value};
+use crate::json::{push_label, push_u64, Exact, Fields, Value};
+use crate::sink::event_line;
 
 /// A coherence-transaction lifecycle phase (the latency breakdown the
 /// metrics registry histograms: issue → home lookup → invalidation
@@ -106,10 +109,10 @@ macro_rules! field {
 
 /// Declares [`EventKind`] and everything that follows from its fields: a
 /// row per kind gives its variant, its `type` label and its fields in
-/// output order. [`EVENT_TYPES`], [`EventKind::index`], the writer, the
-/// tree and both readers are generated from the rows. A field's type
-/// picks its codec ([`Field`]); a `&'static str` label names the resolver
-/// of its vocabulary after `as`.
+/// output order. [`EVENT_TYPES`], [`EventKind::index`], the writer and
+/// both readers are generated from the rows. A field's type picks its
+/// codec ([`Field`]); a `&'static str` label names the resolver of its
+/// vocabulary after `as`.
 macro_rules! events {
     ($($(#[$doc:meta])* $kind:ident = $label:literal {
         $($(#[$fdoc:meta])* $f:ident: $ty:ty $(as $named:ident)?,)*
@@ -122,7 +125,7 @@ macro_rules! events {
 
         /// The variants without their fields: a kind's position in
         /// [`EVENT_TYPES`].
-        pub(crate) enum Row { $($kind,)* }
+        enum Row { $($kind,)* }
 
         /// The nine trace-event `type`s, in [`EventKind`] order. Stream-only
         /// [`record`] types stay disjoint from them.
@@ -141,17 +144,6 @@ macro_rules! events {
                     $(EventKind::$kind { $($f),* } => {
                         $(if let Some(v) = field!(scalar $f: $ty $(as $named)?) {
                             v.write(key!($f), out);
-                        })*
-                    })*
-                }
-            }
-
-            /// The payload's fields as a tree's.
-            fn tree(&self, out: &mut Vec<(Key, Json)>) {
-                match *self {
-                    $(EventKind::$kind { $($f),* } => {
-                        $(if let Some(v) = field!(scalar $f: $ty $(as $named)?) {
-                            out.push((Key::Borrowed(stringify!($f)), v.json()));
                         })*
                     })*
                 }
@@ -333,18 +325,10 @@ impl Scalar {
             Scalar::Label(s) => push_label(out, s),
         }
     }
-
-    fn json(self) -> Json {
-        match self {
-            Scalar::Int(n) => Json::U64(n),
-            Scalar::Flag(b) => Json::Bool(b),
-            Scalar::Label(s) => Json::Str(s.into()),
-        }
-    }
 }
 
-/// A field type's codec: the scalar the writer and the tree take, and
-/// how each reader takes it back.
+/// A field type's codec: the scalar the writer takes, and how each reader
+/// takes it back.
 trait Field: Copy {
     /// The value as written; `None` for an absent optional.
     fn scalar(self) -> Option<Scalar>;
@@ -553,20 +537,12 @@ impl TraceEvent {
         out.push(b'}');
     }
 
-    /// The event as a [`Json`] object, for replay-side consumers and
-    /// tests, built field by field as the writer writes them:
-    /// `to_json().to_string()` equals [`TraceEvent::write_jsonl`] byte for
-    /// byte (held by the property test in `tests/prop.rs`).
-    pub fn to_json(&self) -> Json {
-        let mut fields = Vec::with_capacity(10);
-        fields.extend([
-            (Key::Borrowed("seq"), Json::U64(self.seq)),
-            (Key::Borrowed("cycle"), Json::U64(self.cycle)),
-            (Key::Borrowed("cluster"), Json::U64(self.cluster.into())),
-            (Key::Borrowed("type"), Json::Str(self.kind.label().into())),
-        ]);
-        self.kind.tree(&mut fields);
-        Json::Obj(fields)
+    /// The event as its line, borrowed: the view's `Display` writes
+    /// [`TraceEvent::write_jsonl`]'s bytes, so `to_json().to_string()` is
+    /// the line. Kept for `benchmark/src` (ROADMAP.md 1(a)); a caller with
+    /// a buffer to reuse calls the writer.
+    pub fn to_json(&self) -> Jsonl<'_> {
+        Jsonl(self)
     }
 
     /// Reads one JSONL line back, the inverse of [`TraceEvent::write_jsonl`]
@@ -582,9 +558,21 @@ impl TraceEvent {
     }
 }
 
+/// A [`TraceEvent`] viewed as its JSONL line ([`TraceEvent::to_json`]).
+#[derive(Debug)]
+pub struct Jsonl<'a>(pub(crate) &'a TraceEvent);
+
+impl fmt::Display for Jsonl<'_> {
+    /// One buffer per line, handed to the formatter in one piece.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&event_line(self.0))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn jsonl_has_stable_envelope() {
@@ -622,7 +610,7 @@ mod tests {
         for kind in kinds {
             let label = kind.label();
             let ev = TraceEvent { seq: 0, cycle: 0, cluster: 0, kind };
-            let j = ev.to_json();
+            let j = Json::parse(&ev.to_json().to_string()).expect("the line is JSON");
             assert_eq!(j.get("type").and_then(Json::as_str), Some(label));
         }
     }

@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::event::{EventKind, Row, TraceEvent, EVENT_TYPES};
+use crate::event::{EventKind, Jsonl, TraceEvent};
 use crate::json::Json;
 use crate::replay::{run_lines, RunLine};
 use crate::schema::PATTERNS_SCHEMA;
@@ -282,16 +282,11 @@ impl PatternTable {
         }
     }
 
-    /// Observes a [`Json`] tree event, decoding the two types the table reads
-    /// from its text; the rest, and any the decoder refuses, pass through
-    /// counted. Kept only for `benchmark/src/probes.rs` (ROADMAP.md 1(a)).
-    pub fn observe_event(&mut self, ev: &Json) {
-        let read = [Row::TxnBegin, Row::Inval].map(|row| EVENT_TYPES[row as usize]);
-        let ty = ev.get("type").and_then(Json::as_str).filter(|ty| read.contains(ty));
-        match ty.map(|_| TraceEvent::parse(&ev.to_string())) {
-            Some(Ok(ev)) => self.observe(&ev),
-            _ => self.events += 1,
-        }
+    /// Observes an event through its line view ([`TraceEvent::to_json`]),
+    /// as [`PatternTable::observe`] does. Kept only for
+    /// `benchmark/src/probes.rs` (ROADMAP.md 1(a)).
+    pub fn observe_event(&mut self, ev: &Jsonl<'_>) {
+        self.observe(ev.0);
     }
 
     /// Builds a table from a recorded run, a `--trace-out` trace or a
@@ -740,10 +735,10 @@ mod tests {
         );
     }
 
-    /// The tree adapter counts what the decoder refuses rather than
-    /// panicking, and observes what it accepts.
+    /// The line-view adapter observes what `observe` does: an event off the
+    /// decoder's vocabulary passes through counted, a `txn_begin` is read.
     #[test]
-    fn the_tree_adapter_passes_off_vocabulary_events_through() {
+    fn the_line_view_adapter_observes_as_observe_does() {
         let probe = TraceEvent {
             seq: 1,
             cycle: 3,

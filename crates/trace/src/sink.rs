@@ -407,9 +407,9 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
 }
 
 /// Renders one [`TraceEvent`] exactly as the streamed and post-hoc JSONL
-/// surfaces do. The byte contract is [`TraceEvent::write_jsonl`] (which
-/// `to_json().to_string()` is held equal to by test); this wrapper is for
-/// callers that want an owned line and do not have a buffer to reuse.
+/// surfaces do. The byte contract is [`TraceEvent::write_jsonl`]; this
+/// wrapper is for callers that want an owned line and do not have a buffer
+/// to reuse, [`TraceEvent::to_json`]'s view among them.
 pub fn event_line(ev: &TraceEvent) -> String {
     let mut line = Vec::with_capacity(160);
     ev.write_jsonl(&mut line);

@@ -23,7 +23,7 @@ use scd::check::{
     corpus, explore, minimize, random_walk, replay_trace, scenarios, Counterexample, ExploreConfig,
 };
 use scd::machine::machine::explore::{FaultEdges, Mutation};
-use scd::machine::{MachineConfig, ProtocolKind};
+use scd::machine::ProtocolKind;
 use scd::noc::FAULT_CYCLES;
 use std::process::exit;
 
@@ -61,12 +61,11 @@ usage error
 ";
 
 /// A fault edge's cycle count `v` given to `flag`, within the bound a
-/// `FaultPlan` holds and the litmus machine's cycle budget: a longer gap
-/// would end its branch as a run past the budget, not as a verdict.
+/// `FaultPlan` holds. The explorer raises a branch's cycle budget by each
+/// gap it injects, so any such gap ends in a verdict.
 fn cycles(v: &str, flag: &str) -> Result<u32, String> {
-    let budget = MachineConfig::tiny(1).max_cycles;
-    let c = v.parse().ok().filter(|&c: &u32| FAULT_CYCLES.contains(&u64::from(c)) && u64::from(c) <= budget);
-    c.ok_or_else(|| format!("{flag} must be a cycle count in {FAULT_CYCLES:?}, at most the litmus max_cycles {budget}"))
+    let c = v.parse().ok().filter(|&c: &u32| FAULT_CYCLES.contains(&u64::from(c)));
+    c.ok_or_else(|| format!("{flag} must be a cycle count in {FAULT_CYCLES:?}"))
 }
 
 fn mutation(name: &str) -> Result<Mutation, String> {

@@ -286,7 +286,7 @@ fn one_binary_records_one_reads() {
 /// the command line they share, at most: the readers were made one path at
 /// a price in lines, and paid it back. A change that grows them raises
 /// this number in its own diff.
-const READERS_CEILING: usize = 7_434;
+const READERS_CEILING: usize = 7_415;
 
 #[test]
 fn the_readers_stay_within_their_line_ceiling() {
@@ -308,7 +308,7 @@ fn crate_sources(root: &Path) -> Vec<PathBuf> {
 /// The non-test lines of every crate's `src`, at most, counted as the
 /// readers are. Code that goes lowers it in the same diff; a change that
 /// grows the crates raises it in its own.
-const ENGINE_CEILING: usize = 23_484;
+const ENGINE_CEILING: usize = 23_481;
 
 #[test]
 fn the_crates_stay_within_their_line_ceiling() {
@@ -352,6 +352,18 @@ fn test_code_ends_its_file() {
     }
     assert!(files.len() > 50, "the source trees were found");
     assert!(found.is_empty(), "code after a file's test modules:\n{}", found.join("\n"));
+}
+
+/// DESIGN.md's lines, at most: the document is to describe the current
+/// system and leave its history to CHANGES.md (ROADMAP item 16), so a
+/// rewrite lowers this number and nothing raises it.
+const DESIGN_CEILING: usize = 1_915;
+
+#[test]
+fn design_stays_within_its_line_ceiling() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lines = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md").lines().count();
+    assert!(lines <= DESIGN_CEILING, "DESIGN.md has {lines} lines, ceiling {DESIGN_CEILING}");
 }
 
 /// Whether `text` holds `name` as a whole identifier.

@@ -1082,3 +1082,41 @@ fn the_exact_reader_takes_every_perfetto_record_the_exporter_writes() {
         assert_eq!(read_lexed(&text), Ok(summary), "{name}: the lexer path's verdict");
     }
 }
+
+/// The line view (`TraceEvent::to_json`) renders the writer's bytes, and
+/// the decoder reads them back, for one event of each of the nine types
+/// at the edges of every field: 0, `u32::MAX`, `u64::MAX`, and a message
+/// without a block.
+#[test]
+fn every_event_type_renders_the_writers_line_and_parses_back() {
+    use scd::trace::event::cause;
+    use scd::trace::{EventKind, Phase, TraceEvent, EVENT_TYPES};
+    let read = &scd::protocol::MESSAGES[0];
+    let kinds = |n: u64, m: u32, block: Option<u64>| {
+        [
+            EventKind::TxnBegin { txn: n, block: n, write: n > 0 },
+            EventKind::TxnPhase { txn: n, block: n, phase: Phase::Fanout },
+            EventKind::TxnEnd { txn: n, block: n, latency: n, retries: m },
+            EventKind::Nack { txn: n, block: n },
+            EventKind::Retry { txn: n, block: n, attempt: m, backoff: n },
+            EventKind::Inval { block: n, targets: m, cause: cause::NB_EVICT },
+            EventKind::Replacement { victim: n, targets: m, dirty: n == 0 },
+            EventKind::MsgSend { src: m, dst: m, msg: read.label, class: read.class.label(), block, hops: m },
+            EventKind::MsgDeliver { src: m, dst: m, msg: read.label, block },
+        ]
+    };
+    let edges = [(0, 0, None), (0, 0, Some(0)), (u64::MAX, u32::MAX, None), (u64::MAX, u32::MAX, Some(u64::MAX))];
+    for (n, m, block) in edges {
+        let kinds = kinds(n, m, block);
+        assert_eq!(kinds.each_ref().map(EventKind::label), EVENT_TYPES, "one event of each type");
+        for kind in kinds {
+            let ev = TraceEvent { seq: n, cycle: n, cluster: m, kind };
+            let mut written = Vec::new();
+            ev.write_jsonl(&mut written);
+            let line = ev.to_json().to_string();
+            assert_eq!(line.as_bytes(), written, "the view renders the writer's bytes");
+            assert_eq!(format!("{}", ev.to_json()), line);
+            assert_eq!(TraceEvent::parse(&line), Ok(ev), "{line}");
+        }
+    }
+}
